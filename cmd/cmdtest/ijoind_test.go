@@ -264,6 +264,66 @@ func TestIjoindBenchVerifiesWarmAgainstCold(t *testing.T) {
 	}
 }
 
+// TestIjoindBoundsTheRequestSurface: a /query body is one JSON object of
+// at most 64 KiB. Oversize bodies get 413 without being parsed, anything
+// after the object gets 400, both are counted by status code — and a
+// well-formed query between them is still answered, with its length
+// announced up front.
+func TestIjoindBoundsTheRequestSurface(t *testing.T) {
+	dir := t.TempDir()
+	a := filepath.Join(dir, "a.txt")
+	b := filepath.Join(dir, "b.txt")
+	mustRun(t, "genintervals", "-n", "100", "-tmax", "1000", "-imax", "50", "-seed", "1", "-o", a)
+	mustRun(t, "genintervals", "-n", "100", "-tmax", "1000", "-imax", "50", "-seed", "2", "-o", b)
+	_, base := startIjoind(t, "-rel", "R1="+a, "-rel", "R2="+b)
+
+	const good = `{"query":"R1 overlaps R2","lo":0,"hi":500}`
+	post := func(body string) *http.Response {
+		t.Helper()
+		resp, err := http.Post(base+"/query", "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return resp
+	}
+	for _, tc := range []struct {
+		name, body string
+		want       int
+	}{
+		{"oversize query string", `{"query":"` + strings.Repeat("x", 70<<10) + `","lo":0,"hi":1}`, http.StatusRequestEntityTooLarge},
+		{"oversize padding after a good object", good + strings.Repeat(" ", 70<<10), http.StatusRequestEntityTooLarge},
+		{"trailing garbage", good + " and more", http.StatusBadRequest},
+		{"second object", good + good, http.StatusBadRequest},
+		{"trailing white space", good + " \n\t\n", http.StatusOK},
+	} {
+		resp := post(tc.body)
+		body, err := readAll(resp)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if resp.StatusCode != tc.want {
+			t.Errorf("%s: status %d, want %d (%.80s)", tc.name, resp.StatusCode, tc.want, body)
+		}
+		if tc.want == http.StatusOK {
+			if resp.ContentLength != int64(len(body)) {
+				t.Errorf("%s: Content-Length %d for a body of %d bytes", tc.name, resp.ContentLength, len(body))
+			}
+			if !strings.HasPrefix(body, `{"rows":[[`) || !strings.HasSuffix(body, "}\n") {
+				t.Errorf("%s: body is not a query answer: %.80s", tc.name, body)
+			}
+		}
+	}
+	byCode := make(map[string]float64)
+	for _, s := range scrapeMetrics(t, base) {
+		if s.Name == "ij_requests_total" {
+			byCode[s.Label("code")] = s.Value
+		}
+	}
+	if byCode["413"] != 2 || byCode["400"] != 2 || byCode["200"] < 1 {
+		t.Errorf("ij_requests_total by code = %v, want two 413s, two 400s and the 200", byCode)
+	}
+}
+
 func readAll(resp *http.Response) (string, error) {
 	defer resp.Body.Close()
 	var sb strings.Builder

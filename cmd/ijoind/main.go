@@ -45,6 +45,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -54,6 +55,7 @@ import (
 	"net/http/pprof"
 	"os"
 	"os/signal"
+	"strconv"
 	"strings"
 	"sync/atomic"
 	"syscall"
@@ -258,22 +260,6 @@ type queryRequest struct {
 	Hi    int64  `json:"hi"`
 }
 
-type windowJSON struct {
-	Lo int64 `json:"lo"`
-	Hi int64 `json:"hi"`
-}
-
-type queryResponse struct {
-	Rows         [][]int64    `json:"rows"`
-	Window       windowJSON   `json:"window"`
-	HitSegments  int          `json:"hit_segments"`
-	DeltaWindows []windowJSON `json:"delta_windows,omitempty"`
-	CachedRows   int64        `json:"cached_rows"`
-	DeltaRows    int64        `json:"delta_rows"`
-	Algorithm    string       `json:"algorithm,omitempty"`
-	WallNS       int64        `json:"wall_ns"`
-}
-
 // parseLogLevel maps the -log-level flag onto slog levels.
 func parseLogLevel(s string) (slog.Level, error) {
 	switch strings.ToLower(s) {
@@ -390,26 +376,51 @@ func (s *server) startDrain() {
 	s.log.Info("draining in-flight queries")
 }
 
-// fail rejects a request: counts the status code, logs, and writes the
-// error response.
-func (s *server) fail(w http.ResponseWriter, lg *slog.Logger, code int, msg string) {
+// fail rejects a request: counts the status code, logs the request id
+// and whatever else is known about the request, and writes the error
+// response.
+func (s *server) fail(w http.ResponseWriter, r *http.Request, id int64, code int, msg string, known ...slog.Attr) {
 	s.tel.countRequest(code)
 	if code == http.StatusTooManyRequests {
 		s.tel.rejected.Inc()
 	}
-	lg.Warn("request rejected", "status", code, "error", msg)
+	attrs := append([]slog.Attr{slog.Int64("req", id), slog.Int("status", code), slog.String("error", msg)}, known...)
+	s.log.LogAttrs(r.Context(), slog.LevelWarn, "request rejected", attrs...)
 	http.Error(w, msg, code)
+}
+
+// maxQueryBody bounds a /query request body. A query string, two numbers
+// and JSON punctuation fit many times over; anything larger is refused
+// with 413 before it is parsed.
+const maxQueryBody = 64 << 10
+
+// readQuery reads and decodes a /query body: exactly one JSON object, at
+// most maxQueryBody bytes. On failure it returns the status to answer with.
+func readQuery(w http.ResponseWriter, r *http.Request) (req queryRequest, code int, err error) {
+	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxQueryBody))
+	if err != nil {
+		var tooBig *http.MaxBytesError
+		if errors.As(err, &tooBig) {
+			return req, http.StatusRequestEntityTooLarge, err
+		}
+		return req, http.StatusBadRequest, err
+	}
+	// Unmarshal, unlike a Decoder, rejects anything but white space after
+	// the object.
+	if err := json.Unmarshal(body, &req); err != nil {
+		return req, http.StatusBadRequest, err
+	}
+	return req, http.StatusOK, nil
 }
 
 func (s *server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	id := s.reqSeq.Add(1)
-	lg := s.log.With("req", id)
 	if r.Method != http.MethodPost {
-		s.fail(w, lg, http.StatusMethodNotAllowed, "POST only")
+		s.fail(w, r, id, http.StatusMethodNotAllowed, "POST only")
 		return
 	}
 	if s.draining.Load() {
-		s.fail(w, lg, http.StatusServiceUnavailable, "draining")
+		s.fail(w, r, id, http.StatusServiceUnavailable, "draining")
 		return
 	}
 	select {
@@ -420,20 +431,19 @@ func (s *server) handleQuery(w http.ResponseWriter, r *http.Request) {
 			<-s.inflight
 		}()
 	default:
-		s.fail(w, lg, http.StatusTooManyRequests, "too many in-flight queries")
+		s.fail(w, r, id, http.StatusTooManyRequests, "too many in-flight queries")
 		return
 	}
-	var req queryRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		s.fail(w, lg, http.StatusBadRequest, err.Error())
+	req, code, err := readQuery(w, r)
+	if err != nil {
+		s.fail(w, r, id, code, err.Error())
 		return
 	}
 	q, err := query.Parse(req.Query)
 	if err != nil {
-		s.fail(w, lg, http.StatusBadRequest, err.Error())
+		s.fail(w, r, id, http.StatusBadRequest, err.Error())
 		return
 	}
-	lg = lg.With("query", req.Query, "lo", req.Lo, "hi", req.Hi)
 
 	// Sampling: every traceSample'th admitted query runs under a fresh
 	// tracer, as does the first query after a slow one (the
@@ -455,16 +465,20 @@ func (s *server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		ans, err = s.svc.Query(q, cache.Window{Lo: req.Lo, Hi: req.Hi})
 	}
 	if err != nil {
-		s.fail(w, lg, http.StatusUnprocessableEntity, err.Error())
+		s.fail(w, r, id, http.StatusUnprocessableEntity, err.Error(),
+			slog.String("query", req.Query), slog.Int64("lo", req.Lo), slog.Int64("hi", req.Hi))
 		return
 	}
+	// Counted before the body goes out: a client that scrapes /metrics
+	// right after reading its answer must find the query there.
 	s.tel.countRequest(http.StatusOK)
-	s.tel.observeAnswer(ans.Wall, req.Hi-req.Lo+1, ans.HitSegments, len(ans.DeltaWindows), len(ans.Rows), ans.Engine)
+	s.tel.observeAnswer(ans)
 
 	var tracePath string
 	if tr != nil {
 		if tracePath, err = s.traces.write(qid, tr.Snapshot()); err != nil {
-			lg.Warn("query trace not written", "error", err.Error())
+			s.log.LogAttrs(r.Context(), slog.LevelWarn, "query trace not written",
+				slog.Int64("req", id), slog.String("error", err.Error()))
 			tracePath = ""
 		} else {
 			s.tel.traces.Inc()
@@ -478,41 +492,47 @@ func (s *server) handleQuery(w http.ResponseWriter, r *http.Request) {
 			s.slowArm.Store(true)
 		}
 	}
-	attrs := []any{
-		"status", http.StatusOK,
-		"rows", len(ans.Rows),
-		"hit_segments", ans.HitSegments,
-		"delta_windows", len(ans.DeltaWindows),
-		"algorithm", ans.Algorithm,
-		"wall", ans.Wall.String(),
-	}
-	if tracePath != "" {
-		attrs = append(attrs, "trace", tracePath)
-	}
-	if slow {
-		lg.Warn("slow query", attrs...)
-	} else {
-		lg.Info("query", attrs...)
-	}
 
-	resp := queryResponse{
-		Rows:        make([][]int64, len(ans.Rows)),
-		Window:      windowJSON{Lo: int64(ans.Window.Lo), Hi: int64(ans.Window.Hi)},
-		HitSegments: ans.HitSegments,
-		CachedRows:  ans.CachedRows,
-		DeltaRows:   ans.DeltaRows,
-		Algorithm:   ans.Algorithm,
-		WallNS:      ans.Wall.Nanoseconds(),
-	}
-	for i, t := range ans.Rows {
-		resp.Rows[i] = t
-	}
-	for _, d := range ans.DeltaWindows {
-		resp.DeltaWindows = append(resp.DeltaWindows, windowJSON{Lo: int64(d.Lo), Hi: int64(d.Hi)})
-	}
+	encodeStart := time.Now()
+	buf := respBufs.Get().(*[]byte)
+	*buf = appendQueryResponse((*buf)[:0], ans)
+	size := len(*buf)
 	w.Header().Set("Content-Type", "application/json")
-	if err := json.NewEncoder(w).Encode(resp); err != nil {
-		lg.Debug("response write failed", "error", err.Error())
+	w.Header().Set("Content-Length", strconv.Itoa(size))
+	_, werr := w.Write(*buf)
+	if cap(*buf) <= maxPooledResp {
+		respBufs.Put(buf)
+	}
+	encode := time.Since(encodeStart)
+	s.tel.observeResponse(encode, size)
+
+	level, msg := slog.LevelInfo, "query"
+	if slow {
+		level, msg = slog.LevelWarn, "slow query"
+	}
+	if s.log.Enabled(r.Context(), level) {
+		attrs := []slog.Attr{
+			slog.Int64("req", id),
+			slog.String("query", req.Query),
+			slog.Int64("lo", req.Lo),
+			slog.Int64("hi", req.Hi),
+			slog.Int("status", http.StatusOK),
+			slog.Int("rows", len(ans.Rows)),
+			slog.Int("hit_segments", ans.HitSegments),
+			slog.Int("delta_windows", len(ans.DeltaWindows)),
+			slog.String("algorithm", ans.Algorithm),
+			slog.String("wall", ans.Wall.String()),
+			slog.String("merge", ans.Merge.String()),
+			slog.String("encode", encode.String()),
+		}
+		if tracePath != "" {
+			attrs = append(attrs, slog.String("trace", tracePath))
+		}
+		s.log.LogAttrs(r.Context(), level, msg, attrs...)
+	}
+	if werr != nil {
+		s.log.LogAttrs(r.Context(), slog.LevelDebug, "response write failed",
+			slog.Int64("req", id), slog.String("error", werr.Error()))
 	}
 }
 
@@ -525,12 +545,12 @@ func (s *server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 	}
 }
 
-func (s *server) handleStats(w http.ResponseWriter, _ *http.Request) {
+func (s *server) handleStats(w http.ResponseWriter, r *http.Request) {
 	// Render into a buffer first so a report error can still become a
 	// clean 500 instead of a truncated 200 body.
 	var buf bytes.Buffer
 	if err := cacheReportJSON(&buf, s.svc, s.tracer, 0, 0); err != nil {
-		s.fail(w, s.log, http.StatusInternalServerError, err.Error())
+		s.fail(w, r, s.reqSeq.Add(1), http.StatusInternalServerError, err.Error())
 		return
 	}
 	s.tel.countRequest(http.StatusOK)

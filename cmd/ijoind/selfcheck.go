@@ -204,6 +204,7 @@ func checkScrapes(mid, final []byte, n int) error {
 		"ij_engine_runs_total",
 		"ij_engine_output_records_total",
 		"ij_query_window_span_count",
+		"ij_response_bytes_count",
 	} {
 		if _, ok := findSample(finS, name); !ok {
 			return fmt.Errorf("final scrape: %s missing", name)
@@ -214,6 +215,17 @@ func checkScrapes(mid, final []byte, n int) error {
 	}
 	if v, ok := findSample(finS, "ij_cache_hit_ratio"); !ok || v <= 0 {
 		return fmt.Errorf("ij_cache_hit_ratio = %v, want > 0 (the mix repeats windows)", v)
+	}
+	// Both stages of every successful query are timed: the series must
+	// exist mid-load and have moved by the end.
+	for _, stage := range []string{"merge", "encode"} {
+		midN, ok := findStageCount(midS, stage)
+		if !ok {
+			return fmt.Errorf("mid scrape: ij_query_stage_seconds_count{stage=%q} missing", stage)
+		}
+		if finN, _ := findStageCount(finS, stage); finN <= midN {
+			return fmt.Errorf("ij_query_stage_seconds_count{stage=%q} did not move: mid %v, final %v", stage, midN, finN)
+		}
 	}
 	okReq := false
 	for _, sm := range finS {
@@ -231,6 +243,16 @@ func checkScrapes(mid, final []byte, n int) error {
 func findSample(samples []live.Sample, name string) (float64, bool) {
 	for _, s := range samples {
 		if s.Name == name {
+			return s.Value, true
+		}
+	}
+	return 0, false
+}
+
+// findStageCount returns the observation count of one query stage.
+func findStageCount(samples []live.Sample, stage string) (float64, bool) {
+	for _, s := range samples {
+		if s.Name == "ij_query_stage_seconds_count" && s.Label("stage") == stage {
 			return s.Value, true
 		}
 	}

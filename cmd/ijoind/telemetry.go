@@ -16,11 +16,14 @@ import (
 type telemetry struct {
 	reg *live.Registry
 
-	latency    *live.LatencyHist // ij_query_latency_seconds
-	windowSpan *live.Hist        // ij_query_window_span
-	inflight   *live.Gauge       // ij_inflight
-	draining   *live.Gauge       // ij_draining
-	rejected   *live.Counter     // ij_admission_rejected_total
+	latency     *live.LatencyHist // ij_query_latency_seconds
+	stageMerge  *live.LatencyHist // ij_query_stage_seconds{stage="merge"}
+	stageEncode *live.LatencyHist // ij_query_stage_seconds{stage="encode"}
+	windowSpan  *live.Hist        // ij_query_window_span
+	respBytes   *live.Hist        // ij_response_bytes
+	inflight    *live.Gauge       // ij_inflight
+	draining    *live.Gauge       // ij_draining
+	rejected    *live.Counter     // ij_admission_rejected_total
 
 	requests     map[int]*live.Counter // ij_requests_total{code=...}, pre-resolved
 	requestsVec  *live.CounterVec
@@ -37,20 +40,24 @@ type telemetry struct {
 // requestCodes are the status codes the handlers can produce; their
 // counters are resolved once here so the hot path never joins label
 // values.
-var requestCodes = []int{200, 400, 404, 405, 422, 429, 500, 503}
+var requestCodes = []int{200, 400, 404, 405, 413, 422, 429, 500, 503}
 
 // newTelemetry builds the registry, the request series, the engine
 // bridge, and the cache stats collector. A nil svc (or disabled
 // telemetry) is handled by the callees' nil contracts.
 func newTelemetry(svc *cache.Service) *telemetry {
 	reg := live.NewRegistry()
+	stages := reg.LatencyVec("ij_query_stage_seconds", "time successful queries spend per stage: merging segments into the answer, encoding and writing the response", "stage")
 	t := &telemetry{
-		reg:        reg,
-		latency:    reg.Latency("ij_query_latency_seconds", "service-side query latency, successful queries"),
-		windowSpan: reg.Hist("ij_query_window_span", "closed window span (hi-lo+1) of successful queries"),
-		inflight:   reg.Gauge("ij_inflight", "queries currently in the join path"),
-		draining:   reg.Gauge("ij_draining", "1 while the server is draining for shutdown"),
-		rejected:   reg.Counter("ij_admission_rejected_total", "queries rejected by admission control (429)"),
+		reg:         reg,
+		latency:     reg.Latency("ij_query_latency_seconds", "service-side query latency, successful queries"),
+		stageMerge:  stages.With("merge"),
+		stageEncode: stages.With("encode"),
+		windowSpan:  reg.Hist("ij_query_window_span", "closed window span (hi-lo+1) of successful queries"),
+		respBytes:   reg.Hist("ij_response_bytes", "response body size of successful queries"),
+		inflight:    reg.Gauge("ij_inflight", "queries currently in the join path"),
+		draining:    reg.Gauge("ij_draining", "1 while the server is draining for shutdown"),
+		rejected:    reg.Counter("ij_admission_rejected_total", "queries rejected by admission control (429)"),
 
 		requestsVec:  reg.CounterVec("ij_requests_total", "requests by HTTP status code", "code"),
 		hitSegments:  reg.Counter("ij_query_hit_segments_total", "cached segments merged into answers"),
@@ -83,19 +90,31 @@ func (t *telemetry) countRequest(code int) {
 	t.requestsVec.With(strconv.Itoa(code)).Inc()
 }
 
-// observeAnswer records a successful query's latency, window span, cache
-// provenance, and — when delta joins ran — the engine counters.
-func (t *telemetry) observeAnswer(wall time.Duration, span int64, hitSegments, deltaWindows, rows int, engine *mr.Metrics) {
+// observeAnswer records a successful query's latency and merge stage,
+// window span, cache provenance, and — when delta joins ran — the engine
+// counters.
+func (t *telemetry) observeAnswer(ans *cache.Answer) {
 	if t == nil {
 		return
 	}
-	t.latency.Observe(wall)
-	t.windowSpan.Observe(span)
-	t.hitSegments.Add(int64(hitSegments))
-	t.deltaWindows.Add(int64(deltaWindows))
-	if deltaWindows == 0 {
+	t.latency.Observe(ans.Wall)
+	t.stageMerge.Observe(ans.Merge)
+	t.windowSpan.Observe(ans.Window.Span())
+	t.hitSegments.Add(int64(ans.HitSegments))
+	t.deltaWindows.Add(int64(len(ans.DeltaWindows)))
+	if len(ans.DeltaWindows) == 0 {
 		t.fullHits.Inc()
 	}
-	t.rowsServed.Add(int64(rows))
-	t.engine.Publish(engine)
+	t.rowsServed.Add(int64(len(ans.Rows)))
+	t.engine.Publish(ans.Engine)
+}
+
+// observeResponse records the encode stage — building the body and
+// handing it to the connection — and the body's size.
+func (t *telemetry) observeResponse(encode time.Duration, size int) {
+	if t == nil {
+		return
+	}
+	t.stageEncode.Observe(encode)
+	t.respBytes.Observe(int64(size))
 }

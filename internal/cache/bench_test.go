@@ -1,0 +1,78 @@
+package cache
+
+import (
+	"testing"
+
+	"intervaljoin/internal/core"
+	"intervaljoin/internal/dfs"
+	"intervaljoin/internal/interval"
+	"intervaljoin/internal/mr"
+	"intervaljoin/internal/query"
+	"intervaljoin/internal/workload"
+)
+
+// benchHitService registers the serve workloads' residents (2 x 20 000
+// Table 1 intervals) and caches the given windows, one segment each.
+func benchHitService(b *testing.B, fill []Window) (*Service, *query.Query) {
+	b.Helper()
+	svc, err := NewService(ServiceConfig{
+		Engine: mr.NewEngine(mr.Config{Store: dfs.NewMem()}),
+		Opts:   core.Options{Partitions: 16, PartitionsPerDim: 6},
+	})
+	if err != nil {
+		b.Fatal(err)
+	}
+	for i, name := range []string{"R1", "R2"} {
+		rel, err := workload.Generate(workload.Table1Spec(name, 20_000, int64(i+1)))
+		if err != nil {
+			b.Fatal(err)
+		}
+		if _, err := svc.Register(rel); err != nil {
+			b.Fatal(err)
+		}
+	}
+	q := query.New()
+	if err := q.AddCondition("R1", "", interval.Overlaps, "R2", ""); err != nil {
+		b.Fatal(err)
+	}
+	for _, w := range fill {
+		if _, err := svc.Query(q, w); err != nil {
+			b.Fatal(err)
+		}
+	}
+	return svc, q
+}
+
+// benchHits times cache-served queries of one window and reports the
+// answer's size next to the time and allocations.
+func benchHits(b *testing.B, svc *Service, q *query.Query, w Window, wantSegments int) {
+	b.Helper()
+	b.ReportAllocs()
+	b.ResetTimer()
+	var ans *Answer
+	for i := 0; i < b.N; i++ {
+		var err error
+		if ans, err = svc.Query(q, w); err != nil {
+			b.Fatal(err)
+		}
+	}
+	if len(ans.DeltaWindows) != 0 || ans.HitSegments != wantSegments {
+		b.Fatalf("answer merged %d segments and ran %d delta joins, want %d and 0", ans.HitSegments, len(ans.DeltaWindows), wantSegments)
+	}
+	b.ReportMetric(float64(len(ans.Rows)), "rows/op")
+}
+
+// BenchmarkServiceFullHit answers a ~3.5k-row window that lies inside one
+// cached segment: clip and copy, no dedup.
+func BenchmarkServiceFullHit(b *testing.B) {
+	svc, q := benchHitService(b, []Window{{38_000, 44_000}})
+	benchHits(b, svc, q, Window{40_000, 43_000}, 1)
+}
+
+// BenchmarkServicePartialHit answers the same window when each of three
+// cached segments holds a part of it, so the directories interleave and
+// the anchors straddling the two inner boundaries are deduplicated.
+func BenchmarkServicePartialHit(b *testing.B) {
+	svc, q := benchHitService(b, []Window{{38_000, 40_999}, {41_000, 41_999}, {42_000, 44_000}})
+	benchHits(b, svc, q, Window{40_000, 43_000}, 3)
+}

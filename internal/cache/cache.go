@@ -10,9 +10,18 @@
 // is the union of the answers for any cover of it, with duplicates only
 // for rows whose anchor straddles a piece boundary (the "halo"; anchors
 // are joined whole, never clipped, so a straddling row appears in every
-// adjacent piece and merging dedups on the output-tuple key). A cached
-// segment therefore serves any later window by clipping: keep the rows
-// whose anchor intersects the query window.
+// adjacent piece). A cached segment therefore serves any later window by
+// clipping: keep the rows whose anchor intersects the query window.
+//
+// Anchor groups. All rows of one anchor tuple share IDs[0] and the anchor
+// interval, sort next to each other in canonical order, and enter or
+// leave a window together — so a segment holds every row of each anchor
+// it contains, and two segments that share an anchor id hold identical
+// groups. Clipping and halo dedup therefore work on whole groups, never
+// on rows: a segment keeps a small directory of its groups over flat,
+// pointer-free slabs (ids, and each row's JSON text as it goes on the
+// wire, encoded once at insert), and a lookup takes surviving groups out
+// of the slabs in bulk.
 //
 // Segments of one key are kept window-disjoint by construction — a miss
 // inserts only the uncovered gap windows — so covered/uncovered
@@ -21,8 +30,11 @@ package cache
 
 import (
 	"container/list"
+	"fmt"
 	"slices"
+	"strconv"
 	"sync"
+	"unsafe"
 
 	"intervaljoin/internal/core"
 	"intervaljoin/internal/interval"
@@ -55,32 +67,120 @@ type Window struct {
 // Span is the window's closed length.
 func (w Window) Span() int64 { return int64(w.Hi-w.Lo) + 1 }
 
-// Row is one cached join result row: the output tuple plus its anchor
-// interval (the first attribute of the first relation's tuple), kept so a
-// later query can clip the segment to its own window.
+// Row is one join result row handed to the cache: the output tuple plus
+// its anchor interval (the first attribute of the first relation's
+// tuple), kept so a later query can clip the segment to its own window.
 type Row struct {
 	IDs    core.OutputTuple
 	Anchor interval.Interval
 }
 
 // Segment is one cached result range: every row whose anchor intersects
-// Win. Segments are immutable after insertion, so lookups may share them
-// outside the cache lock.
+// Win, laid out as pointer-free columns. Segments are immutable after
+// construction, so lookups share them outside the cache lock.
 type Segment struct {
-	Key  Key
-	Win  Window
-	Rows []Row
+	Key Key
+	Win Window
+
+	// arity is the number of ids per row (the query's relation count).
+	arity int
+	// ids holds the rows' ids back to back in canonical order.
+	ids []int64
+	// wire holds each row's JSON text followed by a comma — "[3,7]," —
+	// back to back in the same order: the bytes a response carries.
+	wire []byte
+	// groups is the anchor-group directory in ascending anchor id, closed
+	// by a sentinel that carries the row count and len(wire), so group g
+	// spans groups[g].row..groups[g+1].row and likewise for wire.
+	groups []group
 
 	bytes int64
 	elem  *list.Element
 }
 
-// rowBytes approximates a row's resident size: anchor (16) + id slice
-// header (24) + ids.
-func rowBytes(r Row) int64 { return 40 + 8*int64(len(r.IDs)) }
+// group locates one anchor's rows inside a segment's slabs.
+type group struct {
+	id     int64             // the anchor tuple's id: IDs[0] of every row
+	anchor interval.Interval // that tuple's interval, what clipping tests
+	row    int               // index of the group's first row
+	wire   int               // offset of the group's first byte in wire
+}
 
-// segmentOverhead approximates a segment's fixed cost in the budget.
+// segmentOverhead approximates a segment's fixed cost in the budget; the
+// slabs are charged at their real sizes.
 const segmentOverhead = 128
+
+// newSegment lays the rows out in segment form, sorting them first if
+// they are not in canonical order (engine results are). The rows must
+// share one non-zero arity, and rows with equal IDs[0] one anchor.
+func newSegment(k Key, w Window, rows []Row) (*Segment, error) {
+	if !slices.IsSortedFunc(rows, compareRowIDs) {
+		slices.SortFunc(rows, compareRowIDs)
+	}
+	seg := &Segment{Key: k, Win: w}
+	ngroups, wireLen := 0, 0
+	for i, r := range rows {
+		if i == 0 {
+			seg.arity = len(r.IDs)
+		}
+		if len(r.IDs) != seg.arity || seg.arity == 0 {
+			return nil, fmt.Errorf("cache: row %d has %d ids, want %d (and at least one)", i, len(r.IDs), seg.arity)
+		}
+		if i == 0 || r.IDs[0] != rows[i-1].IDs[0] {
+			ngroups++
+		} else if r.Anchor != rows[i-1].Anchor {
+			return nil, fmt.Errorf("cache: anchor id %d carries two anchors, %v and %v", r.IDs[0], rows[i-1].Anchor, r.Anchor)
+		}
+		wireLen += rowWireLen(r.IDs)
+	}
+	seg.ids = make([]int64, 0, len(rows)*seg.arity)
+	seg.wire = make([]byte, 0, wireLen)
+	seg.groups = make([]group, 0, ngroups+1)
+	for i, r := range rows {
+		if i == 0 || r.IDs[0] != rows[i-1].IDs[0] {
+			seg.groups = append(seg.groups, group{id: r.IDs[0], anchor: r.Anchor, row: i, wire: len(seg.wire)})
+		}
+		seg.ids = append(seg.ids, r.IDs...)
+		seg.wire = appendRowWire(seg.wire, r.IDs)
+	}
+	seg.groups = append(seg.groups, group{row: len(rows), wire: len(seg.wire)})
+	seg.bytes = segmentOverhead + 8*int64(cap(seg.ids)) + int64(cap(seg.wire)) +
+		int64(unsafe.Sizeof(group{}))*int64(cap(seg.groups))
+	return seg, nil
+}
+
+// appendRowWire appends one row's wire text: the ids as a JSON array,
+// then the comma that separates it from the next row.
+func appendRowWire(dst []byte, ids core.OutputTuple) []byte {
+	dst = append(dst, '[')
+	for i, id := range ids {
+		if i > 0 {
+			dst = append(dst, ',')
+		}
+		dst = strconv.AppendInt(dst, id, 10)
+	}
+	return append(dst, ']', ',')
+}
+
+// rowWireLen is len(appendRowWire(nil, ids)), so the wire slab is
+// allocated at its exact size and the budget charges no slack.
+func rowWireLen(ids core.OutputTuple) int {
+	n := 2 + len(ids) // brackets, separators, trailing comma
+	for _, id := range ids {
+		u := uint64(id)
+		if id < 0 {
+			n++
+			u = -u
+		}
+		for n++; u >= 10; u /= 10 {
+			n++
+		}
+	}
+	return n
+}
+
+// rows is the segment's row count.
+func (s *Segment) rows() int { return s.groups[len(s.groups)-1].row }
 
 // Stats is the cache's cumulative accounting. Hit counters map onto the
 // obs counters the service exports (cache_hit_segments, cache_delta_rows,
@@ -115,8 +215,8 @@ type Cache struct {
 	mu     sync.Mutex
 	budget int64
 	bytes  int64
-	lru    *list.List          // of *Segment; front = most recently used
-	segs   map[Key][]*Segment  // per key, sorted by Win.Lo, windows disjoint
+	lru    *list.List         // of *Segment; front = most recently used
+	segs   map[Key][]*Segment // per key, sorted by Win.Lo, windows disjoint
 	stats  Stats
 }
 
@@ -134,8 +234,9 @@ func New(budgetBytes int64) *Cache {
 
 // Lookup returns the cached segments intersecting the window (oldest window
 // first) and the uncovered gap windows, and updates the hit accounting.
-// Returned segments are immutable shared views; the caller clips their rows
-// to its own window and dedups against the gaps' delta results.
+// Returned segments are immutable shared views; the caller clips their
+// anchor groups to its own window and dedups against the gaps' delta
+// results.
 func (c *Cache) Lookup(k Key, w Window) (hits []*Segment, gaps []Window) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -151,7 +252,7 @@ func (c *Cache) Lookup(k Key, w Window) (hits []*Segment, gaps []Window) {
 		}
 		hits = append(hits, s)
 		c.lru.MoveToFront(s.elem)
-		c.stats.CachedRows += int64(len(s.Rows))
+		c.stats.CachedRows += int64(s.rows())
 		if s.Win.Hi >= cur {
 			cur = s.Win.Hi + 1
 		}
@@ -182,36 +283,37 @@ func (c *Cache) Lookup(k Key, w Window) (hits []*Segment, gaps []Window) {
 // Insert caches rows as the segment for window w under the key. The window
 // must be one of the gaps a Lookup returned; if it meanwhile overlaps an
 // existing segment (two queries raced on the same gap), the insert is
-// dropped — the disjointness invariant wins over the duplicate work.
+// dropped — the disjointness invariant wins over the duplicate work. Rows
+// that cannot form a segment (see newSegment) are not cached either.
 func (c *Cache) Insert(k Key, w Window, rows []Row) *Segment {
-	// Segments hold rows in canonical order so lookups merge sorted runs.
-	// Engine results arrive sorted already; re-sorting here is a no-op
-	// guard on the cold path.
-	if !slices.IsSortedFunc(rows, compareRowIDs) {
-		slices.SortFunc(rows, compareRowIDs)
+	seg, err := newSegment(k, w, rows)
+	if err != nil {
+		return nil
 	}
+	return c.add(seg)
+}
+
+// add links a built segment into its key's list and the LRU, or drops it
+// (returning nil) when its window overlaps a resident segment.
+func (c *Cache) add(seg *Segment) *Segment {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	segs := c.segs[k]
+	segs := c.segs[seg.Key]
 	at := len(segs)
 	for i, s := range segs {
-		if s.Win.Hi >= w.Lo && s.Win.Lo <= w.Hi {
+		if s.Win.Hi >= seg.Win.Lo && s.Win.Lo <= seg.Win.Hi {
 			return nil
 		}
-		if s.Win.Lo > w.Hi {
+		if s.Win.Lo > seg.Win.Hi {
 			at = i
 			break
 		}
 	}
-	seg := &Segment{Key: k, Win: w, Rows: rows, bytes: segmentOverhead}
-	for _, r := range rows {
-		seg.bytes += rowBytes(r)
-	}
-	c.segs[k] = append(segs[:at:at], append([]*Segment{seg}, segs[at:]...)...)
+	c.segs[seg.Key] = append(segs[:at:at], append([]*Segment{seg}, segs[at:]...)...)
 	seg.elem = c.lru.PushFront(seg)
 	c.bytes += seg.bytes
 	c.stats.Insertions++
-	c.stats.DeltaRows += int64(len(rows))
+	c.stats.DeltaRows += int64(seg.rows())
 	c.evictLocked()
 	return seg
 }
@@ -247,7 +349,8 @@ func (c *Cache) removeLocked(s *Segment) {
 	c.bytes -= s.bytes
 }
 
-func compareRowIDs(a, b Row) int { return compareTuples(a.IDs, b.IDs) }
+// compareRowIDs orders rows canonically: lexicographically by id.
+func compareRowIDs(a, b Row) int { return slices.Compare(a.IDs, b.IDs) }
 
 // Stats returns a snapshot of the cumulative accounting.
 func (c *Cache) Stats() Stats {

@@ -1,0 +1,379 @@
+package cache
+
+import (
+	"encoding/binary"
+	"encoding/json"
+	"math"
+	"slices"
+	"strings"
+	"testing"
+
+	"intervaljoin/internal/core"
+	"intervaljoin/internal/interval"
+	"intervaljoin/internal/query"
+	"intervaljoin/internal/relation"
+)
+
+// mergeRuns is the row-level oracle the group-level merge replaced: it
+// merges sorted duplicate-free runs into one sorted run, comparing whole
+// tuples and dropping cross-run duplicates (the boundary halo) one row at
+// a time.
+func mergeRuns(runs [][]core.OutputTuple) []core.OutputTuple {
+	idx := make([]int, len(runs))
+	var out []core.OutputTuple
+	for {
+		best := -1
+		for i, r := range runs {
+			if idx[i] >= len(r) {
+				continue
+			}
+			if best < 0 || slices.Compare(r[idx[i]], runs[best][idx[best]]) < 0 {
+				best = i
+			}
+		}
+		if best < 0 {
+			return out
+		}
+		t := runs[best][idx[best]]
+		idx[best]++
+		if n := len(out); n == 0 || slices.Compare(out[n-1], t) != 0 {
+			out = append(out, t)
+		}
+	}
+}
+
+// clipRows is the oracle's per-row clip: the ids of the rows whose anchor
+// intersects w.
+func clipRows(rows []Row, w Window) []core.OutputTuple {
+	var out []core.OutputTuple
+	for _, r := range rows {
+		if r.Anchor.Start > w.Hi || r.Anchor.End < w.Lo {
+			continue
+		}
+		out = append(out, r.IDs)
+	}
+	return out
+}
+
+// pieceRows computes one piece's rows with the in-memory reference join —
+// every row whose anchor intersects the piece, whole straddlers included —
+// in canonical order, with the anchors attached.
+func pieceRows(t *testing.T, svc *Service, q *query.Query, rels []*relation.Relation, piece Window) []Row {
+	t.Helper()
+	ctx, err := core.NewContext(svc.engine, q, rels, core.Options{Window: &[2]interval.Point{piece.Lo, piece.Hi}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := core.Reference{}.Run(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	anchors := make(map[int64]interval.Interval, rels[0].Len())
+	for _, tup := range rels[0].Tuples {
+		anchors[tup.ID] = tup.Attrs[0]
+	}
+	rows := make([]Row, len(res.Tuples))
+	for i, tup := range res.Tuples {
+		rows[i] = Row{IDs: tup, Anchor: anchors[tup[0]]}
+	}
+	slices.SortFunc(rows, compareRowIDs)
+	return rows
+}
+
+// mergePieces are the segment windows the property test cuts the time
+// line into: boundaries on the multiples of 100 the adversarial inputs
+// straddle, and a last piece beyond every interval, so one segment is
+// always empty.
+var mergePieces = []Window{{0, 99}, {100, 199}, {200, 299}, {300, 400}, {401, 600}, {601, 700}}
+
+// mergeWindows are the queried windows: the service mix, a point on a
+// boundary, a window that ends one short of a boundary, one inside the
+// empty piece and one over everything.
+var mergeWindows = append([]Window{{200, 200}, {100, 198}, {620, 680}, {0, 700}}, windowMix...)
+
+// checkGroupMergeEqualsRowMerge builds one segment per piece and requires,
+// for every queried window, that the group-level merge of the segments the
+// window intersects returns exactly what the row-level oracle does — same
+// rows, same order, and as RowsJSON the text encoding/json gives them. It
+// returns how many duplicate rows the oracle dropped, all windows together.
+func checkGroupMergeEqualsRowMerge(t *testing.T, svc *Service, q *query.Query, rels []*relation.Relation) (dropped int) {
+	t.Helper()
+	segs := make([]*Segment, len(mergePieces))
+	rows := make([][]Row, len(mergePieces))
+	for i, piece := range mergePieces {
+		rows[i] = pieceRows(t, svc, q, rels, piece)
+		seg, err := newSegment(testKey, piece, slices.Clone(rows[i]))
+		if err != nil {
+			t.Fatal(err)
+		}
+		segs[i] = seg
+	}
+	if segs[len(segs)-1].rows() != 0 {
+		t.Fatalf("piece %v should be empty, holds %d rows", mergePieces[len(segs)-1], segs[len(segs)-1].rows())
+	}
+	for _, w := range mergeWindows {
+		var hit []*Segment
+		var runs [][]core.OutputTuple
+		clipped := 0
+		for i, piece := range mergePieces {
+			if piece.Hi < w.Lo || piece.Lo > w.Hi {
+				continue
+			}
+			hit = append(hit, segs[i])
+			run := clipRows(rows[i], w)
+			runs = append(runs, run)
+			clipped += len(run)
+		}
+		want := mergeRuns(runs)
+		dropped += clipped - len(want)
+
+		ans := &Answer{Window: w, Key: testKey}
+		if err := ans.merge(hit); err != nil {
+			t.Fatalf("window %s: %v", w.string(), err)
+		}
+		if len(ans.Rows) != len(want) {
+			t.Fatalf("window %s: group merge returned %d rows, row merge %d", w.string(), len(ans.Rows), len(want))
+		}
+		for i := range want {
+			if slices.Compare(ans.Rows[i], want[i]) != 0 {
+				t.Fatalf("window %s row %d: group merge %v, row merge %v", w.string(), i, ans.Rows[i], want[i])
+			}
+		}
+		if wantJSON := rowsJSON(t, want); string(ans.RowsJSON) != wantJSON {
+			t.Fatalf("window %s: RowsJSON differs from encoding/json:\n got %.200s\nwant %.200s", w.string(), ans.RowsJSON, wantJSON)
+		}
+	}
+	return dropped
+}
+
+// rowsJSON is encoding/json's text for the rows, the /query "rows" value.
+func rowsJSON(t *testing.T, rows []core.OutputTuple) string {
+	t.Helper()
+	plain := make([][]int64, len(rows))
+	for i, r := range rows {
+		plain[i] = r
+	}
+	b, err := json.Marshal(plain)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return string(b)
+}
+
+// TestGroupMergeEqualsRowMerge pins the hit path's one shortcut: clipping
+// and deduplicating whole anchor groups gives the answer that clipping
+// and deduplicating single rows gives. All 13 Allen predicates run over
+// the boundary-straddling inputs of TestCachedMergePlusDeltaEqualsColdRun,
+// and each must have made the oracle drop duplicates — a predicate whose
+// straddlers never matched would prove nothing.
+func TestGroupMergeEqualsRowMerge(t *testing.T) {
+	for p := interval.Predicate(0); p < interval.NumPredicates; p++ {
+		t.Run(p.String(), func(t *testing.T) {
+			t.Parallel()
+			r1 := adversarialRelation("R1", 7)
+			r2 := adversarialRelation("R2", 11)
+			svc := newTestService(t, r1, r2)
+			if checkGroupMergeEqualsRowMerge(t, svc, predQuery(t, p), []*relation.Relation{r1, r2}) == 0 {
+				t.Fatal("anti-vacuity: no window met a duplicate group")
+			}
+		})
+	}
+}
+
+// TestGroupMergeEqualsRowMergeThreeWay repeats the property on a 3-way
+// hybrid query, whose groups are long (every R2, R3 combination of an
+// anchor) and whose rows have three ids.
+func TestGroupMergeEqualsRowMergeThreeWay(t *testing.T) {
+	r1 := adversarialRelation("R1", 19)
+	r2 := adversarialRelation("R2", 23)
+	r3 := adversarialRelation("R3", 29)
+	svc := newTestService(t, r1, r2, r3)
+	q := query.New()
+	if err := q.AddCondition("R1", "", interval.Overlaps, "R2", ""); err != nil {
+		t.Fatal(err)
+	}
+	if err := q.AddCondition("R2", "", interval.Before, "R3", ""); err != nil {
+		t.Fatal(err)
+	}
+	if checkGroupMergeEqualsRowMerge(t, svc, q, []*relation.Relation{r1, r2, r3}) == 0 {
+		t.Fatal("anti-vacuity: no window met a duplicate group")
+	}
+}
+
+// TestMergeHandBuiltSegments covers the shapes the generated inputs reach
+// only by luck: a window that touches nothing but one straddling anchor,
+// merges of nothing and of empty segments, and the invariant check — two
+// segments that disagree on an anchor's rows fail the merge.
+func TestMergeHandBuiltSegments(t *testing.T) {
+	left := []Row{
+		{IDs: core.OutputTuple{1, 10}, Anchor: interval.New(10, 20)},
+		{IDs: core.OutputTuple{2, 10}, Anchor: interval.New(95, 105)},
+		{IDs: core.OutputTuple{2, 11}, Anchor: interval.New(95, 105)},
+	}
+	right := []Row{
+		{IDs: core.OutputTuple{2, 10}, Anchor: interval.New(95, 105)},
+		{IDs: core.OutputTuple{2, 11}, Anchor: interval.New(95, 105)},
+		{IDs: core.OutputTuple{3, 12}, Anchor: interval.New(150, 160)},
+	}
+	mk := func(w Window, rows []Row) *Segment {
+		t.Helper()
+		seg, err := newSegment(testKey, w, rows)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return seg
+	}
+	segL, segR := mk(Window{0, 99}, left), mk(Window{100, 199}, right)
+	empty := mk(Window{200, 299}, nil)
+
+	for _, tc := range []struct {
+		name string
+		segs []*Segment
+		w    Window
+		want string
+	}{
+		{"single straddler", []*Segment{segL, segR}, Window{99, 100}, "[[2,10],[2,11]]"},
+		{"both sides", []*Segment{segL, segR}, Window{0, 199}, "[[1,10],[2,10],[2,11],[3,12]]"},
+		{"order of segments is free", []*Segment{segR, segL}, Window{0, 199}, "[[1,10],[2,10],[2,11],[3,12]]"},
+		{"everything clipped", []*Segment{segL, segR}, Window{30, 90}, "[]"},
+		{"with an empty segment", []*Segment{empty, segR, empty}, Window{100, 299}, "[[2,10],[2,11],[3,12]]"},
+		{"only empty segments", []*Segment{empty}, Window{200, 299}, "[]"},
+		{"no segments", nil, Window{0, 10}, "[]"},
+	} {
+		ans := &Answer{Window: tc.w, Key: testKey}
+		if err := ans.merge(tc.segs); err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		if string(ans.RowsJSON) != tc.want || rowsJSON(t, ans.Rows) != tc.want {
+			t.Errorf("%s: RowsJSON %s, Rows %s, want %s", tc.name, ans.RowsJSON, rowsJSON(t, ans.Rows), tc.want)
+		}
+	}
+
+	// The right segment lost a row of anchor 2: the groups differ, which no
+	// correct pair of segments can, and the merge must say so.
+	short := mk(Window{100, 199}, right[1:])
+	ans := &Answer{Window: Window{0, 199}, Key: testKey}
+	if err := ans.merge([]*Segment{segL, short}); err == nil || !strings.Contains(err.Error(), "anchor 2") {
+		t.Fatalf("merge of segments that disagree on anchor 2: err = %v", err)
+	}
+}
+
+// TestNewSegmentRejectsMalformedRows pins the checks that keep the flat
+// layout sound.
+func TestNewSegmentRejectsMalformedRows(t *testing.T) {
+	for name, rows := range map[string][]Row{
+		"mixed arity": {
+			{IDs: core.OutputTuple{1, 2}, Anchor: interval.New(0, 1)},
+			{IDs: core.OutputTuple{2, 3, 4}, Anchor: interval.New(0, 1)},
+		},
+		"no ids": {{Anchor: interval.New(0, 1)}},
+		"two anchors for one id": {
+			{IDs: core.OutputTuple{1, 2}, Anchor: interval.New(0, 1)},
+			{IDs: core.OutputTuple{1, 3}, Anchor: interval.New(0, 2)},
+		},
+	} {
+		if _, err := newSegment(testKey, Window{0, 9}, rows); err == nil {
+			t.Errorf("%s: newSegment accepted the rows", name)
+		}
+		if seg := New(0).Insert(testKey, Window{0, 9}, rows); seg != nil {
+			t.Errorf("%s: Insert cached the rows", name)
+		}
+	}
+}
+
+// TestInsertSortsUnsortedRows keeps the cold path's guard: rows handed
+// over out of order are stored in canonical order.
+func TestInsertSortsUnsortedRows(t *testing.T) {
+	rows := []Row{
+		{IDs: core.OutputTuple{5, 1}, Anchor: interval.New(50, 60)},
+		{IDs: core.OutputTuple{-3, 9}, Anchor: interval.New(0, 5)},
+		{IDs: core.OutputTuple{5, -1}, Anchor: interval.New(50, 60)},
+	}
+	seg, err := newSegment(testKey, Window{0, 99}, rows)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ans := &Answer{Window: Window{0, 99}, Key: testKey}
+	if err := ans.merge([]*Segment{seg}); err != nil {
+		t.Fatal(err)
+	}
+	if got, want := string(ans.RowsJSON), "[[-3,9],[5,-1],[5,1]]"; got != want {
+		t.Fatalf("RowsJSON = %s, want %s", got, want)
+	}
+}
+
+// rowsFromBytes cuts fuzz input into rows of 1 to 4 ids, eight bytes an
+// id, with every row its own anchor group or all rows one group.
+func rowsFromBytes(data []byte) []Row {
+	if len(data) == 0 {
+		return nil
+	}
+	arity := int(data[0]%4) + 1
+	oneGroup := data[0]&4 != 0
+	data = data[1:]
+	var rows []Row
+	for len(data) >= 8*arity {
+		ids := make(core.OutputTuple, arity)
+		for k := range ids {
+			ids[k] = int64(binary.LittleEndian.Uint64(data[8*k:]))
+		}
+		data = data[8*arity:]
+		if oneGroup && len(rows) > 0 {
+			ids[0] = rows[0].IDs[0]
+		}
+		rows = append(rows, Row{IDs: ids, Anchor: interval.New(0, 1)})
+	}
+	slices.SortFunc(rows, compareRowIDs)
+	return slices.CompactFunc(rows, func(a, b Row) bool { return compareRowIDs(a, b) == 0 })
+}
+
+// FuzzStoredWireMatchesEncodingJSON checks the text written once at
+// insert against encoding/json for arbitrary ids: a segment built from
+// the rows and merged back out must carry exactly json.Marshal of them,
+// in a slab of exactly the predicted size.
+func FuzzStoredWireMatchesEncodingJSON(f *testing.F) {
+	le := func(ids ...int64) []byte {
+		b := []byte{byte(len(ids) - 1)}
+		for _, id := range ids {
+			b = binary.LittleEndian.AppendUint64(b, uint64(id))
+		}
+		return b
+	}
+	f.Add([]byte{})
+	f.Add(le(0))
+	f.Add(le(math.MinInt64, math.MaxInt64))
+	f.Add(le(-1, 9, -10, 99))
+	f.Add(append(le(-100, 1000, -10000), le(7, 8, 9)[1:]...))
+	f.Add(append([]byte{1 | 4}, append(le(3, 1)[1:], le(4, 2)[1:]...)...))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		rows := rowsFromBytes(data)
+		seg, err := newSegment(testKey, Window{0, 9}, slices.Clone(rows))
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := 0
+		for _, r := range rows {
+			want += rowWireLen(r.IDs)
+		}
+		if len(seg.wire) != want || cap(seg.wire) != want {
+			t.Fatalf("wire slab len %d cap %d, predicted %d", len(seg.wire), cap(seg.wire), want)
+		}
+		ans := &Answer{Window: Window{0, 9}, Key: testKey}
+		if err := ans.merge([]*Segment{seg}); err != nil {
+			t.Fatal(err)
+		}
+		if cap(ans.RowsJSON) > len(ans.RowsJSON)+1 {
+			t.Fatalf("RowsJSON len %d in a buffer of %d", len(ans.RowsJSON), cap(ans.RowsJSON))
+		}
+		ids := make([]core.OutputTuple, len(rows))
+		for i, r := range rows {
+			ids[i] = r.IDs
+		}
+		if got, want := string(ans.RowsJSON), rowsJSON(t, ids); got != want {
+			t.Fatalf("RowsJSON = %s, encoding/json gives %s", got, want)
+		}
+		if got, want := rowsJSON(t, ans.Rows), rowsJSON(t, ids); got != want {
+			t.Fatalf("Rows = %s, inserted %s", got, want)
+		}
+	})
+}

@@ -1,11 +1,10 @@
 package cache
 
 import (
-	"cmp"
 	"fmt"
-	"slices"
 	"strconv"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"intervaljoin/internal/core"
@@ -34,6 +33,8 @@ type Service struct {
 	// cluster, so delta joins queue while cache-served queries proceed
 	// concurrently.
 	runMu sync.Mutex
+	// scratchSeq numbers the delta runs' scratch prefixes on the store.
+	scratchSeq atomic.Int64
 
 	mu   sync.Mutex
 	rels map[string]*residentRel
@@ -120,8 +121,12 @@ func (s *Service) Stats() Stats { return s.cache.Stats() }
 type Answer struct {
 	// Rows is the deduplicated result: every join row whose anchor (first
 	// attribute of the first relation's tuple) intersects the query
-	// window. Sorted canonically.
+	// window. Sorted canonically. The tuples are views into cached
+	// segments' id slabs, shared with every other answer: read-only.
 	Rows []core.OutputTuple
+	// RowsJSON is Rows as a JSON array of id arrays, "[[3,7],[3,9]]",
+	// assembled from the text the segments stored at insert.
+	RowsJSON []byte
 	// Window echoes the queried window.
 	Window Window
 	// Key is the cache key the query resolved to.
@@ -139,6 +144,9 @@ type Answer struct {
 	// Merge per gap window). Nil when the cache covered the whole window —
 	// the telemetry bridge in cmd/ijoind publishes it after each query.
 	Engine *mr.Metrics
+	// Merge is the part of Wall spent clipping and merging the segments
+	// into Rows and RowsJSON.
+	Merge time.Duration
 	// Wall is the query's service-side latency.
 	Wall time.Duration
 }
@@ -180,50 +188,36 @@ func (s *Service) queryOn(engine *mr.Engine, q *query.Query, w Window) (*Answer,
 	}
 	ans := &Answer{Window: w, Key: key}
 	if query.ProvablyEmpty(q) {
+		if err := ans.merge(nil); err != nil {
+			return nil, err
+		}
 		ans.Wall = time.Since(start)
 		return ans, nil
 	}
 
-	hits, gaps := s.cache.Lookup(key, w)
-	ans.HitSegments = len(hits)
+	segs, gaps := s.cache.Lookup(key, w)
+	ans.HitSegments = len(segs)
 	ans.DeltaWindows = gaps
-
-	// Merge: clip cached rows to the query window, then union in the delta
-	// rows. Segment rows and engine results are already in canonical order
-	// (the drivers sort, Insert re-checks), so the answer is a k-way merge
-	// of sorted runs; the halo — rows whose anchor straddles a segment/gap
-	// boundary arrive from both sides — dedups by dropping equal heads.
-	runs := make([][]core.OutputTuple, 0, len(hits)+len(gaps))
-	for _, seg := range hits {
-		run := make([]core.OutputTuple, 0, len(seg.Rows))
-		for _, r := range seg.Rows {
-			if r.Anchor.Start > w.Hi || r.Anchor.End < w.Lo {
-				continue
-			}
-			run = append(run, r.IDs)
-		}
-		runs = append(runs, run)
-		ans.CachedRows += int64(len(seg.Rows))
+	for _, seg := range segs {
+		ans.CachedRows += int64(seg.rows())
 	}
+	// Each gap's delta result is built into segment form before it is
+	// cached, so the answer is one merge over segments whether they came
+	// from the cache or from the engine just now.
 	for _, gap := range gaps {
-		rows, algName, em, err := s.runDelta(engine, q, rels, files, gap)
+		seg, err := s.runDelta(engine, q, rels, files, anchors, key, gap, ans)
 		if err != nil {
 			return nil, err
 		}
-		ans.Algorithm = algName
-		ans.mergeEngine(em)
-		ans.DeltaRows += int64(len(rows))
-		cached := make([]Row, len(rows))
-		for i, t := range rows {
-			cached[i] = Row{IDs: t, Anchor: anchors[t[0]]}
-		}
-		s.cache.Insert(key, gap, cached)
-		runs = append(runs, rows)
+		s.cache.add(seg)
+		segs = append(segs, seg)
 	}
-	ans.Rows = mergeRuns(runs)
+	if err := ans.merge(segs); err != nil {
+		return nil, err
+	}
 
 	s.tracer.Count("cache_lookups", 1)
-	s.tracer.Count("cache_hit_segments", int64(len(hits)))
+	s.tracer.Count("cache_hit_segments", int64(ans.HitSegments))
 	s.tracer.Count("cache_delta_rows", ans.DeltaRows)
 	s.tracer.Count("cache_cached_rows", ans.CachedRows)
 	if len(gaps) == 0 {
@@ -246,81 +240,131 @@ func (s *Service) RunCold(q *query.Query, w Window) (*Answer, error) {
 	if err := q.Validate(); err != nil {
 		return nil, err
 	}
-	rels, files, versions, _, err := s.bind(q)
+	rels, files, versions, anchors, err := s.bind(q)
 	if err != nil {
 		return nil, err
 	}
-	ans := &Answer{Window: w, Key: Key{Plan: core.CanonicalPlan(q), Family: q.Classify().String(), Versions: versions}}
-	if query.ProvablyEmpty(q) {
-		ans.Wall = time.Since(start)
-		return ans, nil
+	key := Key{Plan: core.CanonicalPlan(q), Family: q.Classify().String(), Versions: versions}
+	ans := &Answer{Window: w, Key: key}
+	var segs []*Segment
+	if !query.ProvablyEmpty(q) {
+		seg, err := s.runDelta(s.engine, q, rels, files, anchors, key, w, ans)
+		if err != nil {
+			return nil, err
+		}
+		segs = append(segs, seg)
+		ans.DeltaWindows = []Window{w}
 	}
-	rows, algName, em, err := s.runDelta(s.engine, q, rels, files, w)
-	if err != nil {
+	if err := ans.merge(segs); err != nil {
 		return nil, err
 	}
-	ans.Rows = rows
-	ans.Algorithm = algName
-	ans.mergeEngine(em)
-	ans.DeltaWindows = []Window{w}
-	ans.DeltaRows = int64(len(rows))
-	slices.SortFunc(ans.Rows, compareTuples)
 	ans.Wall = time.Since(start)
 	return ans, nil
 }
 
-// mergeRuns merges sorted duplicate-free runs into one sorted run,
-// dropping cross-run duplicates (the boundary halo). Runs are tiny in
-// number — one per merged segment or delta window — so the linear
-// min-scan beats a heap.
-func mergeRuns(runs [][]core.OutputTuple) []core.OutputTuple {
-	switch len(runs) {
-	case 0:
-		return nil
-	case 1:
-		return runs[0]
+// merge sets the answer's rows to the union of the segments' anchor
+// groups that intersect the answer's window: selectGroups picks the
+// groups, then each stretch of them leaves its segment in bulk — the wire
+// text in one copy into a buffer of exactly the answer's size, the rows
+// as views into the segment's id slab, which is immutable and stays alive
+// for as long as the answer refers to it.
+func (a *Answer) merge(segs []*Segment) error {
+	start := time.Now()
+	sc := mergeScratches.Get().(*mergeScratch)
+	defer mergeScratches.Put(sc)
+	if err := sc.selectGroups(segs, a.Window); err != nil {
+		return err
 	}
-	total := 0
-	idx := make([]int, len(runs))
-	for _, r := range runs {
-		total += len(r)
+	nrows, nwire := 0, 0
+	for _, r := range sc.runs {
+		g := segs[r.seg].groups
+		nrows += g[r.hi].row - g[r.lo].row
+		nwire += g[r.hi].wire - g[r.lo].wire
 	}
-	out := make([]core.OutputTuple, 0, total)
+	rows := make([]core.OutputTuple, 0, nrows)
+	// Two bytes more than the rows' text: the opening bracket, and the
+	// closing one when there is no last row whose comma it can overwrite.
+	wire := append(make([]byte, 0, nwire+2), '[')
+	for _, r := range sc.runs {
+		s := segs[r.seg]
+		lo, hi := s.groups[r.lo], s.groups[r.hi]
+		for i := lo.row * s.arity; i < hi.row*s.arity; i += s.arity {
+			rows = append(rows, s.ids[i:i+s.arity:i+s.arity])
+		}
+		wire = append(wire, s.wire[lo.wire:hi.wire]...)
+	}
+	if nrows == 0 {
+		wire = append(wire, ']')
+	} else {
+		wire[len(wire)-1] = ']'
+	}
+	a.Rows = rows
+	a.RowsJSON = wire
+	a.Merge = time.Since(start)
+	return nil
+}
+
+// run is a stretch of consecutive groups [lo, hi) of segs[seg] that all
+// go into an answer, so their wire text leaves the slab in one copy.
+type run struct{ seg, lo, hi int }
+
+// mergeScratch is selectGroups' working memory, recycled between queries.
+// It holds no pointers into segments.
+type mergeScratch struct {
+	pos  []int // per segment, the next group to consider
+	runs []run
+}
+
+var mergeScratches = sync.Pool{New: func() any { return new(mergeScratch) }}
+
+// selectGroups fills sc.runs with the distinct anchor groups of the
+// segments that intersect w, in ascending anchor id. The directories are
+// walked together — they are few, one per hit or gap, so a linear
+// min-scan beats a heap. The halo shows up as one anchor id at the head
+// of several directories: those groups are identical (every segment holds
+// all rows of an anchor it contains), so one is kept; differing row
+// counts mean a segment broke that invariant and fail the query.
+func (sc *mergeScratch) selectGroups(segs []*Segment, w Window) error {
+	sc.pos = append(sc.pos[:0], make([]int, len(segs))...)
+	sc.runs = sc.runs[:0]
+	pos := sc.pos
 	for {
 		best := -1
-		for i, r := range runs {
-			if idx[i] >= len(r) {
+		var id int64
+		for i, s := range segs {
+			if pos[i] == len(s.groups)-1 {
 				continue
 			}
-			if best < 0 || compareTuples(r[idx[i]], runs[best][idx[best]]) < 0 {
-				best = i
+			if h := s.groups[pos[i]].id; best < 0 || h < id {
+				best, id = i, h
 			}
 		}
 		if best < 0 {
-			return out
+			return nil
 		}
-		t := runs[best][idx[best]]
-		idx[best]++
-		if n := len(out); n == 0 || compareTuples(out[n-1], t) != 0 {
-			out = append(out, t)
+		s, g := segs[best], pos[best]
+		n := s.groups[g+1].row - s.groups[g].row
+		pos[best]++
+		for i := best + 1; i < len(segs); i++ {
+			t, p := segs[i], pos[i]
+			if p == len(t.groups)-1 || t.groups[p].id != id {
+				continue
+			}
+			if m := t.groups[p+1].row - t.groups[p].row; m != n {
+				return fmt.Errorf("cache: anchor %d has %d rows in segment [%d,%d] and %d in segment [%d,%d]",
+					id, n, s.Win.Lo, s.Win.Hi, m, t.Win.Lo, t.Win.Hi)
+			}
+			pos[i]++
+		}
+		if an := s.groups[g].anchor; an.Start > w.Hi || an.End < w.Lo {
+			continue
+		}
+		if k := len(sc.runs) - 1; k >= 0 && sc.runs[k].seg == best && sc.runs[k].hi == g {
+			sc.runs[k].hi = g + 1
+		} else {
+			sc.runs = append(sc.runs, run{seg: best, lo: g, hi: g + 1})
 		}
 	}
-}
-
-// compareTuples orders output tuples lexicographically by id.
-func compareTuples(a, b core.OutputTuple) int {
-	for k := range a {
-		if k >= len(b) {
-			return 1
-		}
-		if c := cmp.Compare(a[k], b[k]); c != 0 {
-			return c
-		}
-	}
-	if len(a) < len(b) {
-		return -1
-	}
-	return 0
 }
 
 // bind resolves the query's relations against the registry, returning the
@@ -355,28 +399,54 @@ func (s *Service) bind(q *query.Query) ([]*relation.Relation, []string, string, 
 
 // runDelta executes the join restricted to the gap window over the
 // resident files, on the given engine (the shared one, or a per-query
-// traced derivation). Engine runs serialize on runMu; the result is
-// exactly the rows whose anchor intersects the gap, including whole
-// (unclipped) straddling anchors — the halo the merge dedups — plus the
-// run's engine metrics for the telemetry bridge.
-func (s *Service) runDelta(engine *mr.Engine, q *query.Query, rels []*relation.Relation, files []string, gap Window) ([]core.OutputTuple, string, *mr.Metrics, error) {
+// traced derivation), and returns the result in segment form: exactly
+// the rows whose anchor intersects the gap, including whole (unclipped)
+// straddling anchors — the halo the merge dedups. The run's algorithm
+// name, row count and engine metrics are folded into ans. Engine runs
+// serialize on runMu. Each run writes under a scratch prefix of its own
+// on the store, which is emptied again once the result is in memory.
+func (s *Service) runDelta(engine *mr.Engine, q *query.Query, rels []*relation.Relation, files []string, anchors map[int64]interval.Interval, key Key, gap Window, ans *Answer) (*Segment, error) {
 	opts := s.opts
 	opts.Window = &[2]interval.Point{gap.Lo, gap.Hi}
 	opts.WindowRel = 0
 	opts.ResidentInputs = files
-	opts.Scratch = "" // per-run unique scratch namespace
+	opts.Scratch = "delta/" + strconv.FormatInt(s.scratchSeq.Add(1), 10)
 	ctx, err := core.NewContext(engine, q, rels, opts)
 	if err != nil {
-		return nil, "", nil, err
+		return nil, err
 	}
 	alg := s.algorithm(q)
 	s.runMu.Lock()
 	res, err := alg.Run(ctx)
 	s.runMu.Unlock()
+	s.removeScratch(engine.Store(), opts.Scratch+"/")
 	if err != nil {
-		return nil, "", nil, err
+		return nil, err
 	}
-	return res.Tuples, res.Algorithm, res.Metrics, nil
+	ans.Algorithm = res.Algorithm
+	ans.mergeEngine(res.Metrics)
+	ans.DeltaRows += int64(len(res.Tuples))
+	rows := make([]Row, len(res.Tuples))
+	for i, t := range res.Tuples {
+		rows[i] = Row{IDs: t, Anchor: anchors[t[0]]}
+	}
+	return newSegment(key, gap, rows)
+}
+
+// removeScratch deletes a finished run's files from the store. A file
+// that cannot be listed or removed stays behind and is counted; the
+// query's answer does not depend on it.
+func (s *Service) removeScratch(store dfs.Store, prefix string) {
+	names, err := store.List(prefix)
+	if err != nil {
+		s.tracer.Count("cache_scratch_remove_failed", 1)
+		return
+	}
+	for _, name := range names {
+		if err := store.Remove(name); err != nil {
+			s.tracer.Count("cache_scratch_remove_failed", 1)
+		}
+	}
 }
 
 // mergeEngine folds one delta run's engine metrics into the answer.

@@ -1,13 +1,17 @@
 package cache
 
 import (
+	"fmt"
 	"math/rand"
+	"strings"
+	"sync"
 	"testing"
 
 	"intervaljoin/internal/core"
 	"intervaljoin/internal/dfs"
 	"intervaljoin/internal/interval"
 	"intervaljoin/internal/mr"
+	"intervaljoin/internal/obs"
 	"intervaljoin/internal/query"
 	"intervaljoin/internal/relation"
 )
@@ -22,8 +26,8 @@ func adversarialRelation(name string, seed int64) *relation.Relation {
 	var ivs []interval.Interval
 	for b := interval.Point(0); b <= 400; b += 100 {
 		ivs = append(ivs,
-			interval.New(b, b),        // point on the boundary
-			interval.New(b, b+100),    // starts on a boundary, ends on the next
+			interval.New(b, b),             // point on the boundary
+			interval.New(b, b+100),         // starts on a boundary, ends on the next
 			interval.New(max(0, b-1), b+1), // straddles by one
 		)
 	}
@@ -290,5 +294,160 @@ func TestUnregisteredRelationRejected(t *testing.T) {
 	}
 	if _, err := svc.Query(predQuery(t, interval.Meets), Window{10, 0}); err == nil {
 		t.Fatal("empty window accepted")
+	}
+}
+
+// TestDeltaScratchIsRemoved pins the store's steady state: every delta
+// join — a miss, a gap of a partial hit, a RunCold — deletes what it wrote
+// once its result is in memory, so only the resident files remain however
+// many queries ran.
+func TestDeltaScratchIsRemoved(t *testing.T) {
+	svc := newTestService(t, adversarialRelation("R1", 41), adversarialRelation("R2", 43))
+	q := predQuery(t, interval.Overlaps)
+	for lo := interval.Point(0); lo < 400; lo += 25 {
+		ans, err := svc.Query(q, Window{lo, lo + 30})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(ans.DeltaWindows) == 0 {
+			t.Fatalf("window [%d,%d] ran no delta join; the test wants one per query", lo, lo+30)
+		}
+	}
+	if _, err := svc.RunCold(q, Window{0, 400}); err != nil {
+		t.Fatal(err)
+	}
+	files, err := svc.engine.Store().List("")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(files) != 2 {
+		t.Fatalf("store holds %d files after the queries, want the 2 residents: %v", len(files), files)
+	}
+	for _, f := range files {
+		if !strings.HasPrefix(f, "resident/") {
+			t.Fatalf("store still holds %s", f)
+		}
+	}
+}
+
+// stuckStore is a store whose files cannot be removed.
+type stuckStore struct{ *dfs.Mem }
+
+func (stuckStore) Remove(name string) error { return fmt.Errorf("remove %s: read-only", name) }
+
+// TestFailedScratchRemovalIsCounted: a file the store refuses to delete
+// does not fail the query, and shows in the cache_scratch_remove_failed
+// counter.
+func TestFailedScratchRemovalIsCounted(t *testing.T) {
+	tr := obs.New(obs.Options{})
+	eng := mr.NewEngine(mr.Config{Store: stuckStore{dfs.NewMem()}, Workers: 2})
+	svc, err := NewService(ServiceConfig{Engine: eng, Tracer: tr, Opts: core.Options{Partitions: 4}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, r := range []*relation.Relation{adversarialRelation("R1", 47), adversarialRelation("R2", 53)} {
+		if _, err := svc.Register(r); err != nil {
+			t.Fatal(err)
+		}
+	}
+	ans, err := svc.Query(predQuery(t, interval.Overlaps), Window{0, 400})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(ans.Rows) == 0 {
+		t.Fatal("query returned no rows")
+	}
+	if n := tr.Snapshot().Counters["cache_scratch_remove_failed"]; n == 0 {
+		t.Fatal("cache_scratch_remove_failed = 0 with a store that removes nothing")
+	}
+}
+
+// TestFullHitAllocationsIndependentOfRows is the hit path's allocation
+// guard: a query answered from the cache allocates its id slab, its wire
+// text, its row views and a fixed number of small things around them —
+// the same count for a handful of rows as for all of them.
+func TestFullHitAllocationsIndependentOfRows(t *testing.T) {
+	svc := newTestService(t, adversarialRelation("R1", 59), adversarialRelation("R2", 61))
+	q := predQuery(t, interval.Overlaps)
+	if _, err := svc.Query(q, Window{0, 600}); err != nil {
+		t.Fatal(err)
+	}
+	measure := func(w Window) (allocs float64, rows int) {
+		allocs = testing.AllocsPerRun(200, func() {
+			ans, err := svc.Query(q, w)
+			if err != nil || len(ans.DeltaWindows) != 0 {
+				t.Fatalf("window %s: err %v, %d delta windows; want a full hit", w.string(), err, len(ans.DeltaWindows))
+			}
+			rows = len(ans.Rows)
+		})
+		return allocs, rows
+	}
+	few, fewRows := measure(Window{37, 38})
+	all, allRows := measure(Window{0, 600})
+	if fewRows == 0 || allRows < 10*fewRows {
+		t.Fatalf("windows return %d and %d rows; the guard needs them far apart", fewRows, allRows)
+	}
+	t.Logf("full hit: %.0f allocations for %d rows, %.0f for %d", few, fewRows, all, allRows)
+	// The merge scratch comes from a sync.Pool, which may hand out a fresh
+	// one now and then (the race detector makes it do so on purpose); a
+	// per-row or per-group allocation would show as hundreds.
+	if all > few+3 {
+		t.Fatalf("a full hit allocates %.0f times for %d rows and %.0f times for %d", few, fewRows, all, allRows)
+	}
+}
+
+// TestConcurrentQueriesShareSegments runs the window mix from several
+// goroutines at once against a cache small enough to evict all the time:
+// answers are views into segments that other queries are reading, and
+// that the cache drops while they are in use. Every answer must still be
+// the oracle's.
+func TestConcurrentQueriesShareSegments(t *testing.T) {
+	r1, r2 := adversarialRelation("R1", 67), adversarialRelation("R2", 71)
+	rels := []*relation.Relation{r1, r2}
+	eng := mr.NewEngine(mr.Config{Store: dfs.NewMem(), Workers: 2})
+	svc, err := NewService(ServiceConfig{Engine: eng, CacheBytes: 8 << 10, Opts: core.Options{Partitions: 4}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, r := range rels {
+		if _, err := svc.Register(r); err != nil {
+			t.Fatal(err)
+		}
+	}
+	q := predQuery(t, interval.Overlaps)
+	want := make([]map[string]struct{}, len(windowMix))
+	for i, w := range windowMix {
+		want[i] = oracleWindow(t, svc, q, rels, w)
+	}
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for round := 0; round < 3; round++ {
+				for i := range windowMix {
+					i = (i + g) % len(windowMix)
+					ans, err := svc.Query(q, windowMix[i])
+					if err != nil {
+						t.Error(err)
+						return
+					}
+					got := answerSet(ans)
+					if len(got) != len(ans.Rows) {
+						t.Errorf("window %s: %d rows, %d distinct", windowMix[i].string(), len(ans.Rows), len(got))
+					}
+					for k := range want[i] {
+						if _, ok := got[k]; !ok || len(got) != len(want[i]) {
+							t.Errorf("window %s: answer of %d rows differs from the oracle's %d (row %s)", windowMix[i].string(), len(got), len(want[i]), k)
+							return
+						}
+					}
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
+	if st := svc.Stats(); st.Evictions == 0 || st.HitSegments == 0 {
+		t.Fatalf("anti-vacuity: the run never evicted or never hit: %+v", st)
 	}
 }

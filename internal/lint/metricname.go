@@ -39,6 +39,7 @@ var registryMethods = map[string]bool{
 	"Latency":    false,
 	"CounterVec": true,
 	"GaugeVec":   true,
+	"LatencyVec": true,
 }
 
 func runMetricName(pass *Pass) {

@@ -18,6 +18,7 @@ func register(r *live.Registry, runtimeName, runtimeLabel string) {
 	r.Hist("ij_rows", "rows per answer")
 	r.Latency("ij_latency_seconds", "query latency")
 	r.CounterVec("ij_codes_total", "requests by status", "code")
+	r.LatencyVec("ij_stage_seconds", "latency by stage", "stage")
 
 	r.Counter("bad name", "spaces are not allowed")     // want `not a valid Prometheus metric name`
 	r.Gauge("2ij_leading_digit", "starts with a digit") // want `not a valid Prometheus metric name`
@@ -28,6 +29,7 @@ func register(r *live.Registry, runtimeName, runtimeLabel string) {
 
 	r.CounterVec("ij_vec_total", "labelled series", "le!") // want `not a valid Prometheus label name`
 	r.GaugeVec("ij_gvec", "labelled gauge", runtimeLabel)  // want `must be a literal constant`
+	r.LatencyVec("ij_lvec_seconds", "by stage", "0stage")  // want `not a valid Prometheus label name`
 }
 
 // Methods named like registrations on unrelated types stay out of scope.

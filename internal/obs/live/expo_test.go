@@ -72,6 +72,10 @@ func TestParseRoundTrip(t *testing.T) {
 	lat.Observe(40 * time.Millisecond)
 	lat.Observe(3 * time.Second)
 	r.Counter("ij_admission_rejected_total", "rejected").Add(7)
+	stages := r.LatencyVec("ij_query_stage_seconds", "query latency by stage", "stage")
+	stages.With("merge").Observe(40 * time.Microsecond)
+	stages.With("encode").Observe(20 * time.Microsecond)
+	stages.With("encode").Observe(30 * time.Microsecond)
 
 	var sb strings.Builder
 	if err := WriteText(&sb, r.Snapshot()); err != nil {
@@ -97,6 +101,16 @@ func TestParseRoundTrip(t *testing.T) {
 	}
 	if inf := buckets[len(buckets)-1]; inf.Label("le") != "+Inf" || inf.Value != 3 {
 		t.Errorf("+Inf bucket: %+v", inf)
+	}
+	// A labeled histogram carries its series label on every bucket, sum
+	// and count line, one set per label value.
+	for _, s := range byName["ij_query_stage_seconds_count"] {
+		if want := map[string]float64{"merge": 1, "encode": 2}[s.Label("stage")]; s.Value != want {
+			t.Errorf("stage %q count = %v, want %v", s.Label("stage"), s.Value, want)
+		}
+	}
+	if n := len(byName["ij_query_stage_seconds_bucket"]); n != 2*(len(latencyBounds)+1) {
+		t.Errorf("want %d stage bucket samples, got %d", 2*(len(latencyBounds)+1), n)
 	}
 }
 

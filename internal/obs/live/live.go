@@ -224,6 +224,18 @@ func (r *Registry) GaugeVec(name, help string, labels ...string) *GaugeVec {
 	return &GaugeVec{fam: r.register(name, help, TypeGauge, labels)}
 }
 
+// LatencyVec registers a labeled latency-histogram family; series are
+// created by With.
+func (r *Registry) LatencyVec(name, help string, labels ...string) *LatencyVec {
+	if r == nil {
+		return nil
+	}
+	if len(labels) == 0 {
+		panic(fmt.Sprintf("live: latency vec %s needs at least one label", name))
+	}
+	return &LatencyVec{fam: r.register(name, help, TypeHistogram, labels)}
+}
+
 // OnCollect registers fn to run at the start of every Snapshot — the hook
 // that bridges pull-model stats (cache accounting, runtime stats) into
 // gauges right before a scrape.
@@ -292,6 +304,18 @@ func (v *GaugeVec) With(values ...string) *Gauge {
 		return nil
 	}
 	return v.fam.lookup(values, func() *child { return &child{gauge: &Gauge{}} }).gauge
+}
+
+// LatencyVec is a labeled latency-histogram family.
+type LatencyVec struct{ fam *family }
+
+// With returns the latency histogram for the given label values, creating
+// the series on first use. Nil vecs return a nil (no-op) histogram.
+func (v *LatencyVec) With(values ...string) *LatencyHist {
+	if v == nil {
+		return nil
+	}
+	return v.fam.lookup(values, func() *child { return &child{latency: &LatencyHist{}} }).latency
 }
 
 // Counter is a monotonically increasing series. All methods are safe on a

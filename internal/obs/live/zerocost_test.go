@@ -19,6 +19,7 @@ func TestLiveDisabledZeroCost(t *testing.T) {
 	lat := r.Latency("ij_disabled_latency_seconds", "disabled")
 	vec := r.CounterVec("ij_disabled_codes_total", "disabled", "code")
 	pre := vec.With("200") // handles pre-resolved at startup, as ijoind does
+	stage := r.LatencyVec("ij_disabled_stage_seconds", "disabled", "stage").With("merge")
 	r.OnCollect(func() { t.Error("collector ran on a disabled registry") })
 
 	allocs := testing.AllocsPerRun(1000, func() {
@@ -31,6 +32,7 @@ func TestLiveDisabledZeroCost(t *testing.T) {
 		h.Observe(12345)
 		lat.Observe(3 * time.Millisecond)
 		pre.Inc()
+		stage.Observe(40 * time.Microsecond)
 	})
 	if allocs != 0 {
 		t.Fatalf("disabled telemetry allocated %.1f times per op, want 0", allocs)

@@ -1,9 +1,9 @@
 #!/usr/bin/env sh
-# Benchmark baseline emitter: runs the join-kernel, codec and MR-engine
-# microbenchmarks with fixed iteration counts (stable on small/shared
-# machines, where time-based -benchtime makes run-to-run noise dominate),
-# repeats each REPS times, and reduces to per-benchmark medians in a JSON
-# baseline via cmd/benchsummary.
+# Benchmark baseline emitter: runs the join-kernel, codec, MR-engine and
+# cache hit-path microbenchmarks with fixed iteration counts (stable on
+# small/shared machines, where time-based -benchtime makes run-to-run
+# noise dominate), repeats each REPS times, and reduces to per-benchmark
+# medians in a JSON baseline via cmd/benchsummary.
 #
 # Usage: scripts/bench.sh [output.json]     (default BENCH_1.json)
 #        REPS=5 scripts/bench.sh            (more repetitions)
@@ -55,6 +55,12 @@ go test -run '^$' -bench '^BenchmarkShuffle' \
 # wall imbalance (docs/ALGORITHMS.md "Skew-aware execution").
 go test -run '^$' -bench 'ReduceSkew' \
     -benchmem -benchtime 3x -count "$REPS" . | tee -a "$tmp"
+
+# Cache hit path: a ~4k-row window answered from one cached segment and
+# from three (clip, group merge with halo dedup, stored wire text); the
+# engine never runs, so many cheap iterations.
+go test -run '^$' -bench '^BenchmarkService(Full|Partial)Hit$' \
+    -benchmem -benchtime 2000x -count "$REPS" ./internal/cache/ | tee -a "$tmp"
 
 go run ./cmd/benchsummary -o "$OUT" < "$tmp"
 echo "wrote $OUT"

@@ -13,11 +13,16 @@
 #                      cross-validation) under the race detector; the MR
 #                      engine is deliberately concurrent, so -race is part
 #                      of the gate, not an optional extra
-#   6. live scrape   — ijoind -selfcheck boots the real server, drives the
+#   6. bench module  — bench/ is a nested module the root ./... does not
+#                      reach; it compiles against internal packages, so it
+#                      is vetted and tested here, where an internal API
+#                      change that breaks the repository's benchmark can
+#                      still be fixed
+#   7. live scrape   — ijoind -selfcheck boots the real server, drives the
 #                      query mix over HTTP, strictly validates the /metrics
 #                      exposition text, and archives the scrape plus a
 #                      sampled query trace (docs/OBSERVABILITY.md)
-#   7. bench emitter — regenerates the benchmark baseline so perf-sensitive
+#   8. bench emitter — regenerates the benchmark baseline so perf-sensitive
 #                      changes ship with fresh numbers, plus the traced
 #                      chain-run artifacts (scripts/bench.sh)
 #
@@ -53,6 +58,10 @@ go test -run 'TestLiveDisabledZeroCost' ./internal/obs/live/
 
 echo "== go test -race =="
 go test -race ./...
+
+echo "== benchmark module =="
+go vet -C bench ./...
+go test -C bench ./...
 
 echo "== live /metrics scrape =="
 # Boot the real ijoind on a loopback port, fire the query mix at it over
