@@ -457,12 +457,13 @@ func sweepKernel(conds []query.Condition, cands [][]relation.Tuple) map[string]i
 	}
 	e := newEnumerator(conds, rels)
 	out := make(map[string]int)
-	e.run(cands, func(asg []relation.Tuple) {
+	e.run(cands, func(asg []relation.Tuple) error {
 		key := ""
 		for _, tp := range asg {
 			key += fmt.Sprintf("%d,", tp.ID)
 		}
 		out[key]++
+		return nil
 	})
 	return out
 }

@@ -43,22 +43,22 @@ func (a AllMatrix) Name() string {
 
 // Run implements Algorithm.
 func (a AllMatrix) Run(ctx *Context) (*Result, error) {
-	opts := ctx.Opts.withDefaults(a.Name())
 	if cls := ctx.Query.Classify(); cls != query.Sequence {
 		return nil, fmt.Errorf("core: all-matrix handles sequence queries, got %v", cls)
 	}
-	if err := ctx.Stage(); err != nil {
-		return nil, err
-	}
+	return ctx.runStages(a.Name(), a.stages)
+}
+
+func (a AllMatrix) stages(ctx *Context, env *chainEnv) ([]mr.Stage, *execPlan, error) {
 	m := len(ctx.Rels)
-	part, err := ctx.makePartitioning(opts.PartitionsPerDim)
+	part, _, err := ctx.boundaries(env.opts.PartitionsPerDim)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	o := part.Len()
 	g, err := grid.NewUniform(m, o)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 
 	// Less-than order constraints: dimension k carries relation k.
@@ -69,19 +69,14 @@ func (a AllMatrix) Run(ctx *Context) (*Result, error) {
 		}
 	}
 
-	inputs := make([]mr.Input, m)
-	for ri := range ctx.Rels {
-		inputs[ri] = ctx.relInput(ri, ri)
-	}
-
 	// Shared across reduce calls: the plan is static and per-run state is
 	// pooled inside the enumerator.
 	e := newEnumerator(ctx.Query.Conds, allRelations(m)).withTracer(ctx.Engine.Tracer())
 	lvl := identityLevels(m)
 
-	job := mr.Job{
-		Name:   opts.Scratch + "/join",
-		Inputs: inputs,
+	join := mr.Job{
+		Name:   "join",
+		Inputs: ctx.relInputs(),
 		Map: func(tag int, record string, emit mr.Emitter) error {
 			t, err := relation.DecodeTuple(record)
 			if err != nil {
@@ -98,43 +93,23 @@ func (a AllMatrix) Run(ctx *Context) (*Result, error) {
 		},
 		Reduce: func(key int64, values []string, write func(string) error) error {
 			coord := g.Coord(key, nil)
-			var outErr error
-			err := e.runTagged(values, lvl, func(asg []relation.Tuple) {
-				if outErr != nil {
-					return
-				}
-				// Exactly-once: the designated cell matches every
-				// tuple's start partition. Under D2 routing this holds
+			return e.runTagged(values, lvl, func(asg []relation.Tuple) error {
+				// Exactly-once: the designated cell matches every tuple's
+				// start partition. Under D2 routing this holds
 				// automatically; under the broadcast ablation it filters
 				// the duplicates.
 				for k, t := range asg {
 					if part.Project(t.Key()) != coord[k] {
-						return
+						return nil
 					}
 				}
 				out := make(OutputTuple, len(asg))
 				for i, t := range asg {
 					out[i] = t.ID
 				}
-				outErr = write(out.Key())
+				return write(out.Key())
 			})
-			if err != nil {
-				return err
-			}
-			return outErr
 		},
-		Output:     opts.Scratch + "/output",
-		SortValues: opts.SortValues,
-		Meta:       ctx.jobMeta(a.Name(), 1),
 	}
-	metrics, err := ctx.Engine.Run(job)
-	if err != nil {
-		return nil, err
-	}
-	res := &Result{Algorithm: a.Name(), Metrics: metrics, PerCycle: []*mr.Metrics{metrics}}
-	if err := readOutput(ctx, job.Output, res); err != nil {
-		return nil, err
-	}
-	res.SortTuples()
-	return res, nil
+	return []mr.Stage{{Job: join}}, nil, nil
 }

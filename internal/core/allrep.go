@@ -23,33 +23,32 @@ func (AllRep) Name() string { return "all-rep" }
 
 // Run implements Algorithm.
 func (a AllRep) Run(ctx *Context) (*Result, error) {
-	opts := ctx.Opts.withDefaults(a.Name())
 	if cls := ctx.Query.Classify(); cls == query.General {
 		return nil, fmt.Errorf("core: all-rep handles single-attribute queries only, got %v", cls)
 	}
-	if err := ctx.Stage(); err != nil {
-		return nil, err
-	}
+	return ctx.runStages(a.Name(), a.stages)
+}
+
+func (a AllRep) stages(ctx *Context, env *chainEnv) ([]mr.Stage, *execPlan, error) {
 	projectRel := projectableRightmost(ctx.Query)
 	m := len(ctx.Rels)
-	plan, err := ctx.makePlan(a.Name(), opts.Partitions, m)
+	plan, err := ctx.makePlan(a.Name(), env.opts.Partitions, m)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	part := plan.part
 
-	var replicated int64
-	inputs := make([]mr.Input, m)
-	for ri := range ctx.Rels {
-		inputs[ri] = ctx.relInput(ri, ri)
+	// Replication is decided per relation, not per record, so the statistic
+	// is known before the cycle runs.
+	for ri, r := range ctx.Rels {
 		if ri != projectRel {
-			replicated += int64(ctx.Rels[ri].Len())
+			env.res.ReplicatedIntervals += int64(r.Len())
 		}
 	}
 
-	job := mr.Job{
-		Name:   opts.Scratch + "/join",
-		Inputs: inputs,
+	join := mr.Job{
+		Name:   "join",
+		Inputs: ctx.relInputs(),
 		Map: func(tag int, record string, emit mr.Emitter) error {
 			t, err := relation.DecodeTuple(record)
 			if err != nil {
@@ -66,28 +65,10 @@ func (a AllRep) Run(ctx *Context) (*Result, error) {
 			plan.emitRange(emit, first, last, tag, encodeTagged(tag, t))
 			return nil
 		},
-		Resplit:    resplitValues(m, streamOfTagged),
-		Reduce:     reduceJoinAtPartition(ctx, plan),
-		Output:     opts.Scratch + "/output",
-		SortValues: opts.SortValues,
-		Meta:       ctx.jobMeta(a.Name(), 1),
+		Resplit: resplitValues(m, streamOfTagged),
+		Reduce:  reduceJoinAtPartition(ctx, plan),
 	}
-	metrics, err := ctx.Engine.Run(job)
-	if err != nil {
-		return nil, err
-	}
-	metrics.Plan = plan.info()
-	res := &Result{
-		Algorithm:           a.Name(),
-		Metrics:             metrics,
-		PerCycle:            []*mr.Metrics{metrics},
-		ReplicatedIntervals: replicated,
-	}
-	if err := readOutput(ctx, job.Output, res); err != nil {
-		return nil, err
-	}
-	res.SortTuples()
-	return res, nil
+	return []mr.Stage{{Job: join}}, plan, nil
 }
 
 // projectableRightmost returns the index of the unique relation that is
@@ -159,11 +140,7 @@ func reduceJoinAtPartition(ctx *Context, plan *execPlan) mr.ReduceFunc {
 	lvl := identityLevels(m)
 	return func(key int64, values []string, write func(string) error) error {
 		p := plan.partitionOf(key)
-		var outErr error
-		err := e.runTagged(values, lvl, func(asg []relation.Tuple) {
-			if outErr != nil {
-				return
-			}
+		return e.runTagged(values, lvl, func(asg []relation.Tuple) error {
 			maxStart := asg[0].Key().Start
 			for _, t := range asg[1:] {
 				if s := t.Key().Start; s > maxStart {
@@ -171,17 +148,13 @@ func reduceJoinAtPartition(ctx *Context, plan *execPlan) mr.ReduceFunc {
 				}
 			}
 			if part.IndexOf(maxStart) != p {
-				return
+				return nil
 			}
 			out := make(OutputTuple, len(asg))
 			for i, t := range asg {
 				out[i] = t.ID
 			}
-			outErr = write(out.Key())
+			return write(out.Key())
 		})
-		if err != nil {
-			return err
-		}
-		return outErr
 	}
 }

@@ -34,7 +34,7 @@ func BenchmarkEnumeratorChain(b *testing.B) {
 	b.ResetTimer()
 	count := 0
 	for i := 0; i < b.N; i++ {
-		e.run(cands, func([]relation.Tuple) { count++ })
+		e.run(cands, func([]relation.Tuple) error { count++; return nil })
 	}
 	b.ReportMetric(float64(count)/float64(b.N), "pairs/op")
 }
@@ -48,7 +48,7 @@ func BenchmarkEnumeratorSequence(b *testing.B) {
 	b.ResetTimer()
 	count := 0
 	for i := 0; i < b.N; i++ {
-		e.run(cands, func([]relation.Tuple) { count++ })
+		e.run(cands, func([]relation.Tuple) error { count++; return nil })
 	}
 	b.ReportMetric(float64(count)/float64(b.N), "pairs/op")
 }
@@ -64,7 +64,7 @@ func BenchmarkEnumeratorMixed(b *testing.B) {
 	b.ResetTimer()
 	count := 0
 	for i := 0; i < b.N; i++ {
-		e.run(cands, func([]relation.Tuple) { count++ })
+		e.run(cands, func([]relation.Tuple) error { count++; return nil })
 	}
 	b.ReportMetric(float64(count)/float64(b.N), "pairs/op")
 }
@@ -90,7 +90,7 @@ func benchReduceKernel(b *testing.B, n int) {
 	b.ResetTimer()
 	count := 0
 	for i := 0; i < b.N; i++ {
-		if err := e.runTagged(values, lvl, func([]relation.Tuple) { count++ }); err != nil {
+		if err := e.runTagged(values, lvl, func([]relation.Tuple) error { count++; return nil }); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -163,7 +163,7 @@ func BenchmarkEncodeVector(b *testing.B) {
 
 // benchChainAlg runs a multi-cycle algorithm end-to-end on a fresh engine,
 // either pipelined (the default) or with materialised cycle boundaries
-// (sequential RunChain, Hadoop parity). The delta between the two is what
+// (one pipeline per stage, Hadoop parity). The delta between the two is what
 // the pipelined executor buys on a whole chain.
 func benchChainAlg(b *testing.B, alg Algorithm, materialize bool) {
 	b.Helper()

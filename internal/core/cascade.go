@@ -43,66 +43,40 @@ const intermediateTag = -1
 
 // Run implements Algorithm.
 func (c Cascade) Run(ctx *Context) (*Result, error) {
-	opts := ctx.Opts.withDefaults(c.Name())
 	if cls := ctx.Query.Classify(); cls == query.General {
 		return nil, fmt.Errorf("core: cascade handles single-attribute queries only, got %v", cls)
 	}
-	if err := ctx.Stage(); err != nil {
-		return nil, err
-	}
+	return ctx.runStages(c.Name(), c.stages)
+}
+
+func (c Cascade) stages(ctx *Context, env *chainEnv) ([]mr.Stage, *execPlan, error) {
 	// One shared plan for all non-matrix steps: each step joins two input
 	// streams (the running partial assignments and the novel relation).
-	plan, err := ctx.makePlan(c.Name(), opts.Partitions, 2)
+	plan, err := ctx.makePlan(c.Name(), env.opts.Partitions, 2)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
-	gridPart, err := ctx.makePartitioning(opts.PartitionsPerDim)
+	gridPart, _, err := ctx.boundaries(env.opts.PartitionsPerDim)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
-
 	steps, err := planCascade(ctx.Query)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 
-	// Build every step's job up front; each step's partial-assignment
-	// input is the previous step's output, which the pipelined executor
-	// streams instead of materialising.
-	jobs := make([]mr.Job, len(steps))
+	// Each step's partial-assignment input is the previous step's output.
+	stages := make([]mr.Stage, len(steps))
 	current := "" // intermediate file of partial assignments
 	bound := []int{steps[0].existing}
 	for si, step := range steps {
-		jobName := opts.Scratch + "/step-" + strconv.Itoa(si)
-		output := opts.Scratch + "/inter-" + strconv.Itoa(si)
-		last := si == len(steps)-1
-		if last {
-			output = opts.Scratch + "/output"
-		}
-		jobs[si] = c.stepJob(ctx, opts, plan, gridPart, jobName, output, current, bound, step, last)
-		jobs[si].Meta = ctx.jobMeta(c.Name(), si+1)
+		output := "inter-" + strconv.Itoa(si)
+		stages[si].Job = c.stepJob(ctx, plan, gridPart, "step-"+strconv.Itoa(si), output,
+			current, bound, step, si == len(steps)-1)
 		bound = append(bound, step.novel)
 		current = output
 	}
-
-	var perCycle []*mr.Metrics
-	var agg *mr.Metrics
-	if opts.Materialize {
-		perCycle, agg, err = ctx.Engine.RunChain(jobs...)
-	} else {
-		perCycle, agg, err = ctx.Engine.RunPipeline(mr.ChainStages(jobs...)...)
-	}
-	if err != nil {
-		return nil, err
-	}
-	agg.Job = c.Name()
-	agg.Plan = plan.info()
-	res := &Result{Algorithm: c.Name(), Metrics: agg, PerCycle: perCycle}
-	if err := readOutput(ctx, current, res); err != nil {
-		return nil, err
-	}
-	res.SortTuples()
-	return res, nil
+	return stages, plan, nil
 }
 
 // cascadeStep binds relation novel to the running partial assignment via the
@@ -193,7 +167,7 @@ func countBound(b []bool) int {
 
 // stepJob builds the MR job for one cascade step. For the first step the
 // partial-assignment input is the existing relation itself.
-func (c Cascade) stepJob(ctx *Context, opts Options, plan *execPlan, gridPart interval.Partitioning,
+func (c Cascade) stepJob(ctx *Context, plan *execPlan, gridPart interval.Partitioning,
 	name, output, current string, bound []int, step cascadeStep, last bool) mr.Job {
 
 	part := plan.part
@@ -319,12 +293,11 @@ func (c Cascade) stepJob(ctx *Context, opts Options, plan *execPlan, gridPart in
 	}
 
 	job := mr.Job{
-		Name:       name,
-		Inputs:     inputs,
-		Map:        mapFn,
-		Reduce:     reduceFn,
-		Output:     output,
-		SortValues: opts.SortValues,
+		Name:   name,
+		Inputs: inputs,
+		Map:    mapFn,
+		Reduce: reduceFn,
+		Output: output,
 	}
 	if !matrix {
 		// The key-independent pair loop decomposes cleanly; matrix steps

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"errors"
 	"fmt"
 	"math"
 	"math/rand"
@@ -30,12 +31,13 @@ func forceGeneric(e *enumerator) *enumerator {
 // enumKeys collects the sorted output keys of one enumerator run.
 func enumKeys(e *enumerator, cands [][]relation.Tuple) []string {
 	var out []string
-	e.run(cands, func(asg []relation.Tuple) {
+	e.run(cands, func(asg []relation.Tuple) error {
 		key := make(OutputTuple, len(asg))
 		for j, t := range asg {
 			key[j] = t.ID
 		}
 		out = append(out, key.Key())
+		return nil
 	})
 	sort.Strings(out)
 	return out
@@ -285,7 +287,7 @@ func TestKernelDispatch(t *testing.T) {
 	q := query.MustParse("R1 overlaps R2")
 	e := newEnumerator(q.Conds, []int{0, 1})
 	cands := [][]relation.Tuple{adversarialTuples(rng, 10), adversarialTuples(rng, 10)}
-	e.run(cands, func([]relation.Tuple) {})
+	e.run(cands, func([]relation.Tuple) error { return nil })
 	sweep, merge, generic := e.kernelHitCounts()
 	if sweep == 0 {
 		t.Errorf("overlaps run recorded no sweep-kernel hits (got sweep=%d merge=%d generic=%d)",
@@ -321,12 +323,13 @@ func TestRunTaggedMatchesRun(t *testing.T) {
 	want := enumKeys(e, cands)
 
 	var got []string
-	err := e.runTagged(values, identityLevels(3), func(asg []relation.Tuple) {
+	err := e.runTagged(values, identityLevels(3), func(asg []relation.Tuple) error {
 		key := make(OutputTuple, len(asg))
 		for j, tup := range asg {
 			key[j] = tup.ID
 		}
 		got = append(got, key.Key())
+		return nil
 	})
 	if err != nil {
 		t.Fatalf("runTagged: %v", err)
@@ -336,8 +339,19 @@ func TestRunTaggedMatchesRun(t *testing.T) {
 		t.Fatalf("runTagged produced %d rows, run produced %d", len(got), len(want))
 	}
 
+	// An error from the callback stops the enumeration and is returned.
+	if len(want) < 2 {
+		t.Fatalf("need at least 2 rows to observe an early stop, have %d", len(want))
+	}
+	stop := errors.New("stop")
+	calls := 0
+	err = e.runTagged(values, identityLevels(3), func([]relation.Tuple) error { calls++; return stop })
+	if !errors.Is(err, stop) || calls != 1 {
+		t.Fatalf("runTagged after a callback error: err = %v after %d calls, want %v after 1", err, calls, stop)
+	}
+
 	for _, bad := range []string{"", "x;0|1,2", "0;garbage", "9;0|1,2", "-1;0|1,2"} {
-		if err := e.runTagged([]string{bad}, identityLevels(3), func([]relation.Tuple) {}); err == nil {
+		if err := e.runTagged([]string{bad}, identityLevels(3), func([]relation.Tuple) error { return nil }); err == nil {
 			t.Errorf("runTagged(%q) succeeded, want error", bad)
 		}
 	}

@@ -50,10 +50,11 @@ type Options struct {
 	// that "uniformly distributed data vs skewed data will need to be
 	// processed differently").
 	EquiDepth bool
-	// Materialize runs multi-cycle algorithms as sequential MR cycles with
-	// every cycle boundary written to the store and re-read — Hadoop's
-	// HDFS-barrier behaviour. By default the cycles run on the engine's
-	// pipelined executor, which streams cycle boundaries and overlaps one
+	// Materialize runs every cycle boundary as a store barrier: each cycle's
+	// output is written to the store and re-read by the next — Hadoop's
+	// HDFS-barrier behaviour, the reference the pipelined/materialized
+	// equivalence suites compare against. By default the whole chain runs
+	// as one pipeline, which streams cycle boundaries and overlaps one
 	// cycle's reduce phase with the next cycle's map phase.
 	Materialize bool
 	// Adaptive turns on the skew-aware planner: partition boundaries fall
@@ -283,22 +284,6 @@ func (c *Context) sampleStarts() []interval.Point {
 	return sample
 }
 
-// makePartitioning builds the shared 1-D partitioning of n partitions:
-// uniform-width by default, quantile-based under Options.EquiDepth — or
-// under Options.Adaptive when the data's histogram recommends it (see
-// boundaries in adaptive.go). The result may hold fewer than n partitions
-// when quantiles collapse.
-func (c *Context) makePartitioning(n int) (interval.Partitioning, error) {
-	part, _, err := c.boundaries(n)
-	return part, err
-}
-
-// jobMeta annotates one cycle's job for observability: traces and profiles
-// attribute its spans to (algorithm, 1-based cycle, predicate family).
-func (c *Context) jobMeta(alg string, cycle int) mr.JobMeta {
-	return mr.JobMeta{Algorithm: alg, Cycle: cycle, Family: c.Query.Classify().String()}
-}
-
 // OutputTuple is one join result: the tuple id per relation, in query
 // relation order.
 type OutputTuple []int64
@@ -373,72 +358,4 @@ type Algorithm interface {
 	Name() string
 	// Run executes the algorithm and returns its result.
 	Run(ctx *Context) (*Result, error)
-}
-
-// runMarkedChain executes a mark cycle followed by downstream cycles. In
-// the default pipelined mode the marking output streams straight into the
-// next cycle's map feed and the replicate-flag count is computed by a tap
-// on the fly; under Options.Materialize the chain runs sequentially and the
-// count is read back from the marked file, exactly as a Hadoop driver would
-// re-scan the HDFS intermediate.
-func runMarkedChain(ctx *Context, opts Options, marked string, markJob mr.Job,
-	rest ...mr.Stage) ([]*mr.Metrics, *mr.Metrics, int64, error) {
-
-	if opts.Materialize {
-		jobs := make([]mr.Job, 0, len(rest)+1)
-		jobs = append(jobs, markJob)
-		for _, s := range rest {
-			jobs = append(jobs, s.Job)
-		}
-		perCycle, agg, err := ctx.Engine.RunChain(jobs...)
-		if err != nil {
-			return nil, nil, 0, err
-		}
-		replicated, err := countFlagged(ctx, marked)
-		if err != nil {
-			return nil, nil, 0, err
-		}
-		return perCycle, agg, replicated, nil
-	}
-	var replicated int64
-	stages := append([]mr.Stage{{Job: markJob, Tap: replicateFlagTap(&replicated)}}, rest...)
-	perCycle, agg, err := ctx.Engine.RunPipeline(stages...)
-	if err != nil {
-		return nil, nil, 0, err
-	}
-	return perCycle, agg, replicated, nil
-}
-
-// replicateFlagTap counts replicate-flagged records streaming out of a mark
-// cycle — the pipelined stand-in for countFlagged, which would force the
-// marked intermediate onto the store. Records are "<rel>;<flag>;<tuple>".
-func replicateFlagTap(n *int64) func(string) {
-	return func(rec string) {
-		if i := strings.IndexByte(rec, ';'); i >= 0 && i+2 < len(rec) && rec[i+1] == '1' && rec[i+2] == ';' {
-			*n++
-		}
-	}
-}
-
-// readOutput decodes the final job output file into Result.Tuples.
-func readOutput(ctx *Context, file string, res *Result) error {
-	it, err := ctx.Engine.Store().Open(file)
-	if err != nil {
-		return err
-	}
-	defer it.Close()
-	for {
-		rec, ok, err := it.Next()
-		if err != nil {
-			return err
-		}
-		if !ok {
-			return nil
-		}
-		t, err := ParseOutputTuple(rec)
-		if err != nil {
-			return err
-		}
-		res.Tuples = append(res.Tuples, t)
-	}
 }

@@ -1,0 +1,166 @@
+package core
+
+import (
+	"strings"
+
+	"intervaljoin/internal/mr"
+	"intervaljoin/internal/query"
+)
+
+// The one driver skeleton. Every distributed algorithm is a short chain of
+// MR cycles that differ only in how each cycle routes and joins, so every
+// Algorithm.Run ends in runStages: the driver checks its query class, picks
+// its partitioning or plan, and hands over a []mr.Stage of map/reduce
+// closures; everything around the closures — defaults, the provably-empty
+// short-circuit, staging, file naming, per-stage annotations, execution
+// mode, metrics aggregation and the read-out — happens here, once.
+
+// chainEnv is what the runner has settled by the time a driver builds its
+// stages.
+type chainEnv struct {
+	// opts is the run's options with defaults applied.
+	opts Options
+	// d is the query's decomposition into colocation components and the
+	// sequence order among them; never contradictory.
+	d *query.Decomposition
+	// res is the run's result. Stage Taps report ReplicatedIntervals and
+	// PrunedIntervals into it while the chain executes.
+	res *Result
+}
+
+// stageBuilder is a driver's half of a run: the chain of stages, plus the
+// skew-adaptive plan to report (nil for the always-uniform grid layouts).
+type stageBuilder func(*Context, *chainEnv) ([]mr.Stage, *execPlan, error)
+
+// runStages runs alg as the chain of stages build returns.
+//
+// Drivers name things relative to the run's scratch directory: a stage's
+// Job.Name and Job.Output are plain names ("mark", "marked"), and an input
+// whose File equals an earlier stage's Output reads that intermediate. The
+// last stage's output is always "<scratch>/output"; an intermediate stage
+// with an empty Output is observed through its Tap only. SortValues and
+// the (algorithm, cycle, family) JobMeta are set here for every stage.
+func (c *Context) runStages(alg string, build stageBuilder) (*Result, error) {
+	opts := c.Opts.withDefaults(alg)
+	agg := mr.NewMetrics(alg)
+	agg.Cycles = 0
+	res := &Result{Algorithm: alg, Metrics: agg}
+	d := query.Decompose(c.Query)
+	if d.Contradictory {
+		// Two sequence conditions enforce opposite orders between the same
+		// components: the output is provably empty (Section 9). No cycle
+		// runs and nothing is written to the store.
+		return res, nil
+	}
+	if err := c.Stage(); err != nil {
+		return nil, err
+	}
+	stages, plan, err := build(c, &chainEnv{opts: opts, d: d, res: res})
+	if err != nil {
+		return nil, err
+	}
+
+	dir := opts.Scratch + "/"
+	family := c.Query.Classify().String()
+	outputs := make(map[string]bool, len(stages))
+	for i := range stages {
+		job := &stages[i].Job
+		job.Name = dir + job.Name
+		for k := range job.Inputs {
+			if outputs[job.Inputs[k].File] {
+				job.Inputs[k].File = dir + job.Inputs[k].File
+			}
+		}
+		if i == len(stages)-1 {
+			job.Output = "output"
+		}
+		if job.Output != "" {
+			outputs[job.Output] = true
+			job.Output = dir + job.Output
+		}
+		job.SortValues = opts.SortValues
+		job.Meta = mr.JobMeta{Algorithm: alg, Cycle: i + 1, Family: family}
+	}
+
+	// Options.Materialize is honoured here and nowhere else: the barriered
+	// mode runs each stage as its own pipeline, so every boundary is written
+	// to the store and re-read (Hadoop's HDFS barrier) while the taps fire
+	// exactly as they do when the boundaries stream.
+	groups := [][]mr.Stage{stages}
+	if opts.Materialize {
+		groups = nil
+		for i := range stages {
+			groups = append(groups, stages[i:i+1])
+		}
+	}
+	for _, g := range groups {
+		perCycle, m, err := c.Engine.RunPipeline(g...)
+		if err != nil {
+			return nil, err
+		}
+		res.PerCycle = append(res.PerCycle, perCycle...)
+		agg.Merge(m)
+		// Groups run back to back, so their per-phase wall unions add up.
+		w := &agg.TrueWalls
+		w.Feed += m.TrueWalls.Feed
+		w.Map += m.TrueWalls.Map
+		w.Combine += m.TrueWalls.Combine
+		w.Spill += m.TrueWalls.Spill
+		w.Merge += m.TrueWalls.Merge
+		w.Reduce += m.TrueWalls.Reduce
+		w.Output += m.TrueWalls.Output
+	}
+	if plan != nil {
+		agg.Plan = plan.info()
+	}
+	if err := readOutput(c, dir+"output", res); err != nil {
+		return nil, err
+	}
+	res.SortTuples()
+	return res, nil
+}
+
+// relInputs maps every relation's staged file under its own index as tag —
+// the input list of any cycle that reads all base relations.
+func (c *Context) relInputs() []mr.Input {
+	inputs := make([]mr.Input, len(c.Rels))
+	for ri := range c.Rels {
+		inputs[ri] = c.relInput(ri, ri)
+	}
+	return inputs
+}
+
+// replicateFlagTap counts the replicate-flagged records leaving a mark
+// cycle — the paper's "# Intervals Replicated" statistic — without forcing
+// the marked intermediate onto the store. Records are
+// "<rel>;<flag>;<tuple>".
+func replicateFlagTap(n *int64) func(string) {
+	return func(rec string) {
+		if i := strings.IndexByte(rec, ';'); i >= 0 && i+2 < len(rec) && rec[i+1] == '1' && rec[i+2] == ';' {
+			*n++
+		}
+	}
+}
+
+// readOutput decodes the final job output file into Result.Tuples.
+func readOutput(ctx *Context, file string, res *Result) error {
+	it, err := ctx.Engine.Store().Open(file)
+	if err != nil {
+		return err
+	}
+	defer it.Close()
+	for {
+		rec, ok, err := it.Next()
+		if err != nil {
+			return err
+		}
+		if !ok {
+			return nil
+		}
+		t, err := ParseOutputTuple(rec)
+		if err != nil {
+			return err
+		}
+		res.Tuples = append(res.Tuples, t)
+	}
+}

@@ -16,8 +16,7 @@ import (
 // partial assignments; a final matrix cycle then joins the component outputs
 // on the sequence conditions. Like 2-way Cascade it pays for reading and
 // shuffling large intermediate results, which is what All-Seq-Matrix
-// removes. (FSTC, the mirror-image baseline, is strictly analogous and is
-// not evaluated in the paper's tables; it is not implemented.)
+// removes. (FSTC, the mirror-image baseline, is in fstc.go.)
 //
 // Three MR cycles: component RCCIS marking; component joins (all components
 // in one job, keyed by component x partition); sequence grid join over the
@@ -29,53 +28,33 @@ func (FCTS) Name() string { return "fcts" }
 
 // Run implements Algorithm.
 func (a FCTS) Run(ctx *Context) (*Result, error) {
-	opts := ctx.Opts.withDefaults(a.Name())
 	if cls := ctx.Query.Classify(); cls == query.General {
 		return nil, fmt.Errorf("core: fcts handles single-attribute queries, got %v", cls)
 	}
-	if err := ctx.Stage(); err != nil {
-		return nil, err
-	}
-	d := query.Decompose(ctx.Query)
-	if d.Contradictory {
-		return &Result{Algorithm: a.Name(), Metrics: mr.NewMetrics(a.Name())}, nil
-	}
-	part, err := ctx.makePartitioning(opts.PartitionsPerDim)
-	if err != nil {
-		return nil, err
-	}
-
-	marked := opts.Scratch + "/marked"
-	compOut := opts.Scratch + "/components"
-	markJob := componentMarkJob(ctx, opts, part, d, marked)
-	markJob.Meta = ctx.jobMeta(a.Name(), 1)
-	compJob := a.componentOutputJob(ctx, opts, part, d, marked, compOut)
-	compJob.Meta = ctx.jobMeta(a.Name(), 2)
-	seqJob, err := a.sequenceJob(ctx, opts, part, d, compOut, opts.Scratch+"/output")
-	if err != nil {
-		return nil, err
-	}
-	seqJob.Meta = ctx.jobMeta(a.Name(), 3)
-	perCycle, agg, replicated, err := runMarkedChain(ctx, opts, marked, markJob,
-		mr.Stage{Job: compJob}, mr.Stage{Job: seqJob})
-	if err != nil {
-		return nil, err
-	}
-	res := &Result{Algorithm: a.Name(), Metrics: agg, PerCycle: perCycle, ReplicatedIntervals: replicated}
-	if err := readOutput(ctx, seqJob.Output, res); err != nil {
-		return nil, err
-	}
-	res.SortTuples()
-	return res, nil
+	return ctx.runStages(a.Name(), a.stages)
 }
 
-// componentOutputJob materialises every component sub-query's output as
-// partial-assignment records (cycle 2). Keys are component*o + partition;
+func (a FCTS) stages(ctx *Context, env *chainEnv) ([]mr.Stage, *execPlan, error) {
+	part, _, err := ctx.boundaries(env.opts.PartitionsPerDim)
+	if err != nil {
+		return nil, nil, err
+	}
+	seq, err := a.sequenceJob(ctx, part, env.d)
+	if err != nil {
+		return nil, nil, err
+	}
+	return []mr.Stage{
+		{Job: componentMarkJob(ctx, part, env.d), Tap: replicateFlagTap(&env.res.ReplicatedIntervals)},
+		{Job: a.componentOutputJob(ctx, part, env.d)},
+		{Job: seq},
+	}, nil, nil
+}
+
+// componentOutputJob turns "marked" into every component sub-query's output
+// as partial-assignment records, "components" (cycle 2). Keys are component*o + partition;
 // each reducer enumerates the component's satisfying assignments among the
 // tuples routed to it and emits those whose right-most member starts here.
-func (FCTS) componentOutputJob(ctx *Context, opts Options, part interval.Partitioning,
-	d *query.Decomposition, marked, output string) mr.Job {
-
+func (FCTS) componentOutputJob(ctx *Context, part interval.Partitioning, d *query.Decomposition) mr.Job {
 	comp := compOfRel(d)
 	o := int64(part.Len())
 	compRels := make([][]int, len(d.Components))
@@ -104,8 +83,8 @@ func (FCTS) componentOutputJob(ctx *Context, opts Options, part interval.Partiti
 	}
 
 	return mr.Job{
-		Name:   opts.Scratch + "/component-join",
-		Inputs: []mr.Input{{File: marked}},
+		Name:   "component-join",
+		Inputs: []mr.Input{{File: "marked"}},
 		Map: func(_ int, record string, emit mr.Emitter) error {
 			rel, replicate, t, err := decodeFlagged(record)
 			if err != nil {
@@ -125,11 +104,7 @@ func (FCTS) componentOutputJob(ctx *Context, opts Options, part interval.Partiti
 			ci := int(key / o)
 			p := int(key % o)
 			rels := compRels[ci]
-			var outErr error
-			err := enums[ci].runTagged(values, lvls[ci], func(asg []relation.Tuple) {
-				if outErr != nil {
-					return
-				}
+			return enums[ci].runTagged(values, lvls[ci], func(asg []relation.Tuple) error {
 				maxStart := asg[0].Key().Start
 				for _, t := range asg[1:] {
 					if s := t.Key().Start; s > maxStart {
@@ -137,32 +112,25 @@ func (FCTS) componentOutputJob(ctx *Context, opts Options, part interval.Partiti
 					}
 				}
 				if part.IndexOf(maxStart) != p {
-					return
+					return nil
 				}
 				pa := make(partialAssignment, len(asg))
 				for i, t := range asg {
 					pa[i] = boundTuple{rel: rels[i], tuple: t}
 				}
-				outErr = write(encodePartial(pa))
+				return write(encodePartial(pa))
 			})
-			if err != nil {
-				return err
-			}
-			return outErr
 		},
-		Output:     output,
-		SortValues: opts.SortValues,
+		Output: "components",
 	}
 }
 
-// sequenceJob joins the materialised component outputs on the sequence
+// sequenceJob joins the component outputs, "components", on the sequence
 // conditions in an l-dimensional consistent-cell grid (cycle 3). Each
 // component record is pinned along its own dimension at the partition of its
 // right-most member's start; full assignments therefore form at exactly one
 // cell.
-func (FCTS) sequenceJob(ctx *Context, opts Options, part interval.Partitioning,
-	d *query.Decomposition, compOut, output string) (mr.Job, error) {
-
+func (FCTS) sequenceJob(ctx *Context, part interval.Partitioning, d *query.Decomposition) (mr.Job, error) {
 	comp := compOfRel(d)
 	l := d.NumComponents()
 	g, err := grid.NewUniform(l, part.Len())
@@ -208,19 +176,14 @@ func (FCTS) sequenceJob(ctx *Context, opts Options, part interval.Partitioning,
 		// Backtracking across components, checking sequence conditions as
 		// soon as both operand components are bound.
 		asg := make([]relation.Tuple, m)
-		var outErr error
-		var rec func(ci int)
-		rec = func(ci int) {
-			if outErr != nil {
-				return
-			}
+		var rec func(ci int) error
+		rec = func(ci int) error {
 			if ci == l {
 				out := make(OutputTuple, m)
 				for i, t := range asg {
 					out[i] = t.ID
 				}
-				outErr = write(out.Key())
-				return
+				return write(out.Key())
 			}
 		next:
 			for _, pa := range byComp[ci] {
@@ -236,19 +199,19 @@ func (FCTS) sequenceJob(ctx *Context, opts Options, part interval.Partitioning,
 						continue next
 					}
 				}
-				rec(ci + 1)
+				if err := rec(ci + 1); err != nil {
+					return err
+				}
 			}
+			return nil
 		}
-		rec(0)
-		return outErr
+		return rec(0)
 	}
 
 	return mr.Job{
-		Name:       opts.Scratch + "/sequence-join",
-		Inputs:     []mr.Input{{File: compOut}},
-		Map:        mapFn,
-		Reduce:     reduceFn,
-		Output:     output,
-		SortValues: opts.SortValues,
+		Name:   "sequence-join",
+		Inputs: []mr.Input{{File: "components"}},
+		Map:    mapFn,
+		Reduce: reduceFn,
 	}, nil
 }

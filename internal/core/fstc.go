@@ -28,29 +28,23 @@ func (FSTC) Name() string { return "fstc" }
 
 // Run implements Algorithm.
 func (a FSTC) Run(ctx *Context) (*Result, error) {
-	opts := ctx.Opts.withDefaults(a.Name())
 	if cls := ctx.Query.Classify(); cls != query.Hybrid {
 		return nil, fmt.Errorf("core: fstc handles hybrid queries, got %v", cls)
 	}
-	if err := ctx.Stage(); err != nil {
-		return nil, err
-	}
-	d := query.Decompose(ctx.Query)
-	if d.Contradictory {
-		return &Result{Algorithm: a.Name(), Metrics: mr.NewMetrics(a.Name())}, nil
-	}
-	part, err := ctx.makePartitioning(opts.PartitionsPerDim)
+	return ctx.runStages(a.Name(), a.stages)
+}
+
+func (a FSTC) stages(ctx *Context, env *chainEnv) ([]mr.Stage, *execPlan, error) {
+	part, _, err := ctx.boundaries(env.opts.PartitionsPerDim)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 
 	// Relations touched by sequence conditions, in first-appearance order.
 	var seqRels []int
 	seen := make(map[int]bool)
-	var seqConds []query.Condition
-	for _, si := range d.SeqCondIdx {
+	for _, si := range env.d.SeqCondIdx {
 		c := ctx.Query.Conds[si]
-		seqConds = append(seqConds, c)
 		for _, r := range []int{c.Left.Rel, c.Right.Rel} {
 			if !seen[r] {
 				seen[r] = true
@@ -59,70 +53,42 @@ func (a FSTC) Run(ctx *Context) (*Result, error) {
 		}
 	}
 	if len(seqRels) == 0 {
-		return nil, fmt.Errorf("core: fstc: hybrid query without sequence conditions")
+		return nil, nil, fmt.Errorf("core: fstc: hybrid query without sequence conditions")
 	}
-
-	res := &Result{Algorithm: a.Name(), Metrics: mr.NewMetrics(a.Name())}
-	res.Metrics.Cycles = 0
 
 	// Phase 1: All-Matrix over the sequence relations, emitting partial
 	// assignments. Conditions checked: every query condition whose both
 	// endpoints are sequence relations (sequence and colocation alike).
-	inter := opts.Scratch + "/seq-inter"
-	seqJob, err := a.sequenceJob(ctx, opts, part, seqRels, inter)
+	seqJob, err := a.sequenceJob(ctx, part, seqRels)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
-	seqJob.Meta = ctx.jobMeta(a.Name(), 1)
-	m, err := ctx.Engine.Run(seqJob)
-	if err != nil {
-		return nil, err
-	}
-	res.PerCycle = append(res.PerCycle, m)
-	res.Metrics.Merge(m)
+	stages := []mr.Stage{{Job: seqJob}}
 
 	// Phase 2: cascade the remaining relations over colocation conditions.
 	bound := make([]bool, len(ctx.Rels))
 	for _, r := range seqRels {
 		bound[r] = true
 	}
-	current := inter
-	step := 0
-	for countBound(bound) < len(ctx.Rels) {
+	current := seqJob.Output
+	for step := 1; countBound(bound) < len(ctx.Rels); step++ {
 		novel, driving, checks := nextColocStep(ctx.Query, bound)
 		if novel < 0 {
-			return nil, fmt.Errorf("core: fstc requires a connected query: %s", ctx.Query)
+			return nil, nil, fmt.Errorf("core: fstc requires a connected query: %s", ctx.Query)
 		}
-		step++
-		output := opts.Scratch + "/coloc-" + strconv.Itoa(step)
+		output := "coloc-" + strconv.Itoa(step)
 		last := countBound(bound) == len(ctx.Rels)-1
-		if last {
-			output = opts.Scratch + "/output"
-		}
-		job := a.colocStepJob(ctx, opts, part, current, output, novel, driving, checks, last)
-		job.Meta = ctx.jobMeta(a.Name(), step+1)
-		m, err := ctx.Engine.Run(job)
-		if err != nil {
-			return nil, err
-		}
-		res.PerCycle = append(res.PerCycle, m)
-		res.Metrics.Merge(m)
+		stages = append(stages, mr.Stage{Job: a.colocStepJob(ctx, part, current, output, novel, driving, checks, last)})
 		bound[novel] = true
 		current = output
 	}
-	if err := readOutput(ctx, current, res); err != nil {
-		return nil, err
-	}
-	res.SortTuples()
-	return res, nil
+	return stages, nil, nil
 }
 
 // sequenceJob runs the multi-way join over the sequence relations on a
 // consistent-cell grid (one dimension per sequence relation), checking all
 // conditions local to those relations.
-func (FSTC) sequenceJob(ctx *Context, opts Options, part interval.Partitioning,
-	seqRels []int, output string) (mr.Job, error) {
-
+func (FSTC) sequenceJob(ctx *Context, part interval.Partitioning, seqRels []int) (mr.Job, error) {
 	dim := make(map[int]int, len(seqRels))
 	for i, r := range seqRels {
 		dim[r] = i
@@ -168,7 +134,7 @@ func (FSTC) sequenceJob(ctx *Context, opts Options, part interval.Partitioning,
 	}
 
 	return mr.Job{
-		Name:   opts.Scratch + "/sequence",
+		Name:   "sequence",
 		Inputs: inputs,
 		Map: func(tag int, record string, emit mr.Emitter) error {
 			t, err := relation.DecodeTuple(record)
@@ -183,24 +149,15 @@ func (FSTC) sequenceJob(ctx *Context, opts Options, part interval.Partitioning,
 			return nil
 		},
 		Reduce: func(key int64, values []string, write func(string) error) error {
-			var outErr error
-			err := seqEnum.runTagged(values, lvl, func(asg []relation.Tuple) {
-				if outErr != nil {
-					return
-				}
+			return seqEnum.runTagged(values, lvl, func(asg []relation.Tuple) error {
 				pa := make(partialAssignment, len(asg))
 				for i, t := range asg {
 					pa[i] = boundTuple{rel: seqRels[i], tuple: t}
 				}
-				outErr = write(encodePartial(pa))
+				return write(encodePartial(pa))
 			})
-			if err != nil {
-				return err
-			}
-			return outErr
 		},
-		Output:     output,
-		SortValues: opts.SortValues,
+		Output: "seq-inter",
 	}, nil
 }
 
@@ -232,7 +189,7 @@ func nextColocStep(q *query.Query, bound []bool) (novel int, driving query.Condi
 
 // colocStepJob binds one new relation to the partial assignments via the
 // Figure 1 strategy of the driving condition.
-func (FSTC) colocStepJob(ctx *Context, opts Options, part interval.Partitioning,
+func (FSTC) colocStepJob(ctx *Context, part interval.Partitioning,
 	current, output string, novel int, driving query.Condition, checks []query.Condition, last bool) mr.Job {
 
 	boundIsLeft := driving.Right.Rel == novel
@@ -246,7 +203,7 @@ func (FSTC) colocStepJob(ctx *Context, opts Options, part interval.Partitioning,
 
 	step := cascadeStep{existing: boundRel, novel: novel, driving: driving, checkConds: checks}
 	return mr.Job{
-		Name: opts.Scratch + "/coloc-step-" + strconv.Itoa(novel),
+		Name: "coloc-step-" + strconv.Itoa(novel),
 		Inputs: []mr.Input{
 			{File: current, Tag: intermediateTag},
 			ctx.relInput(novel, novel),
@@ -309,7 +266,6 @@ func (FSTC) colocStepJob(ctx *Context, opts Options, part interval.Partitioning,
 			}
 			return nil
 		},
-		Output:     output,
-		SortValues: opts.SortValues,
+		Output: output,
 	}
 }

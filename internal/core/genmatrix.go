@@ -61,21 +61,17 @@ func relVertices(d *query.Decomposition, m int) [][]vertexInfo {
 
 // Run implements Algorithm.
 func (a GenMatrix) Run(ctx *Context) (*Result, error) {
-	opts := ctx.Opts.withDefaults(a.Name())
-	if err := ctx.Stage(); err != nil {
-		return nil, err
-	}
-	d := query.Decompose(ctx.Query)
-	if d.Contradictory {
-		return &Result{Algorithm: a.Name(), Metrics: mr.NewMetrics(a.Name())}, nil
-	}
-	m := len(ctx.Rels)
-	verts := relVertices(d, m)
+	return ctx.runStages(a.Name(), a.stages)
+}
+
+func (a GenMatrix) stages(ctx *Context, env *chainEnv) ([]mr.Stage, *execPlan, error) {
+	d := env.d
+	verts := relVertices(d, len(ctx.Rels))
 	for ci := range d.Components {
 		seenRel := make(map[int]bool)
 		for _, v := range d.Components[ci].Vertices {
 			if seenRel[v.Rel] {
-				return nil, fmt.Errorf("core: gen-matrix does not support two attributes of %s in one colocation component",
+				return nil, nil, fmt.Errorf("core: gen-matrix does not support two attributes of %s in one colocation component",
 					ctx.Query.Relations[v.Rel].Name)
 			}
 			seenRel[v.Rel] = true
@@ -83,62 +79,24 @@ func (a GenMatrix) Run(ctx *Context) (*Result, error) {
 	}
 
 	// Per-component partitionings over the component's own attribute range.
-	parts, err := componentPartitionings(ctx, d, opts.PartitionsPerDim)
+	parts, err := componentPartitionings(ctx, d, env.opts.PartitionsPerDim)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
-
-	marked := opts.Scratch + "/marked"
-	merged := opts.Scratch + "/merged"
-	markJob := a.markJob(ctx, opts, d, parts, marked)
-	markJob.Meta = ctx.jobMeta(a.Name(), 1)
-	mergeJob := a.mergeJob(ctx, opts, verts, marked, merged)
-	mergeJob.Meta = ctx.jobMeta(a.Name(), 2)
-	joinJob, err := a.joinJob(ctx, opts, d, parts, verts, merged, opts.Scratch+"/output")
+	join, err := a.joinJob(ctx, d, parts, verts)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
-	joinJob.Meta = ctx.jobMeta(a.Name(), 3)
-
-	var perCycle []*mr.Metrics
-	var agg *mr.Metrics
-	var replicated int64
-	if opts.Materialize {
-		perCycle, agg, err = ctx.Engine.RunChain(markJob, mergeJob, joinJob)
-		if err != nil {
-			return nil, err
-		}
-		replicated, err = a.countReplicated(ctx, merged)
-		if err != nil {
-			return nil, err
-		}
-	} else {
-		perCycle, agg, err = ctx.Engine.RunPipeline(
-			mr.Stage{Job: markJob},
-			mr.Stage{Job: mergeJob, Tap: func(rec string) {
-				// Count tuples with a replicate-flagged vertex on the fly
-				// (countReplicated's store scan, without the store).
-				if _, flags, _, err := decodeVector(rec); err == nil {
-					for _, f := range flags {
-						if f {
-							replicated++
-							break
-						}
-					}
-				}
-			}},
-			mr.Stage{Job: joinJob},
-		)
-		if err != nil {
-			return nil, err
-		}
-	}
-	res := &Result{Algorithm: a.Name(), Metrics: agg, PerCycle: perCycle, ReplicatedIntervals: replicated}
-	if err := readOutput(ctx, joinJob.Output, res); err != nil {
-		return nil, err
-	}
-	res.SortTuples()
-	return res, nil
+	return []mr.Stage{
+		{Job: a.markJob(ctx, d, parts, env.opts.PartitionsPerDim)},
+		{Job: a.mergeJob(ctx, verts), Tap: func(rec string) {
+			// Count tuples with at least one replicate-flagged vertex.
+			if _, flags, _, err := decodeVector(rec); err == nil && slices.Contains(flags, true) {
+				env.res.ReplicatedIntervals++
+			}
+		}},
+		{Job: join},
+	}, nil, nil
 }
 
 // componentPartitionings builds one o-partition partitioning per component,
@@ -244,15 +202,11 @@ func componentPartitionings(ctx *Context, d *query.Decomposition, o int) ([]inte
 	return parts, nil
 }
 
-// markJob is cycle 1: RCCIS marking per component over vertex values. The
-// output holds one flagged record per (tuple, vertex).
-func (GenMatrix) markJob(ctx *Context, opts Options, d *query.Decomposition,
-	parts []interval.Partitioning, output string) mr.Job {
+// markJob is cycle 1: RCCIS marking per component over vertex values. Its
+// output, "marked", holds one flagged record per (tuple, vertex).
+func (GenMatrix) markJob(ctx *Context, d *query.Decomposition,
+	parts []interval.Partitioning, perDim int) mr.Job {
 
-	inputs := make([]mr.Input, len(ctx.Rels))
-	for ri := range ctx.Rels {
-		inputs[ri] = ctx.relInput(ri, ri)
-	}
 	// Vertices per relation per component, and per-component reducers.
 	attrOfComp := make([]map[int]int, len(d.Components)) // comp -> rel -> attr
 	relsOfComp := make([][]int, len(d.Components))
@@ -280,12 +234,12 @@ func (GenMatrix) markJob(ctx *Context, opts Options, d *query.Decomposition,
 			})
 		}
 	}
-	o := int64(opts.PartitionsPerDim)
+	o := int64(perDim)
 	compOfVertex := d.CompOf
 
 	return mr.Job{
-		Name:   opts.Scratch + "/mark",
-		Inputs: inputs,
+		Name:   "mark",
+		Inputs: ctx.relInputs(),
 		Map: func(tag int, record string, emit mr.Emitter) error {
 			t, err := relation.DecodeTuple(record)
 			if err != nil {
@@ -305,18 +259,17 @@ func (GenMatrix) markJob(ctx *Context, opts Options, d *query.Decomposition,
 			ci := int(key / o)
 			return reducers[ci](key%o, values, write)
 		},
-		Output:     output,
-		SortValues: opts.SortValues,
+		Output: "marked",
 	}
 }
 
-// mergeJob is cycle 2: group the per-vertex flags by tuple and emit one
-// flag-vector record per tuple.
-func (GenMatrix) mergeJob(ctx *Context, opts Options, verts [][]vertexInfo, input, output string) mr.Job {
+// mergeJob is cycle 2: group the per-vertex flags of "marked" by tuple and
+// emit one flag-vector record per tuple, "merged".
+func (GenMatrix) mergeJob(ctx *Context, verts [][]vertexInfo) mr.Job {
 	m := int64(len(ctx.Rels))
 	return mr.Job{
-		Name:   opts.Scratch + "/merge",
-		Inputs: []mr.Input{{File: input}},
+		Name:   "merge",
+		Inputs: []mr.Input{{File: "marked"}},
 		Map: func(_ int, record string, emit mr.Emitter) error {
 			rel, _, _, t, err := decodeVertexFlagged(record)
 			if err != nil {
@@ -355,15 +308,14 @@ func (GenMatrix) mergeJob(ctx *Context, opts Options, verts [][]vertexInfo, inpu
 			}
 			return write(encodeVector(rel, flags, tuple))
 		},
-		Output:     output,
-		SortValues: opts.SortValues,
+		Output: "merged",
 	}
 }
 
-// joinJob is cycle 3: route each tuple into the grid jointly per its vertex
-// flags and join per cell.
-func (GenMatrix) joinJob(ctx *Context, opts Options, d *query.Decomposition,
-	parts []interval.Partitioning, verts [][]vertexInfo, input, output string) (mr.Job, error) {
+// joinJob is cycle 3: route each tuple of "merged" into the grid jointly
+// per its vertex flags and join per cell.
+func (GenMatrix) joinJob(ctx *Context, d *query.Decomposition,
+	parts []interval.Partitioning, verts [][]vertexInfo) (mr.Job, error) {
 
 	l := d.NumComponents()
 	dims := make([]int, l)
@@ -409,11 +361,7 @@ func (GenMatrix) joinJob(ctx *Context, opts Options, d *query.Decomposition,
 	lvl := identityLevels(m)
 	reduceFn := func(key int64, values []string, write func(string) error) error {
 		coord := g.Coord(key, nil)
-		var outErr error
-		err := e.runTagged(values, lvl, func(asg []relation.Tuple) {
-			if outErr != nil {
-				return
-			}
+		return e.runTagged(values, lvl, func(asg []relation.Tuple) error {
 			for ci := range d.Components {
 				maxStart := interval.Point(0)
 				first := true
@@ -424,56 +372,21 @@ func (GenMatrix) joinJob(ctx *Context, opts Options, d *query.Decomposition,
 					}
 				}
 				if parts[ci].IndexOf(maxStart) != coord[ci] {
-					return
+					return nil
 				}
 			}
 			out := make(OutputTuple, len(asg))
 			for i, t := range asg {
 				out[i] = t.ID
 			}
-			outErr = write(out.Key())
+			return write(out.Key())
 		})
-		if err != nil {
-			return err
-		}
-		return outErr
 	}
 
 	return mr.Job{
-		Name:       opts.Scratch + "/join",
-		Inputs:     []mr.Input{{File: input}},
-		Map:        mapFn,
-		Reduce:     reduceFn,
-		Output:     output,
-		SortValues: opts.SortValues,
+		Name:   "join",
+		Inputs: []mr.Input{{File: "merged"}},
+		Map:    mapFn,
+		Reduce: reduceFn,
 	}, nil
-}
-
-// countReplicated counts tuples with at least one replicate-flagged vertex.
-func (GenMatrix) countReplicated(ctx *Context, merged string) (int64, error) {
-	it, err := ctx.Engine.Store().Open(merged)
-	if err != nil {
-		return 0, err
-	}
-	defer it.Close()
-	var n int64
-	for {
-		rec, ok, err := it.Next()
-		if err != nil {
-			return 0, err
-		}
-		if !ok {
-			return n, nil
-		}
-		_, flags, _, err := decodeVector(rec)
-		if err != nil {
-			return 0, err
-		}
-		for _, f := range flags {
-			if f {
-				n++
-				break
-			}
-		}
-	}
 }

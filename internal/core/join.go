@@ -200,7 +200,8 @@ type preparedJoin struct {
 	asg     []relation.Tuple
 	idx     []int   // idx[j]: current index of the level-j binding within its column
 	bref    []int32 // bref[j]: arena ref of the level-j binding
-	fn      func(asg []relation.Tuple)
+	fn      func(asg []relation.Tuple) error
+	err     error // first error fn returned; stops the enumeration
 	// per-run kernel dispatch counts, flushed by put.
 	nSweep, nMerge, nGeneric int64
 }
@@ -377,19 +378,27 @@ func windCol(s []int64, n int, need bool) []int64 {
 // run enumerates every assignment (one tuple per relation, from the sealed
 // candidate columns) satisfying all applicable conditions, invoking fn with
 // the assignment parallel to rels. fn must not retain asg (its tuples alias
-// the arena). run may be called repeatedly; the sorted columns and sweep
-// windows are reused.
-func (p *preparedJoin) run(fn func(asg []relation.Tuple)) {
+// the arena). An error from fn stops the enumeration — no further
+// assignment is visited — and is returned. run may be called repeatedly;
+// the sorted columns and sweep windows are reused.
+func (p *preparedJoin) run(fn func(asg []relation.Tuple) error) error {
 	p.fn = fn
 	p.rec(0)
-	p.fn = nil
+	err := p.err
+	p.fn, p.err = nil, nil
+	return err
 }
 
 func (p *preparedJoin) rec(i int) {
+	if p.err != nil {
+		return
+	}
 	if i == len(p.asg) {
 		// Each level materialised its binding when the candidate was
 		// accepted, so the full assignment is already in place.
-		p.fn(p.asg)
+		if err := p.fn(p.asg); err != nil {
+			p.err = err
+		}
 		return
 	}
 	lp := &p.e.plans[i]
@@ -489,9 +498,10 @@ next:
 
 // run loads cands and enumerates once — the single-shot form used by
 // callers that already hold decoded tuples (the reference oracle, tests).
-// The prepared state comes from a pool, so steady-state runs allocate
-// nothing beyond arena growth.
-func (e *enumerator) run(cands [][]relation.Tuple, fn func(asg []relation.Tuple)) {
+// An error from fn stops the enumeration and is returned. The prepared
+// state comes from a pool, so steady-state runs allocate nothing beyond
+// arena growth.
+func (e *enumerator) run(cands [][]relation.Tuple, fn func(asg []relation.Tuple) error) error {
 	if len(cands) != len(e.rels) {
 		panic("core: enumerator candidate arity mismatch")
 	}
@@ -502,16 +512,18 @@ func (e *enumerator) run(cands [][]relation.Tuple, fn func(asg []relation.Tuple)
 		}
 	}
 	p.seal()
-	p.run(fn)
+	err := p.run(fn)
 	e.put(p)
+	return err
 }
 
 // runTagged is the reduce-side fast path: decode each tagged value once,
 // straight into the columnar layout, and enumerate. lvl maps a relation tag
 // to its binding level (-1 for tags the enumerator does not bind); tags
 // outside lvl are an error, as reducers only ever receive the relations
-// their job routed to them.
-func (e *enumerator) runTagged(values []string, lvl []int, fn func(asg []relation.Tuple)) error {
+// their job routed to them. An error from fn (a failed output write) stops
+// the enumeration and is returned.
+func (e *enumerator) runTagged(values []string, lvl []int, fn func(asg []relation.Tuple) error) error {
 	p := e.get()
 	for _, v := range values {
 		rel, body, err := splitTagged(v)
@@ -529,9 +541,9 @@ func (e *enumerator) runTagged(values []string, lvl []int, fn func(asg []relatio
 		}
 	}
 	p.seal()
-	p.run(fn)
+	err := p.run(fn)
 	e.put(p)
-	return nil
+	return err
 }
 
 // identityLevels returns the tag->level map for enumerators whose binding

@@ -22,8 +22,9 @@ func TestEnumeratorChain(t *testing.T) {
 	}
 	e := newEnumerator(q.Conds, []int{0, 1, 2})
 	var got []string
-	e.run(cands, func(asg []relation.Tuple) {
+	e.run(cands, func(asg []relation.Tuple) error {
 		got = append(got, OutputTuple{asg[0].ID, asg[1].ID, asg[2].ID}.Key())
+		return nil
 	})
 	want := map[string]bool{"0,0,0": true, "1,1,1": true}
 	if len(got) != 2 || !want[got[0]] || !want[got[1]] {
@@ -41,11 +42,12 @@ func TestEnumeratorSubset(t *testing.T) {
 		{mkTuple(9, interval.New(5, 20))},
 	}
 	n := 0
-	e.run(cands, func(asg []relation.Tuple) {
+	e.run(cands, func(asg []relation.Tuple) error {
 		if asg[0].ID != 7 || asg[1].ID != 9 {
 			t.Fatalf("unexpected assignment %v", asg)
 		}
 		n++
+		return nil
 	})
 	if n != 1 {
 		t.Fatalf("assignments = %d, want 1", n)
@@ -56,7 +58,7 @@ func TestEnumeratorEmptyCandidates(t *testing.T) {
 	q := query.MustParse("R1 overlaps R2")
 	e := newEnumerator(q.Conds, []int{0, 1})
 	n := 0
-	e.run([][]relation.Tuple{nil, {mkTuple(0, interval.New(0, 5))}}, func([]relation.Tuple) { n++ })
+	e.run([][]relation.Tuple{nil, {mkTuple(0, interval.New(0, 5))}}, func([]relation.Tuple) error { n++; return nil })
 	if n != 0 {
 		t.Fatalf("assignments over empty relation = %d, want 0", n)
 	}
@@ -125,10 +127,11 @@ func TestSemijoinExactOnTrees(t *testing.T) {
 			for i := range participates {
 				participates[i] = make(map[int64]bool)
 			}
-			e.run(cands, func(asg []relation.Tuple) {
+			e.run(cands, func(asg []relation.Tuple) error {
 				for i, tp := range asg {
 					participates[i][tp.ID] = true
 				}
+				return nil
 			})
 			for i := range survivors {
 				if len(survivors[i]) != len(participates[i]) {

@@ -35,104 +35,40 @@ func (PASM) Name() string { return "pasm" }
 
 // Run implements Algorithm.
 func (a PASM) Run(ctx *Context) (*Result, error) {
-	opts := ctx.Opts.withDefaults(a.Name())
 	if cls := ctx.Query.Classify(); cls == query.General {
 		return nil, fmt.Errorf("core: pasm handles single-attribute queries, got %v", cls)
 	}
-	if err := ctx.Stage(); err != nil {
-		return nil, err
-	}
-	d := query.Decompose(ctx.Query)
-	if d.Contradictory {
-		return &Result{Algorithm: a.Name(), Metrics: mr.NewMetrics(a.Name())}, nil
-	}
-	part, err := ctx.makePartitioning(opts.PartitionsPerDim)
-	if err != nil {
-		return nil, err
-	}
-
-	marked := opts.Scratch + "/marked"
-	prunedFile := opts.Scratch + "/pruned"
-	markJob := componentMarkJob(ctx, opts, part, d, marked)
-	markJob.Meta = ctx.jobMeta(a.Name(), 1)
-	pJob := pruneJob(ctx, opts, part, d, marked, prunedFile)
-	pJob.Meta = ctx.jobMeta(a.Name(), 2)
-	output := opts.Scratch + "/output"
-
-	var (
-		perCycle     []*mr.Metrics
-		agg          *mr.Metrics
-		prunedCounts map[int]int64
-		replicated   int64
-	)
-	if opts.Materialize {
-		perCycle, agg, err = ctx.Engine.RunChain(markJob, pJob)
-		if err != nil {
-			return nil, err
-		}
-		pruned, counts, err := loadPruned(ctx, prunedFile, len(ctx.Rels))
-		if err != nil {
-			return nil, err
-		}
-		prunedCounts = counts
-		joinJob, err := componentJoinJob(ctx, opts, part, d, marked, output, pruned)
-		if err != nil {
-			return nil, err
-		}
-		joinJob.Meta = ctx.jobMeta(a.Name(), 3)
-		m, err := ctx.Engine.Run(joinJob)
-		if err != nil {
-			return nil, err
-		}
-		perCycle = append(perCycle, m)
-		agg.Merge(m)
-		replicated, err = countFlagged(ctx, marked)
-		if err != nil {
-			return nil, err
-		}
-	} else {
-		// Pipelined: the marking streams into the prune cycle (and is
-		// still materialised because the join cycle re-reads it), the
-		// prune records never touch the store — a tap fills the id sets
-		// the join cycle's map consults — and the prune→join boundary is
-		// a barrier, so the sets are complete before any join map runs.
-		pruned := make([]map[int64]bool, len(ctx.Rels))
-		prunedCounts = make(map[int]int64)
-		pJob.Output = ""
-		joinJob, err := componentJoinJob(ctx, opts, part, d, marked, output, pruned)
-		if err != nil {
-			return nil, err
-		}
-		joinJob.Meta = ctx.jobMeta(a.Name(), 3)
-		perCycle, agg, err = ctx.Engine.RunPipeline(
-			mr.Stage{Job: markJob, Tap: replicateFlagTap(&replicated)},
-			mr.Stage{Job: pJob, Tap: prunedTap(pruned, prunedCounts)},
-			mr.Stage{Job: joinJob},
-		)
-		if err != nil {
-			return nil, err
-		}
-	}
-
-	res := &Result{
-		Algorithm:           a.Name(),
-		Metrics:             agg,
-		PerCycle:            perCycle,
-		PrunedIntervals:     prunedCounts,
-		ReplicatedIntervals: replicated,
-	}
-	if err := readOutput(ctx, output, res); err != nil {
-		return nil, err
-	}
-	res.SortTuples()
-	return res, nil
+	return ctx.runStages(a.Name(), a.stages)
 }
 
-// prunedTap collects the prune records streaming out of cycle 2 into the
-// per-relation id sets the join cycle's map consults — the pipelined
-// stand-in for loadPruned's distributed-cache read. Malformed records are
-// impossible by construction (the tap sees exactly what the prune reducer
-// wrote) and are ignored.
+func (PASM) stages(ctx *Context, env *chainEnv) ([]mr.Stage, *execPlan, error) {
+	part, _, err := ctx.boundaries(env.opts.PartitionsPerDim)
+	if err != nil {
+		return nil, nil, err
+	}
+	// The marking feeds the prune cycle and is re-read by the join cycle.
+	// The prune records never touch the store: a tap fills the id sets the
+	// join cycle's map consults, and the prune→join boundary is a barrier
+	// (the join does not read the prune output), so the sets are complete
+	// before any join map runs.
+	pruned := make([]map[int64]bool, len(ctx.Rels))
+	env.res.PrunedIntervals = make(map[int]int64)
+	join, err := componentJoinJob(ctx, part, env.d, pruned)
+	if err != nil {
+		return nil, nil, err
+	}
+	return []mr.Stage{
+		{Job: componentMarkJob(ctx, part, env.d), Tap: replicateFlagTap(&env.res.ReplicatedIntervals)},
+		{Job: pruneJob(part, env.d), Tap: prunedTap(pruned, env.res.PrunedIntervals)},
+		{Job: join},
+	}, nil, nil
+}
+
+// prunedTap collects the prune records leaving cycle 2 into the
+// per-relation id sets the join cycle's map consults (Hadoop would publish
+// them through the distributed cache). Malformed records are impossible by
+// construction (the tap sees exactly what the prune reducer wrote) and are
+// ignored.
 func prunedTap(pruned []map[int64]bool, counts map[int]int64) func(string) {
 	return func(rec string) {
 		comma := strings.IndexByte(rec, ',')
@@ -157,21 +93,19 @@ func prunedTap(pruned []map[int64]bool, counts map[int]int64) func(string) {
 	}
 }
 
-// pruneJob builds PASM's cycle 2. Key space: component*o + partition. Each
-// reducer receives the component's tuples routed exactly as RCCIS cycle 2
-// would route them in one dimension, and decides for every tuple whose home
-// partition this is whether it participates in any output of the
-// component's colocation sub-query. Non-participating tuples are published
-// as "rel,id" prune records.
+// pruneJob builds PASM's cycle 2 over "marked". Key space: component*o +
+// partition. Each reducer receives the component's tuples routed exactly as
+// RCCIS cycle 2 would route them in one dimension, and decides for every
+// tuple whose home partition this is whether it participates in any output
+// of the component's colocation sub-query. Non-participating tuples are
+// published as "rel,id" prune records.
 //
 // The decision is exact for unreplicated tuples (all assignments containing
 // them are local to their home partition) and conservative (never pruned)
 // for replicated ones, which are few by RCCIS's construction. Singleton
 // components are skipped entirely: their sub-query output is the relation
 // itself, so nothing can be pruned.
-func pruneJob(ctx *Context, opts Options, part interval.Partitioning,
-	d *query.Decomposition, marked, output string) mr.Job {
-
+func pruneJob(part interval.Partitioning, d *query.Decomposition) mr.Job {
 	comp := compOfRel(d)
 	o := int64(part.Len())
 	multi := make(map[int]bool) // components with >1 vertex
@@ -190,8 +124,8 @@ func pruneJob(ctx *Context, opts Options, part interval.Partitioning,
 	}
 
 	return mr.Job{
-		Name:   opts.Scratch + "/prune",
-		Inputs: []mr.Input{{File: marked}},
+		Name:   "prune",
+		Inputs: []mr.Input{{File: "marked"}},
 		Map: func(_ int, record string, emit mr.Emitter) error {
 			rel, replicate, t, err := decodeFlagged(record)
 			if err != nil {
@@ -256,47 +190,5 @@ func pruneJob(ctx *Context, opts Options, part interval.Partitioning,
 			}
 			return nil
 		},
-		Output:     output,
-		SortValues: opts.SortValues,
-	}
-}
-
-// loadPruned reads the prune records into per-relation id sets (the
-// driver-side stand-in for Hadoop's distributed cache).
-func loadPruned(ctx *Context, file string, m int) ([]map[int64]bool, map[int]int64, error) {
-	pruned := make([]map[int64]bool, m)
-	counts := make(map[int]int64)
-	it, err := ctx.Engine.Store().Open(file)
-	if err != nil {
-		return nil, nil, err
-	}
-	defer it.Close()
-	for {
-		rec, ok, err := it.Next()
-		if err != nil {
-			return nil, nil, err
-		}
-		if !ok {
-			return pruned, counts, nil
-		}
-		comma := strings.IndexByte(rec, ',')
-		if comma < 0 {
-			return nil, nil, fmt.Errorf("core: malformed prune record %q", rec)
-		}
-		rel, err := strconv.Atoi(rec[:comma])
-		if err != nil || rel < 0 || rel >= m {
-			return nil, nil, fmt.Errorf("core: bad relation in prune record %q", rec)
-		}
-		id, err := strconv.ParseInt(rec[comma+1:], 10, 64)
-		if err != nil {
-			return nil, nil, fmt.Errorf("core: bad id in prune record %q", rec)
-		}
-		if pruned[rel] == nil {
-			pruned[rel] = make(map[int64]bool)
-		}
-		if !pruned[rel][id] {
-			pruned[rel][id] = true
-			counts[rel]++
-		}
 	}
 }

@@ -14,7 +14,13 @@ import (
 // directory and returns the result plus the final output file's lines.
 func runSingle(t *testing.T, alg Algorithm, q *query.Query, rels []*relation.Relation, opts Options) (*Result, []string) {
 	t.Helper()
-	store := dfs.NewMem()
+	return runOnStore(t, dfs.NewMem(), alg, q, rels, opts)
+}
+
+// runOnStore is runSingle on a store the caller keeps, so it can inspect
+// the intermediates the run left behind.
+func runOnStore(t *testing.T, store dfs.Store, alg Algorithm, q *query.Query, rels []*relation.Relation, opts Options) (*Result, []string) {
+	t.Helper()
 	engine := mr.NewEngine(mr.Config{Store: store, Workers: 4})
 	ctx, err := NewContext(engine, q, rels, opts)
 	if err != nil {
@@ -32,26 +38,31 @@ func runSingle(t *testing.T, alg Algorithm, q *query.Query, rels []*relation.Rel
 }
 
 // TestPipelinedMatchesMaterialized runs every multi-cycle algorithm twice —
-// once through the pipelined executor (the default) and once with
-// Materialize: true (sequential RunChain, every boundary written) — and
-// requires byte-identical final output plus identical result statistics.
-// SortValues pins reduce-value order so both modes are deterministic.
+// once as one pipeline (the default) and once with Materialize: true (a
+// store barrier at every boundary) — and requires byte-identical final
+// output plus identical result statistics. SortValues pins reduce-value
+// order so both modes are deterministic. For the algorithms whose first
+// cycle is the RCCIS marking, the materialized arm also recounts the
+// replicate-flagged records from the "marked" file the barrier left on the
+// store — a check of the streaming tap that shares no code with it.
 func TestPipelinedMatchesMaterialized(t *testing.T) {
 	cases := []struct {
-		name  string
-		alg   Algorithm
-		query string
+		name   string
+		alg    Algorithm
+		query  string
+		marked bool // cycle 1 writes flagged tuples to <scratch>/marked
 	}{
-		{"cascade", Cascade{}, "R1 overlaps R2 and R2 overlaps R3"},
-		{"cascade-matrix", Cascade{MatrixSteps: true}, "R1 before R2 and R2 before R3"},
-		{"rccis", RCCIS{}, "R1 overlaps R2 and R2 overlaps R3"},
-		{"all-seq-matrix", SeqMatrix{}, "R1 overlaps R2 and R2 overlaps R3"},
-		{"all-seq-matrix-hybrid", SeqMatrix{}, "R1 before R2 and R1 overlaps R3"},
-		{"fcts", FCTS{}, "R1 overlaps R2 and R2 overlaps R3"},
-		{"fcts-hybrid", FCTS{}, "R1 before R2 and R1 overlaps R3"},
-		{"pasm", PASM{}, "R1 overlaps R2 and R2 overlaps R3"},
-		{"pasm-hybrid", PASM{}, "R1 before R2 and R1 overlaps R3"},
-		{"gen-matrix", GenMatrix{}, "R1 before R2 and R1 overlaps R3"},
+		{"cascade", Cascade{}, "R1 overlaps R2 and R2 overlaps R3", false},
+		{"cascade-matrix", Cascade{MatrixSteps: true}, "R1 before R2 and R2 before R3", false},
+		{"rccis", RCCIS{}, "R1 overlaps R2 and R2 overlaps R3", true},
+		{"all-seq-matrix", SeqMatrix{}, "R1 overlaps R2 and R2 overlaps R3", true},
+		{"all-seq-matrix-hybrid", SeqMatrix{}, "R1 before R2 and R1 overlaps R3", true},
+		{"fcts", FCTS{}, "R1 overlaps R2 and R2 overlaps R3", true},
+		{"fcts-hybrid", FCTS{}, "R1 before R2 and R1 overlaps R3", true},
+		{"fstc-hybrid", FSTC{}, "R1 before R2 and R1 overlaps R3", false},
+		{"pasm", PASM{}, "R1 overlaps R2 and R2 overlaps R3", true},
+		{"pasm-hybrid", PASM{}, "R1 before R2 and R1 overlaps R3", true},
+		{"gen-matrix", GenMatrix{}, "R1 before R2 and R1 overlaps R3", false},
 	}
 	rng := rand.New(rand.NewSource(42))
 	for _, tc := range cases {
@@ -67,8 +78,35 @@ func TestPipelinedMatchesMaterialized(t *testing.T) {
 			}
 			seq := opts
 			seq.Materialize = true
-			wantRes, wantLines := runSingle(t, tc.alg, q, rels, seq)
+			seqStore := dfs.NewMem()
+			wantRes, wantLines := runOnStore(t, seqStore, tc.alg, q, rels, seq)
 			gotRes, gotLines := runSingle(t, tc.alg, q, rels, opts)
+
+			if tc.marked {
+				marked, err := dfs.ReadAll(seqStore, seq.Scratch+"/marked")
+				if err != nil {
+					t.Fatalf("materialized run left no marked file: %v", err)
+				}
+				var flagged int64
+				for _, rec := range marked {
+					_, replicate, _, err := decodeFlagged(rec)
+					if err != nil {
+						t.Fatalf("marked record %q: %v", rec, err)
+					}
+					if replicate {
+						flagged++
+					}
+				}
+				if flagged != wantRes.ReplicatedIntervals {
+					t.Errorf("replicated: result says %d, marked file holds %d flagged records",
+						wantRes.ReplicatedIntervals, flagged)
+				}
+			}
+			for mode, res := range map[string]*Result{"pipelined": gotRes, "materialized": wantRes} {
+				if res.Metrics.Job != tc.alg.Name() {
+					t.Errorf("%s Metrics.Job = %q, want %q", mode, res.Metrics.Job, tc.alg.Name())
+				}
+			}
 
 			if len(gotLines) != len(wantLines) {
 				t.Fatalf("output has %d lines pipelined, %d materialized", len(gotLines), len(wantLines))

@@ -28,32 +28,27 @@ func (RCCIS) Name() string { return "rccis" }
 
 // Run implements Algorithm.
 func (r RCCIS) Run(ctx *Context) (*Result, error) {
-	opts := ctx.Opts.withDefaults(r.Name())
 	if cls := ctx.Query.Classify(); cls != query.Colocation {
 		return nil, fmt.Errorf("core: rccis handles colocation queries, got %v", cls)
 	}
-	if err := ctx.Stage(); err != nil {
-		return nil, err
-	}
+	return ctx.runStages(r.Name(), r.stages)
+}
+
+func (r RCCIS) stages(ctx *Context, env *chainEnv) ([]mr.Stage, *execPlan, error) {
 	m := len(ctx.Rels)
 	// The join cycle takes the skew-adaptive plan (one stream per
 	// relation). The mark cycle keeps the plain one-key-per-partition
 	// layout: its reducer needs every tuple split onto a partition in one
 	// place to decide crossing-set membership, so it is not decomposable.
-	plan, err := ctx.makePlan(r.Name(), opts.Partitions, m)
+	plan, err := ctx.makePlan(r.Name(), env.opts.Partitions, m)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	part := plan.part
-	inputs := make([]mr.Input, m)
-	for ri := range ctx.Rels {
-		inputs[ri] = ctx.relInput(ri, ri)
-	}
-	marked := opts.Scratch + "/marked"
 
-	markJob := mr.Job{
-		Name:   opts.Scratch + "/mark",
-		Inputs: inputs,
+	mark := mr.Job{
+		Name:   "mark",
+		Inputs: ctx.relInputs(),
 		Map: func(tag int, record string, emit mr.Emitter) error {
 			t, err := relation.DecodeTuple(record)
 			if err != nil {
@@ -63,15 +58,13 @@ func (r RCCIS) Run(ctx *Context) (*Result, error) {
 			emit.EmitRange(int64(first), int64(last), encodeTagged(tag, t))
 			return nil
 		},
-		Reduce:     markReducer(ctx.Query, part, allRelations(m)),
-		Output:     marked,
-		SortValues: opts.SortValues,
-		Meta:       ctx.jobMeta(r.Name(), 1),
+		Reduce: markReducer(ctx.Query, part, allRelations(m)),
+		Output: "marked",
 	}
 
-	joinJob := mr.Job{
-		Name:   opts.Scratch + "/join",
-		Inputs: []mr.Input{{File: marked}},
+	join := mr.Job{
+		Name:   "join",
+		Inputs: []mr.Input{{File: "marked"}},
 		Map: func(_ int, record string, emit mr.Emitter) error {
 			rel, replicate, t, err := decodeFlagged(record)
 			if err != nil {
@@ -85,24 +78,13 @@ func (r RCCIS) Run(ctx *Context) (*Result, error) {
 			plan.emitRange(emit, first, last, rel, encodeTagged(rel, t))
 			return nil
 		},
-		Resplit:    resplitValues(m, streamOfTagged),
-		Reduce:     reduceJoinAtPartition(ctx, plan),
-		Output:     opts.Scratch + "/output",
-		SortValues: opts.SortValues,
-		Meta:       ctx.jobMeta(r.Name(), 2),
+		Resplit: resplitValues(m, streamOfTagged),
+		Reduce:  reduceJoinAtPartition(ctx, plan),
 	}
-
-	perCycle, agg, replicated, err := runMarkedChain(ctx, opts, marked, markJob, mr.Stage{Job: joinJob})
-	if err != nil {
-		return nil, err
-	}
-	agg.Plan = plan.info()
-	res := &Result{Algorithm: r.Name(), Metrics: agg, PerCycle: perCycle, ReplicatedIntervals: replicated}
-	if err := readOutput(ctx, joinJob.Output, res); err != nil {
-		return nil, err
-	}
-	res.SortTuples()
-	return res, nil
+	return []mr.Stage{
+		{Job: mark, Tap: replicateFlagTap(&env.res.ReplicatedIntervals)},
+		{Job: join},
+	}, plan, nil
 }
 
 func allRelations(m int) []int {
@@ -111,33 +93,6 @@ func allRelations(m int) []int {
 		rels[i] = i
 	}
 	return rels
-}
-
-// countFlagged counts the replicate-flagged records of a marking output —
-// the paper's "# Intervals Replicated" statistic.
-func countFlagged(ctx *Context, file string) (int64, error) {
-	it, err := ctx.Engine.Store().Open(file)
-	if err != nil {
-		return 0, err
-	}
-	defer it.Close()
-	var n int64
-	for {
-		rec, ok, err := it.Next()
-		if err != nil {
-			return 0, err
-		}
-		if !ok {
-			return n, nil
-		}
-		_, replicate, _, err := decodeFlagged(rec)
-		if err != nil {
-			return 0, err
-		}
-		if replicate {
-			n++
-		}
-	}
 }
 
 // markReducer builds the RCCIS cycle-1 reduce function for the given

@@ -38,13 +38,14 @@ func (Reference) Run(ctx *Context) (*Result, error) {
 		cands[ctx.Opts.WindowRel] = kept
 	}
 	e := newEnumerator(ctx.Query.Conds, rels)
-	e.run(cands, func(asg []relation.Tuple) {
+	err := e.run(cands, func(asg []relation.Tuple) error {
 		out := make(OutputTuple, len(asg))
 		for i, t := range asg {
 			out[i] = t.ID
 		}
 		res.Tuples = append(res.Tuples, out)
+		return nil
 	})
 	res.SortTuples()
-	return res, nil
+	return res, err
 }

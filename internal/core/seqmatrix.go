@@ -34,41 +34,25 @@ func (SeqMatrix) Name() string { return "all-seq-matrix" }
 
 // Run implements Algorithm.
 func (s SeqMatrix) Run(ctx *Context) (*Result, error) {
-	opts := ctx.Opts.withDefaults(s.Name())
 	if cls := ctx.Query.Classify(); cls == query.General {
 		return nil, fmt.Errorf("core: all-seq-matrix handles single-attribute queries, got %v", cls)
 	}
-	if err := ctx.Stage(); err != nil {
-		return nil, err
-	}
-	d := query.Decompose(ctx.Query)
-	if d.Contradictory {
-		// Two sequence conditions enforce opposite orders between the same
-		// components: the output is provably empty (Section 9).
-		return &Result{Algorithm: s.Name(), Metrics: mr.NewMetrics(s.Name())}, nil
-	}
-	part, err := ctx.makePartitioning(opts.PartitionsPerDim)
+	return ctx.runStages(s.Name(), s.stages)
+}
+
+func (SeqMatrix) stages(ctx *Context, env *chainEnv) ([]mr.Stage, *execPlan, error) {
+	part, _, err := ctx.boundaries(env.opts.PartitionsPerDim)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
-	marked := opts.Scratch + "/marked"
-	markJob := componentMarkJob(ctx, opts, part, d, marked)
-	markJob.Meta = ctx.jobMeta(s.Name(), 1)
-	joinJob, err := componentJoinJob(ctx, opts, part, d, marked, opts.Scratch+"/output", nil)
+	join, err := componentJoinJob(ctx, part, env.d, nil)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
-	joinJob.Meta = ctx.jobMeta(s.Name(), 2)
-	perCycle, agg, replicated, err := runMarkedChain(ctx, opts, marked, markJob, mr.Stage{Job: joinJob})
-	if err != nil {
-		return nil, err
-	}
-	res := &Result{Algorithm: s.Name(), Metrics: agg, PerCycle: perCycle, ReplicatedIntervals: replicated}
-	if err := readOutput(ctx, joinJob.Output, res); err != nil {
-		return nil, err
-	}
-	res.SortTuples()
-	return res, nil
+	return []mr.Stage{
+		{Job: componentMarkJob(ctx, part, env.d), Tap: replicateFlagTap(&env.res.ReplicatedIntervals)},
+		{Job: join},
+	}, nil, nil
 }
 
 // compOfRel maps relation index -> component id for single-attribute
@@ -83,17 +67,11 @@ func compOfRel(d *query.Decomposition) map[int]int {
 
 // componentMarkJob builds the cycle-1 job: split every relation within its
 // component's partitioning (key = component*o + partition) and run the RCCIS
-// marking per (component, partition). Its output holds every tuple exactly
-// once, flagged for replication.
-func componentMarkJob(ctx *Context, opts Options, part interval.Partitioning,
-	d *query.Decomposition, output string) mr.Job {
-
+// marking per (component, partition). Its output, "marked", holds every
+// tuple exactly once, flagged for replication.
+func componentMarkJob(ctx *Context, part interval.Partitioning, d *query.Decomposition) mr.Job {
 	comp := compOfRel(d)
 	o := int64(part.Len())
-	inputs := make([]mr.Input, len(ctx.Rels))
-	for ri := range ctx.Rels {
-		inputs[ri] = ctx.relInput(ri, ri)
-	}
 
 	// Per-component reducers, built once.
 	reducers := make([]mr.ReduceFunc, len(d.Components))
@@ -106,8 +84,8 @@ func componentMarkJob(ctx *Context, opts Options, part interval.Partitioning,
 	}
 
 	return mr.Job{
-		Name:   opts.Scratch + "/mark",
-		Inputs: inputs,
+		Name:   "mark",
+		Inputs: ctx.relInputs(),
 		Map: func(tag int, record string, emit mr.Emitter) error {
 			t, err := relation.DecodeTuple(record)
 			if err != nil {
@@ -124,16 +102,16 @@ func componentMarkJob(ctx *Context, opts Options, part interval.Partitioning,
 			partKey := key % o
 			return reducers[ci](partKey, values, write)
 		},
-		Output:     output,
-		SortValues: opts.SortValues,
+		Output: "marked",
 	}
 }
 
-// componentJoinJob builds the final routing-and-join cycle shared by
-// All-Seq-Matrix and PASM. pruned, when non-nil, maps relation -> set of
-// tuple ids that cannot contribute to any output and are dropped map-side.
-func componentJoinJob(ctx *Context, opts Options, part interval.Partitioning,
-	d *query.Decomposition, marked, output string, pruned []map[int64]bool) (mr.Job, error) {
+// componentJoinJob builds the final routing-and-join cycle over "marked"
+// shared by All-Seq-Matrix and PASM. pruned, when non-nil, maps relation ->
+// set of tuple ids that cannot contribute to any output and are dropped
+// map-side.
+func componentJoinJob(ctx *Context, part interval.Partitioning,
+	d *query.Decomposition, pruned []map[int64]bool) (mr.Job, error) {
 
 	comp := compOfRel(d)
 	l := d.NumComponents()
@@ -172,11 +150,7 @@ func componentJoinJob(ctx *Context, opts Options, part interval.Partitioning,
 	lvl := identityLevels(m)
 	reduceFn := func(key int64, values []string, write func(string) error) error {
 		coord := g.Coord(key, nil)
-		var outErr error
-		err := e.runTagged(values, lvl, func(asg []relation.Tuple) {
-			if outErr != nil {
-				return
-			}
+		return e.runTagged(values, lvl, func(asg []relation.Tuple) error {
 			// Exactly-once: this cell's coordinate along every component
 			// dimension must equal the start partition of the component's
 			// right-most member.
@@ -190,28 +164,22 @@ func componentJoinJob(ctx *Context, opts Options, part interval.Partitioning,
 					}
 				}
 				if part.IndexOf(maxStart) != coord[ci] {
-					return
+					return nil
 				}
 			}
 			out := make(OutputTuple, len(asg))
 			for i, t := range asg {
 				out[i] = t.ID
 			}
-			outErr = write(out.Key())
+			return write(out.Key())
 		})
-		if err != nil {
-			return err
-		}
-		return outErr
 	}
 
 	return mr.Job{
-		Name:       opts.Scratch + "/join",
-		Inputs:     []mr.Input{{File: marked}},
-		Map:        mapFn,
-		Reduce:     reduceFn,
-		Output:     output,
-		SortValues: opts.SortValues,
+		Name:   "join",
+		Inputs: []mr.Input{{File: "marked"}},
+		Map:    mapFn,
+		Reduce: reduceFn,
 	}, nil
 }
 

@@ -20,19 +20,19 @@ func (TwoWay) Name() string { return "two-way" }
 
 // Run implements Algorithm.
 func (tw TwoWay) Run(ctx *Context) (*Result, error) {
-	opts := ctx.Opts.withDefaults(tw.Name())
 	if len(ctx.Query.Conds) != 1 || len(ctx.Rels) != 2 {
 		return nil, fmt.Errorf("core: two-way requires exactly one condition over two relations")
 	}
 	if cls := ctx.Query.Classify(); cls == query.General {
 		return nil, fmt.Errorf("core: two-way handles single-attribute queries only, got %v", cls)
 	}
-	if err := ctx.Stage(); err != nil {
-		return nil, err
-	}
-	plan, err := ctx.makePlan(tw.Name(), opts.Partitions, 2)
+	return ctx.runStages(tw.Name(), tw.stages)
+}
+
+func (tw TwoWay) stages(ctx *Context, env *chainEnv) ([]mr.Stage, *execPlan, error) {
+	plan, err := ctx.makePlan(tw.Name(), env.opts.Partitions, 2)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	part := plan.part
 
@@ -55,12 +55,9 @@ func (tw TwoWay) Run(ctx *Context) (*Result, error) {
 	lvl[cond.Left.Rel] = 0
 	lvl[cond.Right.Rel] = 1
 
-	job := mr.Job{
-		Name: opts.Scratch + "/join",
-		Inputs: []mr.Input{
-			ctx.relInput(0, 0),
-			ctx.relInput(1, 1),
-		},
+	join := mr.Job{
+		Name:   "join",
+		Inputs: ctx.relInputs(),
 		Map: func(tag int, record string, emit mr.Emitter) error {
 			t, err := relation.DecodeTuple(record)
 			if err != nil {
@@ -74,34 +71,13 @@ func (tw TwoWay) Run(ctx *Context) (*Result, error) {
 		Reduce: func(key int64, values []string, write func(string) error) error {
 			// Exactly one reducer sees each satisfying pair: the strategy
 			// projects at least one side, so no dedup filter is needed.
-			var outErr error
-			err := e.runTagged(values, lvl, func(asg []relation.Tuple) {
-				if outErr != nil {
-					return
-				}
+			return e.runTagged(values, lvl, func(asg []relation.Tuple) error {
 				out := make(OutputTuple, 2)
 				out[cond.Left.Rel] = asg[0].ID
 				out[cond.Right.Rel] = asg[1].ID
-				outErr = write(out.Key())
+				return write(out.Key())
 			})
-			if err != nil {
-				return err
-			}
-			return outErr
 		},
-		Output:     opts.Scratch + "/output",
-		SortValues: opts.SortValues,
-		Meta:       ctx.jobMeta(tw.Name(), 1),
 	}
-	metrics, err := ctx.Engine.Run(job)
-	if err != nil {
-		return nil, err
-	}
-	metrics.Plan = plan.info()
-	res := &Result{Algorithm: tw.Name(), Metrics: metrics, PerCycle: []*mr.Metrics{metrics}}
-	if err := readOutput(ctx, job.Output, res); err != nil {
-		return nil, err
-	}
-	res.SortTuples()
-	return res, nil
+	return []mr.Stage{{Job: join}}, plan, nil
 }

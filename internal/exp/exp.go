@@ -46,8 +46,8 @@ type Config struct {
 	// (core.Options.Adaptive).
 	Adaptive bool
 	// Materialize runs multi-cycle algorithms with every cycle boundary
-	// written to the store (sequential RunChain) instead of the default
-	// pipelined executor — for measuring what the pipelining buys.
+	// written to the store and re-read (core.Options.Materialize) instead of the default
+	// one-pipeline run — for measuring what the pipelining buys.
 	Materialize bool
 	// Tracer, when non-nil, records execution spans for every engine the
 	// experiments construct — one shared timeline across all runs, so a

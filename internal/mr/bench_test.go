@@ -91,9 +91,9 @@ func BenchmarkEngineWithCombiner(b *testing.B) {
 	b.SetBytes(n)
 }
 
-// benchEngineChain measures a 3-cycle chain end-to-end, either through the
-// sequential RunChain (every boundary written to the store and re-read) or
-// the pipelined executor (boundaries streamed between cycles).
+// benchEngineChain measures a 3-cycle chain end-to-end, either one Run per
+// job (every boundary written to the store and re-read) or through the
+// pipelined executor (boundaries streamed between cycles).
 func benchEngineChain(b *testing.B, pipelined bool) {
 	b.Helper()
 	const n = 50_000
@@ -112,9 +112,9 @@ func benchEngineChain(b *testing.B, pipelined bool) {
 	for i := 0; i < b.N; i++ {
 		var err error
 		if pipelined {
-			_, _, err = e.RunPipeline(ChainStages(jobs...)...)
+			_, _, err = e.RunPipeline(chainStages(jobs...)...)
 		} else {
-			_, _, err = e.RunChain(jobs...)
+			_, _, err = runSequential(e, jobs...)
 		}
 		if err != nil {
 			b.Fatal(err)

@@ -105,7 +105,7 @@ type Metrics struct {
 	// semantics — Merge sums them as if cycles ran back to back — while
 	// TrueWalls answers "how long was a map task actually running
 	// somewhere". Zero unless the engine ran with a Tracer; Merge does not
-	// touch it (it is set once, over the whole run, by Run / RunChain /
+	// touch it (it is set once, over the whole run, by Run /
 	// RunPipeline).
 	TrueWalls PhaseWallClock
 }

@@ -222,10 +222,6 @@ type Config struct {
 	// may return an error (typically wrapping ErrTransient) to simulate
 	// task failures. Used by the failure-injection tests.
 	FailureInjector func(phase Phase, task, attempt int) error
-	// MaterializeBoundaries forces RunPipeline to write every streamed
-	// cycle boundary to the store as well — Hadoop-parity behaviour for
-	// debugging and post-mortem inspection of intermediates.
-	MaterializeBoundaries bool
 	// ExpandRangeEmits makes EmitRange materialise one pair per covered key
 	// at emit time instead of shipping a single range record — the legacy
 	// per-partition shuffle, kept for ablations and equivalence tests.
@@ -249,7 +245,6 @@ type Engine struct {
 	spill        int
 	attempts     int
 	inject       func(phase Phase, task, attempt int) error
-	materialize  bool
 	expandRanges bool
 	resplit      int
 	tracer       *obs.Tracer
@@ -271,7 +266,6 @@ func NewEngine(cfg Config) *Engine {
 		spill:        cfg.SpillPairThreshold,
 		attempts:     a,
 		inject:       cfg.FailureInjector,
-		materialize:  cfg.MaterializeBoundaries,
 		expandRanges: cfg.ExpandRangeEmits,
 		resplit:      cfg.ResplitPairThreshold,
 		tracer:       cfg.Tracer,
@@ -332,34 +326,6 @@ func (e *Engine) runJob(job Job, stream <-chan []taggedRecord, snk *sink, writeO
 		jobLane.End(obs.CatCycle, "cycle:"+job.Name, jobStart, job.Meta.traceArgs()...)
 	}
 	return m, nil
-}
-
-// RunChain executes jobs sequentially (each typically consuming the previous
-// job's output file) and returns the per-job metrics plus their aggregate.
-func (e *Engine) RunChain(jobs ...Job) ([]*Metrics, *Metrics, error) {
-	var all []*Metrics
-	agg := newMetrics("chain")
-	agg.Cycles = 0
-	mark := e.tracer.Now()
-	chainLane := e.tracer.Acquire()
-	chainStart := chainLane.Begin()
-	for i, job := range jobs {
-		if i > 0 {
-			// Every boundary in a sequential chain is a store barrier.
-			chainLane.Event(obs.CatBarrier, "barrier:"+job.Name)
-		}
-		m, err := e.runJob(job, nil, nil, true)
-		if err != nil {
-			e.tracer.Release(chainLane)
-			return all, agg, err
-		}
-		all = append(all, m)
-		agg.Merge(m)
-	}
-	chainLane.End(obs.CatChain, "chain", chainStart)
-	e.tracer.Release(chainLane)
-	e.fillTrueWalls(agg, mark)
-	return all, agg, nil
 }
 
 // fillTrueWalls sets m's tracer-measured per-phase wall clocks from the

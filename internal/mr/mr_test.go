@@ -243,7 +243,7 @@ func TestEmptyInputProducesEmptyOutput(t *testing.T) {
 	}
 }
 
-func TestRunChain(t *testing.T) {
+func TestSequentialChain(t *testing.T) {
 	e := newTestEngine(t, 4)
 	writeInput(t, e, "in", []string{"1", "2", "3"})
 	inc := Job{
@@ -274,7 +274,7 @@ func TestRunChain(t *testing.T) {
 		return nil
 	}
 	double.Output = "out"
-	per, agg, err := e.RunChain(inc, double)
+	per, agg, err := runSequential(e, inc, double)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -9,13 +9,15 @@ import (
 	"intervaljoin/internal/obs"
 )
 
-// Pipelined chain execution. RunChain materialises every cycle boundary on
-// the store and re-parses it — Hadoop's HDFS barrier between chained jobs.
-// RunPipeline short-circuits those boundaries: when stage k's single-file
-// output is consumed by stage k+1, each completed reduce task of stage k
-// streams its records directly into stage k+1's map feed over a bounded
-// channel, so k's reduce phase overlaps k+1's map phase and the store
-// round-trip (write, re-open, re-parse) is elided. Fault tolerance is
+// Pipelined chain execution. Running chained jobs one Run at a time writes
+// every cycle boundary to the store and re-parses it — Hadoop's HDFS barrier
+// between chained jobs. RunPipeline short-circuits those boundaries: when
+// stage k's single-file output is consumed by stage k+1, each completed
+// reduce task of stage k streams its records directly into stage k+1's map
+// feed over a bounded channel, so k's reduce phase overlaps k+1's map phase
+// and the store round-trip (write, re-open, re-parse) is elided. A caller
+// that wants the barrier back runs each stage as its own pipeline. Fault
+// tolerance is
 // preserved because the streamed batch is the same retry unit as a file
 // batch: a transient downstream map failure re-runs from the buffered
 // batch, and an upstream reduce task only delivers output after its attempt
@@ -30,26 +32,11 @@ import (
 type Stage struct {
 	// Job is the cycle's job.
 	Job Job
-	// Materialize forces the stage's output file to be written even when
-	// its records are streamed to the next stage — for when the driver (or
-	// a debugging session) reads the intermediate afterwards. Outputs that
-	// are not streamed, or that a stage after the immediate successor also
-	// reads, are always written regardless of this flag.
-	Materialize bool
 	// Tap, when non-nil, observes every output record of the stage as its
-	// reduce task commits, before (or instead of) materialisation. Calls
+	// reduce task commits, before (or instead of) being written. Calls
 	// are serialised by the engine. Taps let drivers compute statistics
 	// over intermediates without forcing them onto the store.
 	Tap func(record string)
-}
-
-// ChainStages wraps plain jobs as pipeline stages with default behaviour.
-func ChainStages(jobs ...Job) []Stage {
-	stages := make([]Stage, len(jobs))
-	for i, j := range jobs {
-		stages[i] = Stage{Job: j}
-	}
-	return stages
 }
 
 // sink receives the committed output of each reduce task: it feeds the
@@ -114,10 +101,10 @@ type boundaryPlan struct {
 //
 // A boundary i→i+1 streams when stage i writes a single (non-directory)
 // output file that stage i+1 lists among its inputs. The file itself is
-// written only if Stage.Materialize is set, Config.MaterializeBoundaries is
-// set, or a stage after i+1 also reads it; otherwise the store round-trip
-// is elided entirely. A boundary that does not stream is a barrier, exactly
-// like RunChain.
+// written only if a stage after i+1 also reads it; otherwise the store
+// round-trip is elided entirely. A boundary that does not stream is a
+// barrier: the downstream stage starts once its producers have finished and
+// reads their files from the store.
 func (e *Engine) RunPipeline(stages ...Stage) ([]*Metrics, *Metrics, error) {
 	agg := newMetrics("pipeline")
 	agg.Cycles = 0
@@ -140,7 +127,7 @@ func (e *Engine) RunPipeline(stages ...Stage) ([]*Metrics, *Metrics, error) {
 			continue
 		}
 		bounds[i] = boundaryPlan{stream: true, tag: tag}
-		write[i] = stages[i].Materialize || e.materialize || consumedLater(stages, i+2, out)
+		write[i] = consumedLater(stages, i+2, out)
 	}
 
 	start := time.Now()

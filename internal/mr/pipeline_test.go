@@ -84,12 +84,39 @@ func stageInput(n int) []string {
 	return recs
 }
 
+// chainStages wraps plain jobs as tap-less pipeline stages.
+func chainStages(jobs ...Job) []Stage {
+	stages := make([]Stage, len(jobs))
+	for i, j := range jobs {
+		stages[i] = Stage{Job: j}
+	}
+	return stages
+}
+
+// runSequential is the barriered reference the pipelined executor is
+// compared against: one Engine.Run per job, every boundary written to the
+// store and re-read, metrics merged as the cycles complete.
+func runSequential(e *Engine, jobs ...Job) ([]*Metrics, *Metrics, error) {
+	var per []*Metrics
+	agg := newMetrics("sequential")
+	agg.Cycles = 0
+	for _, job := range jobs {
+		m, err := e.Run(job)
+		if err != nil {
+			return per, agg, err
+		}
+		per = append(per, m)
+		agg.Merge(m)
+	}
+	return per, agg, nil
+}
+
 func runChainOn(t *testing.T, cfg Config) ([]string, []*Metrics, *Metrics) {
 	t.Helper()
 	store := dfs.NewMem()
 	cfg.Store = store
 	dfs.WriteAll(store, "in", stageInput(5000))
-	per, agg, err := NewEngine(cfg).RunChain(chainJobs()...)
+	per, agg, err := runSequential(NewEngine(cfg), chainJobs()...)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -133,7 +160,7 @@ func sameLines(t *testing.T, got, want []string) {
 // touching the store for the streamed boundaries.
 func TestPipelineMatchesChain(t *testing.T) {
 	want, _, _ := runChainOn(t, Config{Workers: 4})
-	store, got, per, agg := runPipelineOn(t, Config{Workers: 4}, ChainStages(chainJobs()...))
+	store, got, per, agg := runPipelineOn(t, Config{Workers: 4}, chainStages(chainJobs()...))
 	sameLines(t, got, want)
 
 	for _, f := range []string{"t/inter-1", "t/inter-2"} {
@@ -164,51 +191,12 @@ func TestPipelineMatchesChain(t *testing.T) {
 	}
 }
 
-// TestPipelineMaterializeBoundaries checks the Hadoop-parity flag: every
-// boundary is still written, and its contents equal the sequential run's.
-func TestPipelineMaterializeBoundaries(t *testing.T) {
-	chainStore := dfs.NewMem()
-	dfs.WriteAll(chainStore, "in", stageInput(5000))
-	if _, _, err := NewEngine(Config{Store: chainStore, Workers: 4}).RunChain(chainJobs()...); err != nil {
-		t.Fatal(err)
-	}
-	store, _, _, agg := runPipelineOn(t,
-		Config{Workers: 4, MaterializeBoundaries: true}, ChainStages(chainJobs()...))
-	if agg.StreamedPairs == 0 {
-		t.Error("materialized boundaries should still stream")
-	}
-	for _, f := range []string{"t/inter-1", "t/inter-2", "t/out"} {
-		want, err := dfs.ReadAll(chainStore, f)
-		if err != nil {
-			t.Fatal(err)
-		}
-		got, err := dfs.ReadAll(store, f)
-		if err != nil {
-			t.Fatalf("boundary %s: %v", f, err)
-		}
-		sameLines(t, got, want)
-	}
-}
-
-// TestPipelineStageMaterialize checks the per-stage override.
-func TestPipelineStageMaterialize(t *testing.T) {
-	stages := ChainStages(chainJobs()...)
-	stages[0].Materialize = true
-	store, _, _, _ := runPipelineOn(t, Config{Workers: 4}, stages)
-	if !store.Exists("t/inter-1") {
-		t.Error("Stage.Materialize did not write the boundary file")
-	}
-	if store.Exists("t/inter-2") {
-		t.Error("unmarked boundary was materialised")
-	}
-}
-
 // TestPipelineSpill runs the pipelined chain with the external sort-merge
 // shuffle engaged in every stage.
 func TestPipelineSpill(t *testing.T) {
 	want, _, _ := runChainOn(t, Config{Workers: 4})
 	_, got, _, agg := runPipelineOn(t,
-		Config{Workers: 4, SpillPairThreshold: 200}, ChainStages(chainJobs()...))
+		Config{Workers: 4, SpillPairThreshold: 200}, chainStages(chainJobs()...))
 	sameLines(t, got, want)
 	if agg.SpillRuns == 0 {
 		t.Error("spill threshold never triggered")
@@ -223,7 +211,7 @@ func TestPipelineSpill(t *testing.T) {
 func TestPipelineTap(t *testing.T) {
 	var mu sync.Mutex
 	counts := make([]int64, 3)
-	stages := ChainStages(chainJobs()...)
+	stages := chainStages(chainJobs()...)
 	for i := range stages {
 		i := i
 		stages[i].Tap = func(string) {
@@ -266,7 +254,7 @@ func TestPipelineFaultInjection(t *testing.T) {
 	inj := &firstAttemptInjector{}
 	_, got, _, agg := runPipelineOn(t,
 		Config{Workers: 4, MaxTaskAttempts: 3, FailureInjector: inj.inject},
-		ChainStages(chainJobs()...))
+		chainStages(chainJobs()...))
 	sameLines(t, got, want)
 	if inj.failed == 0 {
 		t.Fatal("injector never fired")
@@ -300,7 +288,7 @@ func TestPipelinePersistentFailure(t *testing.T) {
 			e := NewEngine(Config{Store: store, Workers: 4})
 			done := make(chan error, 1)
 			go func() {
-				_, _, err := e.RunPipeline(ChainStages(jobs...)...)
+				_, _, err := e.RunPipeline(chainStages(jobs...)...)
 				done <- err
 			}()
 			select {
@@ -316,7 +304,7 @@ func TestPipelinePersistentFailure(t *testing.T) {
 }
 
 // TestPipelineBarrierBoundary checks that a non-streamable boundary (the
-// downstream job does not read the upstream output) degrades to RunChain
+// downstream job does not read the upstream output) degrades to sequential
 // semantics: sequential execution with the file written.
 func TestPipelineBarrierBoundary(t *testing.T) {
 	jobs := chainJobs()
@@ -326,7 +314,7 @@ func TestPipelineBarrierBoundary(t *testing.T) {
 	dfs.WriteAll(store, "in", stageInput(2000))
 	jobs[1].Inputs = []Input{{File: "side"}}
 	dfs.WriteAll(store, "side", stageInput(100))
-	per, agg, err := NewEngine(Config{Store: store, Workers: 4}).RunPipeline(ChainStages(jobs...)...)
+	per, agg, err := NewEngine(Config{Store: store, Workers: 4}).RunPipeline(chainStages(jobs...)...)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -15,14 +15,16 @@ import (
 // and without a tracer attached.
 func TestTracedRunMatchesUntraced(t *testing.T) {
 	want, _, _ := runChainOn(t, Config{Workers: 4})
-	got, _, agg := runChainOn(t, Config{Workers: 4, Tracer: obs.New(obs.Options{})})
+	got, per, _ := runChainOn(t, Config{Workers: 4, Tracer: obs.New(obs.Options{})})
 	sameLines(t, got, want)
-	if agg.TrueWalls.Zero() {
-		t.Fatal("traced chain aggregate has no TrueWalls")
+	for i, m := range per {
+		if m.TrueWalls.Zero() {
+			t.Fatalf("traced sequential cycle %d has no TrueWalls", i)
+		}
 	}
 
 	_, gotP, _, aggP := runPipelineOn(t, Config{Workers: 4, Tracer: obs.New(obs.Options{})},
-		ChainStages(chainJobs()...))
+		chainStages(chainJobs()...))
 	sameLines(t, gotP, want)
 	if aggP.TrueWalls.Zero() {
 		t.Fatal("traced pipeline aggregate has no TrueWalls")
@@ -119,7 +121,7 @@ func TestPipelineTraceShowsOverlap(t *testing.T) {
 	}
 	tr := obs.New(obs.Options{})
 	e := NewEngine(Config{Store: store, Workers: 4, Tracer: tr})
-	if _, _, err := e.RunPipeline(ChainStages(j1, j2)...); err != nil {
+	if _, _, err := e.RunPipeline(chainStages(j1, j2)...); err != nil {
 		t.Fatal(err)
 	}
 	s := tr.Snapshot()

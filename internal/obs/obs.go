@@ -52,7 +52,7 @@ func (s Span) End() time.Duration { return s.Start + s.Dur }
 // records carries one of these, so exporters and the per-phase wall-clock
 // union can treat the categories as a closed set.
 const (
-	CatChain   = "chain"   // a whole RunChain / RunPipeline execution
+	CatChain   = "chain"   // a whole RunPipeline execution
 	CatCycle   = "cycle"   // one job (MR cycle)
 	CatFeed    = "feed"    // map input file/stream reading
 	CatMap     = "map"     // one map task (record batch)

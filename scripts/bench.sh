@@ -34,7 +34,7 @@ go test -run '^$' -bench 'Encode' \
     -benchmem -benchtime 20000x -count "$REPS" ./internal/core/ | tee -a "$tmp"
 
 # MR engine end-to-end: parallel feed, sharded shuffle, spilling, and the
-# 3-cycle chain pair (sequential RunChain vs pipelined boundaries).
+# 3-cycle chain pair (one Run per job vs pipelined boundaries).
 go test -run '^$' -bench 'Engine' \
     -benchmem -benchtime 20x -count "$REPS" ./internal/mr/ | tee -a "$tmp"
 
