@@ -6,6 +6,8 @@ import (
 	"os"
 	"os/exec"
 	"path/filepath"
+	"slices"
+	"strconv"
 	"strings"
 	"testing"
 )
@@ -86,6 +88,32 @@ func TestGenIntervalsAndIjoinPipeline(t *testing.T) {
 		"-algorithm", "all-rep", "-partitions", "8")
 	if len(nonEmptyLines(out2)) != len(lines) {
 		t.Fatalf("two-way found %d pairs, all-rep %d", len(lines), len(nonEmptyLines(out2)))
+	}
+}
+
+// TestIjoinFSTCAllSequenceHybrid runs the hybrid shape whose every relation
+// is in a sequence condition — FSTC has no colocation step there, so its
+// sequence stage writes the final output — and requires FSTC's sorted rows
+// to equal the oracle's.
+func TestIjoinFSTCAllSequenceHybrid(t *testing.T) {
+	dir := t.TempDir()
+	args := []string{"-query", "R1 before R2 and R1 overlaps R3 and R3 before R2"}
+	for i, name := range []string{"R1", "R2", "R3"} {
+		f := filepath.Join(dir, name+".txt")
+		mustRun(t, "genintervals", "-n", "60", "-tmax", "200", "-imax", "30", "-seed", strconv.Itoa(i+1), "-o", f)
+		args = append(args, "-rel", name+"="+f)
+	}
+	sorted := func(alg string) []string {
+		lines := nonEmptyLines(mustRun(t, "ijoin", append(args, "-algorithm", alg)...))
+		slices.Sort(lines)
+		return lines
+	}
+	want, got := sorted("reference"), sorted("fstc")
+	if len(want) == 0 {
+		t.Fatal("oracle produced no rows; the case checks nothing")
+	}
+	if !slices.Equal(got, want) {
+		t.Fatalf("fstc wrote %d rows, reference %d, or the rows differ", len(got), len(want))
 	}
 }
 

@@ -446,10 +446,10 @@ func streamOfTagged(v string) int {
 	return rel
 }
 
-// cascadeStreams classifies a cascade step's values: stream 0 carries the
-// partial assignments, stream 1 the novel relation's tuples — mirroring
-// the reduce function's own partial/novel separation.
-func cascadeStreams(novel, existing int) func(string) int {
+// cascadeStreams classifies a bind step's values: stream 0 carries the
+// partial assignments, stream 1 the novel relation's tuples — mirroring the
+// reduce function's own partial/novel separation.
+func cascadeStreams(novel int) func(string) int {
 	return func(v string) int {
 		if strings.IndexByte(v, '#') >= 0 {
 			return 0 // multi-tuple partial assignment
@@ -458,7 +458,7 @@ func cascadeStreams(novel, existing int) func(string) int {
 		if rel < 0 {
 			return -1
 		}
-		if rel == novel && novel != existing {
+		if rel == novel {
 			return 1
 		}
 		return 0

@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"intervaljoin/internal/dfs"
@@ -202,6 +203,24 @@ func TestHybridQ3(t *testing.T) {
 	}
 }
 
+// TestHybridAllSequenceRelations covers the hybrid shape in which every
+// relation appears in a sequence condition: FSTC then has no colocation step
+// to run, so its sequence stage is the chain's last and must write output
+// tuples, not partial assignments.
+func TestHybridAllSequenceRelations(t *testing.T) {
+	rng := rand.New(rand.NewSource(24))
+	q := query.MustParse("R1 before R2 and R1 overlaps R3 and R3 before R2")
+	for trial := 0; trial < 4; trial++ {
+		rels := []*relation.Relation{
+			randomRelation(rng, "R1", 40, 200, 30),
+			randomRelation(rng, "R2", 40, 200, 30),
+			randomRelation(rng, "R3", 40, 200, 30),
+		}
+		crossValidate(t, q, rels, Options{Partitions: 6, PartitionsPerDim: 4},
+			SeqMatrix{}, PASM{}, FCTS{}, FSTC{}, AllRep{}, Cascade{}, GenMatrix{})
+	}
+}
+
 // TestHybridUnsoundConstraintScenario exercises the query shape for which
 // the paper's component-order cell pruning would lose output: a colocation
 // member two hops from the sequence operand can start after the other
@@ -383,22 +402,34 @@ func TestPointIntervalData(t *testing.T) {
 }
 
 func TestRandomQueriesPropertyStyle(t *testing.T) {
-	// Random chain queries over random predicates: the broad net.
+	// Random connected queries over random predicates: the broad net. Each
+	// relation after the first is linked to a random earlier one (chains,
+	// stars and trees), and every other trial closes one extra edge, so the
+	// condition graph need not be a chain or acyclic.
 	rng := rand.New(rand.NewSource(22))
-	for trial := 0; trial < 10; trial++ {
-		m := 2 + rng.Intn(3)
-		qs := ""
-		for i := 1; i < m; i++ {
-			p := interval.Predicate(rng.Intn(int(interval.NumPredicates)))
-			if qs != "" {
-				qs += " and "
-			}
-			qs += fmt.Sprintf("R%d %s R%d", i, p, i+1)
+	// Two of the thirteen predicates are sequence predicates; drawing them a
+	// third of the time makes hybrid and sequence queries as common as
+	// colocation ones.
+	randPred := func() interval.Predicate {
+		if rng.Intn(3) == 0 {
+			return []interval.Predicate{interval.Before, interval.After}[rng.Intn(2)]
 		}
-		q := query.MustParse(qs)
+		return interval.Predicate(rng.Intn(int(interval.NumPredicates)))
+	}
+	for trial := 0; trial < 16; trial++ {
+		m := 2 + rng.Intn(3)
+		var conds []string
+		for i := 2; i <= m; i++ {
+			conds = append(conds, fmt.Sprintf("R%d %s R%d", 1+rng.Intn(i-1), randPred(), i))
+		}
+		if m > 2 && trial%2 == 1 {
+			a := 1 + rng.Intn(m-1)
+			conds = append(conds, fmt.Sprintf("R%d %s R%d", a, randPred(), a+1+rng.Intn(m-a)))
+		}
+		q := query.MustParse(strings.Join(conds, " and "))
 		rels := make([]*relation.Relation, len(q.Relations))
 		for i, s := range q.Relations {
-			rels[i] = randomRelation(rng, s.Name, 35, 120, 25)
+			rels[i] = randomRelation(rng, s.Name, 30, 120, 25)
 		}
 		algs := []Algorithm{SeqMatrix{}, PASM{}, AllRep{}, Cascade{}, GenMatrix{}}
 		switch q.Classify() {

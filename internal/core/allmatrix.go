@@ -4,9 +4,9 @@ import (
 	"fmt"
 
 	"intervaljoin/internal/grid"
+	"intervaljoin/internal/interval"
 	"intervaljoin/internal/mr"
 	"intervaljoin/internal/query"
-	"intervaljoin/internal/relation"
 )
 
 // AllMatrix handles multi-way sequence join queries in a single MR cycle
@@ -55,61 +55,29 @@ func (a AllMatrix) stages(ctx *Context, env *chainEnv) ([]mr.Stage, *execPlan, e
 	if err != nil {
 		return nil, nil, err
 	}
-	o := part.Len()
-	g, err := grid.NewUniform(m, o)
-	if err != nil {
-		return nil, nil, err
+	// Dimension k carries relation k; the less-than order of the query's
+	// predicates constrains the cells (condition D1).
+	dims := make([]dimension, m)
+	for k := range dims {
+		dims[k] = dimension{part: part, verts: firstAttrs([]int{k})}
 	}
-
-	// Less-than order constraints: dimension k carries relation k.
 	var cons []grid.Less
 	if !a.DisableConsistencyFilter {
 		for _, p := range ctx.Query.LessThanPairs() {
 			cons = append(cons, grid.Less{A: p[0], B: p[1]})
 		}
 	}
-
-	// Shared across reduce calls: the plan is static and per-run state is
-	// pooled inside the enumerator.
-	e := newEnumerator(ctx.Query.Conds, allRelations(m)).withTracer(ctx.Engine.Tracer())
-	lvl := identityLevels(m)
-
-	join := mr.Job{
-		Name:   "join",
-		Inputs: ctx.relInputs(),
-		Map: func(tag int, record string, emit mr.Emitter) error {
-			t, err := relation.DecodeTuple(record)
-			if err != nil {
-				return err
-			}
-			q := part.Project(t.Key())
-			enc := encodeTagged(tag, t)
-			bounds := g.FreeBounds()
-			if !a.BroadcastAllCells {
-				bounds[tag] = grid.Bound{Min: q, Max: q} // condition D2
-			}
-			g.EnumerateRuns(bounds, cons, func(lo, hi int64) { emit.EmitRange(lo, hi, enc) })
-			return nil
-		},
-		Reduce: func(key int64, values []string, write func(string) error) error {
-			coord := g.Coord(key, nil)
-			return e.runTagged(values, lvl, func(asg []relation.Tuple) error {
-				// Exactly-once: the designated cell matches every tuple's
-				// start partition. Under D2 routing this holds
-				// automatically; under the broadcast ablation it filters
-				// the duplicates.
-				for k, t := range asg {
-					if part.Project(t.Key()) != coord[k] {
-						return nil
-					}
-				}
-				out := make(OutputTuple, len(asg))
-				for i, t := range asg {
-					out[i] = t.ID
-				}
-				return write(out.Key())
-			})
-		},
+	sp, err := ctx.product(dims, cons)
+	if err != nil {
+		return nil, nil, err
 	}
-	return []mr.Stage{{Job: join}}, nil, nil
+	// Condition D2 projects every tuple along its own dimension, which
+	// already routes each output tuple to exactly one cell; under the
+	// broadcast ablation (no ops) the owner rule filters the duplicates.
+	var ops []interval.Op
+	if !a.BroadcastAllCells {
+		ops = make([]interval.Op, m) // all OpProject
+	}
+	join := cellJoin{name: "join", sp: sp, ops: ops, owner: true}
+	return []mr.Stage{{Job: join.job(ctx)}}, nil, nil
 }

@@ -6,7 +6,6 @@ import (
 	"intervaljoin/internal/interval"
 	"intervaljoin/internal/mr"
 	"intervaljoin/internal/query"
-	"intervaljoin/internal/relation"
 )
 
 // AllRep is the All-Replicate baseline of Section 6: a single MR cycle that
@@ -36,39 +35,23 @@ func (a AllRep) stages(ctx *Context, env *chainEnv) ([]mr.Stage, *execPlan, erro
 	if err != nil {
 		return nil, nil, err
 	}
-	part := plan.part
-
 	// Replication is decided per relation, not per record, so the statistic
 	// is known before the cycle runs.
+	ops := make([]interval.Op, m)
 	for ri, r := range ctx.Rels {
+		ops[ri] = interval.OpProject
 		if ri != projectRel {
+			ops[ri] = interval.OpReplicate
 			env.res.ReplicatedIntervals += int64(r.Len())
 		}
 	}
-
-	join := mr.Job{
-		Name:   "join",
-		Inputs: ctx.relInputs(),
-		Map: func(tag int, record string, emit mr.Emitter) error {
-			t, err := relation.DecodeTuple(record)
-			if err != nil {
-				return err
-			}
-			op := interval.OpReplicate
-			if tag == projectRel {
-				op = interval.OpProject
-			}
-			first, last := part.Apply(op, t.Key())
-			// Destination partitions are contiguous, so one range record
-			// stands in for the per-partition broadcast (split partitions
-			// expand to the record's cell-cover rows, still run-coalesced).
-			plan.emitRange(emit, first, last, tag, encodeTagged(tag, t))
-			return nil
-		},
-		Resplit: resplitValues(m, streamOfTagged),
-		Reduce:  reduceJoinAtPartition(ctx, plan),
+	join := cellJoin{
+		name:  "join",
+		sp:    ctx.union(plan, dimension{part: plan.part, verts: firstAttrs(allRelations(m))}),
+		ops:   ops,
+		owner: true,
 	}
-	return []mr.Stage{{Job: join}}, plan, nil
+	return []mr.Stage{{Job: join.job(ctx)}}, plan, nil
 }
 
 // projectableRightmost returns the index of the unique relation that is
@@ -120,41 +103,4 @@ func projectableRightmost(q *query.Query) int {
 		}
 	}
 	return candidate
-}
-
-// reduceJoinAtPartition returns the reduce function shared by All-Rep and
-// RCCIS cycle 2: group the received tagged tuples by relation, enumerate
-// satisfying assignments, and emit exactly those whose right-most interval
-// (maximal start point) lies in this reducer's partition — the paper's
-// "computing output tuple" rule, which guarantees exactly-once output.
-// Under a virtual-split plan several reduce keys share one partition; the
-// cell cover guarantees each assignment materialises at exactly one of
-// them, and the filter tests the partition the key belongs to.
-func reduceJoinAtPartition(ctx *Context, plan *execPlan) mr.ReduceFunc {
-	m := len(ctx.Rels)
-	part := plan.part
-	// One shared enumerator: the query plan is static across reduce calls
-	// and the enumerator is safe for concurrent use (all per-run state
-	// lives in pooled preparedJoins).
-	e := newEnumerator(ctx.Query.Conds, allRelations(m)).withTracer(ctx.Engine.Tracer())
-	lvl := identityLevels(m)
-	return func(key int64, values []string, write func(string) error) error {
-		p := plan.partitionOf(key)
-		return e.runTagged(values, lvl, func(asg []relation.Tuple) error {
-			maxStart := asg[0].Key().Start
-			for _, t := range asg[1:] {
-				if s := t.Key().Start; s > maxStart {
-					maxStart = s
-				}
-			}
-			if part.IndexOf(maxStart) != p {
-				return nil
-			}
-			out := make(OutputTuple, len(asg))
-			for i, t := range asg {
-				out[i] = t.ID
-			}
-			return write(out.Key())
-		})
-	}
 }

@@ -85,7 +85,7 @@ func benchReduceKernel(b *testing.B, n int) {
 		}
 	}
 	e := newEnumerator(q.Conds, []int{0, 1, 2})
-	lvl := identityLevels(3)
+	lvl := allRelations(3)
 	b.ReportAllocs()
 	b.ResetTimer()
 	count := 0
@@ -122,10 +122,10 @@ func BenchmarkMarkCrossingParticipants(b *testing.B) {
 	lists := benchCands(2_000)
 	cands := map[int][]relation.Tuple{0: lists[0], 1: lists[1], 2: lists[2]}
 	part := interval.NewUniform(0, 100_100, 16)
-	rels := []int{0, 1, 2}
+	verts := firstAttrs([]int{0, 1, 2})
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		markCrossingParticipants(q.Conds, part, 4, rels, uniformAttr0(rels), cands)
+		markCrossingParticipants(q.Conds, part, 4, verts, cands)
 	}
 }
 
@@ -139,6 +139,22 @@ func BenchmarkEncodeTagged(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		s := encodeTagged(7, t)
+		if len(s) == 0 {
+			b.Fatal("empty record")
+		}
+	}
+}
+
+// BenchmarkEncodeMarkedBody measures the mark reducer's splicing writer —
+// one record per tuple leaving every mark cycle.
+func BenchmarkEncodeMarkedBody(b *testing.B) {
+	body := relation.EncodeTuple(relation.Tuple{ID: 123456, Attrs: []interval.Interval{
+		interval.New(987654, 998765), interval.New(12, 64000),
+	}})
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		s := encodeMarkedBody(7, -1, i%2 == 0, body)
 		if len(s) == 0 {
 			b.Fatal("empty record")
 		}

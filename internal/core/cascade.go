@@ -65,16 +65,35 @@ func (c Cascade) stages(ctx *Context, env *chainEnv) ([]mr.Stage, *execPlan, err
 		return nil, nil, err
 	}
 
-	// Each step's partial-assignment input is the previous step's output.
+	// Each step's partial-assignment input is the previous step's output;
+	// the first step's is the existing relation itself.
 	stages := make([]mr.Stage, len(steps))
-	current := "" // intermediate file of partial assignments
-	bound := []int{steps[0].existing}
+	current := ""
 	for si, step := range steps {
-		output := "inter-" + strconv.Itoa(si)
-		stages[si].Job = c.stepJob(ctx, plan, gridPart, "step-"+strconv.Itoa(si), output,
-			current, bound, step, si == len(steps)-1)
-		bound = append(bound, step.novel)
-		current = output
+		d := step.driving
+		var sp *space
+		if !c.MatrixSteps || !d.Pred.IsSequence() {
+			sp = ctx.union(plan, dimension{part: plan.part, verts: []query.Operand{d.Left, d.Right}})
+		} else {
+			// Dimension 0 carries the lesser operand of the driving condition.
+			lesser, greater := d.Left, d.Right
+			if d.Pred.LessThanOrder() != interval.LeftLess {
+				lesser, greater = greater, lesser
+			}
+			sp, err = ctx.product([]dimension{
+				{part: gridPart, verts: []query.Operand{lesser}},
+				{part: gridPart, verts: []query.Operand{greater}},
+			}, []grid.Less{{A: 0, B: 1}})
+			if err != nil {
+				return nil, nil, err
+			}
+		}
+		bs := bindStep{name: "step-" + strconv.Itoa(si), sp: sp, step: step, current: current}
+		if si < len(steps)-1 {
+			bs.output = "inter-" + strconv.Itoa(si)
+		}
+		stages[si].Job = bs.job(ctx)
+		current = bs.output
 	}
 	return stages, plan, nil
 }
@@ -165,158 +184,16 @@ func countBound(b []bool) int {
 	return n
 }
 
-// stepJob builds the MR job for one cascade step. For the first step the
-// partial-assignment input is the existing relation itself.
-func (c Cascade) stepJob(ctx *Context, plan *execPlan, gridPart interval.Partitioning,
-	name, output, current string, bound []int, step cascadeStep, last bool) mr.Job {
-
-	part := plan.part
-
-	// Which operand of the driving condition is the bound side?
-	boundIsLeft := step.driving.Left.Rel == step.existing
-	matrix := c.MatrixSteps && step.driving.Pred.IsSequence()
-
-	var inputs []mr.Input
-	if current == "" {
-		inputs = append(inputs, ctx.relInput(step.existing, intermediateTag))
-	} else {
-		inputs = append(inputs, mr.Input{File: current, Tag: intermediateTag})
-	}
-	inputs = append(inputs, ctx.relInput(step.novel, step.novel))
-
-	firstStep := current == ""
-	strategy := interval.JoinStrategy(step.driving.Pred)
-	boundOp, novelOp := strategy.Left, strategy.Right
-	if !boundIsLeft {
-		boundOp, novelOp = novelOp, boundOp
-	}
-
-	// The 2-D matrix variant projects both sides into a consistent-cell
-	// grid instead (Section 7.2 configuration for the cascade baseline).
-	g, err := grid.New([]int{gridPart.Len(), gridPart.Len()})
-	if err != nil {
-		// A partitioner always has at least one bucket per dimension, so a
-		// grid over two copies of it can only fail on a planner bug.
-		panic("core: cascade grid construction failed: " + err.Error())
-	}
-	// Dimension 0 carries the lesser operand of the driving condition.
-	boundLesser := (step.driving.Pred.LessThanOrder() == interval.LeftLess) == boundIsLeft
-	cons := []grid.Less{{A: 0, B: 1}}
-
-	emitMatrix := func(q int, dimIsLesser bool, enc string, emit mr.Emitter) {
-		dim := 0
-		if !dimIsLesser {
-			dim = 1
-		}
-		bounds := g.FreeBounds()
-		bounds[dim] = grid.Bound{Min: q, Max: q}
-		g.EnumerateRuns(bounds, cons, func(lo, hi int64) { emit.EmitRange(lo, hi, enc) })
-	}
-
-	mapFn := func(tag int, record string, emit mr.Emitter) error {
-		if tag == intermediateTag {
-			var pa partialAssignment
-			var err error
-			if firstStep {
-				var t relation.Tuple
-				t, err = relation.DecodeTuple(record)
-				pa = partialAssignment{{rel: step.existing, tuple: t}}
-			} else {
-				pa, err = decodePartial(record)
-			}
-			if err != nil {
-				return err
-			}
-			iv := pa.intervalOf(step.existing)
-			enc := encodePartial(pa)
-			if matrix {
-				emitMatrix(gridPart.Project(iv), boundLesser, enc, emit)
-				return nil
-			}
-			first, lastP := part.Apply(boundOp, iv)
-			plan.emitRange(emit, first, lastP, 0, enc)
-			return nil
-		}
-		t, err := relation.DecodeTuple(record)
-		if err != nil {
-			return err
-		}
-		enc := encodePartial(partialAssignment{{rel: step.novel, tuple: t}})
-		if matrix {
-			emitMatrix(gridPart.Project(t.Key()), !boundLesser, enc, emit)
-			return nil
-		}
-		first, lastP := part.Apply(novelOp, t.Key())
-		plan.emitRange(emit, first, lastP, 1, enc)
-		return nil
-	}
-
-	reduceFn := func(key int64, values []string, write func(string) error) error {
-		var partials []partialAssignment
-		var tuples []relation.Tuple
-		for _, v := range values {
-			pa, err := decodePartial(v)
-			if err != nil {
-				return err
-			}
-			if len(pa) == 1 && pa[0].rel == step.novel && step.novel != step.existing {
-				tuples = append(tuples, pa[0].tuple)
-				continue
-			}
-			partials = append(partials, pa)
-		}
-		for _, pa := range partials {
-			for _, t := range tuples {
-				if !satisfiesStep(pa, t, step) {
-					continue
-				}
-				merged := append(append(partialAssignment{}, pa...), boundTuple{rel: step.novel, tuple: t})
-				var rec string
-				if last {
-					out := make(OutputTuple, len(ctx.Rels))
-					for i := range out {
-						out[i] = -1
-					}
-					for _, bt := range merged {
-						out[bt.rel] = bt.tuple.ID
-					}
-					rec = out.Key()
-				} else {
-					rec = encodePartial(merged)
-				}
-				if err := write(rec); err != nil {
-					return err
-				}
-			}
-		}
-		return nil
-	}
-
-	job := mr.Job{
-		Name:   name,
-		Inputs: inputs,
-		Map:    mapFn,
-		Reduce: reduceFn,
-		Output: output,
-	}
-	if !matrix {
-		// The key-independent pair loop decomposes cleanly; matrix steps
-		// already spread load over the 2-D grid.
-		job.Resplit = resplitValues(2, cascadeStreams(step.novel, step.existing))
-	}
-	return job
-}
-
 // satisfiesStep checks every condition between the novel tuple and the
 // partial assignment.
-func satisfiesStep(pa partialAssignment, t relation.Tuple, step cascadeStep) bool {
+func satisfiesStep(pa partial, t relation.Tuple, step cascadeStep) bool {
 	for _, c := range step.checkConds {
 		var u, v interval.Interval
 		if c.Left.Rel == step.novel {
 			u = t.Attrs[c.Left.Attr]
-			v = pa.mustIntervalOf(c.Right.Rel, c.Right.Attr)
+			v = pa.tupleOf(c.Right.Rel).Attrs[c.Right.Attr]
 		} else {
-			u = pa.mustIntervalOf(c.Left.Rel, c.Left.Attr)
+			u = pa.tupleOf(c.Left.Rel).Attrs[c.Left.Attr]
 			v = t.Attrs[c.Right.Attr]
 		}
 		if !c.Pred.Eval(u, v) {
@@ -326,49 +203,48 @@ func satisfiesStep(pa partialAssignment, t relation.Tuple, step cascadeStep) boo
 	return true
 }
 
-// boundTuple is one bound relation of a partial assignment.
-type boundTuple struct {
-	rel   int
-	tuple relation.Tuple
+// partial is the intermediate record of the multi-cycle baselines — a partial
+// assignment: the tuples bound so far, tuples[i] belonging to relation
+// rels[i]. On the wire the tagged tuples are joined with '#', so a lone
+// tagged tuple is a one-member partial assignment.
+type partial struct {
+	rels   []int
+	tuples []relation.Tuple
 }
 
-// partialAssignment is the cascade's intermediate record: the tuples bound
-// so far.
-type partialAssignment []boundTuple
-
-func (pa partialAssignment) intervalOf(rel int) interval.Interval {
-	return pa.mustIntervalOf(rel, 0)
-}
-
-func (pa partialAssignment) mustIntervalOf(rel, attr int) interval.Interval {
-	for _, bt := range pa {
-		if bt.rel == rel {
-			return bt.tuple.Attrs[attr]
+func (pa partial) tupleOf(rel int) relation.Tuple {
+	for i, r := range pa.rels {
+		if r == rel {
+			return pa.tuples[i]
 		}
 	}
-	//lint:ignore hotpathban cold path: formats a panic message for a planner bug, never reached per tuple
-	panic(fmt.Sprintf("core: relation %d not bound in partial assignment", rel))
+	panic("core: relation " + strconv.Itoa(rel) + " not bound in partial assignment")
 }
 
-// encodePartial joins the tagged tuples with '#'.
-func encodePartial(pa partialAssignment) string {
-	parts := make([]string, len(pa))
-	for i, bt := range pa {
-		parts[i] = encodeTagged(bt.rel, bt.tuple)
+// encodePartial renders the assignment binding tuples[i] to relation rels[i].
+func encodePartial(rels []int, tuples []relation.Tuple) string {
+	bp := encBuf.Get().(*[]byte)
+	b := *bp
+	for i, t := range tuples {
+		if i > 0 {
+			b = append(b, '#')
+		}
+		b = strconv.AppendInt(b, int64(rels[i]), 10)
+		b = append(b, ';')
+		b = relation.AppendTuple(b, t)
 	}
-	return strings.Join(parts, "#")
+	return finishRecord(bp, b)
 }
 
 // decodePartial parses encodePartial's output.
-func decodePartial(s string) (partialAssignment, error) {
+func decodePartial(s string) (partial, error) {
 	parts := strings.Split(s, "#")
-	pa := make(partialAssignment, len(parts))
+	pa := partial{rels: make([]int, len(parts)), tuples: make([]relation.Tuple, len(parts))}
 	for i, p := range parts {
-		rel, t, err := decodeTagged(p)
-		if err != nil {
-			return nil, err
+		var err error
+		if pa.rels[i], pa.tuples[i], err = decodeTagged(p); err != nil {
+			return partial{}, err
 		}
-		pa[i] = boundTuple{rel: rel, tuple: t}
 	}
 	return pa, nil
 }

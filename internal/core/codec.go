@@ -13,8 +13,8 @@ import (
 // and across cycle boundaries. All are line records on the dfs store:
 //
 //	tagged tuple:  "<rel>;<tuple>"
-//	flagged tuple: "<rel>;<flag>;<tuple>"         (RCCIS cycle-1 output)
-//	vector tuple:  "<rel>;<f0f1...>;<tuple>"      (Gen-Matrix flag vector)
+//	vector tuple:  "<rel>;<f0f1...>;<tuple>"      (mark output: one flag per vertex)
+//	vertex tuple:  "<rel>;<attr>;<flag>;<tuple>"  (Gen-Matrix mark output, pre-merge)
 //
 // where <tuple> is relation.EncodeTuple's "id|s,e|s,e|..." form and flags
 // are '0'/'1' runes. The tag is the relation's index in the query.
@@ -75,67 +75,27 @@ func flagByte(f bool) byte {
 	return '0'
 }
 
-// encodeFlagged carries a single replicate flag (RCCIS cycle-1 output).
-func encodeFlagged(rel int, replicate bool, t relation.Tuple) string {
+// encodeMarkedBody is the mark reducer's writer: it splices the replication
+// decision in front of a tuple's canonical encoded body (the reducer re-emits
+// the body it received), with no per-endpoint formatting. With attr < 0 the
+// record is a one-flag vector, "<rel>;<f>;<body>" — byte-identical to
+// encodeVector of the decoded tuple; otherwise it carries the flagged vertex's
+// attribute, "<rel>;<attr>;<f>;<body>", one record per vertex of a tuple,
+// which Gen-Matrix's merge cycle assembles into the tuple's flag vector.
+func encodeMarkedBody(rel, attr int, replicate bool, body string) string {
 	bp := encBuf.Get().(*[]byte)
 	b := strconv.AppendInt(*bp, int64(rel), 10)
-	b = append(b, ';', flagByte(replicate), ';')
-	b = relation.AppendTuple(b, t)
-	return finishRecord(bp, b)
-}
-
-// encodeFlaggedBody is encodeFlagged for a tuple whose canonical encoded
-// body is already at hand (the mark reducer re-emits the body it received):
-// the record is assembled by splicing, with no per-endpoint formatting, and
-// is byte-identical to encodeFlagged of the decoded tuple.
-func encodeFlaggedBody(rel int, replicate bool, body string) string {
-	bp := encBuf.Get().(*[]byte)
-	b := strconv.AppendInt(*bp, int64(rel), 10)
-	b = append(b, ';', flagByte(replicate), ';')
+	b = append(b, ';')
+	if attr >= 0 {
+		b = strconv.AppendInt(b, int64(attr), 10)
+		b = append(b, ';')
+	}
+	b = append(b, flagByte(replicate), ';')
 	b = append(b, body...)
 	return finishRecord(bp, b)
 }
 
-// decodeFlagged parses encodeFlagged's output.
-func decodeFlagged(s string) (rel int, replicate bool, t relation.Tuple, err error) {
-	first := strings.IndexByte(s, ';')
-	if first < 0 {
-		return 0, false, relation.Tuple{}, fmt.Errorf("core: malformed flagged tuple %q", s)
-	}
-	second := strings.IndexByte(s[first+1:], ';')
-	if second < 0 {
-		return 0, false, relation.Tuple{}, fmt.Errorf("core: malformed flagged tuple %q", s)
-	}
-	second += first + 1
-	rel, err = strconv.Atoi(s[:first])
-	if err != nil {
-		return 0, false, relation.Tuple{}, fmt.Errorf("core: bad relation tag in %q: %v", s, err)
-	}
-	switch s[first+1 : second] {
-	case "0":
-		replicate = false
-	case "1":
-		replicate = true
-	default:
-		return 0, false, relation.Tuple{}, fmt.Errorf("core: bad flag in %q", s)
-	}
-	t, err = relation.DecodeTuple(s[second+1:])
-	return rel, replicate, t, err
-}
-
-// encodeVertexFlagged carries a replicate flag for one (relation, attribute)
-// vertex of a tuple — the Gen-Matrix cycle-1 output, one record per vertex.
-func encodeVertexFlagged(rel, attr int, replicate bool, t relation.Tuple) string {
-	bp := encBuf.Get().(*[]byte)
-	b := strconv.AppendInt(*bp, int64(rel), 10)
-	b = append(b, ';')
-	b = strconv.AppendInt(b, int64(attr), 10)
-	b = append(b, ';', flagByte(replicate), ';')
-	b = relation.AppendTuple(b, t)
-	return finishRecord(bp, b)
-}
-
-// decodeVertexFlagged parses encodeVertexFlagged's output.
+// decodeVertexFlagged parses encodeMarkedBody's per-vertex form.
 func decodeVertexFlagged(s string) (rel, attr int, replicate bool, t relation.Tuple, err error) {
 	parts := strings.SplitN(s, ";", 4)
 	if len(parts) != 4 {
@@ -175,30 +135,26 @@ func encodeVector(rel int, flags []bool, t relation.Tuple) string {
 	return finishRecord(bp, b)
 }
 
-// decodeVector parses encodeVector's output.
-func decodeVector(s string) (rel int, flags []bool, t relation.Tuple, err error) {
+// decodeVector parses a flag-vector record. The flags come back as the raw
+// validated '0'/'1' field, parallel to the relation's vertices.
+func decodeVector(s string) (rel int, flags string, t relation.Tuple, err error) {
 	first := strings.IndexByte(s, ';')
 	if first < 0 {
-		return 0, nil, relation.Tuple{}, fmt.Errorf("core: malformed vector tuple %q", s)
+		return 0, "", relation.Tuple{}, fmt.Errorf("core: malformed vector tuple %q", s)
 	}
 	second := strings.IndexByte(s[first+1:], ';')
 	if second < 0 {
-		return 0, nil, relation.Tuple{}, fmt.Errorf("core: malformed vector tuple %q", s)
+		return 0, "", relation.Tuple{}, fmt.Errorf("core: malformed vector tuple %q", s)
 	}
 	second += first + 1
 	rel, err = strconv.Atoi(s[:first])
 	if err != nil {
-		return 0, nil, relation.Tuple{}, fmt.Errorf("core: bad relation tag in %q: %v", s, err)
+		return 0, "", relation.Tuple{}, fmt.Errorf("core: bad relation tag in %q: %v", s, err)
 	}
-	raw := s[first+1 : second]
-	flags = make([]bool, len(raw))
-	for i := 0; i < len(raw); i++ {
-		switch raw[i] {
-		case '0':
-		case '1':
-			flags[i] = true
-		default:
-			return 0, nil, relation.Tuple{}, fmt.Errorf("core: bad flag vector in %q", s)
+	flags = s[first+1 : second]
+	for i := 0; i < len(flags); i++ {
+		if flags[i] != '0' && flags[i] != '1' {
+			return 0, "", relation.Tuple{}, fmt.Errorf("core: bad flag vector in %q", s)
 		}
 	}
 	t, err = relation.DecodeTuple(s[second+1:])

@@ -19,11 +19,18 @@ func TestTaggedRoundTrip(t *testing.T) {
 	}
 }
 
-func TestFlaggedRoundTrip(t *testing.T) {
+// TestMarkedIsOneFlagVector pins the single flag codec: the record the mark
+// reducer splices together for a single-attribute vertex is exactly
+// encodeVector with a one-element vector, and decodeVector reads it back.
+func TestMarkedIsOneFlagVector(t *testing.T) {
 	f := func(rel uint8, repl bool, id int64, s, l uint16) bool {
 		tu := mkTuple(id, interval.New(int64(s), int64(s)+int64(l)))
-		r, gotRepl, got, err := decodeFlagged(encodeFlagged(int(rel), repl, tu))
-		return err == nil && r == int(rel) && gotRepl == repl && got.ID == id && got.Attrs[0] == tu.Attrs[0]
+		rec := encodeMarkedBody(int(rel), -1, repl, relation.EncodeTuple(tu))
+		if rec != encodeVector(int(rel), []bool{repl}, tu) {
+			return false
+		}
+		r, flags, got, err := decodeVector(rec)
+		return err == nil && r == int(rel) && flags == string(flagByte(repl)) && got.ID == id && got.Attrs[0] == tu.Attrs[0]
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)
@@ -33,7 +40,8 @@ func TestFlaggedRoundTrip(t *testing.T) {
 func TestVertexFlaggedRoundTrip(t *testing.T) {
 	f := func(rel, attr uint8, repl bool, id int64, s, l uint16) bool {
 		tu := mkTuple(id, interval.New(int64(s), int64(s)+int64(l)))
-		r, a, gotRepl, got, err := decodeVertexFlagged(encodeVertexFlagged(int(rel), int(attr), repl, tu))
+		rec := encodeMarkedBody(int(rel), int(attr), repl, relation.EncodeTuple(tu))
+		r, a, gotRepl, got, err := decodeVertexFlagged(rec)
 		return err == nil && r == int(rel) && a == int(attr) && gotRepl == repl && got.ID == id
 	}
 	if err := quick.Check(f, nil); err != nil {
@@ -51,7 +59,7 @@ func TestVectorRoundTrip(t *testing.T) {
 			t.Fatalf("vector round trip failed: %v %v %v %v", rel, gotFlags, got, err)
 		}
 		for i := range flags {
-			if gotFlags[i] != flags[i] {
+			if gotFlags[i] != flagByte(flags[i]) {
 				t.Fatalf("flag %d mismatch", i)
 			}
 		}
@@ -64,12 +72,7 @@ func TestDecodeTaggedErrors(t *testing.T) {
 			t.Errorf("decodeTagged(%q) succeeded", s)
 		}
 	}
-	for _, s := range []string{"", "1;2", "1;x;3|0,1", "y;0;3|0,1", "1;0;bad"} {
-		if _, _, _, err := decodeFlagged(s); err == nil {
-			t.Errorf("decodeFlagged(%q) succeeded", s)
-		}
-	}
-	for _, s := range []string{"", "1;01", "1;0x1;3|0,1", "z;01;3|0,1"} {
+	for _, s := range []string{"", "1;2", "1;x;3|0,1", "y;0;3|0,1", "1;0;bad", "1;01", "1;0x1;3|0,1", "z;01;3|0,1"} {
 		if _, _, _, err := decodeVector(s); err == nil {
 			t.Errorf("decodeVector(%q) succeeded", s)
 		}
@@ -82,16 +85,17 @@ func TestDecodeTaggedErrors(t *testing.T) {
 }
 
 func TestPartialRoundTrip(t *testing.T) {
-	pa := partialAssignment{
-		{rel: 0, tuple: mkTuple(5, interval.New(0, 9))},
-		{rel: 2, tuple: mkTuple(7, interval.New(3, 4))},
-	}
-	got, err := decodePartial(encodePartial(pa))
-	if err != nil || len(got) != 2 || got[0].rel != 0 || got[1].tuple.ID != 7 {
+	rec := encodePartial([]int{0, 2}, []relation.Tuple{mkTuple(5, interval.New(0, 9)), mkTuple(7, interval.New(3, 4))})
+	got, err := decodePartial(rec)
+	if err != nil || len(got.rels) != 2 || got.rels[0] != 0 || got.tuples[1].ID != 7 {
 		t.Fatalf("partial round trip: %v %v", got, err)
 	}
-	if got.intervalOf(2) != interval.New(3, 4) {
-		t.Fatalf("intervalOf(2) = %v", got.intervalOf(2))
+	if iv := got.tupleOf(2).Attrs[0]; iv != interval.New(3, 4) {
+		t.Fatalf("tupleOf(2) interval = %v", iv)
+	}
+	// A lone tagged tuple is a one-member partial assignment.
+	if one := encodePartial([]int{3}, got.tuples[:1]); one != encodeTagged(3, got.tuples[0]) {
+		t.Fatalf("one-member partial %q is not the tagged tuple", one)
 	}
 }
 

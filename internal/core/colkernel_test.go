@@ -323,7 +323,7 @@ func TestRunTaggedMatchesRun(t *testing.T) {
 	want := enumKeys(e, cands)
 
 	var got []string
-	err := e.runTagged(values, identityLevels(3), func(asg []relation.Tuple) error {
+	err := e.runTagged(values, allRelations(3), func(asg []relation.Tuple) error {
 		key := make(OutputTuple, len(asg))
 		for j, tup := range asg {
 			key[j] = tup.ID
@@ -345,13 +345,13 @@ func TestRunTaggedMatchesRun(t *testing.T) {
 	}
 	stop := errors.New("stop")
 	calls := 0
-	err = e.runTagged(values, identityLevels(3), func([]relation.Tuple) error { calls++; return stop })
+	err = e.runTagged(values, allRelations(3), func([]relation.Tuple) error { calls++; return stop })
 	if !errors.Is(err, stop) || calls != 1 {
 		t.Fatalf("runTagged after a callback error: err = %v after %d calls, want %v after 1", err, calls, stop)
 	}
 
 	for _, bad := range []string{"", "x;0|1,2", "0;garbage", "9;0|1,2", "-1;0|1,2"} {
-		if err := e.runTagged([]string{bad}, identityLevels(3), func([]relation.Tuple) error { return nil }); err == nil {
+		if err := e.runTagged([]string{bad}, allRelations(3), func([]relation.Tuple) error { return nil }); err == nil {
 			t.Errorf("runTagged(%q) succeeded, want error", bad)
 		}
 	}

@@ -1,0 +1,505 @@
+package core
+
+import (
+	"fmt"
+	"math"
+	"slices"
+
+	"intervaljoin/internal/grid"
+	"intervaljoin/internal/interval"
+	"intervaljoin/internal/mr"
+	"intervaljoin/internal/query"
+	"intervaljoin/internal/relation"
+)
+
+// The three cycle kinds. The paper defines every MR cycle the same way: each
+// relation is Projected, Split or Replicated over a partitioning, the
+// reducers form a space of consistent cells, and one rule makes every output
+// appear exactly once. The drivers differ only in the parameters, so the
+// cycles are built here, once: mark (the RCCIS marking, Section 6.1),
+// cell-join (route, enumerate, apply the owner rule, emit) and bind-step
+// (partial assignments × one novel relation, Section 4's strategies). A
+// driver's stages method picks dimensions, vertex groups, order constraints
+// and per-relation operations and returns the jobs.
+
+// dimension is one axis of a cycle's reducer space: the partitioning that
+// cuts it and the join-graph vertices — (relation, attribute) pairs — whose
+// intervals are laid along it.
+type dimension struct {
+	part  interval.Partitioning
+	verts []query.Operand
+}
+
+// owner is the exactly-once rule along one dimension: an assignment belongs
+// to the partition in which the right-most interval — the maximal start —
+// among the dimension's vertices starts. lvl maps a relation to its position
+// in asg.
+func (d *dimension) owner(asg []relation.Tuple, lvl []int) int {
+	maxStart := interval.Point(math.MinInt64)
+	for _, v := range d.verts {
+		if s := asg[lvl[v.Rel]].Attrs[v.Attr].Start; s > maxStart {
+			maxStart = s
+		}
+	}
+	return d.part.IndexOf(maxStart)
+}
+
+// vertexAt locates one vertex of a relation in a space.
+type vertexAt struct{ dim, attr int }
+
+// space is a cycle's reducer space over a list of dimensions: either their
+// product — the grid of cells consistent with the order constraints among
+// dimensions (Sections 7-9) — or their union — one line of partitions per
+// dimension, dimension k owning the keys [k*stride, (k+1)*stride). The
+// one-dimensional algorithms are the union of a single dimension, optionally
+// laid out by a skew-adaptive plan; the per-component cycles run every
+// component's line in one job.
+type space struct {
+	dims    []dimension
+	product bool
+	g       grid.Grid
+	cons    []grid.Less
+	stride  int64
+	plan    *execPlan
+	// at[rel] lists where the relation's vertices lie, by (dimension,
+	// attribute) — the order of the flags in a flag-vector record.
+	at [][]vertexAt
+}
+
+func (c *Context) newSpace(dims []dimension) *space {
+	sp := &space{dims: dims, at: make([][]vertexAt, len(c.Rels))}
+	for k, d := range dims {
+		sp.stride = max(sp.stride, int64(d.part.Len()))
+		for _, v := range d.verts {
+			sp.at[v.Rel] = append(sp.at[v.Rel], vertexAt{dim: k, attr: v.Attr})
+		}
+	}
+	return sp
+}
+
+// union lays the dimensions side by side. plan, when set, is the adaptive
+// key layout of the single dimension.
+func (c *Context) union(plan *execPlan, dims ...dimension) *space {
+	sp := c.newSpace(dims)
+	sp.plan = plan
+	return sp
+}
+
+// product spans the grid of the dimensions' partitions; only cells
+// satisfying cons ever receive data.
+func (c *Context) product(dims []dimension, cons []grid.Less) (*space, error) {
+	sizes := make([]int, len(dims))
+	for k, d := range dims {
+		sizes[k] = d.part.Len()
+	}
+	g, err := grid.New(sizes)
+	if err != nil {
+		return nil, err
+	}
+	sp := c.newSpace(dims)
+	sp.product, sp.g, sp.cons = true, g, cons
+	return sp, nil
+}
+
+// baseInputs maps the staged file of every relation with a vertex in the
+// space, tagged with the relation's index.
+func (c *Context) baseInputs(sp *space) []mr.Input {
+	var inputs []mr.Input
+	for ri, at := range sp.at {
+		if len(at) > 0 {
+			inputs = append(inputs, c.relInput(ri, ri))
+		}
+	}
+	return inputs
+}
+
+// route sends value — a record of relation rel carrying tuple t — to the
+// reducers its vertices address: vertex i of the relation is projected,
+// split or replicated along its dimension as ops[i] says, and in a product
+// every other dimension is free. nil ops leave every dimension free
+// (All-Matrix's broadcast ablation). stream is the record's input stream in
+// the adaptive plan's cell cover.
+func (sp *space) route(emit mr.Emitter, rel int, t relation.Tuple, ops []interval.Op, stream int, value string) {
+	if sp.product {
+		bounds := sp.g.FreeBounds()
+		if ops != nil {
+			for i, v := range sp.at[rel] {
+				first, last := sp.dims[v.dim].part.Apply(ops[i], t.Attrs[v.attr])
+				bounds[v.dim] = grid.Bound{Min: first, Max: last}
+			}
+		}
+		sp.g.EnumerateRuns(bounds, sp.cons, func(lo, hi int64) { emit.EmitRange(lo, hi, value) })
+		return
+	}
+	for i, v := range sp.at[rel] {
+		first, last := sp.dims[v.dim].part.Apply(ops[i], t.Attrs[v.attr])
+		if sp.plan != nil {
+			// Split partitions expand to the record's cell-cover rows.
+			sp.plan.emitRange(emit, first, last, stream, value)
+			continue
+		}
+		base := int64(v.dim) * sp.stride
+		emit.EmitRange(base+int64(first), base+int64(last), value)
+	}
+}
+
+// locate decodes a reduce key: the first dimension the reducer sits on and
+// its partition index along each of its dimensions — all of them in a
+// product, the one line in a union.
+func (sp *space) locate(key int64) (k int, coord []int) {
+	switch {
+	case sp.product:
+		return 0, sp.g.Coord(key, nil)
+	case sp.plan != nil:
+		return 0, []int{sp.plan.partitionOf(key)}
+	}
+	return int(key / sp.stride), []int{int(key % sp.stride)}
+}
+
+// decodeBase is the one map-side path over a staged base relation: it
+// decodes the record and renders the tagged form the reducers parse.
+func decodeBase(rel int, record string) (relation.Tuple, string, error) {
+	t, err := relation.DecodeTuple(record)
+	if err != nil {
+		return relation.Tuple{}, "", err
+	}
+	return t, encodeTagged(rel, t), nil
+}
+
+// baseMap maps base relations (tag = relation index) into the space;
+// ops[rel] applies to every vertex of the relation, nil ops broadcast.
+func (sp *space) baseMap(ops []interval.Op) mr.MapFunc {
+	perVertex := make([][]interval.Op, len(sp.at))
+	for rel, op := range ops {
+		for range sp.at[rel] {
+			perVertex[rel] = append(perVertex[rel], op)
+		}
+	}
+	return func(tag int, record string, emit mr.Emitter) error {
+		t, enc, err := decodeBase(tag, record)
+		if err != nil {
+			return err
+		}
+		sp.route(emit, tag, t, perVertex[tag], tag, enc)
+		return nil
+	}
+}
+
+// flaggedMap is the one map-side path over a flag-vector intermediate (the
+// output of a mark cycle): a vertex is replicated along its dimension when
+// the marking flagged it and projected otherwise (RCCIS cycle 2, condition
+// E2). Tuples listed in pruned are dropped. The reducers receive the tagged
+// tuple — or, with forward, the flagged record itself.
+func (sp *space) flaggedMap(pruned []map[int64]bool, forward bool) mr.MapFunc {
+	return func(_ int, record string, emit mr.Emitter) error {
+		rel, flags, t, err := decodeVector(record)
+		if err != nil {
+			return err
+		}
+		if rel < 0 || rel >= len(sp.at) || len(flags) < len(sp.at[rel]) {
+			return fmt.Errorf("core: flag vector of %q does not cover relation %d's vertices", record, rel)
+		}
+		if pruned != nil && pruned[rel][t.ID] {
+			return nil
+		}
+		var buf [4]interval.Op
+		ops := buf[:0]
+		for i := range flags {
+			op := interval.OpProject
+			if flags[i] == '1' {
+				op = interval.OpReplicate
+			}
+			ops = append(ops, op)
+		}
+		value := record
+		if !forward {
+			value = encodeTagged(rel, t)
+		}
+		sp.route(emit, rel, t, ops, rel, value)
+		return nil
+	}
+}
+
+// condsWithin returns the colocation conditions among verts — the sub-query
+// a dimension's vertices encapsulate.
+func condsWithin(q *query.Query, verts []query.Operand) []query.Condition {
+	var conds []query.Condition
+	for _, c := range q.Conds {
+		if c.Pred.IsColocation() && slices.Contains(verts, c.Left) && slices.Contains(verts, c.Right) {
+			conds = append(conds, c)
+		}
+	}
+	return conds
+}
+
+// markJob builds a mark cycle — the RCCIS marking of Section 6.1, run per
+// dimension: every relation is split along the dimensions its vertices lie
+// on, and the reducer of partition p decides which of the intervals starting
+// in p must be replicated: exactly those that belong to some interval-set
+// that is (C1) consistent and (C2) crosses p (markCrossingParticipants).
+// Its output, "marked", holds every vertex's tuple exactly once, written by
+// its start partition's reducer, as a one-flag vector record
+// "<rel>;<f>;<tuple>" — or, with vertexTagged, as "<rel>;<attr>;<f>;<tuple>"
+// for queries whose relations own several vertices.
+//
+// The cycle keeps the plain one-key-per-partition layout even when the join
+// cycle runs on an adaptive plan: the reducer needs every tuple split onto a
+// partition in one place to decide crossing-set membership.
+func (c *Context) markJob(dims []dimension, vertexTagged bool) mr.Job {
+	sp := c.union(nil, dims...)
+	conds := make([][]query.Condition, len(dims))
+	for k, d := range dims {
+		conds[k] = condsWithin(c.Query, d.verts)
+	}
+	split := make([]interval.Op, len(c.Rels))
+	for rel := range split {
+		split[rel] = interval.OpSplit
+	}
+	return mr.Job{
+		Name:   "mark",
+		Inputs: c.baseInputs(sp),
+		Map:    sp.baseMap(split),
+		Reduce: func(key int64, values []string, write func(string) error) error {
+			k, coord := sp.locate(key)
+			d, p := dims[k], coord[0]
+			// Decode through a per-call arena: one flat interval column for
+			// the whole candidate list instead of one Attrs slice per record.
+			// The raw bodies ride along so survivors are re-emitted by
+			// splicing the flag in, with no per-endpoint formatting.
+			var arena relation.Arena
+			cands := make(map[int][]relation.Tuple, len(d.verts))
+			bodies := make(map[int][]string, len(d.verts))
+			for _, v := range values {
+				rel, body, err := splitTagged(v)
+				if err != nil {
+					return err
+				}
+				ref, err := arena.AppendDecode(body)
+				if err != nil {
+					return err
+				}
+				cands[rel] = append(cands[rel], arena.Tuple(ref))
+				bodies[rel] = append(bodies[rel], body)
+			}
+			replicate := markCrossingParticipants(conds[k], d.part, p, d.verts, cands)
+			for _, v := range d.verts {
+				attr := -1
+				if vertexTagged {
+					attr = v.Attr
+				}
+				for i, t := range cands[v.Rel] {
+					if d.part.IndexOf(t.Attrs[v.Attr].Start) != p {
+						continue
+					}
+					if err := write(encodeMarkedBody(v.Rel, attr, replicate[v.Rel][t.ID], bodies[v.Rel][i])); err != nil {
+						return err
+					}
+				}
+			}
+			return nil
+		},
+		Output: "marked",
+	}
+}
+
+// outputTuple renders a complete assignment as a result row: the tuple ids
+// indexed by relation. asg[i] binds relation rels[i]. The row is built in
+// out when it has the room.
+func outputTuple(out OutputTuple, rels []int, asg []relation.Tuple) OutputTuple {
+	if cap(out) < len(asg) {
+		out = make(OutputTuple, len(asg))
+	}
+	out = out[:len(asg)]
+	for i, t := range asg {
+		out[rels[i]] = t.ID
+	}
+	return out
+}
+
+// assignmentRecord is what a join cycle writes for one assignment: the
+// chain's last stage (no intermediate to name) writes the output tuple, every
+// earlier one a partial assignment for the next cycle to extend.
+func assignmentRecord(output string, rels []int, asg []relation.Tuple) string {
+	if output != "" {
+		return encodePartial(rels, asg)
+	}
+	// The row only lives until it is rendered: for queries of up to eight
+	// relations it never leaves the stack.
+	var ids [8]int64
+	return outputTuple(ids[:0], rels, asg).Key()
+}
+
+// cellJoin describes a cell-join cycle: records are routed into the space,
+// each reducer enumerates the satisfying assignments among the tuples it
+// received — every query condition among the relations on its dimensions,
+// relations bound in index order — and emits them.
+type cellJoin struct {
+	name string
+	sp   *space
+	// from names the flag-vector intermediate to map over (flaggedMap). When
+	// empty the cycle maps the base relations with ops (baseMap).
+	from string
+	ops  []interval.Op
+	// pruned, when non-nil, lists per relation the tuple ids to drop map-side.
+	pruned []map[int64]bool
+	// owner applies the owner rule before emitting; a cycle whose routing
+	// already makes every assignment meet at exactly one reducer skips it.
+	owner bool
+	// output names the intermediate the cycle writes: partial assignments.
+	// Empty for the chain's last stage, which writes output tuples.
+	output string
+}
+
+func (cj cellJoin) job(c *Context) mr.Job {
+	sp := cj.sp
+	// One shared enumerator per join unit — the whole product, or each line
+	// of a union: the plans are static and per-run state is pooled inside.
+	type unit struct {
+		e    *enumerator
+		dims []dimension
+		rels []int
+		lvl  []int
+	}
+	units := make([]unit, len(sp.dims))
+	if sp.product {
+		units = units[:1]
+	}
+	for k := range units {
+		u := unit{dims: sp.dims[k : k+1], lvl: make([]int, len(c.Rels))}
+		if sp.product {
+			u.dims = sp.dims
+		}
+		for rel, at := range sp.at {
+			u.lvl[rel] = -1
+			if slices.ContainsFunc(at, func(v vertexAt) bool { return sp.product || v.dim == k }) {
+				u.lvl[rel] = len(u.rels)
+				u.rels = append(u.rels, rel)
+			}
+		}
+		u.e = newEnumerator(c.Query.Conds, u.rels).withTracer(c.Engine.Tracer())
+		units[k] = u
+	}
+
+	job := mr.Job{
+		Name:   cj.name,
+		Inputs: c.baseInputs(sp),
+		Map:    sp.baseMap(cj.ops),
+		Reduce: func(key int64, values []string, write func(string) error) error {
+			k, coord := sp.locate(key)
+			u := &units[k]
+			return u.e.runTagged(values, u.lvl, func(asg []relation.Tuple) error {
+				if cj.owner {
+					for i := range u.dims {
+						if u.dims[i].owner(asg, u.lvl) != coord[i] {
+							return nil
+						}
+					}
+				}
+				return write(assignmentRecord(cj.output, u.rels, asg))
+			})
+		},
+		Output: cj.output,
+	}
+	if cj.from != "" {
+		job.Inputs, job.Map = []mr.Input{{File: cj.from}}, sp.flaggedMap(cj.pruned, false)
+	}
+	if sp.plan != nil {
+		job.Resplit = resplitValues(sp.plan.streams, streamOfTagged)
+	}
+	return job
+}
+
+// bindStep describes a bind-step cycle: the partial assignments in current
+// are joined with one novel relation on the step's driving condition, every
+// other condition that becomes checkable is applied, and the extended
+// assignments are written. In a union space the two sides are projected,
+// split or replicated by the driving predicate's Figure 1 strategy; in a
+// product both are projected onto their own dimension of a consistent-cell
+// grid (the Section 7.2 configuration of the cascade baseline).
+type bindStep struct {
+	name string
+	sp   *space
+	step cascadeStep
+	// current names the partial-assignment intermediate; empty for a chain's
+	// first step, whose partial assignments are the existing relation itself.
+	current string
+	// output names the intermediate written; empty for the last stage, which
+	// writes output tuples.
+	output string
+}
+
+func (bs bindStep) job(c *Context) mr.Job {
+	sp, step := bs.sp, bs.step
+	ops := make([][]interval.Op, len(c.Rels))
+	ops[step.existing], ops[step.novel] = []interval.Op{interval.OpProject}, []interval.Op{interval.OpProject}
+	if !sp.product {
+		strategy := interval.JoinStrategy(step.driving.Pred)
+		ops[step.driving.Left.Rel][0], ops[step.driving.Right.Rel][0] = strategy.Left, strategy.Right
+	}
+	partials := mr.Input{File: bs.current, Tag: intermediateTag}
+	if bs.current == "" {
+		partials = c.relInput(step.existing, step.existing)
+	}
+
+	job := mr.Job{
+		Name:   bs.name,
+		Inputs: []mr.Input{partials, c.relInput(step.novel, step.novel)},
+		Map: func(tag int, record string, emit mr.Emitter) error {
+			if tag == intermediateTag {
+				pa, err := decodePartial(record)
+				if err != nil {
+					return err
+				}
+				sp.route(emit, step.existing, pa.tupleOf(step.existing), ops[step.existing], 0, record)
+				return nil
+			}
+			t, enc, err := decodeBase(tag, record)
+			if err != nil {
+				return err
+			}
+			// Stream 0 carries the partial assignments, stream 1 the novel
+			// relation's tuples.
+			stream := 0
+			if tag == step.novel {
+				stream = 1
+			}
+			sp.route(emit, tag, t, ops[tag], stream, enc)
+			return nil
+		},
+		Reduce: func(key int64, values []string, write func(string) error) error {
+			var partials []partial
+			var novel []relation.Tuple
+			for _, v := range values {
+				pa, err := decodePartial(v)
+				if err != nil {
+					return err
+				}
+				if len(pa.rels) == 1 && pa.rels[0] == step.novel {
+					novel = append(novel, pa.tuples[0])
+					continue
+				}
+				partials = append(partials, pa)
+			}
+			for _, pa := range partials {
+				n := len(pa.rels)
+				rels := append(pa.rels[:n:n], step.novel)
+				for _, t := range novel {
+					if !satisfiesStep(pa, t, step) {
+						continue
+					}
+					if err := write(assignmentRecord(bs.output, rels, append(pa.tuples[:n:n], t))); err != nil {
+						return err
+					}
+				}
+			}
+			return nil
+		},
+		Output: bs.output,
+	}
+	if sp.plan != nil {
+		// The key-independent pair loop decomposes cleanly; grid steps
+		// already spread load over two dimensions.
+		job.Resplit = resplitValues(2, cascadeStreams(step.novel))
+	}
+	return job
+}

@@ -10,10 +10,10 @@ import (
 // The one driver skeleton. Every distributed algorithm is a short chain of
 // MR cycles that differ only in how each cycle routes and joins, so every
 // Algorithm.Run ends in runStages: the driver checks its query class, picks
-// its partitioning or plan, and hands over a []mr.Stage of map/reduce
-// closures; everything around the closures — defaults, the provably-empty
-// short-circuit, staging, file naming, per-stage annotations, execution
-// mode, metrics aggregation and the read-out — happens here, once.
+// its partitioning or plan, and hands over a []mr.Stage built from the three
+// cycle kinds of cycle.go; everything around the cycles — defaults, the
+// provably-empty short-circuit, staging, file naming, per-stage annotations,
+// execution mode, metrics aggregation and the read-out — happens here, once.
 
 // chainEnv is what the runner has settled by the time a driver builds its
 // stages.
@@ -120,19 +120,9 @@ func (c *Context) runStages(alg string, build stageBuilder) (*Result, error) {
 	return res, nil
 }
 
-// relInputs maps every relation's staged file under its own index as tag —
-// the input list of any cycle that reads all base relations.
-func (c *Context) relInputs() []mr.Input {
-	inputs := make([]mr.Input, len(c.Rels))
-	for ri := range c.Rels {
-		inputs[ri] = c.relInput(ri, ri)
-	}
-	return inputs
-}
-
 // replicateFlagTap counts the replicate-flagged records leaving a mark
 // cycle — the paper's "# Intervals Replicated" statistic — without forcing
-// the marked intermediate onto the store. Records are
+// the marked intermediate onto the store. Records are one-flag vectors,
 // "<rel>;<flag>;<tuple>".
 func replicateFlagTap(n *int64) func(string) {
 	return func(rec string) {

@@ -8,7 +8,6 @@ import (
 	"intervaljoin/internal/interval"
 	"intervaljoin/internal/mr"
 	"intervaljoin/internal/query"
-	"intervaljoin/internal/relation"
 )
 
 // FSTC — First Sequence Then Colocation — is the second naive hybrid
@@ -40,232 +39,96 @@ func (a FSTC) stages(ctx *Context, env *chainEnv) ([]mr.Stage, *execPlan, error)
 		return nil, nil, err
 	}
 
-	// Relations touched by sequence conditions, in first-appearance order.
-	var seqRels []int
-	seen := make(map[int]bool)
+	// Phase 1: All-Matrix over the relations the sequence conditions touch —
+	// one dimension each, in first-appearance order, cells constrained by the
+	// conditions' less-than order — checking every query condition among
+	// them (sequence and colocation alike).
+	var dims []dimension
+	dimOf := make(map[int]int)
+	var cons []grid.Less
 	for _, si := range env.d.SeqCondIdx {
 		c := ctx.Query.Conds[si]
 		for _, r := range []int{c.Left.Rel, c.Right.Rel} {
-			if !seen[r] {
-				seen[r] = true
-				seqRels = append(seqRels, r)
+			if _, seen := dimOf[r]; !seen {
+				dimOf[r] = len(dims)
+				dims = append(dims, dimension{part: part, verts: firstAttrs([]int{r})})
 			}
 		}
+		less := grid.Less{A: dimOf[c.Left.Rel], B: dimOf[c.Right.Rel]}
+		if c.Pred.LessThanOrder() != interval.LeftLess {
+			less.A, less.B = less.B, less.A
+		}
+		cons = append(cons, less)
 	}
-	if len(seqRels) == 0 {
+	if len(dims) == 0 {
 		return nil, nil, fmt.Errorf("core: fstc: hybrid query without sequence conditions")
 	}
-
-	// Phase 1: All-Matrix over the sequence relations, emitting partial
-	// assignments. Conditions checked: every query condition whose both
-	// endpoints are sequence relations (sequence and colocation alike).
-	seqJob, err := a.sequenceJob(ctx, part, seqRels)
+	sp, err := ctx.product(dims, cons)
 	if err != nil {
 		return nil, nil, err
 	}
-	stages := []mr.Stage{{Job: seqJob}}
 
-	// Phase 2: cascade the remaining relations over colocation conditions.
-	bound := make([]bool, len(ctx.Rels))
-	for _, r := range seqRels {
+	// Phase 2: bind the remaining relations one by one, each step a 2-way
+	// join on a colocation condition reaching into the bound set.
+	m := len(ctx.Rels)
+	bound := make([]bool, m)
+	for r := range dimOf {
 		bound[r] = true
 	}
-	current := seqJob.Output
-	for step := 1; countBound(bound) < len(ctx.Rels); step++ {
-		novel, driving, checks := nextColocStep(ctx.Query, bound)
-		if novel < 0 {
+	var steps []cascadeStep
+	for n := len(dims); n < m; n++ {
+		step, ok := nextColocStep(ctx.Query, bound)
+		if !ok {
 			return nil, nil, fmt.Errorf("core: fstc requires a connected query: %s", ctx.Query)
 		}
-		output := "coloc-" + strconv.Itoa(step)
-		last := countBound(bound) == len(ctx.Rels)-1
-		stages = append(stages, mr.Stage{Job: a.colocStepJob(ctx, part, current, output, novel, driving, checks, last)})
-		bound[novel] = true
-		current = output
+		steps = append(steps, step)
+		bound[step.novel] = true
+	}
+
+	// Every stage but the last writes partial assignments; a query whose
+	// every relation is in a sequence condition ends at the sequence stage.
+	seq := cellJoin{name: "sequence", sp: sp, ops: make([]interval.Op, m)} // all OpProject
+	if len(steps) > 0 {
+		seq.output = "seq-inter"
+	}
+	stages := []mr.Stage{{Job: seq.job(ctx)}}
+	current := seq.output
+	for i, step := range steps {
+		d := step.driving
+		bs := bindStep{
+			name:    "coloc-step-" + strconv.Itoa(step.novel),
+			sp:      ctx.union(nil, dimension{part: part, verts: []query.Operand{d.Left, d.Right}}),
+			step:    step,
+			current: current,
+		}
+		if i < len(steps)-1 {
+			bs.output = "coloc-" + strconv.Itoa(i+1)
+		}
+		stages = append(stages, mr.Stage{Job: bs.job(ctx)})
+		current = bs.output
 	}
 	return stages, nil, nil
 }
 
-// sequenceJob runs the multi-way join over the sequence relations on a
-// consistent-cell grid (one dimension per sequence relation), checking all
-// conditions local to those relations.
-func (FSTC) sequenceJob(ctx *Context, part interval.Partitioning, seqRels []int) (mr.Job, error) {
-	dim := make(map[int]int, len(seqRels))
-	for i, r := range seqRels {
-		dim[r] = i
-	}
-	o := part.Len()
-	g, err := grid.NewUniform(len(seqRels), o)
-	if err != nil {
-		return mr.Job{}, err
-	}
-	// Local conditions and order constraints among sequence relations.
-	var conds []query.Condition
-	var cons []grid.Less
-	for _, c := range ctx.Query.Conds {
-		di, iok := dim[c.Left.Rel]
-		dj, jok := dim[c.Right.Rel]
-		if !iok || !jok {
-			continue
-		}
-		conds = append(conds, c)
-		if c.Pred.IsSequence() {
-			if c.Pred.LessThanOrder() == interval.LeftLess {
-				cons = append(cons, grid.Less{A: di, B: dj})
-			} else {
-				cons = append(cons, grid.Less{A: dj, B: di})
-			}
-		}
-	}
-	inputs := make([]mr.Input, len(seqRels))
-	for i, r := range seqRels {
-		inputs[i] = ctx.relInput(r, r)
-	}
-
-	// Shared across reduce calls: the plan is static and per-run state is
-	// pooled inside the enumerator. lvl maps a global relation tag to its
-	// grid dimension / binding level (-1 for colocation-only relations).
-	seqEnum := newEnumerator(conds, seqRels).withTracer(ctx.Engine.Tracer())
-	lvl := make([]int, len(ctx.Rels))
-	for r := range lvl {
-		lvl[r] = -1
-	}
-	for i, r := range seqRels {
-		lvl[r] = i
-	}
-
-	return mr.Job{
-		Name:   "sequence",
-		Inputs: inputs,
-		Map: func(tag int, record string, emit mr.Emitter) error {
-			t, err := relation.DecodeTuple(record)
-			if err != nil {
-				return err
-			}
-			q := part.Project(t.Key())
-			bounds := g.FreeBounds()
-			bounds[dim[tag]] = grid.Bound{Min: q, Max: q}
-			enc := encodeTagged(tag, t)
-			g.EnumerateRuns(bounds, cons, func(lo, hi int64) { emit.EmitRange(lo, hi, enc) })
-			return nil
-		},
-		Reduce: func(key int64, values []string, write func(string) error) error {
-			return seqEnum.runTagged(values, lvl, func(asg []relation.Tuple) error {
-				pa := make(partialAssignment, len(asg))
-				for i, t := range asg {
-					pa[i] = boundTuple{rel: seqRels[i], tuple: t}
-				}
-				return write(encodePartial(pa))
-			})
-		},
-		Output: "seq-inter",
-	}, nil
-}
-
 // nextColocStep picks the next unbound relation reachable through a
-// condition from the bound set, returning the driving condition and every
-// condition checkable once it binds.
-func nextColocStep(q *query.Query, bound []bool) (novel int, driving query.Condition, checks []query.Condition) {
+// condition from the bound set: the step's driving condition, plus every
+// condition checkable once the relation binds.
+func nextColocStep(q *query.Query, bound []bool) (cascadeStep, bool) {
 	for _, c := range q.Conds {
-		li, ri := c.Left.Rel, c.Right.Rel
-		switch {
-		case bound[li] && !bound[ri]:
-			novel = ri
-		case bound[ri] && !bound[li]:
-			novel = li
-		default:
+		step := cascadeStep{existing: c.Left.Rel, novel: c.Right.Rel, driving: c}
+		if bound[step.novel] {
+			step.existing, step.novel = step.novel, step.existing
+		}
+		if !bound[step.existing] || bound[step.novel] {
 			continue
 		}
-		driving = c
 		for _, c2 := range q.Conds {
 			l2, r2 := c2.Left.Rel, c2.Right.Rel
-			if (l2 == novel && bound[r2]) || (r2 == novel && bound[l2]) {
-				checks = append(checks, c2)
+			if (l2 == step.novel && bound[r2]) || (r2 == step.novel && bound[l2]) {
+				step.checkConds = append(step.checkConds, c2)
 			}
 		}
-		return novel, driving, checks
+		return step, true
 	}
-	return -1, query.Condition{}, nil
-}
-
-// colocStepJob binds one new relation to the partial assignments via the
-// Figure 1 strategy of the driving condition.
-func (FSTC) colocStepJob(ctx *Context, part interval.Partitioning,
-	current, output string, novel int, driving query.Condition, checks []query.Condition, last bool) mr.Job {
-
-	boundIsLeft := driving.Right.Rel == novel
-	strategy := interval.JoinStrategy(driving.Pred)
-	boundOp, novelOp := strategy.Left, strategy.Right
-	boundRel := driving.Left.Rel
-	if !boundIsLeft {
-		boundOp, novelOp = novelOp, boundOp
-		boundRel = driving.Right.Rel
-	}
-
-	step := cascadeStep{existing: boundRel, novel: novel, driving: driving, checkConds: checks}
-	return mr.Job{
-		Name: "coloc-step-" + strconv.Itoa(novel),
-		Inputs: []mr.Input{
-			{File: current, Tag: intermediateTag},
-			ctx.relInput(novel, novel),
-		},
-		Map: func(tag int, record string, emit mr.Emitter) error {
-			if tag == intermediateTag {
-				pa, err := decodePartial(record)
-				if err != nil {
-					return err
-				}
-				first, lastP := part.Apply(boundOp, pa.intervalOf(boundRel))
-				emit.EmitRange(int64(first), int64(lastP), record)
-				return nil
-			}
-			t, err := relation.DecodeTuple(record)
-			if err != nil {
-				return err
-			}
-			first, lastP := part.Apply(novelOp, t.Key())
-			emit.EmitRange(int64(first), int64(lastP), encodePartial(partialAssignment{{rel: novel, tuple: t}}))
-			return nil
-		},
-		Reduce: func(key int64, values []string, write func(string) error) error {
-			var partials []partialAssignment
-			var tuples []relation.Tuple
-			for _, v := range values {
-				pa, err := decodePartial(v)
-				if err != nil {
-					return err
-				}
-				if len(pa) == 1 && pa[0].rel == novel {
-					tuples = append(tuples, pa[0].tuple)
-					continue
-				}
-				partials = append(partials, pa)
-			}
-			for _, pa := range partials {
-				for _, t := range tuples {
-					if !satisfiesStep(pa, t, step) {
-						continue
-					}
-					merged := append(append(partialAssignment{}, pa...), boundTuple{rel: novel, tuple: t})
-					var rec string
-					if last {
-						out := make(OutputTuple, len(ctx.Rels))
-						for i := range out {
-							out[i] = -1
-						}
-						for _, bt := range merged {
-							out[bt.rel] = bt.tuple.ID
-						}
-						rec = out.Key()
-					} else {
-						rec = encodePartial(merged)
-					}
-					if err := write(rec); err != nil {
-						return err
-					}
-				}
-			}
-			return nil
-		},
-		Output: output,
-	}
+	return cascadeStep{}, false
 }

@@ -546,16 +546,6 @@ func (e *enumerator) runTagged(values []string, lvl []int, fn func(asg []relatio
 	return err
 }
 
-// identityLevels returns the tag->level map for enumerators whose binding
-// order is the relation order (allRelations): level i binds tag i.
-func identityLevels(m int) []int {
-	lvl := make([]int, m)
-	for i := range lvl {
-		lvl[i] = i
-	}
-	return lvl
-}
-
 // startRange bounds the start point of the unbound interval x for the
 // predicate application p(b, x) with b bound: p(b, x) can only hold when
 // lo <= x.Start <= hi. The residual conditions are still checked by Eval;

@@ -2,10 +2,10 @@ package core
 
 import (
 	"fmt"
+	"slices"
 	"strconv"
 	"strings"
 
-	"intervaljoin/internal/interval"
 	"intervaljoin/internal/mr"
 	"intervaljoin/internal/query"
 	"intervaljoin/internal/relation"
@@ -46,6 +46,11 @@ func (PASM) stages(ctx *Context, env *chainEnv) ([]mr.Stage, *execPlan, error) {
 	if err != nil {
 		return nil, nil, err
 	}
+	dims := componentDims(env.d, part)
+	sp, err := ctx.product(dims, soundComponentLess(env.d))
+	if err != nil {
+		return nil, nil, err
+	}
 	// The marking feeds the prune cycle and is re-read by the join cycle.
 	// The prune records never touch the store: a tap fills the id sets the
 	// join cycle's map consults, and the prune→join boundary is a barrier
@@ -53,14 +58,11 @@ func (PASM) stages(ctx *Context, env *chainEnv) ([]mr.Stage, *execPlan, error) {
 	// before any join map runs.
 	pruned := make([]map[int64]bool, len(ctx.Rels))
 	env.res.PrunedIntervals = make(map[int]int64)
-	join, err := componentJoinJob(ctx, part, env.d, pruned)
-	if err != nil {
-		return nil, nil, err
-	}
+	join := cellJoin{name: "join", sp: sp, from: "marked", pruned: pruned, owner: true}
 	return []mr.Stage{
-		{Job: componentMarkJob(ctx, part, env.d), Tap: replicateFlagTap(&env.res.ReplicatedIntervals)},
-		{Job: pruneJob(part, env.d), Tap: prunedTap(pruned, env.res.PrunedIntervals)},
-		{Job: join},
+		{Job: ctx.markJob(dims, false), Tap: replicateFlagTap(&env.res.ReplicatedIntervals)},
+		{Job: ctx.pruneJob(dims), Tap: prunedTap(pruned, env.res.PrunedIntervals)},
+		{Job: join.job(ctx)},
 	}, nil, nil
 }
 
@@ -93,66 +95,45 @@ func prunedTap(pruned []map[int64]bool, counts map[int]int64) func(string) {
 	}
 }
 
-// pruneJob builds PASM's cycle 2 over "marked". Key space: component*o +
-// partition. Each reducer receives the component's tuples routed exactly as
-// RCCIS cycle 2 would route them in one dimension, and decides for every
-// tuple whose home partition this is whether it participates in any output
-// of the component's colocation sub-query. Non-participating tuples are
-// published as "rel,id" prune records.
+// pruneJob builds PASM's cycle 2 over "marked". Each reducer receives a
+// component's tuples routed along the component's line exactly as RCCIS
+// cycle 2 would route them, and decides for every tuple whose home partition
+// this is whether it participates in any output of the component's
+// colocation sub-query. Non-participating tuples are published as "rel,id"
+// prune records.
 //
 // The decision is exact for unreplicated tuples (all assignments containing
 // them are local to their home partition) and conservative (never pruned)
 // for replicated ones, which are few by RCCIS's construction. Singleton
-// components are skipped entirely: their sub-query output is the relation
-// itself, so nothing can be pruned.
-func pruneJob(part interval.Partitioning, d *query.Decomposition) mr.Job {
-	comp := compOfRel(d)
-	o := int64(part.Len())
-	multi := make(map[int]bool) // components with >1 vertex
-	for ci := range d.Components {
-		if len(d.Components[ci].Vertices) > 1 {
-			multi[ci] = true
+// components are skipped entirely — their vertices are left out of the
+// space, so their tuples are routed nowhere: their sub-query output is the
+// relation itself and nothing can be pruned.
+func (c *Context) pruneJob(dims []dimension) mr.Job {
+	multi := slices.Clone(dims)
+	conds := make([][]query.Condition, len(dims))
+	for k, d := range dims {
+		conds[k] = condsWithin(c.Query, d.verts)
+		if len(d.verts) < 2 {
+			multi[k].verts = nil
 		}
 	}
-	compRels := make([][]int, len(d.Components))
-	compConds := make([][]query.Condition, len(d.Components))
-	for ci := range d.Components {
-		for _, v := range d.Components[ci].Vertices {
-			compRels[ci] = append(compRels[ci], v.Rel)
-		}
-		compConds[ci] = d.SubQueryConds(ci)
-	}
+	sp := c.union(nil, multi...)
 
 	return mr.Job{
 		Name:   "prune",
 		Inputs: []mr.Input{{File: "marked"}},
-		Map: func(_ int, record string, emit mr.Emitter) error {
-			rel, replicate, t, err := decodeFlagged(record)
-			if err != nil {
-				return err
-			}
-			ci := comp[rel]
-			if !multi[ci] {
-				return nil // singleton component: nothing can be pruned
-			}
-			q := part.Project(t.Key())
-			last := q
-			if replicate {
-				last = int(o) - 1
-			}
-			// Keys within one component block are contiguous.
-			emit.EmitRange(int64(ci)*o+int64(q), int64(ci)*o+int64(last), record)
-			return nil
-		},
+		// The reducer needs the replicate flags, so the flagged records
+		// travel as they are.
+		Map: sp.flaggedMap(nil, true),
 		Reduce: func(key int64, values []string, write func(string) error) error {
-			ci := int(key / o)
-			p := int(key % o)
-			rels := compRels[ci]
-			cands := make([][]relation.Tuple, len(rels))
+			k, coord := sp.locate(key)
+			d, p := multi[k], coord[0]
+			rels := make([]int, len(d.verts))
 			pos := make(map[int]int, len(rels))
-			for i, r := range rels {
-				pos[r] = i
+			for i, v := range d.verts {
+				rels[i], pos[v.Rel] = v.Rel, i
 			}
+			cands := make([][]relation.Tuple, len(rels))
 			type home struct {
 				rel int
 				id  int64
@@ -160,20 +141,21 @@ func pruneJob(part interval.Partitioning, d *query.Decomposition) mr.Job {
 			var homes []home
 			replicatedHome := make(map[home]bool)
 			for _, v := range values {
-				rel, replicate, t, err := decodeFlagged(v)
+				rel, flags, t, err := decodeVector(v)
 				if err != nil {
 					return err
 				}
-				cands[pos[rel]] = append(cands[pos[rel]], t)
-				if part.IndexOf(t.Key().Start) == p {
+				i := pos[rel]
+				cands[i] = append(cands[i], t)
+				if d.part.IndexOf(t.Attrs[d.verts[i].Attr].Start) == p {
 					h := home{rel: rel, id: t.ID}
 					homes = append(homes, h)
-					if replicate {
+					if flags == "1" {
 						replicatedHome[h] = true
 					}
 				}
 			}
-			surviving := semijoinReduce(compConds[ci], rels, cands)
+			surviving := semijoinReduce(conds[k], rels, cands)
 			kept := make(map[home]bool)
 			for i, r := range rels {
 				for _, t := range surviving[i] {

@@ -89,11 +89,11 @@ func TestPipelinedMatchesMaterialized(t *testing.T) {
 				}
 				var flagged int64
 				for _, rec := range marked {
-					_, replicate, _, err := decodeFlagged(rec)
+					_, flags, _, err := decodeVector(rec)
 					if err != nil {
 						t.Fatalf("marked record %q: %v", rec, err)
 					}
-					if replicate {
+					if flags == "1" {
 						flagged++
 					}
 				}

@@ -36,54 +36,17 @@ func (r RCCIS) Run(ctx *Context) (*Result, error) {
 
 func (r RCCIS) stages(ctx *Context, env *chainEnv) ([]mr.Stage, *execPlan, error) {
 	m := len(ctx.Rels)
-	// The join cycle takes the skew-adaptive plan (one stream per
-	// relation). The mark cycle keeps the plain one-key-per-partition
-	// layout: its reducer needs every tuple split onto a partition in one
-	// place to decide crossing-set membership, so it is not decomposable.
+	// The join cycle takes the skew-adaptive plan (one stream per relation);
+	// both cycles run over its one dimension, which holds every relation.
 	plan, err := ctx.makePlan(r.Name(), env.opts.Partitions, m)
 	if err != nil {
 		return nil, nil, err
 	}
-	part := plan.part
-
-	mark := mr.Job{
-		Name:   "mark",
-		Inputs: ctx.relInputs(),
-		Map: func(tag int, record string, emit mr.Emitter) error {
-			t, err := relation.DecodeTuple(record)
-			if err != nil {
-				return err
-			}
-			first, last := part.Split(t.Key())
-			emit.EmitRange(int64(first), int64(last), encodeTagged(tag, t))
-			return nil
-		},
-		Reduce: markReducer(ctx.Query, part, allRelations(m)),
-		Output: "marked",
-	}
-
-	join := mr.Job{
-		Name:   "join",
-		Inputs: []mr.Input{{File: "marked"}},
-		Map: func(_ int, record string, emit mr.Emitter) error {
-			rel, replicate, t, err := decodeFlagged(record)
-			if err != nil {
-				return err
-			}
-			op := interval.OpProject
-			if replicate {
-				op = interval.OpReplicate
-			}
-			first, last := part.Apply(op, t.Key())
-			plan.emitRange(emit, first, last, rel, encodeTagged(rel, t))
-			return nil
-		},
-		Resplit: resplitValues(m, streamOfTagged),
-		Reduce:  reduceJoinAtPartition(ctx, plan),
-	}
+	dim := dimension{part: plan.part, verts: firstAttrs(allRelations(m))}
+	join := cellJoin{name: "join", sp: ctx.union(plan, dim), from: "marked", owner: true}
 	return []mr.Stage{
-		{Job: mark, Tap: replicateFlagTap(&env.res.ReplicatedIntervals)},
-		{Job: join},
+		{Job: ctx.markJob([]dimension{dim}, false), Tap: replicateFlagTap(&env.res.ReplicatedIntervals)},
+		{Job: join.job(ctx)},
 	}, plan, nil
 }
 
@@ -95,94 +58,43 @@ func allRelations(m int) []int {
 	return rels
 }
 
-// markReducer builds the RCCIS cycle-1 reduce function for the given
-// condition set and relation subset (the hybrid algorithms reuse it per
-// colocation component). The reducer receives all tuples split onto its
-// partition and writes every tuple that *starts* there, flagged with the
-// replication decision.
-//
-// attrOf selects which attribute of a relation's tuple is the join interval;
-// for the single-attribute algorithms it is attribute 0 throughout.
-func markReducer(q *query.Query, part interval.Partitioning, rels []int) mr.ReduceFunc {
-	return markReducerAttrs(q.Conds, part, rels, uniformAttr0(rels))
-}
-
-func uniformAttr0(rels []int) map[int]int {
-	m := make(map[int]int, len(rels))
-	for _, r := range rels {
-		m[r] = 0
+// firstAttrs returns the join-graph vertices of the given relations in a
+// single-attribute query: every relation's interval is its attribute 0.
+func firstAttrs(rels []int) []query.Operand {
+	verts := make([]query.Operand, len(rels))
+	for i, r := range rels {
+		verts[i] = query.Operand{Rel: r}
 	}
-	return m
-}
-
-// markReducerAttrs is the attribute-aware form used by Gen-Matrix, where the
-// join interval of relation r is t.Attrs[attrOf[r]].
-func markReducerAttrs(conds []query.Condition, part interval.Partitioning, rels []int, attrOf map[int]int) mr.ReduceFunc {
-	return func(key int64, values []string, write func(string) error) error {
-		p := int(key)
-		// Decode through a per-call arena: one flat interval column for the
-		// whole candidate list instead of one Attrs slice per record. The
-		// raw bodies ride along so survivors are re-emitted by splicing the
-		// flag in (encodeFlaggedBody) — byte-identical to re-encoding, with
-		// no per-endpoint formatting.
-		var arena relation.Arena
-		cands := make(map[int][]relation.Tuple, len(rels))
-		bodies := make(map[int][]string, len(rels))
-		for _, v := range values {
-			rel, body, err := splitTagged(v)
-			if err != nil {
-				return err
-			}
-			ref, err := arena.AppendDecode(body)
-			if err != nil {
-				return err
-			}
-			cands[rel] = append(cands[rel], arena.Tuple(ref))
-			bodies[rel] = append(bodies[rel], body)
-		}
-		replicate := markCrossingParticipants(conds, part, p, rels, attrOf, cands)
-		// Write every tuple that starts in this partition, flagged.
-		for _, rel := range rels {
-			attr := attrOf[rel]
-			for i, t := range cands[rel] {
-				if part.IndexOf(t.Attrs[attr].Start) != p {
-					continue
-				}
-				if err := write(encodeFlaggedBody(rel, replicate[rel][t.ID], bodies[rel][i])); err != nil {
-					return err
-				}
-			}
-		}
-		return nil
-	}
+	return verts
 }
 
 // markCrossingParticipants returns, per relation, the ids of the tuples at
 // partition p that belong to at least one consistent interval-set crossing p
-// (conditions C1 and C2 of RCCIS). It enumerates every proper non-empty
-// subset S of the relation set; for each it applies the unary boundary
-// filters B1/B2 derived from the conditions between S and its complement,
-// then keeps the tuples participating in a satisfying assignment over S via
-// a semi-join fixpoint (exact for the acyclic condition graphs of the
-// paper's queries, a safe superset otherwise).
+// (conditions C1 and C2 of RCCIS). verts names each relation's join interval;
+// cands holds the tuples split onto p, by relation. It enumerates every
+// proper non-empty subset S of the relation set; for each it applies the
+// unary boundary filters B1/B2 derived from the conditions between S and its
+// complement, then keeps the tuples participating in a satisfying assignment
+// over S via a semi-join fixpoint (exact for the acyclic condition graphs of
+// the paper's queries, a safe superset otherwise).
 func markCrossingParticipants(conds []query.Condition, part interval.Partitioning, p int,
-	rels []int, attrOf map[int]int, cands map[int][]relation.Tuple) map[int]map[int64]bool {
+	verts []query.Operand, cands map[int][]relation.Tuple) map[int]map[int64]bool {
 
-	marked := make(map[int]map[int64]bool, len(rels))
-	for _, r := range rels {
-		marked[r] = make(map[int64]bool)
+	marked := make(map[int]map[int64]bool, len(verts))
+	for _, v := range verts {
+		marked[v.Rel] = make(map[int64]bool)
 	}
-	m := len(rels)
+	m := len(verts)
 	inS := make(map[int]bool, m)
 	// Iterate proper non-empty subsets of rels via bitmasks. An output
 	// tuple (S = full set) is not a crossing set — its computation needs
 	// no replication — so the full mask is excluded.
 	for mask := 1; mask < (1<<m)-1; mask++ {
-		var sub []int
-		for i, r := range rels {
-			inS[r] = mask&(1<<i) != 0
-			if inS[r] {
-				sub = append(sub, r)
+		var sub []query.Operand
+		for i, v := range verts {
+			inS[v.Rel] = mask&(1<<i) != 0
+			if inS[v.Rel] {
+				sub = append(sub, v)
 			}
 		}
 		// Derive per-relation boundary requirements from conditions with
@@ -221,15 +133,16 @@ func markCrossingParticipants(conds []query.Condition, part interval.Partitionin
 		// Unary filters, then participation.
 		filtered := make([][]relation.Tuple, len(sub))
 		empty := false
-		for i, r := range sub {
-			attr := attrOf[r]
+		subRels := make([]int, len(sub))
+		for i, v := range sub {
+			subRels[i] = v.Rel
 			var keep []relation.Tuple
-			for _, t := range cands[r] {
-				iv := t.Attrs[attr]
-				if needRight[r] && !part.CrossesRight(iv, p) {
+			for _, t := range cands[v.Rel] {
+				iv := t.Attrs[v.Attr]
+				if needRight[v.Rel] && !part.CrossesRight(iv, p) {
 					continue
 				}
-				if needLeft[r] && !part.CrossesLeft(iv, p) {
+				if needLeft[v.Rel] && !part.CrossesLeft(iv, p) {
 					continue
 				}
 				keep = append(keep, t)
@@ -243,8 +156,8 @@ func markCrossingParticipants(conds []query.Condition, part interval.Partitionin
 		if empty {
 			continue
 		}
-		surviving := semijoinReduce(subConds, sub, filtered)
-		for i, r := range sub {
+		surviving := semijoinReduce(subConds, subRels, filtered)
+		for i, r := range subRels {
 			for _, t := range surviving[i] {
 				marked[r][t.ID] = true
 			}

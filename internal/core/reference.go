@@ -18,10 +18,9 @@ func (Reference) Name() string { return "reference" }
 func (Reference) Run(ctx *Context) (*Result, error) {
 	res := &Result{Algorithm: "reference", Metrics: mr.NewMetrics("reference")}
 	res.Metrics.Cycles = 0
-	rels := make([]int, len(ctx.Rels))
+	rels := allRelations(len(ctx.Rels))
 	cands := make([][]relation.Tuple, len(ctx.Rels))
 	for i, r := range ctx.Rels {
-		rels[i] = i
 		cands[i] = r.Tuples
 	}
 	// Honor the delta-window restriction the engine drivers apply at feed
@@ -39,11 +38,7 @@ func (Reference) Run(ctx *Context) (*Result, error) {
 	}
 	e := newEnumerator(ctx.Query.Conds, rels)
 	err := e.run(cands, func(asg []relation.Tuple) error {
-		out := make(OutputTuple, len(asg))
-		for i, t := range asg {
-			out[i] = t.ID
-		}
-		res.Tuples = append(res.Tuples, out)
+		res.Tuples = append(res.Tuples, outputTuple(nil, rels, asg))
 		return nil
 	})
 	res.SortTuples()

@@ -7,7 +7,6 @@ import (
 	"intervaljoin/internal/interval"
 	"intervaljoin/internal/mr"
 	"intervaljoin/internal/query"
-	"intervaljoin/internal/relation"
 )
 
 // SeqMatrix is All-Seq-Matrix (Section 8.1): hybrid queries run in two MR
@@ -45,142 +44,26 @@ func (SeqMatrix) stages(ctx *Context, env *chainEnv) ([]mr.Stage, *execPlan, err
 	if err != nil {
 		return nil, nil, err
 	}
-	join, err := componentJoinJob(ctx, part, env.d, nil)
+	dims := componentDims(env.d, part)
+	sp, err := ctx.product(dims, soundComponentLess(env.d))
 	if err != nil {
 		return nil, nil, err
 	}
+	join := cellJoin{name: "join", sp: sp, from: "marked", owner: true}
 	return []mr.Stage{
-		{Job: componentMarkJob(ctx, part, env.d), Tap: replicateFlagTap(&env.res.ReplicatedIntervals)},
-		{Job: join},
+		{Job: ctx.markJob(dims, false), Tap: replicateFlagTap(&env.res.ReplicatedIntervals)},
+		{Job: join.job(ctx)},
 	}, nil, nil
 }
 
-// compOfRel maps relation index -> component id for single-attribute
-// decompositions (every relation has exactly one vertex, at attribute 0).
-func compOfRel(d *query.Decomposition) map[int]int {
-	m := make(map[int]int)
-	for op, ci := range d.CompOf {
-		m[op.Rel] = ci
+// componentDims lays every colocation component of the decomposition along
+// its own dimension, all cut by the same partitioning.
+func componentDims(d *query.Decomposition, part interval.Partitioning) []dimension {
+	dims := make([]dimension, len(d.Components))
+	for ci, c := range d.Components {
+		dims[ci] = dimension{part: part, verts: c.Vertices}
 	}
-	return m
-}
-
-// componentMarkJob builds the cycle-1 job: split every relation within its
-// component's partitioning (key = component*o + partition) and run the RCCIS
-// marking per (component, partition). Its output, "marked", holds every
-// tuple exactly once, flagged for replication.
-func componentMarkJob(ctx *Context, part interval.Partitioning, d *query.Decomposition) mr.Job {
-	comp := compOfRel(d)
-	o := int64(part.Len())
-
-	// Per-component reducers, built once.
-	reducers := make([]mr.ReduceFunc, len(d.Components))
-	for ci := range d.Components {
-		rels := make([]int, 0, len(d.Components[ci].Vertices))
-		for _, v := range d.Components[ci].Vertices {
-			rels = append(rels, v.Rel)
-		}
-		reducers[ci] = markReducerAttrs(d.SubQueryConds(ci), part, rels, uniformAttr0(rels))
-	}
-
-	return mr.Job{
-		Name:   "mark",
-		Inputs: ctx.relInputs(),
-		Map: func(tag int, record string, emit mr.Emitter) error {
-			t, err := relation.DecodeTuple(record)
-			if err != nil {
-				return err
-			}
-			ci := comp[tag]
-			first, last := part.Split(t.Key())
-			// Keys within one component block are contiguous.
-			emit.EmitRange(int64(ci)*o+int64(first), int64(ci)*o+int64(last), encodeTagged(tag, t))
-			return nil
-		},
-		Reduce: func(key int64, values []string, write func(string) error) error {
-			ci := int(key / o)
-			partKey := key % o
-			return reducers[ci](partKey, values, write)
-		},
-		Output: "marked",
-	}
-}
-
-// componentJoinJob builds the final routing-and-join cycle over "marked"
-// shared by All-Seq-Matrix and PASM. pruned, when non-nil, maps relation ->
-// set of tuple ids that cannot contribute to any output and are dropped
-// map-side.
-func componentJoinJob(ctx *Context, part interval.Partitioning,
-	d *query.Decomposition, pruned []map[int64]bool) (mr.Job, error) {
-
-	comp := compOfRel(d)
-	l := d.NumComponents()
-	o := part.Len()
-	g, err := grid.NewUniform(l, o)
-	if err != nil {
-		return mr.Job{}, err
-	}
-	cons := soundComponentLess(d)
-	m := len(ctx.Rels)
-
-	mapFn := func(_ int, record string, emit mr.Emitter) error {
-		rel, replicate, t, err := decodeFlagged(record)
-		if err != nil {
-			return err
-		}
-		if pruned != nil && pruned[rel] != nil && pruned[rel][t.ID] {
-			return nil
-		}
-		k := comp[rel]
-		q := part.Project(t.Key())
-		bounds := g.FreeBounds()
-		if replicate {
-			bounds[k] = grid.Bound{Min: q, Max: o - 1} // E2, replicated
-		} else {
-			bounds[k] = grid.Bound{Min: q, Max: q} // E2, projected
-		}
-		enc := encodeTagged(rel, t)
-		g.EnumerateRuns(bounds, cons, func(lo, hi int64) { emit.EmitRange(lo, hi, enc) })
-		return nil
-	}
-
-	// Shared across reduce calls: the plan is static and per-run state is
-	// pooled inside the enumerator.
-	e := newEnumerator(ctx.Query.Conds, allRelations(m)).withTracer(ctx.Engine.Tracer())
-	lvl := identityLevels(m)
-	reduceFn := func(key int64, values []string, write func(string) error) error {
-		coord := g.Coord(key, nil)
-		return e.runTagged(values, lvl, func(asg []relation.Tuple) error {
-			// Exactly-once: this cell's coordinate along every component
-			// dimension must equal the start partition of the component's
-			// right-most member.
-			for ci := range d.Components {
-				maxStart := interval.Point(0)
-				first := true
-				for _, v := range d.Components[ci].Vertices {
-					s := asg[v.Rel].Key().Start
-					if first || s > maxStart {
-						maxStart, first = s, false
-					}
-				}
-				if part.IndexOf(maxStart) != coord[ci] {
-					return nil
-				}
-			}
-			out := make(OutputTuple, len(asg))
-			for i, t := range asg {
-				out[i] = t.ID
-			}
-			return write(out.Key())
-		})
-	}
-
-	return mr.Job{
-		Name:   "join",
-		Inputs: []mr.Input{{File: "marked"}},
-		Map:    mapFn,
-		Reduce: reduceFn,
-	}, nil
+	return dims
 }
 
 // soundComponentLess derives the grid consistency constraints (E1) that are

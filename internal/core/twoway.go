@@ -6,7 +6,6 @@ import (
 	"intervaljoin/internal/interval"
 	"intervaljoin/internal/mr"
 	"intervaljoin/internal/query"
-	"intervaljoin/internal/relation"
 )
 
 // TwoWay computes a single-condition 2-way interval join in one MR cycle
@@ -34,50 +33,16 @@ func (tw TwoWay) stages(ctx *Context, env *chainEnv) ([]mr.Stage, *execPlan, err
 	if err != nil {
 		return nil, nil, err
 	}
-	part := plan.part
-
 	cond := ctx.Query.Conds[0]
 	strategy := interval.JoinStrategy(cond.Pred)
-	opOf := map[int]interval.Op{
-		cond.Left.Rel:  strategy.Left,
-		cond.Right.Rel: strategy.Right,
+	ops := make([]interval.Op, 2)
+	ops[cond.Left.Rel], ops[cond.Right.Rel] = strategy.Left, strategy.Right
+	// Exactly one reducer sees each satisfying pair — the strategy projects
+	// at least one side — so the owner rule is not needed.
+	join := cellJoin{
+		name: "join",
+		sp:   ctx.union(plan, dimension{part: plan.part, verts: []query.Operand{cond.Left, cond.Right}}),
+		ops:  ops,
 	}
-
-	// Shared across reduce calls: the plan is static and per-run state is
-	// pooled inside the enumerator. Binding order is (left, right), so the
-	// right relation's level gets the specialized columnar kernel.
-	e := newEnumerator(ctx.Query.Conds, []int{cond.Left.Rel, cond.Right.Rel}).
-		withTracer(ctx.Engine.Tracer())
-	lvl := make([]int, len(ctx.Rels))
-	for r := range lvl {
-		lvl[r] = -1
-	}
-	lvl[cond.Left.Rel] = 0
-	lvl[cond.Right.Rel] = 1
-
-	join := mr.Job{
-		Name:   "join",
-		Inputs: ctx.relInputs(),
-		Map: func(tag int, record string, emit mr.Emitter) error {
-			t, err := relation.DecodeTuple(record)
-			if err != nil {
-				return err
-			}
-			first, last := part.Apply(opOf[tag], t.Attrs[0])
-			plan.emitRange(emit, first, last, tag, encodeTagged(tag, t))
-			return nil
-		},
-		Resplit: resplitValues(2, streamOfTagged),
-		Reduce: func(key int64, values []string, write func(string) error) error {
-			// Exactly one reducer sees each satisfying pair: the strategy
-			// projects at least one side, so no dedup filter is needed.
-			return e.runTagged(values, lvl, func(asg []relation.Tuple) error {
-				out := make(OutputTuple, 2)
-				out[cond.Left.Rel] = asg[0].ID
-				out[cond.Right.Rel] = asg[1].ID
-				return write(out.Key())
-			})
-		},
-	}
-	return []mr.Stage{{Job: join}}, plan, nil
+	return []mr.Stage{{Job: join.job(ctx)}}, plan, nil
 }
