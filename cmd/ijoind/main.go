@@ -55,6 +55,7 @@ import (
 	"net/http/pprof"
 	"os"
 	"os/signal"
+	"slices"
 	"strconv"
 	"strings"
 	"sync/atomic"
@@ -639,9 +640,8 @@ func sameRows(a, b []core.OutputTuple) error {
 		return fmt.Errorf("row counts differ: cold %d, warm %d", len(a), len(b))
 	}
 	for i := range a {
-		ka, kb := a[i].Key(), b[i].Key()
-		if ka != kb {
-			return fmt.Errorf("row %d differs: cold %s, warm %s", i, ka, kb)
+		if !slices.Equal(a[i], b[i]) {
+			return fmt.Errorf("row %d differs: cold %s, warm %s", i, a[i].Key(), b[i].Key())
 		}
 	}
 	return nil

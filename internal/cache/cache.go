@@ -110,43 +110,58 @@ type group struct {
 // slabs are charged at their real sizes.
 const segmentOverhead = 128
 
-// newSegment lays the rows out in segment form, sorting them first if
-// they are not in canonical order (engine results are). The rows must
-// share one non-zero arity, and rows with equal IDs[0] one anchor.
+// newSegment is the []Row way into a segment, Cache.Insert's: it sorts the
+// rows if they are not in canonical order, checks that they share one
+// non-zero arity and rows with equal IDs[0] one anchor, and flattens them
+// for layoutSegment.
 func newSegment(k Key, w Window, rows []Row) (*Segment, error) {
 	if !slices.IsSortedFunc(rows, compareRowIDs) {
 		slices.SortFunc(rows, compareRowIDs)
 	}
-	seg := &Segment{Key: k, Win: w}
-	ngroups, wireLen := 0, 0
+	arity := 0
+	if len(rows) > 0 {
+		arity = len(rows[0].IDs)
+	}
+	ids := make([]int64, 0, len(rows)*arity)
 	for i, r := range rows {
-		if i == 0 {
-			seg.arity = len(r.IDs)
+		if len(r.IDs) != arity || arity == 0 {
+			return nil, fmt.Errorf("cache: row %d has %d ids, want %d (and at least one)", i, len(r.IDs), arity)
 		}
-		if len(r.IDs) != seg.arity || seg.arity == 0 {
-			return nil, fmt.Errorf("cache: row %d has %d ids, want %d (and at least one)", i, len(r.IDs), seg.arity)
-		}
-		if i == 0 || r.IDs[0] != rows[i-1].IDs[0] {
-			ngroups++
-		} else if r.Anchor != rows[i-1].Anchor {
+		if i > 0 && r.IDs[0] == rows[i-1].IDs[0] && r.Anchor != rows[i-1].Anchor {
 			return nil, fmt.Errorf("cache: anchor id %d carries two anchors, %v and %v", r.IDs[0], rows[i-1].Anchor, r.Anchor)
 		}
-		wireLen += rowWireLen(r.IDs)
+		ids = append(ids, r.IDs...)
 	}
-	seg.ids = make([]int64, 0, len(rows)*seg.arity)
+	return layoutSegment(k, w, arity, ids, func(row int) interval.Interval { return rows[row].Anchor }), nil
+}
+
+// layoutSegment builds the segment for rows that are already one slab: ids
+// holds them back to back, arity ids each, in canonical order, and filled
+// to capacity — the segment keeps the slab as its own, so the caller must
+// not write to it again. anchorOf is asked once per anchor group, for the
+// anchor of the group that starts at the given row.
+func layoutSegment(k Key, w Window, arity int, ids []int64, anchorOf func(row int) interval.Interval) *Segment {
+	seg := &Segment{Key: k, Win: w, arity: arity, ids: ids}
+	ngroups, wireLen := 0, 0
+	for i := 0; i < len(ids); i += arity {
+		if i == 0 || ids[i] != ids[i-arity] {
+			ngroups++
+		}
+		wireLen += rowWireLen(ids[i : i+arity])
+	}
 	seg.wire = make([]byte, 0, wireLen)
 	seg.groups = make([]group, 0, ngroups+1)
-	for i, r := range rows {
-		if i == 0 || r.IDs[0] != rows[i-1].IDs[0] {
-			seg.groups = append(seg.groups, group{id: r.IDs[0], anchor: r.Anchor, row: i, wire: len(seg.wire)})
+	row := 0
+	for i := 0; i < len(ids); i, row = i+arity, row+1 {
+		if i == 0 || ids[i] != ids[i-arity] {
+			seg.groups = append(seg.groups, group{id: ids[i], anchor: anchorOf(row), row: row, wire: len(seg.wire)})
 		}
-		seg.ids = append(seg.ids, r.IDs...)
-		seg.wire = appendRowWire(seg.wire, r.IDs)
+		seg.wire = appendRowWire(seg.wire, ids[i:i+arity])
 	}
-	seg.groups = append(seg.groups, group{row: len(rows), wire: len(seg.wire)})
+	seg.groups = append(seg.groups, group{row: row, wire: len(seg.wire)})
 	seg.bytes = segmentOverhead + 8*int64(cap(seg.ids)) + int64(cap(seg.wire)) +
 		int64(unsafe.Sizeof(group{}))*int64(cap(seg.groups))
-	return seg, nil
+	return seg
 }
 
 // appendRowWire appends one row's wire text: the ids as a JSON array,

@@ -403,8 +403,10 @@ func (s *Service) bind(q *query.Query) ([]*relation.Relation, []string, string, 
 // the rows whose anchor intersects the gap, including whole (unclipped)
 // straddling anchors — the halo the merge dedups. The run's algorithm
 // name, row count and engine metrics are folded into ans. Engine runs
-// serialize on runMu. Each run writes under a scratch prefix of its own
-// on the store, which is emptied again once the result is in memory.
+// serialize on runMu. Each run has a scratch prefix of its own on the
+// store, for the cycle boundaries a multi-cycle join may put there (the
+// result itself never touches the store); it is emptied again once the
+// run is over.
 func (s *Service) runDelta(engine *mr.Engine, q *query.Query, rels []*relation.Relation, files []string, anchors map[int64]interval.Interval, key Key, gap Window, ans *Answer) (*Segment, error) {
 	opts := s.opts
 	opts.Window = &[2]interval.Point{gap.Lo, gap.Hi}
@@ -426,11 +428,12 @@ func (s *Service) runDelta(engine *mr.Engine, q *query.Query, rels []*relation.R
 	ans.Algorithm = res.Algorithm
 	ans.mergeEngine(res.Metrics)
 	ans.DeltaRows += int64(len(res.Tuples))
-	rows := make([]Row, len(res.Tuples))
-	for i, t := range res.Tuples {
-		rows[i] = Row{IDs: t, Anchor: anchors[t[0]]}
-	}
-	return newSegment(key, gap, rows)
+	// The result is already a slab in canonical order; it becomes the
+	// segment's as it is.
+	arity := len(rels)
+	return layoutSegment(key, gap, arity, res.IDs, func(row int) interval.Interval {
+		return anchors[res.IDs[row*arity]]
+	}), nil
 }
 
 // removeScratch deletes a finished run's files from the store. A file

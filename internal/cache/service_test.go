@@ -337,28 +337,59 @@ func (stuckStore) Remove(name string) error { return fmt.Errorf("remove %s: read
 
 // TestFailedScratchRemovalIsCounted: a file the store refuses to delete
 // does not fail the query, and shows in the cache_scratch_remove_failed
-// counter.
+// counter. Only a run that has a cycle boundary to put on the store leaves
+// such a file — a multi-cycle join under Materialize; the default two-way
+// delta join writes nothing under its scratch prefix, so there is nothing
+// to fail on.
 func TestFailedScratchRemovalIsCounted(t *testing.T) {
-	tr := obs.New(obs.Options{})
-	eng := mr.NewEngine(mr.Config{Store: stuckStore{dfs.NewMem()}, Workers: 2})
-	svc, err := NewService(ServiceConfig{Engine: eng, Tracer: tr, Opts: core.Options{Partitions: 4}})
-	if err != nil {
+	threeWay := query.New()
+	if err := threeWay.AddCondition("R1", "", interval.Overlaps, "R2", ""); err != nil {
 		t.Fatal(err)
 	}
-	for _, r := range []*relation.Relation{adversarialRelation("R1", 47), adversarialRelation("R2", 53)} {
-		if _, err := svc.Register(r); err != nil {
-			t.Fatal(err)
-		}
-	}
-	ans, err := svc.Query(predQuery(t, interval.Overlaps), Window{0, 400})
-	if err != nil {
+	if err := threeWay.AddCondition("R2", "", interval.Overlaps, "R3", ""); err != nil {
 		t.Fatal(err)
 	}
-	if len(ans.Rows) == 0 {
-		t.Fatal("query returned no rows")
-	}
-	if n := tr.Snapshot().Counters["cache_scratch_remove_failed"]; n == 0 {
-		t.Fatal("cache_scratch_remove_failed = 0 with a store that removes nothing")
+	for _, tc := range []struct {
+		name       string
+		q          *query.Query
+		opts       core.Options
+		wantFailed bool
+	}{
+		{"three-way materialized", threeWay, core.Options{Partitions: 4, Materialize: true}, true},
+		{"two-way default", predQuery(t, interval.Overlaps), core.Options{Partitions: 4}, false},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			tr := obs.New(obs.Options{})
+			store := stuckStore{dfs.NewMem()}
+			eng := mr.NewEngine(mr.Config{Store: store, Workers: 2})
+			svc, err := NewService(ServiceConfig{Engine: eng, Tracer: tr, Opts: tc.opts})
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, r := range []*relation.Relation{adversarialRelation("R1", 47), adversarialRelation("R2", 53), adversarialRelation("R3", 57)} {
+				if _, err := svc.Register(r); err != nil {
+					t.Fatal(err)
+				}
+			}
+			ans, err := svc.Query(tc.q, Window{0, 400})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(ans.Rows) == 0 {
+				t.Fatal("query returned no rows")
+			}
+			left, err := store.List("delta/")
+			if err != nil {
+				t.Fatal(err)
+			}
+			failed := tr.Snapshot().Counters["cache_scratch_remove_failed"]
+			if tc.wantFailed && (failed == 0 || len(left) == 0) {
+				t.Fatalf("cache_scratch_remove_failed = %d, scratch files left %v, with a store that removes nothing", failed, left)
+			}
+			if !tc.wantFailed && (failed != 0 || len(left) != 0) {
+				t.Fatalf("the run wrote scratch files %v (cache_scratch_remove_failed = %d), want none", left, failed)
+			}
+		})
 	}
 }
 

@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 
@@ -37,6 +38,7 @@ func crossValidate(t *testing.T, q *query.Query, rels []*relation.Relation, opts
 	if err != nil {
 		t.Fatal(err)
 	}
+	checkResultForm(t, "reference", want, len(rels))
 	wantSet := want.TupleSet()
 	for _, alg := range algs {
 		o := opts
@@ -49,6 +51,11 @@ func crossValidate(t *testing.T, q *query.Query, rels []*relation.Relation, opts
 		if err != nil {
 			t.Fatalf("%s: %v", alg.Name(), err)
 		}
+		if got.Metrics.OutputRecords != int64(len(got.Tuples)) {
+			t.Errorf("%s: OutputRecords = %d with %d tuples (query %s)",
+				alg.Name(), got.Metrics.OutputRecords, len(got.Tuples), q)
+		}
+		checkResultForm(t, alg.Name(), got, len(rels))
 		gotSet := got.TupleSet()
 		if len(got.Tuples) != len(gotSet) {
 			t.Errorf("%s: %d tuples but %d distinct — duplicates emitted (query %s)",
@@ -68,6 +75,23 @@ func crossValidate(t *testing.T, q *query.Query, rels []*relation.Relation, opts
 				t.Errorf("%s: spurious output tuple %s (query %s)", alg.Name(), k, q)
 				break
 			}
+		}
+	}
+}
+
+// checkResultForm pins the shape every run's output has: rows of w ids in
+// canonical order, as views of one slab that holds nothing else.
+func checkResultForm(t *testing.T, name string, res *Result, w int) {
+	t.Helper()
+	if len(res.IDs) != len(res.Tuples)*w || cap(res.IDs) != len(res.IDs) {
+		t.Fatalf("%s: %d tuples of %d ids over a slab of %d (cap %d)", name, len(res.Tuples), w, len(res.IDs), cap(res.IDs))
+	}
+	for i, tup := range res.Tuples {
+		if len(tup) != w || &tup[0] != &res.IDs[i*w] {
+			t.Fatalf("%s: tuple %d is not the slab's row %d", name, i, i)
+		}
+		if i > 0 && slices.Compare(res.Tuples[i-1], tup) > 0 {
+			t.Fatalf("%s: tuple %d = %v sorts before its predecessor %v", name, i, tup, res.Tuples[i-1])
 		}
 	}
 }

@@ -238,11 +238,13 @@ func encodePartial(rels []int, tuples []relation.Tuple) string {
 
 // decodePartial parses encodePartial's output.
 func decodePartial(s string) (partial, error) {
-	parts := strings.Split(s, "#")
-	pa := partial{rels: make([]int, len(parts)), tuples: make([]relation.Tuple, len(parts))}
-	for i, p := range parts {
+	n := strings.Count(s, "#") + 1
+	pa := partial{rels: make([]int, n), tuples: make([]relation.Tuple, n)}
+	for i := range pa.rels {
+		var member string
+		member, s, _ = strings.Cut(s, "#")
 		var err error
-		if pa.rels[i], pa.tuples[i], err = decodeTagged(p); err != nil {
+		if pa.rels[i], pa.tuples[i], err = decodeTagged(member); err != nil {
 			return partial{}, err
 		}
 	}

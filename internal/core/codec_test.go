@@ -1,6 +1,7 @@
 package core
 
 import (
+	"math"
 	"testing"
 	"testing/quick"
 
@@ -99,13 +100,20 @@ func TestPartialRoundTrip(t *testing.T) {
 	}
 }
 
-func TestOutputTupleRoundTrip(t *testing.T) {
-	o := OutputTuple{3, -1, 99}
-	got, err := ParseOutputTuple(o.Key())
-	if err != nil || len(got) != 3 || got[0] != 3 || got[1] != -1 || got[2] != 99 {
-		t.Fatalf("output tuple round trip: %v %v", got, err)
-	}
-	if _, err := ParseOutputTuple("1,x"); err == nil {
-		t.Error("bad output tuple accepted")
+func TestOutputTupleKey(t *testing.T) {
+	for _, tc := range []struct {
+		o    OutputTuple
+		want string
+	}{
+		{OutputTuple{3, -1, 99}, "3,-1,99"},
+		{OutputTuple{7}, "7"},
+		{OutputTuple{}, ""},
+		// Longer than Key's stack buffer.
+		{OutputTuple{math.MinInt64, math.MaxInt64, math.MinInt64, math.MaxInt64},
+			"-9223372036854775808,9223372036854775807,-9223372036854775808,9223372036854775807"},
+	} {
+		if got := tc.o.Key(); got != tc.want {
+			t.Errorf("Key(%v) = %q, want %q", []int64(tc.o), got, tc.want)
+		}
 	}
 }

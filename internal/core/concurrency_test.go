@@ -67,35 +67,42 @@ func TestConcurrentRunsShareEngine(t *testing.T) {
 }
 
 // TestExplicitScratchIsolation: runs with distinct explicit scratch
-// prefixes do not clobber each other's files.
+// prefixes do not clobber each other's files, and a run writes under its
+// prefix only what a later cycle has to read back — a single-cycle run
+// nothing at all.
 func TestExplicitScratchIsolation(t *testing.T) {
 	rng := rand.New(rand.NewSource(32))
-	q := query.MustParse("R1 overlaps R2")
 	rels := []*relation.Relation{
 		randomRelation(rng, "R1", 40, 100, 20),
 		randomRelation(rng, "R2", 40, 100, 20),
+		randomRelation(rng, "R3", 40, 100, 20),
 	}
 	engine := mr.NewEngine(mr.Config{Store: dfs.NewMem(), Workers: 2})
-	run := func(scratch string) int {
-		ctx, err := NewContext(engine, q, rels, Options{Partitions: 4, Scratch: scratch})
+	run := func(alg Algorithm, q string, rels []*relation.Relation, opts Options) int {
+		ctx, err := NewContext(engine, query.MustParse(q), rels, opts)
 		if err != nil {
 			t.Fatal(err)
 		}
-		res, err := (TwoWay{}).Run(ctx)
+		res, err := alg.Run(ctx)
 		if err != nil {
 			t.Fatal(err)
 		}
 		return len(res.Tuples)
 	}
-	a := run("runA")
-	b := run("runB")
+	// RCCIS under Materialize leaves its marking on the store.
+	const chain = "R1 overlaps R2 and R2 overlaps R3"
+	a := run(RCCIS{}, chain, rels, Options{Partitions: 4, Materialize: true, Scratch: "runA"})
+	b := run(RCCIS{}, chain, rels, Options{Partitions: 4, Materialize: true, Scratch: "runB"})
 	if a != b {
 		t.Fatalf("scratch-isolated runs disagree: %d vs %d", a, b)
 	}
-	// Both scratch outputs still exist independently.
-	for _, name := range []string{"runA/output", "runB/output"} {
+	for _, name := range []string{"runA/marked", "runB/marked"} {
 		if !engine.Store().Exists(name) {
-			t.Fatalf("output %s missing", name)
+			t.Fatalf("intermediate %s missing", name)
 		}
+	}
+	run(TwoWay{}, "R1 overlaps R2", rels[:2], Options{Partitions: 4, Scratch: "runC"})
+	if left, err := engine.Store().List("runC/"); err != nil || len(left) != 0 {
+		t.Fatalf("a single-cycle run left %v under its scratch prefix (err %v)", left, err)
 	}
 }

@@ -288,35 +288,31 @@ func (c *Context) sampleStarts() []interval.Point {
 // relation order.
 type OutputTuple []int64
 
-// Key renders the canonical form used for set comparison.
+// Key renders the canonical form used for set comparison and display:
+// the ids in decimal, comma-separated.
 func (o OutputTuple) Key() string {
-	parts := make([]string, len(o))
+	var buf [64]byte
+	b := buf[:0]
 	for i, id := range o {
-		parts[i] = strconv.FormatInt(id, 10)
-	}
-	return strings.Join(parts, ",")
-}
-
-// ParseOutputTuple parses the canonical form.
-func ParseOutputTuple(s string) (OutputTuple, error) {
-	parts := strings.Split(s, ",")
-	out := make(OutputTuple, len(parts))
-	for i, p := range parts {
-		id, err := strconv.ParseInt(p, 10, 64)
-		if err != nil {
-			return nil, fmt.Errorf("core: bad output tuple %q: %v", s, err)
+		if i > 0 {
+			b = append(b, ',')
 		}
-		out[i] = id
+		b = strconv.AppendInt(b, id, 10)
 	}
-	return out, nil
+	return string(b)
 }
 
 // Result is what an algorithm run produces.
 type Result struct {
 	// Algorithm is the algorithm's name.
 	Algorithm string
-	// Tuples is the decoded join output.
+	// Tuples is the join output in canonical order (ascending,
+	// lexicographically by id): headers into IDs.
 	Tuples []OutputTuple
+	// IDs holds the output's ids row after row in the same order, so that
+	// Tuples[i] is IDs[i*w:(i+1)*w] for a query over w relations. It is
+	// exactly as long as the rows and, like them, read-only.
+	IDs []int64
 	// Metrics aggregates all MR cycles of the run.
 	Metrics *mr.Metrics
 	// PerCycle holds the metrics of each individual cycle.
@@ -331,7 +327,89 @@ type Result struct {
 	PrunedIntervals map[int]int64
 }
 
-// SortTuples orders the output canonically for comparison and display.
+// setRows makes rows — a chain's last stage's output as the engine
+// committed it, or the oracle's as it was enumerated — the run's result, in
+// canonical order. Nothing is allocated per row: the ids are gathered into
+// one slab and Tuples are views of it.
+//
+// The order comes in two levels, because every join unit binds the
+// relations in index order and so emits rows in stretches that share their
+// leading id: the stretches are sorted by that id, then each id's rows are
+// brought together and sorted among themselves, on their second id first —
+// a plain integer sort that seldom has to look further. Rows that arrive in
+// no such order make every stretch one row long and the first level an
+// ordinary sort; the result is the same.
+func (r *Result) setRows(rows *mr.Rows) {
+	w := rows.Width
+	type stretch struct {
+		id   int64
+		rows []int64
+	}
+	var stretches []stretch
+	for _, c := range rows.Chunks() {
+		for lo := 0; lo < len(c); {
+			hi := lo + w
+			for hi < len(c) && c[hi] == c[lo] {
+				hi += w
+			}
+			stretches = append(stretches, stretch{id: c[lo], rows: c[lo:hi]})
+			lo = hi
+		}
+	}
+	slices.SortFunc(stretches, func(a, b stretch) int { return cmp.Compare(a.id, b.id) })
+
+	ids := make([]int64, 0, rows.Len()*w)
+	type tail struct {
+		id int64 // the row's second id
+		at int   // the row's offset in group
+	}
+	var group, seconds []int64
+	var tails []tail
+	for i := 0; i < len(stretches); {
+		id := stretches[i].id
+		group = group[:0]
+		for ; i < len(stretches) && stretches[i].id == id; i++ {
+			group = append(group, stretches[i].rows...)
+		}
+		switch w {
+		case 1:
+			ids = append(ids, group...)
+		case 2:
+			// The second id is all that is left of the row: it sorts as a
+			// bare integer column.
+			seconds = seconds[:0]
+			for at := 1; at < len(group); at += 2 {
+				seconds = append(seconds, group[at])
+			}
+			slices.Sort(seconds)
+			for _, s := range seconds {
+				ids = append(ids, id, s)
+			}
+		default:
+			tails = tails[:0]
+			for at := 0; at < len(group); at += w {
+				tails = append(tails, tail{id: group[at+1], at: at})
+			}
+			slices.SortFunc(tails, func(a, b tail) int {
+				if c := cmp.Compare(a.id, b.id); c != 0 {
+					return c
+				}
+				return slices.Compare(group[a.at+2:a.at+w], group[b.at+2:b.at+w])
+			})
+			for _, t := range tails {
+				ids = append(ids, group[t.at:t.at+w]...)
+			}
+		}
+	}
+	r.IDs = ids
+	r.Tuples = make([]OutputTuple, len(ids)/w)
+	for i := range r.Tuples {
+		r.Tuples[i] = ids[i*w : (i+1)*w : (i+1)*w]
+	}
+}
+
+// SortTuples orders the output canonically for comparison and display. The
+// drivers' results are already in that order.
 func (r *Result) SortTuples() {
 	slices.SortFunc(r.Tuples, func(a, b OutputTuple) int {
 		for k := range a {

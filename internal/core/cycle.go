@@ -302,31 +302,42 @@ func (c *Context) markJob(dims []dimension, vertexTagged bool) mr.Job {
 	}
 }
 
-// outputTuple renders a complete assignment as a result row: the tuple ids
-// indexed by relation. asg[i] binds relation rels[i]. The row is built in
-// out when it has the room.
-func outputTuple(out OutputTuple, rels []int, asg []relation.Tuple) OutputTuple {
-	if cap(out) < len(asg) {
-		out = make(OutputTuple, len(asg))
-	}
-	out = out[:len(asg)]
+// appendRow adds a complete assignment to rows as a result row: the tuple ids
+// indexed by relation. asg[i] binds relation rels[i].
+func appendRow(rows *mr.Rows, rels []int, asg []relation.Tuple) {
+	row := rows.Append()
 	for i, t := range asg {
-		out[rels[i]] = t.ID
+		row[rels[i]] = t.ID
 	}
-	return out
 }
 
-// assignmentRecord is what a join cycle writes for one assignment: the
-// chain's last stage (no intermediate to name) writes the output tuple, every
-// earlier one a partial assignment for the next cycle to extend.
-func assignmentRecord(output string, rels []int, asg []relation.Tuple) string {
+// joinFunc is a join cycle's reduce with the writing left out: it hands emit
+// every assignment the reducer of key accepts, asg[i] binding relation
+// rels[i].
+type joinFunc func(key int64, values []string, emit func(rels []int, asg []relation.Tuple) error) error
+
+// setJoin installs join as the job's reduce. What it writes for an assignment
+// depends on the cycle's place in the chain: a cycle that names an
+// intermediate writes partial-assignment records for the next cycle to
+// extend; the chain's last (no intermediate to name) appends the result row
+// itself — the ids by relation, never rendered — to the rows the runner
+// collects.
+func setJoin(job *mr.Job, output string, join joinFunc) {
 	if output != "" {
-		return encodePartial(rels, asg)
+		job.Output = output
+		job.Reduce = func(key int64, values []string, write func(string) error) error {
+			return join(key, values, func(rels []int, asg []relation.Tuple) error {
+				return write(encodePartial(rels, asg))
+			})
+		}
+		return
 	}
-	// The row only lives until it is rendered: for queries of up to eight
-	// relations it never leaves the stack.
-	var ids [8]int64
-	return outputTuple(ids[:0], rels, asg).Key()
+	job.ReduceRows = func(key int64, values []string, out *mr.Rows) error {
+		return join(key, values, func(rels []int, asg []relation.Tuple) error {
+			appendRow(out, rels, asg)
+			return nil
+		})
+	}
 }
 
 // cellJoin describes a cell-join cycle: records are routed into the space,
@@ -384,22 +395,21 @@ func (cj cellJoin) job(c *Context) mr.Job {
 		Name:   cj.name,
 		Inputs: c.baseInputs(sp),
 		Map:    sp.baseMap(cj.ops),
-		Reduce: func(key int64, values []string, write func(string) error) error {
-			k, coord := sp.locate(key)
-			u := &units[k]
-			return u.e.runTagged(values, u.lvl, func(asg []relation.Tuple) error {
-				if cj.owner {
-					for i := range u.dims {
-						if u.dims[i].owner(asg, u.lvl) != coord[i] {
-							return nil
-						}
+	}
+	setJoin(&job, cj.output, func(key int64, values []string, emit func([]int, []relation.Tuple) error) error {
+		k, coord := sp.locate(key)
+		u := &units[k]
+		return u.e.runTagged(values, u.lvl, func(asg []relation.Tuple) error {
+			if cj.owner {
+				for i := range u.dims {
+					if u.dims[i].owner(asg, u.lvl) != coord[i] {
+						return nil
 					}
 				}
-				return write(assignmentRecord(cj.output, u.rels, asg))
-			})
-		},
-		Output: cj.output,
-	}
+			}
+			return emit(u.rels, asg)
+		})
+	})
 	if cj.from != "" {
 		job.Inputs, job.Map = []mr.Input{{File: cj.from}}, sp.flaggedMap(cj.pruned, false)
 	}
@@ -466,36 +476,35 @@ func (bs bindStep) job(c *Context) mr.Job {
 			sp.route(emit, tag, t, ops[tag], stream, enc)
 			return nil
 		},
-		Reduce: func(key int64, values []string, write func(string) error) error {
-			var partials []partial
-			var novel []relation.Tuple
-			for _, v := range values {
-				pa, err := decodePartial(v)
-				if err != nil {
-					return err
-				}
-				if len(pa.rels) == 1 && pa.rels[0] == step.novel {
-					novel = append(novel, pa.tuples[0])
+	}
+	setJoin(&job, bs.output, func(_ int64, values []string, emit func([]int, []relation.Tuple) error) error {
+		var partials []partial
+		var novel []relation.Tuple
+		for _, v := range values {
+			pa, err := decodePartial(v)
+			if err != nil {
+				return err
+			}
+			if len(pa.rels) == 1 && pa.rels[0] == step.novel {
+				novel = append(novel, pa.tuples[0])
+				continue
+			}
+			partials = append(partials, pa)
+		}
+		for _, pa := range partials {
+			n := len(pa.rels)
+			rels := append(pa.rels[:n:n], step.novel)
+			for _, t := range novel {
+				if !satisfiesStep(pa, t, step) {
 					continue
 				}
-				partials = append(partials, pa)
-			}
-			for _, pa := range partials {
-				n := len(pa.rels)
-				rels := append(pa.rels[:n:n], step.novel)
-				for _, t := range novel {
-					if !satisfiesStep(pa, t, step) {
-						continue
-					}
-					if err := write(assignmentRecord(bs.output, rels, append(pa.tuples[:n:n], t))); err != nil {
-						return err
-					}
+				if err := emit(rels, append(pa.tuples[:n:n], t)); err != nil {
+					return err
 				}
 			}
-			return nil
-		},
-		Output: bs.output,
-	}
+		}
+		return nil
+	})
 	if sp.plan != nil {
 		// The key-independent pair loop decomposes cleanly; grid steps
 		// already spread load over two dimensions.

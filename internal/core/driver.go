@@ -13,7 +13,8 @@ import (
 // its partitioning or plan, and hands over a []mr.Stage built from the three
 // cycle kinds of cycle.go; everything around the cycles — defaults, the
 // provably-empty short-circuit, staging, file naming, per-stage annotations,
-// execution mode, metrics aggregation and the read-out — happens here, once.
+// execution mode, metrics aggregation and the result's order — happens here,
+// once.
 
 // chainEnv is what the runner has settled by the time a driver builds its
 // stages.
@@ -37,9 +38,10 @@ type stageBuilder func(*Context, *chainEnv) ([]mr.Stage, *execPlan, error)
 // Drivers name things relative to the run's scratch directory: a stage's
 // Job.Name and Job.Output are plain names ("mark", "marked"), and an input
 // whose File equals an earlier stage's Output reads that intermediate. The
-// last stage's output is always "<scratch>/output"; an intermediate stage
-// with an empty Output is observed through its Tap only. SortValues and
-// the (algorithm, cycle, family) JobMeta are set here for every stage.
+// last stage names no output and sets ReduceRows (setJoin): its rows are the
+// result. An intermediate stage with an empty Output is observed through its
+// Tap only. SortValues and the (algorithm, cycle, family) JobMeta are set
+// here for every stage.
 func (c *Context) runStages(alg string, build stageBuilder) (*Result, error) {
 	opts := c.Opts.withDefaults(alg)
 	agg := mr.NewMetrics(alg)
@@ -60,6 +62,12 @@ func (c *Context) runStages(alg string, build stageBuilder) (*Result, error) {
 		return nil, err
 	}
 
+	// The last stage's output is the run's: it is collected in rows, as
+	// ids, and takes neither a text form nor a place on the store, in
+	// either mode. (The engine rejects a last stage without ReduceRows.)
+	rows := &mr.Rows{Width: len(c.Rels)}
+	stages[len(stages)-1].Job.Rows = rows
+
 	dir := opts.Scratch + "/"
 	family := c.Query.Classify().String()
 	outputs := make(map[string]bool, len(stages))
@@ -70,9 +78,6 @@ func (c *Context) runStages(alg string, build stageBuilder) (*Result, error) {
 			if outputs[job.Inputs[k].File] {
 				job.Inputs[k].File = dir + job.Inputs[k].File
 			}
-		}
-		if i == len(stages)-1 {
-			job.Output = "output"
 		}
 		if job.Output != "" {
 			outputs[job.Output] = true
@@ -113,10 +118,7 @@ func (c *Context) runStages(alg string, build stageBuilder) (*Result, error) {
 	if plan != nil {
 		agg.Plan = plan.info()
 	}
-	if err := readOutput(c, dir+"output", res); err != nil {
-		return nil, err
-	}
-	res.SortTuples()
+	res.setRows(rows)
 	return res, nil
 }
 
@@ -129,28 +131,5 @@ func replicateFlagTap(n *int64) func(string) {
 		if i := strings.IndexByte(rec, ';'); i >= 0 && i+2 < len(rec) && rec[i+1] == '1' && rec[i+2] == ';' {
 			*n++
 		}
-	}
-}
-
-// readOutput decodes the final job output file into Result.Tuples.
-func readOutput(ctx *Context, file string, res *Result) error {
-	it, err := ctx.Engine.Store().Open(file)
-	if err != nil {
-		return err
-	}
-	defer it.Close()
-	for {
-		rec, ok, err := it.Next()
-		if err != nil {
-			return err
-		}
-		if !ok {
-			return nil
-		}
-		t, err := ParseOutputTuple(rec)
-		if err != nil {
-			return err
-		}
-		res.Tuples = append(res.Tuples, t)
 	}
 }

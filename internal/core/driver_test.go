@@ -95,3 +95,42 @@ func TestSingleCycleErrorStaysTransient(t *testing.T) {
 		})
 	}
 }
+
+// TestRunAllocationsIndependentOfRows is the result path's allocation
+// guard: rows travel from the reduce kernel to Result.Tuples in slabs, so a
+// run that returns ten times the rows over the same number of input tuples
+// allocates a few more chunks and longer slabs, not more objects per row.
+func TestRunAllocationsIndependentOfRows(t *testing.T) {
+	q := query.MustParse("R1 overlaps R2")
+	measure := func(maxLen int64) (allocs float64, rows int) {
+		rng := rand.New(rand.NewSource(11))
+		rels := []*relation.Relation{
+			randomRelation(rng, "R1", 250, 4000, maxLen),
+			randomRelation(rng, "R2", 250, 4000, maxLen),
+		}
+		engine := mr.NewEngine(mr.Config{Store: dfs.NewMem(), Workers: 2})
+		allocs = testing.AllocsPerRun(20, func() {
+			ctx, err := NewContext(engine, q, rels, Options{Partitions: 4})
+			if err != nil {
+				t.Fatal(err)
+			}
+			res, err := (TwoWay{}).Run(ctx)
+			if err != nil {
+				t.Fatal(err)
+			}
+			rows = len(res.Tuples)
+		})
+		return allocs, rows
+	}
+	few, fewRows := measure(40)
+	many, manyRows := measure(600)
+	if fewRows < 100 || manyRows < 10*fewRows {
+		t.Fatalf("runs return %d and %d rows; the guard needs them a factor of ten apart", fewRows, manyRows)
+	}
+	t.Logf("two-way run: %.0f allocations for %d rows, %.0f for %d", few, fewRows, many, manyRows)
+	// Slab growth adds a few dozen; one allocation per row would add
+	// manyRows-fewRows of them.
+	if many > few+float64(manyRows-fewRows)/10 {
+		t.Fatalf("a run allocates %.0f times for %d rows and %.0f times for %d", few, fewRows, many, manyRows)
+	}
+}

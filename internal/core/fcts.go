@@ -88,7 +88,7 @@ func (FCTS) sequenceJob(ctx *Context, sp *space, d *query.Decomposition) mr.Job 
 		return nil
 	}
 
-	reduceFn := func(key int64, values []string, write func(string) error) error {
+	join := func(_ int64, values []string, emit func([]int, []relation.Tuple) error) error {
 		byComp := make([][]partial, l)
 		for _, v := range values {
 			pa, err := decodePartial(v)
@@ -104,7 +104,7 @@ func (FCTS) sequenceJob(ctx *Context, sp *space, d *query.Decomposition) mr.Job 
 		var rec func(ci int) error
 		rec = func(ci int) error {
 			if ci == l {
-				return write(assignmentRecord("", byRel, asg)) // the chain's last stage
+				return emit(byRel, asg)
 			}
 		next:
 			for _, pa := range byComp[ci] {
@@ -129,10 +129,11 @@ func (FCTS) sequenceJob(ctx *Context, sp *space, d *query.Decomposition) mr.Job 
 		return rec(0)
 	}
 
-	return mr.Job{
+	job := mr.Job{
 		Name:   "sequence-join",
 		Inputs: []mr.Input{{File: "components"}},
 		Map:    mapFn,
-		Reduce: reduceFn,
 	}
+	setJoin(&job, "", join) // the chain's last stage
+	return job
 }

@@ -13,7 +13,7 @@ import (
 )
 
 // runWithConfig executes one algorithm against a fresh store with the given
-// engine configuration and returns the result plus the output file's lines.
+// engine configuration and returns the result plus its rows rendered as lines.
 func runWithConfig(t *testing.T, alg Algorithm, q *query.Query, rels []*relation.Relation,
 	opts Options, cfg mr.Config) (*Result, []string) {
 	t.Helper()
@@ -29,11 +29,7 @@ func runWithConfig(t *testing.T, alg Algorithm, q *query.Query, rels []*relation
 	if err != nil {
 		t.Fatalf("%s: %v", alg.Name(), err)
 	}
-	lines, err := dfs.ReadAll(store, opts.Scratch+"/output")
-	if err != nil {
-		t.Fatalf("%s: reading output: %v", alg.Name(), err)
-	}
-	return res, lines
+	return res, resultLines(res)
 }
 
 // requireSameRun asserts the range-coalesced run matched the expanded run

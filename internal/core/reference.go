@@ -37,10 +37,11 @@ func (Reference) Run(ctx *Context) (*Result, error) {
 		cands[ctx.Opts.WindowRel] = kept
 	}
 	e := newEnumerator(ctx.Query.Conds, rels)
+	rows := &mr.Rows{Width: len(rels)}
 	err := e.run(cands, func(asg []relation.Tuple) error {
-		res.Tuples = append(res.Tuples, outputTuple(nil, rels, asg))
+		appendRow(rows, rels, asg)
 		return nil
 	})
-	res.SortTuples()
+	res.setRows(rows)
 	return res, err
 }

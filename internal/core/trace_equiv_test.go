@@ -26,11 +26,7 @@ func runSingleTraced(t *testing.T, alg Algorithm, q *query.Query, rels []*relati
 	if err != nil {
 		t.Fatalf("%s: %v", alg.Name(), err)
 	}
-	lines, err := dfs.ReadAll(store, opts.Scratch+"/output")
-	if err != nil {
-		t.Fatalf("%s: reading output: %v", alg.Name(), err)
-	}
-	return res, lines, tr
+	return res, resultLines(res), tr
 }
 
 // TestTracedDriverMatchesUntraced runs representative algorithms (single

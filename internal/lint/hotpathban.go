@@ -13,7 +13,7 @@ import (
 // extend them from the command line.
 var HotPathBan = &Analyzer{
 	Name: "hotpathban",
-	Doc: "banned calls (sort.Slice, fmt.Sprintf, reflect.DeepEqual, ...) in " +
+	Doc: "banned calls (sort.Slice, fmt.Sprintf, reflect.DeepEqual, strings.Split) in " +
 		"the hot-path packages internal/core and internal/mr",
 	Run: runHotPathBan,
 }
@@ -24,6 +24,7 @@ var BannedCalls = map[string]string{
 	"sort.Slice":        "slices.SortFunc with a concrete comparator",
 	"fmt.Sprintf":       "strconv append-style formatting onto a byte buffer",
 	"reflect.DeepEqual": "a hand-written comparison",
+	"strings.Split":     "strings.Cut or strings.IndexByte over the string in place",
 }
 
 // HotPathScope lists the package-path substrings the ban applies to. The

@@ -9,6 +9,7 @@ import (
 	"slices"
 	"sort"
 	"strconv"
+	"strings"
 )
 
 // sortBanned uses closure-driven sort.Slice in the hot path: flagged.
@@ -26,6 +27,11 @@ func deepEqualBanned(a, b []int) bool {
 	return reflect.DeepEqual(a, b) // want `reflect\.DeepEqual is banned in hot-path package`
 }
 
+// splitBanned allocates a slice of fields per record: flagged.
+func splitBanned(rec string) int {
+	return len(strings.Split(rec, ",")) // want `strings\.Split is banned in hot-path package`
+}
+
 // suppressed demonstrates the escape hatch; the reason is mandatory.
 func suppressed(n int) string {
 	//lint:ignore hotpathban fixture demonstrates the annotated cold-path escape hatch
@@ -35,7 +41,8 @@ func suppressed(n int) string {
 // compliant uses the replacements the diagnostics suggest.
 func compliant(xs []int, n int) string {
 	slices.Sort(xs)
-	return "n=" + strconv.Itoa(n)
+	head, _, _ := strings.Cut("n,m", ",")
+	return head + "=" + strconv.Itoa(n)
 }
 
 // errorsAllowed shows fmt.Errorf is not on the ban list.
@@ -43,4 +50,4 @@ func errorsAllowed(n int) error {
 	return fmt.Errorf("bad n: %d", n)
 }
 
-var _ = []any{sortBanned, sprintfBanned, deepEqualBanned, suppressed, compliant, errorsAllowed}
+var _ = []any{sortBanned, sprintfBanned, deepEqualBanned, splitBanned, suppressed, compliant, errorsAllowed}

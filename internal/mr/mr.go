@@ -9,7 +9,9 @@
 // Keys are int64 reducer ids: the paper's partition-intervals and grid cells
 // map directly onto them. Values are strings (line records), so every
 // intermediate result can spill to the dfs.Store between cycles just as
-// Hadoop materialises cycle boundaries on HDFS.
+// Hadoop materialises cycle boundaries on HDFS. A chain's answer is no
+// intermediate: a job may reduce to typed id rows instead (Job.ReduceRows),
+// which go back to the caller as they are.
 //
 // Three Hadoop behaviours are modelled beyond the basic phases: map tasks
 // are record batches that are retried on transient failures (as Hadoop
@@ -83,6 +85,72 @@ type MapFunc func(tag int, record string, emit Emitter) error
 // across tasks; implementations must not retain it past the call.
 type ReduceFunc func(key int64, values []string, write func(record string) error) error
 
+// RowReduceFunc is the typed form of ReduceFunc, for a job whose reduce
+// output is the answer itself rather than records another cycle will map
+// over: each output is a row of Rows.Width ids, written in place into the
+// slot out.Append returns, so nothing is formatted and nothing is parsed
+// back. The same contract holds for values.
+type RowReduceFunc func(key int64, values []string, out *Rows) error
+
+// Rows is typed reduce output: rows of Width int64 ids. A job that sets
+// ReduceRows names one as its destination (Job.Rows), the way Output names
+// the destination of text records; when the job has run it holds every
+// committed task's rows, tasks in ascending key order. Each task attempt
+// writes into a Rows of its own, which reaches the job's only if the attempt
+// succeeds.
+//
+// Rows are kept in chunks that are never reallocated: a chunk is filled, then
+// a larger one is started, so appending copies nothing and a slot stays valid.
+type Rows struct {
+	// Width is the number of ids per row. Set before the job runs.
+	Width  int
+	chunks [][]int64
+}
+
+// Chunk capacities, in rows: every task's first chunk is small — most tasks
+// of most jobs emit a handful of rows — and each further one doubles up to
+// the limit.
+const (
+	minRowChunk = 32
+	maxRowChunk = 8192
+)
+
+// Append adds one row and returns it for the caller to fill in.
+func (r *Rows) Append() []int64 {
+	n := len(r.chunks)
+	if n == 0 || len(r.chunks[n-1])+r.Width > cap(r.chunks[n-1]) {
+		rows := minRowChunk
+		if n > 0 {
+			rows = min(2*cap(r.chunks[n-1])/r.Width, maxRowChunk)
+		}
+		r.chunks = append(r.chunks, make([]int64, 0, rows*r.Width))
+		n++
+	}
+	c := r.chunks[n-1]
+	c = c[:len(c)+r.Width]
+	r.chunks[n-1] = c
+	return c[len(c)-r.Width:]
+}
+
+// Len is the number of rows.
+func (r *Rows) Len() int {
+	n := 0
+	for _, c := range r.chunks {
+		n += len(c)
+	}
+	return n / max(r.Width, 1)
+}
+
+// Chunks returns the rows in the order they were committed: each chunk holds
+// whole rows back to back. The chunks are the Rows' own storage.
+func (r *Rows) Chunks() [][]int64 { return r.chunks }
+
+// take moves other's rows to the end of r.
+func (r *Rows) take(other *Rows) {
+	r.chunks = append(r.chunks, other.chunks...)
+	other.chunks = nil
+}
+
 // CombineFunc folds one map task's values for a key before the shuffle
 // (Hadoop's combiner). It must be semantically idempotent with the reducer:
 // reducing combined values must equal reducing the originals.
@@ -146,8 +214,16 @@ type Job struct {
 	Inputs []Input
 	// Map is the map function. Required.
 	Map MapFunc
-	// Reduce is the reduce function. Required.
+	// Reduce is the reduce function. Required, unless ReduceRows is set.
 	Reduce ReduceFunc
+	// ReduceRows, set instead of Reduce, makes the job's output typed id
+	// rows collected in Rows (required with it) rather than text records.
+	// Rows are committed exactly as records are: only a successful task
+	// attempt contributes, Resplit shards concatenate in shard order, and
+	// Metrics.OutputRecords counts rows. Such a job writes no Output, feeds
+	// no Tap and streams to no later stage — it is a chain's last.
+	ReduceRows RowReduceFunc
+	Rows       *Rows
 	// Combine optionally folds each map task's output before the shuffle.
 	Combine CombineFunc
 	// Output names where the reduce output is written. Empty discards
@@ -304,8 +380,11 @@ func (e *Engine) Run(job Job) (*Metrics, error) {
 // snk, when non-nil, observes every reduce task's committed output; writeOut
 // false suppresses writing Job.Output (the records only travel through snk).
 func (e *Engine) runJob(job Job, stream <-chan []taggedRecord, snk *sink, writeOut bool) (*Metrics, error) {
-	if job.Map == nil || job.Reduce == nil {
-		return nil, fmt.Errorf("mr: job %s: Map and Reduce are required", job.Name)
+	if job.Map == nil || (job.Reduce == nil) == (job.ReduceRows == nil) {
+		return nil, fmt.Errorf("mr: job %s: Map and one of Reduce and ReduceRows are required", job.Name)
+	}
+	if (job.ReduceRows != nil) != (job.Rows != nil) || job.Rows != nil && (job.Rows.Width < 1 || job.Output != "") {
+		return nil, fmt.Errorf("mr: job %s: ReduceRows and Rows go together, with a positive width and no Output", job.Name)
 	}
 	m := newMetrics(job.Name)
 	jobLane := e.tracer.Acquire()
@@ -817,12 +896,24 @@ func combinePairs(combine CombineFunc, pairs []emission, inAcc, outAcc int64) ([
 	return out, inAcc, outAcc
 }
 
-// reduceResult is one reduce task's buffered output.
+// reduceResult is one reduce task's buffered output: records, or rows for a
+// ReduceRows job.
 type reduceResult struct {
 	key      int64
 	output   []string
+	rows     Rows
 	duration time.Duration
 	pairs    int64
+}
+
+// newResult starts the result of a task over n values; for a ReduceRows job
+// its rows have the job's width.
+func (job *Job) newResult(key int64, n int) reduceResult {
+	res := reduceResult{key: key, pairs: int64(n)}
+	if job.Rows != nil {
+		res.rows.Width = job.Rows.Width
+	}
+	return res
 }
 
 func (e *Engine) reducePhase(job Job, shuffle *shuffleState, m *Metrics, snk *sink, writeOut bool, jobLane *obs.Lane) error {
@@ -844,9 +935,14 @@ func (e *Engine) reducePhase(job Job, shuffle *shuffleState, m *Metrics, snk *si
 		if res.duration > m.MaxReducerTime {
 			m.MaxReducerTime = res.duration
 		}
-		m.OutputRecords += int64(len(res.output))
+		m.OutputRecords += int64(len(res.output) + res.rows.Len())
 	}
 	m.MakespanKeyOrder, m.MakespanLPT = modelDispatchOrders(results, e.workers)
+	if job.Rows != nil {
+		for i := range results {
+			job.Rows.take(&results[i].rows)
+		}
+	}
 	if writeOut {
 		outStart := jobLane.Begin()
 		if err := e.writeOutput(job, results); err != nil {
@@ -976,11 +1072,9 @@ func (e *Engine) runReduceTask(job Job, task int, key int64, values []string, m 
 		slices.Sort(values)
 	}
 	for attempt := 1; ; attempt++ {
-		var out []string
-		write := func(record string) error {
-			out = append(out, record)
-			return nil
-		}
+		// The attempt's output lives in res and nowhere else, so a failed
+		// attempt's partial output goes away with it.
+		res := job.newResult(key, len(values))
 		t0 := time.Now()
 		err := func() error {
 			if e.inject != nil {
@@ -988,7 +1082,13 @@ func (e *Engine) runReduceTask(job Job, task int, key int64, values []string, m 
 					return err
 				}
 			}
-			return job.Reduce(key, values, write)
+			if job.ReduceRows != nil {
+				return job.ReduceRows(key, values, &res.rows)
+			}
+			return job.Reduce(key, values, func(record string) error {
+				res.output = append(res.output, record)
+				return nil
+			})
 		}()
 		if err == nil {
 			if lane != nil {
@@ -996,7 +1096,8 @@ func (e *Engine) runReduceTask(job Job, task int, key int64, values []string, m 
 					obs.Arg{Key: "key", Val: strconv.FormatInt(key, 10)})
 				lane.Observe("reduce_pairs", int64(len(values)))
 			}
-			return reduceResult{key: key, output: out, duration: time.Since(t0), pairs: int64(len(values))}, nil
+			res.duration = time.Since(t0)
+			return res, nil
 		}
 		if !errors.Is(err, ErrTransient) || attempt >= e.attempts {
 			return reduceResult{}, fmt.Errorf("mr: job %s: reduce key %d: %w", job.Name, key, err)
@@ -1015,8 +1116,8 @@ func (e *Engine) runReduceTask(job Job, task int, key int64, values []string, m 
 // and the shards reduced concurrently on spare goroutines — the
 // single-process analogue of re-scheduling a hot reduce task's input
 // across idle cluster workers. Each shard keeps the original key and the
-// full per-attempt retry machinery; the shard outputs are concatenated in
-// shard order into one result, so downstream (sink delivery, output
+// full per-attempt retry machinery; the shard outputs (records or rows) are
+// concatenated in shard order into one result, so downstream (sink delivery, output
 // commit, per-key metrics) sees exactly one task whose duration is the
 // wall clock of the whole split execution.
 func (e *Engine) runReduceTaskSplit(job Job, task int, key int64, values []string, m *retryCounter, lane *obs.Lane, spanName string) (reduceResult, error) {
@@ -1058,12 +1159,13 @@ func (e *Engine) runReduceTaskSplit(job Job, task int, key int64, values []strin
 		}(si)
 	}
 	wg.Wait()
-	merged := reduceResult{key: key, pairs: int64(len(values))}
+	merged := job.newResult(key, len(values))
 	for si := range shards {
 		if errs[si] != nil {
 			return reduceResult{}, errs[si]
 		}
 		merged.output = append(merged.output, results[si].output...)
+		merged.rows.take(&results[si].rows)
 	}
 	merged.duration = time.Since(t0)
 	if lane != nil {

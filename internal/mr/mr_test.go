@@ -210,6 +210,22 @@ func TestMissingFunctions(t *testing.T) {
 	if _, err := e.Run(Job{Name: "nofn"}); err == nil {
 		t.Fatal("job without Map/Reduce accepted")
 	}
+	// A job reduces to records or to rows, not both; rows need somewhere
+	// to go, a width, and no output file.
+	m := func(int, string, Emitter) error { return nil }
+	r := func(int64, []string, func(string) error) error { return nil }
+	rr := func(int64, []string, *Rows) error { return nil }
+	for name, job := range map[string]Job{
+		"both reduces":  {Map: m, Reduce: r, ReduceRows: rr, Rows: &Rows{Width: 1}},
+		"no rows":       {Map: m, ReduceRows: rr},
+		"rows unused":   {Map: m, Reduce: r, Rows: &Rows{Width: 1}},
+		"zero width":    {Map: m, ReduceRows: rr, Rows: &Rows{}},
+		"rows and file": {Map: m, ReduceRows: rr, Rows: &Rows{Width: 1}, Output: "out"},
+	} {
+		if _, err := e.Run(job); err == nil {
+			t.Errorf("%s: job accepted", name)
+		}
+	}
 }
 
 func TestEmptyInputProducesEmptyOutput(t *testing.T) {

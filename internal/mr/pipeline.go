@@ -35,7 +35,8 @@ type Stage struct {
 	// Tap, when non-nil, observes every output record of the stage as its
 	// reduce task commits, before (or instead of) being written. Calls
 	// are serialised by the engine. Taps let drivers compute statistics
-	// over intermediates without forcing them onto the store.
+	// over intermediates without forcing them onto the store. A ReduceRows
+	// job has no records to observe.
 	Tap func(record string)
 }
 

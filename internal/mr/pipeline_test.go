@@ -3,9 +3,11 @@ package mr
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -189,6 +191,143 @@ func TestPipelineMatchesChain(t *testing.T) {
 	if per[2].StreamedPairs != 0 {
 		t.Errorf("final stage streamed %d pairs, want 0", per[2].StreamedPairs)
 	}
+}
+
+// typedChain is chainJobs with a typed last stage: instead of one count per
+// key, the third job returns a row (key, value) for every value it received,
+// in value order — enough rows per task to span several chunks.
+func typedChain() ([]Job, *Rows) {
+	jobs := chainJobs()
+	rows := &Rows{Width: 2}
+	jobs[2].Reduce, jobs[2].Output = nil, ""
+	jobs[2].Rows = rows
+	jobs[2].ReduceRows = func(key int64, values []string, out *Rows) error {
+		for _, v := range values {
+			n, err := strconv.ParseInt(v, 10, 64)
+			if err != nil {
+				return err
+			}
+			row := out.Append()
+			row[0], row[1] = key, n
+		}
+		return nil
+	}
+	return jobs, rows
+}
+
+// flatRows is the rows' ids in commit order.
+func flatRows(r *Rows) []int64 {
+	var ids []int64
+	for _, c := range r.Chunks() {
+		ids = append(ids, c...)
+	}
+	return ids
+}
+
+// TestTypedLastStage: a ReduceRows job's rows are committed exactly as
+// records are. Behind streamed boundaries, behind store barriers (each stage
+// a pipeline of its own), through the spilled shuffle, with every first
+// attempt failing — the reduce attempts after they have emitted all their
+// rows — and with every task re-split into shards, the chain returns the
+// same rows in the same order, each once, and OutputRecords counts them.
+func TestTypedLastStage(t *testing.T) {
+	run := func(t *testing.T, cfg Config, jobs []Job, rows *Rows, barriers bool) []int64 {
+		t.Helper()
+		cfg.Store = dfs.NewMem()
+		cfg.Workers = 4
+		dfs.WriteAll(cfg.Store, "in", stageInput(5000))
+		e := NewEngine(cfg)
+		groups := [][]Stage{chainStages(jobs...)}
+		if barriers {
+			groups = [][]Stage{chainStages(jobs[0]), chainStages(jobs[1]), chainStages(jobs[2])}
+		}
+		var last *Metrics
+		for _, g := range groups {
+			per, _, err := e.RunPipeline(g...)
+			if err != nil {
+				t.Fatal(err)
+			}
+			last = per[len(per)-1]
+		}
+		if last.OutputRecords != int64(rows.Len()) || rows.Len() != 5000 {
+			t.Fatalf("OutputRecords = %d, rows = %d, want 5000 of each", last.OutputRecords, rows.Len())
+		}
+		if cfg.Store.Exists("t/out") {
+			t.Fatal("the typed stage wrote an output file")
+		}
+		return flatRows(rows)
+	}
+	jobs, rows := typedChain()
+	want := run(t, Config{}, jobs, rows, false)
+	for i := 2; i < len(want); i += 2 {
+		if want[i] < want[i-2] {
+			t.Fatalf("rows are not in reduce-key order: key %d follows %d", want[i], want[i-2])
+		}
+	}
+
+	t.Run("barriers", func(t *testing.T) {
+		jobs, rows := typedChain()
+		if got := run(t, Config{}, jobs, rows, true); !slices.Equal(got, want) {
+			t.Fatal("rows behind store barriers differ from rows behind streamed boundaries")
+		}
+	})
+	t.Run("spill", func(t *testing.T) {
+		jobs, rows := typedChain()
+		if got := run(t, Config{SpillPairThreshold: 200}, jobs, rows, false); !slices.Equal(got, want) {
+			t.Fatal("rows through the spilled shuffle differ")
+		}
+	})
+	t.Run("retry", func(t *testing.T) {
+		jobs, rows := typedChain()
+		// On top of the injected failures (before the task body), the
+		// first attempt that reaches the body emits everything and then
+		// fails: none of those rows may survive.
+		var mu sync.Mutex
+		failed := make(map[int64]bool)
+		body := jobs[2].ReduceRows
+		jobs[2].ReduceRows = func(key int64, values []string, out *Rows) error {
+			if err := body(key, values, out); err != nil {
+				return err
+			}
+			mu.Lock()
+			defer mu.Unlock()
+			if !failed[key] {
+				failed[key] = true
+				return fmt.Errorf("after emitting %d rows: %w", out.Len(), ErrTransient)
+			}
+			return nil
+		}
+		inj := &firstAttemptInjector{}
+		got := run(t, Config{MaxTaskAttempts: 3, FailureInjector: inj.inject}, jobs, rows, false)
+		if !slices.Equal(got, want) {
+			t.Fatal("rows after retries differ: a failed attempt's rows leaked, or a committed task's were lost")
+		}
+		if inj.failed == 0 || len(failed) != 7 {
+			t.Fatalf("injector fired %d times, %d of 7 reduce bodies failed once", inj.failed, len(failed))
+		}
+	})
+	t.Run("resplit", func(t *testing.T) {
+		jobs, rows := typedChain()
+		// The unsplit task reduces its values sorted (SortValues), so the
+		// shards are stretches of the sorted list.
+		var split atomic.Int64
+		jobs[2].Resplit = func(_ int64, values []string, parts int) [][]string {
+			split.Add(1)
+			sorted := slices.Clone(values)
+			slices.Sort(sorted)
+			shards := make([][]string, parts)
+			for i := range shards {
+				shards[i] = sorted[i*len(sorted)/parts : (i+1)*len(sorted)/parts]
+			}
+			return shards
+		}
+		if got := run(t, Config{ResplitPairThreshold: 100}, jobs, rows, false); !slices.Equal(got, want) {
+			t.Fatal("a re-split task's rows differ from the unsplit task's")
+		}
+		if split.Load() != 7 {
+			t.Fatalf("%d of 7 reduce tasks were re-split", split.Load())
+		}
+	})
 }
 
 // TestPipelineSpill runs the pipelined chain with the external sort-merge
