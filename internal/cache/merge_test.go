@@ -60,14 +60,7 @@ func clipRows(rows []Row, w Window) []core.OutputTuple {
 // in canonical order, with the anchors attached.
 func pieceRows(t *testing.T, svc *Service, q *query.Query, rels []*relation.Relation, piece Window) []Row {
 	t.Helper()
-	ctx, err := core.NewContext(svc.engine, q, rels, core.Options{Window: &[2]interval.Point{piece.Lo, piece.Hi}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := core.Reference{}.Run(ctx)
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := oracleResult(t, svc, q, rels, piece)
 	anchors := make(map[int64]interval.Interval, rels[0].Len())
 	for _, tup := range rels[0].Tuples {
 		anchors[tup.ID] = tup.Attrs[0]

@@ -1,0 +1,288 @@
+package cache
+
+import (
+	"fmt"
+	"math/rand"
+	"slices"
+	"testing"
+
+	"intervaljoin/internal/core"
+	"intervaljoin/internal/dfs"
+	"intervaljoin/internal/interval"
+	"intervaljoin/internal/mr"
+	"intervaljoin/internal/query"
+	"intervaljoin/internal/relation"
+)
+
+// randomJoin draws a connected query over 2 to 4 relations and data for it.
+// Relation i hangs off a random earlier one, so chains and stars both come
+// up, and now and then a further condition closes a cycle. multiAttr gives
+// every relation two interval attributes and lets conditions pick either (a
+// Gen-Matrix query, which must stay a tree: a cycle could tie two attributes
+// of one relation into one colocation component, which Gen-Matrix refuses);
+// sequence mixes before/after edges in. Endpoints come
+// from a small domain so that the point-equality predicates (meets, starts,
+// finishes, equals) find partners.
+func randomJoin(rng *rand.Rand, multiAttr, sequence bool) (*query.Query, []*relation.Relation) {
+	attrs := []string{"I"}
+	if multiAttr {
+		attrs = []string{"A", "B"}
+	}
+	n := 2 + rng.Intn(3)
+	rels := make([]*relation.Relation, n)
+	for i := range rels {
+		rels[i] = relation.New(relation.NewSchema(fmt.Sprintf("R%d", i+1), attrs...))
+		for k := 20 + rng.Intn(40); k > 0; k-- {
+			ivs := make([]interval.Interval, len(attrs))
+			for a := range ivs {
+				s := interval.Point(rng.Intn(60))
+				ivs[a] = interval.New(s, s+interval.Point(rng.Intn(12)))
+			}
+			rels[i].Append(ivs...)
+		}
+	}
+	pred := func() interval.Predicate {
+		if sequence && rng.Intn(3) == 0 {
+			return interval.Predicate(rng.Intn(2)) // before, after
+		}
+		return interval.Predicate(2 + rng.Intn(int(interval.NumPredicates)-2))
+	}
+	q := query.New()
+	for _, r := range rels {
+		q.AddRelation(r.Schema)
+	}
+	add := func(i, j int) {
+		err := q.AddCondition(rels[i].Schema.Name, attrs[rng.Intn(len(attrs))], pred(), rels[j].Schema.Name, attrs[rng.Intn(len(attrs))])
+		if err != nil {
+			panic(err)
+		}
+	}
+	for i := 1; i < n; i++ {
+		if j := rng.Intn(i); rng.Intn(2) == 0 {
+			add(j, i)
+		} else {
+			add(i, j)
+		}
+	}
+	if n > 2 && !multiAttr && rng.Intn(3) == 0 {
+		add(0, n-1)
+	}
+	return q, rels
+}
+
+// residents is the service's registered form of the query's relations.
+func residents(t *testing.T, svc *Service, q *query.Query) []*residentRel {
+	t.Helper()
+	rels, _, err := svc.bind(q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return rels
+}
+
+// TestSelectionMatchesFullJoinOracle is the property the delta path rests on:
+// joining only the tuples that can reach a window gives the rows of the whole
+// join that are anchored in it. Random queries of every class and random
+// windows; the service's cold and cached answers must equal the oracle that
+// filters the anchors by hand and joins the full other relations
+// (oracleResult shares nothing with narrow).
+func TestSelectionMatchesFullJoinOracle(t *testing.T) {
+	rng := rand.New(rand.NewSource(18))
+	preds := map[interval.Predicate]bool{}
+	classes := map[query.Class]int{}
+	nonEmpty, narrowed := 0, 0
+	for trial := 0; trial < 120; trial++ {
+		q, rels := randomJoin(rng, trial%3 == 1, trial%3 == 2)
+		for _, c := range q.Conds {
+			preds[c.Pred] = true
+		}
+		classes[q.Classify()]++
+		algs := core.Algorithms(q)
+		alg := algs[rng.Intn(len(algs))]
+		eng := mr.NewEngine(mr.Config{Store: dfs.NewMem(), Workers: 3})
+		svc, err := NewService(ServiceConfig{
+			Engine:    eng,
+			Opts:      core.Options{Partitions: 4, PartitionsPerDim: 3},
+			Algorithm: func(*query.Query) core.Algorithm { return alg },
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, r := range rels {
+			if _, err := svc.Register(r); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for k := 0; k < 4; k++ {
+			lo := interval.Point(rng.Intn(75) - 5)
+			w := Window{lo, lo + interval.Point(rng.Intn(25))}
+			label := fmt.Sprintf("trial %d, %s on %s, window %s", trial, alg.Name(), q, w.string())
+			want := oracleResult(t, svc, q, rels, w)
+			cold, err := svc.RunCold(q, w)
+			if err != nil {
+				t.Fatalf("%s: %v", label, err)
+			}
+			diffSets(t, label+" (cold)", answerSet(cold), want.TupleSet())
+			if cold.DeltaRows != int64(len(want.Tuples)) {
+				t.Fatalf("%s: DeltaRows = %d, the oracle has %d rows", label, cold.DeltaRows, len(want.Tuples))
+			}
+			cached, err := svc.Query(q, w)
+			if err != nil {
+				t.Fatalf("%s: %v", label, err)
+			}
+			diffSets(t, label+" (cached)", answerSet(cached), want.TupleSet())
+			if len(want.Tuples) > 0 {
+				nonEmpty++
+			}
+			if near := narrow(q, residents(t, svc, q), w); near != nil && near[len(near)-1].Len() < rels[len(rels)-1].Len() {
+				narrowed++
+			}
+		}
+	}
+	if len(preds) != int(interval.NumPredicates) {
+		t.Fatalf("anti-vacuity: the queries used %d of the %d predicates", len(preds), interval.NumPredicates)
+	}
+	for _, c := range []query.Class{query.Colocation, query.Hybrid, query.General} {
+		if classes[c] == 0 {
+			t.Fatalf("anti-vacuity: no %v query was drawn: %v", c, classes)
+		}
+	}
+	if nonEmpty < 100 || narrowed < 100 {
+		t.Fatalf("anti-vacuity: %d windows had rows and %d narrowed the last relation, of 480", nonEmpty, narrowed)
+	}
+}
+
+// TestSequenceNeighbourStaysWhole: before/after put no bound on where the
+// partner lies, so a relation reached only through them is not narrowed —
+// the rows of an anchor in the window pair it with tuples arbitrarily far
+// from it — while a colocation neighbour of the same anchors is.
+func TestSequenceNeighbourStaysWhole(t *testing.T) {
+	r1 := relation.FromIntervals("R1", []interval.Interval{interval.New(10, 12), interval.New(500, 510)})
+	r2 := relation.FromIntervals("R2", []interval.Interval{interval.New(0, 5), interval.New(11, 30), interval.New(400, 600)})
+	r3 := relation.FromIntervals("R3", []interval.Interval{interval.New(0, 5), interval.New(900, 905), interval.New(100000, 100001)})
+	rels := []*relation.Relation{r1, r2, r3}
+	q := predQuery(t, interval.Overlaps)
+	if err := q.AddCondition("R1", "", interval.Before, "R3", ""); err != nil {
+		t.Fatal(err)
+	}
+	w := Window{8, 20}
+	svc := newTestService(t, rels...)
+	near := narrow(q, residents(t, svc, q), w)
+	if near[2] != r3 {
+		t.Fatalf("R3, reached through before only, was narrowed to %d of %d tuples", near[2].Len(), r3.Len())
+	}
+	if near[0].Len() != 1 || near[1].Len() != 1 || near[1].Tuples[0].ID != 1 {
+		t.Fatalf("anchors %v and colocation neighbour %v: want tuple 0 and tuple 1 alone", near[0].Tuples, near[1].Tuples)
+	}
+	ans, err := svc.Query(q, w)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, want := string(ans.RowsJSON), "[[0,1,1],[0,1,2]]"; got != want {
+		t.Fatalf("rows %s, want %s", got, want)
+	}
+	diffSets(t, "sequence neighbour", answerSet(ans), oracleWindow(t, svc, q, rels, w))
+}
+
+// TestEmptyGapRunsNoJob: a gap that holds no anchor, or whose anchors' hull
+// leaves a colocation neighbour without a tuple, is answered — and cached —
+// as an empty segment, and the engine is never asked.
+func TestEmptyGapRunsNoJob(t *testing.T) {
+	r1 := relation.FromIntervals("R1", []interval.Interval{interval.New(10, 20), interval.New(300, 310)})
+	r2 := relation.FromIntervals("R2", []interval.Interval{interval.New(15, 25), interval.New(100, 110)})
+	r3 := relation.FromIntervals("R3", []interval.Interval{interval.New(18, 19)})
+	q := predQuery(t, interval.Overlaps)
+	if err := q.AddCondition("R2", "", interval.Contains, "R3", ""); err != nil {
+		t.Fatal(err)
+	}
+	svc := newTestService(t, r1, r2, r3)
+	for _, tc := range []struct {
+		name string
+		w    Window
+	}{
+		{"no anchor in the gap", Window{50, 250}},
+		{"anchor without a colocation neighbour", Window{290, 320}},
+	} {
+		ans, err := svc.Query(q, tc.w)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(ans.DeltaWindows) != 1 || ans.Engine != nil || len(ans.Rows) != 0 || string(ans.RowsJSON) != "[]" || ans.Algorithm == "" {
+			t.Fatalf("%s: %d gaps, engine metrics %v, rows %s, algorithm %q; want one gap answered empty without a run",
+				tc.name, len(ans.DeltaWindows), ans.Engine, ans.RowsJSON, ans.Algorithm)
+		}
+		again, err := svc.Query(q, tc.w)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(again.DeltaWindows) != 0 || again.HitSegments != 1 || len(again.Rows) != 0 {
+			t.Fatalf("%s: the empty gap was not cached: %+v", tc.name, again)
+		}
+	}
+	// The same service still joins where there is something to join.
+	ans, err := svc.Query(q, Window{0, 30})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if string(ans.RowsJSON) != "[[0,0,0]]" || ans.Engine == nil {
+		t.Fatalf("rows %s, engine metrics %v", ans.RowsJSON, ans.Engine)
+	}
+}
+
+// TestWindowCutsStraddlingAnchors: anchors that reach over a window's edge
+// are joined whole on both sides of it. Each side's answer and DeltaRows are
+// the oracle's, and the two segments agree on every anchor they share —
+// selectGroups fails a merge otherwise — so the cached answer over both is
+// the oracle's too.
+func TestWindowCutsStraddlingAnchors(t *testing.T) {
+	r1, r2, r3 := adversarialRelation("R1", 73), adversarialRelation("R2", 79), adversarialRelation("R3", 83)
+	rels := []*relation.Relation{r1, r2, r3}
+	q := predQuery(t, interval.Overlaps)
+	if err := q.AddCondition("R2", "", interval.OverlappedBy, "R3", ""); err != nil {
+		t.Fatal(err)
+	}
+	svc := newTestService(t, rels...)
+	left, right, both := Window{0, 199}, Window{200, 400}, Window{0, 400}
+	shared := map[int64]bool{}
+	for _, tup := range r1.Tuples {
+		if a := tup.Attrs[0]; a.Start <= left.Hi && a.End >= right.Lo {
+			shared[tup.ID] = true
+		}
+	}
+	straddlingRows := 0
+	for _, w := range []Window{left, right} {
+		ans, err := svc.Query(q, w)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := oracleResult(t, svc, q, rels, w)
+		diffSets(t, "side "+w.string(), answerSet(ans), want.TupleSet())
+		if ans.DeltaRows != int64(len(want.Tuples)) || len(ans.DeltaWindows) != 1 {
+			t.Fatalf("side %s: DeltaRows %d over %d gaps, the oracle has %d rows", w.string(), ans.DeltaRows, len(ans.DeltaWindows), len(want.Tuples))
+		}
+		for _, row := range ans.Rows {
+			if shared[row[0]] {
+				straddlingRows++
+			}
+		}
+	}
+	if straddlingRows == 0 {
+		t.Fatal("anti-vacuity: no row is anchored on a tuple that straddles the cut")
+	}
+	ans, err := svc.Query(q, both)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ans.HitSegments != 2 || len(ans.DeltaWindows) != 0 {
+		t.Fatalf("the whole range was not served from the two sides: %+v", ans)
+	}
+	want := oracleResult(t, svc, q, rels, both)
+	if len(ans.Rows) != len(want.Tuples) {
+		t.Fatalf("merged answer has %d rows, the oracle %d", len(ans.Rows), len(want.Tuples))
+	}
+	for i, row := range ans.Rows {
+		if !slices.Equal(row, want.Tuples[i]) {
+			t.Fatalf("merged row %d = %v, the oracle's %v", i, row, want.Tuples[i])
+		}
+	}
+}

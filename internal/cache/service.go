@@ -1,7 +1,9 @@
 package cache
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"strconv"
 	"sync"
 	"sync/atomic"
@@ -17,13 +19,13 @@ import (
 )
 
 // Service is the resident-relation join service: relations register once
-// (staged to the store under a versioned resident file), and windowed
-// queries answer from the semantic segment cache, running the join engine
-// only over the uncovered delta windows. It is the transport-free core of
-// cmd/ijoind and directly usable in tests and benchmarks.
+// and stay in memory, decoded and versioned, and windowed queries answer
+// from the semantic segment cache, running the join engine only over the
+// uncovered delta windows — and there only on the tuples that can reach the
+// window (narrow). It is the transport-free core of cmd/ijoind and directly
+// usable in tests and benchmarks.
 type Service struct {
 	engine    *mr.Engine
-	residents *dfs.Residents
 	cache     *Cache
 	tracer    *obs.Tracer
 	opts      core.Options
@@ -40,27 +42,71 @@ type Service struct {
 	rels map[string]*residentRel
 }
 
-// residentRel is one registered relation: the in-memory copy (bound into
-// run contexts for planning), its staged store file + version, and the
-// id → anchor index used to attach clip anchors to delta rows.
+// residentRel is one registered relation, its version — 1 at first
+// registration, one more each time the name is registered again — and, per
+// attribute, what finds the tuples intersecting an interval without reading
+// them all.
 type residentRel struct {
 	rel     *relation.Relation
-	file    string
 	version int
-	anchors map[int64]interval.Interval
+	// byStart[a] is the tuples in ascending start of attribute a, and
+	// endBy[a][i] the latest end of that attribute among byStart[a][:i+1] —
+	// non-decreasing, so both ends of the stretch that can intersect an
+	// interval are binary searches.
+	byStart [][]relation.Tuple
+	endBy   [][]interval.Point
+}
+
+func newResidentRel(rel *relation.Relation, version int) *residentRel {
+	r := &residentRel{rel: rel, version: version}
+	for a := 0; a < rel.Schema.Arity(); a++ {
+		sorted := slices.Clone(rel.Tuples)
+		slices.SortFunc(sorted, func(x, y relation.Tuple) int { return cmp.Compare(x.Attrs[a].Start, y.Attrs[a].Start) })
+		ends := make([]interval.Point, len(sorted))
+		for i, t := range sorted {
+			ends[i] = t.Attrs[a].End
+			if i > 0 && ends[i-1] > ends[i] {
+				ends[i] = ends[i-1]
+			}
+		}
+		r.byStart, r.endBy = append(r.byStart, sorted), append(r.endBy, ends)
+	}
+	return r
+}
+
+// intersecting is the relation cut down to the tuples whose attribute attr
+// intersects iv, in start order. The tuples keep their ids and share the
+// relation's intervals.
+func (r *residentRel) intersecting(attr int, iv interval.Interval) *relation.Relation {
+	sorted := r.byStart[attr]
+	// Nothing before lo reaches iv.Start, nothing from hi on starts by iv.End.
+	lo, _ := slices.BinarySearch(r.endBy[attr], iv.Start)
+	hi, _ := slices.BinarySearchFunc(sorted, iv.End, func(t relation.Tuple, end interval.Point) int {
+		if t.Attrs[attr].Start > end {
+			return 1
+		}
+		return -1
+	})
+	kept := &relation.Relation{Schema: r.rel.Schema}
+	for _, t := range sorted[min(lo, hi):hi] {
+		if t.Attrs[attr].End >= iv.Start {
+			kept.Tuples = append(kept.Tuples, t)
+		}
+	}
+	return kept
 }
 
 // ServiceConfig configures a Service.
 type ServiceConfig struct {
-	// Engine runs the delta joins. Required; its store receives the
-	// resident files.
+	// Engine runs the delta joins. Required; its store receives the cycle
+	// boundaries of multi-cycle joins, for as long as the join runs.
 	Engine *mr.Engine
 	// CacheBytes is the segment cache's byte budget (0 → DefaultBudget).
 	CacheBytes int64
 	// Tracer, when non-nil, receives the cache_* counters per query.
 	Tracer *obs.Tracer
-	// Opts are the base run options applied to every delta join; Window,
-	// WindowRel, ResidentInputs and Scratch are overwritten per run.
+	// Opts are the base run options applied to every delta join; Scratch is
+	// overwritten per run.
 	Opts core.Options
 	// Algorithm optionally overrides the planner's choice per query; nil
 	// uses core.Plan.
@@ -78,7 +124,6 @@ func NewService(cfg ServiceConfig) (*Service, error) {
 	}
 	return &Service{
 		engine:    cfg.Engine,
-		residents: dfs.NewResidents(cfg.Engine.Store()),
 		cache:     New(cfg.CacheBytes),
 		tracer:    cfg.Tracer,
 		opts:      cfg.Opts,
@@ -87,32 +132,39 @@ func NewService(cfg ServiceConfig) (*Service, error) {
 	}, nil
 }
 
-// Register stages the relation as the next version of its name and makes
-// it queryable. Re-registering a name bumps the version: cached segments
-// built on the old version stop matching new queries' keys and age out of
-// the LRU; in-flight queries keep reading the old resident file.
+// Register makes the relation queryable as the next version of its name.
+// Re-registering a name bumps the version: cached segments built on the old
+// version stop matching new queries' keys and age out of the LRU; in-flight
+// queries keep the relation they bound. The service reads rel from now on;
+// the caller must not change it.
 func (s *Service) Register(rel *relation.Relation) (version int, err error) {
+	if rel.Schema.Name == "" {
+		return 0, fmt.Errorf("cache: resident relation needs a name")
+	}
 	if err := rel.Validate(); err != nil {
 		return 0, err
 	}
-	records := make([]string, rel.Len())
-	anchors := make(map[int64]interval.Interval, rel.Len())
-	for i, t := range rel.Tuples {
-		records[i] = relation.EncodeTuple(t)
-		anchors[t.ID] = t.Attrs[0]
-	}
-	file, version, err := s.residents.Register(rel.Schema.Name, records)
-	if err != nil {
-		return 0, err
-	}
 	s.mu.Lock()
-	s.rels[rel.Schema.Name] = &residentRel{rel: rel, file: file, version: version, anchors: anchors}
-	s.mu.Unlock()
+	defer s.mu.Unlock()
+	version = 1
+	if old, ok := s.rels[rel.Schema.Name]; ok {
+		version = old.version + 1
+	}
+	s.rels[rel.Schema.Name] = newResidentRel(rel, version)
 	return version, nil
 }
 
 // Relations lists the registered relation names, sorted.
-func (s *Service) Relations() []string { return s.residents.Names() }
+func (s *Service) Relations() []string {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	names := make([]string, 0, len(s.rels))
+	for name := range s.rels {
+		names = append(names, name)
+	}
+	slices.Sort(names)
+	return names
+}
 
 // Stats snapshots the segment cache accounting.
 func (s *Service) Stats() Stats { return s.cache.Stats() }
@@ -154,8 +206,8 @@ type Answer struct {
 // Query answers a windowed query: rows whose anchor intersects the closed
 // window [w.Lo, w.Hi]. Every relation the query names must be registered.
 // Cache-covered spans merge without touching the engine; uncovered gaps
-// run as delta-window joins over the resident files and populate the cache
-// for the next query.
+// run as delta joins over the resident tuples that can reach the gap and
+// populate the cache for the next query.
 func (s *Service) Query(q *query.Query, w Window) (*Answer, error) {
 	return s.queryOn(s.engine, q, w)
 }
@@ -177,7 +229,7 @@ func (s *Service) queryOn(engine *mr.Engine, q *query.Query, w Window) (*Answer,
 	if err := q.Validate(); err != nil {
 		return nil, err
 	}
-	rels, files, versions, anchors, err := s.bind(q)
+	rels, versions, err := s.bind(q)
 	if err != nil {
 		return nil, err
 	}
@@ -205,7 +257,7 @@ func (s *Service) queryOn(engine *mr.Engine, q *query.Query, w Window) (*Answer,
 	// cached, so the answer is one merge over segments whether they came
 	// from the cache or from the engine just now.
 	for _, gap := range gaps {
-		seg, err := s.runDelta(engine, q, rels, files, anchors, key, gap, ans)
+		seg, err := s.runDelta(engine, q, rels, key, gap, ans)
 		if err != nil {
 			return nil, err
 		}
@@ -240,7 +292,7 @@ func (s *Service) RunCold(q *query.Query, w Window) (*Answer, error) {
 	if err := q.Validate(); err != nil {
 		return nil, err
 	}
-	rels, files, versions, anchors, err := s.bind(q)
+	rels, versions, err := s.bind(q)
 	if err != nil {
 		return nil, err
 	}
@@ -248,7 +300,7 @@ func (s *Service) RunCold(q *query.Query, w Window) (*Answer, error) {
 	ans := &Answer{Window: w, Key: key}
 	var segs []*Segment
 	if !query.ProvablyEmpty(q) {
-		seg, err := s.runDelta(s.engine, q, rels, files, anchors, key, w, ans)
+		seg, err := s.runDelta(s.engine, q, rels, key, w, ans)
 		if err != nil {
 			return nil, err
 		}
@@ -368,56 +420,99 @@ func (sc *mergeScratch) selectGroups(segs []*Segment, w Window) error {
 }
 
 // bind resolves the query's relations against the registry, returning the
-// bound relations, their resident files (query relation order), the
-// version string for the cache key, and the anchor index of relation 0.
-func (s *Service) bind(q *query.Query) ([]*relation.Relation, []string, string, map[int64]interval.Interval, error) {
+// bound relations (query relation order) and the version string for the
+// cache key.
+func (s *Service) bind(q *query.Query) ([]*residentRel, string, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	rels := make([]*relation.Relation, len(q.Relations))
-	files := make([]string, len(q.Relations))
+	rels := make([]*residentRel, len(q.Relations))
 	versions := make([]byte, 0, 32)
-	var anchors map[int64]interval.Interval
 	for i, schema := range q.Relations {
 		r, ok := s.rels[schema.Name]
 		if !ok {
-			return nil, nil, "", nil, fmt.Errorf("cache: relation %s is not registered", schema.Name)
+			return nil, "", fmt.Errorf("cache: relation %s is not registered", schema.Name)
 		}
-		rels[i] = r.rel
-		files[i] = r.file
+		if r.rel.Schema.Arity() < schema.Arity() {
+			return nil, "", fmt.Errorf("cache: relation %s has arity %d, query needs %d", schema.Name, r.rel.Schema.Arity(), schema.Arity())
+		}
+		rels[i] = r
 		if i > 0 {
 			versions = append(versions, ',')
 		}
 		versions = append(versions, schema.Name...)
 		versions = append(versions, "@v"...)
 		versions = strconv.AppendInt(versions, int64(r.version), 10)
-		if i == 0 {
-			anchors = r.anchors
-		}
 	}
-	return rels, files, string(versions), anchors, nil
+	return rels, string(versions), nil
 }
 
-// runDelta executes the join restricted to the gap window over the
-// resident files, on the given engine (the shared one, or a per-query
-// traced derivation), and returns the result in segment form: exactly
-// the rows whose anchor intersects the gap, including whole (unclipped)
-// straddling anchors — the halo the merge dedups. The run's algorithm
-// name, row count and engine metrics are folded into ans. Engine runs
-// serialize on runMu. Each run has a scratch prefix of its own on the
-// store, for the cycle boundaries a multi-cycle join may put there (the
-// result itself never touches the store); it is emptied again once the
-// run is over.
-func (s *Service) runDelta(engine *mr.Engine, q *query.Query, rels []*relation.Relation, files []string, anchors map[int64]interval.Interval, key Key, gap Window, ans *Answer) (*Segment, error) {
+// narrow returns, relation by relation, the tuples a join row anchored in gap
+// can contain, or nil when there can be no such row. The anchors are relation
+// 0's tuples whose first attribute intersects the gap. From there the query's
+// colocation conditions are followed breadth-first: a colocation predicate
+// holds only between intervals that share a point, so a tuple joined by one
+// to a chosen tuple intersects that tuple's condition attribute, and so the
+// hull — [min start, max end] — of that attribute over all chosen tuples;
+// the neighbour keeps what intersects the hull. A relation tied to the rest
+// only by before/after can match from anywhere and stays whole. The join over
+// the narrowed relations is therefore the join over the whole ones restricted
+// to rows anchored in the gap, straddling anchors included whole.
+func narrow(q *query.Query, rels []*residentRel, gap Window) []*relation.Relation {
+	out := make([]*relation.Relation, len(rels))
+	out[0] = rels[0].intersecting(0, interval.Interval{Start: gap.Lo, End: gap.Hi})
+	for queue := []int{0}; len(queue) > 0; queue = queue[1:] {
+		from := out[queue[0]]
+		if from.Len() == 0 {
+			return nil
+		}
+		for _, c := range q.Conds {
+			near, far := c.Left, c.Right
+			if far.Rel == queue[0] {
+				near, far = far, near
+			}
+			if near.Rel != queue[0] || out[far.Rel] != nil || !c.Pred.IsColocation() {
+				continue
+			}
+			hull := from.Tuples[0].Attrs[near.Attr]
+			for _, t := range from.Tuples[1:] {
+				hull = hull.Union(t.Attrs[near.Attr])
+			}
+			out[far.Rel] = rels[far.Rel].intersecting(far.Attr, hull)
+			queue = append(queue, far.Rel)
+		}
+	}
+	for i, r := range out {
+		if r == nil {
+			out[i] = rels[i].rel
+		}
+	}
+	return out
+}
+
+// runDelta answers one gap: the ordinary, un-windowed join over the tuples
+// that can reach the gap (narrow), on the given engine (the shared one, or a
+// per-query traced derivation), returned in segment form: exactly the rows
+// whose anchor intersects the gap, including whole (unclipped) straddling
+// anchors — the halo the merge dedups. A gap no row can be anchored in is an
+// empty segment and runs nothing. The run's algorithm name, row count and
+// engine metrics are folded into ans. Engine runs serialize on runMu. Each
+// run has a scratch prefix of its own on the store, for the cycle boundaries
+// a multi-cycle join may put there (neither the relations nor the result
+// touch the store); it is emptied again once the run is over.
+func (s *Service) runDelta(engine *mr.Engine, q *query.Query, rels []*residentRel, key Key, gap Window, ans *Answer) (*Segment, error) {
+	alg := s.algorithm(q)
+	ans.Algorithm = alg.Name()
+	arity := len(rels)
+	near := narrow(q, rels, gap)
+	if near == nil {
+		return layoutSegment(key, gap, arity, nil, nil), nil
+	}
 	opts := s.opts
-	opts.Window = &[2]interval.Point{gap.Lo, gap.Hi}
-	opts.WindowRel = 0
-	opts.ResidentInputs = files
 	opts.Scratch = "delta/" + strconv.FormatInt(s.scratchSeq.Add(1), 10)
-	ctx, err := core.NewContext(engine, q, rels, opts)
+	ctx, err := core.NewContext(engine, q, near, opts)
 	if err != nil {
 		return nil, err
 	}
-	alg := s.algorithm(q)
 	s.runMu.Lock()
 	res, err := alg.Run(ctx)
 	s.runMu.Unlock()
@@ -425,12 +520,14 @@ func (s *Service) runDelta(engine *mr.Engine, q *query.Query, rels []*relation.R
 	if err != nil {
 		return nil, err
 	}
-	ans.Algorithm = res.Algorithm
 	ans.mergeEngine(res.Metrics)
 	ans.DeltaRows += int64(len(res.Tuples))
+	anchors := make(map[int64]interval.Interval, near[0].Len())
+	for _, t := range near[0].Tuples {
+		anchors[t.ID] = t.Attrs[0]
+	}
 	// The result is already a slab in canonical order; it becomes the
 	// segment's as it is.
-	arity := len(rels)
 	return layoutSegment(key, gap, arity, res.IDs, func(row int) interval.Interval {
 		return anchors[res.IDs[row*arity]]
 	}), nil

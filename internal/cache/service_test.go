@@ -76,13 +76,20 @@ func predQuery(t *testing.T, pred interval.Predicate) *query.Query {
 	return q
 }
 
-// oracleWindow computes the expected windowed answer with the in-memory
-// reference join: the window filter restricts relation 0 exactly as the
-// engine's feed-time filter does.
-func oracleWindow(t *testing.T, svc *Service, q *query.Query, rels []*relation.Relation, w Window) map[string]struct{} {
+// oracleResult is the tests' definition of a windowed answer, written out
+// by hand and sharing nothing with the service's selection: relation 0 is cut
+// down to the tuples whose first attribute meets the closed window, every
+// other relation stays whole, and the in-memory reference join runs over
+// that.
+func oracleResult(t *testing.T, svc *Service, q *query.Query, rels []*relation.Relation, w Window) *core.Result {
 	t.Helper()
-	opts := core.Options{Window: &[2]interval.Point{w.Lo, w.Hi}}
-	ctx, err := core.NewContext(svc.engine, q, rels, opts)
+	anchors := relation.New(rels[0].Schema)
+	for _, tup := range rels[0].Tuples {
+		if a := tup.Attrs[0]; a.Start <= w.Hi && a.End >= w.Lo {
+			anchors.Tuples = append(anchors.Tuples, tup)
+		}
+	}
+	ctx, err := core.NewContext(svc.engine, q, append([]*relation.Relation{anchors}, rels[1:]...), core.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -90,7 +97,13 @@ func oracleWindow(t *testing.T, svc *Service, q *query.Query, rels []*relation.R
 	if err != nil {
 		t.Fatal(err)
 	}
-	return res.TupleSet()
+	return res
+}
+
+// oracleWindow is the oracle's answer as a set of row keys.
+func oracleWindow(t *testing.T, svc *Service, q *query.Query, rels []*relation.Relation, w Window) map[string]struct{} {
+	t.Helper()
+	return oracleResult(t, svc, q, rels, w).TupleSet()
 }
 
 func answerSet(a *Answer) map[string]struct{} {
@@ -198,8 +211,8 @@ func itoa(i int) string {
 
 // TestWarmAnswerMatchesColdEngineRun pins the other leg of the equivalence:
 // the service's warm answer equals a from-scratch engine run of the same
-// windowed query on a fresh service (cold cache), exercising the feed-time
-// window filter rather than the in-memory oracle.
+// windowed query on a fresh service (cold cache), exercising the service's
+// own selection rather than the in-memory oracle.
 func TestWarmAnswerMatchesColdEngineRun(t *testing.T) {
 	r1 := adversarialRelation("R1", 3)
 	r2 := adversarialRelation("R2", 5)
@@ -295,38 +308,51 @@ func TestUnregisteredRelationRejected(t *testing.T) {
 	if _, err := svc.Query(predQuery(t, interval.Meets), Window{10, 0}); err == nil {
 		t.Fatal("empty window accepted")
 	}
+	// A query that names more attributes of a relation than it has is
+	// refused before the selection would index them.
+	if _, err := svc.Register(adversarialRelation("R2", 37)); err != nil {
+		t.Fatal(err)
+	}
+	wide := predQuery(t, interval.Meets)
+	if err := wide.AddCondition("R1", "Other", interval.Overlaps, "R2", ""); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := svc.Query(wide, Window{0, 10}); err == nil || !strings.Contains(err.Error(), "arity") {
+		t.Fatalf("query over a missing attribute: err = %v", err)
+	}
 }
 
-// TestDeltaScratchIsRemoved pins the store's steady state: every delta
-// join — a miss, a gap of a partial hit, a RunCold — deletes what it wrote
-// once its result is in memory, so only the resident files remain however
-// many queries ran.
+// TestDeltaScratchIsRemoved pins the store's steady state: registration
+// writes nothing (the relations stay in memory), and every delta join — a
+// miss, a gap of a partial hit, a RunCold, two-way or with a cycle boundary
+// to put on the store — deletes what it wrote once its result is in memory,
+// so the store is empty however many queries ran.
 func TestDeltaScratchIsRemoved(t *testing.T) {
-	svc := newTestService(t, adversarialRelation("R1", 41), adversarialRelation("R2", 43))
-	q := predQuery(t, interval.Overlaps)
-	for lo := interval.Point(0); lo < 400; lo += 25 {
-		ans, err := svc.Query(q, Window{lo, lo + 30})
-		if err != nil {
+	svc := newTestService(t, adversarialRelation("R1", 41), adversarialRelation("R2", 43), adversarialRelation("R3", 45))
+	threeWay := predQuery(t, interval.Overlaps)
+	if err := threeWay.AddCondition("R2", "", interval.Overlaps, "R3", ""); err != nil {
+		t.Fatal(err)
+	}
+	for _, q := range []*query.Query{predQuery(t, interval.Overlaps), threeWay} {
+		for lo := interval.Point(0); lo < 400; lo += 25 {
+			ans, err := svc.Query(q, Window{lo, lo + 30})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(ans.DeltaWindows) == 0 {
+				t.Fatalf("window [%d,%d] ran no delta join; the test wants one per query", lo, lo+30)
+			}
+		}
+		if _, err := svc.RunCold(q, Window{0, 400}); err != nil {
 			t.Fatal(err)
 		}
-		if len(ans.DeltaWindows) == 0 {
-			t.Fatalf("window [%d,%d] ran no delta join; the test wants one per query", lo, lo+30)
-		}
-	}
-	if _, err := svc.RunCold(q, Window{0, 400}); err != nil {
-		t.Fatal(err)
 	}
 	files, err := svc.engine.Store().List("")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(files) != 2 {
-		t.Fatalf("store holds %d files after the queries, want the 2 residents: %v", len(files), files)
-	}
-	for _, f := range files {
-		if !strings.HasPrefix(f, "resident/") {
-			t.Fatalf("store still holds %s", f)
-		}
+	if len(files) != 0 {
+		t.Fatalf("store holds %d files after the queries, want none: %v", len(files), files)
 	}
 }
 

@@ -37,10 +37,6 @@ func (c Cascade) Name() string {
 	return "2way-cascade"
 }
 
-// intermediateTag marks records of the partial-assignment input in cascade
-// map functions.
-const intermediateTag = -1
-
 // Run implements Algorithm.
 func (c Cascade) Run(ctx *Context) (*Result, error) {
 	if cls := ctx.Query.Classify(); cls == query.General {

@@ -5,10 +5,11 @@
 // Pruned-All-Seq-Matrix (Section 8) and Gen-Matrix (Section 9), plus a
 // nested-loop reference join used as a correctness oracle.
 //
-// All algorithms implement the Algorithm interface and run on the mr.Engine
-// against relations staged on its dfs.Store, producing a Result: the decoded
-// output tuples plus the engine metrics the paper's evaluation compares
-// (intermediate pairs, replicated intervals, per-reducer load, cycles).
+// All algorithms implement the Algorithm interface and run on the mr.Engine,
+// which maps the context's relations where they lie (positional inputs: no
+// text copy on the store), producing a Result: the output tuples plus the
+// engine metrics the paper's evaluation compares (intermediate pairs,
+// replicated intervals, per-reducer load, cycles).
 package core
 
 import (
@@ -16,7 +17,6 @@ import (
 	"fmt"
 	"slices"
 	"strconv"
-	"strings"
 	"sync/atomic"
 
 	"intervaljoin/internal/interval"
@@ -75,23 +75,6 @@ type Options struct {
 	// cost.AdvisePartitions (the -partitions auto CLI mode); it only
 	// annotates the reported plan.
 	AutoPartitions bool
-	// Window, when set, restricts the run to the closed time window
-	// [Window[0], Window[1]]: the anchor relation (WindowRel) is filtered
-	// at map-feed time to tuples whose first interval attribute intersects
-	// the window, so the output is exactly the join rows anchored in the
-	// window — including rows whose anchor straddles a window boundary
-	// (the tuple is fed whole; callers merging adjacent windows dedup).
-	// This is the cache service's delta-window execution path.
-	Window *[2]interval.Point
-	// WindowRel is the index of the anchor relation the Window filter
-	// applies to. The cache service always anchors on relation 0.
-	WindowRel int
-	// ResidentInputs maps relation index -> pre-staged store file. A
-	// non-empty entry makes Stage skip writing that relation and the
-	// drivers map over the named file instead of "input/<name>" — the
-	// resident-relation path: stage once at registration, reuse across
-	// queries. Entries beyond the slice (or empty strings) stage normally.
-	ResidentInputs []string
 }
 
 // scratchSeq disambiguates the scratch namespaces of concurrent runs that
@@ -152,80 +135,13 @@ func NewContext(engine *mr.Engine, q *query.Query, rels []*relation.Relation, op
 	return &Context{Engine: engine, Query: q, Rels: bound, Opts: opts}, nil
 }
 
-// inputFile is where relation ri lives on the store: the resident file
-// when one is registered, the per-run staging name otherwise.
-func (c *Context) inputFile(ri int) string {
-	if f := c.residentFile(ri); f != "" {
-		return f
-	}
-	return "input/" + c.Query.Relations[ri].Name
-}
-
-// residentFile returns the pre-staged store file for relation ri, or ""
-// when the relation is not resident.
-func (c *Context) residentFile(ri int) string {
-	if ri < len(c.Opts.ResidentInputs) {
-		return c.Opts.ResidentInputs[ri]
-	}
-	return ""
-}
-
-// relInput builds the map input for relation ri carrying map tag. When the
-// run is windowed (Options.Window) and ri is the anchor relation, the input
-// gets a feed-time filter that drops tuples whose anchor attribute misses
-// the window — the delta-window path of the cache service. Every driver
-// site that maps over a relation's staged file goes through here so the
-// window semantics hold for all algorithms.
-func (c *Context) relInput(ri, tag int) mr.Input {
-	in := mr.Input{File: c.inputFile(ri), Tag: tag}
-	if c.Opts.Window != nil && ri == c.Opts.WindowRel {
-		in.Where = windowFilter(c.Opts.Window[0], c.Opts.Window[1])
-	}
-	return in
-}
-
-// windowFilter returns a record predicate keeping tuples whose first
-// interval attribute intersects the closed window [lo, hi]. Records are the
-// engine's canonical tuple encoding "id|s,e|..." (relation.EncodeTuple);
-// the first attribute is parsed in place. Malformed records pass through:
-// the map side owns format errors and reports them with its usual context.
-func windowFilter(lo, hi interval.Point) func(string) bool {
-	return func(rec string) bool {
-		b := strings.IndexByte(rec, '|')
-		if b < 0 {
-			return true
-		}
-		body := rec[b+1:]
-		if e := strings.IndexByte(body, '|'); e >= 0 {
-			body = body[:e]
-		}
-		comma := strings.IndexByte(body, ',')
-		if comma < 0 {
-			return true
-		}
-		s, err := strconv.ParseInt(body[:comma], 10, 64)
-		if err != nil {
-			return true
-		}
-		e, err := strconv.ParseInt(body[comma+1:], 10, 64)
-		if err != nil {
-			return true
-		}
-		return s <= hi && e >= lo
-	}
-}
-
-// Stage writes every relation to the store in the engine's record format.
-// It is idempotent per store; callers sharing a store across algorithm runs
-// stage once. Relations with a resident input registered in the options are
-// skipped: their file was written at registration time and is shared across
-// runs.
+// Stage writes every relation to the store as "input/<name>" in the engine's
+// record format, for callers that want to map the records themselves with an
+// mr.Input{File} and an mr.MapFunc. The drivers do not read it: they map
+// Rels positionally.
 func (c *Context) Stage() error {
 	for ri, r := range c.Rels {
-		if c.residentFile(ri) != "" {
-			continue
-		}
-		w, err := c.Engine.Store().Create(c.inputFile(ri))
+		w, err := c.Engine.Store().Create("input/" + c.Query.Relations[ri].Name)
 		if err != nil {
 			return err
 		}
@@ -243,7 +159,7 @@ func (c *Context) Stage() error {
 }
 
 // timeRange returns the partitioning range: the explicit option if set,
-// otherwise the bounds of all staged relations (padded by one so every end
+// otherwise the bounds of all relations (padded by one so every end
 // point falls strictly inside).
 func (c *Context) timeRange() (t0, tn interval.Point, err error) {
 	if c.Opts.Range != nil {

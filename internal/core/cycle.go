@@ -101,13 +101,19 @@ func (c *Context) product(dims []dimension, cons []grid.Less) (*space, error) {
 	return sp, nil
 }
 
-// baseInputs maps the staged file of every relation with a vertex in the
-// space, tagged with the relation's index.
+// relInput is relation ri as a map input: the positions of its tuples in
+// Rels, tagged with the relation's index. ok is false for an empty relation,
+// which is no input at all.
+func (c *Context) relInput(ri int) (in mr.Input, ok bool) {
+	return mr.Input{Tag: ri, Count: c.Rels[ri].Len()}, c.Rels[ri].Len() > 0
+}
+
+// baseInputs is the input of every relation with a vertex in the space.
 func (c *Context) baseInputs(sp *space) []mr.Input {
 	var inputs []mr.Input
 	for ri, at := range sp.at {
-		if len(at) > 0 {
-			inputs = append(inputs, c.relInput(ri, ri))
+		if in, ok := c.relInput(ri); ok && len(at) > 0 {
+			inputs = append(inputs, in)
 		}
 	}
 	return inputs
@@ -156,31 +162,20 @@ func (sp *space) locate(key int64) (k int, coord []int) {
 	return int(key / sp.stride), []int{int(key % sp.stride)}
 }
 
-// decodeBase is the one map-side path over a staged base relation: it
-// decodes the record and renders the tagged form the reducers parse.
-func decodeBase(rel int, record string) (relation.Tuple, string, error) {
-	t, err := relation.DecodeTuple(record)
-	if err != nil {
-		return relation.Tuple{}, "", err
-	}
-	return t, encodeTagged(rel, t), nil
-}
-
-// baseMap maps base relations (tag = relation index) into the space;
-// ops[rel] applies to every vertex of the relation, nil ops broadcast.
-func (sp *space) baseMap(ops []interval.Op) mr.MapFunc {
+// baseMap is the one map-side path over base relations (tag = relation
+// index, position = index into the relation's tuples): the tuple is routed
+// into the space in the tagged form the reducers parse. ops[rel] applies to
+// every vertex of the relation, nil ops broadcast.
+func (c *Context) baseMap(sp *space, ops []interval.Op) mr.PosMapFunc {
 	perVertex := make([][]interval.Op, len(sp.at))
 	for rel, op := range ops {
 		for range sp.at[rel] {
 			perVertex[rel] = append(perVertex[rel], op)
 		}
 	}
-	return func(tag int, record string, emit mr.Emitter) error {
-		t, enc, err := decodeBase(tag, record)
-		if err != nil {
-			return err
-		}
-		sp.route(emit, tag, t, perVertex[tag], tag, enc)
+	return func(tag, pos int, emit mr.Emitter) error {
+		t := c.Rels[tag].Tuples[pos]
+		sp.route(emit, tag, t, perVertex[tag], tag, encodeTagged(tag, t))
 		return nil
 	}
 }
@@ -258,7 +253,7 @@ func (c *Context) markJob(dims []dimension, vertexTagged bool) mr.Job {
 	return mr.Job{
 		Name:   "mark",
 		Inputs: c.baseInputs(sp),
-		Map:    sp.baseMap(split),
+		MapAt:  c.baseMap(sp, split),
 		Reduce: func(key int64, values []string, write func(string) error) error {
 			k, coord := sp.locate(key)
 			d, p := dims[k], coord[0]
@@ -391,10 +386,11 @@ func (cj cellJoin) job(c *Context) mr.Job {
 		units[k] = u
 	}
 
-	job := mr.Job{
-		Name:   cj.name,
-		Inputs: c.baseInputs(sp),
-		Map:    sp.baseMap(cj.ops),
+	job := mr.Job{Name: cj.name}
+	if cj.from != "" {
+		job.Inputs, job.Map = []mr.Input{{File: cj.from}}, sp.flaggedMap(cj.pruned, false)
+	} else {
+		job.Inputs, job.MapAt = c.baseInputs(sp), c.baseMap(sp, cj.ops)
 	}
 	setJoin(&job, cj.output, func(key int64, values []string, emit func([]int, []relation.Tuple) error) error {
 		k, coord := sp.locate(key)
@@ -410,9 +406,6 @@ func (cj cellJoin) job(c *Context) mr.Job {
 			return emit(u.rels, asg)
 		})
 	})
-	if cj.from != "" {
-		job.Inputs, job.Map = []mr.Input{{File: cj.from}}, sp.flaggedMap(cj.pruned, false)
-	}
 	if sp.plan != nil {
 		job.Resplit = resplitValues(sp.plan.streams, streamOfTagged)
 	}
@@ -446,36 +439,38 @@ func (bs bindStep) job(c *Context) mr.Job {
 		strategy := interval.JoinStrategy(step.driving.Pred)
 		ops[step.driving.Left.Rel][0], ops[step.driving.Right.Rel][0] = strategy.Left, strategy.Right
 	}
-	partials := mr.Input{File: bs.current, Tag: intermediateTag}
-	if bs.current == "" {
-		partials = c.relInput(step.existing, step.existing)
-	}
-
+	// The partial assignments arrive as records of the previous step; the
+	// base sides — the novel relation, and in a chain's first step the
+	// existing one — are mapped where they lie.
 	job := mr.Job{
-		Name:   bs.name,
-		Inputs: []mr.Input{partials, c.relInput(step.novel, step.novel)},
-		Map: func(tag int, record string, emit mr.Emitter) error {
-			if tag == intermediateTag {
-				pa, err := decodePartial(record)
-				if err != nil {
-					return err
-				}
-				sp.route(emit, step.existing, pa.tupleOf(step.existing), ops[step.existing], 0, record)
-				return nil
-			}
-			t, enc, err := decodeBase(tag, record)
+		Name: bs.name,
+		Map: func(_ int, record string, emit mr.Emitter) error {
+			pa, err := decodePartial(record)
 			if err != nil {
 				return err
 			}
+			sp.route(emit, step.existing, pa.tupleOf(step.existing), ops[step.existing], 0, record)
+			return nil
+		},
+		MapAt: func(tag, pos int, emit mr.Emitter) error {
+			t := c.Rels[tag].Tuples[pos]
 			// Stream 0 carries the partial assignments, stream 1 the novel
 			// relation's tuples.
 			stream := 0
 			if tag == step.novel {
 				stream = 1
 			}
-			sp.route(emit, tag, t, ops[tag], stream, enc)
+			sp.route(emit, tag, t, ops[tag], stream, encodeTagged(tag, t))
 			return nil
 		},
+	}
+	if bs.current != "" {
+		job.Inputs = []mr.Input{{File: bs.current}}
+	} else if in, ok := c.relInput(step.existing); ok {
+		job.Inputs = []mr.Input{in}
+	}
+	if in, ok := c.relInput(step.novel); ok {
+		job.Inputs = append(job.Inputs, in)
 	}
 	setJoin(&job, bs.output, func(_ int64, values []string, emit func([]int, []relation.Tuple) error) error {
 		var partials []partial

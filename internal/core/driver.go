@@ -12,7 +12,7 @@ import (
 // Algorithm.Run ends in runStages: the driver checks its query class, picks
 // its partitioning or plan, and hands over a []mr.Stage built from the three
 // cycle kinds of cycle.go; everything around the cycles — defaults, the
-// provably-empty short-circuit, staging, file naming, per-stage annotations,
+// provably-empty short-circuit, file naming, per-stage annotations,
 // execution mode, metrics aggregation and the result's order — happens here,
 // once.
 
@@ -53,9 +53,6 @@ func (c *Context) runStages(alg string, build stageBuilder) (*Result, error) {
 		// components: the output is provably empty (Section 9). No cycle
 		// runs and nothing is written to the store.
 		return res, nil
-	}
-	if err := c.Stage(); err != nil {
-		return nil, err
 	}
 	stages, plan, err := build(c, &chainEnv{opts: opts, d: d, res: res})
 	if err != nil {

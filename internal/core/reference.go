@@ -23,19 +23,6 @@ func (Reference) Run(ctx *Context) (*Result, error) {
 	for i, r := range ctx.Rels {
 		cands[i] = r.Tuples
 	}
-	// Honor the delta-window restriction the engine drivers apply at feed
-	// time: the anchor relation keeps only tuples whose first attribute
-	// intersects the closed window.
-	if w := ctx.Opts.Window; w != nil && ctx.Opts.WindowRel < len(cands) {
-		src := cands[ctx.Opts.WindowRel]
-		kept := make([]relation.Tuple, 0, len(src))
-		for _, t := range src {
-			if t.Attrs[0].Start <= w[1] && t.Attrs[0].End >= w[0] {
-				kept = append(kept, t)
-			}
-		}
-		cands[ctx.Opts.WindowRel] = kept
-	}
 	e := newEnumerator(ctx.Query.Conds, rels)
 	rows := &mr.Rows{Width: len(rels)}
 	err := e.run(cands, func(asg []relation.Tuple) error {

@@ -42,7 +42,6 @@ var CanonicalLockOrder = []string{
 	"internal/cache.Service.runMu",
 	"internal/cache.Service.mu",
 	"internal/cache.Cache.mu",
-	"internal/dfs.Residents.mu",
 	"internal/mr.sink.mu",
 	"internal/mr.retryCounter.mu",
 	"internal/dfs.Mem.mu",

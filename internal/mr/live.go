@@ -12,7 +12,6 @@ type LiveSet struct {
 	runs            *live.Counter
 	cycles          *live.Counter
 	mapInput        *live.Counter
-	filtered        *live.Counter
 	pairs           *live.Counter
 	physPairs       *live.Counter
 	bytes           *live.Counter
@@ -35,7 +34,6 @@ func NewLiveSet(r *live.Registry) *LiveSet {
 		runs:            r.Counter("ij_engine_runs_total", "engine runs completed (delta joins and cold runs)"),
 		cycles:          r.Counter("ij_engine_cycles_total", "MapReduce cycles executed"),
 		mapInput:        r.Counter("ij_engine_map_input_records_total", "records read by map tasks"),
-		filtered:        r.Counter("ij_engine_filtered_records_total", "records dropped at feed time by delta-window filters"),
 		pairs:           r.Counter("ij_engine_intermediate_pairs_total", "logical map-to-reduce key-value pairs (communication volume)"),
 		physPairs:       r.Counter("ij_engine_physical_pairs_total", "physically shuffled records after range coalescing"),
 		bytes:           r.Counter("ij_engine_intermediate_bytes_total", "logical shuffled bytes"),
@@ -58,7 +56,6 @@ func (s *LiveSet) Publish(m *Metrics) {
 	s.runs.Inc()
 	s.cycles.Add(int64(m.Cycles))
 	s.mapInput.Add(m.MapInputRecords)
-	s.filtered.Add(m.FilteredRecords)
 	s.pairs.Add(m.IntermediatePairs)
 	s.physPairs.Add(m.PhysicalPairs)
 	s.bytes.Add(m.IntermediateBytes)

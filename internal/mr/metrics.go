@@ -17,13 +17,9 @@ type Metrics struct {
 	Job string
 	// Cycles is the number of MR cycles aggregated (1 for a single job).
 	Cycles int
-	// MapInputRecords counts records read by map tasks across inputs.
+	// MapInputRecords counts the records and positions map tasks were handed
+	// across inputs.
 	MapInputRecords int64
-	// FilteredRecords counts records dropped at feed time by Input.Where
-	// before reaching any map task — the records a delta-window run skipped
-	// relative to a full scan of the same inputs. Not included in
-	// MapInputRecords.
-	FilteredRecords int64
 	// IntermediatePairs counts emitted key-value pairs — the map→reduce
 	// communication volume. This is the logical count: a range emission
 	// addressed to r reducers counts r pairs, exactly what the per-key emit
@@ -146,7 +142,6 @@ func NewMetrics(job string) *Metrics { return newMetrics(job) }
 // values.
 func (m *Metrics) Merge(other *Metrics) {
 	m.MapInputRecords += other.MapInputRecords
-	m.FilteredRecords += other.FilteredRecords
 	m.IntermediatePairs += other.IntermediatePairs
 	m.IntermediateBytes += other.IntermediateBytes
 	m.PhysicalPairs += other.PhysicalPairs

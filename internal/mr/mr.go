@@ -1,6 +1,7 @@
 // Package mr is a from-scratch MapReduce engine that plays the role Hadoop
-// plays in the paper. It executes jobs — map over tagged input files,
-// shuffle by integer key, reduce per key — on a pool of worker goroutines,
+// plays in the paper. It executes jobs — map over tagged inputs (store files,
+// or positions of data the caller holds decoded), shuffle by integer key,
+// reduce per key — on a pool of worker goroutines,
 // and measures exactly the quantities the paper's evaluation reasons about:
 // the number of intermediate key-value pairs (map/reduce communication
 // cost), per-reducer load, and a simulated makespan that models one reduce
@@ -84,6 +85,12 @@ type MapFunc func(tag int, record string, emit Emitter) error
 // a record to the job output. The values slice is scratch the engine reuses
 // across tasks; implementations must not retain it past the call.
 type ReduceFunc func(key int64, values []string, write func(record string) error) error
+
+// PosMapFunc is the typed form of MapFunc, for an input the caller already
+// holds decoded: the engine names a position of the input tagged tag — 0 up to
+// its Count — and the function finds the record there itself, so nothing is
+// rendered to text for the feed and nothing is parsed back.
+type PosMapFunc func(tag, pos int, emit Emitter) error
 
 // RowReduceFunc is the typed form of ReduceFunc, for a job whose reduce
 // output is the answer itself rather than records another cycle will map
@@ -173,22 +180,15 @@ const (
 // exercise the retry path.
 var ErrTransient = errors.New("mr: transient task failure")
 
-// Input is one input of a job, tagged for the map function. A File ending
-// in "/" is a directory input: every store file under the prefix is read,
-// in sorted name order — how Hadoop consumes a previous job's part files.
+// Input is one input of a job, tagged for the map function: a store file, or
+// — with no File — the positions 0..Count-1 of data the caller holds, which
+// Job.MapAt maps. A File ending in "/" is a directory input: every store file
+// under the prefix is read, in sorted name order — how Hadoop consumes a
+// previous job's part files.
 type Input struct {
-	File string
-	Tag  int
-	// Where optionally filters records at feed time: only records for
-	// which it returns true reach the map tasks; the rest are dropped
-	// before batching and counted in Metrics.FilteredRecords. This is the
-	// delta-window execution entry point: the cache service re-runs a join
-	// over only the tuples intersecting an uncovered time window by
-	// feeding the resident relation file through a window predicate,
-	// without re-staging a filtered copy. Nil feeds every record. The
-	// function must be safe for concurrent calls (one reader goroutine per
-	// input file).
-	Where func(record string) bool
+	File  string
+	Tag   int
+	Count int
 }
 
 // expand resolves a directory input to its member files.
@@ -210,10 +210,13 @@ func (in Input) expand(store dfs.Store) ([]string, error) {
 type Job struct {
 	// Name labels the job in metrics and errors.
 	Name string
-	// Inputs are the files to map over.
+	// Inputs are the files and position ranges to map over.
 	Inputs []Input
-	// Map is the map function. Required.
-	Map MapFunc
+	// Map maps the records of file inputs (and of a streamed boundary), MapAt
+	// the positions of positional ones. Each is required by the inputs it
+	// serves.
+	Map   MapFunc
+	MapAt PosMapFunc
 	// Reduce is the reduce function. Required, unless ReduceRows is set.
 	Reduce ReduceFunc
 	// ReduceRows, set instead of Reduce, makes the job's output typed id
@@ -380,8 +383,19 @@ func (e *Engine) Run(job Job) (*Metrics, error) {
 // snk, when non-nil, observes every reduce task's committed output; writeOut
 // false suppresses writing Job.Output (the records only travel through snk).
 func (e *Engine) runJob(job Job, stream <-chan []taggedRecord, snk *sink, writeOut bool) (*Metrics, error) {
-	if job.Map == nil || (job.Reduce == nil) == (job.ReduceRows == nil) {
-		return nil, fmt.Errorf("mr: job %s: Map and one of Reduce and ReduceRows are required", job.Name)
+	if (job.Reduce == nil) == (job.ReduceRows == nil) {
+		return nil, fmt.Errorf("mr: job %s: one of Reduce and ReduceRows is required", job.Name)
+	}
+	needMap, needMapAt := stream != nil, false
+	for _, in := range job.Inputs {
+		if (in.File == "") == (in.Count <= 0) {
+			return nil, fmt.Errorf("mr: job %s: input tagged %d needs a File or a positive Count, not both", job.Name, in.Tag)
+		}
+		needMap = needMap || in.File != ""
+		needMapAt = needMapAt || in.File == ""
+	}
+	if needMap && job.Map == nil || needMapAt && job.MapAt == nil || job.Map == nil && job.MapAt == nil {
+		return nil, fmt.Errorf("mr: job %s: Map is required by file inputs, MapAt by positional ones", job.Name)
 	}
 	if (job.ReduceRows != nil) != (job.Rows != nil) || job.Rows != nil && (job.Rows.Width < 1 || job.Output != "") {
 		return nil, fmt.Errorf("mr: job %s: ReduceRows and Rows go together, with a positive width and no Output", job.Name)
@@ -413,7 +427,7 @@ func (e *Engine) fillTrueWalls(m *Metrics, mark time.Duration) {
 	if !e.tracer.Enabled() {
 		return
 	}
-	walls := e.tracer.Snapshot().PhaseWalls(mark)
+	walls := e.tracer.PhaseWalls(mark)
 	m.TrueWalls = PhaseWallClock{
 		Feed:    walls[obs.CatFeed],
 		Map:     walls[obs.CatMap],
@@ -425,13 +439,21 @@ func (e *Engine) fillTrueWalls(m *Metrics, mark time.Duration) {
 	}
 }
 
-// taggedRecord is one unit of map input.
+// taggedRecord is one record of map input.
 type taggedRecord struct {
 	tag    int
 	record string
 }
 
-// mapBatchSize is the number of records per map task (the retry unit).
+// mapTask is one map task's input, the retry unit: a batch of records read
+// from a file or streamed from the previous stage, or — with no records — the
+// positions [lo, hi) of the positional input tagged tag.
+type mapTask struct {
+	records     []taggedRecord
+	tag, lo, hi int
+}
+
+// mapBatchSize is the number of records or positions per map task.
 const mapBatchSize = 256
 
 // shuffleState carries the map output to the reduce phase: either fully
@@ -496,12 +518,12 @@ func recycleValues(vs *[]string) {
 	valuesPool.Put(vs)
 }
 
-// feedFile is one resolved input file with its map tag and optional
-// feed-time record filter.
+// feedFile is one resolved input with its map tag: a store file, or — with
+// no name — count positions.
 type feedFile struct {
 	name  string
 	tag   int
-	where func(string) bool
+	count int
 }
 
 func (e *Engine) mapPhase(job Job, m *Metrics, stream <-chan []taggedRecord, jobLane *obs.Lane) (*shuffleState, error) {
@@ -510,17 +532,21 @@ func (e *Engine) mapPhase(job Job, m *Metrics, stream <-chan []taggedRecord, job
 	// files concurrently.
 	var files []feedFile
 	for _, in := range job.Inputs {
+		if in.File == "" {
+			files = append(files, feedFile{tag: in.Tag, count: in.Count})
+			continue
+		}
 		fs, err := in.expand(e.store)
 		if err != nil {
 			return nil, fmt.Errorf("mr: job %s: %w", job.Name, err)
 		}
 		for _, f := range fs {
-			files = append(files, feedFile{name: f, tag: in.Tag, where: in.Where})
+			files = append(files, feedFile{name: f, tag: in.Tag})
 		}
 	}
 
 	nshards := e.workers
-	work := make(chan []taggedRecord, 2*e.workers)
+	work := make(chan mapTask, 2*e.workers)
 	errc := make(chan error, 2*e.workers)
 
 	type workerState struct {
@@ -593,7 +619,9 @@ func (e *Engine) mapPhase(job Job, m *Metrics, stream <-chan []taggedRecord, job
 						lane.Count("map_retries", 1)
 					}
 				}
-				batchPool.Put(batch[:0])
+				if batch.records != nil {
+					batchPool.Put(batch.records[:0])
+				}
 				// Fold the attempt's pairs through the combiner, then into
 				// the worker shuffle.
 				pairs := attemptBuf
@@ -653,10 +681,10 @@ func (e *Engine) mapPhase(job Job, m *Metrics, stream <-chan []taggedRecord, job
 		}(w)
 	}
 
-	// Feed record batches with one reader per file (bounded by the worker
+	// Feed map tasks with one reader per input (bounded by the worker
 	// count), so multi-file and multi-input jobs are not throttled by a
 	// single reader goroutine.
-	var records, filtered atomic.Int64
+	var records atomic.Int64
 	feedErrc := make(chan error, len(files))
 	filec := make(chan feedFile)
 	readers := e.workers
@@ -671,8 +699,16 @@ func (e *Engine) mapPhase(job Job, m *Metrics, stream <-chan []taggedRecord, job
 			lane := e.tracer.Acquire()
 			defer e.tracer.Release(lane)
 			for f := range filec {
+				if f.name == "" {
+					// Nothing to read: the positions are the tasks.
+					for lo := 0; lo < f.count; lo += mapBatchSize {
+						work <- mapTask{tag: f.tag, lo: lo, hi: min(lo+mapBatchSize, f.count)}
+					}
+					records.Add(int64(f.count))
+					continue
+				}
 				fStart := lane.Begin()
-				if err := e.feedFile(job, f, work, &records, &filtered); err != nil {
+				if err := e.feedFile(job, f, work, &records); err != nil {
 					feedErrc <- err
 					// Keep draining so the dispatcher never blocks.
 				}
@@ -692,7 +728,7 @@ func (e *Engine) mapPhase(job Job, m *Metrics, stream <-chan []taggedRecord, job
 			defer feedWG.Done()
 			for batch := range stream {
 				records.Add(int64(len(batch)))
-				work <- batch
+				work <- mapTask{records: batch}
 			}
 		}()
 	}
@@ -714,7 +750,6 @@ func (e *Engine) mapPhase(job Job, m *Metrics, stream <-chan []taggedRecord, job
 	}
 
 	m.MapInputRecords = records.Load()
-	m.FilteredRecords = filtered.Load()
 	m.MapWall = time.Since(mapStart)
 
 	shuffle := &shuffleState{}
@@ -817,16 +852,15 @@ func (e *Engine) mapPhase(job Job, m *Metrics, stream <-chan []taggedRecord, job
 	return shuffle, nil
 }
 
-// feedFile streams one input file into map batches, applying the input's
-// feed-time filter (if any) before batching.
-func (e *Engine) feedFile(job Job, f feedFile, work chan<- []taggedRecord, records, filtered *atomic.Int64) error {
+// feedFile streams one input file into map batches.
+func (e *Engine) feedFile(job Job, f feedFile, work chan<- mapTask, records *atomic.Int64) error {
 	it, err := e.store.Open(f.name)
 	if err != nil {
 		return fmt.Errorf("mr: job %s: %w", job.Name, err)
 	}
 	defer it.Close()
 	batch := batchPool.Get().([]taggedRecord)
-	n, dropped := int64(0), int64(0)
+	n := int64(0)
 	for {
 		rec, ok, err := it.Next()
 		if err != nil {
@@ -836,40 +870,40 @@ func (e *Engine) feedFile(job Job, f feedFile, work chan<- []taggedRecord, recor
 		if !ok {
 			break
 		}
-		if f.where != nil && !f.where(rec) {
-			dropped++
-			continue
-		}
 		n++
 		batch = append(batch, taggedRecord{tag: f.tag, record: rec})
 		if len(batch) == mapBatchSize {
-			work <- batch
+			work <- mapTask{records: batch}
 			batch = batchPool.Get().([]taggedRecord)
 		}
 	}
 	records.Add(n)
-	filtered.Add(dropped)
 	if len(batch) > 0 {
-		work <- batch
+		work <- mapTask{records: batch}
 	} else {
 		batchPool.Put(batch[:0])
 	}
 	return nil
 }
 
-// runMapAttempt executes one map task attempt over a record batch,
-// buffering its emissions. Jobs with a combiner expand range emissions into
-// per-key pairs at emit time: the combiner's fold is defined per key, so the
-// shared-value representation cannot survive it.
-func (e *Engine) runMapAttempt(job Job, batch []taggedRecord, task, attempt int, buf *[]emission) error {
+// runMapAttempt executes one map task attempt, buffering its emissions. Jobs
+// with a combiner expand range emissions into per-key pairs at emit time: the
+// combiner's fold is defined per key, so the shared-value representation
+// cannot survive it.
+func (e *Engine) runMapAttempt(job Job, in mapTask, task, attempt int, buf *[]emission) error {
 	if e.inject != nil {
 		if err := e.inject(PhaseMap, task, attempt); err != nil {
 			return err
 		}
 	}
 	emit := Emitter{buf: buf, expand: e.expandRanges || job.Combine != nil}
-	for _, tr := range batch {
+	for _, tr := range in.records {
 		if err := job.Map(tr.tag, tr.record, emit); err != nil {
+			return err
+		}
+	}
+	for pos := in.lo; pos < in.hi; pos++ {
+		if err := job.MapAt(in.tag, pos, emit); err != nil {
 			return err
 		}
 	}

@@ -213,14 +213,24 @@ func TestMissingFunctions(t *testing.T) {
 	// A job reduces to records or to rows, not both; rows need somewhere
 	// to go, a width, and no output file.
 	m := func(int, string, Emitter) error { return nil }
+	ma := func(int, int, Emitter) error { return nil }
 	r := func(int64, []string, func(string) error) error { return nil }
 	rr := func(int64, []string, *Rows) error { return nil }
+	writeInput(t, e, "in", []string{"a"})
+	// An input is a file or a count of positions, and each kind needs the
+	// map function that serves it.
 	for name, job := range map[string]Job{
-		"both reduces":  {Map: m, Reduce: r, ReduceRows: rr, Rows: &Rows{Width: 1}},
-		"no rows":       {Map: m, ReduceRows: rr},
-		"rows unused":   {Map: m, Reduce: r, Rows: &Rows{Width: 1}},
-		"zero width":    {Map: m, ReduceRows: rr, Rows: &Rows{}},
-		"rows and file": {Map: m, ReduceRows: rr, Rows: &Rows{Width: 1}, Output: "out"},
+		"no map at all":           {Reduce: r},
+		"neither file nor count":  {Inputs: []Input{{Tag: 1}}, Map: m, MapAt: ma, Reduce: r},
+		"file and count":          {Inputs: []Input{{File: "in", Count: 1}}, Map: m, MapAt: ma, Reduce: r},
+		"negative count":          {Inputs: []Input{{Count: -1}}, Map: m, MapAt: ma, Reduce: r},
+		"positions without MapAt": {Inputs: []Input{{File: "in"}, {Tag: 1, Count: 3}}, Map: m, Reduce: r},
+		"file without Map":        {Inputs: []Input{{File: "in"}, {Tag: 1, Count: 3}}, MapAt: ma, Reduce: r},
+		"both reduces":            {Map: m, Reduce: r, ReduceRows: rr, Rows: &Rows{Width: 1}},
+		"no rows":                 {Map: m, ReduceRows: rr},
+		"rows unused":             {Map: m, Reduce: r, Rows: &Rows{Width: 1}},
+		"zero width":              {Map: m, ReduceRows: rr, Rows: &Rows{}},
+		"rows and file":           {Map: m, ReduceRows: rr, Rows: &Rows{Width: 1}, Output: "out"},
 	} {
 		if _, err := e.Run(job); err == nil {
 			t.Errorf("%s: job accepted", name)

@@ -1,6 +1,7 @@
 package mr
 
 import (
+	"runtime"
 	"strconv"
 	"testing"
 	"time"
@@ -172,5 +173,42 @@ func TestBuildReport(t *testing.T) {
 	r = BuildReport("untraced", nil, m)
 	if r.Model == nil || len(r.Phases) != 0 {
 		t.Fatalf("untraced report = %+v", r)
+	}
+}
+
+// TestTracedRunCostDoesNotGrowWithHistory: an engine whose tracer outlives
+// its runs — a server's — pays per run for that run's spans, not for every
+// span the rings still hold. The run's own TrueWalls are checked against
+// the snapshot's answer, and the bytes a run allocates once hundreds of runs
+// are on record stay near those of an early one.
+func TestTracedRunCostDoesNotGrowWithHistory(t *testing.T) {
+	store := dfs.NewMem()
+	dfs.WriteAll(store, "in", stageInput(300))
+	tr := obs.New(obs.Options{})
+	e := NewEngine(Config{Store: store, Workers: 2, Tracer: tr})
+	job := chainJobs()[0]
+	run := func() uint64 {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		mark := tr.Now()
+		m, err := e.Run(job)
+		if err != nil {
+			t.Fatal(err)
+		}
+		runtime.ReadMemStats(&after)
+		walls := tr.Snapshot().PhaseWalls(mark)
+		if m.TrueWalls.Map != walls[obs.CatMap] || m.TrueWalls.Reduce != walls[obs.CatReduce] || m.TrueWalls.Output != walls[obs.CatOutput] {
+			t.Fatalf("TrueWalls %+v, the snapshot since the run's start says %v", m.TrueWalls, walls)
+		}
+		return after.TotalAlloc - before.TotalAlloc
+	}
+	run()
+	early := run()
+	for i := 0; i < 400; i++ {
+		run()
+	}
+	// The least of three: a ring doubling its backing array is one run's cost.
+	if late := min(run(), run(), run()); late > 2*early {
+		t.Fatalf("a run allocated %d bytes with 2 runs on record and %d with 400", early, late)
 	}
 }

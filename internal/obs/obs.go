@@ -388,9 +388,42 @@ func (t *Tracer) Snapshot() *Snapshot {
 // spans — concurrent workers, pipelined cycles — are counted once, so the
 // result is the true elapsed time the phase had work in flight.
 func (s *Snapshot) PhaseWalls(mark time.Duration) map[string]time.Duration {
+	return phaseWalls(s.Spans, mark)
+}
+
+// PhaseWalls is Snapshot().PhaseWalls(mark) at the cost of the spans that
+// ended after mark, not of every span the rings retain: a lane records its
+// spans as they end, so the ones after mark are the newest of each ring.
+// The engine calls it after every run — on a server whose tracer lives as
+// long as the process, a snapshot per query would copy and sort a history
+// that grows with each query served. Like Snapshot it must not run while
+// acquired lanes record. Returns nil on a disabled tracer.
+func (t *Tracer) PhaseWalls(mark time.Duration) map[string]time.Duration {
+	if t == nil {
+		return nil
+	}
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	var recent []Span
+	for _, l := range t.lanes {
+		n := len(l.spans)
+		// next is 0 until the ring wraps, then the oldest span's index;
+		// either way the newest sits just before it.
+		for k := 1; k <= n; k++ {
+			sp := l.spans[(l.next-k+n)%n]
+			if sp.End() <= mark {
+				break
+			}
+			recent = append(recent, sp)
+		}
+	}
+	return phaseWalls(recent, mark)
+}
+
+func phaseWalls(spans []Span, mark time.Duration) map[string]time.Duration {
 	type iv struct{ lo, hi time.Duration }
 	byCat := make(map[string][]iv)
-	for _, sp := range s.Spans {
+	for _, sp := range spans {
 		lo, hi := sp.Start, sp.End()
 		if hi <= mark {
 			continue

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"os"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
@@ -169,6 +170,43 @@ func TestPhaseWallsUnion(t *testing.T) {
 	}
 	if _, ok := walls[CatReduce]; ok {
 		t.Fatal("reduce span fully before mark still counted")
+	}
+}
+
+// TestTracerPhaseWallsMatchesSnapshot: the tracer's own PhaseWalls, which
+// reads only the newest spans of each ring, answers what the snapshot's
+// does at every mark — before, inside and after the recorded stretch, on
+// rings that have not wrapped, have just filled and have wrapped.
+func TestTracerPhaseWallsMatchesSnapshot(t *testing.T) {
+	for _, perLane := range []int{5, 16, 50} {
+		tr := New(Options{LaneSpanCap: 16})
+		lanes := []*Lane{tr.Acquire(), tr.Acquire(), tr.Acquire()}
+		marks := []time.Duration{0, tr.Now()}
+		for i := 0; i < perLane; i++ {
+			for k, l := range lanes {
+				start := l.Begin()
+				time.Sleep(20 * time.Microsecond)
+				l.End([]string{CatMap, CatReduce, CatFeed}[(i+k)%3], "s", start)
+				if i%7 == k {
+					l.Event(CatOutput, "e")
+				}
+			}
+			marks = append(marks, tr.Now())
+		}
+		for _, l := range lanes {
+			tr.Release(l)
+		}
+		snap := tr.Snapshot()
+		for _, mark := range marks {
+			got, want := tr.PhaseWalls(mark), snap.PhaseWalls(mark)
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("%d spans a lane, mark %v: tracer walls %v, snapshot walls %v", perLane, mark, got, want)
+			}
+		}
+	}
+	var off *Tracer
+	if got := off.PhaseWalls(0); got != nil {
+		t.Fatalf("disabled tracer: walls %v", got)
 	}
 }
 

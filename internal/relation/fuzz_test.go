@@ -1,8 +1,13 @@
 package relation
 
 import (
+	"bufio"
+	"slices"
 	"strings"
 	"testing"
+	"unsafe"
+
+	"intervaljoin/internal/interval"
 )
 
 // FuzzDecodeTuple checks the tuple codec never panics and that every
@@ -62,6 +67,68 @@ func FuzzReadText(f *testing.F) {
 		}
 		if err := rel.Validate(); err != nil {
 			t.Fatalf("ReadText(%q) produced invalid relation: %v", input, err)
+		}
+	})
+}
+
+// readTextGeneral is ReadText with the canonical-line fast path taken out:
+// every line goes through appendLine.
+func readTextGeneral(schema Schema, input string) ([]interval.Interval, error) {
+	var slab []interval.Interval
+	sc := bufio.NewScanner(strings.NewReader(input))
+	sc.Buffer(make([]byte, 1<<16), 1<<24)
+	for lineNo := 1; sc.Scan(); lineNo++ {
+		var err error
+		if slab, err = appendLine(slab, sc.Text(), schema, lineNo); err != nil {
+			return nil, err
+		}
+	}
+	return slab, sc.Err()
+}
+
+// FuzzReadTextFastMatchesGeneral is the differential check on ReadText's
+// byte-level fast path: whatever the file, ReadText accepts it exactly when
+// the general parser alone does, with the same error text or the same
+// intervals — tuple by tuple, ids by position, all in one slab.
+func FuzzReadTextFastMatchesGeneral(f *testing.F) {
+	f.Add("0,5\n12,85\n", 1)
+	f.Add("1,2|3,4\n-7,-3|0,0\n", 2)
+	f.Add("# comment\n\n 5,5 \n[6,9]\n", 1)
+	f.Add("1,2|3,4\n1,2\n", 2)
+	f.Add("5,1\n", 1)
+	f.Add("1,2|\n", 2)
+	f.Add("-,3\n+1,3\n-0,0\n", 1)
+	f.Add("999999999999999999,999999999999999999\n9223372036854775807,9223372036854775807\n9223372036854775808,9223372036854775809\n", 1)
+	f.Add("2024-03-01T09:00:00Z,2024-03-01T10:30:00Z\n3,4\r\n", 1)
+	f.Add("1,2\n3,4", 0)
+	f.Fuzz(func(t *testing.T, input string, arity int) {
+		if arity < 0 || arity > 4 {
+			return
+		}
+		schema := Schema{Name: "F", Attrs: []string{"A", "B", "C", "D"}[:arity]}
+		want, wantErr := readTextGeneral(schema, input)
+		rel, err := ReadText(schema, strings.NewReader(input))
+		if (err == nil) != (wantErr == nil) || err != nil && err.Error() != wantErr.Error() {
+			t.Fatalf("ReadText(%q, arity %d): err %v, the general parser's %v", input, arity, err, wantErr)
+		}
+		if err != nil {
+			return
+		}
+		var got []interval.Interval
+		for i, tup := range rel.Tuples {
+			if tup.ID != int64(i) || len(tup.Attrs) != arity || cap(tup.Attrs) != arity {
+				t.Fatalf("ReadText(%q, arity %d): tuple %d is %+v (cap %d)", input, arity, i, tup, cap(tup.Attrs))
+			}
+			got = append(got, tup.Attrs...)
+		}
+		if !slices.Equal(got, want) {
+			t.Fatalf("ReadText(%q, arity %d) = %v, the general parser gives %v", input, arity, got, want)
+		}
+		for i := 1; i < rel.Len(); i++ {
+			prev, cur := unsafe.Pointer(&rel.Tuples[i-1].Attrs[0]), unsafe.Pointer(&rel.Tuples[i].Attrs[0])
+			if uintptr(cur)-uintptr(prev) != uintptr(arity)*unsafe.Sizeof(interval.Interval{}) {
+				t.Fatalf("ReadText(%q, arity %d): tuple %d does not follow tuple %d in one slab", input, arity, i, i-1)
+			}
 		}
 	})
 }

@@ -23,37 +23,106 @@ import (
 //	2024-03-01T09:00:00Z,2024-03-01T10:30:00Z
 //	# a comment
 
-// ReadText parses a relation matching the schema from r.
+// ReadText parses a relation matching the schema from r. All intervals land
+// in one slab that the tuples' Attrs alias.
 func ReadText(schema Schema, r io.Reader) (*Relation, error) {
-	rel := New(schema)
+	arity := schema.Arity()
+	var slab []interval.Interval
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 1<<16), 1<<24)
 	lineNo := 0
 	for sc.Scan() {
 		lineNo++
-		line := strings.TrimSpace(sc.Text())
-		if line == "" || strings.HasPrefix(line, "#") {
+		if fast, ok := appendCanonical(slab, sc.Bytes(), arity); ok {
+			slab = fast
 			continue
 		}
-		fields := strings.Split(line, "|")
-		if len(fields) != schema.Arity() {
-			return nil, fmt.Errorf("relation %s: line %d has %d attributes, schema needs %d",
-				schema.Name, lineNo, len(fields), schema.Arity())
+		var err error
+		if slab, err = appendLine(slab, sc.Text(), schema, lineNo); err != nil {
+			return nil, err
 		}
-		attrs := make([]interval.Interval, len(fields))
-		for i, f := range fields {
-			iv, err := parseAttr(f)
-			if err != nil {
-				return nil, fmt.Errorf("relation %s: line %d: %v", schema.Name, lineNo, err)
-			}
-			attrs[i] = iv
-		}
-		rel.Append(attrs...)
 	}
 	if err := sc.Err(); err != nil {
 		return nil, err
 	}
+	rel := New(schema)
+	rel.Tuples = make([]Tuple, len(slab)/max(arity, 1))
+	for i := range rel.Tuples {
+		rel.Tuples[i] = Tuple{ID: int64(i), Attrs: slab[i*arity : (i+1)*arity : (i+1)*arity]}
+	}
 	return rel, nil
+}
+
+// appendCanonical parses a line in the form WriteText produces — exactly
+// arity attributes "s,e" of plain decimal integers with s <= e, separated by
+// '|', nothing else on the line — and appends its intervals to dst. Any other
+// line (padding, comments, brackets, timestamps, a wrong attribute count, an
+// integer of 19 digits or more) reports !ok and is left to appendLine, which
+// decides what it means.
+func appendCanonical(dst []interval.Interval, line []byte, arity int) ([]interval.Interval, bool) {
+	if arity == 0 {
+		return nil, false
+	}
+	i := 0
+	for attr := 0; attr < arity; attr++ {
+		var iv interval.Interval
+		var ok bool
+		if iv.Start, i, ok = scanInt(line, i); !ok || i == len(line) || line[i] != ',' {
+			return nil, false
+		}
+		if iv.End, i, ok = scanInt(line, i+1); !ok || iv.End < iv.Start {
+			return nil, false
+		}
+		if last := attr == arity-1; last != (i == len(line)) || !last && line[i] != '|' {
+			return nil, false
+		}
+		i++
+		dst = append(dst, iv)
+	}
+	return dst, true
+}
+
+// scanInt reads an optionally negative decimal integer of at most 18 digits
+// (so it cannot overflow) at b[i:], returning it and the index after it.
+func scanInt(b []byte, i int) (v int64, next int, ok bool) {
+	neg := i < len(b) && b[i] == '-'
+	if neg {
+		i++
+	}
+	start := i
+	for ; i < len(b) && b[i] >= '0' && b[i] <= '9'; i++ {
+		v = v*10 + int64(b[i]-'0')
+	}
+	if i == start || i-start > 18 {
+		return 0, i, false
+	}
+	if neg {
+		v = -v
+	}
+	return v, i, true
+}
+
+// appendLine is the general parser of one line: blank lines and comments add
+// nothing, anything else must hold one attribute per schema column, each an
+// integer or a timestamp pair, possibly padded or bracketed.
+func appendLine(dst []interval.Interval, line string, schema Schema, lineNo int) ([]interval.Interval, error) {
+	line = strings.TrimSpace(line)
+	if line == "" || strings.HasPrefix(line, "#") {
+		return dst, nil
+	}
+	fields := strings.Split(line, "|")
+	if len(fields) != schema.Arity() {
+		return nil, fmt.Errorf("relation %s: line %d has %d attributes, schema needs %d",
+			schema.Name, lineNo, len(fields), schema.Arity())
+	}
+	for _, f := range fields {
+		iv, err := parseAttr(f)
+		if err != nil {
+			return nil, fmt.Errorf("relation %s: line %d: %v", schema.Name, lineNo, err)
+		}
+		dst = append(dst, iv)
+	}
+	return dst, nil
 }
 
 // timeLayouts are the timestamp formats parseAttr accepts, most to least

@@ -110,9 +110,12 @@ func (r *Relation) Intervals() []interval.Interval {
 }
 
 // Validate checks tuple arity and interval well-formedness and id
-// uniqueness, returning the first problem found.
+// uniqueness, returning the first problem found. Ids that equal their
+// positions — what Append, FromIntervals and ReadText assign — are unique as
+// they stand; the set of seen ids is built only from the first tuple that
+// departs from that.
 func (r *Relation) Validate() error {
-	seen := make(map[int64]struct{}, len(r.Tuples))
+	var seen map[int64]struct{}
 	for i, t := range r.Tuples {
 		if len(t.Attrs) != r.Schema.Arity() {
 			return fmt.Errorf("relation %s: tuple %d has arity %d, want %d",
@@ -122,6 +125,15 @@ func (r *Relation) Validate() error {
 			if !iv.Valid() {
 				return fmt.Errorf("relation %s: tuple %d attribute %s invalid: %v",
 					r.Schema.Name, i, r.Schema.Attrs[j], iv)
+			}
+		}
+		if seen == nil {
+			if t.ID == int64(i) {
+				continue
+			}
+			seen = make(map[int64]struct{}, len(r.Tuples))
+			for id := int64(0); id < int64(i); id++ {
+				seen[id] = struct{}{}
 			}
 		}
 		if _, dup := seen[t.ID]; dup {

@@ -63,13 +63,42 @@ func TestKeyPanicsOnMultiAttr(t *testing.T) {
 }
 
 func TestValidateCatchesDuplicates(t *testing.T) {
-	r := New(NewSchema("R"))
-	r.Tuples = []Tuple{
-		{ID: 1, Attrs: []interval.Interval{interval.New(0, 1)}},
-		{ID: 1, Attrs: []interval.Interval{interval.New(2, 3)}},
+	iv := []interval.Interval{interval.New(0, 1)}
+	for name, tc := range map[string]struct {
+		ids []int64
+		dup bool
+	}{
+		"same id twice":                   {[]int64{1, 1}, true},
+		"repeats an id that sat in place": {[]int64{0, 1, 2, 1}, true},
+		"repeats an id met out of place":  {[]int64{0, 7, 2, 7}, true},
+		"in place":                        {[]int64{0, 1, 2, 3}, false},
+		"out of place, all distinct":      {[]int64{0, 1, 9, 2, 3}, false},
+	} {
+		r := New(NewSchema("R"))
+		for _, id := range tc.ids {
+			r.Tuples = append(r.Tuples, Tuple{ID: id, Attrs: iv})
+		}
+		if err := r.Validate(); (err != nil) != tc.dup {
+			t.Errorf("%s: ids %v: Validate = %v", name, tc.ids, err)
+		}
 	}
-	if err := r.Validate(); err == nil {
-		t.Fatal("duplicate ids not reported")
+}
+
+// TestValidateAllocatesNothingForPositionalIDs pins the shortcut every query
+// relies on (core.NewContext validates each bound relation): ids that equal
+// their positions need no set of seen ids.
+func TestValidateAllocatesNothingForPositionalIDs(t *testing.T) {
+	ivs := make([]interval.Interval, 1000)
+	for i := range ivs {
+		ivs[i] = interval.New(int64(i), int64(i)+5)
+	}
+	r := FromIntervals("R", ivs)
+	if allocs := testing.AllocsPerRun(10, func() {
+		if err := r.Validate(); err != nil {
+			t.Fatal(err)
+		}
+	}); allocs != 0 {
+		t.Fatalf("Validate allocates %.0f times for ids 0..n-1", allocs)
 	}
 }
 

@@ -17,7 +17,8 @@
 #                      reach; it compiles against internal packages, so it
 #                      is vetted and tested here, where an internal API
 #                      change that breaks the repository's benchmark can
-#                      still be fixed
+#                      still be fixed; one short traced pass follows, since
+#                      the layer probes call internal APIs at run time too
 #   7. live scrape   — ijoind -selfcheck boots the real server, drives the
 #                      query mix over HTTP, strictly validates the /metrics
 #                      exposition text, and archives the scrape plus a
@@ -62,6 +63,10 @@ go test -race ./...
 echo "== benchmark module =="
 go vet -C bench ./...
 go test -C bench ./...
+# The traced pass runs every layer probe against the internal packages and
+# exits 1 when one breaks (say, a probe reading a store file the engine no
+# longer writes) — which neither vet nor the module's tests would notice.
+bash bench/run.sh --workload batch-sparse --seconds 2 --trace 1 >/dev/null
 
 echo "== live /metrics scrape =="
 # Boot the real ijoind on a loopback port, fire the query mix at it over
