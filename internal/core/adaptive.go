@@ -3,7 +3,6 @@ package core
 import (
 	"sort"
 	"strconv"
-	"strings"
 
 	"intervaljoin/internal/cost"
 	"intervaljoin/internal/grid"
@@ -432,18 +431,13 @@ func resplitValues(streams int, streamOf func(string) int) func(key int64, value
 	}
 }
 
-// streamOfTagged classifies a tagged record ("<rel>;...") by its relation
-// tag — the stream function of the single-cycle join jobs.
+// streamOfTagged classifies a record by the relation byte of its first
+// member — the stream function of the single-cycle join jobs.
 func streamOfTagged(v string) int {
-	sep := strings.IndexByte(v, ';')
-	if sep <= 0 {
+	if len(v) == 0 {
 		return -1
 	}
-	rel, err := strconv.Atoi(v[:sep])
-	if err != nil {
-		return -1
-	}
-	return rel
+	return int(v[0])
 }
 
 // cascadeStreams classifies a bind step's values: stream 0 carries the
@@ -451,16 +445,13 @@ func streamOfTagged(v string) int {
 // reduce function's own partial/novel separation.
 func cascadeStreams(novel int) func(string) int {
 	return func(v string) int {
-		if strings.IndexByte(v, '#') >= 0 {
-			return 0 // multi-tuple partial assignment
-		}
-		rel := streamOfTagged(v)
-		if rel < 0 {
+		rel, n, err := splitMember(v)
+		switch {
+		case err != nil:
 			return -1
-		}
-		if rel == novel {
+		case n == len(v) && rel == novel:
 			return 1
 		}
-		return 0
+		return 0 // a partial assignment, of one member or several
 	}
 }

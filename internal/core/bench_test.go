@@ -129,50 +129,73 @@ func BenchmarkMarkCrossingParticipants(b *testing.B) {
 	}
 }
 
-// BenchmarkEncodeTagged measures the hot map-side record codec; the point of
-// interest is allocs/op (one exact-size string per record in steady state).
+// BenchmarkEncodeTagged measures the member encoder — what builds a
+// relation's slab, once per tuple per Context; the map side itself emits
+// substrings. The point of interest is allocs/op: none.
 func BenchmarkEncodeTagged(b *testing.B) {
 	t := relation.Tuple{ID: 123456, Attrs: []interval.Interval{
 		interval.New(987654, 998765), interval.New(12, 64000),
 	}}
+	buf := make([]byte, 0, memberLen(2))
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		s := encodeTagged(7, t)
-		if len(s) == 0 {
-			b.Fatal("empty record")
+		if buf = appendMember(buf[:0], 7, t); len(buf) != memberLen(2) {
+			b.Fatal("short record")
 		}
 	}
 }
 
-// BenchmarkEncodeMarkedBody measures the mark reducer's splicing writer —
-// one record per tuple leaving every mark cycle.
+// BenchmarkEncodeMarkedBody measures the mark reducer's writer — the member
+// it received with the flag appended, one record per tuple leaving every
+// mark cycle.
 func BenchmarkEncodeMarkedBody(b *testing.B) {
-	body := relation.EncodeTuple(relation.Tuple{ID: 123456, Attrs: []interval.Interval{
+	member := encodeTagged(7, relation.Tuple{ID: 123456, Attrs: []interval.Interval{
 		interval.New(987654, 998765), interval.New(12, 64000),
 	}})
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		s := encodeMarkedBody(7, -1, i%2 == 0, body)
-		if len(s) == 0 {
+		if s := member + flagSuffix[i%2]; len(s) == 0 {
 			b.Fatal("empty record")
 		}
 	}
 }
 
-// BenchmarkEncodeVector measures the Gen-Matrix flag-vector codec.
+// BenchmarkEncodeVector measures the Gen-Matrix merge reducer's writer: a
+// member with one flag byte per vertex behind it.
 func BenchmarkEncodeVector(b *testing.B) {
-	t := relation.Tuple{ID: 123456, Attrs: []interval.Interval{
+	member := encodeTagged(3, relation.Tuple{ID: 123456, Attrs: []interval.Interval{
 		interval.New(987654, 998765), interval.New(12, 64000),
-	}}
-	flags := []bool{true, false, true, true}
+	}})
+	flags := []byte{1, 0, 1, 1}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		s := encodeVector(3, flags, t)
-		if len(s) == 0 {
+		if s := member + string(flags); len(s) == 0 {
 			b.Fatal("empty record")
+		}
+	}
+}
+
+// BenchmarkDecodeMember measures the reduce side's decoder: one tagged
+// record split and loaded into a grown arena.
+func BenchmarkDecodeMember(b *testing.B) {
+	rec := encodeTagged(7, relation.Tuple{ID: 123456, Attrs: []interval.Interval{
+		interval.New(987654, 998765), interval.New(12, 64000),
+	}})
+	var arena relation.Arena
+	arena.Grow(1, 2)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		arena.Reset()
+		_, body, err := splitTagged(rec)
+		if err == nil {
+			_, err = arena.AppendBinary(body)
+		}
+		if err != nil {
+			b.Fatal(err)
 		}
 	}
 }

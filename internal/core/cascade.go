@@ -3,7 +3,6 @@ package core
 import (
 	"fmt"
 	"strconv"
-	"strings"
 
 	"intervaljoin/internal/grid"
 	"intervaljoin/internal/interval"
@@ -201,8 +200,8 @@ func satisfiesStep(pa partial, t relation.Tuple, step cascadeStep) bool {
 
 // partial is the intermediate record of the multi-cycle baselines — a partial
 // assignment: the tuples bound so far, tuples[i] belonging to relation
-// rels[i]. On the wire the tagged tuples are joined with '#', so a lone
-// tagged tuple is a one-member partial assignment.
+// rels[i]. On the wire the members follow one another (encodePartial), so a
+// lone tagged tuple is a one-member partial assignment.
 type partial struct {
 	rels   []int
 	tuples []relation.Tuple
@@ -215,34 +214,4 @@ func (pa partial) tupleOf(rel int) relation.Tuple {
 		}
 	}
 	panic("core: relation " + strconv.Itoa(rel) + " not bound in partial assignment")
-}
-
-// encodePartial renders the assignment binding tuples[i] to relation rels[i].
-func encodePartial(rels []int, tuples []relation.Tuple) string {
-	bp := encBuf.Get().(*[]byte)
-	b := *bp
-	for i, t := range tuples {
-		if i > 0 {
-			b = append(b, '#')
-		}
-		b = strconv.AppendInt(b, int64(rels[i]), 10)
-		b = append(b, ';')
-		b = relation.AppendTuple(b, t)
-	}
-	return finishRecord(bp, b)
-}
-
-// decodePartial parses encodePartial's output.
-func decodePartial(s string) (partial, error) {
-	n := strings.Count(s, "#") + 1
-	pa := partial{rels: make([]int, n), tuples: make([]relation.Tuple, n)}
-	for i := range pa.rels {
-		var member string
-		member, s, _ = strings.Cut(s, "#")
-		var err error
-		if pa.rels[i], pa.tuples[i], err = decodeTagged(member); err != nil {
-			return partial{}, err
-		}
-	}
-	return pa, nil
 }

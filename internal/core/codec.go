@@ -2,161 +2,186 @@ package core
 
 import (
 	"fmt"
-	"strconv"
 	"strings"
 	"sync"
 
+	"intervaljoin/internal/interval"
 	"intervaljoin/internal/relation"
 )
 
-// The intermediate record formats the algorithms ship between map and reduce
-// and across cycle boundaries. All are line records on the dfs store:
+// The records the algorithms ship between map and reduce and across cycle
+// boundaries are fixed-width binary, carried in Go strings. The unit is the
+// member, one tuple of one relation:
 //
-//	tagged tuple:  "<rel>;<tuple>"
-//	vector tuple:  "<rel>;<f0f1...>;<tuple>"      (mark output: one flag per vertex)
-//	vertex tuple:  "<rel>;<attr>;<flag>;<tuple>"  (Gen-Matrix mark output, pre-merge)
+//	member:  [rel][arity][id][start,end]*arity
 //
-// where <tuple> is relation.EncodeTuple's "id|s,e|s,e|..." form and flags
-// are '0'/'1' runes. The tag is the relation's index in the query.
+// rel and arity are one byte each (NewContext rejects a query they cannot
+// name), every number is 8 bytes little-endian (relation.AppendBinary), so a
+// member of arity a is memberLen(a) = 10+16a bytes and every field sits at a
+// fixed offset. Everything else is members with something behind them:
+//
+//	tagged tuple:        member
+//	partial assignment:  member member ...        (bind-step and FCTS intermediates)
+//	flag vector:         member [f0][f1]...       (mark output: one flag per vertex)
+//	vertex flag:         member [attr][f]         (Gen-Matrix mark output, pre-merge)
+//	prune record:        [rel][id]                (PASM cycle 2)
+//
+// A flag is the byte 0 or 1. Because flags trail the member, a consumer that
+// wants the tuple without them forwards record[:memberLen] — a substring —
+// and a producer that adds them appends to the member it received. How many
+// flags a vector holds is not in the record: its consumer checks the count
+// against the relation's vertices (flaggedMap). Nothing is formatted or
+// parsed as text on this path; text lives in relation files and Context.Stage.
 
-// encBuf pools the scratch buffer the encoders assemble records in, so the
-// only per-record allocation in steady state is the final exact-size string.
-// The map phase emits one record per tuple replica, which made the previous
-// concatenation-based encoders a measurable share of map-side allocation.
-var encBuf = sync.Pool{New: func() any { b := make([]byte, 0, 128); return &b }}
+const (
+	headerLen    = 2   // [rel][arity]
+	maxRelations = 256 // what the rel byte can name
+	maxArity     = 255 // what the arity byte can name
+)
 
-// finishRecord converts the assembled record to a string and recycles the
-// buffer.
-func finishRecord(bp *[]byte, b []byte) string {
-	s := string(b)
-	*bp = b[:0]
-	encBuf.Put(bp)
-	return s
+func memberLen(arity int) int { return headerLen + 8 + 16*arity }
+
+// appendMember appends t as a member of relation rel.
+func appendMember(b []byte, rel int, t relation.Tuple) []byte {
+	return relation.AppendBinary(append(b, byte(rel), byte(len(t.Attrs))), t)
 }
 
-// encodeTagged prefixes a tuple with its relation index.
-func encodeTagged(rel int, t relation.Tuple) string {
-	bp := encBuf.Get().(*[]byte)
-	b := strconv.AppendInt(*bp, int64(rel), 10)
-	b = append(b, ';')
-	b = relation.AppendTuple(b, t)
-	return finishRecord(bp, b)
+// splitMember reads the header of the member s starts with: its relation and
+// the length of its encoding, which s is checked to hold.
+func splitMember(s string) (rel, n int, err error) {
+	if len(s) < headerLen || s[1] == 0 || len(s) < memberLen(int(s[1])) {
+		return 0, 0, fmt.Errorf("core: record %q does not start with a whole member", s)
+	}
+	return int(s[0]), memberLen(int(s[1])), nil
 }
 
-// splitTagged splits a tagged record into its relation tag and the raw
-// tuple body, without decoding the tuple — the columnar reduce path hands
-// the body straight to the arena decoder (relation.Arena.AppendDecode).
+// splitTagged splits a tagged record into its relation and the tuple body,
+// without decoding the tuple — the reduce paths hand the body straight to
+// the arena (relation.Arena.AppendBinary), which validates it.
 func splitTagged(s string) (rel int, body string, err error) {
-	sep := strings.IndexByte(s, ';')
-	if sep < 0 {
-		return 0, "", fmt.Errorf("core: malformed tagged tuple %q", s)
+	rel, n, err := splitMember(s)
+	if err != nil || n != len(s) {
+		return 0, "", fmt.Errorf("core: record %q is not one whole member", s)
 	}
-	rel, err = strconv.Atoi(s[:sep])
+	return rel, s[headerLen:], nil
+}
+
+// splitVector splits a flag-vector record into its member and the validated
+// flags, parallel to the relation's vertices.
+func splitVector(s string) (rel int, member, flags string, err error) {
+	rel, n, err := splitMember(s)
 	if err != nil {
-		return 0, "", fmt.Errorf("core: bad relation tag in %q: %v", s, err)
+		return 0, "", "", err
 	}
-	return rel, s[sep+1:], nil
-}
-
-// decodeTagged parses encodeTagged's output.
-func decodeTagged(s string) (rel int, t relation.Tuple, err error) {
-	rel, body, err := splitTagged(s)
-	if err != nil {
-		return 0, relation.Tuple{}, err
-	}
-	t, err = relation.DecodeTuple(body)
-	return rel, t, err
-}
-
-func flagByte(f bool) byte {
-	if f {
-		return '1'
-	}
-	return '0'
-}
-
-// encodeMarkedBody is the mark reducer's writer: it splices the replication
-// decision in front of a tuple's canonical encoded body (the reducer re-emits
-// the body it received), with no per-endpoint formatting. With attr < 0 the
-// record is a one-flag vector, "<rel>;<f>;<body>" — byte-identical to
-// encodeVector of the decoded tuple; otherwise it carries the flagged vertex's
-// attribute, "<rel>;<attr>;<f>;<body>", one record per vertex of a tuple,
-// which Gen-Matrix's merge cycle assembles into the tuple's flag vector.
-func encodeMarkedBody(rel, attr int, replicate bool, body string) string {
-	bp := encBuf.Get().(*[]byte)
-	b := strconv.AppendInt(*bp, int64(rel), 10)
-	b = append(b, ';')
-	if attr >= 0 {
-		b = strconv.AppendInt(b, int64(attr), 10)
-		b = append(b, ';')
-	}
-	b = append(b, flagByte(replicate), ';')
-	b = append(b, body...)
-	return finishRecord(bp, b)
-}
-
-// decodeVertexFlagged parses encodeMarkedBody's per-vertex form.
-func decodeVertexFlagged(s string) (rel, attr int, replicate bool, t relation.Tuple, err error) {
-	parts := strings.SplitN(s, ";", 4)
-	if len(parts) != 4 {
-		return 0, 0, false, relation.Tuple{}, fmt.Errorf("core: malformed vertex-flagged tuple %q", s)
-	}
-	rel, err = strconv.Atoi(parts[0])
-	if err != nil {
-		return 0, 0, false, relation.Tuple{}, fmt.Errorf("core: bad relation tag in %q: %v", s, err)
-	}
-	attr, err = strconv.Atoi(parts[1])
-	if err != nil {
-		return 0, 0, false, relation.Tuple{}, fmt.Errorf("core: bad attribute tag in %q: %v", s, err)
-	}
-	switch parts[2] {
-	case "0":
-	case "1":
-		replicate = true
-	default:
-		return 0, 0, false, relation.Tuple{}, fmt.Errorf("core: bad flag in %q", s)
-	}
-	t, err = relation.DecodeTuple(parts[3])
-	return rel, attr, replicate, t, err
-}
-
-// encodeVector carries one flag per vertex of the relation (Gen-Matrix).
-// The flag order is the relation's vertex order (sorted by component id then
-// attribute index).
-func encodeVector(rel int, flags []bool, t relation.Tuple) string {
-	bp := encBuf.Get().(*[]byte)
-	b := strconv.AppendInt(*bp, int64(rel), 10)
-	b = append(b, ';')
-	for _, f := range flags {
-		b = append(b, flagByte(f))
-	}
-	b = append(b, ';')
-	b = relation.AppendTuple(b, t)
-	return finishRecord(bp, b)
-}
-
-// decodeVector parses a flag-vector record. The flags come back as the raw
-// validated '0'/'1' field, parallel to the relation's vertices.
-func decodeVector(s string) (rel int, flags string, t relation.Tuple, err error) {
-	first := strings.IndexByte(s, ';')
-	if first < 0 {
-		return 0, "", relation.Tuple{}, fmt.Errorf("core: malformed vector tuple %q", s)
-	}
-	second := strings.IndexByte(s[first+1:], ';')
-	if second < 0 {
-		return 0, "", relation.Tuple{}, fmt.Errorf("core: malformed vector tuple %q", s)
-	}
-	second += first + 1
-	rel, err = strconv.Atoi(s[:first])
-	if err != nil {
-		return 0, "", relation.Tuple{}, fmt.Errorf("core: bad relation tag in %q: %v", s, err)
-	}
-	flags = s[first+1 : second]
-	for i := 0; i < len(flags); i++ {
-		if flags[i] != '0' && flags[i] != '1' {
-			return 0, "", relation.Tuple{}, fmt.Errorf("core: bad flag vector in %q", s)
+	for i := n; i < len(s); i++ {
+		if s[i] > 1 {
+			return 0, "", "", fmt.Errorf("core: bad flag vector in %q", s)
 		}
 	}
-	t, err = relation.DecodeTuple(s[second+1:])
-	return rel, flags, t, err
+	return rel, s[:n], s[n:], nil
+}
+
+// splitVertexFlagged splits a per-vertex flag record: the member, the
+// flagged vertex's attribute and the replication decision.
+func splitVertexFlagged(s string) (rel int, member string, attr int, replicate bool, err error) {
+	rel, n, err := splitMember(s)
+	if err != nil {
+		return 0, "", 0, false, err
+	}
+	if len(s) != n+2 || s[n+1] > 1 {
+		return 0, "", 0, false, fmt.Errorf("core: malformed vertex-flagged tuple %q", s)
+	}
+	return rel, s[:n], int(s[n]), s[n+1] == 1, nil
+}
+
+// decodeTuple decodes the tuple of a member, its attributes appended to buf.
+func decodeTuple(member string, buf []interval.Interval) (relation.Tuple, error) {
+	id, attrs, err := relation.DecodeBinary(member[headerLen:], buf)
+	return relation.Tuple{ID: id, Attrs: attrs}, err
+}
+
+// flagSuffix[f] is the one-flag trailer of a mark record, attrFlagSuffix[a][f]
+// the trailer of a vertex-flag record for attribute a.
+var (
+	flagSuffix     = [2]string{"\x00", "\x01"}
+	attrFlagSuffix = func() (t [maxArity + 1][2]string) {
+		for a := range t {
+			t[a] = [2]string{string([]byte{byte(a), 0}), string([]byte{byte(a), 1})}
+		}
+		return t
+	}()
+)
+
+func flagIndex(f bool) int {
+	if f {
+		return 1
+	}
+	return 0
+}
+
+// encodePartial renders the assignment binding tuples[i] to relation rels[i]:
+// the members back to back, so a lone tagged tuple is a one-member partial
+// assignment.
+func encodePartial(rels []int, tuples []relation.Tuple) string {
+	b := make([]byte, 0, 128) // on the stack: four single-attribute members
+	for i, t := range tuples {
+		b = appendMember(b, rels[i], t)
+	}
+	return string(b)
+}
+
+// decodePartial parses encodePartial's output. The tuples' attributes share
+// one backing array.
+func decodePartial(s string) (partial, error) {
+	most := len(s) / memberLen(1)
+	pa := partial{rels: make([]int, 0, most), tuples: make([]relation.Tuple, 0, most)}
+	attrs := make([]interval.Interval, 0, len(s)/16)
+	for len(s) > 0 {
+		rel, n, err := splitMember(s)
+		if err != nil {
+			return partial{}, err
+		}
+		at := len(attrs)
+		t, err := decodeTuple(s[:n], attrs)
+		if err != nil {
+			return partial{}, err
+		}
+		attrs = t.Attrs
+		t.Attrs = attrs[at:len(attrs):len(attrs)]
+		pa.rels, pa.tuples = append(pa.rels, rel), append(pa.tuples, t)
+		s = s[n:]
+	}
+	if len(pa.rels) == 0 {
+		return partial{}, fmt.Errorf("core: empty partial assignment")
+	}
+	return pa, nil
+}
+
+// relSlab is one relation's tuples as tagged records, one after the other in
+// a single string: every record a base-relation map emits is a substring of
+// it.
+type relSlab struct {
+	once   sync.Once
+	data   string
+	stride int
+}
+
+// tagged returns tuple pos of relation ri as a tagged record. The relation
+// is encoded on the first call, once per Context, so a relation no cycle maps
+// is never encoded; after that a record costs no formatting and no
+// allocation.
+func (c *Context) tagged(ri, pos int) string {
+	s := &c.slabs[ri]
+	s.once.Do(func() {
+		r := c.Rels[ri]
+		s.stride = memberLen(r.Schema.Arity())
+		var sb strings.Builder
+		sb.Grow(r.Len() * s.stride)
+		buf := make([]byte, 0, s.stride)
+		for _, t := range r.Tuples {
+			sb.Write(appendMember(buf[:0], ri, t))
+		}
+		s.data = sb.String()
+	})
+	return s.data[pos*s.stride : (pos+1)*s.stride]
 }

@@ -350,7 +350,9 @@ func TestRunTaggedMatchesRun(t *testing.T) {
 		t.Fatalf("runTagged after a callback error: err = %v after %d calls, want %v after 1", err, calls, stop)
 	}
 
-	for _, bad := range []string{"", "x;0|1,2", "0;garbage", "9;0|1,2", "-1;0|1,2"} {
+	good := encodeTagged(0, mkTuple(0, interval.New(1, 2)))
+	for _, bad := range []string{"", "0;0|1,2", good[:len(good)-1], good + "\x00", "\x09" + good[1:],
+		encodeTagged(0, relation.Tuple{ID: 0, Attrs: []interval.Interval{{Start: 2, End: 1}}})} {
 		if err := e.runTagged([]string{bad}, allRelations(3), func([]relation.Tuple) error { return nil }); err == nil {
 			t.Errorf("runTagged(%q) succeeded, want error", bad)
 		}

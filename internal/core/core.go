@@ -101,6 +101,8 @@ type Context struct {
 	Query  *query.Query
 	Rels   []*relation.Relation
 	Opts   Options
+	// slabs[i] is Rels[i] in record form, encoded when a cycle first maps it.
+	slabs []relSlab
 }
 
 // NewContext validates and assembles a run context. Relations are matched to
@@ -108,6 +110,10 @@ type Context struct {
 func NewContext(engine *mr.Engine, q *query.Query, rels []*relation.Relation, opts Options) (*Context, error) {
 	if err := q.Validate(); err != nil {
 		return nil, err
+	}
+	// A record names its relation and its arity in one header byte each.
+	if len(q.Relations) > maxRelations {
+		return nil, fmt.Errorf("core: query joins %d relations, a record can name at most %d", len(q.Relations), maxRelations)
 	}
 	bound := make([]*relation.Relation, len(q.Relations))
 	for _, r := range rels {
@@ -122,6 +128,10 @@ func NewContext(engine *mr.Engine, q *query.Query, rels []*relation.Relation, op
 			return nil, fmt.Errorf("core: relation %s has arity %d, query needs %d",
 				r.Schema.Name, r.Schema.Arity(), q.Relations[i].Arity())
 		}
+		if r.Schema.Arity() > maxArity {
+			return nil, fmt.Errorf("core: relation %s has %d attributes, a record can hold at most %d",
+				r.Schema.Name, r.Schema.Arity(), maxArity)
+		}
 		if err := r.Validate(); err != nil {
 			return nil, err
 		}
@@ -132,13 +142,13 @@ func NewContext(engine *mr.Engine, q *query.Query, rels []*relation.Relation, op
 			return nil, fmt.Errorf("core: no relation bound for %s", q.Relations[i].Name)
 		}
 	}
-	return &Context{Engine: engine, Query: q, Rels: bound, Opts: opts}, nil
+	return &Context{Engine: engine, Query: q, Rels: bound, Opts: opts, slabs: make([]relSlab, len(bound))}, nil
 }
 
-// Stage writes every relation to the store as "input/<name>" in the engine's
-// record format, for callers that want to map the records themselves with an
-// mr.Input{File} and an mr.MapFunc. The drivers do not read it: they map
-// Rels positionally.
+// Stage writes every relation to the store as "input/<name>", one text line
+// (relation.EncodeTuple) per tuple, for callers that want to map the records
+// themselves with an mr.Input{File} and an mr.MapFunc. The drivers do not
+// read it: they map Rels positionally, and their own records are binary.
 func (c *Context) Stage() error {
 	for ri, r := range c.Rels {
 		w, err := c.Engine.Store().Create("input/" + c.Query.Relations[ri].Name)
@@ -146,6 +156,7 @@ func (c *Context) Stage() error {
 			return err
 		}
 		for _, t := range r.Tuples {
+			//lint:ignore hotpathban Stage is the one text writer left in core: no driver calls it, the benchmark's core.stage_ms probe does
 			if err := w.Write(relation.EncodeTuple(t)); err != nil {
 				w.Close()
 				return err
@@ -213,6 +224,7 @@ func (o OutputTuple) Key() string {
 		if i > 0 {
 			b = append(b, ',')
 		}
+		//lint:ignore hotpathban Key is the result's display and set-comparison form, made by callers after the run; no record carries it
 		b = strconv.AppendInt(b, id, 10)
 	}
 	return string(b)

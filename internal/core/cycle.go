@@ -174,8 +174,7 @@ func (c *Context) baseMap(sp *space, ops []interval.Op) mr.PosMapFunc {
 		}
 	}
 	return func(tag, pos int, emit mr.Emitter) error {
-		t := c.Rels[tag].Tuples[pos]
-		sp.route(emit, tag, t, perVertex[tag], tag, encodeTagged(tag, t))
+		sp.route(emit, tag, c.Rels[tag].Tuples[pos], perVertex[tag], tag, c.tagged(tag, pos))
 		return nil
 	}
 }
@@ -184,15 +183,21 @@ func (c *Context) baseMap(sp *space, ops []interval.Op) mr.PosMapFunc {
 // output of a mark cycle): a vertex is replicated along its dimension when
 // the marking flagged it and projected otherwise (RCCIS cycle 2, condition
 // E2). Tuples listed in pruned are dropped. The reducers receive the tagged
-// tuple — or, with forward, the flagged record itself.
+// tuple — the record up to its flags — or, with forward, the flagged record
+// itself.
 func (sp *space) flaggedMap(pruned []map[int64]bool, forward bool) mr.MapFunc {
 	return func(_ int, record string, emit mr.Emitter) error {
-		rel, flags, t, err := decodeVector(record)
+		rel, member, flags, err := splitVector(record)
 		if err != nil {
 			return err
 		}
-		if rel < 0 || rel >= len(sp.at) || len(flags) < len(sp.at[rel]) {
+		if rel >= len(sp.at) || len(flags) < len(sp.at[rel]) {
 			return fmt.Errorf("core: flag vector of %q does not cover relation %d's vertices", record, rel)
+		}
+		var attrs [4]interval.Interval
+		t, err := decodeTuple(member, attrs[:0])
+		if err != nil {
+			return err
 		}
 		if pruned != nil && pruned[rel][t.ID] {
 			return nil
@@ -201,14 +206,14 @@ func (sp *space) flaggedMap(pruned []map[int64]bool, forward bool) mr.MapFunc {
 		ops := buf[:0]
 		for i := range flags {
 			op := interval.OpProject
-			if flags[i] == '1' {
+			if flags[i] == 1 {
 				op = interval.OpReplicate
 			}
 			ops = append(ops, op)
 		}
-		value := record
-		if !forward {
-			value = encodeTagged(rel, t)
+		value := member
+		if forward {
+			value = record
 		}
 		sp.route(emit, rel, t, ops, rel, value)
 		return nil
@@ -233,9 +238,9 @@ func condsWithin(q *query.Query, verts []query.Operand) []query.Condition {
 // in p must be replicated: exactly those that belong to some interval-set
 // that is (C1) consistent and (C2) crosses p (markCrossingParticipants).
 // Its output, "marked", holds every vertex's tuple exactly once, written by
-// its start partition's reducer, as a one-flag vector record
-// "<rel>;<f>;<tuple>" — or, with vertexTagged, as "<rel>;<attr>;<f>;<tuple>"
-// for queries whose relations own several vertices.
+// its start partition's reducer, as a one-flag vector record — the member it
+// received, then the flag — or, with vertexTagged, as a vertex-flag record,
+// member, attribute, flag, for queries whose relations own several vertices.
 //
 // The cycle keeps the plain one-key-per-partition layout even when the join
 // cycle runs on an adaptive plan: the reducer needs every tuple split onto a
@@ -258,35 +263,42 @@ func (c *Context) markJob(dims []dimension, vertexTagged bool) mr.Job {
 			k, coord := sp.locate(key)
 			d, p := dims[k], coord[0]
 			// Decode through a per-call arena: one flat interval column for
-			// the whole candidate list instead of one Attrs slice per record.
-			// The raw bodies ride along so survivors are re-emitted by
-			// splicing the flag in, with no per-endpoint formatting.
+			// the whole candidate list instead of one Attrs slice per record,
+			// and every list reserved from the size of the value list — an even
+			// share per relation, one interval per tuple — rather than grown
+			// from nothing. The records ride along so survivors are re-emitted
+			// by appending the flag to what arrived.
 			var arena relation.Arena
+			arena.Grow(len(values), len(values))
+			share := len(values)/len(d.verts) + 1
 			cands := make(map[int][]relation.Tuple, len(d.verts))
-			bodies := make(map[int][]string, len(d.verts))
+			members := make(map[int][]string, len(d.verts))
+			for _, v := range d.verts {
+				cands[v.Rel], members[v.Rel] = make([]relation.Tuple, 0, share), make([]string, 0, share)
+			}
 			for _, v := range values {
 				rel, body, err := splitTagged(v)
 				if err != nil {
 					return err
 				}
-				ref, err := arena.AppendDecode(body)
+				ref, err := arena.AppendBinary(body)
 				if err != nil {
 					return err
 				}
 				cands[rel] = append(cands[rel], arena.Tuple(ref))
-				bodies[rel] = append(bodies[rel], body)
+				members[rel] = append(members[rel], v)
 			}
 			replicate := markCrossingParticipants(conds[k], d.part, p, d.verts, cands)
 			for _, v := range d.verts {
-				attr := -1
+				trailer := flagSuffix
 				if vertexTagged {
-					attr = v.Attr
+					trailer = attrFlagSuffix[v.Attr]
 				}
 				for i, t := range cands[v.Rel] {
 					if d.part.IndexOf(t.Attrs[v.Attr].Start) != p {
 						continue
 					}
-					if err := write(encodeMarkedBody(v.Rel, attr, replicate[v.Rel][t.ID], bodies[v.Rel][i])); err != nil {
+					if err := write(members[v.Rel][i] + trailer[flagIndex(replicate[v.Rel][t.ID])]); err != nil {
 						return err
 					}
 				}
@@ -453,14 +465,13 @@ func (bs bindStep) job(c *Context) mr.Job {
 			return nil
 		},
 		MapAt: func(tag, pos int, emit mr.Emitter) error {
-			t := c.Rels[tag].Tuples[pos]
 			// Stream 0 carries the partial assignments, stream 1 the novel
 			// relation's tuples.
 			stream := 0
 			if tag == step.novel {
 				stream = 1
 			}
-			sp.route(emit, tag, t, ops[tag], stream, encodeTagged(tag, t))
+			sp.route(emit, tag, c.Rels[tag].Tuples[pos], ops[tag], stream, c.tagged(tag, pos))
 			return nil
 		},
 	}

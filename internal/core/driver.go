@@ -1,8 +1,6 @@
 package core
 
 import (
-	"strings"
-
 	"intervaljoin/internal/mr"
 	"intervaljoin/internal/query"
 )
@@ -121,11 +119,11 @@ func (c *Context) runStages(alg string, build stageBuilder) (*Result, error) {
 
 // replicateFlagTap counts the replicate-flagged records leaving a mark
 // cycle — the paper's "# Intervals Replicated" statistic — without forcing
-// the marked intermediate onto the store. Records are one-flag vectors,
-// "<rel>;<flag>;<tuple>".
+// the marked intermediate onto the store. Records are one-flag vectors: the
+// flag is the byte behind the member.
 func replicateFlagTap(n *int64) func(string) {
 	return func(rec string) {
-		if i := strings.IndexByte(rec, ';'); i >= 0 && i+2 < len(rec) && rec[i+1] == '1' && rec[i+2] == ';' {
+		if _, m, err := splitMember(rec); err == nil && len(rec) == m+1 && rec[m] == 1 {
 			*n++
 		}
 	}

@@ -67,7 +67,7 @@ func (a GenMatrix) stages(ctx *Context, env *chainEnv) ([]mr.Stage, *execPlan, e
 		{Job: ctx.markJob(dims, true)},
 		{Job: a.mergeJob(sp), Tap: func(rec string) {
 			// Count tuples with at least one replicate-flagged vertex.
-			if _, flags, _, err := decodeVector(rec); err == nil && strings.Contains(flags, "1") {
+			if _, n, err := splitMember(rec); err == nil && strings.IndexByte(rec[n:], 1) >= 0 {
 				env.res.ReplicatedIntervals++
 			}
 		}},
@@ -189,36 +189,40 @@ func (GenMatrix) mergeJob(sp *space) mr.Job {
 		Name:   "merge",
 		Inputs: []mr.Input{{File: "marked"}},
 		Map: func(_ int, record string, emit mr.Emitter) error {
-			rel, _, _, t, err := decodeVertexFlagged(record)
+			rel, member, _, _, err := splitVertexFlagged(record)
 			if err != nil {
 				return err
 			}
-			emit.Emit(t.ID*m+int64(rel), record)
+			emit.Emit(relation.BinaryID(member[headerLen:])*m+int64(rel), record)
 			return nil
 		},
 		Reduce: func(key int64, values []string, write func(string) error) error {
 			rel := int(key % m)
 			vs := sp.at[rel]
-			flags := make([]bool, len(vs))
-			var tuple relation.Tuple
-			for i, v := range values {
-				r, attr, replicate, t, err := decodeVertexFlagged(v)
+			flags := make([]byte, len(vs))
+			var tuple string
+			for _, v := range values {
+				r, member, attr, replicate, err := splitVertexFlagged(v)
 				if err != nil {
+					return err
+				}
+				var buf [4]interval.Interval
+				if _, err := decodeTuple(member, buf[:0]); err != nil {
 					return err
 				}
 				if r != rel {
 					return fmt.Errorf("core: gen-matrix merge: relation mismatch %d vs %d", r, rel)
 				}
-				if i == 0 {
-					tuple = t
-				}
+				tuple = member
 				vi := slices.IndexFunc(vs, func(at vertexAt) bool { return at.attr == attr })
 				if vi < 0 {
 					return fmt.Errorf("core: gen-matrix merge: unknown vertex attribute %d of relation %d", attr, rel)
 				}
-				flags[vi] = flags[vi] || replicate
+				if replicate {
+					flags[vi] = 1
+				}
 			}
-			return write(encodeVector(rel, flags, tuple))
+			return write(tuple + string(flags))
 		},
 		Output: "merged",
 	}

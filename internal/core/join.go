@@ -244,18 +244,6 @@ func (e *enumerator) kernelHitCounts() (sweep, merge, generic int64) {
 	return e.hitSweep.Load(), e.hitMerge.Load(), e.hitGeneric.Load()
 }
 
-// add decodes one tuple record straight into the arena and appends its ref
-// to the level's candidate list — the zero-copy path reduce functions feed
-// tagged values through.
-func (p *preparedJoin) add(level int, body string) error {
-	ref, err := p.arena.AppendDecode(body)
-	if err != nil {
-		return err
-	}
-	p.raw[level] = append(p.raw[level], ref)
-	return nil
-}
-
 // addTuple copies an in-memory tuple into the arena (the compatibility path
 // for callers that already hold decoded tuples).
 func (p *preparedJoin) addTuple(level int, t relation.Tuple) {
@@ -525,25 +513,29 @@ func (e *enumerator) run(cands [][]relation.Tuple, fn func(asg []relation.Tuple)
 // the enumeration and is returned.
 func (e *enumerator) runTagged(values []string, lvl []int, fn func(asg []relation.Tuple) error) error {
 	p := e.get()
+	defer e.put(p)
+	// Reserve the arena and the levels' lists from the size of the value
+	// list: one interval per tuple, an even share per level.
+	p.arena.Grow(len(values), len(values))
+	for i := range p.raw {
+		p.raw[i] = slices.Grow(p.raw[i], len(values)/len(p.raw)+1)
+	}
 	for _, v := range values {
 		rel, body, err := splitTagged(v)
 		if err != nil {
-			e.put(p)
 			return err
 		}
-		if rel < 0 || rel >= len(lvl) || lvl[rel] < 0 {
-			e.put(p)
+		if rel >= len(lvl) || lvl[rel] < 0 {
 			return fmt.Errorf("core: unexpected relation tag %d in %q", rel, v)
 		}
-		if err := p.add(lvl[rel], body); err != nil {
-			e.put(p)
+		ref, err := p.arena.AppendBinary(body)
+		if err != nil {
 			return err
 		}
+		p.raw[lvl[rel]] = append(p.raw[lvl[rel]], ref)
 	}
 	p.seal()
-	err := p.run(fn)
-	e.put(p)
-	return err
+	return p.run(fn)
 }
 
 // startRange bounds the start point of the unbound interval x for the

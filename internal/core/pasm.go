@@ -1,10 +1,9 @@
 package core
 
 import (
+	"encoding/binary"
 	"fmt"
 	"slices"
-	"strconv"
-	"strings"
 
 	"intervaljoin/internal/mr"
 	"intervaljoin/internal/query"
@@ -73,18 +72,10 @@ func (PASM) stages(ctx *Context, env *chainEnv) ([]mr.Stage, *execPlan, error) {
 // ignored.
 func prunedTap(pruned []map[int64]bool, counts map[int]int64) func(string) {
 	return func(rec string) {
-		comma := strings.IndexByte(rec, ',')
-		if comma < 0 {
+		if len(rec) != 1+8 || int(rec[0]) >= len(pruned) { // [rel][id]
 			return
 		}
-		rel, err := strconv.Atoi(rec[:comma])
-		if err != nil || rel < 0 || rel >= len(pruned) {
-			return
-		}
-		id, err := strconv.ParseInt(rec[comma+1:], 10, 64)
-		if err != nil {
-			return
-		}
+		rel, id := int(rec[0]), relation.BinaryID(rec[1:])
 		if pruned[rel] == nil {
 			pruned[rel] = make(map[int64]bool)
 		}
@@ -99,8 +90,8 @@ func prunedTap(pruned []map[int64]bool, counts map[int]int64) func(string) {
 // component's tuples routed along the component's line exactly as RCCIS
 // cycle 2 would route them, and decides for every tuple whose home partition
 // this is whether it participates in any output of the component's
-// colocation sub-query. Non-participating tuples are published as "rel,id"
-// prune records.
+// colocation sub-query. Non-participating tuples are published as prune
+// records: the relation byte and the id.
 //
 // The decision is exact for unreplicated tuples (all assignments containing
 // them are local to their home partition) and conservative (never pruned)
@@ -140,17 +131,24 @@ func (c *Context) pruneJob(dims []dimension) mr.Job {
 			}
 			var homes []home
 			replicatedHome := make(map[home]bool)
+			var arena relation.Arena
+			arena.Grow(len(values), len(values))
 			for _, v := range values {
-				rel, flags, t, err := decodeVector(v)
+				rel, member, flags, err := splitVector(v)
 				if err != nil {
 					return err
 				}
+				ref, err := arena.AppendBinary(member[headerLen:])
+				if err != nil {
+					return err
+				}
+				t := arena.Tuple(ref)
 				i := pos[rel]
 				cands[i] = append(cands[i], t)
 				if d.part.IndexOf(t.Attrs[d.verts[i].Attr].Start) == p {
 					h := home{rel: rel, id: t.ID}
 					homes = append(homes, h)
-					if flags == "1" {
+					if flags == flagSuffix[1] {
 						replicatedHome[h] = true
 					}
 				}
@@ -166,7 +164,7 @@ func (c *Context) pruneJob(dims []dimension) mr.Job {
 				if replicatedHome[h] || kept[h] {
 					continue
 				}
-				if err := write(strconv.Itoa(h.rel) + "," + strconv.FormatInt(h.id, 10)); err != nil {
+				if err := write(string(binary.LittleEndian.AppendUint64([]byte{byte(h.rel)}, uint64(h.id)))); err != nil {
 					return err
 				}
 			}

@@ -95,11 +95,11 @@ func TestPipelinedMatchesMaterialized(t *testing.T) {
 				}
 				var flagged int64
 				for _, rec := range marked {
-					_, flags, _, err := decodeVector(rec)
+					_, _, flags, err := splitVector(rec)
 					if err != nil {
 						t.Fatalf("marked record %q: %v", rec, err)
 					}
-					if flags == "1" {
+					if flags == flagSuffix[1] {
 						flagged++
 					}
 				}

@@ -31,7 +31,15 @@ const routingGoldenFile = "testdata/routing_golden.txt"
 // Zipf-skewed relations so the adaptive modes really split partitions.
 //
 // Regenerate with `go test ./internal/core -run TestRoutingGolden
-// -update-routing-golden` only when a change is meant to alter routing.
+// -update-routing-golden` only when a change is meant to alter routing. One
+// kind of change moves numbers without altering routing: the adaptive plan
+// spreads a split partition's records over its virtual reducers by a hash of
+// the record's bytes (rowOf), so a new record encoding — the last was the
+// move from text to fixed-width binary — lands them on other rows. That may
+// change `phys` and `keys` on the adaptive and force-split lines and nothing
+// else: `cycles`, `replicated`, `pruned`, `in`, `pairs` and `out` of every
+// line must come out byte-identical (compare with those two fields cut out,
+// `sed -E 's/ (phys|keys)=[0-9]+//g'`, before committing a regenerated file).
 func TestRoutingGolden(t *testing.T) {
 	queries := []struct{ class, q string }{
 		{"colocation", "R1 overlaps R2 and R2 contains R3"},

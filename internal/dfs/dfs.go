@@ -1,14 +1,19 @@
 // Package dfs provides the small distributed-file-system abstraction the
-// MapReduce engine stores its inputs, intermediate cycle outputs and final
-// results on. It plays the role HDFS plays for Hadoop in the paper: named
-// files of line-oriented records. Two backends are provided: an in-memory
-// store (fast, used by tests and benchmarks) and an on-disk store (used by
-// the CLIs so runs survive the process and large inputs spill out of RAM).
+// MapReduce engine keeps its intermediate cycle outputs and spill runs on. It
+// plays the role HDFS plays for Hadoop in the paper: named files of records.
+// A record is a string of arbitrary bytes — the engine's are fixed-width
+// binary (core/codec.go) — so nothing here gives any byte a meaning: the
+// in-memory store (fast, used by tests and benchmarks) keeps the strings, the
+// on-disk store (used by the CLIs so large shuffles spill out of RAM) frames
+// each with its length. Relations are not stored here; their text files are
+// read by package relation.
 package dfs
 
 import (
 	"bufio"
+	"encoding/binary"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"slices"
@@ -19,7 +24,8 @@ import (
 // Writer appends records to a file. Writers are not safe for concurrent use;
 // the MR engine serialises writes per output file.
 type Writer interface {
-	// Write appends one record. Records must not contain '\n'.
+	// Write appends one record: any bytes, the empty record included. What
+	// Next returns is what was written, byte for byte.
 	Write(record string) error
 	// Close flushes and publishes the file. A file is not readable until
 	// its writer is closed.
@@ -109,9 +115,6 @@ type memWriter struct {
 func (w *memWriter) Write(record string) error {
 	if w.closed {
 		return fmt.Errorf("dfs: write to closed file %s", w.name)
-	}
-	if strings.ContainsRune(record, '\n') {
-		return fmt.Errorf("dfs: record for %s contains newline", w.name)
 	}
 	w.buf = append(w.buf, record)
 	return nil
@@ -213,7 +216,9 @@ func (m *Mem) Stat(name string) (records, bytes int64, err error) {
 // --- On-disk backend ---
 
 // Disk is a Store rooted at a directory. File names may contain '/' which
-// maps to subdirectories. Disk is safe for concurrent use of distinct files.
+// maps to subdirectories. A file is its records one after the other, each
+// preceded by its length as a uvarint. Disk is safe for concurrent use of
+// distinct files.
 type Disk struct {
 	root string
 }
@@ -246,13 +251,12 @@ func (w *diskWriter) Write(record string) error {
 	if w.closed {
 		return fmt.Errorf("dfs: write to closed file %s", w.final)
 	}
-	if strings.ContainsRune(record, '\n') {
-		return fmt.Errorf("dfs: record contains newline")
-	}
-	if _, err := w.bw.WriteString(record); err != nil {
+	var frame [binary.MaxVarintLen64]byte
+	if _, err := w.bw.Write(frame[:binary.PutUvarint(frame[:], uint64(len(record)))]); err != nil {
 		return err
 	}
-	return w.bw.WriteByte('\n')
+	_, err := w.bw.WriteString(record)
+	return err
 }
 
 func (w *diskWriter) Close() error {
@@ -289,19 +293,32 @@ func (d *Disk) Create(name string) (Writer, error) {
 	return &diskWriter{f: f, tmp: tmp, final: p, bw: bufio.NewWriterSize(f, 1<<16)}, nil
 }
 
+// maxRecord bounds the length a frame may announce, so that a damaged file
+// fails with an error instead of an allocation of whatever its bytes spell.
+const maxRecord = 1 << 24
+
 type diskIterator struct {
-	f  *os.File
-	sc *bufio.Scanner
+	f   *os.File
+	br  *bufio.Reader
+	buf []byte
 }
 
 func (it *diskIterator) Next() (string, bool, error) {
-	if it.sc.Scan() {
-		return it.sc.Text(), true, nil
+	n, err := binary.ReadUvarint(it.br)
+	if err == io.EOF {
+		return "", false, nil // the file ends between records
 	}
-	if err := it.sc.Err(); err != nil {
-		return "", false, err
+	if err == nil && n > maxRecord {
+		err = fmt.Errorf("frame announces %d bytes", n)
 	}
-	return "", false, nil
+	if err == nil {
+		it.buf = slices.Grow(it.buf[:0], int(n))[:n]
+		_, err = io.ReadFull(it.br, it.buf)
+	}
+	if err != nil {
+		return "", false, fmt.Errorf("dfs: %s: damaged record: %w", it.f.Name(), err)
+	}
+	return string(it.buf), true, nil
 }
 
 func (it *diskIterator) Close() error { return it.f.Close() }
@@ -316,9 +333,7 @@ func (d *Disk) Open(name string) (Iterator, error) {
 	if err != nil {
 		return nil, fmt.Errorf("dfs: open %s: %w", name, err)
 	}
-	sc := bufio.NewScanner(f)
-	sc.Buffer(make([]byte, 1<<16), 1<<24)
-	return &diskIterator{f: f, sc: sc}, nil
+	return &diskIterator{f: f, br: bufio.NewReaderSize(f, 1<<16)}, nil
 }
 
 // List implements Store.

@@ -2,6 +2,10 @@ package dfs
 
 import (
 	"fmt"
+	"os"
+	"path/filepath"
+	"slices"
+	"strings"
 	"sync"
 	"testing"
 )
@@ -56,18 +60,62 @@ func TestEmptyRecordPreserved(t *testing.T) {
 	}
 }
 
-func TestNewlineRejected(t *testing.T) {
+// TestEveryByteRoundTrips: a record is arbitrary bytes. Every byte value on
+// its own, the empty record, records of newlines and zeros, one holding all
+// 256 values and one longer than the disk reader's buffer come back as they
+// were written, in order, and Stat counts their bytes.
+func TestEveryByteRoundTrips(t *testing.T) {
+	all := make([]byte, 256)
+	for i := range all {
+		all[i] = byte(i)
+	}
+	recs := []string{"", "\n", "\x00", "\n\n", "a\nb", "\x00\x00\x00", "", string(all), strings.Repeat(string(all), 300)}
+	for _, b := range all {
+		recs = append(recs, string([]byte{b}), string([]byte{'x', b, 'y'}))
+	}
+	var total int64
+	for _, r := range recs {
+		total += int64(len(r))
+	}
 	for backend, s := range stores(t) {
 		t.Run(backend, func(t *testing.T) {
-			w, err := s.Create("f")
+			if err := WriteAll(s, "bytes", recs); err != nil {
+				t.Fatal(err)
+			}
+			got, err := ReadAll(s, "bytes")
 			if err != nil {
 				t.Fatal(err)
 			}
-			if err := w.Write("bad\nrecord"); err == nil {
-				t.Error("newline record accepted")
+			if !slices.Equal(got, recs) {
+				t.Fatalf("read back %d records that differ from the %d written", len(got), len(recs))
 			}
-			w.Close()
+			if n, bytes, err := s.Stat("bytes"); err != nil || n != int64(len(recs)) || bytes != total {
+				t.Errorf("Stat = %d records, %d bytes, %v; want %d, %d", n, bytes, err, len(recs), total)
+			}
 		})
+	}
+}
+
+// TestDiskDamagedFile: a file cut inside a frame or inside a record is an
+// error, not a short read, and a frame announcing an absurd length allocates
+// nothing.
+func TestDiskDamagedFile(t *testing.T) {
+	dir := t.TempDir()
+	d, err := NewDisk(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, raw := range map[string]string{
+		"cut-record": "\x05abc",
+		"cut-frame":  "\x01a\x80",
+		"huge-frame": "\xff\xff\xff\xff\xff\x0f",
+	} {
+		if err := os.WriteFile(filepath.Join(dir, name), []byte(raw), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if got, err := ReadAll(d, name); err == nil {
+			t.Errorf("%s: read %q without an error", name, got)
+		}
 	}
 }
 

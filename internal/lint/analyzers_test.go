@@ -105,6 +105,25 @@ func TestHotPathBanScope(t *testing.T) {
 	}
 }
 
+// TestHotPathBanTextIsCoreOnly reloads the fixture under internal/mr: the
+// general bans still apply there, the decimal-text bans do not — the spill
+// records' keys are strconv's.
+func TestHotPathBanTextIsCoreOnly(t *testing.T) {
+	pkg, err := fixtureLoader(t).LoadDir(filepath.Join("testdata", "hotpathban"), "intervaljoin/internal/mr/banfixture")
+	if err != nil {
+		t.Fatalf("loading fixture: %v", err)
+	}
+	diags := RunAnalyzers(pkg, []*Analyzer{HotPathBan})
+	if len(diags) == 0 {
+		t.Error("no diagnostic under internal/mr: the general bans must still apply")
+	}
+	for _, d := range diags {
+		if strings.Contains(d.String(), "strconv.") {
+			t.Errorf("decimal-text ban applied outside internal/core: %s", d)
+		}
+	}
+}
+
 // TestAllenNames pins the analyzer's relation table to the interval
 // package: a new Allen constant (or a renamed one) must update both.
 func TestAllenNames(t *testing.T) {

@@ -9,12 +9,14 @@ import (
 // HotPathBan is the forbid-list that keeps the PR-1 hot-path migrations
 // from silently regressing: reflection-driven and allocation-heavy stdlib
 // helpers are banned from the engine packages (internal/core, internal/mr)
-// outside tests. The list and scope are variables so the ijlint driver can
-// extend them from the command line.
+// outside tests, and in internal/core also the decimal-text codecs, whose
+// records became fixed-width binary. The list and scope are variables so the
+// ijlint driver can extend them from the command line.
 var HotPathBan = &Analyzer{
 	Name: "hotpathban",
 	Doc: "banned calls (sort.Slice, fmt.Sprintf, reflect.DeepEqual, strings.Split) in " +
-		"the hot-path packages internal/core and internal/mr",
+		"the hot-path packages internal/core and internal/mr; decimal text " +
+		"(strconv.ParseInt/Atoi/AppendInt, relation.DecodeTuple/EncodeTuple/AppendTuple) in internal/core",
 	Run: runHotPathBan,
 }
 
@@ -25,6 +27,22 @@ var BannedCalls = map[string]string{
 	"fmt.Sprintf":       "strconv append-style formatting onto a byte buffer",
 	"reflect.DeepEqual": "a hand-written comparison",
 	"strings.Split":     "strings.Cut or strings.IndexByte over the string in place",
+}
+
+// binaryRecord is the replacement CoreBannedCalls suggests.
+const binaryRecord = "the fixed-width binary record codec (core/codec.go, relation.AppendBinary)"
+
+// CoreBannedCalls applies to internal/core alone, on top of BannedCalls: the
+// records its map and reduce closures exchange are binary, so formatting or
+// parsing a number as decimal text there is text creeping back. (internal/mr
+// keeps strconv for its spill keys, package relation for relation files.)
+var CoreBannedCalls = map[string]string{
+	"strconv.ParseInt":  binaryRecord,
+	"strconv.Atoi":      binaryRecord,
+	"strconv.AppendInt": binaryRecord,
+	"intervaljoin/internal/relation.DecodeTuple": binaryRecord,
+	"intervaljoin/internal/relation.EncodeTuple": binaryRecord,
+	"intervaljoin/internal/relation.AppendTuple": binaryRecord,
 }
 
 // HotPathScope lists the package-path substrings the ban applies to. The
@@ -42,6 +60,7 @@ func runHotPathBan(pass *Pass) {
 	if !inScope {
 		return
 	}
+	inCore := strings.Contains(pass.Pkg.Path(), "internal/core")
 	for _, file := range pass.Files {
 		ast.Inspect(file, func(n ast.Node) bool {
 			call, ok := n.(*ast.CallExpr)
@@ -57,7 +76,11 @@ func runHotPathBan(pass *Pass) {
 				return true
 			}
 			full := fn.Pkg().Path() + "." + fn.Name()
-			if alt, banned := BannedCalls[full]; banned {
+			alt, banned := BannedCalls[full]
+			if !banned && inCore {
+				alt, banned = CoreBannedCalls[full]
+			}
+			if banned {
 				pass.Reportf(call.Pos(),
 					"%s is banned in hot-path package %s; use %s", full, pass.Pkg.Path(), alt)
 			}

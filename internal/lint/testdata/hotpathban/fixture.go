@@ -32,6 +32,14 @@ func splitBanned(rec string) int {
 	return len(strings.Split(rec, ",")) // want `strings\.Split is banned in hot-path package`
 }
 
+// textBanned parses and formats decimal text where records are binary:
+// flagged in internal/core (this fixture's load path), not in internal/mr.
+func textBanned(rec string, buf []byte) ([]byte, int64) {
+	n, _ := strconv.Atoi(rec)                       // want `strconv\.Atoi is banned in hot-path package`
+	id, _ := strconv.ParseInt(rec, 10, 64)          // want `strconv\.ParseInt is banned in hot-path package`
+	return strconv.AppendInt(buf, id, 10), int64(n) // want `strconv\.AppendInt is banned in hot-path package`
+}
+
 // suppressed demonstrates the escape hatch; the reason is mandatory.
 func suppressed(n int) string {
 	//lint:ignore hotpathban fixture demonstrates the annotated cold-path escape hatch
@@ -50,4 +58,4 @@ func errorsAllowed(n int) error {
 	return fmt.Errorf("bad n: %d", n)
 }
 
-var _ = []any{sortBanned, sprintfBanned, deepEqualBanned, splitBanned, suppressed, compliant, errorsAllowed}
+var _ = []any{sortBanned, sprintfBanned, deepEqualBanned, splitBanned, textBanned, suppressed, compliant, errorsAllowed}

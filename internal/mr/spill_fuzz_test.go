@@ -16,6 +16,9 @@ func FuzzSpillRecordRoundTrip(f *testing.F) {
 	f.Add(int64(math.MaxInt64), int64(math.MaxInt64), "x")
 	f.Add(int64(-5), int64(5), "negative lo is mapped into the domain")
 	f.Add(int64(12), int64(85), "a|b,c")
+	// Values are arbitrary bytes: core's records are fixed-width binary.
+	f.Add(int64(10), int64(10), "\x00\x01\n\x00\x00\x00\x00\x00\x00\x00\xff")
+	f.Add(int64(2), int64(66), "\n")
 	f.Fuzz(func(t *testing.T, lo, hi int64, value string) {
 		// Clamp into the writer's domain: spillRun rejects negative keys,
 		// and hi < lo never reaches the codec.

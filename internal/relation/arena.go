@@ -1,7 +1,9 @@
 package relation
 
 import (
+	"encoding/binary"
 	"fmt"
+	"slices"
 	"strconv"
 	"strings"
 
@@ -50,6 +52,68 @@ func (a *Arena) Append(t Tuple) int32 {
 	a.flat = append(a.flat, t.Attrs...)
 	a.base = append(a.base, int32(len(a.flat)))
 	return int32(len(a.ids) - 1)
+}
+
+// Grow reserves room for n more tuples holding attrs more intervals between
+// them, so that filling the arena from a value list of known size reallocates
+// nothing.
+func (a *Arena) Grow(n, attrs int) {
+	a.ids = slices.Grow(a.ids, n)
+	a.base = slices.Grow(a.base, n+1)
+	a.flat = slices.Grow(a.flat, attrs)
+}
+
+// AppendBinary is the fixed-width form of a tuple, the one the engine's
+// records carry: the id, then each attribute's start and end, every number 8
+// bytes little-endian. The arity is the length.
+func AppendBinary(dst []byte, t Tuple) []byte {
+	dst = binary.LittleEndian.AppendUint64(dst, uint64(t.ID))
+	for _, iv := range t.Attrs {
+		dst = binary.LittleEndian.AppendUint64(dst, uint64(iv.Start))
+		dst = binary.LittleEndian.AppendUint64(dst, uint64(iv.End))
+	}
+	return dst
+}
+
+// DecodeBinary reads AppendBinary's form with 8-byte loads, appending the
+// attributes to buf. It rejects what AppendBinary cannot have written: a body
+// that is not an id and one or more whole intervals, and an interval whose
+// start exceeds its end.
+func DecodeBinary(body string, buf []interval.Interval) (id int64, attrs []interval.Interval, err error) {
+	if len(body) < 24 || (len(body)-8)%16 != 0 {
+		return 0, nil, fmt.Errorf("relation: binary tuple of %d bytes is not an id and whole intervals", len(body))
+	}
+	for off := 8; off < len(body); off += 16 {
+		iv := interval.Interval{Start: le64(body[off:]), End: le64(body[off+8:])}
+		if iv.Start > iv.End {
+			return 0, nil, fmt.Errorf("relation: binary tuple attribute %d has start %d > end %d", (off-8)/16, iv.Start, iv.End)
+		}
+		buf = append(buf, iv)
+	}
+	return le64(body), buf, nil
+}
+
+// BinaryID reads the id of an AppendBinary body in place.
+func BinaryID(body string) int64 { return le64(body) }
+
+func le64(s string) int64 {
+	_ = s[7]
+	return int64(uint64(s[0]) | uint64(s[1])<<8 | uint64(s[2])<<16 | uint64(s[3])<<24 |
+		uint64(s[4])<<32 | uint64(s[5])<<40 | uint64(s[6])<<48 | uint64(s[7])<<56)
+}
+
+// AppendBinary decodes one AppendBinary body straight into the arena — what
+// AppendDecode is to the text form. On error the arena is unchanged.
+func (a *Arena) AppendBinary(body string) (int32, error) {
+	id, flat, err := DecodeBinary(body, a.flat)
+	if err != nil {
+		return 0, err
+	}
+	a.initBase()
+	a.flat = flat
+	a.ids = append(a.ids, id)
+	a.base = append(a.base, int32(len(flat)))
+	return int32(len(a.ids) - 1), nil
 }
 
 // AppendDecode parses one EncodeTuple record ("id|s,e|s,e|...") directly

@@ -1,6 +1,8 @@
 package relation
 
 import (
+	"math"
+	"slices"
 	"strings"
 	"testing"
 
@@ -201,6 +203,97 @@ func FuzzArenaDecode(f *testing.F) {
 		}
 		if a.ID(pre) != 11 || a.Attr(pre, 0) != (interval.Interval{Start: 3, End: 9}) {
 			t.Fatalf("decode of %q corrupted earlier arena contents", input)
+		}
+	})
+}
+
+// TestArenaAppendBinary: the fixed-width form round-trips through the arena,
+// rejects what AppendBinary cannot have written and leaves the arena as it
+// was when it does, and — the point of Grow — fills a grown arena without
+// allocating.
+func TestArenaAppendBinary(t *testing.T) {
+	tuples := []Tuple{
+		{ID: 0, Attrs: []interval.Interval{{Start: 1, End: 5}}},
+		{ID: -9, Attrs: []interval.Interval{{Start: math.MinInt64, End: -1}, {Start: 7, End: 7}, {Start: 0, End: math.MaxInt64}}},
+		{ID: math.MaxInt64, Attrs: []interval.Interval{{Start: 10, End: 10}}}, // 10 is '\n'
+	}
+	var a Arena
+	for _, tu := range tuples {
+		body := string(AppendBinary(nil, tu))
+		if len(body) != 8+16*len(tu.Attrs) || BinaryID(body) != tu.ID {
+			t.Fatalf("AppendBinary(%+v) = %d bytes, id %d", tu, len(body), BinaryID(body))
+		}
+		ref, err := a.AppendBinary(body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := a.Tuple(ref); got.ID != tu.ID || !slices.Equal(got.Attrs, tu.Attrs) {
+			t.Fatalf("arena holds %+v, want %+v", got, tu)
+		}
+	}
+	good := string(AppendBinary(nil, tuples[1]))
+	reversed := string(AppendBinary(nil, Tuple{ID: 1, Attrs: []interval.Interval{{Start: 0, End: 1}, {Start: 5, End: 4}}}))
+	for _, bad := range []string{"", good[:8], good[:len(good)-1], good + "\x00", good[:8+16+8], reversed} {
+		if _, err := a.AppendBinary(bad); err == nil {
+			t.Errorf("AppendBinary(%d bytes) accepted", len(bad))
+		}
+		if a.Len() != len(tuples) || len(a.flat) != 5 {
+			t.Fatalf("rejected body left the arena at %d tuples, %d intervals", a.Len(), len(a.flat))
+		}
+	}
+
+	a.Reset()
+	a.Grow(100, 300)
+	if n := testing.AllocsPerRun(100, func() {
+		a.Reset()
+		for i := 0; i < 100; i++ {
+			if _, err := a.AppendBinary(good); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}); n != 0 {
+		t.Errorf("AppendBinary into a grown arena allocates %v times per 100 records", n)
+	}
+}
+
+// FuzzArenaBinary is FuzzArenaDecode's twin for the fixed-width form: no
+// input panics, the arena and the slice decoder agree, an accepted body
+// re-encodes to itself, and a rejected one leaves the arena untouched.
+func FuzzArenaBinary(f *testing.F) {
+	f.Add(string(AppendBinary(nil, Tuple{ID: 42, Attrs: []interval.Interval{{Start: 1, End: 5}, {Start: 7, End: 7}}})))
+	f.Add(string(AppendBinary(nil, Tuple{ID: -1, Attrs: []interval.Interval{{Start: 5, End: 1}}})))
+	f.Add(string(AppendBinary(nil, Tuple{ID: 3})))
+	f.Add("")
+	f.Add("0|1,5")
+	f.Add(strings.Repeat("\n", 24))
+	f.Fuzz(func(t *testing.T, body string) {
+		var a Arena
+		pre := a.Append(Tuple{ID: 11, Attrs: []interval.Interval{{Start: 3, End: 9}}})
+		ref, aerr := a.AppendBinary(body)
+		id, attrs, derr := DecodeBinary(body, nil)
+		if (aerr == nil) != (derr == nil) {
+			t.Fatalf("AppendBinary(%q) err=%v, DecodeBinary err=%v", body, aerr, derr)
+		}
+		if aerr != nil {
+			if a.Len() != 1 || len(a.flat) != 1 {
+				t.Fatalf("failed decode of %q left the arena at %d tuples, %d intervals", body, a.Len(), len(a.flat))
+			}
+		} else {
+			got := a.Tuple(ref)
+			if got.ID != id || !slices.Equal(got.Attrs, attrs) || len(attrs) == 0 {
+				t.Fatalf("decode of %q diverged: arena %+v, slice %d %v", body, got, id, attrs)
+			}
+			if enc := string(AppendBinary(nil, got)); enc != body {
+				t.Fatalf("%q re-encodes to %q", body, enc)
+			}
+			for _, cut := range []string{body[:len(body)-1], body + "\x00"} {
+				if _, _, err := DecodeBinary(cut, nil); err == nil {
+					t.Fatalf("%q accepted one byte off a valid body", cut)
+				}
+			}
+		}
+		if a.ID(pre) != 11 || a.Attr(pre, 0) != (interval.Interval{Start: 3, End: 9}) {
+			t.Fatalf("decode of %q corrupted earlier arena contents", body)
 		}
 	})
 }

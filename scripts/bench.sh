@@ -30,7 +30,7 @@ go test -run '^$' -bench 'ReduceKernel' \
     -benchmem -benchtime 50x -count "$REPS" ./internal/core/ | tee -a "$tmp"
 
 # Record codecs: sub-microsecond ops need many iterations for resolution.
-go test -run '^$' -bench 'Encode' \
+go test -run '^$' -bench 'Encode|DecodeMember' \
     -benchmem -benchtime 20000x -count "$REPS" ./internal/core/ | tee -a "$tmp"
 
 # MR engine end-to-end: parallel feed, sharded shuffle, spilling, and the

@@ -12,7 +12,11 @@
 #   5. go test -race — full suite (unit, integration, property, oracle
 #                      cross-validation) under the race detector; the MR
 #                      engine is deliberately concurrent, so -race is part
-#                      of the gate, not an optional extra
+#                      of the gate, not an optional extra; then a 5-second
+#                      fuzz smoke of the two decoders that now read
+#                      arbitrary bytes: the binary record codec
+#                      (FuzzRecordDecode) and the spill records carrying it
+#                      (FuzzSpillRecordRoundTrip)
 #   6. bench module  — bench/ is a nested module the root ./... does not
 #                      reach; it compiles against internal packages, so it
 #                      is vetted and tested here, where an internal API
@@ -59,6 +63,13 @@ go test -run 'TestLiveDisabledZeroCost' ./internal/obs/live/
 
 echo "== go test -race =="
 go test -race ./...
+
+echo "== fuzz smoke =="
+# The engine's records are fixed-width binary and spill values are arbitrary
+# bytes: five seconds of fuzzing per decoder catches a panic or a lost
+# length check that the seed corpus (run by the suite above) does not.
+go test -run '^$' -fuzz '^FuzzRecordDecode$' -fuzztime 5s ./internal/core
+go test -run '^$' -fuzz '^FuzzSpillRecordRoundTrip$' -fuzztime 5s ./internal/mr
 
 echo "== benchmark module =="
 go vet -C bench ./...
