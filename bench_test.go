@@ -302,7 +302,7 @@ func BenchmarkAblationPASMNoPruning(b *testing.B) {
 
 // benchSkewRun is benchRun for the skew scenarios: besides the pair-based
 // imbalance it reports the wall-clock reducer imbalance (max/mean reduce
-// wall, "time_imbalance") the skew-aware executor is gated on.
+// wall, "time_imbalance").
 func benchSkewRun(b *testing.B, alg core.Algorithm, q *query.Query, rels []*relation.Relation, opts core.Options) {
 	b.Helper()
 	var lastPairs int64

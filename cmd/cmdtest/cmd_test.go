@@ -6,6 +6,7 @@ import (
 	"os"
 	"os/exec"
 	"path/filepath"
+	"regexp"
 	"slices"
 	"strconv"
 	"strings"
@@ -21,7 +22,7 @@ func TestMain(m *testing.M) {
 		panic(err)
 	}
 	binDir = dir
-	for _, tool := range []string{"ijoin", "genintervals", "packettrace", "experiments", "ijoind", "benchsummary"} {
+	for _, tool := range []string{"ijoin", "genintervals", "packettrace", "experiments", "ijoind"} {
 		cmd := exec.Command("go", "build", "-o", filepath.Join(dir, tool), "intervaljoin/cmd/"+tool)
 		cmd.Dir = repoRoot()
 		if out, err := cmd.CombinedOutput(); err != nil {
@@ -212,6 +213,30 @@ func TestExperimentsListAndJSON(t *testing.T) {
 	}
 	if _, _, err := run(t, "experiments", "-exp", "table99"); err == nil {
 		t.Error("unknown experiment accepted")
+	}
+}
+
+// TestScriptsReferenceExistingPaths scans the gate scripts and the CI
+// workflow for ./cmd/<name> and scripts/<name> and fails on a reference to
+// a command or script that is no longer in the tree.
+func TestScriptsReferenceExistingPaths(t *testing.T) {
+	root := repoRoot()
+	files, err := filepath.Glob(filepath.Join(root, "scripts", "*.sh"))
+	if err != nil || len(files) == 0 {
+		t.Fatalf("no scripts found under %s (err=%v)", root, err)
+	}
+	files = append(files, filepath.Join(root, ".github", "workflows", "ci.yml"))
+	ref := regexp.MustCompile(`\./cmd/\w+|\bscripts/[\w.-]*\w`)
+	for _, f := range files {
+		text, err := os.ReadFile(f)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, m := range ref.FindAllString(string(text), -1) {
+			if _, err := os.Stat(filepath.Join(root, m)); err != nil {
+				t.Errorf("%s refers to %s, which does not exist", filepath.Base(f), m)
+			}
+		}
 	}
 }
 

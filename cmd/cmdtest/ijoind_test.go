@@ -254,14 +254,16 @@ func TestIjoindServesCachedQueries(t *testing.T) {
 	}
 }
 
-func TestIjoindBenchVerifiesWarmAgainstCold(t *testing.T) {
-	out, errOut, err := run(t, "ijoind", "-bench", "-queries", "12", "-rows", "1500", "-workers", "2")
-	if err != nil {
-		t.Fatalf("ijoind -bench: %v\nstderr: %s", err, errOut)
+// TestIjoindHasNoBenchMode: the daemon measures nothing itself — bench/
+// drives it from outside — so -bench is an unknown flag, while the
+// live-scrape gate check.sh runs still passes.
+func TestIjoindHasNoBenchMode(t *testing.T) {
+	_, errOut, err := run(t, "ijoind", "-bench")
+	if err == nil || !strings.Contains(errOut, "flag provided but not defined: -bench") {
+		t.Fatalf("-bench: err %v, want an unknown-flag exit\nstderr: %s", err, errOut)
 	}
-	if !strings.Contains(out, "hit_ratio=") || !strings.Contains(out, "speedup=") {
-		t.Fatalf("bench summary malformed:\n%s", out)
-	}
+	mustRun(t, "ijoind", "-selfcheck", "-rows", "2000", "-queries", "8", "-log-level", "warn",
+		"-scrape-out", filepath.Join(t.TempDir(), "live.prom"))
 }
 
 // TestIjoindBoundsTheRequestSurface: a /query body is one JSON object of

@@ -28,17 +28,11 @@
 // SIGINT/SIGTERM drains in-flight queries via http.Server.Shutdown,
 // answers new ones with 503, flushes -metrics, and exits.
 //
-// Bench mode (-bench) runs the zipfian query-mix benchmark without HTTP:
-// a cold pass (every query joined from scratch) against a warm pass (the
-// same mix through the segment cache), verifying byte-identical row sets,
-// and writes the cache section of metrics.json that benchsummary -cache
-// reads. Without -rel bindings it generates the paper's Table 1 relations.
-//
 // Selfcheck mode (-selfcheck) boots the server on a loopback port, fires
-// the query mix at it over HTTP, scrapes and validates /metrics, verifies
+// a window mix at it over HTTP, scrapes and validates /metrics, verifies
 // a sampled trace appeared, writes the scrape to -scrape-out, and exits
 // non-zero on any telemetry defect — the live-scrape gate scripts/check.sh
-// runs.
+// runs. Without -rel bindings it generates the paper's Table 1 relations.
 package main
 
 import (
@@ -55,7 +49,6 @@ import (
 	"net/http/pprof"
 	"os"
 	"os/signal"
-	"slices"
 	"strconv"
 	"strings"
 	"sync/atomic"
@@ -100,21 +93,18 @@ func main() {
 		perDim     = flag.Int("per-dim", 6, "partitions per grid dimension for matrix algorithms")
 		algorithm  = flag.String("algorithm", "", "join algorithm (default: planner choice per query)")
 		dataDir    = flag.String("data-dir", "", "store relations and intermediates on disk under this directory")
-		metricsOut = flag.String("metrics", "", "write metrics.json (with the cache section) here on shutdown / after -bench")
+		metricsOut = flag.String("metrics", "", "write metrics.json (with the cache section) here on shutdown")
 		logLevel   = flag.String("log-level", "info", "structured log level: debug, info, warn, error")
 		slowQuery  = flag.Duration("slow-query", 2*time.Second, "log queries slower than this as slow (0 disables)")
 		traceDir   = flag.String("trace-dir", "", "write sampled per-query Chrome traces into this directory (empty disables)")
 		traceN     = flag.Int64("trace-sample", 0, "with -trace-dir, trace every Nth query (0: only latency-triggered captures)")
 		traceKeep  = flag.Int("trace-keep", defaultTraceKeep, "bounded trace ring: keep at most this many trace files")
-		bench      = flag.Bool("bench", false, "run the zipfian query-mix benchmark and exit (no HTTP)")
 		selfcheck  = flag.Bool("selfcheck", false, "boot on a loopback port, drive the query mix over HTTP, validate /metrics, and exit")
 		scrapeOut  = flag.String("scrape-out", "artifacts/live-metrics.prom", "selfcheck: write the validated /metrics scrape here")
-		benchQuery = flag.String("query", "R1 overlaps R2", "bench/selfcheck: the join query of the mix")
-		queries    = flag.Int("queries", 200, "bench/selfcheck: number of windows in the mix")
-		skew       = flag.Float64("skew", 1.5, "bench: zipf exponent of the hotspot popularity (>1)")
-		hotspots   = flag.Int("hotspots", 8, "bench: number of hot window centers")
-		rows       = flag.Int("rows", 20_000, "bench/selfcheck: generated rows per relation when no -rel is given")
-		seed       = flag.Int64("seed", 1, "bench: generation and mix seed")
+		mixQuery   = flag.String("query", "R1 overlaps R2", "selfcheck: the join query of the mix")
+		queries    = flag.Int("queries", 200, "selfcheck: number of windows in the mix")
+		rows       = flag.Int("rows", 20_000, "selfcheck: generated rows per relation when no -rel is given")
+		seed       = flag.Int64("seed", 1, "selfcheck: generation seed")
 	)
 	var relArgs []relArg
 	flag.Func("rel", "resident relation binding name=file (repeatable)", func(s string) error {
@@ -157,7 +147,7 @@ func main() {
 		fatal(err)
 	}
 
-	rels, err := loadOrGenerate(relArgs, *bench || *selfcheck, *rows, *seed)
+	rels, err := loadOrGenerate(relArgs, *selfcheck, *rows, *seed)
 	if err != nil {
 		fatal(err)
 	}
@@ -171,15 +161,6 @@ func main() {
 		}
 	}
 
-	if *bench {
-		if err := runBench(svc, tracer, benchSpec{
-			query: *benchQuery, queries: *queries, skew: *skew, hotspots: *hotspots,
-			tmin: tmin, tmax: tmax, seed: *seed, metricsOut: *metricsOut,
-		}); err != nil {
-			fatal(err)
-		}
-		return
-	}
 	cfg := serveConfig{
 		addr:        *addr,
 		maxInflight: *maxInfl,
@@ -192,7 +173,7 @@ func main() {
 	}
 	if *selfcheck {
 		if err := runSelfcheck(svc, tracer, cfg, selfcheckSpec{
-			query: *benchQuery, queries: *queries, tmin: tmin, tmax: tmax,
+			query: *mixQuery, queries: *queries, tmin: tmin, tmax: tmax,
 			scrapeOut: *scrapeOut,
 		}); err != nil {
 			fatal(err)
@@ -204,8 +185,8 @@ func main() {
 	}
 }
 
-// loadOrGenerate loads the -rel bindings, or (bench and selfcheck modes
-// only) generates the paper's Table 1 relations R1 and R2.
+// loadOrGenerate loads the -rel bindings, or (selfcheck mode only)
+// generates the paper's Table 1 relations R1 and R2.
 func loadOrGenerate(relArgs []relArg, generate bool, rows int, seed int64) ([]*relation.Relation, error) {
 	if len(relArgs) == 0 {
 		if !generate {
@@ -361,7 +342,7 @@ func serve(svc *cache.Service, tracer *obs.Tracer, cfg serveConfig) error {
 	}
 	if cfg.metricsOut != "" {
 		if werr := writeFileWith(cfg.metricsOut, func(w io.Writer) error {
-			return cacheReportJSON(w, svc, tracer, 0, 0)
+			return cacheReportJSON(w, svc, tracer)
 		}); werr != nil && err == nil {
 			err = werr
 		}
@@ -550,7 +531,7 @@ func (s *server) handleStats(w http.ResponseWriter, r *http.Request) {
 	// Render into a buffer first so a report error can still become a
 	// clean 500 instead of a truncated 200 body.
 	var buf bytes.Buffer
-	if err := cacheReportJSON(&buf, s.svc, s.tracer, 0, 0); err != nil {
+	if err := cacheReportJSON(&buf, s.svc, s.tracer); err != nil {
 		s.fail(w, r, s.reqSeq.Add(1), http.StatusInternalServerError, err.Error())
 		return
 	}
@@ -571,86 +552,9 @@ func (s *server) handleHealth(w http.ResponseWriter, _ *http.Request) {
 	fmt.Fprintln(w, "ok")
 }
 
-// ---- bench mode ----
-
-type benchSpec struct {
-	query      string
-	queries    int
-	skew       float64
-	hotspots   int
-	tmin, tmax int64
-	seed       int64
-	metricsOut string
-}
-
-// runBench measures the zipfian mix cold (every query joined from scratch,
-// cache bypassed) and warm (through the segment cache), verifies the row
-// sets match query-by-query, and writes/prints the cache report.
-func runBench(svc *cache.Service, tracer *obs.Tracer, b benchSpec) error {
-	q, err := query.Parse(b.query)
-	if err != nil {
-		return err
-	}
-	mix, err := workload.ZipfQueryMix(workload.QueryMixSpec{
-		N: b.queries, TMin: b.tmin, TMax: b.tmax,
-		Hotspots: b.hotspots, Skew: b.skew, Seed: b.seed,
-	})
-	if err != nil {
-		return err
-	}
-	var coldNS, warmNS int64
-	for i, w := range mix {
-		win := cache.Window{Lo: w.Lo, Hi: w.Hi}
-		cold, err := svc.RunCold(q, win)
-		if err != nil {
-			return err
-		}
-		warm, err := svc.Query(q, win)
-		if err != nil {
-			return err
-		}
-		coldNS += cold.Wall.Nanoseconds()
-		warmNS += warm.Wall.Nanoseconds()
-		if err := sameRows(cold.Rows, warm.Rows); err != nil {
-			return fmt.Errorf("query %d window [%d,%d]: warm result diverges from cold: %w", i, w.Lo, w.Hi, err)
-		}
-	}
-	n := int64(len(mix))
-	if n == 0 {
-		return fmt.Errorf("empty query mix")
-	}
-	coldNS /= n
-	warmNS /= n
-	st := svc.Stats()
-	speedup := float64(coldNS) / float64(max64(warmNS, 1))
-	fmt.Printf("queries=%d hit_ratio=%.3f full_hits=%d partial_hits=%d misses=%d segments_merged=%d\n",
-		st.Lookups, st.HitRatio(), st.FullHits, st.PartialHits, st.Misses, st.HitSegments)
-	fmt.Printf("cold_mean=%v warm_mean=%v speedup=%.1fx cached_rows=%d delta_rows=%d evictions=%d\n",
-		time.Duration(coldNS), time.Duration(warmNS), speedup, st.CachedRows, st.DeltaRows, st.Evictions)
-	if b.metricsOut != "" {
-		return writeFileWith(b.metricsOut, func(w io.Writer) error {
-			return cacheReportJSON(w, svc, tracer, coldNS, warmNS)
-		})
-	}
-	return nil
-}
-
-func sameRows(a, b []core.OutputTuple) error {
-	if len(a) != len(b) {
-		return fmt.Errorf("row counts differ: cold %d, warm %d", len(a), len(b))
-	}
-	for i := range a {
-		if !slices.Equal(a[i], b[i]) {
-			return fmt.Errorf("row %d differs: cold %s, warm %s", i, a[i].Key(), b[i].Key())
-		}
-	}
-	return nil
-}
-
 // cacheReportJSON writes the metrics.json report with the cache section
-// filled from the service's accounting (and mean cold/warm walls when the
-// caller measured them).
-func cacheReportJSON(w io.Writer, svc *cache.Service, tracer *obs.Tracer, coldNS, warmNS int64) error {
+// filled from the service's accounting.
+func cacheReportJSON(w io.Writer, svc *cache.Service, tracer *obs.Tracer) error {
 	st := svc.Stats()
 	rep := obs.NewReport("cache-mix", tracer.Snapshot())
 	rep.Cache = &obs.CacheReport{
@@ -668,20 +572,8 @@ func cacheReportJSON(w io.Writer, svc *cache.Service, tracer *obs.Tracer, coldNS
 		Evictions:     st.Evictions,
 		BytesInUse:    st.BytesInUse,
 		BytesBudget:   st.BytesBudget,
-		ColdNS:        coldNS,
-		WarmNS:        warmNS,
-	}
-	if coldNS > 0 && warmNS > 0 {
-		rep.Cache.Speedup = float64(coldNS) / float64(warmNS)
 	}
 	return rep.WriteJSON(w)
-}
-
-func max64(a, b int64) int64 {
-	if a > b {
-		return a
-	}
-	return b
 }
 
 // writeFileWith creates path and streams fn's output into it.

@@ -194,18 +194,3 @@ func TestValidatorRejects(t *testing.T) {
 		t.Errorf("validator rejected a healthy document: %v", err)
 	}
 }
-
-func TestCumulativeQuantile(t *testing.T) {
-	les := []float64{1, 2, 4}
-	cums := []float64{10, 30, 40}
-	// Median rank 20 falls in the (1,2] bucket, halfway through it.
-	if got := CumulativeQuantile(les, cums, 40, 0.5); got < 1 || got > 2 {
-		t.Errorf("p50 = %g, want within (1,2]", got)
-	}
-	if got := CumulativeQuantile(les, cums, 40, 1); got != 4 {
-		t.Errorf("p100 = %g, want 4", got)
-	}
-	if got := CumulativeQuantile(nil, nil, 0, 0.5); got != 0 {
-		t.Errorf("empty quantile = %g, want 0", got)
-	}
-}

@@ -212,30 +212,3 @@ func sortFloats(v []float64) {
 		}
 	}
 }
-
-// CumulativeQuantile estimates the q-quantile from parsed exposition
-// bucket series: les are the ascending le bounds (excluding +Inf) and
-// cums the matching cumulative counts, with total the +Inf count. It is
-// the scrape-side twin of HistData.Quantile, used by benchsummary
-// -serve-stats to render quantiles from a .prom file.
-func CumulativeQuantile(les []float64, cums []float64, total float64, q float64) float64 {
-	if total <= 0 {
-		return 0
-	}
-	rank := q * total
-	lower := 0.0
-	prev := 0.0
-	for i, le := range les {
-		if cums[i] >= rank {
-			n := cums[i] - prev
-			frac := 0.0
-			if n > 0 {
-				frac = (rank - prev) / n
-			}
-			return lower + (le-lower)*frac
-		}
-		prev = cums[i]
-		lower = le
-	}
-	return lower
-}

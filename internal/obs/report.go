@@ -12,8 +12,8 @@ import (
 // per-phase wall breakdowns (true unions from the tracer next to the
 // engine's additive serialized-model sums), counters, histograms, and the
 // reducer-skew report. It is what -metrics writes on the CLIs and what
-// benchsummary -compare consumes for its per-phase wall table, so the
-// field names here are a stable interchange format.
+// ijoind serves at /stats, so the field names here are a stable
+// interchange format.
 
 // PhaseStats is one phase category's time accounting.
 type PhaseStats struct {
@@ -89,11 +89,11 @@ type PlanInfo struct {
 	MaxVirtual     int     `json:"max_virtual,omitempty"`
 }
 
-// CacheReport summarises the semantic segment cache over a query mix: the
-// hit accounting the ijoind bench mode measures and benchsummary -cache
-// tabulates (and -cachegate gates). Span ratios are over closed window
-// lengths, so HitRatio is the fraction of requested time range served from
-// cache rather than a per-query coin flip.
+// CacheReport summarises the semantic segment cache over the queries a
+// service has answered: the hit accounting ijoind reports at /stats and
+// flushes with -metrics. Span ratios are over closed window lengths, so
+// HitRatio is the fraction of requested time range served from cache
+// rather than a per-query coin flip.
 type CacheReport struct {
 	// Lookups, FullHits, PartialHits and Misses count queries by how much
 	// of their window the cache covered (all / some / none).
@@ -118,11 +118,6 @@ type CacheReport struct {
 	Evictions   int64 `json:"evictions"`
 	BytesInUse  int64 `json:"bytes_in_use"`
 	BytesBudget int64 `json:"bytes_budget"`
-	// ColdNS / WarmNS are mean per-query walls for the cold pass (empty
-	// cache) and warm pass of the benchmark mix; Speedup is cold/warm.
-	ColdNS  int64   `json:"cold_ns,omitempty"`
-	WarmNS  int64   `json:"warm_ns,omitempty"`
-	Speedup float64 `json:"speedup,omitempty"`
 }
 
 // Report is the metrics.json document.

@@ -36,8 +36,8 @@ type SkewReport struct {
 	MeanPairs  float64 `json:"mean_pairs"`
 	Imbalance  float64 `json:"imbalance"` // max/mean; 1.0 is perfectly balanced
 	// Wall-clock counterparts of the pair stats, from the measured
-	// per-reducer reduce times: the makespan gate ("max reducer wall
-	// within 1.5× of mean") reads TimeImbalance.
+	// per-reducer reduce times; TimeImbalance is what the makespan target
+	// ("max reducer wall within 1.5× of mean") is stated in.
 	MaxTimeNS     int64         `json:"max_time_ns,omitempty"`
 	MeanTimeNS    float64       `json:"mean_time_ns,omitempty"`
 	TimeImbalance float64       `json:"time_imbalance,omitempty"` // max/mean reducer wall

@@ -193,7 +193,7 @@ func (e *Engine) WriteTrace(w io.Writer) error {
 // WriteMetrics writes the machine-readable metrics.json report for a run:
 // the tracer's per-phase wall breakdown, counters and histograms (when a
 // tracer is attached) joined with the result's serialized-model metrics
-// and reducer-skew table. benchsummary -compare consumes this format.
+// and reducer-skew table (the format is internal/obs.Report).
 func (e *Engine) WriteMetrics(w io.Writer, res *Result) error {
 	name := "run"
 	var m *mr.Metrics
