@@ -22,7 +22,7 @@ func TestMain(m *testing.M) {
 		panic(err)
 	}
 	binDir = dir
-	for _, tool := range []string{"ijoin", "genintervals", "packettrace", "experiments", "ijoind"} {
+	for _, tool := range []string{"ijoin", "genintervals", "packettrace", "experiments", "ijoind", "ijlint"} {
 		cmd := exec.Command("go", "build", "-o", filepath.Join(dir, tool), "intervaljoin/cmd/"+tool)
 		cmd.Dir = repoRoot()
 		if out, err := cmd.CombinedOutput(); err != nil {

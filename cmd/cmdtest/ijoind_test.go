@@ -255,12 +255,21 @@ func TestIjoindServesCachedQueries(t *testing.T) {
 }
 
 // TestIjoindHasNoBenchMode: the daemon measures nothing itself — bench/
-// drives it from outside — so -bench is an unknown flag, while the
+// drives it from outside — so -bench is an unknown flag, as are the flags of
+// the execution mode and the linter overrides that are gone, while the
 // live-scrape gate check.sh runs still passes.
 func TestIjoindHasNoBenchMode(t *testing.T) {
-	_, errOut, err := run(t, "ijoind", "-bench")
-	if err == nil || !strings.Contains(errOut, "flag provided but not defined: -bench") {
-		t.Fatalf("-bench: err %v, want an unknown-flag exit\nstderr: %s", err, errOut)
+	for _, args := range [][]string{
+		{"ijoind", "-bench"},
+		{"ijoin", "-materialize"},
+		{"experiments", "-materialize"},
+		{"ijlint", "-ban", "x"},
+		{"ijlint", "-hotpaths", "x"},
+	} {
+		_, errOut, err := run(t, args[0], args[1:]...)
+		if err == nil || !strings.Contains(errOut, "flag provided but not defined: "+args[1]) {
+			t.Fatalf("%v: err %v, want an unknown-flag exit\nstderr: %s", args, err, errOut)
+		}
 	}
 	mustRun(t, "ijoind", "-selfcheck", "-rows", "2000", "-queries", "8", "-log-level", "warn",
 		"-scrape-out", filepath.Join(t.TempDir(), "live.prom"))

@@ -4,7 +4,7 @@
 // Usage:
 //
 //	experiments [-exp table1|table2|figure4|figure5a|figure5b|table3|table4|all|list] \
-//	            [-scale 0.002] [-seed 1] [-workers N] [-verify] [-materialize] \
+//	            [-scale 0.002] [-seed 1] [-workers N] [-verify] \
 //	            [-trace trace.json] [-metrics metrics.json]
 //
 // Scale multiplies the paper's dataset sizes; the default keeps every
@@ -34,7 +34,6 @@ func main() {
 		querymix = flag.Bool("querymix", false, "shorthand for -exp querymix: the zipfian query-mix cache experiment")
 
 		adaptive = flag.Bool("adaptive", false, "skew-aware execution: adaptive boundaries and virtual reducer splitting")
-		materal  = flag.Bool("materialize", false, "materialize every MR cycle boundary instead of streaming it")
 		asJSON   = flag.Bool("json", false, "emit JSON instead of aligned text")
 		traceTo  = flag.String("trace", "", "write a Chrome trace_event timeline of every run here (open in Perfetto)")
 		metrTo   = flag.String("metrics", "", "write the aggregate metrics.json report of every run here")
@@ -54,7 +53,7 @@ func main() {
 	if *traceTo != "" || *metrTo != "" {
 		tracer = obs.New(obs.Options{})
 	}
-	cfg := exp.Config{Scale: *scale, Seed: *seed, Workers: *workers, Verify: *verify, Adaptive: *adaptive, Materialize: *materal, Tracer: tracer}
+	cfg := exp.Config{Scale: *scale, Seed: *seed, Workers: *workers, Verify: *verify, Adaptive: *adaptive, Tracer: tracer}
 	var exps []exp.Experiment
 	if *id == "all" {
 		exps = exp.All()

@@ -49,8 +49,6 @@ func main() {
 	var (
 		list     = flag.Bool("list", false, "list the analyzers and exit")
 		only     = flag.String("analyzers", "", "comma-separated subset of analyzers to run (default: all)")
-		ban      = flag.String("ban", "", "additional comma-separated pkgpath.Func entries for hotpathban")
-		hotpaths = flag.String("hotpaths", "", "override hotpathban's package-path scope (comma-separated substrings)")
 		jsonOut  = flag.String("json", "", "also write findings to this file as JSON")
 		timing   = flag.Bool("time", false, "print per-analyzer wall time to stderr")
 		annotate = flag.String("annotate-from", "", "emit GitHub ::error annotations from a -json findings file and exit (no analysis)")
@@ -85,12 +83,6 @@ func main() {
 			}
 			analyzers = append(analyzers, a)
 		}
-	}
-	for _, entry := range splitList(*ban) {
-		lint.BannedCalls[entry] = "an allocation-free alternative"
-	}
-	if *hotpaths != "" {
-		lint.HotPathScope = splitList(*hotpaths)
 	}
 
 	wd, err := os.Getwd()
@@ -178,16 +170,6 @@ func relativize(root string, d lint.Diagnostic) lint.Diagnostic {
 		d.Pos.Filename = rel
 	}
 	return d
-}
-
-func splitList(s string) []string {
-	var out []string
-	for _, f := range strings.Split(s, ",") {
-		if f = strings.TrimSpace(f); f != "" {
-			out = append(out, f)
-		}
-	}
-	return out
 }
 
 func fatalf(format string, args ...any) {

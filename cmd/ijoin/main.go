@@ -7,7 +7,7 @@
 //	      -rel R1=a.txt -rel R2=b.txt -rel R3=c.txt \
 //	      [-algorithm rccis] [-partitions 16|auto] [-per-dim 6] \
 //	      [-adaptive] [-resplit N] \
-//	      [-data-dir /tmp/ij] [-o out.txt] [-stats] [-materialize] \
+//	      [-data-dir /tmp/ij] [-o out.txt] [-stats] \
 //	      [-trace trace.json] [-metrics metrics.json]
 //
 // Input files hold one tuple per line; each attribute is "start,end" and
@@ -46,8 +46,7 @@ func main() {
 		adaptive   = flag.Bool("adaptive", false, "skew-aware execution: histogram-driven boundaries plus virtual splitting of hot partitions")
 		maxVirtual = flag.Int("max-virtual", 0, "with -adaptive, cap on virtual reducers per split partition (0 = default 8)")
 		resplitAt  = flag.Int("resplit", 0, "re-split a reduce task over spare workers once its value list reaches N (0 = off)")
-		material   = flag.Bool("materialize", false, "write every MR cycle boundary to the store instead of streaming it (Hadoop parity)")
-		dataDir    = flag.String("data-dir", "", "spill intermediates to this directory instead of RAM")
+		dataDir    = flag.String("data-dir", "", "put the engine's store on disk under this directory: a PASM run's marked boundary (relations stay in memory)")
 		oPath      = flag.String("o", "-", "output file ('-' = stdout)")
 		emit       = flag.String("emit", "ids", "output format: ids (line numbers) | tuples (full interval values)")
 		showStats  = flag.Bool("stats", false, "print run metrics to stderr")
@@ -149,7 +148,6 @@ func main() {
 		Adaptive:         *adaptive,
 		MaxVirtual:       *maxVirtual,
 		AutoPartitions:   autoK,
-		Materialize:      *material,
 	}
 
 	var res *intervaljoin.Result

@@ -92,7 +92,7 @@ func main() {
 		partitions = flag.Int("partitions", 16, "partitions for 1-D algorithms")
 		perDim     = flag.Int("per-dim", 6, "partitions per grid dimension for matrix algorithms")
 		algorithm  = flag.String("algorithm", "", "join algorithm (default: planner choice per query)")
-		dataDir    = flag.String("data-dir", "", "store relations and intermediates on disk under this directory")
+		dataDir    = flag.String("data-dir", "", "put the engine's store on disk under this directory: a PASM run's marked boundary, for as long as the query runs (relations stay in memory)")
 		metricsOut = flag.String("metrics", "", "write metrics.json (with the cache section) here on shutdown")
 		logLevel   = flag.String("log-level", "info", "structured log level: debug, info, warn, error")
 		slowQuery  = flag.Duration("slow-query", 2*time.Second, "log queries slower than this as slow (0 disables)")

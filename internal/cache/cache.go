@@ -44,9 +44,9 @@ import (
 // a key exactly when their canonical plans coincide over identical
 // resident-relation versions; any re-registration of an input bumps the
 // version string and orphans prior segments (they age out via LRU).
-// Construct Keys with every field set — the cachekey lint analyzer
-// enforces that Versions and Family are never omitted, since a key that
-// drops either would serve stale or cross-family rows.
+// The service builds every Key in one function (keyFor), with every field
+// set: a key that dropped Versions or Family would serve stale or
+// cross-family rows.
 type Key struct {
 	// Plan is core.CanonicalPlan of the query: normalized conjuncts over
 	// the ordered relation list.

@@ -99,11 +99,13 @@ func (r *residentRel) intersecting(attr int, iv interval.Interval) *relation.Rel
 // ServiceConfig configures a Service.
 type ServiceConfig struct {
 	// Engine runs the delta joins. Required; its store receives the cycle
-	// boundaries of multi-cycle joins, for as long as the join runs.
+	// boundary a later cycle reads again (PASM's marking), for as long as
+	// the join runs.
 	Engine *mr.Engine
 	// CacheBytes is the segment cache's byte budget (0 → DefaultBudget).
 	CacheBytes int64
-	// Tracer, when non-nil, receives the cache_* counters per query.
+	// Tracer, when non-nil, counts the scratch files a query could not
+	// remove (cache_scratch_remove_failed).
 	Tracer *obs.Tracer
 	// Opts are the base run options applied to every delta join; Scratch is
 	// overwritten per run.
@@ -233,11 +235,7 @@ func (s *Service) queryOn(engine *mr.Engine, q *query.Query, w Window) (*Answer,
 	if err != nil {
 		return nil, err
 	}
-	key := Key{
-		Plan:     core.CanonicalPlan(q),
-		Family:   q.Classify().String(),
-		Versions: versions,
-	}
+	key := keyFor(q, versions)
 	ans := &Answer{Window: w, Key: key}
 	if query.ProvablyEmpty(q) {
 		if err := ans.merge(nil); err != nil {
@@ -268,15 +266,15 @@ func (s *Service) queryOn(engine *mr.Engine, q *query.Query, w Window) (*Answer,
 		return nil, err
 	}
 
-	s.tracer.Count("cache_lookups", 1)
-	s.tracer.Count("cache_hit_segments", int64(ans.HitSegments))
-	s.tracer.Count("cache_delta_rows", ans.DeltaRows)
-	s.tracer.Count("cache_cached_rows", ans.CachedRows)
-	if len(gaps) == 0 {
-		s.tracer.Count("cache_full_hits", 1)
-	}
 	ans.Wall = time.Since(start)
 	return ans, nil
+}
+
+// keyFor is the one place a cache key is built: a key without the versions
+// serves stale rows after a relation is registered again, and one without
+// the family lets two queries whose plans render alike share segments.
+func keyFor(q *query.Query, versions string) Key {
+	return Key{Plan: core.CanonicalPlan(q), Family: q.Classify().String(), Versions: versions}
 }
 
 // RunCold answers the windowed query with a single engine run over the
@@ -296,7 +294,7 @@ func (s *Service) RunCold(q *query.Query, w Window) (*Answer, error) {
 	if err != nil {
 		return nil, err
 	}
-	key := Key{Plan: core.CanonicalPlan(q), Family: q.Classify().String(), Versions: versions}
+	key := keyFor(q, versions)
 	ans := &Answer{Window: w, Key: key}
 	var segs []*Segment
 	if !query.ProvablyEmpty(q) {

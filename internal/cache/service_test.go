@@ -364,31 +364,35 @@ func (stuckStore) Remove(name string) error { return fmt.Errorf("remove %s: read
 // TestFailedScratchRemovalIsCounted: a file the store refuses to delete
 // does not fail the query, and shows in the cache_scratch_remove_failed
 // counter. Only a run that has a cycle boundary to put on the store leaves
-// such a file — a multi-cycle join under Materialize; the default two-way
-// delta join writes nothing under its scratch prefix, so there is nothing
-// to fail on.
+// such a file — PASM, whose marking two later cycles read; the default
+// two-way delta join writes nothing under its scratch prefix, so there is
+// nothing to fail on.
 func TestFailedScratchRemovalIsCounted(t *testing.T) {
-	threeWay := query.New()
-	if err := threeWay.AddCondition("R1", "", interval.Overlaps, "R2", ""); err != nil {
+	hybrid := query.New()
+	if err := hybrid.AddCondition("R1", "", interval.Overlaps, "R2", ""); err != nil {
 		t.Fatal(err)
 	}
-	if err := threeWay.AddCondition("R2", "", interval.Overlaps, "R3", ""); err != nil {
+	if err := hybrid.AddCondition("R2", "", interval.Before, "R3", ""); err != nil {
 		t.Fatal(err)
 	}
 	for _, tc := range []struct {
 		name       string
 		q          *query.Query
-		opts       core.Options
+		alg        core.Algorithm // nil: the planner's choice
 		wantFailed bool
 	}{
-		{"three-way materialized", threeWay, core.Options{Partitions: 4, Materialize: true}, true},
-		{"two-way default", predQuery(t, interval.Overlaps), core.Options{Partitions: 4}, false},
+		{"hybrid pasm", hybrid, core.PASM{}, true},
+		{"two-way default", predQuery(t, interval.Overlaps), nil, false},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			tr := obs.New(obs.Options{})
 			store := stuckStore{dfs.NewMem()}
 			eng := mr.NewEngine(mr.Config{Store: store, Workers: 2})
-			svc, err := NewService(ServiceConfig{Engine: eng, Tracer: tr, Opts: tc.opts})
+			cfg := ServiceConfig{Engine: eng, Tracer: tr, Opts: core.Options{Partitions: 4, PartitionsPerDim: 4}}
+			if tc.alg != nil {
+				cfg.Algorithm = func(*query.Query) core.Algorithm { return tc.alg }
+			}
+			svc, err := NewService(cfg)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -87,8 +87,8 @@ func TestAdaptiveMatchesUniformAllenPredicates(t *testing.T) {
 }
 
 // TestAdaptiveMatchesUniformAlgorithms covers every algorithm and query
-// class under the pipelined, materialized, and spilling engines — the
-// adaptive key layout must be invisible across all execution modes.
+// class on the in-memory shuffle and on a spilling engine — the adaptive
+// key layout must be invisible on both.
 func TestAdaptiveMatchesUniformAlgorithms(t *testing.T) {
 	cases := []struct {
 		name  string
@@ -110,13 +110,11 @@ func TestAdaptiveMatchesUniformAlgorithms(t *testing.T) {
 		{"gen-matrix", GenMatrix{}, "R1 before R2 and R1 overlaps R3"},
 	}
 	modes := []struct {
-		name        string
-		materialize bool
-		spill       int
+		name  string
+		spill int
 	}{
-		{"pipelined", false, 0},
-		{"materialized", true, 0},
-		{"spilled", false, 200},
+		{"pipelined", 0},
+		{"spilled", 200},
 	}
 	rng := rand.New(rand.NewSource(41))
 	for _, tc := range cases {
@@ -129,7 +127,6 @@ func TestAdaptiveMatchesUniformAlgorithms(t *testing.T) {
 			base := Options{
 				Partitions: 6, PartitionsPerDim: 4,
 				Scratch: "adapt", SortValues: true,
-				Materialize: mode.materialize,
 			}
 			baseRes, baseLines := runWithConfig(t, tc.alg, q, rels, base,
 				mr.Config{SpillPairThreshold: mode.spill})

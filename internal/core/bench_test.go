@@ -200,11 +200,8 @@ func BenchmarkDecodeMember(b *testing.B) {
 	}
 }
 
-// benchChainAlg runs a multi-cycle algorithm end-to-end on a fresh engine,
-// either pipelined (the default) or with materialised cycle boundaries
-// (one pipeline per stage, Hadoop parity). The delta between the two is what
-// the pipelined executor buys on a whole chain.
-func benchChainAlg(b *testing.B, alg Algorithm, materialize bool) {
+// benchChainAlg runs a multi-cycle algorithm end-to-end on a fresh engine.
+func benchChainAlg(b *testing.B, alg Algorithm) {
 	b.Helper()
 	rng := rand.New(rand.NewSource(2))
 	q := query.MustParse("R1 overlaps R2 and R2 overlaps R3")
@@ -212,13 +209,13 @@ func benchChainAlg(b *testing.B, alg Algorithm, materialize bool) {
 	for i, s := range q.Relations {
 		rels[i] = randomRelation(rng, s.Name, 20_000, 400_000, 12)
 	}
-	opts := Options{Partitions: 16, Materialize: materialize}
+	opts := Options{Partitions: 16}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		b.StopTimer()
-		// Disk-backed store: cycle boundaries cost what they cost on a real
-		// cluster filesystem, which is exactly what pipelining elides.
+		// Disk-backed store: a boundary that is written (PASM's marking)
+		// costs what it costs on a real filesystem.
 		store, err := dfs.NewDisk(b.TempDir())
 		if err != nil {
 			b.Fatal(err)
@@ -242,10 +239,8 @@ func benchChainAlg(b *testing.B, alg Algorithm, materialize bool) {
 // benchShuffleAlg runs a replication-heavy sequence join and reports the
 // logical vs physical shuffle volume: logicalB/op is what a per-partition
 // emit ships (one record copy per covered reducer), physB/op is what the
-// range-coalesced shuffle actually stores. The Expanded variants run with
-// ExpandRangeEmits for the pre-coalescing baseline, so logicalB == physB
-// there and the coalesced physB/op against it is the measured saving.
-func benchShuffleAlg(b *testing.B, alg Algorithm, expand bool) {
+// range-coalesced shuffle actually stores.
+func benchShuffleAlg(b *testing.B, alg Algorithm) {
 	b.Helper()
 	rng := rand.New(rand.NewSource(3))
 	q := query.MustParse("R1 before R2 and R2 before R3")
@@ -260,7 +255,7 @@ func benchShuffleAlg(b *testing.B, alg Algorithm, expand bool) {
 	for i := 0; i < b.N; i++ {
 		b.StopTimer()
 		store := dfs.NewMem()
-		engine := mr.NewEngine(mr.Config{Store: store, ExpandRangeEmits: expand})
+		engine := mr.NewEngine(mr.Config{Store: store})
 		ctx, err := NewContext(engine, q, rels, opts)
 		if err != nil {
 			b.Fatal(err)
@@ -280,12 +275,8 @@ func benchShuffleAlg(b *testing.B, alg Algorithm, expand bool) {
 	b.ReportMetric(m.ReplicationFactor(), "repl")
 }
 
-func BenchmarkShuffleAllRep(b *testing.B)            { benchShuffleAlg(b, AllRep{}, false) }
-func BenchmarkShuffleAllRepExpanded(b *testing.B)    { benchShuffleAlg(b, AllRep{}, true) }
-func BenchmarkShuffleAllMatrix(b *testing.B)         { benchShuffleAlg(b, AllMatrix{}, false) }
-func BenchmarkShuffleAllMatrixExpanded(b *testing.B) { benchShuffleAlg(b, AllMatrix{}, true) }
+func BenchmarkShuffleAllRep(b *testing.B)    { benchShuffleAlg(b, AllRep{}) }
+func BenchmarkShuffleAllMatrix(b *testing.B) { benchShuffleAlg(b, AllMatrix{}) }
 
-func BenchmarkChainRCCISSequential(b *testing.B) { benchChainAlg(b, RCCIS{}, true) }
-func BenchmarkChainRCCISPipelined(b *testing.B)  { benchChainAlg(b, RCCIS{}, false) }
-func BenchmarkChainPASMSequential(b *testing.B)  { benchChainAlg(b, PASM{}, true) }
-func BenchmarkChainPASMPipelined(b *testing.B)   { benchChainAlg(b, PASM{}, false) }
+func BenchmarkChainRCCISPipelined(b *testing.B) { benchChainAlg(b, RCCIS{}) }
+func BenchmarkChainPASMPipelined(b *testing.B)  { benchChainAlg(b, PASM{}) }

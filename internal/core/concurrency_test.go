@@ -89,10 +89,10 @@ func TestExplicitScratchIsolation(t *testing.T) {
 		}
 		return len(res.Tuples)
 	}
-	// RCCIS under Materialize leaves its marking on the store.
-	const chain = "R1 overlaps R2 and R2 overlaps R3"
-	a := run(RCCIS{}, chain, rels, Options{Partitions: 4, Materialize: true, Scratch: "runA"})
-	b := run(RCCIS{}, chain, rels, Options{Partitions: 4, Materialize: true, Scratch: "runB"})
+	// PASM leaves its marking on the store: two later cycles read it.
+	const hybrid = "R1 overlaps R2 and R2 before R3"
+	a := run(PASM{}, hybrid, rels, Options{PartitionsPerDim: 4, Scratch: "runA"})
+	b := run(PASM{}, hybrid, rels, Options{PartitionsPerDim: 4, Scratch: "runB"})
 	if a != b {
 		t.Fatalf("scratch-isolated runs disagree: %d vs %d", a, b)
 	}

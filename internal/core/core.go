@@ -35,9 +35,6 @@ type Options struct {
 	// for the matrix algorithms. Defaults to 6 (the paper's Section 7.1
 	// configuration).
 	PartitionsPerDim int
-	// Range optionally pins the time range [Range[0], Range[1]) used to
-	// build partitionings. When nil it is derived from the data.
-	Range *[2]interval.Point
 	// Scratch prefixes the intermediate and output file names on the
 	// store, so concurrent runs do not collide. Defaults to the
 	// algorithm name.
@@ -50,13 +47,6 @@ type Options struct {
 	// that "uniformly distributed data vs skewed data will need to be
 	// processed differently").
 	EquiDepth bool
-	// Materialize runs every cycle boundary as a store barrier: each cycle's
-	// output is written to the store and re-read by the next — Hadoop's
-	// HDFS-barrier behaviour, the reference the pipelined/materialized
-	// equivalence suites compare against. By default the whole chain runs
-	// as one pipeline, which streams cycle boundaries and overlaps one
-	// cycle's reduce phase with the next cycle's map phase.
-	Materialize bool
 	// Adaptive turns on the skew-aware planner: partition boundaries fall
 	// back to equi-depth when the start-point histogram predicts a
 	// straggler factor worth acting on, and partitions whose projected
@@ -169,13 +159,9 @@ func (c *Context) Stage() error {
 	return nil
 }
 
-// timeRange returns the partitioning range: the explicit option if set,
-// otherwise the bounds of all relations (padded by one so every end
-// point falls strictly inside).
+// timeRange returns the partitioning range: the bounds of all relations
+// (padded by one so every end point falls strictly inside).
 func (c *Context) timeRange() (t0, tn interval.Point, err error) {
-	if c.Opts.Range != nil {
-		return c.Opts.Range[0], c.Opts.Range[1], nil
-	}
 	t0, tn, ok := relation.Bounds(c.Rels...)
 	if !ok {
 		return 0, 1, nil // all-empty inputs: any non-empty range works

@@ -2,6 +2,7 @@ package core
 
 import (
 	"slices"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -68,20 +69,24 @@ func TestDiskStoreWithSpillEndToEnd(t *testing.T) {
 // TestBinaryRecordsThroughStores is the end-to-end half of dfs's
 // TestEveryByteRoundTrips: the engine's records are binary, so a tuple whose
 // id or endpoint is 10 puts a '\n' on the store and nearly every record is
-// full of zeros. RCCIS and the 2-way cascade run materialized (every cycle
-// boundary a store file) with a spilling shuffle (every emission a store
-// record), on both backends, over ids and endpoints that take every byte
-// value, and must agree with the oracle.
+// full of zeros. RCCIS, the 2-way cascade and PASM run with a spilling
+// shuffle (every emission a store record), on both backends, over ids and
+// endpoints that take every byte value, and must agree with the oracle; PASM,
+// whose marking is a store file in every run, on a hybrid query, so that a
+// cycle boundary holds those bytes too.
 func TestBinaryRecordsThroughStores(t *testing.T) {
-	q := query.MustParse("R1 overlaps R2 and R2 overlaps R3")
+	const (
+		chain  = "R1 overlaps R2 and R2 overlaps R3"
+		hybrid = "R1 overlaps R2 and R2 before R3"
+	)
 	rels := make([]*relation.Relation, 3)
-	for i, s := range q.Relations {
+	for i := range rels {
 		ivs := make([]interval.Interval, 300)
 		for k := range ivs {
 			start := int64(2*k + i)
 			ivs[k] = interval.New(start, start+3+int64(k%5))
 		}
-		rels[i] = relation.FromIntervals(s.Name, ivs)
+		rels[i] = relation.FromIntervals("R"+strconv.Itoa(i+1), ivs)
 	}
 	disk, err := dfs.NewDisk(t.TempDir())
 	if err != nil {
@@ -89,49 +94,60 @@ func TestBinaryRecordsThroughStores(t *testing.T) {
 	}
 	for backend, store := range map[string]dfs.Store{"mem": dfs.NewMem(), "disk": disk} {
 		engine := mr.NewEngine(mr.Config{Store: store, Workers: 4, SpillPairThreshold: 64})
-		refCtx, err := NewContext(engine, q, rels, Options{Partitions: 8})
-		if err != nil {
-			t.Fatal(err)
-		}
-		want, err := Reference{}.Run(refCtx)
-		if err != nil || len(want.Tuples) == 0 {
-			t.Fatalf("oracle: %d rows, %v", len(want.Tuples), err)
-		}
-		for _, alg := range []Algorithm{RCCIS{}, Cascade{}} {
-			scratch := "bytes-" + alg.Name()
-			ctx, err := NewContext(engine, q, rels, Options{Partitions: 8, Materialize: true, Scratch: scratch})
+		for _, tc := range []struct {
+			query string
+			algs  []Algorithm
+		}{{chain, []Algorithm{RCCIS{}, Cascade{}}}, {hybrid, []Algorithm{PASM{}}}} {
+			q := query.MustParse(tc.query)
+			refCtx, err := NewContext(engine, q, rels, Options{Partitions: 8})
 			if err != nil {
 				t.Fatal(err)
 			}
-			got, err := alg.Run(ctx)
-			if err != nil {
-				t.Fatalf("%s on %s: %v", alg.Name(), backend, err)
+			want, err := Reference{}.Run(refCtx)
+			if err != nil || len(want.Tuples) == 0 {
+				t.Fatalf("oracle: %d rows, %v", len(want.Tuples), err)
 			}
-			if got.Metrics.SpillRuns == 0 {
-				t.Errorf("%s on %s: no shuffle spill at threshold 64", alg.Name(), backend)
-			}
-			if !slices.Equal(got.IDs, want.IDs) {
-				t.Errorf("%s on %s: %d rows, oracle %d, or other rows", alg.Name(), backend, len(got.Tuples), len(want.Tuples))
-			}
-			// The boundary file really held the bytes a line store would choke on.
-			files, err := store.List(scratch + "/")
-			if err != nil || len(files) == 0 {
-				t.Fatalf("%s on %s: materialized run left no boundary file (%v)", alg.Name(), backend, err)
-			}
-			var newlines, zeros int
-			for _, f := range files {
-				recs, err := dfs.ReadAll(store, f)
-				if err != nil {
-					t.Fatalf("%s on %s: %s: %v", alg.Name(), backend, f, err)
-				}
-				for _, rec := range recs {
-					newlines += strings.Count(rec, "\n")
-					zeros += strings.Count(rec, "\x00")
-				}
-			}
-			if newlines == 0 || zeros == 0 {
-				t.Errorf("%s on %s: boundary files hold %d newline and %d zero bytes; the test no longer covers them", alg.Name(), backend, newlines, zeros)
+			for _, alg := range tc.algs {
+				checkBinaryRun(t, backend, engine, alg, q, rels, want, tc.query == hybrid)
 			}
 		}
+	}
+}
+
+// checkBinaryRun runs alg on the spilling engine and requires the oracle's
+// rows, a spill, and — for a run that leaves its marking on the store — a
+// boundary file that really held the bytes a line store would choke on.
+func checkBinaryRun(t *testing.T, backend string, engine *mr.Engine, alg Algorithm, q *query.Query,
+	rels []*relation.Relation, want *Result, marked bool) {
+	t.Helper()
+	scratch := "bytes-" + alg.Name()
+	ctx, err := NewContext(engine, q, rels, Options{Partitions: 8, Scratch: scratch})
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := alg.Run(ctx)
+	if err != nil {
+		t.Fatalf("%s on %s: %v", alg.Name(), backend, err)
+	}
+	if got.Metrics.SpillRuns == 0 {
+		t.Errorf("%s on %s: no shuffle spill at threshold 64", alg.Name(), backend)
+	}
+	if !slices.Equal(got.IDs, want.IDs) {
+		t.Errorf("%s on %s: %d rows, oracle %d, or other rows", alg.Name(), backend, len(got.Tuples), len(want.Tuples))
+	}
+	if !marked {
+		return
+	}
+	recs, err := dfs.ReadAll(engine.Store(), scratch+"/marked")
+	if err != nil {
+		t.Fatalf("%s on %s: the run left no marked boundary: %v", alg.Name(), backend, err)
+	}
+	var newlines, zeros int
+	for _, rec := range recs {
+		newlines += strings.Count(rec, "\n")
+		zeros += strings.Count(rec, "\x00")
+	}
+	if newlines == 0 || zeros == 0 {
+		t.Errorf("%s on %s: the boundary file holds %d newline and %d zero bytes; the test no longer covers them", alg.Name(), backend, newlines, zeros)
 	}
 }

@@ -10,9 +10,8 @@ import (
 // Algorithm.Run ends in runStages: the driver checks its query class, picks
 // its partitioning or plan, and hands over a []mr.Stage built from the three
 // cycle kinds of cycle.go; everything around the cycles — defaults, the
-// provably-empty short-circuit, file naming, per-stage annotations,
-// execution mode, metrics aggregation and the result's order — happens here,
-// once.
+// provably-empty short-circuit, file naming, per-stage annotations, metrics
+// aggregation and the result's order — happens here, once.
 
 // chainEnv is what the runner has settled by the time a driver builds its
 // stages.
@@ -31,7 +30,9 @@ type chainEnv struct {
 // skew-adaptive plan to report (nil for the always-uniform grid layouts).
 type stageBuilder func(*Context, *chainEnv) ([]mr.Stage, *execPlan, error)
 
-// runStages runs alg as the chain of stages build returns.
+// runStages runs alg as the chain of stages build returns: one pipeline,
+// which streams every cycle boundary it can and overlaps one cycle's reduce
+// phase with the next cycle's map phase.
 //
 // Drivers name things relative to the run's scratch directory: a stage's
 // Job.Name and Job.Output are plain names ("mark", "marked"), and an input
@@ -58,8 +59,8 @@ func (c *Context) runStages(alg string, build stageBuilder) (*Result, error) {
 	}
 
 	// The last stage's output is the run's: it is collected in rows, as
-	// ids, and takes neither a text form nor a place on the store, in
-	// either mode. (The engine rejects a last stage without ReduceRows.)
+	// ids, and takes neither a text form nor a place on the store. (The
+	// engine rejects a last stage without ReduceRows.)
 	rows := &mr.Rows{Width: len(c.Rels)}
 	stages[len(stages)-1].Job.Rows = rows
 
@@ -82,34 +83,13 @@ func (c *Context) runStages(alg string, build stageBuilder) (*Result, error) {
 		job.Meta = mr.JobMeta{Algorithm: alg, Cycle: i + 1, Family: family}
 	}
 
-	// Options.Materialize is honoured here and nowhere else: the barriered
-	// mode runs each stage as its own pipeline, so every boundary is written
-	// to the store and re-read (Hadoop's HDFS barrier) while the taps fire
-	// exactly as they do when the boundaries stream.
-	groups := [][]mr.Stage{stages}
-	if opts.Materialize {
-		groups = nil
-		for i := range stages {
-			groups = append(groups, stages[i:i+1])
-		}
+	perCycle, m, err := c.Engine.RunPipeline(stages...)
+	if err != nil {
+		return nil, err
 	}
-	for _, g := range groups {
-		perCycle, m, err := c.Engine.RunPipeline(g...)
-		if err != nil {
-			return nil, err
-		}
-		res.PerCycle = append(res.PerCycle, perCycle...)
-		agg.Merge(m)
-		// Groups run back to back, so their per-phase wall unions add up.
-		w := &agg.TrueWalls
-		w.Feed += m.TrueWalls.Feed
-		w.Map += m.TrueWalls.Map
-		w.Combine += m.TrueWalls.Combine
-		w.Spill += m.TrueWalls.Spill
-		w.Merge += m.TrueWalls.Merge
-		w.Reduce += m.TrueWalls.Reduce
-		w.Output += m.TrueWalls.Output
-	}
+	res.PerCycle = perCycle
+	agg.Merge(m)
+	agg.TrueWalls = m.TrueWalls
 	if plan != nil {
 		agg.Plan = plan.info()
 	}

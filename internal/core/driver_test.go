@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"intervaljoin/internal/dfs"
@@ -11,6 +12,144 @@ import (
 	"intervaljoin/internal/query"
 	"intervaljoin/internal/relation"
 )
+
+// resultLines renders a result's rows, in order, as the text lines the
+// equivalence suites compare byte for byte.
+func resultLines(res *Result) []string {
+	lines := make([]string, len(res.Tuples))
+	for i, t := range res.Tuples {
+		lines[i] = t.Key()
+	}
+	return lines
+}
+
+// runSingle executes one algorithm on a fresh store with a pinned scratch
+// directory and returns the result plus its rows rendered as lines.
+func runSingle(t *testing.T, alg Algorithm, q *query.Query, rels []*relation.Relation, opts Options) (*Result, []string) {
+	t.Helper()
+	return runOnStore(t, dfs.NewMem(), alg, q, rels, opts)
+}
+
+// runOnStore is runSingle on a store the caller keeps, so it can inspect
+// the intermediates the run left behind.
+func runOnStore(t *testing.T, store dfs.Store, alg Algorithm, q *query.Query, rels []*relation.Relation, opts Options) (*Result, []string) {
+	t.Helper()
+	engine := mr.NewEngine(mr.Config{Store: store, Workers: 4})
+	ctx, err := NewContext(engine, q, rels, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := alg.Run(ctx)
+	if err != nil {
+		t.Fatalf("%s: %v", alg.Name(), err)
+	}
+	return res, resultLines(res)
+}
+
+// TestChainStatistics runs every multi-cycle algorithm and checks what the
+// runner reports around the rows: the oracle's output, the aggregate named
+// after the algorithm, one metrics entry per cycle and records streamed
+// across the boundaries. PASM's marking is read by two later stages, so it
+// is the one boundary a run leaves on the store: there the test recounts the
+// replicate-flagged records from the "marked" file, a check of the streaming
+// tap that shares no code with it, and bounds the pruned counts by the
+// tuples the output really lacks.
+func TestChainStatistics(t *testing.T) {
+	cases := []struct {
+		name  string
+		alg   Algorithm
+		query string
+	}{
+		{"cascade", Cascade{}, "R1 overlaps R2 and R2 overlaps R3"},
+		{"cascade-matrix", Cascade{MatrixSteps: true}, "R1 before R2 and R2 before R3"},
+		{"rccis", RCCIS{}, "R1 overlaps R2 and R2 overlaps R3"},
+		{"all-seq-matrix", SeqMatrix{}, "R1 overlaps R2 and R2 overlaps R3"},
+		{"all-seq-matrix-hybrid", SeqMatrix{}, "R1 before R2 and R1 overlaps R3"},
+		{"fcts", FCTS{}, "R1 overlaps R2 and R2 overlaps R3"},
+		{"fcts-hybrid", FCTS{}, "R1 before R2 and R1 overlaps R3"},
+		{"fstc-hybrid", FSTC{}, "R1 before R2 and R1 overlaps R3"},
+		{"pasm", PASM{}, "R1 overlaps R2 and R2 overlaps R3"},
+		{"pasm-hybrid", PASM{}, "R1 before R2 and R1 overlaps R3"},
+		{"gen-matrix", GenMatrix{}, "R1 before R2 and R1 overlaps R3"},
+	}
+	rng := rand.New(rand.NewSource(42))
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			q := query.MustParse(tc.query)
+			rels := make([]*relation.Relation, len(q.Relations))
+			for i, s := range q.Relations {
+				rels[i] = randomRelation(rng, s.Name, 45, 160, 30)
+			}
+			opts := Options{
+				Partitions: 6, PartitionsPerDim: 4,
+				Scratch: "equiv", SortValues: true,
+			}
+			store := dfs.NewMem()
+			res, lines := runOnStore(t, store, tc.alg, q, rels, opts)
+			want, wantLines := runSingle(t, Reference{}, q, rels, Options{})
+			if !slices.Equal(lines, wantLines) {
+				t.Fatalf("output differs from the oracle's: %d rows, want %d", len(lines), len(wantLines))
+			}
+			if res.Metrics.Job != tc.alg.Name() {
+				t.Errorf("Metrics.Job = %q, want %q", res.Metrics.Job, tc.alg.Name())
+			}
+			if res.Metrics.Cycles < 2 || res.Metrics.Cycles != len(res.PerCycle) {
+				t.Errorf("cycles = %d with %d per-cycle metrics", res.Metrics.Cycles, len(res.PerCycle))
+			}
+			if res.Metrics.StreamedPairs == 0 {
+				t.Error("run streamed no pairs across cycle boundaries")
+			}
+
+			_, isPASM := tc.alg.(PASM)
+			files, err := store.List("")
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !isPASM {
+				if len(files) != 0 {
+					t.Errorf("run left %v on the store, want every boundary streamed", files)
+				}
+				if len(res.PrunedIntervals) != 0 {
+					t.Errorf("pruned = %v without a prune cycle", res.PrunedIntervals)
+				}
+				return
+			}
+			marked, err := dfs.ReadAll(store, opts.Scratch+"/marked")
+			if err != nil || len(files) != 1 {
+				t.Fatalf("store holds %v (reading marked: %v), want the marked boundary alone", files, err)
+			}
+			var flagged int64
+			for _, rec := range marked {
+				_, _, flags, err := splitVector(rec)
+				if err != nil {
+					t.Fatalf("marked record %q: %v", rec, err)
+				}
+				if flags == flagSuffix[1] {
+					flagged++
+				}
+			}
+			if flagged != res.ReplicatedIntervals {
+				t.Errorf("replicated: result says %d, marked file holds %d flagged records",
+					res.ReplicatedIntervals, flagged)
+			}
+			// A pruned tuple is in no output row.
+			if len(res.PrunedIntervals) == 0 {
+				t.Error("PASM pruned nothing: the bound below checks nothing")
+			}
+			w := len(rels)
+			for r, rel := range rels {
+				seen := make(map[int64]bool)
+				for i := r; i < len(want.IDs); i += w {
+					seen[want.IDs[i]] = true
+				}
+				if absent := int64(rel.Len() - len(seen)); res.PrunedIntervals[r] > absent {
+					t.Errorf("pruned[%d] = %d, but only %d of the relation's tuples are in no output row",
+						r, res.PrunedIntervals[r], absent)
+				}
+			}
+		})
+	}
+}
 
 // TestContradictoryQueryRunsNoCycle pins the runner's short-circuit: a query
 // whose sequence conditions order two components both ways has a provably

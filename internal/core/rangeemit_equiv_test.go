@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"intervaljoin/internal/dfs"
@@ -32,48 +33,29 @@ func runWithConfig(t *testing.T, alg Algorithm, q *query.Query, rels []*relation
 	return res, resultLines(res)
 }
 
-// requireSameRun asserts the range-coalesced run matched the expanded run
-// byte for byte and on every logical statistic, and that coalescing only ever
-// shrinks the physical shuffle.
-func requireSameRun(t *testing.T, rangeRes, expandRes *Result, rangeLines, expandLines []string) {
+// requireOracleRows asserts a run over the range-coalesced shuffle returned
+// the oracle's rows byte for byte — the rows a shuffle holding one pair per
+// covered key returns — and that coalescing only ever shrinks the physical
+// shuffle. What each cycle sent where, in logical pairs, is pinned by
+// TestRoutingGolden.
+func requireOracleRows(t *testing.T, res *Result, lines []string, q *query.Query, rels []*relation.Relation) {
 	t.Helper()
-	if len(rangeLines) != len(expandLines) {
-		t.Fatalf("output has %d lines coalesced, %d expanded", len(rangeLines), len(expandLines))
+	_, want := runSingle(t, Reference{}, q, rels, Options{})
+	if !slices.Equal(lines, want) {
+		t.Fatalf("output differs from the oracle's: %d rows, want %d", len(lines), len(want))
 	}
-	for i := range rangeLines {
-		if rangeLines[i] != expandLines[i] {
-			t.Fatalf("output line %d differs:\ncoalesced: %q\nexpanded:  %q",
-				i, rangeLines[i], expandLines[i])
-		}
+	m := res.Metrics
+	if m.PhysicalPairs > m.IntermediatePairs {
+		t.Errorf("physical pairs %d exceed logical %d", m.PhysicalPairs, m.IntermediatePairs)
 	}
-	rm, em := rangeRes.Metrics, expandRes.Metrics
-	if rm.IntermediatePairs != em.IntermediatePairs {
-		t.Errorf("logical pairs: %d coalesced, %d expanded", rm.IntermediatePairs, em.IntermediatePairs)
-	}
-	if rm.IntermediateBytes != em.IntermediateBytes {
-		t.Errorf("logical bytes: %d coalesced, %d expanded", rm.IntermediateBytes, em.IntermediateBytes)
-	}
-	if rm.DistinctKeys != em.DistinctKeys {
-		t.Errorf("keys: %d coalesced, %d expanded", rm.DistinctKeys, em.DistinctKeys)
-	}
-	if rm.OutputRecords != em.OutputRecords {
-		t.Errorf("output records: %d coalesced, %d expanded", rm.OutputRecords, em.OutputRecords)
-	}
-	if rangeRes.ReplicatedIntervals != expandRes.ReplicatedIntervals {
-		t.Errorf("replicated: %d coalesced, %d expanded",
-			rangeRes.ReplicatedIntervals, expandRes.ReplicatedIntervals)
-	}
-	if rm.PhysicalPairs > rm.IntermediatePairs {
-		t.Errorf("coalesced physical pairs %d exceed logical %d", rm.PhysicalPairs, rm.IntermediatePairs)
-	}
-	if rm.PhysicalBytes > em.PhysicalBytes {
-		t.Errorf("coalesced physical bytes %d exceed expanded %d", rm.PhysicalBytes, em.PhysicalBytes)
+	if m.PhysicalBytes > m.IntermediateBytes {
+		t.Errorf("physical bytes %d exceed logical %d", m.PhysicalBytes, m.IntermediateBytes)
 	}
 }
 
 // TestRangeEmitMatchesExpandedAllenPredicates joins two relations under each
-// of the thirteen Allen predicates, once with range coalescing (the default)
-// and once with ExpandRangeEmits, requiring byte-identical output.
+// of the thirteen Allen predicates over the range-coalesced shuffle, requiring
+// the oracle's output.
 func TestRangeEmitMatchesExpandedAllenPredicates(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	r1 := randomRelation(rng, "R1", 70, 160, 35)
@@ -83,17 +65,15 @@ func TestRangeEmitMatchesExpandedAllenPredicates(t *testing.T) {
 			q := query.MustParse(fmt.Sprintf("R1 %s R2", p))
 			opts := Options{Partitions: 8, Scratch: "equiv", SortValues: true}
 			rels := []*relation.Relation{r1, r2}
-			expandRes, expandLines := runWithConfig(t, TwoWay{}, q, rels, opts,
-				mr.Config{ExpandRangeEmits: true})
-			rangeRes, rangeLines := runWithConfig(t, TwoWay{}, q, rels, opts, mr.Config{})
-			requireSameRun(t, rangeRes, expandRes, rangeLines, expandLines)
+			res, lines := runWithConfig(t, TwoWay{}, q, rels, opts, mr.Config{})
+			requireOracleRows(t, res, lines, q, rels)
 		})
 	}
 }
 
 // TestRangeEmitMatchesExpandedAlgorithms covers every algorithm and query
-// class, in the pipelined (default) and materialized execution modes, plus a
-// spilling engine — the coalesced shuffle must be invisible everywhere.
+// class, on the in-memory shuffle and on a spilling engine — the coalesced
+// shuffle must be invisible everywhere.
 func TestRangeEmitMatchesExpandedAlgorithms(t *testing.T) {
 	cases := []struct {
 		name  string
@@ -115,15 +95,12 @@ func TestRangeEmitMatchesExpandedAlgorithms(t *testing.T) {
 		{"gen-matrix", GenMatrix{}, "R1 before R2 and R1 overlaps R3"},
 	}
 	modes := []struct {
-		name        string
-		materialize bool
-		spill       int
+		name  string
+		spill int
 	}{
-		{"pipelined", false, 0},
-		{"materialized", false, 0}, // overwritten below
-		{"spilled", false, 200},
+		{"pipelined", 0},
+		{"spilled", 200},
 	}
-	modes[1].materialize = true
 	rng := rand.New(rand.NewSource(99))
 	for _, tc := range cases {
 		q := query.MustParse(tc.query)
@@ -136,13 +113,10 @@ func TestRangeEmitMatchesExpandedAlgorithms(t *testing.T) {
 				opts := Options{
 					Partitions: 6, PartitionsPerDim: 4,
 					Scratch: "equiv", SortValues: true,
-					Materialize: mode.materialize,
 				}
-				expandRes, expandLines := runWithConfig(t, tc.alg, q, rels, opts,
-					mr.Config{ExpandRangeEmits: true, SpillPairThreshold: mode.spill})
-				rangeRes, rangeLines := runWithConfig(t, tc.alg, q, rels, opts,
+				res, lines := runWithConfig(t, tc.alg, q, rels, opts,
 					mr.Config{SpillPairThreshold: mode.spill})
-				requireSameRun(t, rangeRes, expandRes, rangeLines, expandLines)
+				requireOracleRows(t, res, lines, q, rels)
 			})
 		}
 	}

@@ -45,10 +45,6 @@ type Config struct {
 	// driven partition boundaries plus virtual splitting of hot partitions
 	// (core.Options.Adaptive).
 	Adaptive bool
-	// Materialize runs multi-cycle algorithms with every cycle boundary
-	// written to the store and re-read (core.Options.Materialize) instead of the default
-	// one-pipeline run — for measuring what the pipelining buys.
-	Materialize bool
 	// Tracer, when non-nil, records execution spans for every engine the
 	// experiments construct — one shared timeline across all runs, so a
 	// whole experiment can be inspected in Perfetto. Nil disables tracing.
@@ -176,7 +172,6 @@ type Run struct {
 // execute runs one algorithm on a fresh in-memory engine and profiles it.
 func execute(cfg Config, alg core.Algorithm, q *query.Query, rels []*relation.Relation, opts core.Options) (Run, error) {
 	engine := mr.NewEngine(mr.Config{Store: dfs.NewMem(), Workers: cfg.Workers, Tracer: cfg.Tracer})
-	opts.Materialize = cfg.Materialize
 	opts.Adaptive = cfg.Adaptive
 	ctx, err := core.NewContext(engine, q, rels, opts)
 	if err != nil {

@@ -51,7 +51,7 @@ func QueryMix(cfg Config) (*Table, error) {
 		svc, err := cache.NewService(cache.ServiceConfig{
 			Engine: mr.NewEngine(mr.Config{Store: dfs.NewMem(), Workers: cfg.Workers, Tracer: cfg.Tracer}),
 			Tracer: cfg.Tracer,
-			Opts:   core.Options{Partitions: 16, PartitionsPerDim: 6, Adaptive: cfg.Adaptive, Materialize: cfg.Materialize},
+			Opts:   core.Options{Partitions: 16, PartitionsPerDim: 6, Adaptive: cfg.Adaptive},
 		})
 		if err != nil {
 			return nil, err

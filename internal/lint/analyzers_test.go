@@ -33,30 +33,6 @@ func TestTimeNowLoop(t *testing.T) {
 	runFixture(t, "timenowloop", "intervaljoin/internal/mr/lintfixture")
 }
 
-func TestPartitionBounds(t *testing.T) {
-	runFixture(t, "partitionbounds", "intervaljoin/lintfixture/bounds")
-}
-
-func TestCacheKey(t *testing.T) {
-	// The import path must sit under internal/cache: the analyzer scopes to
-	// the cache's packages, like hotpathban scopes to core and mr.
-	runFixture(t, "cachekey", "intervaljoin/internal/cache/lintfixture")
-}
-
-// TestCacheKeyScope reloads the fixture under a neutral import path:
-// outside the cache's packages a partial cache.Key literal may be a
-// legitimate sentinel or test scaffold, so the analyzer must stay silent.
-func TestCacheKeyScope(t *testing.T) {
-	pkg, err := fixtureLoader(t).LoadDir(filepath.Join("testdata", "cachekey"), "intervaljoin/lintfixture/notcache")
-	if err != nil {
-		t.Fatalf("loading fixture: %v", err)
-	}
-	diags := RunAnalyzers(pkg, []*Analyzer{CacheKey})
-	for _, d := range diags {
-		t.Errorf("diagnostic outside the cache scope: %s", d)
-	}
-}
-
 func TestColKernel(t *testing.T) {
 	// Distinct from hotpathban's fixture path: the loader caches packages
 	// by import path, so sharing it would hand this test the wrong fixture.
@@ -190,24 +166,6 @@ func TestGoroutineLeak(t *testing.T) {
 func TestErrorFlow(t *testing.T) {
 	// The path sits inside internal/core so the scoped analyzer fires.
 	runFixture(t, "errorflow", "intervaljoin/internal/core/errfixture")
-}
-
-func TestMetricName(t *testing.T) {
-	runFixture(t, "metricname", "intervaljoin/lintfixture/metricname")
-}
-
-// TestMetricNameSkipsLivePackage reloads the fixture under the registry's
-// own import path: the live package (and its fixtures) exercises invalid
-// names on purpose, so the analyzer must stay silent there.
-func TestMetricNameSkipsLivePackage(t *testing.T) {
-	pkg, err := fixtureLoader(t).LoadDir(filepath.Join("testdata", "metricname"), "intervaljoin/internal/obs/live/lintfixture")
-	if err != nil {
-		t.Fatalf("loading fixture: %v", err)
-	}
-	diags := RunAnalyzers(pkg, []*Analyzer{MetricName})
-	for _, d := range diags {
-		t.Errorf("diagnostic inside the live package scope: %s", d)
-	}
 }
 
 // TestErrorFlowScope reloads the fixture under a neutral import path:

@@ -10,7 +10,7 @@ import (
 )
 
 // EmitterEscape enforces the mr.Emitter contract: an emitter handed to a
-// MapFunc or combiner writes into the engine's per-attempt buffer, so it is
+// MapFunc or PosMapFunc writes into the engine's per-attempt buffer, so it is
 // only valid for the duration of that call on that goroutine. Storing it in
 // a struct or global, sending it on a channel, returning it, or handing it
 // to a spawned goroutine lets emissions race the engine's attempt lifecycle

@@ -10,8 +10,7 @@ import (
 // from silently regressing: reflection-driven and allocation-heavy stdlib
 // helpers are banned from the engine packages (internal/core, internal/mr)
 // outside tests, and in internal/core also the decimal-text codecs, whose
-// records became fixed-width binary. The list and scope are variables so the
-// ijlint driver can extend them from the command line.
+// records became fixed-width binary.
 var HotPathBan = &Analyzer{
 	Name: "hotpathban",
 	Doc: "banned calls (sort.Slice, fmt.Sprintf, reflect.DeepEqual, strings.Split) in " +
@@ -20,23 +19,23 @@ var HotPathBan = &Analyzer{
 	Run: runHotPathBan,
 }
 
-// BannedCalls maps "pkgpath.Func" to the replacement the diagnostic
-// suggests. The ijlint -ban flag appends to it.
-var BannedCalls = map[string]string{
+// bannedCalls maps "pkgpath.Func" to the replacement the diagnostic
+// suggests.
+var bannedCalls = map[string]string{
 	"sort.Slice":        "slices.SortFunc with a concrete comparator",
 	"fmt.Sprintf":       "strconv append-style formatting onto a byte buffer",
 	"reflect.DeepEqual": "a hand-written comparison",
 	"strings.Split":     "strings.Cut or strings.IndexByte over the string in place",
 }
 
-// binaryRecord is the replacement CoreBannedCalls suggests.
+// binaryRecord is the replacement coreBannedCalls suggests.
 const binaryRecord = "the fixed-width binary record codec (core/codec.go, relation.AppendBinary)"
 
-// CoreBannedCalls applies to internal/core alone, on top of BannedCalls: the
+// coreBannedCalls applies to internal/core alone, on top of bannedCalls: the
 // records its map and reduce closures exchange are binary, so formatting or
 // parsing a number as decimal text there is text creeping back. (internal/mr
 // keeps strconv for its spill keys, package relation for relation files.)
-var CoreBannedCalls = map[string]string{
+var coreBannedCalls = map[string]string{
 	"strconv.ParseInt":  binaryRecord,
 	"strconv.Atoi":      binaryRecord,
 	"strconv.AppendInt": binaryRecord,
@@ -45,13 +44,12 @@ var CoreBannedCalls = map[string]string{
 	"intervaljoin/internal/relation.AppendTuple": binaryRecord,
 }
 
-// HotPathScope lists the package-path substrings the ban applies to. The
-// ijlint -hotpaths flag overrides it.
-var HotPathScope = []string{"internal/core", "internal/mr"}
+// hotPathScope lists the package-path substrings the ban applies to.
+var hotPathScope = []string{"internal/core", "internal/mr"}
 
 func runHotPathBan(pass *Pass) {
 	inScope := false
-	for _, s := range HotPathScope {
+	for _, s := range hotPathScope {
 		if strings.Contains(pass.Pkg.Path(), s) {
 			inScope = true
 			break
@@ -76,9 +74,9 @@ func runHotPathBan(pass *Pass) {
 				return true
 			}
 			full := fn.Pkg().Path() + "." + fn.Name()
-			alt, banned := BannedCalls[full]
+			alt, banned := bannedCalls[full]
 			if !banned && inCore {
-				alt, banned = CoreBannedCalls[full]
+				alt, banned = coreBannedCalls[full]
 			}
 			if banned {
 				pass.Reportf(call.Pos(),

@@ -1,4 +1,4 @@
-// Package lint is ijlint's analysis framework plus the thirteen
+// Package lint is ijlint's analysis framework plus the ten
 // domain-specific analyzers that mechanically enforce the engine's
 // invariants (exhaustive Allen-predicate switches, emitter escape
 // discipline, sync.Pool hygiene, shard-lock guarding, the hot-path
@@ -88,7 +88,7 @@ func (p *Pass) Reportf(pos token.Pos, format string, args ...any) {
 	})
 }
 
-// All returns the thirteen ijlint analyzers in their canonical order.
+// All returns the ten ijlint analyzers in their canonical order.
 func All() []*Analyzer {
 	return []*Analyzer{
 		AllenExhaustive,
@@ -98,12 +98,9 @@ func All() []*Analyzer {
 		HotPathBan,
 		TimeNowLoop,
 		ColKernel,
-		PartitionBounds,
-		CacheKey,
 		LockOrder,
 		GoroutineLeak,
 		ErrorFlow,
-		MetricName,
 	}
 }
 

@@ -29,7 +29,7 @@ const innerLoopDepth = 2
 
 func runTimeNowLoop(pass *Pass) {
 	inScope := false
-	for _, s := range HotPathScope {
+	for _, s := range hotPathScope {
 		if strings.Contains(pass.Pkg.Path(), s) {
 			inScope = true
 			break

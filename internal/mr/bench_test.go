@@ -46,51 +46,6 @@ func BenchmarkEngineInMemory(b *testing.B)  { benchEngine(b, 100_000, 0) }
 func BenchmarkEngineSpilling(b *testing.B)  { benchEngine(b, 100_000, 4096) }
 func BenchmarkEngineSmallJobs(b *testing.B) { benchEngine(b, 1_000, 0) }
 
-func BenchmarkEngineWithCombiner(b *testing.B) {
-	store := dfs.NewMem()
-	const n = 100_000
-	recs := make([]string, n)
-	for i := range recs {
-		recs[i] = strconv.Itoa(i % 64)
-	}
-	if err := dfs.WriteAll(store, "in", recs); err != nil {
-		b.Fatal(err)
-	}
-	e := NewEngine(Config{Store: store})
-	job := Job{
-		Name:   "bench-combine",
-		Inputs: []Input{{File: "in"}},
-		Map: func(tag int, record string, emit Emitter) error {
-			v, _ := strconv.ParseInt(record, 10, 64)
-			emit.Emit(v, "1")
-			return nil
-		},
-		Combine: func(key int64, values []string) []string {
-			sum := 0
-			for _, v := range values {
-				x, _ := strconv.Atoi(v)
-				sum += x
-			}
-			return []string{strconv.Itoa(sum)}
-		},
-		Reduce: func(key int64, values []string, write func(string) error) error {
-			sum := 0
-			for _, v := range values {
-				x, _ := strconv.Atoi(v)
-				sum += x
-			}
-			return write(strconv.Itoa(sum))
-		},
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := e.Run(job); err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.SetBytes(n)
-}
-
 // benchEngineChain measures a 3-cycle chain end-to-end, either one Run per
 // job (every boundary written to the store and re-read) or through the
 // pipelined executor (boundaries streamed between cycles).

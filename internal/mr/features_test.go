@@ -135,109 +135,6 @@ func TestSpillRejectsNegativeKeys(t *testing.T) {
 	}
 }
 
-func TestCombinerFoldsMapOutput(t *testing.T) {
-	store := dfs.NewMem()
-	e := NewEngine(Config{Store: store, Workers: 2})
-	recs := make([]string, 4000)
-	for i := range recs {
-		recs[i] = strconv.Itoa(i % 5) // heavy duplication per key
-	}
-	dfs.WriteAll(store, "in", recs)
-	job := Job{
-		Name:   "combine",
-		Inputs: []Input{{File: "in"}},
-		Map: func(tag int, record string, emit Emitter) error {
-			v, _ := strconv.ParseInt(record, 10, 64)
-			emit.Emit(v, "1")
-			return nil
-		},
-		// Combiner and reducer both sum partial counts.
-		Combine: func(key int64, values []string) []string {
-			sum := 0
-			for _, v := range values {
-				n, _ := strconv.Atoi(v)
-				sum += n
-			}
-			return []string{strconv.Itoa(sum)}
-		},
-		Reduce: func(key int64, values []string, write func(string) error) error {
-			sum := 0
-			for _, v := range values {
-				n, _ := strconv.Atoi(v)
-				sum += n
-			}
-			return write(fmt.Sprintf("%d=%d", key, sum))
-		},
-		Output: "out",
-	}
-	m, err := e.Run(job)
-	if err != nil {
-		t.Fatal(err)
-	}
-	out, _ := dfs.ReadAll(store, "out")
-	sort.Strings(out)
-	want := []string{"0=800", "1=800", "2=800", "3=800", "4=800"}
-	for i := range want {
-		if out[i] != want[i] {
-			t.Fatalf("output = %v, want %v", out, want)
-		}
-	}
-	if m.CombineInputPairs != 4000 {
-		t.Fatalf("combine input pairs = %d, want 4000", m.CombineInputPairs)
-	}
-	if m.CombineOutputPairs >= m.CombineInputPairs {
-		t.Fatalf("combiner did not fold: %d -> %d", m.CombineInputPairs, m.CombineOutputPairs)
-	}
-	// Shuffled pairs are the combined count, not the raw count.
-	if m.IntermediatePairs != m.CombineOutputPairs {
-		t.Fatalf("shuffled %d pairs, combiner emitted %d", m.IntermediatePairs, m.CombineOutputPairs)
-	}
-}
-
-func TestCombinerWithSpill(t *testing.T) {
-	store := dfs.NewMem()
-	e := NewEngine(Config{Store: store, Workers: 2, SpillPairThreshold: 16})
-	recs := make([]string, 1000)
-	for i := range recs {
-		recs[i] = strconv.Itoa(i % 3)
-	}
-	dfs.WriteAll(store, "in", recs)
-	job := Job{
-		Name:   "combspill",
-		Inputs: []Input{{File: "in"}},
-		Map: func(tag int, record string, emit Emitter) error {
-			v, _ := strconv.ParseInt(record, 10, 64)
-			emit.Emit(v, "1")
-			return nil
-		},
-		Combine: func(key int64, values []string) []string {
-			sum := 0
-			for _, v := range values {
-				n, _ := strconv.Atoi(v)
-				sum += n
-			}
-			return []string{strconv.Itoa(sum)}
-		},
-		Reduce: func(key int64, values []string, write func(string) error) error {
-			sum := 0
-			for _, v := range values {
-				n, _ := strconv.Atoi(v)
-				sum += n
-			}
-			return write(fmt.Sprintf("%d=%d", key, sum))
-		},
-		Output: "out",
-	}
-	if _, err := e.Run(job); err != nil {
-		t.Fatal(err)
-	}
-	out, _ := dfs.ReadAll(store, "out")
-	sort.Strings(out)
-	if len(out) != 3 || out[0] != "0=334" || out[1] != "1=333" || out[2] != "2=333" {
-		t.Fatalf("output = %v", out)
-	}
-}
-
 // flakyInjector fails each task's first attempt with a transient error.
 type flakyInjector struct {
 	mu     sync.Mutex

@@ -64,10 +64,6 @@ type Metrics struct {
 	// after the job finished. The job's result is unaffected, but leaked
 	// scratch space is worth surfacing instead of silently dropping.
 	CleanupFailures int
-	// CombineInputPairs / CombineOutputPairs measure the map-side
-	// combiner's fold (equal when no combiner is set — both zero).
-	CombineInputPairs  int64
-	CombineOutputPairs int64
 	// PipelineWall is the wall-clock of a whole pipelined chain (set on the
 	// aggregate returned by RunPipeline; zero on per-cycle metrics). Unlike
 	// TotalWall, overlapping cycles are not double counted.
@@ -108,13 +104,12 @@ type Metrics struct {
 
 // PhaseWallClock is the tracer's per-phase wall-clock union for one run.
 type PhaseWallClock struct {
-	Feed    time.Duration
-	Map     time.Duration
-	Combine time.Duration
-	Spill   time.Duration
-	Merge   time.Duration
-	Reduce  time.Duration
-	Output  time.Duration
+	Feed   time.Duration
+	Map    time.Duration
+	Spill  time.Duration
+	Merge  time.Duration
+	Reduce time.Duration
+	Output time.Duration
 }
 
 // Zero reports whether no phase wall was recorded (untraced run).
@@ -157,8 +152,6 @@ func (m *Metrics) Merge(other *Metrics) {
 	m.SpilledPairs += other.SpilledPairs
 	m.SpillRuns += other.SpillRuns
 	m.CleanupFailures += other.CleanupFailures
-	m.CombineInputPairs += other.CombineInputPairs
-	m.CombineOutputPairs += other.CombineOutputPairs
 	m.PipelineWall += other.PipelineWall
 	m.OverlapSaved += other.OverlapSaved
 	m.StreamedPairs += other.StreamedPairs

@@ -14,10 +14,9 @@
 // intermediate: a job may reduce to typed id rows instead (Job.ReduceRows),
 // which go back to the caller as they are.
 //
-// Three Hadoop behaviours are modelled beyond the basic phases: map tasks
+// Two Hadoop behaviours are modelled beyond the basic phases: map tasks
 // are record batches that are retried on transient failures (as Hadoop
-// re-schedules failed task attempts), an optional combiner folds each map
-// task's output before the shuffle, and an external sort-merge shuffle
+// re-schedules failed task attempts), and an external sort-merge shuffle
 // spills key-sorted runs to the store when the in-memory budget is
 // exceeded, so jobs larger than RAM still run.
 package mr
@@ -31,7 +30,6 @@ import (
 	"runtime/pprof"
 	"slices"
 	"strconv"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -44,8 +42,7 @@ import (
 // are the ids of the reduce tasks that will receive the value; they must be
 // non-negative.
 type Emitter struct {
-	buf    *[]emission
-	expand bool
+	buf *[]emission
 }
 
 // Emit publishes one intermediate key-value pair.
@@ -58,15 +55,14 @@ func (e Emitter) Emit(key int64, value string) {
 // run of partition ids. The shuffle stores the value once and expands the
 // range lazily at the consuming reduce side, so the physical shuffle cost is
 // one record instead of hi-lo+1 copies, while the logical pair metrics still
-// count the full span. lo must be non-negative; an empty range (hi < lo)
-// emits nothing. Jobs with a combiner, and engines configured with
-// ExpandRangeEmits, expand the range into per-key pairs at emit time
-// instead.
+// count the full span. An empty range (hi < lo) emits nothing. A range that
+// starts below zero is expanded into per-key pairs at emit time: the shuffle
+// strides over a range from a non-negative start only.
 func (e Emitter) EmitRange(lo, hi int64, value string) {
 	if hi < lo {
 		return
 	}
-	if e.expand || lo < 0 {
+	if lo < 0 {
 		for k := lo; k <= hi; k++ {
 			*e.buf = append(*e.buf, emission{lo: k, hi: k, value: value})
 		}
@@ -158,11 +154,6 @@ func (r *Rows) take(other *Rows) {
 	other.chunks = nil
 }
 
-// CombineFunc folds one map task's values for a key before the shuffle
-// (Hadoop's combiner). It must be semantically idempotent with the reducer:
-// reducing combined values must equal reducing the originals.
-type CombineFunc func(key int64, values []string) []string
-
 // Phase identifies which phase a task attempt belongs to, for failure
 // injection.
 type Phase string
@@ -182,28 +173,11 @@ var ErrTransient = errors.New("mr: transient task failure")
 
 // Input is one input of a job, tagged for the map function: a store file, or
 // — with no File — the positions 0..Count-1 of data the caller holds, which
-// Job.MapAt maps. A File ending in "/" is a directory input: every store file
-// under the prefix is read, in sorted name order — how Hadoop consumes a
-// previous job's part files.
+// Job.MapAt maps.
 type Input struct {
 	File  string
 	Tag   int
 	Count int
-}
-
-// expand resolves a directory input to its member files.
-func (in Input) expand(store dfs.Store) ([]string, error) {
-	if !strings.HasSuffix(in.File, "/") {
-		return []string{in.File}, nil
-	}
-	files, err := store.List(in.File)
-	if err != nil {
-		return nil, err
-	}
-	if len(files) == 0 {
-		return nil, fmt.Errorf("mr: directory input %s is empty", in.File)
-	}
-	return files, nil
 }
 
 // Job describes one map-reduce cycle.
@@ -227,12 +201,8 @@ type Job struct {
 	// no Tap and streams to no later stage — it is a chain's last.
 	ReduceRows RowReduceFunc
 	Rows       *Rows
-	// Combine optionally folds each map task's output before the shuffle.
-	Combine CombineFunc
-	// Output names where the reduce output is written. Empty discards
-	// output (metric-only runs). A name ending in "/" writes one part
-	// file per reduce task ("<output>part-r-00000", ... in key order), as
-	// Hadoop does; otherwise a single file is written.
+	// Output names the store file the reduce output is written to. Empty
+	// discards output (metric-only runs).
 	Output string
 	// SortValues sorts each reduce task's value list before reduction,
 	// making runs deterministic (Hadoop guarantees key order; this
@@ -301,10 +271,6 @@ type Config struct {
 	// may return an error (typically wrapping ErrTransient) to simulate
 	// task failures. Used by the failure-injection tests.
 	FailureInjector func(phase Phase, task, attempt int) error
-	// ExpandRangeEmits makes EmitRange materialise one pair per covered key
-	// at emit time instead of shipping a single range record — the legacy
-	// per-partition shuffle, kept for ablations and equivalence tests.
-	ExpandRangeEmits bool
 	// ResplitPairThreshold arms the mid-job re-split: a reduce task whose
 	// shuffled value count reaches the threshold is re-sharded through
 	// Job.Resplit (when the job provides the hook) and its shards reduced
@@ -319,14 +285,13 @@ type Config struct {
 
 // Engine executes jobs.
 type Engine struct {
-	store        dfs.Store
-	workers      int
-	spill        int
-	attempts     int
-	inject       func(phase Phase, task, attempt int) error
-	expandRanges bool
-	resplit      int
-	tracer       *obs.Tracer
+	store    dfs.Store
+	workers  int
+	spill    int
+	attempts int
+	inject   func(phase Phase, task, attempt int) error
+	resplit  int
+	tracer   *obs.Tracer
 }
 
 // NewEngine returns an engine over the given store.
@@ -340,14 +305,13 @@ func NewEngine(cfg Config) *Engine {
 		a = 1
 	}
 	return &Engine{
-		store:        cfg.Store,
-		workers:      w,
-		spill:        cfg.SpillPairThreshold,
-		attempts:     a,
-		inject:       cfg.FailureInjector,
-		expandRanges: cfg.ExpandRangeEmits,
-		resplit:      cfg.ResplitPairThreshold,
-		tracer:       cfg.Tracer,
+		store:    cfg.Store,
+		workers:  w,
+		spill:    cfg.SpillPairThreshold,
+		attempts: a,
+		inject:   cfg.FailureInjector,
+		resplit:  cfg.ResplitPairThreshold,
+		tracer:   cfg.Tracer,
 	}
 }
 
@@ -429,13 +393,12 @@ func (e *Engine) fillTrueWalls(m *Metrics, mark time.Duration) {
 	}
 	walls := e.tracer.PhaseWalls(mark)
 	m.TrueWalls = PhaseWallClock{
-		Feed:    walls[obs.CatFeed],
-		Map:     walls[obs.CatMap],
-		Combine: walls[obs.CatCombine],
-		Spill:   walls[obs.CatSpill],
-		Merge:   walls[obs.CatMerge],
-		Reduce:  walls[obs.CatReduce],
-		Output:  walls[obs.CatOutput],
+		Feed:   walls[obs.CatFeed],
+		Map:    walls[obs.CatMap],
+		Spill:  walls[obs.CatSpill],
+		Merge:  walls[obs.CatMerge],
+		Reduce: walls[obs.CatReduce],
+		Output: walls[obs.CatOutput],
 	}
 }
 
@@ -518,51 +481,24 @@ func recycleValues(vs *[]string) {
 	valuesPool.Put(vs)
 }
 
-// feedFile is one resolved input with its map tag: a store file, or — with
-// no name — count positions.
-type feedFile struct {
-	name  string
-	tag   int
-	count int
-}
-
 func (e *Engine) mapPhase(job Job, m *Metrics, stream <-chan []taggedRecord, jobLane *obs.Lane) (*shuffleState, error) {
 	mapStart := time.Now()
-	// Resolve every input to its file list up front so the feed can read
-	// files concurrently.
-	var files []feedFile
-	for _, in := range job.Inputs {
-		if in.File == "" {
-			files = append(files, feedFile{tag: in.Tag, count: in.Count})
-			continue
-		}
-		fs, err := in.expand(e.store)
-		if err != nil {
-			return nil, fmt.Errorf("mr: job %s: %w", job.Name, err)
-		}
-		for _, f := range fs {
-			files = append(files, feedFile{name: f, tag: in.Tag})
-		}
-	}
-
 	nshards := e.workers
 	work := make(chan mapTask, 2*e.workers)
 	errc := make(chan error, 2*e.workers)
 
 	type workerState struct {
-		local      []map[int64][]string // in-memory mode, point pairs bucketed by key shard
-		ranges     []emission           // in-memory mode, buffered range emissions
-		buf        []emission           // spill mode buffer
-		runs       []string
-		pairs      int64 // logical: one per covered key
-		bytes      int64 // logical: value bytes per covered key
-		physPairs  int64 // physical: one per emission record
-		physBytes  int64 // physical: what the shuffle actually holds
-		spilled    int64 // logical pairs inside spilled runs
-		retries    int64
-		combineIn  int64
-		combineOut int64
-		runSeq     int
+		local     []map[int64][]string // in-memory mode, point pairs bucketed by key shard
+		ranges    []emission           // in-memory mode, buffered range emissions
+		buf       []emission           // spill mode buffer
+		runs      []string
+		pairs     int64 // logical: one per covered key
+		bytes     int64 // logical: value bytes per covered key
+		physPairs int64 // physical: one per emission record
+		physBytes int64 // physical: what the shuffle actually holds
+		spilled   int64 // logical pairs inside spilled runs
+		retries   int64
+		runSeq    int
 	}
 	states := make([]*workerState, e.workers)
 	var taskSeq sync.Mutex
@@ -582,10 +518,9 @@ func (e *Engine) mapPhase(job Job, m *Metrics, stream <-chan []taggedRecord, job
 			defer wg.Done()
 			lane := e.tracer.Acquire()
 			defer e.tracer.Release(lane)
-			var mapSpan, combineSpan, spillSpan string
+			var mapSpan, spillSpan string
 			if lane != nil {
 				mapSpan = "map:" + job.Name
-				combineSpan = "combine:" + job.Name
 				spillSpan = "spill:" + job.Name
 			}
 			st := &workerState{}
@@ -622,15 +557,8 @@ func (e *Engine) mapPhase(job Job, m *Metrics, stream <-chan []taggedRecord, job
 				if batch.records != nil {
 					batchPool.Put(batch.records[:0])
 				}
-				// Fold the attempt's pairs through the combiner, then into
-				// the worker shuffle.
-				pairs := attemptBuf
-				if job.Combine != nil {
-					combineStart := lane.Begin()
-					pairs, st.combineIn, st.combineOut = combinePairs(job.Combine, pairs, st.combineIn, st.combineOut)
-					lane.End(obs.CatCombine, combineSpan, combineStart)
-				}
-				for _, p := range pairs {
+				// Fold the attempt's pairs into the worker shuffle.
+				for _, p := range attemptBuf {
 					n := p.span()
 					st.pairs += n
 					st.bytes += n * (int64(len(p.value)) + 8)
@@ -641,7 +569,7 @@ func (e *Engine) mapPhase(job Job, m *Metrics, stream <-chan []taggedRecord, job
 					}
 				}
 				if e.spill == 0 {
-					for _, p := range pairs {
+					for _, p := range attemptBuf {
 						if p.isRange() {
 							st.ranges = append(st.ranges, p)
 							continue
@@ -652,7 +580,7 @@ func (e *Engine) mapPhase(job Job, m *Metrics, stream <-chan []taggedRecord, job
 					lane.End(obs.CatMap, mapSpan, taskStart)
 					continue
 				}
-				st.buf = append(st.buf, pairs...)
+				st.buf = append(st.buf, attemptBuf...)
 				if len(st.buf) >= e.spill {
 					name := job.Name + "/.spill/w" + strconv.Itoa(w) + "-r" + strconv.Itoa(st.runSeq)
 					st.runSeq++
@@ -685,12 +613,9 @@ func (e *Engine) mapPhase(job Job, m *Metrics, stream <-chan []taggedRecord, job
 	// count), so multi-file and multi-input jobs are not throttled by a
 	// single reader goroutine.
 	var records atomic.Int64
-	feedErrc := make(chan error, len(files))
-	filec := make(chan feedFile)
-	readers := e.workers
-	if readers > len(files) {
-		readers = len(files)
-	}
+	feedErrc := make(chan error, len(job.Inputs))
+	inputc := make(chan Input)
+	readers := min(e.workers, len(job.Inputs))
 	var feedWG sync.WaitGroup
 	for r := 0; r < readers; r++ {
 		feedWG.Add(1)
@@ -698,22 +623,22 @@ func (e *Engine) mapPhase(job Job, m *Metrics, stream <-chan []taggedRecord, job
 			defer feedWG.Done()
 			lane := e.tracer.Acquire()
 			defer e.tracer.Release(lane)
-			for f := range filec {
-				if f.name == "" {
+			for in := range inputc {
+				if in.File == "" {
 					// Nothing to read: the positions are the tasks.
-					for lo := 0; lo < f.count; lo += mapBatchSize {
-						work <- mapTask{tag: f.tag, lo: lo, hi: min(lo+mapBatchSize, f.count)}
+					for lo := 0; lo < in.Count; lo += mapBatchSize {
+						work <- mapTask{tag: in.Tag, lo: lo, hi: min(lo+mapBatchSize, in.Count)}
 					}
-					records.Add(int64(f.count))
+					records.Add(int64(in.Count))
 					continue
 				}
 				fStart := lane.Begin()
-				if err := e.feedFile(job, f, work, &records); err != nil {
+				if err := e.feedFile(job, in, work, &records); err != nil {
 					feedErrc <- err
 					// Keep draining so the dispatcher never blocks.
 				}
 				if lane != nil {
-					lane.End(obs.CatFeed, "feed:"+f.name, fStart)
+					lane.End(obs.CatFeed, "feed:"+in.File, fStart)
 				}
 			}
 		}()
@@ -732,10 +657,10 @@ func (e *Engine) mapPhase(job Job, m *Metrics, stream <-chan []taggedRecord, job
 			}
 		}()
 	}
-	for _, f := range files {
-		filec <- f
+	for _, in := range job.Inputs {
+		inputc <- in
 	}
-	close(filec)
+	close(inputc)
 	feedWG.Wait()
 	m.FeedWall = time.Since(mapStart)
 	close(work)
@@ -763,8 +688,6 @@ func (e *Engine) mapPhase(job Job, m *Metrics, stream <-chan []taggedRecord, job
 		m.PhysicalBytes += st.physBytes
 		m.SpilledPairs += st.spilled
 		m.TaskRetries += st.retries
-		m.CombineInputPairs += st.combineIn
-		m.CombineOutputPairs += st.combineOut
 		if e.spill == 0 {
 			continue
 		}
@@ -853,8 +776,8 @@ func (e *Engine) mapPhase(job Job, m *Metrics, stream <-chan []taggedRecord, job
 }
 
 // feedFile streams one input file into map batches.
-func (e *Engine) feedFile(job Job, f feedFile, work chan<- mapTask, records *atomic.Int64) error {
-	it, err := e.store.Open(f.name)
+func (e *Engine) feedFile(job Job, in Input, work chan<- mapTask, records *atomic.Int64) error {
+	it, err := e.store.Open(in.File)
 	if err != nil {
 		return fmt.Errorf("mr: job %s: %w", job.Name, err)
 	}
@@ -865,13 +788,13 @@ func (e *Engine) feedFile(job Job, f feedFile, work chan<- mapTask, records *ato
 		rec, ok, err := it.Next()
 		if err != nil {
 			batchPool.Put(batch[:0])
-			return fmt.Errorf("mr: job %s: read %s: %w", job.Name, f.name, err)
+			return fmt.Errorf("mr: job %s: read %s: %w", job.Name, in.File, err)
 		}
 		if !ok {
 			break
 		}
 		n++
-		batch = append(batch, taggedRecord{tag: f.tag, record: rec})
+		batch = append(batch, taggedRecord{tag: in.Tag, record: rec})
 		if len(batch) == mapBatchSize {
 			work <- mapTask{records: batch}
 			batch = batchPool.Get().([]taggedRecord)
@@ -886,17 +809,14 @@ func (e *Engine) feedFile(job Job, f feedFile, work chan<- mapTask, records *ato
 	return nil
 }
 
-// runMapAttempt executes one map task attempt, buffering its emissions. Jobs
-// with a combiner expand range emissions into per-key pairs at emit time: the
-// combiner's fold is defined per key, so the shared-value representation
-// cannot survive it.
+// runMapAttempt executes one map task attempt, buffering its emissions.
 func (e *Engine) runMapAttempt(job Job, in mapTask, task, attempt int, buf *[]emission) error {
 	if e.inject != nil {
 		if err := e.inject(PhaseMap, task, attempt); err != nil {
 			return err
 		}
 	}
-	emit := Emitter{buf: buf, expand: e.expandRanges || job.Combine != nil}
+	emit := Emitter{buf: buf}
 	for _, tr := range in.records {
 		if err := job.Map(tr.tag, tr.record, emit); err != nil {
 			return err
@@ -908,26 +828,6 @@ func (e *Engine) runMapAttempt(job Job, in mapTask, task, attempt int, buf *[]em
 		}
 	}
 	return nil
-}
-
-// combinePairs groups the attempt's pairs by key and folds each group
-// through the combiner. Range emissions never reach it (runMapAttempt
-// expands them when a combiner is set).
-func combinePairs(combine CombineFunc, pairs []emission, inAcc, outAcc int64) ([]emission, int64, int64) {
-	grouped := make(map[int64][]string)
-	for _, p := range pairs {
-		grouped[p.lo] = append(grouped[p.lo], p.value)
-	}
-	out := pairs[:0]
-	for k, vs := range grouped {
-		inAcc += int64(len(vs))
-		folded := combine(k, vs)
-		outAcc += int64(len(folded))
-		for _, v := range folded {
-			out = append(out, emission{lo: k, hi: k, value: v})
-		}
-	}
-	return out, inAcc, outAcc
 }
 
 // reduceResult is one reduce task's buffered output: records, or rows for a
@@ -1016,87 +916,27 @@ func modelDispatchOrders(results []reduceResult, workers int) (keyOrder, lpt tim
 	return keyOrder, listMakespan(durs, workers)
 }
 
-// writeOutput commits the buffered reduce outputs: a single file, or — for
-// directory outputs — one part file per reduce task, written in parallel.
+// writeOutput commits the buffered reduce outputs to the job's output file.
 func (e *Engine) writeOutput(job Job, results []reduceResult) error {
 	if job.Output == "" {
 		return nil
 	}
-	if !strings.HasSuffix(job.Output, "/") {
-		w, err := e.store.Create(job.Output)
-		if err != nil {
-			return fmt.Errorf("mr: job %s: %w", job.Name, err)
-		}
-		for _, res := range results {
-			for _, rec := range res.output {
-				if err := w.Write(rec); err != nil {
-					w.Close()
-					return fmt.Errorf("mr: job %s: write output: %w", job.Name, err)
-				}
+	w, err := e.store.Create(job.Output)
+	if err != nil {
+		return fmt.Errorf("mr: job %s: %w", job.Name, err)
+	}
+	for _, res := range results {
+		for _, rec := range res.output {
+			if err := w.Write(rec); err != nil {
+				w.Close()
+				return fmt.Errorf("mr: job %s: write output: %w", job.Name, err)
 			}
 		}
-		if err := w.Close(); err != nil {
-			return fmt.Errorf("mr: job %s: close output: %w", job.Name, err)
-		}
-		return nil
 	}
-	// Part files, one per reduce task in key order, written concurrently.
-	errc := make(chan error, e.workers)
-	idxc := make(chan int, 2*e.workers)
-	var wg sync.WaitGroup
-	for w := 0; w < e.workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range idxc {
-				name := partFileName(job.Output, i)
-				pw, err := e.store.Create(name)
-				if err != nil {
-					errc <- fmt.Errorf("mr: job %s: %w", job.Name, err)
-					for range idxc {
-					}
-					return
-				}
-				for _, rec := range results[i].output {
-					if err := pw.Write(rec); err != nil {
-						pw.Close()
-						errc <- fmt.Errorf("mr: job %s: write %s: %w", job.Name, name, err)
-						for range idxc {
-						}
-						return
-					}
-				}
-				if err := pw.Close(); err != nil {
-					errc <- fmt.Errorf("mr: job %s: close %s: %w", job.Name, name, err)
-					for range idxc {
-					}
-					return
-				}
-			}
-		}()
+	if err := w.Close(); err != nil {
+		return fmt.Errorf("mr: job %s: close output: %w", job.Name, err)
 	}
-	for i := range results {
-		idxc <- i
-	}
-	close(idxc)
-	wg.Wait()
-	close(errc)
-	return <-errc
-}
-
-// partFileName builds the Hadoop-style "<output>part-r-NNNNN" name with a
-// five-digit zero-padded task index, append-style so the concurrent part
-// writers stay off fmt.
-func partFileName(output string, i int) string {
-	s := strconv.Itoa(i)
-	b := make([]byte, 0, len(output)+7+5+len(s))
-	b = append(b, output...)
-	b = append(b, "part-r-"...)
-	for n := len(s); n < 5; n++ {
-		b = append(b, '0')
-	}
-	b = append(b, s...)
-	return string(b)
+	return nil
 }
 
 // runReduceTask executes one reduce task with retry semantics.

@@ -2,7 +2,6 @@ package mr
 
 import (
 	"fmt"
-	"strings"
 	"sync"
 	"time"
 
@@ -12,16 +11,14 @@ import (
 // Pipelined chain execution. Running chained jobs one Run at a time writes
 // every cycle boundary to the store and re-parses it — Hadoop's HDFS barrier
 // between chained jobs. RunPipeline short-circuits those boundaries: when
-// stage k's single-file output is consumed by stage k+1, each completed
+// stage k's output file is consumed by stage k+1, each completed
 // reduce task of stage k streams its records directly into stage k+1's map
 // feed over a bounded channel, so k's reduce phase overlaps k+1's map phase
-// and the store round-trip (write, re-open, re-parse) is elided. A caller
-// that wants the barrier back runs each stage as its own pipeline. Fault
-// tolerance is
-// preserved because the streamed batch is the same retry unit as a file
-// batch: a transient downstream map failure re-runs from the buffered
-// batch, and an upstream reduce task only delivers output after its attempt
-// has succeeded.
+// and the store round-trip (write, re-open, re-parse) is elided. Fault
+// tolerance is preserved because the streamed batch is the same retry unit
+// as a file batch: a transient downstream map failure re-runs from the
+// buffered batch, and an upstream reduce task only delivers output after its
+// attempt has succeeded.
 //
 // Range emissions compose with streaming: a downstream stage's map emits
 // ranges into its own shuffle, which keeps them coalesced until that stage's
@@ -100,8 +97,8 @@ type boundaryPlan struct {
 // OverlapSaved and StreamedPairs/StreamedBytes fields record what the
 // pipelining bought.
 //
-// A boundary i→i+1 streams when stage i writes a single (non-directory)
-// output file that stage i+1 lists among its inputs. The file itself is
+// A boundary i→i+1 streams when stage i writes an output file that stage i+1
+// lists among its inputs. The file itself is
 // written only if a stage after i+1 also reads it; otherwise the store
 // round-trip is elided entirely. A boundary that does not stream is a
 // barrier: the downstream stage starts once its producers have finished and
@@ -120,8 +117,8 @@ func (e *Engine) RunPipeline(stages ...Stage) ([]*Metrics, *Metrics, error) {
 	}
 	for i := 0; i < n-1; i++ {
 		out := stages[i].Job.Output
-		if out == "" || strings.HasSuffix(out, "/") {
-			continue // discarded or part-file output: nothing to stream
+		if out == "" {
+			continue // discarded output: nothing to stream
 		}
 		tag, ok := consumes(stages[i+1].Job, out)
 		if !ok {
@@ -241,15 +238,12 @@ func consumes(job Job, file string) (int, bool) {
 	return 0, false
 }
 
-// consumedLater reports whether any stage from idx on reads file, directly
-// or through a directory-input prefix — in which case a streamed boundary
-// must still materialise it.
+// consumedLater reports whether any stage from idx on reads file — in which
+// case a streamed boundary must still write it to the store.
 func consumedLater(stages []Stage, idx int, file string) bool {
 	for i := idx; i < len(stages); i++ {
-		for _, in := range stages[i].Job.Inputs {
-			if in.File == file || (strings.HasSuffix(in.File, "/") && strings.HasPrefix(file, in.File)) {
-				return true
-			}
+		if _, ok := consumes(stages[i].Job, file); ok {
+			return true
 		}
 	}
 	return false

@@ -92,7 +92,7 @@ type chainRun struct {
 }
 
 // runPositionalChain runs the chain on a fresh store. barrier runs each stage
-// as its own pipeline — what core's Options.Materialize does.
+// as its own pipeline, so the boundary is written to the store and read back.
 func runPositionalChain(t *testing.T, cfg Config, positional, barrier bool, hook func(tag, pos int) error) chainRun {
 	t.Helper()
 	store := dfs.NewMem()
@@ -173,8 +173,6 @@ func TestPositionalInputsMatchFileInputs(t *testing.T) {
 		{"one worker", Config{Workers: 1}, false},
 		{"spill", Config{Workers: 4, SpillPairThreshold: 100}, false},
 		{"spill materialized", Config{Workers: 3, SpillPairThreshold: 257}, true},
-		{"expanded ranges", Config{Workers: 4, ExpandRangeEmits: true}, false},
-		{"expanded ranges spill", Config{Workers: 2, ExpandRangeEmits: true, SpillPairThreshold: 500}, true},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			want := runPositionalChain(t, tc.cfg, false, tc.barrier, nil)

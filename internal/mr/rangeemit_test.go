@@ -2,6 +2,8 @@ package mr
 
 import (
 	"fmt"
+	"maps"
+	"slices"
 	"sort"
 	"strconv"
 	"testing"
@@ -9,11 +11,12 @@ import (
 	"intervaljoin/internal/dfs"
 )
 
-// broadcastJob routes each record to a contiguous band of reducers via
-// EmitRange: record i covers keys [i%7, i%7+width-1]. Each reducer reports
-// its sorted value list, so the output is sensitive to exactly which values
+// broadcastJob routes each record to a contiguous band of reducers: record i
+// covers keys [from+i%7, from+i%7+width-1], through one EmitRange call or —
+// perKey, the reference — one Emit per covered key. Each reducer reports its
+// sorted value list, so the output is sensitive to exactly which values
 // reached which key.
-func broadcastJob(n, width int) (Job, []string) {
+func broadcastJob(n, width int, from int64, perKey bool) (Job, []string) {
 	recs := make([]string, n)
 	for i := range recs {
 		recs[i] = strconv.Itoa(i)
@@ -23,8 +26,15 @@ func broadcastJob(n, width int) (Job, []string) {
 		Inputs: []Input{{File: "in"}},
 		Map: func(tag int, record string, emit Emitter) error {
 			v, _ := strconv.ParseInt(record, 10, 64)
-			lo := v % 7
-			emit.EmitRange(lo, lo+int64(width)-1, record)
+			lo := from + v%7
+			hi := lo + int64(width) - 1
+			if !perKey {
+				emit.EmitRange(lo, hi, record)
+				return nil
+			}
+			for k := lo; k <= hi; k++ {
+				emit.Emit(k, record)
+			}
 			return nil
 		},
 		Reduce: func(key int64, values []string, write func(string) error) error {
@@ -50,72 +60,72 @@ func joinMax(vs []string, max int) string {
 	return s
 }
 
+// runBroadcast runs broadcastJob both ways on engines of the given spill
+// threshold and requires what must not depend on how the map function spells
+// a broadcast: the reduce output byte for byte, the logical pair and byte
+// counts and the per-reducer accounting. It returns the EmitRange run's
+// metrics and the per-key run's.
+func runBroadcast(t *testing.T, n, width int, from int64, spill int) (ranged, perKey *Metrics) {
+	t.Helper()
+	var out [2][]string
+	var met [2]*Metrics
+	for i, reference := range []bool{false, true} {
+		store := dfs.NewMem()
+		job, recs := broadcastJob(n, width, from, reference)
+		if err := dfs.WriteAll(store, "in", recs); err != nil {
+			t.Fatal(err)
+		}
+		e := NewEngine(Config{Store: store, Workers: 4, SpillPairThreshold: spill})
+		m, err := e.Run(job)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rows, err := dfs.ReadAll(store, "out")
+		if err != nil {
+			t.Fatal(err)
+		}
+		out[i], met[i] = rows, m
+	}
+	if !slices.Equal(out[0], out[1]) {
+		t.Fatalf("EmitRange output differs from per-key Emit:\n%q\n%q", out[0], out[1])
+	}
+	if met[0].IntermediatePairs != int64(n*width) || met[1].IntermediatePairs != int64(n*width) {
+		t.Fatalf("logical pairs: range %d, per key %d, want %d",
+			met[0].IntermediatePairs, met[1].IntermediatePairs, n*width)
+	}
+	if met[0].IntermediateBytes != met[1].IntermediateBytes {
+		t.Fatalf("logical bytes: range %d, per key %d", met[0].IntermediateBytes, met[1].IntermediateBytes)
+	}
+	if met[0].DistinctKeys != met[1].DistinctKeys {
+		t.Fatalf("keys: range %d, per key %d", met[0].DistinctKeys, met[1].DistinctKeys)
+	}
+	if !maps.Equal(met[0].ReducerPairs, met[1].ReducerPairs) {
+		t.Fatalf("reducer pairs: range %v, per key %v", met[0].ReducerPairs, met[1].ReducerPairs)
+	}
+	if met[1].PhysicalPairs != int64(n*width) {
+		t.Fatalf("per-key physical pairs = %d, want %d", met[1].PhysicalPairs, n*width)
+	}
+	return met[0], met[1]
+}
+
 // TestEmitRangeEquivalence checks the range-coalesced shuffle produces
-// byte-identical reduce output to the eager per-key expansion, in memory and
-// through the spill path, and that the logical pair metrics agree while the
-// physical counts shrink.
+// byte-identical reduce output to a map function that emits the same value
+// once per covered key, in memory and through the spill path, and that the
+// logical pair metrics agree while the physical counts shrink.
 func TestEmitRangeEquivalence(t *testing.T) {
 	const n, width = 3000, 9
 	for _, spill := range []int{0, 100, 4096} {
 		t.Run(fmt.Sprintf("spill=%d", spill), func(t *testing.T) {
-			var out [2][]string
-			var met [2]*Metrics
-			for i, expand := range []bool{false, true} {
-				store := dfs.NewMem()
-				job, recs := broadcastJob(n, width)
-				if err := dfs.WriteAll(store, "in", recs); err != nil {
-					t.Fatal(err)
-				}
-				e := NewEngine(Config{Store: store, Workers: 4,
-					SpillPairThreshold: spill, ExpandRangeEmits: expand})
-				m, err := e.Run(job)
-				if err != nil {
-					t.Fatal(err)
-				}
-				rows, err := dfs.ReadAll(store, "out")
-				if err != nil {
-					t.Fatal(err)
-				}
-				out[i], met[i] = rows, m
+			m, _ := runBroadcast(t, n, width, 0, spill)
+			if m.PhysicalPairs != int64(n) {
+				t.Fatalf("physical pairs = %d, want one per EmitRange call (%d)", m.PhysicalPairs, n)
 			}
-			if len(out[0]) != len(out[1]) {
-				t.Fatalf("range path %d rows, expanded %d", len(out[0]), len(out[1]))
-			}
-			for i := range out[0] {
-				if out[0][i] != out[1][i] {
-					t.Fatalf("row %d: range %q vs expanded %q", i, out[0][i], out[1][i])
-				}
-			}
-			if met[0].IntermediatePairs != met[1].IntermediatePairs ||
-				met[0].IntermediatePairs != int64(n*width) {
-				t.Fatalf("logical pairs: range %d, expanded %d, want %d",
-					met[0].IntermediatePairs, met[1].IntermediatePairs, n*width)
-			}
-			if met[0].DistinctKeys != met[1].DistinctKeys {
-				t.Fatalf("keys: range %d, expanded %d", met[0].DistinctKeys, met[1].DistinctKeys)
-			}
-			if met[0].PhysicalPairs != int64(n) {
-				t.Fatalf("physical pairs = %d, want one per EmitRange call (%d)", met[0].PhysicalPairs, n)
-			}
-			if met[1].PhysicalPairs != int64(n*width) {
-				t.Fatalf("expanded physical pairs = %d, want %d", met[1].PhysicalPairs, n*width)
-			}
-			if rf := met[0].ReplicationFactor(); rf != float64(width) {
+			if rf := m.ReplicationFactor(); rf != float64(width) {
 				t.Fatalf("replication factor = %v, want %d", rf, width)
 			}
-			if met[0].PhysicalBytes*2 > met[0].IntermediateBytes {
+			if m.PhysicalBytes*2 > m.IntermediateBytes {
 				t.Fatalf("physical bytes %d not under half of logical %d",
-					met[0].PhysicalBytes, met[0].IntermediateBytes)
-			}
-			// Per-reducer accounting counts covered keys in both modes.
-			for _, m := range met {
-				var total int64
-				for _, v := range m.ReducerPairs {
-					total += v
-				}
-				if total != int64(n*width) {
-					t.Fatalf("reducer pairs account for %d of %d", total, n*width)
-				}
+					m.PhysicalBytes, m.IntermediateBytes)
 			}
 		})
 	}
@@ -206,95 +216,17 @@ func TestMergeRunsRangeSweep(t *testing.T) {
 	}
 }
 
-// TestEmitRangeCombinerExpands checks a combiner forces eager per-key
-// expansion (the fold needs every key's values separately) and still counts
-// correctly.
-func TestEmitRangeCombinerExpands(t *testing.T) {
-	store := dfs.NewMem()
-	recs := make([]string, 200)
-	for i := range recs {
-		recs[i] = strconv.Itoa(i)
-	}
-	if err := dfs.WriteAll(store, "in", recs); err != nil {
-		t.Fatal(err)
-	}
-	job := Job{
-		Name:   "combrange",
-		Inputs: []Input{{File: "in"}},
-		Map: func(_ int, record string, emit Emitter) error {
-			emit.EmitRange(0, 4, "1")
-			return nil
-		},
-		Combine: func(key int64, values []string) []string {
-			return []string{strconv.Itoa(len(values))}
-		},
-		Reduce: func(key int64, values []string, write func(string) error) error {
-			var sum int64
-			for _, v := range values {
-				n, _ := strconv.ParseInt(v, 10, 64)
-				sum += n
-			}
-			return write(fmt.Sprintf("%d:%d", key, sum))
-		},
-		Output: "out",
-	}
-	e := NewEngine(Config{Store: store, Workers: 4})
-	m, err := e.Run(job)
-	if err != nil {
-		t.Fatal(err)
-	}
-	out, err := dfs.ReadAll(store, "out")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(out) != 5 {
-		t.Fatalf("output rows = %v", out)
-	}
-	for k := 0; k < 5; k++ {
-		if out[k] != fmt.Sprintf("%d:200", k) {
-			t.Fatalf("row %d = %q", k, out[k])
-		}
-	}
-	// The combiner saw the expanded pairs.
-	if m.CombineInputPairs != 1000 {
-		t.Fatalf("combine input pairs = %d, want 1000", m.CombineInputPairs)
-	}
-	if m.PhysicalPairs != m.CombineOutputPairs {
-		t.Fatalf("physical pairs %d, combine output %d — expanded ranges should shuffle per key",
-			m.PhysicalPairs, m.CombineOutputPairs)
-	}
-}
-
 // TestEmitRangeNegativeLo checks ranges dipping below zero fall back to
-// per-key pairs (spill runs reject negative keys, so they must never coalesce).
+// per-key pairs (spill runs reject negative keys, so they must never
+// coalesce): the run is the per-key reference's in every count, physical ones
+// included.
 func TestEmitRangeNegativeLo(t *testing.T) {
-	store := dfs.NewMem()
-	if err := dfs.WriteAll(store, "in", []string{"only"}); err != nil {
-		t.Fatal(err)
-	}
-	job := Job{
-		Name:   "negrange",
-		Inputs: []Input{{File: "in"}},
-		Map: func(_ int, record string, emit Emitter) error {
-			emit.EmitRange(-2, 2, record)
-			return nil
-		},
-		Reduce: func(key int64, values []string, write func(string) error) error {
-			return write(fmt.Sprintf("%d:%d", key, len(values)))
-		},
-		Output: "out",
-	}
-	e := NewEngine(Config{Store: store, Workers: 2})
-	m, err := e.Run(job)
-	if err != nil {
-		t.Fatal(err)
-	}
-	out, err := dfs.ReadAll(store, "out")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(out) != 5 || m.IntermediatePairs != 5 || m.PhysicalPairs != 5 {
-		t.Fatalf("out = %v, metrics = %+v", out, m)
+	// Every band starts in [-9, -3] and ends in [-5, 1].
+	const n, width = 40, 5
+	m, ref := runBroadcast(t, n, width, -9, 0)
+	if m.PhysicalPairs != ref.PhysicalPairs || m.PhysicalBytes != ref.PhysicalBytes {
+		t.Fatalf("physical pairs/bytes %d/%d, per-key reference %d/%d",
+			m.PhysicalPairs, m.PhysicalBytes, ref.PhysicalPairs, ref.PhysicalBytes)
 	}
 }
 

@@ -56,7 +56,6 @@ const (
 	CatCycle   = "cycle"   // one job (MR cycle)
 	CatFeed    = "feed"    // map input file/stream reading
 	CatMap     = "map"     // one map task (record batch)
-	CatCombine = "combine" // map-side combiner fold
 	CatSpill   = "spill"   // writing one sorted run to the store
 	CatMerge   = "merge"   // shuffle merge (per-shard or k-way spill merge)
 	CatReduce  = "reduce"  // one reduce task (key)

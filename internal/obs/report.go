@@ -2,9 +2,7 @@ package obs
 
 import (
 	"encoding/json"
-	"fmt"
 	"io"
-	"os"
 	"strconv"
 )
 
@@ -203,17 +201,4 @@ func (r *Report) WriteJSON(w io.Writer) error {
 	data = append(data, '\n')
 	_, err = w.Write(data)
 	return err
-}
-
-// LoadReport reads a metrics.json file written by WriteJSON.
-func LoadReport(path string) (*Report, error) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return nil, err
-	}
-	var r Report
-	if err := json.Unmarshal(data, &r); err != nil {
-		return nil, fmt.Errorf("%s: %w", path, err)
-	}
-	return &r, nil
 }

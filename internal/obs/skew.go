@@ -1,10 +1,7 @@
 package obs
 
 import (
-	"fmt"
-	"io"
 	"sort"
-	"strings"
 	"time"
 )
 
@@ -107,38 +104,4 @@ func NewSkewReport(pairs map[int64]int64, times map[int64]time.Duration, topK in
 	}
 	r.Top = loads
 	return r
-}
-
-// WriteTable renders the report as aligned text: summary line, histogram
-// with bar marks, and the straggler table.
-func (r *SkewReport) WriteTable(w io.Writer) {
-	fmt.Fprintf(w, "reducers=%d pairs=%d max=%d mean=%.1f imbalance=%.2f\n",
-		r.Reducers, r.TotalPairs, r.MaxPairs, r.MeanPairs, r.Imbalance)
-	if len(r.Histogram) > 0 {
-		most := 0
-		for _, b := range r.Histogram {
-			if b.Reducers > most {
-				most = b.Reducers
-			}
-		}
-		fmt.Fprintf(w, "%-23s %9s\n", "pairs/reducer", "reducers")
-		for _, b := range r.Histogram {
-			bar := ""
-			if most > 0 {
-				bar = strings.Repeat("#", 1+b.Reducers*39/most)
-			}
-			fmt.Fprintf(w, "[%9d, %9d] %9d %s\n", b.Lo, b.Hi, b.Reducers, bar)
-		}
-	}
-	if len(r.Top) > 0 {
-		fmt.Fprintf(w, "%-12s %12s %12s %7s\n", "straggler", "pairs", "reduce", "x-mean")
-		for _, l := range r.Top {
-			factor := 0.0
-			if r.MeanPairs > 0 {
-				factor = float64(l.Pairs) / r.MeanPairs
-			}
-			fmt.Fprintf(w, "%-12d %12d %12s %6.1fx\n",
-				l.Key, l.Pairs, l.Time.Round(time.Microsecond), factor)
-		}
-	}
 }

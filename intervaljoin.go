@@ -137,8 +137,10 @@ func NewTracer(opts TracerOptions) *Tracer { return obs.New(opts) }
 type EngineOptions struct {
 	// Workers bounds map/reduce task parallelism; 0 means GOMAXPROCS.
 	Workers int
-	// DataDir, when non-empty, stores relations and intermediates on disk
-	// under this directory instead of in memory.
+	// DataDir, when non-empty, puts the engine's store on disk under this
+	// directory instead of in memory. Relations never go there: they are
+	// mapped where they lie. The one file a run writes is the marked
+	// boundary of a PASM chain, which two later cycles read.
 	DataDir string
 	// Tracer, when non-nil, records execution spans and statistics for
 	// every run on this engine (see docs/OBSERVABILITY.md). Nil disables
