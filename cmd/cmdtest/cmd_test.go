@@ -177,6 +177,27 @@ func TestIjoinErrors(t *testing.T) {
 	}
 }
 
+// TestIjoinOutputWriteFailure: a result that cannot be written to -o is an
+// error that names the file and a non-zero exit, not a truncated file and
+// exit 0. /dev/full accepts the open and fails every write.
+func TestIjoinOutputWriteFailure(t *testing.T) {
+	if _, err := os.Stat("/dev/full"); err != nil {
+		t.Skip("no /dev/full on this system")
+	}
+	dir := t.TempDir()
+	a := filepath.Join(dir, "a.txt")
+	b := filepath.Join(dir, "b.txt")
+	mustRun(t, "genintervals", "-n", "200", "-tmax", "1000", "-imax", "50", "-seed", "1", "-o", a)
+	mustRun(t, "genintervals", "-n", "200", "-tmax", "1000", "-imax", "50", "-seed", "2", "-o", b)
+	_, errOut, err := run(t, "ijoin", "-query", "R1 overlaps R2", "-rel", "R1="+a, "-rel", "R2="+b, "-o", "/dev/full")
+	if err == nil {
+		t.Fatal("ijoin -o /dev/full exited 0")
+	}
+	if !strings.Contains(errOut, "/dev/full") {
+		t.Fatalf("stderr does not name the output file: %q", errOut)
+	}
+}
+
 func TestPackettraceTrains(t *testing.T) {
 	out := mustRun(t, "packettrace", "-profile", "P04", "-scale", "0.005", "-emit", "trains")
 	lines := nonEmptyLines(out)

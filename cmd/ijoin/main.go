@@ -164,14 +164,11 @@ func main() {
 		fatal(err)
 	}
 
-	var out io.Writer = os.Stdout
+	out := os.Stdout
 	if *oPath != "-" {
-		f, err := os.Create(*oPath)
-		if err != nil {
+		if out, err = os.Create(*oPath); err != nil {
 			fatal(err)
 		}
-		defer f.Close()
-		out = f
 	}
 	w := bufio.NewWriter(out)
 	switch *emit {
@@ -204,8 +201,16 @@ func main() {
 	default:
 		fatal(fmt.Errorf("unknown -emit %q (want ids or tuples)", *emit))
 	}
+	// A write that fails late — a full disk, a write-back error the file
+	// system reports at close — leaves a truncated file: say so, with the
+	// path (the *PathError carries it), and exit non-zero.
 	if err := w.Flush(); err != nil {
 		fatal(err)
+	}
+	if *oPath != "-" {
+		if err := out.Close(); err != nil {
+			fatal(err)
+		}
 	}
 	if *showStats {
 		fmt.Fprintf(os.Stderr, "algorithm=%s tuples=%d %s replicated=%d\n",

@@ -280,3 +280,43 @@ func BenchmarkShuffleAllMatrix(b *testing.B) { benchShuffleAlg(b, AllMatrix{}) }
 
 func BenchmarkChainRCCISPipelined(b *testing.B) { benchChainAlg(b, RCCIS{}) }
 func BenchmarkChainPASMPipelined(b *testing.B)  { benchChainAlg(b, PASM{}) }
+
+// benchSetRows orders n rows of w ids below limit, the dev-loop number for
+// Result.setRows. The rows arrive as a join's do: in short stretches that
+// share their leading id, the stretches in no order.
+func benchSetRows(b *testing.B, n, w int, limit int64) {
+	b.Helper()
+	rng := rand.New(rand.NewSource(4))
+	const stretch = 4
+	data := make([]int64, 0, n*w)
+	for len(data) < n*w {
+		lead := rng.Int63n(limit)
+		for s := 0; s < stretch && len(data) < n*w; s++ {
+			data = append(data, lead)
+			for k := 1; k < w; k++ {
+				data = append(data, rng.Int63n(limit))
+			}
+		}
+	}
+	var res Result
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		rows := rowsOf(w, data)
+		b.StartTimer()
+		res.setRows(rows)
+	}
+	if len(res.Tuples) != n {
+		b.Fatalf("%d rows of %d", len(res.Tuples), n)
+	}
+}
+
+// The shapes that matter: batch-skew's and batch-matrix's results, which
+// pack into 20 and 30 bits, and ids too wide to pack, which take the
+// comparison sort.
+func BenchmarkSetRows(b *testing.B) {
+	b.Run("skew-64kx2", func(b *testing.B) { benchSetRows(b, 64_000, 2, 1000) })
+	b.Run("matrix-58kx3", func(b *testing.B) { benchSetRows(b, 58_000, 3, 1000) })
+	b.Run("wide-64kx2", func(b *testing.B) { benchSetRows(b, 64_000, 2, 1<<40) })
+}

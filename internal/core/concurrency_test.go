@@ -2,6 +2,7 @@ package core
 
 import (
 	"math/rand"
+	"slices"
 	"sync"
 	"testing"
 
@@ -64,6 +65,53 @@ func TestConcurrentRunsShareEngine(t *testing.T) {
 				i, algs[i].Name(), c, len(want.Tuples))
 		}
 	}
+}
+
+// TestConcurrentRunsRecycleChunks: runs on engines of their own still share
+// the pool their row chunks come from. Several goroutines join relations of
+// their own, round after round, each result large enough that its reducers
+// fill pooled chunks; every result equals the oracle's, ids and order. (The
+// gate runs this under -race; -count=10 gives the pool time to hand one
+// run's chunks to another.)
+func TestConcurrentRunsRecycleChunks(t *testing.T) {
+	q := query.MustParse("R1 overlaps R2")
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			rng := rand.New(rand.NewSource(int64(50 + g)))
+			engine := mr.NewEngine(mr.Config{Store: dfs.NewMem(), Workers: 2})
+			for round := 0; round < 3; round++ {
+				n := 400 + 50*g
+				rels := []*relation.Relation{
+					randomRelation(rng, "R1", n, 1000, 600),
+					randomRelation(rng, "R2", n, 1000, 600),
+				}
+				ctx, err := NewContext(engine, q, rels, Options{Partitions: 2})
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				got, err := TwoWay{}.Run(ctx)
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				want, err := Reference{}.Run(ctx)
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				if len(got.Tuples) < 20_000 || !slices.Equal(got.IDs, want.IDs) {
+					t.Errorf("goroutine %d, round %d: %d rows, the oracle has %d, and they differ or are too few to fill a pooled chunk",
+						g, round, len(got.Tuples), len(want.Tuples))
+					return
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
 }
 
 // TestExplicitScratchIsolation: runs with distinct explicit scratch

@@ -15,6 +15,8 @@ package core
 import (
 	"cmp"
 	"fmt"
+	"math"
+	"math/bits"
 	"slices"
 	"strconv"
 	"sync/atomic"
@@ -221,11 +223,13 @@ type Result struct {
 	// Algorithm is the algorithm's name.
 	Algorithm string
 	// Tuples is the join output in canonical order (ascending,
-	// lexicographically by id): headers into IDs.
+	// lexicographically by id): headers into IDs, one per row.
 	Tuples []OutputTuple
 	// IDs holds the output's ids row after row in the same order, so that
 	// Tuples[i] is IDs[i*w:(i+1)*w] for a query over w relations. It is
-	// exactly as long as the rows and, like them, read-only.
+	// exactly as long as the rows and, like them, read-only. The slab is
+	// the result's own: the chunks the engine collected the rows in are
+	// recycled as soon as it is built, and it shares no memory with them.
 	IDs []int64
 	// Metrics aggregates all MR cycles of the run.
 	Metrics *mr.Metrics
@@ -243,82 +247,138 @@ type Result struct {
 
 // setRows makes rows — a chain's last stage's output as the engine
 // committed it, or the oracle's as it was enumerated — the run's result, in
-// canonical order. Nothing is allocated per row: the ids are gathered into
-// one slab and Tuples are views of it.
+// canonical order, and hands their chunks back to the engine's pool: rows
+// must not be read again. It allocates IDs and Tuples and nothing else.
 //
-// The order comes in two levels, because every join unit binds the
-// relations in index order and so emits rows in stretches that share their
-// leading id: the stretches are sorted by that id, then each id's rows are
-// brought together and sorted among themselves, on their second id first —
-// a plain integer sort that seldom has to look further. Rows that arrive in
-// no such order make every stretch one row long and the first level an
-// ordinary sort; the result is the same.
+// Ids are small dense integers almost always (LoadRelation, FromIntervals
+// and Append number a relation's tuples 0..n-1), so a whole row, each id
+// taken relative to its column's smallest, fits one non-negative machine
+// word, and the rows are ordered in linear time: packed into the head of the
+// final slab, radix-sorted against the room behind them, and unpacked back
+// to front in place. Rows that do not fit a word — ids that span more than
+// 63 bits between them, or a single column, which leaves no room behind —
+// are ordered by one comparison sort instead.
 func (r *Result) setRows(rows *mr.Rows) {
-	w := rows.Width
-	type stretch struct {
-		id   int64
-		rows []int64
-	}
-	var stretches []stretch
-	for _, c := range rows.Chunks() {
-		for lo := 0; lo < len(c); {
-			hi := lo + w
-			for hi < len(c) && c[hi] == c[lo] {
-				hi += w
+	w, n := rows.Width, rows.Len()
+	ids := make([]int64, n*w)
+	tuples := make([]OutputTuple, n)
+	var p rowPacking
+	if p.fit(rows) {
+		p.sortInto(ids, rows)
+		for i := range tuples {
+			tuples[i] = ids[i*w : (i+1)*w : (i+1)*w]
+		}
+	} else {
+		// Tuples stand for the rows where the engine left them while they
+		// are sorted, then each row moves to its place in the slab.
+		i := 0
+		for _, c := range rows.Chunks() {
+			for at := 0; at < len(c); at += w {
+				tuples[i] = c[at : at+w]
+				i++
 			}
-			stretches = append(stretches, stretch{id: c[lo], rows: c[lo:hi]})
-			lo = hi
+		}
+		slices.SortFunc(tuples, func(a, b OutputTuple) int { return slices.Compare(a, b) })
+		for i, t := range tuples {
+			row := ids[i*w : (i+1)*w : (i+1)*w]
+			copy(row, t)
+			tuples[i] = row
 		}
 	}
-	slices.SortFunc(stretches, func(a, b stretch) int { return cmp.Compare(a.id, b.id) })
+	rows.Release()
+	r.IDs, r.Tuples = ids, tuples
+}
 
-	ids := make([]int64, 0, rows.Len()*w)
-	type tail struct {
-		id int64 // the row's second id
-		at int   // the row's offset in group
+// rowPacking is how a row of ids becomes one word: column k contributes
+// id - lo[k] in bits[k] bits, the first column highest, so that words
+// compare as rows do. The bits sum to total.
+type rowPacking struct {
+	lo    [maxRelations]int64
+	bits  [maxRelations]uint8
+	total int
+}
+
+// fit finds the packing of rows and reports whether there is one: at least
+// two columns (the sort's second buffer is the slab's own tail) whose id
+// ranges take 63 bits between them at most, so that a word is never
+// negative.
+func (p *rowPacking) fit(rows *mr.Rows) bool {
+	w := rows.Width
+	if w < 2 || w > maxRelations {
+		return false
 	}
-	var group, seconds []int64
-	var tails []tail
-	for i := 0; i < len(stretches); {
-		id := stretches[i].id
-		group = group[:0]
-		for ; i < len(stretches) && stretches[i].id == id; i++ {
-			group = append(group, stretches[i].rows...)
-		}
-		switch w {
-		case 1:
-			ids = append(ids, group...)
-		case 2:
-			// The second id is all that is left of the row: it sorts as a
-			// bare integer column.
-			seconds = seconds[:0]
-			for at := 1; at < len(group); at += 2 {
-				seconds = append(seconds, group[at])
-			}
-			slices.Sort(seconds)
-			for _, s := range seconds {
-				ids = append(ids, id, s)
-			}
-		default:
-			tails = tails[:0]
-			for at := 0; at < len(group); at += w {
-				tails = append(tails, tail{id: group[at+1], at: at})
-			}
-			slices.SortFunc(tails, func(a, b tail) int {
-				if c := cmp.Compare(a.id, b.id); c != 0 {
-					return c
-				}
-				return slices.Compare(group[a.at+2:a.at+w], group[b.at+2:b.at+w])
-			})
-			for _, t := range tails {
-				ids = append(ids, group[t.at:t.at+w]...)
+	var hi [maxRelations]int64
+	for k := 0; k < w; k++ {
+		p.lo[k], hi[k] = math.MaxInt64, math.MinInt64
+	}
+	for _, c := range rows.Chunks() {
+		for at := 0; at < len(c); at += w {
+			for k, id := range c[at : at+w] {
+				p.lo[k], hi[k] = min(p.lo[k], id), max(hi[k], id)
 			}
 		}
 	}
-	r.IDs = ids
-	r.Tuples = make([]OutputTuple, len(ids)/w)
-	for i := range r.Tuples {
-		r.Tuples[i] = ids[i*w : (i+1)*w : (i+1)*w]
+	for k := 0; k < w; k++ {
+		if hi[k] > p.lo[k] {
+			// Unsigned, because the span itself may pass MaxInt64.
+			p.bits[k] = uint8(bits.Len64(uint64(hi[k]) - uint64(p.lo[k])))
+			p.total += int(p.bits[k])
+		}
+	}
+	return p.total <= 63
+}
+
+// radixBits is the digit of the packed sort: 2048 counters stay on the stack
+// and a 20-bit row takes two passes, a 30-bit row three.
+const radixBits = 11
+
+// sortInto fills slab, w words per row, with rows in canonical order. The
+// packed rows take the slab's first n words or the n after them and every
+// radix pass moves them to the other side, least significant digit first;
+// they start on the side from which the last pass lands them in front, where
+// unpacking from the last row down overwrites no word before it is read.
+func (p *rowPacking) sortInto(slab []int64, rows *mr.Rows) {
+	w, n := rows.Width, len(slab)/rows.Width
+	from, to := slab[:n], slab[n:2*n]
+	passes := (p.total + radixBits - 1) / radixBits
+	if passes%2 == 1 {
+		from, to = to, from
+	}
+	i := 0
+	for _, c := range rows.Chunks() {
+		for at := 0; at < len(c); at += w {
+			var word int64
+			for k, id := range c[at : at+w] {
+				word = word<<p.bits[k] | (id - p.lo[k])
+			}
+			from[i] = word
+			i++
+		}
+	}
+	for shift := 0; shift < p.total; shift += radixBits {
+		var next [1 << radixBits]int
+		for _, word := range from {
+			next[word>>shift&(1<<radixBits-1)]++
+		}
+		at := 0
+		for d, count := range next {
+			next[d] = at
+			at += count
+		}
+		for _, word := range from {
+			d := word >> shift & (1<<radixBits - 1)
+			to[next[d]] = word
+			next[d]++
+		}
+		from, to = to, from
+	}
+	for i := n - 1; i >= 0; i-- {
+		word := slab[i]
+		row := slab[i*w : (i+1)*w]
+		for k := w - 1; k >= 0; k-- {
+			row[k] = p.lo[k] + word&(1<<p.bits[k]-1)
+			word >>= p.bits[k]
+		}
 	}
 }
 

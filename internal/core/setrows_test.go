@@ -1,0 +1,256 @@
+package core
+
+import (
+	"math/bits"
+	"math/rand"
+	"runtime"
+	"runtime/debug"
+	"slices"
+	"testing"
+
+	"intervaljoin/internal/dfs"
+	"intervaljoin/internal/mr"
+	"intervaljoin/internal/query"
+	"intervaljoin/internal/relation"
+)
+
+// The id distributions genRows draws from.
+const (
+	idsDense    = iota // 0..n-1, as the loaders number tuples
+	idsFew             // 0..3: duplicates and long stretches
+	idsSparse          // 0..2^30
+	idsNegative        // around zero
+	idsHuge            // all of int64: a span past 2^62
+	idsExact63         // columns whose spans take exactly 63 bits between them
+	idsExact64         // one bit more
+	idModes
+)
+
+// genRows makes n rows of w ids, drawn as mode says, in row order.
+func genRows(seed int64, w, n, mode int) []int64 {
+	rng := rand.New(rand.NewSource(seed))
+	data := make([]int64, n*w)
+	switch mode {
+	case idsExact63, idsExact64:
+		// Share the bits out over the columns — at random, or all to the
+		// first or to the last. Every column's ids straddle zero, and the
+		// first two rows hold its smallest and its largest, so each span is
+		// exactly what its bits can say.
+		width := make([]int, w)
+		to := []int{-1, 0, w - 1}[rng.Intn(3)]
+		for b := 63 + mode - idsExact63; b > 0; b-- {
+			if to < 0 {
+				width[rng.Intn(w)]++
+			} else {
+				width[to]++
+			}
+		}
+		for i := range data {
+			span := uint64(1)<<width[i%w] - 1
+			lo := -(span >> 1) - 1
+			switch {
+			case i < w:
+				data[i] = int64(lo)
+			case i < 2*w:
+				data[i] = int64(lo + span)
+			default:
+				data[i] = int64(lo + rng.Uint64()&span)
+			}
+		}
+		return data
+	}
+	for i := range data {
+		switch mode {
+		case idsDense:
+			data[i] = rng.Int63n(int64(n))
+		case idsFew:
+			data[i] = rng.Int63n(4)
+		case idsSparse:
+			data[i] = rng.Int63n(1 << 30)
+		case idsNegative:
+			data[i] = rng.Int63n(2001) - 1000
+		default:
+			data[i] = int64(rng.Uint64())
+		}
+	}
+	return data
+}
+
+// rowsOf collects data, rows of w ids back to back, the way a reducer does.
+func rowsOf(w int, data []int64) *mr.Rows {
+	rows := &mr.Rows{Width: w}
+	for at := 0; at < len(data); at += w {
+		copy(rows.Append(), data[at:at+w])
+	}
+	return rows
+}
+
+// checkSetRows runs setRows on the rows of data and compares the result with
+// a comparison sort of the same rows. It returns whether the rows packed.
+func checkSetRows(t *testing.T, w int, data []int64) bool {
+	t.Helper()
+	rows := rowsOf(w, data)
+	var want [][]int64
+	for at := 0; at < len(data); at += w {
+		want = append(want, data[at:at+w])
+	}
+	slices.SortFunc(want, func(a, b []int64) int { return slices.Compare(a, b) })
+	var p rowPacking
+	packed := p.fit(rows)
+
+	var res Result
+	res.setRows(rows)
+	checkResultForm(t, "setRows", &res, w)
+	if len(res.Tuples) != len(want) {
+		t.Fatalf("%d rows in, %d out", len(want), len(res.Tuples))
+	}
+	for i, row := range want {
+		if !slices.Equal(res.Tuples[i], row) {
+			t.Fatalf("row %d of %d = %v, the comparison sort has %v (width %d, packed %v)", i, len(want), res.Tuples[i], row, w, packed)
+		}
+	}
+	if rows.Len() != 0 {
+		t.Fatalf("setRows left %d rows behind: the chunks were not handed back", rows.Len())
+	}
+	return packed
+}
+
+// TestSetRowsMatchesComparisonSort: whatever the width, the row count, the
+// chunking and the ids, setRows returns the rows a comparison sort does, in
+// the form every result has; and the ordering it picks depends on nothing but
+// whether a row fits 63 bits.
+func TestSetRowsMatchesComparisonSort(t *testing.T) {
+	// 0, 1, a first chunk, several chunks, and enough for pooled ones.
+	counts := []int{0, 1, 2, 31, 33, 700, 20_000}
+	for w := 1; w <= 6; w++ {
+		for _, n := range counts {
+			for mode := 0; mode < idModes; mode++ {
+				packed := checkSetRows(t, w, genRows(int64(w*1000+n+mode), w, n, mode))
+				// What each mode's ids can span at most, in bits per column.
+				atMost := map[int]int{idsDense: bits.Len(uint(n)), idsFew: 2, idsNegative: 11}
+				var want bool
+				switch b, known := atMost[mode]; {
+				case w == 1:
+					want = false // no room behind the rows
+				case n < 2 || mode == idsExact63 || known && w*b <= 63:
+					want = true
+				case mode == idsExact64 || mode == idsHuge && n >= 700:
+					want = false
+				default:
+					continue // a handful of random ids, or ids near the limit: either
+				}
+				if packed != want {
+					t.Errorf("width %d, %d rows, mode %d: packed = %v, want %v", w, n, mode, packed, want)
+				}
+			}
+		}
+	}
+}
+
+// FuzzSetRows drives the same generator and check from fuzzed parameters.
+func FuzzSetRows(f *testing.F) {
+	for mode := 0; mode < idModes; mode++ {
+		f.Add(int64(mode), uint8(2), uint16(300), uint8(mode))
+		f.Add(int64(mode), uint8(3), uint16(2), uint8(mode))
+	}
+	f.Add(int64(1), uint8(1), uint16(100), uint8(idsDense))
+	f.Add(int64(2), uint8(6), uint16(0), uint8(idsHuge))
+	f.Add(int64(3), uint8(4), uint16(1), uint8(idsExact64))
+	f.Add(int64(4), uint8(2), uint16(9000), uint8(idsFew))
+	f.Fuzz(func(t *testing.T, seed int64, width uint8, n uint16, mode uint8) {
+		w := int(width)%6 + 1
+		checkSetRows(t, w, genRows(seed, w, int(n), int(mode)%idModes))
+	})
+}
+
+// TestSetRowsAllocs pins the in-place layout: ordering a result allocates
+// the two things the result is — the id slab and the tuple headers — and
+// not a byte of sorting room, on the packed path and on the comparison path
+// alike.
+func TestSetRowsAllocs(t *testing.T) {
+	const n = 50_000
+	// A collection empties sync.Pool's per-P tables, which the next Put
+	// allocates again: not this function's doing.
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	for _, tc := range []struct {
+		name string
+		w    int
+		wide bool
+	}{{"packed x2", 2, false}, {"packed x3", 3, false}, {"compared x2", 2, true}} {
+		t.Run(tc.name, func(t *testing.T) {
+			mode := idsDense
+			if tc.wide {
+				mode = idsHuge
+			}
+			data := genRows(5, tc.w, n, mode)
+			var p rowPacking
+			if rows := rowsOf(tc.w, data); p.fit(rows) == tc.wide {
+				t.Fatalf("packed = %v", !tc.wide)
+			}
+			// setRows consumes its rows, so every run collects its own, the
+			// way a reducer does; what that costs is measured on its own,
+			// with the chunks going back to the pool either way.
+			var res Result
+			collect := testing.AllocsPerRun(5, func() { rowsOf(tc.w, data).Release() })
+			both := testing.AllocsPerRun(5, func() { res.setRows(rowsOf(tc.w, data)) })
+			if both-collect > 2 {
+				t.Errorf("setRows allocates %v times, want 2 (IDs, Tuples)", both-collect)
+			}
+			// In bytes: 8 per id and 24 per header, each of the two rounded
+			// up to whole 8 KiB pages by the allocator, and 1 KiB.
+			rows := rowsOf(tc.w, data)
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			res.setRows(rows)
+			runtime.ReadMemStats(&after)
+			if got, limit := after.TotalAlloc-before.TotalAlloc, uint64(8*tc.w*n+24*n+2*8192+1024); got > limit {
+				t.Errorf("setRows allocated %d bytes, want at most %d", got, limit)
+			}
+		})
+	}
+}
+
+// TestResultOutlivesItsChunks: the chunks a result's rows were collected in
+// go back to a pool that every engine draws from, so the result must not
+// share memory with them. A second, larger join on another engine, whose
+// reducers fill the recycled chunks, leaves the first result as it was.
+func TestResultOutlivesItsChunks(t *testing.T) {
+	rng := rand.New(rand.NewSource(41))
+	q := query.MustParse("R1 overlaps R2")
+	run := func(n int) *Result {
+		rels := []*relation.Relation{
+			randomRelation(rng, "R1", n, 1000, 600),
+			randomRelation(rng, "R2", n, 1000, 600),
+		}
+		engine := mr.NewEngine(mr.Config{Store: dfs.NewMem(), Workers: 2})
+		ctx, err := NewContext(engine, q, rels, Options{Partitions: 2})
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := TwoWay{}.Run(ctx)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := Reference{}.Run(ctx)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !slices.Equal(res.IDs, want.IDs) {
+			t.Fatalf("join of 2 x %d differs from the oracle", n)
+		}
+		return res
+	}
+	first := run(400)
+	// A reducer reaches the pooled chunk size after 8160 rows.
+	if len(first.Tuples) < 20_000 {
+		t.Fatalf("first join returned %d rows: too few to fill a pooled chunk", len(first.Tuples))
+	}
+	kept := slices.Clone(first.IDs)
+	if second := run(600); len(second.Tuples) <= len(first.Tuples) {
+		t.Fatalf("second join returned %d rows, the first %d", len(second.Tuples), len(first.Tuples))
+	}
+	if !slices.Equal(first.IDs, kept) {
+		t.Fatal("a later run changed an earlier result: Result.IDs shares memory with recycled chunks")
+	}
+	checkResultForm(t, "first", first, 2)
+}

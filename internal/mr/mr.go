@@ -104,35 +104,60 @@ type RowReduceFunc func(key int64, values []string, out *Rows) error
 //
 // Rows are kept in chunks that are never reallocated: a chunk is filled, then
 // a larger one is started, so appending copies nothing and a slot stays valid.
+// Full-size chunks are pooled across jobs and engines: whoever has copied the
+// ids out calls Release, after which the Rows — and every slot and chunk it
+// handed out — must not be read.
 type Rows struct {
 	// Width is the number of ids per row. Set before the job runs.
 	Width  int
 	chunks [][]int64
 }
 
-// Chunk capacities, in rows: every task's first chunk is small — most tasks
-// of most jobs emit a handful of rows — and each further one doubles up to
-// the limit.
+// Chunk capacities: every task's first chunk holds minRowChunk rows — most
+// tasks of most jobs emit a handful — and each further one doubles, up to
+// rowChunkWords ids (8192 rows of a two-way join). Chunks of that size are
+// what a large result is made of, and they come from and go back to
+// chunkPool, so a run neither allocates nor zeroes them again.
 const (
-	minRowChunk = 32
-	maxRowChunk = 8192
+	minRowChunk   = 32
+	rowChunkWords = 1 << 14
 )
 
-// Append adds one row and returns it for the caller to fill in.
+var chunkPool = sync.Pool{New: func() any { return new([rowChunkWords]int64) }}
+
+// Append adds one row and returns it for the caller to fill in, every id of
+// it: a recycled chunk still holds the last run's.
 func (r *Rows) Append() []int64 {
 	n := len(r.chunks)
 	if n == 0 || len(r.chunks[n-1])+r.Width > cap(r.chunks[n-1]) {
-		rows := minRowChunk
+		// Rows too wide for minRowChunk of them to fit a full chunk keep
+		// the first size.
+		words := minRowChunk * r.Width
 		if n > 0 {
-			rows = min(2*cap(r.chunks[n-1])/r.Width, maxRowChunk)
+			words = max(words, min(2*cap(r.chunks[n-1]), rowChunkWords))
 		}
-		r.chunks = append(r.chunks, make([]int64, 0, rows*r.Width))
+		if words == rowChunkWords {
+			r.chunks = append(r.chunks, chunkPool.Get().(*[rowChunkWords]int64)[:0])
+		} else {
+			r.chunks = append(r.chunks, make([]int64, 0, words))
+		}
 		n++
 	}
 	c := r.chunks[n-1]
 	c = c[:len(c)+r.Width]
 	r.chunks[n-1] = c
 	return c[len(c)-r.Width:]
+}
+
+// Release empties r and hands its full-size chunks back for other runs to
+// fill.
+func (r *Rows) Release() {
+	for _, c := range r.chunks {
+		if cap(c) == rowChunkWords {
+			chunkPool.Put((*[rowChunkWords]int64)(c[:rowChunkWords]))
+		}
+	}
+	r.chunks = nil
 }
 
 // Len is the number of rows.
@@ -145,7 +170,8 @@ func (r *Rows) Len() int {
 }
 
 // Chunks returns the rows in the order they were committed: each chunk holds
-// whole rows back to back. The chunks are the Rows' own storage.
+// whole rows back to back. The chunks are the Rows' own storage, gone with
+// Release.
 func (r *Rows) Chunks() [][]int64 { return r.chunks }
 
 // take moves other's rows to the end of r.
@@ -947,7 +973,8 @@ func (e *Engine) runReduceTask(job Job, task int, key int64, values []string, m 
 	}
 	for attempt := 1; ; attempt++ {
 		// The attempt's output lives in res and nowhere else, so a failed
-		// attempt's partial output goes away with it.
+		// attempt's partial output goes away with it, its row chunks back to
+		// the pool.
 		res := job.newResult(key, len(values))
 		t0 := time.Now()
 		err := func() error {
@@ -973,6 +1000,7 @@ func (e *Engine) runReduceTask(job Job, task int, key int64, values []string, m 
 			res.duration = time.Since(t0)
 			return res, nil
 		}
+		res.rows.Release()
 		if !errors.Is(err, ErrTransient) || attempt >= e.attempts {
 			return reduceResult{}, fmt.Errorf("mr: job %s: reduce key %d: %w", job.Name, key, err)
 		}

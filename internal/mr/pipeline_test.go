@@ -330,6 +330,67 @@ func TestTypedLastStage(t *testing.T) {
 	})
 }
 
+// TestFailedAttemptReturnsChunks: a task's first attempt fills several
+// full-size chunks and then fails. The job commits the second attempt's rows
+// and no other, the failed attempt's Rows is empty afterwards — its chunks
+// are back in the pool — and what the job collected goes back with Release.
+func TestFailedAttemptReturnsChunks(t *testing.T) {
+	const n = 3 * rowChunkWords / 2
+	store := dfs.NewMem()
+	dfs.WriteAll(store, "in", []string{"x"})
+	rows := &Rows{Width: 2}
+	var attempts []*Rows
+	job := Job{
+		Name:   "retry-rows",
+		Inputs: []Input{{File: "in"}},
+		Map:    func(_ int, _ string, emit Emitter) error { emit.Emit(7, "v"); return nil },
+		Rows:   rows,
+		ReduceRows: func(key int64, _ []string, out *Rows) error {
+			attempts = append(attempts, out)
+			for i := 0; i < n; i++ {
+				row := out.Append()
+				row[0], row[1] = int64(len(attempts)), int64(i)
+			}
+			if len(attempts) == 1 {
+				return fmt.Errorf("after %d rows: %w", out.Len(), ErrTransient)
+			}
+			return nil
+		},
+	}
+	m, err := NewEngine(Config{Store: store, Workers: 1, MaxTaskAttempts: 2}).Run(job)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(attempts) != 2 || m.TaskRetries != 1 || m.OutputRecords != n {
+		t.Fatalf("%d attempts, %d retries, %d output rows; want 2, 1, %d", len(attempts), m.TaskRetries, m.OutputRecords, n)
+	}
+	if attempts[0].Len() != 0 || len(attempts[0].Chunks()) != 0 {
+		t.Errorf("the failed attempt still holds %d rows in %d chunks", attempts[0].Len(), len(attempts[0].Chunks()))
+	}
+	ids := flatRows(rows)
+	if len(ids) != 2*n {
+		t.Fatalf("job collected %d ids, want %d", len(ids), 2*n)
+	}
+	for i := 0; i < n; i++ {
+		if ids[2*i] != 2 || ids[2*i+1] != int64(i) {
+			t.Fatalf("row %d = %v, want the second attempt's [2 %d]", i, ids[2*i:2*i+2], i)
+		}
+	}
+	full := 0
+	for _, c := range rows.Chunks() {
+		if cap(c) == rowChunkWords {
+			full++
+		}
+	}
+	if full == 0 {
+		t.Error("no full-size chunk among the committed rows: the test does not reach the pool")
+	}
+	rows.Release()
+	if rows.Len() != 0 {
+		t.Errorf("%d rows after Release", rows.Len())
+	}
+}
+
 // TestPipelineSpill runs the pipelined chain with the external sort-merge
 // shuffle engaged in every stage.
 func TestPipelineSpill(t *testing.T) {

@@ -14,10 +14,11 @@
 #                      cross-validation) under the race detector; the MR
 #                      engine is deliberately concurrent, so -race is part
 #                      of the gate, not an optional extra; then a 5-second
-#                      fuzz smoke of the two decoders that read arbitrary
-#                      bytes: the binary record codec (FuzzRecordDecode)
-#                      and the spill records carrying it
-#                      (FuzzSpillRecordRoundTrip)
+#                      fuzz smoke of each of three targets: the two
+#                      decoders that read arbitrary bytes — the binary
+#                      record codec (FuzzRecordDecode) and the spill
+#                      records carrying it (FuzzSpillRecordRoundTrip) —
+#                      and the result's row ordering (FuzzSetRows)
 #   6. bench module  — bench/ is a nested module the root ./... does not
 #                      reach; it compiles against internal packages, so it
 #                      is vetted and tested here, where an internal API
@@ -66,9 +67,12 @@ go test -race ./...
 echo "== fuzz smoke =="
 # The engine's records are fixed-width binary and spill values are arbitrary
 # bytes: five seconds of fuzzing per decoder catches a panic or a lost
-# length check that the seed corpus (run by the suite above) does not.
+# length check that the seed corpus (run by the suite above) does not. The
+# third target packs result rows into words and sorts them by radix: five
+# seconds of widths, counts and id ranges against a comparison sort.
 go test -run '^$' -fuzz '^FuzzRecordDecode$' -fuzztime 5s ./internal/core
 go test -run '^$' -fuzz '^FuzzSpillRecordRoundTrip$' -fuzztime 5s ./internal/mr
+go test -run '^$' -fuzz '^FuzzSetRows$' -fuzztime 5s ./internal/core
 
 echo "== benchmark module =="
 go vet -C bench ./...
