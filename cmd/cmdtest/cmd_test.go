@@ -198,6 +198,26 @@ func TestIjoinOutputWriteFailure(t *testing.T) {
 	}
 }
 
+// TestGeneratorOutputWriteFailure: the same contract for the two generators,
+// whose output is another run's input.
+func TestGeneratorOutputWriteFailure(t *testing.T) {
+	if _, err := os.Stat("/dev/full"); err != nil {
+		t.Skip("no /dev/full on this system")
+	}
+	for _, args := range [][]string{
+		{"genintervals", "-n", "5000", "-o", "/dev/full"},
+		{"packettrace", "-profile", "P04", "-scale", "0.005", "-o", "/dev/full"},
+	} {
+		_, errOut, err := run(t, args[0], args[1:]...)
+		if err == nil {
+			t.Errorf("%s -o /dev/full exited 0", args[0])
+		}
+		if !strings.Contains(errOut, "/dev/full") {
+			t.Errorf("%s: stderr does not name the output file: %q", args[0], errOut)
+		}
+	}
+}
+
 func TestPackettraceTrains(t *testing.T) {
 	out := mustRun(t, "packettrace", "-profile", "P04", "-scale", "0.005", "-emit", "trains")
 	lines := nonEmptyLines(out)

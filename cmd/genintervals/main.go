@@ -14,7 +14,6 @@ import (
 	"bufio"
 	"flag"
 	"fmt"
-	"io"
 	"os"
 
 	"intervaljoin/internal/workload"
@@ -51,19 +50,26 @@ func main() {
 		fatal(err)
 	}
 
-	var out io.Writer = os.Stdout
+	out := os.Stdout
 	if *oPath != "-" {
-		f, err := os.Create(*oPath)
-		if err != nil {
+		if out, err = os.Create(*oPath); err != nil {
 			fatal(err)
 		}
-		defer f.Close()
-		out = f
 	}
 	w := bufio.NewWriter(out)
-	defer w.Flush()
 	for _, iv := range rel.Intervals() {
 		fmt.Fprintf(w, "%d,%d\n", iv.Start, iv.End)
+	}
+	// A write that fails late — a full disk, a write-back error the file
+	// system reports at close — leaves a truncated file: say so, with the
+	// path (the *PathError carries it), and exit non-zero.
+	if err := w.Flush(); err != nil {
+		fatal(err)
+	}
+	if *oPath != "-" {
+		if err := out.Close(); err != nil {
+			fatal(err)
+		}
 	}
 }
 

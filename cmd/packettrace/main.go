@@ -18,7 +18,6 @@ import (
 	"bufio"
 	"flag"
 	"fmt"
-	"io"
 	"os"
 
 	"intervaljoin/internal/trace"
@@ -45,17 +44,13 @@ func main() {
 		fatal(err)
 	}
 
-	var out io.Writer = os.Stdout
+	out := os.Stdout
 	if *oPath != "-" {
-		f, err := os.Create(*oPath)
-		if err != nil {
+		if out, err = os.Create(*oPath); err != nil {
 			fatal(err)
 		}
-		defer f.Close()
-		out = f
 	}
 	w := bufio.NewWriter(out)
-	defer w.Flush()
 
 	switch *emit {
 	case "packets":
@@ -72,6 +67,17 @@ func main() {
 		}
 	default:
 		fatal(fmt.Errorf("unknown -emit %q (want trains or packets)", *emit))
+	}
+	// A write that fails late — a full disk, a write-back error the file
+	// system reports at close — leaves a truncated file: say so, with the
+	// path (the *PathError carries it), and exit non-zero.
+	if err := w.Flush(); err != nil {
+		fatal(err)
+	}
+	if *oPath != "-" {
+		if err := out.Close(); err != nil {
+			fatal(err)
+		}
 	}
 }
 

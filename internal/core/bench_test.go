@@ -119,8 +119,7 @@ func BenchmarkSemijoinReduce(b *testing.B) {
 // for one partition.
 func BenchmarkMarkCrossingParticipants(b *testing.B) {
 	q := query.MustParse("R1 overlaps R2 and R2 overlaps R3")
-	lists := benchCands(2_000)
-	cands := map[int][]relation.Tuple{0: lists[0], 1: lists[1], 2: lists[2]}
+	cands := benchCands(2_000)
 	part := interval.NewUniform(0, 100_100, 16)
 	verts := firstAttrs([]int{0, 1, 2})
 	b.ResetTimer()

@@ -119,15 +119,56 @@ func flagIndex(f bool) int {
 	return 0
 }
 
-// encodePartial renders the assignment binding tuples[i] to relation rels[i]:
-// the members back to back, so a lone tagged tuple is a one-member partial
-// assignment.
-func encodePartial(rels []int, tuples []relation.Tuple) string {
-	b := make([]byte, 0, 128) // on the stack: four single-attribute members
-	for i, t := range tuples {
-		b = appendMember(b, rels[i], t)
+// recordSlab is where a reducer builds the records it writes: one buffer per
+// reduce call, every record a substring of it, the way every record a base
+// map emits is a substring of the relation's slab (Context.tagged). A record
+// is made room for, put piece by piece and taken with cut; the engine keeps
+// the string it is handed, so a slab lives as long as any record of it is on
+// its way to the next cycle.
+type recordSlab struct {
+	sb    strings.Builder
+	start int // where the record being written begins
+	// hint sizes the first buffer: about what the whole call will write.
+	hint int
+}
+
+// room makes n more bytes fit, for the next record. When they do not, the
+// slab moves on to a new buffer of twice the size rather than letting the
+// Builder copy the records already cut — those keep the old one.
+func (s *recordSlab) room(n int) {
+	if s.sb.Len()+n <= s.sb.Cap() {
+		return
 	}
-	return string(b)
+	size := max(2*s.sb.Cap(), n, s.hint)
+	s.sb = strings.Builder{}
+	s.sb.Grow(size)
+	s.start = 0
+}
+
+func (s *recordSlab) put(b []byte)       { s.sb.Write(b) }
+func (s *recordSlab) putString(x string) { s.sb.WriteString(x) }
+
+// cut returns what was put since the last cut, as one record.
+func (s *recordSlab) cut() string {
+	rec := s.sb.String()[s.start:]
+	s.start = s.sb.Len()
+	return rec
+}
+
+// encodePartial renders the assignment binding tuples[i] to relation rels[i]
+// into out: the members back to back, so a lone tagged tuple is a one-member
+// partial assignment.
+func encodePartial(out *recordSlab, rels []int, tuples []relation.Tuple) string {
+	n := 0
+	for _, t := range tuples {
+		n += memberLen(len(t.Attrs))
+	}
+	out.room(n)
+	var buf [headerLen + 8 + 16*4]byte // on the stack: up to four attributes a member
+	for i, t := range tuples {
+		out.put(appendMember(buf[:0], rels[i], t))
+	}
+	return out.cut()
 }
 
 // decodePartial parses encodePartial's output. The tuples' attributes share

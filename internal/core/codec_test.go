@@ -2,6 +2,8 @@ package core
 
 import (
 	"math"
+	"math/rand"
+	"runtime/debug"
 	"slices"
 	"strings"
 	"testing"
@@ -129,7 +131,7 @@ func TestDecodeTaggedErrors(t *testing.T) {
 }
 
 func TestPartialRoundTrip(t *testing.T) {
-	rec := encodePartial([]int{0, 2}, []relation.Tuple{mkTuple(5, interval.New(0, 9)), mkTuple(7, interval.New(3, 4))})
+	rec := encodePartial(&recordSlab{}, []int{0, 2}, []relation.Tuple{mkTuple(5, interval.New(0, 9)), mkTuple(7, interval.New(3, 4))})
 	got, err := decodePartial(rec)
 	if err != nil || len(got.rels) != 2 || got.rels[0] != 0 || got.tuples[1].ID != 7 {
 		t.Fatalf("partial round trip: %v %v", got, err)
@@ -142,7 +144,7 @@ func TestPartialRoundTrip(t *testing.T) {
 		t.Fatalf("member 0's attributes have spare capacity %d into member 1's", cap(a)-len(a))
 	}
 	// A lone tagged tuple is a one-member partial assignment.
-	if one := encodePartial([]int{3}, got.tuples[:1]); one != encodeTagged(3, got.tuples[0]) {
+	if one := encodePartial(&recordSlab{}, []int{3}, got.tuples[:1]); one != encodeTagged(3, got.tuples[0]) {
 		t.Fatalf("one-member partial %q is not the tagged tuple", one)
 	}
 }
@@ -217,7 +219,7 @@ func TestRecordPathAllocs(t *testing.T) {
 	}
 
 	// baseMap needs an engine's emitter: measure inside a map task, the one
-	// tuple mapped over and over. The emission buffer's doublings average out
+	// tuple mapped over and over. The emission log's page turns average out
 	// to nothing.
 	sp := ctx.union(nil, dimension{part: interval.NewUniform(0, 100, 4), verts: firstAttrs(allRelations(2))})
 	baseMap := ctx.baseMap(sp, []interval.Op{interval.OpSplit, interval.OpSplit})
@@ -250,7 +252,7 @@ func FuzzRecordDecode(f *testing.F) {
 	f.Add(encodeTagged(255, two))
 	f.Add(encodeVector(2, []bool{true, false}, two))
 	f.Add(encodeTagged(1, one) + "\x00\x01")
-	f.Add(encodePartial([]int{0, 4}, []relation.Tuple{one, two}))
+	f.Add(encodePartial(&recordSlab{}, []int{0, 4}, []relation.Tuple{one, two}))
 	f.Add("\x03" + encodeTagged(0, one)[headerLen:headerLen+8])
 	f.Add("")
 	f.Add("0;7|3,9\n\x00")
@@ -300,13 +302,13 @@ func FuzzRecordDecode(f *testing.F) {
 			variants(func(v string) bool { _, _, _, _, err := splitVertexFlagged(v); return err == nil })
 		}
 		if pa, err := decodePartial(s); err == nil {
-			if got := encodePartial(pa.rels, pa.tuples); got != s {
+			if got := encodePartial(&recordSlab{}, pa.rels, pa.tuples); got != s {
 				t.Fatalf("partial %q re-encodes to %q", s, got)
 			}
 			for i := 0; i < len(s); i++ {
 				// A prefix ending on a member boundary is a shorter
 				// assignment; any other cut is refused.
-				if got, err := decodePartial(s[:i]); err == nil && encodePartial(got.rels, got.tuples) != s[:i] {
+				if got, err := decodePartial(s[:i]); err == nil && encodePartial(&recordSlab{}, got.rels, got.tuples) != s[:i] {
 					t.Fatalf("prefix %q of %q decodes to something else", s[:i], s)
 				}
 			}
@@ -339,5 +341,50 @@ func TestOutputTupleKey(t *testing.T) {
 		if got := tc.o.Key(); got != tc.want {
 			t.Errorf("Key(%v) = %q, want %q", []int64(tc.o), got, tc.want)
 		}
+	}
+}
+
+// rccisOpAllocBound is how many objects a batch-sparse-shaped RCCIS run may
+// allocate whatever its size: what the run, its two jobs, their workers and
+// their 2 × 16 reduce tasks set up — about 1 200 — and nothing per tuple.
+const rccisOpAllocBound = 2_000
+
+// TestRCCISOpAllocs pins the op the shuffle was rebuilt for: three relations
+// of sparse intervals through both RCCIS cycles on 16 partitions. Every
+// record between map and reduce is a view — of a relation's slab, of an
+// emission page, of the shuffle's arena, of a mark reducer's slab — so the
+// objects a run allocates are its per-job, per-task and per-key state, and
+// doubling the tuples adds next to none.
+func TestRCCISOpAllocs(t *testing.T) {
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	q := query.MustParse("R1 overlaps R2 and R2 overlaps R3")
+	engine := mr.NewEngine(mr.Config{Store: dfs.NewMem(), Workers: 2})
+	run := func(n int) float64 {
+		rng := rand.New(rand.NewSource(7))
+		rels := make([]*relation.Relation, 3)
+		for i, name := range []string{"R1", "R2", "R3"} {
+			rels[i] = randomRelation(rng, name, n, int64(n)*100, 100)
+		}
+		return testing.AllocsPerRun(3, func() {
+			ctx, err := NewContext(engine, q, rels, Options{Partitions: 16})
+			if err != nil {
+				t.Fatal(err)
+			}
+			res, err := RCCIS{}.Run(ctx)
+			if err != nil || len(res.Tuples) == 0 {
+				t.Fatalf("%d rows, %v", len(res.Tuples), err)
+			}
+		})
+	}
+	small, large := run(2_000), run(4_000)
+	t.Logf("objects per run: %.0f for 3 x 2000 tuples, %.0f for 3 x 4000", small, large)
+	if small > rccisOpAllocBound {
+		t.Errorf("a run over 3 x 2000 tuples allocates %.0f objects, bound %d", small, rccisOpAllocBound)
+	}
+	// What does grow with the input grows by the map task — 256 tuples or
+	// streamed records, a handful of objects each — or by doubling: 0.05 a
+	// tuple, where every tuple used to cost a mark record of its own.
+	if perTuple := (large - small) / (3 * 2_000); perTuple > 0.1 {
+		t.Errorf("%.3f objects per extra tuple", perTuple)
 	}
 }

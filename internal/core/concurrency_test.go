@@ -68,13 +68,17 @@ func TestConcurrentRunsShareEngine(t *testing.T) {
 }
 
 // TestConcurrentRunsRecycleChunks: runs on engines of their own still share
-// the pool their row chunks come from. Several goroutines join relations of
-// their own, round after round, each result large enough that its reducers
-// fill pooled chunks; every result equals the oracle's, ids and order. (The
-// gate runs this under -race; -count=10 gives the pool time to hand one
-// run's chunks to another.)
+// the pools their row chunks and their emission pages come from. Several
+// goroutines join relations of their own, round after round: a two-way join
+// whose result is large enough that its reducers fill pooled chunks, and a
+// two-cycle RCCIS join, whose mark records stream into the next cycle's map
+// while the first cycle's pages are already back in the pool and being filled
+// by someone else. Every result equals the oracle's, ids and order. (The gate
+// runs this under -race; -count=10 gives the pools time to hand one run's
+// chunks and pages to another.)
 func TestConcurrentRunsRecycleChunks(t *testing.T) {
-	q := query.MustParse("R1 overlaps R2")
+	twoWay := query.MustParse("R1 overlaps R2")
+	chain := query.MustParse("R1 overlaps R2 and R2 overlaps R3")
 	var wg sync.WaitGroup
 	for g := 0; g < 4; g++ {
 		wg.Add(1)
@@ -82,30 +86,54 @@ func TestConcurrentRunsRecycleChunks(t *testing.T) {
 			defer wg.Done()
 			rng := rand.New(rand.NewSource(int64(50 + g)))
 			engine := mr.NewEngine(mr.Config{Store: dfs.NewMem(), Workers: 2})
+			// run joins rels with alg and holds the result against the
+			// oracle's; it returns the row count, -1 once it has failed.
+			run := func(alg Algorithm, q *query.Query, rels []*relation.Relation, opts Options) int {
+				ctx, err := NewContext(engine, q, rels, opts)
+				if err != nil {
+					t.Error(err)
+					return -1
+				}
+				got, err := alg.Run(ctx)
+				if err != nil {
+					t.Error(err)
+					return -1
+				}
+				want, err := Reference{}.Run(ctx)
+				if err != nil {
+					t.Error(err)
+					return -1
+				}
+				if !slices.Equal(got.IDs, want.IDs) {
+					t.Errorf("goroutine %d: %s returns %d rows, the oracle %d, and they differ",
+						g, alg.Name(), len(got.Tuples), len(want.Tuples))
+					return -1
+				}
+				return len(got.Tuples)
+			}
 			for round := 0; round < 3; round++ {
 				n := 400 + 50*g
 				rels := []*relation.Relation{
 					randomRelation(rng, "R1", n, 1000, 600),
 					randomRelation(rng, "R2", n, 1000, 600),
 				}
-				ctx, err := NewContext(engine, q, rels, Options{Partitions: 2})
-				if err != nil {
-					t.Error(err)
+				if rows := run(TwoWay{}, twoWay, rels, Options{Partitions: 2}); rows < 20_000 {
+					if rows >= 0 {
+						t.Errorf("goroutine %d, round %d: %d rows are too few to fill a pooled chunk", g, round, rows)
+					}
 					return
 				}
-				got, err := TwoWay{}.Run(ctx)
-				if err != nil {
-					t.Error(err)
-					return
+				// Three relations of 700 short intervals: some 2 100
+				// emissions a cycle, four pages and more per worker.
+				sparse := []*relation.Relation{
+					randomRelation(rng, "R1", 700, 20_000, 40),
+					randomRelation(rng, "R2", 700, 20_000, 40),
+					randomRelation(rng, "R3", 700, 20_000, 40),
 				}
-				want, err := Reference{}.Run(ctx)
-				if err != nil {
-					t.Error(err)
-					return
-				}
-				if len(got.Tuples) < 20_000 || !slices.Equal(got.IDs, want.IDs) {
-					t.Errorf("goroutine %d, round %d: %d rows, the oracle has %d, and they differ or are too few to fill a pooled chunk",
-						g, round, len(got.Tuples), len(want.Tuples))
+				if rows := run(RCCIS{}, chain, sparse, Options{Partitions: 8}); rows <= 0 {
+					if rows == 0 {
+						t.Errorf("goroutine %d, round %d: the RCCIS join is empty", g, round)
+					}
 					return
 				}
 			}

@@ -262,20 +262,31 @@ func (c *Context) markJob(dims []dimension, vertexTagged bool) mr.Job {
 		Reduce: func(key int64, values []string, write func(string) error) error {
 			k, coord := sp.locate(key)
 			d, p := dims[k], coord[0]
-			// Decode through a per-call arena: one flat interval column for
-			// the whole candidate list instead of one Attrs slice per record,
-			// and every list reserved from the size of the value list — an even
-			// share per relation, one interval per tuple — rather than grown
-			// from nothing. The records ride along so survivors are re-emitted
-			// by appending the flag to what arrived.
+			// A counting pass over the relation bytes sizes everything the
+			// call builds, so nothing below grows: one candidate and one
+			// member list per relation, cut from two arrays of the value
+			// list's length, a per-call arena — one flat interval column
+			// for the whole candidate list instead of one Attrs slice per
+			// record — and the slab the output records are written in. The
+			// records ride along so survivors are re-emitted as what
+			// arrived, then the flag.
+			counts := make([]int, len(c.Rels))
+			size := 0
+			for _, v := range values {
+				if v == "" || int(v[0]) >= len(counts) {
+					return fmt.Errorf("core: mark: record %q names no relation of the query", v)
+				}
+				counts[v[0]]++
+				size += len(v) + 2
+			}
+			cands, members := make([][]relation.Tuple, len(counts)), make([][]string, len(counts))
+			tuples, records := make([]relation.Tuple, len(values)), make([]string, len(values))
+			for rel, n := range counts {
+				cands[rel], members[rel] = tuples[:0:n], records[:0:n]
+				tuples, records = tuples[n:], records[n:]
+			}
 			var arena relation.Arena
 			arena.Grow(len(values), len(values))
-			share := len(values)/len(d.verts) + 1
-			cands := make(map[int][]relation.Tuple, len(d.verts))
-			members := make(map[int][]string, len(d.verts))
-			for _, v := range d.verts {
-				cands[v.Rel], members[v.Rel] = make([]relation.Tuple, 0, share), make([]string, 0, share)
-			}
 			for _, v := range values {
 				rel, body, err := splitTagged(v)
 				if err != nil {
@@ -289,6 +300,7 @@ func (c *Context) markJob(dims []dimension, vertexTagged bool) mr.Job {
 				members[rel] = append(members[rel], v)
 			}
 			replicate := markCrossingParticipants(conds[k], d.part, p, d.verts, cands)
+			out := recordSlab{hint: size}
 			for _, v := range d.verts {
 				trailer := flagSuffix
 				if vertexTagged {
@@ -298,7 +310,11 @@ func (c *Context) markJob(dims []dimension, vertexTagged bool) mr.Job {
 					if d.part.IndexOf(t.Attrs[v.Attr].Start) != p {
 						continue
 					}
-					if err := write(members[v.Rel][i] + trailer[flagIndex(replicate[v.Rel][t.ID])]); err != nil {
+					member, flag := members[v.Rel][i], trailer[flagIndex(replicate[v.Rel][i])]
+					out.room(len(member) + len(flag))
+					out.putString(member)
+					out.putString(flag)
+					if err := write(out.cut()); err != nil {
 						return err
 					}
 				}
@@ -333,8 +349,14 @@ func setJoin(job *mr.Job, output string, join joinFunc) {
 	if output != "" {
 		job.Output = output
 		job.Reduce = func(key int64, values []string, write func(string) error) error {
+			// A join that binds one more relation writes records a member
+			// longer than the ones it received, about as many of them.
+			var out recordSlab
+			for _, v := range values {
+				out.hint += len(v) + memberLen(1)
+			}
 			return join(key, values, func(rels []int, asg []relation.Tuple) error {
-				return write(encodePartial(rels, asg))
+				return write(encodePartial(&out, rels, asg))
 			})
 		}
 		return

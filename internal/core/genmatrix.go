@@ -222,7 +222,11 @@ func (GenMatrix) mergeJob(sp *space) mr.Job {
 					flags[vi] = 1
 				}
 			}
-			return write(tuple + string(flags))
+			var out recordSlab
+			out.room(len(tuple) + len(flags))
+			out.putString(tuple)
+			out.put(flags)
+			return write(out.cut())
 		},
 		Output: "merged",
 	}

@@ -602,8 +602,9 @@ func satAdd(a interval.Point, d int64) interval.Point {
 // fresh binary search.
 //
 // conds must only mention relations in rels. cands is parallel to rels and
-// is not modified; the pruned lists are returned. If any list empties, all
-// returned lists are empty (no assignment exists).
+// is not modified; the pruned lists are returned, each in the order of the
+// list it was pruned from. If any list empties, all returned lists are empty
+// (no assignment exists).
 func semijoinReduce(conds []query.Condition, rels []int, cands [][]relation.Tuple) [][]relation.Tuple {
 	pos := make(map[int]int, len(rels))
 	for i, r := range rels {

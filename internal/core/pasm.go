@@ -160,11 +160,15 @@ func (c *Context) pruneJob(dims []dimension) mr.Job {
 					kept[home{rel: r, id: t.ID}] = true
 				}
 			}
+			out := recordSlab{hint: len(homes) * (1 + 8)}
 			for _, h := range homes {
 				if replicatedHome[h] || kept[h] {
 					continue
 				}
-				if err := write(string(binary.LittleEndian.AppendUint64([]byte{byte(h.rel)}, uint64(h.id)))); err != nil {
+				var buf [1 + 8]byte
+				out.room(len(buf))
+				out.put(binary.LittleEndian.AppendUint64(append(buf[:0], byte(h.rel)), uint64(h.id)))
+				if err := write(out.cut()); err != nil {
 					return err
 				}
 			}

@@ -68,39 +68,49 @@ func firstAttrs(rels []int) []query.Operand {
 	return verts
 }
 
-// markCrossingParticipants returns, per relation, the ids of the tuples at
-// partition p that belong to at least one consistent interval-set crossing p
-// (conditions C1 and C2 of RCCIS). verts names each relation's join interval;
-// cands holds the tuples split onto p, by relation. It enumerates every
-// proper non-empty subset S of the relation set; for each it applies the
-// unary boundary filters B1/B2 derived from the conditions between S and its
-// complement, then keeps the tuples participating in a satisfying assignment
-// over S via a semi-join fixpoint (exact for the acyclic condition graphs of
-// the paper's queries, a safe superset otherwise).
+// markCrossingParticipants decides, for the tuples split onto partition p,
+// which belong to at least one consistent interval-set crossing p (conditions
+// C1 and C2 of RCCIS): the result is parallel to cands, which holds those
+// tuples by relation. verts names each relation's join interval. It
+// enumerates every proper non-empty subset S of the relation set; for each it
+// applies the unary boundary filters B1/B2 derived from the conditions
+// between S and its complement, then keeps the tuples participating in a
+// satisfying assignment over S via a semi-join fixpoint (exact for the
+// acyclic condition graphs of the paper's queries, a safe superset
+// otherwise).
 func markCrossingParticipants(conds []query.Condition, part interval.Partitioning, p int,
-	verts []query.Operand, cands map[int][]relation.Tuple) map[int]map[int64]bool {
+	verts []query.Operand, cands [][]relation.Tuple) [][]bool {
 
-	marked := make(map[int]map[int64]bool, len(verts))
+	marked := make([][]bool, len(cands))
 	for _, v := range verts {
-		marked[v.Rel] = make(map[int64]bool)
+		marked[v.Rel] = make([]bool, len(cands[v.Rel]))
 	}
 	m := len(verts)
-	inS := make(map[int]bool, m)
+	// Per subset, by relation: membership in S and the boundary each member
+	// relation must cross. A list some filter applies to is cut from scratch,
+	// which grows to the largest subset's survivors — few tuples cross a
+	// boundary — and one none applies to is the candidate list itself.
+	inS := make([]bool, len(cands))
+	needRight := make([]bool, len(cands))
+	needLeft := make([]bool, len(cands))
+	var scratch []relation.Tuple
+	sub := make([]query.Operand, 0, m)
+	subRels := make([]int, 0, m)
+	filtered := make([][]relation.Tuple, 0, m)
 	// Iterate proper non-empty subsets of rels via bitmasks. An output
 	// tuple (S = full set) is not a crossing set — its computation needs
 	// no replication — so the full mask is excluded.
 	for mask := 1; mask < (1<<m)-1; mask++ {
-		var sub []query.Operand
+		sub, subRels, filtered, scratch = sub[:0], subRels[:0], filtered[:0], scratch[:0]
 		for i, v := range verts {
 			inS[v.Rel] = mask&(1<<i) != 0
+			needRight[v.Rel], needLeft[v.Rel] = false, false
 			if inS[v.Rel] {
 				sub = append(sub, v)
 			}
 		}
 		// Derive per-relation boundary requirements from conditions with
 		// exactly one endpoint in S.
-		needRight := make(map[int]bool)
-		needLeft := make(map[int]bool)
 		subConds := conds[:0:0]
 		for _, c := range conds {
 			lIn, rIn := inS[c.Left.Rel], inS[c.Right.Rel]
@@ -131,35 +141,41 @@ func markCrossingParticipants(conds []query.Condition, part interval.Partitionin
 			// not a crossing set).
 		}
 		// Unary filters, then participation.
-		filtered := make([][]relation.Tuple, len(sub))
-		empty := false
-		subRels := make([]int, len(sub))
-		for i, v := range sub {
-			subRels[i] = v.Rel
-			var keep []relation.Tuple
-			for _, t := range cands[v.Rel] {
-				iv := t.Attrs[v.Attr]
-				if needRight[v.Rel] && !part.CrossesRight(iv, p) {
-					continue
+		for _, v := range sub {
+			keep := cands[v.Rel]
+			if needRight[v.Rel] || needLeft[v.Rel] {
+				at := len(scratch)
+				for _, t := range keep {
+					iv := t.Attrs[v.Attr]
+					if needRight[v.Rel] && !part.CrossesRight(iv, p) {
+						continue
+					}
+					if needLeft[v.Rel] && !part.CrossesLeft(iv, p) {
+						continue
+					}
+					scratch = append(scratch, t)
 				}
-				if needLeft[v.Rel] && !part.CrossesLeft(iv, p) {
-					continue
-				}
-				keep = append(keep, t)
+				keep = scratch[at:len(scratch):len(scratch)]
 			}
 			if len(keep) == 0 {
-				empty = true
 				break
 			}
-			filtered[i] = keep
+			subRels, filtered = append(subRels, v.Rel), append(filtered, keep)
 		}
-		if empty {
+		if len(filtered) < len(sub) {
 			continue
 		}
 		surviving := semijoinReduce(subConds, subRels, filtered)
+		// A surviving list is its candidate list thinned out, order kept, so
+		// one walk along both finds each survivor's place.
 		for i, r := range subRels {
+			at := 0
 			for _, t := range surviving[i] {
-				marked[r][t.ID] = true
+				for &cands[r][at].Attrs[0] != &t.Attrs[0] {
+					at++
+				}
+				marked[r][at] = true
+				at++
 			}
 		}
 	}

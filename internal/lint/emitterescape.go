@@ -10,12 +10,12 @@ import (
 )
 
 // EmitterEscape enforces the mr.Emitter contract: an emitter handed to a
-// MapFunc or PosMapFunc writes into the engine's per-attempt buffer, so it is
+// MapFunc or PosMapFunc writes into the worker's emission log, so it is
 // only valid for the duration of that call on that goroutine. Storing it in
 // a struct or global, sending it on a channel, returning it, or handing it
 // to a spawned goroutine lets emissions race the engine's attempt lifecycle
-// (retried attempts discard the buffer the escaped emitter still points
-// at). The check is interprocedural: passing the emitter into a function
+// (a retried attempt truncates the log the escaped emitter still points
+// at, and the end of the map phase returns its pages to a pool). The check is interprocedural: passing the emitter into a function
 // whose own parameter escapes — directly or through further calls — is
 // flagged at the call site. The analyzer also flags EmitRange calls whose
 // constant bounds are provably inverted (lo > hi): such a call silently

@@ -7,7 +7,7 @@ import (
 )
 
 // PoolDiscipline enforces the sync.Pool hygiene the engine's hot paths
-// depend on (batchPool, valuesPool, encBuf, the enumerator's preparedJoin
+// depend on (batchPool, valuesPool, pagePool, the enumerator's preparedJoin
 // pool):
 //
 //  1. a function that Gets from a pool must either Put back to the same
@@ -21,7 +21,10 @@ import (
 //
 // The checks are flow-insensitive per function: hand-offs across
 // goroutines (the engine's batch recycling) are treated as transfers of
-// ownership at the call/send site.
+// ownership at the call/send site. A value that lives longer than one
+// function — an emission page, taken by a map worker and released after the
+// merge — goes through a pair of functions that return and accept it
+// (mr.takePage / mr.releasePage), which makes each end a visible hand-off.
 var PoolDiscipline = &Analyzer{
 	Name: "pooldiscipline",
 	Doc: "sync.Pool Gets need a matching Put or hand-off, no use-after-Put, " +

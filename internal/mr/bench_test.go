@@ -3,6 +3,7 @@ package mr
 import (
 	"fmt"
 	"strconv"
+	"sync/atomic"
 	"testing"
 
 	"intervaljoin/internal/dfs"
@@ -80,3 +81,64 @@ func benchEngineChain(b *testing.B, pipelined bool) {
 
 func BenchmarkEngineChainSequential(b *testing.B) { benchEngineChain(b, false) }
 func BenchmarkEngineChainPipelined(b *testing.B)  { benchEngineChain(b, true) }
+
+// pointsJob emits n point pairs over keys, every other one to key 0 when hot,
+// from a positional input; the values are views of one string. The reduce
+// counts what it is given.
+func pointsJob(n int, keys int64, hot bool, received *atomic.Int64) Job {
+	value := "0123456789abcdefghijklmnop"
+	return Job{
+		Name:   "points",
+		Inputs: []Input{{Count: n}},
+		MapAt: func(_, pos int, emit Emitter) error {
+			key := int64(pos) % keys
+			if hot && pos%2 == 0 {
+				key = 0
+			}
+			emit.Emit(key, value[pos%8:])
+			return nil
+		},
+		Reduce: func(_ int64, values []string, _ func(string) error) error {
+			received.Add(int64(len(values)))
+			return nil
+		},
+	}
+}
+
+// BenchmarkShuffle is the dev-loop number of the shuffle alone: map functions
+// that only emit, reducers that only count. -benchmem shows what the engine
+// allocates around the pairs.
+func BenchmarkShuffle(b *testing.B) {
+	var received atomic.Int64
+	ranges := Job{
+		Name:   "ranges",
+		Inputs: []Input{{Count: 2_000}},
+		MapAt: func(_, pos int, emit Emitter) error {
+			lo := int64(pos % 61)
+			emit.EmitRange(lo, lo+7, "0123456789abcdefghijklmnop")
+			return nil
+		},
+		Reduce: func(_ int64, values []string, _ func(string) error) error {
+			received.Add(int64(len(values)))
+			return nil
+		},
+	}
+	for _, bc := range []struct {
+		name string
+		job  Job
+	}{
+		{"points-33000x16", pointsJob(33_000, 16, false, &received)},
+		{"points-33000x16-hot", pointsJob(33_000, 16, true, &received)},
+		{"ranges-2000x8", ranges},
+	} {
+		b.Run(bc.name, func(b *testing.B) {
+			e := NewEngine(Config{Store: dfs.NewMem(), Workers: 2})
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := e.Run(bc.job); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}

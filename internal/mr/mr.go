@@ -40,14 +40,27 @@ import (
 
 // Emitter publishes intermediate key-value pairs from a map function. Keys
 // are the ids of the reduce tasks that will receive the value; they must be
-// non-negative.
+// non-negative in a job that may spill. An emission is a header written into
+// the worker's emission log: the value is not copied, so it is best a view of
+// a slab that outlives the job (Context.tagged in internal/core), and the
+// Emitter is good only for the call it was passed to.
 type Emitter struct {
+	// buf is the page being filled — the log's current one, or with no log a
+	// plain slice that grows.
 	buf *[]emission
+	log *emitLog
+}
+
+func (e Emitter) add(p emission) {
+	if e.log != nil && len(*e.buf) == cap(*e.buf) {
+		e.log.turnPage()
+	}
+	*e.buf = append(*e.buf, p)
 }
 
 // Emit publishes one intermediate key-value pair.
 func (e Emitter) Emit(key int64, value string) {
-	*e.buf = append(*e.buf, emission{lo: key, hi: key, value: value})
+	e.add(emission{lo: key, hi: key, value: value})
 }
 
 // EmitRange publishes value to every reduce key in [lo, hi] — the broadcast
@@ -64,11 +77,11 @@ func (e Emitter) EmitRange(lo, hi int64, value string) {
 	}
 	if lo < 0 {
 		for k := lo; k <= hi; k++ {
-			*e.buf = append(*e.buf, emission{lo: k, hi: k, value: value})
+			e.add(emission{lo: k, hi: k, value: value})
 		}
 		return
 	}
-	*e.buf = append(*e.buf, emission{lo: lo, hi: hi, value: value})
+	e.add(emission{lo: lo, hi: hi, value: value})
 }
 
 // MapFunc transforms one input record into intermediate pairs. tag
@@ -78,8 +91,12 @@ func (e Emitter) EmitRange(lo, hi int64, value string) {
 type MapFunc func(tag int, record string, emit Emitter) error
 
 // ReduceFunc processes all values received by one reduce task. write appends
-// a record to the job output. The values slice is scratch the engine reuses
-// across tasks; implementations must not retain it past the call.
+// a record to the job output. values is a view of the shuffle's arena — or,
+// when the shuffle spilled, scratch the engine reuses across tasks — and each
+// value a view of whatever the map function emitted: implementations must not
+// retain the slice past the call. A record handed to write may be a view too,
+// of a slab the reducer built its records in; the engine keeps the string,
+// never copies it, so the slab lives as long as any record of it does.
 type ReduceFunc func(key int64, values []string, write func(record string) error) error
 
 // PosMapFunc is the typed form of MapFunc, for an input the caller already
@@ -447,7 +464,11 @@ const mapBatchSize = 256
 
 // shuffleState carries the map output to the reduce phase: either fully
 // in-memory groups partitioned into key shards, or spilled sorted runs plus
-// in-memory leftovers.
+// in-memory leftovers. In memory every value list of a shard is a stretch of
+// one arena, sized by count and filled by placement (mergeShard); the lists
+// hold views of what the map functions emitted and are themselves views the
+// reduce tasks are handed, so nothing here is copied after the map phase and
+// nothing is owned by a task.
 type shuffleState struct {
 	shards   []map[int64][]string // in-memory mode, shards[shardOf(k)] holds k
 	runFiles []string             // spill mode
@@ -507,26 +528,90 @@ func recycleValues(vs *[]string) {
 	valuesPool.Put(vs)
 }
 
+// mapWorker is what one map worker accumulates over its tasks: the emission
+// log, and in memory how many values each reduce key will receive.
+type mapWorker struct {
+	log emitLog
+	// counts[p][k] is the number of values the log holds for key k of shard
+	// p (in-memory mode; nil when spilling). The merge sizes every value list
+	// from it, so no list ever grows.
+	counts []map[int64]int
+	// run is the stretch of equal point keys being counted, not yet in
+	// counts: one map update per run rather than per pair.
+	runKey    int64
+	runLen    int
+	flat      []emission // spill mode: the log laid out flat for the sort
+	runs      []string
+	pairs     int64 // logical: one per covered key
+	bytes     int64 // logical: value bytes per covered key
+	physPairs int64 // physical: one per emission record
+	physBytes int64 // physical: what the shuffle actually holds
+	spilled   int64 // logical pairs inside spilled runs
+	retries   int64
+}
+
+// fold accounts for the emissions of a successful attempt.
+func (st *mapWorker) fold(ems []emission, lane *obs.Lane) {
+	for i := range ems {
+		p := &ems[i]
+		n := p.span()
+		st.pairs += n
+		st.bytes += n * (int64(len(p.value)) + 8)
+		st.physPairs++
+		st.physBytes += p.physBytes()
+		if lane != nil && p.isRange() {
+			lane.Observe("range_emit_width", n)
+		}
+		switch {
+		case st.counts == nil:
+		case p.isRange():
+			for k := p.lo; k <= p.hi; k++ {
+				st.counts[shardOf(k, len(st.counts))][k]++
+			}
+		case st.runLen > 0 && p.lo == st.runKey:
+			st.runLen++
+		default:
+			st.endRun()
+			st.runKey, st.runLen = p.lo, 1
+		}
+	}
+}
+
+// endRun moves the pending run of equal keys into counts.
+func (st *mapWorker) endRun() {
+	if st.runLen > 0 {
+		st.counts[shardOf(st.runKey, len(st.counts))][st.runKey] += st.runLen
+		st.runLen = 0
+	}
+}
+
+// spillLog writes the log out as the run called name and empties it.
+func (st *mapWorker) spillLog(store dfs.Store, name string) (records int, err error) {
+	st.flat = st.log.appendTo(st.flat[:0])
+	st.log.release()
+	// The run holds the values now; the scratch must not keep them alive.
+	defer clear(st.flat)
+	for _, p := range st.flat {
+		st.spilled += p.span()
+	}
+	st.runs = append(st.runs, name)
+	return len(st.flat), spillRun(store, name, st.flat)
+}
+
 func (e *Engine) mapPhase(job Job, m *Metrics, stream <-chan []taggedRecord, jobLane *obs.Lane) (*shuffleState, error) {
 	mapStart := time.Now()
 	nshards := e.workers
 	work := make(chan mapTask, 2*e.workers)
 	errc := make(chan error, 2*e.workers)
 
-	type workerState struct {
-		local     []map[int64][]string // in-memory mode, point pairs bucketed by key shard
-		ranges    []emission           // in-memory mode, buffered range emissions
-		buf       []emission           // spill mode buffer
-		runs      []string
-		pairs     int64 // logical: one per covered key
-		bytes     int64 // logical: value bytes per covered key
-		physPairs int64 // physical: one per emission record
-		physBytes int64 // physical: what the shuffle actually holds
-		spilled   int64 // logical pairs inside spilled runs
-		retries   int64
-		runSeq    int
-	}
-	states := make([]*workerState, e.workers)
+	states := make([]*mapWorker, e.workers)
+	// Every page goes back when the phase is over, however it ends: by then
+	// the merge has placed the values, or the leftovers have been copied out.
+	defer func() {
+		for _, st := range states {
+			st.log.release()
+		}
+	}()
 	var taskSeq sync.Mutex
 	nextTask := 0
 	takeTask := func() int {
@@ -549,25 +634,28 @@ func (e *Engine) mapPhase(job Job, m *Metrics, stream <-chan []taggedRecord, job
 				mapSpan = "map:" + job.Name
 				spillSpan = "spill:" + job.Name
 			}
-			st := &workerState{}
+			st := &mapWorker{}
 			if e.spill == 0 {
-				st.local = make([]map[int64][]string, nshards)
-				for p := range st.local {
-					st.local[p] = make(map[int64][]string)
+				st.counts = make([]map[int64]int, nshards)
+				for p := range st.counts {
+					st.counts[p] = make(map[int64]int)
 				}
 			}
 			states[w] = st
-			var attemptBuf []emission
+			defer st.endRun()
+			emit := Emitter{buf: &st.log.cur, log: &st.log}
+			fold := func(ems []emission) { st.fold(ems, lane) }
 			for batch := range work {
 				task := takeTask()
 				taskStart := lane.Begin()
-				var err error
+				began := st.log.mark()
 				for attempt := 1; ; attempt++ {
-					attemptBuf = attemptBuf[:0]
-					err = e.runMapAttempt(job, batch, task, attempt, &attemptBuf)
+					err := e.runMapAttempt(job, batch, task, attempt, emit)
 					if err == nil {
 						break
 					}
+					// The failed attempt's pairs leave the log.
+					st.log.truncate(began)
 					if !errors.Is(err, ErrTransient) || attempt >= e.attempts {
 						errc <- fmt.Errorf("mr: job %s: map task %d: %w", job.Name, task, err)
 						for range work {
@@ -583,39 +671,12 @@ func (e *Engine) mapPhase(job Job, m *Metrics, stream <-chan []taggedRecord, job
 				if batch.records != nil {
 					batchPool.Put(batch.records[:0])
 				}
-				// Fold the attempt's pairs into the worker shuffle.
-				for _, p := range attemptBuf {
-					n := p.span()
-					st.pairs += n
-					st.bytes += n * (int64(len(p.value)) + 8)
-					st.physPairs++
-					st.physBytes += p.physBytes()
-					if lane != nil && p.isRange() {
-						lane.Observe("range_emit_width", n)
-					}
-				}
-				if e.spill == 0 {
-					for _, p := range attemptBuf {
-						if p.isRange() {
-							st.ranges = append(st.ranges, p)
-							continue
-						}
-						shard := st.local[shardOf(p.lo, nshards)]
-						shard[p.lo] = append(shard[p.lo], p.value)
-					}
-					lane.End(obs.CatMap, mapSpan, taskStart)
-					continue
-				}
-				st.buf = append(st.buf, attemptBuf...)
-				if len(st.buf) >= e.spill {
-					name := job.Name + "/.spill/w" + strconv.Itoa(w) + "-r" + strconv.Itoa(st.runSeq)
-					st.runSeq++
-					var logical int64
-					for _, p := range st.buf {
-						logical += p.span()
-					}
+				st.log.since(began, fold)
+				if e.spill > 0 && st.log.len() >= e.spill {
+					name := job.Name + "/.spill/w" + strconv.Itoa(w) + "-r" + strconv.Itoa(len(st.runs))
 					spillStart := lane.Begin()
-					if err := spillRun(e.store, name, st.buf); err != nil {
+					records, err := st.spillLog(e.store, name)
+					if err != nil {
 						errc <- fmt.Errorf("mr: job %s: %w", job.Name, err)
 						for range work {
 						}
@@ -623,12 +684,9 @@ func (e *Engine) mapPhase(job Job, m *Metrics, stream <-chan []taggedRecord, job
 					}
 					if lane != nil {
 						lane.End(obs.CatSpill, spillSpan, spillStart)
-						lane.Count("spill_records", int64(len(st.buf)))
+						lane.Count("spill_records", int64(records))
 						lane.Count("spill_runs", 1)
 					}
-					st.spilled += logical
-					st.runs = append(st.runs, name)
-					st.buf = st.buf[:0]
 				}
 				lane.End(obs.CatMap, mapSpan, taskStart)
 			}
@@ -705,9 +763,6 @@ func (e *Engine) mapPhase(job Job, m *Metrics, stream <-chan []taggedRecord, job
 
 	shuffle := &shuffleState{}
 	for _, st := range states {
-		if st == nil {
-			continue
-		}
 		m.IntermediatePairs += st.pairs
 		m.IntermediateBytes += st.bytes
 		m.PhysicalPairs += st.physPairs
@@ -719,28 +774,19 @@ func (e *Engine) mapPhase(job Job, m *Metrics, stream <-chan []taggedRecord, job
 		}
 		shuffle.runFiles = append(shuffle.runFiles, st.runs...)
 		m.SpillRuns += len(st.runs)
-		if len(st.buf) > 0 {
-			slices.SortFunc(st.buf, func(a, b emission) int {
-				if c := cmp.Compare(a.lo, b.lo); c != 0 {
-					return c
-				}
-				return cmp.Compare(a.hi, b.hi)
-			})
-			shuffle.leftover = append(shuffle.leftover, st.buf)
+		if st.log.len() > 0 {
+			tail := st.log.appendTo(make([]emission, 0, st.log.len()))
+			sortEmissions(tail)
+			shuffle.leftover = append(shuffle.leftover, tail)
 		}
 	}
 	if e.spill > 0 {
 		return shuffle, nil
 	}
 
-	// Merge the worker-local buckets into per-shard groups, one merge task
-	// per shard on its own goroutine — no shard is touched by two tasks, so
-	// the merge needs no locks. Range emissions expand here: the merge
-	// appends one shared string reference per covered key, stepping through
-	// the range with the shard stride so the per-shard work is proportional
-	// to the keys the shard owns. A first counting pass sizes every value
-	// list exactly, so one contiguous arena backs the whole shard instead of
-	// one growing allocation per key.
+	// Merge the workers' logs into per-shard groups, one merge task per
+	// shard on its own goroutine — no shard is touched by two tasks, so the
+	// merge needs no locks.
 	shuffle.shards = make([]map[int64][]string, nshards)
 	mergeStart := jobLane.Begin()
 	var mergeWG sync.WaitGroup
@@ -748,44 +794,7 @@ func (e *Engine) mapPhase(job Job, m *Metrics, stream <-chan []taggedRecord, job
 		mergeWG.Add(1)
 		go func(p int) {
 			defer mergeWG.Done()
-			counts := make(map[int64]int)
-			total := 0
-			for _, st := range states {
-				if st == nil {
-					continue
-				}
-				for k, vs := range st.local[p] {
-					counts[k] += len(vs)
-					total += len(vs)
-				}
-				for _, r := range st.ranges {
-					for k := rangeShardStart(r.lo, p, nshards); k <= r.hi; k += int64(nshards) {
-						counts[k]++
-						total++
-					}
-				}
-			}
-			shard := make(map[int64][]string, len(counts))
-			arena := make([]string, total)
-			off := 0
-			for k, n := range counts {
-				shard[k] = arena[off : off : off+n]
-				off += n
-			}
-			for _, st := range states {
-				if st == nil {
-					continue
-				}
-				for k, vs := range st.local[p] {
-					shard[k] = append(shard[k], vs...)
-				}
-				for _, r := range st.ranges {
-					for k := rangeShardStart(r.lo, p, nshards); k <= r.hi; k += int64(nshards) {
-						shard[k] = append(shard[k], r.value)
-					}
-				}
-			}
-			shuffle.shards[p] = shard
+			shuffle.shards[p] = mergeShard(states, p)
 		}(p)
 	}
 	mergeWG.Wait()
@@ -799,6 +808,66 @@ func (e *Engine) mapPhase(job Job, m *Metrics, stream <-chan []taggedRecord, job
 		}
 	}
 	return shuffle, nil
+}
+
+// mergeShard builds the value lists of shard p as a counting sort of the
+// workers' logs: the counts kept at fold time size one arena for the whole
+// shard and give every key its stretch of it, then one pass over the logs
+// writes each value at its key's cursor — nothing is appended and no list
+// grows. A range emission is expanded here, one shared string per covered
+// key, stepping through the range with the shard stride so that the work is
+// proportional to the keys the shard owns.
+func mergeShard(states []*mapWorker, p int) map[int64][]string {
+	nshards := len(states)
+	// slot numbers the shard's keys; next[slot] is where the key's next value
+	// goes — first its count, then, summed up, its cursor into the arena.
+	most := len(states[0].counts[p])
+	slot := make(map[int64]int, most)
+	keys, next := make([]int64, 0, most), make([]int, 0, most)
+	total := 0
+	for _, st := range states {
+		for k, n := range st.counts[p] {
+			i, ok := slot[k]
+			if !ok {
+				i = len(keys)
+				slot[k] = i
+				keys, next = append(keys, k), append(next, 0)
+			}
+			next[i] += n
+			total += n
+		}
+	}
+	arena := make([]string, total)
+	shard := make(map[int64][]string, len(keys))
+	off := 0
+	for i, k := range keys {
+		n := next[i]
+		shard[k] = arena[off : off+n : off+n]
+		next[i] = off
+		off += n
+	}
+	place := func(ems []emission) {
+		for i := range ems {
+			em := &ems[i]
+			if !em.isRange() {
+				if shardOf(em.lo, nshards) == p {
+					c := &next[slot[em.lo]]
+					arena[*c] = em.value
+					*c++
+				}
+				continue
+			}
+			for k := rangeShardStart(em.lo, p, nshards); k <= em.hi; k += int64(nshards) {
+				c := &next[slot[k]]
+				arena[*c] = em.value
+				*c++
+			}
+		}
+	}
+	for _, st := range states {
+		st.log.since(logMark{}, place)
+	}
+	return shard
 }
 
 // feedFile streams one input file into map batches.
@@ -835,14 +904,13 @@ func (e *Engine) feedFile(job Job, in Input, work chan<- mapTask, records *atomi
 	return nil
 }
 
-// runMapAttempt executes one map task attempt, buffering its emissions.
-func (e *Engine) runMapAttempt(job Job, in mapTask, task, attempt int, buf *[]emission) error {
+// runMapAttempt executes one map task attempt, its emissions going to emit.
+func (e *Engine) runMapAttempt(job Job, in mapTask, task, attempt int, emit Emitter) error {
 	if e.inject != nil {
 		if err := e.inject(PhaseMap, task, attempt); err != nil {
 			return err
 		}
 	}
-	emit := Emitter{buf: buf}
 	for _, tr := range in.records {
 		if err := job.Map(tr.tag, tr.record, emit); err != nil {
 			return err
@@ -987,6 +1055,11 @@ func (e *Engine) runReduceTask(job Job, task int, key int64, values []string, m 
 				return job.ReduceRows(key, values, &res.rows)
 			}
 			return job.Reduce(key, values, func(record string) error {
+				if res.output == nil {
+					// Most record-writing reducers write about what they
+					// received: a record per tuple they are home to.
+					res.output = make([]string, 0, len(values))
+				}
 				res.output = append(res.output, record)
 				return nil
 			})

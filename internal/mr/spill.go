@@ -127,16 +127,21 @@ func parseSpillKey(digits, rec string) (int64, error) {
 	return v, nil
 }
 
-// spillRun writes emissions (sorted by lo, then hi) as one run file. Spilled
-// keys must be non-negative (every algorithm in this module uses partition /
-// grid-cell ids, which are).
-func spillRun(store dfs.Store, name string, ems []emission) error {
+// sortEmissions orders a run: by lo, then hi.
+func sortEmissions(ems []emission) {
 	slices.SortFunc(ems, func(a, b emission) int {
 		if c := cmp.Compare(a.lo, b.lo); c != 0 {
 			return c
 		}
 		return cmp.Compare(a.hi, b.hi)
 	})
+}
+
+// spillRun writes emissions (sorted by lo, then hi) as one run file. Spilled
+// keys must be non-negative (every algorithm in this module uses partition /
+// grid-cell ids, which are).
+func spillRun(store dfs.Store, name string, ems []emission) error {
+	sortEmissions(ems)
 	w, err := store.Create(name)
 	if err != nil {
 		return err

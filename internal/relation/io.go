@@ -2,6 +2,7 @@ package relation
 
 import (
 	"bufio"
+	"bytes"
 	"fmt"
 	"io"
 	"os"
@@ -26,8 +27,13 @@ import (
 // ReadText parses a relation matching the schema from r. All intervals land
 // in one slab that the tuples' Attrs alias.
 func ReadText(schema Schema, r io.Reader) (*Relation, error) {
+	return readText(schema, r, nil)
+}
+
+// readText is ReadText appending to slab, which is empty: a caller that
+// knows how many lines are coming passes the capacity for them.
+func readText(schema Schema, r io.Reader, slab []interval.Interval) (*Relation, error) {
 	arity := schema.Arity()
-	var slab []interval.Interval
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 1<<16), 1<<24)
 	lineNo := 0
@@ -185,14 +191,16 @@ func WriteText(rel *Relation, w io.Writer) error {
 	return bw.Flush()
 }
 
-// LoadFile reads a relation from a text file.
+// LoadFile reads a relation from a text file. The file is read whole and its
+// lines counted first, so the slab is made once at its final size — an
+// over-estimate where the file holds comments or blank lines.
 func LoadFile(schema Schema, path string) (*Relation, error) {
-	f, err := os.Open(path)
+	data, err := os.ReadFile(path)
 	if err != nil {
 		return nil, err
 	}
-	defer f.Close()
-	rel, err := ReadText(schema, f)
+	lines := bytes.Count(data, []byte{'\n'}) + 1
+	rel, err := readText(schema, bytes.NewReader(data), make([]interval.Interval, 0, lines*schema.Arity()))
 	if err != nil {
 		return nil, fmt.Errorf("%s: %w", path, err)
 	}

@@ -1,7 +1,9 @@
 package relation
 
 import (
+	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 
@@ -119,5 +121,82 @@ func TestTextRoundTripFile(t *testing.T) {
 func TestLoadFileMissing(t *testing.T) {
 	if _, err := LoadFile(NewSchema("R"), "/nonexistent/file.txt"); err == nil {
 		t.Fatal("missing file loaded")
+	}
+}
+
+// TestLoadFileMatchesReadText: LoadFile sizes its slab from a count of the
+// file's newlines, an over-estimate wherever a line holds no tuple. Whatever
+// the text — the fixtures of the tests above, plus the endings a line count
+// could get wrong — it loads exactly as ReadText parses it, or fails where
+// ReadText fails.
+func TestLoadFileMatchesReadText(t *testing.T) {
+	one, two := NewSchema("R"), NewSchema("R", "x", "y")
+	cases := []struct {
+		name   string
+		schema Schema
+		text   string
+	}{
+		{"comments and blanks", one, "\n# header comment\n0,5\n12,85\n\n100,100\n"},
+		{"multi attribute", two, "100,120|0,4\n5,6|7,8\n"},
+		{"timestamps", one, "2024-03-01T09:00:00Z,2024-03-01T10:30:00Z\n2024-03-01 09:00:00,2024-03-01 10:30:00\n2024-03-01,2024-03-02\n"},
+		{"no final newline", one, "1,2\n3,4"},
+		{"crlf", one, "1,2\r\n3,4\r\n"},
+		{"padded", two, " 1,2 | 3,4 \n"},
+		{"only comments", one, "# a\n# b\n"},
+		{"empty", one, ""},
+		{"too many attributes", one, "1,2|3,4"},
+		{"too few attributes", two, "0,1|2,3\n1,2\n"},
+		{"not a number", one, "a,b"},
+		{"inverted", one, "5,1"},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			path := filepath.Join(t.TempDir(), "rel.txt")
+			if err := os.WriteFile(path, []byte(tc.text), 0o644); err != nil {
+				t.Fatal(err)
+			}
+			want, wantErr := ReadText(tc.schema, strings.NewReader(tc.text))
+			got, err := LoadFile(tc.schema, path)
+			if (err == nil) != (wantErr == nil) {
+				t.Fatalf("LoadFile error %v, ReadText error %v", err, wantErr)
+			}
+			if err != nil {
+				if !strings.Contains(err.Error(), path) {
+					t.Fatalf("error does not name the file: %v", err)
+				}
+				return
+			}
+			if got.Len() != want.Len() {
+				t.Fatalf("%d tuples, ReadText parses %d", got.Len(), want.Len())
+			}
+			for i, w := range want.Tuples {
+				if g := got.Tuples[i]; g.ID != w.ID || !slices.Equal(g.Attrs, w.Attrs) {
+					t.Fatalf("tuple %d = %v, ReadText parses %v", i, g, w)
+				}
+			}
+		})
+	}
+}
+
+// TestLoadFileAllocs: the allocations of a load do not grow with the file —
+// the slab is made once, not regrown as lines arrive.
+func TestLoadFileAllocs(t *testing.T) {
+	allocs := func(n int) float64 {
+		rel := New(NewSchema("R"))
+		for i := 0; i < n; i++ {
+			rel.Append(interval.New(int64(i), int64(i+10)))
+		}
+		path := filepath.Join(t.TempDir(), "rel.txt")
+		if err := SaveFile(rel, path); err != nil {
+			t.Fatal(err)
+		}
+		return testing.AllocsPerRun(5, func() {
+			if back, err := LoadFile(rel.Schema, path); err != nil || back.Len() != n {
+				t.Fatalf("load: %d tuples, %v", back.Len(), err)
+			}
+		})
+	}
+	if small, large := allocs(100), allocs(20_000); large > small {
+		t.Fatalf("loading 20000 lines allocates %.0f objects, 100 lines %.0f", large, small)
 	}
 }

@@ -7,9 +7,11 @@
 #   2. ijlint        — the engine's ten domain-specific analyzers
 #                      (docs/LINTS.md; `ijlint -list` names them)
 #   3. go build      — the whole module compiles
-#   4. obs smoke     — disabled-tracer and disabled-telemetry zero-cost
-#                      contracts (nil tracer/registry = nil check + zero
-#                      allocs; docs/OBSERVABILITY.md)
+#   4. alloc smoke   — the contracts a count of objects pins, by name:
+#                      disabled tracer and disabled telemetry cost nothing
+#                      (nil tracer/registry = nil check + zero allocs;
+#                      docs/OBSERVABILITY.md), and the shuffle and the RCCIS
+#                      op allocate nothing per pair or per tuple
 #   5. go test -race — full suite (unit, integration, property, oracle
 #                      cross-validation) under the race detector; the MR
 #                      engine is deliberately concurrent, so -race is part
@@ -51,7 +53,7 @@ go run ./cmd/ijlint -time -json artifacts/lint.json ./...
 echo "== go build =="
 go build ./...
 
-echo "== disabled-tracer overhead smoke =="
+echo "== allocation smoke =="
 # The obs layer's contract is that a nil tracer costs a nil check and
 # zero allocations on every instrumentation point (docs/OBSERVABILITY.md);
 # TestDisabledTracerZeroCost pins that with testing.AllocsPerRun, and
@@ -60,6 +62,13 @@ echo "== disabled-tracer overhead smoke =="
 # unambiguous message before the full -race suite.
 go test -run 'TestDisabledTracer' ./internal/obs/
 go test -run 'TestLiveDisabledZeroCost' ./internal/obs/live/
+# The same idiom pins what is between map and reduce: a job's objects do not
+# follow its emissions (pages are recycled, value lists placed, never grown),
+# and a two-cycle RCCIS run's do not follow its tuples (every record is a
+# view of some slab). A per-pair allocation creeping back fails here, with
+# the count, before anything slower runs.
+go test -run 'TestShuffleAllocsDoNotFollowEmissions' ./internal/mr/
+go test -run 'TestRCCISOpAllocs' ./internal/core/
 
 echo "== go test -race =="
 go test -race ./...
