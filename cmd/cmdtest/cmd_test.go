@@ -3,6 +3,7 @@
 package cmdtest
 
 import (
+	"encoding/json"
 	"os"
 	"os/exec"
 	"path/filepath"
@@ -115,6 +116,56 @@ func TestIjoinFSTCAllSequenceHybrid(t *testing.T) {
 	}
 	if !slices.Equal(got, want) {
 		t.Fatalf("fstc wrote %d rows, reference %d, or the rows differ", len(got), len(want))
+	}
+}
+
+// TestIjoinPlannerBroadcastsSmallRelation: with no -algorithm, a hybrid
+// query whose R3 is tiny runs with R3 joined whole in every reducer instead
+// of on a grid dimension of its own. The rows are the named
+// All-Seq-Matrix's, and only the planner's metrics.json names R3 in its
+// plan, with both sides of the rule that took it out.
+func TestIjoinPlannerBroadcastsSmallRelation(t *testing.T) {
+	dir := t.TempDir()
+	args := []string{"-query", "R1 overlaps R2 and R2 before R3"}
+	for i, n := range []string{"300", "300", "5"} {
+		name := "R" + strconv.Itoa(i+1)
+		f := filepath.Join(dir, name+".txt")
+		mustRun(t, "genintervals", "-n", n, "-tmax", "3000", "-imax", "40", "-seed", strconv.Itoa(i+1), "-o", f)
+		args = append(args, "-rel", name+"="+f)
+	}
+	type plan struct {
+		Broadcast []struct {
+			Relation    string `json:"relation"`
+			ShipPairs   int64  `json:"ship_pairs"`
+			OtherTuples int64  `json:"other_tuples"`
+		} `json:"broadcast"`
+	}
+	var plans [2]*plan
+	var rows [2][]string
+	for i, extra := range [][]string{nil, {"-algorithm", "all-seq-matrix"}} {
+		metrics := filepath.Join(dir, "metrics"+strconv.Itoa(i)+".json")
+		rows[i] = nonEmptyLines(mustRun(t, "ijoin", append(append(slices.Clip(args), "-metrics", metrics), extra...)...))
+		raw, err := os.ReadFile(metrics)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var report struct {
+			Plan *plan `json:"plan"`
+		}
+		if err := json.Unmarshal(raw, &report); err != nil {
+			t.Fatal(err)
+		}
+		plans[i] = report.Plan
+	}
+	if len(rows[0]) == 0 || !slices.Equal(rows[0], rows[1]) {
+		t.Fatalf("the planner printed %d rows, all-seq-matrix %d, or the rows differ", len(rows[0]), len(rows[1]))
+	}
+	if p := plans[0]; p == nil || len(p.Broadcast) != 1 || p.Broadcast[0].Relation != "R3" ||
+		p.Broadcast[0].ShipPairs > p.Broadcast[0].OtherTuples {
+		t.Errorf("the planner's metrics.json plan = %+v, want R3 broadcast within its rule", p)
+	}
+	if plans[1] != nil {
+		t.Errorf("-algorithm all-seq-matrix reports a plan: %+v", plans[1])
 	}
 }
 

@@ -28,6 +28,9 @@ type AllMatrix struct {
 	// deduplicated by designating the cell that matches every tuple's
 	// start partition.
 	BroadcastAllCells bool
+	// broadcast lets the grid lose the dimensions of small relations
+	// (broadcastSmall); only Plan sets it.
+	broadcast bool
 }
 
 // Name implements Algorithm.
@@ -51,7 +54,7 @@ func (a AllMatrix) Run(ctx *Context) (*Result, error) {
 
 func (a AllMatrix) stages(ctx *Context, env *chainEnv) ([]mr.Stage, *execPlan, error) {
 	m := len(ctx.Rels)
-	part, _, err := ctx.boundaries(env.opts.PartitionsPerDim)
+	part, source, err := ctx.boundaries(env.opts.PartitionsPerDim)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -67,7 +70,7 @@ func (a AllMatrix) stages(ctx *Context, env *chainEnv) ([]mr.Stage, *execPlan, e
 			cons = append(cons, grid.Less{A: p[0], B: p[1]})
 		}
 	}
-	sp, err := ctx.product(dims, cons)
+	sp, err := ctx.plannedProduct(env, a.broadcast, source, dims, cons)
 	if err != nil {
 		return nil, nil, err
 	}

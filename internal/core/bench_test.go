@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 
@@ -90,7 +91,7 @@ func benchReduceKernel(b *testing.B, n int) {
 	b.ResetTimer()
 	count := 0
 	for i := 0; i < b.N; i++ {
-		if err := e.runTagged(values, lvl, func([]relation.Tuple) error { count++; return nil }); err != nil {
+		if err := e.runTagged(values, lvl, nil, func([]relation.Tuple) error { count++; return nil }); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -279,6 +280,51 @@ func BenchmarkShuffleAllMatrix(b *testing.B) { benchShuffleAlg(b, AllMatrix{}) }
 
 func BenchmarkChainRCCISPipelined(b *testing.B) { benchChainAlg(b, RCCIS{}) }
 func BenchmarkChainPASMPipelined(b *testing.B)  { benchChainAlg(b, PASM{}) }
+
+// BenchmarkBroadcast checks broadcastSmall's rule against the clock: the
+// batch-matrix recipe (R1 overlaps R2 and R2 before R3, 3 100 tuples in R1
+// and R2) with R3 growing, through the planner and through the named
+// All-Seq-Matrix. At the default 6 partitions per dimension the rule takes
+// R3 out while 6·|R3| ≤ |R1| + |R2| = 6 200, i.e. up to |R3| = 1 033; at
+// 1 100 both sub-benchmarks run the same plan. broadcast/op is how many
+// relations the run took out, pairs/op what it counts as shipped.
+func BenchmarkBroadcast(b *testing.B) {
+	q := query.MustParse("R1 overlaps R2 and R2 before R3")
+	for _, n := range []int{15, 60, 240, 600, 1100} {
+		rng := rand.New(rand.NewSource(1))
+		rels := []*relation.Relation{
+			randomRelation(rng, "R1", 3100, 200_000, 120),
+			randomRelation(rng, "R2", 3100, 200_000, 120),
+			randomRelation(rng, "R3", n, 200_000, 120),
+		}
+		for _, arm := range []struct {
+			name string
+			alg  Algorithm
+		}{{"planner", Plan(q, false)}, {"all-seq-matrix", SeqMatrix{}}} {
+			b.Run(fmt.Sprintf("R3=%d/%s", n, arm.name), func(b *testing.B) {
+				engine := mr.NewEngine(mr.Config{Store: dfs.NewMem()})
+				var res *Result
+				b.ReportAllocs()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					ctx, err := NewContext(engine, q, rels, Options{})
+					if err == nil {
+						res, err = arm.alg.Run(ctx)
+					}
+					if err != nil {
+						b.Fatal(err)
+					}
+				}
+				var taken int
+				if res.Metrics.Plan != nil {
+					taken = len(res.Metrics.Plan.Broadcast)
+				}
+				b.ReportMetric(float64(taken), "broadcast/op")
+				b.ReportMetric(float64(res.Metrics.IntermediatePairs), "pairs/op")
+			})
+		}
+	}
+}
 
 // benchSetRows orders n rows of w ids below limit, the dev-loop number for
 // Result.setRows. The rows arrive as a join's do: in short stretches that

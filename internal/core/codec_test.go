@@ -10,6 +10,7 @@ import (
 	"testing/quick"
 
 	"intervaljoin/internal/dfs"
+	"intervaljoin/internal/grid"
 	"intervaljoin/internal/interval"
 	"intervaljoin/internal/mr"
 	"intervaljoin/internal/query"
@@ -238,6 +239,66 @@ func TestRecordPathAllocs(t *testing.T) {
 	}
 	if perRecord != 0 {
 		t.Errorf("baseMap allocates %v times per record", perRecord)
+	}
+}
+
+// TestProductRouteAllocs pins what the grid walk is for: routing a record
+// into a product space — the cells within its bounds walked under the
+// space's constraints, each run of them one range emission — allocates
+// nothing, on a 3-D sequence grid with Less constraints (a projected and a
+// replicated vertex) and on the 1-D residual a broadcast leaves.
+func TestProductRouteAllocs(t *testing.T) {
+	engine := mr.NewEngine(mr.Config{Store: dfs.NewMem(), Workers: 1})
+	q := query.MustParse("R1 before R2 and R2 before R3")
+	rels := make([]*relation.Relation, 3)
+	for i, name := range []string{"R1", "R2", "R3"} {
+		rels[i] = relation.FromIntervals(name, []interval.Interval{{Start: 10, End: 30}, {Start: 55, End: 60}})
+	}
+	ctx, err := NewContext(engine, q, rels, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	part := interval.NewUniform(0, 100, 6)
+	dims := make([]dimension, 3)
+	for k := range dims {
+		dims[k] = dimension{part: part, verts: firstAttrs([]int{k})}
+	}
+	for _, tc := range []struct {
+		name string
+		dims []dimension
+		cons []grid.Less
+		rel  int
+		op   interval.Op
+	}{
+		{"3-D project", dims, []grid.Less{{A: 0, B: 1}, {A: 1, B: 2}}, 1, interval.OpProject},
+		{"3-D replicate", dims, []grid.Less{{A: 0, B: 1}, {A: 1, B: 2}}, 1, interval.OpReplicate},
+		{"1-D residual", dims[:1], nil, 0, interval.OpProject},
+	} {
+		sp, err := ctx.product(tc.dims, tc.cons)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ops, tu, value := []interval.Op{tc.op}, rels[tc.rel].Tuples[0], ctx.tagged(tc.rel, 0)
+		perRecord, emitted := -1.0, 0
+		job := mr.Job{
+			Name:   "route-allocs",
+			Inputs: []mr.Input{{Tag: 0, Count: 1}},
+			MapAt: func(_, _ int, emit mr.Emitter) error {
+				sp.route(emit, tc.rel, tu, ops, 0, value)
+				perRecord = testing.AllocsPerRun(1000, func() { sp.route(emit, tc.rel, tu, ops, 0, value) })
+				return nil
+			},
+			Reduce: func(int64, []string, func(string) error) error { emitted++; return nil },
+		}
+		if _, err := engine.Run(job); err != nil {
+			t.Fatal(err)
+		}
+		if emitted == 0 {
+			t.Fatalf("%s: the record reached no cell; the pin measures nothing", tc.name)
+		}
+		if perRecord != 0 {
+			t.Errorf("%s: routing a record allocates %v times", tc.name, perRecord)
+		}
 	}
 }
 

@@ -58,12 +58,19 @@ type space struct {
 	dims    []dimension
 	product bool
 	g       grid.Grid
-	cons    []grid.Less
-	stride  int64
-	plan    *execPlan
+	// cells are the product's consistent cells, walked per record; free is
+	// the grid's unconstrained bounds, the start of every record's.
+	cells  grid.Cells
+	free   []grid.Bound
+	stride int64
+	plan   *execPlan
 	// at[rel] lists where the relation's vertices lie, by (dimension,
 	// attribute) — the order of the flags in a flag-vector record.
 	at [][]vertexAt
+	// whole lists, in index order, the relations a product's reducers each
+	// hold entire instead of receiving them along a dimension (planner.go,
+	// broadcastSmall): they have no vertex in the space and are never mapped.
+	whole []int
 }
 
 func (c *Context) newSpace(dims []dimension) *space {
@@ -88,17 +95,22 @@ func (c *Context) union(plan *execPlan, dims ...dimension) *space {
 // product spans the grid of the dimensions' partitions; only cells
 // satisfying cons ever receive data.
 func (c *Context) product(dims []dimension, cons []grid.Less) (*space, error) {
-	sizes := make([]int, len(dims))
-	for k, d := range dims {
-		sizes[k] = d.part.Len()
-	}
-	g, err := grid.New(sizes)
+	g, err := gridOf(dims)
 	if err != nil {
 		return nil, err
 	}
 	sp := c.newSpace(dims)
-	sp.product, sp.g, sp.cons = true, g, cons
+	sp.product, sp.g, sp.cells, sp.free = true, g, g.Cells(cons), g.FreeBounds()
 	return sp, nil
+}
+
+// gridOf is the grid of the dimensions' partitions.
+func gridOf(dims []dimension) (grid.Grid, error) {
+	sizes := make([]int, len(dims))
+	for k, d := range dims {
+		sizes[k] = d.part.Len()
+	}
+	return grid.New(sizes)
 }
 
 // relInput is relation ri as a map input: the positions of its tuples in
@@ -127,14 +139,17 @@ func (c *Context) baseInputs(sp *space) []mr.Input {
 // the adaptive plan's cell cover.
 func (sp *space) route(emit mr.Emitter, rel int, t relation.Tuple, ops []interval.Op, stream int, value string) {
 	if sp.product {
-		bounds := sp.g.FreeBounds()
+		// The bounds live on the stack for every grid a driver builds, and
+		// the walk allocates nothing: routing a record costs no object.
+		var room [8]grid.Bound
+		bounds := append(room[:0], sp.free...)
 		if ops != nil {
 			for i, v := range sp.at[rel] {
 				first, last := sp.dims[v.dim].part.Apply(ops[i], t.Attrs[v.attr])
 				bounds[v.dim] = grid.Bound{Min: first, Max: last}
 			}
 		}
-		sp.g.EnumerateRuns(bounds, sp.cons, func(lo, hi int64) { emit.EmitRange(lo, hi, value) })
+		sp.cells.Runs(bounds, func(lo, hi int64) { emit.EmitRange(lo, hi, value) })
 		return
 	}
 	for i, v := range sp.at[rel] {
@@ -371,8 +386,8 @@ func setJoin(job *mr.Job, output string, join joinFunc) {
 
 // cellJoin describes a cell-join cycle: records are routed into the space,
 // each reducer enumerates the satisfying assignments among the tuples it
-// received — every query condition among the relations on its dimensions,
-// relations bound in index order — and emits them.
+// received and the relations the space has it hold whole — every query
+// condition among those relations, bound in index order — and emits them.
 type cellJoin struct {
 	name string
 	sp   *space
@@ -394,11 +409,15 @@ func (cj cellJoin) job(c *Context) mr.Job {
 	sp := cj.sp
 	// One shared enumerator per join unit — the whole product, or each line
 	// of a union: the plans are static and per-run state is pooled inside.
+	// A relation the product's reducers hold whole is one more level of the
+	// product's unit, in index order like the rest, its candidates the
+	// relation itself.
 	type unit struct {
-		e    *enumerator
-		dims []dimension
-		rels []int
-		lvl  []int
+		e     *enumerator
+		dims  []dimension
+		rels  []int
+		lvl   []int
+		whole [][]relation.Tuple
 	}
 	units := make([]unit, len(sp.dims))
 	if sp.product {
@@ -411,9 +430,15 @@ func (cj cellJoin) job(c *Context) mr.Job {
 		}
 		for rel, at := range sp.at {
 			u.lvl[rel] = -1
-			if slices.ContainsFunc(at, func(v vertexAt) bool { return sp.product || v.dim == k }) {
+			if slices.ContainsFunc(at, func(v vertexAt) bool { return sp.product || v.dim == k }) || slices.Contains(sp.whole, rel) {
 				u.lvl[rel] = len(u.rels)
 				u.rels = append(u.rels, rel)
+			}
+		}
+		if len(sp.whole) > 0 {
+			u.whole = make([][]relation.Tuple, len(u.rels))
+			for _, rel := range sp.whole {
+				u.whole[u.lvl[rel]] = c.Rels[rel].Tuples
 			}
 		}
 		u.e = newEnumerator(c.Query.Conds, u.rels).withTracer(c.Engine.Tracer())
@@ -429,7 +454,7 @@ func (cj cellJoin) job(c *Context) mr.Job {
 	setJoin(&job, cj.output, func(key int64, values []string, emit func([]int, []relation.Tuple) error) error {
 		k, coord := sp.locate(key)
 		u := &units[k]
-		return u.e.runTagged(values, u.lvl, func(asg []relation.Tuple) error {
+		return u.e.runTagged(values, u.lvl, u.whole, func(asg []relation.Tuple) error {
 			if cj.owner {
 				for i := range u.dims {
 					if u.dims[i].owner(asg, u.lvl) != coord[i] {

@@ -24,6 +24,9 @@ type chainEnv struct {
 	// res is the run's result. Stage Taps report ReplicatedIntervals and
 	// PrunedIntervals into it while the chain executes.
 	res *Result
+	// whole lists the relations the reducers of the chain's last stage each
+	// hold entire rather than receive through the shuffle (plannedProduct).
+	whole []int
 }
 
 // stageBuilder is a driver's half of a run: the chain of stages, plus the
@@ -53,7 +56,8 @@ func (c *Context) runStages(alg string, build stageBuilder) (*Result, error) {
 		// runs and nothing is written to the store.
 		return res, nil
 	}
-	stages, plan, err := build(c, &chainEnv{opts: opts, d: d, res: res})
+	env := &chainEnv{opts: opts, d: d, res: res}
+	stages, plan, err := build(c, env)
 	if err != nil {
 		return nil, err
 	}
@@ -87,6 +91,7 @@ func (c *Context) runStages(alg string, build stageBuilder) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
+	c.chargeWhole(perCycle[len(perCycle)-1], m, env.whole)
 	res.PerCycle = perCycle
 	agg.Merge(m)
 	agg.TrueWalls = m.TrueWalls
@@ -95,6 +100,35 @@ func (c *Context) runStages(alg string, build stageBuilder) (*Result, error) {
 	}
 	res.setRows(rows)
 	return res, nil
+}
+
+// chargeWhole counts relations a cycle's reducers held whole as a cluster
+// would ship them: every tuple to every reduce task that ran, one pair each,
+// into the cycle's metrics and into the chain's aggregate agg. A broadcast
+// has nothing to coalesce, so the logical and the physical counts grow
+// alike, and Σ ReducerPairs == IntermediatePairs still holds for both.
+func (c *Context) chargeWhole(cycle, agg *mr.Metrics, whole []int) {
+	var tuples, bytes int64
+	for _, rel := range whole {
+		r := c.Rels[rel]
+		tuples += int64(r.Len())
+		// A tagged record and its 8-byte key, as the engine counts a pair.
+		bytes += int64(r.Len()) * int64(memberLen(r.Schema.Arity())+8)
+	}
+	if tuples == 0 {
+		return
+	}
+	for k := range cycle.ReducerPairs {
+		cycle.ReducerPairs[k] += tuples
+		agg.ReducerPairs[k] += tuples
+	}
+	tasks := int64(len(cycle.ReducerPairs))
+	for _, m := range []*mr.Metrics{cycle, agg} {
+		m.IntermediatePairs += tasks * tuples
+		m.PhysicalPairs += tasks * tuples
+		m.IntermediateBytes += tasks * bytes
+		m.PhysicalBytes += tasks * bytes
+	}
 }
 
 // replicateFlagTap counts the replicate-flagged records leaving a mark

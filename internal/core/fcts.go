@@ -82,9 +82,10 @@ func (FCTS) sequenceJob(ctx *Context, sp *space, d *query.Decomposition) mr.Job 
 		}
 		ci := comp[pa.rels[0]]
 		q := sp.dims[ci].owner(asg, byRel)
-		bounds := sp.g.FreeBounds()
+		var room [8]grid.Bound
+		bounds := append(room[:0], sp.free...)
 		bounds[ci] = grid.Bound{Min: q, Max: q}
-		sp.g.EnumerateRuns(bounds, sp.cons, func(lo, hi int64) { emit.EmitRange(lo, hi, record) })
+		sp.cells.Runs(bounds, func(lo, hi int64) { emit.EmitRange(lo, hi, record) })
 		return nil
 	}
 

@@ -509,16 +509,28 @@ func (e *enumerator) run(cands [][]relation.Tuple, fn func(asg []relation.Tuple)
 // straight into the columnar layout, and enumerate. lvl maps a relation tag
 // to its binding level (-1 for tags the enumerator does not bind); tags
 // outside lvl are an error, as reducers only ever receive the relations
-// their job routed to them. An error from fn (a failed output write) stops
+// their job routed to them. whole, when set, holds per binding level the
+// tuples of a relation the reducer has entire rather than by value — a
+// relation the planner broadcast (broadcastSmall) — and those levels take
+// them as their candidates. An error from fn (a failed output write) stops
 // the enumeration and is returned.
-func (e *enumerator) runTagged(values []string, lvl []int, fn func(asg []relation.Tuple) error) error {
+func (e *enumerator) runTagged(values []string, lvl []int, whole [][]relation.Tuple, fn func(asg []relation.Tuple) error) error {
 	p := e.get()
 	defer e.put(p)
 	// Reserve the arena and the levels' lists from the size of the value
 	// list: one interval per tuple, an even share per level.
-	p.arena.Grow(len(values), len(values))
+	n := len(values)
+	for _, ts := range whole {
+		n += len(ts)
+	}
+	p.arena.Grow(n, n)
 	for i := range p.raw {
 		p.raw[i] = slices.Grow(p.raw[i], len(values)/len(p.raw)+1)
+	}
+	for i, ts := range whole {
+		for _, t := range ts {
+			p.addTuple(i, t)
+		}
 	}
 	for _, v := range values {
 		rel, body, err := splitTagged(v)

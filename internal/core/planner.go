@@ -1,6 +1,13 @@
 package core
 
-import "intervaljoin/internal/query"
+import (
+	"cmp"
+	"slices"
+
+	"intervaljoin/internal/grid"
+	"intervaljoin/internal/obs"
+	"intervaljoin/internal/query"
+)
 
 // kernelKind is the planner's dispatch choice for one binding level of the
 // reduce-side enumerator — which inner loop shape the level runs
@@ -66,6 +73,11 @@ func chooseKernel(lp levelPlan) kernelKind {
 // All-Seq-Matrix for hybrid queries (PASM when PreferPruning is set), and
 // Gen-Matrix for general multi-attribute queries. Two-relation
 // single-condition queries use the one-cycle 2-way strategy table directly.
+//
+// The All-Matrix and All-Seq-Matrix it returns are the planner's own: they
+// may join a small relation whole in every reducer instead of giving it a
+// grid dimension (broadcastSmall). The same algorithms by name — the zero
+// values Algorithms and the registry hand out — are the paper's and never do.
 func Plan(q *query.Query, preferPruning bool) Algorithm {
 	if len(q.Conds) == 1 && len(q.Relations) == 2 && q.Classify() != query.General {
 		return TwoWay{}
@@ -74,15 +86,134 @@ func Plan(q *query.Query, preferPruning bool) Algorithm {
 	case query.Colocation:
 		return RCCIS{}
 	case query.Sequence:
-		return AllMatrix{}
+		return AllMatrix{broadcast: true}
 	case query.Hybrid:
 		if preferPruning {
 			return PASM{}
 		}
-		return SeqMatrix{}
+		return SeqMatrix{broadcast: true}
 	default:
 		return GenMatrix{}
 	}
+}
+
+// plannedProduct builds a product driver's join space over dims under cons:
+// as given for the paper's algorithm, or, when the planner chose the driver
+// (broadcast), less the dimensions broadcastSmall takes out. A space that
+// lost dimensions is reported: the relations its reducers hold whole are the
+// chain's last stage's to price (chainEnv.whole), and the choice, with both
+// sides of its rule, is the run's plan.
+func (c *Context) plannedProduct(env *chainEnv, broadcast bool, source string, dims []dimension, cons []grid.Less) (*space, error) {
+	var whole []int
+	var taken []obs.Broadcast
+	if broadcast {
+		var err error
+		if dims, cons, whole, taken, err = c.broadcastSmall(dims, cons); err != nil {
+			return nil, err
+		}
+	}
+	sp, err := c.product(dims, cons)
+	if err != nil || len(whole) == 0 {
+		return sp, err
+	}
+	sp.whole, env.whole = whole, whole
+	env.res.Metrics.Plan = &obs.PlanInfo{
+		Partitions:      dims[0].part.Len(),
+		BoundarySource:  source,
+		VirtualReducers: int(sp.cells.Count()),
+		Broadcast:       taken,
+	}
+	return sp, nil
+}
+
+// broadcastSmall takes out of a product space the dimensions of relations
+// small enough to join whole in every reducer — the map-side join of
+// Przyjaciel-Zablocki et al. on the paper's own measure, pairs. A dimension
+// qualifies when one relation R makes it up alone (every vertex of R on it,
+// nothing else on it). Sending R to every cell costs |R| × c pairs, c the
+// consistent cells of the space without R's dimension; keeping the
+// dimension copies the other relations along R's axis, at least once each.
+// So R goes when |R| × c ≤ Σ_{S≠R} |S|. Candidates are tried smallest
+// first (then by index) while the rule holds, and one dimension always
+// stays.
+//
+// The owner rule then runs over the dimensions left: each assignment of
+// their relations still meets at exactly one reducer, and R is entire at
+// every reducer, so each output row is still written once. Constraints that
+// touched a dimension taken out go with it — that loses pruning, never rows
+// — and the rest are renumbered. It returns the dimensions and constraints
+// left, the relations taken in index order, and the choices in the order
+// they were made.
+func (c *Context) broadcastSmall(dims []dimension, cons []grid.Less) ([]dimension, []grid.Less, []int, []obs.Broadcast, error) {
+	total := 0
+	for _, r := range c.Rels {
+		total += r.Len()
+	}
+	type candidate struct{ dim, rel int }
+	var cands []candidate
+	for k, d := range dims {
+		rel := d.verts[0].Rel
+		alone := true
+		for j, e := range dims {
+			for _, v := range e.verts {
+				if (j == k) != (v.Rel == rel) {
+					alone = false
+				}
+			}
+		}
+		if alone {
+			cands = append(cands, candidate{k, rel})
+		}
+	}
+	slices.SortStableFunc(cands, func(a, b candidate) int {
+		return cmp.Or(cmp.Compare(c.Rels[a.rel].Len(), c.Rels[b.rel].Len()), cmp.Compare(a.rel, b.rel))
+	})
+	drop := make([]bool, len(dims))
+	var whole []int
+	var taken []obs.Broadcast
+	for _, cd := range cands {
+		if len(whole) == len(dims)-1 {
+			break
+		}
+		drop[cd.dim] = true
+		rest, restCons := residual(dims, cons, drop)
+		g, err := gridOf(rest)
+		if err != nil {
+			return nil, nil, nil, nil, err
+		}
+		n := c.Rels[cd.rel].Len()
+		ship, others := int64(n)*g.Cells(restCons).Count(), int64(total-n)
+		if ship > others {
+			drop[cd.dim] = false
+			break
+		}
+		whole = append(whole, cd.rel)
+		taken = append(taken, obs.Broadcast{Relation: c.Query.Relations[cd.rel].Name, ShipPairs: ship, OtherTuples: others})
+	}
+	slices.Sort(whole)
+	rest, restCons := residual(dims, cons, drop)
+	return rest, restCons, whole, taken, nil
+}
+
+// residual is dims without the dropped ones, and the constraints among the
+// dimensions left, renumbered.
+func residual(dims []dimension, cons []grid.Less, drop []bool) ([]dimension, []grid.Less) {
+	at := make([]int, len(dims))
+	var rest []dimension
+	for k, d := range dims {
+		at[k] = -1
+		if !drop[k] {
+			at[k] = len(rest)
+			rest = append(rest, d)
+		}
+	}
+	var restCons []grid.Less
+	for _, cn := range cons {
+		if at[cn.A] >= 0 && at[cn.B] >= 0 {
+			restCons = append(restCons, grid.Less{A: at[cn.A], B: at[cn.B]})
+		}
+	}
+	return rest, restCons
 }
 
 // Algorithms returns every distributed algorithm applicable to the query,

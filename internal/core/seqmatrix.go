@@ -26,7 +26,11 @@ import (
 // intervals; we therefore add the constraint only when a static analysis
 // proves every member of C_j must start before C_k's right-most member.
 // All the paper's example queries pass the analysis and keep full pruning.
-type SeqMatrix struct{}
+type SeqMatrix struct {
+	// broadcast lets the join space lose the dimensions of small
+	// single-relation components (broadcastSmall); only Plan sets it.
+	broadcast bool
+}
 
 // Name implements Algorithm.
 func (SeqMatrix) Name() string { return "all-seq-matrix" }
@@ -39,19 +43,20 @@ func (s SeqMatrix) Run(ctx *Context) (*Result, error) {
 	return ctx.runStages(s.Name(), s.stages)
 }
 
-func (SeqMatrix) stages(ctx *Context, env *chainEnv) ([]mr.Stage, *execPlan, error) {
-	part, _, err := ctx.boundaries(env.opts.PartitionsPerDim)
+func (s SeqMatrix) stages(ctx *Context, env *chainEnv) ([]mr.Stage, *execPlan, error) {
+	part, source, err := ctx.boundaries(env.opts.PartitionsPerDim)
 	if err != nil {
 		return nil, nil, err
 	}
-	dims := componentDims(env.d, part)
-	sp, err := ctx.product(dims, soundComponentLess(env.d))
+	sp, err := ctx.plannedProduct(env, s.broadcast, source, componentDims(env.d, part), soundComponentLess(env.d))
 	if err != nil {
 		return nil, nil, err
 	}
+	// Only the components left in the space are marked: a relation the
+	// reducers hold whole is neither marked nor shuffled.
 	join := cellJoin{name: "join", sp: sp, from: "marked", owner: true}
 	return []mr.Stage{
-		{Job: ctx.markJob(dims, false), Tap: replicateFlagTap(&env.res.ReplicatedIntervals)},
+		{Job: ctx.markJob(sp.dims, false), Tap: replicateFlagTap(&env.res.ReplicatedIntervals)},
 		{Job: join.job(ctx)},
 	}, nil, nil
 }

@@ -124,80 +124,140 @@ func Consistent(coord []int, cons []Less) bool {
 	return true
 }
 
+// Cells is a grid's set of cells consistent with some less constraints,
+// prepared for walking: each constraint is filed once, under the later of
+// its two dimensions, where it bounds that dimension's coordinate by an
+// earlier one — from below for c_A <= c_k, from above for c_k <= c_B. So,
+// given the coordinates before it, a dimension's consistent coordinates are
+// one interval, and the innermost dimension's are one run of consecutive
+// ids. A Cells is read-only and may be walked by many goroutines at once; a
+// walk over at most stackDims dimensions allocates nothing.
+type Cells struct {
+	g Grid
+	// cons[at[k]:at[k+1]] are the constraints whose later dimension is k.
+	cons []Less
+	at   []int
+}
+
+// stackDims is how many dimensions a walk keeps its coordinates for on the
+// stack; a larger grid's walk allocates them.
+const stackDims = 8
+
+// Cells prepares the cells consistent with cons for walking.
+func (g Grid) Cells(cons []Less) Cells {
+	n := len(g.dims)
+	c := Cells{g: g, at: make([]int, n+1)}
+	for k := 0; k < n; k++ {
+		c.at[k] = len(c.cons)
+		for _, cn := range cons {
+			if cn.A != cn.B && max(cn.A, cn.B) == k {
+				c.cons = append(c.cons, cn)
+			}
+		}
+	}
+	c.at[n] = len(c.cons)
+	return c
+}
+
+// span is dimension k's coordinate range within bounds (nil for none) that
+// is consistent with the coordinates of the dimensions before it. It is
+// empty when lo > hi.
+func (c *Cells) span(k int, bounds []Bound, coord []int) (lo, hi int) {
+	lo, hi = 0, c.g.dims[k]-1
+	if bounds != nil {
+		lo, hi = max(lo, bounds[k].Min), min(hi, bounds[k].Max)
+	}
+	for _, cn := range c.cons[c.at[k]:c.at[k+1]] {
+		if cn.B == k {
+			lo = max(lo, coord[cn.A])
+		} else {
+			hi = min(hi, coord[cn.B])
+		}
+	}
+	return lo, hi
+}
+
+// Runs calls fn with every maximal run [lo, hi] of consecutive cell ids
+// whose cells lie within bounds and are consistent; bounds may be nil for
+// the whole grid. The walk visits cells in lexicographic coordinate order,
+// which is increasing id order, one innermost range at a time, and joins
+// ranges that touch: whenever the innermost dimension is free, a whole row
+// is one run. Feeding the runs to mr.Emitter.EmitRange turns a per-cell
+// broadcast into an emit-once range record.
+func (c Cells) Runs(bounds []Bound, fn func(lo, hi int64)) {
+	n := len(c.g.dims)
+	if bounds != nil && len(bounds) != n {
+		panic(fmt.Sprintf("grid: %d bounds for %d dimensions", len(bounds), n))
+	}
+	var buf [2 * stackDims]int
+	state := buf[:]
+	if n > stackDims {
+		state = make([]int, 2*n)
+	}
+	// coord[k] is dimension k's current coordinate and last[k] the end of
+	// its consistent range.
+	coord, last := state[:n], state[n:2*n]
+	// hi starts below lo-1 so the first range can never extend the sentinel.
+	runLo, runHi := int64(-1), int64(-2)
+	k := 0
+	coord[0], last[0] = c.span(0, bounds, coord)
+	for k >= 0 {
+		switch {
+		case coord[k] > last[k]:
+			// Dimension k is done: advance the one before it.
+			if k--; k >= 0 {
+				coord[k]++
+			}
+		case k < n-1:
+			k++
+			coord[k], last[k] = c.span(k, bounds, coord)
+		default:
+			// The innermost stride is 1: the range is a run of ids.
+			var base int64
+			for j := 0; j < k; j++ {
+				base += int64(coord[j]) * c.g.strides[j]
+			}
+			lo, hi := base+int64(coord[k]), base+int64(last[k])
+			if lo == runHi+1 {
+				runHi = hi
+			} else {
+				if runHi >= runLo {
+					fn(runLo, runHi)
+				}
+				runLo, runHi = lo, hi
+			}
+			coord[k] = last[k] + 1
+		}
+	}
+	if runHi >= runLo {
+		fn(runLo, runHi)
+	}
+}
+
+// Count returns the number of cells.
+func (c Cells) Count() int64 {
+	var n int64
+	c.Runs(nil, func(lo, hi int64) { n += hi - lo + 1 })
+	return n
+}
+
 // Enumerate calls fn with every cell whose coordinates lie within bounds and
 // satisfy all less constraints. The coordinate slice passed to fn is reused;
 // fn must not retain it. bounds may be nil for the full grid.
 func (g Grid) Enumerate(bounds []Bound, cons []Less, fn func(id int64, coord []int)) {
-	if bounds == nil {
-		bounds = g.FreeBounds()
-	}
-	if len(bounds) != len(g.dims) {
-		panic(fmt.Sprintf("grid: %d bounds for %d dimensions", len(bounds), len(g.dims)))
-	}
-	// Group constraints by the later of their two dimensions so each is
-	// checked as soon as both coordinates are fixed.
-	checkAt := make([][]Less, len(g.dims))
-	for _, c := range cons {
-		later := c.A
-		if c.B > later {
-			later = c.B
-		}
-		checkAt[later] = append(checkAt[later], c)
-	}
 	coord := make([]int, len(g.dims))
-	var rec func(k int)
-	rec = func(k int) {
-		if k == len(g.dims) {
-			fn(g.ID(coord), coord)
-			return
+	g.Cells(cons).Runs(bounds, func(lo, hi int64) {
+		for id := lo; id <= hi; id++ {
+			fn(id, g.Coord(id, coord))
 		}
-		lo, hi := bounds[k].Min, bounds[k].Max
-		if lo < 0 {
-			lo = 0
-		}
-		if hi > g.dims[k]-1 {
-			hi = g.dims[k] - 1
-		}
-		for c := lo; c <= hi; c++ {
-			coord[k] = c
-			ok := true
-			for _, cn := range checkAt[k] {
-				if coord[cn.A] > coord[cn.B] {
-					ok = false
-					break
-				}
-			}
-			if ok {
-				rec(k + 1)
-			}
-		}
-	}
-	rec(0)
+	})
 }
 
 // EnumerateRuns calls fn with every maximal run [lo, hi] of consecutive
-// cell ids whose cells lie within bounds and satisfy all less constraints.
-// Enumerate visits cells in lexicographic coordinate order, which is
-// strictly increasing id order, so coalescing adjacent ids loses nothing:
-// whenever the innermost dimension is free, a whole row collapses to one
-// run. Feeding the runs to mr.Emitter.EmitRange turns a per-cell broadcast
-// into an emit-once range record.
+// cell ids whose cells lie within bounds and satisfy all less constraints
+// (Cells.Runs, for a one-off walk).
 func (g Grid) EnumerateRuns(bounds []Bound, cons []Less, fn func(lo, hi int64)) {
-	// hi starts below lo-1 so the first cell can never extend the sentinel.
-	lo, hi := int64(-1), int64(-2)
-	g.Enumerate(bounds, cons, func(id int64, _ []int) {
-		if id == hi+1 {
-			hi = id
-			return
-		}
-		if hi >= lo {
-			fn(lo, hi)
-		}
-		lo, hi = id, id
-	})
-	if hi >= lo {
-		fn(lo, hi)
-	}
+	g.Cells(cons).Runs(bounds, fn)
 }
 
 // ConsistentCells returns the ids of all cells satisfying the constraints —
@@ -205,13 +265,13 @@ func (g Grid) EnumerateRuns(bounds []Bound, cons []Less, fn func(lo, hi int64)) 
 // any data.
 func (g Grid) ConsistentCells(cons []Less) []int64 {
 	var out []int64
-	g.Enumerate(nil, cons, func(id int64, _ []int) { out = append(out, id) })
+	g.Cells(cons).Runs(nil, func(lo, hi int64) {
+		for id := lo; id <= hi; id++ {
+			out = append(out, id)
+		}
+	})
 	return out
 }
 
 // CountConsistent returns the number of consistent cells.
-func (g Grid) CountConsistent(cons []Less) int64 {
-	var n int64
-	g.Enumerate(nil, cons, func(int64, []int) { n++ })
-	return n
-}
+func (g Grid) CountConsistent(cons []Less) int64 { return g.Cells(cons).Count() }

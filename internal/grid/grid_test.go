@@ -170,6 +170,64 @@ func TestEnumerateMatchesBruteForce(t *testing.T) {
 	}
 }
 
+// TestRunsMatchBruteForce: on random grids — up to ten dimensions, past the
+// walk's stack room — under random constraints and bounds, Runs yields
+// exactly the maximal runs of the consistent in-bounds ids a scan of every
+// cell finds, in increasing order.
+func TestRunsMatchBruteForce(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	for trial := 0; trial < 300; trial++ {
+		dims := make([]int, 1+rng.Intn(4))
+		if trial%25 == 0 {
+			dims = make([]int, stackDims+2)
+		}
+		for k := range dims {
+			dims[k] = 1 + rng.Intn(4)
+			if len(dims) > stackDims {
+				dims[k] = 1 + rng.Intn(2)
+			}
+		}
+		g := MustNew(dims)
+		var cons []Less
+		for i := rng.Intn(4); i > 0; i-- {
+			cons = append(cons, Less{A: rng.Intn(len(dims)), B: rng.Intn(len(dims))})
+		}
+		var bounds []Bound
+		if rng.Intn(2) == 0 {
+			bounds = g.FreeBounds()
+			k := rng.Intn(len(dims))
+			lo := rng.Intn(dims[k]+2) - 1
+			bounds[k] = Bound{Min: lo, Max: lo + rng.Intn(3)}
+		}
+		var want [][2]int64
+		coord := make([]int, len(dims))
+		for id := int64(0); id < g.NumCells(); id++ {
+			coord = g.Coord(id, coord)
+			in := Consistent(coord, cons)
+			for k, b := range bounds {
+				in = in && coord[k] >= b.Min && coord[k] <= b.Max
+			}
+			switch {
+			case !in:
+			case len(want) > 0 && want[len(want)-1][1] == id-1:
+				want[len(want)-1][1] = id
+			default:
+				want = append(want, [2]int64{id, id})
+			}
+		}
+		var got [][2]int64
+		g.Cells(cons).Runs(bounds, func(lo, hi int64) { got = append(got, [2]int64{lo, hi}) })
+		if len(got) != len(want) {
+			t.Fatalf("dims %v cons %v bounds %v: runs %v, want %v", dims, cons, bounds, got, want)
+		}
+		for i := range want {
+			if got[i] != want[i] {
+				t.Fatalf("dims %v cons %v bounds %v: runs %v, want %v", dims, cons, bounds, got, want)
+			}
+		}
+	}
+}
+
 func TestConsistentHelper(t *testing.T) {
 	if !Consistent([]int{1, 2}, []Less{{0, 1}}) {
 		t.Error("(1,2) should satisfy i0<=i1")

@@ -85,6 +85,23 @@ type PlanInfo struct {
 	// split; MaxVirtual caps the per-partition virtual-reducer count.
 	SplitThreshold float64 `json:"split_threshold,omitempty"`
 	MaxVirtual     int     `json:"max_virtual,omitempty"`
+	// Broadcast lists, in the order they were taken, the relations the
+	// planner took out of a product space's grid: each is joined whole in
+	// every reducer instead of being shuffled along a dimension of its own.
+	// A product driver reports a plan only when it took one; Partitions is
+	// then the count per dimension and VirtualReducers the consistent cells
+	// left.
+	Broadcast []Broadcast `json:"broadcast,omitempty"`
+}
+
+// Broadcast is one relation the planner sends whole to every reducer, with
+// both sides of the rule that chose it: ShipPairs = |R| × c, c the
+// consistent cells of the space without R's dimension, is no more than
+// OtherTuples, the tuples of every other relation of the query.
+type Broadcast struct {
+	Relation    string `json:"relation"`
+	ShipPairs   int64  `json:"ship_pairs"`
+	OtherTuples int64  `json:"other_tuples"`
 }
 
 // CacheReport summarises the semantic segment cache over the queries a

@@ -10,8 +10,9 @@
 #   4. alloc smoke   — the contracts a count of objects pins, by name:
 #                      disabled tracer and disabled telemetry cost nothing
 #                      (nil tracer/registry = nil check + zero allocs;
-#                      docs/OBSERVABILITY.md), and the shuffle and the RCCIS
-#                      op allocate nothing per pair or per tuple
+#                      docs/OBSERVABILITY.md), the shuffle and the RCCIS
+#                      op allocate nothing per pair or per tuple, and
+#                      product-space routing nothing per record
 #   5. go test -race — full suite (unit, integration, property, oracle
 #                      cross-validation) under the race detector; the MR
 #                      engine is deliberately concurrent, so -race is part
@@ -65,10 +66,11 @@ go test -run 'TestLiveDisabledZeroCost' ./internal/obs/live/
 # The same idiom pins what is between map and reduce: a job's objects do not
 # follow its emissions (pages are recycled, value lists placed, never grown),
 # and a two-cycle RCCIS run's do not follow its tuples (every record is a
-# view of some slab). A per-pair allocation creeping back fails here, with
+# view of some slab), and routing a record into a product space's grid
+# allocates nothing. A per-pair allocation creeping back fails here, with
 # the count, before anything slower runs.
 go test -run 'TestShuffleAllocsDoNotFollowEmissions' ./internal/mr/
-go test -run 'TestRCCISOpAllocs' ./internal/core/
+go test -run 'TestRCCISOpAllocs|TestProductRouteAllocs' ./internal/core/
 
 echo "== go test -race =="
 go test -race ./...
