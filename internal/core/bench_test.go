@@ -328,7 +328,8 @@ func BenchmarkBroadcast(b *testing.B) {
 
 // benchSetRows orders n rows of w ids below limit, the dev-loop number for
 // Result.setRows. The rows arrive as a join's do: in short stretches that
-// share their leading id, the stretches in no order.
+// share their leading id, the stretches in no order, and packed as the
+// relations' id ranges say — a word a row, or w ids when they do not fit.
 func benchSetRows(b *testing.B, n, w int, limit int64) {
 	b.Helper()
 	rng := rand.New(rand.NewSource(4))
@@ -343,14 +344,20 @@ func benchSetRows(b *testing.B, n, w int, limit int64) {
 			}
 		}
 	}
+	// The relations number their tuples 0..limit-1.
+	lo, hi := make([]int64, w), make([]int64, w)
+	for k := range hi {
+		hi[k] = limit - 1
+	}
+	p := newRowPacking(lo, hi)
 	var res Result
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		b.StopTimer()
-		rows := rowsOf(w, data)
+		rows := collect(&p, w, data)
 		b.StartTimer()
-		res.setRows(rows)
+		res.setRows(rows, &p)
 	}
 	if len(res.Tuples) != n {
 		b.Fatalf("%d rows of %d", len(res.Tuples), n)

@@ -174,28 +174,82 @@ func encodePartial(out *recordSlab, rels []int, tuples []relation.Tuple) string 
 // decodePartial parses encodePartial's output. The tuples' attributes share
 // one backing array.
 func decodePartial(s string) (partial, error) {
-	most := len(s) / memberLen(1)
-	pa := partial{rels: make([]int, 0, most), tuples: make([]relation.Tuple, 0, most)}
-	attrs := make([]interval.Interval, 0, len(s)/16)
-	for len(s) > 0 {
-		rel, n, err := splitMember(s)
+	slab := partialSlab{}
+	slab.reserve(len(s))
+	return slab.decode(s)
+}
+
+// partialSlab is where a reducer decodes the partial assignments it
+// received: the relations, tuples and attributes of all of them in three
+// arrays, each partial a window on them. Sized from the bytes to decode, the
+// arrays never grow, so a reduce call costs three allocations, not three a
+// value.
+type partialSlab struct {
+	rels   []int
+	tuples []relation.Tuple
+	attrs  []interval.Interval
+}
+
+// newPartialSlab has room for values.
+func newPartialSlab(values []string) partialSlab {
+	size := 0
+	for _, v := range values {
+		size += len(v)
+	}
+	var s partialSlab
+	s.reserve(size)
+	return s
+}
+
+// reserve makes room for size bytes of members: a member is at least
+// memberLen(1) bytes, and 16 of them for each attribute.
+func (s *partialSlab) reserve(size int) {
+	most := size / memberLen(1)
+	s.rels = make([]int, 0, most)
+	s.tuples = make([]relation.Tuple, 0, most)
+	s.attrs = make([]interval.Interval, 0, size/16)
+}
+
+// decode parses encodePartial's output into the slab.
+func (s *partialSlab) decode(rec string) (partial, error) {
+	first, attrs := len(s.rels), s.attrs
+	for len(rec) > 0 {
+		rel, n, err := splitMember(rec)
 		if err != nil {
 			return partial{}, err
 		}
 		at := len(attrs)
-		t, err := decodeTuple(s[:n], attrs)
+		t, err := decodeTuple(rec[:n], attrs)
 		if err != nil {
 			return partial{}, err
 		}
 		attrs = t.Attrs
 		t.Attrs = attrs[at:len(attrs):len(attrs)]
-		pa.rels, pa.tuples = append(pa.rels, rel), append(pa.tuples, t)
-		s = s[n:]
+		s.rels, s.tuples = append(s.rels, rel), append(s.tuples, t)
+		rec = rec[n:]
 	}
-	if len(pa.rels) == 0 {
+	if len(s.rels) == first {
 		return partial{}, fmt.Errorf("core: empty partial assignment")
 	}
-	return pa, nil
+	s.attrs = attrs
+	last := len(s.rels)
+	return partial{rels: s.rels[first:last:last], tuples: s.tuples[first:last:last]}, nil
+}
+
+// memberOf decodes the tuple relation rel binds in the partial assignment
+// rec, its attributes appended to buf.
+func memberOf(rec string, rel int, buf []interval.Interval) (relation.Tuple, error) {
+	for len(rec) > 0 {
+		r, n, err := splitMember(rec)
+		if err != nil {
+			return relation.Tuple{}, err
+		}
+		if r == rel {
+			return decodeTuple(rec[:n], buf)
+		}
+		rec = rec[n:]
+	}
+	return relation.Tuple{}, fmt.Errorf("core: relation %d not bound in partial assignment", rel)
 }
 
 // relSlab is one relation's tuples as tagged records, one after the other in

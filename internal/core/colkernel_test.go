@@ -19,6 +19,18 @@ import (
 // multi-attribute levels, and adversarial endpoint layouts (duplicates,
 // equal-start runs, point intervals, int64 extremes).
 
+// runTagged is a reduce call's path through the enumerator with a callback:
+// load values into a pooled join and enumerate once, calling fn for every
+// assignment. An error from fn stops the enumeration and is returned.
+func (e *enumerator) runTagged(values []string, lvl []int, whole [][]relation.Tuple, fn func(asg []relation.Tuple) error) error {
+	p := e.get()
+	defer e.put(p)
+	if err := p.load(values, lvl, whole); err != nil {
+		return err
+	}
+	return p.run(fn)
+}
+
 // forceGeneric downgrades every level of a fresh enumerator to the generic
 // kernel, so a run exercises the Eval path over the same columnar state.
 func forceGeneric(e *enumerator) *enumerator {

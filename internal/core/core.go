@@ -15,7 +15,6 @@ package core
 import (
 	"cmp"
 	"fmt"
-	"math"
 	"math/bits"
 	"slices"
 	"strconv"
@@ -95,6 +94,9 @@ type Context struct {
 	Opts   Options
 	// slabs[i] is Rels[i] in record form, encoded when a cycle first maps it.
 	slabs []relSlab
+	// packing is how a result row over Rels becomes one word, read off the
+	// relations' ids once: every run on the Context collects by it.
+	packing rowPacking
 }
 
 // NewContext validates and assembles a run context. Relations are matched to
@@ -108,6 +110,8 @@ func NewContext(engine *mr.Engine, q *query.Query, rels []*relation.Relation, op
 		return nil, fmt.Errorf("core: query joins %d relations, a record can name at most %d", len(q.Relations), maxRelations)
 	}
 	bound := make([]*relation.Relation, len(q.Relations))
+	// lo[i] and hi[i] bound relation i's ids: the result's packing.
+	lo, hi := make([]int64, len(bound)), make([]int64, len(bound))
 	for _, r := range rels {
 		i := q.RelIndex(r.Schema.Name)
 		if i < 0 {
@@ -124,7 +128,8 @@ func NewContext(engine *mr.Engine, q *query.Query, rels []*relation.Relation, op
 			return nil, fmt.Errorf("core: relation %s has %d attributes, a record can hold at most %d",
 				r.Schema.Name, r.Schema.Arity(), maxArity)
 		}
-		if err := r.Validate(); err != nil {
+		var err error
+		if lo[i], hi[i], err = r.ValidateRange(); err != nil {
 			return nil, err
 		}
 		bound[i] = r
@@ -134,7 +139,7 @@ func NewContext(engine *mr.Engine, q *query.Query, rels []*relation.Relation, op
 			return nil, fmt.Errorf("core: no relation bound for %s", q.Relations[i].Name)
 		}
 	}
-	return &Context{Engine: engine, Query: q, Rels: bound, Opts: opts, slabs: make([]relSlab, len(bound))}, nil
+	return &Context{Engine: engine, Query: q, Rels: bound, Opts: opts, slabs: make([]relSlab, len(bound)), packing: newRowPacking(lo, hi)}, nil
 }
 
 // Stage writes every relation to the store as "input/<name>", one text line
@@ -246,27 +251,30 @@ type Result struct {
 }
 
 // setRows makes rows — a chain's last stage's output as the engine
-// committed it, or the oracle's as it was enumerated — the run's result, in
-// canonical order, and hands their chunks back to the engine's pool: rows
-// must not be read again. It allocates IDs and Tuples and nothing else.
+// committed it, or the oracle's as it was enumerated, both collected as p
+// says (rowPacking.rows) — the run's result, in canonical order, and hands
+// their chunks back to the engine's pool: rows must not be read again. It
+// allocates IDs and Tuples and nothing else.
 //
-// Ids are small dense integers almost always (LoadRelation, FromIntervals
-// and Append number a relation's tuples 0..n-1), so a whole row, each id
-// taken relative to its column's smallest, fits one non-negative machine
-// word, and the rows are ordered in linear time: packed into the head of the
-// final slab, radix-sorted against the room behind them, and unpacked back
-// to front in place. Rows that do not fit a word — ids that span more than
-// 63 bits between them, or a single column, which leaves no room behind —
-// are ordered by one comparison sort instead.
-func (r *Result) setRows(rows *mr.Rows) {
-	w, n := rows.Width, rows.Len()
+// Packed rows are words, ordered in linear time: a radix sort from the
+// chunks into the head of the result slab (sortWords), then one backward
+// pass that unpacks each word into its row in place — row i's ids land at or
+// after word i, so no word is overwritten before it is read — and sets its
+// header. Rows that do not pack are w ids each and take one comparison sort.
+func (r *Result) setRows(rows *mr.Rows, p *rowPacking) {
+	w, n := len(p.lo), rows.Len()
 	ids := make([]int64, n*w)
 	tuples := make([]OutputTuple, n)
-	var p rowPacking
-	if p.fit(rows) {
-		p.sortInto(ids, rows)
-		for i := range tuples {
-			tuples[i] = ids[i*w : (i+1)*w : (i+1)*w]
+	if p.words {
+		p.sortWords(ids, rows.Chunks())
+		for i := n - 1; i >= 0; i-- {
+			word := ids[i]
+			row := ids[i*w : (i+1)*w : (i+1)*w]
+			for k := w - 1; k >= 0; k-- {
+				row[k] = p.lo[k] + word&(1<<p.bits[k]-1)
+				word >>= p.bits[k]
+			}
+			tuples[i] = row
 		}
 	} else {
 		// Tuples stand for the rows where the engine left them while they
@@ -289,95 +297,125 @@ func (r *Result) setRows(rows *mr.Rows) {
 	r.IDs, r.Tuples = ids, tuples
 }
 
-// rowPacking is how a row of ids becomes one word: column k contributes
-// id - lo[k] in bits[k] bits, the first column highest, so that words
-// compare as rows do. The bits sum to total.
+// rowPacking is how a result row becomes one word: column k — relation k's
+// id — contributes id - lo[k] in bits[k] bits at shift[k], the first column
+// highest, so that words compare as rows do. The bits sum to total.
+//
+// Ids are small dense integers almost always (LoadRelation, FromIntervals
+// and Append number a relation's tuples 0..n-1), so every row of a run packs.
+// words says whether it does: at least two columns (the ordering's second
+// buffer is the result slab's own tail) whose id spans take 63 bits between
+// them at most, so that a word is never negative. Otherwise rows are
+// collected and ordered as w ids, the one fallback.
 type rowPacking struct {
-	lo    [maxRelations]int64
-	bits  [maxRelations]uint8
+	lo    []int64
+	bits  []uint8
+	shift []uint8
 	total int
+	words bool
 }
 
-// fit finds the packing of rows and reports whether there is one: at least
-// two columns (the sort's second buffer is the slab's own tail) whose id
-// ranges take 63 bits between them at most, so that a word is never
-// negative.
-func (p *rowPacking) fit(rows *mr.Rows) bool {
-	w := rows.Width
-	if w < 2 || w > maxRelations {
-		return false
+// newRowPacking packs columns whose ids lie in [lo[k], hi[k]]: NewContext
+// reads each relation's range as it validates it. An empty relation binds no
+// row; its range is [0, 0], and its column takes no bit.
+func newRowPacking(lo, hi []int64) rowPacking {
+	w := len(lo)
+	p := rowPacking{lo: lo, bits: make([]uint8, w), shift: make([]uint8, w)}
+	for k := w - 1; k >= 0; k-- {
+		// Unsigned, because the span itself may pass MaxInt64.
+		p.bits[k] = uint8(bits.Len64(uint64(hi[k]) - uint64(lo[k])))
+		if p.total <= 63 {
+			p.shift[k] = uint8(p.total)
+		}
+		p.total += int(p.bits[k])
 	}
-	var hi [maxRelations]int64
-	for k := 0; k < w; k++ {
-		p.lo[k], hi[k] = math.MaxInt64, math.MinInt64
+	p.words = w >= 2 && p.total <= 63
+	return p
+}
+
+// rows is what the rows of a run are collected in: a word each, or w ids.
+func (p *rowPacking) rows() *mr.Rows {
+	if p.words {
+		return &mr.Rows{Width: 1}
 	}
-	for _, c := range rows.Chunks() {
-		for at := 0; at < len(c); at += w {
-			for k, id := range c[at : at+w] {
-				p.lo[k], hi[k] = min(p.lo[k], id), max(hi[k], id)
+	return &mr.Rows{Width: len(p.lo)}
+}
+
+// put adds the complete assignment asg, asg[i] binding relation rels[i], to
+// rows as a result row.
+func (p *rowPacking) put(rows *mr.Rows, rels []int, asg []relation.Tuple) {
+	if !p.words {
+		row := rows.Append()
+		for i, t := range asg {
+			row[rels[i]] = t.ID
+		}
+		return
+	}
+	var word int64
+	for i, t := range asg {
+		word |= p.place(rels[i], t.ID)
+	}
+	rows.Append()[0] = word
+}
+
+// place is the bits relation rel's id contributes to a row's word.
+func (p *rowPacking) place(rel int, id int64) int64 {
+	return (id - p.lo[rel]) << p.shift[rel]
+}
+
+// radixBits is the digit of the word sort: 2048 counters a digit, so a 20-bit
+// row takes two passes and a 30-bit row three; a word has radixDigits at most.
+const (
+	radixBits   = 11
+	radixDigits = (63 + radixBits - 1) / radixBits
+)
+
+// sortWords puts the words of chunks into the head of slab in ascending
+// order: n words where slab holds n rows of w ids. One pass over the chunks
+// counts every digit; the first scatter reads the chunks, and every later
+// one moves the words between the slab's first n words and the n after
+// them, least significant digit first. The first lands on the side from
+// which the last lands them in front.
+func (p *rowPacking) sortWords(slab []int64, chunks [][]int64) {
+	n := len(slab) / len(p.lo)
+	if n == 0 {
+		return
+	}
+	const mask = 1<<radixBits - 1
+	digits := max(1, (p.total+radixBits-1)/radixBits)
+	var next [radixDigits][1 << radixBits]int
+	for _, c := range chunks {
+		for _, word := range c {
+			for d := range digits {
+				next[d][word>>(d*radixBits)&mask]++
 			}
 		}
 	}
-	for k := 0; k < w; k++ {
-		if hi[k] > p.lo[k] {
-			// Unsigned, because the span itself may pass MaxInt64.
-			p.bits[k] = uint8(bits.Len64(uint64(hi[k]) - uint64(p.lo[k])))
-			p.total += int(p.bits[k])
-		}
-	}
-	return p.total <= 63
-}
-
-// radixBits is the digit of the packed sort: 2048 counters stay on the stack
-// and a 20-bit row takes two passes, a 30-bit row three.
-const radixBits = 11
-
-// sortInto fills slab, w words per row, with rows in canonical order. The
-// packed rows take the slab's first n words or the n after them and every
-// radix pass moves them to the other side, least significant digit first;
-// they start on the side from which the last pass lands them in front, where
-// unpacking from the last row down overwrites no word before it is read.
-func (p *rowPacking) sortInto(slab []int64, rows *mr.Rows) {
-	w, n := rows.Width, len(slab)/rows.Width
-	from, to := slab[:n], slab[n:2*n]
-	passes := (p.total + radixBits - 1) / radixBits
-	if passes%2 == 1 {
-		from, to = to, from
-	}
-	i := 0
-	for _, c := range rows.Chunks() {
-		for at := 0; at < len(c); at += w {
-			var word int64
-			for k, id := range c[at : at+w] {
-				word = word<<p.bits[k] | (id - p.lo[k])
-			}
-			from[i] = word
-			i++
-		}
-	}
-	for shift := 0; shift < p.total; shift += radixBits {
-		var next [1 << radixBits]int
-		for _, word := range from {
-			next[word>>shift&(1<<radixBits-1)]++
-		}
+	for d := range digits {
 		at := 0
-		for d, count := range next {
-			next[d] = at
+		for k, count := range next[d] {
+			next[d][k] = at
 			at += count
 		}
-		for _, word := range from {
-			d := word >> shift & (1<<radixBits - 1)
-			to[next[d]] = word
-			next[d]++
-		}
-		from, to = to, from
 	}
-	for i := n - 1; i >= 0; i-- {
-		word := slab[i]
-		row := slab[i*w : (i+1)*w]
-		for k := w - 1; k >= 0; k-- {
-			row[k] = p.lo[k] + word&(1<<p.bits[k]-1)
-			word >>= p.bits[k]
+	halves := [2][]int64{slab[:n], slab[n : 2*n]}
+	side := 1 - digits%2
+	to, at := halves[side], &next[0]
+	for _, c := range chunks {
+		for _, word := range c {
+			k := word & mask
+			to[at[k]] = word
+			at[k]++
+		}
+	}
+	for d := 1; d < digits; d++ {
+		from := halves[side]
+		side ^= 1
+		to, at, shift := halves[side], &next[d], d*radixBits
+		for _, word := range from {
+			k := word >> shift & mask
+			to[at[k]] = word
+			at[k]++
 		}
 	}
 }

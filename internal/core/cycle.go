@@ -44,6 +44,21 @@ func (d *dimension) owner(asg []relation.Tuple, lvl []int) int {
 	return d.part.IndexOf(maxStart)
 }
 
+// span is partition c of the dimension as the owner rule reads it: the
+// starts IndexOf maps to c, the first partition open below and the last open
+// above, as IndexOf's clamping makes them.
+func (d *dimension) span(c int) (lo, hi interval.Point) {
+	iv := d.part.PartitionInterval(c)
+	lo, hi = iv.Start, iv.End
+	if c == 0 {
+		lo = math.MinInt64
+	}
+	if c == d.part.Len()-1 {
+		hi = math.MaxInt64
+	}
+	return lo, hi
+}
+
 // vertexAt locates one vertex of a relation in a space.
 type vertexAt struct{ dim, attr int }
 
@@ -340,15 +355,6 @@ func (c *Context) markJob(dims []dimension, vertexTagged bool) mr.Job {
 	}
 }
 
-// appendRow adds a complete assignment to rows as a result row: the tuple ids
-// indexed by relation. asg[i] binds relation rels[i].
-func appendRow(rows *mr.Rows, rels []int, asg []relation.Tuple) {
-	row := rows.Append()
-	for i, t := range asg {
-		row[rels[i]] = t.ID
-	}
-}
-
 // joinFunc is a join cycle's reduce with the writing left out: it hands emit
 // every assignment the reducer of key accepts, asg[i] binding relation
 // rels[i].
@@ -357,10 +363,9 @@ type joinFunc func(key int64, values []string, emit func(rels []int, asg []relat
 // setJoin installs join as the job's reduce. What it writes for an assignment
 // depends on the cycle's place in the chain: a cycle that names an
 // intermediate writes partial-assignment records for the next cycle to
-// extend; the chain's last (no intermediate to name) appends the result row
-// itself — the ids by relation, never rendered — to the rows the runner
-// collects.
-func setJoin(job *mr.Job, output string, join joinFunc) {
+// extend; the chain's last (no intermediate to name) adds the result row
+// itself — packed, never rendered — to the rows the runner collects.
+func (c *Context) setJoin(job *mr.Job, output string, join joinFunc) {
 	if output != "" {
 		job.Output = output
 		job.Reduce = func(key int64, values []string, write func(string) error) error {
@@ -378,7 +383,7 @@ func setJoin(job *mr.Job, output string, join joinFunc) {
 	}
 	job.ReduceRows = func(key int64, values []string, out *mr.Rows) error {
 		return join(key, values, func(rels []int, asg []relation.Tuple) error {
-			appendRow(out, rels, asg)
+			c.packing.put(out, rels, asg)
 			return nil
 		})
 	}
@@ -407,6 +412,9 @@ type cellJoin struct {
 
 func (cj cellJoin) job(c *Context) mr.Job {
 	sp := cj.sp
+	// The chain's last stage collects its rows as words when they pack: the
+	// join's last level writes each one itself (preparedJoin.runWords).
+	words := cj.output == "" && c.packing.words
 	// One shared enumerator per join unit — the whole product, or each line
 	// of a union: the plans are static and per-run state is pooled inside.
 	// A relation the product's reducers hold whole is one more level of the
@@ -418,6 +426,9 @@ func (cj cellJoin) job(c *Context) mr.Job {
 		rels  []int
 		lvl   []int
 		whole [][]relation.Tuple
+		// owner[i] lists the vertices of dimension i by binding level; nil
+		// when the cycle skips the owner rule.
+		owner [][]levelAttr
 	}
 	units := make([]unit, len(sp.dims))
 	if sp.product {
@@ -441,8 +452,32 @@ func (cj cellJoin) job(c *Context) mr.Job {
 				u.whole[u.lvl[rel]] = c.Rels[rel].Tuples
 			}
 		}
+		if cj.owner {
+			u.owner = make([][]levelAttr, len(u.dims))
+			for i, d := range u.dims {
+				for _, v := range d.verts {
+					u.owner[i] = append(u.owner[i], levelAttr{level: u.lvl[v.Rel], attr: v.Attr})
+				}
+			}
+		}
 		u.e = newEnumerator(c.Query.Conds, u.rels).withTracer(c.Engine.Tracer())
 		units[k] = u
+	}
+	// prepare loads the values of key's reducer into a pooled join, owner
+	// rule set to the reducer's partitions.
+	prepare := func(key int64, values []string) (*unit, *preparedJoin, error) {
+		k, coord := sp.locate(key)
+		u := &units[k]
+		p := u.e.get()
+		if err := p.load(values, u.lvl, u.whole); err != nil {
+			u.e.put(p)
+			return nil, nil, err
+		}
+		for i, verts := range u.owner {
+			lo, hi := u.dims[i].span(coord[i])
+			p.owner = append(p.owner, ownerRange{verts: verts, lo: lo, hi: hi})
+		}
+		return u, p, nil
 	}
 
 	job := mr.Job{Name: cj.name}
@@ -451,20 +486,26 @@ func (cj cellJoin) job(c *Context) mr.Job {
 	} else {
 		job.Inputs, job.MapAt = c.baseInputs(sp), c.baseMap(sp, cj.ops)
 	}
-	setJoin(&job, cj.output, func(key int64, values []string, emit func([]int, []relation.Tuple) error) error {
-		k, coord := sp.locate(key)
-		u := &units[k]
-		return u.e.runTagged(values, u.lvl, u.whole, func(asg []relation.Tuple) error {
-			if cj.owner {
-				for i := range u.dims {
-					if u.dims[i].owner(asg, u.lvl) != coord[i] {
-						return nil
-					}
-				}
+	if words {
+		job.ReduceRows = func(key int64, values []string, out *mr.Rows) error {
+			u, p, err := prepare(key, values)
+			if err != nil {
+				return err
 			}
-			return emit(u.rels, asg)
+			p.runWords(out, &c.packing)
+			u.e.put(p)
+			return nil
+		}
+	} else {
+		c.setJoin(&job, cj.output, func(key int64, values []string, emit func([]int, []relation.Tuple) error) error {
+			u, p, err := prepare(key, values)
+			if err != nil {
+				return err
+			}
+			defer u.e.put(p)
+			return p.run(func(asg []relation.Tuple) error { return emit(u.rels, asg) })
 		})
-	})
+	}
 	if sp.plan != nil {
 		job.Resplit = resplitValues(sp.plan.streams, streamOfTagged)
 	}
@@ -504,11 +545,12 @@ func (bs bindStep) job(c *Context) mr.Job {
 	job := mr.Job{
 		Name: bs.name,
 		Map: func(_ int, record string, emit mr.Emitter) error {
-			pa, err := decodePartial(record)
+			var attrs [4]interval.Interval
+			t, err := memberOf(record, step.existing, attrs[:0])
 			if err != nil {
 				return err
 			}
-			sp.route(emit, step.existing, pa.tupleOf(step.existing), ops[step.existing], 0, record)
+			sp.route(emit, step.existing, t, ops[step.existing], 0, record)
 			return nil
 		},
 		MapAt: func(tag, pos int, emit mr.Emitter) error {
@@ -530,11 +572,15 @@ func (bs bindStep) job(c *Context) mr.Job {
 	if in, ok := c.relInput(step.novel); ok {
 		job.Inputs = append(job.Inputs, in)
 	}
-	setJoin(&job, bs.output, func(_ int64, values []string, emit func([]int, []relation.Tuple) error) error {
-		var partials []partial
+	c.setJoin(&job, bs.output, func(_ int64, values []string, emit func([]int, []relation.Tuple) error) error {
+		// Every value is decoded into one slab for the call, and each
+		// extension is built in one buffer that emit reads and lets go.
+		slab := newPartialSlab(values)
+		partials := make([]partial, 0, len(values))
 		var novel []relation.Tuple
+		widest := 0
 		for _, v := range values {
-			pa, err := decodePartial(v)
+			pa, err := slab.decode(v)
 			if err != nil {
 				return err
 			}
@@ -543,15 +589,17 @@ func (bs bindStep) job(c *Context) mr.Job {
 				continue
 			}
 			partials = append(partials, pa)
+			widest = max(widest, len(pa.rels))
 		}
+		rels, asg := make([]int, 0, widest+1), make([]relation.Tuple, 0, widest+1)
 		for _, pa := range partials {
-			n := len(pa.rels)
-			rels := append(pa.rels[:n:n], step.novel)
+			rels = append(append(rels[:0], pa.rels...), step.novel)
 			for _, t := range novel {
 				if !satisfiesStep(pa, t, step) {
 					continue
 				}
-				if err := emit(rels, append(pa.tuples[:n:n], t)); err != nil {
+				asg = append(append(asg[:0], pa.tuples...), t)
+				if err := emit(rels, asg); err != nil {
 					return err
 				}
 			}

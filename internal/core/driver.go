@@ -62,10 +62,11 @@ func (c *Context) runStages(alg string, build stageBuilder) (*Result, error) {
 		return nil, err
 	}
 
-	// The last stage's output is the run's: it is collected in rows, as
-	// ids, and takes neither a text form nor a place on the store. (The
-	// engine rejects a last stage without ReduceRows.)
-	rows := &mr.Rows{Width: len(c.Rels)}
+	// The last stage's output is the run's: it is collected in rows, a
+	// packed word or the ids per row, and takes neither a text form nor a
+	// place on the store. (The engine rejects a last stage without
+	// ReduceRows.)
+	rows := c.packing.rows()
 	stages[len(stages)-1].Job.Rows = rows
 
 	dir := opts.Scratch + "/"
@@ -98,7 +99,7 @@ func (c *Context) runStages(alg string, build stageBuilder) (*Result, error) {
 	if plan != nil {
 		agg.Plan = plan.info()
 	}
-	res.setRows(rows)
+	res.setRows(rows, &c.packing)
 	return res, nil
 }
 

@@ -91,8 +91,9 @@ func (FCTS) sequenceJob(ctx *Context, sp *space, d *query.Decomposition) mr.Job 
 
 	join := func(_ int64, values []string, emit func([]int, []relation.Tuple) error) error {
 		byComp := make([][]partial, l)
+		slab := newPartialSlab(values)
 		for _, v := range values {
-			pa, err := decodePartial(v)
+			pa, err := slab.decode(v)
 			if err != nil {
 				return err
 			}
@@ -135,6 +136,6 @@ func (FCTS) sequenceJob(ctx *Context, sp *space, d *query.Decomposition) mr.Job 
 		Inputs: []mr.Input{{File: "components"}},
 		Map:    mapFn,
 	}
-	setJoin(&job, "", join) // the chain's last stage
+	ctx.setJoin(&job, "", join) // the chain's last stage
 	return job
 }

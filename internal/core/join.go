@@ -10,6 +10,7 @@ import (
 	"sync/atomic"
 
 	"intervaljoin/internal/interval"
+	"intervaljoin/internal/mr"
 	"intervaljoin/internal/obs"
 	"intervaljoin/internal/query"
 	"intervaljoin/internal/relation"
@@ -200,8 +201,17 @@ type preparedJoin struct {
 	asg     []relation.Tuple
 	idx     []int   // idx[j]: current index of the level-j binding within its column
 	bref    []int32 // bref[j]: arena ref of the level-j binding
+	last    int     // the level a complete assignment is bound at
 	fn      func(asg []relation.Tuple) error
 	err     error // first error fn returned; stops the enumeration
+	// owner is the owner rule at the reducer, one range a dimension of its
+	// space: a complete assignment outside one is another reducer's. Empty
+	// when every assignment the reducer enumerates is its own.
+	owner []ownerRange
+	// words, while runWords runs, collects every complete assignment as one
+	// word, packed as packing says; no level materialises a tuple.
+	words   *mr.Rows
+	packing *rowPacking
 	// per-run kernel dispatch counts, flushed by put.
 	nSweep, nMerge, nGeneric int64
 }
@@ -217,6 +227,7 @@ func (e *enumerator) get() *preparedJoin {
 	for i := range p.raw {
 		p.raw[i] = p.raw[i][:0]
 	}
+	p.owner = p.owner[:0]
 	return p
 }
 
@@ -266,6 +277,7 @@ func (p *preparedJoin) seal() {
 	p.asg = sized(p.asg, n)
 	p.idx = sized(p.idx, n)
 	p.bref = sized(p.bref, n)
+	p.last = n - 1
 	for i := 0; i < n; i++ {
 		p.built[i] = false
 		attr := p.e.plans[i].sortAttr
@@ -364,17 +376,65 @@ func windCol(s []int64, n int, need bool) []int64 {
 }
 
 // run enumerates every assignment (one tuple per relation, from the sealed
-// candidate columns) satisfying all applicable conditions, invoking fn with
-// the assignment parallel to rels. fn must not retain asg (its tuples alias
-// the arena). An error from fn stops the enumeration — no further
-// assignment is visited — and is returned. run may be called repeatedly;
-// the sorted columns and sweep windows are reused.
+// candidate columns) satisfying all applicable conditions and the owner
+// rule, invoking fn with the assignment parallel to rels. fn must not retain
+// asg (its tuples alias the arena). An error from fn stops the enumeration —
+// no further assignment is visited — and is returned. run may be called
+// repeatedly; the sorted columns and sweep windows are reused.
 func (p *preparedJoin) run(fn func(asg []relation.Tuple) error) error {
 	p.fn = fn
 	p.rec(0)
 	err := p.err
 	p.fn, p.err = nil, nil
 	return err
+}
+
+// runWords enumerates what run does and collects each assignment in out as
+// one word instead, packed as packing says. The last level writes it
+// (putWord); no level materialises a tuple and nothing is called back.
+func (p *preparedJoin) runWords(out *mr.Rows, packing *rowPacking) {
+	p.words, p.packing = out, packing
+	p.rec(0)
+	p.words, p.packing = nil, nil
+}
+
+// levelAttr is a vertex of a reducer's space by binding level.
+type levelAttr struct{ level, attr int }
+
+// ownerRange is the owner rule along one dimension at one reducer: an
+// assignment is the reducer's when the maximal start among the dimension's
+// vertices lies in [lo, hi], the reducer's partition (dimension.span).
+type ownerRange struct {
+	verts  []levelAttr
+	lo, hi int64
+}
+
+// owned applies the owner rule to the complete assignment the levels bind.
+func (p *preparedJoin) owned() bool {
+	for d := range p.owner {
+		o := &p.owner[d]
+		start := int64(math.MinInt64)
+		for _, v := range o.verts {
+			start = max(start, p.arena.Start(p.bref[v.level], v.attr))
+		}
+		if start < o.lo || start > o.hi {
+			return false
+		}
+	}
+	return true
+}
+
+// putWord collects the complete assignment the levels bind as one word, if
+// the reducer owns it.
+func (p *preparedJoin) putWord() {
+	if !p.owned() {
+		return
+	}
+	var word int64
+	for j, rel := range p.e.rels {
+		word |= p.packing.place(rel, p.arena.ID(p.bref[j]))
+	}
+	p.words.Append()[0] = word
 }
 
 func (p *preparedJoin) rec(i int) {
@@ -384,6 +444,9 @@ func (p *preparedJoin) rec(i int) {
 	if i == len(p.asg) {
 		// Each level materialised its binding when the candidate was
 		// accepted, so the full assignment is already in place.
+		if !p.owned() {
+			return
+		}
 		if err := p.fn(p.asg); err != nil {
 			p.err = err
 		}
@@ -441,6 +504,7 @@ func (p *preparedJoin) kernelGeneric(i int) {
 	lp := &p.e.plans[i]
 	refs := p.refCol[i]
 	col := p.loCol[i] // nil only for unconstrained levels, where hiBound stays +inf
+	tuples, leaf := p.words == nil, p.words != nil && i == p.last
 	from := 0
 	hiBound := int64(math.MaxInt64)
 	if lp.sortAttr >= 0 {
@@ -479,7 +543,13 @@ next:
 				continue next
 			}
 		}
-		p.asg[i] = p.arena.Tuple(refs[k])
+		if leaf {
+			p.putWord()
+			continue
+		}
+		if tuples {
+			p.asg[i] = p.arena.Tuple(refs[k])
+		}
 		p.rec(i + 1)
 	}
 }
@@ -505,18 +575,15 @@ func (e *enumerator) run(cands [][]relation.Tuple, fn func(asg []relation.Tuple)
 	return err
 }
 
-// runTagged is the reduce-side fast path: decode each tagged value once,
-// straight into the columnar layout, and enumerate. lvl maps a relation tag
-// to its binding level (-1 for tags the enumerator does not bind); tags
-// outside lvl are an error, as reducers only ever receive the relations
-// their job routed to them. whole, when set, holds per binding level the
-// tuples of a relation the reducer has entire rather than by value — a
-// relation the planner broadcast (broadcastSmall) — and those levels take
-// them as their candidates. An error from fn (a failed output write) stops
-// the enumeration and is returned.
-func (e *enumerator) runTagged(values []string, lvl []int, whole [][]relation.Tuple, fn func(asg []relation.Tuple) error) error {
-	p := e.get()
-	defer e.put(p)
+// load is the reduce-side fast path: decode each tagged value once, straight
+// into the columnar layout, and seal. lvl maps a relation tag to its binding
+// level (-1 for tags the enumerator does not bind); tags outside lvl are an
+// error, as reducers only ever receive the relations their job routed to
+// them. whole, when set, holds per binding level the tuples of a relation
+// the reducer has entire rather than by value — a relation the planner
+// broadcast (broadcastSmall) — and those levels take them as their
+// candidates.
+func (p *preparedJoin) load(values []string, lvl []int, whole [][]relation.Tuple) error {
 	// Reserve the arena and the levels' lists from the size of the value
 	// list: one interval per tuple, an even share per level.
 	n := len(values)
@@ -547,7 +614,7 @@ func (e *enumerator) runTagged(values []string, lvl []int, whole [][]relation.Tu
 		p.raw[lvl[rel]] = append(p.raw[lvl[rel]], ref)
 	}
 	p.seal()
-	return p.run(fn)
+	return nil
 }
 
 // startRange bounds the start point of the unbound interval x for the

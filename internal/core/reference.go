@@ -24,11 +24,11 @@ func (Reference) Run(ctx *Context) (*Result, error) {
 		cands[i] = r.Tuples
 	}
 	e := newEnumerator(ctx.Query.Conds, rels)
-	rows := &mr.Rows{Width: len(rels)}
+	rows := ctx.packing.rows()
 	err := e.run(cands, func(asg []relation.Tuple) error {
-		appendRow(rows, rels, asg)
+		ctx.packing.put(rows, rels, asg)
 		return nil
 	})
-	res.setRows(rows)
+	res.setRows(rows, &ctx.packing)
 	return res, err
 }

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"math"
 	"math/bits"
 	"math/rand"
 	"runtime"
@@ -76,56 +77,103 @@ func genRows(seed int64, w, n, mode int) []int64 {
 	return data
 }
 
-// rowsOf collects data, rows of w ids back to back, the way a reducer does.
-func rowsOf(w int, data []int64) *mr.Rows {
-	rows := &mr.Rows{Width: w}
+// relsOf is the relations rows of w ids come from: relation k holds every id
+// column k has, and no other, so its id range is the column's. An id column
+// of 0..n-1 stands for the whole relation, as a loader numbers it. No row, no
+// tuple: the relations of an empty result are empty. The tuples are ids
+// alone, in relations of no attribute.
+func relsOf(w int, data []int64, dense bool) []*relation.Relation {
+	rels := make([]*relation.Relation, w)
+	for k := range rels {
+		rels[k] = relation.New(relation.Schema{Name: string(rune('A' + k))})
+		seen := make(map[int64]bool)
+		for at := k; at < len(data); at += w {
+			if id := data[at]; !seen[id] {
+				seen[id] = true
+				rels[k].Tuples = append(rels[k].Tuples, relation.Tuple{ID: id})
+			}
+		}
+		if dense && len(data) > 0 {
+			rels[k].Tuples = rels[k].Tuples[:0]
+			for id := range int64(len(data) / w) {
+				rels[k].Tuples = append(rels[k].Tuples, relation.Tuple{ID: id})
+			}
+		}
+	}
+	return rels
+}
+
+// packingOf is the packing NewContext reads off rels.
+func packingOf(rels []*relation.Relation) rowPacking {
+	lo, hi := make([]int64, len(rels)), make([]int64, len(rels))
+	for k, r := range rels {
+		var err error
+		if lo[k], hi[k], err = r.ValidateRange(); err != nil {
+			panic(err)
+		}
+	}
+	return newRowPacking(lo, hi)
+}
+
+// collect adds data, rows of w ids back to back, to rows the way a join's
+// last stage does under p (rowPacking.put).
+func collect(p *rowPacking, w int, data []int64) *mr.Rows {
+	rows := p.rows()
+	rels, asg := make([]int, w), make([]relation.Tuple, w)
+	for k := range rels {
+		rels[k] = k
+	}
 	for at := 0; at < len(data); at += w {
-		copy(rows.Append(), data[at:at+w])
+		for k, id := range data[at : at+w] {
+			asg[k].ID = id
+		}
+		p.put(rows, rels, asg)
 	}
 	return rows
 }
 
-// checkSetRows runs setRows on the rows of data and compares the result with
-// a comparison sort of the same rows. It returns whether the rows packed.
-func checkSetRows(t *testing.T, w int, data []int64) bool {
+// checkSetRows reads the packing off the relations the rows of data come
+// from, collects the rows by it, runs setRows and compares the result with a
+// comparison sort of the same rows. It returns whether the rows packed.
+func checkSetRows(t *testing.T, w int, data []int64, dense bool) bool {
 	t.Helper()
-	rows := rowsOf(w, data)
+	p := packingOf(relsOf(w, data, dense))
+	rows := collect(&p, w, data)
 	var want [][]int64
 	for at := 0; at < len(data); at += w {
 		want = append(want, data[at:at+w])
 	}
 	slices.SortFunc(want, func(a, b []int64) int { return slices.Compare(a, b) })
-	var p rowPacking
-	packed := p.fit(rows)
 
 	var res Result
-	res.setRows(rows)
+	res.setRows(rows, &p)
 	checkResultForm(t, "setRows", &res, w)
 	if len(res.Tuples) != len(want) {
 		t.Fatalf("%d rows in, %d out", len(want), len(res.Tuples))
 	}
 	for i, row := range want {
 		if !slices.Equal(res.Tuples[i], row) {
-			t.Fatalf("row %d of %d = %v, the comparison sort has %v (width %d, packed %v)", i, len(want), res.Tuples[i], row, w, packed)
+			t.Fatalf("row %d of %d = %v, the comparison sort has %v (width %d, packed %v)", i, len(want), res.Tuples[i], row, w, p.words)
 		}
 	}
 	if rows.Len() != 0 {
 		t.Fatalf("setRows left %d rows behind: the chunks were not handed back", rows.Len())
 	}
-	return packed
+	return p.words
 }
 
 // TestSetRowsMatchesComparisonSort: whatever the width, the row count, the
 // chunking and the ids, setRows returns the rows a comparison sort does, in
 // the form every result has; and the ordering it picks depends on nothing but
-// whether a row fits 63 bits.
+// whether the relations' id ranges fit 63 bits between them.
 func TestSetRowsMatchesComparisonSort(t *testing.T) {
 	// 0, 1, a first chunk, several chunks, and enough for pooled ones.
 	counts := []int{0, 1, 2, 31, 33, 700, 20_000}
 	for w := 1; w <= 6; w++ {
 		for _, n := range counts {
 			for mode := 0; mode < idModes; mode++ {
-				packed := checkSetRows(t, w, genRows(int64(w*1000+n+mode), w, n, mode))
+				dense := mode == idsDense
+				packed := checkSetRows(t, w, genRows(int64(w*1000+n+mode), w, n, mode), dense)
 				// What each mode's ids can span at most, in bits per column.
 				atMost := map[int]int{idsDense: bits.Len(uint(n)), idsFew: 2, idsNegative: 11}
 				var want bool
@@ -147,6 +195,42 @@ func TestSetRowsMatchesComparisonSort(t *testing.T) {
 	}
 }
 
+// TestPackingOfRelations pins how a packing is read off the relations: a
+// column spans its relation's ids, negative ones included, an empty
+// relation takes no bit, the first column sits highest, and 63 bits between
+// the columns pack where 64 do not.
+func TestPackingOfRelations(t *testing.T) {
+	rel := func(ids ...int64) *relation.Relation {
+		r := relation.New(relation.Schema{Name: "R"})
+		for _, id := range ids {
+			r.Tuples = append(r.Tuples, relation.Tuple{ID: id})
+		}
+		return r
+	}
+	for _, tc := range []struct {
+		name  string
+		rels  []*relation.Relation
+		lo    []int64
+		bits  []uint8
+		shift []uint8
+		words bool
+	}{
+		{"dense", []*relation.Relation{rel(0, 1, 2), rel(3, 0, 7)}, []int64{0, 0}, []uint8{2, 3}, []uint8{3, 0}, true},
+		{"negative", []*relation.Relation{rel(-5, 2), rel(-1)}, []int64{-5, -1}, []uint8{3, 0}, []uint8{0, 0}, true},
+		{"empty", []*relation.Relation{rel(), rel(4, 9), rel()}, []int64{0, 4, 0}, []uint8{0, 3, 0}, []uint8{3, 0, 0}, true},
+		{"one column", []*relation.Relation{rel(0, 1)}, []int64{0}, []uint8{1}, []uint8{0}, false},
+		{"exact 63", []*relation.Relation{rel(math.MinInt64/4, math.MaxInt64/4), rel(0, 1)}, []int64{math.MinInt64 / 4, 0}, []uint8{62, 1}, []uint8{1, 0}, true},
+		{"exact 64", []*relation.Relation{rel(math.MinInt64/4, math.MaxInt64/4), rel(0, 3)}, []int64{math.MinInt64 / 4, 0}, []uint8{62, 2}, nil, false},
+		{"past int64", []*relation.Relation{rel(math.MinInt64, math.MaxInt64), rel(0)}, []int64{math.MinInt64, 0}, []uint8{64, 0}, nil, false},
+	} {
+		p := packingOf(tc.rels)
+		if !slices.Equal(p.lo, tc.lo) || !slices.Equal(p.bits, tc.bits) || p.words != tc.words || tc.words && !slices.Equal(p.shift, tc.shift) {
+			t.Errorf("%s: packing lo %v bits %v shift %v words %v, want %v %v %v %v",
+				tc.name, p.lo, p.bits, p.shift, p.words, tc.lo, tc.bits, tc.shift, tc.words)
+		}
+	}
+}
+
 // FuzzSetRows drives the same generator and check from fuzzed parameters.
 func FuzzSetRows(f *testing.F) {
 	for mode := 0; mode < idModes; mode++ {
@@ -159,13 +243,14 @@ func FuzzSetRows(f *testing.F) {
 	f.Add(int64(4), uint8(2), uint16(9000), uint8(idsFew))
 	f.Fuzz(func(t *testing.T, seed int64, width uint8, n uint16, mode uint8) {
 		w := int(width)%6 + 1
-		checkSetRows(t, w, genRows(seed, w, int(n), int(mode)%idModes))
+		m := int(mode) % idModes
+		checkSetRows(t, w, genRows(seed, w, int(n), m), m == idsDense)
 	})
 }
 
 // TestSetRowsAllocs pins the in-place layout: ordering a result allocates
 // the two things the result is — the id slab and the tuple headers — and
-// not a byte of sorting room, on the packed path and on the comparison path
+// not a byte of sorting room, on the word path and on the comparison path
 // alike.
 func TestSetRowsAllocs(t *testing.T) {
 	const n = 50_000
@@ -183,28 +268,35 @@ func TestSetRowsAllocs(t *testing.T) {
 				mode = idsHuge
 			}
 			data := genRows(5, tc.w, n, mode)
-			var p rowPacking
-			if rows := rowsOf(tc.w, data); p.fit(rows) == tc.wide {
+			p := packingOf(relsOf(tc.w, data, !tc.wide))
+			if p.words == tc.wide {
 				t.Fatalf("packed = %v", !tc.wide)
 			}
-			// setRows consumes its rows, so every run collects its own, the
-			// way a reducer does; what that costs is measured on its own,
-			// with the chunks going back to the pool either way.
+			// setRows consumes its rows, so every call is given its own,
+			// collected the way a reducer does and outside the count. The
+			// count is the least of five calls: handing the chunks back now
+			// and then grows the pool's own lists — more often under the race
+			// detector, whose pool drops chunks at random — which is not
+			// setRows' doing and does not happen on every call, as an
+			// allocation of its own would.
 			var res Result
-			collect := testing.AllocsPerRun(5, func() { rowsOf(tc.w, data).Release() })
-			both := testing.AllocsPerRun(5, func() { res.setRows(rowsOf(tc.w, data)) })
-			if both-collect > 2 {
-				t.Errorf("setRows allocates %v times, want 2 (IDs, Tuples)", both-collect)
+			objects, bytes := uint64(math.MaxUint64), uint64(math.MaxUint64)
+			for range 5 {
+				rows := collect(&p, tc.w, data)
+				var before, after runtime.MemStats
+				runtime.ReadMemStats(&before)
+				res.setRows(rows, &p)
+				runtime.ReadMemStats(&after)
+				objects = min(objects, after.Mallocs-before.Mallocs)
+				bytes = min(bytes, after.TotalAlloc-before.TotalAlloc)
+			}
+			if objects > 2 {
+				t.Errorf("setRows allocates %d times, want 2 (IDs, Tuples)", objects)
 			}
 			// In bytes: 8 per id and 24 per header, each of the two rounded
 			// up to whole 8 KiB pages by the allocator, and 1 KiB.
-			rows := rowsOf(tc.w, data)
-			var before, after runtime.MemStats
-			runtime.ReadMemStats(&before)
-			res.setRows(rows)
-			runtime.ReadMemStats(&after)
-			if got, limit := after.TotalAlloc-before.TotalAlloc, uint64(8*tc.w*n+24*n+2*8192+1024); got > limit {
-				t.Errorf("setRows allocated %d bytes, want at most %d", got, limit)
+			if limit := uint64(8*tc.w*n + 24*n + 2*8192 + 1024); bytes > limit {
+				t.Errorf("setRows allocated %d bytes, want at most %d", bytes, limit)
 			}
 		})
 	}

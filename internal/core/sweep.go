@@ -291,16 +291,25 @@ func kernelSemijoin(starts, ends []int64, from int, sHi, eLo, eHi int64) bool {
 // sHi, filter on the end column, and only then bind the payload. No tuple
 // fields are read inside the scan (enforced by ijlint's colkernel rule);
 // the accepted candidate is materialised from its arena ref exactly once,
-// so rejected candidates never leave the endpoint columns.
+// so rejected candidates never leave the endpoint columns — and when the
+// rows are words it is never materialised: the last level packs the
+// bindings' ids straight into the row's word (putWord).
 func (p *preparedJoin) kernelSweep(i, from int, sHi, eLo, eHi int64) {
 	lo, hi, refs := p.loCol[i], p.hiCol[i], p.refCol[i]
+	tuples, leaf := p.words == nil, p.words != nil && i == p.last
 	for k := from; k < len(lo) && lo[k] <= sHi; k++ {
 		if e := hi[k]; e < eLo || e > eHi {
 			continue
 		}
 		p.idx[i] = k
 		p.bref[i] = refs[k]
-		p.asg[i] = p.arena.Tuple(refs[k])
+		if leaf {
+			p.putWord()
+			continue
+		}
+		if tuples {
+			p.asg[i] = p.arena.Tuple(refs[k])
+		}
 		p.rec(i + 1)
 	}
 }
@@ -311,13 +320,20 @@ func (p *preparedJoin) kernelSweep(i, from int, sHi, eLo, eHi int64) {
 // the end-column filter deciding each candidate.
 func (p *preparedJoin) kernelMerge(i, from int, pt, eLo, eHi int64) {
 	lo, hi, refs := p.loCol[i], p.hiCol[i], p.refCol[i]
+	tuples, leaf := p.words == nil, p.words != nil && i == p.last
 	for k := from; k < len(lo) && lo[k] == pt; k++ {
 		if e := hi[k]; e < eLo || e > eHi {
 			continue
 		}
 		p.idx[i] = k
 		p.bref[i] = refs[k]
-		p.asg[i] = p.arena.Tuple(refs[k])
+		if leaf {
+			p.putWord()
+			continue
+		}
+		if tuples {
+			p.asg[i] = p.arena.Tuple(refs[k])
+		}
 		p.rec(i + 1)
 	}
 }

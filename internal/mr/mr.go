@@ -124,6 +124,11 @@ type RowReduceFunc func(key int64, values []string, out *Rows) error
 // Full-size chunks are pooled across jobs and engines: whoever has copied the
 // ids out calls Release, after which the Rows — and every slot and chunk it
 // handed out — must not be read.
+//
+// What a row's ids mean is the job's business. internal/core collects a
+// result whose ids pack into one word per row in Rows of Width 1, each word
+// a whole row; that is its convention for reading the chunks back, not a
+// second kind of Rows.
 type Rows struct {
 	// Width is the number of ids per row. Set before the job runs.
 	Width  int

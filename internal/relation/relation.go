@@ -115,15 +115,22 @@ func (r *Relation) Intervals() []interval.Interval {
 // they stand; the set of seen ids is built only from the first tuple that
 // departs from that.
 func (r *Relation) Validate() error {
+	_, _, err := r.ValidateRange()
+	return err
+}
+
+// ValidateRange validates r as Validate does and returns, from the same pass,
+// the smallest and the largest tuple id: 0 and 0 when r is empty.
+func (r *Relation) ValidateRange() (lo, hi int64, err error) {
 	var seen map[int64]struct{}
 	for i, t := range r.Tuples {
 		if len(t.Attrs) != r.Schema.Arity() {
-			return fmt.Errorf("relation %s: tuple %d has arity %d, want %d",
+			return 0, 0, fmt.Errorf("relation %s: tuple %d has arity %d, want %d",
 				r.Schema.Name, i, len(t.Attrs), r.Schema.Arity())
 		}
 		for j, iv := range t.Attrs {
 			if !iv.Valid() {
-				return fmt.Errorf("relation %s: tuple %d attribute %s invalid: %v",
+				return 0, 0, fmt.Errorf("relation %s: tuple %d attribute %s invalid: %v",
 					r.Schema.Name, i, r.Schema.Attrs[j], iv)
 			}
 		}
@@ -132,16 +139,26 @@ func (r *Relation) Validate() error {
 				continue
 			}
 			seen = make(map[int64]struct{}, len(r.Tuples))
+			// The ids so far are 0..i-1.
+			lo, hi = t.ID, t.ID
+			if i > 0 {
+				lo, hi = min(lo, 0), max(hi, int64(i-1))
+			}
 			for id := int64(0); id < int64(i); id++ {
 				seen[id] = struct{}{}
 			}
 		}
 		if _, dup := seen[t.ID]; dup {
-			return fmt.Errorf("relation %s: duplicate tuple id %d", r.Schema.Name, t.ID)
+			return 0, 0, fmt.Errorf("relation %s: duplicate tuple id %d", r.Schema.Name, t.ID)
 		}
 		seen[t.ID] = struct{}{}
+		lo, hi = min(lo, t.ID), max(hi, t.ID)
 	}
-	return nil
+	if seen == nil && len(r.Tuples) > 0 {
+		// Every id is its position.
+		return 0, int64(len(r.Tuples) - 1), nil
+	}
+	return lo, hi, nil
 }
 
 // EncodeTuple serialises a tuple to the line format used on the distributed

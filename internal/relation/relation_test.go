@@ -1,6 +1,7 @@
 package relation
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -80,6 +81,34 @@ func TestValidateCatchesDuplicates(t *testing.T) {
 		}
 		if err := r.Validate(); (err != nil) != tc.dup {
 			t.Errorf("%s: ids %v: Validate = %v", name, tc.ids, err)
+		}
+	}
+}
+
+// TestValidateRange: the id range comes out of the validating pass whether
+// the ids sit at their positions, leave them at the first tuple or later, or
+// are not there at all.
+func TestValidateRange(t *testing.T) {
+	iv := []interval.Interval{interval.New(0, 1)}
+	for _, tc := range []struct {
+		ids    []int64
+		lo, hi int64
+	}{
+		{nil, 0, 0},
+		{[]int64{0}, 0, 0},
+		{[]int64{0, 1, 2, 3}, 0, 3},
+		{[]int64{5}, 5, 5},
+		{[]int64{-4, 9, 2}, -4, 9},
+		{[]int64{0, 1, 2, -7, 3}, -7, 3},
+		{[]int64{0, 1, 40, 2}, 0, 40},
+		{[]int64{math.MaxInt64, math.MinInt64}, math.MinInt64, math.MaxInt64},
+	} {
+		r := New(NewSchema("R"))
+		for _, id := range tc.ids {
+			r.Tuples = append(r.Tuples, Tuple{ID: id, Attrs: iv})
+		}
+		if lo, hi, err := r.ValidateRange(); err != nil || lo != tc.lo || hi != tc.hi {
+			t.Errorf("ids %v: range [%d, %d] (%v), want [%d, %d]", tc.ids, lo, hi, err, tc.lo, tc.hi)
 		}
 	}
 }

@@ -11,8 +11,10 @@
 #                      disabled tracer and disabled telemetry cost nothing
 #                      (nil tracer/registry = nil check + zero allocs;
 #                      docs/OBSERVABILITY.md), the shuffle and the RCCIS
-#                      op allocate nothing per pair or per tuple, and
-#                      product-space routing nothing per record
+#                      op allocate nothing per pair or per tuple,
+#                      product-space routing nothing per record, and a
+#                      last-stage reduce nothing per result row
+#                      (TestRowEmissionAllocs)
 #   5. go test -race — full suite (unit, integration, property, oracle
 #                      cross-validation) under the race detector; the MR
 #                      engine is deliberately concurrent, so -race is part
@@ -21,7 +23,10 @@
 #                      decoders that read arbitrary bytes — the binary
 #                      record codec (FuzzRecordDecode) and the spill
 #                      records carrying it (FuzzSpillRecordRoundTrip) —
-#                      and the result's row ordering (FuzzSetRows)
+#                      and the result's row ordering (FuzzSetRows: rows
+#                      packed by their relations' id ranges, radix-sorted
+#                      as words or compared as ids, against a comparison
+#                      sort)
 #   6. bench module  — bench/ is a nested module the root ./... does not
 #                      reach; it compiles against internal packages, so it
 #                      is vetted and tested here, where an internal API
@@ -66,11 +71,13 @@ go test -run 'TestLiveDisabledZeroCost' ./internal/obs/live/
 # The same idiom pins what is between map and reduce: a job's objects do not
 # follow its emissions (pages are recycled, value lists placed, never grown),
 # and a two-cycle RCCIS run's do not follow its tuples (every record is a
-# view of some slab), and routing a record into a product space's grid
-# allocates nothing. A per-pair allocation creeping back fails here, with
-# the count, before anything slower runs.
+# view of some slab), routing a record into a product space's grid
+# allocates nothing, and neither does a last-stage reduce per row it emits
+# (the join's last level packs each row into one word). A per-pair or
+# per-row allocation creeping back fails here, with the count, before
+# anything slower runs.
 go test -run 'TestShuffleAllocsDoNotFollowEmissions' ./internal/mr/
-go test -run 'TestRCCISOpAllocs|TestProductRouteAllocs' ./internal/core/
+go test -run 'TestRCCISOpAllocs|TestProductRouteAllocs|TestRowEmissionAllocs' ./internal/core/
 
 echo "== go test -race =="
 go test -race ./...
@@ -79,8 +86,9 @@ echo "== fuzz smoke =="
 # The engine's records are fixed-width binary and spill values are arbitrary
 # bytes: five seconds of fuzzing per decoder catches a panic or a lost
 # length check that the seed corpus (run by the suite above) does not. The
-# third target packs result rows into words and sorts them by radix: five
-# seconds of widths, counts and id ranges against a comparison sort.
+# third target packs result rows into words by their relations' id ranges
+# and sorts them by radix: five seconds of widths, counts and id ranges
+# against a comparison sort.
 go test -run '^$' -fuzz '^FuzzRecordDecode$' -fuzztime 5s ./internal/core
 go test -run '^$' -fuzz '^FuzzSpillRecordRoundTrip$' -fuzztime 5s ./internal/mr
 go test -run '^$' -fuzz '^FuzzSetRows$' -fuzztime 5s ./internal/core
