@@ -169,6 +169,79 @@ func TestIjoinPlannerBroadcastsSmallRelation(t *testing.T) {
 	}
 }
 
+// TestIjoinPlannerReach: with no -algorithm, a 3-way overlaps chain of short
+// intervals runs in one cycle — the planner's RCCIS skips the marking — and
+// metrics.json's plan block has a reach entry within its rule. With long
+// intervals the same chain is marked and joined in two cycles and has none.
+// -algorithm rccis takes two cycles either way, and prints the same rows.
+func TestIjoinPlannerReach(t *testing.T) {
+	dir := t.TempDir()
+	type report struct {
+		Serialized struct {
+			Cycles int `json:"cycles"`
+		} `json:"serialized"`
+		Plan *struct {
+			Reach []struct {
+				Vertices int   `json:"vertices"`
+				Longest  int64 `json:"longest"`
+				Reach    int64 `json:"reach"`
+				Span     int64 `json:"span"`
+				Width    int64 `json:"width"`
+			} `json:"reach"`
+		} `json:"plan"`
+	}
+	for _, tc := range []struct {
+		lengths string
+		imax    string
+		reach   bool
+	}{
+		{"short", "40", true},
+		{"long", "400", false},
+	} {
+		args := []string{"-query", "R1 overlaps R2 and R2 overlaps R3"}
+		for i := 1; i <= 3; i++ {
+			name := "R" + strconv.Itoa(i)
+			f := filepath.Join(dir, tc.lengths+"-"+name+".txt")
+			mustRun(t, "genintervals", "-n", "150", "-tmax", "8000", "-imax", tc.imax, "-seed", strconv.Itoa(i), "-o", f)
+			args = append(args, "-rel", name+"="+f)
+		}
+		var reports [2]report
+		var rows [2][]string
+		for i, extra := range [][]string{nil, {"-algorithm", "rccis"}} {
+			metrics := filepath.Join(dir, tc.lengths+"-metrics"+strconv.Itoa(i)+".json")
+			rows[i] = nonEmptyLines(mustRun(t, "ijoin", append(append(slices.Clip(args), "-metrics", metrics), extra...)...))
+			raw, err := os.ReadFile(metrics)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := json.Unmarshal(raw, &reports[i]); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if len(rows[0]) == 0 || !slices.Equal(rows[0], rows[1]) {
+			t.Fatalf("%s: the planner printed %d rows, rccis %d, or the rows differ", tc.lengths, len(rows[0]), len(rows[1]))
+		}
+		reachOf := func(r report) int {
+			if r.Plan == nil {
+				return 0
+			}
+			return len(r.Plan.Reach)
+		}
+		planner, named := reports[0], reports[1]
+		switch {
+		case tc.reach && (planner.Serialized.Cycles != 1 || reachOf(planner) != 1):
+			t.Errorf("%s: the planner ran %d cycles with plan %+v; want one cycle and a reach entry", tc.lengths, planner.Serialized.Cycles, planner.Plan)
+		case tc.reach && planner.Plan.Reach[0].Span > planner.Plan.Reach[0].Width:
+			t.Errorf("%s: reach entry %+v breaks its rule", tc.lengths, planner.Plan.Reach[0])
+		case !tc.reach && (planner.Serialized.Cycles != 2 || reachOf(planner) != 0):
+			t.Errorf("%s: the planner ran %d cycles with plan %+v; want the marking and no reach entry", tc.lengths, planner.Serialized.Cycles, planner.Plan)
+		}
+		if named.Serialized.Cycles != 2 || reachOf(named) != 0 {
+			t.Errorf("%s: -algorithm rccis ran %d cycles with plan %+v; want two and no reach entry", tc.lengths, named.Serialized.Cycles, named.Plan)
+		}
+	}
+}
+
 func TestIjoinEmitTuples(t *testing.T) {
 	dir := t.TempDir()
 	a := filepath.Join(dir, "a.txt")

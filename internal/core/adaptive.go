@@ -38,6 +38,9 @@ type execPlan struct {
 	autoK      bool
 	threshold  float64
 	maxVirtual int
+	// reach is the rule under which the join ran without marking; nil when
+	// the marking ran.
+	reach []obs.Reach
 }
 
 const (
@@ -178,6 +181,7 @@ func (pl *execPlan) info() *obs.PlanInfo {
 		Streams:         pl.streams,
 		SplitThreshold:  pl.threshold,
 		MaxVirtual:      pl.maxVirtual,
+		Reach:           pl.reach,
 	}
 }
 

@@ -406,12 +406,14 @@ func TestOutputTupleKey(t *testing.T) {
 }
 
 // rccisOpAllocBound is how many objects a batch-sparse-shaped RCCIS run may
-// allocate whatever its size: what the run, its two jobs, their workers and
-// their 2 × 16 reduce tasks set up — about 1 200 — and nothing per tuple.
+// allocate whatever its size: what the run, its jobs, their workers and
+// their reduce tasks set up — about 1 200 for the two cycles of 16 tasks —
+// and nothing per tuple.
 const rccisOpAllocBound = 2_000
 
 // TestRCCISOpAllocs pins the op the shuffle was rebuilt for: three relations
-// of sparse intervals through both RCCIS cycles on 16 partitions. Every
+// of sparse intervals on 16 partitions, through both RCCIS cycles and, on the
+// same short intervals, through the planner's one-cycle reach plan. Every
 // record between map and reduce is a view — of a relation's slab, of an
 // emission page, of the shuffle's arena, of a mark reducer's slab — so the
 // objects a run allocates are its per-job, per-task and per-key state, and
@@ -420,32 +422,42 @@ func TestRCCISOpAllocs(t *testing.T) {
 	defer debug.SetGCPercent(debug.SetGCPercent(-1))
 	q := query.MustParse("R1 overlaps R2 and R2 overlaps R3")
 	engine := mr.NewEngine(mr.Config{Store: dfs.NewMem(), Workers: 2})
-	run := func(n int) float64 {
-		rng := rand.New(rand.NewSource(7))
-		rels := make([]*relation.Relation, 3)
-		for i, name := range []string{"R1", "R2", "R3"} {
-			rels[i] = randomRelation(rng, name, n, int64(n)*100, 100)
+	for _, arm := range []struct {
+		name   string
+		alg    Algorithm
+		cycles int
+	}{
+		{"rccis", RCCIS{}, 2},
+		{"planner", Plan(q, false), 1},
+	} {
+		run := func(n int) float64 {
+			rng := rand.New(rand.NewSource(7))
+			rels := make([]*relation.Relation, 3)
+			for i, name := range []string{"R1", "R2", "R3"} {
+				rels[i] = randomRelation(rng, name, n, int64(n)*100, 100)
+			}
+			return testing.AllocsPerRun(3, func() {
+				ctx, err := NewContext(engine, q, rels, Options{Partitions: 16})
+				if err != nil {
+					t.Fatal(err)
+				}
+				res, err := arm.alg.Run(ctx)
+				if err != nil || len(res.Tuples) == 0 || res.Metrics.Cycles != arm.cycles {
+					t.Fatalf("%s: %d rows in %d cycles, want %d; %v", arm.name, len(res.Tuples), res.Metrics.Cycles, arm.cycles, err)
+				}
+			})
 		}
-		return testing.AllocsPerRun(3, func() {
-			ctx, err := NewContext(engine, q, rels, Options{Partitions: 16})
-			if err != nil {
-				t.Fatal(err)
-			}
-			res, err := RCCIS{}.Run(ctx)
-			if err != nil || len(res.Tuples) == 0 {
-				t.Fatalf("%d rows, %v", len(res.Tuples), err)
-			}
-		})
-	}
-	small, large := run(2_000), run(4_000)
-	t.Logf("objects per run: %.0f for 3 x 2000 tuples, %.0f for 3 x 4000", small, large)
-	if small > rccisOpAllocBound {
-		t.Errorf("a run over 3 x 2000 tuples allocates %.0f objects, bound %d", small, rccisOpAllocBound)
-	}
-	// What does grow with the input grows by the map task — 256 tuples or
-	// streamed records, a handful of objects each — or by doubling: 0.05 a
-	// tuple, where every tuple used to cost a mark record of its own.
-	if perTuple := (large - small) / (3 * 2_000); perTuple > 0.1 {
-		t.Errorf("%.3f objects per extra tuple", perTuple)
+		small, large := run(2_000), run(4_000)
+		t.Logf("%s: objects per run: %.0f for 3 x 2000 tuples, %.0f for 3 x 4000", arm.name, small, large)
+		if small > rccisOpAllocBound {
+			t.Errorf("%s: a run over 3 x 2000 tuples allocates %.0f objects, bound %d", arm.name, small, rccisOpAllocBound)
+		}
+		// What does grow with the input grows by the map task — 256 tuples
+		// or streamed records, a handful of objects each — or by doubling:
+		// 0.05 a tuple, where every tuple used to cost a mark record of its
+		// own.
+		if perTuple := (large - small) / (3 * 2_000); perTuple > 0.1 {
+			t.Errorf("%s: %.3f objects per extra tuple", arm.name, perTuple)
+		}
 	}
 }

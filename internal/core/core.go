@@ -97,6 +97,9 @@ type Context struct {
 	// packing is how a result row over Rels becomes one word, read off the
 	// relations' ids once: every run on the Context collects by it.
 	packing rowPacking
+	// longest[i] is the length of Rels[i]'s longest first-attribute interval,
+	// read in the same pass: it bounds how far a row can reach (reachJoin).
+	longest []int64
 }
 
 // NewContext validates and assembles a run context. Relations are matched to
@@ -112,6 +115,7 @@ func NewContext(engine *mr.Engine, q *query.Query, rels []*relation.Relation, op
 	bound := make([]*relation.Relation, len(q.Relations))
 	// lo[i] and hi[i] bound relation i's ids: the result's packing.
 	lo, hi := make([]int64, len(bound)), make([]int64, len(bound))
+	longest := make([]int64, len(bound))
 	for _, r := range rels {
 		i := q.RelIndex(r.Schema.Name)
 		if i < 0 {
@@ -129,7 +133,7 @@ func NewContext(engine *mr.Engine, q *query.Query, rels []*relation.Relation, op
 				r.Schema.Name, r.Schema.Arity(), maxArity)
 		}
 		var err error
-		if lo[i], hi[i], err = r.ValidateRange(); err != nil {
+		if lo[i], hi[i], longest[i], err = r.ValidateRange(); err != nil {
 			return nil, err
 		}
 		bound[i] = r
@@ -139,7 +143,8 @@ func NewContext(engine *mr.Engine, q *query.Query, rels []*relation.Relation, op
 			return nil, fmt.Errorf("core: no relation bound for %s", q.Relations[i].Name)
 		}
 	}
-	return &Context{Engine: engine, Query: q, Rels: bound, Opts: opts, slabs: make([]relSlab, len(bound)), packing: newRowPacking(lo, hi)}, nil
+	return &Context{Engine: engine, Query: q, Rels: bound, Opts: opts, slabs: make([]relSlab, len(bound)),
+		packing: newRowPacking(lo, hi), longest: longest}, nil
 }
 
 // Stage writes every relation to the store as "input/<name>", one text line
@@ -242,7 +247,9 @@ type Result struct {
 	PerCycle []*mr.Metrics
 	// ReplicatedIntervals counts the intervals selected for replication
 	// (the paper's Table 1 "# Intervals Replicated" column). Zero for
-	// algorithms that do not replicate.
+	// algorithms that do not replicate, and for the planner's one-cycle
+	// reach plan (reachJoin): it marks nothing and splits every tuple, as
+	// the two-way overlap strategy does.
 	ReplicatedIntervals int64
 	// PrunedIntervals maps relation index -> number of tuples PASM proved
 	// cannot appear in any output and dropped before the join cycle

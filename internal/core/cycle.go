@@ -28,6 +28,25 @@ import (
 type dimension struct {
 	part  interval.Partitioning
 	verts []query.Operand
+	// reach is how far past its end a vertex split along the dimension is
+	// sent: far enough to meet every row it is in at the row's owner
+	// partition when the planner joins without marking (reachJoin); 0
+	// otherwise.
+	reach interval.Point
+}
+
+// apply is the partitions op sends iv to along the dimension. A split reaches
+// the dimension's reach past the interval's end; the partitioning clamps an
+// end past its range.
+func (d *dimension) apply(op interval.Op, iv interval.Interval) (first, last int) {
+	if op == interval.OpSplit && d.reach > 0 {
+		if iv.End > math.MaxInt64-d.reach {
+			iv.End = math.MaxInt64
+		} else {
+			iv.End += d.reach
+		}
+	}
+	return d.part.Apply(op, iv)
 }
 
 // owner is the exactly-once rule along one dimension: an assignment belongs
@@ -148,10 +167,10 @@ func (c *Context) baseInputs(sp *space) []mr.Input {
 
 // route sends value — a record of relation rel carrying tuple t — to the
 // reducers its vertices address: vertex i of the relation is projected,
-// split or replicated along its dimension as ops[i] says, and in a product
-// every other dimension is free. nil ops leave every dimension free
-// (All-Matrix's broadcast ablation). stream is the record's input stream in
-// the adaptive plan's cell cover.
+// split or replicated along its dimension as ops[i] says (dimension.apply),
+// and in a product every other dimension is free. nil ops leave every
+// dimension free (All-Matrix's broadcast ablation). stream is the record's
+// input stream in the adaptive plan's cell cover.
 func (sp *space) route(emit mr.Emitter, rel int, t relation.Tuple, ops []interval.Op, stream int, value string) {
 	if sp.product {
 		// The bounds live on the stack for every grid a driver builds, and
@@ -160,7 +179,7 @@ func (sp *space) route(emit mr.Emitter, rel int, t relation.Tuple, ops []interva
 		bounds := append(room[:0], sp.free...)
 		if ops != nil {
 			for i, v := range sp.at[rel] {
-				first, last := sp.dims[v.dim].part.Apply(ops[i], t.Attrs[v.attr])
+				first, last := sp.dims[v.dim].apply(ops[i], t.Attrs[v.attr])
 				bounds[v.dim] = grid.Bound{Min: first, Max: last}
 			}
 		}
@@ -168,7 +187,7 @@ func (sp *space) route(emit mr.Emitter, rel int, t relation.Tuple, ops []interva
 		return
 	}
 	for i, v := range sp.at[rel] {
-		first, last := sp.dims[v.dim].part.Apply(ops[i], t.Attrs[v.attr])
+		first, last := sp.dims[v.dim].apply(ops[i], t.Attrs[v.attr])
 		if sp.plan != nil {
 			// Split partitions expand to the record's cell-cover rows.
 			sp.plan.emitRange(emit, first, last, stream, value)

@@ -2,9 +2,11 @@ package core
 
 import (
 	"cmp"
+	"math"
 	"slices"
 
 	"intervaljoin/internal/grid"
+	"intervaljoin/internal/interval"
 	"intervaljoin/internal/obs"
 	"intervaljoin/internal/query"
 )
@@ -74,24 +76,26 @@ func chooseKernel(lp levelPlan) kernelKind {
 // Gen-Matrix for general multi-attribute queries. Two-relation
 // single-condition queries use the one-cycle 2-way strategy table directly.
 //
-// The All-Matrix and All-Seq-Matrix it returns are the planner's own: they
-// may join a small relation whole in every reducer instead of giving it a
-// grid dimension (broadcastSmall). The same algorithms by name — the zero
-// values Algorithms and the registry hand out — are the paper's and never do.
+// The RCCIS, All-Matrix and All-Seq-Matrix it returns are the planner's own:
+// the product drivers may join a small relation whole in every reducer
+// instead of giving it a grid dimension (broadcastSmall), and RCCIS and
+// All-Seq-Matrix may join in one cycle without marking when the intervals
+// are short (reachJoin). The same algorithms by name — the zero values
+// Algorithms and the registry hand out — are the paper's and never do.
 func Plan(q *query.Query, preferPruning bool) Algorithm {
 	if len(q.Conds) == 1 && len(q.Relations) == 2 && q.Classify() != query.General {
 		return TwoWay{}
 	}
 	switch q.Classify() {
 	case query.Colocation:
-		return RCCIS{}
+		return RCCIS{planned: true}
 	case query.Sequence:
 		return AllMatrix{broadcast: true}
 	case query.Hybrid:
 		if preferPruning {
 			return PASM{}
 		}
-		return SeqMatrix{broadcast: true}
+		return SeqMatrix{planned: true}
 	default:
 		return GenMatrix{}
 	}
@@ -117,13 +121,100 @@ func (c *Context) plannedProduct(env *chainEnv, broadcast bool, source string, d
 		return sp, err
 	}
 	sp.whole, env.whole = whole, whole
-	env.res.Metrics.Plan = &obs.PlanInfo{
-		Partitions:      dims[0].part.Len(),
-		BoundarySource:  source,
-		VirtualReducers: int(sp.cells.Count()),
-		Broadcast:       taken,
-	}
+	env.productPlan(sp, source).Broadcast = taken
 	return sp, nil
+}
+
+// productPlan is the plan a product driver reports, made on first use: it
+// reports one only when the planner changed its space or its cycles.
+func (env *chainEnv) productPlan(sp *space, source string) *obs.PlanInfo {
+	if env.res.Metrics.Plan == nil {
+		env.res.Metrics.Plan = &obs.PlanInfo{
+			Partitions:      sp.dims[0].part.Len(),
+			BoundarySource:  source,
+			VirtualReducers: int(sp.cells.Count()),
+		}
+	}
+	return env.res.Metrics.Plan
+}
+
+// reachJoin is the planner's one-cycle join over sp: ok, and the rule's
+// sides to report, when the rule below holds; otherwise the paper's mark +
+// join runs.
+//
+// Every colocation predicate implies that its two intervals share a point,
+// so along a path of conditions each vertex starts no later than the one
+// before it ends, and ends at most L later than it starts, L the longest
+// interval among them. When the colocation conditions among a dimension's m
+// vertices connect them, a path between two vertices of a row has m−1 hops
+// at most, and the row's right-most start — the one the owner rule reads —
+// lies at most reach = max(m−2, 0)·L past any member's end. Splitting every
+// tuple over [start, end + reach] (dimension.apply) therefore meets each row
+// at its owner partition in one cycle, and the owner rule emits it there
+// once. The mark cycle, its flag-vector records and the map over them go.
+//
+// That holds for any L; the rule says when it is cheaper, in pairs. With W
+// the narrowest partition, L + reach ≤ W keeps every extended interval
+// within two partitions: 2n pairs at most for n tuples. The mark path ships
+// 2n at least: its mark cycle splits every tuple at least once and its join
+// cycle ships every tuple at least once. The rule is for a space of one
+// dimension only: in a product a spanning tuple is copied across every free
+// cell, and the pairs are not compared there.
+//
+// Every vertex is split. The dimension holds two at least: RCCIS binds two
+// relations or more, and broadcastSmall takes out only dimensions one
+// relation makes up alone, never a colocation component's.
+func (c *Context) reachJoin(sp *space) (join cellJoin, r obs.Reach, ok bool) {
+	if len(sp.dims) != 1 || !linked(c.Query, sp.dims[0].verts) {
+		return cellJoin{}, obs.Reach{}, false
+	}
+	d := &sp.dims[0]
+	m := len(d.verts)
+	r = obs.Reach{Vertices: m, Width: narrowest(d.part)}
+	for _, v := range d.verts {
+		r.Longest = max(r.Longest, c.longest[v.Rel])
+	}
+	// L + (m−2)·L ≤ W, that is max(m−1, 1)·L ≤ W, without overflow.
+	if r.Longest > r.Width/int64(max(m-1, 1)) {
+		return cellJoin{}, obs.Reach{}, false
+	}
+	r.Reach = int64(max(m-2, 0)) * r.Longest
+	r.Span = r.Longest + r.Reach
+	d.reach = r.Reach
+	ops := make([]interval.Op, len(c.Rels))
+	for rel := range ops {
+		ops[rel] = interval.OpSplit
+	}
+	return cellJoin{name: "join", sp: sp, ops: ops, owner: true}, r, true
+}
+
+// linked reports whether the colocation conditions among verts connect them.
+func linked(q *query.Query, verts []query.Operand) bool {
+	conds := condsWithin(q, verts)
+	reached := []query.Operand{verts[0]}
+	for grown := true; grown; {
+		grown = false
+		for _, cd := range conds {
+			l, r := slices.Contains(reached, cd.Left), slices.Contains(reached, cd.Right)
+			switch {
+			case l && !r:
+				reached, grown = append(reached, cd.Right), true
+			case r && !l:
+				reached, grown = append(reached, cd.Left), true
+			}
+		}
+	}
+	return len(reached) == len(verts)
+}
+
+// narrowest is the width of part's narrowest partition, in points.
+func narrowest(part interval.Partitioning) int64 {
+	w := uint64(math.MaxInt64)
+	for i := range part.Len() {
+		iv := part.PartitionInterval(i)
+		w = min(w, uint64(iv.End)-uint64(iv.Start)+1)
+	}
+	return int64(w)
 }
 
 // broadcastSmall takes out of a product space the dimensions of relations

@@ -5,6 +5,7 @@ import (
 
 	"intervaljoin/internal/interval"
 	"intervaljoin/internal/mr"
+	"intervaljoin/internal/obs"
 	"intervaljoin/internal/query"
 	"intervaljoin/internal/relation"
 )
@@ -21,7 +22,15 @@ import (
 // Cycle 2 replicates the flagged intervals, projects the rest, and joins at
 // each reducer, emitting an output tuple at the partition in which its
 // right-most interval starts.
-type RCCIS struct{}
+//
+// The RCCIS that Plan returns runs cycle 2 alone, over every tuple split a
+// bounded reach past its end, when the intervals are short against the
+// partitions (reachJoin); the named one always marks.
+type RCCIS struct {
+	// planned lets the run skip the marking when the longest interval bounds
+	// how far a row can reach (reachJoin); only Plan sets it.
+	planned bool
+}
 
 // Name implements Algorithm.
 func (RCCIS) Name() string { return "rccis" }
@@ -43,7 +52,14 @@ func (r RCCIS) stages(ctx *Context, env *chainEnv) ([]mr.Stage, *execPlan, error
 		return nil, nil, err
 	}
 	dim := dimension{part: plan.part, verts: firstAttrs(allRelations(m))}
-	join := cellJoin{name: "join", sp: ctx.union(plan, dim), from: "marked", owner: true}
+	sp := ctx.union(plan, dim)
+	if r.planned {
+		if join, reach, ok := ctx.reachJoin(sp); ok {
+			plan.reach = []obs.Reach{reach}
+			return []mr.Stage{{Job: join.job(ctx)}}, plan, nil
+		}
+	}
+	join := cellJoin{name: "join", sp: sp, from: "marked", owner: true}
 	return []mr.Stage{
 		{Job: ctx.markJob([]dimension{dim}, false), Tap: replicateFlagTap(&env.res.ReplicatedIntervals)},
 		{Job: join.job(ctx)},

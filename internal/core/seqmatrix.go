@@ -6,6 +6,7 @@ import (
 	"intervaljoin/internal/grid"
 	"intervaljoin/internal/interval"
 	"intervaljoin/internal/mr"
+	"intervaljoin/internal/obs"
 	"intervaljoin/internal/query"
 )
 
@@ -26,10 +27,17 @@ import (
 // intervals; we therefore add the constraint only when a static analysis
 // proves every member of C_j must start before C_k's right-most member.
 // All the paper's example queries pass the analysis and keep full pruning.
+//
+// The All-Seq-Matrix that Plan returns may broadcast small relations
+// (broadcastSmall); when that leaves one dimension of short intervals, it
+// runs cycle 2 alone over every tuple split a bounded reach past its end
+// (reachJoin). The named one always marks.
 type SeqMatrix struct {
-	// broadcast lets the join space lose the dimensions of small
-	// single-relation components (broadcastSmall); only Plan sets it.
-	broadcast bool
+	// planned lets the join space lose the dimensions of small
+	// single-relation components (broadcastSmall) and, when one dimension is
+	// left and its intervals are short, the run skip the marking
+	// (reachJoin); only Plan sets it.
+	planned bool
 }
 
 // Name implements Algorithm.
@@ -48,9 +56,15 @@ func (s SeqMatrix) stages(ctx *Context, env *chainEnv) ([]mr.Stage, *execPlan, e
 	if err != nil {
 		return nil, nil, err
 	}
-	sp, err := ctx.plannedProduct(env, s.broadcast, source, componentDims(env.d, part), soundComponentLess(env.d))
+	sp, err := ctx.plannedProduct(env, s.planned, source, componentDims(env.d, part), soundComponentLess(env.d))
 	if err != nil {
 		return nil, nil, err
+	}
+	if s.planned {
+		if join, reach, ok := ctx.reachJoin(sp); ok {
+			env.productPlan(sp, source).Reach = []obs.Reach{reach}
+			return []mr.Stage{{Job: join.job(ctx)}}, nil, nil
+		}
 	}
 	// Only the components left in the space are marked: a relation the
 	// reducers hold whole is neither marked nor shuffled.

@@ -108,7 +108,7 @@ func packingOf(rels []*relation.Relation) rowPacking {
 	lo, hi := make([]int64, len(rels)), make([]int64, len(rels))
 	for k, r := range rels {
 		var err error
-		if lo[k], hi[k], err = r.ValidateRange(); err != nil {
+		if lo[k], hi[k], _, err = r.ValidateRange(); err != nil {
 			panic(err)
 		}
 	}

@@ -88,10 +88,29 @@ type PlanInfo struct {
 	// Broadcast lists, in the order they were taken, the relations the
 	// planner took out of a product space's grid: each is joined whole in
 	// every reducer instead of being shuffled along a dimension of its own.
-	// A product driver reports a plan only when it took one; Partitions is
-	// then the count per dimension and VirtualReducers the consistent cells
-	// left.
+	// A product driver reports a plan only when it took one or skipped the
+	// marking (Reach); Partitions is then the count per dimension and
+	// VirtualReducers the consistent cells left.
 	Broadcast []Broadcast `json:"broadcast,omitempty"`
+	// Reach lists, for each dimension of the join space, the rule under
+	// which the planner joined in one cycle without marking which intervals
+	// cross a partition boundary. It is empty when the marking ran.
+	Reach []Reach `json:"reach,omitempty"`
+}
+
+// Reach is one dimension the planner joins without a mark cycle. Every
+// tuple on it is split over its interval extended Reach = max(m−2, 0) ×
+// Longest past its end, m the vertices on the dimension and Longest the
+// longest interval among their relations: no row's right-most start lies
+// further from any member's end. The rule that chose it is Span = Longest +
+// Reach ≤ Width, the narrowest partition, so that no tuple lands in more
+// than two partitions.
+type Reach struct {
+	Vertices int   `json:"vertices"`
+	Longest  int64 `json:"longest"`
+	Reach    int64 `json:"reach"`
+	Span     int64 `json:"span"`
+	Width    int64 `json:"width"`
 }
 
 // Broadcast is one relation the planner sends whole to every reducer, with

@@ -9,6 +9,7 @@ package relation
 
 import (
 	"fmt"
+	"math"
 	"strconv"
 	"strings"
 
@@ -115,24 +116,34 @@ func (r *Relation) Intervals() []interval.Interval {
 // they stand; the set of seen ids is built only from the first tuple that
 // departs from that.
 func (r *Relation) Validate() error {
-	_, _, err := r.ValidateRange()
+	_, _, _, err := r.ValidateRange()
 	return err
 }
 
 // ValidateRange validates r as Validate does and returns, from the same pass,
-// the smallest and the largest tuple id: 0 and 0 when r is empty.
-func (r *Relation) ValidateRange() (lo, hi int64, err error) {
+// the smallest and the largest tuple id — 0 and 0 when r is empty — and the
+// length of the longest interval in its first attribute: 0 when there is
+// none, math.MaxInt64 when a length passes it.
+func (r *Relation) ValidateRange() (lo, hi, longest int64, err error) {
 	var seen map[int64]struct{}
 	for i, t := range r.Tuples {
 		if len(t.Attrs) != r.Schema.Arity() {
-			return 0, 0, fmt.Errorf("relation %s: tuple %d has arity %d, want %d",
+			return 0, 0, 0, fmt.Errorf("relation %s: tuple %d has arity %d, want %d",
 				r.Schema.Name, i, len(t.Attrs), r.Schema.Arity())
 		}
 		for j, iv := range t.Attrs {
 			if !iv.Valid() {
-				return 0, 0, fmt.Errorf("relation %s: tuple %d attribute %s invalid: %v",
+				return 0, 0, 0, fmt.Errorf("relation %s: tuple %d attribute %s invalid: %v",
 					r.Schema.Name, i, r.Schema.Attrs[j], iv)
 			}
+		}
+		if len(t.Attrs) > 0 {
+			n := t.Attrs[0].Length()
+			if n < 0 {
+				// A valid interval's length wraps only past MaxInt64.
+				n = math.MaxInt64
+			}
+			longest = max(longest, n)
 		}
 		if seen == nil {
 			if t.ID == int64(i) {
@@ -149,16 +160,16 @@ func (r *Relation) ValidateRange() (lo, hi int64, err error) {
 			}
 		}
 		if _, dup := seen[t.ID]; dup {
-			return 0, 0, fmt.Errorf("relation %s: duplicate tuple id %d", r.Schema.Name, t.ID)
+			return 0, 0, 0, fmt.Errorf("relation %s: duplicate tuple id %d", r.Schema.Name, t.ID)
 		}
 		seen[t.ID] = struct{}{}
 		lo, hi = min(lo, t.ID), max(hi, t.ID)
 	}
 	if seen == nil && len(r.Tuples) > 0 {
 		// Every id is its position.
-		return 0, int64(len(r.Tuples) - 1), nil
+		return 0, int64(len(r.Tuples) - 1), longest, nil
 	}
-	return lo, hi, nil
+	return lo, hi, longest, nil
 }
 
 // EncodeTuple serialises a tuple to the line format used on the distributed

@@ -87,9 +87,29 @@ func TestValidateCatchesDuplicates(t *testing.T) {
 
 // TestValidateRange: the id range comes out of the validating pass whether
 // the ids sit at their positions, leave them at the first tuple or later, or
-// are not there at all.
+// are not there at all; so does the longest first-attribute interval, on
+// either path, saturated where a length passes MaxInt64.
 func TestValidateRange(t *testing.T) {
 	iv := []interval.Interval{interval.New(0, 1)}
+	for _, tc := range []struct {
+		ids     []int64
+		ivs     []interval.Interval
+		longest int64
+	}{
+		{nil, nil, 0},
+		{[]int64{0, 1, 2}, []interval.Interval{{Start: 3, End: 3}, {Start: -5, End: 4}, {Start: 0, End: 2}}, 9},
+		{[]int64{0, 7, 2}, []interval.Interval{{Start: 0, End: 1}, {Start: 0, End: 1}, {Start: 10, End: 40}}, 30},
+		{[]int64{0, 1}, []interval.Interval{{Start: 0, End: 1}, {Start: math.MinInt64, End: 0}}, math.MaxInt64},
+	} {
+		r := New(NewSchema("R", "I", "J"))
+		for k, id := range tc.ids {
+			// The second attribute is longer still: only the first counts.
+			r.Tuples = append(r.Tuples, Tuple{ID: id, Attrs: []interval.Interval{tc.ivs[k], {Start: 0, End: 1 << 40}}})
+		}
+		if _, _, longest, err := r.ValidateRange(); err != nil || longest != tc.longest {
+			t.Errorf("intervals %v: longest %d (%v), want %d", tc.ivs, longest, err, tc.longest)
+		}
+	}
 	for _, tc := range []struct {
 		ids    []int64
 		lo, hi int64
@@ -107,7 +127,7 @@ func TestValidateRange(t *testing.T) {
 		for _, id := range tc.ids {
 			r.Tuples = append(r.Tuples, Tuple{ID: id, Attrs: iv})
 		}
-		if lo, hi, err := r.ValidateRange(); err != nil || lo != tc.lo || hi != tc.hi {
+		if lo, hi, _, err := r.ValidateRange(); err != nil || lo != tc.lo || hi != tc.hi {
 			t.Errorf("ids %v: range [%d, %d] (%v), want [%d, %d]", tc.ids, lo, hi, err, tc.lo, tc.hi)
 		}
 	}

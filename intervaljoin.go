@@ -8,7 +8,10 @@
 //
 //   - colocation queries (overlaps, contains, meets, starts, finishes,
 //     equals, and inverses) → RCCIS, which replicates only the intervals
-//     that belong to consistent interval-sets crossing a partition boundary;
+//     that belong to consistent interval-sets crossing a partition boundary
+//     — or, when the longest interval is short against the partitions,
+//     skips that marking cycle and splits every interval a bounded reach
+//     past its end, joining in one cycle;
 //   - sequence queries (before/after) → All-Matrix, which spreads the
 //     cross-product-like workload over a multi-dimensional grid of
 //     consistent reducers;

@@ -11,22 +11,25 @@
 #                      disabled tracer and disabled telemetry cost nothing
 #                      (nil tracer/registry = nil check + zero allocs;
 #                      docs/OBSERVABILITY.md), the shuffle and the RCCIS
-#                      op allocate nothing per pair or per tuple,
-#                      product-space routing nothing per record, and a
+#                      op — both cycles, and the planner's one-cycle
+#                      reach plan — allocate nothing per pair or per
+#                      tuple, product-space routing nothing per record, and a
 #                      last-stage reduce nothing per result row
 #                      (TestRowEmissionAllocs)
 #   5. go test -race — full suite (unit, integration, property, oracle
 #                      cross-validation) under the race detector; the MR
 #                      engine is deliberately concurrent, so -race is part
 #                      of the gate, not an optional extra; then a 5-second
-#                      fuzz smoke of each of three targets: the two
+#                      fuzz smoke of each of four targets: the two
 #                      decoders that read arbitrary bytes — the binary
 #                      record codec (FuzzRecordDecode) and the spill
 #                      records carrying it (FuzzSpillRecordRoundTrip) —
-#                      and the result's row ordering (FuzzSetRows: rows
+#                      the result's row ordering (FuzzSetRows: rows
 #                      packed by their relations' id ranges, radix-sorted
 #                      as words or compared as ids, against a comparison
-#                      sort)
+#                      sort), and the planner against the oracle around
+#                      the reach rule's flip point (FuzzPlanReach: random
+#                      colocation queries, sizes, k and boundaries)
 #   6. bench module  — bench/ is a nested module the root ./... does not
 #                      reach; it compiles against internal packages, so it
 #                      is vetted and tested here, where an internal API
@@ -70,8 +73,9 @@ go test -run 'TestDisabledTracer' ./internal/obs/
 go test -run 'TestLiveDisabledZeroCost' ./internal/obs/live/
 # The same idiom pins what is between map and reduce: a job's objects do not
 # follow its emissions (pages are recycled, value lists placed, never grown),
-# and a two-cycle RCCIS run's do not follow its tuples (every record is a
-# view of some slab), routing a record into a product space's grid
+# and an RCCIS run's do not follow its tuples, over two cycles or over the
+# planner's one-cycle reach plan (every record is a view of some slab),
+# routing a record into a product space's grid
 # allocates nothing, and neither does a last-stage reduce per row it emits
 # (the join's last level packs each row into one word). A per-pair or
 # per-row allocation creeping back fails here, with the count, before
@@ -88,10 +92,13 @@ echo "== fuzz smoke =="
 # length check that the seed corpus (run by the suite above) does not. The
 # third target packs result rows into words by their relations' id ranges
 # and sorts them by radix: five seconds of widths, counts and id ranges
-# against a comparison sort.
+# against a comparison sort. The fourth runs the planner against the oracle
+# on queries, sizes, partition counts and boundaries drawn around the
+# interval length at which it stops skipping the RCCIS marking.
 go test -run '^$' -fuzz '^FuzzRecordDecode$' -fuzztime 5s ./internal/core
 go test -run '^$' -fuzz '^FuzzSpillRecordRoundTrip$' -fuzztime 5s ./internal/mr
 go test -run '^$' -fuzz '^FuzzSetRows$' -fuzztime 5s ./internal/core
+go test -run '^$' -fuzz '^FuzzPlanReach$' -fuzztime 5s ./internal/core
 
 echo "== benchmark module =="
 go vet -C bench ./...
