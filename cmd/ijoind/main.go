@@ -117,7 +117,6 @@ func main() {
 	})
 	flag.Parse()
 
-	tracer := obs.New(obs.Options{})
 	var store dfs.Store = dfs.NewMem()
 	if *dataDir != "" {
 		d, err := dfs.NewDisk(*dataDir)
@@ -126,7 +125,7 @@ func main() {
 		}
 		store = d
 	}
-	engine := mr.NewEngine(mr.Config{Store: store, Workers: *workers, Tracer: tracer})
+	engine := mr.NewEngine(mr.Config{Store: store, Workers: *workers})
 
 	var algFn func(*query.Query) core.Algorithm
 	if *algorithm != "" {
@@ -139,7 +138,6 @@ func main() {
 	svc, err := cache.NewService(cache.ServiceConfig{
 		Engine:     engine,
 		CacheBytes: *cacheMB << 20,
-		Tracer:     tracer,
 		Opts:       core.Options{Partitions: *partitions, PartitionsPerDim: *perDim},
 		Algorithm:  algFn,
 	})
@@ -172,7 +170,7 @@ func main() {
 		traceKeep:   *traceKeep,
 	}
 	if *selfcheck {
-		if err := runSelfcheck(svc, tracer, cfg, selfcheckSpec{
+		if err := runSelfcheck(svc, cfg, selfcheckSpec{
 			query: *mixQuery, queries: *queries, tmin: tmin, tmax: tmax,
 			scrapeOut: *scrapeOut,
 		}); err != nil {
@@ -180,7 +178,7 @@ func main() {
 		}
 		return
 	}
-	if err := serve(svc, tracer, cfg); err != nil {
+	if err := serve(svc, cfg); err != nil {
 		fatal(err)
 	}
 }
@@ -221,7 +219,6 @@ const drainTimeout = 30 * time.Second
 
 type server struct {
 	svc      *cache.Service
-	tracer   *obs.Tracer
 	tel      *telemetry
 	log      *slog.Logger
 	inflight chan struct{}
@@ -258,7 +255,7 @@ func parseLogLevel(s string) (slog.Level, error) {
 }
 
 // newServer assembles the handler state shared by serve and selfcheck.
-func newServer(svc *cache.Service, tracer *obs.Tracer, cfg serveConfig) (*server, error) {
+func newServer(svc *cache.Service, cfg serveConfig) (*server, error) {
 	level, err := parseLogLevel(cfg.logLevel)
 	if err != nil {
 		return nil, err
@@ -269,7 +266,6 @@ func newServer(svc *cache.Service, tracer *obs.Tracer, cfg serveConfig) (*server
 	}
 	s := &server{
 		svc:         svc,
-		tracer:      tracer,
 		tel:         newTelemetry(svc),
 		log:         slog.New(slog.NewJSONHandler(os.Stderr, &slog.HandlerOptions{Level: level})),
 		inflight:    make(chan struct{}, maxInflight),
@@ -301,8 +297,8 @@ func (s *server) mux() *http.ServeMux {
 	return mux
 }
 
-func serve(svc *cache.Service, tracer *obs.Tracer, cfg serveConfig) error {
-	s, err := newServer(svc, tracer, cfg)
+func serve(svc *cache.Service, cfg serveConfig) error {
+	s, err := newServer(svc, cfg)
 	if err != nil {
 		return err
 	}
@@ -342,7 +338,7 @@ func serve(svc *cache.Service, tracer *obs.Tracer, cfg serveConfig) error {
 	}
 	if cfg.metricsOut != "" {
 		if werr := writeFileWith(cfg.metricsOut, func(w io.Writer) error {
-			return cacheReportJSON(w, svc, tracer)
+			return cacheReportJSON(w, svc)
 		}); werr != nil && err == nil {
 			err = werr
 		}
@@ -531,7 +527,7 @@ func (s *server) handleStats(w http.ResponseWriter, r *http.Request) {
 	// Render into a buffer first so a report error can still become a
 	// clean 500 instead of a truncated 200 body.
 	var buf bytes.Buffer
-	if err := cacheReportJSON(&buf, s.svc, s.tracer); err != nil {
+	if err := cacheReportJSON(&buf, s.svc); err != nil {
 		s.fail(w, r, s.reqSeq.Add(1), http.StatusInternalServerError, err.Error())
 		return
 	}
@@ -553,10 +549,12 @@ func (s *server) handleHealth(w http.ResponseWriter, _ *http.Request) {
 }
 
 // cacheReportJSON writes the metrics.json report with the cache section
-// filled from the service's accounting.
-func cacheReportJSON(w io.Writer, svc *cache.Service, tracer *obs.Tracer) error {
+// filled from the service's accounting. The engine runs untraced — only
+// sampled queries get a tracer, and their spans go to their own trace file
+// — so the cache section is all the report holds.
+func cacheReportJSON(w io.Writer, svc *cache.Service) error {
 	st := svc.Stats()
-	rep := obs.NewReport("cache-mix", tracer.Snapshot())
+	rep := obs.NewReport("cache-mix", nil)
 	rep.Cache = &obs.CacheReport{
 		Lookups:       st.Lookups,
 		FullHits:      st.FullHits,

@@ -13,7 +13,6 @@ import (
 	"time"
 
 	"intervaljoin/internal/cache"
-	"intervaljoin/internal/obs"
 	"intervaljoin/internal/obs/live"
 )
 
@@ -31,8 +30,8 @@ type selfcheckSpec struct {
 // any telemetry defect: exposition-format violations, key series missing
 // or frozen, or a sampled trace that never materialised. The final scrape
 // is written to spec.scrapeOut so CI can archive it.
-func runSelfcheck(svc *cache.Service, tracer *obs.Tracer, cfg serveConfig, spec selfcheckSpec) error {
-	s, err := newServer(svc, tracer, cfg)
+func runSelfcheck(svc *cache.Service, cfg serveConfig, spec selfcheckSpec) error {
+	s, err := newServer(svc, cfg)
 	if err != nil {
 		return err
 	}

@@ -197,9 +197,9 @@ func rowWireLen(ids core.OutputTuple) int {
 // rows is the segment's row count.
 func (s *Segment) rows() int { return s.groups[len(s.groups)-1].row }
 
-// Stats is the cache's cumulative accounting. Hit counters map onto the
-// obs counters the service exports (cache_hit_segments, cache_delta_rows,
-// ...); the span pair defines the semantic hit ratio.
+// Stats is the cache's cumulative accounting, and its only record: the
+// metrics report's cache section and the live ij_cache_* series render it.
+// The span pair defines the semantic hit ratio.
 type Stats struct {
 	// Lookups counts queries; FullHits/PartialHits/Misses classify them by
 	// whether the cache covered all, some, or none of the window span.

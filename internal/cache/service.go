@@ -27,7 +27,6 @@ import (
 type Service struct {
 	engine    *mr.Engine
 	cache     *Cache
-	tracer    *obs.Tracer
 	opts      core.Options
 	algorithm func(*query.Query) core.Algorithm
 
@@ -104,9 +103,6 @@ type ServiceConfig struct {
 	Engine *mr.Engine
 	// CacheBytes is the segment cache's byte budget (0 → DefaultBudget).
 	CacheBytes int64
-	// Tracer, when non-nil, counts the scratch files a query could not
-	// remove (cache_scratch_remove_failed).
-	Tracer *obs.Tracer
 	// Opts are the base run options applied to every delta join; Scratch is
 	// overwritten per run.
 	Opts core.Options
@@ -127,7 +123,6 @@ func NewService(cfg ServiceConfig) (*Service, error) {
 	return &Service{
 		engine:    cfg.Engine,
 		cache:     New(cfg.CacheBytes),
-		tracer:    cfg.Tracer,
 		opts:      cfg.Opts,
 		algorithm: alg,
 		rels:      make(map[string]*residentRel),
@@ -514,10 +509,11 @@ func (s *Service) runDelta(engine *mr.Engine, q *query.Query, rels []*residentRe
 	s.runMu.Lock()
 	res, err := alg.Run(ctx)
 	s.runMu.Unlock()
-	s.removeScratch(engine.Store(), opts.Scratch+"/")
+	failed := removeScratch(engine.Store(), opts.Scratch+"/")
 	if err != nil {
 		return nil, err
 	}
+	res.Metrics.CleanupFailures += failed
 	ans.mergeEngine(res.Metrics)
 	ans.DeltaRows += int64(len(res.Tuples))
 	anchors := make(map[int64]interval.Interval, near[0].Len())
@@ -531,20 +527,21 @@ func (s *Service) runDelta(engine *mr.Engine, q *query.Query, rels []*residentRe
 	}), nil
 }
 
-// removeScratch deletes a finished run's files from the store. A file
-// that cannot be listed or removed stays behind and is counted; the
-// query's answer does not depend on it.
-func (s *Service) removeScratch(store dfs.Store, prefix string) {
+// removeScratch deletes a finished run's files from the store and returns
+// how many it could not: a listing that fails counts as one. What stays
+// behind does not change the query's answer; runDelta adds the count to the
+// run's Metrics.CleanupFailures.
+func removeScratch(store dfs.Store, prefix string) (failed int) {
 	names, err := store.List(prefix)
 	if err != nil {
-		s.tracer.Count("cache_scratch_remove_failed", 1)
-		return
+		return 1
 	}
 	for _, name := range names {
-		if err := store.Remove(name); err != nil {
-			s.tracer.Count("cache_scratch_remove_failed", 1)
+		if store.Remove(name) != nil {
+			failed++
 		}
 	}
+	return failed
 }
 
 // mergeEngine folds one delta run's engine metrics into the answer.

@@ -11,7 +11,7 @@ import (
 	"intervaljoin/internal/dfs"
 	"intervaljoin/internal/interval"
 	"intervaljoin/internal/mr"
-	"intervaljoin/internal/obs"
+	"intervaljoin/internal/obs/live"
 	"intervaljoin/internal/query"
 	"intervaljoin/internal/relation"
 )
@@ -362,8 +362,9 @@ type stuckStore struct{ *dfs.Mem }
 func (stuckStore) Remove(name string) error { return fmt.Errorf("remove %s: read-only", name) }
 
 // TestFailedScratchRemovalIsCounted: a file the store refuses to delete
-// does not fail the query, and shows in the cache_scratch_remove_failed
-// counter. Only a run that has a cycle boundary to put on the store leaves
+// does not fail the query, and shows in the answer's engine metrics
+// (CleanupFailures) and from there in the live ij_engine_cleanup_failures_total
+// series. Only a run that has a cycle boundary to put on the store leaves
 // such a file — PASM, whose marking two later cycles read; the default
 // two-way delta join writes nothing under its scratch prefix, so there is
 // nothing to fail on.
@@ -385,10 +386,9 @@ func TestFailedScratchRemovalIsCounted(t *testing.T) {
 		{"two-way default", predQuery(t, interval.Overlaps), nil, false},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			tr := obs.New(obs.Options{})
 			store := stuckStore{dfs.NewMem()}
 			eng := mr.NewEngine(mr.Config{Store: store, Workers: 2})
-			cfg := ServiceConfig{Engine: eng, Tracer: tr, Opts: core.Options{Partitions: 4, PartitionsPerDim: 4}}
+			cfg := ServiceConfig{Engine: eng, Opts: core.Options{Partitions: 4, PartitionsPerDim: 4}}
 			if tc.alg != nil {
 				cfg.Algorithm = func(*query.Query) core.Algorithm { return tc.alg }
 			}
@@ -412,12 +412,26 @@ func TestFailedScratchRemovalIsCounted(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			failed := tr.Snapshot().Counters["cache_scratch_remove_failed"]
-			if tc.wantFailed && (failed == 0 || len(left) == 0) {
-				t.Fatalf("cache_scratch_remove_failed = %d, scratch files left %v, with a store that removes nothing", failed, left)
+			if ans.Engine == nil {
+				t.Fatal("the query ran no delta join")
+			}
+			failed := ans.Engine.CleanupFailures
+			reg := live.NewRegistry()
+			mr.NewLiveSet(reg).Publish(ans.Engine)
+			series := -1.0
+			for _, f := range reg.Snapshot().Families {
+				if f.Name == "ij_engine_cleanup_failures_total" {
+					series = f.Series[0].Value
+				}
+			}
+			if series != float64(failed) {
+				t.Fatalf("ij_engine_cleanup_failures_total = %v, Answer.Engine.CleanupFailures = %d", series, failed)
+			}
+			if tc.wantFailed && (failed != len(left) || len(left) == 0) {
+				t.Fatalf("CleanupFailures = %d, scratch files left %v, with a store that removes nothing", failed, left)
 			}
 			if !tc.wantFailed && (failed != 0 || len(left) != 0) {
-				t.Fatalf("the run wrote scratch files %v (cache_scratch_remove_failed = %d), want none", left, failed)
+				t.Fatalf("the run wrote scratch files %v (CleanupFailures = %d), want none", left, failed)
 			}
 		})
 	}

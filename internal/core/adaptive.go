@@ -323,8 +323,8 @@ func sampleMeanLength(sample []interval.Interval) float64 {
 // the given input stream count: boundary selection via boundaries, then —
 // under Options.Adaptive — per-partition load estimation over an interval
 // sample and virtual splitting of the partitions the planner flags. The
-// planning work is recorded as a virtual_split span with
-// virtual_reducers / split_partitions counters.
+// planning work is recorded as a virtual_split span whose args carry
+// virtual_reducers / split_partitions, the counts PlanInfo reports.
 func (c *Context) makePlan(alg string, n, streams int) (*execPlan, error) {
 	tracer := c.Engine.Tracer()
 	lane := tracer.Acquire()
@@ -348,9 +348,8 @@ func (c *Context) makePlan(alg string, n, streams int) (*execPlan, error) {
 	if c.Opts.Adaptive {
 		lane.End(obs.CatVirtualSplit, "plan:"+alg, start,
 			obs.Arg{Key: "boundaries", Val: source},
-			obs.Arg{Key: "virtual_reducers", Val: strconv.FormatInt(pl.keys(), 10)})
-		lane.Count("virtual_reducers", pl.keys())
-		lane.Count("split_partitions", int64(pl.splitten))
+			obs.Arg{Key: "virtual_reducers", Val: strconv.FormatInt(pl.keys(), 10)},
+			obs.Arg{Key: "split_partitions", Val: strconv.Itoa(pl.splitten)})
 	}
 	tracer.Release(lane)
 	return pl, nil

@@ -95,11 +95,7 @@ func benchReduceKernel(b *testing.B, n int) {
 			b.Fatal(err)
 		}
 	}
-	sweep, merge, generic := e.kernelHitCounts()
 	b.ReportMetric(float64(count)/float64(b.N), "pairs/op")
-	b.ReportMetric(float64(sweep)/float64(b.N), "sweep/op")
-	b.ReportMetric(float64(merge)/float64(b.N), "merge/op")
-	b.ReportMetric(float64(generic)/float64(b.N), "generic/op")
 }
 
 func BenchmarkReduceKernel16(b *testing.B)   { benchReduceKernel(b, 16) }

@@ -479,7 +479,7 @@ func (cj cellJoin) job(c *Context) mr.Job {
 				}
 			}
 		}
-		u.e = newEnumerator(c.Query.Conds, u.rels).withTracer(c.Engine.Tracer())
+		u.e = newEnumerator(c.Query.Conds, u.rels)
 		units[k] = u
 	}
 	// prepare loads the values of key's reducer into a pooled join, owner

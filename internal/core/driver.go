@@ -95,7 +95,6 @@ func (c *Context) runStages(alg string, build stageBuilder) (*Result, error) {
 	c.chargeWhole(perCycle[len(perCycle)-1], m, env.whole)
 	res.PerCycle = perCycle
 	agg.Merge(m)
-	agg.TrueWalls = m.TrueWalls
 	if plan != nil {
 		agg.Plan = plan.info()
 	}

@@ -7,11 +7,9 @@ import (
 	"slices"
 	"sort"
 	"sync"
-	"sync/atomic"
 
 	"intervaljoin/internal/interval"
 	"intervaljoin/internal/mr"
-	"intervaljoin/internal/obs"
 	"intervaljoin/internal/query"
 	"intervaljoin/internal/relation"
 )
@@ -38,13 +36,6 @@ type enumerator struct {
 	condsAt [][]query.Condition
 	// plans[i] is the compiled form of condsAt[i].
 	plans []levelPlan
-	// tr, when set, receives the per-family kernel hit counters
-	// (colkernel_sweep / colkernel_merge / colkernel_generic), flushed once
-	// per run. Nil is a valid disabled tracer.
-	tr *obs.Tracer
-	// hitSweep/hitMerge/hitGeneric total the level dispatches per kernel
-	// family over the enumerator's lifetime (benchmarks report them).
-	hitSweep, hitMerge, hitGeneric atomic.Int64
 	// pool recycles preparedJoins (and all their column/window buffers)
 	// across the single-shot runs reduce functions issue.
 	pool sync.Pool
@@ -115,13 +106,6 @@ func newEnumerator(conds []query.Condition, rels []int) *enumerator {
 	for i := range e.rels {
 		e.plans[i] = e.compileLevel(i)
 	}
-	return e
-}
-
-// withTracer wires the engine's tracer into the enumerator so kernel hit
-// counts land in the metrics report. Returns e for call-site chaining.
-func (e *enumerator) withTracer(tr *obs.Tracer) *enumerator {
-	e.tr = tr
 	return e
 }
 
@@ -212,8 +196,6 @@ type preparedJoin struct {
 	// word, packed as packing says; no level materialises a tuple.
 	words   *mr.Rows
 	packing *rowPacking
-	// per-run kernel dispatch counts, flushed by put.
-	nSweep, nMerge, nGeneric int64
 }
 
 // get returns an empty pooled preparedJoin ready for add/addTuple calls.
@@ -231,29 +213,8 @@ func (e *enumerator) get() *preparedJoin {
 	return p
 }
 
-// put flushes the run's kernel hit counts and recycles the prepared state.
-func (e *enumerator) put(p *preparedJoin) {
-	if p.nSweep != 0 {
-		e.hitSweep.Add(p.nSweep)
-		e.tr.Count("colkernel_sweep", p.nSweep)
-	}
-	if p.nMerge != 0 {
-		e.hitMerge.Add(p.nMerge)
-		e.tr.Count("colkernel_merge", p.nMerge)
-	}
-	if p.nGeneric != 0 {
-		e.hitGeneric.Add(p.nGeneric)
-		e.tr.Count("colkernel_generic", p.nGeneric)
-	}
-	p.nSweep, p.nMerge, p.nGeneric = 0, 0, 0
-	e.pool.Put(p)
-}
-
-// kernelHitCounts returns the enumerator's lifetime per-family dispatch
-// totals (sweep, merge, generic) — benchmarks report them per op.
-func (e *enumerator) kernelHitCounts() (sweep, merge, generic int64) {
-	return e.hitSweep.Load(), e.hitMerge.Load(), e.hitGeneric.Load()
-}
+// put recycles the prepared state.
+func (e *enumerator) put(p *preparedJoin) { e.pool.Put(p) }
 
 // addTuple copies an in-memory tuple into the arena (the compatibility path
 // for callers that already hold decoded tuples).
@@ -453,8 +414,7 @@ func (p *preparedJoin) rec(i int) {
 		return
 	}
 	lp := &p.e.plans[i]
-	switch lp.kernel {
-	case kindSweep, kindMerge:
+	if lp.kernel == kindSweep {
 		// Intersect the precomputed per-partner windows across the level's
 		// conditions; everything below this point reads only int64 columns.
 		if !p.built[i] {
@@ -481,24 +441,17 @@ func (p *preparedJoin) rec(i int) {
 				eHi = w.eHi[t]
 			}
 		}
-		if lp.kernel == kindMerge {
-			p.nMerge++
-			p.kernelMerge(i, from, sHi, eLo, eHi)
-		} else {
-			p.nSweep++
-			p.kernelSweep(i, from, sHi, eLo, eHi)
-		}
-	default:
-		p.nGeneric++
-		p.kernelGeneric(i)
+		p.kernelSweep(i, from, sHi, eLo, eHi)
+		return
 	}
+	p.kernelGeneric(i)
 }
 
 // kernelGeneric is the fallback enumeration loop: multi-attribute levels
 // (General-class queries), whose conditions constrain attributes other than
 // the sort attribute, and condition-free levels. It intersects the start
-// ranges the sort-attribute conditions impose, binary-searches the scan
-// start, and evaluates every condition per candidate — reading all
+// windows the sort-attribute conditions impose (condWindows), binary-searches
+// the scan start, and evaluates every condition per candidate — reading all
 // attributes through the arena, never through tuple structs.
 func (p *preparedJoin) kernelGeneric(i int) {
 	lp := &p.e.plans[i]
@@ -514,13 +467,11 @@ func (p *preparedJoin) kernelGeneric(i int) {
 			if !c.onSort {
 				continue
 			}
-			l, h := startRange(c.pred, p.arena.Attr(p.bref[c.partner], c.battr))
-			if l > lo {
-				lo = l
+			sLo, sHi, _, _, ok := condWindows(c.pred, p.arena.Attr(p.bref[c.partner], c.battr))
+			if !ok {
+				return
 			}
-			if h < hiBound {
-				hiBound = h
-			}
+			lo, hiBound = max(lo, sLo), min(hiBound, sHi)
 		}
 		if lo > hiBound {
 			return
@@ -615,56 +566,6 @@ func (p *preparedJoin) load(values []string, lvl []int, whole [][]relation.Tuple
 	}
 	p.seal()
 	return nil
-}
-
-// startRange bounds the start point of the unbound interval x for the
-// predicate application p(b, x) with b bound: p(b, x) can only hold when
-// lo <= x.Start <= hi. The residual conditions are still checked by Eval;
-// the range is a sound filter, exact on the start coordinate. (The
-// specialized kernels use condWindows instead, which is exact on both
-// endpoints; startRange remains for the generic path.)
-func startRange(p interval.Predicate, b interval.Interval) (lo, hi interval.Point) {
-	const (
-		negInf = math.MinInt64
-		posInf = math.MaxInt64
-	)
-	switch p {
-	case interval.Before: // x starts after b ends
-		return satAdd(b.End, 1), posInf
-	case interval.After: // x ends before b starts
-		return negInf, satAdd(b.Start, -1)
-	case interval.Meets: // x starts exactly at b's end
-		return b.End, b.End
-	case interval.MetBy: // x ends at b's start
-		return negInf, b.Start
-	case interval.Overlaps: // b.s < x.s < b.e
-		return satAdd(b.Start, 1), satAdd(b.End, -1)
-	case interval.OverlappedBy: // x.s < b.s
-		return negInf, satAdd(b.Start, -1)
-	case interval.Contains: // b.s < x.s (and x.e < b.e)
-		return satAdd(b.Start, 1), satAdd(b.End, -1)
-	case interval.ContainedBy: // x.s < b.s
-		return negInf, satAdd(b.Start, -1)
-	case interval.Starts, interval.StartedBy, interval.Equals:
-		return b.Start, b.Start
-	case interval.Finishes: // x.s < b.s... Finishes(b,x): b.e==x.e, b.s > x.s
-		return negInf, satAdd(b.Start, -1)
-	case interval.FinishedBy: // x.s > b.s and x.e == b.e
-		return satAdd(b.Start, 1), b.End
-	}
-	return negInf, posInf
-}
-
-// satAdd adds with saturation at the int64 extremes.
-func satAdd(a interval.Point, d int64) interval.Point {
-	s := a + d
-	if d > 0 && s < a {
-		return math.MaxInt64
-	}
-	if d < 0 && s > a {
-		return math.MinInt64
-	}
-	return s
 }
 
 // semijoinReduce prunes each candidate list to tuples that have at least one

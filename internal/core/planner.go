@@ -20,11 +20,8 @@ import (
 //	─────────────────────────────────────────────────────────
 //	any condition off the sort attribute,        kindGeneric
 //	or no conditions at all
-//	all conditions pin the candidate start       kindMerge
-//	to one point (meets / starts / started-by
-//	/ equals applications)
-//	everything else (overlap-class, before /     kindSweep
-//	after, contains, finishes families)
+//	every condition on the sort attribute        kindSweep
+//	(all 13 Allen predicates)
 type kernelKind uint8
 
 const (
@@ -36,21 +33,14 @@ const (
 	// kindSweep: the Piatov-style columnar sweep — scan the start column
 	// within the intersected exact window, filter on the end column.
 	kindSweep
-	// kindMerge: the tight merge loop over the equal-start run when every
-	// condition pins the candidate start to a single point.
-	kindMerge
 )
 
-// String names the kernel kind for diagnostics and counters.
+// String names the kernel kind for diagnostics.
 func (k kernelKind) String() string {
-	switch k {
-	case kindSweep:
+	if k == kindSweep {
 		return "sweep"
-	case kindMerge:
-		return "merge"
-	default:
-		return "generic"
 	}
+	return "generic"
 }
 
 // chooseKernel picks the inner-loop shape for a compiled level. Exactness
@@ -62,12 +52,7 @@ func chooseKernel(lp levelPlan) kernelKind {
 	if !lp.sweep || len(lp.conds) == 0 {
 		return kindGeneric
 	}
-	for _, c := range lp.conds {
-		if !pointStart(c.pred) {
-			return kindSweep
-		}
-	}
-	return kindMerge
+	return kindSweep
 }
 
 // Plan selects the paper's recommended algorithm for a query's class:

@@ -21,7 +21,7 @@ package core
 // pair; multi-attribute levels keep the generic Eval path (join.go).
 //
 // The per-partner window starts are precomputed by one endpoint sweep
-// (sweepFromsInto): startRange-style lower bounds are monotone in the
+// (sweepFromsInto): the windows' lower start bounds are monotone in the
 // partner endpoint they derive from, so when the partner list is sorted by
 // that endpoint the window table costs a single two-cursor pass over two
 // int64 sequences; out-of-order bound sequences fall back to one inline
@@ -29,11 +29,11 @@ package core
 //
 // Dispatch between the loop shapes is planned statically (planner.go):
 //
-//   - kindSweep — the general columnar loop: scan candidates from the
-//     window start while Start <= sHi, filtering on the End range;
-//   - kindMerge — all conditions pin the candidate start to a single point
-//     (meets / starts / started-by / equals applications): the scan is a
-//     tight merge over the equal-start run;
+//   - kindSweep — the columnar loop: scan candidates from the window start
+//     while Start <= sHi, filtering on the End range. When every condition
+//     pins the candidate start to one point (meets / starts / started-by /
+//     equals applications) the window gives sLo == sHi, so the same loop is
+//     the merge over the equal-start run;
 //   - kindGeneric — multi-attribute levels (General-class queries) and
 //     condition-free levels: binary-search probe plus per-candidate Eval,
 //     reading attributes through the arena.
@@ -85,22 +85,6 @@ func shapeOf(p interval.Predicate) windowShape {
 		return windowShape{sHi: true, eLo: true, eHi: true}
 	default:
 		panic("core: shapeOf: predicate outside the 13 Allen relations")
-	}
-}
-
-// pointStart reports whether the application p(bound, candidate) pins the
-// candidate start to a single point (sLo == sHi for every bound) — the
-// merge-loop family.
-func pointStart(p interval.Predicate) bool {
-	switch p {
-	case interval.Meets, interval.Starts, interval.StartedBy, interval.Equals:
-		return true
-	case interval.Before, interval.After, interval.MetBy, interval.Overlaps,
-		interval.OverlappedBy, interval.Contains, interval.ContainedBy,
-		interval.Finishes, interval.FinishedBy:
-		return false
-	default:
-		panic("core: pointStart: predicate outside the 13 Allen relations")
 	}
 }
 
@@ -298,30 +282,6 @@ func (p *preparedJoin) kernelSweep(i, from int, sHi, eLo, eHi int64) {
 	lo, hi, refs := p.loCol[i], p.hiCol[i], p.refCol[i]
 	tuples, leaf := p.words == nil, p.words != nil && i == p.last
 	for k := from; k < len(lo) && lo[k] <= sHi; k++ {
-		if e := hi[k]; e < eLo || e > eHi {
-			continue
-		}
-		p.idx[i] = k
-		p.bref[i] = refs[k]
-		if leaf {
-			p.putWord()
-			continue
-		}
-		if tuples {
-			p.asg[i] = p.arena.Tuple(refs[k])
-		}
-		p.rec(i + 1)
-	}
-}
-
-// kernelMerge is the tight merge loop for levels whose conditions all pin
-// the candidate start to one point (meets / starts / started-by / equals
-// applications): the scan is the equal-start run at the window start, with
-// the end-column filter deciding each candidate.
-func (p *preparedJoin) kernelMerge(i, from int, pt, eLo, eHi int64) {
-	lo, hi, refs := p.loCol[i], p.hiCol[i], p.refCol[i]
-	tuples, leaf := p.words == nil, p.words != nil && i == p.last
-	for k := from; k < len(lo) && lo[k] == pt; k++ {
 		if e := hi[k]; e < eLo || e > eHi {
 			continue
 		}

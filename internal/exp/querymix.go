@@ -50,7 +50,6 @@ func QueryMix(cfg Config) (*Table, error) {
 	for _, skew := range []float64{1.2, 1.5, 2.5} {
 		svc, err := cache.NewService(cache.ServiceConfig{
 			Engine: mr.NewEngine(mr.Config{Store: dfs.NewMem(), Workers: cfg.Workers, Tracer: cfg.Tracer}),
-			Tracer: cfg.Tracer,
 			Opts:   core.Options{Partitions: 16, PartitionsPerDim: 6, Adaptive: cfg.Adaptive},
 		})
 		if err != nil {

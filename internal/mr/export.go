@@ -7,8 +7,8 @@ import (
 )
 
 // Exporter glue: BuildReport marries the tracer's span-level view of a run
-// (true per-phase walls, counters, histograms) with the engine's Metrics
-// (the serialized model, per-reducer loads) into the obs.Report the CLIs
+// (true per-phase walls) with the engine's Metrics (the serialized model,
+// per-reducer loads, the plan) into the obs.Report the CLIs
 // write as metrics.json. It lives here rather than in internal/obs because
 // obs must not import mr.
 

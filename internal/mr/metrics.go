@@ -60,9 +60,11 @@ type Metrics struct {
 	// runs by the external shuffle; SpillRuns is the number of runs.
 	SpilledPairs int64
 	SpillRuns    int
-	// CleanupFailures counts scratch spill files that could not be removed
-	// after the job finished. The job's result is unaffected, but leaked
-	// scratch space is worth surfacing instead of silently dropping.
+	// CleanupFailures counts scratch files that could not be removed after
+	// the job finished: the shuffle's spill runs, and — added by the cache
+	// service — a delta join's cycle boundaries. The result is unaffected,
+	// but leaked scratch space is worth surfacing instead of silently
+	// dropping.
 	CleanupFailures int
 	// PipelineWall is the wall-clock of a whole pipelined chain (set on the
 	// aggregate returned by RunPipeline; zero on per-cycle metrics). Unlike
@@ -90,30 +92,7 @@ type Metrics struct {
 	// the driver ran the plain always-uniform layout. Merge keeps the
 	// first non-nil plan — a chain's cycles share one plan.
 	Plan *obs.PlanInfo
-	// TrueWalls holds tracer-measured per-phase wall clocks: the interval
-	// union of each phase's spans, so concurrent workers and pipelined
-	// cycles count once. The additive fields above (MapWall, ReduceWall,
-	// FeedWall, TotalWall) keep their historical "serialized model"
-	// semantics — Merge sums them as if cycles ran back to back — while
-	// TrueWalls answers "how long was a map task actually running
-	// somewhere". Zero unless the engine ran with a Tracer; Merge does not
-	// touch it (it is set once, over the whole run, by Run /
-	// RunPipeline).
-	TrueWalls PhaseWallClock
 }
-
-// PhaseWallClock is the tracer's per-phase wall-clock union for one run.
-type PhaseWallClock struct {
-	Feed   time.Duration
-	Map    time.Duration
-	Spill  time.Duration
-	Merge  time.Duration
-	Reduce time.Duration
-	Output time.Duration
-}
-
-// Zero reports whether no phase wall was recorded (untraced run).
-func (p PhaseWallClock) Zero() bool { return p == PhaseWallClock{} }
 
 func newMetrics(job string) *Metrics {
 	return &Metrics{
@@ -132,9 +111,8 @@ func NewMetrics(job string) *Metrics { return newMetrics(job) }
 // Wall-clock fields are summed too — the "serialized model", which prices a
 // chain as if its cycles ran back to back. Under pipelined execution cycles
 // overlap, so these sums intentionally over-count wall time; the true
-// per-phase walls live in TrueWalls, which Merge leaves alone because a
-// union over overlapping cycles cannot be recovered by adding per-cycle
-// values.
+// per-phase walls are the tracer's (Snapshot.PhaseWalls), because a union
+// over overlapping cycles cannot be recovered by adding per-cycle values.
 func (m *Metrics) Merge(other *Metrics) {
 	m.MapInputRecords += other.MapInputRecords
 	m.IntermediatePairs += other.IntermediatePairs
@@ -173,8 +151,9 @@ func (m *Metrics) Merge(other *Metrics) {
 }
 
 // ReplicationFactor is IntermediatePairs / PhysicalPairs — the average
-// number of reducers each physically shuffled record addressed. 1.0 means
-// no range emission coalesced anything.
+// number of reducers each physically shuffled record addressed, i.e. the
+// mean width of an emission, a point emission counting one. 1.0 means no
+// range emission coalesced anything.
 func (m *Metrics) ReplicationFactor() float64 {
 	if m.PhysicalPairs == 0 {
 		return 1
@@ -280,11 +259,6 @@ func (m *Metrics) String() string {
 		fmt.Fprintf(&b, " pipeline=%s overlap=%s streamed=%d",
 			m.PipelineWall.Round(time.Millisecond),
 			m.OverlapSaved.Round(time.Millisecond), m.StreamedPairs)
-	}
-	if !m.TrueWalls.Zero() {
-		fmt.Fprintf(&b, " map-wall=%s reduce-wall=%s",
-			m.TrueWalls.Map.Round(time.Millisecond),
-			m.TrueWalls.Reduce.Round(time.Millisecond))
 	}
 	return b.String()
 }

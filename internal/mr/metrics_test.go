@@ -78,7 +78,6 @@ func TestMergeZeroValueIdempotent(t *testing.T) {
 	m.ReducerPairs = map[int64]int64{1: 60, 2: 40}
 	m.ReducerTime = map[int64]time.Duration{1: time.Second}
 	m.DistinctKeys = 2
-	m.TrueWalls = PhaseWallClock{Map: time.Second, Reduce: time.Second}
 
 	zero := newMetrics("empty")
 	zero.Cycles = 0
@@ -95,14 +94,6 @@ func TestMergeZeroValueIdempotent(t *testing.T) {
 			t.Fatalf("merge of zero metrics changed ReducerPairs[%d] = %d, want %d", k, m.ReducerPairs[k], v)
 		}
 	}
-	// TrueWalls is the tracer's union over the whole run: Merge must not
-	// sum it (additive per-cycle values cannot reconstruct a union).
-	if m.TrueWalls != before.TrueWalls {
-		t.Fatalf("merge changed TrueWalls: %+v -> %+v", m.TrueWalls, before.TrueWalls)
-	}
-	if !zero.TrueWalls.Zero() {
-		t.Fatal("zero-value metrics reports non-zero TrueWalls")
-	}
 }
 
 func TestMergeSerializedModel(t *testing.T) {
@@ -114,7 +105,6 @@ func TestMergeSerializedModel(t *testing.T) {
 	b.MapWall, b.ReduceWall, b.TotalWall = 4*time.Second, 5*time.Second, 9*time.Second
 	b.IntermediatePairs = 20
 	b.ReducerPairs = map[int64]int64{1: 5, 2: 15}
-	b.TrueWalls = PhaseWallClock{Map: time.Second}
 
 	agg := newMetrics("chain")
 	agg.Cycles = 0
@@ -130,9 +120,5 @@ func TestMergeSerializedModel(t *testing.T) {
 	// Same key across cycles merges onto one node.
 	if agg.ReducerPairs[1] != 15 || agg.ReducerPairs[2] != 15 || agg.DistinctKeys != 2 {
 		t.Fatalf("reducer pairs = %v, keys = %d", agg.ReducerPairs, agg.DistinctKeys)
-	}
-	// Per-cycle TrueWalls never propagate through Merge.
-	if !agg.TrueWalls.Zero() {
-		t.Fatalf("merge propagated TrueWalls: %+v", agg.TrueWalls)
 	}
 }

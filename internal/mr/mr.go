@@ -325,8 +325,8 @@ type Config struct {
 	// concurrently on spare goroutines. 0 disables re-splitting.
 	ResplitPairThreshold int
 	// Tracer, when non-nil, records structured execution spans (per map
-	// and reduce task, spill, shuffle merge, cycle and chain) plus
-	// counters and histograms into internal/obs. A nil tracer disables
+	// and reduce task, spill, shuffle merge, cycle and chain) into
+	// internal/obs; every count stays in Metrics. A nil tracer disables
 	// all recording at the cost of a nil check per instrumentation site.
 	Tracer *obs.Tracer
 }
@@ -382,12 +382,7 @@ func (e *Engine) Store() dfs.Store { return e.store }
 
 // Run executes one job and returns its metrics.
 func (e *Engine) Run(job Job) (*Metrics, error) {
-	mark := e.tracer.Now()
-	m, err := e.runJob(job, nil, nil, true)
-	if m != nil {
-		e.fillTrueWalls(m, mark)
-	}
-	return m, err
+	return e.runJob(job, nil, nil, true)
 }
 
 // runJob executes one job. stream, when non-nil, feeds extra map input
@@ -431,23 +426,6 @@ func (e *Engine) runJob(job Job, stream <-chan []taggedRecord, snk *sink, writeO
 		jobLane.End(obs.CatCycle, "cycle:"+job.Name, jobStart, job.Meta.traceArgs()...)
 	}
 	return m, nil
-}
-
-// fillTrueWalls sets m's tracer-measured per-phase wall clocks from the
-// spans recorded since mark. No-op without a tracer; see Metrics.TrueWalls.
-func (e *Engine) fillTrueWalls(m *Metrics, mark time.Duration) {
-	if !e.tracer.Enabled() {
-		return
-	}
-	walls := e.tracer.PhaseWalls(mark)
-	m.TrueWalls = PhaseWallClock{
-		Feed:   walls[obs.CatFeed],
-		Map:    walls[obs.CatMap],
-		Spill:  walls[obs.CatSpill],
-		Merge:  walls[obs.CatMerge],
-		Reduce: walls[obs.CatReduce],
-		Output: walls[obs.CatOutput],
-	}
 }
 
 // taggedRecord is one record of map input.
@@ -556,7 +534,7 @@ type mapWorker struct {
 }
 
 // fold accounts for the emissions of a successful attempt.
-func (st *mapWorker) fold(ems []emission, lane *obs.Lane) {
+func (st *mapWorker) fold(ems []emission) {
 	for i := range ems {
 		p := &ems[i]
 		n := p.span()
@@ -564,9 +542,6 @@ func (st *mapWorker) fold(ems []emission, lane *obs.Lane) {
 		st.bytes += n * (int64(len(p.value)) + 8)
 		st.physPairs++
 		st.physBytes += p.physBytes()
-		if lane != nil && p.isRange() {
-			lane.Observe("range_emit_width", n)
-		}
 		switch {
 		case st.counts == nil:
 		case p.isRange():
@@ -649,7 +624,7 @@ func (e *Engine) mapPhase(job Job, m *Metrics, stream <-chan []taggedRecord, job
 			states[w] = st
 			defer st.endRun()
 			emit := Emitter{buf: &st.log.cur, log: &st.log}
-			fold := func(ems []emission) { st.fold(ems, lane) }
+			fold := st.fold
 			for batch := range work {
 				task := takeTask()
 				taskStart := lane.Begin()
@@ -670,7 +645,6 @@ func (e *Engine) mapPhase(job Job, m *Metrics, stream <-chan []taggedRecord, job
 					st.retries++
 					if lane != nil {
 						lane.Event(obs.CatMap, "retry:"+job.Name)
-						lane.Count("map_retries", 1)
 					}
 				}
 				if batch.records != nil {
@@ -688,9 +662,7 @@ func (e *Engine) mapPhase(job Job, m *Metrics, stream <-chan []taggedRecord, job
 						return
 					}
 					if lane != nil {
-						lane.End(obs.CatSpill, spillSpan, spillStart)
-						lane.Count("spill_records", int64(records))
-						lane.Count("spill_runs", 1)
+						lane.End(obs.CatSpill, spillSpan, spillStart, obs.Arg{Key: "records", Val: strconv.Itoa(records)})
 					}
 				}
 				lane.End(obs.CatMap, mapSpan, taskStart)
@@ -1073,7 +1045,6 @@ func (e *Engine) runReduceTask(job Job, task int, key int64, values []string, m 
 			if lane != nil {
 				lane.End(obs.CatReduce, spanName, taskStart,
 					obs.Arg{Key: "key", Val: strconv.FormatInt(key, 10)})
-				lane.Observe("reduce_pairs", int64(len(values)))
 			}
 			res.duration = time.Since(t0)
 			return res, nil
@@ -1085,7 +1056,6 @@ func (e *Engine) runReduceTask(job Job, task int, key int64, values []string, m 
 		m.add(1)
 		if lane != nil {
 			lane.Event(obs.CatReduce, "retry:"+job.Name)
-			lane.Count("reduce_retries", 1)
 		}
 	}
 }
@@ -1152,8 +1122,6 @@ func (e *Engine) runReduceTaskSplit(job Job, task int, key int64, values []strin
 		lane.End(obs.CatResplit, "resplit:"+job.Name, splitStart,
 			obs.Arg{Key: "key", Val: strconv.FormatInt(key, 10)},
 			obs.Arg{Key: "shards", Val: strconv.Itoa(live)})
-		lane.Count("resplit_tasks", 1)
-		lane.Count("resplit_shards", int64(live))
 	}
 	return merged, nil
 }

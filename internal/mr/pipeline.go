@@ -129,7 +129,6 @@ func (e *Engine) RunPipeline(stages ...Stage) ([]*Metrics, *Metrics, error) {
 	}
 
 	start := time.Now()
-	mark := e.tracer.Now()
 	chainLane := e.tracer.Acquire()
 	chainStart := chainLane.Begin()
 	all := make([]*Metrics, n)
@@ -166,7 +165,6 @@ func (e *Engine) RunPipeline(stages ...Stage) ([]*Metrics, *Metrics, error) {
 	if sumWall > agg.PipelineWall {
 		agg.OverlapSaved = sumWall - agg.PipelineWall
 	}
-	e.fillTrueWalls(agg, mark)
 	return all, agg, firstErr
 }
 

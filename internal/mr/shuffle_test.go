@@ -11,6 +11,7 @@ import (
 	"testing"
 
 	"intervaljoin/internal/dfs"
+	"intervaljoin/internal/obs"
 )
 
 // shuffleCase is one random job of the shuffle property test: what every
@@ -226,26 +227,35 @@ const shuffleAllocBound = 400
 
 // TestShuffleAllocsDoNotFollowEmissions: once a first job has filled the page
 // pool, a job of 33 000 emissions over 16 keys allocates within the bound,
-// and ten times the emissions cost next to nothing more.
+// and ten times the emissions cost next to nothing more — untraced, and with
+// a tracer attached, whose spans are per task and per key, not per pair.
 func TestShuffleAllocsDoNotFollowEmissions(t *testing.T) {
 	defer debug.SetGCPercent(debug.SetGCPercent(-1))
 	var received atomic.Int64
-	e := NewEngine(Config{Store: dfs.NewMem(), Workers: 2})
-	run := func(n int) float64 {
-		job := pointsJob(n, 16, false, &received)
-		return testing.AllocsPerRun(3, func() {
-			if _, err := e.Run(job); err != nil {
-				t.Fatal(err)
+	for _, arm := range []struct {
+		name   string
+		tracer *obs.Tracer
+	}{{"untraced", nil}, {"traced", obs.New(obs.Options{})}} {
+		t.Run(arm.name, func(t *testing.T) {
+			e := NewEngine(Config{Store: dfs.NewMem(), Workers: 2, Tracer: arm.tracer})
+			run := func(n int) float64 {
+				job := pointsJob(n, 16, false, &received)
+				return testing.AllocsPerRun(3, func() {
+					if _, err := e.Run(job); err != nil {
+						t.Fatal(err)
+					}
+				})
+			}
+			large, small := run(33_000), run(3_300)
+			t.Logf("objects per job: %.0f for 33000 emissions, %.0f for 3300", large, small)
+			if large > shuffleAllocBound {
+				t.Errorf("a job of 33000 emissions allocates %.0f objects, bound %d", large, shuffleAllocBound)
+			}
+			// What grows with the input is a log's list of pages, by doubling,
+			// and a lane's ring of spans, by doubling too.
+			if perEmission := (large - small) / (33_000 - 3_300); perEmission > 0.01 {
+				t.Errorf("%.4f objects per extra emission", perEmission)
 			}
 		})
-	}
-	large, small := run(33_000), run(3_300)
-	t.Logf("objects per job: %.0f for 33000 emissions, %.0f for 3300", large, small)
-	if large > shuffleAllocBound {
-		t.Errorf("a job of 33000 emissions allocates %.0f objects, bound %d", large, shuffleAllocBound)
-	}
-	// What grows with the input is a log's list of pages, by doubling.
-	if perEmission := (large - small) / (33_000 - 3_300); perEmission > 0.01 {
-		t.Errorf("%.4f objects per extra emission", perEmission)
 	}
 }

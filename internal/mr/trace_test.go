@@ -16,25 +16,30 @@ import (
 // and without a tracer attached.
 func TestTracedRunMatchesUntraced(t *testing.T) {
 	want, _, _ := runChainOn(t, Config{Workers: 4})
-	got, per, _ := runChainOn(t, Config{Workers: 4, Tracer: obs.New(obs.Options{})})
+	tr := obs.New(obs.Options{})
+	got, _, _ := runChainOn(t, Config{Workers: 4, Tracer: tr})
 	sameLines(t, got, want)
-	for i, m := range per {
-		if m.TrueWalls.Zero() {
-			t.Fatalf("traced sequential cycle %d has no TrueWalls", i)
-		}
-	}
+	hasWalls(t, "traced sequential chain", tr)
 
-	_, gotP, _, aggP := runPipelineOn(t, Config{Workers: 4, Tracer: obs.New(obs.Options{})},
-		chainStages(chainJobs()...))
+	trP := obs.New(obs.Options{})
+	_, gotP, _, _ := runPipelineOn(t, Config{Workers: 4, Tracer: trP}, chainStages(chainJobs()...))
 	sameLines(t, gotP, want)
-	if aggP.TrueWalls.Zero() {
-		t.Fatal("traced pipeline aggregate has no TrueWalls")
+	hasWalls(t, "traced pipeline", trP)
+}
+
+// hasWalls fails the test unless the tracer's spans give the map and the
+// reduce phase a wall of their own.
+func hasWalls(t *testing.T, what string, tr *obs.Tracer) {
+	t.Helper()
+	walls := tr.Snapshot().PhaseWalls(0)
+	if walls[obs.CatMap] <= 0 || walls[obs.CatReduce] <= 0 {
+		t.Fatalf("%s: phase walls %v, want map and reduce", what, walls)
 	}
 }
 
 // TestTraceSpansAndMeta checks the span taxonomy of a traced run: per-task
-// map and reduce spans, a cycle span carrying the job's meta annotations,
-// and TrueWalls bounded by the run's wall clock.
+// map spans, one reduce span per reduce task, a cycle span carrying the
+// job's meta annotations, and phase walls bounded by the run's wall clock.
 func TestTraceSpansAndMeta(t *testing.T) {
 	store := dfs.NewMem()
 	dfs.WriteAll(store, "in", stageInput(2000))
@@ -70,14 +75,12 @@ func TestTraceSpansAndMeta(t *testing.T) {
 	if args["algorithm"] != "rccis" || args["cycle"] != "1" || args["family"] != "colocation" {
 		t.Fatalf("cycle span args = %v", args)
 	}
-	if m.TrueWalls.Zero() {
-		t.Fatal("no TrueWalls on traced run")
+	walls := s.PhaseWalls(0)
+	if walls[obs.CatMap] > m.TotalWall || walls[obs.CatReduce] > m.TotalWall {
+		t.Fatalf("phase walls %v exceed TotalWall %v", walls, m.TotalWall)
 	}
-	if m.TrueWalls.Map > m.TotalWall || m.TrueWalls.Reduce > m.TotalWall {
-		t.Fatalf("TrueWalls %+v exceed TotalWall %v", m.TrueWalls, m.TotalWall)
-	}
-	if h := s.Hists["reduce_pairs"]; h.Count != int64(m.DistinctKeys) {
-		t.Fatalf("reduce_pairs hist count = %d, want %d", h.Count, m.DistinctKeys)
+	if counts[obs.CatReduce] != m.DistinctKeys {
+		t.Fatalf("%d reduce spans, want one per key: %d", counts[obs.CatReduce], m.DistinctKeys)
 	}
 }
 
@@ -177,10 +180,10 @@ func TestBuildReport(t *testing.T) {
 }
 
 // TestTracedRunCostDoesNotGrowWithHistory: an engine whose tracer outlives
-// its runs — a server's — pays per run for that run's spans, not for every
-// span the rings still hold. The run's own TrueWalls are checked against
-// the snapshot's answer, and the bytes a run allocates once hundreds of runs
-// are on record stay near those of an early one.
+// its runs pays per run for that run's spans, not for every span the rings
+// still hold. Each run's spans show in the snapshot's walls since its start,
+// and the bytes a run allocates once hundreds of runs are on record stay
+// near those of an early one.
 func TestTracedRunCostDoesNotGrowWithHistory(t *testing.T) {
 	store := dfs.NewMem()
 	dfs.WriteAll(store, "in", stageInput(300))
@@ -190,15 +193,15 @@ func TestTracedRunCostDoesNotGrowWithHistory(t *testing.T) {
 	run := func() uint64 {
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
-		mark := tr.Now()
+		mark := time.Since(tr.Epoch())
 		m, err := e.Run(job)
 		if err != nil {
 			t.Fatal(err)
 		}
 		runtime.ReadMemStats(&after)
 		walls := tr.Snapshot().PhaseWalls(mark)
-		if m.TrueWalls.Map != walls[obs.CatMap] || m.TrueWalls.Reduce != walls[obs.CatReduce] || m.TrueWalls.Output != walls[obs.CatOutput] {
-			t.Fatalf("TrueWalls %+v, the snapshot since the run's start says %v", m.TrueWalls, walls)
+		if walls[obs.CatMap] <= 0 || walls[obs.CatReduce] <= 0 || walls[obs.CatReduce] > m.TotalWall {
+			t.Fatalf("the snapshot since the run's start says %v, the run took %v", walls, m.TotalWall)
 		}
 		return after.TotalAlloc - before.TotalAlloc
 	}

@@ -1,8 +1,9 @@
 // Package obs is the engine's always-compiled observability layer:
-// structured execution spans, counters and histograms, collected through
-// lock-cheap per-worker ring buffers and rendered as Chrome trace_event
-// timelines (chrome://tracing, Perfetto), reducer-skew tables, and a
-// machine-readable metrics report.
+// structured execution spans, collected through lock-cheap per-worker ring
+// buffers and rendered as Chrome trace_event timelines (chrome://tracing,
+// Perfetto), reducer-skew tables, and a machine-readable metrics report.
+// The tracer records only spans: every count a report carries comes from
+// the engine's mr.Metrics and its partition plan.
 //
 // The design rule is that a disabled tracer costs a nil check and nothing
 // else: every method is safe on a nil *Tracer or nil *Lane and returns
@@ -15,7 +16,6 @@
 package obs
 
 import (
-	"math/bits"
 	"sort"
 	"sync"
 	"time"
@@ -81,16 +81,15 @@ type Options struct {
 
 const defaultLaneSpanCap = 16384
 
-// Tracer collects spans and aggregate statistics for one engine. A nil
-// *Tracer is a valid, disabled tracer: every method no-ops.
+// Tracer collects spans for one engine. A nil *Tracer is a valid, disabled
+// tracer: every method no-ops.
 type Tracer struct {
 	opts  Options
 	epoch time.Time
 
-	mu     sync.Mutex
-	lanes  []*Lane // every lane ever created, in id order
-	free   []*Lane // released lanes available for reuse
-	counts map[string]int64
+	mu    sync.Mutex
+	lanes []*Lane // every lane ever created, in id order
+	free  []*Lane // released lanes available for reuse
 }
 
 // New returns an enabled tracer whose epoch is now.
@@ -113,15 +112,6 @@ func (t *Tracer) Epoch() time.Time {
 		return time.Time{}
 	}
 	return t.epoch
-}
-
-// Now returns the current offset from the tracer epoch — a cheap
-// monotonic mark usable with Snapshot.PhaseWalls.
-func (t *Tracer) Now() time.Duration {
-	if t == nil {
-		return 0
-	}
-	return time.Since(t.epoch)
 }
 
 // Acquire hands out a lane for one goroutine's exclusive use. Lanes are
@@ -159,26 +149,8 @@ func (t *Tracer) Release(l *Lane) {
 	t.mu.Unlock()
 }
 
-// Count adds delta to a tracer-level shared counter, for callers without a
-// lane of their own (e.g. the join kernel's per-family hit counts, flushed
-// once per reduce task from whatever goroutine ran it). Mutex-guarded —
-// callers must batch, not count per item. Merged into Snapshot.Counters
-// alongside the lane-local counters. Safe on a nil tracer.
-func (t *Tracer) Count(name string, delta int64) {
-	if t == nil {
-		return
-	}
-	t.mu.Lock()
-	if t.counts == nil {
-		t.counts = make(map[string]int64, 8)
-	}
-	t.counts[name] += delta
-	t.mu.Unlock()
-}
-
-// Lane is a single-goroutine span and statistics collector: a ring buffer
-// of spans plus lane-local counters and histograms, merged at snapshot
-// time. A nil *Lane is a valid, disabled lane.
+// Lane is a single-goroutine span collector: a ring buffer of spans,
+// merged at snapshot time. A nil *Lane is a valid, disabled lane.
 type Lane struct {
 	id      int
 	epoch   time.Time
@@ -186,8 +158,6 @@ type Lane struct {
 	next    int // ring write index once len(spans) == cap
 	cap     int
 	dropped int64
-	counts  map[string]int64
-	hists   map[string]*Hist
 }
 
 // ID returns the lane id (-1 for a disabled lane).
@@ -242,91 +212,6 @@ func (l *Lane) record(s Span) {
 	l.dropped++
 }
 
-// Count adds delta to the named lane-local counter.
-func (l *Lane) Count(name string, delta int64) {
-	if l == nil {
-		return
-	}
-	if l.counts == nil {
-		l.counts = make(map[string]int64, 8)
-	}
-	l.counts[name] += delta
-}
-
-// Observe records one sample into the named lane-local histogram.
-func (l *Lane) Observe(name string, v int64) {
-	if l == nil {
-		return
-	}
-	if l.hists == nil {
-		l.hists = make(map[string]*Hist, 8)
-	}
-	h := l.hists[name]
-	if h == nil {
-		h = &Hist{Min: v, Max: v}
-		l.hists[name] = h
-	}
-	h.observe(v)
-}
-
-// Hist is a power-of-two-bucketed histogram of int64 samples. Bucket i
-// counts samples v with bits.Len64(v) == i, i.e. bucket 0 holds v == 0,
-// bucket i holds 2^(i-1) <= v < 2^i.
-type Hist struct {
-	Count   int64
-	Sum     int64
-	Min     int64
-	Max     int64
-	Buckets [65]int64
-}
-
-func (h *Hist) observe(v int64) {
-	if h.Count == 0 || v < h.Min {
-		h.Min = v
-	}
-	if v > h.Max {
-		h.Max = v
-	}
-	h.Count++
-	h.Sum += v
-	h.Buckets[bucketOf(v)]++
-}
-
-// bucketOf maps a sample to its bucket index; negative samples clamp to
-// bucket 0.
-func bucketOf(v int64) int {
-	if v <= 0 {
-		return 0
-	}
-	return bits.Len64(uint64(v))
-}
-
-// Mean returns the histogram's mean sample.
-func (h Hist) Mean() float64 {
-	if h.Count == 0 {
-		return 0
-	}
-	return float64(h.Sum) / float64(h.Count)
-}
-
-// merge accumulates other into h.
-func (h *Hist) merge(other *Hist) {
-	if other.Count == 0 {
-		return
-	}
-	if h.Count == 0 || other.Min < h.Min {
-		h.Min = other.Min
-	}
-	if other.Max > h.Max {
-		h.Max = other.Max
-	}
-	h.Count += other.Count
-	h.Sum += other.Sum
-	for i, n := range other.Buckets {
-		h.Buckets[i] += n
-	}
-}
-
 // LaneSnap describes one lane in a snapshot.
 type LaneSnap struct {
 	ID      int
@@ -335,11 +220,9 @@ type LaneSnap struct {
 
 // Snapshot is a point-in-time copy of everything a tracer collected.
 type Snapshot struct {
-	Epoch    time.Time
-	Spans    []Span // all lanes merged, sorted by Start
-	Lanes    []LaneSnap
-	Counters map[string]int64
-	Hists    map[string]Hist
+	Epoch time.Time
+	Spans []Span // all lanes merged, sorted by Start
+	Lanes []LaneSnap
 }
 
 // Snapshot copies the tracer's state. It must not run concurrently with
@@ -351,11 +234,7 @@ func (t *Tracer) Snapshot() *Snapshot {
 	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	s := &Snapshot{
-		Epoch:    t.epoch,
-		Counters: make(map[string]int64),
-		Hists:    make(map[string]Hist),
-	}
+	s := &Snapshot{Epoch: t.epoch}
 	for _, l := range t.lanes {
 		s.Lanes = append(s.Lanes, LaneSnap{ID: l.id, Dropped: l.dropped})
 		// Ring order: the oldest retained span is at next once wrapped.
@@ -365,64 +244,20 @@ func (t *Tracer) Snapshot() *Snapshot {
 		} else {
 			s.Spans = append(s.Spans, l.spans...)
 		}
-		for name, v := range l.counts {
-			s.Counters[name] += v
-		}
-		for name, h := range l.hists {
-			merged := s.Hists[name]
-			merged.merge(h)
-			s.Hists[name] = merged
-		}
-	}
-	for name, v := range t.counts {
-		s.Counters[name] += v
 	}
 	sort.Slice(s.Spans, func(i, j int) bool { return s.Spans[i].Start < s.Spans[j].Start })
 	return s
 }
 
 // PhaseWalls returns, per span category, the wall-clock union of the
-// category's spans clipped to start at or after mark (a Tracer.Now
-// result; 0 means everything). Unlike summing span durations, overlapping
+// category's spans clipped to start at or after mark (an offset from the
+// epoch; 0 means everything). Unlike summing span durations, overlapping
 // spans — concurrent workers, pipelined cycles — are counted once, so the
 // result is the true elapsed time the phase had work in flight.
 func (s *Snapshot) PhaseWalls(mark time.Duration) map[string]time.Duration {
-	return phaseWalls(s.Spans, mark)
-}
-
-// PhaseWalls is Snapshot().PhaseWalls(mark) at the cost of the spans that
-// ended after mark, not of every span the rings retain: a lane records its
-// spans as they end, so the ones after mark are the newest of each ring.
-// The engine calls it after every run — on a server whose tracer lives as
-// long as the process, a snapshot per query would copy and sort a history
-// that grows with each query served. Like Snapshot it must not run while
-// acquired lanes record. Returns nil on a disabled tracer.
-func (t *Tracer) PhaseWalls(mark time.Duration) map[string]time.Duration {
-	if t == nil {
-		return nil
-	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	var recent []Span
-	for _, l := range t.lanes {
-		n := len(l.spans)
-		// next is 0 until the ring wraps, then the oldest span's index;
-		// either way the newest sits just before it.
-		for k := 1; k <= n; k++ {
-			sp := l.spans[(l.next-k+n)%n]
-			if sp.End() <= mark {
-				break
-			}
-			recent = append(recent, sp)
-		}
-	}
-	return phaseWalls(recent, mark)
-}
-
-func phaseWalls(spans []Span, mark time.Duration) map[string]time.Duration {
 	type iv struct{ lo, hi time.Duration }
 	byCat := make(map[string][]iv)
-	for _, sp := range spans {
+	for _, sp := range s.Spans {
 		lo, hi := sp.Start, sp.End()
 		if hi <= mark {
 			continue

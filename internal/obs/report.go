@@ -3,13 +3,12 @@ package obs
 import (
 	"encoding/json"
 	"io"
-	"strconv"
 )
 
 // The metrics report is the machine-readable summary of a traced run:
 // per-phase wall breakdowns (true unions from the tracer next to the
-// engine's additive serialized-model sums), counters, histograms, and the
-// reducer-skew report. It is what -metrics writes on the CLIs and what
+// engine's additive serialized-model sums), the reducer-skew report and the
+// partition plan. It is what -metrics writes on the CLIs and what
 // ijoind serves at /stats, so the field names here are a stable
 // interchange format.
 
@@ -48,17 +47,6 @@ type SerializedModel struct {
 	ReplicationFact  float64 `json:"replication_factor"`
 	StreamedPairs    int64   `json:"streamed_pairs,omitempty"`
 	DistinctReducers int     `json:"distinct_reducers"`
-}
-
-// HistJSON is a histogram's JSON rendering: non-empty power-of-two
-// buckets keyed by their lower bound.
-type HistJSON struct {
-	Count   int64            `json:"count"`
-	Sum     int64            `json:"sum"`
-	Min     int64            `json:"min"`
-	Max     int64            `json:"max"`
-	Mean    float64          `json:"mean"`
-	Buckets map[string]int64 `json:"buckets,omitempty"`
 }
 
 // PlanInfo records the partition plan a driver chose for a run: how many
@@ -160,8 +148,6 @@ type Report struct {
 	Algorithm    string                `json:"algorithm,omitempty"`
 	Phases       map[string]PhaseStats `json:"phases,omitempty"`
 	Model        *SerializedModel      `json:"serialized,omitempty"`
-	Counters     map[string]int64      `json:"counters,omitempty"`
-	Hists        map[string]HistJSON   `json:"hists,omitempty"`
 	Skew         *SkewReport           `json:"skew,omitempty"`
 	Plan         *PlanInfo             `json:"plan,omitempty"`
 	Cache        *CacheReport          `json:"cache,omitempty"`
@@ -169,10 +155,10 @@ type Report struct {
 	DroppedSpans int64                 `json:"dropped_spans,omitempty"`
 }
 
-// NewReport summarises a snapshot: phase stats from the spans, merged
-// counters and histograms. The serialized model and skew report are the
-// engine's to fill (mr.BuildReport), since they come from Metrics, not
-// from spans. A nil snapshot yields an empty named report.
+// NewReport summarises a snapshot: phase stats from the spans. The
+// serialized model, skew report and plan are the engine's to fill
+// (mr.BuildReport), since they come from Metrics, not from spans. A nil
+// snapshot yields an empty named report.
 func NewReport(name string, s *Snapshot) *Report {
 	r := &Report{Name: name}
 	if s == nil {
@@ -195,37 +181,7 @@ func NewReport(name string, s *Snapshot) *Report {
 		ps.WallNS = wall.Nanoseconds()
 		r.Phases[cat] = ps
 	}
-	if len(s.Counters) > 0 {
-		r.Counters = make(map[string]int64, len(s.Counters))
-		for k, v := range s.Counters {
-			r.Counters[k] = v
-		}
-	}
-	if len(s.Hists) > 0 {
-		r.Hists = make(map[string]HistJSON, len(s.Hists))
-		for name, h := range s.Hists {
-			r.Hists[name] = histJSON(h)
-		}
-	}
 	return r
-}
-
-func histJSON(h Hist) HistJSON {
-	out := HistJSON{Count: h.Count, Sum: h.Sum, Min: h.Min, Max: h.Max, Mean: h.Mean()}
-	for i, n := range h.Buckets {
-		if n == 0 {
-			continue
-		}
-		if out.Buckets == nil {
-			out.Buckets = make(map[string]int64)
-		}
-		lo := int64(0)
-		if i > 0 {
-			lo = int64(1) << (i - 1)
-		}
-		out.Buckets[strconv.FormatInt(lo, 10)] = n
-	}
-	return out
 }
 
 // WriteJSON writes the report as indented JSON.

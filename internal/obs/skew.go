@@ -1,6 +1,7 @@
 package obs
 
 import (
+	"math/bits"
 	"sort"
 	"time"
 )
@@ -50,14 +51,16 @@ func NewSkewReport(pairs map[int64]int64, times map[int64]time.Duration, topK in
 	if len(pairs) == 0 {
 		return r
 	}
-	var hist Hist
+	// buckets[i] counts reducers whose pair count n has bits.Len64(n) == i:
+	// bucket 0 holds n == 0, bucket i holds 2^(i-1) <= n < 2^i.
+	var buckets [65]int
 	loads := make([]ReducerLoad, 0, len(pairs))
 	for k, n := range pairs {
 		r.TotalPairs += n
 		if n > r.MaxPairs {
 			r.MaxPairs = n
 		}
-		hist.observe(n)
+		buckets[bits.Len64(uint64(max(n, 0)))]++
 		loads = append(loads, ReducerLoad{Key: k, Pairs: n, Time: times[k]})
 	}
 	r.MeanPairs = float64(r.TotalPairs) / float64(len(pairs))
@@ -82,7 +85,7 @@ func NewSkewReport(pairs map[int64]int64, times map[int64]time.Duration, topK in
 			r.TimeImbalance = 1
 		}
 	}
-	for i, n := range hist.Buckets {
+	for i, n := range buckets {
 		if n == 0 {
 			continue
 		}
@@ -91,7 +94,7 @@ func NewSkewReport(pairs map[int64]int64, times map[int64]time.Duration, topK in
 			lo = int64(1) << (i - 1)
 			hi = int64(1)<<i - 1
 		}
-		r.Histogram = append(r.Histogram, SkewBucket{Lo: lo, Hi: hi, Reducers: int(n)})
+		r.Histogram = append(r.Histogram, SkewBucket{Lo: lo, Hi: hi, Reducers: n})
 	}
 	sort.Slice(loads, func(i, j int) bool {
 		if loads[i].Pairs != loads[j].Pairs {

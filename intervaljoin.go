@@ -122,10 +122,10 @@ type Algorithm = core.Algorithm
 type RunOptions = core.Options
 
 // Tracer is the engine's observability collector (see internal/obs): a
-// non-nil tracer attached via EngineOptions records structured spans,
-// counters and histograms for every run. A nil *Tracer is valid and
-// disabled — the engine then pays only a nil check per instrumentation
-// point.
+// non-nil tracer attached via EngineOptions records structured spans for
+// every run; a run's counts are on its Result.Metrics. A nil *Tracer is
+// valid and disabled — the engine then pays only a nil check per
+// instrumentation point.
 type Tracer = obs.Tracer
 
 // TracerOptions configure a Tracer.
@@ -196,9 +196,9 @@ func (e *Engine) WriteTrace(w io.Writer) error {
 }
 
 // WriteMetrics writes the machine-readable metrics.json report for a run:
-// the tracer's per-phase wall breakdown, counters and histograms (when a
-// tracer is attached) joined with the result's serialized-model metrics
-// and reducer-skew table (the format is internal/obs.Report).
+// the tracer's per-phase wall breakdown (when a tracer is attached) joined
+// with the result's serialized-model metrics, reducer-skew table and
+// partition plan (the format is internal/obs.Report).
 func (e *Engine) WriteMetrics(w io.Writer, res *Result) error {
 	name := "run"
 	var m *mr.Metrics

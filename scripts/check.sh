@@ -73,7 +73,8 @@ go test -run 'TestDisabledTracer' ./internal/obs/
 go test -run 'TestLiveDisabledZeroCost' ./internal/obs/live/
 # The same idiom pins what is between map and reduce: a job's objects do not
 # follow its emissions (pages are recycled, value lists placed, never grown),
-# and an RCCIS run's do not follow its tuples, over two cycles or over the
+# untraced or with a tracer attached (it records spans per task and per key,
+# never per pair), and an RCCIS run's do not follow its tuples, over two cycles or over the
 # planner's one-cycle reach plan (every record is a view of some slab),
 # routing a record into a product space's grid
 # allocates nothing, and neither does a last-stage reduce per row it emits
