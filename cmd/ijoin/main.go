@@ -7,7 +7,7 @@
 //	      -rel R1=a.txt -rel R2=b.txt -rel R3=c.txt \
 //	      [-algorithm rccis] [-partitions 16|auto] [-per-dim 6] \
 //	      [-adaptive] [-resplit N] \
-//	      [-data-dir /tmp/ij] [-o out.txt] [-stats] \
+//	      [-o out.txt] [-stats] \
 //	      [-trace trace.json] [-metrics metrics.json]
 //
 // Input files hold one tuple per line; each attribute is "start,end" and
@@ -46,7 +46,6 @@ func main() {
 		adaptive   = flag.Bool("adaptive", false, "skew-aware execution: histogram-driven boundaries plus virtual splitting of hot partitions")
 		maxVirtual = flag.Int("max-virtual", 0, "with -adaptive, cap on virtual reducers per split partition (0 = default 8)")
 		resplitAt  = flag.Int("resplit", 0, "re-split a reduce task over spare workers once its value list reaches N (0 = off)")
-		dataDir    = flag.String("data-dir", "", "put the engine's store on disk under this directory: a PASM run's marked boundary (relations stay in memory)")
 		oPath      = flag.String("o", "-", "output file ('-' = stdout)")
 		emit       = flag.String("emit", "ids", "output format: ids (line numbers) | tuples (full interval values)")
 		showStats  = flag.Bool("stats", false, "print run metrics to stderr")
@@ -134,7 +133,6 @@ func main() {
 	}
 	eng, err := intervaljoin.NewEngine(intervaljoin.EngineOptions{
 		Workers:              *workers,
-		DataDir:              *dataDir,
 		Tracer:               tracer,
 		ResplitPairThreshold: *resplitAt,
 	})

@@ -1,8 +1,8 @@
 // Command ijoind is the long-running interval-join service: it holds
-// resident, pre-staged relations on the engine's store and answers
-// windowed join queries over an HTTP/JSON API, serving covered time spans
-// from a semantic segment cache and running the join engine only over the
-// uncovered delta windows (see docs/SERVICE.md).
+// resident relations in memory and answers windowed join queries over an
+// HTTP/JSON API, serving covered time spans from a semantic segment cache
+// and running the join engine only over the uncovered delta windows (see
+// docs/SERVICE.md).
 //
 // Serve mode:
 //
@@ -92,7 +92,6 @@ func main() {
 		partitions = flag.Int("partitions", 16, "partitions for 1-D algorithms")
 		perDim     = flag.Int("per-dim", 6, "partitions per grid dimension for matrix algorithms")
 		algorithm  = flag.String("algorithm", "", "join algorithm (default: planner choice per query)")
-		dataDir    = flag.String("data-dir", "", "put the engine's store on disk under this directory: a PASM run's marked boundary, for as long as the query runs (relations stay in memory)")
 		metricsOut = flag.String("metrics", "", "write metrics.json (with the cache section) here on shutdown")
 		logLevel   = flag.String("log-level", "info", "structured log level: debug, info, warn, error")
 		slowQuery  = flag.Duration("slow-query", 2*time.Second, "log queries slower than this as slow (0 disables)")
@@ -117,15 +116,7 @@ func main() {
 	})
 	flag.Parse()
 
-	var store dfs.Store = dfs.NewMem()
-	if *dataDir != "" {
-		d, err := dfs.NewDisk(*dataDir)
-		if err != nil {
-			fatal(err)
-		}
-		store = d
-	}
-	engine := mr.NewEngine(mr.Config{Store: store, Workers: *workers})
+	engine := mr.NewEngine(mr.Config{Store: dfs.NewMem(), Workers: *workers})
 
 	var algFn func(*query.Query) core.Algorithm
 	if *algorithm != "" {

@@ -6,11 +6,9 @@ import (
 	"slices"
 	"strconv"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"intervaljoin/internal/core"
-	"intervaljoin/internal/dfs"
 	"intervaljoin/internal/interval"
 	"intervaljoin/internal/mr"
 	"intervaljoin/internal/obs"
@@ -34,8 +32,6 @@ type Service struct {
 	// cluster, so delta joins queue while cache-served queries proceed
 	// concurrently.
 	runMu sync.Mutex
-	// scratchSeq numbers the delta runs' scratch prefixes on the store.
-	scratchSeq atomic.Int64
 
 	mu   sync.Mutex
 	rels map[string]*residentRel
@@ -97,21 +93,18 @@ func (r *residentRel) intersecting(attr int, iv interval.Interval) *relation.Rel
 
 // ServiceConfig configures a Service.
 type ServiceConfig struct {
-	// Engine runs the delta joins. Required; its store receives the cycle
-	// boundary a later cycle reads again (PASM's marking), for as long as
-	// the join runs.
+	// Engine runs the delta joins. Required.
 	Engine *mr.Engine
 	// CacheBytes is the segment cache's byte budget (0 → DefaultBudget).
 	CacheBytes int64
-	// Opts are the base run options applied to every delta join; Scratch is
-	// overwritten per run.
+	// Opts are the run options applied to every delta join.
 	Opts core.Options
 	// Algorithm optionally overrides the planner's choice per query; nil
 	// uses core.Plan.
 	Algorithm func(*query.Query) core.Algorithm
 }
 
-// NewService builds a service over the engine's store.
+// NewService builds a service that runs its delta joins on cfg.Engine.
 func NewService(cfg ServiceConfig) (*Service, error) {
 	if cfg.Engine == nil {
 		return nil, fmt.Errorf("cache: ServiceConfig.Engine is required")
@@ -488,10 +481,7 @@ func narrow(q *query.Query, rels []*residentRel, gap Window) []*relation.Relatio
 // whose anchor intersects the gap, including whole (unclipped) straddling
 // anchors — the halo the merge dedups. A gap no row can be anchored in is an
 // empty segment and runs nothing. The run's algorithm name, row count and
-// engine metrics are folded into ans. Engine runs serialize on runMu. Each
-// run has a scratch prefix of its own on the store, for the cycle boundaries
-// a multi-cycle join may put there (neither the relations nor the result
-// touch the store); it is emptied again once the run is over.
+// engine metrics are folded into ans. Engine runs serialize on runMu.
 func (s *Service) runDelta(engine *mr.Engine, q *query.Query, rels []*residentRel, key Key, gap Window, ans *Answer) (*Segment, error) {
 	alg := s.algorithm(q)
 	ans.Algorithm = alg.Name()
@@ -500,20 +490,16 @@ func (s *Service) runDelta(engine *mr.Engine, q *query.Query, rels []*residentRe
 	if near == nil {
 		return layoutSegment(key, gap, arity, nil, nil), nil
 	}
-	opts := s.opts
-	opts.Scratch = "delta/" + strconv.FormatInt(s.scratchSeq.Add(1), 10)
-	ctx, err := core.NewContext(engine, q, near, opts)
+	ctx, err := core.NewContext(engine, q, near, s.opts)
 	if err != nil {
 		return nil, err
 	}
 	s.runMu.Lock()
 	res, err := alg.Run(ctx)
 	s.runMu.Unlock()
-	failed := removeScratch(engine.Store(), opts.Scratch+"/")
 	if err != nil {
 		return nil, err
 	}
-	res.Metrics.CleanupFailures += failed
 	ans.mergeEngine(res.Metrics)
 	ans.DeltaRows += int64(len(res.Tuples))
 	anchors := make(map[int64]interval.Interval, near[0].Len())
@@ -525,23 +511,6 @@ func (s *Service) runDelta(engine *mr.Engine, q *query.Query, rels []*residentRe
 	return layoutSegment(key, gap, arity, res.IDs, func(row int) interval.Interval {
 		return anchors[res.IDs[row*arity]]
 	}), nil
-}
-
-// removeScratch deletes a finished run's files from the store and returns
-// how many it could not: a listing that fails counts as one. What stays
-// behind does not change the query's answer; runDelta adds the count to the
-// run's Metrics.CleanupFailures.
-func removeScratch(store dfs.Store, prefix string) (failed int) {
-	names, err := store.List(prefix)
-	if err != nil {
-		return 1
-	}
-	for _, name := range names {
-		if store.Remove(name) != nil {
-			failed++
-		}
-	}
-	return failed
 }
 
 // mergeEngine folds one delta run's engine metrics into the answer.

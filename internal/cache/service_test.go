@@ -323,36 +323,59 @@ func TestUnregisteredRelationRejected(t *testing.T) {
 }
 
 // TestDeltaScratchIsRemoved pins the store's steady state: registration
-// writes nothing (the relations stay in memory), and every delta join — a
-// miss, a gap of a partial hit, a RunCold, two-way or with a cycle boundary
-// to put on the store — deletes what it wrote once its result is in memory,
-// so the store is empty however many queries ran.
+// writes nothing (the relations stay in memory), and no delta join — a miss,
+// a gap of a partial hit, a RunCold; two-way, a three-way chain, or PASM with
+// the barrier between its prune and join cycles — puts anything there, so
+// the store is empty after every query.
 func TestDeltaScratchIsRemoved(t *testing.T) {
-	svc := newTestService(t, adversarialRelation("R1", 41), adversarialRelation("R2", 43), adversarialRelation("R3", 45))
 	threeWay := predQuery(t, interval.Overlaps)
 	if err := threeWay.AddCondition("R2", "", interval.Overlaps, "R3", ""); err != nil {
 		t.Fatal(err)
 	}
-	for _, q := range []*query.Query{predQuery(t, interval.Overlaps), threeWay} {
-		for lo := interval.Point(0); lo < 400; lo += 25 {
-			ans, err := svc.Query(q, Window{lo, lo + 30})
-			if err != nil {
-				t.Fatal(err)
-			}
-			if len(ans.DeltaWindows) == 0 {
-				t.Fatalf("window [%d,%d] ran no delta join; the test wants one per query", lo, lo+30)
-			}
-		}
-		if _, err := svc.RunCold(q, Window{0, 400}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	files, err := svc.engine.Store().List("")
-	if err != nil {
+	hybrid := predQuery(t, interval.Overlaps)
+	if err := hybrid.AddCondition("R2", "", interval.Before, "R3", ""); err != nil {
 		t.Fatal(err)
 	}
-	if len(files) != 0 {
-		t.Fatalf("store holds %d files after the queries, want none: %v", len(files), files)
+	for _, tc := range []struct {
+		name    string
+		alg     core.Algorithm // nil: the planner's choice
+		queries []*query.Query
+	}{
+		{"planner", nil, []*query.Query{predQuery(t, interval.Overlaps), threeWay}},
+		{"pasm", core.PASM{}, []*query.Query{threeWay, hybrid}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			svc := newTestService(t, adversarialRelation("R1", 41), adversarialRelation("R2", 43), adversarialRelation("R3", 45))
+			if tc.alg != nil {
+				svc.algorithm = func(*query.Query) core.Algorithm { return tc.alg }
+			}
+			empty := func(after string) {
+				t.Helper()
+				files, err := svc.engine.Store().List("")
+				if err != nil || len(files) != 0 {
+					t.Fatalf("store holds %v (%v) after %s, want nothing", files, err, after)
+				}
+			}
+			for _, q := range tc.queries {
+				for lo := interval.Point(0); lo < 400; lo += 25 {
+					ans, err := svc.Query(q, Window{lo, lo + 30})
+					if err != nil {
+						t.Fatal(err)
+					}
+					if len(ans.DeltaWindows) == 0 {
+						t.Fatalf("window [%d,%d] ran no delta join; the test wants one per query", lo, lo+30)
+					}
+					if tc.alg != nil && ans.Algorithm != tc.alg.Name() {
+						t.Fatalf("the delta join ran %s, want %s", ans.Algorithm, tc.alg.Name())
+					}
+					empty(fmt.Sprintf("window [%d,%d]", lo, lo+30))
+				}
+				if _, err := svc.RunCold(q, Window{0, 400}); err != nil {
+					t.Fatal(err)
+				}
+				empty("RunCold")
+			}
+		})
 	}
 }
 
@@ -361,33 +384,28 @@ type stuckStore struct{ *dfs.Mem }
 
 func (stuckStore) Remove(name string) error { return fmt.Errorf("remove %s: read-only", name) }
 
-// TestFailedScratchRemovalIsCounted: a file the store refuses to delete
+// TestFailedScratchRemovalIsCounted: a spill run the store refuses to delete
 // does not fail the query, and shows in the answer's engine metrics
 // (CleanupFailures) and from there in the live ij_engine_cleanup_failures_total
-// series. Only a run that has a cycle boundary to put on the store leaves
-// such a file — PASM, whose marking two later cycles read; the default
-// two-way delta join writes nothing under its scratch prefix, so there is
-// nothing to fail on.
+// series. Spill runs are the only files a run leaves to remove: what stays
+// on the store is exactly the runs the shuffle spilled, for PASM's three
+// cycles as for the default two-way join.
 func TestFailedScratchRemovalIsCounted(t *testing.T) {
-	hybrid := query.New()
-	if err := hybrid.AddCondition("R1", "", interval.Overlaps, "R2", ""); err != nil {
-		t.Fatal(err)
-	}
+	hybrid := predQuery(t, interval.Overlaps)
 	if err := hybrid.AddCondition("R2", "", interval.Before, "R3", ""); err != nil {
 		t.Fatal(err)
 	}
 	for _, tc := range []struct {
-		name       string
-		q          *query.Query
-		alg        core.Algorithm // nil: the planner's choice
-		wantFailed bool
+		name string
+		q    *query.Query
+		alg  core.Algorithm // nil: the planner's choice
 	}{
-		{"hybrid pasm", hybrid, core.PASM{}, true},
-		{"two-way default", predQuery(t, interval.Overlaps), nil, false},
+		{"hybrid pasm", hybrid, core.PASM{}},
+		{"two-way default", predQuery(t, interval.Overlaps), nil},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			store := stuckStore{dfs.NewMem()}
-			eng := mr.NewEngine(mr.Config{Store: store, Workers: 2})
+			eng := mr.NewEngine(mr.Config{Store: store, Workers: 2, SpillPairThreshold: 16})
 			cfg := ServiceConfig{Engine: eng, Opts: core.Options{Partitions: 4, PartitionsPerDim: 4}}
 			if tc.alg != nil {
 				cfg.Algorithm = func(*query.Query) core.Algorithm { return tc.alg }
@@ -405,17 +423,23 @@ func TestFailedScratchRemovalIsCounted(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if len(ans.Rows) == 0 {
-				t.Fatal("query returned no rows")
+			if len(ans.Rows) == 0 || ans.Engine == nil {
+				t.Fatal("the query ran no delta join, or it returned no rows")
 			}
-			left, err := store.List("delta/")
+			left, err := store.List("")
 			if err != nil {
 				t.Fatal(err)
 			}
-			if ans.Engine == nil {
-				t.Fatal("the query ran no delta join")
-			}
 			failed := ans.Engine.CleanupFailures
+			if failed == 0 || failed != len(left) || failed != ans.Engine.SpillRuns {
+				t.Fatalf("CleanupFailures = %d, SpillRuns = %d, files left %v, with a store that removes nothing",
+					failed, ans.Engine.SpillRuns, left)
+			}
+			for _, f := range left {
+				if !strings.HasPrefix(f, ".spill/") {
+					t.Errorf("the run left %s, which is no spill run", f)
+				}
+			}
 			reg := live.NewRegistry()
 			mr.NewLiveSet(reg).Publish(ans.Engine)
 			series := -1.0
@@ -426,12 +450,6 @@ func TestFailedScratchRemovalIsCounted(t *testing.T) {
 			}
 			if series != float64(failed) {
 				t.Fatalf("ij_engine_cleanup_failures_total = %v, Answer.Engine.CleanupFailures = %d", series, failed)
-			}
-			if tc.wantFailed && (failed != len(left) || len(left) == 0) {
-				t.Fatalf("CleanupFailures = %d, scratch files left %v, with a store that removes nothing", failed, left)
-			}
-			if !tc.wantFailed && (failed != 0 || len(left) != 0) {
-				t.Fatalf("the run wrote scratch files %v (CleanupFailures = %d), want none", left, failed)
 			}
 		})
 	}

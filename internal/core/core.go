@@ -18,7 +18,6 @@ import (
 	"math/bits"
 	"slices"
 	"strconv"
-	"sync/atomic"
 
 	"intervaljoin/internal/interval"
 	"intervaljoin/internal/mr"
@@ -36,12 +35,6 @@ type Options struct {
 	// for the matrix algorithms. Defaults to 6 (the paper's Section 7.1
 	// configuration).
 	PartitionsPerDim int
-	// Scratch prefixes the intermediate and output file names on the
-	// store, so concurrent runs do not collide. Defaults to the
-	// algorithm name.
-	Scratch string
-	// SortValues makes every MR cycle deterministic; costs a sort.
-	SortValues bool
 	// EquiDepth derives partition boundaries from quantiles of the data's
 	// start points instead of splitting the range uniformly, so skewed
 	// data still loads reducers evenly (the skew handling the paper notes
@@ -68,19 +61,12 @@ type Options struct {
 	AutoPartitions bool
 }
 
-// scratchSeq disambiguates the scratch namespaces of concurrent runs that
-// share one store.
-var scratchSeq atomic.Int64
-
-func (o Options) withDefaults(name string) Options {
+func (o Options) withDefaults() Options {
 	if o.Partitions <= 0 {
 		o.Partitions = 16
 	}
 	if o.PartitionsPerDim <= 0 {
 		o.PartitionsPerDim = 6
-	}
-	if o.Scratch == "" {
-		o.Scratch = name + "-" + strconv.FormatInt(scratchSeq.Add(1), 10)
 	}
 	return o
 }

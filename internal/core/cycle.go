@@ -231,10 +231,9 @@ func (c *Context) baseMap(sp *space, ops []interval.Op) mr.PosMapFunc {
 // flaggedMap is the one map-side path over a flag-vector intermediate (the
 // output of a mark cycle): a vertex is replicated along its dimension when
 // the marking flagged it and projected otherwise (RCCIS cycle 2, condition
-// E2). Tuples listed in pruned are dropped. The reducers receive the tagged
-// tuple — the record up to its flags — or, with forward, the flagged record
-// itself.
-func (sp *space) flaggedMap(pruned []map[int64]bool, forward bool) mr.MapFunc {
+// E2). The reducers receive the tagged tuple — the record up to its flags —
+// or, with forward, the flagged record itself.
+func (sp *space) flaggedMap(forward bool) mr.MapFunc {
 	return func(_ int, record string, emit mr.Emitter) error {
 		rel, member, flags, err := splitVector(record)
 		if err != nil {
@@ -247,9 +246,6 @@ func (sp *space) flaggedMap(pruned []map[int64]bool, forward bool) mr.MapFunc {
 		t, err := decodeTuple(member, attrs[:0])
 		if err != nil {
 			return err
-		}
-		if pruned != nil && pruned[rel][t.ID] {
-			return nil
 		}
 		var buf [4]interval.Op
 		ops := buf[:0]
@@ -265,6 +261,32 @@ func (sp *space) flaggedMap(pruned []map[int64]bool, forward bool) mr.MapFunc {
 			value = record
 		}
 		sp.route(emit, rel, t, ops, rel, value)
+		return nil
+	}
+}
+
+// markedMap routes the base relations as flaggedMap routes a marking held as
+// id sets per relation rather than as records (PASM, whose join cycle comes
+// after a barrier): a tuple listed in pruned is dropped, one listed in
+// replicated is replicated along its dimension, and every other is
+// projected. The reducers receive the tagged tuple, the bytes flaggedMap
+// forwards.
+func (c *Context) markedMap(sp *space, replicated, pruned []map[int64]bool) mr.PosMapFunc {
+	return func(tag, pos int, emit mr.Emitter) error {
+		t := c.Rels[tag].Tuples[pos]
+		if pruned[tag][t.ID] {
+			return nil
+		}
+		op := interval.OpProject
+		if replicated[tag][t.ID] {
+			op = interval.OpReplicate
+		}
+		var buf [4]interval.Op
+		ops := buf[:0]
+		for range sp.at[tag] {
+			ops = append(ops, op)
+		}
+		sp.route(emit, tag, t, ops, tag, c.tagged(tag, pos))
 		return nil
 	}
 }
@@ -416,11 +438,14 @@ type cellJoin struct {
 	name string
 	sp   *space
 	// from names the flag-vector intermediate to map over (flaggedMap). When
-	// empty the cycle maps the base relations with ops (baseMap).
+	// empty the cycle maps the base relations: by the marking in replicated
+	// and pruned when replicated is set (markedMap), with ops otherwise
+	// (baseMap).
 	from string
 	ops  []interval.Op
-	// pruned, when non-nil, lists per relation the tuple ids to drop map-side.
-	pruned []map[int64]bool
+	// replicated and pruned list per relation the tuple ids to replicate and
+	// to drop map-side.
+	replicated, pruned []map[int64]bool
 	// owner applies the owner rule before emitting; a cycle whose routing
 	// already makes every assignment meet at exactly one reducer skips it.
 	owner bool
@@ -500,9 +525,12 @@ func (cj cellJoin) job(c *Context) mr.Job {
 	}
 
 	job := mr.Job{Name: cj.name}
-	if cj.from != "" {
-		job.Inputs, job.Map = []mr.Input{{File: cj.from}}, sp.flaggedMap(cj.pruned, false)
-	} else {
+	switch {
+	case cj.from != "":
+		job.Inputs, job.Map = []mr.Input{{File: cj.from}}, sp.flaggedMap(false)
+	case cj.replicated != nil:
+		job.Inputs, job.MapAt = c.baseInputs(sp), c.markedMap(sp, cj.replicated, cj.pruned)
+	default:
 		job.Inputs, job.MapAt = c.baseInputs(sp), c.baseMap(sp, cj.ops)
 	}
 	if words {

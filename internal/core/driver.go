@@ -1,8 +1,12 @@
 package core
 
 import (
+	"fmt"
+	"slices"
+
 	"intervaljoin/internal/mr"
 	"intervaljoin/internal/query"
+	"intervaljoin/internal/relation"
 )
 
 // The one driver skeleton. Every distributed algorithm is a short chain of
@@ -10,8 +14,8 @@ import (
 // Algorithm.Run ends in runStages: the driver checks its query class, picks
 // its partitioning or plan, and hands over a []mr.Stage built from the three
 // cycle kinds of cycle.go; everything around the cycles — defaults, the
-// provably-empty short-circuit, file naming, per-stage annotations, metrics
-// aggregation and the result's order — happens here, once.
+// provably-empty short-circuit, the boundary check, per-stage annotations,
+// metrics aggregation and the result's order — happens here, once.
 
 // chainEnv is what the runner has settled by the time a driver builds its
 // stages.
@@ -34,18 +38,18 @@ type chainEnv struct {
 type stageBuilder func(*Context, *chainEnv) ([]mr.Stage, *execPlan, error)
 
 // runStages runs alg as the chain of stages build returns: one pipeline,
-// which streams every cycle boundary it can and overlaps one cycle's reduce
-// phase with the next cycle's map phase.
+// which streams every cycle boundary and overlaps one cycle's reduce phase
+// with the next cycle's map phase.
 //
-// Drivers name things relative to the run's scratch directory: a stage's
-// Job.Name and Job.Output are plain names ("mark", "marked"), and an input
-// whose File equals an earlier stage's Output reads that intermediate. The
-// last stage names no output and sets ReduceRows (setJoin): its rows are the
-// result. An intermediate stage with an empty Output is observed through its
-// Tap only. SortValues and the (algorithm, cycle, family) JobMeta are set
-// here for every stage.
+// A stage's Job.Name and Job.Output are plain names ("mark", "marked"). A
+// stage other than the last that names an Output streams it to the next
+// stage, which must read it, so a run writes nothing to the store and needs
+// no namespace there. The last stage names no output and sets ReduceRows
+// (setJoin): its rows are the result. An intermediate stage with an empty
+// Output is observed through its Tap only. The (algorithm, cycle, family)
+// JobMeta is set here for every stage.
 func (c *Context) runStages(alg string, build stageBuilder) (*Result, error) {
-	opts := c.Opts.withDefaults(alg)
+	opts := c.Opts.withDefaults()
 	agg := mr.NewMetrics(alg)
 	agg.Cycles = 0
 	res := &Result{Algorithm: alg, Metrics: agg}
@@ -53,7 +57,7 @@ func (c *Context) runStages(alg string, build stageBuilder) (*Result, error) {
 	if d.Contradictory {
 		// Two sequence conditions enforce opposite orders between the same
 		// components: the output is provably empty (Section 9). No cycle
-		// runs and nothing is written to the store.
+		// runs.
 		return res, nil
 	}
 	env := &chainEnv{opts: opts, d: d, res: res}
@@ -69,22 +73,13 @@ func (c *Context) runStages(alg string, build stageBuilder) (*Result, error) {
 	rows := c.packing.rows()
 	stages[len(stages)-1].Job.Rows = rows
 
-	dir := opts.Scratch + "/"
 	family := c.Query.Classify().String()
-	outputs := make(map[string]bool, len(stages))
 	for i := range stages {
 		job := &stages[i].Job
-		job.Name = dir + job.Name
-		for k := range job.Inputs {
-			if outputs[job.Inputs[k].File] {
-				job.Inputs[k].File = dir + job.Inputs[k].File
-			}
+		if out := job.Output; out != "" && i < len(stages)-1 &&
+			!slices.ContainsFunc(stages[i+1].Job.Inputs, func(in mr.Input) bool { return in.File == out }) {
+			return nil, fmt.Errorf("core: %s: stage %s writes %s, which the next stage does not read", alg, job.Name, out)
 		}
-		if job.Output != "" {
-			outputs[job.Output] = true
-			job.Output = dir + job.Output
-		}
-		job.SortValues = opts.SortValues
 		job.Meta = mr.JobMeta{Algorithm: alg, Cycle: i + 1, Family: family}
 	}
 
@@ -134,11 +129,21 @@ func (c *Context) chargeWhole(cycle, agg *mr.Metrics, whole []int) {
 // replicateFlagTap counts the replicate-flagged records leaving a mark
 // cycle — the paper's "# Intervals Replicated" statistic — without forcing
 // the marked intermediate onto the store. Records are one-flag vectors: the
-// flag is the byte behind the member.
-func replicateFlagTap(n *int64) func(string) {
+// flag is the byte behind the member. With ids set it also records each
+// flagged tuple's id under its relation, for a join cycle that maps the base
+// relations rather than the marking (markedMap).
+func replicateFlagTap(n *int64, ids []map[int64]bool) func(string) {
 	return func(rec string) {
-		if _, m, err := splitMember(rec); err == nil && len(rec) == m+1 && rec[m] == 1 {
-			*n++
+		rel, m, err := splitMember(rec)
+		if err != nil || len(rec) != m+1 || rec[m] != 1 {
+			return
+		}
+		*n++
+		if rel < len(ids) {
+			if ids[rel] == nil {
+				ids[rel] = make(map[int64]bool)
+			}
+			ids[rel][relation.BinaryID(rec[headerLen:])] = true
 		}
 	}
 }

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math/rand"
 	"slices"
+	"strings"
 	"testing"
 
 	"intervaljoin/internal/dfs"
@@ -48,12 +49,12 @@ func runOnStore(t *testing.T, store dfs.Store, alg Algorithm, q *query.Query, re
 
 // TestChainStatistics runs every multi-cycle algorithm and checks what the
 // runner reports around the rows: the oracle's output, the aggregate named
-// after the algorithm, one metrics entry per cycle and records streamed
-// across the boundaries. PASM's marking is read by two later stages, so it
-// is the one boundary a run leaves on the store: there the test recounts the
-// replicate-flagged records from the "marked" file, a check of the streaming
-// tap that shares no code with it, and bounds the pruned counts by the
-// tuples the output really lacks.
+// after the algorithm, one metrics entry per cycle, records streamed across
+// the boundaries and nothing left on the store. For PASM it recounts the
+// replicate-flagged records independently of the tap that counts them: the
+// mark cycle runs again alone, writing its output to the store, and the
+// flags are counted there. It also bounds the pruned counts by the tuples
+// the output really lacks.
 func TestChainStatistics(t *testing.T) {
 	cases := []struct {
 		name  string
@@ -80,10 +81,7 @@ func TestChainStatistics(t *testing.T) {
 			for i, s := range q.Relations {
 				rels[i] = randomRelation(rng, s.Name, 45, 160, 30)
 			}
-			opts := Options{
-				Partitions: 6, PartitionsPerDim: 4,
-				Scratch: "equiv", SortValues: true,
-			}
+			opts := Options{Partitions: 6, PartitionsPerDim: 4}
 			store := dfs.NewMem()
 			res, lines := runOnStore(t, store, tc.alg, q, rels, opts)
 			want, wantLines := runSingle(t, Reference{}, q, rels, Options{})
@@ -100,23 +98,31 @@ func TestChainStatistics(t *testing.T) {
 				t.Error("run streamed no pairs across cycle boundaries")
 			}
 
-			_, isPASM := tc.alg.(PASM)
-			files, err := store.List("")
-			if err != nil {
-				t.Fatal(err)
+			if files, err := store.List(""); err != nil || len(files) != 0 {
+				t.Errorf("run left %v on the store (%v), want every boundary streamed", files, err)
 			}
-			if !isPASM {
-				if len(files) != 0 {
-					t.Errorf("run left %v on the store, want every boundary streamed", files)
-				}
+			if _, isPASM := tc.alg.(PASM); !isPASM {
 				if len(res.PrunedIntervals) != 0 {
 					t.Errorf("pruned = %v without a prune cycle", res.PrunedIntervals)
 				}
 				return
 			}
-			marked, err := dfs.ReadAll(store, opts.Scratch+"/marked")
-			if err != nil || len(files) != 1 {
-				t.Fatalf("store holds %v (reading marked: %v), want the marked boundary alone", files, err)
+			ctx, err := NewContext(mr.NewEngine(mr.Config{Store: store, Workers: 4}), q, rels, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			env := &chainEnv{opts: opts.withDefaults(), d: query.Decompose(q), res: &Result{}}
+			stages, _, err := PASM{}.stages(ctx, env)
+			if err != nil {
+				t.Fatal(err)
+			}
+			mark := stages[0].Job
+			if _, err := ctx.Engine.Run(mark); err != nil {
+				t.Fatal(err)
+			}
+			marked, err := dfs.ReadAll(store, mark.Output)
+			if files, _ := store.List(""); err != nil || !slices.Equal(files, []string{mark.Output}) {
+				t.Fatalf("store holds %v (reading %s: %v), want the marking alone", files, mark.Output, err)
 			}
 			var flagged int64
 			for _, rec := range marked {
@@ -129,7 +135,7 @@ func TestChainStatistics(t *testing.T) {
 				}
 			}
 			if flagged != res.ReplicatedIntervals {
-				t.Errorf("replicated: result says %d, marked file holds %d flagged records",
+				t.Errorf("replicated: result says %d, the mark cycle's output holds %d flagged records",
 					res.ReplicatedIntervals, flagged)
 			}
 			// A pruned tuple is in no output row.
@@ -148,6 +154,36 @@ func TestChainStatistics(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestRunStagesRefusesUnreadOutput: a stage's output streams into the next
+// stage and is never written, so a chain whose next stage does not read it
+// is refused before any cycle runs.
+func TestRunStagesRefusesUnreadOutput(t *testing.T) {
+	q := query.MustParse("R1 overlaps R2 and R2 overlaps R3")
+	rng := rand.New(rand.NewSource(9))
+	rels := make([]*relation.Relation, len(q.Relations))
+	for i, s := range q.Relations {
+		rels[i] = randomRelation(rng, s.Name, 30, 100, 20)
+	}
+	store := dfs.NewMem()
+	ctx, err := NewContext(mr.NewEngine(mr.Config{Store: store, Workers: 2}), q, rels, Options{Partitions: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, err = ctx.runStages("rccis", func(c *Context, env *chainEnv) ([]mr.Stage, *execPlan, error) {
+		stages, plan, err := RCCIS{}.stages(c, env)
+		if err == nil {
+			stages[1].Job.Inputs[0].File = "elsewhere"
+		}
+		return stages, plan, err
+	})
+	if err == nil || !strings.Contains(err.Error(), "marked") {
+		t.Fatalf("err = %v, want the unread marking refused", err)
+	}
+	if files, _ := store.List(""); len(files) != 0 {
+		t.Errorf("store holds %v, want nothing written", files)
 	}
 }
 

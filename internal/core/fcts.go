@@ -48,7 +48,7 @@ func (a FCTS) stages(ctx *Context, env *chainEnv) ([]mr.Stage, *execPlan, error)
 	// emitting an assignment where its right-most member starts.
 	components := cellJoin{name: "component-join", sp: ctx.union(nil, dims...), from: "marked", owner: true, output: "components"}
 	return []mr.Stage{
-		{Job: ctx.markJob(dims, false), Tap: replicateFlagTap(&env.res.ReplicatedIntervals)},
+		{Job: ctx.markJob(dims, false), Tap: replicateFlagTap(&env.res.ReplicatedIntervals, nil)},
 		{Job: components.job(ctx)},
 		{Job: a.sequenceJob(ctx, sp, env.d)},
 	}, nil, nil

@@ -20,10 +20,15 @@ import (
 //  1. the RCCIS marking per component (same as All-Seq-Matrix cycle 1);
 //  2. per component and partition, replicate/project the flagged tuples in
 //     one dimension and decide, for every tuple at its home partition,
-//     whether it participates in any component sub-query output. The
-//     pruned ids are published as a side file (Hadoop would use the
-//     distributed cache);
-//  3. the All-Seq-Matrix grid join with pruned tuples dropped map-side.
+//     whether it participates in any component sub-query output;
+//  3. the All-Seq-Matrix grid join over the base relations, with pruned
+//     tuples dropped map-side.
+//
+// The join cycle needs what both earlier cycles decided, and the prune
+// cycle's decisions are complete only once it has finished. Both reach it as
+// id sets that taps fill while the cycles run — Hadoop would publish them
+// through the distributed cache — so the prune→join boundary is a barrier
+// and the run writes nothing to the store.
 //
 // When pruning removes little, the extra cycle makes PASM slightly slower
 // than All-Seq-Matrix — exactly the trade-off Table 3 explores.
@@ -50,16 +55,16 @@ func (PASM) stages(ctx *Context, env *chainEnv) ([]mr.Stage, *execPlan, error) {
 	if err != nil {
 		return nil, nil, err
 	}
-	// The marking feeds the prune cycle and is re-read by the join cycle.
-	// The prune records never touch the store: a tap fills the id sets the
-	// join cycle's map consults, and the prune→join boundary is a barrier
-	// (the join does not read the prune output), so the sets are complete
-	// before any join map runs.
+	// The marking streams into the prune cycle; the prune records never
+	// leave their tap. The join does not read the prune output, so the
+	// prune→join boundary is a barrier and both id sets are complete before
+	// any join map runs.
+	replicated := make([]map[int64]bool, len(ctx.Rels))
 	pruned := make([]map[int64]bool, len(ctx.Rels))
 	env.res.PrunedIntervals = make(map[int]int64)
-	join := cellJoin{name: "join", sp: sp, from: "marked", pruned: pruned, owner: true}
+	join := cellJoin{name: "join", sp: sp, replicated: replicated, pruned: pruned, owner: true}
 	return []mr.Stage{
-		{Job: ctx.markJob(dims, false), Tap: replicateFlagTap(&env.res.ReplicatedIntervals)},
+		{Job: ctx.markJob(dims, false), Tap: replicateFlagTap(&env.res.ReplicatedIntervals, replicated)},
 		{Job: ctx.pruneJob(dims), Tap: prunedTap(pruned, env.res.PrunedIntervals)},
 		{Job: join.job(ctx)},
 	}, nil, nil
@@ -115,7 +120,7 @@ func (c *Context) pruneJob(dims []dimension) mr.Job {
 		Inputs: []mr.Input{{File: "marked"}},
 		// The reducer needs the replicate flags, so the flagged records
 		// travel as they are.
-		Map: sp.flaggedMap(nil, true),
+		Map: sp.flaggedMap(true),
 		Reduce: func(key int64, values []string, write func(string) error) error {
 			k, coord := sp.locate(key)
 			d, p := multi[k], coord[0]

@@ -63,7 +63,7 @@ func TestRangeEmitMatchesExpandedAllenPredicates(t *testing.T) {
 	for p := interval.Predicate(0); p < interval.NumPredicates; p++ {
 		t.Run(p.String(), func(t *testing.T) {
 			q := query.MustParse(fmt.Sprintf("R1 %s R2", p))
-			opts := Options{Partitions: 8, Scratch: "equiv", SortValues: true}
+			opts := Options{Partitions: 8}
 			rels := []*relation.Relation{r1, r2}
 			res, lines := runWithConfig(t, TwoWay{}, q, rels, opts, mr.Config{})
 			requireOracleRows(t, res, lines, q, rels)
@@ -110,10 +110,7 @@ func TestRangeEmitMatchesExpandedAlgorithms(t *testing.T) {
 		}
 		for _, mode := range modes {
 			t.Run(tc.name+"/"+mode.name, func(t *testing.T) {
-				opts := Options{
-					Partitions: 6, PartitionsPerDim: 4,
-					Scratch: "equiv", SortValues: true,
-				}
+				opts := Options{Partitions: 6, PartitionsPerDim: 4}
 				res, lines := runWithConfig(t, tc.alg, q, rels, opts,
 					mr.Config{SpillPairThreshold: mode.spill})
 				requireOracleRows(t, res, lines, q, rels)
@@ -144,7 +141,7 @@ func TestRangeEmitShrinksReplicateHeavyShuffle(t *testing.T) {
 			}
 			// A finer grid lengthens the consistent-cell runs, which is what
 			// amortises the 16-byte range header over more covered keys.
-			opts := Options{Partitions: 12, PartitionsPerDim: 16, Scratch: "equiv", SortValues: true}
+			opts := Options{Partitions: 12, PartitionsPerDim: 16}
 			res, _ := runWithConfig(t, tc.alg, q, rels, opts, mr.Config{})
 			m := res.Metrics
 			if m.PhysicalPairs == 0 {

@@ -61,7 +61,7 @@ func (r RCCIS) stages(ctx *Context, env *chainEnv) ([]mr.Stage, *execPlan, error
 	}
 	join := cellJoin{name: "join", sp: sp, from: "marked", owner: true}
 	return []mr.Stage{
-		{Job: ctx.markJob([]dimension{dim}, false), Tap: replicateFlagTap(&env.res.ReplicatedIntervals)},
+		{Job: ctx.markJob([]dimension{dim}, false), Tap: replicateFlagTap(&env.res.ReplicatedIntervals, nil)},
 		{Job: join.job(ctx)},
 	}, plan, nil
 }

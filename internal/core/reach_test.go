@@ -98,9 +98,9 @@ var reachModes = []struct {
 	name string
 	opts Options
 }{
-	{"uniform", Options{Partitions: reachK, PartitionsPerDim: reachK, SortValues: true}},
-	{"equi-depth", Options{Partitions: reachK, PartitionsPerDim: reachK, SortValues: true, EquiDepth: true}},
-	{"adaptive-split", Options{Partitions: reachK, PartitionsPerDim: reachK, SortValues: true,
+	{"uniform", Options{Partitions: reachK, PartitionsPerDim: reachK}},
+	{"equi-depth", Options{Partitions: reachK, PartitionsPerDim: reachK, EquiDepth: true}},
+	{"adaptive-split", Options{Partitions: reachK, PartitionsPerDim: reachK,
 		Adaptive: true, SplitThreshold: 0.01, MaxVirtual: 3}},
 }
 
@@ -290,7 +290,7 @@ func FuzzPlanReach(f *testing.F) {
 		}
 		q := query.MustParse(strings.Join(conds, " and "))
 		k := 1 + next()%17
-		opts := Options{Partitions: k, SortValues: true, EquiDepth: next()%2 == 1}
+		opts := Options{Partitions: k, EquiDepth: next()%2 == 1}
 		domain := int64(100 + 8*next())
 		longest := max(0, domain/int64(k)/int64(m-1)+int64(next()%9)-4)
 		sizes := make([]int, m)

@@ -237,7 +237,7 @@ func TestRowEmissionAllocs(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			env := &chainEnv{opts: ctx.Opts.withDefaults(tc.alg.Name()), d: query.Decompose(q), res: &Result{Metrics: mr.NewMetrics(tc.alg.Name())}}
+			env := &chainEnv{opts: ctx.Opts.withDefaults(), d: query.Decompose(q), res: &Result{Metrics: mr.NewMetrics(tc.alg.Name())}}
 			stages, _, err := tc.alg.stages(ctx, env)
 			if err != nil {
 				t.Fatal(err)

@@ -41,14 +41,6 @@ const routingGoldenFile = "testdata/routing_golden.txt"
 // line must come out byte-identical (compare with those two fields cut out,
 // `sed -E 's/ (phys|keys)=[0-9]+//g'`, before committing a regenerated file).
 func TestRoutingGolden(t *testing.T) {
-	queries := []struct{ class, q string }{
-		{"colocation", "R1 overlaps R2 and R2 contains R3"},
-		{"colocation-2way", "R1 overlaps R2"},
-		{"sequence", "R1 before R2 and R2 before R3"},
-		{"sequence-2way", "R1 before R2"},
-		{"hybrid", "R1 overlaps R2 and R2 before R3 and R3 overlaps R4"},
-		{"general", "R1.I before R2.I and R1.I overlaps R3.I and R1.A = R3.A and R2.B = R3.B"},
-	}
 	modes := []struct {
 		name string
 		mut  func(*Options)
@@ -60,30 +52,16 @@ func TestRoutingGolden(t *testing.T) {
 
 	var got []string
 	rng := rand.New(rand.NewSource(1606))
-	for _, qc := range queries {
+	for _, qc := range routingQueries {
 		q := query.MustParse(qc.q)
-		rels := make([]*relation.Relation, len(q.Relations))
-		for i, s := range q.Relations {
-			rels[i] = skewedRelation(rng, s.Name, 40, 150, 30)
-			if s.Arity() > 1 {
-				r := relation.New(s)
-				for _, tu := range rels[i].Tuples {
-					attrs := []interval.Interval{tu.Attrs[0]}
-					for len(attrs) < s.Arity() {
-						attrs = append(attrs, interval.PointInterval(rng.Int63n(4)))
-					}
-					r.Append(attrs...)
-				}
-				rels[i] = r
-			}
-		}
+		rels := routingRelations(rng, q)
 		algs := Algorithms(q)
 		if qc.class == "sequence" {
 			algs = append(algs, AllMatrix{DisableConsistencyFilter: true}, AllMatrix{BroadcastAllCells: true})
 		}
 		for _, alg := range algs {
 			for _, mode := range modes {
-				opts := Options{Partitions: 6, PartitionsPerDim: 4, Scratch: "golden", SortValues: true}
+				opts := Options{Partitions: 6, PartitionsPerDim: 4}
 				mode.mut(&opts)
 				engine := mr.NewEngine(mr.Config{Store: dfs.NewMem(), Workers: 4})
 				ctx, err := NewContext(engine, q, rels, opts)
@@ -121,6 +99,37 @@ func TestRoutingGolden(t *testing.T) {
 			t.Errorf("routing changed:\n got  %s\n want %s", got[i], want[i])
 		}
 	}
+}
+
+// routingQueries are TestRoutingGolden's queries, one or two per class.
+var routingQueries = []struct{ class, q string }{
+	{"colocation", "R1 overlaps R2 and R2 contains R3"},
+	{"colocation-2way", "R1 overlaps R2"},
+	{"sequence", "R1 before R2 and R2 before R3"},
+	{"sequence-2way", "R1 before R2"},
+	{"hybrid", "R1 overlaps R2 and R2 before R3 and R3 overlaps R4"},
+	{"general", "R1.I before R2.I and R1.I overlaps R3.I and R1.A = R3.A and R2.B = R3.B"},
+}
+
+// routingRelations draws q's relations as TestRoutingGolden does: Zipf-skewed
+// first attributes, and small points for any further ones.
+func routingRelations(rng *rand.Rand, q *query.Query) []*relation.Relation {
+	rels := make([]*relation.Relation, len(q.Relations))
+	for i, s := range q.Relations {
+		rels[i] = skewedRelation(rng, s.Name, 40, 150, 30)
+		if s.Arity() > 1 {
+			r := relation.New(s)
+			for _, tu := range rels[i].Tuples {
+				attrs := []interval.Interval{tu.Attrs[0]}
+				for len(attrs) < s.Arity() {
+					attrs = append(attrs, interval.PointInterval(rng.Int63n(4)))
+				}
+				r.Append(attrs...)
+			}
+			rels[i] = r
+		}
+	}
+	return rels
 }
 
 // routingLine renders one run's pinned counts.

@@ -70,7 +70,7 @@ func (s SeqMatrix) stages(ctx *Context, env *chainEnv) ([]mr.Stage, *execPlan, e
 	// reducers hold whole is neither marked nor shuffled.
 	join := cellJoin{name: "join", sp: sp, from: "marked", owner: true}
 	return []mr.Stage{
-		{Job: ctx.markJob(sp.dims, false), Tap: replicateFlagTap(&env.res.ReplicatedIntervals)},
+		{Job: ctx.markJob(sp.dims, false), Tap: replicateFlagTap(&env.res.ReplicatedIntervals, nil)},
 		{Job: join.job(ctx)},
 	}, nil, nil
 }

@@ -57,10 +57,7 @@ func TestTracedDriverMatchesUntraced(t *testing.T) {
 			for i, s := range q.Relations {
 				rels[i] = randomRelation(rng, s.Name, 45, 160, 30)
 			}
-			opts := Options{
-				Partitions: 6, PartitionsPerDim: 4,
-				Scratch: "traced-equiv", SortValues: true,
-			}
+			opts := Options{Partitions: 6, PartitionsPerDim: 4}
 			_, wantLines := runSingle(t, tc.alg, q, rels, opts)
 			gotLines, tr := runSingleTraced(t, tc.alg, q, rels, opts)
 

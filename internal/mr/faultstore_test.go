@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"strconv"
+	"strings"
 	"sync"
 	"testing"
 
@@ -15,7 +16,7 @@ import (
 type faultStore struct {
 	dfs.Store
 	mu          sync.Mutex
-	failCreate  string // file name whose Create fails
+	failCreate  string // prefix of the file names whose Create fails
 	failOpen    string // file name whose Open fails
 	failWriteAt int    // fail the Nth Write on any writer (0 = off)
 	writes      int
@@ -24,7 +25,7 @@ type faultStore struct {
 var errInjected = errors.New("injected storage failure")
 
 func (f *faultStore) Create(name string) (dfs.Writer, error) {
-	if f.failCreate != "" && name == f.failCreate {
+	if f.failCreate != "" && strings.HasPrefix(name, f.failCreate) {
 		return nil, fmt.Errorf("create %s: %w", name, errInjected)
 	}
 	w, err := f.Store.Create(name)
@@ -119,8 +120,8 @@ func TestEngineSurfacesOutputWriteFailure(t *testing.T) {
 }
 
 func TestEngineSurfacesSpillFailure(t *testing.T) {
-	// Spill run files live under "<job>/.spill/"; fail their creation.
-	fs := &faultStore{Store: dfs.NewMem(), failCreate: "identity/.spill/w0-r0"}
+	// Spill runs live under ".spill/"; fail their creation.
+	fs := &faultStore{Store: dfs.NewMem(), failCreate: ".spill/"}
 	seedInput(t, fs, 2000)
 	e := NewEngine(Config{Store: fs, Workers: 1, SpillPairThreshold: 16})
 	if _, err := e.Run(identityJob("out")); err == nil || !errors.Is(err, errInjected) {

@@ -3,11 +3,13 @@ package mr
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"intervaljoin/internal/dfs"
 )
@@ -74,8 +76,8 @@ func TestSpillMatchesInMemory(t *testing.T) {
 			if spill > 0 && spill <= n/2 && m.SpillRuns == 0 {
 				t.Fatalf("threshold %d over %d pairs spilled nothing", spill, n)
 			}
-			// Spill scratch files are cleaned up.
-			files, err := store.List(job.Name + "/.spill/")
+			// Spill runs are removed once read.
+			files, err := store.List(".spill/")
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -94,26 +96,74 @@ func TestSpillMatchesInMemory(t *testing.T) {
 	}
 }
 
-func TestSpillOnDiskStore(t *testing.T) {
-	disk, err := dfs.NewDisk(t.TempDir())
-	if err != nil {
-		t.Fatal(err)
+// TestConcurrentSpilledJobsShareStore: two jobs of the same name spill
+// concurrently onto one store. Each reduces only after both have mapped, so
+// every run either wrote is on the store while the other reads its own: the
+// engine names each shuffle's runs, and neither job reads, truncates or
+// removes the other's. Each output equals its in-memory run, no removal
+// fails, and no run is left behind.
+func TestConcurrentSpilledJobsShareStore(t *testing.T) {
+	inputs := map[string]int{"a": 3000, "b": 2000}
+	want := make(map[string][]string)
+	for in, n := range inputs {
+		store := dfs.NewMem()
+		job, recs := histogramJob(n, 7)
+		job.Inputs = []Input{{File: in}}
+		dfs.WriteAll(store, in, recs)
+		if _, err := NewEngine(Config{Store: store, Workers: 2}).Run(job); err != nil {
+			t.Fatal(err)
+		}
+		want[in], _ = dfs.ReadAll(store, "out")
 	}
-	e := NewEngine(Config{Store: disk, Workers: 3, SpillPairThreshold: 64})
-	job, recs := histogramJob(2000, 7)
-	if err := dfs.WriteAll(disk, "in", recs); err != nil {
-		t.Fatal(err)
+
+	store := dfs.NewMem()
+	e := NewEngine(Config{Store: store, Workers: 2, SpillPairThreshold: 64})
+	mapped := make(chan struct{})
+	var arrivals sync.WaitGroup
+	arrivals.Add(len(inputs))
+	go func() { arrivals.Wait(); close(mapped) }()
+	var wg sync.WaitGroup
+	errs := make(chan error, len(inputs))
+	for in, n := range inputs {
+		job, recs := histogramJob(n, 7)
+		job.Inputs, job.Output = []Input{{File: in}}, "out-"+in
+		dfs.WriteAll(store, in, recs)
+		var arrived sync.Once
+		reduce := job.Reduce
+		job.Reduce = func(key int64, values []string, write func(string) error) error {
+			arrived.Do(arrivals.Done)
+			select {
+			case <-mapped:
+			case <-time.After(10 * time.Second):
+				return errors.New("the other job never reached its reduce phase")
+			}
+			return reduce(key, values, write)
+		}
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			m, err := e.Run(job)
+			switch {
+			case err != nil:
+				errs <- fmt.Errorf("job on %s: %w", in, err)
+			case m.SpillRuns == 0 || m.CleanupFailures != 0:
+				errs <- fmt.Errorf("job on %s: %d spill runs, %d failed removals", in, m.SpillRuns, m.CleanupFailures)
+			}
+		}()
 	}
-	m, err := e.Run(job)
-	if err != nil {
-		t.Fatal(err)
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Error(err)
 	}
-	if m.SpillRuns == 0 {
-		t.Fatal("no spill runs on disk store")
+	for in := range inputs {
+		got, err := dfs.ReadAll(store, "out-"+in)
+		if err != nil || !slices.Equal(got, want[in]) {
+			t.Errorf("job on %s: output %v (%v), in memory %v", in, got, err, want[in])
+		}
 	}
-	out, err := dfs.ReadAll(disk, "out")
-	if err != nil || len(out) != 7 {
-		t.Fatalf("output = %v, err %v", out, err)
+	if files, _ := store.List(""); !slices.Equal(files, []string{"a", "b", "out-a", "out-b"}) {
+		t.Errorf("store holds %v, want the inputs and outputs alone", files)
 	}
 }
 

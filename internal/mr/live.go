@@ -42,7 +42,7 @@ func NewLiveSet(r *live.Registry) *LiveSet {
 		retries:         r.Counter("ij_engine_task_retries_total", "task attempts that failed transiently and were re-run"),
 		spilledPairs:    r.Counter("ij_engine_spilled_pairs_total", "intermediate pairs written to sorted on-store spill runs"),
 		spillRuns:       r.Counter("ij_engine_spill_runs_total", "sorted spill runs written by the external shuffle"),
-		cleanupFailures: r.Counter("ij_engine_cleanup_failures_total", "scratch files (spill runs, a delta join's cycle boundaries) that could not be removed after a run"),
+		cleanupFailures: r.Counter("ij_engine_cleanup_failures_total", "spill runs that could not be removed from the store after a job"),
 		reducePairs:     r.Hist("ij_engine_reduce_task_pairs", "values received per reduce task, across runs"),
 	}
 }

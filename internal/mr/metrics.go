@@ -60,11 +60,9 @@ type Metrics struct {
 	// runs by the external shuffle; SpillRuns is the number of runs.
 	SpilledPairs int64
 	SpillRuns    int
-	// CleanupFailures counts scratch files that could not be removed after
-	// the job finished: the shuffle's spill runs, and — added by the cache
-	// service — a delta join's cycle boundaries. The result is unaffected,
-	// but leaked scratch space is worth surfacing instead of silently
-	// dropping.
+	// CleanupFailures counts the shuffle's spill runs that could not be
+	// removed after the job finished. The result is unaffected, but leaked
+	// store space is worth surfacing instead of silently dropping.
 	CleanupFailures int
 	// PipelineWall is the wall-clock of a whole pipelined chain (set on the
 	// aggregate returned by RunPipeline; zero on per-cycle metrics). Unlike

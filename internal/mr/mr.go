@@ -8,11 +8,11 @@
 // node per key as on a real cluster.
 //
 // Keys are int64 reducer ids: the paper's partition-intervals and grid cells
-// map directly onto them. Values are strings (line records), so every
-// intermediate result can spill to the dfs.Store between cycles just as
-// Hadoop materialises cycle boundaries on HDFS. A chain's answer is no
-// intermediate: a job may reduce to typed id rows instead (Job.ReduceRows),
-// which go back to the caller as they are.
+// map directly onto them. Values are strings (records), which a job reads
+// from and writes to files on the dfs.Store as Hadoop does on HDFS; a chain
+// of jobs streams each boundary to the next job instead (RunPipeline). A
+// chain's answer is no intermediate: a job may reduce to typed id rows
+// instead (Job.ReduceRows), which go back to the caller as they are.
 //
 // Two Hadoop behaviours are modelled beyond the basic phases: map tasks
 // are record batches that are retried on transient failures (as Hadoop
@@ -302,7 +302,8 @@ func (jm JobMeta) traceArgs() []obs.Arg {
 
 // Config configures an Engine.
 type Config struct {
-	// Store holds inputs, outputs and cycle intermediates. Required.
+	// Store holds file inputs and outputs and the shuffle's spill runs.
+	// Required.
 	Store dfs.Store
 	// Workers is the number of concurrent map (and reduce) tasks.
 	// Defaults to GOMAXPROCS.
@@ -477,10 +478,9 @@ func (s *shuffleState) group(key int64) []string {
 
 func (s *shuffleState) spilled() bool { return s.runFiles != nil || s.leftover != nil }
 
-// cleanup removes the job's scratch spill files and returns how many
-// removals failed. Failures do not affect the job's result — the files are
-// scratch — but the caller records them in Metrics so leaked scratch space
-// is visible.
+// cleanup removes the job's spill runs and returns how many removals
+// failed. Failures do not affect the job's result — the runs have been read —
+// but the caller records them in Metrics so leaked store space is visible.
 func (s *shuffleState) cleanup(store dfs.Store) int {
 	failed := 0
 	for _, f := range s.runFiles {
@@ -490,6 +490,9 @@ func (s *shuffleState) cleanup(store dfs.Store) int {
 	}
 	return failed
 }
+
+// spillSeq numbers the shuffles that spill, for their runs' names.
+var spillSeq atomic.Int64
 
 // batchPool recycles map-input batches: the feed hands each filled batch to
 // a map worker, which returns it after the task completes.
@@ -592,6 +595,12 @@ func (e *Engine) mapPhase(job Job, m *Metrics, stream <-chan []taggedRecord, job
 			st.log.release()
 		}
 	}()
+	// The shuffle's spill runs are named by the engine, so two jobs on one
+	// store never write the same run, whatever the jobs are called.
+	var spillDir string
+	if e.spill > 0 {
+		spillDir = ".spill/" + strconv.FormatInt(spillSeq.Add(1), 10) + "/"
+	}
 	var taskSeq sync.Mutex
 	nextTask := 0
 	takeTask := func() int {
@@ -652,7 +661,7 @@ func (e *Engine) mapPhase(job Job, m *Metrics, stream <-chan []taggedRecord, job
 				}
 				st.log.since(began, fold)
 				if e.spill > 0 && st.log.len() >= e.spill {
-					name := job.Name + "/.spill/w" + strconv.Itoa(w) + "-r" + strconv.Itoa(len(st.runs))
+					name := spillDir + "w" + strconv.Itoa(w) + "-r" + strconv.Itoa(len(st.runs))
 					spillStart := lane.Begin()
 					records, err := st.spillLog(e.store, name)
 					if err != nil {

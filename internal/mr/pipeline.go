@@ -14,11 +14,10 @@ import (
 // stage k's output file is consumed by stage k+1, each completed
 // reduce task of stage k streams its records directly into stage k+1's map
 // feed over a bounded channel, so k's reduce phase overlaps k+1's map phase
-// and the store round-trip (write, re-open, re-parse) is elided. Fault
-// tolerance is preserved because the streamed batch is the same retry unit
-// as a file batch: a transient downstream map failure re-runs from the
-// buffered batch, and an upstream reduce task only delivers output after its
-// attempt has succeeded.
+// and the file is never written. Fault tolerance is preserved because the
+// streamed batch is the same retry unit as a file batch: a transient
+// downstream map failure re-runs from the buffered batch, and an upstream
+// reduce task only delivers output after its attempt has succeeded.
 //
 // Range emissions compose with streaming: a downstream stage's map emits
 // ranges into its own shuffle, which keeps them coalesced until that stage's
@@ -98,11 +97,10 @@ type boundaryPlan struct {
 // pipelining bought.
 //
 // A boundary i→i+1 streams when stage i writes an output file that stage i+1
-// lists among its inputs. The file itself is
-// written only if a stage after i+1 also reads it; otherwise the store
-// round-trip is elided entirely. A boundary that does not stream is a
-// barrier: the downstream stage starts once its producers have finished and
-// reads their files from the store.
+// lists among its inputs. A streamed output is never written to the store, so
+// a chain in which a later stage reads it again is rejected. A boundary that
+// does not stream is a barrier: the downstream stage starts once its
+// producers have finished and reads their files from the store.
 func (e *Engine) RunPipeline(stages ...Stage) ([]*Metrics, *Metrics, error) {
 	agg := newMetrics("pipeline")
 	agg.Cycles = 0
@@ -110,11 +108,8 @@ func (e *Engine) RunPipeline(stages ...Stage) ([]*Metrics, *Metrics, error) {
 		return nil, agg, nil
 	}
 	n := len(stages)
+	all := make([]*Metrics, n)
 	bounds := make([]boundaryPlan, n)
-	write := make([]bool, n)
-	for i := range write {
-		write[i] = true
-	}
 	for i := 0; i < n-1; i++ {
 		out := stages[i].Job.Output
 		if out == "" {
@@ -124,14 +119,17 @@ func (e *Engine) RunPipeline(stages ...Stage) ([]*Metrics, *Metrics, error) {
 		if !ok {
 			continue
 		}
+		for _, later := range stages[i+2:] {
+			if _, ok := consumes(later.Job, out); ok {
+				return all, agg, fmt.Errorf("mr: pipeline stage %d streams %s to the next stage, and stage %s reads it again", i, out, later.Job.Name)
+			}
+		}
 		bounds[i] = boundaryPlan{stream: true, tag: tag}
-		write[i] = consumedLater(stages, i+2, out)
 	}
 
 	start := time.Now()
 	chainLane := e.tracer.Acquire()
 	chainStart := chainLane.Begin()
-	all := make([]*Metrics, n)
 	var firstErr error
 	// Stages joined by streamed boundaries form a group that runs
 	// concurrently; a non-streamed boundary is a barrier (the downstream
@@ -146,7 +144,7 @@ func (e *Engine) RunPipeline(stages ...Stage) ([]*Metrics, *Metrics, error) {
 			// not an overlapped stream.
 			chainLane.Event(obs.CatBarrier, "barrier:"+stages[lo].Job.Name)
 		}
-		firstErr = e.runGroup(stages, bounds, write, lo, hi, all)
+		firstErr = e.runGroup(stages, bounds, lo, hi, all)
 		lo = hi + 1
 	}
 	if chainLane != nil {
@@ -169,8 +167,9 @@ func (e *Engine) RunPipeline(stages ...Stage) ([]*Metrics, *Metrics, error) {
 }
 
 // runGroup runs stages lo..hi concurrently, wired together by streamed
-// boundaries, and records their metrics into all.
-func (e *Engine) runGroup(stages []Stage, bounds []boundaryPlan, write []bool, lo, hi int, all []*Metrics) error {
+// boundaries, and records their metrics into all. Only stage hi, whose
+// output does not stream, writes its Output to the store.
+func (e *Engine) runGroup(stages []Stage, bounds []boundaryPlan, lo, hi int, all []*Metrics) error {
 	errs := make([]error, hi-lo+1)
 	var wg sync.WaitGroup
 	var upstream chan []taggedRecord
@@ -192,9 +191,9 @@ func (e *Engine) runGroup(stages []Stage, bounds []boundaryPlan, write []bool, l
 			snk = &sink{tap: stages[k].Tap}
 		}
 		wg.Add(1)
-		go func(k int, job Job, in, out chan []taggedRecord, snk *sink, writeOut bool) {
+		go func(k int, job Job, in, out chan []taggedRecord, snk *sink) {
 			defer wg.Done()
-			m, err := e.runJob(job, in, snk, writeOut)
+			m, err := e.runJob(job, in, snk, k == hi)
 			if out != nil {
 				// Wake the downstream stage's feed even on failure.
 				close(out)
@@ -213,7 +212,7 @@ func (e *Engine) runGroup(stages []Stage, bounds []boundaryPlan, write []bool, l
 			if err != nil {
 				errs[k-lo] = fmt.Errorf("mr: pipeline stage %d: %w", k, err)
 			}
-		}(k, job, in, out, snk, write[k])
+		}(k, job, in, out, snk)
 		upstream = out
 	}
 	wg.Wait()
@@ -234,17 +233,6 @@ func consumes(job Job, file string) (int, bool) {
 		}
 	}
 	return 0, false
-}
-
-// consumedLater reports whether any stage from idx on reads file — in which
-// case a streamed boundary must still write it to the store.
-func consumedLater(stages []Stage, idx int, file string) bool {
-	for i := idx; i < len(stages); i++ {
-		if _, ok := consumes(stages[i].Job, file); ok {
-			return true
-		}
-	}
-	return false
 }
 
 // dropInput returns inputs without the entries reading file.

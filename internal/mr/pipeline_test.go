@@ -193,6 +193,23 @@ func TestPipelineMatchesChain(t *testing.T) {
 	}
 }
 
+// TestPipelineRejectsRereadStream: a streamed boundary is never written, so
+// a chain in which a later stage reads it again is refused before any stage
+// runs.
+func TestPipelineRejectsRereadStream(t *testing.T) {
+	jobs := chainJobs()
+	jobs[2].Inputs = append(jobs[2].Inputs, Input{File: "t/inter-1", Tag: 1})
+	store := dfs.NewMem()
+	dfs.WriteAll(store, "in", stageInput(100))
+	_, _, err := NewEngine(Config{Store: store, Workers: 2}).RunPipeline(chainStages(jobs...)...)
+	if err == nil || !strings.Contains(err.Error(), "t/inter-1") {
+		t.Fatalf("err = %v, want the re-read boundary refused", err)
+	}
+	if files, _ := store.List(""); len(files) != 1 {
+		t.Errorf("store holds %v, want the input alone", files)
+	}
+}
+
 // typedChain is chainJobs with a typed last stage: instead of one count per
 // key, the third job returns a row (key, value) for every value it received,
 // in value order — enough rows per task to span several chunks.

@@ -140,11 +140,6 @@ func NewTracer(opts TracerOptions) *Tracer { return obs.New(opts) }
 type EngineOptions struct {
 	// Workers bounds map/reduce task parallelism; 0 means GOMAXPROCS.
 	Workers int
-	// DataDir, when non-empty, puts the engine's store on disk under this
-	// directory instead of in memory. Relations never go there: they are
-	// mapped where they lie. The one file a run writes is the marked
-	// boundary of a PASM chain, which two later cycles read.
-	DataDir string
 	// Tracer, when non-nil, records execution spans and statistics for
 	// every run on this engine (see docs/OBSERVABILITY.md). Nil disables
 	// tracing at near-zero cost.
@@ -162,21 +157,11 @@ type Engine struct {
 	tracer *Tracer
 }
 
-// NewEngine builds an engine.
+// NewEngine builds an engine. The error is always nil.
 func NewEngine(opts EngineOptions) (*Engine, error) {
-	var store dfs.Store
-	if opts.DataDir != "" {
-		d, err := dfs.NewDisk(opts.DataDir)
-		if err != nil {
-			return nil, err
-		}
-		store = d
-	} else {
-		store = dfs.NewMem()
-	}
 	return &Engine{
 		mr: mr.NewEngine(mr.Config{
-			Store:                store,
+			Store:                dfs.NewMem(),
 			Workers:              opts.Workers,
 			Tracer:               opts.Tracer,
 			ResplitPairThreshold: opts.ResplitPairThreshold,

@@ -29,23 +29,6 @@ func TestPublicAPIQuickstart(t *testing.T) {
 	}
 }
 
-func TestPublicAPIOnDisk(t *testing.T) {
-	eng, err := NewEngine(EngineOptions{Workers: 2, DataDir: t.TempDir()})
-	if err != nil {
-		t.Fatal(err)
-	}
-	q, _ := ParseQuery("A before B")
-	a := FromIntervals("A", []Interval{NewInterval(0, 5)})
-	b := FromIntervals("B", []Interval{NewInterval(10, 20), NewInterval(2, 3)})
-	res, err := eng.Run(q, []*Relation{a, b}, RunOptions{Partitions: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res.Tuples) != 1 || res.Tuples[0][1] != 0 {
-		t.Fatalf("output = %v", res.Tuples)
-	}
-}
-
 func TestAlgorithmRegistry(t *testing.T) {
 	names := AlgorithmNames()
 	if len(names) != 12 {

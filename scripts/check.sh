@@ -41,7 +41,9 @@
 #   7. live scrape   — ijoind -selfcheck boots the real server, drives a
 #                      window mix over HTTP, strictly validates the /metrics
 #                      exposition text, and archives the scrape plus a
-#                      sampled query trace (docs/OBSERVABILITY.md)
+#                      sampled query trace (docs/OBSERVABILITY.md); then a
+#                      second short run whose delta joins are PASM's, the
+#                      one chain with a barrier between its cycles
 #
 # Usage: scripts/check.sh
 set -eu
@@ -119,9 +121,13 @@ echo "== live /metrics scrape =="
 # HTTP, and strictly validate the /metrics exposition (duplicate series,
 # bad names, broken histogram invariants all fail). The validated scrape
 # and a sampled per-query Chrome trace land in artifacts/ for CI to
-# archive.
+# archive. The second run joins every gap with PASM: three cycles, a
+# barrier between the last two, and the marking carried across it by a
+# tap, so the service's multi-cycle path is driven end to end too.
 go run ./cmd/ijoind -selfcheck -rows 2000 -queries 8 -log-level warn \
     -scrape-out artifacts/live-metrics.prom \
     -trace-dir artifacts/query-traces -trace-sample 3 -trace-keep 4
+go run ./cmd/ijoind -selfcheck -algorithm pasm -rows 2000 -queries 8 -log-level warn \
+    -scrape-out artifacts/live-metrics-pasm.prom
 
 echo "check.sh: all green"
