@@ -7,7 +7,7 @@
 // Serve mode:
 //
 //	ijoind -rel R1=a.txt -rel R2=b.txt [-addr :7077] [-cache-mb 64]
-//	       [-max-inflight 4] [-workers N] [-partitions 16] [-per-dim 6]
+//	       [-max-inflight 4] [-workers 1] [-partitions 1] [-per-dim 1]
 //	       [-algorithm name] [-metrics metrics.json]
 //	       [-log-level info] [-slow-query 2s]
 //	       [-trace-dir DIR] [-trace-sample N] [-trace-keep 16]
@@ -19,8 +19,13 @@
 //	GET  /healthz       → 200 "ok" (503 while draining)
 //	GET  /debug/pprof/  → runtime profiles
 //
-// Admission control holds at most -max-inflight queries in the join path;
-// excess requests get 429. Requests are logged as structured JSON
+// A delta join's input is the few tuples that can reach one gap, so by
+// default it runs as one task: one worker, one reducer (-workers,
+// -partitions and -per-dim all 1). Queries get their parallelism from each
+// other instead: admission control holds at most -max-inflight queries in
+// the join path, their delta joins run side by side, and excess requests
+// get 429. Raising the three flags splits each delta join over more
+// reducers and workers. Requests are logged as structured JSON
 // (log/slog) with a per-request id; queries slower than -slow-query get a
 // warning line. With -trace-dir set, every -trace-sample'th query — plus
 // the query after any slow one — runs under a fresh tracer and dumps a
@@ -88,9 +93,9 @@ func main() {
 		addr       = flag.String("addr", ":7077", "HTTP listen address")
 		cacheMB    = flag.Int64("cache-mb", 64, "segment cache byte budget in MiB")
 		maxInfl    = flag.Int("max-inflight", 4, "admission control: concurrent queries beyond this get 429")
-		workers    = flag.Int("workers", 0, "engine parallelism (0 = GOMAXPROCS)")
-		partitions = flag.Int("partitions", 16, "partitions for 1-D algorithms")
-		perDim     = flag.Int("per-dim", 6, "partitions per grid dimension for matrix algorithms")
+		workers    = flag.Int("workers", 1, "concurrent engine tasks per delta join (0 = GOMAXPROCS)")
+		partitions = flag.Int("partitions", 1, "partitions for 1-D algorithms")
+		perDim     = flag.Int("per-dim", 1, "partitions per grid dimension for matrix algorithms")
 		algorithm  = flag.String("algorithm", "", "join algorithm (default: planner choice per query)")
 		metricsOut = flag.String("metrics", "", "write metrics.json (with the cache section) here on shutdown")
 		logLevel   = flag.String("log-level", "info", "structured log level: debug, info, warn, error")

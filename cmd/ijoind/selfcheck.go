@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net"
@@ -26,7 +27,8 @@ type selfcheckSpec struct {
 }
 
 // runSelfcheck boots the real server on a loopback port, drives the query
-// mix at it over HTTP, scrapes /metrics mid-load and after, and fails on
+// mix at it over HTTP — the first half from one client, the second from two
+// at once — scrapes /metrics mid-load and after, and fails on
 // any telemetry defect: exposition-format violations, key series missing
 // or frozen, or a sampled trace that never materialised. The final scrape
 // is written to spec.scrapeOut so CI can archive it.
@@ -95,10 +97,27 @@ func runSelfcheck(svc *cache.Service, cfg serveConfig, spec selfcheckSpec) error
 	if err != nil {
 		return fail(err)
 	}
-	for i := n / 2; i < n; i++ {
-		if err := post(i); err != nil {
-			return fail(err)
-		}
+	// The second half comes from two clients at once, so the server runs
+	// their delta joins side by side.
+	const clients = 2
+	errs := make(chan error, clients)
+	for c := 0; c < clients; c++ {
+		go func() {
+			for i := n/2 + c; i < n; i += clients {
+				if err := post(i); err != nil {
+					errs <- err
+					return
+				}
+			}
+			errs <- nil
+		}()
+	}
+	var postErr error
+	for c := 0; c < clients; c++ {
+		postErr = errors.Join(postErr, <-errs)
+	}
+	if postErr != nil {
+		return fail(postErr)
 	}
 	final, err := scrape(base)
 	if err != nil {

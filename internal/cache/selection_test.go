@@ -7,9 +7,7 @@ import (
 	"testing"
 
 	"intervaljoin/internal/core"
-	"intervaljoin/internal/dfs"
 	"intervaljoin/internal/interval"
-	"intervaljoin/internal/mr"
 	"intervaljoin/internal/query"
 	"intervaljoin/internal/relation"
 )
@@ -85,7 +83,9 @@ func residents(t *testing.T, svc *Service, q *query.Query) []*residentRel {
 // join that are anchored in it. Random queries of every class and random
 // windows; the service's cold and cached answers must equal the oracle that
 // filters the anchors by hand and joins the full other relations
-// (oracleResult shares nothing with narrow).
+// (oracleResult shares nothing with narrow). Each trial asks a service that
+// spreads its delta joins over four reducers and one that runs each as one
+// task.
 func TestSelectionMatchesFullJoinOracle(t *testing.T) {
 	rng := rand.New(rand.NewSource(18))
 	preds := map[interval.Predicate]bool{}
@@ -99,38 +99,29 @@ func TestSelectionMatchesFullJoinOracle(t *testing.T) {
 		classes[q.Classify()]++
 		algs := core.Algorithms(q)
 		alg := algs[rng.Intn(len(algs))]
-		eng := mr.NewEngine(mr.Config{Store: dfs.NewMem(), Workers: 3})
-		svc, err := NewService(ServiceConfig{
-			Engine:    eng,
-			Opts:      core.Options{Partitions: 4, PartitionsPerDim: 3},
-			Algorithm: func(*query.Query) core.Algorithm { return alg },
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, r := range rels {
-			if _, err := svc.Register(r); err != nil {
-				t.Fatal(err)
-			}
-		}
+		chosen := func(*query.Query) core.Algorithm { return alg }
+		svcs := []*Service{newShapedService(t, spread, chosen, rels...), newShapedService(t, oneTask, chosen, rels...)}
+		svc := svcs[0]
 		for k := 0; k < 4; k++ {
 			lo := interval.Point(rng.Intn(75) - 5)
 			w := Window{lo, lo + interval.Point(rng.Intn(25))}
-			label := fmt.Sprintf("trial %d, %s on %s, window %s", trial, alg.Name(), q, w.string())
 			want := oracleResult(t, svc, q, rels, w)
-			cold, err := svc.RunCold(q, w)
-			if err != nil {
-				t.Fatalf("%s: %v", label, err)
+			for _, s := range svcs {
+				label := fmt.Sprintf("trial %d, %s at k = %d on %s, window %s", trial, alg.Name(), s.opts.Partitions, q, w.string())
+				cold, err := s.RunCold(q, w)
+				if err != nil {
+					t.Fatalf("%s: %v", label, err)
+				}
+				diffSets(t, label+" (cold)", answerSet(cold), want.TupleSet())
+				if cold.DeltaRows != int64(len(want.Tuples)) {
+					t.Fatalf("%s: DeltaRows = %d, the oracle has %d rows", label, cold.DeltaRows, len(want.Tuples))
+				}
+				cached, err := s.Query(q, w)
+				if err != nil {
+					t.Fatalf("%s: %v", label, err)
+				}
+				diffSets(t, label+" (cached)", answerSet(cached), want.TupleSet())
 			}
-			diffSets(t, label+" (cold)", answerSet(cold), want.TupleSet())
-			if cold.DeltaRows != int64(len(want.Tuples)) {
-				t.Fatalf("%s: DeltaRows = %d, the oracle has %d rows", label, cold.DeltaRows, len(want.Tuples))
-			}
-			cached, err := svc.Query(q, w)
-			if err != nil {
-				t.Fatalf("%s: %v", label, err)
-			}
-			diffSets(t, label+" (cached)", answerSet(cached), want.TupleSet())
 			if len(want.Tuples) > 0 {
 				nonEmpty++
 			}

@@ -22,18 +22,18 @@ import (
 // uncovered delta windows — and there only on the tuples that can reach the
 // window (narrow). It is the transport-free core of cmd/ijoind and directly
 // usable in tests and benchmarks.
+//
+// Queries run concurrently all the way through, delta joins included: every
+// run gets a core.Context of its own on the shared engine, which keeps
+// concurrent runs apart. The caller bounds how many run at once (cmd/ijoind
+// through admission control).
 type Service struct {
 	engine    *mr.Engine
 	cache     *Cache
 	opts      core.Options
 	algorithm func(*query.Query) core.Algorithm
 
-	// runMu serializes engine executions: the MapReduce engine models one
-	// cluster, so delta joins queue while cache-served queries proceed
-	// concurrently.
-	runMu sync.Mutex
-
-	mu   sync.Mutex
+	mu   sync.Mutex // guards rels
 	rels map[string]*residentRel
 }
 
@@ -481,7 +481,9 @@ func narrow(q *query.Query, rels []*residentRel, gap Window) []*relation.Relatio
 // whose anchor intersects the gap, including whole (unclipped) straddling
 // anchors — the halo the merge dedups. A gap no row can be anchored in is an
 // empty segment and runs nothing. The run's algorithm name, row count and
-// engine metrics are folded into ans. Engine runs serialize on runMu.
+// engine metrics are folded into ans. Runs of concurrent queries proceed side
+// by side; two that miss on the same gap both run, and the cache keeps the
+// segment inserted first.
 func (s *Service) runDelta(engine *mr.Engine, q *query.Query, rels []*residentRel, key Key, gap Window, ans *Answer) (*Segment, error) {
 	alg := s.algorithm(q)
 	ans.Algorithm = alg.Name()
@@ -494,9 +496,7 @@ func (s *Service) runDelta(engine *mr.Engine, q *query.Query, rels []*residentRe
 	if err != nil {
 		return nil, err
 	}
-	s.runMu.Lock()
 	res, err := alg.Run(ctx)
-	s.runMu.Unlock()
 	if err != nil {
 		return nil, err
 	}

@@ -1,16 +1,21 @@
 package cache
 
 import (
+	"errors"
 	"fmt"
 	"math/rand"
+	"runtime"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"intervaljoin/internal/core"
 	"intervaljoin/internal/dfs"
 	"intervaljoin/internal/interval"
 	"intervaljoin/internal/mr"
+	"intervaljoin/internal/obs"
 	"intervaljoin/internal/obs/live"
 	"intervaljoin/internal/query"
 	"intervaljoin/internal/relation"
@@ -52,10 +57,28 @@ func max(a, b interval.Point) interval.Point {
 	return b
 }
 
-func newTestService(t *testing.T, rels ...*relation.Relation) *Service {
+// serviceShape is how a test service runs its delta joins: on how many
+// workers, over how many reducers.
+type serviceShape struct {
+	name    string
+	workers int
+	opts    core.Options
+}
+
+var (
+	// spread splits every delta join over several reducers and workers.
+	spread = serviceShape{"k=4", 4, core.Options{Partitions: 4, PartitionsPerDim: 3}}
+	// oneTask is cmd/ijoind's default: each delta join is one task, one
+	// worker and one reducer.
+	oneTask = serviceShape{"one task", 1, core.Options{Partitions: 1, PartitionsPerDim: 1}}
+)
+
+// newShapedService builds a service of the given shape over rels; alg nil
+// is the planner's choice.
+func newShapedService(t *testing.T, shape serviceShape, alg func(*query.Query) core.Algorithm, rels ...*relation.Relation) *Service {
 	t.Helper()
-	eng := mr.NewEngine(mr.Config{Store: dfs.NewMem(), Workers: 4})
-	svc, err := NewService(ServiceConfig{Engine: eng, Opts: core.Options{Partitions: 4, PartitionsPerDim: 3}})
+	eng := mr.NewEngine(mr.Config{Store: dfs.NewMem(), Workers: shape.workers})
+	svc, err := NewService(ServiceConfig{Engine: eng, Opts: shape.opts, Algorithm: alg})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -65,6 +88,11 @@ func newTestService(t *testing.T, rels ...*relation.Relation) *Service {
 		}
 	}
 	return svc
+}
+
+func newTestService(t *testing.T, rels ...*relation.Relation) *Service {
+	t.Helper()
+	return newShapedService(t, spread, nil, rels...)
 }
 
 func predQuery(t *testing.T, pred interval.Predicate) *query.Query {
@@ -147,7 +175,9 @@ var windowMix = []Window{
 // cold windowed result — sorted-set identical — despite boundary-straddling
 // anchors appearing in multiple segments. The anti-vacuity guard asserts
 // the mix actually exercised partial hits, full hits and cached segments,
-// so the equivalence is not vacuously about empty caches.
+// so the equivalence is not vacuously about empty caches. It holds for a
+// service that spreads its delta joins over four reducers and for one that
+// runs each as one task.
 func TestCachedMergePlusDeltaEqualsColdRun(t *testing.T) {
 	for p := interval.Predicate(0); p < interval.NumPredicates; p++ {
 		p := p
@@ -155,31 +185,33 @@ func TestCachedMergePlusDeltaEqualsColdRun(t *testing.T) {
 			t.Parallel()
 			r1 := adversarialRelation("R1", 7)
 			r2 := adversarialRelation("R2", 11)
-			svc := newTestService(t, r1, r2)
 			q := predQuery(t, p)
 			rels := []*relation.Relation{r1, r2}
-
-			sawPartial := false
-			for i, w := range windowMix {
-				ans, err := svc.Query(q, w)
-				if err != nil {
-					t.Fatal(err)
+			for _, shape := range []serviceShape{spread, oneTask} {
+				svc := newShapedService(t, shape, nil, r1, r2)
+				label := p.String() + " " + shape.name
+				sawPartial := false
+				for i, w := range windowMix {
+					ans, err := svc.Query(q, w)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if ans.HitSegments > 0 && len(ans.DeltaWindows) > 0 {
+						sawPartial = true
+					}
+					want := oracleWindow(t, svc, q, rels, w)
+					diffSets(t, label+" window "+w.string()+" (query "+itoa(i)+")", answerSet(ans), want)
 				}
-				if ans.HitSegments > 0 && len(ans.DeltaWindows) > 0 {
-					sawPartial = true
+				st := svc.Stats()
+				if st.FullHits == 0 || st.PartialHits == 0 || st.HitSegments == 0 {
+					t.Fatalf("%s: anti-vacuity: mix never exercised the cache: %+v", label, st)
 				}
-				want := oracleWindow(t, svc, q, rels, w)
-				diffSets(t, p.String()+" window "+w.string()+" (query "+itoa(i)+")", answerSet(ans), want)
-			}
-			st := svc.Stats()
-			if st.FullHits == 0 || st.PartialHits == 0 || st.HitSegments == 0 {
-				t.Fatalf("anti-vacuity: mix never exercised the cache: %+v", st)
-			}
-			if !sawPartial {
-				t.Fatal("anti-vacuity: no query merged cached segments with delta joins")
-			}
-			if st.DeltaRows == 0 && st.CachedRows == 0 {
-				t.Fatalf("anti-vacuity: no rows flowed at all: %+v", st)
+				if !sawPartial {
+					t.Fatalf("%s: anti-vacuity: no query merged cached segments with delta joins", label)
+				}
+				if st.DeltaRows == 0 && st.CachedRows == 0 {
+					t.Fatalf("%s: anti-vacuity: no rows flowed at all: %+v", label, st)
+				}
 			}
 		})
 	}
@@ -492,9 +524,13 @@ func TestFullHitAllocationsIndependentOfRows(t *testing.T) {
 // TestConcurrentQueriesShareSegments runs the window mix from several
 // goroutines at once against a cache small enough to evict all the time:
 // answers are views into segments that other queries are reading, and
-// that the cache drops while they are in use. Every answer must still be
-// the oracle's.
+// that the cache drops while they are in use. Each goroutine also asks every
+// window traced, under a tracer of its own, and cold, bypassing the cache, so
+// delta joins of all three paths run side by side. Every answer must still be
+// the oracle's, and once the goroutines are done no goroutine the engine
+// started is left running.
 func TestConcurrentQueriesShareSegments(t *testing.T) {
+	before := runtime.NumGoroutine()
 	r1, r2 := adversarialRelation("R1", 67), adversarialRelation("R2", 71)
 	rels := []*relation.Relation{r1, r2}
 	eng := mr.NewEngine(mr.Config{Store: dfs.NewMem(), Workers: 2})
@@ -520,19 +556,29 @@ func TestConcurrentQueriesShareSegments(t *testing.T) {
 			for round := 0; round < 3; round++ {
 				for i := range windowMix {
 					i = (i + g) % len(windowMix)
-					ans, err := svc.Query(q, windowMix[i])
-					if err != nil {
-						t.Error(err)
-						return
-					}
-					got := answerSet(ans)
-					if len(got) != len(ans.Rows) {
-						t.Errorf("window %s: %d rows, %d distinct", windowMix[i].string(), len(ans.Rows), len(got))
-					}
-					for k := range want[i] {
-						if _, ok := got[k]; !ok || len(got) != len(want[i]) {
-							t.Errorf("window %s: answer of %d rows differs from the oracle's %d (row %s)", windowMix[i].string(), len(got), len(want[i]), k)
+					w := windowMix[i]
+					for _, path := range []struct {
+						name  string
+						query func() (*Answer, error)
+					}{
+						{"query", func() (*Answer, error) { return svc.Query(q, w) }},
+						{"traced", func() (*Answer, error) { return svc.QueryTraced(q, w, obs.New(obs.Options{})) }},
+						{"cold", func() (*Answer, error) { return svc.RunCold(q, w) }},
+					} {
+						ans, err := path.query()
+						if err != nil {
+							t.Error(err)
 							return
+						}
+						got := answerSet(ans)
+						if len(got) != len(ans.Rows) {
+							t.Errorf("%s, window %s: %d rows, %d distinct", path.name, w.string(), len(ans.Rows), len(got))
+						}
+						for k := range want[i] {
+							if _, ok := got[k]; !ok || len(got) != len(want[i]) {
+								t.Errorf("%s, window %s: answer of %d rows differs from the oracle's %d (row %s)", path.name, w.string(), len(got), len(want[i]), k)
+								return
+							}
 						}
 					}
 				}
@@ -542,5 +588,80 @@ func TestConcurrentQueriesShareSegments(t *testing.T) {
 	wg.Wait()
 	if st := svc.Stats(); st.Evictions == 0 || st.HitSegments == 0 {
 		t.Fatalf("anti-vacuity: the run never evicted or never hit: %+v", st)
+	}
+	for deadline := time.Now().Add(5 * time.Second); runtime.NumGoroutine() > before; time.Sleep(10 * time.Millisecond) {
+		if time.Now().After(deadline) {
+			buf := make([]byte, 1<<20)
+			t.Fatalf("%d goroutines outlive the queries, %d before them:\n%s", runtime.NumGoroutine(), before, buf[:runtime.Stack(buf, true)])
+		}
+	}
+}
+
+// errOneAtATime is what a delta join held at twoParty reports when no second
+// join joined it.
+var errOneAtATime = errors.New("delta joins ran one at a time")
+
+// twoParty runs the planner's choice, but holds the first two runs until
+// both are inside Run: the first waits for the second, at most 10 s.
+type twoParty struct {
+	core.Algorithm
+	entered *atomic.Int32
+	both    chan struct{}
+}
+
+func (b twoParty) Run(ctx *core.Context) (*core.Result, error) {
+	switch b.entered.Add(1) {
+	case 1:
+		select {
+		case <-b.both:
+		case <-time.After(10 * time.Second):
+			return nil, errOneAtATime
+		}
+	case 2:
+		close(b.both)
+	}
+	return b.Algorithm.Run(ctx)
+}
+
+// TestDeltaJoinsRunConcurrently: two queries that miss a cold cache on
+// disjoint windows run their delta joins at the same time, not one after the
+// other — the first run waits inside Run until the second has come in. Each
+// answer is RunCold's for its window.
+func TestDeltaJoinsRunConcurrently(t *testing.T) {
+	var entered atomic.Int32
+	both := make(chan struct{})
+	alg := func(q *query.Query) core.Algorithm {
+		return twoParty{Algorithm: core.Plan(q, false), entered: &entered, both: both}
+	}
+	svc := newShapedService(t, oneTask, alg, adversarialRelation("R1", 89), adversarialRelation("R2", 97))
+	q := predQuery(t, interval.Overlaps)
+	windows := []Window{{0, 150}, {250, 400}}
+	answers := make([]*Answer, len(windows))
+	errs := make([]error, len(windows))
+	var wg sync.WaitGroup
+	for i, w := range windows {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			answers[i], errs[i] = svc.Query(q, w)
+		}()
+	}
+	wg.Wait()
+	for i, err := range errs {
+		if err != nil {
+			t.Fatalf("window %s: %v", windows[i].string(), err)
+		}
+	}
+	for i, w := range windows {
+		if answers[i].Engine == nil {
+			t.Fatalf("window %s ran no delta join", w.string())
+		}
+		cold, err := svc.RunCold(q, w)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got, want := string(answers[i].RowsJSON), string(cold.RowsJSON); got != want || len(cold.Rows) == 0 {
+			t.Fatalf("window %s: the query answered %d rows and RunCold %d; want the same, and some", w.string(), len(answers[i].Rows), len(cold.Rows))
+		}
 	}
 }

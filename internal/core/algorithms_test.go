@@ -463,6 +463,12 @@ func TestRandomQueriesPropertyStyle(t *testing.T) {
 			algs = append(algs, FCTS{}, FSTC{})
 		}
 		crossValidate(t, q, rels, Options{Partitions: 5, PartitionsPerDim: 3}, algs...)
+		// At one reducer — how the service runs a delta join by default —
+		// RCCIS has no crossing sets and a grid has one cell; the planner's
+		// two choices and every driver that takes the query must still
+		// match the oracle there.
+		crossValidate(t, q, rels, Options{Partitions: 1, PartitionsPerDim: 1},
+			append([]Algorithm{Plan(q, false), Plan(q, true)}, Algorithms(q)...)...)
 	}
 }
 

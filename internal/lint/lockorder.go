@@ -39,7 +39,6 @@ var LockOrder = &Analyzer{
 // order survives vendoring. Locks that never nest with another lock need
 // no entry; the analyzer forces any newly nesting lock to be added here.
 var CanonicalLockOrder = []string{
-	"internal/cache.Service.runMu",
 	"internal/cache.Service.mu",
 	"internal/cache.Cache.mu",
 	"internal/mr.sink.mu",

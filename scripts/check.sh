@@ -19,7 +19,10 @@
 #   5. go test -race — full suite (unit, integration, property, oracle
 #                      cross-validation) under the race detector; the MR
 #                      engine is deliberately concurrent, so -race is part
-#                      of the gate, not an optional extra; then a 5-second
+#                      of the gate, not an optional extra; then the tests
+#                      of concurrent runs and queries (service, engine)
+#                      ten times over, since their races show only now and
+#                      then; then a 5-second
 #                      fuzz smoke of each of four targets: the two
 #                      decoders that read arbitrary bytes — the binary
 #                      record codec (FuzzRecordDecode) and the spill
@@ -41,9 +44,11 @@
 #   7. live scrape   — ijoind -selfcheck boots the real server, drives a
 #                      window mix over HTTP, strictly validates the /metrics
 #                      exposition text, and archives the scrape plus a
-#                      sampled query trace (docs/OBSERVABILITY.md); then a
-#                      second short run whose delta joins are PASM's, the
-#                      one chain with a barrier between its cycles
+#                      sampled query trace (docs/OBSERVABILITY.md), at the
+#                      defaults (one task per delta join); then a second
+#                      short run whose delta joins are PASM's, the one
+#                      chain with a barrier between its cycles, spread over
+#                      two workers and several reducers
 #
 # Usage: scripts/check.sh
 set -eu
@@ -88,6 +93,10 @@ go test -run 'TestRCCISOpAllocs|TestProductRouteAllocs|TestRowEmissionAllocs' ./
 
 echo "== go test -race =="
 go test -race ./...
+# Concurrent queries run their delta joins side by side on one engine, and
+# concurrent runs share the engine's pools: a race there may take several
+# runs to show, so the tests that drive it run ten times more, by name.
+go test -race -count=10 -run 'Concurrent' ./internal/cache ./internal/core
 
 echo "== fuzz smoke =="
 # The engine's records are fixed-width binary and spill values are arbitrary
@@ -121,13 +130,16 @@ echo "== live /metrics scrape =="
 # HTTP, and strictly validate the /metrics exposition (duplicate series,
 # bad names, broken histogram invariants all fail). The validated scrape
 # and a sampled per-query Chrome trace land in artifacts/ for CI to
-# archive. The second run joins every gap with PASM: three cycles, a
-# barrier between the last two, and the marking carried across it by a
-# tap, so the service's multi-cycle path is driven end to end too.
+# archive. The first run keeps ijoind's defaults, one task per delta join.
+# The second joins every gap with PASM — three cycles, a barrier between
+# the last two, and the marking carried across it by a tap — over two
+# workers, four partitions and three per grid dimension, so the service's
+# multi-cycle, multi-task path is driven end to end too.
 go run ./cmd/ijoind -selfcheck -rows 2000 -queries 8 -log-level warn \
     -scrape-out artifacts/live-metrics.prom \
     -trace-dir artifacts/query-traces -trace-sample 3 -trace-keep 4
-go run ./cmd/ijoind -selfcheck -algorithm pasm -rows 2000 -queries 8 -log-level warn \
+go run ./cmd/ijoind -selfcheck -algorithm pasm -workers 2 -partitions 4 -per-dim 3 \
+    -rows 2000 -queries 8 -log-level warn \
     -scrape-out artifacts/live-metrics-pasm.prom
 
 echo "check.sh: all green"
