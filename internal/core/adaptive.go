@@ -219,8 +219,8 @@ const (
 
 // rowOf deterministically assigns a record to one row of a cell-grid
 // dimension. FNV-1a over the record bytes with a splitmix64 finish —
-// stable across runs and processes, so re-executed map attempts (task
-// retry) route identically.
+// stable across runs and processes, so a run's routing repeats exactly
+// (TestRoutingGolden pins it).
 func rowOf(value string, salt uint64, dim int) int {
 	if dim <= 1 {
 		return 0

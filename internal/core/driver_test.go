@@ -2,7 +2,6 @@ package core
 
 import (
 	"errors"
-	"fmt"
 	"math/rand"
 	"slices"
 	"strings"
@@ -231,11 +230,19 @@ func TestContradictoryQueryRunsNoCycle(t *testing.T) {
 	}
 }
 
-// TestSingleCycleErrorStaysTransient checks that running one-cycle
-// algorithms through the shared runner keeps the engine's error chain: a
-// task that exhausts its attempts on transient failures still surfaces as
-// mr.ErrTransient to the caller.
-func TestSingleCycleErrorStaysTransient(t *testing.T) {
+// errCreate is what a createFailingStore's Create returns.
+var errCreate = errors.New("create refused")
+
+// createFailingStore is a store on which nothing can be created.
+type createFailingStore struct{ dfs.Store }
+
+func (createFailingStore) Create(string) (dfs.Writer, error) { return nil, errCreate }
+
+// TestSingleCycleErrorIsWrapped checks that running one-cycle algorithms
+// through the shared runner keeps the engine's error chain: a spill run the
+// store refuses to create fails the run with an error that still wraps the
+// store's.
+func TestSingleCycleErrorIsWrapped(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	cases := []struct {
 		alg   Algorithm
@@ -253,19 +260,16 @@ func TestSingleCycleErrorStaysTransient(t *testing.T) {
 				rels[i] = randomRelation(rng, s.Name, 20, 100, 20)
 			}
 			engine := mr.NewEngine(mr.Config{
-				Store:           dfs.NewMem(),
-				Workers:         2,
-				MaxTaskAttempts: 2,
-				FailureInjector: func(mr.Phase, int, int) error {
-					return fmt.Errorf("always down: %w", mr.ErrTransient)
-				},
+				Store:              createFailingStore{dfs.NewMem()},
+				Workers:            2,
+				SpillPairThreshold: 1,
 			})
 			ctx, err := NewContext(engine, q, rels, Options{})
 			if err != nil {
 				t.Fatal(err)
 			}
-			if _, err := tc.alg.Run(ctx); !errors.Is(err, mr.ErrTransient) {
-				t.Fatalf("err = %v, want one wrapping mr.ErrTransient", err)
+			if _, err := tc.alg.Run(ctx); !errors.Is(err, errCreate) {
+				t.Fatalf("err = %v, want one wrapping %v", err, errCreate)
 			}
 		})
 	}

@@ -1,9 +1,7 @@
 package core
 
 import (
-	"fmt"
 	"math/rand"
-	"sync"
 	"testing"
 
 	"intervaljoin/internal/dfs"
@@ -13,12 +11,10 @@ import (
 	"intervaljoin/internal/relation"
 )
 
-// TestAlgorithmsUnderSpillAndRetry runs the main algorithms on an engine
-// configured with an external-spill shuffle, transient failure injection and
-// task retries, and checks the output still matches the oracle exactly —
-// the engine's fault-tolerance features must be invisible to the
-// algorithms.
-func TestAlgorithmsUnderSpillAndRetry(t *testing.T) {
+// TestAlgorithmsUnderSpill runs the main algorithms on an engine configured
+// with an external-spill shuffle and checks the output still matches the
+// oracle exactly — spilling must be invisible to the algorithms.
+func TestAlgorithmsUnderSpill(t *testing.T) {
 	rng := rand.New(rand.NewSource(77))
 	cases := []struct {
 		qs   string
@@ -54,26 +50,10 @@ func TestAlgorithmsUnderSpillAndRetry(t *testing.T) {
 			t.Fatal(err)
 		}
 		for _, alg := range tc.algs {
-			// A fresh flaky injector per run: every task's first attempt
-			// fails transiently; plus a spilling shuffle and retries.
-			var mu sync.Mutex
-			seen := make(map[string]bool)
-			inject := func(phase mr.Phase, task, attempt int) error {
-				mu.Lock()
-				defer mu.Unlock()
-				key := fmt.Sprintf("%s/%d", phase, task)
-				if seen[key] {
-					return nil
-				}
-				seen[key] = true
-				return mr.ErrTransient
-			}
 			engine := mr.NewEngine(mr.Config{
 				Store:              dfs.NewMem(),
 				Workers:            4,
 				SpillPairThreshold: 64,
-				MaxTaskAttempts:    3,
-				FailureInjector:    inject,
 			})
 			ctx, err := NewContext(engine, q, rels, Options{Partitions: 5, PartitionsPerDim: 4})
 			if err != nil {
@@ -83,12 +63,9 @@ func TestAlgorithmsUnderSpillAndRetry(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s on %q: %v", alg.Name(), tc.qs, err)
 			}
-			if got.Metrics.TaskRetries == 0 {
-				t.Errorf("%s on %q: injector never triggered a retry", alg.Name(), tc.qs)
-			}
 			gw, ww := got.TupleSet(), want.TupleSet()
 			if len(got.Tuples) != len(gw) {
-				t.Errorf("%s on %q: duplicates under retry", alg.Name(), tc.qs)
+				t.Errorf("%s on %q: duplicates under spill", alg.Name(), tc.qs)
 			}
 			if len(gw) != len(ww) {
 				t.Errorf("%s on %q: %d tuples, oracle %d", alg.Name(), tc.qs, len(gw), len(ww))

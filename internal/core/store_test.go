@@ -26,7 +26,6 @@ func TestSpillEndToEnd(t *testing.T) {
 		Store:              dfs.NewMem(),
 		Workers:            4,
 		SpillPairThreshold: 512,
-		MaxTaskAttempts:    2,
 	})
 	q := query.MustParse("R1 overlaps R2 and R2 overlaps R3")
 	rels := make([]*relation.Relation, 3)

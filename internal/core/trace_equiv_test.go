@@ -5,8 +5,6 @@ import (
 	"encoding/json"
 	"math/rand"
 	"strconv"
-	"strings"
-	"sync/atomic"
 	"testing"
 
 	"intervaljoin/internal/dfs"
@@ -99,8 +97,8 @@ func TestTracedDriverMatchesUntraced(t *testing.T) {
 
 // TestTracedReportHoldsEveryCount: with the tracer recording spans only,
 // metrics.json still carries every count of a run that exercised each
-// engine feature — an adaptive RCCIS with one transient map failure, one
-// transient reduce failure, a spilling shuffle and a forced re-split. The
+// engine feature — an adaptive RCCIS with a spilling shuffle and a forced
+// re-split. The
 // counts sit in the serialized model and the plan; the spans carry the
 // per-event detail as args.
 func TestTracedReportHoldsEveryCount(t *testing.T) {
@@ -110,21 +108,10 @@ func TestTracedReportHoldsEveryCount(t *testing.T) {
 	for i, s := range q.Relations {
 		rels[i] = randomRelation(rng, s.Name, 80, 160, 30)
 	}
-	var mapFailed, reduceFailed atomic.Bool
-	inject := func(phase mr.Phase, _, _ int) error {
-		once := &mapFailed
-		if phase == mr.PhaseReduce {
-			once = &reduceFailed
-		}
-		if once.CompareAndSwap(false, true) {
-			return mr.ErrTransient
-		}
-		return nil
-	}
 	tr := obs.New(obs.Options{})
 	engine := mr.NewEngine(mr.Config{
 		Store: dfs.NewMem(), Workers: 4, Tracer: tr,
-		SpillPairThreshold: 64, MaxTaskAttempts: 2, FailureInjector: inject,
+		SpillPairThreshold:   64,
 		ResplitPairThreshold: 8,
 	})
 	ctx, err := NewContext(engine, q, rels, Options{Partitions: 6, Adaptive: true, SplitThreshold: 0.01, MaxVirtual: 3})
@@ -141,7 +128,6 @@ func TestTracedReportHoldsEveryCount(t *testing.T) {
 	}
 	var doc struct {
 		Serialized struct {
-			TaskRetries  int64 `json:"task_retries"`
 			SpilledPairs int64 `json:"spilled_pairs"`
 		} `json:"serialized"`
 		Plan struct {
@@ -154,9 +140,6 @@ func TestTracedReportHoldsEveryCount(t *testing.T) {
 		t.Fatal(err)
 	}
 	m := res.Metrics
-	if doc.Serialized.TaskRetries != 2 || m.TaskRetries != 2 {
-		t.Errorf("serialized.task_retries = %d, Metrics.TaskRetries = %d, want one map and one reduce retry", doc.Serialized.TaskRetries, m.TaskRetries)
-	}
 	if doc.Serialized.SpilledPairs == 0 || doc.Serialized.SpilledPairs != m.SpilledPairs {
 		t.Errorf("serialized.spilled_pairs = %d, Metrics.SpilledPairs = %d, want the same, non-zero", doc.Serialized.SpilledPairs, m.SpilledPairs)
 	}
@@ -180,8 +163,6 @@ func TestTracedReportHoldsEveryCount(t *testing.T) {
 			args[a.Key] = a.Val
 		}
 		switch {
-		case strings.HasPrefix(sp.Name, "retry:"):
-			seen["retry:"+sp.Cat]++
 		case sp.Cat == obs.CatSpill:
 			if n, err := strconv.Atoi(args["records"]); err != nil || n <= 0 {
 				t.Errorf("spill span args %v, want a positive records count", args)
@@ -199,7 +180,7 @@ func TestTracedReportHoldsEveryCount(t *testing.T) {
 			seen[sp.Cat]++
 		}
 	}
-	for _, want := range []string{"retry:" + obs.CatMap, "retry:" + obs.CatReduce, obs.CatSpill, obs.CatResplit, obs.CatVirtualSplit} {
+	for _, want := range []string{obs.CatSpill, obs.CatResplit, obs.CatVirtualSplit} {
 		if seen[want] == 0 {
 			t.Errorf("no %s span in the trace (saw %v)", want, seen)
 		}

@@ -13,9 +13,10 @@ import (
 // MapFunc or PosMapFunc writes into the worker's emission log, so it is
 // only valid for the duration of that call on that goroutine. Storing it in
 // a struct or global, sending it on a channel, returning it, or handing it
-// to a spawned goroutine lets emissions race the engine's attempt lifecycle
-// (a retried attempt truncates the log the escaped emitter still points
-// at, and the end of the map phase returns its pages to a pool). The check is interprocedural: passing the emitter into a function
+// to a spawned goroutine lets emissions race the map worker (the next task
+// appends to the log the escaped emitter still points at, and the end of
+// the map phase returns its pages to a pool). The check is
+// interprocedural: passing the emitter into a function
 // whose own parameter escapes — directly or through further calls — is
 // flagged at the call site. The analyzer also flags EmitRange calls whose
 // constant bounds are provably inverted (lo > hi): such a call silently
@@ -271,7 +272,7 @@ func walkEmitterEscapes(info *types.Info, pkgScope *types.Scope, body *ast.Block
 			}
 		case *ast.GoStmt:
 			if mentions(s.Call) {
-				report(s.Pos(), "mr.Emitter used by a spawned goroutine; emissions would race the engine's attempt lifecycle")
+				report(s.Pos(), "mr.Emitter used by a spawned goroutine; emissions would race the map worker's log")
 				return false // already reported: skip the literal's body
 			}
 		case *ast.CompositeLit:

@@ -42,7 +42,6 @@ var CanonicalLockOrder = []string{
 	"internal/cache.Service.mu",
 	"internal/cache.Cache.mu",
 	"internal/mr.sink.mu",
-	"internal/mr.retryCounter.mu",
 	"internal/dfs.Mem.mu",
 	"internal/obs.Tracer.mu",
 }

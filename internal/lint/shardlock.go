@@ -8,7 +8,7 @@ import (
 
 // ShardLock enforces the sharded shuffle's locking discipline: a struct
 // that embeds a sync.Mutex / sync.RWMutex next to shared state (the shard
-// pattern — mr's sink and retryCounter, dfs's Mem) must only have its
+// pattern — mr's sink, dfs's Mem) must only have its
 // non-mutex fields written while the owning lock is held. The heuristic is
 // flow-insensitive, as races demand nothing subtler to sneak in: a write
 // to such a field is compliant when the same function has already called

@@ -53,20 +53,6 @@ type logMark struct{ pages, n int }
 
 func (l *emitLog) mark() logMark { return logMark{pages: len(l.full), n: len(l.cur)} }
 
-// truncate drops everything emitted since m — a failed attempt's pairs. The
-// pages the attempt turned go back, and the one it began on is current again.
-func (l *emitLog) truncate(m logMark) {
-	if len(l.full) > m.pages {
-		releasePage((*emitPage)(l.cur[:emitPageLen]))
-		for _, p := range l.full[m.pages+1:] {
-			releasePage(p)
-		}
-		l.cur = l.full[m.pages][:]
-		l.full = l.full[:m.pages]
-	}
-	l.cur = l.cur[:m.n]
-}
-
 // since calls fn with the emissions logged from m on, a page's worth at a
 // time.
 func (l *emitLog) since(m logMark, fn func([]emission)) {

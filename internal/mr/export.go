@@ -42,7 +42,6 @@ func BuildReport(name string, t *obs.Tracer, m *Metrics) *obs.Report {
 		Bytes:            m.IntermediateBytes,
 		PhysBytes:        m.PhysicalBytes,
 		SpilledPairs:     m.SpilledPairs,
-		TaskRetries:      m.TaskRetries,
 		OutputRecords:    m.OutputRecords,
 		ReplicationFact:  m.ReplicationFactor(),
 		StreamedPairs:    m.StreamedPairs,

@@ -3,11 +3,13 @@ package mr
 import (
 	"errors"
 	"fmt"
+	"runtime"
 	"slices"
 	"sort"
 	"strconv"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -185,151 +187,115 @@ func TestSpillRejectsNegativeKeys(t *testing.T) {
 	}
 }
 
-// flakyInjector fails each task's first attempt with a transient error.
-type flakyInjector struct {
-	mu     sync.Mutex
-	phase  Phase
-	seen   map[string]bool
-	failed int
-}
+// errBoom is the error the error-path tests' map and reduce functions fail
+// with.
+var errBoom = errors.New("boom")
 
-func (f *flakyInjector) inject(phase Phase, task, attempt int) error {
-	if f.phase != "" && phase != f.phase {
-		return nil
+// failingHistogram is histogramJob(2000, 9) with, as phase says, its map
+// function failing on record 1500 or its reduce function failing on key 3;
+// calls counts the failing function's calls for that record or key. With
+// rows set the job reduces to Rows instead of writing records.
+func failingHistogram(phase string, rows bool, calls *atomic.Int64) (Job, []string) {
+	job, recs := histogramJob(2000, 9)
+	failRecord, failKey := "1500", int64(-1)
+	if phase == "reduce" {
+		failRecord, failKey = "", 3
 	}
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	key := fmt.Sprintf("%s/%d", phase, task)
-	if f.seen[key] {
-		return nil
-	}
-	f.seen[key] = true
-	f.failed++
-	return fmt.Errorf("injected: %w", ErrTransient)
-}
-
-func TestTransientFailuresAreRetried(t *testing.T) {
-	for _, phase := range []Phase{PhaseMap, PhaseReduce, ""} {
-		name := string(phase)
-		if name == "" {
-			name = "both"
+	mapFn, reduce := job.Map, job.Reduce
+	job.Map = func(tag int, record string, emit Emitter) error {
+		if record == failRecord {
+			calls.Add(1)
+			return errBoom
 		}
-		t.Run(name, func(t *testing.T) {
-			inj := &flakyInjector{phase: phase, seen: make(map[string]bool)}
-			store := dfs.NewMem()
-			e := NewEngine(Config{
-				Store: store, Workers: 4,
-				MaxTaskAttempts: 3,
-				FailureInjector: inj.inject,
-			})
-			job, recs := histogramJob(3000, 9)
-			dfs.WriteAll(store, "in", recs)
-			m, err := e.Run(job)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if inj.failed == 0 {
-				t.Fatal("injector never fired")
-			}
-			if m.TaskRetries != int64(inj.failed) {
-				t.Fatalf("retries = %d, injected failures = %d", m.TaskRetries, inj.failed)
-			}
-			// Output is exactly as if nothing failed: retried attempts'
-			// partial emissions were discarded.
-			out, _ := dfs.ReadAll(store, "out")
-			if len(out) != 9 {
-				t.Fatalf("output rows = %d, want 9", len(out))
-			}
-			for _, row := range out {
-				parts := strings.Split(row, ":")
-				if parts[1] != strconv.Itoa(3000/9) && parts[1] != strconv.Itoa(3000/9+1) {
-					t.Fatalf("row %q has a wrong count (duplicate or lost records)", row)
-				}
-			}
-			var total int
-			for _, row := range out {
-				n, _ := strconv.Atoi(strings.Split(row, ":")[1])
-				total += n
-			}
-			if total != 3000 {
-				t.Fatalf("total count %d, want 3000 — retry duplicated or lost data", total)
-			}
-		})
+		return mapFn(tag, record, emit)
 	}
-}
-
-func TestPersistentFailureFailsJob(t *testing.T) {
-	store := dfs.NewMem()
-	e := NewEngine(Config{
-		Store: store, Workers: 2,
-		MaxTaskAttempts: 3,
-		FailureInjector: func(phase Phase, task, attempt int) error {
-			if phase == PhaseMap && task == 0 {
-				return fmt.Errorf("always down: %w", ErrTransient)
+	job.Reduce = func(key int64, values []string, write func(string) error) error {
+		if key == failKey {
+			calls.Add(1)
+			return errBoom
+		}
+		return reduce(key, values, write)
+	}
+	if rows {
+		job.Reduce, job.Output, job.Rows = nil, "", &Rows{Width: 2}
+		job.ReduceRows = func(key int64, values []string, out *Rows) error {
+			if key == failKey {
+				calls.Add(1)
+				return errBoom
 			}
+			row := out.Append()
+			row[0], row[1] = key, int64(len(values))
 			return nil
-		},
-	})
-	job, recs := histogramJob(100, 3)
-	dfs.WriteAll(store, "in", recs)
-	if _, err := e.Run(job); err == nil || !errors.Is(err, ErrTransient) {
-		t.Fatalf("err = %v, want exhausted transient failure", err)
+		}
 	}
+	return job, recs
 }
 
-func TestNonTransientErrorNotRetried(t *testing.T) {
-	store := dfs.NewMem()
-	attempts := 0
-	var mu sync.Mutex
-	e := NewEngine(Config{
-		Store: store, Workers: 1,
-		MaxTaskAttempts: 5,
-		FailureInjector: func(phase Phase, task, attempt int) error {
-			if phase != PhaseMap {
-				return nil
-			}
-			mu.Lock()
-			attempts++
-			mu.Unlock()
-			return errors.New("hard failure")
-		},
-	})
-	job, recs := histogramJob(10, 2)
-	dfs.WriteAll(store, "in", recs)
-	if _, err := e.Run(job); err == nil {
-		t.Fatal("hard failure swallowed")
-	}
-	if attempts != 1 {
-		t.Fatalf("hard failure attempted %d times, want 1", attempts)
-	}
-}
-
-func TestRetryWithSpillStillCorrect(t *testing.T) {
-	inj := &flakyInjector{seen: make(map[string]bool)}
-	store := dfs.NewMem()
-	e := NewEngine(Config{
-		Store: store, Workers: 4,
-		SpillPairThreshold: 32,
-		MaxTaskAttempts:    2,
-		FailureInjector:    inj.inject,
-	})
-	job, recs := histogramJob(2000, 5)
-	dfs.WriteAll(store, "in", recs)
-	m, err := e.Run(job)
+// storeHoldsOnlyInput fails t unless the input is all that is left on store.
+func storeHoldsOnlyInput(t *testing.T, store dfs.Store) {
+	t.Helper()
+	names, err := store.List("")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if m.SpillRuns == 0 || m.TaskRetries == 0 {
-		t.Fatalf("expected both spills and retries: %+v", m)
+	if !slices.Equal(names, []string{"in"}) {
+		t.Errorf("store holds %v after the failed job, want only [in]", names)
 	}
-	out, _ := dfs.ReadAll(store, "out")
-	var total int
-	for _, row := range out {
-		n, _ := strconv.Atoi(strings.Split(row, ":")[1])
-		total += n
+}
+
+// TestTaskErrorFailsJob: a map or reduce function that returns an error fails
+// the job with it — in memory and spilled, record and row reducers alike.
+// Nothing runs again, no goroutine outlives the job, and nothing but the
+// input is left on the store.
+func TestTaskErrorFailsJob(t *testing.T) {
+	for _, phase := range []string{"map", "reduce"} {
+		for _, spill := range []int{0, 16} {
+			for _, rows := range []bool{false, true} {
+				t.Run(fmt.Sprintf("%s/spill=%d/rows=%v", phase, spill, rows), func(t *testing.T) {
+					var calls atomic.Int64
+					job, recs := failingHistogram(phase, rows, &calls)
+					store := dfs.NewMem()
+					if err := dfs.WriteAll(store, "in", recs); err != nil {
+						t.Fatal(err)
+					}
+					before := runtime.NumGoroutine()
+					_, err := NewEngine(Config{Store: store, Workers: 4, SpillPairThreshold: spill}).Run(job)
+					if !errors.Is(err, errBoom) {
+						t.Fatalf("err = %v, want one wrapping %v", err, errBoom)
+					}
+					if n := calls.Load(); n != 1 {
+						t.Errorf("the failing %s function ran %d times for its task, want 1", phase, n)
+					}
+					for deadline := time.Now().Add(5 * time.Second); runtime.NumGoroutine() > before; time.Sleep(10 * time.Millisecond) {
+						if time.Now().After(deadline) {
+							buf := make([]byte, 1<<16)
+							t.Fatalf("%d goroutines outlive the failed job, %d before it:\n%s", runtime.NumGoroutine(), before, buf[:runtime.Stack(buf, true)])
+						}
+					}
+					storeHoldsOnlyInput(t, store)
+				})
+			}
+		}
 	}
-	if total != 2000 {
-		t.Fatalf("total = %d, want 2000", total)
+}
+
+// TestFailedJobRemovesSpillRuns: a job that fails after its map workers have
+// spilled removes the runs — whether the map phase or the reduce phase
+// failed.
+func TestFailedJobRemovesSpillRuns(t *testing.T) {
+	for _, phase := range []string{"map", "reduce"} {
+		t.Run(phase, func(t *testing.T) {
+			var calls atomic.Int64
+			job, recs := failingHistogram(phase, false, &calls)
+			store := dfs.NewMem()
+			if err := dfs.WriteAll(store, "in", recs); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := NewEngine(Config{Store: store, Workers: 2, SpillPairThreshold: 16}).Run(job); err == nil {
+				t.Fatal("the failing job succeeded")
+			}
+			storeHoldsOnlyInput(t, store)
+		})
 	}
 }
 

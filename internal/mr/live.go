@@ -17,7 +17,6 @@ type LiveSet struct {
 	bytes           *live.Counter
 	physBytes       *live.Counter
 	output          *live.Counter
-	retries         *live.Counter
 	spilledPairs    *live.Counter
 	spillRuns       *live.Counter
 	cleanupFailures *live.Counter
@@ -39,7 +38,6 @@ func NewLiveSet(r *live.Registry) *LiveSet {
 		bytes:           r.Counter("ij_engine_intermediate_bytes_total", "logical shuffled bytes"),
 		physBytes:       r.Counter("ij_engine_physical_bytes_total", "physically shuffled bytes after range coalescing"),
 		output:          r.Counter("ij_engine_output_records_total", "records written by reduce tasks"),
-		retries:         r.Counter("ij_engine_task_retries_total", "task attempts that failed transiently and were re-run"),
 		spilledPairs:    r.Counter("ij_engine_spilled_pairs_total", "intermediate pairs written to sorted on-store spill runs"),
 		spillRuns:       r.Counter("ij_engine_spill_runs_total", "sorted spill runs written by the external shuffle"),
 		cleanupFailures: r.Counter("ij_engine_cleanup_failures_total", "spill runs that could not be removed from the store after a job"),
@@ -61,7 +59,6 @@ func (s *LiveSet) Publish(m *Metrics) {
 	s.bytes.Add(m.IntermediateBytes)
 	s.physBytes.Add(m.PhysicalBytes)
 	s.output.Add(m.OutputRecords)
-	s.retries.Add(m.TaskRetries)
 	s.spilledPairs.Add(m.SpilledPairs)
 	s.spillRuns.Add(int64(m.SpillRuns))
 	s.cleanupFailures.Add(int64(m.CleanupFailures))

@@ -53,9 +53,6 @@ type Metrics struct {
 	// one reader per input file, so this tracks the slowest file, not the
 	// sum.
 	FeedWall time.Duration
-	// TaskRetries counts task attempts that failed transiently and were
-	// re-run.
-	TaskRetries int64
 	// SpilledPairs counts intermediate pairs written to sorted on-store
 	// runs by the external shuffle; SpillRuns is the number of runs.
 	SpilledPairs int64
@@ -124,7 +121,6 @@ func (m *Metrics) Merge(other *Metrics) {
 	m.TotalWall += other.TotalWall
 	m.MaxReducerTime += other.MaxReducerTime // stragglers serialise across cycles
 	m.Cycles += other.Cycles
-	m.TaskRetries += other.TaskRetries
 	m.SpilledPairs += other.SpilledPairs
 	m.SpillRuns += other.SpillRuns
 	m.CleanupFailures += other.CleanupFailures

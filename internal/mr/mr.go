@@ -14,17 +14,17 @@
 // chain's answer is no intermediate: a job may reduce to typed id rows
 // instead (Job.ReduceRows), which go back to the caller as they are.
 //
-// Two Hadoop behaviours are modelled beyond the basic phases: map tasks
-// are record batches that are retried on transient failures (as Hadoop
-// re-schedules failed task attempts), and an external sort-merge shuffle
-// spills key-sorted runs to the store when the in-memory budget is
-// exceeded, so jobs larger than RAM still run.
+// One Hadoop behaviour is modelled beyond the basic phases: an external
+// sort-merge shuffle spills key-sorted runs to the store when the in-memory
+// budget is exceeded, so jobs larger than RAM still run. Hadoop's task
+// re-execution is not: a task here is a goroutine running a deterministic
+// function over in-memory input, so a task that fails would fail again, and
+// the first error fails the job.
 package mr
 
 import (
 	"cmp"
 	"context"
-	"errors"
 	"fmt"
 	"runtime"
 	"runtime/pprof"
@@ -115,9 +115,9 @@ type RowReduceFunc func(key int64, values []string, out *Rows) error
 // Rows is typed reduce output: rows of Width int64 ids. A job that sets
 // ReduceRows names one as its destination (Job.Rows), the way Output names
 // the destination of text records; when the job has run it holds every
-// committed task's rows, tasks in ascending key order. Each task attempt
-// writes into a Rows of its own, which reaches the job's only if the attempt
-// succeeds.
+// task's rows, tasks in ascending key order. Each task writes into a Rows of
+// its own, and the job's takes them in key order once every task has
+// finished, so a failed task's rows never reach it.
 //
 // Rows are kept in chunks that are never reallocated: a chunk is filled, then
 // a larger one is started, so appending copies nothing and a slot stays valid.
@@ -202,23 +202,6 @@ func (r *Rows) take(other *Rows) {
 	other.chunks = nil
 }
 
-// Phase identifies which phase a task attempt belongs to, for failure
-// injection.
-type Phase string
-
-// The two task phases.
-const (
-	PhaseMap    Phase = "map"
-	PhaseReduce Phase = "reduce"
-)
-
-// ErrTransient marks a task failure as retryable: the engine re-runs the
-// attempt (up to Config.MaxTaskAttempts), discarding the failed attempt's
-// partial output, exactly as Hadoop re-schedules failed task attempts.
-// Wrap or return it from a map/reduce function (or a failure injector) to
-// exercise the retry path.
-var ErrTransient = errors.New("mr: transient task failure")
-
 // Input is one input of a job, tagged for the map function: a store file, or
 // — with no File — the positions 0..Count-1 of data the caller holds, which
 // Job.MapAt maps.
@@ -243,19 +226,16 @@ type Job struct {
 	Reduce ReduceFunc
 	// ReduceRows, set instead of Reduce, makes the job's output typed id
 	// rows collected in Rows (required with it) rather than text records.
-	// Rows are committed exactly as records are: only a successful task
-	// attempt contributes, Resplit shards concatenate in shard order, and
-	// Metrics.OutputRecords counts rows. Such a job writes no Output, feeds
-	// no Tap and streams to no later stage — it is a chain's last.
+	// Rows are committed exactly as records are: in key order once the
+	// reduce phase has finished, Resplit shards concatenated in shard
+	// order, and Metrics.OutputRecords counts rows. Such a job writes no
+	// Output, feeds no Tap and streams to no later stage — it is a chain's
+	// last.
 	ReduceRows RowReduceFunc
 	Rows       *Rows
 	// Output names the store file the reduce output is written to. Empty
 	// discards output (metric-only runs).
 	Output string
-	// SortValues sorts each reduce task's value list before reduction,
-	// making runs deterministic (Hadoop guarantees key order; this
-	// additionally pins value order the way a secondary sort would).
-	SortValues bool
 	// Resplit, when set alongside Config.ResplitPairThreshold, lets the
 	// engine re-shard an oversized reduce task's value list into sub-tasks
 	// mid-job (before dispatch). The hook must return shards such that
@@ -264,7 +244,7 @@ type Job struct {
 	// (values may be replicated across shards to keep that true — the
 	// drivers use a cell cover over the join's input streams). Returning
 	// nil or a single shard declines the split. Each shard runs under the
-	// task's original key with full retry semantics.
+	// task's original key, and the first shard error fails the job.
 	Resplit func(key int64, values []string, parts int) [][]string
 	// Meta annotates the job for observability: the tracer's cycle spans
 	// and the optional pprof labels carry it, so traces and CPU profiles
@@ -313,13 +293,6 @@ type Config struct {
 	// the store and the reduce phase streams a merge of the runs.
 	// 0 disables spilling (fully in-memory shuffle).
 	SpillPairThreshold int
-	// MaxTaskAttempts bounds attempts per task (map batch or reduce key).
-	// Values below 1 mean 1 (no retry). Hadoop's default is 4.
-	MaxTaskAttempts int
-	// FailureInjector, when non-nil, runs before every task attempt and
-	// may return an error (typically wrapping ErrTransient) to simulate
-	// task failures. Used by the failure-injection tests.
-	FailureInjector func(phase Phase, task, attempt int) error
 	// ResplitPairThreshold arms the mid-job re-split: a reduce task whose
 	// shuffled value count reaches the threshold is re-sharded through
 	// Job.Resplit (when the job provides the hook) and its shards reduced
@@ -334,13 +307,11 @@ type Config struct {
 
 // Engine executes jobs.
 type Engine struct {
-	store    dfs.Store
-	workers  int
-	spill    int
-	attempts int
-	inject   func(phase Phase, task, attempt int) error
-	resplit  int
-	tracer   *obs.Tracer
+	store   dfs.Store
+	workers int
+	spill   int
+	resplit int
+	tracer  *obs.Tracer
 }
 
 // NewEngine returns an engine over the given store.
@@ -349,18 +320,12 @@ func NewEngine(cfg Config) *Engine {
 	if w <= 0 {
 		w = runtime.GOMAXPROCS(0)
 	}
-	a := cfg.MaxTaskAttempts
-	if a < 1 {
-		a = 1
-	}
 	return &Engine{
-		store:    cfg.Store,
-		workers:  w,
-		spill:    cfg.SpillPairThreshold,
-		attempts: a,
-		inject:   cfg.FailureInjector,
-		resplit:  cfg.ResplitPairThreshold,
-		tracer:   cfg.Tracer,
+		store:   cfg.Store,
+		workers: w,
+		spill:   cfg.SpillPairThreshold,
+		resplit: cfg.ResplitPairThreshold,
+		tracer:  cfg.Tracer,
 	}
 }
 
@@ -415,13 +380,14 @@ func (e *Engine) runJob(job Job, stream <-chan []taggedRecord, snk *sink, writeO
 	start := time.Now()
 
 	shuffle, err := e.mapPhase(job, m, stream, jobLane)
+	if err == nil {
+		err = e.reducePhase(job, shuffle, m, snk, writeOut, jobLane)
+	}
+	// Every exit removes the spill runs written so far, a failed job's too.
+	m.CleanupFailures += shuffle.cleanup(e.store)
 	if err != nil {
 		return nil, err
 	}
-	if err := e.reducePhase(job, shuffle, m, snk, writeOut, jobLane); err != nil {
-		return nil, err
-	}
-	m.CleanupFailures += shuffle.cleanup(e.store)
 	m.TotalWall = time.Since(start)
 	if jobLane != nil {
 		jobLane.End(obs.CatCycle, "cycle:"+job.Name, jobStart, job.Meta.traceArgs()...)
@@ -435,9 +401,9 @@ type taggedRecord struct {
 	record string
 }
 
-// mapTask is one map task's input, the retry unit: a batch of records read
-// from a file or streamed from the previous stage, or — with no records — the
-// positions [lo, hi) of the positional input tagged tag.
+// mapTask is one map task's input: a batch of records read from a file or
+// streamed from the previous stage, or — with no records — the positions
+// [lo, hi) of the positional input tagged tag.
 type mapTask struct {
 	records     []taggedRecord
 	tag, lo, hi int
@@ -533,10 +499,9 @@ type mapWorker struct {
 	physPairs int64 // physical: one per emission record
 	physBytes int64 // physical: what the shuffle actually holds
 	spilled   int64 // logical pairs inside spilled runs
-	retries   int64
 }
 
-// fold accounts for the emissions of a successful attempt.
+// fold accounts for the emissions of one map task.
 func (st *mapWorker) fold(ems []emission) {
 	for i := range ems {
 		p := &ems[i]
@@ -601,16 +566,6 @@ func (e *Engine) mapPhase(job Job, m *Metrics, stream <-chan []taggedRecord, job
 	if e.spill > 0 {
 		spillDir = ".spill/" + strconv.FormatInt(spillSeq.Add(1), 10) + "/"
 	}
-	var taskSeq sync.Mutex
-	nextTask := 0
-	takeTask := func() int {
-		taskSeq.Lock()
-		defer taskSeq.Unlock()
-		t := nextTask
-		nextTask++
-		return t
-	}
-
 	var wg sync.WaitGroup
 	for w := 0; w < e.workers; w++ {
 		wg.Add(1)
@@ -635,26 +590,13 @@ func (e *Engine) mapPhase(job Job, m *Metrics, stream <-chan []taggedRecord, job
 			emit := Emitter{buf: &st.log.cur, log: &st.log}
 			fold := st.fold
 			for batch := range work {
-				task := takeTask()
 				taskStart := lane.Begin()
 				began := st.log.mark()
-				for attempt := 1; ; attempt++ {
-					err := e.runMapAttempt(job, batch, task, attempt, emit)
-					if err == nil {
-						break
+				if err := runMapTask(job, batch, emit); err != nil {
+					errc <- fmt.Errorf("mr: job %s: map task: %w", job.Name, err)
+					for range work {
 					}
-					// The failed attempt's pairs leave the log.
-					st.log.truncate(began)
-					if !errors.Is(err, ErrTransient) || attempt >= e.attempts {
-						errc <- fmt.Errorf("mr: job %s: map task %d: %w", job.Name, task, err)
-						for range work {
-						}
-						return
-					}
-					st.retries++
-					if lane != nil {
-						lane.Event(obs.CatMap, "retry:"+job.Name)
-					}
+					return
 				}
 				if batch.records != nil {
 					batchPool.Put(batch.records[:0])
@@ -714,9 +656,8 @@ func (e *Engine) mapPhase(job Job, m *Metrics, stream <-chan []taggedRecord, job
 		}()
 	}
 	// A streamed boundary feeds upstream reduce batches straight into the
-	// same work queue the file readers fill: upstream batches are already
-	// the retry unit, so a failed downstream map attempt re-runs from the
-	// buffered batch without touching the store.
+	// same work queue the file readers fill: an upstream batch is a map task
+	// like a file batch, and nothing of it touches the store.
 	if stream != nil {
 		feedWG.Add(1)
 		go func() {
@@ -737,30 +678,26 @@ func (e *Engine) mapPhase(job Job, m *Metrics, stream <-chan []taggedRecord, job
 	wg.Wait()
 	close(errc)
 	close(feedErrc)
-	if err := <-feedErrc; err != nil {
-		return nil, err
+	shuffle := &shuffleState{}
+	for _, st := range states {
+		shuffle.runFiles = append(shuffle.runFiles, st.runs...)
 	}
-	if err := <-errc; err != nil {
-		return nil, err
+	// A failed phase still hands back the runs its workers wrote, for the
+	// job to remove.
+	if err := cmp.Or(<-feedErrc, <-errc); err != nil {
+		return shuffle, err
 	}
 
 	m.MapInputRecords = records.Load()
 	m.MapWall = time.Since(mapStart)
-
-	shuffle := &shuffleState{}
+	m.SpillRuns = len(shuffle.runFiles)
 	for _, st := range states {
 		m.IntermediatePairs += st.pairs
 		m.IntermediateBytes += st.bytes
 		m.PhysicalPairs += st.physPairs
 		m.PhysicalBytes += st.physBytes
 		m.SpilledPairs += st.spilled
-		m.TaskRetries += st.retries
-		if e.spill == 0 {
-			continue
-		}
-		shuffle.runFiles = append(shuffle.runFiles, st.runs...)
-		m.SpillRuns += len(st.runs)
-		if st.log.len() > 0 {
+		if e.spill > 0 && st.log.len() > 0 {
 			tail := st.log.appendTo(make([]emission, 0, st.log.len()))
 			sortEmissions(tail)
 			shuffle.leftover = append(shuffle.leftover, tail)
@@ -890,13 +827,8 @@ func (e *Engine) feedFile(job Job, in Input, work chan<- mapTask, records *atomi
 	return nil
 }
 
-// runMapAttempt executes one map task attempt, its emissions going to emit.
-func (e *Engine) runMapAttempt(job Job, in mapTask, task, attempt int, emit Emitter) error {
-	if e.inject != nil {
-		if err := e.inject(PhaseMap, task, attempt); err != nil {
-			return err
-		}
-	}
+// runMapTask executes one map task, its emissions going to emit.
+func runMapTask(job Job, in mapTask, emit Emitter) error {
 	for _, tr := range in.records {
 		if err := job.Map(tr.tag, tr.record, emit); err != nil {
 			return err
@@ -1019,54 +951,38 @@ func (e *Engine) writeOutput(job Job, results []reduceResult) error {
 	return nil
 }
 
-// runReduceTask executes one reduce task with retry semantics.
-func (e *Engine) runReduceTask(job Job, task int, key int64, values []string, m *retryCounter, lane *obs.Lane, spanName string) (reduceResult, error) {
+// runReduceTask executes one reduce task. Its output is buffered in the
+// result — the job commits it in key order once every task has finished —
+// so a failed task's partial output goes away with it, its row chunks back
+// to the pool.
+func runReduceTask(job Job, key int64, values []string, lane *obs.Lane, spanName string) (reduceResult, error) {
 	taskStart := lane.Begin()
-	if job.SortValues {
-		slices.Sort(values)
+	res := job.newResult(key, len(values))
+	t0 := time.Now()
+	var err error
+	if job.ReduceRows != nil {
+		err = job.ReduceRows(key, values, &res.rows)
+	} else {
+		err = job.Reduce(key, values, func(record string) error {
+			if res.output == nil {
+				// Most record-writing reducers write about what they
+				// received: a record per tuple they are home to.
+				res.output = make([]string, 0, len(values))
+			}
+			res.output = append(res.output, record)
+			return nil
+		})
 	}
-	for attempt := 1; ; attempt++ {
-		// The attempt's output lives in res and nowhere else, so a failed
-		// attempt's partial output goes away with it, its row chunks back to
-		// the pool.
-		res := job.newResult(key, len(values))
-		t0 := time.Now()
-		err := func() error {
-			if e.inject != nil {
-				if err := e.inject(PhaseReduce, task, attempt); err != nil {
-					return err
-				}
-			}
-			if job.ReduceRows != nil {
-				return job.ReduceRows(key, values, &res.rows)
-			}
-			return job.Reduce(key, values, func(record string) error {
-				if res.output == nil {
-					// Most record-writing reducers write about what they
-					// received: a record per tuple they are home to.
-					res.output = make([]string, 0, len(values))
-				}
-				res.output = append(res.output, record)
-				return nil
-			})
-		}()
-		if err == nil {
-			if lane != nil {
-				lane.End(obs.CatReduce, spanName, taskStart,
-					obs.Arg{Key: "key", Val: strconv.FormatInt(key, 10)})
-			}
-			res.duration = time.Since(t0)
-			return res, nil
-		}
+	if err != nil {
 		res.rows.Release()
-		if !errors.Is(err, ErrTransient) || attempt >= e.attempts {
-			return reduceResult{}, fmt.Errorf("mr: job %s: reduce key %d: %w", job.Name, key, err)
-		}
-		m.add(1)
-		if lane != nil {
-			lane.Event(obs.CatReduce, "retry:"+job.Name)
-		}
+		return reduceResult{}, fmt.Errorf("mr: job %s: reduce key %d: %w", job.Name, key, err)
 	}
+	if lane != nil {
+		lane.End(obs.CatReduce, spanName, taskStart,
+			obs.Arg{Key: "key", Val: strconv.FormatInt(key, 10)})
+	}
+	res.duration = time.Since(t0)
+	return res, nil
 }
 
 // runReduceTaskSplit executes one reduce task, re-splitting it mid-job
@@ -1074,14 +990,14 @@ func (e *Engine) runReduceTask(job Job, task int, key int64, values []string, m 
 // job opted in via Job.Resplit: the value list is re-sharded by the hook
 // and the shards reduced concurrently on spare goroutines — the
 // single-process analogue of re-scheduling a hot reduce task's input
-// across idle cluster workers. Each shard keeps the original key and the
-// full per-attempt retry machinery; the shard outputs (records or rows) are
-// concatenated in shard order into one result, so downstream (sink delivery, output
-// commit, per-key metrics) sees exactly one task whose duration is the
-// wall clock of the whole split execution.
-func (e *Engine) runReduceTaskSplit(job Job, task int, key int64, values []string, m *retryCounter, lane *obs.Lane, spanName string) (reduceResult, error) {
+// across idle cluster workers. Each shard keeps the original key; the shard
+// outputs (records or rows) are buffered per shard and concatenated in shard
+// order into one result, so downstream (sink delivery, output commit,
+// per-key metrics) sees exactly one task whose duration is the wall clock of
+// the whole split execution.
+func (e *Engine) runReduceTaskSplit(job Job, key int64, values []string, lane *obs.Lane, spanName string) (reduceResult, error) {
 	if job.Resplit == nil || e.resplit <= 0 || len(values) < e.resplit {
-		return e.runReduceTask(job, task, key, values, m, lane, spanName)
+		return runReduceTask(job, key, values, lane, spanName)
 	}
 	parts := (len(values) + e.resplit - 1) / e.resplit
 	if parts > e.workers {
@@ -1094,7 +1010,7 @@ func (e *Engine) runReduceTaskSplit(job Job, task int, key int64, values []strin
 	t0 := time.Now()
 	shards := job.Resplit(key, values, parts)
 	if len(shards) <= 1 {
-		return e.runReduceTask(job, task, key, values, m, lane, spanName)
+		return runReduceTask(job, key, values, lane, spanName)
 	}
 	results := make([]reduceResult, len(shards))
 	errs := make([]error, len(shards))
@@ -1114,15 +1030,20 @@ func (e *Engine) runReduceTaskSplit(job Job, task int, key int64, values []strin
 			if slane != nil {
 				span = "reduce-shard:" + job.Name
 			}
-			results[si], errs[si] = e.runReduceTask(job, task, key, shards[si], m, slane, span)
+			results[si], errs[si] = runReduceTask(job, key, shards[si], slane, span)
 		}(si)
 	}
 	wg.Wait()
+	for _, err := range errs {
+		if err != nil {
+			for si := range results {
+				results[si].rows.Release()
+			}
+			return reduceResult{}, err
+		}
+	}
 	merged := job.newResult(key, len(values))
 	for si := range shards {
-		if errs[si] != nil {
-			return reduceResult{}, errs[si]
-		}
 		merged.output = append(merged.output, results[si].output...)
 		merged.rows.take(&results[si].rows)
 	}
@@ -1152,18 +1073,6 @@ func (e *Engine) withReduceLabels(job Job, fn func()) {
 	pprof.Do(context.Background(), labels, func(context.Context) { fn() })
 }
 
-// retryCounter accumulates retries across concurrent reduce tasks.
-type retryCounter struct {
-	mu sync.Mutex
-	n  int64
-}
-
-func (rc *retryCounter) add(d int64) {
-	rc.mu.Lock()
-	rc.n += d
-	rc.mu.Unlock()
-}
-
 func (e *Engine) reduceInMemory(job Job, shuffle *shuffleState, m *Metrics, snk *sink) ([]reduceResult, error) {
 	keys := make([]int64, 0, m.DistinctKeys)
 	for _, shard := range shuffle.shards {
@@ -1191,7 +1100,6 @@ func (e *Engine) reduceInMemory(job Job, shuffle *shuffleState, m *Metrics, snk 
 	results := make([]reduceResult, len(keys))
 	errc := make(chan error, e.workers)
 	keyc := make(chan int, 2*e.workers)
-	var retries retryCounter
 	var wg sync.WaitGroup
 	for w := 0; w < e.workers; w++ {
 		wg.Add(1)
@@ -1206,7 +1114,7 @@ func (e *Engine) reduceInMemory(job Job, shuffle *shuffleState, m *Metrics, snk 
 			e.withReduceLabels(job, func() {
 				for ki := range keyc {
 					key := keys[ki]
-					res, err := e.runReduceTaskSplit(job, ki, key, shuffle.group(key), &retries, lane, reduceSpan)
+					res, err := e.runReduceTaskSplit(job, key, shuffle.group(key), lane, reduceSpan)
 					if err != nil {
 						errc <- err
 						for range keyc {
@@ -1228,7 +1136,6 @@ func (e *Engine) reduceInMemory(job Job, shuffle *shuffleState, m *Metrics, snk 
 	if err := <-errc; err != nil {
 		return nil, err
 	}
-	m.TaskRetries += retries.n
 	return results, nil
 }
 
@@ -1250,7 +1157,6 @@ func (e *Engine) reduceStreaming(job Job, shuffle *shuffleState, m *Metrics, snk
 	}
 
 	type task struct {
-		idx    int
 		key    int64
 		values *[]string
 	}
@@ -1259,7 +1165,6 @@ func (e *Engine) reduceStreaming(job Job, shuffle *shuffleState, m *Metrics, snk
 	var (
 		mu      sync.Mutex
 		results []reduceResult
-		retries retryCounter
 		wg      sync.WaitGroup
 	)
 	for w := 0; w < e.workers; w++ {
@@ -1274,7 +1179,7 @@ func (e *Engine) reduceStreaming(job Job, shuffle *shuffleState, m *Metrics, snk
 			}
 			e.withReduceLabels(job, func() {
 				for t := range taskc {
-					res, err := e.runReduceTaskSplit(job, t.idx, t.key, *t.values, &retries, lane, reduceSpan)
+					res, err := e.runReduceTaskSplit(job, t.key, *t.values, lane, reduceSpan)
 					recycleValues(t.values)
 					if err != nil {
 						errc <- err
@@ -1290,7 +1195,7 @@ func (e *Engine) reduceStreaming(job Job, shuffle *shuffleState, m *Metrics, snk
 			})
 		}()
 	}
-	idx := 0
+	keys := 0
 	mergeStart := jobLane.Begin()
 	mergeErr := mergeRuns(cursors, func(key int64, values []string) error {
 		// The merge reuses its values slice, so each dispatched task gets a
@@ -1299,8 +1204,8 @@ func (e *Engine) reduceStreaming(job Job, shuffle *shuffleState, m *Metrics, snk
 		cp := valuesPool.Get().(*[]string)
 		*cp = append((*cp)[:0], values...)
 		m.ReducerPairs[key] = int64(len(values))
-		taskc <- task{idx: idx, key: key, values: cp}
-		idx++
+		taskc <- task{key: key, values: cp}
+		keys++
 		return nil
 	})
 	if jobLane != nil {
@@ -1315,7 +1220,6 @@ func (e *Engine) reduceStreaming(job Job, shuffle *shuffleState, m *Metrics, snk
 	if err := <-errc; err != nil {
 		return nil, err
 	}
-	m.DistinctKeys = idx
-	m.TaskRetries += retries.n
+	m.DistinctKeys = keys
 	return results, nil
 }

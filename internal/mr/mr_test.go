@@ -89,40 +89,6 @@ func TestMultipleTaggedInputs(t *testing.T) {
 	}
 }
 
-func TestSortValuesDeterminism(t *testing.T) {
-	e := newTestEngine(t, 8)
-	recs := make([]string, 500)
-	for i := range recs {
-		recs[i] = strconv.Itoa(i)
-	}
-	writeInput(t, e, "in", recs)
-	job := Job{
-		Name:   "det",
-		Inputs: []Input{{File: "in"}},
-		Map: func(tag int, record string, emit Emitter) error {
-			emit.Emit(0, record)
-			return nil
-		},
-		Reduce: func(key int64, values []string, write func(string) error) error {
-			return write(strings.Join(values, " "))
-		},
-		Output:     "out",
-		SortValues: true,
-	}
-	var first string
-	for run := 0; run < 3; run++ {
-		if _, err := e.Run(job); err != nil {
-			t.Fatal(err)
-		}
-		out, _ := dfs.ReadAll(e.Store(), "out")
-		if run == 0 {
-			first = out[0]
-		} else if out[0] != first {
-			t.Fatal("SortValues run not deterministic")
-		}
-	}
-}
-
 func TestOutputOrderedByKey(t *testing.T) {
 	e := newTestEngine(t, 4)
 	writeInput(t, e, "in", []string{"5", "1", "9", "3"})
@@ -288,8 +254,7 @@ func TestSequentialChain(t *testing.T) {
 			}
 			return nil
 		},
-		Output:     "mid",
-		SortValues: true,
+		Output: "mid",
 	}
 	double := inc
 	double.Name = "double"

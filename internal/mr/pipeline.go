@@ -14,10 +14,10 @@ import (
 // stage k's output file is consumed by stage k+1, each completed
 // reduce task of stage k streams its records directly into stage k+1's map
 // feed over a bounded channel, so k's reduce phase overlaps k+1's map phase
-// and the file is never written. Fault tolerance is preserved because the
-// streamed batch is the same retry unit as a file batch: a transient
-// downstream map failure re-runs from the buffered batch, and an upstream
-// reduce task only delivers output after its attempt has succeeded.
+// and the file is never written. A streamed batch is a map task like a file
+// batch, and an upstream reduce task delivers its output only once it has
+// finished, so a failed task never sends a partial batch downstream; the
+// first error of any stage fails the chain.
 //
 // Range emissions compose with streaming: a downstream stage's map emits
 // ranges into its own shuffle, which keeps them coalesced until that stage's
@@ -48,10 +48,11 @@ type sink struct {
 	bytes int64
 }
 
-// deliver hands one reduce task's committed output downstream. Called only
-// after the task attempt succeeded, so retried attempts never leak partial
-// output past the boundary. Sends block when the channel is full — the
-// backpressure that bounds how far the producer cycle can run ahead.
+// deliver hands one reduce task's output downstream. Called only after the
+// task has finished — its output is buffered until then — so a failed task's
+// partial output never crosses the boundary. Sends block when the channel is
+// full — the backpressure that bounds how far the producer cycle can run
+// ahead.
 func (s *sink) deliver(records []string) {
 	if s == nil || len(records) == 0 {
 		return

@@ -39,9 +39,8 @@ func chainJobs() []Job {
 			emit.Emit(v%17, strconv.FormatInt(v*3+1, 10))
 			return nil
 		},
-		Reduce:     passThrough,
-		Output:     "t/inter-1",
-		SortValues: true,
+		Reduce: passThrough,
+		Output: "t/inter-1",
 	}
 	j2 := Job{
 		Name:   "t/j2",
@@ -54,9 +53,8 @@ func chainJobs() []Job {
 			emit.Emit(v%13, strconv.FormatInt(v/2, 10))
 			return nil
 		},
-		Reduce:     passThrough,
-		Output:     "t/inter-2",
-		SortValues: true,
+		Reduce: passThrough,
+		Output: "t/inter-2",
 	}
 	j3 := Job{
 		Name:   "t/j3",
@@ -72,8 +70,7 @@ func chainJobs() []Job {
 		Reduce: func(key int64, values []string, write func(string) error) error {
 			return write(fmt.Sprintf("%d:%d", key, len(values)))
 		},
-		Output:     "t/out",
-		SortValues: true,
+		Output: "t/out",
 	}
 	return []Job{j1, j2, j3}
 }
@@ -212,14 +209,15 @@ func TestPipelineRejectsRereadStream(t *testing.T) {
 
 // typedChain is chainJobs with a typed last stage: instead of one count per
 // key, the third job returns a row (key, value) for every value it received,
-// in value order — enough rows per task to span several chunks.
+// in value order — enough rows per task to span several chunks. The values
+// arrive in whatever order the workers emitted them, so it sorts them.
 func typedChain() ([]Job, *Rows) {
 	jobs := chainJobs()
 	rows := &Rows{Width: 2}
 	jobs[2].Reduce, jobs[2].Output = nil, ""
 	jobs[2].Rows = rows
 	jobs[2].ReduceRows = func(key int64, values []string, out *Rows) error {
-		for _, v := range values {
+		for _, v := range sorted(values) {
 			n, err := strconv.ParseInt(v, 10, 64)
 			if err != nil {
 				return err
@@ -230,6 +228,13 @@ func typedChain() ([]Job, *Rows) {
 		return nil
 	}
 	return jobs, rows
+}
+
+// sorted returns a sorted copy of values.
+func sorted(values []string) []string {
+	vs := slices.Clone(values)
+	slices.Sort(vs)
+	return vs
 }
 
 // flatRows is the rows' ids in commit order.
@@ -243,10 +248,9 @@ func flatRows(r *Rows) []int64 {
 
 // TestTypedLastStage: a ReduceRows job's rows are committed exactly as
 // records are. Behind streamed boundaries, behind store barriers (each stage
-// a pipeline of its own), through the spilled shuffle, with every first
-// attempt failing — the reduce attempts after they have emitted all their
-// rows — and with every task re-split into shards, the chain returns the
-// same rows in the same order, each once, and OutputRecords counts them.
+// a pipeline of its own), through the spilled shuffle and with every task
+// re-split into shards, the chain returns the same rows in the same order,
+// each once, and OutputRecords counts them.
 func TestTypedLastStage(t *testing.T) {
 	run := func(t *testing.T, cfg Config, jobs []Job, rows *Rows, barriers bool) []int64 {
 		t.Helper()
@@ -294,39 +298,10 @@ func TestTypedLastStage(t *testing.T) {
 			t.Fatal("rows through the spilled shuffle differ")
 		}
 	})
-	t.Run("retry", func(t *testing.T) {
-		jobs, rows := typedChain()
-		// On top of the injected failures (before the task body), the
-		// first attempt that reaches the body emits everything and then
-		// fails: none of those rows may survive.
-		var mu sync.Mutex
-		failed := make(map[int64]bool)
-		body := jobs[2].ReduceRows
-		jobs[2].ReduceRows = func(key int64, values []string, out *Rows) error {
-			if err := body(key, values, out); err != nil {
-				return err
-			}
-			mu.Lock()
-			defer mu.Unlock()
-			if !failed[key] {
-				failed[key] = true
-				return fmt.Errorf("after emitting %d rows: %w", out.Len(), ErrTransient)
-			}
-			return nil
-		}
-		inj := &firstAttemptInjector{}
-		got := run(t, Config{MaxTaskAttempts: 3, FailureInjector: inj.inject}, jobs, rows, false)
-		if !slices.Equal(got, want) {
-			t.Fatal("rows after retries differ: a failed attempt's rows leaked, or a committed task's were lost")
-		}
-		if inj.failed == 0 || len(failed) != 7 {
-			t.Fatalf("injector fired %d times, %d of 7 reduce bodies failed once", inj.failed, len(failed))
-		}
-	})
 	t.Run("resplit", func(t *testing.T) {
 		jobs, rows := typedChain()
-		// The unsplit task reduces its values sorted (SortValues), so the
-		// shards are stretches of the sorted list.
+		// The unsplit task reduces its values sorted, so the shards are
+		// stretches of the sorted list.
 		var split atomic.Int64
 		jobs[2].Resplit = func(_ int64, values []string, parts int) [][]string {
 			split.Add(1)
@@ -347,64 +322,51 @@ func TestTypedLastStage(t *testing.T) {
 	})
 }
 
-// TestFailedAttemptReturnsChunks: a task's first attempt fills several
-// full-size chunks and then fails. The job commits the second attempt's rows
-// and no other, the failed attempt's Rows is empty afterwards — its chunks
-// are back in the pool — and what the job collected goes back with Release.
-func TestFailedAttemptReturnsChunks(t *testing.T) {
+// TestFailedTaskReturnsChunks: a task fills several full-size chunks and
+// then fails. The job fails with its error and nothing runs again, the
+// task's Rows is empty afterwards — its chunks are back in the pool — and
+// the job's Rows holds nothing.
+func TestFailedTaskReturnsChunks(t *testing.T) {
 	const n = 3 * rowChunkWords / 2
 	store := dfs.NewMem()
 	dfs.WriteAll(store, "in", []string{"x"})
 	rows := &Rows{Width: 2}
-	var attempts []*Rows
+	var calls []*Rows
+	full := 0
 	job := Job{
-		Name:   "retry-rows",
+		Name:   "failed-rows",
 		Inputs: []Input{{File: "in"}},
 		Map:    func(_ int, _ string, emit Emitter) error { emit.Emit(7, "v"); return nil },
 		Rows:   rows,
 		ReduceRows: func(key int64, _ []string, out *Rows) error {
-			attempts = append(attempts, out)
+			calls = append(calls, out)
 			for i := 0; i < n; i++ {
 				row := out.Append()
-				row[0], row[1] = int64(len(attempts)), int64(i)
+				row[0], row[1] = key, int64(i)
 			}
-			if len(attempts) == 1 {
-				return fmt.Errorf("after %d rows: %w", out.Len(), ErrTransient)
+			for _, c := range out.Chunks() {
+				if cap(c) == rowChunkWords {
+					full++
+				}
 			}
-			return nil
+			return fmt.Errorf("after %d rows: %w", out.Len(), errBoom)
 		},
 	}
-	m, err := NewEngine(Config{Store: store, Workers: 1, MaxTaskAttempts: 2}).Run(job)
-	if err != nil {
-		t.Fatal(err)
+	_, err := NewEngine(Config{Store: store, Workers: 1}).Run(job)
+	if !errors.Is(err, errBoom) {
+		t.Fatalf("err = %v, want one wrapping %v", err, errBoom)
 	}
-	if len(attempts) != 2 || m.TaskRetries != 1 || m.OutputRecords != n {
-		t.Fatalf("%d attempts, %d retries, %d output rows; want 2, 1, %d", len(attempts), m.TaskRetries, m.OutputRecords, n)
-	}
-	if attempts[0].Len() != 0 || len(attempts[0].Chunks()) != 0 {
-		t.Errorf("the failed attempt still holds %d rows in %d chunks", attempts[0].Len(), len(attempts[0].Chunks()))
-	}
-	ids := flatRows(rows)
-	if len(ids) != 2*n {
-		t.Fatalf("job collected %d ids, want %d", len(ids), 2*n)
-	}
-	for i := 0; i < n; i++ {
-		if ids[2*i] != 2 || ids[2*i+1] != int64(i) {
-			t.Fatalf("row %d = %v, want the second attempt's [2 %d]", i, ids[2*i:2*i+2], i)
-		}
-	}
-	full := 0
-	for _, c := range rows.Chunks() {
-		if cap(c) == rowChunkWords {
-			full++
-		}
+	if len(calls) != 1 {
+		t.Fatalf("the failing task ran %d times, want 1", len(calls))
 	}
 	if full == 0 {
-		t.Error("no full-size chunk among the committed rows: the test does not reach the pool")
+		t.Error("the task filled no full-size chunk: the test does not reach the pool")
 	}
-	rows.Release()
+	if calls[0].Len() != 0 || len(calls[0].Chunks()) != 0 {
+		t.Errorf("the failed task still holds %d rows in %d chunks", calls[0].Len(), len(calls[0].Chunks()))
+	}
 	if rows.Len() != 0 {
-		t.Errorf("%d rows after Release", rows.Len())
+		t.Errorf("the failed job collected %d rows", rows.Len())
 	}
 }
 
@@ -445,59 +407,23 @@ func TestPipelineTap(t *testing.T) {
 	}
 }
 
-// firstAttemptInjector fails the first attempt of every task in every phase
-// of every job — so both sides of every streamed boundary retry.
-type firstAttemptInjector struct {
-	mu     sync.Mutex
-	failed int64
-}
-
-func (f *firstAttemptInjector) inject(_ Phase, _, attempt int) error {
-	if attempt > 1 {
-		return nil
-	}
-	f.mu.Lock()
-	f.failed++
-	f.mu.Unlock()
-	return fmt.Errorf("injected: %w", ErrTransient)
-}
-
-// TestPipelineFaultInjection kills the first attempt of every map and
-// reduce task mid-pipeline and checks the chain still converges to the
-// sequential no-fault output: upstream reduce tasks re-run before handing
-// output downstream, downstream map tasks re-run from the buffered batch.
-func TestPipelineFaultInjection(t *testing.T) {
-	want, _, _ := runChainOn(t, Config{Workers: 4})
-	inj := &firstAttemptInjector{}
-	_, got, _, agg := runPipelineOn(t,
-		Config{Workers: 4, MaxTaskAttempts: 3, FailureInjector: inj.inject},
-		chainStages(chainJobs()...))
-	sameLines(t, got, want)
-	if inj.failed == 0 {
-		t.Fatal("injector never fired")
-	}
-	if agg.TaskRetries != inj.failed {
-		t.Errorf("retries = %d, injected failures = %d", agg.TaskRetries, inj.failed)
-	}
-}
-
 // TestPipelinePersistentFailure checks a non-recoverable mid-pipeline
 // failure surfaces as an error (from the failing stage) without
 // deadlocking the stages around it.
 func TestPipelinePersistentFailure(t *testing.T) {
-	for _, phase := range []Phase{PhaseMap, PhaseReduce} {
-		t.Run(string(phase), func(t *testing.T) {
+	for _, phase := range []string{"map", "reduce"} {
+		t.Run(phase, func(t *testing.T) {
 			store := dfs.NewMem()
 			dfs.WriteAll(store, "in", stageInput(5000))
 			jobs := chainJobs()
 			// Poison stage 2 only: stage 1 must still complete and stage 3
 			// must not hang on its never-filled feed.
 			switch phase {
-			case PhaseMap:
+			case "map":
 				jobs[1].Map = func(_ int, _ string, _ Emitter) error {
 					return errors.New("boom")
 				}
-			case PhaseReduce:
+			case "reduce":
 				jobs[1].Reduce = func(_ int64, _ []string, _ func(string) error) error {
 					return errors.New("boom")
 				}

@@ -32,7 +32,7 @@ func chainData() [3][]string {
 
 // positionalChain builds the two stages. mapBase is what both forms do with
 // a base record; mapped counts the calls of it.
-func positionalChain(data [3][]string, positional bool, mapped *atomic.Int64, hook func(tag, pos int) error) []Stage {
+func positionalChain(data [3][]string, positional bool, mapped *atomic.Int64) []Stage {
 	mapBase := func(tag int, record string, emit Emitter) error {
 		mapped.Add(1)
 		v, err := strconv.ParseInt(record, 10, 64)
@@ -43,18 +43,14 @@ func positionalChain(data [3][]string, positional bool, mapped *atomic.Int64, ho
 		return nil
 	}
 	mapAt := func(tag, pos int, emit Emitter) error {
-		if err := mapBase(tag, data[tag][pos], emit); err != nil {
-			return err
-		}
-		if hook != nil {
-			return hook(tag, pos)
-		}
-		return nil
+		return mapBase(tag, data[tag][pos], emit)
 	}
+	// The values arrive in whatever order the workers emitted them; the
+	// record names the least four.
 	count := func(key int64, values []string, write func(string) error) error {
-		return write(fmt.Sprintf("%d:%d:%s", key, len(values), joinMax(values, 4)))
+		return write(fmt.Sprintf("%d:%d:%s", key, len(values), joinMax(sorted(values), 4)))
 	}
-	join := Job{Name: "p/join", Reduce: count, Output: "p/joined", SortValues: true}
+	join := Job{Name: "p/join", Reduce: count, Output: "p/joined"}
 	bind := Job{
 		Name: "p/bind",
 		// Records of the joined intermediate are re-keyed by their length.
@@ -62,7 +58,7 @@ func positionalChain(data [3][]string, positional bool, mapped *atomic.Int64, ho
 			emit.Emit(int64(len(record)%5), record)
 			return nil
 		},
-		Reduce: count, Output: "p/out", SortValues: true,
+		Reduce: count, Output: "p/out",
 	}
 	if positional {
 		join.Inputs = []Input{{Tag: 0, Count: len(data[0])}, {Tag: 1, Count: len(data[1])}}
@@ -93,7 +89,7 @@ type chainRun struct {
 
 // runPositionalChain runs the chain on a fresh store. barrier runs each stage
 // as its own pipeline, so the boundary is written to the store and read back.
-func runPositionalChain(t *testing.T, cfg Config, positional, barrier bool, hook func(tag, pos int) error) chainRun {
+func runPositionalChain(t *testing.T, cfg Config, positional, barrier bool) chainRun {
 	t.Helper()
 	store := dfs.NewMem()
 	cfg.Store = store
@@ -106,7 +102,7 @@ func runPositionalChain(t *testing.T, cfg Config, positional, barrier bool, hook
 		}
 	}
 	var mapped atomic.Int64
-	stages := positionalChain(data, positional, &mapped, hook)
+	stages := positionalChain(data, positional, &mapped)
 	groups := [][]Stage{stages}
 	if barrier {
 		groups = [][]Stage{stages[:1], stages[1:]}
@@ -175,8 +171,8 @@ func TestPositionalInputsMatchFileInputs(t *testing.T) {
 		{"spill materialized", Config{Workers: 3, SpillPairThreshold: 257}, true},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			want := runPositionalChain(t, tc.cfg, false, tc.barrier, nil)
-			got := runPositionalChain(t, tc.cfg, true, tc.barrier, nil)
+			want := runPositionalChain(t, tc.cfg, false, tc.barrier)
+			got := runPositionalChain(t, tc.cfg, true, tc.barrier)
 			sameChainRun(t, got, want)
 			if n := int64(len(data[0]) + len(data[1])); got.per[0].MapInputRecords != n {
 				t.Fatalf("join mapped %d inputs, want the %d positions", got.per[0].MapInputRecords, n)
@@ -186,44 +182,6 @@ func TestPositionalInputsMatchFileInputs(t *testing.T) {
 			}
 			if base := int64(len(data[0]) + len(data[1]) + len(data[2])); got.mapped != base || want.mapped != base {
 				t.Fatalf("base records mapped %d times positionally, %d times from files, want %d", got.mapped, want.mapped, base)
-			}
-		})
-	}
-}
-
-// TestPositionalMapRetry fails one position of every map task after it has
-// emitted: the attempt's pairs are dropped, the position range is mapped
-// again, and what is committed holds every position exactly once — the
-// output of a run in which nothing failed.
-func TestPositionalMapRetry(t *testing.T) {
-	for _, spill := range []int{0, 100} {
-		t.Run(fmt.Sprintf("spill=%d", spill), func(t *testing.T) {
-			cfg := Config{Workers: 4, SpillPairThreshold: spill, MaxTaskAttempts: 2}
-			want := runPositionalChain(t, cfg, false, false, nil)
-			var failed [3][]atomic.Bool
-			for tag, recs := range chainData() {
-				failed[tag] = make([]atomic.Bool, len(recs))
-			}
-			var failures atomic.Int64
-			got := runPositionalChain(t, cfg, true, false, func(tag, pos int) error {
-				if pos%mapBatchSize == 100 && !failed[tag][pos].Swap(true) {
-					failures.Add(1)
-					return fmt.Errorf("position %d of input %d: %w", pos, tag, ErrTransient)
-				}
-				return nil
-			})
-			sameLines(t, got.out, want.out)
-			if failures.Load() == 0 || got.per[0].TaskRetries+got.per[1].TaskRetries != failures.Load() {
-				t.Fatalf("%d injected failures, %d + %d retries", failures.Load(), got.per[0].TaskRetries, got.per[1].TaskRetries)
-			}
-			// A failed attempt had mapped its first 101 positions.
-			if extra := got.mapped - want.mapped; extra != 101*failures.Load() {
-				t.Fatalf("retries mapped %d positions again, want %d", extra, 101*failures.Load())
-			}
-			for i := range want.per {
-				if got.per[i].IntermediatePairs != want.per[i].IntermediatePairs || !maps.Equal(got.per[i].ReducerPairs, want.per[i].ReducerPairs) {
-					t.Fatalf("stage %d: failed attempts' pairs reached the shuffle", i)
-				}
 			}
 		})
 	}

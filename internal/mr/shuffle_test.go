@@ -20,10 +20,6 @@ import (
 type shuffleCase struct {
 	workers, spill int
 	plan           [][]emission // plan[pos] is what position pos emits
-	// flaky positions fail their task's first attempt, after emitting — what
-	// they should and, to key hot, what they should not.
-	flaky map[int]bool
-	hot   int64
 }
 
 // randomShuffleCase draws a job: 1–8 workers, in memory or with a spill
@@ -32,7 +28,7 @@ type shuffleCase struct {
 // hot case go to one key, ranges of width 1–12 are mixed in, and some position
 // emits more than two pages by itself.
 func randomShuffleCase(rng *rand.Rand) shuffleCase {
-	c := shuffleCase{workers: 1 + rng.Intn(8), flaky: make(map[int]bool)}
+	c := shuffleCase{workers: 1 + rng.Intn(8)}
 	if rng.Intn(2) == 0 {
 		c.spill = 20 + rng.Intn(emitPageLen)
 	}
@@ -50,7 +46,7 @@ func randomShuffleCase(rng *rand.Rand) shuffleCase {
 		key = func() int64 { return rng.Int63n(64) }
 	}
 	hasHot := rng.Intn(2) == 0
-	c.hot = key()
+	hot := key()
 	positions := 1 + rng.Intn(3*mapBatchSize)
 	big := rng.Intn(positions)
 	c.plan = make([][]emission, positions)
@@ -62,7 +58,7 @@ func randomShuffleCase(rng *rand.Rand) shuffleCase {
 		for i := 0; i < n; i++ {
 			em := emission{lo: key(), value: "v" + strconv.Itoa(pos) + "." + strconv.Itoa(i)}
 			if hasHot && rng.Intn(2) == 0 {
-				em.lo = c.hot
+				em.lo = hot
 			}
 			em.hi = em.lo
 			if rng.Intn(4) == 0 {
@@ -70,11 +66,7 @@ func randomShuffleCase(rng *rand.Rand) shuffleCase {
 			}
 			c.plan[pos] = append(c.plan[pos], em)
 		}
-		if rng.Intn(40) == 0 {
-			c.flaky[pos] = true
-		}
 	}
-	c.flaky[big] = true
 	return c
 }
 
@@ -100,7 +92,6 @@ func (c shuffleCase) reference() map[int64][]string {
 func (c shuffleCase) run(t *testing.T) (map[int64][]string, *Metrics) {
 	t.Helper()
 	var mu sync.Mutex
-	failed := make(map[int]bool)
 	got := make(map[int64][]string)
 	job := Job{
 		Name:   "prop",
@@ -112,16 +103,6 @@ func (c shuffleCase) run(t *testing.T) (map[int64][]string, *Metrics) {
 				} else {
 					emit.Emit(em.lo, em.value)
 				}
-			}
-			mu.Lock()
-			defer mu.Unlock()
-			if c.flaky[pos] && !failed[pos] {
-				failed[pos] = true
-				// What the attempt emitted so far — this position's pairs
-				// and those of the positions before it in the task — must
-				// not reach any reducer twice, and this must not at all.
-				emit.EmitRange(c.hot, c.hot+3, "from a failed attempt")
-				return fmt.Errorf("position %d: %w", pos, ErrTransient)
 			}
 			return nil
 		},
@@ -137,22 +118,17 @@ func (c shuffleCase) run(t *testing.T) (map[int64][]string, *Metrics) {
 			return nil
 		},
 	}
-	// A task may hold several flaky positions, each failing one attempt.
-	e := NewEngine(Config{Store: dfs.NewMem(), Workers: c.workers, SpillPairThreshold: c.spill, MaxTaskAttempts: len(c.flaky) + 1})
-	m, err := e.Run(job)
+	m, err := NewEngine(Config{Store: dfs.NewMem(), Workers: c.workers, SpillPairThreshold: c.spill}).Run(job)
 	if err != nil {
 		t.Fatal(err)
-	}
-	if len(failed) != len(c.flaky) || m.TaskRetries != int64(len(c.flaky)) {
-		t.Fatalf("%d positions failed once and %d tasks were retried, want %d", len(failed), m.TaskRetries, len(c.flaky))
 	}
 	return got, m
 }
 
 // TestShuffleDeliversTheEmittedMultiset: whatever the job, every reduce key
 // receives exactly the values emitted to it — none lost at a page turn, in a
-// range expansion or in a spilled run, none placed under a neighbour's key,
-// and none of a failed attempt's.
+// range expansion or in a spilled run, and none placed under a neighbour's
+// key.
 func TestShuffleDeliversTheEmittedMultiset(t *testing.T) {
 	for seed := int64(1); seed <= 60; seed++ {
 		c := randomShuffleCase(rand.New(rand.NewSource(seed)))
@@ -184,7 +160,7 @@ func TestShuffleDeliversTheEmittedMultiset(t *testing.T) {
 }
 
 // TestPagesComeBackZeroed: after a job — one that ended well, one whose map
-// failed for good with pages in every worker's log — each page the pool hands
+// failed with pages in every worker's log — each page the pool hands
 // out is all zero: no header is left to keep a relation's slab alive while
 // the page waits for its next job.
 func TestPagesComeBackZeroed(t *testing.T) {
@@ -200,7 +176,7 @@ func TestPagesComeBackZeroed(t *testing.T) {
 	emitAt := failing.MapAt
 	failing.MapAt = func(tag, pos int, emit Emitter) error {
 		if pos == 19*emitPageLen {
-			return fmt.Errorf("no retry helps")
+			return fmt.Errorf("position %d is bad", pos)
 		}
 		return emitAt(tag, pos, emit)
 	}

@@ -60,7 +60,7 @@ func WriteChromeTrace(w io.Writer, s *Snapshot) error {
 				TID:  sp.Lane,
 			}
 			if sp.Dur == 0 {
-				// Instantaneous events (retries, faults) render as instants.
+				// Instantaneous events (barriers) render as instants.
 				ev.Ph = "i"
 				ev.Dur = 0
 			}

@@ -194,7 +194,7 @@ func (l *Lane) End(cat, name string, start time.Time, args ...Arg) {
 }
 
 // Event records an instantaneous span (zero duration) at the current
-// time — retry and fault events use it.
+// time — a pipeline's barrier event uses it.
 func (l *Lane) Event(cat, name string, args ...Arg) {
 	if l == nil {
 		return

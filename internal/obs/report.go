@@ -42,7 +42,6 @@ type SerializedModel struct {
 	Bytes            int64   `json:"bytes"`
 	PhysBytes        int64   `json:"phys_bytes"`
 	SpilledPairs     int64   `json:"spilled_pairs,omitempty"`
-	TaskRetries      int64   `json:"task_retries,omitempty"`
 	OutputRecords    int64   `json:"output_records"`
 	ReplicationFact  float64 `json:"replication_factor"`
 	StreamedPairs    int64   `json:"streamed_pairs,omitempty"`
