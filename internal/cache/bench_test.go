@@ -1,6 +1,9 @@
 package cache
 
 import (
+	"math/rand"
+	"path/filepath"
+	"runtime"
 	"testing"
 
 	"intervaljoin/internal/core"
@@ -8,6 +11,7 @@ import (
 	"intervaljoin/internal/interval"
 	"intervaljoin/internal/mr"
 	"intervaljoin/internal/query"
+	"intervaljoin/internal/relation"
 	"intervaljoin/internal/workload"
 )
 
@@ -75,4 +79,64 @@ func BenchmarkServiceFullHit(b *testing.B) {
 func BenchmarkServicePartialHit(b *testing.B) {
 	svc, q := benchHitService(b, []Window{{38_000, 40_999}, {41_000, 41_999}, {42_000, 44_000}})
 	benchHits(b, svc, q, Window{40_000, 43_000}, 3)
+}
+
+// BenchmarkServiceColdMiss answers uniformly random windows 500 to 5 000
+// wide over the serve workloads' residents as cmd/ijoind holds them: each
+// loaded from its text file into one interval slab, joined by a one-task
+// service with a 1 MiB cache, so almost every query is a delta join. It
+// reports the rows an answer holds and the collector's cycles per 1 000
+// queries next to the time and allocations.
+func BenchmarkServiceColdMiss(b *testing.B) {
+	svc, err := NewService(ServiceConfig{
+		Engine:     mr.NewEngine(mr.Config{Store: dfs.NewMem(), Workers: 1}),
+		CacheBytes: 1 << 20,
+		Opts:       core.Options{Partitions: 1, PartitionsPerDim: 1},
+	})
+	if err != nil {
+		b.Fatal(err)
+	}
+	dir := b.TempDir()
+	for i, name := range []string{"R1", "R2"} {
+		rel, err := workload.Generate(workload.Table1Spec(name, 20_000, int64(i+1)))
+		if err != nil {
+			b.Fatal(err)
+		}
+		path := filepath.Join(dir, name+".txt")
+		if err := relation.SaveFile(rel, path); err != nil {
+			b.Fatal(err)
+		}
+		if rel, err = relation.LoadFile(relation.NewSchema(name), path); err != nil {
+			b.Fatal(err)
+		}
+		if _, err := svc.Register(rel); err != nil {
+			b.Fatal(err)
+		}
+	}
+	q := query.New()
+	if err := q.AddCondition("R1", "", interval.Overlaps, "R2", ""); err != nil {
+		b.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(1))
+	windows := make([]Window, 4096)
+	for i := range windows {
+		lo := interval.Point(rng.Intn(100_000))
+		windows[i] = Window{lo, lo + 499 + interval.Point(rng.Intn(4_501))}
+	}
+	var before, after runtime.MemStats
+	rows := 0
+	b.ReportAllocs()
+	b.ResetTimer()
+	runtime.ReadMemStats(&before)
+	for i := 0; i < b.N; i++ {
+		ans, err := svc.Query(q, windows[i%len(windows)])
+		if err != nil {
+			b.Fatal(err)
+		}
+		rows += len(ans.Rows)
+	}
+	runtime.ReadMemStats(&after)
+	b.StopTimer()
+	b.ReportMetric(float64(rows)/float64(b.N), "rows/op")
+	b.ReportMetric(1000*float64(after.NumGC-before.NumGC)/float64(b.N), "gc/1k-ops")
 }

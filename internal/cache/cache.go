@@ -31,6 +31,7 @@ package cache
 import (
 	"container/list"
 	"fmt"
+	"math"
 	"slices"
 	"strconv"
 	"sync"
@@ -64,8 +65,21 @@ type Window struct {
 	Lo, Hi interval.Point
 }
 
-// Span is the window's closed length.
-func (w Window) Span() int64 { return int64(w.Hi-w.Lo) + 1 }
+// Span is the window's closed length, math.MaxInt64 when it is longer.
+func (w Window) Span() int64 {
+	if d := uint64(w.Hi) - uint64(w.Lo); d < math.MaxInt64 {
+		return int64(d) + 1
+	}
+	return math.MaxInt64
+}
+
+// addSpan is a+b for non-negative spans, math.MaxInt64 when that is more.
+func addSpan(a, b int64) int64 {
+	if a > math.MaxInt64-b {
+		return math.MaxInt64
+	}
+	return a + b
+}
 
 // Row is one join result row handed to the cache: the output tuple plus
 // its anchor interval (the first attribute of the first relation's
@@ -140,59 +154,49 @@ func newSegment(k Key, w Window, rows []Row) (*Segment, error) {
 // to capacity — the segment keeps the slab as its own, so the caller must
 // not write to it again. anchorOf is asked once per anchor group, for the
 // anchor of the group that starts at the given row.
+//
+// One pass writes the wire text and the directory into pooled scratch, and
+// each goes into a slab of exactly its length, so the budget charges no
+// slack. An anchor's id is formatted once, with the row's opening bracket,
+// and the group's later rows copy that prefix.
 func layoutSegment(k Key, w Window, arity int, ids []int64, anchorOf func(row int) interval.Interval) *Segment {
 	seg := &Segment{Key: k, Win: w, arity: arity, ids: ids}
-	ngroups, wireLen := 0, 0
-	for i := 0; i < len(ids); i += arity {
-		if i == 0 || ids[i] != ids[i-arity] {
-			ngroups++
-		}
-		wireLen += rowWireLen(ids[i : i+arity])
-	}
-	seg.wire = make([]byte, 0, wireLen)
-	seg.groups = make([]group, 0, ngroups+1)
+	sc := layoutScratches.Get().(*layoutScratch)
+	defer layoutScratches.Put(sc)
+	wire, groups := sc.wire[:0], sc.groups[:0]
+	var lo, hi int // the current group's "[id0" is wire[lo:hi]
 	row := 0
 	for i := 0; i < len(ids); i, row = i+arity, row+1 {
 		if i == 0 || ids[i] != ids[i-arity] {
-			seg.groups = append(seg.groups, group{id: ids[i], anchor: anchorOf(row), row: row, wire: len(seg.wire)})
+			groups = append(groups, group{id: ids[i], anchor: anchorOf(row), row: row, wire: len(wire)})
+			lo = len(wire)
+			wire = strconv.AppendInt(append(wire, '['), ids[i], 10)
+			hi = len(wire)
+		} else {
+			wire = append(wire, wire[lo:hi]...)
 		}
-		seg.wire = appendRowWire(seg.wire, ids[i:i+arity])
+		for _, id := range ids[i+1 : i+arity] {
+			wire = strconv.AppendInt(append(wire, ','), id, 10)
+		}
+		wire = append(wire, ']', ',')
 	}
-	seg.groups = append(seg.groups, group{row: row, wire: len(seg.wire)})
+	groups = append(groups, group{row: row, wire: len(wire)})
+	seg.wire = append(make([]byte, 0, len(wire)), wire...)
+	seg.groups = append(make([]group, 0, len(groups)), groups...)
+	sc.wire, sc.groups = wire, groups
 	seg.bytes = segmentOverhead + 8*int64(cap(seg.ids)) + int64(cap(seg.wire)) +
 		int64(unsafe.Sizeof(group{}))*int64(cap(seg.groups))
 	return seg
 }
 
-// appendRowWire appends one row's wire text: the ids as a JSON array,
-// then the comma that separates it from the next row.
-func appendRowWire(dst []byte, ids core.OutputTuple) []byte {
-	dst = append(dst, '[')
-	for i, id := range ids {
-		if i > 0 {
-			dst = append(dst, ',')
-		}
-		dst = strconv.AppendInt(dst, id, 10)
-	}
-	return append(dst, ']', ',')
+// layoutScratch is layoutSegment's working memory, recycled between
+// segments. It holds no pointers into segments.
+type layoutScratch struct {
+	wire   []byte
+	groups []group
 }
 
-// rowWireLen is len(appendRowWire(nil, ids)), so the wire slab is
-// allocated at its exact size and the budget charges no slack.
-func rowWireLen(ids core.OutputTuple) int {
-	n := 2 + len(ids) // brackets, separators, trailing comma
-	for _, id := range ids {
-		u := uint64(id)
-		if id < 0 {
-			n++
-			u = -u
-		}
-		for n++; u >= 10; u /= 10 {
-			n++
-		}
-	}
-	return n
-}
+var layoutScratches = sync.Pool{New: func() any { return new(layoutScratch) }}
 
 // rows is the segment's row count.
 func (s *Segment) rows() int { return s.groups[len(s.groups)-1].row }
@@ -256,8 +260,11 @@ func (c *Cache) Lookup(k Key, w Window) (hits []*Segment, gaps []Window) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	c.stats.Lookups++
-	c.stats.SpanRequested += w.Span()
-	cur := w.Lo
+	c.stats.SpanRequested = addSpan(c.stats.SpanRequested, w.Span())
+	// [cur, w.Hi] is not covered yet while open. A segment that reaches
+	// w.Hi closes the scan: the one after it would start at its Hi+1, which
+	// wraps at the top of the time line.
+	cur, open := w.Lo, true
 	for _, s := range c.segs[k] {
 		if s.Win.Hi < w.Lo || s.Win.Lo > w.Hi {
 			continue
@@ -268,21 +275,16 @@ func (c *Cache) Lookup(k Key, w Window) (hits []*Segment, gaps []Window) {
 		hits = append(hits, s)
 		c.lru.MoveToFront(s.elem)
 		c.stats.CachedRows += int64(s.rows())
-		if s.Win.Hi >= cur {
-			cur = s.Win.Hi + 1
-		}
-		if cur > w.Hi {
+		c.stats.SpanCovered = addSpan(c.stats.SpanCovered, Window{Lo: max(s.Win.Lo, w.Lo), Hi: min(s.Win.Hi, w.Hi)}.Span())
+		if s.Win.Hi >= w.Hi {
+			open = false
 			break
 		}
+		cur = max(cur, s.Win.Hi+1)
 	}
-	if cur <= w.Hi {
+	if open {
 		gaps = append(gaps, Window{Lo: cur, Hi: w.Hi})
 	}
-	covered := w.Span()
-	for _, g := range gaps {
-		covered -= g.Span()
-	}
-	c.stats.SpanCovered += covered
 	c.stats.HitSegments += int64(len(hits))
 	switch {
 	case len(gaps) == 0:

@@ -1,6 +1,7 @@
 package cache
 
 import (
+	"math"
 	"testing"
 
 	"intervaljoin/internal/core"
@@ -53,6 +54,44 @@ func TestLookupDecomposition(t *testing.T) {
 	}
 	if st.SpanRequested == 0 || st.SpanCovered == 0 || st.HitRatio() <= 0 || st.HitRatio() >= 1 {
 		t.Fatalf("span accounting = %+v ratio=%v", st, st.HitRatio())
+	}
+}
+
+// TestLookupAtTheTopOfTheTimeLine: a window that runs to math.MaxInt64 —
+// "everything after t" — is cached like any other. Asked again it is a full
+// hit that runs no delta join, and the span counters stay non-negative: a
+// segment reaching the top of the time line ends the lookup's scan instead
+// of wrapping it back to math.MinInt64.
+func TestLookupAtTheTopOfTheTimeLine(t *testing.T) {
+	if got := (Window{math.MinInt64, math.MaxInt64}).Span(); got != math.MaxInt64 {
+		t.Fatalf("the whole time line spans %d", got)
+	}
+	svc := newTestService(t, adversarialRelation("R1", 101), adversarialRelation("R2", 103))
+	q := predQuery(t, interval.Overlaps)
+	w := Window{100, math.MaxInt64}
+	first, err := svc.Query(q, w)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(first.DeltaWindows) != 1 || first.DeltaWindows[0] != w || len(first.Rows) == 0 {
+		t.Fatalf("cold query ran delta joins over %v for %d rows; want one over %v", first.DeltaWindows, len(first.Rows), w)
+	}
+	again, err := svc.Query(q, w)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(again.DeltaWindows) != 0 || again.Engine != nil || again.HitSegments != 1 {
+		t.Fatalf("second query: gaps %v, engine metrics %v, %d segments; want a full hit of one segment", again.DeltaWindows, again.Engine, again.HitSegments)
+	}
+	if string(again.RowsJSON) != string(first.RowsJSON) {
+		t.Fatalf("second query's rows %s, first's %s", again.RowsJSON, first.RowsJSON)
+	}
+	st := svc.Stats()
+	if st.FullHits != 1 || st.PartialHits != 0 || st.Misses != 1 || st.Insertions != 1 {
+		t.Fatalf("stats = %+v; want one miss, one insertion and one full hit", st)
+	}
+	if st.SpanRequested <= 0 || st.SpanCovered <= 0 || st.SpanCovered > st.SpanRequested {
+		t.Fatalf("span counters requested %d, covered %d", st.SpanRequested, st.SpanCovered)
 	}
 }
 

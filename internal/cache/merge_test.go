@@ -370,3 +370,21 @@ func FuzzStoredWireMatchesEncodingJSON(f *testing.F) {
 		}
 	})
 }
+
+// rowWireLen is the length of one row's wire text, "[3,7],", counted
+// digit by digit rather than formatted: the fuzz target's prediction of the
+// wire slab's exact size.
+func rowWireLen(ids core.OutputTuple) int {
+	n := 2 + len(ids) // brackets, separators, trailing comma
+	for _, id := range ids {
+		u := uint64(id)
+		if id < 0 {
+			n++
+			u = -u
+		}
+		for n++; u >= 10; u /= 10 {
+			n++
+		}
+	}
+	return n
+}

@@ -10,6 +10,7 @@ import (
 	"intervaljoin/internal/interval"
 	"intervaljoin/internal/query"
 	"intervaljoin/internal/relation"
+	"intervaljoin/internal/workload"
 )
 
 // randomJoin draws a connected query over 2 to 4 relations and data for it.
@@ -159,8 +160,13 @@ func TestSequenceNeighbourStaysWhole(t *testing.T) {
 	w := Window{8, 20}
 	svc := newTestService(t, rels...)
 	near := narrow(q, residents(t, svc, q), w)
-	if near[2] != r3 {
+	if near[2].Len() != r3.Len() {
 		t.Fatalf("R3, reached through before only, was narrowed to %d of %d tuples", near[2].Len(), r3.Len())
+	}
+	for i, tup := range r3.Tuples {
+		if got := near[2].Tuples[i]; got.ID != tup.ID || !slices.Equal(got.Attrs, tup.Attrs) {
+			t.Fatalf("R3, reached through before only, holds %v at %d, want %v", got, i, tup)
+		}
 	}
 	if near[0].Len() != 1 || near[1].Len() != 1 || near[1].Tuples[0].ID != 1 {
 		t.Fatalf("anchors %v and colocation neighbour %v: want tuple 0 and tuple 1 alone", near[0].Tuples, near[1].Tuples)
@@ -275,5 +281,38 @@ func TestWindowCutsStraddlingAnchors(t *testing.T) {
 		if !slices.Equal(row, want.Tuples[i]) {
 			t.Fatalf("merged row %d = %v, the oracle's %v", i, row, want.Tuples[i])
 		}
+	}
+}
+
+// TestNarrowAllocationsIndependentOfTuples: narrow marks the positions it
+// keeps in a bitset and builds each selection at its exact size, so a gap
+// ten times wider, with ten times the tuples, costs the same objects.
+func TestNarrowAllocationsIndependentOfTuples(t *testing.T) {
+	var rels []*relation.Relation
+	for i, name := range []string{"R1", "R2"} {
+		rel, err := workload.Generate(workload.Table1Spec(name, 20_000, int64(i+1)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		rels = append(rels, rel)
+	}
+	svc := newShapedService(t, oneTask, nil, rels...)
+	q := predQuery(t, interval.Overlaps)
+	res := residents(t, svc, q)
+	measure := func(gap Window) (allocs float64, kept int) {
+		allocs = testing.AllocsPerRun(50, func() {
+			near := narrow(q, res, gap)
+			kept = near[0].Len() + near[1].Len()
+		})
+		return allocs, kept
+	}
+	narrowAllocs, narrowKept := measure(Window{40_000, 40_499})
+	wideAllocs, wideKept := measure(Window{40_000, 44_999})
+	if narrowKept == 0 || wideKept < 5*narrowKept {
+		t.Fatalf("the gaps keep %d and %d tuples; the guard needs them far apart", narrowKept, wideKept)
+	}
+	t.Logf("narrow: %.0f allocations for %d tuples, %.0f for %d", narrowAllocs, narrowKept, wideAllocs, wideKept)
+	if narrowAllocs != wideAllocs {
+		t.Fatalf("narrow allocates %.0f times for %d tuples and %.0f times for %d", narrowAllocs, narrowKept, wideAllocs, wideKept)
 	}
 }

@@ -3,6 +3,8 @@ package cache
 import (
 	"cmp"
 	"fmt"
+	"math"
+	"math/bits"
 	"slices"
 	"strconv"
 	"sync"
@@ -38,57 +40,140 @@ type Service struct {
 }
 
 // residentRel is one registered relation, its version — 1 at first
-// registration, one more each time the name is registered again — and, per
-// attribute, what finds the tuples intersecting an interval without reading
-// them all.
+// registration, one more each time the name is registered again — laid out
+// once, at registration, as pointer-free columns: the collector has nothing
+// to walk in a resident however many tuples it holds, and a delta join finds
+// the tuples intersecting an interval without reading them all.
 type residentRel struct {
-	rel     *relation.Relation
+	schema  relation.Schema
 	version int
-	// byStart[a] is the tuples in ascending start of attribute a, and
-	// endBy[a][i] the latest end of that attribute among byStart[a][:i+1] —
-	// non-decreasing, so both ends of the stretch that can intersect an
-	// interval are binary searches.
-	byStart [][]relation.Tuple
-	endBy   [][]interval.Point
+	// ids[p] is the id of the tuple at position p: positions follow
+	// ascending id, so a selection read out in position order is in id
+	// order too.
+	ids []int64
+	// ivs holds each position's intervals back to back, arity of them a
+	// position.
+	ivs []interval.Interval
+	// byStart[a] orders the positions by the start of attribute a.
+	byStart []startOrder
+
+	// whole is the relation as tuples in id order, viewing ivs: built on
+	// the first query that joins the relation whole (through before/after
+	// only), and kept.
+	wholeOnce sync.Once
+	whole     *relation.Relation
 }
 
-func newResidentRel(rel *relation.Relation, version int) *residentRel {
-	r := &residentRel{rel: rel, version: version}
-	for a := 0; a < rel.Schema.Arity(); a++ {
-		sorted := slices.Clone(rel.Tuples)
-		slices.SortFunc(sorted, func(x, y relation.Tuple) int { return cmp.Compare(x.Attrs[a].Start, y.Attrs[a].Start) })
-		ends := make([]interval.Point, len(sorted))
-		for i, t := range sorted {
-			ends[i] = t.Attrs[a].End
+// startOrder is one attribute's index: order[i] is the position with the
+// i-th smallest start, starts[i] that start, and endBy[i] the latest end of
+// the attribute among order[:i+1] — non-decreasing, so both ends of the
+// stretch that can intersect an interval are binary searches.
+type startOrder struct {
+	order  []int32
+	starts []interval.Point
+	endBy  []interval.Point
+}
+
+// newResidentRel lays out a validated relation; Register sets the version.
+// Nothing of rel is kept.
+func newResidentRel(rel *relation.Relation) (*residentRel, error) {
+	n, arity := rel.Len(), rel.Schema.Arity()
+	if n > math.MaxInt32 {
+		return nil, fmt.Errorf("cache: relation %s has %d tuples, a resident holds at most %d", rel.Schema.Name, n, math.MaxInt32)
+	}
+	// byID[p] is the caller's index of the tuple at position p.
+	byID := make([]int32, n)
+	for i := range byID {
+		byID[i] = int32(i)
+	}
+	tuples := rel.Tuples
+	slices.SortFunc(byID, func(x, y int32) int { return cmp.Compare(tuples[x].ID, tuples[y].ID) })
+	r := &residentRel{
+		schema:  relation.Schema{Name: rel.Schema.Name, Attrs: slices.Clone(rel.Schema.Attrs)},
+		ids:     make([]int64, n),
+		ivs:     make([]interval.Interval, 0, n*arity),
+		byStart: make([]startOrder, arity),
+	}
+	for p, i := range byID {
+		r.ids[p] = tuples[i].ID
+		r.ivs = append(r.ivs, tuples[i].Attrs...)
+	}
+	for a := range r.byStart {
+		order := make([]int32, n)
+		for p := range order {
+			order[p] = int32(p)
+		}
+		slices.SortFunc(order, func(x, y int32) int { return cmp.Compare(r.attr(x, a).Start, r.attr(y, a).Start) })
+		starts, ends := make([]interval.Point, n), make([]interval.Point, n)
+		for i, p := range order {
+			iv := r.attr(p, a)
+			starts[i], ends[i] = iv.Start, iv.End
 			if i > 0 && ends[i-1] > ends[i] {
 				ends[i] = ends[i-1]
 			}
 		}
-		r.byStart, r.endBy = append(r.byStart, sorted), append(r.endBy, ends)
+		r.byStart[a] = startOrder{order: order, starts: starts, endBy: ends}
 	}
-	return r
+	return r, nil
 }
 
-// intersecting is the relation cut down to the tuples whose attribute attr
-// intersects iv, in start order. The tuples keep their ids and share the
-// relation's intervals.
-func (r *residentRel) intersecting(attr int, iv interval.Interval) *relation.Relation {
-	sorted := r.byStart[attr]
-	// Nothing before lo reaches iv.Start, nothing from hi on starts by iv.End.
-	lo, _ := slices.BinarySearch(r.endBy[attr], iv.Start)
-	hi, _ := slices.BinarySearchFunc(sorted, iv.End, func(t relation.Tuple, end interval.Point) int {
-		if t.Attrs[attr].Start > end {
+// attr is attribute a of the tuple at position p.
+func (r *residentRel) attr(p int32, a int) interval.Interval {
+	return r.ivs[int(p)*r.schema.Arity()+a]
+}
+
+// intersecting marks in keep the positions whose attribute attr intersects
+// iv and returns how many it marked.
+func (r *residentRel) intersecting(attr int, iv interval.Interval, keep []uint64) int {
+	idx := r.byStart[attr]
+	// Nothing before lo reaches iv.Start, nothing from hi on starts by
+	// iv.End: hi is the first start past iv.End, found as such because
+	// iv.End+1 wraps when a hull reaches MaxInt64.
+	lo, _ := slices.BinarySearch(idx.endBy, iv.Start)
+	hi, _ := slices.BinarySearchFunc(idx.starts, iv.End, func(start, end interval.Point) int {
+		if start > end {
 			return 1
 		}
 		return -1
 	})
-	kept := &relation.Relation{Schema: r.rel.Schema}
-	for _, t := range sorted[min(lo, hi):hi] {
-		if t.Attrs[attr].End >= iv.Start {
-			kept.Tuples = append(kept.Tuples, t)
+	n := 0
+	for _, p := range idx.order[min(lo, hi):hi] {
+		if r.attr(p, attr).End >= iv.Start {
+			keep[p/64] |= 1 << (p % 64)
+			n++
+		}
+	}
+	return n
+}
+
+// tuple is the tuple at position p, its intervals a view of the resident's.
+func (r *residentRel) tuple(p int) relation.Tuple {
+	a := r.schema.Arity()
+	return relation.Tuple{ID: r.ids[p], Attrs: r.ivs[p*a : (p+1)*a : (p+1)*a]}
+}
+
+// selection is the relation cut down to the n positions set in keep, in id
+// order.
+func (r *residentRel) selection(keep []uint64, n int) *relation.Relation {
+	kept := &relation.Relation{Schema: r.schema, Tuples: make([]relation.Tuple, 0, n)}
+	for w, word := range keep {
+		for ; word != 0; word &= word - 1 {
+			kept.Tuples = append(kept.Tuples, r.tuple(w*64+bits.TrailingZeros64(word)))
 		}
 	}
 	return kept
+}
+
+// wholeRelation is every tuple of the resident in id order, built on first
+// use and kept.
+func (r *residentRel) wholeRelation() *relation.Relation {
+	r.wholeOnce.Do(func() {
+		r.whole = &relation.Relation{Schema: r.schema, Tuples: make([]relation.Tuple, len(r.ids))}
+		for p := range r.ids {
+			r.whole.Tuples[p] = r.tuple(p)
+		}
+	})
+	return r.whole
 }
 
 // ServiceConfig configures a Service.
@@ -125,8 +210,8 @@ func NewService(cfg ServiceConfig) (*Service, error) {
 // Register makes the relation queryable as the next version of its name.
 // Re-registering a name bumps the version: cached segments built on the old
 // version stop matching new queries' keys and age out of the LRU; in-flight
-// queries keep the relation they bound. The service reads rel from now on;
-// the caller must not change it.
+// queries keep the version they bound. The service copies what it needs out
+// of rel and keeps no reference to it.
 func (s *Service) Register(rel *relation.Relation) (version int, err error) {
 	if rel.Schema.Name == "" {
 		return 0, fmt.Errorf("cache: resident relation needs a name")
@@ -134,14 +219,18 @@ func (s *Service) Register(rel *relation.Relation) (version int, err error) {
 	if err := rel.Validate(); err != nil {
 		return 0, err
 	}
+	r, err := newResidentRel(rel)
+	if err != nil {
+		return 0, err
+	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	version = 1
+	r.version = 1
 	if old, ok := s.rels[rel.Schema.Name]; ok {
-		version = old.version + 1
+		r.version = old.version + 1
 	}
-	s.rels[rel.Schema.Name] = newResidentRel(rel, version)
-	return version, nil
+	s.rels[rel.Schema.Name] = r
+	return r.version, nil
 }
 
 // Relations lists the registered relation names, sorted.
@@ -418,8 +507,8 @@ func (s *Service) bind(q *query.Query) ([]*residentRel, string, error) {
 		if !ok {
 			return nil, "", fmt.Errorf("cache: relation %s is not registered", schema.Name)
 		}
-		if r.rel.Schema.Arity() < schema.Arity() {
-			return nil, "", fmt.Errorf("cache: relation %s has arity %d, query needs %d", schema.Name, r.rel.Schema.Arity(), schema.Arity())
+		if r.schema.Arity() < schema.Arity() {
+			return nil, "", fmt.Errorf("cache: relation %s has arity %d, query needs %d", schema.Name, r.schema.Arity(), schema.Arity())
 		}
 		rels[i] = r
 		if i > 0 {
@@ -433,19 +522,24 @@ func (s *Service) bind(q *query.Query) ([]*residentRel, string, error) {
 }
 
 // narrow returns, relation by relation, the tuples a join row anchored in gap
-// can contain, or nil when there can be no such row. The anchors are relation
-// 0's tuples whose first attribute intersects the gap. From there the query's
-// colocation conditions are followed breadth-first: a colocation predicate
-// holds only between intervals that share a point, so a tuple joined by one
-// to a chosen tuple intersects that tuple's condition attribute, and so the
-// hull — [min start, max end] — of that attribute over all chosen tuples;
-// the neighbour keeps what intersects the hull. A relation tied to the rest
-// only by before/after can match from anywhere and stays whole. The join over
-// the narrowed relations is therefore the join over the whole ones restricted
-// to rows anchored in the gap, straddling anchors included whole.
+// can contain, in id order, or nil when there can be no such row. The anchors
+// are relation 0's tuples whose first attribute intersects the gap. From there
+// the query's colocation conditions are followed breadth-first: a colocation
+// predicate holds only between intervals that share a point, so a tuple
+// joined by one to a chosen tuple intersects that tuple's condition
+// attribute, and so the hull — [min start, max end] — of that attribute over
+// all chosen tuples; the neighbour keeps what intersects the hull. A relation
+// tied to the rest only by before/after can match from anywhere and stays
+// whole. The join over the narrowed relations is therefore the join over the
+// whole ones restricted to rows anchored in the gap, straddling anchors
+// included whole.
 func narrow(q *query.Query, rels []*residentRel, gap Window) []*relation.Relation {
 	out := make([]*relation.Relation, len(rels))
-	out[0] = rels[0].intersecting(0, interval.Interval{Start: gap.Lo, End: gap.Hi})
+	pick := func(i, attr int, iv interval.Interval) {
+		keep := make([]uint64, (len(rels[i].ids)+63)/64)
+		out[i] = rels[i].selection(keep, rels[i].intersecting(attr, iv, keep))
+	}
+	pick(0, 0, interval.Interval{Start: gap.Lo, End: gap.Hi})
 	for queue := []int{0}; len(queue) > 0; queue = queue[1:] {
 		from := out[queue[0]]
 		if from.Len() == 0 {
@@ -463,13 +557,13 @@ func narrow(q *query.Query, rels []*residentRel, gap Window) []*relation.Relatio
 			for _, t := range from.Tuples[1:] {
 				hull = hull.Union(t.Attrs[near.Attr])
 			}
-			out[far.Rel] = rels[far.Rel].intersecting(far.Attr, hull)
+			pick(far.Rel, far.Attr, hull)
 			queue = append(queue, far.Rel)
 		}
 	}
 	for i, r := range out {
 		if r == nil {
-			out[i] = rels[i].rel
+			out[i] = rels[i].wholeRelation()
 		}
 	}
 	return out
@@ -502,14 +596,16 @@ func (s *Service) runDelta(engine *mr.Engine, q *query.Query, rels []*residentRe
 	}
 	ans.mergeEngine(res.Metrics)
 	ans.DeltaRows += int64(len(res.Tuples))
-	anchors := make(map[int64]interval.Interval, near[0].Len())
-	for _, t := range near[0].Tuples {
-		anchors[t.ID] = t.Attrs[0]
-	}
 	// The result is already a slab in canonical order; it becomes the
-	// segment's as it is.
+	// segment's as it is. Its anchor groups come in ascending id, and so do
+	// the anchors (narrow), so one forward walk pairs each group with its
+	// anchor's interval: every row's first id is one of the anchors'.
+	anchors := near[0].Tuples
 	return layoutSegment(key, gap, arity, res.IDs, func(row int) interval.Interval {
-		return anchors[res.IDs[row*arity]]
+		for anchors[0].ID < res.IDs[row*arity] {
+			anchors = anchors[1:]
+		}
+		return anchors[0].Attrs[0]
 	}), nil
 }
 

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"path/filepath"
 	"runtime"
 	"strings"
 	"sync"
@@ -484,6 +485,80 @@ func TestFailedScratchRemovalIsCounted(t *testing.T) {
 				t.Fatalf("ij_engine_cleanup_failures_total = %v, Answer.Engine.CleanupFailures = %d", series, failed)
 			}
 		})
+	}
+}
+
+// TestRegisterKeepsNoTuplePointers: a registered relation is the service's
+// own columns, and the caller's relation can be collected once the caller
+// drops it. The intervals LoadFile reads are one slab; a finalizer on it
+// must run after Register, and both a colocation query and one that joins
+// a before-neighbour whole must still answer as RunCold and the oracle do.
+func TestRegisterKeepsNoTuplePointers(t *testing.T) {
+	dir := t.TempDir()
+	names := []string{"R1", "R2", "R3"}
+	path := func(name string) string { return filepath.Join(dir, name+".txt") }
+	for i, name := range names {
+		if err := relation.SaveFile(adversarialRelation(name, int64(107+2*i)), path(name)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	svc := newShapedService(t, oneTask, nil)
+	freed := make(chan string, len(names))
+	register := func(name string) {
+		rel, err := relation.LoadFile(relation.NewSchema(name), path(name))
+		if err != nil {
+			t.Fatal(err)
+		}
+		runtime.SetFinalizer(&rel.Tuples[0].Attrs[0], func(*interval.Interval) { freed <- name })
+		if _, err := svc.Register(rel); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, name := range names {
+		register(name)
+	}
+	deadline := time.Now().Add(10 * time.Second)
+	for n := 0; n < len(names); {
+		runtime.GC()
+		select {
+		case <-freed:
+			n++
+		case <-time.After(10 * time.Millisecond):
+			if time.Now().After(deadline) {
+				t.Fatalf("%d of %d registered relations were collected; the service keeps pointers into the rest", n, len(names))
+			}
+		}
+	}
+	var rels []*relation.Relation
+	for _, name := range names {
+		rel, err := relation.LoadFile(relation.NewSchema(name), path(name))
+		if err != nil {
+			t.Fatal(err)
+		}
+		rels = append(rels, rel)
+	}
+	coloc := predQuery(t, interval.Overlaps)
+	before := predQuery(t, interval.Overlaps)
+	if err := before.AddCondition("R1", "", interval.Before, "R3", ""); err != nil {
+		t.Fatal(err)
+	}
+	w := Window{150, 260}
+	for _, tc := range []struct {
+		q    *query.Query
+		rels []*relation.Relation
+	}{{coloc, rels[:2]}, {before, rels}} {
+		ans, err := svc.Query(tc.q, w)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cold, err := svc.RunCold(tc.q, w)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(ans.Rows) == 0 || string(ans.RowsJSON) != string(cold.RowsJSON) {
+			t.Fatalf("%s: rows %s, RunCold's %s", tc.q, ans.RowsJSON, cold.RowsJSON)
+		}
+		diffSets(t, tc.q.String(), answerSet(ans), oracleWindow(t, svc, tc.q, tc.rels, w))
 	}
 }
 

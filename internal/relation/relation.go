@@ -111,10 +111,10 @@ func (r *Relation) Intervals() []interval.Interval {
 }
 
 // Validate checks tuple arity and interval well-formedness and id
-// uniqueness, returning the first problem found. Ids that equal their
-// positions — what Append, FromIntervals and ReadText assign — are unique as
-// they stand; the set of seen ids is built only from the first tuple that
-// departs from that.
+// uniqueness, returning the first problem found. Ids that strictly increase —
+// the positions Append, FromIntervals and ReadText assign, or a selection
+// taken in id order — are unique as they stand; the set of seen ids is built
+// only from the first tuple that departs from that.
 func (r *Relation) Validate() error {
 	_, _, _, err := r.ValidateRange()
 	return err
@@ -146,17 +146,14 @@ func (r *Relation) ValidateRange() (lo, hi, longest int64, err error) {
 			longest = max(longest, n)
 		}
 		if seen == nil {
-			if t.ID == int64(i) {
+			if i == 0 || t.ID > r.Tuples[i-1].ID {
 				continue
 			}
 			seen = make(map[int64]struct{}, len(r.Tuples))
-			// The ids so far are 0..i-1.
-			lo, hi = t.ID, t.ID
-			if i > 0 {
-				lo, hi = min(lo, 0), max(hi, int64(i-1))
-			}
-			for id := int64(0); id < int64(i); id++ {
-				seen[id] = struct{}{}
+			// The ids so far strictly increase.
+			lo, hi = min(t.ID, r.Tuples[0].ID), r.Tuples[i-1].ID
+			for _, u := range r.Tuples[:i] {
+				seen[u.ID] = struct{}{}
 			}
 		}
 		if _, dup := seen[t.ID]; dup {
@@ -166,8 +163,8 @@ func (r *Relation) ValidateRange() (lo, hi, longest int64, err error) {
 		lo, hi = min(lo, t.ID), max(hi, t.ID)
 	}
 	if seen == nil && len(r.Tuples) > 0 {
-		// Every id is its position.
-		return 0, int64(len(r.Tuples) - 1), longest, nil
+		// The ids strictly increase.
+		return r.Tuples[0].ID, r.Tuples[len(r.Tuples)-1].ID, longest, nil
 	}
 	return lo, hi, longest, nil
 }

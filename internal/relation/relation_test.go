@@ -74,6 +74,9 @@ func TestValidateCatchesDuplicates(t *testing.T) {
 		"repeats an id met out of place":  {[]int64{0, 7, 2, 7}, true},
 		"in place":                        {[]int64{0, 1, 2, 3}, false},
 		"out of place, all distinct":      {[]int64{0, 1, 9, 2, 3}, false},
+		"increasing, then repeats":        {[]int64{3, 5, 9, 5}, true},
+		"increasing from a negative id":   {[]int64{-9, -2, 4}, false},
+		"increasing, then falls back":     {[]int64{2, 8, 3}, false},
 	} {
 		r := New(NewSchema("R"))
 		for _, id := range tc.ids {
@@ -122,6 +125,9 @@ func TestValidateRange(t *testing.T) {
 		{[]int64{0, 1, 2, -7, 3}, -7, 3},
 		{[]int64{0, 1, 40, 2}, 0, 40},
 		{[]int64{math.MaxInt64, math.MinInt64}, math.MinInt64, math.MaxInt64},
+		{[]int64{-9, -2, 4}, -9, 4},
+		{[]int64{2, 8, 3}, 2, 8},
+		{[]int64{5, 6, 7, 1}, 1, 7},
 	} {
 		r := New(NewSchema("R"))
 		for _, id := range tc.ids {
@@ -148,6 +154,28 @@ func TestValidateAllocatesNothingForPositionalIDs(t *testing.T) {
 		}
 	}); allocs != 0 {
 		t.Fatalf("Validate allocates %.0f times for ids 0..n-1", allocs)
+	}
+}
+
+// TestValidateAllocatesNothingForIncreasingIDs: ids that strictly increase
+// but are not positions — a selection taken in id order, as the service's
+// delta joins bind — need no set of seen ids either.
+func TestValidateAllocatesNothingForIncreasingIDs(t *testing.T) {
+	r := New(NewSchema("R"))
+	for i := 0; i < 1000; i++ {
+		r.Tuples = append(r.Tuples, Tuple{ID: int64(3*i - 500), Attrs: []interval.Interval{interval.New(int64(i), int64(i)+5)}})
+	}
+	var lo, hi int64
+	if allocs := testing.AllocsPerRun(10, func() {
+		var err error
+		if lo, hi, _, err = r.ValidateRange(); err != nil {
+			t.Fatal(err)
+		}
+	}); allocs != 0 {
+		t.Fatalf("ValidateRange allocates %.0f times for increasing ids", allocs)
+	}
+	if lo != -500 || hi != 3*999-500 {
+		t.Fatalf("range [%d, %d], want [-500, %d]", lo, hi, 3*999-500)
 	}
 }
 

@@ -15,7 +15,11 @@
 #                      reach plan — allocate nothing per pair or per
 #                      tuple, product-space routing nothing per record, and a
 #                      last-stage reduce nothing per result row
-#                      (TestRowEmissionAllocs)
+#                      (TestRowEmissionAllocs), the service's selection of a
+#                      delta join's tuples nothing per tuple
+#                      (TestNarrowAllocationsIndependentOfTuples), and
+#                      validating ids that strictly increase nothing at all
+#                      (TestValidateAllocatesNothingFor...)
 #   5. go test -race — full suite (unit, integration, property, oracle
 #                      cross-validation) under the race detector; the MR
 #                      engine is deliberately concurrent, so -race is part
@@ -23,16 +27,19 @@
 #                      of concurrent runs and queries (service, engine)
 #                      ten times over, since their races show only now and
 #                      then; then a 5-second
-#                      fuzz smoke of each of four targets: the two
+#                      fuzz smoke of each of five targets: the two
 #                      decoders that read arbitrary bytes — the binary
 #                      record codec (FuzzRecordDecode) and the spill
 #                      records carrying it (FuzzSpillRecordRoundTrip) —
 #                      the result's row ordering (FuzzSetRows: rows
 #                      packed by their relations' id ranges, radix-sorted
 #                      as words or compared as ids, against a comparison
-#                      sort), and the planner against the oracle around
+#                      sort), the planner against the oracle around
 #                      the reach rule's flip point (FuzzPlanReach: random
-#                      colocation queries, sizes, k and boundaries)
+#                      colocation queries, sizes, k and boundaries), and
+#                      the cache's wire text, assembled from reused
+#                      per-anchor prefixes, against encoding/json
+#                      (FuzzStoredWireMatchesEncodingJSON)
 #   6. bench module  — bench/ is a nested module the root ./... does not
 #                      reach; it compiles against internal packages, so it
 #                      is vetted and tested here, where an internal API
@@ -85,11 +92,17 @@ go test -run 'TestLiveDisabledZeroCost' ./internal/obs/live/
 # planner's one-cycle reach plan (every record is a view of some slab),
 # routing a record into a product space's grid
 # allocates nothing, and neither does a last-stage reduce per row it emits
-# (the join's last level packs each row into one word). A per-pair or
-# per-row allocation creeping back fails here, with the count, before
-# anything slower runs.
+# (the join's last level packs each row into one word). On the service's
+# side, narrowing a resident to a delta join's tuples costs the same objects
+# for a gap ten times wider (positions in a bitset, each selection made at
+# its exact size), and validating the narrowed relation, whose ids strictly
+# increase, builds no set of seen ids. A per-pair, per-row or per-tuple
+# allocation creeping back fails here, with the count, before anything
+# slower runs.
 go test -run 'TestShuffleAllocsDoNotFollowEmissions' ./internal/mr/
 go test -run 'TestRCCISOpAllocs|TestProductRouteAllocs|TestRowEmissionAllocs' ./internal/core/
+go test -run 'TestNarrowAllocationsIndependentOfTuples' ./internal/cache/
+go test -run 'TestValidateAllocatesNothingFor' ./internal/relation/
 
 echo "== go test -race =="
 go test -race ./...
@@ -106,11 +119,14 @@ echo "== fuzz smoke =="
 # and sorts them by radix: five seconds of widths, counts and id ranges
 # against a comparison sort. The fourth runs the planner against the oracle
 # on queries, sizes, partition counts and boundaries drawn around the
-# interval length at which it stops skipping the RCCIS marking.
+# interval length at which it stops skipping the RCCIS marking. The fifth
+# checks the cache's wire text, which copies each anchor group's "[id"
+# prefix from its first row, against encoding/json for arbitrary ids.
 go test -run '^$' -fuzz '^FuzzRecordDecode$' -fuzztime 5s ./internal/core
 go test -run '^$' -fuzz '^FuzzSpillRecordRoundTrip$' -fuzztime 5s ./internal/mr
 go test -run '^$' -fuzz '^FuzzSetRows$' -fuzztime 5s ./internal/core
 go test -run '^$' -fuzz '^FuzzPlanReach$' -fuzztime 5s ./internal/core
+go test -run '^$' -fuzz '^FuzzStoredWireMatchesEncodingJSON$' -fuzztime 5s ./internal/cache
 
 echo "== benchmark module =="
 go vet -C bench ./...
