@@ -6,7 +6,7 @@
 //	ijoin -query "R1 overlaps R2 and R2 overlaps R3" \
 //	      -rel R1=a.txt -rel R2=b.txt -rel R3=c.txt \
 //	      [-algorithm rccis] [-partitions 16|auto] [-per-dim 6] \
-//	      [-adaptive] [-resplit N] \
+//	      [-adaptive] \
 //	      [-o out.txt] [-stats] \
 //	      [-trace trace.json] [-metrics metrics.json]
 //
@@ -45,7 +45,6 @@ func main() {
 		equiDepth  = flag.Bool("equi-depth", false, "derive partition boundaries from start-point quantiles (for skewed data)")
 		adaptive   = flag.Bool("adaptive", false, "skew-aware execution: histogram-driven boundaries plus virtual splitting of hot partitions")
 		maxVirtual = flag.Int("max-virtual", 0, "with -adaptive, cap on virtual reducers per split partition (0 = default 8)")
-		resplitAt  = flag.Int("resplit", 0, "re-split a reduce task over spare workers once its value list reaches N (0 = off)")
 		oPath      = flag.String("o", "-", "output file ('-' = stdout)")
 		emit       = flag.String("emit", "ids", "output format: ids (line numbers) | tuples (full interval values)")
 		showStats  = flag.Bool("stats", false, "print run metrics to stderr")
@@ -132,9 +131,8 @@ func main() {
 		tracer = intervaljoin.NewTracer(intervaljoin.TracerOptions{PprofLabels: *pprofTags})
 	}
 	eng, err := intervaljoin.NewEngine(intervaljoin.EngineOptions{
-		Workers:              *workers,
-		Tracer:               tracer,
-		ResplitPairThreshold: *resplitAt,
+		Workers: *workers,
+		Tracer:  tracer,
 	})
 	if err != nil {
 		fatal(err)

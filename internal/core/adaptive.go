@@ -209,13 +209,9 @@ func balancedDims(streams, v int) []int {
 	return dims
 }
 
-// Hash salts separating the two cell covers: a reduce task that was
-// already virtually split at map time must not re-split along the same
-// rows at run time, or every value would land in a single sub-shard.
-const (
-	virtualSalt uint64 = 0x01
-	resplitSalt uint64 = 0x9e00
-)
+// virtualSalt seeds the hash of the virtual split's cell cover. Its value
+// is part of the routing TestRoutingGolden pins.
+const virtualSalt uint64 = 0x01
 
 // rowOf deterministically assigns a record to one row of a cell-grid
 // dimension. FNV-1a over the record bytes with a splitmix64 finish —
@@ -314,7 +310,7 @@ func sampleMeanLength(sample []interval.Interval) float64 {
 	}
 	var meanLen float64
 	for _, iv := range sample {
-		meanLen += float64(iv.End-iv.Start) + 1
+		meanLen += float64(uint64(iv.End)-uint64(iv.Start)) + 1
 	}
 	return meanLen / float64(len(sample))
 }
@@ -361,7 +357,8 @@ func (c *Context) sampleMidpoints() []interval.Point {
 	sample, _ := c.sampleIntervals()
 	mids := make([]interval.Point, len(sample))
 	for i, iv := range sample {
-		mids[i] = iv.Start + (iv.End-iv.Start)/2
+		// In uint64: End − Start passes MaxInt64 on a wide interval.
+		mids[i] = interval.Point(uint64(iv.Start) + (uint64(iv.End)-uint64(iv.Start))/2)
 	}
 	return mids
 }
@@ -392,69 +389,4 @@ func (c *Context) sampleIntervals() ([]interval.Interval, float64) {
 		return nil, 1
 	}
 	return sample, float64(total) / float64(len(sample))
-}
-
-// resplitValues builds a mr.Job.Resplit hook: the run-time counterpart of
-// the plan-time cell cover, applied to one oversized reduce task's value
-// list. The task's values are spread over a cell grid with one dimension
-// per input stream (each value replicated to the cells matching its row),
-// so reducing every shard independently and concatenating the outputs
-// yields exactly the single task's output set — each complete assignment
-// meets in exactly one shard. streamOf classifies a value; a negative
-// return (malformed record) replicates the value to every shard, which
-// is always safe.
-func resplitValues(streams int, streamOf func(string) int) func(key int64, values []string, parts int) [][]string {
-	return func(key int64, values []string, parts int) [][]string {
-		if parts < 2 {
-			return nil
-		}
-		g := grid.MustNew(balancedDims(streams, parts))
-		dims := g.Dims()
-		shards := make([][]string, g.NumCells())
-		free := g.FreeBounds()
-		bounds := g.FreeBounds()
-		for _, v := range values {
-			d := streamOf(v)
-			if d < 0 || d >= streams {
-				for i := range shards {
-					shards[i] = append(shards[i], v)
-				}
-				continue
-			}
-			copy(bounds, free)
-			row := rowOf(v, resplitSalt+uint64(d), dims[d])
-			bounds[d] = grid.Bound{Min: row, Max: row}
-			g.EnumerateRuns(bounds, nil, func(lo, hi int64) {
-				for id := lo; id <= hi; id++ {
-					shards[id] = append(shards[id], v)
-				}
-			})
-		}
-		return shards
-	}
-}
-
-// streamOfTagged classifies a record by the relation byte of its first
-// member — the stream function of the single-cycle join jobs.
-func streamOfTagged(v string) int {
-	if len(v) == 0 {
-		return -1
-	}
-	return int(v[0])
-}
-
-// cascadeStreams classifies a bind step's values: stream 0 carries the
-// partial assignments, stream 1 the novel relation's tuples — mirroring the
-// reduce function's own partial/novel separation.
-func cascadeStreams(novel int) func(string) int {
-	return func(v string) int {
-		rel, n, err := splitMember(v)
-		switch {
-		case err != nil:
-			return -1
-		case n == len(v) && rel == novel:
-			return 1
-		}
-		return 0 // a partial assignment, of one member or several
-	}
 }

@@ -46,20 +46,18 @@ func requireSameOutputSet(t *testing.T, base, adapt *Result, baseLines, adaptLin
 
 // adaptiveVariants enumerates the plan perturbations every algorithm must
 // be invariant under. forceSplit drives SplitThreshold to near zero so
-// even balanced partitions expand into virtual reducers; forceResplit
-// re-shards every reduce task at run time.
+// even balanced partitions expand into virtual reducers.
 var adaptiveVariants = []struct {
 	name string
-	mut  func(*Options, *mr.Config)
+	mut  func(*Options)
 }{
-	{"adaptive", func(o *Options, _ *mr.Config) { o.Adaptive = true }},
-	{"equidepth", func(o *Options, _ *mr.Config) { o.EquiDepth = true }},
-	{"force-split", func(o *Options, _ *mr.Config) {
+	{"adaptive", func(o *Options) { o.Adaptive = true }},
+	{"equidepth", func(o *Options) { o.EquiDepth = true }},
+	{"force-split", func(o *Options) {
 		o.Adaptive = true
 		o.SplitThreshold = 0.01
 		o.MaxVirtual = 3
 	}},
-	{"force-resplit", func(_ *Options, c *mr.Config) { c.ResplitPairThreshold = 1 }},
 }
 
 // TestAdaptiveMatchesUniformAllenPredicates joins two Zipf-skewed
@@ -77,9 +75,9 @@ func TestAdaptiveMatchesUniformAllenPredicates(t *testing.T) {
 		baseRes, baseLines := runWithConfig(t, TwoWay{}, q, rels, base, mr.Config{})
 		for _, v := range adaptiveVariants {
 			t.Run(p.String()+"/"+v.name, func(t *testing.T) {
-				opts, cfg := base, mr.Config{}
-				v.mut(&opts, &cfg)
-				res, lines := runWithConfig(t, TwoWay{}, q, rels, opts, cfg)
+				opts := base
+				v.mut(&opts)
+				res, lines := runWithConfig(t, TwoWay{}, q, rels, opts, mr.Config{})
 				requireSameOutputSet(t, baseRes, res, baseLines, lines)
 			})
 		}
@@ -129,9 +127,10 @@ func TestAdaptiveMatchesUniformAlgorithms(t *testing.T) {
 				mr.Config{SpillPairThreshold: mode.spill})
 			for _, v := range adaptiveVariants {
 				t.Run(tc.name+"/"+mode.name+"/"+v.name, func(t *testing.T) {
-					opts, cfg := base, mr.Config{SpillPairThreshold: mode.spill}
-					v.mut(&opts, &cfg)
-					res, lines := runWithConfig(t, tc.alg, q, rels, opts, cfg)
+					opts := base
+					v.mut(&opts)
+					res, lines := runWithConfig(t, tc.alg, q, rels, opts,
+						mr.Config{SpillPairThreshold: mode.spill})
 					requireSameOutputSet(t, baseRes, res, baseLines, lines)
 				})
 			}

@@ -379,8 +379,6 @@ func FuzzRecordDecode(f *testing.F) {
 				}
 			}
 		}
-		streamOfTagged(s)
-		cascadeStreams(1)(s)
 		var n int64
 		replicateFlagTap(&n, make([]map[int64]bool, 4))(s)
 		prunedTap(make([]map[int64]bool, 4), map[int]int64{})(s)

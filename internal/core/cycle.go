@@ -553,9 +553,6 @@ func (cj cellJoin) job(c *Context) mr.Job {
 			return p.run(func(asg []relation.Tuple) error { return emit(u.rels, asg) })
 		})
 	}
-	if sp.plan != nil {
-		job.Resplit = resplitValues(sp.plan.streams, streamOfTagged)
-	}
 	return job
 }
 
@@ -653,10 +650,5 @@ func (bs bindStep) job(c *Context) mr.Job {
 		}
 		return nil
 	})
-	if sp.plan != nil {
-		// The key-independent pair loop decomposes cleanly; grid steps
-		// already spread load over two dimensions.
-		job.Resplit = resplitValues(2, cascadeStreams(step.novel))
-	}
 	return job
 }

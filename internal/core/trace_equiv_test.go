@@ -97,9 +97,8 @@ func TestTracedDriverMatchesUntraced(t *testing.T) {
 
 // TestTracedReportHoldsEveryCount: with the tracer recording spans only,
 // metrics.json still carries every count of a run that exercised each
-// engine feature — an adaptive RCCIS with a spilling shuffle and a forced
-// re-split. The
-// counts sit in the serialized model and the plan; the spans carry the
+// engine feature — an adaptive RCCIS with a spilling shuffle. The counts
+// sit in the serialized model and the plan; the spans carry the
 // per-event detail as args.
 func TestTracedReportHoldsEveryCount(t *testing.T) {
 	q := query.MustParse("R1 overlaps R2 and R2 overlaps R3")
@@ -111,8 +110,7 @@ func TestTracedReportHoldsEveryCount(t *testing.T) {
 	tr := obs.New(obs.Options{})
 	engine := mr.NewEngine(mr.Config{
 		Store: dfs.NewMem(), Workers: 4, Tracer: tr,
-		SpillPairThreshold:   64,
-		ResplitPairThreshold: 8,
+		SpillPairThreshold: 64,
 	})
 	ctx, err := NewContext(engine, q, rels, Options{Partitions: 6, Adaptive: true, SplitThreshold: 0.01, MaxVirtual: 3})
 	if err != nil {
@@ -168,11 +166,6 @@ func TestTracedReportHoldsEveryCount(t *testing.T) {
 				t.Errorf("spill span args %v, want a positive records count", args)
 			}
 			seen[sp.Cat]++
-		case sp.Cat == obs.CatResplit:
-			if args["key"] == "" || args["shards"] == "" {
-				t.Errorf("resplit span args %v, want key and shards", args)
-			}
-			seen[sp.Cat]++
 		case sp.Cat == obs.CatVirtualSplit:
 			if args["virtual_reducers"] != strconv.Itoa(doc.Plan.VirtualReducers) || args["split_partitions"] != strconv.Itoa(doc.Plan.SplitPartitions) {
 				t.Errorf("virtual_split span args %v, plan %+v", args, doc.Plan)
@@ -180,7 +173,7 @@ func TestTracedReportHoldsEveryCount(t *testing.T) {
 			seen[sp.Cat]++
 		}
 	}
-	for _, want := range []string{obs.CatSpill, obs.CatResplit, obs.CatVirtualSplit} {
+	for _, want := range []string{obs.CatSpill, obs.CatVirtualSplit} {
 		if seen[want] == 0 {
 			t.Errorf("no %s span in the trace (saw %v)", want, seen)
 		}

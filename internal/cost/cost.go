@@ -42,7 +42,7 @@ func Analyze(r *relation.Relation, attr int) RelStats {
 	lo, hi := r.Tuples[0].Attrs[attr].Start, r.Tuples[0].Attrs[attr].End
 	for _, t := range r.Tuples {
 		iv := t.Attrs[attr]
-		sum += float64(iv.Length())
+		sum += float64(uint64(iv.End) - uint64(iv.Start))
 		if iv.Start < lo {
 			lo = iv.Start
 		}
@@ -51,7 +51,7 @@ func Analyze(r *relation.Relation, attr int) RelStats {
 		}
 	}
 	s.MeanLength = sum / float64(r.Len())
-	s.Span = float64(hi-lo) + 1
+	s.Span = float64(uint64(hi)-uint64(lo)) + 1
 	return s
 }
 

@@ -57,7 +57,7 @@ func PairLoads(loads []float64, part interval.Partitioning, meanLength float64) 
 			continue
 		}
 		iv := part.PartitionInterval(i)
-		width := float64(iv.End-iv.Start) + 1
+		width := float64(uint64(iv.End)-uint64(iv.Start)) + 1
 		if p := meanLength / width; p < 1 {
 			pairs[i] *= p
 		}

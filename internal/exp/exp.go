@@ -15,6 +15,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"slices"
 	"strings"
 	"time"
 
@@ -232,20 +233,29 @@ func scaleMetrics(m *mr.Metrics, f float64) *mr.Metrics {
 	return out
 }
 
+// sameOutput compares a run's rows with the oracle's in their canonical
+// form: rows in strictly increasing order — so none repeats — and the same
+// ids slab.
 func sameOutput(got, want *core.Result) error {
-	g, w := got.TupleSet(), want.TupleSet()
-	if len(got.Tuples) != len(g) {
-		return fmt.Errorf("emitted %d tuples, %d distinct (duplicates)", len(got.Tuples), len(g))
-	}
-	if len(g) != len(w) {
-		return fmt.Errorf("output has %d tuples, oracle %d", len(g), len(w))
-	}
-	for k := range w {
-		if _, ok := g[k]; !ok {
-			return fmt.Errorf("missing output tuple %s", k)
+	for i := 1; i < len(got.Tuples); i++ {
+		if slices.Compare(got.Tuples[i-1], got.Tuples[i]) >= 0 {
+			return fmt.Errorf("row %d (%s) does not follow row %d (%s): duplicate or out of order",
+				i, got.Tuples[i].Key(), i-1, got.Tuples[i-1].Key())
 		}
 	}
-	return nil
+	if len(got.Tuples) != len(want.Tuples) || len(got.IDs) != len(want.IDs) {
+		return fmt.Errorf("output has %d tuples (%d ids), oracle %d (%d ids)",
+			len(got.Tuples), len(got.IDs), len(want.Tuples), len(want.IDs))
+	}
+	if slices.Equal(got.IDs, want.IDs) {
+		return nil
+	}
+	for i := range got.Tuples {
+		if !slices.Equal(got.Tuples[i], want.Tuples[i]) {
+			return fmt.Errorf("row %d is (%s), oracle's is (%s)", i, got.Tuples[i].Key(), want.Tuples[i].Key())
+		}
+	}
+	return fmt.Errorf("the ids slab differs from the oracle's, its rows do not")
 }
 
 // fmtCount renders large counts compactly (12.3K, 4.5M).

@@ -3,6 +3,8 @@ package exp
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
+	"slices"
 	"strconv"
 	"strings"
 	"testing"
@@ -422,35 +424,72 @@ func TestRenderAndRegistry(t *testing.T) {
 }
 
 func TestExecuteVerifyCatchesBadAlgorithm(t *testing.T) {
-	// A deliberately broken "algorithm" (oracle truncated) must be caught
-	// by Verify.
+	// Deliberately broken "algorithms" (the oracle's rows, planted with a
+	// fault) must each be caught by Verify.
 	q := query.MustParse("R1 overlaps R2")
-	r, err := workload.Generate(workload.Table1Spec("R1", 50, 1))
+	r, err := workload.Generate(workload.Table1Spec("R1", 400, 1))
 	if err != nil {
 		t.Fatal(err)
 	}
-	r2, err := workload.Generate(workload.Table1Spec("R2", 50, 2))
+	r2, err := workload.Generate(workload.Table1Spec("R2", 400, 2))
 	if err != nil {
 		t.Fatal(err)
 	}
 	cfg := Config{Scale: 1, Seed: 1, Verify: true}
-	if _, err := execute(cfg, truncatingAlgorithm{}, q, []*relation.Relation{r, r2}, core.Options{Partitions: 4}); err == nil {
-		t.Fatal("verify did not catch a truncated output")
+	for _, alg := range []plantedAlgorithm{
+		{"truncated", "output has", func(rows [][]int64) [][]int64 { return rows[1:] }},
+		{"swapped", "oracle's is", func(rows [][]int64) [][]int64 {
+			// A row whose swapped ids still sort between its neighbours,
+			// so only the comparison with the oracle can catch it.
+			for i := 1; i+1 < len(rows); i++ {
+				row := []int64{rows[i][1], rows[i][0]}
+				if slices.Compare(rows[i-1], row) < 0 && slices.Compare(row, rows[i+1]) < 0 && row[0] != row[1] {
+					rows[i] = row
+					return rows
+				}
+			}
+			t.Fatal("no row whose ids can be swapped in place")
+			return nil
+		}},
+		{"duplicated", "duplicate", func(rows [][]int64) [][]int64 {
+			return slices.Insert(rows, 1, rows[1])
+		}},
+	} {
+		_, err := execute(cfg, alg, q, []*relation.Relation{r, r2}, core.Options{Partitions: 4})
+		if err == nil || !strings.Contains(err.Error(), alg.want) {
+			t.Errorf("%s: verify returned %v, want an error naming %q", alg.name, err, alg.want)
+		}
 	}
 }
 
-// truncatingAlgorithm drops one tuple from the oracle's output.
-type truncatingAlgorithm struct{}
+// plantedAlgorithm returns the oracle's rows with a fault planted in them,
+// as a slab and row headers that agree.
+type plantedAlgorithm struct {
+	name, want string
+	plant      func(rows [][]int64) [][]int64
+}
 
-func (truncatingAlgorithm) Name() string { return "truncating" }
+func (a plantedAlgorithm) Name() string { return a.name }
 
-func (truncatingAlgorithm) Run(ctx *core.Context) (*core.Result, error) {
+func (a plantedAlgorithm) Run(ctx *core.Context) (*core.Result, error) {
 	res, err := core.Reference{}.Run(ctx)
 	if err != nil {
 		return nil, err
 	}
-	if len(res.Tuples) > 0 {
-		res.Tuples = res.Tuples[1:]
+	if len(res.Tuples) < 2 {
+		return nil, fmt.Errorf("the oracle has %d rows, too few to plant a fault in", len(res.Tuples))
+	}
+	rows := make([][]int64, len(res.Tuples))
+	for i, tup := range res.Tuples {
+		rows[i] = slices.Clone(tup)
+	}
+	rows = a.plant(rows)
+	res.IDs, res.Tuples = nil, make([]core.OutputTuple, len(rows))
+	for _, row := range rows {
+		res.IDs = append(res.IDs, row...)
+	}
+	for i, row := range rows {
+		res.Tuples[i] = res.IDs[i*len(row) : (i+1)*len(row)]
 	}
 	return res, nil
 }

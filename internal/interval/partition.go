@@ -35,14 +35,17 @@ func MakeUniform(t0, tn Point, n int) (Partitioning, error) {
 	if tn <= t0 {
 		return Partitioning{}, fmt.Errorf("interval: empty time range [%d, %d)", t0, tn)
 	}
-	if int64(n) > tn-t0 {
+	// The span is counted in uint64: tn − t0 passes MaxInt64 when the
+	// range holds more than half of the time line.
+	span := uint64(tn) - uint64(t0)
+	if uint64(n) > span {
 		// More partitions than points: cap so every partition is non-empty.
-		n = int(tn - t0)
+		n = int(span)
 	}
-	width := (tn - t0) / int64(n)
+	width := span / uint64(n)
 	bounds := make([]Point, n+1)
 	for i := 0; i < n; i++ {
-		bounds[i] = t0 + int64(i)*width
+		bounds[i] = Point(uint64(t0) + uint64(i)*width)
 	}
 	bounds[n] = tn
 	return Partitioning{bounds: bounds}, nil

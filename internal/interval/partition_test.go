@@ -1,6 +1,7 @@
 package interval
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 )
@@ -49,6 +50,38 @@ func TestUniformCoversRangeExactly(t *testing.T) {
 		}
 		if prevEnd != tn-1 {
 			t.Fatalf("last partition ends at %d, want %d", prevEnd, tn-1)
+		}
+	}
+}
+
+// TestUniformOverTheWholeLine: a range wider than MaxInt64 points tiles
+// like any other, and a range that fits in int64 gets the boundaries the
+// int64 arithmetic t0 + i·((tn − t0)/n) gives it.
+func TestUniformOverTheWholeLine(t *testing.T) {
+	for _, r := range [][2]Point{{math.MinInt64, math.MaxInt64}, {-(1 << 62) - 1, 1<<62 + 1}, {math.MinInt64, 0}} {
+		for _, n := range []int{1, 3, 16} {
+			p := NewUniform(r[0], r[1], n)
+			if t0, tn := p.Range(); t0 != r[0] || tn != r[1] || p.Len() != n {
+				t.Fatalf("NewUniform(%d, %d, %d) = %v", r[0], r[1], n, p)
+			}
+			for i := 1; i <= n; i++ {
+				if p.bounds[i] <= p.bounds[i-1] {
+					t.Fatalf("NewUniform(%d, %d, %d): boundaries not increasing: %v", r[0], r[1], n, p)
+				}
+			}
+		}
+	}
+	rng := rand.New(rand.NewSource(9))
+	for i := 0; i < 1000; i++ {
+		t0 := rng.Int63() - math.MaxInt64/2
+		tn := t0 + 1 + rng.Int63n(math.MaxInt64-max(t0, 0))
+		n := 1 + rng.Intn(64)
+		p := NewUniform(t0, tn, n)
+		n = p.Len()
+		for j := 0; j < n; j++ {
+			if want := t0 + int64(j)*((tn-t0)/int64(n)); p.bounds[j] != want {
+				t.Fatalf("NewUniform(%d, %d, %d): boundary %d = %d, want %d", t0, tn, n, j, p.bounds[j], want)
+			}
 		}
 	}
 }

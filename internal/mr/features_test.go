@@ -279,6 +279,49 @@ func TestTaskErrorFailsJob(t *testing.T) {
 	}
 }
 
+// TestReduceCallsBoundedByWorkers: a reduce task is one call on one of the
+// engine's workers, so no more reduce calls run at once than there are
+// workers — however hot a key is, in memory or spilled. Callers that bound
+// a run's parallelism by Config.Workers rely on it.
+func TestReduceCallsBoundedByWorkers(t *testing.T) {
+	const workers, hot, cold = 2, 10_000, 15
+	for _, spill := range []int{0, 512} {
+		t.Run(fmt.Sprintf("spill=%d", spill), func(t *testing.T) {
+			var running, highest atomic.Int64
+			job := Job{
+				Name:   "bounded",
+				Inputs: []Input{{Count: hot + cold}},
+				MapAt: func(_, pos int, emit Emitter) error {
+					key := int64(0) // positions below hot make the hot key
+					if pos >= hot {
+						key = int64(pos - hot + 1)
+					}
+					emit.Emit(key, "v")
+					return nil
+				},
+				Reduce: func(_ int64, values []string, write func(string) error) error {
+					n := running.Add(1)
+					defer running.Add(-1)
+					for h := highest.Load(); n > h && !highest.CompareAndSwap(h, n); h = highest.Load() {
+					}
+					time.Sleep(time.Millisecond)
+					return write(strconv.Itoa(len(values)))
+				},
+			}
+			m, err := NewEngine(Config{Store: dfs.NewMem(), Workers: workers, SpillPairThreshold: spill}).Run(job)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if m.OutputRecords != cold+1 || (spill > 0) != (m.SpilledPairs > 0) {
+				t.Fatalf("%d reduce outputs, %d pairs spilled; want %d outputs, spilled only with a threshold", m.OutputRecords, m.SpilledPairs, cold+1)
+			}
+			if h := highest.Load(); h > workers {
+				t.Fatalf("%d reduce calls ran at once on %d workers", h, workers)
+			}
+		})
+	}
+}
+
 // TestFailedJobRemovesSpillRuns: a job that fails after its map workers have
 // spilled removes the runs — whether the map phase or the reduce phase
 // failed.

@@ -227,25 +227,14 @@ type Job struct {
 	// ReduceRows, set instead of Reduce, makes the job's output typed id
 	// rows collected in Rows (required with it) rather than text records.
 	// Rows are committed exactly as records are: in key order once the
-	// reduce phase has finished, Resplit shards concatenated in shard
-	// order, and Metrics.OutputRecords counts rows. Such a job writes no
-	// Output, feeds no Tap and streams to no later stage — it is a chain's
-	// last.
+	// reduce phase has finished, and Metrics.OutputRecords counts rows.
+	// Such a job writes no Output, feeds no Tap and streams to no later
+	// stage — it is a chain's last.
 	ReduceRows RowReduceFunc
 	Rows       *Rows
 	// Output names the store file the reduce output is written to. Empty
 	// discards output (metric-only runs).
 	Output string
-	// Resplit, when set alongside Config.ResplitPairThreshold, lets the
-	// engine re-shard an oversized reduce task's value list into sub-tasks
-	// mid-job (before dispatch). The hook must return shards such that
-	// reducing each shard independently and concatenating the outputs in
-	// shard order produces exactly the records of reducing the whole list
-	// (values may be replicated across shards to keep that true — the
-	// drivers use a cell cover over the join's input streams). Returning
-	// nil or a single shard declines the split. Each shard runs under the
-	// task's original key, and the first shard error fails the job.
-	Resplit func(key int64, values []string, parts int) [][]string
 	// Meta annotates the job for observability: the tracer's cycle spans
 	// and the optional pprof labels carry it, so traces and CPU profiles
 	// attribute time to (algorithm, cycle, predicate family) rather than
@@ -293,11 +282,6 @@ type Config struct {
 	// the store and the reduce phase streams a merge of the runs.
 	// 0 disables spilling (fully in-memory shuffle).
 	SpillPairThreshold int
-	// ResplitPairThreshold arms the mid-job re-split: a reduce task whose
-	// shuffled value count reaches the threshold is re-sharded through
-	// Job.Resplit (when the job provides the hook) and its shards reduced
-	// concurrently on spare goroutines. 0 disables re-splitting.
-	ResplitPairThreshold int
 	// Tracer, when non-nil, records structured execution spans (per map
 	// and reduce task, spill, shuffle merge, cycle and chain) into
 	// internal/obs; every count stays in Metrics. A nil tracer disables
@@ -310,7 +294,6 @@ type Engine struct {
 	store   dfs.Store
 	workers int
 	spill   int
-	resplit int
 	tracer  *obs.Tracer
 }
 
@@ -324,7 +307,6 @@ func NewEngine(cfg Config) *Engine {
 		store:   cfg.Store,
 		workers: w,
 		spill:   cfg.SpillPairThreshold,
-		resplit: cfg.ResplitPairThreshold,
 		tracer:  cfg.Tracer,
 	}
 }
@@ -985,77 +967,6 @@ func runReduceTask(job Job, key int64, values []string, lane *obs.Lane, spanName
 	return res, nil
 }
 
-// runReduceTaskSplit executes one reduce task, re-splitting it mid-job
-// when its shuffled volume crossed Config.ResplitPairThreshold and the
-// job opted in via Job.Resplit: the value list is re-sharded by the hook
-// and the shards reduced concurrently on spare goroutines — the
-// single-process analogue of re-scheduling a hot reduce task's input
-// across idle cluster workers. Each shard keeps the original key; the shard
-// outputs (records or rows) are buffered per shard and concatenated in shard
-// order into one result, so downstream (sink delivery, output commit,
-// per-key metrics) sees exactly one task whose duration is the wall clock of
-// the whole split execution.
-func (e *Engine) runReduceTaskSplit(job Job, key int64, values []string, lane *obs.Lane, spanName string) (reduceResult, error) {
-	if job.Resplit == nil || e.resplit <= 0 || len(values) < e.resplit {
-		return runReduceTask(job, key, values, lane, spanName)
-	}
-	parts := (len(values) + e.resplit - 1) / e.resplit
-	if parts > e.workers {
-		parts = e.workers
-	}
-	if parts < 2 {
-		parts = 2
-	}
-	splitStart := lane.Begin()
-	t0 := time.Now()
-	shards := job.Resplit(key, values, parts)
-	if len(shards) <= 1 {
-		return runReduceTask(job, key, values, lane, spanName)
-	}
-	results := make([]reduceResult, len(shards))
-	errs := make([]error, len(shards))
-	var wg sync.WaitGroup
-	live := 0
-	for si := range shards {
-		if len(shards[si]) == 0 {
-			continue
-		}
-		live++
-		wg.Add(1)
-		go func(si int) {
-			defer wg.Done()
-			slane := e.tracer.Acquire()
-			defer e.tracer.Release(slane)
-			var span string
-			if slane != nil {
-				span = "reduce-shard:" + job.Name
-			}
-			results[si], errs[si] = runReduceTask(job, key, shards[si], slane, span)
-		}(si)
-	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			for si := range results {
-				results[si].rows.Release()
-			}
-			return reduceResult{}, err
-		}
-	}
-	merged := job.newResult(key, len(values))
-	for si := range shards {
-		merged.output = append(merged.output, results[si].output...)
-		merged.rows.take(&results[si].rows)
-	}
-	merged.duration = time.Since(t0)
-	if lane != nil {
-		lane.End(obs.CatResplit, "resplit:"+job.Name, splitStart,
-			obs.Arg{Key: "key", Val: strconv.FormatInt(key, 10)},
-			obs.Arg{Key: "shards", Val: strconv.Itoa(live)})
-	}
-	return merged, nil
-}
-
 // withReduceLabels runs fn, labelling its goroutine for CPU profiles when
 // the tracer asks for pprof labels, so profile samples attribute reduce
 // time to (algorithm, cycle, job) instead of anonymous worker goroutines.
@@ -1114,7 +1025,7 @@ func (e *Engine) reduceInMemory(job Job, shuffle *shuffleState, m *Metrics, snk 
 			e.withReduceLabels(job, func() {
 				for ki := range keyc {
 					key := keys[ki]
-					res, err := e.runReduceTaskSplit(job, key, shuffle.group(key), lane, reduceSpan)
+					res, err := runReduceTask(job, key, shuffle.group(key), lane, reduceSpan)
 					if err != nil {
 						errc <- err
 						for range keyc {
@@ -1179,7 +1090,7 @@ func (e *Engine) reduceStreaming(job Job, shuffle *shuffleState, m *Metrics, snk
 			}
 			e.withReduceLabels(job, func() {
 				for t := range taskc {
-					res, err := e.runReduceTaskSplit(job, t.key, *t.values, lane, reduceSpan)
+					res, err := runReduceTask(job, t.key, *t.values, lane, reduceSpan)
 					recycleValues(t.values)
 					if err != nil {
 						errc <- err

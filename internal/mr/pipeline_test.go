@@ -7,7 +7,6 @@ import (
 	"strconv"
 	"strings"
 	"sync"
-	"sync/atomic"
 	"testing"
 	"time"
 
@@ -248,9 +247,8 @@ func flatRows(r *Rows) []int64 {
 
 // TestTypedLastStage: a ReduceRows job's rows are committed exactly as
 // records are. Behind streamed boundaries, behind store barriers (each stage
-// a pipeline of its own), through the spilled shuffle and with every task
-// re-split into shards, the chain returns the same rows in the same order,
-// each once, and OutputRecords counts them.
+// a pipeline of its own) and through the spilled shuffle, the chain returns
+// the same rows in the same order, each once, and OutputRecords counts them.
 func TestTypedLastStage(t *testing.T) {
 	run := func(t *testing.T, cfg Config, jobs []Job, rows *Rows, barriers bool) []int64 {
 		t.Helper()
@@ -296,28 +294,6 @@ func TestTypedLastStage(t *testing.T) {
 		jobs, rows := typedChain()
 		if got := run(t, Config{SpillPairThreshold: 200}, jobs, rows, false); !slices.Equal(got, want) {
 			t.Fatal("rows through the spilled shuffle differ")
-		}
-	})
-	t.Run("resplit", func(t *testing.T) {
-		jobs, rows := typedChain()
-		// The unsplit task reduces its values sorted, so the shards are
-		// stretches of the sorted list.
-		var split atomic.Int64
-		jobs[2].Resplit = func(_ int64, values []string, parts int) [][]string {
-			split.Add(1)
-			sorted := slices.Clone(values)
-			slices.Sort(sorted)
-			shards := make([][]string, parts)
-			for i := range shards {
-				shards[i] = sorted[i*len(sorted)/parts : (i+1)*len(sorted)/parts]
-			}
-			return shards
-		}
-		if got := run(t, Config{ResplitPairThreshold: 100}, jobs, rows, false); !slices.Equal(got, want) {
-			t.Fatal("a re-split task's rows differ from the unsplit task's")
-		}
-		if split.Load() != 7 {
-			t.Fatalf("%d of 7 reduce tasks were re-split", split.Load())
 		}
 	})
 }

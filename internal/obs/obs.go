@@ -64,7 +64,6 @@ const (
 
 	// Skew-adaptive execution phases (PR 7).
 	CatVirtualSplit = "virtual_split" // plan-time virtual-reducer splitting of hot partitions
-	CatResplit      = "resplit"       // mid-job re-split of an oversized reduce task
 )
 
 // Options configure a Tracer.

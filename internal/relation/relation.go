@@ -215,42 +215,53 @@ func DecodeTuple(s string) (Tuple, error) {
 // attribute interval of every tuple in the given relations, suitable for
 // constructing a Partitioning. ok is false when the relations contain no
 // tuples.
+//
+// No point follows MaxInt64, so an interval ending there is covered up to
+// tn = MaxInt64 only: the point MaxInt64 lies at the range's end, where
+// Partitioning.IndexOf clamps it into the last partition. When every point
+// is MaxInt64, t0 is MaxInt64 − 1, so the range is not empty.
 func Bounds(rels ...*Relation) (t0, tn interval.Point, ok bool) {
-	first := true
+	var c cover
 	for _, r := range rels {
 		for _, t := range r.Tuples {
 			for _, iv := range t.Attrs {
-				if first {
-					t0, tn, first = iv.Start, iv.End+1, false
-					continue
-				}
-				if iv.Start < t0 {
-					t0 = iv.Start
-				}
-				if iv.End+1 > tn {
-					tn = iv.End + 1
-				}
+				c.add(iv)
 			}
 		}
 	}
-	return t0, tn, !first
+	return c.halfOpen()
 }
 
-// AttrBounds returns the minimal half-open range covering one attribute
-// column of one relation. ok is false for an empty relation.
+// AttrBounds is Bounds over one attribute column of one relation.
 func AttrBounds(r *Relation, attr int) (t0, tn interval.Point, ok bool) {
-	for i, t := range r.Tuples {
-		iv := t.Attrs[attr]
-		if i == 0 {
-			t0, tn = iv.Start, iv.End+1
-			continue
-		}
-		if iv.Start < t0 {
-			t0 = iv.Start
-		}
-		if iv.End+1 > tn {
-			tn = iv.End + 1
-		}
+	var c cover
+	for _, t := range r.Tuples {
+		c.add(t.Attrs[attr])
 	}
-	return t0, tn, r.Len() > 0
+	return c.halfOpen()
+}
+
+// cover is the closed range [lo, hi] the intervals added to it span.
+type cover struct {
+	lo, hi interval.Point
+	ok     bool
+}
+
+func (c *cover) add(iv interval.Interval) {
+	if !c.ok {
+		c.lo, c.hi, c.ok = iv.Start, iv.End, true
+		return
+	}
+	c.lo, c.hi = min(c.lo, iv.Start), max(c.hi, iv.End)
+}
+
+// halfOpen is the cover as Bounds returns it.
+func (c cover) halfOpen() (t0, tn interval.Point, ok bool) {
+	switch {
+	case !c.ok:
+		return 0, 0, false
+	case c.hi < math.MaxInt64:
+		return c.lo, c.hi + 1, true
+	}
+	return min(c.lo, math.MaxInt64-1), math.MaxInt64, true
 }

@@ -227,6 +227,28 @@ func TestBounds(t *testing.T) {
 	}
 }
 
+// TestBoundsAtTheEnds: an interval ending at MaxInt64 is covered up to
+// tn = MaxInt64, and a relation holding only that point still has a
+// non-empty range.
+func TestBoundsAtTheEnds(t *testing.T) {
+	for _, tc := range []struct {
+		iv     interval.Interval
+		t0, tn interval.Point
+	}{
+		{interval.New(math.MinInt64, math.MaxInt64), math.MinInt64, math.MaxInt64},
+		{interval.New(math.MaxInt64-5, math.MaxInt64), math.MaxInt64 - 5, math.MaxInt64},
+		{interval.PointInterval(math.MaxInt64), math.MaxInt64 - 1, math.MaxInt64},
+		{interval.New(math.MinInt64, math.MinInt64), math.MinInt64, math.MinInt64 + 1},
+	} {
+		r := FromIntervals("R", []interval.Interval{tc.iv})
+		t0, tn, ok := Bounds(r)
+		a0, an, aok := AttrBounds(r, 0)
+		if !ok || !aok || t0 != tc.t0 || tn != tc.tn || a0 != t0 || an != tn {
+			t.Errorf("%v: Bounds = [%d,%d) %v, AttrBounds = [%d,%d) %v; want [%d,%d)", tc.iv, t0, tn, ok, a0, an, aok, tc.t0, tc.tn)
+		}
+	}
+}
+
 func TestAttrBounds(t *testing.T) {
 	r := New(NewSchema("R", "I", "A"))
 	r.Append(interval.New(0, 10), interval.New(100, 100))

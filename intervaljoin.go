@@ -144,11 +144,6 @@ type EngineOptions struct {
 	// every run on this engine (see docs/OBSERVABILITY.md). Nil disables
 	// tracing at near-zero cost.
 	Tracer *Tracer
-	// ResplitPairThreshold, when positive, lets the engine re-split a
-	// reduce task whose value list reaches this size across spare workers
-	// mid-job (for algorithms that provide a decomposition; see
-	// docs/ALGORITHMS.md "Skew-aware execution"). 0 disables re-splitting.
-	ResplitPairThreshold int
 }
 
 // Engine runs queries on the built-in MapReduce engine.
@@ -161,10 +156,9 @@ type Engine struct {
 func NewEngine(opts EngineOptions) (*Engine, error) {
 	return &Engine{
 		mr: mr.NewEngine(mr.Config{
-			Store:                dfs.NewMem(),
-			Workers:              opts.Workers,
-			Tracer:               opts.Tracer,
-			ResplitPairThreshold: opts.ResplitPairThreshold,
+			Store:   dfs.NewMem(),
+			Workers: opts.Workers,
+			Tracer:  opts.Tracer,
 		}),
 		tracer: opts.Tracer,
 	}, nil

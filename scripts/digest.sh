@@ -12,6 +12,11 @@
 #   internal/cache TestServiceDigest: the service's answers — sha256 of
 #     RowsJSON, DeltaRows and the algorithm — for a fixed mix of 200 windows,
 #     four queries, a planner service at k = 4 and a one-task service.
+#   internal/core TestCoreDigest: every algorithm's answer — sha256 of
+#     Result.IDs — and routing — per cycle pairs, physical pairs, keys,
+#     pairs per key and records written, per run replicated and pruned
+#     counts — on TestRoutingGolden's queries and inputs under uniform,
+#     equi-depth, adaptive and force-split plans.
 # A digest of another package joins by adding a line to the list below.
 #
 # Usage: scripts/digest.sh <parent-ref>
@@ -35,7 +40,8 @@ mkdir -p "$parent"
 git archive "$ref" | tar -x -C "$parent"
 trap 'rm -rf "$work"' EXIT
 
-digests='internal/cache TestServiceDigest digest_test.go IJ_DIGEST_OUT'
+digests='internal/cache TestServiceDigest digest_test.go IJ_DIGEST_OUT
+internal/core TestCoreDigest digest_test.go IJ_CORE_DIGEST_OUT'
 
 status=0
 echo "$digests" | while read -r pkg test file env; do
