@@ -1,14 +1,12 @@
 // Command ijoind is the long-running interval-join service: it holds
 // resident relations in memory and answers windowed join queries over an
 // HTTP/JSON API, serving covered time spans from a semantic segment cache
-// and running the join engine only over the uncovered delta windows (see
-// docs/SERVICE.md).
+// and joining only the uncovered delta windows (see docs/SERVICE.md).
 //
 // Serve mode:
 //
 //	ijoind -rel R1=a.txt -rel R2=b.txt [-addr :7077] [-cache-mb 64]
-//	       [-max-inflight 4] [-workers 1] [-partitions 1] [-per-dim 1]
-//	       [-algorithm name] [-metrics metrics.json]
+//	       [-max-inflight 4] [-metrics metrics.json]
 //	       [-log-level info] [-slow-query 2s]
 //	       [-trace-dir DIR] [-trace-sample N] [-trace-keep 16]
 //
@@ -19,13 +17,12 @@
 //	GET  /healthz       → 200 "ok" (503 while draining)
 //	GET  /debug/pprof/  → runtime profiles
 //
-// A delta join's input is the few tuples that can reach one gap, so by
-// default it runs as one task: one worker, one reducer (-workers,
-// -partitions and -per-dim all 1). Queries get their parallelism from each
-// other instead: admission control holds at most -max-inflight queries in
-// the join path, their delta joins run side by side, and excess requests
-// get 429. Raising the three flags splits each delta join over more
-// reducers and workers. Requests are logged as structured JSON
+// A delta join's input is the few tuples that can reach one gap, so it runs
+// in line, in the goroutine serving the query: one join over those tuples,
+// with no engine, shuffle or task between them. Queries get their
+// parallelism from each other instead: admission control holds at most
+// -max-inflight queries in the join path, their delta joins run side by
+// side, and excess requests get 429. Requests are logged as structured JSON
 // (log/slog) with a per-request id; queries slower than -slow-query get a
 // warning line. With -trace-dir set, every -trace-sample'th query — plus
 // the query after any slow one — runs under a fresh tracer and dumps a
@@ -60,11 +57,7 @@ import (
 	"syscall"
 	"time"
 
-	"intervaljoin"
 	"intervaljoin/internal/cache"
-	"intervaljoin/internal/core"
-	"intervaljoin/internal/dfs"
-	"intervaljoin/internal/mr"
 	"intervaljoin/internal/obs"
 	"intervaljoin/internal/obs/live"
 	"intervaljoin/internal/query"
@@ -93,10 +86,6 @@ func main() {
 		addr       = flag.String("addr", ":7077", "HTTP listen address")
 		cacheMB    = flag.Int64("cache-mb", 64, "segment cache byte budget in MiB")
 		maxInfl    = flag.Int("max-inflight", 4, "admission control: concurrent queries beyond this get 429")
-		workers    = flag.Int("workers", 1, "concurrent engine tasks per delta join (0 = GOMAXPROCS)")
-		partitions = flag.Int("partitions", 1, "partitions for 1-D algorithms")
-		perDim     = flag.Int("per-dim", 1, "partitions per grid dimension for matrix algorithms")
-		algorithm  = flag.String("algorithm", "", "join algorithm (default: planner choice per query)")
 		metricsOut = flag.String("metrics", "", "write metrics.json (with the cache section) here on shutdown")
 		logLevel   = flag.String("log-level", "info", "structured log level: debug, info, warn, error")
 		slowQuery  = flag.Duration("slow-query", 2*time.Second, "log queries slower than this as slow (0 disables)")
@@ -121,22 +110,7 @@ func main() {
 	})
 	flag.Parse()
 
-	engine := mr.NewEngine(mr.Config{Store: dfs.NewMem(), Workers: *workers})
-
-	var algFn func(*query.Query) core.Algorithm
-	if *algorithm != "" {
-		alg, err := intervaljoin.AlgorithmByName(*algorithm)
-		if err != nil {
-			fatal(err)
-		}
-		algFn = func(*query.Query) core.Algorithm { return alg }
-	}
-	svc, err := cache.NewService(cache.ServiceConfig{
-		Engine:     engine,
-		CacheBytes: *cacheMB << 20,
-		Opts:       core.Options{Partitions: *partitions, PartitionsPerDim: *perDim},
-		Algorithm:  algFn,
-	})
+	svc, err := cache.NewService(cache.ServiceConfig{CacheBytes: *cacheMB << 20})
 	if err != nil {
 		fatal(err)
 	}
@@ -494,7 +468,6 @@ func (s *server) handleQuery(w http.ResponseWriter, r *http.Request) {
 			slog.Int("rows", len(ans.Rows)),
 			slog.Int("hit_segments", ans.HitSegments),
 			slog.Int("delta_windows", len(ans.DeltaWindows)),
-			slog.String("algorithm", ans.Algorithm),
 			slog.String("wall", ans.Wall.String()),
 			slog.String("merge", ans.Merge.String()),
 			slog.String("encode", encode.String()),
@@ -545,7 +518,7 @@ func (s *server) handleHealth(w http.ResponseWriter, _ *http.Request) {
 }
 
 // cacheReportJSON writes the metrics.json report with the cache section
-// filled from the service's accounting. The engine runs untraced — only
+// filled from the service's accounting. Delta joins run untraced — only
 // sampled queries get a tracer, and their spans go to their own trace file
 // — so the cache section is all the report holds.
 func cacheReportJSON(w io.Writer, svc *cache.Service) error {

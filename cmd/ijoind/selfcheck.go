@@ -53,8 +53,8 @@ func runSelfcheck(svc *cache.Service, cfg serveConfig, spec selfcheckSpec) error
 	}
 
 	// The window mix cycles a handful of overlapping windows so the run
-	// exercises misses, partial hits, and full hits — engine counters and
-	// the cache bridge all have to move.
+	// exercises misses, partial hits, and full hits — the delta-window
+	// count and the cache bridge all have to move.
 	n := spec.queries
 	if n < 4 {
 		n = 4
@@ -219,8 +219,7 @@ func checkScrapes(mid, final []byte, n int) error {
 		"ij_cache_lookups",
 		"ij_cache_bytes_in_use",
 		"ij_admission_rejected_total",
-		"ij_engine_runs_total",
-		"ij_engine_output_records_total",
+		"ij_query_delta_windows_total",
 		"ij_query_window_span_count",
 		"ij_response_bytes_count",
 	} {
@@ -228,8 +227,8 @@ func checkScrapes(mid, final []byte, n int) error {
 			return fmt.Errorf("final scrape: %s missing", name)
 		}
 	}
-	if v, ok := findSample(finS, "ij_engine_runs_total"); !ok || v <= 0 {
-		return fmt.Errorf("ij_engine_runs_total = %v, want > 0 (delta joins ran)", v)
+	if v, ok := findSample(finS, "ij_query_delta_windows_total"); !ok || v <= 0 {
+		return fmt.Errorf("ij_query_delta_windows_total = %v, want > 0 (delta joins ran)", v)
 	}
 	if v, ok := findSample(finS, "ij_cache_hit_ratio"); !ok || v <= 0 {
 		return fmt.Errorf("ij_cache_hit_ratio = %v, want > 0 (the mix repeats windows)", v)

@@ -5,7 +5,6 @@ import (
 	"time"
 
 	"intervaljoin/internal/cache"
-	"intervaljoin/internal/mr"
 	"intervaljoin/internal/obs/live"
 )
 
@@ -33,8 +32,6 @@ type telemetry struct {
 	rowsServed   *live.Counter // ij_query_rows_total
 	slowQueries  *live.Counter // ij_slow_queries_total
 	traces       *live.Counter // ij_query_traces_written_total
-
-	engine *mr.LiveSet
 }
 
 // requestCodes are the status codes the handlers can produce; their
@@ -42,8 +39,8 @@ type telemetry struct {
 // values.
 var requestCodes = []int{200, 400, 404, 405, 413, 422, 429, 500, 503}
 
-// newTelemetry builds the registry, the request series, the engine
-// bridge, and the cache stats collector. A nil svc (or disabled
+// newTelemetry builds the registry, the request series and the cache stats
+// collector. A nil svc (or disabled
 // telemetry) is handled by the callees' nil contracts.
 func newTelemetry(svc *cache.Service) *telemetry {
 	reg := live.NewRegistry()
@@ -61,13 +58,11 @@ func newTelemetry(svc *cache.Service) *telemetry {
 
 		requestsVec:  reg.CounterVec("ij_requests_total", "requests by HTTP status code", "code"),
 		hitSegments:  reg.Counter("ij_query_hit_segments_total", "cached segments merged into answers"),
-		deltaWindows: reg.Counter("ij_query_delta_windows_total", "uncovered gap windows joined by the engine"),
+		deltaWindows: reg.Counter("ij_query_delta_windows_total", "uncovered gap windows joined by delta joins"),
 		fullHits:     reg.Counter("ij_query_full_hits_total", "queries answered entirely from cache"),
 		rowsServed:   reg.Counter("ij_query_rows_total", "result rows returned to clients"),
 		slowQueries:  reg.Counter("ij_slow_queries_total", "queries over the slow-query threshold"),
 		traces:       reg.Counter("ij_query_traces_written_total", "per-query Chrome traces written"),
-
-		engine: mr.NewLiveSet(reg),
 	}
 	t.requests = make(map[int]*live.Counter, len(requestCodes))
 	for _, code := range requestCodes {
@@ -91,8 +86,7 @@ func (t *telemetry) countRequest(code int) {
 }
 
 // observeAnswer records a successful query's latency and merge stage,
-// window span, cache provenance, and — when delta joins ran — the engine
-// counters.
+// window span and cache provenance.
 func (t *telemetry) observeAnswer(ans *cache.Answer) {
 	if t == nil {
 		return
@@ -106,7 +100,6 @@ func (t *telemetry) observeAnswer(ans *cache.Answer) {
 		t.fullHits.Inc()
 	}
 	t.rowsServed.Add(int64(len(ans.Rows)))
-	t.engine.Publish(ans.Engine)
 }
 
 // observeResponse records the encode stage — building the body and

@@ -6,10 +6,7 @@ import (
 	"runtime"
 	"testing"
 
-	"intervaljoin/internal/core"
-	"intervaljoin/internal/dfs"
 	"intervaljoin/internal/interval"
-	"intervaljoin/internal/mr"
 	"intervaljoin/internal/query"
 	"intervaljoin/internal/relation"
 	"intervaljoin/internal/workload"
@@ -19,10 +16,7 @@ import (
 // Table 1 intervals) and caches the given windows, one segment each.
 func benchHitService(b *testing.B, fill []Window) (*Service, *query.Query) {
 	b.Helper()
-	svc, err := NewService(ServiceConfig{
-		Engine: mr.NewEngine(mr.Config{Store: dfs.NewMem()}),
-		Opts:   core.Options{Partitions: 16, PartitionsPerDim: 6},
-	})
+	svc, err := NewService(ServiceConfig{})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -83,16 +77,12 @@ func BenchmarkServicePartialHit(b *testing.B) {
 
 // BenchmarkServiceColdMiss answers uniformly random windows 500 to 5 000
 // wide over the serve workloads' residents as cmd/ijoind holds them: each
-// loaded from its text file into one interval slab, joined by a one-task
-// service with a 1 MiB cache, so almost every query is a delta join. It
+// loaded from its text file into one interval slab, joined by a service
+// with a 1 MiB cache, so almost every query is a delta join. It
 // reports the rows an answer holds and the collector's cycles per 1 000
 // queries next to the time and allocations.
 func BenchmarkServiceColdMiss(b *testing.B) {
-	svc, err := NewService(ServiceConfig{
-		Engine:     mr.NewEngine(mr.Config{Store: dfs.NewMem(), Workers: 1}),
-		CacheBytes: 1 << 20,
-		Opts:       core.Options{Partitions: 1, PartitionsPerDim: 1},
-	})
+	svc, err := NewService(ServiceConfig{CacheBytes: 1 << 20})
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -80,8 +80,8 @@ func TestLookupAtTheTopOfTheTimeLine(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(again.DeltaWindows) != 0 || again.Engine != nil || again.HitSegments != 1 {
-		t.Fatalf("second query: gaps %v, engine metrics %v, %d segments; want a full hit of one segment", again.DeltaWindows, again.Engine, again.HitSegments)
+	if len(again.DeltaWindows) != 0 || again.DeltaRows != 0 || again.HitSegments != 1 {
+		t.Fatalf("second query: gaps %v, %d delta rows, %d segments; want a full hit of one segment", again.DeltaWindows, again.DeltaRows, again.HitSegments)
 	}
 	if string(again.RowsJSON) != string(first.RowsJSON) {
 		t.Fatalf("second query's rows %s, first's %s", again.RowsJSON, first.RowsJSON)

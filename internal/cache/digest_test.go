@@ -24,27 +24,26 @@ const digestEnv = "IJ_DIGEST_OUT"
 
 // TestServiceDigest records what the service answers, one line per window,
 // for scripts/digest.sh to compare across two trees: the service shape, the
-// query, the window, the sha256 of the answer's RowsJSON, its DeltaRows and
-// the algorithm that ran its delta joins. The window mix is fixed — fresh
-// windows, repeats and shifted repeats, so cold misses, full hits and partial
-// hits all come up, under a cache small enough to evict — and is asked of
-// four queries on a service that spreads its delta joins over four reducers
-// and on one that runs each as one task. The file uses nothing but the
-// service's exported API, so it compiles in older trees too.
+// query, the window, the sha256 of the answer's RowsJSON and its DeltaRows.
+// The window mix is fixed — fresh windows, repeats and shifted repeats, so
+// cold misses, full hits and partial hits all come up, under a cache small
+// enough to evict — and is asked of three queries under two service shapes.
+// A shape sets ServiceConfig's Engine and Opts, which a tree whose delta
+// joins run in line ignores; in a tree that still runs them on an engine,
+// one shape spreads each over four reducers and the other runs it as one
+// task, and the digests must agree with the in-line answers byte for byte.
+// The file uses nothing but the service's exported API, so it compiles in
+// older trees too.
 func TestServiceDigest(t *testing.T) {
 	path := os.Getenv(digestEnv)
 	if path == "" {
 		t.Skip(digestEnv + " names no output file")
 	}
 	rels := digestRelations(t)
-	queries := []struct {
-		name, text string
-		alg        core.Algorithm // nil: the planner's choice
-	}{
-		{"two-way", "R1 overlaps R2", nil},
-		{"chain", "R1 overlaps R2 and R2 overlaps R3", nil},
-		{"before", "R1 overlaps R2 and R1 before S", nil},
-		{"pasm", "R1 overlaps R2 and R2 overlaps R3", core.PASM{}},
+	queries := []struct{ name, text string }{
+		{"two-way", "R1 overlaps R2"},
+		{"chain", "R1 overlaps R2 and R2 overlaps R3"},
+		{"before", "R1 overlaps R2 and R1 before S"},
 	}
 	shapes := []struct {
 		name    string
@@ -68,15 +67,11 @@ func TestServiceDigest(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			cfg := cache.ServiceConfig{
+			svc, err := cache.NewService(cache.ServiceConfig{
 				Engine:     mr.NewEngine(mr.Config{Store: dfs.NewMem(), Workers: shape.workers}),
 				CacheBytes: 256 << 10,
 				Opts:       shape.opts,
-			}
-			if alg := qc.alg; alg != nil {
-				cfg.Algorithm = func(*query.Query) core.Algorithm { return alg }
-			}
-			svc, err := cache.NewService(cfg)
+			})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -90,8 +85,8 @@ func TestServiceDigest(t *testing.T) {
 				if err != nil {
 					t.Fatalf("%s %s [%d,%d]: %v", shape.name, qc.name, w.Lo, w.Hi, err)
 				}
-				fmt.Fprintf(out, "%s %s [%d,%d] %x %d %s\n", shape.name, qc.name, w.Lo, w.Hi,
-					sha256.Sum256(ans.RowsJSON), ans.DeltaRows, ans.Algorithm)
+				fmt.Fprintf(out, "%s %s [%d,%d] %x %d\n", shape.name, qc.name, w.Lo, w.Hi,
+					sha256.Sum256(ans.RowsJSON), ans.DeltaRows)
 			}
 		}
 	}

@@ -58,9 +58,9 @@ func clipRows(rows []Row, w Window) []core.OutputTuple {
 // pieceRows computes one piece's rows with the in-memory reference join —
 // every row whose anchor intersects the piece, whole straddlers included —
 // in canonical order, with the anchors attached.
-func pieceRows(t *testing.T, svc *Service, q *query.Query, rels []*relation.Relation, piece Window) []Row {
+func pieceRows(t *testing.T, q *query.Query, rels []*relation.Relation, piece Window) []Row {
 	t.Helper()
-	res := oracleResult(t, svc, q, rels, piece)
+	res := oracleResult(t, q, rels, piece)
 	anchors := make(map[int64]interval.Interval, rels[0].Len())
 	for _, tup := range rels[0].Tuples {
 		anchors[tup.ID] = tup.Attrs[0]
@@ -89,12 +89,12 @@ var mergeWindows = append([]Window{{200, 200}, {100, 198}, {620, 680}, {0, 700}}
 // window intersects returns exactly what the row-level oracle does — same
 // rows, same order, and as RowsJSON the text encoding/json gives them. It
 // returns how many duplicate rows the oracle dropped, all windows together.
-func checkGroupMergeEqualsRowMerge(t *testing.T, svc *Service, q *query.Query, rels []*relation.Relation) (dropped int) {
+func checkGroupMergeEqualsRowMerge(t *testing.T, q *query.Query, rels []*relation.Relation) (dropped int) {
 	t.Helper()
 	segs := make([]*Segment, len(mergePieces))
 	rows := make([][]Row, len(mergePieces))
 	for i, piece := range mergePieces {
-		rows[i] = pieceRows(t, svc, q, rels, piece)
+		rows[i] = pieceRows(t, q, rels, piece)
 		seg, err := newSegment(testKey, piece, slices.Clone(rows[i]))
 		if err != nil {
 			t.Fatal(err)
@@ -165,8 +165,7 @@ func TestGroupMergeEqualsRowMerge(t *testing.T) {
 			t.Parallel()
 			r1 := adversarialRelation("R1", 7)
 			r2 := adversarialRelation("R2", 11)
-			svc := newTestService(t, r1, r2)
-			if checkGroupMergeEqualsRowMerge(t, svc, predQuery(t, p), []*relation.Relation{r1, r2}) == 0 {
+			if checkGroupMergeEqualsRowMerge(t, predQuery(t, p), []*relation.Relation{r1, r2}) == 0 {
 				t.Fatal("anti-vacuity: no window met a duplicate group")
 			}
 		})
@@ -180,7 +179,6 @@ func TestGroupMergeEqualsRowMergeThreeWay(t *testing.T) {
 	r1 := adversarialRelation("R1", 19)
 	r2 := adversarialRelation("R2", 23)
 	r3 := adversarialRelation("R3", 29)
-	svc := newTestService(t, r1, r2, r3)
 	q := query.New()
 	if err := q.AddCondition("R1", "", interval.Overlaps, "R2", ""); err != nil {
 		t.Fatal(err)
@@ -188,7 +186,7 @@ func TestGroupMergeEqualsRowMergeThreeWay(t *testing.T) {
 	if err := q.AddCondition("R2", "", interval.Before, "R3", ""); err != nil {
 		t.Fatal(err)
 	}
-	if checkGroupMergeEqualsRowMerge(t, svc, q, []*relation.Relation{r1, r2, r3}) == 0 {
+	if checkGroupMergeEqualsRowMerge(t, q, []*relation.Relation{r1, r2, r3}) == 0 {
 		t.Fatal("anti-vacuity: no window met a duplicate group")
 	}
 }

@@ -2,12 +2,14 @@ package cache
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"slices"
 	"testing"
 
 	"intervaljoin/internal/core"
 	"intervaljoin/internal/interval"
+	"intervaljoin/internal/obs"
 	"intervaljoin/internal/query"
 	"intervaljoin/internal/relation"
 	"intervaljoin/internal/workload"
@@ -84,9 +86,7 @@ func residents(t *testing.T, svc *Service, q *query.Query) []*residentRel {
 // join that are anchored in it. Random queries of every class and random
 // windows; the service's cold and cached answers must equal the oracle that
 // filters the anchors by hand and joins the full other relations
-// (oracleResult shares nothing with narrow). Each trial asks a service that
-// spreads its delta joins over four reducers and one that runs each as one
-// task.
+// (oracleResult shares nothing with narrow).
 func TestSelectionMatchesFullJoinOracle(t *testing.T) {
 	rng := rand.New(rand.NewSource(18))
 	preds := map[interval.Predicate]bool{}
@@ -98,31 +98,25 @@ func TestSelectionMatchesFullJoinOracle(t *testing.T) {
 			preds[c.Pred] = true
 		}
 		classes[q.Classify()]++
-		algs := core.Algorithms(q)
-		alg := algs[rng.Intn(len(algs))]
-		chosen := func(*query.Query) core.Algorithm { return alg }
-		svcs := []*Service{newShapedService(t, spread, chosen, rels...), newShapedService(t, oneTask, chosen, rels...)}
-		svc := svcs[0]
+		svc := newTestService(t, rels...)
 		for k := 0; k < 4; k++ {
 			lo := interval.Point(rng.Intn(75) - 5)
 			w := Window{lo, lo + interval.Point(rng.Intn(25))}
-			want := oracleResult(t, svc, q, rels, w)
-			for _, s := range svcs {
-				label := fmt.Sprintf("trial %d, %s at k = %d on %s, window %s", trial, alg.Name(), s.opts.Partitions, q, w.string())
-				cold, err := s.RunCold(q, w)
-				if err != nil {
-					t.Fatalf("%s: %v", label, err)
-				}
-				diffSets(t, label+" (cold)", answerSet(cold), want.TupleSet())
-				if cold.DeltaRows != int64(len(want.Tuples)) {
-					t.Fatalf("%s: DeltaRows = %d, the oracle has %d rows", label, cold.DeltaRows, len(want.Tuples))
-				}
-				cached, err := s.Query(q, w)
-				if err != nil {
-					t.Fatalf("%s: %v", label, err)
-				}
-				diffSets(t, label+" (cached)", answerSet(cached), want.TupleSet())
+			want := oracleResult(t, q, rels, w)
+			label := fmt.Sprintf("trial %d on %s, window %s", trial, q, w.string())
+			cold, err := svc.RunCold(q, w)
+			if err != nil {
+				t.Fatalf("%s: %v", label, err)
 			}
+			sameRows(t, label+" (cold)", cold, want)
+			if cold.DeltaRows != int64(len(want.Tuples)) {
+				t.Fatalf("%s: DeltaRows = %d, the oracle has %d rows", label, cold.DeltaRows, len(want.Tuples))
+			}
+			cached, err := svc.Query(q, w)
+			if err != nil {
+				t.Fatalf("%s: %v", label, err)
+			}
+			sameRows(t, label+" (cached)", cached, want)
 			if len(want.Tuples) > 0 {
 				nonEmpty++
 			}
@@ -178,12 +172,12 @@ func TestSequenceNeighbourStaysWhole(t *testing.T) {
 	if got, want := string(ans.RowsJSON), "[[0,1,1],[0,1,2]]"; got != want {
 		t.Fatalf("rows %s, want %s", got, want)
 	}
-	diffSets(t, "sequence neighbour", answerSet(ans), oracleWindow(t, svc, q, rels, w))
+	sameRows(t, "sequence neighbour", ans, oracleResult(t, q, rels, w))
 }
 
 // TestEmptyGapRunsNoJob: a gap that holds no anchor, or whose anchors' hull
 // leaves a colocation neighbour without a tuple, is answered — and cached —
-// as an empty segment, and the engine is never asked.
+// as an empty segment, and no join runs: a traced query records no span.
 func TestEmptyGapRunsNoJob(t *testing.T) {
 	r1 := relation.FromIntervals("R1", []interval.Interval{interval.New(10, 20), interval.New(300, 310)})
 	r2 := relation.FromIntervals("R2", []interval.Interval{interval.New(15, 25), interval.New(100, 110)})
@@ -200,13 +194,14 @@ func TestEmptyGapRunsNoJob(t *testing.T) {
 		{"no anchor in the gap", Window{50, 250}},
 		{"anchor without a colocation neighbour", Window{290, 320}},
 	} {
-		ans, err := svc.Query(q, tc.w)
+		tr := obs.New(obs.Options{})
+		ans, err := svc.QueryTraced(q, tc.w, tr)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if len(ans.DeltaWindows) != 1 || ans.Engine != nil || len(ans.Rows) != 0 || string(ans.RowsJSON) != "[]" || ans.Algorithm == "" {
-			t.Fatalf("%s: %d gaps, engine metrics %v, rows %s, algorithm %q; want one gap answered empty without a run",
-				tc.name, len(ans.DeltaWindows), ans.Engine, ans.RowsJSON, ans.Algorithm)
+		if spans := tr.Snapshot().Spans; len(ans.DeltaWindows) != 1 || len(spans) != 0 || len(ans.Rows) != 0 || string(ans.RowsJSON) != "[]" {
+			t.Fatalf("%s: %d gaps, %d spans, rows %s; want one gap answered empty without a join",
+				tc.name, len(ans.DeltaWindows), len(spans), ans.RowsJSON)
 		}
 		again, err := svc.Query(q, tc.w)
 		if err != nil {
@@ -217,12 +212,13 @@ func TestEmptyGapRunsNoJob(t *testing.T) {
 		}
 	}
 	// The same service still joins where there is something to join.
-	ans, err := svc.Query(q, Window{0, 30})
+	tr := obs.New(obs.Options{})
+	ans, err := svc.QueryTraced(q, Window{0, 30}, tr)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if string(ans.RowsJSON) != "[[0,0,0]]" || ans.Engine == nil {
-		t.Fatalf("rows %s, engine metrics %v", ans.RowsJSON, ans.Engine)
+	if spans := tr.Snapshot().Spans; string(ans.RowsJSON) != "[[0,0,0]]" || len(spans) != 1 {
+		t.Fatalf("rows %s, %d spans; want one join", ans.RowsJSON, len(spans))
 	}
 }
 
@@ -252,8 +248,8 @@ func TestWindowCutsStraddlingAnchors(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		want := oracleResult(t, svc, q, rels, w)
-		diffSets(t, "side "+w.string(), answerSet(ans), want.TupleSet())
+		want := oracleResult(t, q, rels, w)
+		sameRows(t, "side "+w.string(), ans, want)
 		if ans.DeltaRows != int64(len(want.Tuples)) || len(ans.DeltaWindows) != 1 {
 			t.Fatalf("side %s: DeltaRows %d over %d gaps, the oracle has %d rows", w.string(), ans.DeltaRows, len(ans.DeltaWindows), len(want.Tuples))
 		}
@@ -273,15 +269,7 @@ func TestWindowCutsStraddlingAnchors(t *testing.T) {
 	if ans.HitSegments != 2 || len(ans.DeltaWindows) != 0 {
 		t.Fatalf("the whole range was not served from the two sides: %+v", ans)
 	}
-	want := oracleResult(t, svc, q, rels, both)
-	if len(ans.Rows) != len(want.Tuples) {
-		t.Fatalf("merged answer has %d rows, the oracle %d", len(ans.Rows), len(want.Tuples))
-	}
-	for i, row := range ans.Rows {
-		if !slices.Equal(row, want.Tuples[i]) {
-			t.Fatalf("merged row %d = %v, the oracle's %v", i, row, want.Tuples[i])
-		}
-	}
+	sameRows(t, "merged", ans, oracleResult(t, q, rels, both))
 }
 
 // TestNarrowAllocationsIndependentOfTuples: narrow marks the positions it
@@ -296,7 +284,7 @@ func TestNarrowAllocationsIndependentOfTuples(t *testing.T) {
 		}
 		rels = append(rels, rel)
 	}
-	svc := newShapedService(t, oneTask, nil, rels...)
+	svc := newTestService(t, rels...)
 	q := predQuery(t, interval.Overlaps)
 	res := residents(t, svc, q)
 	measure := func(gap Window) (allocs float64, kept int) {
@@ -314,5 +302,49 @@ func TestNarrowAllocationsIndependentOfTuples(t *testing.T) {
 	t.Logf("narrow: %.0f allocations for %d tuples, %.0f for %d", narrowAllocs, narrowKept, wideAllocs, wideKept)
 	if narrowAllocs != wideAllocs {
 		t.Fatalf("narrow allocates %.0f times for %d tuples and %.0f times for %d", narrowAllocs, narrowKept, wideAllocs, wideKept)
+	}
+}
+
+// TestDeltaJoinAllocsIndependentOfRows: a delta join — narrowing the
+// residents and joining the selection in line — allocates per slab, never
+// per tuple or per row, so a gap ten times wider, with about ten times the
+// tuples and rows, costs the same objects but for the row chunks the join
+// collects into, whose capacity doubles as they fill: one more chunk per
+// doubling of the rows.
+func TestDeltaJoinAllocsIndependentOfRows(t *testing.T) {
+	var rels []*relation.Relation
+	for i, name := range []string{"R1", "R2"} {
+		rel, err := workload.Generate(workload.Table1Spec(name, 20_000, int64(i+1)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		rels = append(rels, rel)
+	}
+	svc := newTestService(t, rels...)
+	q := predQuery(t, interval.Overlaps)
+	res := residents(t, svc, q)
+	measure := func(gap Window) (allocs float64, kept, rows int) {
+		allocs = testing.AllocsPerRun(50, func() {
+			near := narrow(q, res, gap)
+			ctx, err := core.NewContext(nil, q, near, core.Options{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			joined, err := svc.join(ctx)
+			if err != nil {
+				t.Fatal(err)
+			}
+			kept, rows = near[0].Len()+near[1].Len(), len(joined.Tuples)
+		})
+		return allocs, kept, rows
+	}
+	narrowAllocs, narrowKept, narrowRows := measure(Window{40_000, 40_499})
+	wideAllocs, wideKept, wideRows := measure(Window{40_000, 44_999})
+	if narrowRows == 0 || wideKept < 5*narrowKept || wideRows < 5*narrowRows {
+		t.Fatalf("the gaps keep %d and %d tuples for %d and %d rows; the guard needs them far apart", narrowKept, wideKept, narrowRows, wideRows)
+	}
+	t.Logf("delta join: %.0f allocations for %d tuples and %d rows, %.0f for %d and %d", narrowAllocs, narrowKept, narrowRows, wideAllocs, wideKept, wideRows)
+	if doublings := math.Ceil(math.Log2(float64(wideRows) / float64(narrowRows))); wideAllocs > narrowAllocs+doublings {
+		t.Fatalf("a delta join allocates %.0f times for %d rows and %.0f times for %d", narrowAllocs, narrowRows, wideAllocs, wideRows)
 	}
 }

@@ -12,7 +12,6 @@ import (
 
 	"intervaljoin/internal/core"
 	"intervaljoin/internal/interval"
-	"intervaljoin/internal/mr"
 	"intervaljoin/internal/obs"
 	"intervaljoin/internal/query"
 	"intervaljoin/internal/relation"
@@ -20,20 +19,21 @@ import (
 
 // Service is the resident-relation join service: relations register once
 // and stay in memory, decoded and versioned, and windowed queries answer
-// from the semantic segment cache, running the join engine only over the
-// uncovered delta windows — and there only on the tuples that can reach the
-// window (narrow). It is the transport-free core of cmd/ijoind and directly
-// usable in tests and benchmarks.
+// from the semantic segment cache, joining only the uncovered delta windows
+// — and there only the tuples that can reach the window (narrow). It is the
+// transport-free core of cmd/ijoind and directly usable in tests and
+// benchmarks.
 //
-// Queries run concurrently all the way through, delta joins included: every
-// run gets a core.Context of its own on the shared engine, which keeps
-// concurrent runs apart. The caller bounds how many run at once (cmd/ijoind
-// through admission control).
+// A delta join runs in line, in the querying goroutine (core.JoinInLine):
+// its input is the few tuples that can reach one gap, which one reducer
+// holding them all joins best, so there is no engine, job or shuffle.
+// Queries run concurrently all the way through, delta joins included: each
+// gets a core.Context of its own. The caller bounds how many run at once
+// (cmd/ijoind through admission control).
 type Service struct {
-	engine    *mr.Engine
-	cache     *Cache
-	opts      core.Options
-	algorithm func(*query.Query) core.Algorithm
+	cache *Cache
+	// join runs a delta join: core.JoinInLine, which a test may wrap.
+	join func(*core.Context) (*core.Result, error)
 
 	mu   sync.Mutex // guards rels
 	rels map[string]*residentRel
@@ -178,32 +178,26 @@ func (r *residentRel) wholeRelation() *relation.Relation {
 
 // ServiceConfig configures a Service.
 type ServiceConfig struct {
-	// Engine runs the delta joins. Required.
-	Engine *mr.Engine
 	// CacheBytes is the segment cache's byte budget (0 → DefaultBudget).
 	CacheBytes int64
-	// Opts are the run options applied to every delta join.
+	// Engine is ignored: a delta join runs in line, on no engine. It is
+	// typed any so that the package does not import the engine's.
+	//
+	// Deprecated: ignored; left for callers that still set it.
+	Engine any
+	// Opts is ignored: a delta join has no partitions to size.
+	//
+	// Deprecated: ignored; left for callers that still set it.
 	Opts core.Options
-	// Algorithm optionally overrides the planner's choice per query; nil
-	// uses core.Plan.
-	Algorithm func(*query.Query) core.Algorithm
 }
 
-// NewService builds a service that runs its delta joins on cfg.Engine.
+// NewService builds a service with an empty cache of cfg.CacheBytes. The
+// error is always nil.
 func NewService(cfg ServiceConfig) (*Service, error) {
-	if cfg.Engine == nil {
-		return nil, fmt.Errorf("cache: ServiceConfig.Engine is required")
-	}
-	alg := cfg.Algorithm
-	if alg == nil {
-		alg = func(q *query.Query) core.Algorithm { return core.Plan(q, false) }
-	}
 	return &Service{
-		engine:    cfg.Engine,
-		cache:     New(cfg.CacheBytes),
-		opts:      cfg.Opts,
-		algorithm: alg,
-		rels:      make(map[string]*residentRel),
+		cache: New(cfg.CacheBytes),
+		join:  core.JoinInLine,
+		rels:  make(map[string]*residentRel),
 	}, nil
 }
 
@@ -263,18 +257,12 @@ type Answer struct {
 	// Key is the cache key the query resolved to.
 	Key Key
 	// HitSegments is the number of cached segments merged in;
-	// DeltaWindows are the uncovered gaps the engine re-joined.
+	// DeltaWindows are the uncovered gaps the service joined.
 	HitSegments  int
 	DeltaWindows []Window
 	// CachedRows / DeltaRows count merged rows by provenance, before
 	// clipping and dedup.
 	CachedRows, DeltaRows int64
-	// Algorithm is the driver that ran the delta joins ("" on a full hit).
-	Algorithm string
-	// Engine aggregates the engine metrics of the query's delta runs (one
-	// Merge per gap window). Nil when the cache covered the whole window —
-	// the telemetry bridge in cmd/ijoind publishes it after each query.
-	Engine *mr.Metrics
 	// Merge is the part of Wall spent clipping and merging the segments
 	// into Rows and RowsJSON.
 	Merge time.Duration
@@ -284,23 +272,23 @@ type Answer struct {
 
 // Query answers a windowed query: rows whose anchor intersects the closed
 // window [w.Lo, w.Hi]. Every relation the query names must be registered.
-// Cache-covered spans merge without touching the engine; uncovered gaps
-// run as delta joins over the resident tuples that can reach the gap and
-// populate the cache for the next query.
+// Cache-covered spans merge without a join; uncovered gaps run as delta
+// joins over the resident tuples that can reach the gap and populate the
+// cache for the next query.
 func (s *Service) Query(q *query.Query, w Window) (*Answer, error) {
-	return s.queryOn(s.engine, q, w)
+	return s.queryOn(q, w, nil)
 }
 
-// QueryTraced answers exactly like Query but runs the query's delta joins
-// on an engine derived with tr, so a sampled request's execution spans
-// land in a tracer of their own (dumped as a per-query Chrome trace by
-// cmd/ijoind). Rows are byte-identical to an untraced Query — tracing
-// never changes results, only what gets recorded.
+// QueryTraced answers exactly like Query and records one span on tr per
+// delta join it runs, so a sampled request's joins land in a tracer of their
+// own (dumped as a per-query Chrome trace by cmd/ijoind). Rows are
+// byte-identical to an untraced Query — tracing never changes results, only
+// what gets recorded.
 func (s *Service) QueryTraced(q *query.Query, w Window, tr *obs.Tracer) (*Answer, error) {
-	return s.queryOn(s.engine.WithTracer(tr), q, w)
+	return s.queryOn(q, w, tr)
 }
 
-func (s *Service) queryOn(engine *mr.Engine, q *query.Query, w Window) (*Answer, error) {
+func (s *Service) queryOn(q *query.Query, w Window, tr *obs.Tracer) (*Answer, error) {
 	start := time.Now()
 	if w.Hi < w.Lo {
 		return nil, fmt.Errorf("cache: window [%d,%d] is empty", w.Lo, w.Hi)
@@ -330,9 +318,9 @@ func (s *Service) queryOn(engine *mr.Engine, q *query.Query, w Window) (*Answer,
 	}
 	// Each gap's delta result is built into segment form before it is
 	// cached, so the answer is one merge over segments whether they came
-	// from the cache or from the engine just now.
+	// from the cache or from a join just now.
 	for _, gap := range gaps {
-		seg, err := s.runDelta(engine, q, rels, key, gap, ans)
+		seg, err := s.runDelta(tr, q, rels, key, gap, ans)
 		if err != nil {
 			return nil, err
 		}
@@ -354,10 +342,10 @@ func keyFor(q *query.Query, versions string) Key {
 	return Key{Plan: core.CanonicalPlan(q), Family: q.Classify().String(), Versions: versions}
 }
 
-// RunCold answers the windowed query with a single engine run over the
+// RunCold answers the windowed query with a single delta join over the
 // whole window, bypassing the cache entirely — neither reading nor
 // populating it. It is the benchmark's cold control and the equivalence
-// tests' engine-side oracle; Query with a warm cache must produce exactly
+// tests' uncached reference; Query with a warm cache must produce exactly
 // this row set.
 func (s *Service) RunCold(q *query.Query, w Window) (*Answer, error) {
 	start := time.Now()
@@ -375,7 +363,7 @@ func (s *Service) RunCold(q *query.Query, w Window) (*Answer, error) {
 	ans := &Answer{Window: w, Key: key}
 	var segs []*Segment
 	if !query.ProvablyEmpty(q) {
-		seg, err := s.runDelta(s.engine, q, rels, key, w, ans)
+		seg, err := s.runDelta(nil, q, rels, key, w, ans)
 		if err != nil {
 			return nil, err
 		}
@@ -570,31 +558,35 @@ func narrow(q *query.Query, rels []*residentRel, gap Window) []*relation.Relatio
 }
 
 // runDelta answers one gap: the ordinary, un-windowed join over the tuples
-// that can reach the gap (narrow), on the given engine (the shared one, or a
-// per-query traced derivation), returned in segment form: exactly the rows
-// whose anchor intersects the gap, including whole (unclipped) straddling
-// anchors — the halo the merge dedups. A gap no row can be anchored in is an
-// empty segment and runs nothing. The run's algorithm name, row count and
-// engine metrics are folded into ans. Runs of concurrent queries proceed side
-// by side; two that miss on the same gap both run, and the cache keeps the
-// segment inserted first.
-func (s *Service) runDelta(engine *mr.Engine, q *query.Query, rels []*residentRel, key Key, gap Window, ans *Answer) (*Segment, error) {
-	alg := s.algorithm(q)
-	ans.Algorithm = alg.Name()
+// that can reach the gap (narrow), run in line, returned in segment form:
+// exactly the rows whose anchor intersects the gap, including whole
+// (unclipped) straddling anchors — the halo the merge dedups. A gap no row
+// can be anchored in is an empty segment and joins nothing. The join's row
+// count is folded into ans, and a join is one span on tr. Joins of
+// concurrent queries proceed side by side; two that miss on the same gap
+// both run, and the cache keeps the segment inserted first.
+func (s *Service) runDelta(tr *obs.Tracer, q *query.Query, rels []*residentRel, key Key, gap Window, ans *Answer) (*Segment, error) {
 	arity := len(rels)
 	near := narrow(q, rels, gap)
 	if near == nil {
 		return layoutSegment(key, gap, arity, nil, nil), nil
 	}
-	ctx, err := core.NewContext(engine, q, near, s.opts)
+	lane := tr.Acquire()
+	defer tr.Release(lane)
+	start := lane.Begin()
+	ctx, err := core.NewContext(nil, q, near, core.Options{})
 	if err != nil {
 		return nil, err
 	}
-	res, err := alg.Run(ctx)
+	res, err := s.join(ctx)
 	if err != nil {
 		return nil, err
 	}
-	ans.mergeEngine(res.Metrics)
+	if lane != nil {
+		lane.End(obs.CatReduce, "reduce:delta-join", start,
+			obs.Arg{Key: "gap", Val: "[" + strconv.FormatInt(gap.Lo, 10) + "," + strconv.FormatInt(gap.Hi, 10) + "]"},
+			obs.Arg{Key: "rows", Val: strconv.Itoa(len(res.Tuples))})
+	}
 	ans.DeltaRows += int64(len(res.Tuples))
 	// The result is already a slab in canonical order; it becomes the
 	// segment's as it is. Its anchor groups come in ascending id, and so do
@@ -607,16 +599,4 @@ func (s *Service) runDelta(engine *mr.Engine, q *query.Query, rels []*residentRe
 		}
 		return anchors[0].Attrs[0]
 	}), nil
-}
-
-// mergeEngine folds one delta run's engine metrics into the answer.
-func (a *Answer) mergeEngine(m *mr.Metrics) {
-	if m == nil {
-		return
-	}
-	if a.Engine == nil {
-		a.Engine = mr.NewMetrics("query")
-		a.Engine.Cycles = 0
-	}
-	a.Engine.Merge(m)
 }

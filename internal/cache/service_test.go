@@ -3,9 +3,11 @@ package cache
 import (
 	"errors"
 	"fmt"
+	"math"
 	"math/rand"
 	"path/filepath"
 	"runtime"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -17,7 +19,6 @@ import (
 	"intervaljoin/internal/interval"
 	"intervaljoin/internal/mr"
 	"intervaljoin/internal/obs"
-	"intervaljoin/internal/obs/live"
 	"intervaljoin/internal/query"
 	"intervaljoin/internal/relation"
 )
@@ -58,28 +59,10 @@ func max(a, b interval.Point) interval.Point {
 	return b
 }
 
-// serviceShape is how a test service runs its delta joins: on how many
-// workers, over how many reducers.
-type serviceShape struct {
-	name    string
-	workers int
-	opts    core.Options
-}
-
-var (
-	// spread splits every delta join over several reducers and workers.
-	spread = serviceShape{"k=4", 4, core.Options{Partitions: 4, PartitionsPerDim: 3}}
-	// oneTask is cmd/ijoind's default: each delta join is one task, one
-	// worker and one reducer.
-	oneTask = serviceShape{"one task", 1, core.Options{Partitions: 1, PartitionsPerDim: 1}}
-)
-
-// newShapedService builds a service of the given shape over rels; alg nil
-// is the planner's choice.
-func newShapedService(t *testing.T, shape serviceShape, alg func(*query.Query) core.Algorithm, rels ...*relation.Relation) *Service {
+// newConfiguredService builds a service of cfg over rels.
+func newConfiguredService(t *testing.T, cfg ServiceConfig, rels ...*relation.Relation) *Service {
 	t.Helper()
-	eng := mr.NewEngine(mr.Config{Store: dfs.NewMem(), Workers: shape.workers})
-	svc, err := NewService(ServiceConfig{Engine: eng, Opts: shape.opts, Algorithm: alg})
+	svc, err := NewService(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -93,7 +76,7 @@ func newShapedService(t *testing.T, shape serviceShape, alg func(*query.Query) c
 
 func newTestService(t *testing.T, rels ...*relation.Relation) *Service {
 	t.Helper()
-	return newShapedService(t, spread, nil, rels...)
+	return newConfiguredService(t, ServiceConfig{}, rels...)
 }
 
 func predQuery(t *testing.T, pred interval.Predicate) *query.Query {
@@ -110,7 +93,7 @@ func predQuery(t *testing.T, pred interval.Predicate) *query.Query {
 // down to the tuples whose first attribute meets the closed window, every
 // other relation stays whole, and the in-memory reference join runs over
 // that.
-func oracleResult(t *testing.T, svc *Service, q *query.Query, rels []*relation.Relation, w Window) *core.Result {
+func oracleResult(t *testing.T, q *query.Query, rels []*relation.Relation, w Window) *core.Result {
 	t.Helper()
 	anchors := relation.New(rels[0].Schema)
 	for _, tup := range rels[0].Tuples {
@@ -118,7 +101,7 @@ func oracleResult(t *testing.T, svc *Service, q *query.Query, rels []*relation.R
 			anchors.Tuples = append(anchors.Tuples, tup)
 		}
 	}
-	ctx, err := core.NewContext(svc.engine, q, append([]*relation.Relation{anchors}, rels[1:]...), core.Options{})
+	ctx, err := core.NewContext(nil, q, append([]*relation.Relation{anchors}, rels[1:]...), core.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -129,30 +112,57 @@ func oracleResult(t *testing.T, svc *Service, q *query.Query, rels []*relation.R
 	return res
 }
 
-// oracleWindow is the oracle's answer as a set of row keys.
-func oracleWindow(t *testing.T, svc *Service, q *query.Query, rels []*relation.Relation, w Window) map[string]struct{} {
-	t.Helper()
-	return oracleResult(t, svc, q, rels, w).TupleSet()
-}
-
-func answerSet(a *Answer) map[string]struct{} {
-	set := make(map[string]struct{}, len(a.Rows))
-	for _, r := range a.Rows {
-		set[r.Key()] = struct{}{}
-	}
-	return set
-}
-
-func diffSets(t *testing.T, label string, got, want map[string]struct{}) {
-	t.Helper()
-	for k := range want {
-		if _, ok := got[k]; !ok {
-			t.Fatalf("%s: missing row %s (got %d rows, want %d)", label, k, len(got), len(want))
+// rowsDiffer says how an answer's rows differ from the oracle's result, nil
+// when they do not: they must strictly increase — a repeated row is a fault,
+// not a duplicate to look past — and equal the oracle's IDs slab, row for
+// row. The first differing row is named.
+func rowsDiffer(got []core.OutputTuple, want *core.Result) error {
+	for i := 1; i < len(got); i++ {
+		if slices.Compare(got[i-1], got[i]) >= 0 {
+			return fmt.Errorf("row %d %v does not follow row %d %v (%d rows)", i, got[i], i-1, got[i-1], len(got))
 		}
 	}
-	for k := range got {
-		if _, ok := want[k]; !ok {
-			t.Fatalf("%s: extra row %s (got %d rows, want %d)", label, k, len(got), len(want))
+	n := len(want.Tuples)
+	for i := 0; i < min(len(got), n); i++ {
+		w := len(want.IDs) / n
+		if row := want.IDs[i*w : (i+1)*w]; !slices.Equal(got[i], row) {
+			return fmt.Errorf("row %d is %v, the oracle's %v (%d rows, the oracle %d)", i, got[i], row, len(got), n)
+		}
+	}
+	if len(got) != n {
+		return fmt.Errorf("%d rows, the oracle %d, which agree on the first %d", len(got), n, min(len(got), n))
+	}
+	return nil
+}
+
+// sameRows fails the test when the answer's rows are not the oracle's.
+func sameRows(t *testing.T, label string, got *Answer, want *core.Result) {
+	t.Helper()
+	if err := rowsDiffer(got.Rows, want); err != nil {
+		t.Fatalf("%s: %v", label, err)
+	}
+}
+
+// TestRowsDifferCatchesPlantedRows: the comparison the cache suites make
+// fails an answer with one row planted twice and one with a row missing, at
+// the head, in the middle and at the tail, and passes the oracle's own rows.
+func TestRowsDifferCatchesPlantedRows(t *testing.T) {
+	q := predQuery(t, interval.Overlaps)
+	rels := []*relation.Relation{adversarialRelation("R1", 7), adversarialRelation("R2", 11)}
+	want := oracleResult(t, q, rels, Window{0, 400})
+	if len(want.Tuples) < 3 {
+		t.Fatalf("the oracle has %d rows; the plants need three", len(want.Tuples))
+	}
+	if err := rowsDiffer(want.Tuples, want); err != nil {
+		t.Fatalf("the oracle's own rows: %v", err)
+	}
+	for _, at := range []int{0, len(want.Tuples) / 2, len(want.Tuples) - 1} {
+		dup := slices.Insert(slices.Clone(want.Tuples), at, want.Tuples[at])
+		if rowsDiffer(dup, want) == nil {
+			t.Errorf("row %d planted twice passed", at)
+		}
+		if rowsDiffer(slices.Delete(slices.Clone(want.Tuples), at, at+1), want) == nil {
+			t.Errorf("row %d left out passed", at)
 		}
 	}
 }
@@ -176,43 +186,37 @@ var windowMix = []Window{
 // cold windowed result — sorted-set identical — despite boundary-straddling
 // anchors appearing in multiple segments. The anti-vacuity guard asserts
 // the mix actually exercised partial hits, full hits and cached segments,
-// so the equivalence is not vacuously about empty caches. It holds for a
-// service that spreads its delta joins over four reducers and for one that
-// runs each as one task.
+// so the equivalence is not vacuously about empty caches.
 func TestCachedMergePlusDeltaEqualsColdRun(t *testing.T) {
 	for p := interval.Predicate(0); p < interval.NumPredicates; p++ {
-		p := p
 		t.Run(p.String(), func(t *testing.T) {
 			t.Parallel()
 			r1 := adversarialRelation("R1", 7)
 			r2 := adversarialRelation("R2", 11)
 			q := predQuery(t, p)
 			rels := []*relation.Relation{r1, r2}
-			for _, shape := range []serviceShape{spread, oneTask} {
-				svc := newShapedService(t, shape, nil, r1, r2)
-				label := p.String() + " " + shape.name
-				sawPartial := false
-				for i, w := range windowMix {
-					ans, err := svc.Query(q, w)
-					if err != nil {
-						t.Fatal(err)
-					}
-					if ans.HitSegments > 0 && len(ans.DeltaWindows) > 0 {
-						sawPartial = true
-					}
-					want := oracleWindow(t, svc, q, rels, w)
-					diffSets(t, label+" window "+w.string()+" (query "+itoa(i)+")", answerSet(ans), want)
+			svc := newTestService(t, r1, r2)
+			label := p.String()
+			sawPartial := false
+			for i, w := range windowMix {
+				ans, err := svc.Query(q, w)
+				if err != nil {
+					t.Fatal(err)
 				}
-				st := svc.Stats()
-				if st.FullHits == 0 || st.PartialHits == 0 || st.HitSegments == 0 {
-					t.Fatalf("%s: anti-vacuity: mix never exercised the cache: %+v", label, st)
+				if ans.HitSegments > 0 && len(ans.DeltaWindows) > 0 {
+					sawPartial = true
 				}
-				if !sawPartial {
-					t.Fatalf("%s: anti-vacuity: no query merged cached segments with delta joins", label)
-				}
-				if st.DeltaRows == 0 && st.CachedRows == 0 {
-					t.Fatalf("%s: anti-vacuity: no rows flowed at all: %+v", label, st)
-				}
+				sameRows(t, label+" window "+w.string()+" (query "+itoa(i)+")", ans, oracleResult(t, q, rels, w))
+			}
+			st := svc.Stats()
+			if st.FullHits == 0 || st.PartialHits == 0 || st.HitSegments == 0 {
+				t.Fatalf("%s: anti-vacuity: mix never exercised the cache: %+v", label, st)
+			}
+			if !sawPartial {
+				t.Fatalf("%s: anti-vacuity: no query merged cached segments with delta joins", label)
+			}
+			if st.DeltaRows == 0 && st.CachedRows == 0 {
+				t.Fatalf("%s: anti-vacuity: no rows flowed at all: %+v", label, st)
 			}
 		})
 	}
@@ -243,9 +247,10 @@ func itoa(i int) string {
 }
 
 // TestWarmAnswerMatchesColdEngineRun pins the other leg of the equivalence:
-// the service's warm answer equals a from-scratch engine run of the same
+// the service's warm answer equals a from-scratch delta join of the same
 // windowed query on a fresh service (cold cache), exercising the service's
-// own selection rather than the in-memory oracle.
+// own selection rather than the in-memory oracle — and both are the
+// oracle's.
 func TestWarmAnswerMatchesColdEngineRun(t *testing.T) {
 	r1 := adversarialRelation("R1", 3)
 	r2 := adversarialRelation("R2", 5)
@@ -270,7 +275,10 @@ func TestWarmAnswerMatchesColdEngineRun(t *testing.T) {
 		if coldAns.HitSegments != 0 {
 			t.Fatalf("cold service reported cache hits: %+v", coldAns)
 		}
-		diffSets(t, "warm vs cold "+w.string(), answerSet(warmAns), answerSet(coldAns))
+		if !slices.EqualFunc(warmAns.Rows, coldAns.Rows, slices.Equal) || string(warmAns.RowsJSON) != string(coldAns.RowsJSON) {
+			t.Fatalf("warm vs cold %s: %d rows %s, the cold service's %d rows %s", w.string(), len(warmAns.Rows), warmAns.RowsJSON, len(coldAns.Rows), coldAns.RowsJSON)
+		}
+		sameRows(t, "warm "+w.string(), warmAns, oracleResult(t, q, []*relation.Relation{r1, r2}, w))
 	}
 }
 
@@ -301,8 +309,7 @@ func TestVersionBumpInvalidates(t *testing.T) {
 	if first.Key == second.Key {
 		t.Fatalf("cache key did not change across versions: %+v", first.Key)
 	}
-	want := oracleWindow(t, svc, q, []*relation.Relation{r1, r2b}, w)
-	diffSets(t, "post-bump", answerSet(second), want)
+	sameRows(t, "post-bump", second, oracleResult(t, q, []*relation.Relation{r1, r2b}, w))
 }
 
 // TestThreeWayHybridWindow covers a multi-relation hybrid query through the
@@ -325,7 +332,7 @@ func TestThreeWayHybridWindow(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		diffSets(t, "hybrid "+w.string(), answerSet(ans), oracleWindow(t, svc, q, rels, w))
+		sameRows(t, "hybrid "+w.string(), ans, oracleResult(t, q, rels, w))
 	}
 	if st := svc.Stats(); st.FullHits == 0 || st.HitSegments == 0 {
 		t.Fatalf("hybrid mix never hit the cache: %+v", st)
@@ -355,11 +362,12 @@ func TestUnregisteredRelationRejected(t *testing.T) {
 	}
 }
 
-// TestDeltaScratchIsRemoved pins the store's steady state: registration
-// writes nothing (the relations stay in memory), and no delta join — a miss,
-// a gap of a partial hit, a RunCold; two-way, a three-way chain, or PASM with
-// the barrier between its prune and join cycles — puts anything there, so
-// the store is empty after every query.
+// TestDeltaScratchIsRemoved pins the store's steady state for a caller that
+// still hands the service an engine (the deprecated, ignored
+// ServiceConfig.Engine): registration writes nothing, and no delta join — a
+// miss, a gap of a partial hit, a RunCold; two-way, a three-way chain or a
+// hybrid — puts anything on that engine's store, so it is empty after every
+// query.
 func TestDeltaScratchIsRemoved(t *testing.T) {
 	threeWay := predQuery(t, interval.Overlaps)
 	if err := threeWay.AddCondition("R2", "", interval.Overlaps, "R3", ""); err != nil {
@@ -369,123 +377,35 @@ func TestDeltaScratchIsRemoved(t *testing.T) {
 	if err := hybrid.AddCondition("R2", "", interval.Before, "R3", ""); err != nil {
 		t.Fatal(err)
 	}
-	for _, tc := range []struct {
-		name    string
-		alg     core.Algorithm // nil: the planner's choice
-		queries []*query.Query
-	}{
-		{"planner", nil, []*query.Query{predQuery(t, interval.Overlaps), threeWay}},
-		{"pasm", core.PASM{}, []*query.Query{threeWay, hybrid}},
-	} {
-		t.Run(tc.name, func(t *testing.T) {
-			svc := newTestService(t, adversarialRelation("R1", 41), adversarialRelation("R2", 43), adversarialRelation("R3", 45))
-			if tc.alg != nil {
-				svc.algorithm = func(*query.Query) core.Algorithm { return tc.alg }
+	t.Run("planner", func(t *testing.T) {
+		store := dfs.NewMem()
+		cfg := ServiceConfig{Engine: mr.NewEngine(mr.Config{Store: store}), Opts: core.Options{Partitions: 4, PartitionsPerDim: 3}}
+		svc := newConfiguredService(t, cfg, adversarialRelation("R1", 41), adversarialRelation("R2", 43), adversarialRelation("R3", 45))
+		empty := func(after string) {
+			t.Helper()
+			files, err := store.List("")
+			if err != nil || len(files) != 0 {
+				t.Fatalf("store holds %v (%v) after %s, want nothing", files, err, after)
 			}
-			empty := func(after string) {
-				t.Helper()
-				files, err := svc.engine.Store().List("")
-				if err != nil || len(files) != 0 {
-					t.Fatalf("store holds %v (%v) after %s, want nothing", files, err, after)
-				}
-			}
-			for _, q := range tc.queries {
-				for lo := interval.Point(0); lo < 400; lo += 25 {
-					ans, err := svc.Query(q, Window{lo, lo + 30})
-					if err != nil {
-						t.Fatal(err)
-					}
-					if len(ans.DeltaWindows) == 0 {
-						t.Fatalf("window [%d,%d] ran no delta join; the test wants one per query", lo, lo+30)
-					}
-					if tc.alg != nil && ans.Algorithm != tc.alg.Name() {
-						t.Fatalf("the delta join ran %s, want %s", ans.Algorithm, tc.alg.Name())
-					}
-					empty(fmt.Sprintf("window [%d,%d]", lo, lo+30))
-				}
-				if _, err := svc.RunCold(q, Window{0, 400}); err != nil {
+		}
+		empty("registration")
+		for _, q := range []*query.Query{predQuery(t, interval.Overlaps), threeWay, hybrid} {
+			for lo := interval.Point(0); lo < 400; lo += 25 {
+				ans, err := svc.Query(q, Window{lo, lo + 30})
+				if err != nil {
 					t.Fatal(err)
 				}
-				empty("RunCold")
+				if len(ans.DeltaWindows) == 0 {
+					t.Fatalf("window [%d,%d] ran no delta join; the test wants one per query", lo, lo+30)
+				}
+				empty(fmt.Sprintf("window [%d,%d]", lo, lo+30))
 			}
-		})
-	}
-}
-
-// stuckStore is a store whose files cannot be removed.
-type stuckStore struct{ *dfs.Mem }
-
-func (stuckStore) Remove(name string) error { return fmt.Errorf("remove %s: read-only", name) }
-
-// TestFailedScratchRemovalIsCounted: a spill run the store refuses to delete
-// does not fail the query, and shows in the answer's engine metrics
-// (CleanupFailures) and from there in the live ij_engine_cleanup_failures_total
-// series. Spill runs are the only files a run leaves to remove: what stays
-// on the store is exactly the runs the shuffle spilled, for PASM's three
-// cycles as for the default two-way join.
-func TestFailedScratchRemovalIsCounted(t *testing.T) {
-	hybrid := predQuery(t, interval.Overlaps)
-	if err := hybrid.AddCondition("R2", "", interval.Before, "R3", ""); err != nil {
-		t.Fatal(err)
-	}
-	for _, tc := range []struct {
-		name string
-		q    *query.Query
-		alg  core.Algorithm // nil: the planner's choice
-	}{
-		{"hybrid pasm", hybrid, core.PASM{}},
-		{"two-way default", predQuery(t, interval.Overlaps), nil},
-	} {
-		t.Run(tc.name, func(t *testing.T) {
-			store := stuckStore{dfs.NewMem()}
-			eng := mr.NewEngine(mr.Config{Store: store, Workers: 2, SpillPairThreshold: 16})
-			cfg := ServiceConfig{Engine: eng, Opts: core.Options{Partitions: 4, PartitionsPerDim: 4}}
-			if tc.alg != nil {
-				cfg.Algorithm = func(*query.Query) core.Algorithm { return tc.alg }
-			}
-			svc, err := NewService(cfg)
-			if err != nil {
+			if _, err := svc.RunCold(q, Window{0, 400}); err != nil {
 				t.Fatal(err)
 			}
-			for _, r := range []*relation.Relation{adversarialRelation("R1", 47), adversarialRelation("R2", 53), adversarialRelation("R3", 57)} {
-				if _, err := svc.Register(r); err != nil {
-					t.Fatal(err)
-				}
-			}
-			ans, err := svc.Query(tc.q, Window{0, 400})
-			if err != nil {
-				t.Fatal(err)
-			}
-			if len(ans.Rows) == 0 || ans.Engine == nil {
-				t.Fatal("the query ran no delta join, or it returned no rows")
-			}
-			left, err := store.List("")
-			if err != nil {
-				t.Fatal(err)
-			}
-			failed := ans.Engine.CleanupFailures
-			if failed == 0 || failed != len(left) || failed != ans.Engine.SpillRuns {
-				t.Fatalf("CleanupFailures = %d, SpillRuns = %d, files left %v, with a store that removes nothing",
-					failed, ans.Engine.SpillRuns, left)
-			}
-			for _, f := range left {
-				if !strings.HasPrefix(f, ".spill/") {
-					t.Errorf("the run left %s, which is no spill run", f)
-				}
-			}
-			reg := live.NewRegistry()
-			mr.NewLiveSet(reg).Publish(ans.Engine)
-			series := -1.0
-			for _, f := range reg.Snapshot().Families {
-				if f.Name == "ij_engine_cleanup_failures_total" {
-					series = f.Series[0].Value
-				}
-			}
-			if series != float64(failed) {
-				t.Fatalf("ij_engine_cleanup_failures_total = %v, Answer.Engine.CleanupFailures = %d", series, failed)
-			}
-		})
-	}
+			empty("RunCold")
+		}
+	})
 }
 
 // TestRegisterKeepsNoTuplePointers: a registered relation is the service's
@@ -502,7 +422,7 @@ func TestRegisterKeepsNoTuplePointers(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	svc := newShapedService(t, oneTask, nil)
+	svc := newTestService(t)
 	freed := make(chan string, len(names))
 	register := func(name string) {
 		rel, err := relation.LoadFile(relation.NewSchema(name), path(name))
@@ -558,7 +478,7 @@ func TestRegisterKeepsNoTuplePointers(t *testing.T) {
 		if len(ans.Rows) == 0 || string(ans.RowsJSON) != string(cold.RowsJSON) {
 			t.Fatalf("%s: rows %s, RunCold's %s", tc.q, ans.RowsJSON, cold.RowsJSON)
 		}
-		diffSets(t, tc.q.String(), answerSet(ans), oracleWindow(t, svc, tc.q, tc.rels, w))
+		sameRows(t, tc.q.String(), ans, oracleResult(t, tc.q, tc.rels, w))
 	}
 }
 
@@ -602,26 +522,17 @@ func TestFullHitAllocationsIndependentOfRows(t *testing.T) {
 // that the cache drops while they are in use. Each goroutine also asks every
 // window traced, under a tracer of its own, and cold, bypassing the cache, so
 // delta joins of all three paths run side by side. Every answer must still be
-// the oracle's, and once the goroutines are done no goroutine the engine
+// the oracle's, and once the goroutines are done no goroutine a query
 // started is left running.
 func TestConcurrentQueriesShareSegments(t *testing.T) {
 	before := runtime.NumGoroutine()
 	r1, r2 := adversarialRelation("R1", 67), adversarialRelation("R2", 71)
 	rels := []*relation.Relation{r1, r2}
-	eng := mr.NewEngine(mr.Config{Store: dfs.NewMem(), Workers: 2})
-	svc, err := NewService(ServiceConfig{Engine: eng, CacheBytes: 8 << 10, Opts: core.Options{Partitions: 4}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, r := range rels {
-		if _, err := svc.Register(r); err != nil {
-			t.Fatal(err)
-		}
-	}
+	svc := newConfiguredService(t, ServiceConfig{CacheBytes: 8 << 10}, rels...)
 	q := predQuery(t, interval.Overlaps)
-	want := make([]map[string]struct{}, len(windowMix))
+	want := make([]*core.Result, len(windowMix))
 	for i, w := range windowMix {
-		want[i] = oracleWindow(t, svc, q, rels, w)
+		want[i] = oracleResult(t, q, rels, w)
 	}
 	var wg sync.WaitGroup
 	for g := 0; g < 4; g++ {
@@ -645,15 +556,9 @@ func TestConcurrentQueriesShareSegments(t *testing.T) {
 							t.Error(err)
 							return
 						}
-						got := answerSet(ans)
-						if len(got) != len(ans.Rows) {
-							t.Errorf("%s, window %s: %d rows, %d distinct", path.name, w.string(), len(ans.Rows), len(got))
-						}
-						for k := range want[i] {
-							if _, ok := got[k]; !ok || len(got) != len(want[i]) {
-								t.Errorf("%s, window %s: answer of %d rows differs from the oracle's %d (row %s)", path.name, w.string(), len(got), len(want[i]), k)
-								return
-							}
+						if err := rowsDiffer(ans.Rows, want[i]); err != nil {
+							t.Errorf("%s, window %s: %v", path.name, w.string(), err)
+							return
 						}
 					}
 				}
@@ -672,43 +577,32 @@ func TestConcurrentQueriesShareSegments(t *testing.T) {
 	}
 }
 
-// errOneAtATime is what a delta join held at twoParty reports when no second
-// join joined it.
+// errOneAtATime is what a delta join held back for a second one reports
+// when none came.
 var errOneAtATime = errors.New("delta joins ran one at a time")
-
-// twoParty runs the planner's choice, but holds the first two runs until
-// both are inside Run: the first waits for the second, at most 10 s.
-type twoParty struct {
-	core.Algorithm
-	entered *atomic.Int32
-	both    chan struct{}
-}
-
-func (b twoParty) Run(ctx *core.Context) (*core.Result, error) {
-	switch b.entered.Add(1) {
-	case 1:
-		select {
-		case <-b.both:
-		case <-time.After(10 * time.Second):
-			return nil, errOneAtATime
-		}
-	case 2:
-		close(b.both)
-	}
-	return b.Algorithm.Run(ctx)
-}
 
 // TestDeltaJoinsRunConcurrently: two queries that miss a cold cache on
 // disjoint windows run their delta joins at the same time, not one after the
-// other — the first run waits inside Run until the second has come in. Each
-// answer is RunCold's for its window.
+// other — the first join waits to start until the second has come in, at
+// most 10 s. Each answer is RunCold's for its window.
 func TestDeltaJoinsRunConcurrently(t *testing.T) {
 	var entered atomic.Int32
 	both := make(chan struct{})
-	alg := func(q *query.Query) core.Algorithm {
-		return twoParty{Algorithm: core.Plan(q, false), entered: &entered, both: both}
+	svc := newTestService(t, adversarialRelation("R1", 89), adversarialRelation("R2", 97))
+	join := svc.join
+	svc.join = func(ctx *core.Context) (*core.Result, error) {
+		switch entered.Add(1) {
+		case 1:
+			select {
+			case <-both:
+			case <-time.After(10 * time.Second):
+				return nil, errOneAtATime
+			}
+		case 2:
+			close(both)
+		}
+		return join(ctx)
 	}
-	svc := newShapedService(t, oneTask, alg, adversarialRelation("R1", 89), adversarialRelation("R2", 97))
 	q := predQuery(t, interval.Overlaps)
 	windows := []Window{{0, 150}, {250, 400}}
 	answers := make([]*Answer, len(windows))
@@ -728,7 +622,7 @@ func TestDeltaJoinsRunConcurrently(t *testing.T) {
 		}
 	}
 	for i, w := range windows {
-		if answers[i].Engine == nil {
+		if len(answers[i].DeltaWindows) != 1 || answers[i].DeltaRows == 0 {
 			t.Fatalf("window %s ran no delta join", w.string())
 		}
 		cold, err := svc.RunCold(q, w)
@@ -737,6 +631,88 @@ func TestDeltaJoinsRunConcurrently(t *testing.T) {
 		}
 		if got, want := string(answers[i].RowsJSON), string(cold.RowsJSON); got != want || len(cold.Rows) == 0 {
 			t.Fatalf("window %s: the query answered %d rows and RunCold %d; want the same, and some", w.string(), len(answers[i].Rows), len(cold.Rows))
+		}
+	}
+}
+
+// TestServiceSpansTheWholeLine: data may lie anywhere on the int64 time line
+// and so may a window. The residents cluster around ±2^62, with intervals
+// spanning the two clusters, the middle and either end of the line; the whole
+// line, a window inside it and the two half-lines through 0 are each asked
+// cold of a fresh service, through RunCold, and in turn of one service whose
+// cache the earlier windows filled — the half-line [0, MaxInt64] after
+// [MinInt64, 0] is a partial hit, the rest full hits — and every answer is
+// the oracle's.
+func TestServiceSpansTheWholeLine(t *testing.T) {
+	const far = int64(1) << 62
+	rng := rand.New(rand.NewSource(62))
+	var rels []*relation.Relation
+	for _, name := range []string{"R1", "R2", "R3"} {
+		var ivs []interval.Interval
+		for _, c := range []int64{-far, far} {
+			for i := 0; i < 30; i++ {
+				s := c + rng.Int63n(400) - 200
+				ivs = append(ivs, interval.New(s, s+rng.Int63n(50)))
+			}
+		}
+		ivs = append(ivs,
+			interval.New(-far, far),
+			interval.New(-far+rng.Int63n(100), 0),
+			interval.New(0, far+rng.Int63n(100)),
+			interval.New(0, 0),
+			interval.New(math.MinInt64, math.MinInt64+rng.Int63n(8)),
+			interval.New(math.MaxInt64-rng.Int63n(8), math.MaxInt64),
+			interval.New(math.MinInt64, math.MaxInt64),
+		)
+		rels = append(rels, relation.FromIntervals(name, ivs))
+	}
+	chain := predQuery(t, interval.Overlaps)
+	if err := chain.AddCondition("R2", "", interval.Overlaps, "R3", ""); err != nil {
+		t.Fatal(err)
+	}
+	before := predQuery(t, interval.Overlaps)
+	if err := before.AddCondition("R1", "", interval.Before, "R3", ""); err != nil {
+		t.Fatal(err)
+	}
+	windows := []Window{
+		{math.MinInt64, 0},
+		{0, math.MaxInt64},
+		{-far + 100, far - 100},
+		{math.MinInt64, math.MaxInt64},
+	}
+	for _, tc := range []struct {
+		name string
+		q    *query.Query
+		rels []*relation.Relation
+	}{
+		{"two-way", predQuery(t, interval.Overlaps), rels[:2]},
+		{"chain", chain, rels},
+		{"before", before, rels},
+	} {
+		warm := newTestService(t, tc.rels...)
+		for _, w := range windows {
+			want := oracleResult(t, tc.q, tc.rels, w)
+			if len(want.Tuples) == 0 {
+				t.Fatalf("%s %s: the oracle has no rows; the window checks nothing", tc.name, w.string())
+			}
+			cold, err := newTestService(t, tc.rels...).Query(tc.q, w)
+			if err != nil {
+				t.Fatalf("%s %s: %v", tc.name, w.string(), err)
+			}
+			sameRows(t, tc.name+" cold "+w.string(), cold, want)
+			run, err := warm.RunCold(tc.q, w)
+			if err != nil {
+				t.Fatalf("%s %s: %v", tc.name, w.string(), err)
+			}
+			sameRows(t, tc.name+" RunCold "+w.string(), run, want)
+			cached, err := warm.Query(tc.q, w)
+			if err != nil {
+				t.Fatalf("%s %s: %v", tc.name, w.string(), err)
+			}
+			sameRows(t, tc.name+" cached "+w.string(), cached, want)
+		}
+		if st := warm.Stats(); st.PartialHits != 1 || st.FullHits != 2 {
+			t.Fatalf("%s: the windows were %d partial and %d full hits, want 1 and 2: %+v", tc.name, st.PartialHits, st.FullHits, st)
 		}
 	}
 }

@@ -1,6 +1,8 @@
 package cache
 
 import (
+	"slices"
+	"strconv"
 	"testing"
 
 	"intervaljoin/internal/interval"
@@ -12,9 +14,8 @@ import (
 // per-query tracer (the sampled-tracing path ijoind takes) must return the
 // exact same answer — same rows in the same canonical order, same cache
 // provenance — as the plain path on an identically warmed twin service.
-// It also pins the engine-metrics bridge: delta-running queries must carry
-// aggregated engine counters on the Answer, full hits must not, and a
-// sampled tracer must actually have recorded spans.
+// It also pins what the tracer records: one reduce span per delta join,
+// whose rows add up to the answer's DeltaRows, and nothing for a full hit.
 func TestQueryTracedMatchesUntraced(t *testing.T) {
 	r1a, r2a := adversarialRelation("R1", 31), adversarialRelation("R2", 37)
 	r1b, r2b := adversarialRelation("R1", 31), adversarialRelation("R2", 37)
@@ -33,37 +34,43 @@ func TestQueryTracedMatchesUntraced(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if len(got.Rows) != len(want.Rows) {
-			t.Fatalf("query %d window [%d,%d]: traced %d rows, untraced %d",
-				i, w.Lo, w.Hi, len(got.Rows), len(want.Rows))
+		if !slices.EqualFunc(got.Rows, want.Rows, slices.Equal) || string(got.RowsJSON) != string(want.RowsJSON) {
+			t.Fatalf("query %d window [%d,%d]: traced %d rows %s, untraced %d rows %s",
+				i, w.Lo, w.Hi, len(got.Rows), got.RowsJSON, len(want.Rows), want.RowsJSON)
 		}
-		for j := range want.Rows {
-			if got.Rows[j].Key() != want.Rows[j].Key() {
-				t.Fatalf("query %d window [%d,%d] row %d: traced %s, untraced %s",
-					i, w.Lo, w.Hi, j, got.Rows[j].Key(), want.Rows[j].Key())
-			}
+		if got.HitSegments != want.HitSegments || len(got.DeltaWindows) != len(want.DeltaWindows) || got.DeltaRows != want.DeltaRows {
+			t.Fatalf("query %d: traced provenance (%d segments, %d deltas, %d delta rows) != untraced (%d, %d, %d)",
+				i, got.HitSegments, len(got.DeltaWindows), got.DeltaRows, want.HitSegments, len(want.DeltaWindows), want.DeltaRows)
 		}
-		if got.HitSegments != want.HitSegments || len(got.DeltaWindows) != len(want.DeltaWindows) {
-			t.Fatalf("query %d: traced provenance (%d segments, %d deltas) != untraced (%d, %d)",
-				i, got.HitSegments, len(got.DeltaWindows), want.HitSegments, len(want.DeltaWindows))
-		}
-		if len(got.DeltaWindows) > 0 {
-			sawDelta = true
-			if got.Engine == nil {
-				t.Fatalf("query %d ran %d delta joins but Answer.Engine is nil", i, len(got.DeltaWindows))
-			}
-			if got.Engine.OutputRecords != got.DeltaRows {
-				t.Fatalf("query %d: engine bridge reports %d output records, answer has %d delta rows",
-					i, got.Engine.OutputRecords, got.DeltaRows)
-			}
-			if snap := tr.Snapshot(); len(snap.Spans) == 0 {
-				t.Fatalf("query %d ran delta joins under a tracer but recorded no spans", i)
-			}
-		} else {
+		spans := tr.Snapshot().Spans
+		if len(got.DeltaWindows) == 0 {
 			sawFullHit = true
-			if got.Engine != nil {
-				t.Fatalf("query %d was a full hit but carries engine metrics", i)
+			if len(spans) != 0 {
+				t.Fatalf("query %d was a full hit but recorded %d spans", i, len(spans))
 			}
+			continue
+		}
+		sawDelta = true
+		if len(spans) != len(got.DeltaWindows) {
+			t.Fatalf("query %d ran %d delta joins and recorded %d spans", i, len(got.DeltaWindows), len(spans))
+		}
+		var rows int64
+		for _, sp := range spans {
+			if sp.Cat != obs.CatReduce || sp.Name != "reduce:delta-join" {
+				t.Fatalf("query %d recorded span %s %q, want a reduce:delta-join", i, sp.Cat, sp.Name)
+			}
+			for _, a := range sp.Args {
+				if a.Key == "rows" {
+					n, err := strconv.ParseInt(a.Val, 10, 64)
+					if err != nil {
+						t.Fatal(err)
+					}
+					rows += n
+				}
+			}
+		}
+		if rows != got.DeltaRows {
+			t.Fatalf("query %d: the spans hold %d rows, the answer %d delta rows", i, rows, got.DeltaRows)
 		}
 	}
 	// Anti-vacuity: the mix must have exercised both paths.

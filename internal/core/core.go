@@ -89,7 +89,8 @@ type Context struct {
 }
 
 // NewContext validates and assembles a run context. Relations are matched to
-// the query's relation list by name.
+// the query's relation list by name. engine may be nil for a context that
+// only JoinInLine or Reference runs on: neither starts a job.
 func NewContext(engine *mr.Engine, q *query.Query, rels []*relation.Relation, opts Options) (*Context, error) {
 	if err := q.Validate(); err != nil {
 		return nil, err
@@ -244,10 +245,10 @@ type Result struct {
 }
 
 // setRows makes rows — a chain's last stage's output as the engine
-// committed it, or the oracle's as it was enumerated, both collected as p
-// says (rowPacking.rows) — the run's result, in canonical order, and hands
-// their chunks back to the engine's pool: rows must not be read again. It
-// allocates IDs and Tuples and nothing else.
+// committed it or as JoinInLine collected it, or the oracle's as it was
+// enumerated, all collected as p says (rowPacking.rows) — the run's result,
+// in canonical order, and hands their chunks back to the engine's pool: rows
+// must not be read again. It allocates IDs and Tuples and nothing else.
 //
 // Packed rows are words, ordered in linear time: a radix sort from the
 // chunks into the head of the result slab (sortWords), then one backward

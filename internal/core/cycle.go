@@ -556,6 +556,39 @@ func (cj cellJoin) job(c *Context) mr.Job {
 	return job
 }
 
+// JoinInLine joins the context's relations in the caller: the last stage of
+// a one-cell plan, whose single reducer holds every relation whole, run once
+// with no job, shuffle or record. It loads the relations into one prepared
+// join and collects its rows as cellJoin's last stage does — a word from the
+// join's last level when the rows pack, through rowPacking.put otherwise —
+// so the result is the one every algorithm returns: the join's rows in
+// canonical order. Its Metrics are nil, since no cycle ran, and ctx.Engine
+// may be nil.
+func JoinInLine(ctx *Context) (*Result, error) {
+	rels := allRelations(len(ctx.Rels))
+	whole := make([][]relation.Tuple, len(rels))
+	for i, r := range ctx.Rels {
+		whole[i] = r.Tuples
+	}
+	e := newEnumerator(ctx.Query.Conds, rels)
+	p := e.get()
+	if err := p.load(nil, rels, whole); err != nil {
+		return nil, err
+	}
+	rows := ctx.packing.rows()
+	if ctx.packing.words {
+		p.runWords(rows, &ctx.packing)
+	} else if err := p.run(func(asg []relation.Tuple) error {
+		ctx.packing.put(rows, rels, asg)
+		return nil
+	}); err != nil {
+		return nil, err
+	}
+	res := &Result{Algorithm: "in-line"}
+	res.setRows(rows, &ctx.packing)
+	return res, nil
+}
+
 // bindStep describes a bind-step cycle: the partial assignments in current
 // are joined with one novel relation on the step's driving condition, every
 // other condition that becomes checkable is applied, and the extended

@@ -546,6 +546,7 @@ func (p *preparedJoin) load(values []string, lvl []int, whole [][]relation.Tuple
 		p.raw[i] = slices.Grow(p.raw[i], len(values)/len(p.raw)+1)
 	}
 	for i, ts := range whole {
+		p.raw[i] = slices.Grow(p.raw[i], len(ts))
 		for _, t := range ts {
 			p.addTuple(i, t)
 		}

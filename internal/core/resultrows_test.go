@@ -37,15 +37,16 @@ func renumbered(rels []*relation.Relation) []*relation.Relation {
 }
 
 // TestResultRowsMatchReference is the result path against the oracle: for
-// the planner's algorithm and every Algorithms(q) entry, on the 13 two-way
-// predicates and the three-way colocation, hybrid (with and without a
-// relation small enough for the planner to broadcast) and sequence shapes,
-// under uniform, equi-depth and force-split adaptive boundaries, Result.IDs
-// equal Reference's id for id. Every case runs twice — on ids that pack, so
-// the join's last level writes words and the result is radix-ordered, and on
-// the same intervals renumbered past 63 bits, so rows are ids and ordered by
-// comparison — and each run asserts which of the two it took. The oracle's
-// own two runs must agree once the second's ids are mapped back.
+// the planner's algorithm, every Algorithms(q) entry and JoinInLine, on the
+// 13 two-way predicates and the three-way colocation, hybrid (with and
+// without a relation small enough for the planner to broadcast) and sequence
+// shapes, under uniform, equi-depth and force-split adaptive boundaries,
+// Result.IDs equal Reference's id for id. Every case runs twice — on ids that
+// pack, so the join's last level writes words and the result is
+// radix-ordered, and on the same intervals renumbered past 63 bits, so rows
+// are ids and ordered by comparison — and each run asserts which of the two
+// it took. The oracle's own two runs must agree once the second's ids are
+// mapped back.
 func TestResultRowsMatchReference(t *testing.T) {
 	type shape struct {
 		name string
@@ -126,6 +127,14 @@ func TestResultRowsMatchReference(t *testing.T) {
 					if p := got.Metrics.Plan; p != nil && len(p.Broadcast) > 0 {
 						broadcast = true
 					}
+				}
+				got, err := JoinInLine(ctx)
+				if err != nil {
+					t.Fatalf("%s in-line: %v", label, err)
+				}
+				checkResultForm(t, label+" in-line", got, len(in))
+				if !slices.Equal(got.IDs, want.IDs) {
+					t.Errorf("%s in-line (words %v): %d rows, the oracle %d, or other ids", label, words, len(got.Tuples), len(want.Tuples))
 				}
 			}
 		}

@@ -5,8 +5,6 @@ import (
 
 	"intervaljoin/internal/cache"
 	"intervaljoin/internal/core"
-	"intervaljoin/internal/dfs"
-	"intervaljoin/internal/mr"
 	"intervaljoin/internal/query"
 	"intervaljoin/internal/relation"
 	"intervaljoin/internal/workload"
@@ -14,10 +12,10 @@ import (
 
 // QueryMix measures the ijoind semantic segment cache on a zipfian
 // time-range query mix (workload.ZipfQueryMix): each window runs once cold
-// (whole-window engine run, cache bypassed) and once through the cache,
-// which merges covered segments and re-joins only the uncovered gaps. The
-// sweep over the zipf exponent shows the cache's leverage growing with
-// access skew: hotter mixes re-visit the same ranges, so the span hit
+// (one delta join over the whole window, cache bypassed) and once through
+// the cache, which merges covered segments and re-joins only the uncovered
+// gaps. The sweep over the zipf exponent shows the cache's leverage growing
+// with access skew: hotter mixes re-visit the same ranges, so the span hit
 // ratio climbs and the warm mean latency collapses.
 func QueryMix(cfg Config) (*Table, error) {
 	cfg = cfg.withDefaults()
@@ -41,6 +39,7 @@ func QueryMix(cfg Config) (*Table, error) {
 		Columns: []string{"skew", "queries", "hit_ratio", "full_hits", "delta_rows", "cold_ms", "warm_ms", "speedup"},
 		Notes: []string{
 			"expected shape: hit ratio and speedup rise with skew; every warm answer is verified row-identical to its cold run",
+			"delta joins run in line, one join over the tuples that can reach the gap, on no engine; a traced run records one span per warm delta join",
 		},
 	}
 	queries := cfg.scaled(20_000)
@@ -48,10 +47,7 @@ func QueryMix(cfg Config) (*Table, error) {
 		queries = 20
 	}
 	for _, skew := range []float64{1.2, 1.5, 2.5} {
-		svc, err := cache.NewService(cache.ServiceConfig{
-			Engine: mr.NewEngine(mr.Config{Store: dfs.NewMem(), Workers: cfg.Workers, Tracer: cfg.Tracer}),
-			Opts:   core.Options{Partitions: 16, PartitionsPerDim: 6, Adaptive: cfg.Adaptive},
-		})
+		svc, err := cache.NewService(cache.ServiceConfig{})
 		if err != nil {
 			return nil, err
 		}
@@ -73,7 +69,7 @@ func QueryMix(cfg Config) (*Table, error) {
 			if err != nil {
 				return nil, err
 			}
-			warm, err := svc.Query(q, win)
+			warm, err := svc.QueryTraced(q, win, cfg.Tracer)
 			if err != nil {
 				return nil, err
 			}

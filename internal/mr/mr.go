@@ -314,17 +314,6 @@ func NewEngine(cfg Config) *Engine {
 // Tracer returns the engine's tracer (nil when tracing is disabled).
 func (e *Engine) Tracer() *obs.Tracer { return e.tracer }
 
-// WithTracer returns a derived engine identical to e but recording into
-// tr (which may be nil to disable tracing). The engine carries only
-// configuration, so the copy shares the store and runs interchangeably
-// with the original — this is how a service attaches a fresh per-query
-// tracer to a sampled request without touching the shared engine.
-func (e *Engine) WithTracer(tr *obs.Tracer) *Engine {
-	d := *e
-	d.tracer = tr
-	return &d
-}
-
 // Store returns the engine's file store.
 func (e *Engine) Store() dfs.Store { return e.store }
 

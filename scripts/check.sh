@@ -17,7 +17,10 @@
 #                      last-stage reduce nothing per result row
 #                      (TestRowEmissionAllocs), the service's selection of a
 #                      delta join's tuples nothing per tuple
-#                      (TestNarrowAllocationsIndependentOfTuples), and
+#                      (TestNarrowAllocationsIndependentOfTuples), its
+#                      in-line delta join nothing per tuple or row but a
+#                      row chunk per doubling
+#                      (TestDeltaJoinAllocsIndependentOfRows), and
 #                      validating ids that strictly increase nothing at all
 #                      (TestValidateAllocatesNothingFor...)
 #   5. go test -race — full suite (unit, integration, property, oracle
@@ -50,12 +53,10 @@
 #                      on any wrong answer
 #   7. live scrape   — ijoind -selfcheck boots the real server, drives a
 #                      window mix over HTTP, strictly validates the /metrics
-#                      exposition text, and archives the scrape plus a
-#                      sampled query trace (docs/OBSERVABILITY.md), at the
-#                      defaults (one task per delta join); then a second
-#                      short run whose delta joins are PASM's, the one
-#                      chain with a barrier between its cycles, spread over
-#                      two workers and several reducers
+#                      exposition text — delta joins must have run
+#                      (ij_query_delta_windows_total > 0) — and archives the
+#                      scrape plus a sampled query trace
+#                      (docs/OBSERVABILITY.md)
 #
 # Usage: scripts/check.sh
 set -eu
@@ -95,20 +96,21 @@ go test -run 'TestLiveDisabledZeroCost' ./internal/obs/live/
 # (the join's last level packs each row into one word). On the service's
 # side, narrowing a resident to a delta join's tuples costs the same objects
 # for a gap ten times wider (positions in a bitset, each selection made at
-# its exact size), and validating the narrowed relation, whose ids strictly
-# increase, builds no set of seen ids. A per-pair, per-row or per-tuple
-# allocation creeping back fails here, with the count, before anything
-# slower runs.
+# its exact size), and so does the in-line join of those tuples but for one
+# row chunk per doubling of its rows, and validating the narrowed relation,
+# whose ids strictly increase, builds no set of seen ids. A per-pair,
+# per-row or per-tuple allocation creeping back fails here, with the count,
+# before anything slower runs.
 go test -run 'TestShuffleAllocsDoNotFollowEmissions' ./internal/mr/
 go test -run 'TestRCCISOpAllocs|TestProductRouteAllocs|TestRowEmissionAllocs' ./internal/core/
-go test -run 'TestNarrowAllocationsIndependentOfTuples' ./internal/cache/
+go test -run 'TestNarrowAllocationsIndependentOfTuples|TestDeltaJoinAllocsIndependentOfRows' ./internal/cache/
 go test -run 'TestValidateAllocatesNothingFor' ./internal/relation/
 
 echo "== go test -race =="
 go test -race ./...
-# Concurrent queries run their delta joins side by side on one engine, and
-# concurrent runs share the engine's pools: a race there may take several
-# runs to show, so the tests that drive it run ten times more, by name.
+# Concurrent queries run their delta joins side by side, and concurrent runs
+# share the engine's pools: a race there may take several runs to show, so
+# the tests that drive it run ten times more, by name.
 go test -race -count=10 -run 'Concurrent' ./internal/cache ./internal/core
 
 echo "== fuzz smoke =="
@@ -146,16 +148,9 @@ echo "== live /metrics scrape =="
 # HTTP, and strictly validate the /metrics exposition (duplicate series,
 # bad names, broken histogram invariants all fail). The validated scrape
 # and a sampled per-query Chrome trace land in artifacts/ for CI to
-# archive. The first run keeps ijoind's defaults, one task per delta join.
-# The second joins every gap with PASM — three cycles, a barrier between
-# the last two, and the marking carried across it by a tap — over two
-# workers, four partitions and three per grid dimension, so the service's
-# multi-cycle, multi-task path is driven end to end too.
+# archive.
 go run ./cmd/ijoind -selfcheck -rows 2000 -queries 8 -log-level warn \
     -scrape-out artifacts/live-metrics.prom \
     -trace-dir artifacts/query-traces -trace-sample 3 -trace-keep 4
-go run ./cmd/ijoind -selfcheck -algorithm pasm -workers 2 -partitions 4 -per-dim 3 \
-    -rows 2000 -queries 8 -log-level warn \
-    -scrape-out artifacts/live-metrics-pasm.prom
 
 echo "check.sh: all green"

@@ -10,8 +10,12 @@
 #
 # Digests (package, test, test file, environment variable):
 #   internal/cache TestServiceDigest: the service's answers — sha256 of
-#     RowsJSON, DeltaRows and the algorithm — for a fixed mix of 200 windows,
-#     four queries, a planner service at k = 4 and a one-task service.
+#     RowsJSON and DeltaRows — for a fixed mix of 200 windows, three
+#     queries and two service shapes; in a tree whose service still runs its
+#     delta joins on an engine, the shapes are a planner service at k = 4
+#     and a one-task service, and a tree whose delta joins run in line
+#     ignores the shape, so the two trees' digests agree only if the in-line
+#     answers are the engine's byte for byte.
 #   internal/core TestCoreDigest: every algorithm's answer — sha256 of
 #     Result.IDs — and routing — per cycle pairs, physical pairs, keys,
 #     pairs per key and records written, per run replicated and pruned
