@@ -1,0 +1,270 @@
+package intervaljoin
+
+import (
+	"bytes"
+	"fmt"
+	"math"
+	"math/rand"
+	"slices"
+	"strings"
+	"testing"
+
+	"intervaljoin/internal/core"
+)
+
+// randomConnectedQuery writes a query of class over m relations R1..Rm in
+// which every relation after the first is linked to an earlier one, so that
+// its order is connected. A General query's relations carry two
+// attributes, x and y, and each link constrains both.
+func randomConnectedQuery(rng *rand.Rand, class string, m int) string {
+	colocation := []string{"overlaps", "overlappedby", "contains", "containedby", "meets", "metby",
+		"starts", "startedby", "finishes", "finishedby", "equals"}
+	sequence := []string{"before", "after"}
+	var conds []string
+	for r := 2; r <= m; r++ {
+		left, right := fmt.Sprintf("R%d", 1+rng.Intn(r-1)), fmt.Sprintf("R%d", r)
+		if rng.Intn(2) == 0 {
+			left, right = right, left
+		}
+		pick := func(preds []string) string { return preds[rng.Intn(len(preds))] }
+		switch class {
+		case "colocation":
+			conds = append(conds, left+" "+pick(colocation)+" "+right)
+		case "sequence":
+			conds = append(conds, left+" "+pick(sequence)+" "+right)
+		case "hybrid":
+			// The first link is a sequence, every later one a colocation.
+			preds := [][]string{sequence, colocation}[min(r-2, 1)]
+			conds = append(conds, left+" "+pick(preds)+" "+right)
+		case "general":
+			conds = append(conds,
+				left+".x "+pick(colocation)+" "+right+".x",
+				left+".y "+pick(append(colocation, sequence...))+" "+right+".y")
+		}
+	}
+	return strings.Join(conds, " and ")
+}
+
+// randomRelations draws the query's relations, each of 0..maxN tuples with
+// as many attributes as the query names. Starts fall in [0, 400) and
+// intervals are up to 30 long, so colocation predicates match often.
+func randomRelations(rng *rand.Rand, q *Query, maxN int) []*Relation {
+	rels := make([]*Relation, len(q.Relations))
+	for i, s := range q.Relations {
+		rel := NewRelation(s)
+		for range rng.Intn(maxN + 1) {
+			attrs := make([]Interval, s.Arity())
+			for a := range attrs {
+				start := rng.Int63n(400)
+				attrs[a] = NewInterval(start, start+rng.Int63n(31))
+			}
+			rel.Append(attrs...)
+		}
+		rels[i] = rel
+	}
+	return rels
+}
+
+// TestRunInLineMatchesJob: Engine.Run with no options joins small inputs in
+// line, and its rows are the planner's job's, id for id, on random connected
+// colocation, sequence, hybrid and General queries over two to five
+// relations (three to five for a hybrid: on two relations of one attribute
+// a sequence and a colocation condition contradict). The in-line result
+// says so, with metrics and a plan block.
+func TestRunInLineMatchesJob(t *testing.T) {
+	rng := rand.New(rand.NewSource(50))
+	eng := MustNewEngine(EngineOptions{})
+	rows := 0
+	for _, class := range []string{"colocation", "sequence", "hybrid", "general"} {
+		for trial := range 12 {
+			m := 2 + trial%4
+			if class == "hybrid" {
+				m = 3 + trial%3
+			}
+			q, err := ParseQuery(randomConnectedQuery(rng, class, m))
+			if err != nil {
+				t.Fatal(err)
+			}
+			// A sequence condition matches about half of all pairs: cap a
+			// relation at the m-th root of 10^5 tuples, so that such a query
+			// has 10^5 rows at most.
+			maxN := 300
+			if class == "sequence" || class == "hybrid" {
+				maxN = min(maxN, int(math.Pow(1e5, 1/float64(m))))
+			}
+			rels := randomRelations(rng, q, maxN)
+			label := fmt.Sprintf("%s %q", class, q)
+			got, err := eng.Run(q, rels, RunOptions{})
+			if err != nil {
+				t.Fatalf("%s: %v", label, err)
+			}
+			want, err := eng.RunWith(core.Plan(q, false), q, rels, RunOptions{Partitions: 16, PartitionsPerDim: 6})
+			if err != nil {
+				t.Fatalf("%s: job: %v", label, err)
+			}
+			if !slices.Equal(got.IDs, want.IDs) {
+				t.Errorf("%s: in line %d rows, the job %d, or other ids", label, len(got.Tuples), len(want.Tuples))
+			}
+			rows += len(want.Tuples)
+			tuples := 0
+			for _, r := range rels {
+				tuples += r.Len()
+			}
+			mt := got.Metrics
+			switch {
+			case got.Algorithm != "in-line":
+				t.Errorf("%s: ran %s", label, got.Algorithm)
+			case mt == nil || mt.Plan == nil || mt.Plan.InLine == nil:
+				t.Errorf("%s: no in-line plan block in %+v", label, mt)
+			case mt.Plan.InLine.Tuples != int64(tuples) || mt.MapInputRecords != int64(tuples) ||
+				mt.OutputRecords != int64(len(got.Tuples)) || mt.Plan.InLine.Cap < int64(tuples):
+				t.Errorf("%s: %d tuples and %d rows, reported as %+v and %s", label, tuples, len(got.Tuples), *mt.Plan.InLine, mt)
+			case math.IsInf(mt.ReplicationFactor(), 0) || math.IsNaN(mt.ReplicationFactor()):
+				t.Errorf("%s: replication factor %v", label, mt.ReplicationFactor())
+			}
+		}
+	}
+	if rows == 0 {
+		t.Fatal("no query had a row; the comparison checks nothing")
+	}
+}
+
+// TestInLineRunIsReported: a traced in-line run records one span, and its
+// plan reaches metrics.json and the metrics line.
+func TestInLineRunIsReported(t *testing.T) {
+	tracer := NewTracer(TracerOptions{})
+	eng := MustNewEngine(EngineOptions{Tracer: tracer})
+	q, _ := ParseQuery("R1 overlaps R2")
+	rels := []*Relation{
+		FromIntervals("R1", []Interval{NewInterval(0, 10), NewInterval(2, 12)}),
+		FromIntervals("R2", []Interval{NewInterval(5, 25)}),
+	}
+	res, err := eng.Run(q, rels, RunOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Algorithm != "in-line" || len(res.Tuples) != 2 {
+		t.Fatalf("%s: %v", res.Algorithm, res.Tuples)
+	}
+	spans := tracer.Snapshot().Spans
+	if len(spans) != 1 || spans[0].Name != "reduce:in-line" {
+		t.Errorf("spans %+v, want one reduce:in-line", spans)
+	}
+	var doc bytes.Buffer
+	if err := eng.WriteMetrics(&doc, res); err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(doc.String(), `"in_line": {`) || !strings.Contains(doc.String(), `"tuples": 3`) {
+		t.Errorf("metrics.json has no in-line plan:\n%s", doc.String())
+	}
+	if line := res.Metrics.String(); !strings.Contains(line, "in-line(tuples=3<=cap=") {
+		t.Errorf("metrics line %q does not say the run was in line", line)
+	}
+}
+
+// byName is res's rows with their columns in relation-name order, sorted:
+// the same join written in two relation orders gives the same rows.
+func byName(q *Query, res *Result) [][]int64 {
+	order := make([]int, len(q.Relations))
+	for i := range order {
+		order[i] = i
+	}
+	slices.SortFunc(order, func(a, b int) int { return strings.Compare(q.Relations[a].Name, q.Relations[b].Name) })
+	rows := make([][]int64, len(res.Tuples))
+	for i, t := range res.Tuples {
+		for _, k := range order {
+			rows[i] = append(rows[i], t[k])
+		}
+	}
+	slices.SortFunc(rows, slices.Compare)
+	return rows
+}
+
+// TestInLineNeedsConnectedOrder: a query whose relation order leaves one
+// unconstrained by any earlier relation runs the planner's job, while the
+// same join written in a connected order runs in line, with the same rows.
+// Any option set runs the job too.
+func TestInLineNeedsConnectedOrder(t *testing.T) {
+	rng := rand.New(rand.NewSource(4))
+	rels := make([]*Relation, 0, 4)
+	for _, name := range []string{"R1", "R2", "R3", "R4"} {
+		ivs := make([]Interval, 40)
+		for i := range ivs {
+			start := rng.Int63n(400)
+			ivs[i] = NewInterval(start, start+rng.Int63n(30))
+		}
+		rels = append(rels, FromIntervals(name, ivs))
+	}
+	eng := MustNewEngine(EngineOptions{})
+	run := func(qs string, opts RunOptions) (*Query, *Result) {
+		t.Helper()
+		q, err := ParseQuery(qs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := eng.Run(q, rels, opts)
+		if err != nil {
+			t.Fatalf("%s: %v", qs, err)
+		}
+		return q, res
+	}
+	const disconnected = "R1 overlaps R2 and R3 overlaps R4 and R4 overlaps R1"
+	const connected = "R1 overlaps R2 and R4 overlaps R1 and R3 overlaps R4"
+	dq, job := run(disconnected, RunOptions{})
+	cq, inLine := run(connected, RunOptions{})
+	if job.Algorithm == "in-line" || inLine.Algorithm != "in-line" {
+		t.Fatalf("%q ran %s and %q ran %s", disconnected, job.Algorithm, connected, inLine.Algorithm)
+	}
+	if len(job.Tuples) == 0 || !slices.EqualFunc(byName(dq, job), byName(cq, inLine), slices.Equal) {
+		t.Errorf("the job has %d rows, in line %d, or other ids", len(job.Tuples), len(inLine.Tuples))
+	}
+	for _, opts := range []RunOptions{
+		{Partitions: 16}, {PartitionsPerDim: 6}, {EquiDepth: true}, {Adaptive: true},
+		{SplitThreshold: 2}, {MaxVirtual: 8}, {AutoPartitions: true},
+	} {
+		if _, res := run(connected, opts); res.Algorithm == "in-line" {
+			t.Errorf("options %+v ran in line", opts)
+		}
+	}
+}
+
+// TestInLineRunAllocsIndependentOfRows: an in-line run over ten times the
+// tuples, for ten times the rows, costs the same objects but for one row
+// chunk per doubling of its rows: the arena, the levels' lists and the
+// result slab are each sized once.
+func TestInLineRunAllocsIndependentOfRows(t *testing.T) {
+	eng := MustNewEngine(EngineOptions{})
+	q, _ := ParseQuery("R1 overlaps R2")
+	measure := func(n int) (allocs float64, rows int) {
+		rng := rand.New(rand.NewSource(int64(n)))
+		rels := make([]*Relation, 2)
+		for i, name := range []string{"R1", "R2"} {
+			ivs := make([]Interval, n)
+			for k := range ivs {
+				start := rng.Int63n(int64(n) * 20)
+				ivs[k] = NewInterval(start, start+rng.Int63n(40))
+			}
+			rels[i] = FromIntervals(name, ivs)
+		}
+		allocs = testing.AllocsPerRun(20, func() {
+			res, err := eng.Run(q, rels, RunOptions{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if res.Algorithm != "in-line" {
+				t.Fatalf("%d tuples ran %s", 2*n, res.Algorithm)
+			}
+			rows = len(res.Tuples)
+		})
+		return allocs, rows
+	}
+	smallAllocs, smallRows := measure(500)
+	largeAllocs, largeRows := measure(5000)
+	if smallRows == 0 || largeRows < 5*smallRows {
+		t.Fatalf("%d and %d rows; the guard needs them far apart", smallRows, largeRows)
+	}
+	t.Logf("in-line run: %.0f allocations for %d rows, %.0f for %d", smallAllocs, smallRows, largeAllocs, largeRows)
+	if doublings := math.Ceil(math.Log2(float64(largeRows) / float64(smallRows))); largeAllocs > smallAllocs+doublings {
+		t.Fatalf("an in-line run allocates %.0f times for %d rows and %.0f times for %d", smallAllocs, smallRows, largeAllocs, largeRows)
+	}
+}

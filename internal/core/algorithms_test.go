@@ -26,8 +26,9 @@ func randomRelation(rng *rand.Rand, name string, n int, domain, maxLen int64) *r
 }
 
 // crossValidate runs every algorithm against the oracle on the given query
-// and relations and fails on any output-set difference or duplicate.
-func crossValidate(t *testing.T, q *query.Query, rels []*relation.Relation, opts Options, algs ...Algorithm) {
+// and relations and fails on any difference from the oracle's rows
+// (rowsDiffer), a duplicate row included.
+func crossValidate(t testing.TB, q *query.Query, rels []*relation.Relation, opts Options, algs ...Algorithm) {
 	t.Helper()
 	engine := mr.NewEngine(mr.Config{Store: dfs.NewMem(), Workers: 4})
 	refCtx, err := NewContext(engine, q, rels, opts)
@@ -39,7 +40,6 @@ func crossValidate(t *testing.T, q *query.Query, rels []*relation.Relation, opts
 		t.Fatal(err)
 	}
 	checkResultForm(t, "reference", want, len(rels))
-	wantSet := want.TupleSet()
 	for _, alg := range algs {
 		ctx, err := NewContext(engine, q, rels, opts)
 		if err != nil {
@@ -54,32 +54,121 @@ func crossValidate(t *testing.T, q *query.Query, rels []*relation.Relation, opts
 				alg.Name(), got.Metrics.OutputRecords, len(got.Tuples), q)
 		}
 		checkResultForm(t, alg.Name(), got, len(rels))
-		gotSet := got.TupleSet()
-		if len(got.Tuples) != len(gotSet) {
-			t.Errorf("%s: %d tuples but %d distinct — duplicates emitted (query %s)",
-				alg.Name(), len(got.Tuples), len(gotSet), q)
+		if err := rowsDiffer(got, want); err != nil {
+			t.Errorf("%s: %v (query %s)", alg.Name(), err, q)
 		}
-		if len(gotSet) != len(wantSet) {
-			t.Errorf("%s: %d tuples, oracle has %d (query %s)", alg.Name(), len(gotSet), len(wantSet), q)
+	}
+}
+
+// rowsDiffer says how a run's rows differ from the oracle's, or is nil when
+// they are the same: its rows strictly increase, so that none repeats, and
+// its ids slab is the oracle's.
+func rowsDiffer(got, want *Result) error {
+	for i := 1; i < len(got.Tuples); i++ {
+		if slices.Compare(got.Tuples[i-1], got.Tuples[i]) >= 0 {
+			return fmt.Errorf("row %d %v does not follow row %d %v: a duplicate, or out of order", i, got.Tuples[i], i-1, got.Tuples[i-1])
 		}
-		for k := range wantSet {
-			if _, ok := gotSet[k]; !ok {
-				t.Errorf("%s: missing output tuple %s (query %s)", alg.Name(), k, q)
-				break
-			}
+	}
+	for i := range min(len(got.Tuples), len(want.Tuples)) {
+		if !slices.Equal(got.Tuples[i], want.Tuples[i]) {
+			return fmt.Errorf("row %d is %v, the oracle's %v (%d rows, the oracle %d)", i, got.Tuples[i], want.Tuples[i], len(got.Tuples), len(want.Tuples))
 		}
-		for k := range gotSet {
-			if _, ok := wantSet[k]; !ok {
-				t.Errorf("%s: spurious output tuple %s (query %s)", alg.Name(), k, q)
-				break
-			}
+	}
+	if len(got.Tuples) != len(want.Tuples) || !slices.Equal(got.IDs, want.IDs) {
+		return fmt.Errorf("%d rows, the oracle %d, which agree on the first %d", len(got.Tuples), len(want.Tuples), min(len(got.Tuples), len(want.Tuples)))
+	}
+	return nil
+}
+
+// plantedRows is alg with its result's rows replaced by what spoil makes of
+// them, laid out as every run's are.
+type plantedRows struct {
+	alg   Algorithm
+	spoil func([]OutputTuple) []OutputTuple
+}
+
+func (p plantedRows) Name() string { return "planted " + p.alg.Name() }
+
+func (p plantedRows) Run(ctx *Context) (*Result, error) {
+	res, err := p.alg.Run(ctx)
+	if err != nil {
+		return nil, err
+	}
+	rows, w := p.spoil(slices.Clone(res.Tuples)), len(ctx.Rels)
+	res.IDs = make([]int64, 0, len(rows)*w)
+	for _, row := range rows {
+		res.IDs = append(res.IDs, row...)
+	}
+	res.Tuples = make([]OutputTuple, len(rows))
+	for i := range rows {
+		res.Tuples[i] = res.IDs[i*w : (i+1)*w : (i+1)*w]
+	}
+	res.Metrics.OutputRecords = int64(len(rows))
+	return res, nil
+}
+
+// failureLog is a testing.TB that records a failure instead of failing the
+// test; its Fatal unwinds to recordFailure.
+type failureLog struct {
+	testing.TB
+	failed bool
+}
+
+type fatalStop struct{}
+
+func (f *failureLog) Helper()               {}
+func (f *failureLog) Errorf(string, ...any) { f.failed = true }
+func (f *failureLog) Fatal(...any)          { f.failed = true; panic(fatalStop{}) }
+func (f *failureLog) Fatalf(string, ...any) { f.failed = true; panic(fatalStop{}) }
+
+// recordFailure runs fn, a check that fails through f, and reports whether
+// it failed.
+func (f *failureLog) recordFailure(fn func()) bool {
+	defer func() {
+		if r := recover(); r != nil && r != (fatalStop{}) {
+			panic(r)
+		}
+	}()
+	fn()
+	return f.failed
+}
+
+// TestCrossValidateCatchesPlantedRows: crossValidate fails a run with one
+// row planted twice and one with a row left out, at the head, in the middle
+// and at the tail, and passes the run's own rows.
+func TestCrossValidateCatchesPlantedRows(t *testing.T) {
+	rng := rand.New(rand.NewSource(9))
+	q := query.MustParse("R1 overlaps R2 and R2 overlaps R3")
+	rels := make([]*relation.Relation, len(q.Relations))
+	for i, s := range q.Relations {
+		rels[i] = randomRelation(rng, s.Name, 60, 150, 25)
+	}
+	fails := func(spoil func([]OutputTuple) []OutputTuple) bool {
+		log := &failureLog{TB: t}
+		return log.recordFailure(func() {
+			crossValidate(log, q, rels, Options{Partitions: 5}, plantedRows{RCCIS{}, spoil})
+		})
+	}
+	var n int
+	if fails(func(rows []OutputTuple) []OutputTuple { n = len(rows); return rows }) {
+		t.Fatal("the run's own rows failed")
+	}
+	if n < 3 {
+		t.Fatalf("the run has %d rows; the plants need three", n)
+	}
+	for _, at := range []int{0, n / 2, n - 1} {
+		if !fails(func(rows []OutputTuple) []OutputTuple { return slices.Insert(rows, at, rows[at]) }) {
+			t.Errorf("row %d planted twice passed", at)
+		}
+		if !fails(func(rows []OutputTuple) []OutputTuple { return slices.Delete(rows, at, at+1) }) {
+			t.Errorf("row %d left out passed", at)
 		}
 	}
 }
 
 // checkResultForm pins the shape every run's output has: rows of w ids in
 // canonical order, as views of one slab that holds nothing else.
-func checkResultForm(t *testing.T, name string, res *Result, w int) {
+func checkResultForm(t testing.TB, name string, res *Result, w int) {
 	t.Helper()
 	if len(res.IDs) != len(res.Tuples)*w || cap(res.IDs) != len(res.IDs) {
 		t.Fatalf("%s: %d tuples of %d ids over a slab of %d (cap %d)", name, len(res.Tuples), w, len(res.IDs), cap(res.IDs))

@@ -2,8 +2,11 @@ package core
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
+	"slices"
 	"testing"
+	"time"
 
 	"intervaljoin/internal/dfs"
 	"intervaljoin/internal/interval"
@@ -361,4 +364,107 @@ func BenchmarkSetRows(b *testing.B) {
 	b.Run("skew-64kx2", func(b *testing.B) { benchSetRows(b, 64_000, 2, 1000) })
 	b.Run("matrix-58kx3", func(b *testing.B) { benchSetRows(b, 58_000, 3, 1000) })
 	b.Run("wide-64kx2", func(b *testing.B) { benchSetRows(b, 64_000, 2, 1<<40) })
+}
+
+// inLineShape is one query of BenchmarkInLineCap with its inputs at n tuples
+// in all, drawn at a density that does not change with n.
+type inLineShape struct {
+	name, query string
+	rels        func(rng *rand.Rand, n int) []*relation.Relation
+}
+
+var inLineShapes = []inLineShape{
+	// batch-sparse's chain: three equal relations, a start every 100 points
+	// in each, intervals up to 100 long.
+	{"chain", "R1 overlaps R2 and R2 overlaps R3", func(rng *rand.Rand, n int) []*relation.Relation {
+		k := n / 3
+		return []*relation.Relation{
+			randomRelation(rng, "R1", k, int64(k)*100, 100),
+			randomRelation(rng, "R2", k, int64(k)*100, 100),
+			randomRelation(rng, "R3", n-2*k, int64(k)*100, 100),
+		}
+	}},
+	// batch-matrix's hybrid: R1 and R2 at its density, and its 60 tuples in
+	// R3, which the planner broadcasts.
+	{"hybrid", "R1 overlaps R2 and R2 before R3", func(rng *rand.Rand, n int) []*relation.Relation {
+		k := (n - 60) / 2
+		domain := int64(k) * 200_000 / 3100
+		return []*relation.Relation{
+			randomRelation(rng, "R1", k, domain, 120),
+			randomRelation(rng, "R2", n-60-k, domain, 120),
+			randomRelation(rng, "R3", 60, domain, 120),
+		}
+	}},
+	// examples/spatial's General query: cities and one river for every 64
+	// cities, on a map whose area grows with n.
+	{"general", "city.x overlaps river.x and city.y overlaps river.y", func(rng *rand.Rand, n int) []*relation.Relation {
+		side := int64(10_000 * math.Sqrt(float64(n)/3040))
+		box := func(lo, hi int64) interval.Interval {
+			length := lo + rng.Int63n(hi-lo+1)
+			s := rng.Int63n(side - length)
+			return interval.New(s, s+length)
+		}
+		rivers := relation.New(relation.NewSchema("river", "x", "y"))
+		for range n / 64 {
+			rivers.Append(box(side/5, 3*side/5), box(100, 400))
+		}
+		cities := relation.New(relation.NewSchema("city", "x", "y"))
+		for range n - rivers.Len() {
+			cities.Append(box(100, 400), box(100, 400))
+		}
+		return []*relation.Relation{cities, rivers}
+	}},
+}
+
+// BenchmarkInLineCap is the sweep inLineCap was read from: each shape at n
+// tuples in all, joined by the planner's job on an engine with the default
+// workers and by JoinInLine, both from NewContext on, as Engine.Run runs
+// them. The two run in pairs, back to back and each first in turn, so that
+// a busy host slows both sides of a pair alike. It reports each side's
+// median wall, job-ms and in-line-ms, and the share of pairs in-line won;
+// the cap is the largest power of two at which in-line is no slower on any
+// shape. rows/op is the join's output.
+func BenchmarkInLineCap(b *testing.B) {
+	for _, sh := range inLineShapes {
+		q := query.MustParse(sh.query)
+		for _, n := range []int{1 << 11, 1 << 13, 1 << 14, 1 << 15, 1 << 16, 1 << 17} {
+			rels := sh.rels(rand.New(rand.NewSource(1)), n)
+			arms := [2]func(*Context) (*Result, error){Plan(q, false).Run, JoinInLine}
+			b.Run(fmt.Sprintf("%s/n=%d", sh.name, n), func(b *testing.B) {
+				var walls [2][]float64
+				wins, rows := 0, 0
+				for i := 0; i < b.N; i++ {
+					var took [2]time.Duration
+					for k := range arms {
+						arm := (i + k) % 2
+						start := time.Now()
+						ctx, err := NewContext(mr.NewEngine(mr.Config{Store: dfs.NewMem()}), q, rels, Options{})
+						var res *Result
+						if err == nil {
+							res, err = arms[arm](ctx)
+						}
+						if err != nil {
+							b.Fatal(err)
+						}
+						took[arm] = time.Since(start)
+						walls[arm] = append(walls[arm], took[arm].Seconds()*1e3)
+						rows = len(res.Tuples)
+					}
+					if took[1] <= took[0] {
+						wins++
+					}
+				}
+				b.ReportMetric(median(walls[0]), "job-ms")
+				b.ReportMetric(median(walls[1]), "in-line-ms")
+				b.ReportMetric(float64(wins)/float64(b.N), "in-line-wins")
+				b.ReportMetric(float64(rows), "rows/op")
+			})
+		}
+	}
+}
+
+// median is the middle of v, which it sorts.
+func median(v []float64) float64 {
+	slices.Sort(v)
+	return v[len(v)/2]
 }

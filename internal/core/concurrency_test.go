@@ -35,7 +35,7 @@ func TestConcurrentRunsShareEngine(t *testing.T) {
 	algs := []Algorithm{RCCIS{}, RCCIS{}, RCCIS{}, AllRep{}, AllRep{}, SeqMatrix{}, Cascade{}}
 	var wg sync.WaitGroup
 	errs := make(chan error, len(algs))
-	counts := make([]int, len(algs))
+	results := make([]*Result, len(algs))
 	for i, alg := range algs {
 		wg.Add(1)
 		go func(i int, alg Algorithm) {
@@ -50,7 +50,7 @@ func TestConcurrentRunsShareEngine(t *testing.T) {
 				errs <- err
 				return
 			}
-			counts[i] = len(res.TupleSet())
+			results[i] = res
 		}(i, alg)
 	}
 	wg.Wait()
@@ -58,10 +58,9 @@ func TestConcurrentRunsShareEngine(t *testing.T) {
 	for err := range errs {
 		t.Fatal(err)
 	}
-	for i, c := range counts {
-		if c != len(want.Tuples) {
-			t.Fatalf("concurrent run %d (%s) produced %d tuples, oracle %d",
-				i, algs[i].Name(), c, len(want.Tuples))
+	for i, res := range results {
+		if err := rowsDiffer(res, want); err != nil {
+			t.Fatalf("concurrent run %d (%s): %v", i, algs[i].Name(), err)
 		}
 	}
 }

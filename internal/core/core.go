@@ -200,8 +200,7 @@ func (c *Context) sampleStarts() []interval.Point {
 // relation order.
 type OutputTuple []int64
 
-// Key renders the canonical form used for set comparison and display:
-// the ids in decimal, comma-separated.
+// Key renders the row for display: the ids in decimal, comma-separated.
 func (o OutputTuple) Key() string {
 	var buf [64]byte
 	b := buf[:0]
@@ -209,7 +208,7 @@ func (o OutputTuple) Key() string {
 		if i > 0 {
 			b = append(b, ',')
 		}
-		//lint:ignore hotpathban Key is the result's display and set-comparison form, made by callers after the run; no record carries it
+		//lint:ignore hotpathban Key is the result's display form, made by callers after the run; no record carries it
 		b = strconv.AppendInt(b, id, 10)
 	}
 	return string(b)
@@ -425,15 +424,6 @@ func (r *Result) SortTuples() {
 		}
 		return 0
 	})
-}
-
-// TupleSet returns the output as a set of canonical keys.
-func (r *Result) TupleSet() map[string]struct{} {
-	set := make(map[string]struct{}, len(r.Tuples))
-	for _, t := range r.Tuples {
-		set[t.Key()] = struct{}{}
-	}
-	return set
 }
 
 // Algorithm is a runnable join algorithm.

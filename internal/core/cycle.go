@@ -570,8 +570,9 @@ func JoinInLine(ctx *Context) (*Result, error) {
 	for i, r := range ctx.Rels {
 		whole[i] = r.Tuples
 	}
-	e := newEnumerator(ctx.Query.Conds, rels)
-	p := e.get()
+	// The join runs once: its state comes from no pool, which would be new
+	// with the enumerator and never used again.
+	p := newEnumerator(ctx.Query.Conds, rels).reset(nil)
 	if err := p.load(nil, rels, whole); err != nil {
 		return nil, err
 	}

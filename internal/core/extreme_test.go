@@ -58,7 +58,8 @@ func extremeRelation(rng *rand.Rand, name string, n int, lo, hi int64) *relation
 // planner's choice, returns the oracle's rows on data at either end of the
 // int64 time line and on data spanning more of it than an int64 can count —
 // under uniform, equi-depth and adaptive boundaries, with one, a few and
-// many partitions.
+// many partitions — and every boundary build those runs make holds the
+// partitioning's invariant.
 func TestExtremeEndpointsMatchReference(t *testing.T) {
 	queries := []string{
 		"R1 overlaps R2",
@@ -92,6 +93,10 @@ func TestExtremeEndpointsMatchReference(t *testing.T) {
 						t.Fatalf("%s/%s/k=%d/%s: reference: %v", sh.name, qs, k, mode.name, err)
 					}
 					rows += len(want.Tuples)
+					// The boundaries every driver of these queries builds.
+					if err := checkBoundaries(q, rels, opts, k); err != nil {
+						t.Errorf("%s/%s/k=%d/%s: %v", sh.name, qs, k, mode.name, err)
+					}
 					for _, alg := range algs {
 						label := fmt.Sprintf("%s/%s/k=%d/%s/%s", sh.name, qs, k, mode.name, alg.Name())
 						got, err := runRecovered(alg, q, rels, opts)
@@ -109,6 +114,57 @@ func TestExtremeEndpointsMatchReference(t *testing.T) {
 			}
 		}
 	}
+}
+
+// checkBoundaries builds k partitions as the drivers do (Context.boundaries)
+// and checks them (checkPartitioning).
+func checkBoundaries(q *query.Query, rels []*relation.Relation, opts Options, k int) error {
+	ctx, err := NewContext(nil, q, rels, opts)
+	if err != nil {
+		return err
+	}
+	part, source, err := ctx.boundaries(k)
+	if err != nil {
+		return err
+	}
+	t0, tn, err := ctx.timeRange()
+	if err != nil {
+		return err
+	}
+	if err := checkPartitioning(part, t0, tn, rels); err != nil {
+		return fmt.Errorf("%s boundaries: %w", source, err)
+	}
+	return nil
+}
+
+// checkPartitioning is a Partitioning's invariant, checked from outside as
+// an interval tree's check() is: its bounds strictly increase, the first is
+// t0 and the last tn, and every start of rels' first attribute lies inside,
+// in [t0, tn) or at tn when tn is the top of the line (Bounds saturates it
+// there, and the last partition takes the point).
+func checkPartitioning(part interval.Partitioning, t0, tn interval.Point, rels []*relation.Relation) error {
+	n := part.Len()
+	bounds := make([]interval.Point, n+1)
+	for i := range n {
+		bounds[i] = part.PartitionInterval(i).Start
+	}
+	_, bounds[n] = part.Range()
+	for i := 1; i <= n; i++ {
+		if bounds[i] <= bounds[i-1] {
+			return fmt.Errorf("bound %d is %d, after %d", i, bounds[i], bounds[i-1])
+		}
+	}
+	if bounds[0] != t0 || bounds[n] != tn {
+		return fmt.Errorf("bounds run from %d to %d, the data's range from %d to %d", bounds[0], bounds[n], t0, tn)
+	}
+	for _, r := range rels {
+		for _, t := range r.Tuples {
+			if s := t.Attrs[0].Start; s < t0 || s > tn || s == tn && tn != math.MaxInt64 {
+				return fmt.Errorf("%s tuple %d starts at %d, outside [%d, %d)", r.Schema.Name, t.ID, s, t0, tn)
+			}
+		}
+	}
+	return nil
 }
 
 // runRecovered is runSingle that reports a failed run, or a panic on the

@@ -201,6 +201,11 @@ type preparedJoin struct {
 // get returns an empty pooled preparedJoin ready for add/addTuple calls.
 func (e *enumerator) get() *preparedJoin {
 	p, _ := e.pool.Get().(*preparedJoin)
+	return e.reset(p)
+}
+
+// reset empties p for e, or makes an empty preparedJoin when p is nil.
+func (e *enumerator) reset(p *preparedJoin) *preparedJoin {
 	if p == nil {
 		p = &preparedJoin{e: e}
 	}

@@ -86,6 +86,51 @@ func Plan(q *query.Query, preferPruning bool) Algorithm {
 	}
 }
 
+// inLineCap is the most tuples, summed over the query's relations, that a run
+// with no option set joins in line. It is the largest power of two at which
+// the in-line join's wall was no worse than the planner's job on any of the
+// shapes swept (BenchmarkInLineCap; the table is in docs/ALGORITHMS.md).
+const inLineCap = 1 << 14
+
+// InLine says why Engine.Run joins ctx's relations in line (JoinInLine)
+// rather than through the planner's job, or is nil when the job runs: the
+// rule is inLine's.
+func InLine(ctx *Context) *obs.InLine {
+	var tuples int64
+	for _, r := range ctx.Rels {
+		tuples += int64(r.Len())
+	}
+	if !inLine(ctx.Query, ctx.Opts, tuples) {
+		return nil
+	}
+	return &obs.InLine{Tuples: tuples, Cap: inLineCap}
+}
+
+// inLine is the rule: no option set, at most inLineCap tuples, and relations
+// bound in a connected order. When the whole input fits one reducer, one
+// reducer with replication rate 1 is the best schema (Afrati et al.), and the
+// cap is where one goroutine stops beating the job's workers. An option asks
+// for the job's layout by name. A disconnected order leaves a level with no
+// bound partner, whose every candidate meets every partial: the job's
+// partitions bound that product and one reducer does not.
+func inLine(q *query.Query, opts Options, tuples int64) bool {
+	return opts == (Options{}) && tuples <= inLineCap && connectedOrder(q)
+}
+
+// connectedOrder reports whether every prefix of q's relations, in the order
+// the enumerator binds them, is connected in the condition graph: each
+// relation after the first shares a condition with an earlier one.
+func connectedOrder(q *query.Query) bool {
+	for r := 1; r < len(q.Relations); r++ {
+		if !slices.ContainsFunc(q.Conds, func(c query.Condition) bool {
+			return max(c.Left.Rel, c.Right.Rel) == r && min(c.Left.Rel, c.Right.Rel) < r
+		}) {
+			return false
+		}
+	}
+	return true
+}
+
 // plannedProduct builds a product driver's join space over dims under cons:
 // as given for the paper's algorithm, or, when the planner chose the driver
 // (broadcast), less the dimensions broadcastSmall takes out. A space that

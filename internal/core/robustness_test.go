@@ -63,19 +63,8 @@ func TestAlgorithmsUnderSpill(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s on %q: %v", alg.Name(), tc.qs, err)
 			}
-			gw, ww := got.TupleSet(), want.TupleSet()
-			if len(got.Tuples) != len(gw) {
-				t.Errorf("%s on %q: duplicates under spill", alg.Name(), tc.qs)
-			}
-			if len(gw) != len(ww) {
-				t.Errorf("%s on %q: %d tuples, oracle %d", alg.Name(), tc.qs, len(gw), len(ww))
-				continue
-			}
-			for k := range ww {
-				if _, ok := gw[k]; !ok {
-					t.Errorf("%s on %q: missing tuple %s", alg.Name(), tc.qs, k)
-					break
-				}
+			if err := rowsDiffer(got, want); err != nil {
+				t.Errorf("%s on %q under spill: %v", alg.Name(), tc.qs, err)
 			}
 		}
 	}

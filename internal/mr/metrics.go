@@ -82,10 +82,11 @@ type Metrics struct {
 	MakespanKeyOrder time.Duration
 	MakespanLPT      time.Duration
 	// Plan carries the skew-adaptive partition plan the driver chose for
-	// the run (boundary source, auto-advised k, virtual-reducer layout),
-	// exported into metrics.json as the report's "plan" object. Nil when
-	// the driver ran the plain always-uniform layout. Merge keeps the
-	// first non-nil plan — a chain's cycles share one plan.
+	// the run (boundary source, auto-advised k, virtual-reducer layout, or
+	// that it joined in line), exported into metrics.json as the report's
+	// "plan" object. Nil when the driver ran the plain always-uniform
+	// layout. Merge keeps the first non-nil plan — a chain's cycles share
+	// one plan.
 	Plan *obs.PlanInfo
 }
 
@@ -248,6 +249,9 @@ func (m *Metrics) String() string {
 		m.SimulatedMakespan().Round(time.Millisecond), m.LoadImbalance())
 	if m.PhysicalPairs > 0 && m.PhysicalPairs != m.IntermediatePairs {
 		fmt.Fprintf(&b, " phys=%d repl=%.1fx", m.PhysicalPairs, m.ReplicationFactor())
+	}
+	if m.Plan != nil && m.Plan.InLine != nil {
+		fmt.Fprintf(&b, " in-line(tuples=%d<=cap=%d)", m.Plan.InLine.Tuples, m.Plan.InLine.Cap)
 	}
 	if m.PipelineWall > 0 {
 		fmt.Fprintf(&b, " pipeline=%s overlap=%s streamed=%d",

@@ -57,7 +57,8 @@ type SerializedModel struct {
 type PlanInfo struct {
 	// Partitions is the physical partition-interval count k.
 	Partitions int `json:"partitions"`
-	// BoundarySource is "uniform" or "equi-depth".
+	// BoundarySource is "uniform" or "equi-depth"; empty for a run joined
+	// in line, which partitions nothing.
 	BoundarySource string `json:"boundary_source"`
 	// AutoK reports whether k was chosen by cost.AdvisePartitions.
 	AutoK bool `json:"auto_k,omitempty"`
@@ -83,6 +84,17 @@ type PlanInfo struct {
 	// which the planner joined in one cycle without marking which intervals
 	// cross a partition boundary. It is empty when the marking ran.
 	Reach []Reach `json:"reach,omitempty"`
+	// InLine is set when the run joined in the caller, with no job: one
+	// reducer holding every relation whole.
+	InLine *InLine `json:"in_line,omitempty"`
+}
+
+// InLine is a run joined in line, with the rule that chose it: Tuples, the
+// query's relation sizes summed, is at most Cap, the size up to which one
+// reducer's join was measured no slower than the planner's job.
+type InLine struct {
+	Tuples int64 `json:"tuples"`
+	Cap    int64 `json:"cap"`
 }
 
 // Reach is one dimension the planner joins without a mark cycle. Every

@@ -18,6 +18,10 @@
 //   - hybrid queries → All-Seq-Matrix (or its pruned variant PASM);
 //   - general multi-attribute queries → Gen-Matrix.
 //
+// An input small enough to fit one reducer skips the MapReduce job
+// altogether when Engine.Run is given no options: it is joined in line,
+// in the caller.
+//
 // Quick start:
 //
 //	eng := intervaljoin.NewEngine(intervaljoin.EngineOptions{})
@@ -33,6 +37,8 @@ import (
 	"fmt"
 	"io"
 	"sort"
+	"strconv"
+	"time"
 
 	"intervaljoin/internal/core"
 	"intervaljoin/internal/cost"
@@ -117,8 +123,9 @@ type OutputTuple = core.OutputTuple
 // Algorithm is a runnable join algorithm.
 type Algorithm = core.Algorithm
 
-// RunOptions tune a run; see core.Options. The zero value uses 16
-// partitions and 6 partitions per grid dimension, the paper's defaults.
+// RunOptions tune a run; see core.Options. The zero value lets Engine.Run
+// join a small input in line, and otherwise uses 16 partitions and 6
+// partitions per grid dimension, the paper's defaults.
 type RunOptions = core.Options
 
 // Tracer is the engine's observability collector (see internal/obs): a
@@ -201,15 +208,50 @@ func MustNewEngine(opts EngineOptions) *Engine {
 // class. Relations are matched to the query by name, in any order. Queries
 // that Allen-algebra reasoning proves empty return an empty result without
 // touching the data.
+//
+// A run whose options are all zero, over few enough tuples in all and a query
+// that binds its relations in a connected order, joins in line: one reducer
+// in the caller, with no map, shuffle or record (Result.Algorithm
+// "in-line"; its Metrics.Plan says why). Any option set runs the
+// planner's job.
 func (e *Engine) Run(q *Query, rels []*Relation, opts RunOptions) (*Result, error) {
+	// The bindings are validated first, so misuse surfaces on every path.
+	ctx, err := core.NewContext(e.mr, q, rels, opts)
+	if err != nil {
+		return nil, err
+	}
 	if query.ProvablyEmpty(q) {
-		// Still validate the bindings so misuse surfaces identically.
-		if _, err := core.NewContext(e.mr, q, rels, opts); err != nil {
-			return nil, err
-		}
 		return &Result{Algorithm: "provably-empty", Metrics: mr.NewMetrics("provably-empty")}, nil
 	}
-	return e.RunWith(core.Plan(q, false), q, rels, opts)
+	if why := core.InLine(ctx); why != nil {
+		return e.runInLine(ctx, why)
+	}
+	return core.Plan(q, false).Run(ctx)
+}
+
+// runInLine joins ctx in the caller and reports it as a one-reducer run: the
+// join's wall is the run's and its reducer's, every tuple is its input, and
+// a tracer gets one span for it.
+func (e *Engine) runInLine(ctx *core.Context, why *obs.InLine) (*Result, error) {
+	lane := e.tracer.Acquire()
+	defer e.tracer.Release(lane)
+	start := time.Now()
+	res, err := core.JoinInLine(ctx)
+	if err != nil {
+		return nil, err
+	}
+	wall := time.Since(start)
+	if lane != nil {
+		lane.End(obs.CatReduce, "reduce:in-line", start,
+			obs.Arg{Key: "tuples", Val: strconv.FormatInt(why.Tuples, 10)},
+			obs.Arg{Key: "rows", Val: strconv.Itoa(len(res.Tuples))})
+	}
+	m := mr.NewMetrics(res.Algorithm)
+	m.MapInputRecords, m.OutputRecords = why.Tuples, int64(len(res.Tuples))
+	m.TotalWall, m.ReduceWall, m.MaxReducerTime = wall, wall, wall
+	m.Plan = &obs.PlanInfo{Partitions: 1, VirtualReducers: 1, InLine: why}
+	res.Metrics = m
+	return res, nil
 }
 
 // RunWith executes the query with an explicit algorithm (see AlgorithmByName

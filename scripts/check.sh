@@ -20,7 +20,9 @@
 #                      (TestNarrowAllocationsIndependentOfTuples), its
 #                      in-line delta join nothing per tuple or row but a
 #                      row chunk per doubling
-#                      (TestDeltaJoinAllocsIndependentOfRows), and
+#                      (TestDeltaJoinAllocsIndependentOfRows), a batch
+#                      join Engine.Run runs in line the same
+#                      (TestInLineRunAllocsIndependentOfRows), and
 #                      validating ids that strictly increase nothing at all
 #                      (TestValidateAllocatesNothingFor...)
 #   5. go test -race — full suite (unit, integration, property, oracle
@@ -97,13 +99,15 @@ go test -run 'TestLiveDisabledZeroCost' ./internal/obs/live/
 # side, narrowing a resident to a delta join's tuples costs the same objects
 # for a gap ten times wider (positions in a bitset, each selection made at
 # its exact size), and so does the in-line join of those tuples but for one
-# row chunk per doubling of its rows, and validating the narrowed relation,
-# whose ids strictly increase, builds no set of seen ids. A per-pair,
+# row chunk per doubling of its rows; so does a batch join Engine.Run runs
+# in line; and validating the narrowed relation, whose ids strictly
+# increase, builds no set of seen ids. A per-pair,
 # per-row or per-tuple allocation creeping back fails here, with the count,
 # before anything slower runs.
 go test -run 'TestShuffleAllocsDoNotFollowEmissions' ./internal/mr/
 go test -run 'TestRCCISOpAllocs|TestProductRouteAllocs|TestRowEmissionAllocs' ./internal/core/
 go test -run 'TestNarrowAllocationsIndependentOfTuples|TestDeltaJoinAllocsIndependentOfRows' ./internal/cache/
+go test -run 'TestInLineRunAllocsIndependentOfRows' .
 go test -run 'TestValidateAllocatesNothingFor' ./internal/relation/
 
 echo "== go test -race =="
