@@ -65,16 +65,123 @@ func randomRelations(rng *rand.Rand, q *Query, maxN int) []*Relation {
 	return rels
 }
 
-// TestRunInLineMatchesJob: Engine.Run with no options joins small inputs in
-// line, and its rows are the planner's job's, id for id, on random connected
-// colocation, sequence, hybrid and General queries over two to five
-// relations (three to five for a hybrid: on two relations of one attribute
-// a sequence and a colocation condition contradict). The in-line result
-// says so, with metrics and a plan block.
+// largeInLineCases are one query of each class over 2^15 tuples or so, with
+// inputs drawn so that the output stays near 10^5 rows, and a colocation
+// chain whose first relation's starts follow a Zipf law, so that the ranges
+// the in-line join cuts its first level into carry unequal work.
+func largeInLineCases(rng *rand.Rand) map[string][]*Relation {
+	uniform := func(n int, lo, hi, maxLen int64) []Interval {
+		ivs := make([]Interval, n)
+		for i := range ivs {
+			start := lo + rng.Int63n(hi-lo)
+			ivs[i] = NewInterval(start, start+rng.Int63n(maxLen+1))
+		}
+		return ivs
+	}
+	// A sequence condition holds for about half of all pairs: R2 and R3 lie
+	// wholly before R1 but for three tuples each, in that order after it.
+	tail := func(name string, n int, at int64) *Relation {
+		return FromIntervals(name, append(uniform(n-3, 0, 900, 50), uniform(3, at, at+500, 50)...))
+	}
+	zipf := rand.NewZipf(rng, 1.2, 1, 1_099_999)
+	hot := make([]Interval, 11_000)
+	for i := range hot {
+		start := int64(zipf.Uint64())
+		hot[i] = NewInterval(start, start+rng.Int63n(101))
+	}
+	// A box's y follows its x, so that two boxes overlapping on x often do
+	// on y too.
+	box := func(name string, n int) *Relation {
+		rel := NewRelation(NewSchema(name, "x", "y"))
+		for range n {
+			x := rng.Int63n(100_000)
+			y := x + rng.Int63n(50)
+			rel.Append(NewInterval(x, x+rng.Int63n(300)), NewInterval(y, y+rng.Int63n(300)))
+		}
+		return rel
+	}
+	return map[string][]*Relation{
+		// batch-sparse's density: a start every 100 points in each relation.
+		"R1 overlaps R2 and R2 overlaps R3": {
+			FromIntervals("R1", uniform(11_000, 0, 1_100_000, 100)),
+			FromIntervals("R2", uniform(11_000, 0, 1_100_000, 100)),
+			FromIntervals("R3", uniform(11_000, 0, 1_100_000, 100)),
+		},
+		"R1 overlappedby R2 and R2 overlaps R3": {
+			FromIntervals("R1", hot),
+			FromIntervals("R2", uniform(11_000, 0, 1_100_000, 100)),
+			FromIntervals("R3", uniform(11_000, 0, 1_100_000, 100)),
+		},
+		"R1 before R2 and R2 before R3": {
+			FromIntervals("R1", uniform(12_000, 1_000, 2_000, 50)),
+			tail("R2", 12_000, 3_000),
+			tail("R3", 12_000, 5_000),
+		},
+		"R1 overlaps R2 and R2 before R3": {
+			FromIntervals("R1", uniform(16_000, 0, 1_600_000, 120)),
+			FromIntervals("R2", uniform(16_000, 0, 1_600_000, 120)),
+			FromIntervals("R3", uniform(8, 0, 1_600_000, 120)),
+		},
+		"R1.x overlaps R2.x and R1.y overlaps R2.y": {box("R1", 16_000), box("R2", 16_000)},
+	}
+}
+
+// TestRunInLineMatchesJob: Engine.Run with no options joins in line, and its
+// rows are the planner's job's, id for id, on random connected colocation,
+// sequence, hybrid and General queries over two to five relations (three to
+// five for a hybrid: on two relations of one attribute a sequence and a
+// colocation condition contradict), taking engines of 1, 2 and 4 workers in
+// turn, and on one query of each class over some 2^15 tuples on all three,
+// which split their first level over two and four workers. The in-line
+// result says so, with metrics and a plan block.
 func TestRunInLineMatchesJob(t *testing.T) {
 	rng := rand.New(rand.NewSource(50))
-	eng := MustNewEngine(EngineOptions{})
-	rows := 0
+	engines := []*Engine{
+		MustNewEngine(EngineOptions{Workers: 1}),
+		MustNewEngine(EngineOptions{Workers: 2}),
+		MustNewEngine(EngineOptions{Workers: 4}),
+	}
+	rows, split := 0, 0
+	check := func(eng *Engine, workers int, q *Query, rels []*Relation, want *Result) {
+		t.Helper()
+		label := fmt.Sprintf("%d workers, %q", workers, q)
+		got, err := eng.Run(q, rels, RunOptions{})
+		if err != nil {
+			t.Fatalf("%s: %v", label, err)
+		}
+		if !slices.Equal(got.IDs, want.IDs) {
+			t.Errorf("%s: in line %d rows, the job %d, or other ids", label, len(got.Tuples), len(want.Tuples))
+		}
+		rows += len(want.Tuples)
+		tuples := 0
+		for _, r := range rels {
+			tuples += r.Len()
+		}
+		mt := got.Metrics
+		switch {
+		case got.Algorithm != "in-line":
+			t.Errorf("%s: ran %s", label, got.Algorithm)
+		case mt == nil || mt.Plan == nil || mt.Plan.InLine == nil:
+			t.Errorf("%s: no in-line plan block in %+v", label, mt)
+		case mt.Plan.InLine.Tuples != int64(tuples) || mt.MapInputRecords != int64(tuples) ||
+			mt.OutputRecords != int64(len(got.Tuples)) || mt.Plan.InLine.Ranges < 1 ||
+			workers == 1 && mt.Plan.InLine.Ranges != 1:
+			t.Errorf("%s: %d tuples and %d rows, reported as %+v and %s", label, tuples, len(got.Tuples), *mt.Plan.InLine, mt)
+		case math.IsInf(mt.ReplicationFactor(), 0) || math.IsNaN(mt.ReplicationFactor()):
+			t.Errorf("%s: replication factor %v", label, mt.ReplicationFactor())
+		}
+		if mt != nil && mt.Plan != nil && mt.Plan.InLine != nil && mt.Plan.InLine.Ranges > 1 {
+			split++
+		}
+	}
+	job := func(q *Query, rels []*Relation) *Result {
+		t.Helper()
+		want, err := engines[2].RunWith(core.Plan(q, false), q, rels, RunOptions{Partitions: 16, PartitionsPerDim: 6})
+		if err != nil {
+			t.Fatalf("%q: job: %v", q, err)
+		}
+		return want
+	}
 	for _, class := range []string{"colocation", "sequence", "hybrid", "general"} {
 		for trial := range 12 {
 			m := 2 + trial%4
@@ -93,39 +200,22 @@ func TestRunInLineMatchesJob(t *testing.T) {
 				maxN = min(maxN, int(math.Pow(1e5, 1/float64(m))))
 			}
 			rels := randomRelations(rng, q, maxN)
-			label := fmt.Sprintf("%s %q", class, q)
-			got, err := eng.Run(q, rels, RunOptions{})
-			if err != nil {
-				t.Fatalf("%s: %v", label, err)
-			}
-			want, err := eng.RunWith(core.Plan(q, false), q, rels, RunOptions{Partitions: 16, PartitionsPerDim: 6})
-			if err != nil {
-				t.Fatalf("%s: job: %v", label, err)
-			}
-			if !slices.Equal(got.IDs, want.IDs) {
-				t.Errorf("%s: in line %d rows, the job %d, or other ids", label, len(got.Tuples), len(want.Tuples))
-			}
-			rows += len(want.Tuples)
-			tuples := 0
-			for _, r := range rels {
-				tuples += r.Len()
-			}
-			mt := got.Metrics
-			switch {
-			case got.Algorithm != "in-line":
-				t.Errorf("%s: ran %s", label, got.Algorithm)
-			case mt == nil || mt.Plan == nil || mt.Plan.InLine == nil:
-				t.Errorf("%s: no in-line plan block in %+v", label, mt)
-			case mt.Plan.InLine.Tuples != int64(tuples) || mt.MapInputRecords != int64(tuples) ||
-				mt.OutputRecords != int64(len(got.Tuples)) || mt.Plan.InLine.Cap < int64(tuples):
-				t.Errorf("%s: %d tuples and %d rows, reported as %+v and %s", label, tuples, len(got.Tuples), *mt.Plan.InLine, mt)
-			case math.IsInf(mt.ReplicationFactor(), 0) || math.IsNaN(mt.ReplicationFactor()):
-				t.Errorf("%s: replication factor %v", label, mt.ReplicationFactor())
-			}
+			check(engines[trial%3], 1<<(trial%3), q, rels, job(q, rels))
 		}
 	}
-	if rows == 0 {
-		t.Fatal("no query had a row; the comparison checks nothing")
+	for qs, rels := range largeInLineCases(rng) {
+		q, err := ParseQuery(qs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := job(q, rels)
+		for i, eng := range engines {
+			check(eng, 1<<i, q, rels, want)
+		}
+		t.Logf("%q: %d rows", q, len(want.Tuples))
+	}
+	if rows == 0 || split == 0 {
+		t.Fatalf("%d rows in all, %d runs split: the comparison checks nothing", rows, split)
 	}
 }
 
@@ -154,10 +244,11 @@ func TestInLineRunIsReported(t *testing.T) {
 	if err := eng.WriteMetrics(&doc, res); err != nil {
 		t.Fatal(err)
 	}
-	if !strings.Contains(doc.String(), `"in_line": {`) || !strings.Contains(doc.String(), `"tuples": 3`) {
+	if !strings.Contains(doc.String(), `"in_line": {`) || !strings.Contains(doc.String(), `"tuples": 3`) ||
+		!strings.Contains(doc.String(), `"ranges": 1`) {
 		t.Errorf("metrics.json has no in-line plan:\n%s", doc.String())
 	}
-	if line := res.Metrics.String(); !strings.Contains(line, "in-line(tuples=3<=cap=") {
+	if line := res.Metrics.String(); !strings.Contains(line, " in-line(tuples=3 ranges=1)") {
 		t.Errorf("metrics line %q does not say the run was in line", line)
 	}
 }
@@ -229,11 +320,15 @@ func TestInLineNeedsConnectedOrder(t *testing.T) {
 }
 
 // TestInLineRunAllocsIndependentOfRows: an in-line run over ten times the
-// tuples, for ten times the rows, costs the same objects but for one row
-// chunk per doubling of its rows: the arena, the levels' lists and the
-// result slab are each sized once.
+// tuples, for ten times the rows, costs the same objects but for a row chunk
+// and a longer list of chunks per doubling of the rows each of its two
+// goroutines collects: the arena, the levels' lists and the result slab are
+// each sized once, and both runs split their first level over the engine's
+// two workers, at a fixed cost per goroutine — its cursor's three slices and
+// its rows — and none per range.
 func TestInLineRunAllocsIndependentOfRows(t *testing.T) {
-	eng := MustNewEngine(EngineOptions{})
+	const workers = 2
+	eng := MustNewEngine(EngineOptions{Workers: workers})
 	q, _ := ParseQuery("R1 overlaps R2")
 	measure := func(n int) (allocs float64, rows int) {
 		rng := rand.New(rand.NewSource(int64(n)))
@@ -251,20 +346,20 @@ func TestInLineRunAllocsIndependentOfRows(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if res.Algorithm != "in-line" {
-				t.Fatalf("%d tuples ran %s", 2*n, res.Algorithm)
+			if res.Algorithm != "in-line" || res.Metrics.Plan.InLine.Ranges < workers {
+				t.Fatalf("%d tuples ran %s, %+v", 2*n, res.Algorithm, res.Metrics.Plan)
 			}
 			rows = len(res.Tuples)
 		})
 		return allocs, rows
 	}
-	smallAllocs, smallRows := measure(500)
-	largeAllocs, largeRows := measure(5000)
+	smallAllocs, smallRows := measure(10_000)
+	largeAllocs, largeRows := measure(100_000)
 	if smallRows == 0 || largeRows < 5*smallRows {
 		t.Fatalf("%d and %d rows; the guard needs them far apart", smallRows, largeRows)
 	}
 	t.Logf("in-line run: %.0f allocations for %d rows, %.0f for %d", smallAllocs, smallRows, largeAllocs, largeRows)
-	if doublings := math.Ceil(math.Log2(float64(largeRows) / float64(smallRows))); largeAllocs > smallAllocs+doublings {
+	if doublings := math.Ceil(math.Log2(float64(largeRows) / float64(smallRows))); largeAllocs > smallAllocs+workers*2*doublings {
 		t.Fatalf("an in-line run allocates %.0f times for %d rows and %.0f times for %d", smallAllocs, smallRows, largeAllocs, largeRows)
 	}
 }

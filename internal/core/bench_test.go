@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"runtime"
 	"slices"
 	"testing"
 	"time"
@@ -366,7 +367,7 @@ func BenchmarkSetRows(b *testing.B) {
 	b.Run("wide-64kx2", func(b *testing.B) { benchSetRows(b, 64_000, 2, 1<<40) })
 }
 
-// inLineShape is one query of BenchmarkInLineCap with its inputs at n tuples
+// inLineShape is one query of BenchmarkInLineVsJob with its inputs at n tuples
 // in all, drawn at a density that does not change with n.
 type inLineShape struct {
 	name, query string
@@ -416,27 +417,42 @@ var inLineShapes = []inLineShape{
 	}},
 }
 
-// BenchmarkInLineCap is the sweep inLineCap was read from: each shape at n
-// tuples in all, joined by the planner's job on an engine with the default
-// workers and by JoinInLine, both from NewContext on, as Engine.Run runs
-// them. The two run in pairs, back to back and each first in turn, so that
-// a busy host slows both sides of a pair alike. It reports each side's
-// median wall, job-ms and in-line-ms, and the share of pairs in-line won;
-// the cap is the largest power of two at which in-line is no slower on any
-// shape. rows/op is the join's output.
-func BenchmarkInLineCap(b *testing.B) {
+// BenchmarkInLineVsJob is the sweep the in-line rule rests on: each shape at
+// n tuples in all, from NewContext on, as Engine.Run runs them, three ways —
+// the planner's job on an engine with the default workers, the in-line join
+// on one goroutine, and the in-line join split over the workers, its first
+// level cut into as many ranges as minRange allows but never fewer than one a
+// worker. The three run in turn, each first in turn, so that a busy host
+// slows them alike. It reports each arm's median wall (job-ms, one-ms,
+// split-ms), the share of runs in which the split beat one goroutine
+// (split-wins) and in which the in-line join as the rule runs it — split when
+// its first level holds 2·minRange candidates, else one goroutine — beat the
+// job (in-line-wins), and the join's output (rows/op). minRange is read off
+// split-wins against first/op, the first level's candidates.
+func BenchmarkInLineVsJob(b *testing.B) {
+	workers := runtime.GOMAXPROCS(0)
 	for _, sh := range inLineShapes {
 		q := query.MustParse(sh.query)
-		for _, n := range []int{1 << 11, 1 << 13, 1 << 14, 1 << 15, 1 << 16, 1 << 17} {
+		for n := 1 << 10; n <= 1<<17; n <<= 1 {
 			rels := sh.rels(rand.New(rand.NewSource(1)), n)
-			arms := [2]func(*Context) (*Result, error){Plan(q, false).Run, JoinInLine}
+			first := rels[0].Len()
+			split := max(workers, first/minRange)
+			arms := [3]func(*Context) (*Result, error){
+				Plan(q, false).Run,
+				func(ctx *Context) (*Result, error) { return joinInLine(ctx, 1) },
+				func(ctx *Context) (*Result, error) { return joinInLine(ctx, split) },
+			}
+			rule := 1
+			if first/minRange > 1 {
+				rule = 2
+			}
 			b.Run(fmt.Sprintf("%s/n=%d", sh.name, n), func(b *testing.B) {
-				var walls [2][]float64
-				wins, rows := 0, 0
+				var walls [3][]float64
+				splitWins, inLineWins, rows := 0, 0, 0
 				for i := 0; i < b.N; i++ {
-					var took [2]time.Duration
+					var took [3]time.Duration
 					for k := range arms {
-						arm := (i + k) % 2
+						arm := (i + k) % len(arms)
 						start := time.Now()
 						ctx, err := NewContext(mr.NewEngine(mr.Config{Store: dfs.NewMem()}), q, rels, Options{})
 						var res *Result
@@ -450,13 +466,19 @@ func BenchmarkInLineCap(b *testing.B) {
 						walls[arm] = append(walls[arm], took[arm].Seconds()*1e3)
 						rows = len(res.Tuples)
 					}
-					if took[1] <= took[0] {
-						wins++
+					if took[2] < took[1] {
+						splitWins++
+					}
+					if took[rule] <= took[0] {
+						inLineWins++
 					}
 				}
 				b.ReportMetric(median(walls[0]), "job-ms")
-				b.ReportMetric(median(walls[1]), "in-line-ms")
-				b.ReportMetric(float64(wins)/float64(b.N), "in-line-wins")
+				b.ReportMetric(median(walls[1]), "one-ms")
+				b.ReportMetric(median(walls[2]), "split-ms")
+				b.ReportMetric(float64(splitWins)/float64(b.N), "split-wins")
+				b.ReportMetric(float64(inLineWins)/float64(b.N), "in-line-wins")
+				b.ReportMetric(float64(first), "first/op")
 				b.ReportMetric(float64(rows), "rows/op")
 			})
 		}

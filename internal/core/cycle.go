@@ -562,9 +562,14 @@ func (cj cellJoin) job(c *Context) mr.Job {
 // join and collects its rows as cellJoin's last stage does — a word from the
 // join's last level when the rows pack, through rowPacking.put otherwise —
 // so the result is the one every algorithm returns: the join's rows in
-// canonical order. Its Metrics are nil, since no cycle ran, and ctx.Engine
-// may be nil.
-func JoinInLine(ctx *Context) (*Result, error) {
+// canonical order. When inLineRanges cuts the first level into several
+// ranges, up to the engine's Workers goroutines walk them (runSplit). Its
+// Metrics are nil, since no cycle ran, and ctx.Engine may be nil.
+func JoinInLine(ctx *Context) (*Result, error) { return joinInLine(ctx, inLineRanges(ctx)) }
+
+// joinInLine is JoinInLine with its first level cut into the given number of
+// ranges; more than one needs an engine and rows that pack.
+func joinInLine(ctx *Context, ranges int) (*Result, error) {
 	rels := allRelations(len(ctx.Rels))
 	whole := make([][]relation.Tuple, len(rels))
 	for i, r := range ctx.Rels {
@@ -577,7 +582,9 @@ func JoinInLine(ctx *Context) (*Result, error) {
 		return nil, err
 	}
 	rows := ctx.packing.rows()
-	if ctx.packing.words {
+	if ranges > 1 {
+		p.runSplit(rows, &ctx.packing, ranges, ctx.Engine.Workers())
+	} else if ctx.packing.words {
 		p.runWords(rows, &ctx.packing)
 	} else if err := p.run(func(asg []relation.Tuple) error {
 		ctx.packing.put(rows, rels, asg)

@@ -1,12 +1,13 @@
 package core
 
 import (
-	"cmp"
 	"fmt"
 	"math"
 	"slices"
 	"sort"
 	"sync"
+	"sync/atomic"
+	"unsafe"
 
 	"intervaljoin/internal/interval"
 	"intervaljoin/internal/mr"
@@ -66,8 +67,9 @@ type plannedCond struct {
 // levelPlan is the static per-binding-level plan.
 type levelPlan struct {
 	// sortAttr is the attribute the level's candidate column is sorted by
-	// (the first applicable condition's operand attribute), or -1 when the
-	// level has no applicable conditions.
+	// (the first applicable condition's operand attribute; for a level with
+	// none, the attribute a later condition reads of it), or -1 when no
+	// condition reads the level.
 	sortAttr int
 	conds    []plannedCond
 	// sweep is true when every applicable condition constrains the single
@@ -114,6 +116,22 @@ func (e *enumerator) compileLevel(i int) levelPlan {
 	lp := levelPlan{sortAttr: -1}
 	conds := e.condsAt[i]
 	if len(conds) == 0 {
+		// A level with no condition of its own — the first — is sorted by
+		// the attribute the first later condition on it reads: the windows
+		// that condition's level builds per partner then have their bounds
+		// in order, and one two-cursor sweep fills them (sweepFromsInto).
+		for _, later := range e.condsAt[i+1:] {
+			for _, c := range later {
+				switch i {
+				case e.pos[c.Left.Rel]:
+					lp.sortAttr = c.Left.Attr
+					return lp
+				case e.pos[c.Right.Rel]:
+					lp.sortAttr = c.Right.Attr
+					return lp
+				}
+			}
+		}
 		return lp
 	}
 	// The level's candidates are sorted by the attribute the first
@@ -154,11 +172,13 @@ func (e *enumerator) compileLevel(i int) levelPlan {
 	return lp
 }
 
-// preparedJoin carries one run's mutable state in struct-of-arrays form:
-// the shared payload arena, per-level arrival-order refs, and the
-// endpoint-sorted gapless columns loCol/hiCol/refCol the kernels scan. A
-// preparedJoin belongs to a single goroutine; the enumerator it came from
-// may be shared.
+// preparedJoin carries one run's candidates in struct-of-arrays form: the
+// shared payload arena, per-level arrival-order refs, and the endpoint-sorted
+// gapless columns loCol/hiCol/refCol the kernels scan, with their windows.
+// A preparedJoin is loaded and sealed by one goroutine; the enumerator it
+// came from may be shared. A cursor walks it: cur for run and runWords, or
+// one per goroutine in runSplit, which builds every window first so that the
+// walks only read it.
 type preparedJoin struct {
 	e *enumerator
 	// arena holds every candidate tuple's payload; kernels carry int32 refs
@@ -179,21 +199,32 @@ type preparedJoin struct {
 	// levels never pay for their windows.
 	wins    [][]condWindow
 	built   []bool
-	pairs   []keyIdx // sort scratch
+	pairs   []keyIdx // sort scratch: sortKeyIdx's second buffer
 	los     []int64  // window-build scratch
 	empties []int32  // window-build scratch: partners with empty windows
-	asg     []relation.Tuple
-	idx     []int   // idx[j]: current index of the level-j binding within its column
-	bref    []int32 // bref[j]: arena ref of the level-j binding
-	last    int     // the level a complete assignment is bound at
-	fn      func(asg []relation.Tuple) error
-	err     error // first error fn returned; stops the enumeration
+	last    int      // the level a complete assignment is bound at
 	// owner is the owner rule at the reducer, one range a dimension of its
 	// space: a complete assignment outside one is another reducer's. Empty
 	// when every assignment the reducer enumerates is its own.
 	owner []ownerRange
-	// words, while runWords runs, collects every complete assignment as one
-	// word, packed as packing says; no level materialises a tuple.
+	cur   cursor
+}
+
+// cursor is one walk of a sealed preparedJoin's levels: the bindings it
+// holds, the first level's candidates it binds, and where its assignments
+// go. It writes nothing of the preparedJoin but the windows it finds unbuilt.
+type cursor struct {
+	p    *preparedJoin
+	asg  []relation.Tuple
+	idx  []int   // idx[j]: current index of the level-j binding within its column
+	bref []int32 // bref[j]: arena ref of the level-j binding
+	// lo and hi bound the first level's candidates the walk binds: the
+	// column indices [lo, hi).
+	lo, hi int
+	fn     func(asg []relation.Tuple) error
+	err    error // first error fn returned; stops the enumeration
+	// words, when set, collects every complete assignment as one word,
+	// packed as packing says; no level materialises a tuple.
 	words   *mr.Rows
 	packing *rowPacking
 }
@@ -229,8 +260,9 @@ func (p *preparedJoin) addTuple(level int, t relation.Tuple) {
 
 // seal freezes the candidate sets into the columnar layout: each
 // constrained level's refs are sorted by the sort attribute's start and
-// gathered into gapless lo/hi/ref columns. The sort permutes packed
-// (start, ref) pairs and gathers the columns once, which is markedly
+// gathered into gapless lo/hi/ref columns. The lo and ref columns are
+// filled in arrival order and sorted in place as (start, ref) pairs by radix
+// (sortKeyIdx), then the hi column is gathered once, which is markedly
 // cheaper than sorting tuple structs.
 func (p *preparedJoin) seal() {
 	n := len(p.e.rels)
@@ -240,10 +272,19 @@ func (p *preparedJoin) seal() {
 	p.refBuf = sized(p.refBuf, n)
 	p.wins = sized(p.wins, n)
 	p.built = sized(p.built, n)
-	p.asg = sized(p.asg, n)
-	p.idx = sized(p.idx, n)
-	p.bref = sized(p.bref, n)
+	p.cur.p = p
+	p.cur.asg = sized(p.cur.asg, n)
+	p.cur.idx = sized(p.cur.idx, n)
+	p.cur.bref = sized(p.cur.bref, n)
 	p.last = n - 1
+	// The sort's buffer is sized for the longest sorted level at once.
+	most := 0
+	for i := range n {
+		if p.e.plans[i].sortAttr >= 0 {
+			most = max(most, len(p.raw[i]))
+		}
+	}
+	p.pairs = sized(p.pairs, most)
 	for i := 0; i < n; i++ {
 		p.built[i] = false
 		attr := p.e.plans[i].sortAttr
@@ -254,19 +295,15 @@ func (p *preparedJoin) seal() {
 			p.hiCol[i] = nil
 			continue
 		}
-		p.pairs = sized(p.pairs, len(src))
-		pairs := p.pairs
-		for k, ref := range src {
-			pairs[k] = keyIdx{key: p.arena.Start(ref, attr), idx: ref}
-		}
-		slices.SortFunc(pairs, func(a, b keyIdx) int { return cmp.Compare(a.key, b.key) })
 		lo := sized(p.loCol[i], len(src))
 		hi := sized(p.hiCol[i], len(src))
 		refs := sized(p.refBuf[i], len(src))
-		for k, pr := range pairs {
-			lo[k] = pr.key
-			hi[k] = p.arena.End(pr.idx, attr)
-			refs[k] = pr.idx
+		for k, ref := range src {
+			lo[k], refs[k] = p.arena.Start(ref, attr), ref
+		}
+		sortKeyIdx(lo, refs, p.pairs)
+		for k, ref := range refs {
+			hi[k] = p.arena.End(ref, attr)
 		}
 		p.loCol[i] = lo
 		p.hiCol[i] = hi
@@ -348,10 +385,11 @@ func windCol(s []int64, n int, need bool) []int64 {
 // no further assignment is visited — and is returned. run may be called
 // repeatedly; the sorted columns and sweep windows are reused.
 func (p *preparedJoin) run(fn func(asg []relation.Tuple) error) error {
-	p.fn = fn
-	p.rec(0)
-	err := p.err
-	p.fn, p.err = nil, nil
+	c := &p.cur
+	c.lo, c.hi, c.fn = 0, len(p.refCol[0]), fn
+	c.rec(0)
+	err := c.err
+	c.fn, c.err = nil, nil
 	return err
 }
 
@@ -359,9 +397,66 @@ func (p *preparedJoin) run(fn func(asg []relation.Tuple) error) error {
 // one word instead, packed as packing says. The last level writes it
 // (putWord); no level materialises a tuple and nothing is called back.
 func (p *preparedJoin) runWords(out *mr.Rows, packing *rowPacking) {
-	p.words, p.packing = out, packing
-	p.rec(0)
-	p.words, p.packing = nil, nil
+	c := &p.cur
+	c.lo, c.hi, c.words, c.packing = 0, len(p.refCol[0]), out, packing
+	c.rec(0)
+	c.words, c.packing = nil, nil
+}
+
+// runSplit enumerates what runWords does on up to workers goroutines and
+// collects the words in out. The first level's candidates, in start order,
+// are cut into `ranges` contiguous stretches of about equal length; every row
+// binds one first-level candidate, so each lies in one stretch and no rule
+// of ownership is needed. Goroutine g walks stretch g first and then takes
+// the next one left from a shared counter, so that a slow stretch does not
+// hold up the rest; each walks its own cursor into its own rows, which out
+// takes when all are done. Every window is built first: the walks only read
+// the preparedJoin.
+func (p *preparedJoin) runSplit(out *mr.Rows, packing *rowPacking, ranges, workers int) {
+	for i := range p.e.plans {
+		if p.e.plans[i].kernel == kindSweep && !p.built[i] {
+			p.buildWindows(i)
+		}
+	}
+	n, levels := len(p.refCol[0]), len(p.e.rels)
+	parts := make([]mr.Rows, min(ranges, workers))
+	var next atomic.Int64
+	next.Store(int64(len(parts)))
+	var wg sync.WaitGroup
+	for g := range parts {
+		parts[g].Width = out.Width
+		c := &cursor{
+			p: p, packing: packing, words: &parts[g],
+			asg: make([]relation.Tuple, levels), idx: apart[int](levels), bref: apart[int32](levels),
+		}
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for r := g; r < ranges; r = int(next.Add(1)) - 1 {
+				c.lo, c.hi = r*n/ranges, (r+1)*n/ranges
+				c.rec(0)
+			}
+		}()
+	}
+	wg.Wait()
+	for g := range parts {
+		out.Take(&parts[g])
+	}
+}
+
+// cacheLine is the span of memory a core takes whole to write to: two
+// goroutines that write within one line pass it between their cores on every
+// write, and each runs at the speed of the passing.
+const cacheLine = 64
+
+// apart returns n zero Ts with a cache line to themselves on either side, for
+// one goroutine to write on every candidate — a cursor's idx and bref — with
+// no other goroutine's data on their lines. Made side by side, two cursors'
+// few bytes each would share one.
+func apart[T any](n int) []T {
+	var t T
+	pad := cacheLine / int(unsafe.Sizeof(t))
+	return make([]T, pad+n+pad)[pad : pad+n : pad+n]
 }
 
 // levelAttr is a vertex of a reducer's space by binding level.
@@ -376,12 +471,13 @@ type ownerRange struct {
 }
 
 // owned applies the owner rule to the complete assignment the levels bind.
-func (p *preparedJoin) owned() bool {
+func (c *cursor) owned() bool {
+	p := c.p
 	for d := range p.owner {
 		o := &p.owner[d]
 		start := int64(math.MinInt64)
 		for _, v := range o.verts {
-			start = max(start, p.arena.Start(p.bref[v.level], v.attr))
+			start = max(start, p.arena.Start(c.bref[v.level], v.attr))
 		}
 		if start < o.lo || start > o.hi {
 			return false
@@ -392,32 +488,34 @@ func (p *preparedJoin) owned() bool {
 
 // putWord collects the complete assignment the levels bind as one word, if
 // the reducer owns it.
-func (p *preparedJoin) putWord() {
-	if !p.owned() {
+func (c *cursor) putWord() {
+	if !c.owned() {
 		return
 	}
+	p := c.p
 	var word int64
 	for j, rel := range p.e.rels {
-		word |= p.packing.place(rel, p.arena.ID(p.bref[j]))
+		word |= c.packing.place(rel, p.arena.ID(c.bref[j]))
 	}
-	p.words.Append()[0] = word
+	c.words.Append()[0] = word
 }
 
-func (p *preparedJoin) rec(i int) {
-	if p.err != nil {
+func (c *cursor) rec(i int) {
+	if c.err != nil {
 		return
 	}
-	if i == len(p.asg) {
+	if i == len(c.asg) {
 		// Each level materialised its binding when the candidate was
 		// accepted, so the full assignment is already in place.
-		if !p.owned() {
+		if !c.owned() {
 			return
 		}
-		if err := p.fn(p.asg); err != nil {
-			p.err = err
+		if err := c.fn(c.asg); err != nil {
+			c.err = err
 		}
 		return
 	}
+	p := c.p
 	lp := &p.e.plans[i]
 	if lp.kernel == kindSweep {
 		// Intersect the precomputed per-partner windows across the level's
@@ -432,7 +530,7 @@ func (p *preparedJoin) rec(i int) {
 		wins := p.wins[i]
 		for k := range lp.conds {
 			w := &wins[k]
-			t := p.idx[lp.conds[k].partner]
+			t := c.idx[lp.conds[k].partner]
 			if f := int(w.from[t]); f > from {
 				from = f
 			}
@@ -446,10 +544,10 @@ func (p *preparedJoin) rec(i int) {
 				eHi = w.eHi[t]
 			}
 		}
-		p.kernelSweep(i, from, sHi, eLo, eHi)
+		c.kernelSweep(i, from, sHi, eLo, eHi)
 		return
 	}
-	p.kernelGeneric(i)
+	c.kernelGeneric(i)
 }
 
 // kernelGeneric is the fallback enumeration loop: multi-attribute levels
@@ -457,22 +555,27 @@ func (p *preparedJoin) rec(i int) {
 // the sort attribute, and condition-free levels. It intersects the start
 // windows the sort-attribute conditions impose (condWindows), binary-searches
 // the scan start, and evaluates every condition per candidate — reading all
-// attributes through the arena, never through tuple structs.
-func (p *preparedJoin) kernelGeneric(i int) {
+// attributes through the arena, never through tuple structs. The first level
+// has no condition and always runs here: it scans the cursor's stretch.
+func (c *cursor) kernelGeneric(i int) {
+	p := c.p
 	lp := &p.e.plans[i]
 	refs := p.refCol[i]
 	col := p.loCol[i] // nil only for unconstrained levels, where hiBound stays +inf
-	tuples, leaf := p.words == nil, p.words != nil && i == p.last
-	from := 0
+	tuples, leaf := c.words == nil, c.words != nil && i == p.last
+	from, to := 0, len(refs)
+	if i == 0 {
+		from, to = c.lo, c.hi
+	}
 	hiBound := int64(math.MaxInt64)
 	if lp.sortAttr >= 0 {
 		lo := int64(math.MinInt64)
 		for k := range lp.conds {
-			c := &lp.conds[k]
-			if !c.onSort {
+			pc := &lp.conds[k]
+			if !pc.onSort {
 				continue
 			}
-			sLo, sHi, _, _, ok := condWindows(c.pred, p.arena.Attr(p.bref[c.partner], c.battr))
+			sLo, sHi, _, _, ok := condWindows(pc.pred, p.arena.Attr(c.bref[pc.partner], pc.battr))
 			if !ok {
 				return
 			}
@@ -486,27 +589,27 @@ func (p *preparedJoin) kernelGeneric(i int) {
 		}
 	}
 next:
-	for k := from; k < len(refs); k++ {
+	for k := from; k < to; k++ {
 		if col != nil && col[k] > hiBound {
 			break
 		}
-		p.bref[i] = refs[k]
-		p.idx[i] = k
-		for _, c := range lp.conds {
-			u := p.arena.Attr(p.bref[c.eval.lLevel], c.eval.lAttr)
-			v := p.arena.Attr(p.bref[c.eval.rLevel], c.eval.rAttr)
-			if !c.eval.pred.Eval(u, v) {
+		c.bref[i] = refs[k]
+		c.idx[i] = k
+		for _, pc := range lp.conds {
+			u := p.arena.Attr(c.bref[pc.eval.lLevel], pc.eval.lAttr)
+			v := p.arena.Attr(c.bref[pc.eval.rLevel], pc.eval.rAttr)
+			if !pc.eval.pred.Eval(u, v) {
 				continue next
 			}
 		}
 		if leaf {
-			p.putWord()
+			c.putWord()
 			continue
 		}
 		if tuples {
-			p.asg[i] = p.arena.Tuple(refs[k])
+			c.asg[i] = p.arena.Tuple(refs[k])
 		}
-		p.rec(i + 1)
+		c.rec(i + 1)
 	}
 }
 
@@ -627,24 +730,26 @@ func semijoinReduce(conds []query.Condition, rels []int, cands [][]relation.Tupl
 		ends   []int64
 	}
 	sortCache := make(map[[2]int]sortedList)
+	// The positions and the sort's second buffer serve every list in turn.
+	var order []int32
+	var scratch []keyIdx
 	sortedByStart := func(relPos, attr int) sortedList {
 		key := [2]int{relPos, attr}
 		if s, ok := sortCache[key]; ok {
 			return s
 		}
 		src := cur[relPos]
-		pairs := make([]keyIdx, len(src))
-		for k := range src {
-			pairs[k] = keyIdx{key: src[k].Attrs[attr].Start, idx: int32(k)}
-		}
-		slices.SortFunc(pairs, func(a, b keyIdx) int { return cmp.Compare(a.key, b.key) })
 		s := sortedList{
 			starts: make([]int64, len(src)),
 			ends:   make([]int64, len(src)),
 		}
-		for k, pr := range pairs {
-			s.starts[k] = pr.key
-			s.ends[k] = src[pr.idx].Attrs[attr].End
+		order, scratch = sized(order, len(src)), sized(scratch, len(src))
+		for k := range src {
+			s.starts[k], order[k] = src[k].Attrs[attr].Start, int32(k)
+		}
+		sortKeyIdx(s.starts, order, scratch)
+		for k, i := range order {
+			s.ends[k] = src[i].Attrs[attr].End
 		}
 		sortCache[key] = s
 		return s

@@ -86,35 +86,48 @@ func Plan(q *query.Query, preferPruning bool) Algorithm {
 	}
 }
 
-// inLineCap is the most tuples, summed over the query's relations, that a run
-// with no option set joins in line. It is the largest power of two at which
-// the in-line join's wall was no worse than the planner's job on any of the
-// shapes swept (BenchmarkInLineCap; the table is in docs/ALGORITHMS.md).
-const inLineCap = 1 << 14
-
-// InLine says why Engine.Run joins ctx's relations in line (JoinInLine)
-// rather than through the planner's job, or is nil when the job runs: the
-// rule is inLine's.
+// InLine says that Engine.Run joins ctx's relations in line (JoinInLine)
+// rather than through the planner's job, and over how many ranges, or is nil
+// when the job runs: the rule is inLine's.
 func InLine(ctx *Context) *obs.InLine {
+	if !inLine(ctx.Query, ctx.Opts) {
+		return nil
+	}
 	var tuples int64
 	for _, r := range ctx.Rels {
 		tuples += int64(r.Len())
 	}
-	if !inLine(ctx.Query, ctx.Opts, tuples) {
-		return nil
-	}
-	return &obs.InLine{Tuples: tuples, Cap: inLineCap}
+	return &obs.InLine{Tuples: tuples, Ranges: inLineRanges(ctx)}
 }
 
-// inLine is the rule: no option set, at most inLineCap tuples, and relations
-// bound in a connected order. When the whole input fits one reducer, one
-// reducer with replication rate 1 is the best schema (Afrati et al.), and the
-// cap is where one goroutine stops beating the job's workers. An option asks
-// for the job's layout by name. A disconnected order leaves a level with no
-// bound partner, whose every candidate meets every partial: the job's
-// partitions bound that product and one reducer does not.
-func inLine(q *query.Query, opts Options, tuples int64) bool {
-	return opts == (Options{}) && tuples <= inLineCap && connectedOrder(q)
+// inLine is the rule: no option set, and relations bound in a connected
+// order. When the whole input fits one reducer, one reducer with replication
+// rate 1 is the best schema (Afrati et al.); an input in memory fits it, and
+// the in-line join spreads over the engine's workers by its first level
+// (inLineRanges), as the job spreads over its reducers. An option asks for
+// the job's layout by name. A disconnected order leaves a level with no bound
+// partner, whose every candidate meets every partial: the job's partitions
+// bound that product and one reducer does not.
+func inLine(q *query.Query, opts Options) bool {
+	return opts == (Options{}) && connectedOrder(q)
+}
+
+// minRange is the fewest first-level candidates a range of a split in-line
+// join holds. From twice it on, splitting over two workers was measured no
+// slower than one goroutine on every shape swept, and below it the chain
+// lost (BenchmarkInLineVsJob's split arm; the table is in
+// docs/ALGORITHMS.md).
+const minRange = 4096
+
+// inLineRanges is how many ranges JoinInLine cuts ctx's first level into: as
+// many as hold minRange candidates each, or one — no split — without an
+// engine (the service's delta joins), with one worker, or when the rows do
+// not pack into words. It depends on the first level's size alone.
+func inLineRanges(ctx *Context) int {
+	if ctx.Engine == nil || ctx.Engine.Workers() < 2 || !ctx.packing.words {
+		return 1
+	}
+	return max(1, ctx.Rels[0].Len()/minRange)
 }
 
 // connectedOrder reports whether every prefix of q's relations, in the order

@@ -39,7 +39,10 @@ package core
 //     reading attributes through the arena.
 
 import (
+	"cmp"
 	"math"
+	"math/bits"
+	"slices"
 
 	"intervaljoin/internal/interval"
 )
@@ -198,6 +201,90 @@ type keyIdx struct {
 	idx int32
 }
 
+// smallKeyIdx is the length below which sortKeyIdx compares instead of
+// counting: a radix pass zeroes and scans 2048 counters a digit whatever the
+// length.
+const smallKeyIdx = 256
+
+// sortKeyIdx orders the pairs (keys[k], idx[k]) by key, in place in the two
+// columns, with scratch — len(keys) pairs at least — as its second buffer.
+// Equal keys keep no particular order. Keys already in order are not moved, a
+// short list takes a comparison sort, and any other an LSD radix over
+// key − min, radixBits bits a digit and as many digits as the span needs: six
+// for the whole int64 line. One pass counts every digit, then one scatter a
+// digit moves the pairs from the columns to scratch or back, and a copy
+// brings them home after an odd number of scatters; a digit all keys share
+// moves nothing. Since the columns are its input and its output, a caller
+// fills them where they will stay, and the pairs take one buffer, not two.
+func sortKeyIdx(keys []int64, idx []int32, scratch []keyIdx) {
+	n := len(keys)
+	if n < 2 {
+		return
+	}
+	lo, hi, ordered := keys[0], keys[0], true
+	for i := 1; i < n; i++ {
+		k := keys[i]
+		ordered = ordered && k >= keys[i-1]
+		lo, hi = min(lo, k), max(hi, k)
+	}
+	if ordered {
+		return
+	}
+	pairs := scratch[:n]
+	if n < smallKeyIdx {
+		for i, k := range keys {
+			pairs[i] = keyIdx{key: k, idx: idx[i]}
+		}
+		slices.SortFunc(pairs, func(a, b keyIdx) int { return cmp.Compare(a.key, b.key) })
+		for i, pr := range pairs {
+			keys[i], idx[i] = pr.key, pr.idx
+		}
+		return
+	}
+	const mask = 1<<radixBits - 1
+	// Unsigned, because the span itself may pass MaxInt64.
+	digits := (bits.Len64(uint64(hi)-uint64(lo)) + radixBits - 1) / radixBits
+	var next [radixDigits][1 << radixBits]int32
+	for _, k := range keys {
+		v := uint64(k) - uint64(lo)
+		for d := range digits {
+			next[d][v>>(d*radixBits)&mask]++
+		}
+	}
+	inColumns := true
+	for d := range digits {
+		// lo's digits are all 0, so a digit every key shares is 0.
+		at, shift := &next[d], d*radixBits
+		if at[0] == int32(n) {
+			continue
+		}
+		sum := int32(0)
+		for b, count := range at {
+			at[b] = sum
+			sum += count
+		}
+		if inColumns {
+			for i, k := range keys {
+				b := (uint64(k) - uint64(lo)) >> shift & mask
+				pairs[at[b]] = keyIdx{key: k, idx: idx[i]}
+				at[b]++
+			}
+		} else {
+			for _, pr := range pairs {
+				b := (uint64(pr.key) - uint64(lo)) >> shift & mask
+				keys[at[b]], idx[at[b]] = pr.key, pr.idx
+				at[b]++
+			}
+		}
+		inColumns = !inColumns
+	}
+	if !inColumns {
+		for i, pr := range pairs {
+			keys[i], idx[i] = pr.key, pr.idx
+		}
+	}
+}
+
 // sweepFroms computes, for every lower bound, the index of the first
 // candidate start >= it.
 func sweepFroms(los []int64, candStarts []int64) []int32 {
@@ -278,22 +365,23 @@ func kernelSemijoin(starts, ends []int64, from int, sHi, eLo, eHi int64) bool {
 // so rejected candidates never leave the endpoint columns — and when the
 // rows are words it is never materialised: the last level packs the
 // bindings' ids straight into the row's word (putWord).
-func (p *preparedJoin) kernelSweep(i, from int, sHi, eLo, eHi int64) {
+func (c *cursor) kernelSweep(i, from int, sHi, eLo, eHi int64) {
+	p := c.p
 	lo, hi, refs := p.loCol[i], p.hiCol[i], p.refCol[i]
-	tuples, leaf := p.words == nil, p.words != nil && i == p.last
+	tuples, leaf := c.words == nil, c.words != nil && i == p.last
 	for k := from; k < len(lo) && lo[k] <= sHi; k++ {
 		if e := hi[k]; e < eLo || e > eHi {
 			continue
 		}
-		p.idx[i] = k
-		p.bref[i] = refs[k]
+		c.idx[i] = k
+		c.bref[i] = refs[k]
 		if leaf {
-			p.putWord()
+			c.putWord()
 			continue
 		}
 		if tuples {
-			p.asg[i] = p.arena.Tuple(refs[k])
+			c.asg[i] = p.arena.Tuple(refs[k])
 		}
-		p.rec(i + 1)
+		c.rec(i + 1)
 	}
 }

@@ -196,8 +196,8 @@ func (r *Rows) Len() int {
 // Release.
 func (r *Rows) Chunks() [][]int64 { return r.chunks }
 
-// take moves other's rows to the end of r.
-func (r *Rows) take(other *Rows) {
+// Take moves other's rows to the end of r.
+func (r *Rows) Take(other *Rows) {
 	r.chunks = append(r.chunks, other.chunks...)
 	other.chunks = nil
 }
@@ -313,6 +313,9 @@ func NewEngine(cfg Config) *Engine {
 
 // Tracer returns the engine's tracer (nil when tracing is disabled).
 func (e *Engine) Tracer() *obs.Tracer { return e.tracer }
+
+// Workers returns the number of concurrent tasks the engine runs.
+func (e *Engine) Workers() int { return e.workers }
 
 // Store returns the engine's file store.
 func (e *Engine) Store() dfs.Store { return e.store }
@@ -857,7 +860,7 @@ func (e *Engine) reducePhase(job Job, shuffle *shuffleState, m *Metrics, snk *si
 	m.MakespanKeyOrder, m.MakespanLPT = modelDispatchOrders(results, e.workers)
 	if job.Rows != nil {
 		for i := range results {
-			job.Rows.take(&results[i].rows)
+			job.Rows.Take(&results[i].rows)
 		}
 	}
 	if writeOut {

@@ -89,12 +89,12 @@ type PlanInfo struct {
 	InLine *InLine `json:"in_line,omitempty"`
 }
 
-// InLine is a run joined in line, with the rule that chose it: Tuples, the
-// query's relation sizes summed, is at most Cap, the size up to which one
-// reducer's join was measured no slower than the planner's job.
+// InLine is a run joined in line: Tuples, the query's relation sizes summed,
+// and Ranges, the stretches its first relation was cut into for the engine's
+// workers to join (1 when one goroutine joined it all).
 type InLine struct {
 	Tuples int64 `json:"tuples"`
-	Cap    int64 `json:"cap"`
+	Ranges int   `json:"ranges"`
 }
 
 // Reach is one dimension the planner joins without a mark cycle. Every

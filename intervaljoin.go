@@ -18,9 +18,9 @@
 //   - hybrid queries → All-Seq-Matrix (or its pruned variant PASM);
 //   - general multi-attribute queries → Gen-Matrix.
 //
-// An input small enough to fit one reducer skips the MapReduce job
-// altogether when Engine.Run is given no options: it is joined in line,
-// in the caller.
+// Engine.Run given no options, for a query that binds its relations in a
+// connected order, skips the MapReduce job altogether: the input, already
+// in memory, is joined in line, in the caller, over the engine's workers.
 //
 // Quick start:
 //
@@ -124,8 +124,8 @@ type OutputTuple = core.OutputTuple
 type Algorithm = core.Algorithm
 
 // RunOptions tune a run; see core.Options. The zero value lets Engine.Run
-// join a small input in line, and otherwise uses 16 partitions and 6
-// partitions per grid dimension, the paper's defaults.
+// join in line, and otherwise uses 16 partitions and 6 partitions per grid
+// dimension, the paper's defaults.
 type RunOptions = core.Options
 
 // Tracer is the engine's observability collector (see internal/obs): a
@@ -145,7 +145,8 @@ func NewTracer(opts TracerOptions) *Tracer { return obs.New(opts) }
 
 // EngineOptions configure the engine.
 type EngineOptions struct {
-	// Workers bounds map/reduce task parallelism; 0 means GOMAXPROCS.
+	// Workers bounds map/reduce task parallelism, and the goroutines an
+	// in-line join splits over; 0 means GOMAXPROCS.
 	Workers int
 	// Tracer, when non-nil, records execution spans and statistics for
 	// every run on this engine (see docs/OBSERVABILITY.md). Nil disables
@@ -209,10 +210,11 @@ func MustNewEngine(opts EngineOptions) *Engine {
 // that Allen-algebra reasoning proves empty return an empty result without
 // touching the data.
 //
-// A run whose options are all zero, over few enough tuples in all and a query
-// that binds its relations in a connected order, joins in line: one reducer
-// in the caller, with no map, shuffle or record (Result.Algorithm
-// "in-line"; its Metrics.Plan says why). Any option set runs the
+// A run whose options are all zero, of a query that binds its relations in a
+// connected order, joins in line: one reducer in the caller, with no map,
+// shuffle or record, whose first relation a large enough input has cut into
+// ranges for the engine's workers (Result.Algorithm "in-line"; its
+// Metrics.Plan says over how many ranges). Any option set runs the
 // planner's job.
 func (e *Engine) Run(q *Query, rels []*Relation, opts RunOptions) (*Result, error) {
 	// The bindings are validated first, so misuse surfaces on every path.
@@ -244,6 +246,7 @@ func (e *Engine) runInLine(ctx *core.Context, why *obs.InLine) (*Result, error) 
 	if lane != nil {
 		lane.End(obs.CatReduce, "reduce:in-line", start,
 			obs.Arg{Key: "tuples", Val: strconv.FormatInt(why.Tuples, 10)},
+			obs.Arg{Key: "ranges", Val: strconv.Itoa(why.Ranges)},
 			obs.Arg{Key: "rows", Val: strconv.Itoa(len(res.Tuples))})
 	}
 	m := mr.NewMetrics(res.Algorithm)

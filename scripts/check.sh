@@ -21,7 +21,8 @@
 #                      in-line delta join nothing per tuple or row but a
 #                      row chunk per doubling
 #                      (TestDeltaJoinAllocsIndependentOfRows), a batch
-#                      join Engine.Run runs in line the same
+#                      join Engine.Run runs in line the same but for a
+#                      fixed cost per goroutine of its split
 #                      (TestInLineRunAllocsIndependentOfRows), and
 #                      validating ids that strictly increase nothing at all
 #                      (TestValidateAllocatesNothingFor...)
@@ -30,16 +31,21 @@
 #                      engine is deliberately concurrent, so -race is part
 #                      of the gate, not an optional extra; then the tests
 #                      of concurrent runs and queries (service, engine)
-#                      ten times over, since their races show only now and
-#                      then; then a 5-second
-#                      fuzz smoke of each of five targets: the two
+#                      and of the in-line join, whose goroutines share one
+#                      prepared join, ten times over, since their races
+#                      show only now and then; then a 5-second
+#                      fuzz smoke of each of six targets: the two
 #                      decoders that read arbitrary bytes — the binary
 #                      record codec (FuzzRecordDecode) and the spill
 #                      records carrying it (FuzzSpillRecordRoundTrip) —
 #                      the result's row ordering (FuzzSetRows: rows
 #                      packed by their relations' id ranges, radix-sorted
 #                      as words or compared as ids, against a comparison
-#                      sort), the planner against the oracle around
+#                      sort), the radix sort that orders a join's
+#                      candidates by start (FuzzSortKeyIdx: spans up to the
+#                      whole int64 line, equal and sorted keys, lengths
+#                      either side of its comparison cutoff, against a
+#                      comparison sort), the planner against the oracle around
 #                      the reach rule's flip point (FuzzPlanReach: random
 #                      colocation queries, sizes, k and boundaries), and
 #                      the cache's wire text, assembled from reused
@@ -114,8 +120,11 @@ echo "== go test -race =="
 go test -race ./...
 # Concurrent queries run their delta joins side by side, and concurrent runs
 # share the engine's pools: a race there may take several runs to show, so
-# the tests that drive it run ten times more, by name.
+# the tests that drive it run ten times more, by name. So do the root
+# package's in-line tests: an in-line join splits its first level over the
+# engine's workers, whose cursors read one prepared join.
 go test -race -count=10 -run 'Concurrent' ./internal/cache ./internal/core
+go test -race -count=10 -run 'InLine' .
 
 echo "== fuzz smoke =="
 # The engine's records are fixed-width binary and spill values are arbitrary
@@ -123,14 +132,17 @@ echo "== fuzz smoke =="
 # length check that the seed corpus (run by the suite above) does not. The
 # third target packs result rows into words by their relations' id ranges
 # and sorts them by radix: five seconds of widths, counts and id ranges
-# against a comparison sort. The fourth runs the planner against the oracle
+# against a comparison sort. The fourth sorts a join's (start, ref) pairs by
+# radix, over spans up to the whole int64 line, against a comparison sort.
+# The fifth runs the planner against the oracle
 # on queries, sizes, partition counts and boundaries drawn around the
-# interval length at which it stops skipping the RCCIS marking. The fifth
+# interval length at which it stops skipping the RCCIS marking. The sixth
 # checks the cache's wire text, which copies each anchor group's "[id"
 # prefix from its first row, against encoding/json for arbitrary ids.
 go test -run '^$' -fuzz '^FuzzRecordDecode$' -fuzztime 5s ./internal/core
 go test -run '^$' -fuzz '^FuzzSpillRecordRoundTrip$' -fuzztime 5s ./internal/mr
 go test -run '^$' -fuzz '^FuzzSetRows$' -fuzztime 5s ./internal/core
+go test -run '^$' -fuzz '^FuzzSortKeyIdx$' -fuzztime 5s ./internal/core
 go test -run '^$' -fuzz '^FuzzPlanReach$' -fuzztime 5s ./internal/core
 go test -run '^$' -fuzz '^FuzzStoredWireMatchesEncodingJSON$' -fuzztime 5s ./internal/cache
 
