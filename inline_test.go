@@ -5,8 +5,11 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"os"
+	"path/filepath"
 	"slices"
 	"strings"
+	"sync"
 	"testing"
 
 	"intervaljoin/internal/core"
@@ -362,4 +365,70 @@ func TestInLineRunAllocsIndependentOfRows(t *testing.T) {
 	if doublings := math.Ceil(math.Log2(float64(largeRows) / float64(smallRows))); largeAllocs > smallAllocs+workers*2*doublings {
 		t.Fatalf("an in-line run allocates %.0f times for %d rows and %.0f times for %d", smallAllocs, smallRows, largeAllocs, largeRows)
 	}
+}
+
+// TestInLineRunsShareLoadedRelations: two zero-option Engine.Runs at once
+// over the same relations loaded from files read them where they lie, each
+// splitting its first level over the engine's two workers, and return the
+// oracle's rows; so they do, copying, once a tuple's Attrs are replaced.
+// Concurrent runs only read a loaded relation: under -race (check.sh runs
+// this ten times) a run writing into one shows as a race.
+func TestInLineRunsShareLoadedRelations(t *testing.T) {
+	eng := MustNewEngine(EngineOptions{Workers: 2})
+	q, _ := ParseQuery("R1 overlaps R2 and R2 overlaps R3")
+	rng := rand.New(rand.NewSource(52))
+	rels := make([]*Relation, 3)
+	for i := range rels {
+		var text strings.Builder
+		for range 9_000 {
+			start := rng.Int63n(900_000)
+			fmt.Fprintf(&text, "%d,%d\n", start, start+rng.Int63n(101))
+		}
+		path := filepath.Join(t.TempDir(), fmt.Sprintf("r%d.txt", i+1))
+		if err := os.WriteFile(path, []byte(text.String()), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		var err error
+		if rels[i], err = LoadRelation(NewSchema(fmt.Sprintf("R%d", i+1)), path); err != nil {
+			t.Fatal(err)
+		}
+	}
+	check := func(label string) *Result {
+		want, err := eng.Oracle(q, rels, RunOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(want.Tuples) == 0 {
+			t.Fatalf("%s: the oracle has no rows; the runs check nothing", label)
+		}
+		var wg sync.WaitGroup
+		got := make([]*Result, 2)
+		errs := make([]error, 2)
+		for g := range got {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				got[g], errs[g] = eng.Run(q, rels, RunOptions{})
+			}()
+		}
+		wg.Wait()
+		for g, res := range got {
+			if errs[g] != nil {
+				t.Fatalf("%s: run %d: %v", label, g, errs[g])
+			}
+			if res.Algorithm != "in-line" || res.Metrics.Plan.InLine.Ranges < 2 {
+				t.Fatalf("%s: run %d ran %s, %+v", label, g, res.Algorithm, res.Metrics.Plan)
+			}
+			if !slices.Equal(res.IDs, want.IDs) {
+				t.Errorf("%s: run %d returned %d rows, the oracle %d, or other ids", label, g, len(res.Tuples), len(want.Tuples))
+			}
+		}
+		return want
+	}
+	// The replaced tuple takes the interval of an R2 tuple in a row, and
+	// so rows of its own.
+	row := check("loaded").Tuples[0]
+	moved := (row[1] + 1) % int64(rels[1].Len())
+	rels[1].Tuples[moved].Attrs = slices.Clone(rels[1].Tuples[row[1]].Attrs)
+	check("a tuple's Attrs replaced")
 }

@@ -95,7 +95,7 @@ func benchReduceKernel(b *testing.B, n int) {
 	b.ResetTimer()
 	count := 0
 	for i := 0; i < b.N; i++ {
-		if err := e.runTagged(values, lvl, nil, func([]relation.Tuple) error { count++; return nil }); err != nil {
+		if err := e.runTagged(values, lvl, func([]relation.Tuple) error { count++; return nil }); err != nil {
 			b.Fatal(err)
 		}
 	}

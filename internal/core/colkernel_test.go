@@ -23,10 +23,10 @@ import (
 // runTagged is a reduce call's path through the enumerator with a callback:
 // load values into a pooled join and enumerate once, calling fn for every
 // assignment. An error from fn stops the enumeration and is returned.
-func (e *enumerator) runTagged(values []string, lvl []int, whole [][]relation.Tuple, fn func(asg []relation.Tuple) error) error {
+func (e *enumerator) runTagged(values []string, lvl []int, fn func(asg []relation.Tuple) error) error {
 	p := e.get()
 	defer e.put(p)
-	if err := p.load(values, lvl, whole); err != nil {
+	if err := p.load(values, lvl); err != nil {
 		return err
 	}
 	return p.run(fn)
@@ -317,7 +317,7 @@ func TestRunTaggedMatchesRun(t *testing.T) {
 	want := enumKeys(e, cands)
 
 	var got []string
-	err := e.runTagged(values, allRelations(3), nil, func(asg []relation.Tuple) error {
+	err := e.runTagged(values, allRelations(3), func(asg []relation.Tuple) error {
 		key := make(OutputTuple, len(asg))
 		for j, tup := range asg {
 			key[j] = tup.ID
@@ -339,7 +339,7 @@ func TestRunTaggedMatchesRun(t *testing.T) {
 	}
 	stop := errors.New("stop")
 	calls := 0
-	err = e.runTagged(values, allRelations(3), nil, func([]relation.Tuple) error { calls++; return stop })
+	err = e.runTagged(values, allRelations(3), func([]relation.Tuple) error { calls++; return stop })
 	if !errors.Is(err, stop) || calls != 1 {
 		t.Fatalf("runTagged after a callback error: err = %v after %d calls, want %v after 1", err, calls, stop)
 	}
@@ -347,7 +347,7 @@ func TestRunTaggedMatchesRun(t *testing.T) {
 	good := encodeTagged(0, mkTuple(0, interval.New(1, 2)))
 	for _, bad := range []string{"", "0;0|1,2", good[:len(good)-1], good + "\x00", "\x09" + good[1:],
 		encodeTagged(0, relation.Tuple{ID: 0, Attrs: []interval.Interval{{Start: 2, End: 1}}})} {
-		if err := e.runTagged([]string{bad}, allRelations(3), nil, func([]relation.Tuple) error { return nil }); err == nil {
+		if err := e.runTagged([]string{bad}, allRelations(3), func([]relation.Tuple) error { return nil }); err == nil {
 			t.Errorf("runTagged(%q) succeeded, want error", bad)
 		}
 	}

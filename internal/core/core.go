@@ -83,9 +83,12 @@ type Context struct {
 	// packing is how a result row over Rels becomes one word, read off the
 	// relations' ids once: every run on the Context collects by it.
 	packing rowPacking
-	// longest[i] is the length of Rels[i]'s longest first-attribute interval,
-	// read in the same pass: it bounds how far a row can reach (reachJoin).
-	longest []int64
+	// facts[i] is what the same pass read of Rels[i] besides its ids: the
+	// length of its longest first-attribute interval, which bounds how far a
+	// row can reach (reachJoin), and whether its tuples lie where their
+	// loader laid them, so that a join holding it whole reads it there
+	// (preparedJoin.hold).
+	facts []relation.Facts
 }
 
 // NewContext validates and assembles a run context. Relations are matched to
@@ -102,7 +105,7 @@ func NewContext(engine *mr.Engine, q *query.Query, rels []*relation.Relation, op
 	bound := make([]*relation.Relation, len(q.Relations))
 	// lo[i] and hi[i] bound relation i's ids: the result's packing.
 	lo, hi := make([]int64, len(bound)), make([]int64, len(bound))
-	longest := make([]int64, len(bound))
+	facts := make([]relation.Facts, len(bound))
 	for _, r := range rels {
 		i := q.RelIndex(r.Schema.Name)
 		if i < 0 {
@@ -119,11 +122,11 @@ func NewContext(engine *mr.Engine, q *query.Query, rels []*relation.Relation, op
 			return nil, fmt.Errorf("core: relation %s has %d attributes, a record can hold at most %d",
 				r.Schema.Name, r.Schema.Arity(), maxArity)
 		}
-		var err error
-		if lo[i], hi[i], longest[i], err = r.ValidateRange(); err != nil {
+		f, err := r.Check()
+		if err != nil {
 			return nil, err
 		}
-		bound[i] = r
+		lo[i], hi[i], facts[i], bound[i] = f.Lo, f.Hi, f, r
 	}
 	for i, r := range bound {
 		if r == nil {
@@ -131,7 +134,7 @@ func NewContext(engine *mr.Engine, q *query.Query, rels []*relation.Relation, op
 		}
 	}
 	return &Context{Engine: engine, Query: q, Rels: bound, Opts: opts, slabs: make([]relSlab, len(bound)),
-		packing: newRowPacking(lo, hi), longest: longest}, nil
+		packing: newRowPacking(lo, hi), facts: facts}, nil
 }
 
 // Stage writes every relation to the store as "input/<name>", one text line

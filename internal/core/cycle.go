@@ -336,19 +336,19 @@ func (c *Context) markJob(dims []dimension, vertexTagged bool) mr.Job {
 			// A counting pass over the relation bytes sizes everything the
 			// call builds, so nothing below grows: one candidate and one
 			// member list per relation, cut from two arrays of the value
-			// list's length, a per-call arena — one flat interval column
-			// for the whole candidate list instead of one Attrs slice per
-			// record — and the slab the output records are written in. The
-			// records ride along so survivors are re-emitted as what
-			// arrived, then the flag.
+			// list's length, one flat interval column for the whole
+			// candidate list instead of one Attrs slice per record, and the
+			// slab the output records are written in. The records ride along
+			// so survivors are re-emitted as what arrived, then the flag.
 			counts := make([]int, len(c.Rels))
-			size := 0
+			size, attrs := 0, 0
 			for _, v := range values {
-				if v == "" || int(v[0]) >= len(counts) {
+				if len(v) < headerLen || int(v[0]) >= len(counts) {
 					return fmt.Errorf("core: mark: record %q names no relation of the query", v)
 				}
 				counts[v[0]]++
 				size += len(v) + 2
+				attrs += int(v[1])
 			}
 			cands, members := make([][]relation.Tuple, len(counts)), make([][]string, len(counts))
 			tuples, records := make([]relation.Tuple, len(values)), make([]string, len(values))
@@ -356,18 +356,18 @@ func (c *Context) markJob(dims []dimension, vertexTagged bool) mr.Job {
 				cands[rel], members[rel] = tuples[:0:n], records[:0:n]
 				tuples, records = tuples[n:], records[n:]
 			}
-			var arena relation.Arena
-			arena.Grow(len(values), len(values))
+			slab := make([]interval.Interval, 0, attrs)
 			for _, v := range values {
 				rel, body, err := splitTagged(v)
 				if err != nil {
 					return err
 				}
-				ref, err := arena.AppendBinary(body)
-				if err != nil {
+				at := len(slab)
+				var id int64
+				if id, slab, err = relation.DecodeBinary(body, slab); err != nil {
 					return err
 				}
-				cands[rel] = append(cands[rel], arena.Tuple(ref))
+				cands[rel] = append(cands[rel], relation.Tuple{ID: id, Attrs: slab[at:len(slab):len(slab)]})
 				members[rel] = append(members[rel], v)
 			}
 			replicate := markCrossingParticipants(conds[k], d.part, p, d.verts, cands)
@@ -465,11 +465,10 @@ func (cj cellJoin) job(c *Context) mr.Job {
 	// product's unit, in index order like the rest, its candidates the
 	// relation itself.
 	type unit struct {
-		e     *enumerator
-		dims  []dimension
-		rels  []int
-		lvl   []int
-		whole [][]relation.Tuple
+		e    *enumerator
+		dims []dimension
+		rels []int
+		lvl  []int
 		// owner[i] lists the vertices of dimension i by binding level; nil
 		// when the cycle skips the owner rule.
 		owner [][]levelAttr
@@ -490,12 +489,6 @@ func (cj cellJoin) job(c *Context) mr.Job {
 				u.rels = append(u.rels, rel)
 			}
 		}
-		if len(sp.whole) > 0 {
-			u.whole = make([][]relation.Tuple, len(u.rels))
-			for _, rel := range sp.whole {
-				u.whole[u.lvl[rel]] = c.Rels[rel].Tuples
-			}
-		}
 		if cj.owner {
 			u.owner = make([][]levelAttr, len(u.dims))
 			for i, d := range u.dims {
@@ -507,13 +500,17 @@ func (cj cellJoin) job(c *Context) mr.Job {
 		u.e = newEnumerator(c.Query.Conds, u.rels)
 		units[k] = u
 	}
-	// prepare loads the values of key's reducer into a pooled join, owner
-	// rule set to the reducer's partitions.
+	// prepare loads the values of key's reducer into a pooled join, next to
+	// the relations the space has it hold whole, owner rule set to the
+	// reducer's partitions.
 	prepare := func(key int64, values []string) (*unit, *preparedJoin, error) {
 		k, coord := sp.locate(key)
 		u := &units[k]
 		p := u.e.get()
-		if err := p.load(values, u.lvl, u.whole); err != nil {
+		for _, rel := range sp.whole {
+			p.hold(u.lvl[rel], c, rel)
+		}
+		if err := p.load(values, u.lvl); err != nil {
 			u.e.put(p)
 			return nil, nil, err
 		}
@@ -558,11 +555,12 @@ func (cj cellJoin) job(c *Context) mr.Job {
 
 // JoinInLine joins the context's relations in the caller: the last stage of
 // a one-cell plan, whose single reducer holds every relation whole, run once
-// with no job, shuffle or record. It loads the relations into one prepared
-// join and collects its rows as cellJoin's last stage does — a word from the
-// join's last level when the rows pack, through rowPacking.put otherwise —
-// so the result is the one every algorithm returns: the join's rows in
-// canonical order. When inLineRanges cuts the first level into several
+// with no job, shuffle or record. Its prepared join holds every relation
+// whole, reading it where it lies when NewContext found it in place
+// (preparedJoin.hold), and collects its rows as cellJoin's last stage does:
+// a word from the join's last level when the rows pack, through
+// rowPacking.put otherwise. So the result is the one every algorithm
+// returns, the join's rows in canonical order. When inLineRanges cuts the first level into several
 // ranges, up to the engine's Workers goroutines walk them (runSplit). Its
 // Metrics are nil, since no cycle ran, and ctx.Engine may be nil.
 func JoinInLine(ctx *Context) (*Result, error) { return joinInLine(ctx, inLineRanges(ctx)) }
@@ -571,16 +569,13 @@ func JoinInLine(ctx *Context) (*Result, error) { return joinInLine(ctx, inLineRa
 // ranges; more than one needs an engine and rows that pack.
 func joinInLine(ctx *Context, ranges int) (*Result, error) {
 	rels := allRelations(len(ctx.Rels))
-	whole := make([][]relation.Tuple, len(rels))
-	for i, r := range ctx.Rels {
-		whole[i] = r.Tuples
-	}
 	// The join runs once: its state comes from no pool, which would be new
 	// with the enumerator and never used again.
 	p := newEnumerator(ctx.Query.Conds, rels).reset(nil)
-	if err := p.load(nil, rels, whole); err != nil {
-		return nil, err
+	for i := range rels {
+		p.hold(i, ctx, i)
 	}
+	p.seal()
 	rows := ctx.packing.rows()
 	if ranges > 1 {
 		p.runSplit(rows, &ctx.packing, ranges, ctx.Engine.Workers())

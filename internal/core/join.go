@@ -3,7 +3,6 @@ package core
 import (
 	"fmt"
 	"math"
-	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -26,9 +25,9 @@ import (
 // orientation, kernel dispatch) that is immutable afterwards, so one
 // enumerator can be shared by concurrent reduce tasks; all per-run state
 // lives in the preparedJoin that get returns. Candidate tuples are held in
-// columnar form — a relation.Arena for payloads plus per-level endpoint
-// columns (sweep.go) — so the enumeration loops touch only int64 columns
-// until an assignment is emitted.
+// columnar form — a relation.Arena per level for payloads plus per-level
+// endpoint columns (sweep.go) — so the enumeration loops touch only int64
+// columns until an assignment is emitted.
 type enumerator struct {
 	rels []int // relation indices, in binding order
 	pos  map[int]int
@@ -172,28 +171,29 @@ func (e *enumerator) compileLevel(i int) levelPlan {
 	return lp
 }
 
-// preparedJoin carries one run's candidates in struct-of-arrays form: the
-// shared payload arena, per-level arrival-order refs, and the endpoint-sorted
-// gapless columns loCol/hiCol/refCol the kernels scan, with their windows.
+// preparedJoin carries one run's candidates in struct-of-arrays form: one
+// payload arena per level, and the endpoint-sorted gapless columns
+// loCol/hiCol/refCol the kernels scan, with their windows.
 // A preparedJoin is loaded and sealed by one goroutine; the enumerator it
 // came from may be shared. A cursor walks it: cur for run and runWords, or
 // one per goroutine in runSplit, which builds every window first so that the
 // walks only read it.
 type preparedJoin struct {
 	e *enumerator
-	// arena holds every candidate tuple's payload; kernels carry int32 refs
-	// into it and materialise tuples only at emission.
-	arena relation.Arena
-	// raw[i] is level i's refs in arrival order, before seal sorts them.
-	raw [][]int32
+	// arenas[i] holds level i's candidates in arrival order, a ref being a
+	// position within it: a relation the join holds whole is a view of it
+	// where it lies when NewContext found it in place (hold). Kernels carry
+	// the refs and materialise tuples only at emission.
+	arenas []relation.Arena
 	// loCol/hiCol[i] are the Start/End columns of level i's sort attribute,
 	// sorted by Start; refCol[i] is the parallel payload ref column. For
-	// unconstrained levels (sortAttr < 0) the columns are nil and refCol
-	// aliases raw.
+	// unconstrained levels (sortAttr < 0) the columns are nil and refCol is
+	// the refs in arrival order.
 	loCol  [][]int64
 	hiCol  [][]int64
 	refCol [][]int32
-	refBuf [][]int32 // owned backing for sorted refCol entries
+	refBuf [][]int32 // owned backing for refCol
+	sizes  []int     // load scratch: each level's values and their intervals
 	// wins[i][k] is condition k's window table at level i, built on the
 	// first visit to level i so candidate sets pruned away by earlier
 	// levels never pay for their windows.
@@ -217,7 +217,7 @@ type cursor struct {
 	p    *preparedJoin
 	asg  []relation.Tuple
 	idx  []int   // idx[j]: current index of the level-j binding within its column
-	bref []int32 // bref[j]: arena ref of the level-j binding
+	bref []int32 // bref[j]: ref of the level-j binding in its level's arena
 	// lo and hi bound the first level's candidates the walk binds: the
 	// column indices [lo, hi).
 	lo, hi int
@@ -229,7 +229,8 @@ type cursor struct {
 	packing *rowPacking
 }
 
-// get returns an empty pooled preparedJoin ready for add/addTuple calls.
+// get returns an empty pooled preparedJoin ready for hold, load or
+// addTuple calls.
 func (e *enumerator) get() *preparedJoin {
 	p, _ := e.pool.Get().(*preparedJoin)
 	return e.reset(p)
@@ -240,10 +241,9 @@ func (e *enumerator) reset(p *preparedJoin) *preparedJoin {
 	if p == nil {
 		p = &preparedJoin{e: e}
 	}
-	p.arena.Reset()
-	p.raw = sized(p.raw, len(e.rels))
-	for i := range p.raw {
-		p.raw[i] = p.raw[i][:0]
+	p.arenas = sized(p.arenas, len(e.rels))
+	for i := range p.arenas {
+		p.arenas[i].Reset()
 	}
 	p.owner = p.owner[:0]
 	return p
@@ -252,10 +252,26 @@ func (e *enumerator) reset(p *preparedJoin) *preparedJoin {
 // put recycles the prepared state.
 func (e *enumerator) put(p *preparedJoin) { e.pool.Put(p) }
 
-// addTuple copies an in-memory tuple into the arena (the compatibility path
-// for callers that already hold decoded tuples).
+// addTuple copies an in-memory tuple into level's arena (the compatibility
+// path for callers that already hold decoded tuples).
 func (p *preparedJoin) addTuple(level int, t relation.Tuple) {
-	p.raw[level] = append(p.raw[level], p.arena.Append(t))
+	p.arenas[level].Append(t)
+}
+
+// hold makes level's candidates relation rel of c, entire: a view of it
+// where it lies when NewContext found it in place (relation.Facts), a copy
+// of its tuples otherwise.
+func (p *preparedJoin) hold(level int, c *Context, rel int) {
+	if f := &c.facts[rel]; f.InPlace {
+		p.arenas[level] = f.View
+		return
+	}
+	r := c.Rels[rel]
+	a := &p.arenas[level]
+	a.Grow(r.Len(), r.Len()*r.Schema.Arity())
+	for _, t := range r.Tuples {
+		a.Append(t)
+	}
 }
 
 // seal freezes the candidate sets into the columnar layout: each
@@ -281,34 +297,35 @@ func (p *preparedJoin) seal() {
 	most := 0
 	for i := range n {
 		if p.e.plans[i].sortAttr >= 0 {
-			most = max(most, len(p.raw[i]))
+			most = max(most, p.arenas[i].Len())
 		}
 	}
 	p.pairs = sized(p.pairs, most)
 	for i := 0; i < n; i++ {
 		p.built[i] = false
+		a := &p.arenas[i]
 		attr := p.e.plans[i].sortAttr
-		src := p.raw[i]
+		refs := sized(p.refBuf[i], a.Len())
+		p.refBuf[i], p.refCol[i] = refs, refs
 		if attr < 0 {
-			p.refCol[i] = src
+			for k := range refs {
+				refs[k] = int32(k)
+			}
 			p.loCol[i] = nil
 			p.hiCol[i] = nil
 			continue
 		}
-		lo := sized(p.loCol[i], len(src))
-		hi := sized(p.hiCol[i], len(src))
-		refs := sized(p.refBuf[i], len(src))
-		for k, ref := range src {
-			lo[k], refs[k] = p.arena.Start(ref, attr), ref
+		lo := sized(p.loCol[i], len(refs))
+		hi := sized(p.hiCol[i], len(refs))
+		for k := range refs {
+			lo[k], refs[k] = a.Start(int32(k), attr), int32(k)
 		}
 		sortKeyIdx(lo, refs, p.pairs)
 		for k, ref := range refs {
-			hi[k] = p.arena.End(ref, attr)
+			hi[k] = a.End(ref, attr)
 		}
 		p.loCol[i] = lo
 		p.hiCol[i] = hi
-		p.refBuf[i] = refs
-		p.refCol[i] = refs
 	}
 }
 
@@ -341,7 +358,7 @@ func (p *preparedJoin) buildWindows(i int) {
 			if pOnCols {
 				b = interval.Interval{Start: p.loCol[c.partner][t], End: p.hiCol[c.partner][t]}
 			} else {
-				b = p.arena.Attr(prefs[t], c.battr)
+				b = p.arenas[c.partner].Attr(prefs[t], c.battr)
 			}
 			sLo, sHi, eLo, eHi, ok := condWindows(c.pred, b)
 			if !ok {
@@ -381,7 +398,7 @@ func windCol(s []int64, n int, need bool) []int64 {
 // run enumerates every assignment (one tuple per relation, from the sealed
 // candidate columns) satisfying all applicable conditions and the owner
 // rule, invoking fn with the assignment parallel to rels. fn must not retain
-// asg (its tuples alias the arena). An error from fn stops the enumeration —
+// asg (its tuples alias the arenas). An error from fn stops the enumeration —
 // no further assignment is visited — and is returned. run may be called
 // repeatedly; the sorted columns and sweep windows are reused.
 func (p *preparedJoin) run(fn func(asg []relation.Tuple) error) error {
@@ -477,7 +494,7 @@ func (c *cursor) owned() bool {
 		o := &p.owner[d]
 		start := int64(math.MinInt64)
 		for _, v := range o.verts {
-			start = max(start, p.arena.Start(c.bref[v.level], v.attr))
+			start = max(start, p.arenas[v.level].Start(c.bref[v.level], v.attr))
 		}
 		if start < o.lo || start > o.hi {
 			return false
@@ -495,7 +512,7 @@ func (c *cursor) putWord() {
 	p := c.p
 	var word int64
 	for j, rel := range p.e.rels {
-		word |= c.packing.place(rel, p.arena.ID(c.bref[j]))
+		word |= c.packing.place(rel, p.arenas[j].ID(c.bref[j]))
 	}
 	c.words.Append()[0] = word
 }
@@ -575,7 +592,7 @@ func (c *cursor) kernelGeneric(i int) {
 			if !pc.onSort {
 				continue
 			}
-			sLo, sHi, _, _, ok := condWindows(pc.pred, p.arena.Attr(c.bref[pc.partner], pc.battr))
+			sLo, sHi, _, _, ok := condWindows(pc.pred, p.arenas[pc.partner].Attr(c.bref[pc.partner], pc.battr))
 			if !ok {
 				return
 			}
@@ -596,8 +613,8 @@ next:
 		c.bref[i] = refs[k]
 		c.idx[i] = k
 		for _, pc := range lp.conds {
-			u := p.arena.Attr(c.bref[pc.eval.lLevel], pc.eval.lAttr)
-			v := p.arena.Attr(c.bref[pc.eval.rLevel], pc.eval.rAttr)
+			u := p.arenas[pc.eval.lLevel].Attr(c.bref[pc.eval.lLevel], pc.eval.lAttr)
+			v := p.arenas[pc.eval.rLevel].Attr(c.bref[pc.eval.rLevel], pc.eval.rAttr)
 			if !pc.eval.pred.Eval(u, v) {
 				continue next
 			}
@@ -607,7 +624,7 @@ next:
 			continue
 		}
 		if tuples {
-			c.asg[i] = p.arena.Tuple(refs[k])
+			c.asg[i] = p.arenas[i].Tuple(refs[k])
 		}
 		c.rec(i + 1)
 	}
@@ -635,28 +652,26 @@ func (e *enumerator) run(cands [][]relation.Tuple, fn func(asg []relation.Tuple)
 }
 
 // load is the reduce-side fast path: decode each tagged value once, straight
-// into the columnar layout, and seal. lvl maps a relation tag to its binding
+// into its level's arena, and seal. lvl maps a relation tag to its binding
 // level (-1 for tags the enumerator does not bind); tags outside lvl are an
 // error, as reducers only ever receive the relations their job routed to
-// them. whole, when set, holds per binding level the tuples of a relation
-// the reducer has entire rather than by value — a relation the planner
-// broadcast (broadcastSmall) — and those levels take them as their
-// candidates.
-func (p *preparedJoin) load(values []string, lvl []int, whole [][]relation.Tuple) error {
-	// Reserve the arena and the levels' lists from the size of the value
-	// list: one interval per tuple, an even share per level.
-	n := len(values)
-	for _, ts := range whole {
-		n += len(ts)
+// them. A level the caller made hold a relation whole (a relation the
+// planner broadcast, broadcastSmall) receives no values.
+func (p *preparedJoin) load(values []string, lvl []int) error {
+	// A counting pass reserves each level's arena at its size: the values
+	// tagged for it and the intervals they hold, by their headers.
+	n := len(p.arenas)
+	p.sizes = sized(p.sizes, 2*n)
+	clear(p.sizes)
+	for _, v := range values {
+		if len(v) >= headerLen && int(v[0]) < len(lvl) && lvl[v[0]] >= 0 {
+			p.sizes[lvl[v[0]]]++
+			p.sizes[n+lvl[v[0]]] += int(v[1])
+		}
 	}
-	p.arena.Grow(n, n)
-	for i := range p.raw {
-		p.raw[i] = slices.Grow(p.raw[i], len(values)/len(p.raw)+1)
-	}
-	for i, ts := range whole {
-		p.raw[i] = slices.Grow(p.raw[i], len(ts))
-		for _, t := range ts {
-			p.addTuple(i, t)
+	for i := range p.arenas {
+		if p.sizes[i] > 0 {
+			p.arenas[i].Grow(p.sizes[i], p.sizes[n+i])
 		}
 	}
 	for _, v := range values {
@@ -667,11 +682,9 @@ func (p *preparedJoin) load(values []string, lvl []int, whole [][]relation.Tuple
 		if rel >= len(lvl) || lvl[rel] < 0 {
 			return fmt.Errorf("core: unexpected relation tag %d in %q", rel, v)
 		}
-		ref, err := p.arena.AppendBinary(body)
-		if err != nil {
+		if _, err := p.arenas[lvl[rel]].AppendBinary(body); err != nil {
 			return err
 		}
-		p.raw[lvl[rel]] = append(p.raw[lvl[rel]], ref)
 	}
 	p.seal()
 	return nil

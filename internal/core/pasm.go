@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"slices"
 
+	"intervaljoin/internal/interval"
 	"intervaljoin/internal/mr"
 	"intervaljoin/internal/query"
 	"intervaljoin/internal/relation"
@@ -136,18 +137,26 @@ func (c *Context) pruneJob(dims []dimension) mr.Job {
 			}
 			var homes []home
 			replicatedHome := make(map[home]bool)
-			var arena relation.Arena
-			arena.Grow(len(values), len(values))
+			// One slab holds every value's intervals, as many as their
+			// headers say.
+			attrs := 0
+			for _, v := range values {
+				if len(v) >= headerLen {
+					attrs += int(v[1])
+				}
+			}
+			slab := make([]interval.Interval, 0, attrs)
 			for _, v := range values {
 				rel, member, flags, err := splitVector(v)
 				if err != nil {
 					return err
 				}
-				ref, err := arena.AppendBinary(member[headerLen:])
-				if err != nil {
+				at := len(slab)
+				var id int64
+				if id, slab, err = relation.DecodeBinary(member[headerLen:], slab); err != nil {
 					return err
 				}
-				t := arena.Tuple(ref)
+				t := relation.Tuple{ID: id, Attrs: slab[at:len(slab):len(slab)]}
 				i := pos[rel]
 				cands[i] = append(cands[i], t)
 				if d.part.IndexOf(t.Attrs[d.verts[i].Attr].Start) == p {

@@ -215,7 +215,7 @@ func (c *Context) reachJoin(sp *space) (join cellJoin, r obs.Reach, ok bool) {
 	m := len(d.verts)
 	r = obs.Reach{Vertices: m, Width: narrowest(d.part)}
 	for _, v := range d.verts {
-		r.Longest = max(r.Longest, c.longest[v.Rel])
+		r.Longest = max(r.Longest, c.facts[v.Rel].Longest)
 	}
 	// L + (m−2)·L ≤ W, that is max(m−1, 1)·L ≤ W, without overflow.
 	if r.Longest > r.Width/int64(max(m-1, 1)) {

@@ -107,10 +107,11 @@ func relsOf(w int, data []int64, dense bool) []*relation.Relation {
 func packingOf(rels []*relation.Relation) rowPacking {
 	lo, hi := make([]int64, len(rels)), make([]int64, len(rels))
 	for k, r := range rels {
-		var err error
-		if lo[k], hi[k], _, err = r.ValidateRange(); err != nil {
+		f, err := r.Check()
+		if err != nil {
 			panic(err)
 		}
+		lo[k], hi[k] = f.Lo, f.Hi
 	}
 	return newRowPacking(lo, hi)
 }

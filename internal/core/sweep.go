@@ -380,7 +380,7 @@ func (c *cursor) kernelSweep(i, from int, sHi, eLo, eHi int64) {
 			continue
 		}
 		if tuples {
-			c.asg[i] = p.arena.Tuple(refs[k])
+			c.asg[i] = p.arenas[i].Tuple(refs[k])
 		}
 		c.rec(i + 1)
 	}

@@ -2,6 +2,7 @@ package relation
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"slices"
 	"strconv"
@@ -11,46 +12,71 @@ import (
 )
 
 // Arena is a struct-of-arrays tuple store for the reduce-side join kernel:
-// ids, per-tuple attribute offsets and a single flat interval column live in
-// three parallel slices, so decoding a candidate list touches no per-tuple
-// heap objects and re-materialising a tuple for emission is a pair of
-// subslice headers. A tuple is identified by the int32 ref Append returns;
-// refs are dense (0..Len()-1) and stay valid until Reset.
+// ids and a single flat interval column live in two parallel slices, so
+// decoding a candidate list touches no per-tuple heap objects and
+// re-materialising a tuple for emission is one subslice header. A tuple is
+// identified by the int32 ref Append returns; refs are dense (0..Len()-1)
+// and stay valid until Reset.
 //
-// The offset column handles mixed arity (Gen-Matrix relations carry several
-// interval attributes): tuple ref's attributes are flat[base[ref]:base[ref+1]].
-// An Arena belongs to one goroutine; pooled reuse goes through Reset, which
-// keeps the backing arrays.
+// An arena holds tuples of one arity, which its first tuple fixes: tuple
+// ref's attributes are flat[ref·arity:(ref+1)·arity]. An Arena belongs to
+// one goroutine; pooled reuse goes through Reset, which keeps the backing
+// arrays.
+//
+// A view (Facts.View) is an arena over a relation's own slab, its ids the
+// positions: it is read like any other, never appended to, and Reset drops
+// it without writing into the relation's memory, so any number of
+// goroutines may each hold a view of one relation.
 type Arena struct {
-	ids []int64
-	// base is a prefix table with len(ids)+1 entries once any tuple is
-	// stored: base[r] is the flat offset of tuple r's first attribute.
-	base []int32
+	arity int
+	// ids[ref] is tuple ref's id; a view has none.
+	ids  []int64
 	flat []interval.Interval
+	view bool
 }
 
 // Len is the number of tuples stored.
-func (a *Arena) Len() int { return len(a.ids) }
+func (a *Arena) Len() int {
+	if a.view {
+		return len(a.flat) / a.arity
+	}
+	return len(a.ids)
+}
 
-// Reset empties the arena, retaining capacity for reuse.
+// Reset empties the arena, retaining capacity for reuse; a view it drops.
 func (a *Arena) Reset() {
+	if a.view {
+		*a = Arena{}
+		return
+	}
 	a.ids = a.ids[:0]
-	a.base = a.base[:0]
 	a.flat = a.flat[:0]
 }
 
-func (a *Arena) initBase() {
-	if len(a.base) == 0 {
-		a.base = append(a.base, 0)
+// errView is what appending to a view returns.
+var errView = errors.New("relation: append to an arena view")
+
+// fix fixes the arena's arity at n for a tuple about to be stored — the
+// first one sets it — or reports that the arena's arity is another.
+func (a *Arena) fix(n int) error {
+	if len(a.ids) > 0 && n != a.arity {
+		return fmt.Errorf("relation: %d-attribute tuple in an arena of arity %d", n, a.arity)
 	}
+	a.arity = n
+	return nil
 }
 
-// Append copies t into the arena and returns its ref.
+// Append copies t into the arena and returns its ref. It panics on a view
+// and on a tuple whose arity is not the arena's.
 func (a *Arena) Append(t Tuple) int32 {
-	a.initBase()
+	if a.view {
+		panic(errView)
+	}
+	if err := a.fix(len(t.Attrs)); err != nil {
+		panic(err)
+	}
 	a.ids = append(a.ids, t.ID)
 	a.flat = append(a.flat, t.Attrs...)
-	a.base = append(a.base, int32(len(a.flat)))
 	return int32(len(a.ids) - 1)
 }
 
@@ -59,7 +85,6 @@ func (a *Arena) Append(t Tuple) int32 {
 // nothing.
 func (a *Arena) Grow(n, attrs int) {
 	a.ids = slices.Grow(a.ids, n)
-	a.base = slices.Grow(a.base, n+1)
 	a.flat = slices.Grow(a.flat, attrs)
 }
 
@@ -103,23 +128,32 @@ func le64(s string) int64 {
 }
 
 // AppendBinary decodes one AppendBinary body straight into the arena — what
-// AppendDecode is to the text form. On error the arena is unchanged.
+// AppendDecode is to the text form. On error, a view among them, the arena
+// is unchanged.
 func (a *Arena) AppendBinary(body string) (int32, error) {
+	if a.view {
+		return 0, errView
+	}
 	id, flat, err := DecodeBinary(body, a.flat)
 	if err != nil {
 		return 0, err
 	}
-	a.initBase()
+	if err := a.fix(len(flat) - len(a.flat)); err != nil {
+		return 0, err
+	}
 	a.flat = flat
 	a.ids = append(a.ids, id)
-	a.base = append(a.base, int32(len(flat)))
 	return int32(len(a.ids) - 1), nil
 }
 
 // AppendDecode parses one EncodeTuple record ("id|s,e|s,e|...") directly
 // into the arena — the zero-copy counterpart of DecodeTuple, accepting and
-// rejecting exactly the same inputs. On error the arena is unchanged.
+// rejecting the same inputs, and besides them one of another arity than the
+// arena's. On error the arena is unchanged.
 func (a *Arena) AppendDecode(s string) (int32, error) {
+	if a.view {
+		return 0, errView
+	}
 	sep := strings.IndexByte(s, '|')
 	if sep < 0 {
 		return 0, fmt.Errorf("relation: malformed tuple record %q", s)
@@ -128,7 +162,6 @@ func (a *Arena) AppendDecode(s string) (int32, error) {
 	if err != nil {
 		return 0, fmt.Errorf("relation: bad tuple id in %q: %v", s, err)
 	}
-	a.initBase()
 	flat0 := len(a.flat)
 	rest := s[sep+1:]
 	for i := 0; ; i++ {
@@ -152,8 +185,11 @@ func (a *Arena) AppendDecode(s string) (int32, error) {
 			break
 		}
 	}
+	if err := a.fix(len(a.flat) - flat0); err != nil {
+		a.flat = a.flat[:flat0]
+		return 0, err
+	}
 	a.ids = append(a.ids, id)
-	a.base = append(a.base, int32(len(a.flat)))
 	return int32(len(a.ids) - 1), nil
 }
 
@@ -207,19 +243,20 @@ func parseInt64Fast(s string) (int64, bool) {
 	return v, true
 }
 
-// ID returns the stored tuple id.
-func (a *Arena) ID(ref int32) int64 { return a.ids[ref] }
-
-// Arity returns the number of attributes of tuple ref.
-func (a *Arena) Arity(ref int32) int { return int(a.base[ref+1] - a.base[ref]) }
+// ID returns the stored tuple id: in a view, the position.
+func (a *Arena) ID(ref int32) int64 {
+	if a.view {
+		return int64(ref)
+	}
+	return a.ids[ref]
+}
 
 // Attr returns one attribute interval of tuple ref.
 func (a *Arena) Attr(ref int32, attr int) interval.Interval {
-	lo, hi := a.base[ref], a.base[ref+1]
-	if attr < 0 || int32(attr) >= hi-lo {
-		panic(fmt.Sprintf("relation: arena attr %d on arity-%d tuple", attr, hi-lo))
+	if uint(attr) >= uint(a.arity) {
+		panic(fmt.Sprintf("relation: arena attr %d on arity-%d tuple", attr, a.arity))
 	}
-	return a.flat[lo+int32(attr)]
+	return a.flat[int(ref)*a.arity+attr]
 }
 
 // Start returns Attr(ref, attr).Start — the endpoint column read the sweep
@@ -229,8 +266,10 @@ func (a *Arena) Start(ref int32, attr int) int64 { return a.Attr(ref, attr).Star
 // End returns Attr(ref, attr).End.
 func (a *Arena) End(ref int32, attr int) int64 { return a.Attr(ref, attr).End }
 
-// Tuple materialises tuple ref. The returned tuple's Attrs alias the arena:
-// valid until the next Reset, and not to be retained across one.
+// Tuple materialises tuple ref. The returned tuple's Attrs alias the arena
+// — in a view, the relation — and are capped: valid until the next Reset,
+// and not to be retained across one.
 func (a *Arena) Tuple(ref int32) Tuple {
-	return Tuple{ID: a.ids[ref], Attrs: a.flat[a.base[ref]:a.base[ref+1]:a.base[ref+1]]}
+	lo := int(ref) * a.arity
+	return Tuple{ID: a.ID(ref), Attrs: a.flat[lo : lo+a.arity : lo+a.arity]}
 }

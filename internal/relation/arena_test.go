@@ -11,7 +11,7 @@ import (
 
 func TestArenaAppendAndAccessors(t *testing.T) {
 	var a Arena
-	t1 := Tuple{ID: 7, Attrs: []interval.Interval{{Start: 1, End: 5}}}
+	t1 := Tuple{ID: 7, Attrs: []interval.Interval{{Start: 1, End: 5}, {Start: 2, End: 2}, {Start: -1, End: 0}}}
 	t2 := Tuple{ID: -3, Attrs: []interval.Interval{{Start: 0, End: 0}, {Start: -9, End: 9}, {Start: 4, End: 4}}}
 	r1 := a.Append(t1)
 	r2 := a.Append(t2)
@@ -20,9 +20,6 @@ func TestArenaAppendAndAccessors(t *testing.T) {
 	}
 	if a.ID(r1) != 7 || a.ID(r2) != -3 {
 		t.Fatalf("IDs = %d, %d", a.ID(r1), a.ID(r2))
-	}
-	if a.Arity(r1) != 1 || a.Arity(r2) != 3 {
-		t.Fatalf("arities = %d, %d", a.Arity(r1), a.Arity(r2))
 	}
 	if got := a.Attr(r2, 1); got != t2.Attrs[1] {
 		t.Fatalf("Attr(r2,1) = %v, want %v", got, t2.Attrs[1])
@@ -40,6 +37,36 @@ func TestArenaAppendAndAccessors(t *testing.T) {
 				t.Fatalf("Tuple(%d).Attrs[%d] = %v, want %v", ref, i, got.Attrs[i], want.Attrs[i])
 			}
 		}
+	}
+}
+
+// TestArenaHoldsOneArity: the first tuple fixes an arena's arity until
+// Reset; a tuple of another arity is refused by every way in — Append
+// panics, the decoders return an error — and leaves the arena as it was.
+func TestArenaHoldsOneArity(t *testing.T) {
+	var a Arena
+	a.Append(Tuple{ID: 1, Attrs: []interval.Interval{{Start: 1, End: 2}}})
+	two := Tuple{ID: 2, Attrs: []interval.Interval{{Start: 3, End: 4}, {Start: 5, End: 6}}}
+	if _, err := a.AppendBinary(string(AppendBinary(nil, two))); err == nil {
+		t.Error("AppendBinary took a 2-attribute tuple into an arena of arity 1")
+	}
+	if _, err := a.AppendDecode(EncodeTuple(two)); err == nil {
+		t.Error("AppendDecode took a 2-attribute tuple into an arena of arity 1")
+	}
+	func() {
+		defer func() {
+			if recover() == nil {
+				t.Error("Append took a 2-attribute tuple into an arena of arity 1")
+			}
+		}()
+		a.Append(two)
+	}()
+	if a.Len() != 1 || len(a.flat) != 1 || a.Attr(0, 0) != (interval.Interval{Start: 1, End: 2}) {
+		t.Fatalf("refused tuples left the arena at %d tuples, %d intervals", a.Len(), len(a.flat))
+	}
+	a.Reset()
+	if r := a.Append(two); a.Tuple(r).ID != 2 || !slices.Equal(a.Tuple(r).Attrs, two.Attrs) {
+		t.Fatalf("after Reset the arena holds %+v", a.Tuple(r))
 	}
 }
 
@@ -135,8 +162,8 @@ func TestArenaAppendDecodeErrorLeavesArenaIntact(t *testing.T) {
 		t.Fatalf("Len after failed decode = %d, want 1", a.Len())
 	}
 	r := a.Append(Tuple{ID: 9, Attrs: []interval.Interval{{Start: 6, End: 7}}})
-	if a.Attr(r, 0) != (interval.Interval{Start: 6, End: 7}) || a.Arity(r) != 1 {
-		t.Fatalf("arena corrupted after failed decode: %v arity %d", a.Attr(r, 0), a.Arity(r))
+	if a.Attr(r, 0) != (interval.Interval{Start: 6, End: 7}) || len(a.Tuple(r).Attrs) != 1 {
+		t.Fatalf("arena corrupted after failed decode: %v", a.Tuple(r))
 	}
 	if a.Attr(0, 0) != (interval.Interval{Start: 2, End: 4}) {
 		t.Fatalf("first tuple corrupted: %v", a.Attr(0, 0))
@@ -166,8 +193,9 @@ func FuzzArenaDecode(f *testing.F) {
 			return
 		}
 		var a Arena
-		// Pre-populate so a failed decode must truncate, not just reset.
-		pre, err := a.AppendDecode("11|3,9")
+		// Pre-populate so a failed decode must truncate, not just reset,
+		// with a tuple of as many attributes as the input has fields.
+		pre, err := a.AppendDecode("11" + strings.Repeat("|3,9", max(1, strings.Count(input, "|"))))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -208,14 +236,14 @@ func FuzzArenaDecode(f *testing.F) {
 }
 
 // TestArenaAppendBinary: the fixed-width form round-trips through the arena,
-// rejects what AppendBinary cannot have written and leaves the arena as it
-// was when it does, and — the point of Grow — fills a grown arena without
-// allocating.
+// rejects what AppendBinary cannot have written, or a tuple of another
+// arity, and leaves the arena as it was when it does, and — the point of
+// Grow — fills a grown arena without allocating.
 func TestArenaAppendBinary(t *testing.T) {
 	tuples := []Tuple{
-		{ID: 0, Attrs: []interval.Interval{{Start: 1, End: 5}}},
+		{ID: 0, Attrs: []interval.Interval{{Start: 1, End: 5}, {Start: 2, End: 3}, {Start: 4, End: 4}}},
 		{ID: -9, Attrs: []interval.Interval{{Start: math.MinInt64, End: -1}, {Start: 7, End: 7}, {Start: 0, End: math.MaxInt64}}},
-		{ID: math.MaxInt64, Attrs: []interval.Interval{{Start: 10, End: 10}}}, // 10 is '\n'
+		{ID: math.MaxInt64, Attrs: []interval.Interval{{Start: 10, End: 10}, {Start: 0, End: 0}, {Start: -2, End: 10}}}, // 10 is '\n'
 	}
 	var a Arena
 	for _, tu := range tuples {
@@ -233,11 +261,12 @@ func TestArenaAppendBinary(t *testing.T) {
 	}
 	good := string(AppendBinary(nil, tuples[1]))
 	reversed := string(AppendBinary(nil, Tuple{ID: 1, Attrs: []interval.Interval{{Start: 0, End: 1}, {Start: 5, End: 4}}}))
-	for _, bad := range []string{"", good[:8], good[:len(good)-1], good + "\x00", good[:8+16+8], reversed} {
+	one := string(AppendBinary(nil, Tuple{ID: 1, Attrs: []interval.Interval{{Start: 0, End: 1}}}))
+	for _, bad := range []string{"", good[:8], good[:len(good)-1], good + "\x00", good[:8+16+8], reversed, one} {
 		if _, err := a.AppendBinary(bad); err == nil {
 			t.Errorf("AppendBinary(%d bytes) accepted", len(bad))
 		}
-		if a.Len() != len(tuples) || len(a.flat) != 5 {
+		if a.Len() != len(tuples) || len(a.flat) != 9 {
 			t.Fatalf("rejected body left the arena at %d tuples, %d intervals", a.Len(), len(a.flat))
 		}
 	}
@@ -268,14 +297,20 @@ func FuzzArenaBinary(f *testing.F) {
 	f.Add(strings.Repeat("\n", 24))
 	f.Fuzz(func(t *testing.T, body string) {
 		var a Arena
-		pre := a.Append(Tuple{ID: 11, Attrs: []interval.Interval{{Start: 3, End: 9}}})
+		// The tuple already held has as many attributes as the body, if it
+		// is whole intervals.
+		attrs := make([]interval.Interval, max(1, (len(body)-8)/16))
+		for i := range attrs {
+			attrs[i] = interval.Interval{Start: 3, End: 9}
+		}
+		pre := a.Append(Tuple{ID: 11, Attrs: attrs})
 		ref, aerr := a.AppendBinary(body)
 		id, attrs, derr := DecodeBinary(body, nil)
 		if (aerr == nil) != (derr == nil) {
 			t.Fatalf("AppendBinary(%q) err=%v, DecodeBinary err=%v", body, aerr, derr)
 		}
 		if aerr != nil {
-			if a.Len() != 1 || len(a.flat) != 1 {
+			if a.Len() != 1 || len(a.flat) != len(a.Tuple(pre).Attrs) {
 				t.Fatalf("failed decode of %q left the arena at %d tuples, %d intervals", body, a.Len(), len(a.flat))
 			}
 		} else {

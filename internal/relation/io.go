@@ -23,69 +23,89 @@ import (
 //	100,120|0,4
 //	2024-03-01T09:00:00Z,2024-03-01T10:30:00Z
 //	# a comment
+//
+// A line ends at '\n', a '\r' before it is dropped, and the last line needs
+// none. A file is read whole before it is parsed, so a line may be of any
+// length.
 
-// ReadText parses a relation matching the schema from r. All intervals land
-// in one slab that the tuples' Attrs alias.
+// ReadText parses a relation matching the schema from r, which it reads
+// whole first: a line may be of any length. All intervals land in one slab
+// that the tuples' Attrs alias.
 func ReadText(schema Schema, r io.Reader) (*Relation, error) {
-	return readText(schema, r, nil)
-}
-
-// readText is ReadText appending to slab, which is empty: a caller that
-// knows how many lines are coming passes the capacity for them.
-func readText(schema Schema, r io.Reader, slab []interval.Interval) (*Relation, error) {
-	arity := schema.Arity()
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 1<<16), 1<<24)
-	lineNo := 0
-	for sc.Scan() {
-		lineNo++
-		if fast, ok := appendCanonical(slab, sc.Bytes(), arity); ok {
-			slab = fast
-			continue
-		}
-		var err error
-		if slab, err = appendLine(slab, sc.Text(), schema, lineNo); err != nil {
-			return nil, err
-		}
-	}
-	if err := sc.Err(); err != nil {
+	data, err := io.ReadAll(r)
+	if err != nil {
 		return nil, err
 	}
-	rel := New(schema)
-	rel.Tuples = make([]Tuple, len(slab)/max(arity, 1))
+	return parseText(schema, data)
+}
+
+// parseText is the one loop over a text file's bytes that ReadText and
+// LoadFile share. '\n' ends a line and the last line needs none. A
+// canonical line is parsed where it lies (appendCanonical); any other goes
+// to appendLine, which trims it, a '\r' before the newline included. The
+// slab is made once, sized by a count of the newlines — an over-estimate
+// wherever a line holds no tuple — and kept by the relation, whose tuples
+// are its consecutive stretches of arity intervals.
+func parseText(schema Schema, data []byte) (*Relation, error) {
+	arity := schema.Arity()
+	slab := make([]interval.Interval, 0, (bytes.Count(data, []byte{'\n'})+1)*arity)
+	for i, lineNo := 0, 1; i < len(data); lineNo++ {
+		var ok bool
+		if slab, i, ok = appendCanonical(slab, data, i, arity); ok {
+			continue
+		}
+		end := len(data)
+		if j := bytes.IndexByte(data[i:], '\n'); j >= 0 {
+			end = i + j
+		}
+		var err error
+		if slab, err = appendLine(slab, string(data[i:end]), schema, lineNo); err != nil {
+			return nil, err
+		}
+		i = end + 1
+	}
+	rel := &Relation{Schema: schema}
+	if arity == 0 {
+		return rel, nil
+	}
+	rel.slab = slab
+	rel.Tuples = make([]Tuple, len(slab)/arity)
 	for i := range rel.Tuples {
 		rel.Tuples[i] = Tuple{ID: int64(i), Attrs: slab[i*arity : (i+1)*arity : (i+1)*arity]}
 	}
 	return rel, nil
 }
 
-// appendCanonical parses a line in the form WriteText produces — exactly
-// arity attributes "s,e" of plain decimal integers with s <= e, separated by
-// '|', nothing else on the line — and appends its intervals to dst. Any other
-// line (padding, comments, brackets, timestamps, a wrong attribute count, an
-// integer of 19 digits or more) reports !ok and is left to appendLine, which
-// decides what it means.
-func appendCanonical(dst []interval.Interval, line []byte, arity int) ([]interval.Interval, bool) {
+// appendCanonical parses the line at data[i:] when it is in the form
+// WriteText produces — exactly arity attributes "s,e" of plain decimal
+// integers with s <= e, separated by '|', and then '\n' or the end of data —
+// appending its intervals to dst and returning the index of the next line.
+// Any other line (padding, comments, brackets, timestamps, a '\r', a wrong
+// attribute count, an integer of 19 digits or more) reports !ok with dst and
+// i as they were, and is left to appendLine, which decides what it means.
+func appendCanonical(dst []interval.Interval, data []byte, i, arity int) ([]interval.Interval, int, bool) {
 	if arity == 0 {
-		return nil, false
+		return dst, i, false
 	}
-	i := 0
-	for attr := 0; attr < arity; attr++ {
+	n, at := len(dst), i
+	for attr := 0; ; attr++ {
 		var iv interval.Interval
 		var ok bool
-		if iv.Start, i, ok = scanInt(line, i); !ok || i == len(line) || line[i] != ',' {
-			return nil, false
+		if iv.Start, i, ok = scanInt(data, i); !ok || i == len(data) || data[i] != ',' {
+			return dst[:n], at, false
 		}
-		if iv.End, i, ok = scanInt(line, i+1); !ok || iv.End < iv.Start {
-			return nil, false
+		if iv.End, i, ok = scanInt(data, i+1); !ok || iv.End < iv.Start {
+			return dst[:n], at, false
 		}
-		if last := attr == arity-1; last != (i == len(line)) || !last && line[i] != '|' {
-			return nil, false
+		dst = append(dst, iv)
+		switch last := attr == arity-1; {
+		case last && (i == len(data) || data[i] == '\n'):
+			return dst, i + 1, true
+		case last || i == len(data) || data[i] != '|':
+			return dst[:n], at, false
 		}
 		i++
-		dst = append(dst, iv)
 	}
-	return dst, true
 }
 
 // scanInt reads an optionally negative decimal integer of at most 18 digits
@@ -96,8 +116,12 @@ func scanInt(b []byte, i int) (v int64, next int, ok bool) {
 		i++
 	}
 	start := i
-	for ; i < len(b) && b[i] >= '0' && b[i] <= '9'; i++ {
-		v = v*10 + int64(b[i]-'0')
+	for ; i < len(b); i++ {
+		d := b[i] - '0'
+		if d > 9 {
+			break
+		}
+		v = v*10 + int64(d)
 	}
 	if i == start || i-start > 18 {
 		return 0, i, false
@@ -191,16 +215,14 @@ func WriteText(rel *Relation, w io.Writer) error {
 	return bw.Flush()
 }
 
-// LoadFile reads a relation from a text file. The file is read whole and its
-// lines counted first, so the slab is made once at its final size — an
-// over-estimate where the file holds comments or blank lines.
+// LoadFile reads a relation from a text file, read whole and parsed as
+// ReadText parses.
 func LoadFile(schema Schema, path string) (*Relation, error) {
 	data, err := os.ReadFile(path)
 	if err != nil {
 		return nil, err
 	}
-	lines := bytes.Count(data, []byte{'\n'}) + 1
-	rel, err := readText(schema, bytes.NewReader(data), make([]interval.Interval, 0, lines*schema.Arity()))
+	rel, err := parseText(schema, data)
 	if err != nil {
 		return nil, fmt.Errorf("%s: %w", path, err)
 	}

@@ -10,6 +10,7 @@ package relation
 import (
 	"fmt"
 	"math"
+	"slices"
 	"strconv"
 	"strings"
 
@@ -66,15 +67,21 @@ func (t Tuple) Key() interval.Interval {
 type Relation struct {
 	Schema Schema
 	Tuples []Tuple
+	// slab is the one interval column a loader laid the tuples out in —
+	// ReadText, LoadFile, FromIntervals — tuple i's Attrs being
+	// slab[i·arity:(i+1)·arity]; nil for a relation built tuple by tuple.
+	// Check reads the tuples there when they still are.
+	slab []interval.Interval
 }
 
 // FromIntervals builds a single-attribute relation from a slice of
-// intervals, assigning ids 0..n-1 in order.
+// intervals, assigning ids 0..n-1 in order. The intervals are copied into
+// one slab that the tuples' Attrs alias.
 func FromIntervals(name string, ivs []interval.Interval) *Relation {
-	r := &Relation{Schema: NewSchema(name)}
+	r := &Relation{Schema: NewSchema(name), slab: slices.Clone(ivs)}
 	r.Tuples = make([]Tuple, len(ivs))
-	for i, iv := range ivs {
-		r.Tuples[i] = Tuple{ID: int64(i), Attrs: []interval.Interval{iv}}
+	for i := range r.Tuples {
+		r.Tuples[i] = Tuple{ID: int64(i), Attrs: r.slab[i : i+1 : i+1]}
 	}
 	return r
 }
@@ -116,24 +123,44 @@ func (r *Relation) Intervals() []interval.Interval {
 // taken in id order — are unique as they stand; the set of seen ids is built
 // only from the first tuple that departs from that.
 func (r *Relation) Validate() error {
-	_, _, _, err := r.ValidateRange()
+	_, err := r.Check()
 	return err
 }
 
-// ValidateRange validates r as Validate does and returns, from the same pass,
-// the smallest and the largest tuple id — 0 and 0 when r is empty — and the
-// length of the longest interval in its first attribute: 0 when there is
-// none, math.MaxInt64 when a length passes it.
-func (r *Relation) ValidateRange() (lo, hi, longest int64, err error) {
+// Facts is what Check reads of a relation besides its problems.
+type Facts struct {
+	// Lo and Hi are the smallest and the largest tuple id, 0 and 0 when the
+	// relation is empty.
+	Lo, Hi int64
+	// Longest is the length of the longest interval in the first attribute:
+	// 0 when there is none, math.MaxInt64 when a length passes it.
+	Longest int64
+	// InPlace reports that the tuples lie where their loader laid them,
+	// unaltered but for values written through their Attrs: tuple i has id i
+	// and its Attrs alias slab[i·arity:(i+1)·arity]. View then reads them
+	// there — the loader's slab, capped at the relation's length, ids by
+	// position — and copies nothing; otherwise View is empty. Tuples a
+	// caller appended, reordered, replaced or resliced away at the front
+	// fail the test.
+	InPlace bool
+	View    Arena
+}
+
+// Check validates r as Validate does and returns, from the same pass, its
+// Facts.
+func (r *Relation) Check() (Facts, error) {
+	var f Facts
 	var seen map[int64]struct{}
+	arity := r.Schema.Arity()
+	f.InPlace = arity > 0 && len(r.slab) >= len(r.Tuples)*arity
 	for i, t := range r.Tuples {
-		if len(t.Attrs) != r.Schema.Arity() {
-			return 0, 0, 0, fmt.Errorf("relation %s: tuple %d has arity %d, want %d",
-				r.Schema.Name, i, len(t.Attrs), r.Schema.Arity())
+		if len(t.Attrs) != arity {
+			return Facts{}, fmt.Errorf("relation %s: tuple %d has arity %d, want %d",
+				r.Schema.Name, i, len(t.Attrs), arity)
 		}
 		for j, iv := range t.Attrs {
 			if !iv.Valid() {
-				return 0, 0, 0, fmt.Errorf("relation %s: tuple %d attribute %s invalid: %v",
+				return Facts{}, fmt.Errorf("relation %s: tuple %d attribute %s invalid: %v",
 					r.Schema.Name, i, r.Schema.Attrs[j], iv)
 			}
 		}
@@ -143,7 +170,10 @@ func (r *Relation) ValidateRange() (lo, hi, longest int64, err error) {
 				// A valid interval's length wraps only past MaxInt64.
 				n = math.MaxInt64
 			}
-			longest = max(longest, n)
+			f.Longest = max(f.Longest, n)
+		}
+		if f.InPlace && (t.ID != int64(i) || &t.Attrs[0] != &r.slab[i*arity]) {
+			f.InPlace = false
 		}
 		if seen == nil {
 			if i == 0 || t.ID > r.Tuples[i-1].ID {
@@ -151,22 +181,26 @@ func (r *Relation) ValidateRange() (lo, hi, longest int64, err error) {
 			}
 			seen = make(map[int64]struct{}, len(r.Tuples))
 			// The ids so far strictly increase.
-			lo, hi = min(t.ID, r.Tuples[0].ID), r.Tuples[i-1].ID
+			f.Lo, f.Hi = min(t.ID, r.Tuples[0].ID), r.Tuples[i-1].ID
 			for _, u := range r.Tuples[:i] {
 				seen[u.ID] = struct{}{}
 			}
 		}
 		if _, dup := seen[t.ID]; dup {
-			return 0, 0, 0, fmt.Errorf("relation %s: duplicate tuple id %d", r.Schema.Name, t.ID)
+			return Facts{}, fmt.Errorf("relation %s: duplicate tuple id %d", r.Schema.Name, t.ID)
 		}
 		seen[t.ID] = struct{}{}
-		lo, hi = min(lo, t.ID), max(hi, t.ID)
+		f.Lo, f.Hi = min(f.Lo, t.ID), max(f.Hi, t.ID)
 	}
 	if seen == nil && len(r.Tuples) > 0 {
 		// The ids strictly increase.
-		return r.Tuples[0].ID, r.Tuples[len(r.Tuples)-1].ID, longest, nil
+		f.Lo, f.Hi = r.Tuples[0].ID, r.Tuples[len(r.Tuples)-1].ID
 	}
-	return lo, hi, longest, nil
+	if f.InPlace {
+		n := len(r.Tuples) * arity
+		f.View = Arena{arity: arity, flat: r.slab[:n:n], view: true}
+	}
+	return f, nil
 }
 
 // EncodeTuple serialises a tuple to the line format used on the distributed

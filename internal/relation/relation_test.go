@@ -3,6 +3,8 @@ package relation
 import (
 	"math"
 	"math/rand"
+	"slices"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -109,8 +111,8 @@ func TestValidateRange(t *testing.T) {
 			// The second attribute is longer still: only the first counts.
 			r.Tuples = append(r.Tuples, Tuple{ID: id, Attrs: []interval.Interval{tc.ivs[k], {Start: 0, End: 1 << 40}}})
 		}
-		if _, _, longest, err := r.ValidateRange(); err != nil || longest != tc.longest {
-			t.Errorf("intervals %v: longest %d (%v), want %d", tc.ivs, longest, err, tc.longest)
+		if f, err := r.Check(); err != nil || f.Longest != tc.longest {
+			t.Errorf("intervals %v: longest %d (%v), want %d", tc.ivs, f.Longest, err, tc.longest)
 		}
 	}
 	for _, tc := range []struct {
@@ -133,8 +135,8 @@ func TestValidateRange(t *testing.T) {
 		for _, id := range tc.ids {
 			r.Tuples = append(r.Tuples, Tuple{ID: id, Attrs: iv})
 		}
-		if lo, hi, _, err := r.ValidateRange(); err != nil || lo != tc.lo || hi != tc.hi {
-			t.Errorf("ids %v: range [%d, %d] (%v), want [%d, %d]", tc.ids, lo, hi, err, tc.lo, tc.hi)
+		if f, err := r.Check(); err != nil || f.Lo != tc.lo || f.Hi != tc.hi {
+			t.Errorf("ids %v: range [%d, %d] (%v), want [%d, %d]", tc.ids, f.Lo, f.Hi, err, tc.lo, tc.hi)
 		}
 	}
 }
@@ -165,17 +167,17 @@ func TestValidateAllocatesNothingForIncreasingIDs(t *testing.T) {
 	for i := 0; i < 1000; i++ {
 		r.Tuples = append(r.Tuples, Tuple{ID: int64(3*i - 500), Attrs: []interval.Interval{interval.New(int64(i), int64(i)+5)}})
 	}
-	var lo, hi int64
+	var f Facts
 	if allocs := testing.AllocsPerRun(10, func() {
 		var err error
-		if lo, hi, _, err = r.ValidateRange(); err != nil {
+		if f, err = r.Check(); err != nil {
 			t.Fatal(err)
 		}
 	}); allocs != 0 {
-		t.Fatalf("ValidateRange allocates %.0f times for increasing ids", allocs)
+		t.Fatalf("Check allocates %.0f times for increasing ids", allocs)
 	}
-	if lo != -500 || hi != 3*999-500 {
-		t.Fatalf("range [%d, %d], want [-500, %d]", lo, hi, 3*999-500)
+	if f.Lo != -500 || f.Hi != 3*999-500 {
+		t.Fatalf("range [%d, %d], want [-500, %d]", f.Lo, f.Hi, 3*999-500)
 	}
 }
 
@@ -277,6 +279,87 @@ func TestBoundsCoverEverythingQuick(t *testing.T) {
 			if iv.Start < t0 || iv.End >= tn {
 				t.Fatalf("interval %v outside bounds [%d,%d)", iv, t0, tn)
 			}
+		}
+	}
+}
+
+// TestFromIntervalsAllocs: FromIntervals lays its tuples out in one slab, so
+// that it makes the same few objects — the relation, its schema's name list,
+// the tuples and the slab — for any number of intervals, and Check reads
+// them in place.
+func TestFromIntervalsAllocs(t *testing.T) {
+	for _, n := range []int{1, 10, 10_000} {
+		ivs := make([]interval.Interval, n)
+		for i := range ivs {
+			ivs[i] = interval.New(int64(i), int64(2*i))
+		}
+		var r *Relation
+		if allocs := testing.AllocsPerRun(10, func() { r = FromIntervals("R", ivs) }); allocs != 4 {
+			t.Errorf("FromIntervals of %d intervals allocates %.0f objects, want 4", n, allocs)
+		}
+		if f, err := r.Check(); err != nil || !f.InPlace || f.View.Len() != n || f.View.Attr(int32(n-1), 0) != ivs[n-1] {
+			t.Errorf("FromIntervals of %d intervals: Check says in place %v, view of %d (%v)", n, f.InPlace, f.View.Len(), err)
+		}
+	}
+}
+
+// TestCheckReadsLoadedTuplesInPlace: Check views a relation exactly while
+// every tuple i has id i and Attrs aliasing the loader's slab at i·arity.
+// An edit through the alias keeps the view, and the view sees it; every
+// other change a caller can make to the tuples costs it. A view is never
+// appended to, and Reset drops it without writing into the relation.
+func TestCheckReadsLoadedTuplesInPlace(t *testing.T) {
+	load := func() *Relation {
+		r, err := ReadText(NewSchema("R", "x", "y"), strings.NewReader("0,1|2,3\n4,5|6,7\n# c\n8,9|10,11\n"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return r
+	}
+	for _, tc := range []struct {
+		name    string
+		edit    func(r *Relation)
+		inPlace bool
+	}{
+		{"unaltered", func(*Relation) {}, true},
+		{"edited through the alias", func(r *Relation) { r.Tuples[1].Attrs[1] = interval.New(-1, 1) }, true},
+		{"last tuple resliced away", func(r *Relation) { r.Tuples = r.Tuples[:2] }, true},
+		{"attrs replaced", func(r *Relation) { r.Tuples[1].Attrs = slices.Clone(r.Tuples[1].Attrs) }, false},
+		{"appended", func(r *Relation) { r.Append(interval.New(0, 0), interval.New(0, 0)) }, false},
+		{"reordered", func(r *Relation) { r.Tuples[0], r.Tuples[2] = r.Tuples[2], r.Tuples[0] }, false},
+		{"id changed", func(r *Relation) { r.Tuples[2].ID = 7 }, false},
+		{"first tuple resliced away", func(r *Relation) { r.Tuples = r.Tuples[1:] }, false},
+		{"built by hand", func(r *Relation) { *r = Relation{Schema: r.Schema, Tuples: slices.Clone(r.Tuples)} }, false},
+	} {
+		r := load()
+		tc.edit(r)
+		f, err := r.Check()
+		if err != nil || f.InPlace != tc.inPlace {
+			t.Errorf("%s: in place %v (%v), want %v", tc.name, f.InPlace, err, tc.inPlace)
+			continue
+		}
+		if !f.InPlace {
+			if f.View.Len() != 0 {
+				t.Errorf("%s: not in place, yet a view of %d tuples", tc.name, f.View.Len())
+			}
+			continue
+		}
+		if f.View.Len() != r.Len() {
+			t.Fatalf("%s: a view of %d tuples, the relation has %d", tc.name, f.View.Len(), r.Len())
+		}
+		for i, tup := range r.Tuples {
+			if v := f.View.Tuple(int32(i)); v.ID != tup.ID || !slices.Equal(v.Attrs, tup.Attrs) || cap(v.Attrs) != 2 {
+				t.Fatalf("%s: the view's tuple %d is %+v, the relation's %+v", tc.name, i, v, tup)
+			}
+		}
+		v := f.View
+		if _, err := v.AppendBinary(string(AppendBinary(nil, r.Tuples[0]))); err == nil {
+			t.Errorf("%s: a view took an appended tuple", tc.name)
+		}
+		v.Grow(10, 20)
+		v.Reset()
+		if v.Len() != 0 || r.Tuples[0].Attrs[0] != interval.New(0, 1) || len(r.slab) != 6 {
+			t.Errorf("%s: Reset left a view of %d tuples, or wrote into the relation", tc.name, v.Len())
 		}
 	}
 }

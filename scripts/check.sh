@@ -23,8 +23,12 @@
 #                      (TestDeltaJoinAllocsIndependentOfRows), a batch
 #                      join Engine.Run runs in line the same but for a
 #                      fixed cost per goroutine of its split
-#                      (TestInLineRunAllocsIndependentOfRows), and
-#                      validating ids that strictly increase nothing at all
+#                      (TestInLineRunAllocsIndependentOfRows) and copies
+#                      no tuple of a loaded relation, which it reads where
+#                      it lies (TestInLineCopiesNoLoadedTuple), a relation
+#                      built from intervals is the same few objects at any
+#                      size (TestFromIntervalsAllocs), and validating ids
+#                      that strictly increase nothing at all
 #                      (TestValidateAllocatesNothingFor...)
 #   5. go test -race — full suite (unit, integration, property, oracle
 #                      cross-validation) under the race detector; the MR
@@ -32,12 +36,16 @@
 #                      of the gate, not an optional extra; then the tests
 #                      of concurrent runs and queries (service, engine)
 #                      and of the in-line join, whose goroutines share one
-#                      prepared join, ten times over, since their races
-#                      show only now and then; then a 5-second
-#                      fuzz smoke of each of six targets: the two
-#                      decoders that read arbitrary bytes — the binary
-#                      record codec (FuzzRecordDecode) and the spill
-#                      records carrying it (FuzzSpillRecordRoundTrip) —
+#                      prepared join and whose concurrent runs share the
+#                      loaded relations they read in place, ten times
+#                      over, since their races show only now and then;
+#                      then a 5-second fuzz smoke of each of seven
+#                      targets: the three parsers that read arbitrary
+#                      bytes — the binary record codec (FuzzRecordDecode),
+#                      the spill records carrying it
+#                      (FuzzSpillRecordRoundTrip) and the text loader's
+#                      one pass over a file (FuzzParseTextMatchesLines,
+#                      against a line-at-a-time reference) —
 #                      the result's row ordering (FuzzSetRows: rows
 #                      packed by their relations' id ranges, radix-sorted
 #                      as words or compared as ids, against a comparison
@@ -106,15 +114,19 @@ go test -run 'TestLiveDisabledZeroCost' ./internal/obs/live/
 # for a gap ten times wider (positions in a bitset, each selection made at
 # its exact size), and so does the in-line join of those tuples but for one
 # row chunk per doubling of its rows; so does a batch join Engine.Run runs
-# in line; and validating the narrowed relation, whose ids strictly
-# increase, builds no set of seen ids. A per-pair,
+# in line, which besides reads the relations it was given where they lie when
+# they were loaded (or built by FromIntervals, which lays them out in one
+# slab at a fixed count of objects), copying none of their tuples; and
+# validating the narrowed relation, whose ids strictly increase, builds no
+# set of seen ids. A per-pair,
 # per-row or per-tuple allocation creeping back fails here, with the count,
 # before anything slower runs.
 go test -run 'TestShuffleAllocsDoNotFollowEmissions' ./internal/mr/
 go test -run 'TestRCCISOpAllocs|TestProductRouteAllocs|TestRowEmissionAllocs' ./internal/core/
 go test -run 'TestNarrowAllocationsIndependentOfTuples|TestDeltaJoinAllocsIndependentOfRows' ./internal/cache/
 go test -run 'TestInLineRunAllocsIndependentOfRows' .
-go test -run 'TestValidateAllocatesNothingFor' ./internal/relation/
+go test -run 'TestInLineCopiesNoLoadedTuple' ./internal/core/
+go test -run 'TestValidateAllocatesNothingFor|TestFromIntervalsAllocs' ./internal/relation/
 
 echo "== go test -race =="
 go test -race ./...
@@ -122,7 +134,9 @@ go test -race ./...
 # share the engine's pools: a race there may take several runs to show, so
 # the tests that drive it run ten times more, by name. So do the root
 # package's in-line tests: an in-line join splits its first level over the
-# engine's workers, whose cursors read one prepared join.
+# engine's workers, whose cursors read one prepared join, and two runs at
+# once read the same loaded relations in place
+# (TestInLineRunsShareLoadedRelations).
 go test -race -count=10 -run 'Concurrent' ./internal/cache ./internal/core
 go test -race -count=10 -run 'InLine' .
 
@@ -138,13 +152,16 @@ echo "== fuzz smoke =="
 # on queries, sizes, partition counts and boundaries drawn around the
 # interval length at which it stops skipping the RCCIS marking. The sixth
 # checks the cache's wire text, which copies each anchor group's "[id"
-# prefix from its first row, against encoding/json for arbitrary ids.
+# prefix from its first row, against encoding/json for arbitrary ids. The
+# seventh runs the text loader's one pass over a file's bytes against a
+# reference that cuts the lines as bufio.Scanner did and parses each alone.
 go test -run '^$' -fuzz '^FuzzRecordDecode$' -fuzztime 5s ./internal/core
 go test -run '^$' -fuzz '^FuzzSpillRecordRoundTrip$' -fuzztime 5s ./internal/mr
 go test -run '^$' -fuzz '^FuzzSetRows$' -fuzztime 5s ./internal/core
 go test -run '^$' -fuzz '^FuzzSortKeyIdx$' -fuzztime 5s ./internal/core
 go test -run '^$' -fuzz '^FuzzPlanReach$' -fuzztime 5s ./internal/core
 go test -run '^$' -fuzz '^FuzzStoredWireMatchesEncodingJSON$' -fuzztime 5s ./internal/cache
+go test -run '^$' -fuzz '^FuzzParseTextMatchesLines$' -fuzztime 5s ./internal/relation
 
 echo "== benchmark module =="
 go vet -C bench ./...
