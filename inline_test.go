@@ -223,10 +223,12 @@ func TestRunInLineMatchesJob(t *testing.T) {
 }
 
 // TestInLineRunIsReported: a traced in-line run records one span, and its
-// plan reaches metrics.json and the metrics line.
+// plan reaches metrics.json and the metrics line: on two workers, the first
+// relation's two tuples make two stretches of the walk and its ids 0 and 1
+// two ranges of the ordering.
 func TestInLineRunIsReported(t *testing.T) {
 	tracer := NewTracer(TracerOptions{})
-	eng := MustNewEngine(EngineOptions{Tracer: tracer})
+	eng := MustNewEngine(EngineOptions{Tracer: tracer, Workers: 2})
 	q, _ := ParseQuery("R1 overlaps R2")
 	rels := []*Relation{
 		FromIntervals("R1", []Interval{NewInterval(0, 10), NewInterval(2, 12)}),
@@ -248,10 +250,10 @@ func TestInLineRunIsReported(t *testing.T) {
 		t.Fatal(err)
 	}
 	if !strings.Contains(doc.String(), `"in_line": {`) || !strings.Contains(doc.String(), `"tuples": 3`) ||
-		!strings.Contains(doc.String(), `"ranges": 1`) {
+		!strings.Contains(doc.String(), `"stretches": 2`) || !strings.Contains(doc.String(), `"ranges": 2`) {
 		t.Errorf("metrics.json has no in-line plan:\n%s", doc.String())
 	}
-	if line := res.Metrics.String(); !strings.Contains(line, " in-line(tuples=3 ranges=1)") {
+	if line := res.Metrics.String(); !strings.Contains(line, " in-line(tuples=3 stretches=2 ranges=2)") {
 		t.Errorf("metrics line %q does not say the run was in line", line)
 	}
 }

@@ -1,10 +1,10 @@
 package core
 
 import (
+	"cmp"
 	"fmt"
 	"math"
 	"math/rand"
-	"runtime"
 	"slices"
 	"testing"
 	"time"
@@ -324,7 +324,10 @@ func BenchmarkBroadcast(b *testing.B) {
 // Result.setRows. The rows arrive as a join's do: in short stretches that
 // share their leading id, the stretches in no order, and packed as the
 // relations' id ranges say — a word a row, or w ids when they do not fit.
-func benchSetRows(b *testing.B, n, w int, limit int64) {
+// With more than one range, the rows are filed under ranges of the first
+// column's ids by two walkers, as a split in-line join files them
+// (fileRows), and setRanges orders them on up to workers goroutines.
+func benchSetRows(b *testing.B, n, w int, limit int64, ranges, workers int) {
 	b.Helper()
 	rng := rand.New(rand.NewSource(4))
 	const stretch = 4
@@ -344,14 +347,21 @@ func benchSetRows(b *testing.B, n, w int, limit int64) {
 		hi[k] = limit - 1
 	}
 	p := newRowPacking(lo, hi)
+	cuts := idCuts(0, limit-1, ranges)
 	var res Result
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		b.StopTimer()
-		rows := collect(&p, w, data)
+		if ranges == 1 {
+			rows := collect(&p, w, data)
+			b.StartTimer()
+			res.setRows(rows, &p)
+			continue
+		}
+		rows := fileRows(&p, w, data, cuts, 2)
 		b.StartTimer()
-		res.setRows(rows, &p)
+		res.setRanges(&p, rows, ranges, workers)
 	}
 	if len(res.Tuples) != n {
 		b.Fatalf("%d rows of %d", len(res.Tuples), n)
@@ -360,11 +370,18 @@ func benchSetRows(b *testing.B, n, w int, limit int64) {
 
 // The shapes that matter: batch-skew's and batch-matrix's results, which
 // pack into 20 and 30 bits, and ids too wide to pack, which take the
-// comparison sort.
+// comparison sort; then the packed shapes filed under two id ranges and
+// ordered range by range, on the caller alone and on two workers, at
+// batch-skew's size and at a quarter of it.
 func BenchmarkSetRows(b *testing.B) {
-	b.Run("skew-64kx2", func(b *testing.B) { benchSetRows(b, 64_000, 2, 1000) })
-	b.Run("matrix-58kx3", func(b *testing.B) { benchSetRows(b, 58_000, 3, 1000) })
-	b.Run("wide-64kx2", func(b *testing.B) { benchSetRows(b, 64_000, 2, 1<<40) })
+	b.Run("skew-64kx2", func(b *testing.B) { benchSetRows(b, 64_000, 2, 1000, 1, 1) })
+	b.Run("matrix-58kx3", func(b *testing.B) { benchSetRows(b, 58_000, 3, 1000, 1, 1) })
+	b.Run("wide-64kx2", func(b *testing.B) { benchSetRows(b, 64_000, 2, 1<<40, 1, 1) })
+	for _, workers := range []int{1, 2} {
+		b.Run(fmt.Sprintf("skew-64kx2/ranges=2/workers=%d", workers), func(b *testing.B) { benchSetRows(b, 64_000, 2, 1000, 2, workers) })
+		b.Run(fmt.Sprintf("matrix-58kx3/ranges=2/workers=%d", workers), func(b *testing.B) { benchSetRows(b, 58_000, 3, 1000, 2, workers) })
+		b.Run(fmt.Sprintf("skew-16kx2/ranges=2/workers=%d", workers), func(b *testing.B) { benchSetRows(b, 16_000, 2, 1000, 2, workers) })
+	}
 }
 
 // inLineShape is one query of BenchmarkInLineVsJob with its inputs at n tuples
@@ -372,6 +389,8 @@ func BenchmarkSetRows(b *testing.B) {
 type inLineShape struct {
 	name, query string
 	rels        func(rng *rand.Rand, n int) []*relation.Relation
+	// most is the largest n the sweep runs, when below 2^17.
+	most int
 }
 
 var inLineShapes = []inLineShape{
@@ -384,7 +403,7 @@ var inLineShapes = []inLineShape{
 			randomRelation(rng, "R2", k, int64(k)*100, 100),
 			randomRelation(rng, "R3", n-2*k, int64(k)*100, 100),
 		}
-	}},
+	}, 0},
 	// batch-matrix's hybrid: R1 and R2 at its density, and its 60 tuples in
 	// R3, which the planner broadcasts.
 	{"hybrid", "R1 overlaps R2 and R2 before R3", func(rng *rand.Rand, n int) []*relation.Relation {
@@ -395,7 +414,40 @@ var inLineShapes = []inLineShape{
 			randomRelation(rng, "R2", n-60-k, domain, 120),
 			randomRelation(rng, "R3", 60, domain, 120),
 		}
-	}},
+	}, 0},
+	// batch-skew's two-way join at its density: blocks of 1 000 tuples a
+	// relation, each with power-law starts over 100 000 points, intervals 1
+	// to 100 long, laid end to end so that the rows grow as the tuples do.
+	{"skew", "R1 overlaps R2", func(rng *rand.Rand, n int) []*relation.Relation {
+		skewed := func(name string, k int) *relation.Relation {
+			ivs := make([]interval.Interval, k)
+			for i := range ivs {
+				block := int64(i / 1000)
+				s := block*100_000 + powerLawStart(rng.Float64(), int64(min(k, 1000))*100)
+				ivs[i] = interval.New(s, s+1+rng.Int63n(100))
+			}
+			return relation.FromIntervals(name, ivs)
+		}
+		return []*relation.Relation{skewed("R1", n/2), skewed("R2", n-n/2)}
+	}, 1 << 15},
+	// The hybrid with every relation's ids in start order, as a loader
+	// numbers a file sorted by time: a first-relation id range is then a
+	// stretch of the line, and the early ones, which have more R3 tuples
+	// after them, hold more rows — the case the id ranges balance worst.
+	{"hybrid-sorted", "R1 overlaps R2 and R2 before R3", func(rng *rand.Rand, n int) []*relation.Relation {
+		k := (n - 60) / 2
+		domain := int64(k) * 200_000 / 3100
+		sorted := func(name string, m int) *relation.Relation {
+			ivs := make([]interval.Interval, m)
+			for i := range ivs {
+				s := rng.Int63n(domain)
+				ivs[i] = interval.New(s, s+rng.Int63n(121))
+			}
+			slices.SortFunc(ivs, func(a, b interval.Interval) int { return cmp.Compare(a.Start, b.Start) })
+			return relation.FromIntervals(name, ivs)
+		}
+		return []*relation.Relation{sorted("R1", k), sorted("R2", n-60-k), sorted("R3", 60)}
+	}, 0},
 	// examples/spatial's General query: cities and one river for every 64
 	// cities, on a map whose area grows with n.
 	{"general", "city.x overlaps river.x and city.y overlaps river.y", func(rng *rand.Rand, n int) []*relation.Relation {
@@ -414,37 +466,35 @@ var inLineShapes = []inLineShape{
 			cities.Append(box(100, 400), box(100, 400))
 		}
 		return []*relation.Relation{cities, rivers}
-	}},
+	}, 0},
+}
+
+// powerLawStart maps u in [0, 1) onto [0, span] with density proportional to
+// (1+x)^-1.1: the repository benchmark's skewed starts.
+func powerLawStart(u float64, span int64) int64 {
+	const a = 1 - 1.1
+	top := math.Pow(1+float64(span), a)
+	return min(max(int64(math.Pow(1-u*(1-top), 1/a)-1), 0), span)
 }
 
 // BenchmarkInLineVsJob is the sweep the in-line rule rests on: each shape at
 // n tuples in all, from NewContext on, as Engine.Run runs them, three ways —
 // the planner's job on an engine with the default workers, the in-line join
-// on one goroutine, and the in-line join split over the workers, its first
-// level cut into as many ranges as minRange allows but never fewer than one a
-// worker. The three run in turn, each first in turn, so that a busy host
-// slows them alike. It reports each arm's median wall (job-ms, one-ms,
-// split-ms), the share of runs in which the split beat one goroutine
-// (split-wins) and in which the in-line join as the rule runs it — split when
-// its first level holds 2·minRange candidates, else one goroutine — beat the
-// job (in-line-wins), and the join's output (rows/op). minRange is read off
-// split-wins against first/op, the first level's candidates.
+// on one goroutine, and the in-line join split over the workers as
+// JoinInLine splits it (inLineSplit). The three run in turn, each first in
+// turn, so that a busy host slows them alike. It reports each arm's median
+// wall (job-ms, one-ms, split-ms), the share of runs in which the split beat
+// one goroutine (split-wins) and in which it beat the job (in-line-wins), the
+// first level's candidates (first/op) and the join's output (rows/op).
 func BenchmarkInLineVsJob(b *testing.B) {
-	workers := runtime.GOMAXPROCS(0)
 	for _, sh := range inLineShapes {
 		q := query.MustParse(sh.query)
-		for n := 1 << 10; n <= 1<<17; n <<= 1 {
+		for n := 1 << 10; n <= cmp.Or(sh.most, 1<<17); n <<= 1 {
 			rels := sh.rels(rand.New(rand.NewSource(1)), n)
-			first := rels[0].Len()
-			split := max(workers, first/minRange)
 			arms := [3]func(*Context) (*Result, error){
 				Plan(q, false).Run,
-				func(ctx *Context) (*Result, error) { return joinInLine(ctx, 1) },
-				func(ctx *Context) (*Result, error) { return joinInLine(ctx, split) },
-			}
-			rule := 1
-			if first/minRange > 1 {
-				rule = 2
+				func(ctx *Context) (*Result, error) { return joinInLine(ctx, inLineSplit{1, 1, 1}) },
+				JoinInLine,
 			}
 			b.Run(fmt.Sprintf("%s/n=%d", sh.name, n), func(b *testing.B) {
 				var walls [3][]float64
@@ -469,7 +519,7 @@ func BenchmarkInLineVsJob(b *testing.B) {
 					if took[2] < took[1] {
 						splitWins++
 					}
-					if took[rule] <= took[0] {
+					if took[2] <= took[0] {
 						inLineWins++
 					}
 				}
@@ -478,7 +528,7 @@ func BenchmarkInLineVsJob(b *testing.B) {
 				b.ReportMetric(median(walls[2]), "split-ms")
 				b.ReportMetric(float64(splitWins)/float64(b.N), "split-wins")
 				b.ReportMetric(float64(inLineWins)/float64(b.N), "in-line-wins")
-				b.ReportMetric(float64(first), "first/op")
+				b.ReportMetric(float64(rels[0].Len()), "first/op")
 				b.ReportMetric(float64(rows), "rows/op")
 			})
 		}

@@ -252,29 +252,18 @@ type Result struct {
 // in canonical order, and hands their chunks back to the engine's pool: rows
 // must not be read again. It allocates IDs and Tuples and nothing else.
 //
-// Packed rows are words, ordered in linear time: a radix sort from the
-// chunks into the head of the result slab (sortWords), then one backward
-// pass that unpacks each word into its row in place — row i's ids land at or
-// after word i, so no word is overwritten before it is read — and sets its
-// header. Rows that do not pack are w ids each and take one comparison sort.
+// Packed rows are words: setRows is setRanges' one range, ordered in linear
+// time on the caller (orderStretch). Rows that do not pack are w ids each and
+// take one comparison sort.
 func (r *Result) setRows(rows *mr.Rows, p *rowPacking) {
 	w, n := len(p.lo), rows.Len()
-	ids := make([]int64, n*w)
-	tuples := make([]OutputTuple, n)
+	r.IDs, r.Tuples = make([]int64, n*w), make([]OutputTuple, n)
 	if p.words {
-		p.sortWords(ids, rows.Chunks())
-		for i := n - 1; i >= 0; i-- {
-			word := ids[i]
-			row := ids[i*w : (i+1)*w : (i+1)*w]
-			for k := w - 1; k >= 0; k-- {
-				row[k] = p.lo[k] + word&(1<<p.bits[k]-1)
-				word >>= p.bits[k]
-			}
-			tuples[i] = row
-		}
+		r.orderStretch(p, 0, rows.Chunks())
 	} else {
 		// Tuples stand for the rows where the engine left them while they
 		// are sorted, then each row moves to its place in the slab.
+		tuples := r.Tuples
 		i := 0
 		for _, c := range rows.Chunks() {
 			for at := 0; at < len(c); at += w {
@@ -284,13 +273,87 @@ func (r *Result) setRows(rows *mr.Rows, p *rowPacking) {
 		}
 		slices.SortFunc(tuples, func(a, b OutputTuple) int { return slices.Compare(a, b) })
 		for i, t := range tuples {
-			row := ids[i*w : (i+1)*w : (i+1)*w]
+			row := r.IDs[i*w : (i+1)*w : (i+1)*w]
 			copy(row, t)
 			tuples[i] = row
 		}
 	}
 	rows.Release()
-	r.IDs, r.Tuples = ids, tuples
+}
+
+// spreadRows is the fewest rows setRanges orders on more than one goroutine:
+// below it a helper took nothing off the caller's wall on two workers, at
+// twice it a seventh (BenchmarkSetRows' per-range arms).
+const spreadRows = 1 << 14
+
+// setRanges makes packed rows filed by first-column id range the run's
+// result, in canonical order, and hands their chunks back to the engine's
+// pool: rows[g*ranges+k] holds walker g's rows of range k, and every row of
+// range k orders before every row of range k+1 — the total-order partitioner
+// of a sorted MapReduce output. So range k's rows make one stretch of the
+// result, which starts at the rows of the ranges before it, and each stretch
+// is ordered alone (orderStretch): by the caller, or, from spreadRows rows on,
+// by up to workers goroutines, the caller among them, that claim the ranges in
+// turn and write disjoint stretches of one slab. One Rows is setRows' case.
+// Besides IDs and Tuples it allocates the ranges' lists of chunks.
+func (r *Result) setRanges(p *rowPacking, rows []mr.Rows, ranges, workers int) {
+	if len(rows) == 1 {
+		r.setRows(&rows[0], p)
+		return
+	}
+	type stretch struct {
+		at     int
+		chunks [][]int64
+	}
+	walkers, count := len(rows)/ranges, 0
+	for g := range rows {
+		count += len(rows[g].Chunks())
+	}
+	stretches, chunks, n := make([]stretch, ranges), make([][]int64, 0, count), 0
+	for k := range stretches {
+		from := len(chunks)
+		stretches[k].at = n
+		for g := range walkers {
+			n += rows[g*ranges+k].Len()
+			chunks = append(chunks, rows[g*ranges+k].Chunks()...)
+		}
+		stretches[k].chunks = chunks[from:]
+	}
+	w := len(p.lo)
+	r.IDs, r.Tuples = make([]int64, n*w), make([]OutputTuple, n)
+	if n < spreadRows {
+		workers = 1
+	}
+	spread(ranges, workers, func(_, k int) {
+		r.orderStretch(p, stretches[k].at, stretches[k].chunks)
+	})
+	for g := range rows {
+		rows[g].Release()
+	}
+}
+
+// orderStretch orders the packed rows in chunks into the result's stretch of
+// rows that starts at row at, in IDs and Tuples as allocated: a radix sort
+// from the chunks into the head of the stretch's slab (sortWords), then one
+// backward pass that unpacks each word into its row in place — row i's ids
+// land at or after word i, so no word is overwritten before it is read — and
+// sets its header.
+func (r *Result) orderStretch(p *rowPacking, at int, chunks [][]int64) {
+	w, n := len(p.lo), 0
+	for _, c := range chunks {
+		n += len(c)
+	}
+	ids, tuples := r.IDs[at*w:(at+n)*w], r.Tuples[at:at+n]
+	p.sortWords(ids, chunks)
+	for i := n - 1; i >= 0; i-- {
+		word := ids[i]
+		row := ids[i*w : (i+1)*w : (i+1)*w]
+		for k := w - 1; k >= 0; k-- {
+			row[k] = p.lo[k] + word&(1<<p.bits[k]-1)
+			word >>= p.bits[k]
+		}
+		tuples[i] = row
+	}
 }
 
 // rowPacking is how a result row becomes one word: column k — relation k's
@@ -367,11 +430,12 @@ const (
 )
 
 // sortWords puts the words of chunks into the head of slab in ascending
-// order: n words where slab holds n rows of w ids. One pass over the chunks
-// counts every digit; the first scatter reads the chunks, and every later
-// one moves the words between the slab's first n words and the n after
-// them, least significant digit first. The first lands on the side from
-// which the last lands them in front.
+// order: n words where slab holds n rows of w ids. One scatter a digit, least
+// significant first: the first reads the chunks, and every later one moves the
+// words between the slab's first n words and the n after them. The first
+// lands on the side from which the last lands them in front. A pass over the
+// chunks counts the first digit, and each scatter counts the next one as it
+// moves the words (radixCounts).
 func (p *rowPacking) sortWords(slab []int64, chunks [][]int64) {
 	n := len(slab) / len(p.lo)
 	if n == 0 {
@@ -379,41 +443,62 @@ func (p *rowPacking) sortWords(slab []int64, chunks [][]int64) {
 	}
 	const mask = 1<<radixBits - 1
 	digits := max(1, (p.total+radixBits-1)/radixBits)
-	var next [radixDigits][1 << radixBits]int
+	var counts radixCounts[int]
 	for _, c := range chunks {
 		for _, word := range c {
-			for d := range digits {
-				next[d][word>>(d*radixBits)&mask]++
-			}
-		}
-	}
-	for d := range digits {
-		at := 0
-		for k, count := range next[d] {
-			next[d][k] = at
-			at += count
+			counts[0][word&mask]++
 		}
 	}
 	halves := [2][]int64{slab[:n], slab[n : 2*n]}
 	side := 1 - digits%2
-	to, at := halves[side], &next[0]
+	at, next := counts.turn(0, digits)
+	to := halves[side]
 	for _, c := range chunks {
 		for _, word := range c {
 			k := word & mask
 			to[at[k]] = word
 			at[k]++
+			next[word>>radixBits&mask]++
 		}
 	}
 	for d := 1; d < digits; d++ {
 		from := halves[side]
 		side ^= 1
-		to, at, shift := halves[side], &next[d], d*radixBits
+		at, next := counts.turn(d, digits)
+		to, shift := halves[side], d*radixBits
 		for _, word := range from {
 			k := word >> shift & mask
 			to[at[k]] = word
 			at[k]++
+			next[word>>(shift+radixBits)&mask]++
 		}
 	}
+}
+
+// radixCounts is the counters of a radix sort: two rows of a digit's
+// buckets, which take the digits in turn. While a scatter moves the keys by
+// digit d, whose row holds its buckets' offsets, it counts digit d+1 in the
+// other row. Six rows, one a digit, were 98 KB of ints zeroed whole on every
+// call, and a helper goroutine's stack had to grow to hold them, which cost
+// more than a short sort; two cost what a digit does, and a row is cleared
+// only when a digit needs it.
+type radixCounts[T int | int32] [2][1 << radixBits]T
+
+// turn readies digit d of a sort of the given digits: it makes d's row the
+// offsets of its buckets, in place of their counts, and clears the other row
+// for the next digit's counts — but not before the last digit, whose next row
+// nothing reads, nor before digit 0, whose next row is still as declared.
+func (c *radixCounts[T]) turn(d, digits int) (at, next *[1 << radixBits]T) {
+	at, next = &c[d%2], &c[1-d%2]
+	var sum T
+	for k, count := range at {
+		at[k] = sum
+		sum += count
+	}
+	if d > 0 && d+1 < digits {
+		clear(next[:])
+	}
+	return at, next
 }
 
 // SortTuples orders the output canonically for comparison and display. The

@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"math"
+	"math/bits"
 	"slices"
 
 	"intervaljoin/internal/grid"
@@ -560,14 +561,17 @@ func (cj cellJoin) job(c *Context) mr.Job {
 // (preparedJoin.hold), and collects its rows as cellJoin's last stage does:
 // a word from the join's last level when the rows pack, through
 // rowPacking.put otherwise. So the result is the one every algorithm
-// returns, the join's rows in canonical order. When inLineRanges cuts the first level into several
-// ranges, up to the engine's Workers goroutines walk them (runSplit). Its
+// returns, the join's rows in canonical order. With an engine of several
+// workers and rows that pack, the walk and the ordering both spread over the
+// workers (inLineSplit): the walkers take stretches of the first level in
+// turn and file each row under its first relation's id range (runSplit), and
+// each range is ordered into its own stretch of the result (setRanges). Its
 // Metrics are nil, since no cycle ran, and ctx.Engine may be nil.
-func JoinInLine(ctx *Context) (*Result, error) { return joinInLine(ctx, inLineRanges(ctx)) }
+func JoinInLine(ctx *Context) (*Result, error) { return joinInLine(ctx, ctx.inLineSplit()) }
 
-// joinInLine is JoinInLine with its first level cut into the given number of
-// ranges; more than one needs an engine and rows that pack.
-func joinInLine(ctx *Context, ranges int) (*Result, error) {
+// joinInLine is JoinInLine spread as s says; more than one worker needs an
+// engine and rows that pack.
+func joinInLine(ctx *Context, s inLineSplit) (*Result, error) {
 	rels := allRelations(len(ctx.Rels))
 	// The join runs once: its state comes from no pool, which would be new
 	// with the enumerator and never used again.
@@ -576,20 +580,78 @@ func joinInLine(ctx *Context, ranges int) (*Result, error) {
 		p.hold(i, ctx, i)
 	}
 	p.seal()
-	rows := ctx.packing.rows()
-	if ranges > 1 {
-		p.runSplit(rows, &ctx.packing, ranges, ctx.Engine.Workers())
-	} else if ctx.packing.words {
-		p.runWords(rows, &ctx.packing)
-	} else if err := p.run(func(asg []relation.Tuple) error {
-		ctx.packing.put(rows, rels, asg)
-		return nil
-	}); err != nil {
-		return nil, err
-	}
 	res := &Result{Algorithm: "in-line"}
-	res.setRows(rows, &ctx.packing)
+	if !ctx.packing.words {
+		rows := ctx.packing.rows()
+		if err := p.run(func(asg []relation.Tuple) error {
+			ctx.packing.put(rows, rels, asg)
+			return nil
+		}); err != nil {
+			return nil, err
+		}
+		res.setRows(rows, &ctx.packing)
+		return res, nil
+	}
+	// Walkers that file their rows over several Rows climb to full-size
+	// chunks in every one in two steps (Rows.Steep): doubling in each would
+	// allocate a chunk a doubling of the rows for every range. A walker's
+	// rows take their chunks on its own goroutine, so that two walkers'
+	// chunk lists, whose headers they write on every row, lie in no common
+	// cache line.
+	rows := make([]mr.Rows, min(s.workers, s.stretches)*s.ranges)
+	for k := range rows {
+		rows[k].Width, rows[k].Steep = 1, len(rows) > 1
+	}
+	if len(rows) == 1 {
+		p.runWords(&rows[0], &ctx.packing)
+	} else {
+		p.runSplit(rows, ctx.wordCuts(s.ranges), &ctx.packing, s)
+	}
+	res.setRanges(&ctx.packing, rows, s.ranges, s.workers)
 	return res, nil
+}
+
+// idCuts cuts the ids [lo, hi] into ranges of about equal width: cuts[k-1]
+// is the least id of range k, and an id lies in range idRange(cuts, id). One
+// range needs no cut. hi − lo must be below 2^63, as it is for the first
+// column of rows that pack.
+func idCuts(lo, hi int64, ranges int) []int64 {
+	if ranges < 2 {
+		return nil
+	}
+	width := uint64(hi) - uint64(lo) + 1
+	cuts := make([]int64, ranges-1)
+	for k := range cuts {
+		top, bottom := bits.Mul64(uint64(k+1), width)
+		off, _ := bits.Div64(top, bottom, uint64(ranges))
+		cuts[k] = int64(uint64(lo) + off)
+	}
+	return cuts
+}
+
+// wordCuts cuts the first relation's id span into ranges as idCuts does and
+// returns each cut packed: a word's first column is its top bits, so the rows
+// of a range are the words from its least id's word on, and a word's range
+// is idRange(cuts, word).
+func (c *Context) wordCuts(ranges int) []int64 {
+	cuts := idCuts(c.facts[0].Lo, c.facts[0].Hi, ranges)
+	for k, cut := range cuts {
+		cuts[k] = c.packing.place(0, cut)
+	}
+	return cuts
+}
+
+// idRange is the range of id under cuts: how many cuts lie at or below it.
+// Counting them all, rather than stopping at the first above it, compiles to
+// no branch on the random order ids come in.
+func idRange(cuts []int64, id int64) int {
+	k := 0
+	for _, cut := range cuts {
+		if id >= cut {
+			k++
+		}
+	}
+	return k
 }
 
 // bindStep describes a bind-step cycle: the partial assignments in current

@@ -176,7 +176,7 @@ func (e *enumerator) compileLevel(i int) levelPlan {
 // loCol/hiCol/refCol the kernels scan, with their windows.
 // A preparedJoin is loaded and sealed by one goroutine; the enumerator it
 // came from may be shared. A cursor walks it: cur for run and runWords, or
-// one per goroutine in runSplit, which builds every window first so that the
+// one per walker in runSplit, which builds every window first so that the
 // walks only read it.
 type preparedJoin struct {
 	e *enumerator
@@ -223,10 +223,17 @@ type cursor struct {
 	lo, hi int
 	fn     func(asg []relation.Tuple) error
 	err    error // first error fn returned; stops the enumeration
-	// words, when set, collects every complete assignment as one word,
-	// packed as packing says; no level materialises a tuple.
+	// packing, when set, has every complete assignment collected in words
+	// as one word, packed as it says; no level materialises a tuple.
 	words   *mr.Rows
 	packing *rowPacking
+	// ranges, in a split walk, are the walker's rows by id range of the
+	// first relation, which the first level binds: cuts[k-1] is the least
+	// word of range k. Binding a first-level candidate clears words, and
+	// the first row the binding completes points it at its range's rows
+	// (putWord), so that a candidate with no row costs nothing.
+	ranges []mr.Rows
+	cuts   []int64
 }
 
 // get returns an empty pooled preparedJoin ready for hold, load or
@@ -420,45 +427,74 @@ func (p *preparedJoin) runWords(out *mr.Rows, packing *rowPacking) {
 	c.words, c.packing = nil, nil
 }
 
-// runSplit enumerates what runWords does on up to workers goroutines and
-// collects the words in out. The first level's candidates, in start order,
-// are cut into `ranges` contiguous stretches of about equal length; every row
-// binds one first-level candidate, so each lies in one stretch and no rule
-// of ownership is needed. Goroutine g walks stretch g first and then takes
-// the next one left from a shared counter, so that a slow stretch does not
-// hold up the rest; each walks its own cursor into its own rows, which out
-// takes when all are done. Every window is built first: the walks only read
-// the preparedJoin.
-func (p *preparedJoin) runSplit(out *mr.Rows, packing *rowPacking, ranges, workers int) {
-	for i := range p.e.plans {
-		if p.e.plans[i].kernel == kindSweep && !p.built[i] {
-			p.buildWindows(i)
-		}
-	}
-	n, levels := len(p.refCol[0]), len(p.e.rels)
-	parts := make([]mr.Rows, min(ranges, workers))
-	var next atomic.Int64
-	next.Store(int64(len(parts)))
-	var wg sync.WaitGroup
-	for g := range parts {
-		parts[g].Width = out.Width
-		c := &cursor{
-			p: p, packing: packing, words: &parts[g],
-			asg: make([]relation.Tuple, levels), idx: apart[int](levels), bref: apart[int32](levels),
-		}
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for r := g; r < ranges; r = int(next.Add(1)) - 1 {
-				c.lo, c.hi = r*n/ranges, (r+1)*n/ranges
-				c.rec(0)
+// runSplit enumerates what runWords does on the caller and up to
+// s.workers−1 helper goroutines, and files every row under its first
+// relation's id range: walker g collects the rows of range k in
+// rows[g*s.ranges+k], cuts[k-1] being the least word of range k — the
+// packed form of its least id, idCuts' cut — so that each range's rows make
+// one stretch of the ordered result (Result.setRanges). The first level's
+// candidates, in start order, are cut into s.stretches contiguous stretches
+// of about equal length: every row binds one first-level candidate, so each
+// lies in one stretch and no rule of ownership is needed, and a stretch of
+// candidates is a stretch of the line, whose windows lie close together. The walkers take the stretches in turn
+// from a shared counter (spread), so that a slow stretch does not hold up the
+// rest and a helper that starts late costs only the stretch it takes. Each
+// walker has its own cursor and rows; with more than one, every window is
+// built first, so that the walks only read the preparedJoin.
+func (p *preparedJoin) runSplit(rows []mr.Rows, cuts []int64, packing *rowPacking, s inLineSplit) {
+	walkers, n, levels := len(rows)/s.ranges, len(p.refCol[0]), len(p.e.rels)
+	if walkers > 1 {
+		for i := range p.e.plans {
+			if p.e.plans[i].kernel == kindSweep && !p.built[i] {
+				p.buildWindows(i)
 			}
-		}()
+		}
 	}
-	wg.Wait()
-	for g := range parts {
-		out.Take(&parts[g])
+	// One walker walks with the preparedJoin's own cursor. Several each
+	// take a new one, which with its idx and bref, written on every
+	// candidate, has its cache lines to itself (apart): the preparedJoin's
+	// lie among the columns and flags every walker reads on every candidate.
+	cursors := make([]*cursor, walkers)
+	for g := range cursors {
+		c := &p.cur
+		if walkers > 1 {
+			c = &apart[cursor](1)[0]
+			c.p, c.asg, c.idx, c.bref = p, make([]relation.Tuple, levels), apart[int](levels), apart[int32](levels)
+		}
+		c.packing, c.cuts, c.ranges = packing, cuts, rows[g*s.ranges:(g+1)*s.ranges]
+		c.words = &c.ranges[0]
+		cursors[g] = c
 	}
+	spread(s.stretches, walkers, func(g, k int) {
+		c := cursors[g]
+		c.lo, c.hi = k*n/s.stretches, (k+1)*n/s.stretches
+		c.rec(0)
+	})
+	p.cur.words, p.cur.packing, p.cur.ranges, p.cur.cuts = nil, nil, nil, nil
+}
+
+// spread calls do(g, k) for every k in [0, n): on the caller as g = 0 and on
+// up to workers−1 helper goroutines as g = 1, 2, …, each taking the next k
+// from a shared counter until none is left, and returns when every call has.
+// It waits for the calls, not for the helpers: one that starts after the
+// caller has taken what was left finds nothing and ends, and the caller does
+// not wait for it to wake, which on a small join can take longer than the
+// join.
+func spread(n, workers int, do func(g, k int)) {
+	var next atomic.Int64
+	var calls sync.WaitGroup
+	calls.Add(n)
+	take := func(g int) {
+		for k := int(next.Add(1)) - 1; k < n; k = int(next.Add(1)) - 1 {
+			do(g, k)
+			calls.Done()
+		}
+	}
+	for g := 1; g < min(workers, n); g++ {
+		go take(g)
+	}
+	take(0)
+	calls.Wait()
 }
 
 // cacheLine is the span of memory a core takes whole to write to: two
@@ -467,12 +503,13 @@ func (p *preparedJoin) runSplit(out *mr.Rows, packing *rowPacking, ranges, worke
 const cacheLine = 64
 
 // apart returns n zero Ts with a cache line to themselves on either side, for
-// one goroutine to write on every candidate — a cursor's idx and bref — with
-// no other goroutine's data on their lines. Made side by side, two cursors'
-// few bytes each would share one.
+// one goroutine to write on every candidate — a cursor, its idx and bref —
+// with no other goroutine's data on their lines. Made side by side, two
+// cursors' few bytes each would share one.
 func apart[T any](n int) []T {
 	var t T
-	pad := cacheLine / int(unsafe.Sizeof(t))
+	size := int(unsafe.Sizeof(t))
+	pad := (cacheLine + size - 1) / size
 	return make([]T, pad+n+pad)[pad : pad+n : pad+n]
 }
 
@@ -513,6 +550,9 @@ func (c *cursor) putWord() {
 	var word int64
 	for j, rel := range p.e.rels {
 		word |= c.packing.place(rel, p.arenas[j].ID(c.bref[j]))
+	}
+	if c.words == nil {
+		c.words = &c.ranges[idRange(c.cuts, word)]
 	}
 	c.words.Append()[0] = word
 }
@@ -579,7 +619,7 @@ func (c *cursor) kernelGeneric(i int) {
 	lp := &p.e.plans[i]
 	refs := p.refCol[i]
 	col := p.loCol[i] // nil only for unconstrained levels, where hiBound stays +inf
-	tuples, leaf := c.words == nil, c.words != nil && i == p.last
+	tuples, leaf := c.packing == nil, c.packing != nil && i == p.last
 	from, to := 0, len(refs)
 	if i == 0 {
 		from, to = c.lo, c.hi
@@ -612,6 +652,9 @@ next:
 		}
 		c.bref[i] = refs[k]
 		c.idx[i] = k
+		if i == 0 && c.cuts != nil {
+			c.words = nil
+		}
 		for _, pc := range lp.conds {
 			u := p.arenas[pc.eval.lLevel].Attr(c.bref[pc.eval.lLevel], pc.eval.lAttr)
 			v := p.arenas[pc.eval.rLevel].Attr(c.bref[pc.eval.rLevel], pc.eval.rAttr)

@@ -87,8 +87,8 @@ func Plan(q *query.Query, preferPruning bool) Algorithm {
 }
 
 // InLine says that Engine.Run joins ctx's relations in line (JoinInLine)
-// rather than through the planner's job, and over how many ranges, or is nil
-// when the job runs: the rule is inLine's.
+// rather than through the planner's job, and how the join spreads over the
+// engine's workers, or is nil when the job runs: the rule is inLine's.
 func InLine(ctx *Context) *obs.InLine {
 	if !inLine(ctx.Query, ctx.Opts) {
 		return nil
@@ -97,37 +97,58 @@ func InLine(ctx *Context) *obs.InLine {
 	for _, r := range ctx.Rels {
 		tuples += int64(r.Len())
 	}
-	return &obs.InLine{Tuples: tuples, Ranges: inLineRanges(ctx)}
+	s := ctx.inLineSplit()
+	return &obs.InLine{Tuples: tuples, Stretches: s.stretches, Ranges: s.ranges}
 }
 
 // inLine is the rule: no option set, and relations bound in a connected
 // order. When the whole input fits one reducer, one reducer with replication
 // rate 1 is the best schema (Afrati et al.); an input in memory fits it, and
-// the in-line join spreads over the engine's workers by its first level
-// (inLineRanges), as the job spreads over its reducers. An option asks for
-// the job's layout by name. A disconnected order leaves a level with no bound
-// partner, whose every candidate meets every partial: the job's partitions
-// bound that product and one reducer does not.
+// the in-line join spreads over the engine's workers (inLineSplit), as the
+// job spreads over its reducers. An option asks for the job's layout by
+// name. A disconnected order leaves a level with no bound partner, whose
+// every candidate meets every partial: the job's partitions bound that
+// product and one reducer does not.
 func inLine(q *query.Query, opts Options) bool {
 	return opts == (Options{}) && connectedOrder(q)
 }
 
-// minRange is the fewest first-level candidates a range of a split in-line
-// join holds. From twice it on, splitting over two workers was measured no
-// slower than one goroutine on every shape swept, and below it the chain
-// lost (BenchmarkInLineVsJob's split arm; the table is in
-// docs/ALGORITHMS.md).
-const minRange = 4096
+// inLineSplit is how JoinInLine spreads over the engine's workers.
+type inLineSplit struct {
+	// workers is how many goroutines walk and order, the caller among them.
+	workers int
+	// stretches is how many stretches of about equal length the first
+	// level's candidates, in start order, are cut into for the walkers to
+	// take in turn.
+	stretches int
+	// ranges is how many ranges of about equal width the first relation's
+	// id span is cut into: each range's rows make one stretch of the result,
+	// ordered alone.
+	ranges int
+}
 
-// inLineRanges is how many ranges JoinInLine cuts ctx's first level into: as
-// many as hold minRange candidates each, or one — no split — without an
-// engine (the service's delta joins), with one worker, or when the rows do
-// not pack into words. It depends on the first level's size alone.
-func inLineRanges(ctx *Context) int {
-	if ctx.Engine == nil || ctx.Engine.Workers() < 2 || !ctx.packing.words {
-		return 1
+// stretchesPerWorker is how many stretches of the first level the in-line
+// walk is cut into for each worker: enough that the walkers even out a
+// Zipf-dense stretch, few enough that each still walks a stretch of the line.
+const stretchesPerWorker = 4
+
+// inLineSplit is the split JoinInLine runs: one goroutine, one stretch and
+// one range without an engine (the service's delta joins), with one worker,
+// or when the rows do not pack into words; otherwise a goroutine a worker,
+// stretchesPerWorker stretches a worker and a range a worker, but never more
+// stretches than first-level candidates nor more ranges than first-relation
+// ids.
+func (c *Context) inLineSplit() inLineSplit {
+	if c.Engine == nil || c.Engine.Workers() < 2 || !c.packing.words {
+		return inLineSplit{workers: 1, stretches: 1, ranges: 1}
 	}
-	return max(1, ctx.Rels[0].Len()/minRange)
+	workers, f := c.Engine.Workers(), &c.facts[0]
+	return inLineSplit{
+		workers:   workers,
+		stretches: max(1, min(stretchesPerWorker*workers, c.Rels[0].Len())),
+		// The rows pack, so the span is below 2^63 and one more fits.
+		ranges: int(min(uint64(workers), uint64(f.Hi)-uint64(f.Lo)+1)),
+	}
 }
 
 // connectedOrder reports whether every prefix of q's relations, in the order

@@ -133,13 +133,47 @@ func collect(p *rowPacking, w int, data []int64) *mr.Rows {
 	return rows
 }
 
+// fileRows adds data, rows of w ids back to back, to walkers×ranges Rows
+// the way a split in-line join's walkers file them: each row packed into its
+// word under p, walker i%walkers taking row i, into the rows of its first id's
+// range under cuts (idRange); rows[g*ranges+k] holds walker g's of range k.
+func fileRows(p *rowPacking, w int, data []int64, cuts []int64, walkers int) []mr.Rows {
+	ranges := len(cuts) + 1
+	rows := make([]mr.Rows, walkers*ranges)
+	for k := range rows {
+		rows[k].Width = 1
+	}
+	rels := make([]int, w)
+	for k := range rels {
+		rels[k] = k
+	}
+	asg := make([]relation.Tuple, w)
+	for i := 0; i < len(data)/w; i++ {
+		row := data[i*w : (i+1)*w]
+		for k, id := range row {
+			asg[k].ID = id
+		}
+		p.put(&rows[i%walkers*ranges+idRange(cuts, row[0])], rels, asg)
+	}
+	return rows
+}
+
 // checkSetRows reads the packing off the relations the rows of data come
-// from, collects the rows by it, runs setRows and compares the result with a
-// comparison sort of the same rows. It returns whether the rows packed.
-func checkSetRows(t *testing.T, w int, data []int64, dense bool) bool {
+// from, collects the rows by it, orders them and compares the result with a
+// comparison sort of the same rows. Rows that pack are filed as a split
+// in-line join's walkers file them, over the given number of ranges of the
+// first relation's id span and three walkers (fileRows), and ordered
+// range by range (setRanges, on two workers); one range of one walker is
+// setRows' case, and rows that do not pack take setRows. It returns whether
+// the rows packed.
+func checkSetRows(t *testing.T, w int, data []int64, dense bool, ranges int) bool {
 	t.Helper()
-	p := packingOf(relsOf(w, data, dense))
-	rows := collect(&p, w, data)
+	rels := relsOf(w, data, dense)
+	p := packingOf(rels)
+	first, err := rels[0].Check()
+	if err != nil {
+		t.Fatal(err)
+	}
 	var want [][]int64
 	for at := 0; at < len(data); at += w {
 		want = append(want, data[at:at+w])
@@ -147,26 +181,40 @@ func checkSetRows(t *testing.T, w int, data []int64, dense bool) bool {
 	slices.SortFunc(want, func(a, b []int64) int { return slices.Compare(a, b) })
 
 	var res Result
-	res.setRows(rows, &p)
+	var rows []mr.Rows
+	switch {
+	case !p.words:
+		rows = []mr.Rows{*collect(&p, w, data)}
+		res.setRows(&rows[0], &p)
+	case ranges == 1:
+		rows = fileRows(&p, w, data, nil, 1)
+		res.setRanges(&p, rows, 1, 2)
+	default:
+		rows = fileRows(&p, w, data, idCuts(first.Lo, first.Hi, ranges), 3)
+		res.setRanges(&p, rows, ranges, 2)
+	}
 	checkResultForm(t, "setRows", &res, w)
 	if len(res.Tuples) != len(want) {
 		t.Fatalf("%d rows in, %d out", len(want), len(res.Tuples))
 	}
 	for i, row := range want {
 		if !slices.Equal(res.Tuples[i], row) {
-			t.Fatalf("row %d of %d = %v, the comparison sort has %v (width %d, packed %v)", i, len(want), res.Tuples[i], row, w, p.words)
+			t.Fatalf("row %d of %d = %v, the comparison sort has %v (width %d, packed %v, %d ranges)", i, len(want), res.Tuples[i], row, w, p.words, ranges)
 		}
 	}
-	if rows.Len() != 0 {
-		t.Fatalf("setRows left %d rows behind: the chunks were not handed back", rows.Len())
+	for k := range rows {
+		if rows[k].Len() != 0 {
+			t.Fatalf("%d rows left behind in rows %d: the chunks were not handed back", rows[k].Len(), k)
+		}
 	}
 	return p.words
 }
 
 // TestSetRowsMatchesComparisonSort: whatever the width, the row count, the
-// chunking and the ids, setRows returns the rows a comparison sort does, in
-// the form every result has; and the ordering it picks depends on nothing but
-// whether the relations' id ranges fit 63 bits between them.
+// chunking, the ids and the id ranges packed rows are filed under, setRows
+// and setRanges return the rows a comparison sort does, in the form every
+// result has; and the ordering they pick depends on nothing but whether the
+// relations' id ranges fit 63 bits between them.
 func TestSetRowsMatchesComparisonSort(t *testing.T) {
 	// 0, 1, a first chunk, several chunks, and enough for pooled ones.
 	counts := []int{0, 1, 2, 31, 33, 700, 20_000}
@@ -174,7 +222,7 @@ func TestSetRowsMatchesComparisonSort(t *testing.T) {
 		for _, n := range counts {
 			for mode := 0; mode < idModes; mode++ {
 				dense := mode == idsDense
-				packed := checkSetRows(t, w, genRows(int64(w*1000+n+mode), w, n, mode), dense)
+				packed := checkSetRows(t, w, genRows(int64(w*1000+n+mode), w, n, mode), dense, 1+(n+mode)%8)
 				// What each mode's ids can span at most, in bits per column.
 				atMost := map[int]int{idsDense: bits.Len(uint(n)), idsFew: 2, idsNegative: 11}
 				var want bool
@@ -232,20 +280,25 @@ func TestPackingOfRelations(t *testing.T) {
 	}
 }
 
-// FuzzSetRows drives the same generator and check from fuzzed parameters.
+// FuzzSetRows drives the same generator and check from fuzzed parameters,
+// packed rows filed under 1 to 8 ranges of the first relation's id span: with
+// few ids, or sparse ones, some ranges hold no row.
 func FuzzSetRows(f *testing.F) {
 	for mode := 0; mode < idModes; mode++ {
-		f.Add(int64(mode), uint8(2), uint16(300), uint8(mode))
-		f.Add(int64(mode), uint8(3), uint16(2), uint8(mode))
+		f.Add(int64(mode), uint8(2), uint16(300), uint8(mode), uint8(0))
+		f.Add(int64(mode), uint8(3), uint16(2), uint8(mode), uint8(mode))
 	}
-	f.Add(int64(1), uint8(1), uint16(100), uint8(idsDense))
-	f.Add(int64(2), uint8(6), uint16(0), uint8(idsHuge))
-	f.Add(int64(3), uint8(4), uint16(1), uint8(idsExact64))
-	f.Add(int64(4), uint8(2), uint16(9000), uint8(idsFew))
-	f.Fuzz(func(t *testing.T, seed int64, width uint8, n uint16, mode uint8) {
+	f.Add(int64(1), uint8(1), uint16(100), uint8(idsDense), uint8(1))
+	f.Add(int64(2), uint8(6), uint16(0), uint8(idsHuge), uint8(3))
+	f.Add(int64(3), uint8(4), uint16(1), uint8(idsExact64), uint8(7))
+	f.Add(int64(4), uint8(2), uint16(9000), uint8(idsFew), uint8(7))
+	f.Add(int64(5), uint8(2), uint16(40_000), uint8(idsDense), uint8(1))
+	f.Add(int64(6), uint8(3), uint16(20_000), uint8(idsSparse), uint8(5))
+	f.Add(int64(7), uint8(2), uint16(500), uint8(idsExact63), uint8(7))
+	f.Fuzz(func(t *testing.T, seed int64, width uint8, n uint16, mode uint8, ranges uint8) {
 		w := int(width)%6 + 1
 		m := int(mode) % idModes
-		checkSetRows(t, w, genRows(seed, w, int(n), m), m == idsDense)
+		checkSetRows(t, w, genRows(seed, w, int(n), m), m == idsDense, int(ranges)%8+1)
 	})
 }
 

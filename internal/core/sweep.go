@@ -211,11 +211,12 @@ const smallKeyIdx = 256
 // Equal keys keep no particular order. Keys already in order are not moved, a
 // short list takes a comparison sort, and any other an LSD radix over
 // key − min, radixBits bits a digit and as many digits as the span needs: six
-// for the whole int64 line. One pass counts every digit, then one scatter a
-// digit moves the pairs from the columns to scratch or back, and a copy
-// brings them home after an odd number of scatters; a digit all keys share
-// moves nothing. Since the columns are its input and its output, a caller
-// fills them where they will stay, and the pairs take one buffer, not two.
+// for the whole int64 line. One pass counts the first digit, then one
+// scatter a digit moves the pairs from the columns to scratch or back and
+// counts the next digit (radixCounts), and a copy brings them home after an
+// odd number of scatters; a digit all keys share moves nothing. Since the
+// columns are its input and its output, a caller fills them where they will
+// stay, and the pairs take one buffer, not two.
 func sortKeyIdx(keys []int64, idx []int32, scratch []keyIdx) {
 	n := len(keys)
 	if n < 2 {
@@ -244,36 +245,44 @@ func sortKeyIdx(keys []int64, idx []int32, scratch []keyIdx) {
 	const mask = 1<<radixBits - 1
 	// Unsigned, because the span itself may pass MaxInt64.
 	digits := (bits.Len64(uint64(hi)-uint64(lo)) + radixBits - 1) / radixBits
-	var next [radixDigits][1 << radixBits]int32
+	var counts radixCounts[int32]
 	for _, k := range keys {
-		v := uint64(k) - uint64(lo)
-		for d := range digits {
-			next[d][v>>(d*radixBits)&mask]++
-		}
+		counts[0][(uint64(k)-uint64(lo))&mask]++
 	}
 	inColumns := true
 	for d := range digits {
-		// lo's digits are all 0, so a digit every key shares is 0.
-		at, shift := &next[d], d*radixBits
-		if at[0] == int32(n) {
+		at, next := counts.turn(d, digits)
+		// lo's digits are all 0, so a digit every key shares is 0 and its
+		// bucket 0 ends where bucket 1 starts, at n: nothing moves, but the
+		// next digit is counted where the pairs lie.
+		shift := d * radixBits
+		if at[1] == int32(n) {
+			if inColumns {
+				for _, k := range keys {
+					next[(uint64(k)-uint64(lo))>>(shift+radixBits)&mask]++
+				}
+			} else {
+				for _, pr := range pairs {
+					next[(uint64(pr.key)-uint64(lo))>>(shift+radixBits)&mask]++
+				}
+			}
 			continue
-		}
-		sum := int32(0)
-		for b, count := range at {
-			at[b] = sum
-			sum += count
 		}
 		if inColumns {
 			for i, k := range keys {
-				b := (uint64(k) - uint64(lo)) >> shift & mask
+				v := uint64(k) - uint64(lo)
+				b := v >> shift & mask
 				pairs[at[b]] = keyIdx{key: k, idx: idx[i]}
 				at[b]++
+				next[v>>(shift+radixBits)&mask]++
 			}
 		} else {
 			for _, pr := range pairs {
-				b := (uint64(pr.key) - uint64(lo)) >> shift & mask
+				v := uint64(pr.key) - uint64(lo)
+				b := v >> shift & mask
 				keys[at[b]], idx[at[b]] = pr.key, pr.idx
 				at[b]++
+				next[v>>(shift+radixBits)&mask]++
 			}
 		}
 		inColumns = !inColumns
@@ -368,7 +377,7 @@ func kernelSemijoin(starts, ends []int64, from int, sHi, eLo, eHi int64) bool {
 func (c *cursor) kernelSweep(i, from int, sHi, eLo, eHi int64) {
 	p := c.p
 	lo, hi, refs := p.loCol[i], p.hiCol[i], p.refCol[i]
-	tuples, leaf := c.words == nil, c.words != nil && i == p.last
+	tuples, leaf := c.packing == nil, c.packing != nil && i == p.last
 	for k := from; k < len(lo) && lo[k] <= sHi; k++ {
 		if e := hi[k]; e < eLo || e > eHi {
 			continue

@@ -251,7 +251,7 @@ func (m *Metrics) String() string {
 		fmt.Fprintf(&b, " phys=%d repl=%.1fx", m.PhysicalPairs, m.ReplicationFactor())
 	}
 	if m.Plan != nil && m.Plan.InLine != nil {
-		fmt.Fprintf(&b, " in-line(tuples=%d ranges=%d)", m.Plan.InLine.Tuples, m.Plan.InLine.Ranges)
+		fmt.Fprintf(&b, " in-line(tuples=%d stretches=%d ranges=%d)", m.Plan.InLine.Tuples, m.Plan.InLine.Stretches, m.Plan.InLine.Ranges)
 	}
 	if m.PipelineWall > 0 {
 		fmt.Fprintf(&b, " pipeline=%s overlap=%s streamed=%d",

@@ -131,7 +131,13 @@ type RowReduceFunc func(key int64, values []string, out *Rows) error
 // second kind of Rows.
 type Rows struct {
 	// Width is the number of ids per row. Set before the job runs.
-	Width  int
+	Width int
+	// Steep grows the chunks 32-fold rather than 2-fold, from the same first
+	// chunk to full size in two steps: for a collector that files its rows
+	// over several Rows at once, each of whose climbs would allocate a chunk
+	// a doubling, while a Rows that gets few rows still takes no full-size
+	// chunk. Set before the first Append.
+	Steep  bool
 	chunks [][]int64
 }
 
@@ -143,6 +149,7 @@ type Rows struct {
 const (
 	minRowChunk   = 32
 	rowChunkWords = 1 << 14
+	steepGrowth   = 32
 )
 
 var chunkPool = sync.Pool{New: func() any { return new([rowChunkWords]int64) }}
@@ -156,7 +163,11 @@ func (r *Rows) Append() []int64 {
 		// the first size.
 		words := minRowChunk * r.Width
 		if n > 0 {
-			words = max(words, min(2*cap(r.chunks[n-1]), rowChunkWords))
+			growth := 2
+			if r.Steep {
+				growth = steepGrowth
+			}
+			words = max(words, min(growth*cap(r.chunks[n-1]), rowChunkWords))
 		}
 		if words == rowChunkWords {
 			r.chunks = append(r.chunks, chunkPool.Get().(*[rowChunkWords]int64)[:0])

@@ -89,12 +89,15 @@ type PlanInfo struct {
 	InLine *InLine `json:"in_line,omitempty"`
 }
 
-// InLine is a run joined in line: Tuples, the query's relation sizes summed,
-// and Ranges, the stretches its first relation was cut into for the engine's
-// workers to join (1 when one goroutine joined it all).
+// InLine is a run joined in line: Tuples, the query's relation sizes summed;
+// Stretches, the stretches of its first relation's tuples, in start order,
+// that the engine's workers took in turn to walk; and Ranges, the ranges of
+// the first relation's ids its rows were filed under, each ordered alone into
+// its stretch of the result. Both are 1 when one goroutine did it all.
 type InLine struct {
-	Tuples int64 `json:"tuples"`
-	Ranges int   `json:"ranges"`
+	Tuples    int64 `json:"tuples"`
+	Stretches int   `json:"stretches"`
+	Ranges    int   `json:"ranges"`
 }
 
 // Reach is one dimension the planner joins without a mark cycle. Every

@@ -246,6 +246,7 @@ func (e *Engine) runInLine(ctx *core.Context, why *obs.InLine) (*Result, error) 
 	if lane != nil {
 		lane.End(obs.CatReduce, "reduce:in-line", start,
 			obs.Arg{Key: "tuples", Val: strconv.FormatInt(why.Tuples, 10)},
+			obs.Arg{Key: "stretches", Val: strconv.Itoa(why.Stretches)},
 			obs.Arg{Key: "ranges", Val: strconv.Itoa(why.Ranges)},
 			obs.Arg{Key: "rows", Val: strconv.Itoa(len(res.Tuples))})
 	}

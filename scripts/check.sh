@@ -35,10 +35,13 @@
 #                      engine is deliberately concurrent, so -race is part
 #                      of the gate, not an optional extra; then the tests
 #                      of concurrent runs and queries (service, engine)
-#                      and of the in-line join, whose goroutines share one
-#                      prepared join and whose concurrent runs share the
-#                      loaded relations they read in place, ten times
-#                      over, since their races show only now and then;
+#                      and of the in-line join (root package and
+#                      internal/core), whose goroutines share one
+#                      prepared join, order their id ranges into disjoint
+#                      stretches of one result slab, and whose concurrent
+#                      runs share the loaded relations they read in
+#                      place, ten times over, since their races show only
+#                      now and then;
 #                      then a 5-second fuzz smoke of each of seven
 #                      targets: the three parsers that read arbitrary
 #                      bytes — the binary record codec (FuzzRecordDecode),
@@ -47,9 +50,10 @@
 #                      one pass over a file (FuzzParseTextMatchesLines,
 #                      against a line-at-a-time reference) —
 #                      the result's row ordering (FuzzSetRows: rows
-#                      packed by their relations' id ranges, radix-sorted
-#                      as words or compared as ids, against a comparison
-#                      sort), the radix sort that orders a join's
+#                      packed by their relations' id ranges, filed under
+#                      one to eight ranges of the first relation's ids and
+#                      radix-sorted range by range as words, or compared
+#                      as ids, against a comparison sort), the radix sort that orders a join's
 #                      candidates by start (FuzzSortKeyIdx: spans up to the
 #                      whole int64 line, equal and sorted keys, lengths
 #                      either side of its comparison cutoff, against a
@@ -132,21 +136,24 @@ echo "== go test -race =="
 go test -race ./...
 # Concurrent queries run their delta joins side by side, and concurrent runs
 # share the engine's pools: a race there may take several runs to show, so
-# the tests that drive it run ten times more, by name. So do the root
-# package's in-line tests: an in-line join splits its first level over the
-# engine's workers, whose cursors read one prepared join, and two runs at
+# the tests that drive it run ten times more, by name. So do the in-line
+# tests of the root package and of internal/core: an in-line join splits its
+# first level over the engine's workers, whose cursors read one prepared
+# join, then orders each id range of its rows on whichever worker claims it,
+# into a stretch of one result slab that no other writes, and two runs at
 # once read the same loaded relations in place
 # (TestInLineRunsShareLoadedRelations).
 go test -race -count=10 -run 'Concurrent' ./internal/cache ./internal/core
-go test -race -count=10 -run 'InLine' .
+go test -race -count=10 -run 'InLine' . ./internal/core
 
 echo "== fuzz smoke =="
 # The engine's records are fixed-width binary and spill values are arbitrary
 # bytes: five seconds of fuzzing per decoder catches a panic or a lost
 # length check that the seed corpus (run by the suite above) does not. The
 # third target packs result rows into words by their relations' id ranges
-# and sorts them by radix: five seconds of widths, counts and id ranges
-# against a comparison sort. The fourth sorts a join's (start, ref) pairs by
+# and sorts them by radix, filed under one to eight ranges of the first
+# relation's ids as a split in-line join files them: five seconds of widths,
+# counts, id ranges and cuts against a comparison sort. The fourth sorts a join's (start, ref) pairs by
 # radix, over spans up to the whole int64 line, against a comparison sort.
 # The fifth runs the planner against the oracle
 # on queries, sizes, partition counts and boundaries drawn around the
