@@ -329,8 +329,9 @@ func TestInLineNeedsConnectedOrder(t *testing.T) {
 // and a longer list of chunks per doubling of the rows each of its two
 // goroutines collects: the arena, the levels' lists and the result slab are
 // each sized once, and both runs split their first level over the engine's
-// two workers, at a fixed cost per goroutine — its cursor's three slices and
-// its rows — and none per range.
+// two workers, at a fixed cost per goroutine — its cursor's three slices —
+// and a Rows for each walker and each id range of the first relation, as
+// many in both runs, since there is a range per worker.
 func TestInLineRunAllocsIndependentOfRows(t *testing.T) {
 	const workers = 2
 	eng := MustNewEngine(EngineOptions{Workers: workers})

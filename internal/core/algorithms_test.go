@@ -409,6 +409,77 @@ func TestGenMatrixOnSingleAttributeQueries(t *testing.T) {
 	}
 }
 
+// TestGenMatrixFlagsEveryVertex joins cities and rivers on both axes, so
+// each relation owns a vertex in each of two components, and the mark cycle
+// flags some rivers along x only, some along y only and some along both. The
+// join must read every vertex's flag: a river replicated along one of its
+// vertices and projected along the other misses the cities that meet it in a
+// later partition of the first. A river flagged on both vertices is one
+// replicated tuple.
+func TestGenMatrixFlagsEveryVertex(t *testing.T) {
+	q := query.MustParse("city.x overlaps river.x and city.y overlaps river.y")
+	rng := rand.New(rand.NewSource(23))
+	span := func(maxLen int64) interval.Interval {
+		s := rng.Int63n(200)
+		return interval.New(s, s+rng.Int63n(maxLen))
+	}
+	city := relation.New(relation.NewSchema("city", "x", "y"))
+	for range 300 {
+		city.Append(span(50), span(50))
+	}
+	// Long along x, along y and along both, in turn.
+	river := relation.New(relation.NewSchema("river", "x", "y"))
+	for i := range 90 {
+		lx, ly := int64(15), int64(15)
+		if i%3 != 1 {
+			lx = 150
+		}
+		if i%3 != 0 {
+			ly = 150
+		}
+		river.Append(span(lx), span(ly))
+	}
+	rels := []*relation.Relation{city, river}
+	opts := Options{PartitionsPerDim: 4}
+	got, _ := runSingle(t, GenMatrix{}, q, rels, opts)
+	want, _ := runSingle(t, Reference{}, q, rels, opts)
+	if err := rowsDiffer(got, want); err != nil {
+		t.Fatalf("gen-matrix: %v", err)
+	}
+
+	// The vertices each tuple's mark records flag, from the mark cycle run
+	// alone.
+	attrs := make(map[tupleRef][]int)
+	for _, rec := range markAlone(t, GenMatrix{}.stages, q, rels, opts) {
+		rel, member, attr, replicate, err := splitVertexFlagged(rec)
+		if err != nil {
+			t.Fatalf("mark record %q: %v", rec, err)
+		}
+		if replicate {
+			tr := tupleRef{rel, relation.BinaryID(member[headerLen:])}
+			attrs[tr] = append(attrs[tr], attr)
+		}
+	}
+	var xOnly, yOnly, both int
+	for _, a := range attrs {
+		switch {
+		case len(a) == 2:
+			both++
+		case a[0] == 0:
+			xOnly++
+		default:
+			yOnly++
+		}
+	}
+	if xOnly == 0 || yOnly == 0 || both == 0 {
+		t.Fatalf("tuples flagged along x only %d, y only %d, both %d: want some of each", xOnly, yOnly, both)
+	}
+	if got.ReplicatedIntervals != int64(len(attrs)) {
+		t.Errorf("ReplicatedIntervals = %d, want %d: one a flagged tuple (%d flagged on both vertices)",
+			got.ReplicatedIntervals, len(attrs), both)
+	}
+}
+
 func TestGenMatrixPureEquiJoin(t *testing.T) {
 	// Real-valued equality joins are the degenerate case: length-zero
 	// intervals, no replication, pure hash partitioning.

@@ -162,22 +162,6 @@ func BenchmarkEncodeMarkedBody(b *testing.B) {
 	}
 }
 
-// BenchmarkEncodeVector measures the Gen-Matrix merge reducer's writer: a
-// member with one flag byte per vertex behind it.
-func BenchmarkEncodeVector(b *testing.B) {
-	member := encodeTagged(3, relation.Tuple{ID: 123456, Attrs: []interval.Interval{
-		interval.New(987654, 998765), interval.New(12, 64000),
-	}})
-	flags := []byte{1, 0, 1, 1}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if s := member + string(flags); len(s) == 0 {
-			b.Fatal("empty record")
-		}
-	}
-}
-
 // BenchmarkDecodeMember measures the reduce side's decoder: one tagged
 // record split and loaded into a grown arena.
 func BenchmarkDecodeMember(b *testing.B) {

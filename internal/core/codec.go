@@ -22,16 +22,15 @@ import (
 //
 //	tagged tuple:        member
 //	partial assignment:  member member ...        (bind-step and FCTS intermediates)
-//	flag vector:         member [f0][f1]...       (mark output: one flag per vertex)
-//	vertex flag:         member [attr][f]         (Gen-Matrix mark output, pre-merge)
+//	mark record:         member [f]               (mark output)
+//	vertex flag:         member [attr][f]         (Gen-Matrix mark output, to its tap)
 //	prune record:        [rel][id]                (PASM cycle 2)
 //
-// A flag is the byte 0 or 1. Because flags trail the member, a consumer that
-// wants the tuple without them forwards record[:memberLen] — a substring —
-// and a producer that adds them appends to the member it received. How many
-// flags a vector holds is not in the record: its consumer checks the count
-// against the relation's vertices (flaggedMap). Nothing is formatted or
-// parsed as text on this path; text lives in relation files and Context.Stage.
+// A flag is the byte 0 or 1. Because the flag trails the member, a consumer
+// that wants the tuple without it forwards record[:memberLen] — a substring —
+// and a producer that adds it appends to the member it received. Nothing is
+// formatted or parsed as text on this path; text lives in relation files and
+// Context.Stage.
 
 const (
 	headerLen    = 2   // [rel][arity]
@@ -66,19 +65,17 @@ func splitTagged(s string) (rel int, body string, err error) {
 	return rel, s[headerLen:], nil
 }
 
-// splitVector splits a flag-vector record into its member and the validated
-// flags, parallel to the relation's vertices.
-func splitVector(s string) (rel int, member, flags string, err error) {
+// splitMarked splits a mark record into its member and its flag: whether
+// the tuple is replicated.
+func splitMarked(s string) (rel int, member string, replicate bool, err error) {
 	rel, n, err := splitMember(s)
 	if err != nil {
-		return 0, "", "", err
+		return 0, "", false, err
 	}
-	for i := n; i < len(s); i++ {
-		if s[i] > 1 {
-			return 0, "", "", fmt.Errorf("core: bad flag vector in %q", s)
-		}
+	if len(s) != n+1 || s[n] > 1 {
+		return 0, "", false, fmt.Errorf("core: malformed mark record %q", s)
 	}
-	return rel, s[:n], s[n:], nil
+	return rel, s[:n], s[n] == 1, nil
 }
 
 // splitVertexFlagged splits a per-vertex flag record: the member, the

@@ -17,16 +17,12 @@ import (
 	"intervaljoin/internal/relation"
 )
 
-// encodeTagged and encodeVector build records the way the drivers do — a
-// member, then one byte per flag — for the tests that feed reducers by hand.
+// encodeTagged and encodeMarked build records the way the drivers do — a
+// member, then the flag byte — for the tests that feed reducers by hand.
 func encodeTagged(rel int, t relation.Tuple) string { return string(appendMember(nil, rel, t)) }
 
-func encodeVector(rel int, flags []bool, t relation.Tuple) string {
-	b := appendMember(nil, rel, t)
-	for _, f := range flags {
-		b = append(b, flagSuffix[flagIndex(f)]...)
-	}
-	return string(b)
+func encodeMarked(rel int, replicate bool, t relation.Tuple) string {
+	return encodeTagged(rel, t) + flagSuffix[flagIndex(replicate)]
 }
 
 func TestTaggedRoundTrip(t *testing.T) {
@@ -45,19 +41,18 @@ func TestTaggedRoundTrip(t *testing.T) {
 	}
 }
 
-// TestMarkedIsOneFlagVector pins the single flag codec: the record the mark
-// reducer makes for a single-attribute vertex — the member it received with
-// the flag appended — is exactly a one-flag vector, and splitVector hands the
-// member back as a substring.
-func TestMarkedIsOneFlagVector(t *testing.T) {
+// TestMarkedRoundTrip pins the mark record: the member the mark reducer
+// received with the flag appended, and splitMarked hands the member back as a
+// substring, its tuple whole.
+func TestMarkedRoundTrip(t *testing.T) {
 	f := func(rel uint8, repl bool, id int64, s, l uint16) bool {
-		tu := mkTuple(id, interval.New(int64(s), int64(s)+int64(l)))
-		rec := encodeTagged(int(rel), tu) + flagSuffix[flagIndex(repl)]
-		if rec != encodeVector(int(rel), []bool{repl}, tu) {
+		tu := relation.Tuple{ID: id, Attrs: []interval.Interval{interval.New(int64(s), int64(s)+int64(l)), interval.New(7, 7)}}
+		r, member, gotRepl, err := splitMarked(encodeMarked(int(rel), repl, tu))
+		if err != nil || r != int(rel) || gotRepl != repl || member != encodeTagged(int(rel), tu) {
 			return false
 		}
-		r, member, flags, err := splitVector(rec)
-		return err == nil && r == int(rel) && flags == flagSuffix[flagIndex(repl)] && member == encodeTagged(int(rel), tu)
+		got, err := decodeTuple(member, nil)
+		return err == nil && got.ID == id && slices.Equal(got.Attrs, tu.Attrs)
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)
@@ -76,27 +71,6 @@ func TestVertexFlaggedRoundTrip(t *testing.T) {
 	}
 }
 
-func TestVectorRoundTrip(t *testing.T) {
-	tu := relation.Tuple{ID: 42, Attrs: []interval.Interval{
-		interval.New(0, 5), interval.New(7, 7),
-	}}
-	for _, flags := range [][]bool{{}, {true}, {false, true, false}} {
-		rel, member, gotFlags, err := splitVector(encodeVector(3, flags, tu))
-		if err != nil || rel != 3 || relation.BinaryID(member[headerLen:]) != 42 || len(gotFlags) != len(flags) {
-			t.Fatalf("vector round trip failed: %v %q %v %v", rel, member, gotFlags, err)
-		}
-		got, err := decodeTuple(member, nil)
-		if err != nil || !slices.Equal(got.Attrs, tu.Attrs) {
-			t.Fatalf("vector member decodes to %v, %v", got, err)
-		}
-		for i := range flags {
-			if gotFlags[i] != byte(flagIndex(flags[i])) {
-				t.Fatalf("flag %d mismatch", i)
-			}
-		}
-	}
-}
-
 func TestDecodeTaggedErrors(t *testing.T) {
 	good := encodeTagged(1, mkTuple(3, interval.New(0, 1)))
 	zeroArity := "\x01\x00" + good[headerLen:headerLen+8]
@@ -105,9 +79,10 @@ func TestDecodeTaggedErrors(t *testing.T) {
 			t.Errorf("splitTagged(%q) succeeded", s)
 		}
 	}
-	for _, s := range []string{"", good[:5], good[:len(good)-1], good + "\x02", good + "\x00\x31", zeroArity + "\x01"} {
-		if _, _, _, err := splitVector(s); err == nil {
-			t.Errorf("splitVector(%q) succeeded", s)
+	// A mark record carries one flag: none, two or a byte past 1 is refused.
+	for _, s := range []string{"", good[:5], good[:len(good)-1], good, good + "\x02", good + "\x00\x31", good + "\x01\x00", zeroArity + "\x01"} {
+		if _, _, _, err := splitMarked(s); err == nil {
+			t.Errorf("splitMarked(%q) succeeded", s)
 		}
 	}
 	for _, s := range []string{"", good, good + "\x00", good + "\x00\x02", good + "\x00\x01\x00", good[1:] + "\x00\x01"} {
@@ -304,14 +279,16 @@ func TestProductRouteAllocs(t *testing.T) {
 
 // FuzzRecordDecode: arbitrary bytes never panic a decoder; a record a decoder
 // accepts re-encodes to the bytes it came from; and no accepted record is a
-// strict prefix of another, nor one byte short of one — except that a flag
-// vector, whose flag count its consumer checks, may gain or lose whole flags.
+// strict prefix of another, nor one byte short of one.
 func FuzzRecordDecode(f *testing.F) {
 	one := mkTuple(7, interval.New(3, 9))
 	two := relation.Tuple{ID: -1, Attrs: []interval.Interval{interval.New(math.MinInt64, 0), interval.New(5, math.MaxInt64)}}
 	f.Add(encodeTagged(0, one))
 	f.Add(encodeTagged(255, two))
-	f.Add(encodeVector(2, []bool{true, false}, two))
+	f.Add(encodeMarked(2, true, two))
+	// Two flags behind a member: no cycle writes such a record, and
+	// splitMarked refuses it.
+	f.Add(encodeTagged(2, two) + "\x01\x00")
 	f.Add(encodeTagged(1, one) + "\x00\x01")
 	f.Add(encodePartial(&recordSlab{}, []int{0, 4}, []relation.Tuple{one, two}))
 	f.Add("\x03" + encodeTagged(0, one)[headerLen:headerLen+8])
@@ -347,16 +324,9 @@ func FuzzRecordDecode(f *testing.F) {
 			}
 			variants(func(v string) bool { _, _, err := splitTagged(v); return err == nil })
 		}
-		if rel, member, flags, err := splitVector(s); err == nil {
-			reencode("flag vector", rel, member, flags)
-			for i := 0; i < len(member); i++ {
-				if _, _, _, err := splitVector(s[:i]); err == nil {
-					t.Fatalf("prefix %q cutting into the member of %q is accepted", s[:i], s)
-				}
-			}
-			if _, _, _, err := splitVector(s + "\x02"); err == nil {
-				t.Fatalf("vector %q accepted a flag byte 2", s)
-			}
+		if rel, member, repl, err := splitMarked(s); err == nil {
+			reencode("mark record", rel, member, flagSuffix[flagIndex(repl)])
+			variants(func(v string) bool { _, _, _, err := splitMarked(v); return err == nil })
 		}
 		if rel, member, attr, repl, err := splitVertexFlagged(s); err == nil {
 			reencode("vertex flag", rel, member, string([]byte{byte(attr)})+flagSuffix[flagIndex(repl)])
@@ -380,7 +350,10 @@ func FuzzRecordDecode(f *testing.F) {
 			}
 		}
 		var n int64
-		replicateFlagTap(&n, make([]map[int64]bool, 4))(s)
+		sp := &space{at: [][]vertexAt{{{dim: 0, attr: 0}}, {{dim: 0, attr: 1}, {dim: 1, attr: 0}}, nil, {}}}
+		replicateFlagTap(&n, nil)(s)
+		replicateFlagTap(&n, newMarking(sp))(s)
+		vertexFlagTap(&n, sp, newMarking(sp))(s)
 		prunedTap(make([]map[int64]bool, 4), map[int]int64{})(s)
 	})
 }

@@ -100,7 +100,7 @@ type space struct {
 	stride int64
 	plan   *execPlan
 	// at[rel] lists where the relation's vertices lie, by (dimension,
-	// attribute) — the order of the flags in a flag-vector record.
+	// attribute) — the order of a marking's vertices.
 	at [][]vertexAt
 	// whole lists, in index order, the relations a product's reducers each
 	// hold entire instead of receiving them along a dimension (planner.go,
@@ -229,62 +229,86 @@ func (c *Context) baseMap(sp *space, ops []interval.Op) mr.PosMapFunc {
 	}
 }
 
-// flaggedMap is the one map-side path over a flag-vector intermediate (the
-// output of a mark cycle): a vertex is replicated along its dimension when
-// the marking flagged it and projected otherwise (RCCIS cycle 2, condition
-// E2). The reducers receive the tagged tuple — the record up to its flags —
-// or, with forward, the flagged record itself.
+// flaggedMap is the one map-side path over a mark cycle's records: a tuple
+// is replicated along its vertex's dimension when the marking flagged it and
+// projected otherwise (RCCIS cycle 2, condition E2). A mark record carries
+// one flag, so its relation has at most one vertex in the space. The
+// reducers receive the tagged tuple — the record up to its flag — or, with
+// forward, the flagged record itself.
 func (sp *space) flaggedMap(forward bool) mr.MapFunc {
 	return func(_ int, record string, emit mr.Emitter) error {
-		rel, member, flags, err := splitVector(record)
+		rel, member, replicate, err := splitMarked(record)
 		if err != nil {
 			return err
 		}
-		if rel >= len(sp.at) || len(flags) < len(sp.at[rel]) {
-			return fmt.Errorf("core: flag vector of %q does not cover relation %d's vertices", record, rel)
+		if rel >= len(sp.at) || len(sp.at[rel]) > 1 {
+			return fmt.Errorf("core: one flag in %q does not cover relation %d's vertices", record, rel)
 		}
 		var attrs [4]interval.Interval
 		t, err := decodeTuple(member, attrs[:0])
 		if err != nil {
 			return err
 		}
-		var buf [4]interval.Op
-		ops := buf[:0]
-		for i := range flags {
-			op := interval.OpProject
-			if flags[i] == 1 {
-				op = interval.OpReplicate
-			}
-			ops = append(ops, op)
+		ops := [1]interval.Op{interval.OpProject}
+		if replicate {
+			ops[0] = interval.OpReplicate
 		}
 		value := member
 		if forward {
 			value = record
 		}
-		sp.route(emit, rel, t, ops, rel, value)
+		sp.route(emit, rel, t, ops[:], rel, value)
 		return nil
 	}
 }
 
-// markedMap routes the base relations as flaggedMap routes a marking held as
-// id sets per relation rather than as records (PASM, whose join cycle comes
-// after a barrier): a tuple listed in pruned is dropped, one listed in
-// replicated is replicated along its dimension, and every other is
-// projected. The reducers receive the tagged tuple, the bytes flaggedMap
-// forwards.
-func (c *Context) markedMap(sp *space, replicated, pruned []map[int64]bool) mr.PosMapFunc {
+// marking is a mark cycle's decisions held as id sets rather than records,
+// for a join cycle that maps the base relations (markedMap): marking[rel][i]
+// holds the ids of relation rel's tuples to replicate along the dimension of
+// the relation's vertex i in the join's space (space.at). A tap fills it as
+// the mark records leave their cycle — Hadoop would publish it through the
+// distributed cache — so the join cycle comes after a barrier.
+type marking [][]map[int64]bool
+
+// newMarking is an empty marking for the join space sp.
+func newMarking(sp *space) marking {
+	m := make(marking, len(sp.at))
+	for rel, at := range sp.at {
+		m[rel] = make([]map[int64]bool, len(at))
+	}
+	return m
+}
+
+// flag marks tuple id of relation rel for replication along the relation's
+// vertex i, and reports whether no vertex of the tuple was marked before.
+func (m marking) flag(rel, i int, id int64) (first bool) {
+	first = !slices.ContainsFunc(m[rel], func(ids map[int64]bool) bool { return ids[id] })
+	if m[rel][i] == nil {
+		m[rel][i] = make(map[int64]bool)
+	}
+	m[rel][i][id] = true
+	return first
+}
+
+// markedMap routes the base relations as flaggedMap routes a mark cycle's
+// records, reading every vertex's flag from marked: a tuple listed in
+// pruned (nil when no cycle prunes) is dropped, and every vertex of the
+// others is replicated along its dimension when marked flags it and
+// projected otherwise. The reducers receive the tagged tuple, the bytes
+// flaggedMap forwards.
+func (c *Context) markedMap(sp *space, marked marking, pruned []map[int64]bool) mr.PosMapFunc {
 	return func(tag, pos int, emit mr.Emitter) error {
 		t := c.Rels[tag].Tuples[pos]
-		if pruned[tag][t.ID] {
+		if tag < len(pruned) && pruned[tag][t.ID] {
 			return nil
-		}
-		op := interval.OpProject
-		if replicated[tag][t.ID] {
-			op = interval.OpReplicate
 		}
 		var buf [4]interval.Op
 		ops := buf[:0]
-		for range sp.at[tag] {
+		for _, ids := range marked[tag] {
+			op := interval.OpProject
+			if ids[t.ID] {
+				op = interval.OpReplicate
+			}
 			ops = append(ops, op)
 		}
 		sp.route(emit, tag, t, ops, tag, c.tagged(tag, pos))
@@ -310,9 +334,9 @@ func condsWithin(q *query.Query, verts []query.Operand) []query.Condition {
 // in p must be replicated: exactly those that belong to some interval-set
 // that is (C1) consistent and (C2) crosses p (markCrossingParticipants).
 // Its output, "marked", holds every vertex's tuple exactly once, written by
-// its start partition's reducer, as a one-flag vector record — the member it
-// received, then the flag — or, with vertexTagged, as a vertex-flag record,
-// member, attribute, flag, for queries whose relations own several vertices.
+// its start partition's reducer, as a mark record — the member it received,
+// then the flag — or, with vertexTagged, as a vertex-flag record, member,
+// attribute, flag, for queries whose relations own several vertices.
 //
 // The cycle keeps the plain one-key-per-partition layout even when the join
 // cycle runs on an adaptive plan: the reducer needs every tuple split onto a
@@ -438,15 +462,14 @@ func (c *Context) setJoin(job *mr.Job, output string, join joinFunc) {
 type cellJoin struct {
 	name string
 	sp   *space
-	// from names the flag-vector intermediate to map over (flaggedMap). When
-	// empty the cycle maps the base relations: by the marking in replicated
-	// and pruned when replicated is set (markedMap), with ops otherwise
-	// (baseMap).
-	from string
-	ops  []interval.Op
-	// replicated and pruned list per relation the tuple ids to replicate and
-	// to drop map-side.
-	replicated, pruned []map[int64]bool
+	// from names the mark cycle's output to map over (flaggedMap). When
+	// empty the cycle maps the base relations: by marked and pruned when
+	// marked is set (markedMap), with ops otherwise (baseMap).
+	from   string
+	ops    []interval.Op
+	marked marking
+	// pruned lists per relation the tuple ids to drop map-side.
+	pruned []map[int64]bool
 	// owner applies the owner rule before emitting; a cycle whose routing
 	// already makes every assignment meet at exactly one reducer skips it.
 	owner bool
@@ -526,8 +549,8 @@ func (cj cellJoin) job(c *Context) mr.Job {
 	switch {
 	case cj.from != "":
 		job.Inputs, job.Map = []mr.Input{{File: cj.from}}, sp.flaggedMap(false)
-	case cj.replicated != nil:
-		job.Inputs, job.MapAt = c.baseInputs(sp), c.markedMap(sp, cj.replicated, cj.pruned)
+	case cj.marked != nil:
+		job.Inputs, job.MapAt = c.baseInputs(sp), c.markedMap(sp, cj.marked, cj.pruned)
 	default:
 		job.Inputs, job.MapAt = c.baseInputs(sp), c.baseMap(sp, cj.ops)
 	}

@@ -128,22 +128,36 @@ func (c *Context) chargeWhole(cycle, agg *mr.Metrics, whole []int) {
 
 // replicateFlagTap counts the replicate-flagged records leaving a mark
 // cycle — the paper's "# Intervals Replicated" statistic — without forcing
-// the marked intermediate onto the store. Records are one-flag vectors: the
-// flag is the byte behind the member. With ids set it also records each
-// flagged tuple's id under its relation, for a join cycle that maps the base
-// relations rather than the marking (markedMap).
-func replicateFlagTap(n *int64, ids []map[int64]bool) func(string) {
+// the marked intermediate onto the store. Records are mark records: the
+// flag is the byte behind the member, and the relation has one vertex. With
+// marked set it also records each flagged tuple there, for a join cycle that
+// maps the base relations rather than the marking (markedMap).
+func replicateFlagTap(n *int64, marked marking) func(string) {
 	return func(rec string) {
-		rel, m, err := splitMember(rec)
-		if err != nil || len(rec) != m+1 || rec[m] != 1 {
+		rel, member, replicate, err := splitMarked(rec)
+		if err != nil || !replicate {
 			return
 		}
 		*n++
-		if rel < len(ids) {
-			if ids[rel] == nil {
-				ids[rel] = make(map[int64]bool)
-			}
-			ids[rel][relation.BinaryID(rec[headerLen:])] = true
+		if rel < len(marked) && len(marked[rel]) == 1 {
+			marked.flag(rel, 0, relation.BinaryID(member[headerLen:]))
+		}
+	}
+}
+
+// vertexFlagTap records the vertex-flag records leaving Gen-Matrix's mark
+// cycle in marked, a marking for the join space sp, and counts each tuple
+// with at least one flagged vertex once: the tuples the join replicates
+// along some dimension.
+func vertexFlagTap(n *int64, sp *space, marked marking) func(string) {
+	return func(rec string) {
+		rel, member, attr, replicate, err := splitVertexFlagged(rec)
+		if err != nil || !replicate || rel >= len(sp.at) {
+			return
+		}
+		i := slices.IndexFunc(sp.at[rel], func(v vertexAt) bool { return v.attr == attr })
+		if i >= 0 && marked.flag(rel, i, relation.BinaryID(member[headerLen:])) {
+			*n++
 		}
 	}
 }

@@ -2,8 +2,6 @@ package core
 
 import (
 	"fmt"
-	"slices"
-	"strings"
 
 	"intervaljoin/internal/interval"
 	"intervaljoin/internal/mr"
@@ -17,14 +15,14 @@ import (
 // colocation components, each with its own attribute range and partitioning,
 // spanning an l-dimensional consistent-cell grid.
 //
-// Because a relation may own vertices in several components, a tuple's grid
-// routing depends on the RCCIS flags of all its vertices jointly; the flags
-// are computed per component in cycle 1 (one record per vertex) and
-// assembled per tuple in a short merge cycle before the grid join — the one
-// mechanical step the paper leaves implicit. Relations whose every vertex
-// sits in a distinct component need the merge only when they have more than
-// one vertex; single-attribute queries degrade to All-Seq-Matrix's two
-// cycles.
+// Two MR cycles, the paper's. Cycle 1 is the RCCIS marking per component,
+// one record per vertex. Because a relation may own vertices in several
+// components, a tuple's grid routing depends on the flags of all its
+// vertices jointly: the mark records leave their cycle through a tap that
+// gathers them per relation and vertex (marking), and cycle 2, the grid join,
+// maps the base relations and reads each tuple's flags from there. The
+// marking is complete only once the mark cycle has finished, so the
+// mark→join boundary is a barrier, as PASM's prune→join boundary is.
 //
 // Real-valued attributes are length-zero intervals: they never cross a
 // partition boundary, so their components replicate nothing and the grid
@@ -39,7 +37,7 @@ func (a GenMatrix) Run(ctx *Context) (*Result, error) {
 	return ctx.runStages(a.Name(), a.stages)
 }
 
-func (a GenMatrix) stages(ctx *Context, env *chainEnv) ([]mr.Stage, *execPlan, error) {
+func (GenMatrix) stages(ctx *Context, env *chainEnv) ([]mr.Stage, *execPlan, error) {
 	d := env.d
 	for ci := range d.Components {
 		seenRel := make(map[int]bool)
@@ -62,15 +60,14 @@ func (a GenMatrix) stages(ctx *Context, env *chainEnv) ([]mr.Stage, *execPlan, e
 	if err != nil {
 		return nil, nil, err
 	}
-	join := cellJoin{name: "join", sp: sp, from: "merged", owner: true}
+	// The mark records never leave their tap, which counts each tuple with
+	// a flagged vertex once.
+	marked := newMarking(sp)
+	mark := ctx.markJob(dims, true)
+	mark.Output = ""
+	join := cellJoin{name: "join", sp: sp, marked: marked, owner: true}
 	return []mr.Stage{
-		{Job: ctx.markJob(dims, true)},
-		{Job: a.mergeJob(sp), Tap: func(rec string) {
-			// Count tuples with at least one replicate-flagged vertex.
-			if _, n, err := splitMember(rec); err == nil && strings.IndexByte(rec[n:], 1) >= 0 {
-				env.res.ReplicatedIntervals++
-			}
-		}},
+		{Job: mark, Tap: vertexFlagTap(&env.res.ReplicatedIntervals, sp, marked)},
 		{Job: join.job(ctx)},
 	}, nil, nil
 }
@@ -178,56 +175,4 @@ func componentPartitionings(ctx *Context, d *query.Decomposition, o int) ([]dime
 		dims[ci].part = p
 	}
 	return dims, nil
-}
-
-// mergeJob is cycle 2: group the per-vertex flags of "marked" by tuple and
-// emit one flag-vector record per tuple, "merged", the flags in the order of
-// the relation's vertices in the space.
-func (GenMatrix) mergeJob(sp *space) mr.Job {
-	m := int64(len(sp.at))
-	return mr.Job{
-		Name:   "merge",
-		Inputs: []mr.Input{{File: "marked"}},
-		Map: func(_ int, record string, emit mr.Emitter) error {
-			rel, member, _, _, err := splitVertexFlagged(record)
-			if err != nil {
-				return err
-			}
-			emit.Emit(relation.BinaryID(member[headerLen:])*m+int64(rel), record)
-			return nil
-		},
-		Reduce: func(key int64, values []string, write func(string) error) error {
-			rel := int(key % m)
-			vs := sp.at[rel]
-			flags := make([]byte, len(vs))
-			var tuple string
-			for _, v := range values {
-				r, member, attr, replicate, err := splitVertexFlagged(v)
-				if err != nil {
-					return err
-				}
-				var buf [4]interval.Interval
-				if _, err := decodeTuple(member, buf[:0]); err != nil {
-					return err
-				}
-				if r != rel {
-					return fmt.Errorf("core: gen-matrix merge: relation mismatch %d vs %d", r, rel)
-				}
-				tuple = member
-				vi := slices.IndexFunc(vs, func(at vertexAt) bool { return at.attr == attr })
-				if vi < 0 {
-					return fmt.Errorf("core: gen-matrix merge: unknown vertex attribute %d of relation %d", attr, rel)
-				}
-				if replicate {
-					flags[vi] = 1
-				}
-			}
-			var out recordSlab
-			out.room(len(tuple) + len(flags))
-			out.putString(tuple)
-			out.put(flags)
-			return write(out.cut())
-		},
-		Output: "merged",
-	}
 }

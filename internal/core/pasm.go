@@ -27,9 +27,10 @@ import (
 //
 // The join cycle needs what both earlier cycles decided, and the prune
 // cycle's decisions are complete only once it has finished. Both reach it as
-// id sets that taps fill while the cycles run — Hadoop would publish them
-// through the distributed cache — so the prune→join boundary is a barrier
-// and the run writes nothing to the store.
+// id sets that taps fill while the cycles run — the marking is the one
+// Gen-Matrix's join reads, with one vertex a relation, and Hadoop would
+// publish both through the distributed cache — so the prune→join boundary is
+// a barrier and the run writes nothing to the store.
 //
 // When pruning removes little, the extra cycle makes PASM slightly slower
 // than All-Seq-Matrix — exactly the trade-off Table 3 explores.
@@ -58,14 +59,14 @@ func (PASM) stages(ctx *Context, env *chainEnv) ([]mr.Stage, *execPlan, error) {
 	}
 	// The marking streams into the prune cycle; the prune records never
 	// leave their tap. The join does not read the prune output, so the
-	// prune→join boundary is a barrier and both id sets are complete before
-	// any join map runs.
-	replicated := make([]map[int64]bool, len(ctx.Rels))
+	// prune→join boundary is a barrier and the marking and the pruned ids
+	// are complete before any join map runs.
+	marked := newMarking(sp)
 	pruned := make([]map[int64]bool, len(ctx.Rels))
 	env.res.PrunedIntervals = make(map[int]int64)
-	join := cellJoin{name: "join", sp: sp, replicated: replicated, pruned: pruned, owner: true}
+	join := cellJoin{name: "join", sp: sp, marked: marked, pruned: pruned, owner: true}
 	return []mr.Stage{
-		{Job: ctx.markJob(dims, false), Tap: replicateFlagTap(&env.res.ReplicatedIntervals, replicated)},
+		{Job: ctx.markJob(dims, false), Tap: replicateFlagTap(&env.res.ReplicatedIntervals, marked)},
 		{Job: ctx.pruneJob(dims), Tap: prunedTap(pruned, env.res.PrunedIntervals)},
 		{Job: join.job(ctx)},
 	}, nil, nil
@@ -147,7 +148,7 @@ func (c *Context) pruneJob(dims []dimension) mr.Job {
 			}
 			slab := make([]interval.Interval, 0, attrs)
 			for _, v := range values {
-				rel, member, flags, err := splitVector(v)
+				rel, member, replicate, err := splitMarked(v)
 				if err != nil {
 					return err
 				}
@@ -162,7 +163,7 @@ func (c *Context) pruneJob(dims []dimension) mr.Job {
 				if d.part.IndexOf(t.Attrs[d.verts[i].Attr].Start) == p {
 					h := home{rel: rel, id: t.ID}
 					homes = append(homes, h)
-					if flags == flagSuffix[1] {
+					if replicate {
 						replicatedHome[h] = true
 					}
 				}

@@ -249,8 +249,8 @@ func TestTable4Shape(t *testing.T) {
 		t.Errorf("consistent-cell note missing or wrong: %v", tab.Notes)
 	}
 	for r := range tab.Rows {
-		if cell(tab, r, "cycles") != "3" {
-			t.Errorf("row %d: gen-matrix cycles = %s, want 3", r, cell(tab, r, "cycles"))
+		if cell(tab, r, "cycles") != "2" {
+			t.Errorf("row %d: gen-matrix cycles = %s, want 2", r, cell(tab, r, "cycles"))
 		}
 	}
 }

@@ -7,7 +7,10 @@
 #   2. ijlint        — the engine's ten domain-specific analyzers
 #                      (docs/LINTS.md; `ijlint -list` names them)
 #   3. go build      — the whole module compiles
-#   4. alloc smoke   — the contracts a count of objects pins, by name:
+#   4. examples      — each program under examples/ runs to exit 0 (about
+#                      2 s in all); spatial exits 1 when its Gen-Matrix
+#                      answers differ from direct rectangle intersection
+#   5. alloc smoke   — the contracts a count of objects pins, by name:
 #                      disabled tracer and disabled telemetry cost nothing
 #                      (nil tracer/registry = nil check + zero allocs;
 #                      docs/OBSERVABILITY.md), the shuffle and the RCCIS
@@ -30,7 +33,7 @@
 #                      size (TestFromIntervalsAllocs), and validating ids
 #                      that strictly increase nothing at all
 #                      (TestValidateAllocatesNothingFor...)
-#   5. go test -race — full suite (unit, integration, property, oracle
+#   6. go test -race — full suite (unit, integration, property, oracle
 #                      cross-validation) under the race detector; the MR
 #                      engine is deliberately concurrent, so -race is part
 #                      of the gate, not an optional extra; then the tests
@@ -63,7 +66,7 @@
 #                      the cache's wire text, assembled from reused
 #                      per-anchor prefixes, against encoding/json
 #                      (FuzzStoredWireMatchesEncodingJSON)
-#   6. bench module  — bench/ is a nested module the root ./... does not
+#   7. bench module  — bench/ is a nested module the root ./... does not
 #                      reach; it compiles against internal packages, so it
 #                      is vetted and tested here, where an internal API
 #                      change that breaks the repository's benchmark can
@@ -71,7 +74,7 @@
 #                      layer probes call internal APIs at run time too) and
 #                      one short pass of all five workloads, which exits 1
 #                      on any wrong answer
-#   7. live scrape   — ijoind -selfcheck boots the real server, drives a
+#   8. live scrape   — ijoind -selfcheck boots the real server, drives a
 #                      window mix over HTTP, strictly validates the /metrics
 #                      exposition text — delta joins must have run
 #                      (ij_query_delta_windows_total > 0) — and archives the
@@ -96,6 +99,15 @@ go run ./cmd/ijlint -time -json artifacts/lint.json ./...
 
 echo "== go build =="
 go build ./...
+
+echo "== examples =="
+# go build compiles the examples; this runs them. They drive the public API
+# end to end, and spatial checks its 121 Gen-Matrix runs against direct
+# rectangle intersection, exiting through log.Fatal on a mismatch.
+for ex in examples/*/; do
+    echo "$ex"
+    go run "./$ex" >/dev/null
+done
 
 echo "== allocation smoke =="
 # The obs layer's contract is that a nil tracer costs a nil check and
