@@ -447,18 +447,15 @@ func TestGenMatrixFlagsEveryVertex(t *testing.T) {
 		t.Fatalf("gen-matrix: %v", err)
 	}
 
-	// The vertices each tuple's mark records flag, from the mark cycle run
-	// alone.
+	// The vertices each tuple's flags name, from the mark cycle run alone.
 	attrs := make(map[tupleRef][]int)
-	for _, rec := range markAlone(t, GenMatrix{}.stages, q, rels, opts) {
-		rel, member, attr, replicate, err := splitVertexFlagged(rec)
+	flags := markAlone(t, GenMatrix{}.stages, q, rels, opts)
+	for _, rec := range flags {
+		rel, attr, id, err := splitVertexFlag(rec)
 		if err != nil {
 			t.Fatalf("mark record %q: %v", rec, err)
 		}
-		if replicate {
-			tr := tupleRef{rel, relation.BinaryID(member[headerLen:])}
-			attrs[tr] = append(attrs[tr], attr)
-		}
+		attrs[tupleRef{rel, id}] = append(attrs[tupleRef{rel, id}], attr)
 	}
 	var xOnly, yOnly, both int
 	for _, a := range attrs {
@@ -473,6 +470,9 @@ func TestGenMatrixFlagsEveryVertex(t *testing.T) {
 	}
 	if xOnly == 0 || yOnly == 0 || both == 0 {
 		t.Fatalf("tuples flagged along x only %d, y only %d, both %d: want some of each", xOnly, yOnly, both)
+	}
+	if wrote := got.PerCycle[0].OutputRecords; wrote != int64(len(flags)) {
+		t.Errorf("the mark cycle wrote %d flags, alone %d: one a flagged vertex", wrote, len(flags))
 	}
 	if got.ReplicatedIntervals != int64(len(attrs)) {
 		t.Errorf("ReplicatedIntervals = %d, want %d: one a flagged tuple (%d flagged on both vertices)",

@@ -146,22 +146,6 @@ func BenchmarkEncodeTagged(b *testing.B) {
 	}
 }
 
-// BenchmarkEncodeMarkedBody measures the mark reducer's writer — the member
-// it received with the flag appended, one record per tuple leaving every
-// mark cycle.
-func BenchmarkEncodeMarkedBody(b *testing.B) {
-	member := encodeTagged(7, relation.Tuple{ID: 123456, Attrs: []interval.Interval{
-		interval.New(987654, 998765), interval.New(12, 64000),
-	}})
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if s := member + flagSuffix[i%2]; len(s) == 0 {
-			b.Fatal("empty record")
-		}
-	}
-}
-
 // BenchmarkDecodeMember measures the reduce side's decoder: one tagged
 // record split and loaded into a grown arena.
 func BenchmarkDecodeMember(b *testing.B) {
@@ -256,6 +240,12 @@ func benchShuffleAlg(b *testing.B, alg Algorithm) {
 func BenchmarkShuffleAllRep(b *testing.B)    { benchShuffleAlg(b, AllRep{}) }
 func BenchmarkShuffleAllMatrix(b *testing.B) { benchShuffleAlg(b, AllMatrix{}) }
 
+// BenchmarkChainRCCISPipelined and BenchmarkChainPASMPipelined time the two
+// marking chains end to end on benchChainAlg's input: RCCIS's mark and join,
+// PASM's mark, prune and join. Every boundary of both is a barrier — a mark
+// or prune cycle writes only its decisions, which reach the next cycle by
+// tap — so the names' "Pipelined" is the runner's one mode (RunPipeline),
+// not a streamed boundary.
 func BenchmarkChainRCCISPipelined(b *testing.B) { benchChainAlg(b, RCCIS{}) }
 func BenchmarkChainPASMPipelined(b *testing.B)  { benchChainAlg(b, PASM{}) }
 

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"encoding/binary"
 	"fmt"
 	"strings"
 	"sync"
@@ -22,15 +23,15 @@ import (
 //
 //	tagged tuple:        member
 //	partial assignment:  member member ...        (bind-step and FCTS intermediates)
-//	mark record:         member [f]               (mark output)
-//	vertex flag:         member [attr][f]         (Gen-Matrix mark output, to its tap)
-//	prune record:        [rel][id]                (PASM cycle 2)
 //
-// A flag is the byte 0 or 1. Because the flag trails the member, a consumer
-// that wants the tuple without it forwards record[:memberLen] — a substring —
-// and a producer that adds it appends to the member it received. Nothing is
-// formatted or parsed as text on this path; text lives in relation files and
-// Context.Stage.
+// and two records carry a mark or prune cycle's decisions to its tap, each
+// naming a tuple by its relation and id:
+//
+//	vertex flag:         [rel][attr][id]          (mark output: this vertex is replicated)
+//	prune record:        [rel][id]                (PASM cycle 2: this tuple is pruned)
+//
+// Nothing is formatted or parsed as text on this path; text lives in
+// relation files and Context.Stage.
 
 const (
 	headerLen    = 2   // [rel][arity]
@@ -65,55 +66,28 @@ func splitTagged(s string) (rel int, body string, err error) {
 	return rel, s[headerLen:], nil
 }
 
-// splitMarked splits a mark record into its member and its flag: whether
-// the tuple is replicated.
-func splitMarked(s string) (rel int, member string, replicate bool, err error) {
-	rel, n, err := splitMember(s)
-	if err != nil {
-		return 0, "", false, err
-	}
-	if len(s) != n+1 || s[n] > 1 {
-		return 0, "", false, fmt.Errorf("core: malformed mark record %q", s)
-	}
-	return rel, s[:n], s[n] == 1, nil
+// vertexFlagLen is the length of a vertex flag.
+const vertexFlagLen = 2 + 8
+
+// appendVertexFlag appends the vertex flag naming attribute attr of tuple id
+// of relation rel.
+func appendVertexFlag(b []byte, rel, attr int, id int64) []byte {
+	return binary.LittleEndian.AppendUint64(append(b, byte(rel), byte(attr)), uint64(id))
 }
 
-// splitVertexFlagged splits a per-vertex flag record: the member, the
-// flagged vertex's attribute and the replication decision.
-func splitVertexFlagged(s string) (rel int, member string, attr int, replicate bool, err error) {
-	rel, n, err := splitMember(s)
-	if err != nil {
-		return 0, "", 0, false, err
+// splitVertexFlag reads a vertex flag: the flagged vertex, relation rel's
+// attribute attr, of tuple id.
+func splitVertexFlag(s string) (rel, attr int, id int64, err error) {
+	if len(s) != vertexFlagLen {
+		return 0, 0, 0, fmt.Errorf("core: malformed vertex flag %q", s)
 	}
-	if len(s) != n+2 || s[n+1] > 1 {
-		return 0, "", 0, false, fmt.Errorf("core: malformed vertex-flagged tuple %q", s)
-	}
-	return rel, s[:n], int(s[n]), s[n+1] == 1, nil
+	return int(s[0]), int(s[1]), relation.BinaryID(s[2:]), nil
 }
 
 // decodeTuple decodes the tuple of a member, its attributes appended to buf.
 func decodeTuple(member string, buf []interval.Interval) (relation.Tuple, error) {
 	id, attrs, err := relation.DecodeBinary(member[headerLen:], buf)
 	return relation.Tuple{ID: id, Attrs: attrs}, err
-}
-
-// flagSuffix[f] is the one-flag trailer of a mark record, attrFlagSuffix[a][f]
-// the trailer of a vertex-flag record for attribute a.
-var (
-	flagSuffix     = [2]string{"\x00", "\x01"}
-	attrFlagSuffix = func() (t [maxArity + 1][2]string) {
-		for a := range t {
-			t[a] = [2]string{string([]byte{byte(a), 0}), string([]byte{byte(a), 1})}
-		}
-		return t
-	}()
-)
-
-func flagIndex(f bool) int {
-	if f {
-		return 1
-	}
-	return 0
 }
 
 // recordSlab is where a reducer builds the records it writes: one buffer per

@@ -4,7 +4,6 @@ import (
 	"math"
 	"math/rand"
 	"runtime/debug"
-	"slices"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -17,13 +16,9 @@ import (
 	"intervaljoin/internal/relation"
 )
 
-// encodeTagged and encodeMarked build records the way the drivers do — a
-// member, then the flag byte — for the tests that feed reducers by hand.
+// encodeTagged builds a record the way the drivers do, for the tests that
+// feed reducers by hand.
 func encodeTagged(rel int, t relation.Tuple) string { return string(appendMember(nil, rel, t)) }
-
-func encodeMarked(rel int, replicate bool, t relation.Tuple) string {
-	return encodeTagged(rel, t) + flagSuffix[flagIndex(replicate)]
-}
 
 func TestTaggedRoundTrip(t *testing.T) {
 	f := func(rel uint8, id int64, s, l uint16) bool {
@@ -41,30 +36,35 @@ func TestTaggedRoundTrip(t *testing.T) {
 	}
 }
 
-// TestMarkedRoundTrip pins the mark record: the member the mark reducer
-// received with the flag appended, and splitMarked hands the member back as a
-// substring, its tuple whole.
+// TestMarkedRoundTrip pins the mark record, the vertex flag: ten bytes that
+// splitVertexFlag reads back as the relation, the attribute and the id the
+// mark reducer wrote, whatever they are.
 func TestMarkedRoundTrip(t *testing.T) {
-	f := func(rel uint8, repl bool, id int64, s, l uint16) bool {
-		tu := relation.Tuple{ID: id, Attrs: []interval.Interval{interval.New(int64(s), int64(s)+int64(l)), interval.New(7, 7)}}
-		r, member, gotRepl, err := splitMarked(encodeMarked(int(rel), repl, tu))
-		if err != nil || r != int(rel) || gotRepl != repl || member != encodeTagged(int(rel), tu) {
-			return false
-		}
-		got, err := decodeTuple(member, nil)
-		return err == nil && got.ID == id && slices.Equal(got.Attrs, tu.Attrs)
+	f := func(rel, attr uint8, id int64) bool {
+		rec := string(appendVertexFlag(nil, int(rel), int(attr), id))
+		r, a, got, err := splitVertexFlag(rec)
+		return err == nil && len(rec) == vertexFlagLen && r == int(rel) && a == int(attr) && got == id
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)
 	}
 }
 
+// TestVertexFlaggedRoundTrip: a vertex flag through the mark cycle's tap
+// lands in the marking under its relation and attribute, and a tuple counts
+// once however many of its vertices are flagged; a flag naming a relation
+// or attribute the query lacks is dropped.
 func TestVertexFlaggedRoundTrip(t *testing.T) {
-	f := func(rel, attr uint8, repl bool, id int64, s, l uint16) bool {
-		tu := mkTuple(id, interval.New(int64(s), int64(s)+int64(l)))
-		rec := encodeTagged(int(rel), tu) + string([]byte{attr}) + flagSuffix[flagIndex(repl)]
-		r, member, a, gotRepl, err := splitVertexFlagged(rec)
-		return err == nil && r == int(rel) && a == int(attr) && gotRepl == repl && relation.BinaryID(member[headerLen:]) == id
+	f := func(id int64) bool {
+		marked := marking{{nil}, {nil, nil}, {}}
+		var n int64
+		tap := vertexFlagTap(&n, marked)
+		for _, v := range [][2]int{{1, 1}, {1, 1}, {1, 0}, {0, 0}, {0, 1}, {2, 0}, {3, 0}} {
+			tap(string(appendVertexFlag(nil, v[0], v[1], id)))
+		}
+		// Relation 1's tuple counts once for its two vertices; (0, 1),
+		// (2, 0) and (3, 0) name no vertex of the query.
+		return n == 2 && marked[1][0][id] && marked[1][1][id] && marked[0][0][id]
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)
@@ -79,15 +79,13 @@ func TestDecodeTaggedErrors(t *testing.T) {
 			t.Errorf("splitTagged(%q) succeeded", s)
 		}
 	}
-	// A mark record carries one flag: none, two or a byte past 1 is refused.
-	for _, s := range []string{"", good[:5], good[:len(good)-1], good, good + "\x02", good + "\x00\x31", good + "\x01\x00", zeroArity + "\x01"} {
-		if _, _, _, err := splitMarked(s); err == nil {
-			t.Errorf("splitMarked(%q) succeeded", s)
-		}
-	}
-	for _, s := range []string{"", good, good + "\x00", good + "\x00\x02", good + "\x00\x01\x00", good[1:] + "\x00\x01"} {
-		if _, _, _, _, err := splitVertexFlagged(s); err == nil {
-			t.Errorf("splitVertexFlagged(%q) succeeded", s)
+	// A vertex flag is ten bytes: a member, with or without flag bytes
+	// behind it, a member cut short and any other length are refused.
+	flag := string(appendVertexFlag(nil, 1, 0, 3))
+	for _, s := range []string{"", good[:5], good[:len(good)-1], good, good + "\x02", good + "\x00\x31", good + "\x01\x00", zeroArity + "\x01",
+		good + "\x00", good + "\x00\x02", good + "\x00\x01\x00", good[1:] + "\x00\x01", flag[1:], flag + "\x00"} {
+		if _, _, _, err := splitVertexFlag(s); err == nil {
+			t.Errorf("splitVertexFlag(%q) succeeded", s)
 		}
 	}
 	// A member whose header is sound can still hold a reversed interval: the
@@ -285,9 +283,9 @@ func FuzzRecordDecode(f *testing.F) {
 	two := relation.Tuple{ID: -1, Attrs: []interval.Interval{interval.New(math.MinInt64, 0), interval.New(5, math.MaxInt64)}}
 	f.Add(encodeTagged(0, one))
 	f.Add(encodeTagged(255, two))
-	f.Add(encodeMarked(2, true, two))
-	// Two flags behind a member: no cycle writes such a record, and
-	// splitMarked refuses it.
+	f.Add(string(appendVertexFlag(nil, 2, 1, two.ID)))
+	// Flags behind a member: no cycle writes such a record, and no decoder
+	// accepts it.
 	f.Add(encodeTagged(2, two) + "\x01\x00")
 	f.Add(encodeTagged(1, one) + "\x00\x01")
 	f.Add(encodePartial(&recordSlab{}, []int{0, 4}, []relation.Tuple{one, two}))
@@ -324,13 +322,11 @@ func FuzzRecordDecode(f *testing.F) {
 			}
 			variants(func(v string) bool { _, _, err := splitTagged(v); return err == nil })
 		}
-		if rel, member, repl, err := splitMarked(s); err == nil {
-			reencode("mark record", rel, member, flagSuffix[flagIndex(repl)])
-			variants(func(v string) bool { _, _, _, err := splitMarked(v); return err == nil })
-		}
-		if rel, member, attr, repl, err := splitVertexFlagged(s); err == nil {
-			reencode("vertex flag", rel, member, string([]byte{byte(attr)})+flagSuffix[flagIndex(repl)])
-			variants(func(v string) bool { _, _, _, _, err := splitVertexFlagged(v); return err == nil })
+		if rel, attr, id, err := splitVertexFlag(s); err == nil {
+			if got := string(appendVertexFlag(nil, rel, attr, id)); got != s {
+				t.Fatalf("vertex flag %q re-encodes to %q", s, got)
+			}
+			variants(func(v string) bool { _, _, _, err := splitVertexFlag(v); return err == nil })
 		}
 		if pa, err := decodePartial(s); err == nil {
 			if got := encodePartial(&recordSlab{}, pa.rels, pa.tuples); got != s {
@@ -350,10 +346,7 @@ func FuzzRecordDecode(f *testing.F) {
 			}
 		}
 		var n int64
-		sp := &space{at: [][]vertexAt{{{dim: 0, attr: 0}}, {{dim: 0, attr: 1}, {dim: 1, attr: 0}}, nil, {}}}
-		replicateFlagTap(&n, nil)(s)
-		replicateFlagTap(&n, newMarking(sp))(s)
-		vertexFlagTap(&n, sp, newMarking(sp))(s)
+		vertexFlagTap(&n, marking{{nil}, {nil, nil}, nil, {}})(s)
 		prunedTap(make([]map[int64]bool, 4), map[int]int64{})(s)
 	})
 }
@@ -423,10 +416,9 @@ func TestRCCISOpAllocs(t *testing.T) {
 		if small > rccisOpAllocBound {
 			t.Errorf("%s: a run over 3 x 2000 tuples allocates %.0f objects, bound %d", arm.name, small, rccisOpAllocBound)
 		}
-		// What does grow with the input grows by the map task — 256 tuples
-		// or streamed records, a handful of objects each — or by doubling:
-		// 0.05 a tuple, where every tuple used to cost a mark record of its
-		// own.
+		// What does grow with the input grows by the map task — 256 tuples,
+		// a handful of objects each — or by doubling: 0.05 a tuple, where
+		// every tuple used to cost a mark record of its own.
 		if perTuple := (large - small) / (3 * 2_000); perTuple > 0.1 {
 			t.Errorf("%s: %.3f objects per extra tuple", arm.name, perTuple)
 		}

@@ -69,9 +69,9 @@ func TestConcurrentRunsShareEngine(t *testing.T) {
 // the pools their row chunks and their emission pages come from. Several
 // goroutines join relations of their own, round after round: a two-way join
 // whose result is large enough that its reducers fill pooled chunks, and a
-// two-cycle RCCIS join, whose mark records stream into the next cycle's map
-// while the first cycle's pages are already back in the pool and being filled
-// by someone else. Every result equals the oracle's, ids and order. (The gate
+// two-cycle cascade join, whose partial assignments stream into the next
+// cycle's map while the first cycle's pages are already back in the pool and
+// being filled by someone else. Every result equals the oracle's, ids and order. (The gate
 // runs this under -race; -count=10 gives the pools time to hand one run's
 // chunks and pages to another.)
 func TestConcurrentRunsRecycleChunks(t *testing.T) {
@@ -128,9 +128,9 @@ func TestConcurrentRunsRecycleChunks(t *testing.T) {
 					randomRelation(rng, "R2", 700, 20_000, 40),
 					randomRelation(rng, "R3", 700, 20_000, 40),
 				}
-				if rows := run(RCCIS{}, chain, sparse, Options{Partitions: 8}); rows <= 0 {
+				if rows := run(Cascade{}, chain, sparse, Options{Partitions: 8}); rows <= 0 {
 					if rows == 0 {
-						t.Errorf("goroutine %d, round %d: the RCCIS join is empty", g, round)
+						t.Errorf("goroutine %d, round %d: the cascade join is empty", g, round)
 					}
 					return
 				}
@@ -145,8 +145,8 @@ func TestConcurrentRunsRecycleChunks(t *testing.T) {
 // general queries of TestRoutingGolden, every algorithm that handles the
 // query and the planner, preferring PASM, run one after another on one
 // engine; each returns the oracle's rows and leaves the store as empty as it
-// found it — PASM included, whose join cycle reads the marking after the
-// prune barrier.
+// found it — every algorithm that marks included, whose cycles after the
+// mark cycle read the marking its tap recorded.
 func TestRunsLeaveStoreEmpty(t *testing.T) {
 	engine := mr.NewEngine(mr.Config{Store: dfs.NewMem(), Workers: 2})
 	rng := rand.New(rand.NewSource(1606))

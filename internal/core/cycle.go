@@ -100,7 +100,7 @@ type space struct {
 	stride int64
 	plan   *execPlan
 	// at[rel] lists where the relation's vertices lie, by (dimension,
-	// attribute) — the order of a marking's vertices.
+	// attribute) — the order of the ops that route its tuples.
 	at [][]vertexAt
 	// whole lists, in index order, the relations a product's reducers each
 	// hold entire instead of receiving them along a dimension (planner.go,
@@ -229,73 +229,39 @@ func (c *Context) baseMap(sp *space, ops []interval.Op) mr.PosMapFunc {
 	}
 }
 
-// flaggedMap is the one map-side path over a mark cycle's records: a tuple
-// is replicated along its vertex's dimension when the marking flagged it and
-// projected otherwise (RCCIS cycle 2, condition E2). A mark record carries
-// one flag, so its relation has at most one vertex in the space. The
-// reducers receive the tagged tuple — the record up to its flag — or, with
-// forward, the flagged record itself.
-func (sp *space) flaggedMap(forward bool) mr.MapFunc {
-	return func(_ int, record string, emit mr.Emitter) error {
-		rel, member, replicate, err := splitMarked(record)
-		if err != nil {
-			return err
-		}
-		if rel >= len(sp.at) || len(sp.at[rel]) > 1 {
-			return fmt.Errorf("core: one flag in %q does not cover relation %d's vertices", record, rel)
-		}
-		var attrs [4]interval.Interval
-		t, err := decodeTuple(member, attrs[:0])
-		if err != nil {
-			return err
-		}
-		ops := [1]interval.Op{interval.OpProject}
-		if replicate {
-			ops[0] = interval.OpReplicate
-		}
-		value := member
-		if forward {
-			value = record
-		}
-		sp.route(emit, rel, t, ops[:], rel, value)
-		return nil
-	}
-}
-
-// marking is a mark cycle's decisions held as id sets rather than records,
-// for a join cycle that maps the base relations (markedMap): marking[rel][i]
-// holds the ids of relation rel's tuples to replicate along the dimension of
-// the relation's vertex i in the join's space (space.at). A tap fills it as
-// the mark records leave their cycle — Hadoop would publish it through the
-// distributed cache — so the join cycle comes after a barrier.
+// marking is a mark cycle's decisions, held as id sets for the cycles that
+// map the base relations after it (markedMap): marking[rel][attr] holds the
+// ids of relation rel's tuples to replicate along the dimension of the
+// vertex (rel, attr). The mark cycle's tap fills it as the vertex flags leave
+// the cycle (vertexFlagTap) — Hadoop would publish it through the
+// distributed cache — so every cycle that reads it comes after a barrier.
 type marking [][]map[int64]bool
 
-// newMarking is an empty marking for the join space sp.
-func newMarking(sp *space) marking {
-	m := make(marking, len(sp.at))
-	for rel, at := range sp.at {
-		m[rel] = make([]map[int64]bool, len(at))
+// newMarking is an empty marking over the context's relations.
+func (c *Context) newMarking() marking {
+	m := make(marking, len(c.Rels))
+	for rel, r := range c.Rels {
+		m[rel] = make([]map[int64]bool, r.Schema.Arity())
 	}
 	return m
 }
 
-// flag marks tuple id of relation rel for replication along the relation's
-// vertex i, and reports whether no vertex of the tuple was marked before.
-func (m marking) flag(rel, i int, id int64) (first bool) {
+// flag marks vertex (rel, attr) of tuple id for replication, and reports
+// whether no vertex of the tuple was marked before.
+func (m marking) flag(rel, attr int, id int64) (first bool) {
 	first = !slices.ContainsFunc(m[rel], func(ids map[int64]bool) bool { return ids[id] })
-	if m[rel][i] == nil {
-		m[rel][i] = make(map[int64]bool)
+	if m[rel][attr] == nil {
+		m[rel][attr] = make(map[int64]bool)
 	}
-	m[rel][i][id] = true
+	m[rel][attr][id] = true
 	return first
 }
 
-// markedMap routes the base relations as flaggedMap routes a mark cycle's
-// records, reading every vertex's flag from marked: a tuple listed in
-// pruned (nil when no cycle prunes) is dropped, and every vertex of the
-// others is replicated along its dimension when marked flags it and
-// projected otherwise. The reducers receive the tagged tuple, the bytes
-// flaggedMap forwards.
+// markedMap is the one map-side path of a cycle after a mark cycle: a tuple
+// listed in pruned (nil when no cycle prunes) is dropped, and every vertex of
+// the others is replicated along its dimension when marked flags it and
+// projected otherwise (RCCIS cycle 2, condition E2). The reducers receive the
+// tagged tuple.
 func (c *Context) markedMap(sp *space, marked marking, pruned []map[int64]bool) mr.PosMapFunc {
 	return func(tag, pos int, emit mr.Emitter) error {
 		t := c.Rels[tag].Tuples[pos]
@@ -304,9 +270,9 @@ func (c *Context) markedMap(sp *space, marked marking, pruned []map[int64]bool) 
 		}
 		var buf [4]interval.Op
 		ops := buf[:0]
-		for _, ids := range marked[tag] {
+		for _, v := range sp.at[tag] {
 			op := interval.OpProject
-			if ids[t.ID] {
+			if marked[tag][v.attr][t.ID] {
 				op = interval.OpReplicate
 			}
 			ops = append(ops, op)
@@ -328,20 +294,21 @@ func condsWithin(q *query.Query, verts []query.Operand) []query.Condition {
 	return conds
 }
 
-// markJob builds a mark cycle — the RCCIS marking of Section 6.1, run per
+// markStage builds a mark cycle — the RCCIS marking of Section 6.1, run per
 // dimension: every relation is split along the dimensions its vertices lie
 // on, and the reducer of partition p decides which of the intervals starting
 // in p must be replicated: exactly those that belong to some interval-set
-// that is (C1) consistent and (C2) crosses p (markCrossingParticipants).
-// Its output, "marked", holds every vertex's tuple exactly once, written by
-// its start partition's reducer, as a mark record — the member it received,
-// then the flag — or, with vertexTagged, as a vertex-flag record, member,
-// attribute, flag, for queries whose relations own several vertices.
+// that is (C1) consistent and (C2) crosses p (markCrossingParticipants). It
+// writes a vertex flag for each of them and nothing for the rest, and the
+// flags leave the cycle through its tap, which records them in marked and
+// counts each tuple with a flagged vertex once into replicated. The cycle
+// names no output: the cycles after it map the base relations and read the
+// marking (markedMap).
 //
 // The cycle keeps the plain one-key-per-partition layout even when the join
 // cycle runs on an adaptive plan: the reducer needs every tuple split onto a
 // partition in one place to decide crossing-set membership.
-func (c *Context) markJob(dims []dimension, vertexTagged bool) mr.Job {
+func (c *Context) markStage(dims []dimension, marked marking, replicated *int64) mr.Stage {
 	sp := c.union(nil, dims...)
 	conds := make([][]query.Condition, len(dims))
 	for k, d := range dims {
@@ -351,7 +318,7 @@ func (c *Context) markJob(dims []dimension, vertexTagged bool) mr.Job {
 	for rel := range split {
 		split[rel] = interval.OpSplit
 	}
-	return mr.Job{
+	job := mr.Job{
 		Name:   "mark",
 		Inputs: c.baseInputs(sp),
 		MapAt:  c.baseMap(sp, split),
@@ -359,27 +326,22 @@ func (c *Context) markJob(dims []dimension, vertexTagged bool) mr.Job {
 			k, coord := sp.locate(key)
 			d, p := dims[k], coord[0]
 			// A counting pass over the relation bytes sizes everything the
-			// call builds, so nothing below grows: one candidate and one
-			// member list per relation, cut from two arrays of the value
-			// list's length, one flat interval column for the whole
-			// candidate list instead of one Attrs slice per record, and the
-			// slab the output records are written in. The records ride along
-			// so survivors are re-emitted as what arrived, then the flag.
+			// call builds, so nothing below grows: one candidate list per
+			// relation, cut from one array of the value list's length, and
+			// one flat interval column for the whole candidate list instead
+			// of one Attrs slice per record.
 			counts := make([]int, len(c.Rels))
-			size, attrs := 0, 0
+			attrs := 0
 			for _, v := range values {
 				if len(v) < headerLen || int(v[0]) >= len(counts) {
 					return fmt.Errorf("core: mark: record %q names no relation of the query", v)
 				}
 				counts[v[0]]++
-				size += len(v) + 2
 				attrs += int(v[1])
 			}
-			cands, members := make([][]relation.Tuple, len(counts)), make([][]string, len(counts))
-			tuples, records := make([]relation.Tuple, len(values)), make([]string, len(values))
+			cands, tuples := make([][]relation.Tuple, len(counts)), make([]relation.Tuple, len(values))
 			for rel, n := range counts {
-				cands[rel], members[rel] = tuples[:0:n], records[:0:n]
-				tuples, records = tuples[n:], records[n:]
+				cands[rel], tuples = tuples[:0:n], tuples[n:]
 			}
 			slab := make([]interval.Interval, 0, attrs)
 			for _, v := range values {
@@ -393,23 +355,17 @@ func (c *Context) markJob(dims []dimension, vertexTagged bool) mr.Job {
 					return err
 				}
 				cands[rel] = append(cands[rel], relation.Tuple{ID: id, Attrs: slab[at:len(slab):len(slab)]})
-				members[rel] = append(members[rel], v)
 			}
 			replicate := markCrossingParticipants(conds[k], d.part, p, d.verts, cands)
-			out := recordSlab{hint: size}
+			var out recordSlab
 			for _, v := range d.verts {
-				trailer := flagSuffix
-				if vertexTagged {
-					trailer = attrFlagSuffix[v.Attr]
-				}
 				for i, t := range cands[v.Rel] {
-					if d.part.IndexOf(t.Attrs[v.Attr].Start) != p {
+					if !replicate[v.Rel][i] || d.part.IndexOf(t.Attrs[v.Attr].Start) != p {
 						continue
 					}
-					member, flag := members[v.Rel][i], trailer[flagIndex(replicate[v.Rel][i])]
-					out.room(len(member) + len(flag))
-					out.putString(member)
-					out.putString(flag)
+					var buf [vertexFlagLen]byte
+					out.room(len(buf))
+					out.put(appendVertexFlag(buf[:0], v.Rel, v.Attr, t.ID))
 					if err := write(out.cut()); err != nil {
 						return err
 					}
@@ -417,8 +373,8 @@ func (c *Context) markJob(dims []dimension, vertexTagged bool) mr.Job {
 			}
 			return nil
 		},
-		Output: "marked",
 	}
+	return mr.Stage{Job: job, Tap: vertexFlagTap(replicated, marked)}
 }
 
 // joinFunc is a join cycle's reduce with the writing left out: it hands emit
@@ -462,10 +418,8 @@ func (c *Context) setJoin(job *mr.Job, output string, join joinFunc) {
 type cellJoin struct {
 	name string
 	sp   *space
-	// from names the mark cycle's output to map over (flaggedMap). When
-	// empty the cycle maps the base relations: by marked and pruned when
-	// marked is set (markedMap), with ops otherwise (baseMap).
-	from   string
+	// ops routes every vertex of a relation when marked is nil (baseMap);
+	// a cycle after a mark cycle routes by marked and pruned (markedMap).
 	ops    []interval.Op
 	marked marking
 	// pruned lists per relation the tuple ids to drop map-side.
@@ -545,14 +499,9 @@ func (cj cellJoin) job(c *Context) mr.Job {
 		return u, p, nil
 	}
 
-	job := mr.Job{Name: cj.name}
-	switch {
-	case cj.from != "":
-		job.Inputs, job.Map = []mr.Input{{File: cj.from}}, sp.flaggedMap(false)
-	case cj.marked != nil:
-		job.Inputs, job.MapAt = c.baseInputs(sp), c.markedMap(sp, cj.marked, cj.pruned)
-	default:
-		job.Inputs, job.MapAt = c.baseInputs(sp), c.baseMap(sp, cj.ops)
+	job := mr.Job{Name: cj.name, Inputs: c.baseInputs(sp), MapAt: c.baseMap(sp, cj.ops)}
+	if cj.marked != nil {
+		job.MapAt = c.markedMap(sp, cj.marked, cj.pruned)
 	}
 	if words {
 		job.ReduceRows = func(key int64, values []string, out *mr.Rows) error {

@@ -6,7 +6,6 @@ import (
 
 	"intervaljoin/internal/mr"
 	"intervaljoin/internal/query"
-	"intervaljoin/internal/relation"
 )
 
 // The one driver skeleton. Every distributed algorithm is a short chain of
@@ -38,16 +37,19 @@ type chainEnv struct {
 type stageBuilder func(*Context, *chainEnv) ([]mr.Stage, *execPlan, error)
 
 // runStages runs alg as the chain of stages build returns: one pipeline,
-// which streams every cycle boundary and overlaps one cycle's reduce phase
-// with the next cycle's map phase.
+// which streams a cycle boundary the next stage reads across and overlaps
+// one cycle's reduce phase with the next cycle's map phase.
 //
-// A stage's Job.Name and Job.Output are plain names ("mark", "marked"). A
-// stage other than the last that names an Output streams it to the next
-// stage, which must read it, so a run writes nothing to the store and needs
-// no namespace there. The last stage names no output and sets ReduceRows
-// (setJoin): its rows are the result. An intermediate stage with an empty
-// Output is observed through its Tap only. The (algorithm, cycle, family)
-// JobMeta is set here for every stage.
+// A stage's Job.Name and Job.Output are plain names ("component-join",
+// "components"). A stage other than the last that names an Output streams it
+// to the next stage, which must read it, so a run writes nothing to the
+// store and needs no namespace there; only partial assignments travel so
+// (Cascade, FSTC, FCTS's component→sequence step). An intermediate stage
+// with an empty Output — a mark or prune cycle — is observed through its
+// Tap only, and the next stage, which maps the base relations, starts after
+// a barrier. The last stage names no output and sets ReduceRows (setJoin):
+// its rows are the result. The (algorithm, cycle, family) JobMeta is set
+// here for every stage.
 func (c *Context) runStages(alg string, build stageBuilder) (*Result, error) {
 	opts := c.Opts.withDefaults()
 	agg := mr.NewMetrics(alg)
@@ -126,37 +128,16 @@ func (c *Context) chargeWhole(cycle, agg *mr.Metrics, whole []int) {
 	}
 }
 
-// replicateFlagTap counts the replicate-flagged records leaving a mark
-// cycle — the paper's "# Intervals Replicated" statistic — without forcing
-// the marked intermediate onto the store. Records are mark records: the
-// flag is the byte behind the member, and the relation has one vertex. With
-// marked set it also records each flagged tuple there, for a join cycle that
-// maps the base relations rather than the marking (markedMap).
-func replicateFlagTap(n *int64, marked marking) func(string) {
+// vertexFlagTap records the vertex flags leaving a mark cycle in marked and
+// counts each tuple with at least one flagged vertex once into n — the
+// paper's "# Intervals Replicated" statistic.
+func vertexFlagTap(n *int64, marked marking) func(string) {
 	return func(rec string) {
-		rel, member, replicate, err := splitMarked(rec)
-		if err != nil || !replicate {
+		rel, attr, id, err := splitVertexFlag(rec)
+		if err != nil || rel >= len(marked) || attr >= len(marked[rel]) {
 			return
 		}
-		*n++
-		if rel < len(marked) && len(marked[rel]) == 1 {
-			marked.flag(rel, 0, relation.BinaryID(member[headerLen:]))
-		}
-	}
-}
-
-// vertexFlagTap records the vertex-flag records leaving Gen-Matrix's mark
-// cycle in marked, a marking for the join space sp, and counts each tuple
-// with at least one flagged vertex once: the tuples the join replicates
-// along some dimension.
-func vertexFlagTap(n *int64, sp *space, marked marking) func(string) {
-	return func(rec string) {
-		rel, member, attr, replicate, err := splitVertexFlagged(rec)
-		if err != nil || !replicate || rel >= len(sp.at) {
-			return
-		}
-		i := slices.IndexFunc(sp.at[rel], func(v vertexAt) bool { return v.attr == attr })
-		if i >= 0 && marked.flag(rel, i, relation.BinaryID(member[headerLen:])) {
+		if marked.flag(rel, attr, id) {
 			*n++
 		}
 	}

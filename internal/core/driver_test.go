@@ -48,30 +48,37 @@ func runOnStore(t *testing.T, store dfs.Store, alg Algorithm, q *query.Query, re
 
 // TestChainStatistics runs every multi-cycle algorithm and checks what the
 // runner reports around the rows: the oracle's output, the aggregate named
-// after the algorithm, one metrics entry per cycle, records streamed across
-// the boundaries — none for Gen-Matrix, whose marking crosses a barrier by
-// tap — and nothing left on the store. For PASM and Gen-Matrix it recounts
-// the replicated tuples independently of the tap that counts them: the mark
-// cycle runs again alone, writing its output to the store, and the tuples
-// with a flag are counted there. For PASM it also bounds the pruned counts by
-// the tuples the output really lacks.
+// after the algorithm, one metrics entry per cycle, and nothing left on the
+// store. Records stream across a boundary only where partial assignments
+// cross it (streams): every boundary of Cascade and FSTC, FCTS's
+// component→sequence step. A mark cycle streams nothing — its flags reach the
+// next cycle by tap — and for every algorithm that marks the test recounts
+// them independently of the tap: the mark cycle runs again alone, writing
+// its flags to the store, and there must be as many as the chain's mark
+// cycle wrote and as many flagged tuples as ReplicatedIntervals — on these
+// single-attribute queries, one flag a tuple. For PASM it also bounds the
+// pruned counts by the tuples the output really lacks.
 func TestChainStatistics(t *testing.T) {
 	cases := []struct {
 		name  string
 		alg   Algorithm
 		query string
+		// marks says the chain's first cycle is a mark cycle; streams
+		// lists the cycles, from 1, whose output streams into the next.
+		marks   bool
+		streams []int
 	}{
-		{"cascade", Cascade{}, "R1 overlaps R2 and R2 overlaps R3"},
-		{"cascade-matrix", Cascade{MatrixSteps: true}, "R1 before R2 and R2 before R3"},
-		{"rccis", RCCIS{}, "R1 overlaps R2 and R2 overlaps R3"},
-		{"all-seq-matrix", SeqMatrix{}, "R1 overlaps R2 and R2 overlaps R3"},
-		{"all-seq-matrix-hybrid", SeqMatrix{}, "R1 before R2 and R1 overlaps R3"},
-		{"fcts", FCTS{}, "R1 overlaps R2 and R2 overlaps R3"},
-		{"fcts-hybrid", FCTS{}, "R1 before R2 and R1 overlaps R3"},
-		{"fstc-hybrid", FSTC{}, "R1 before R2 and R1 overlaps R3"},
-		{"pasm", PASM{}, "R1 overlaps R2 and R2 overlaps R3"},
-		{"pasm-hybrid", PASM{}, "R1 before R2 and R1 overlaps R3"},
-		{"gen-matrix", GenMatrix{}, "R1 before R2 and R1 overlaps R3"},
+		{"cascade", Cascade{}, "R1 overlaps R2 and R2 overlaps R3", false, []int{1}},
+		{"cascade-matrix", Cascade{MatrixSteps: true}, "R1 before R2 and R2 before R3", false, []int{1}},
+		{"rccis", RCCIS{}, "R1 overlaps R2 and R2 overlaps R3", true, nil},
+		{"all-seq-matrix", SeqMatrix{}, "R1 overlaps R2 and R2 overlaps R3", true, nil},
+		{"all-seq-matrix-hybrid", SeqMatrix{}, "R1 before R2 and R1 overlaps R3", true, nil},
+		{"fcts", FCTS{}, "R1 overlaps R2 and R2 overlaps R3", true, []int{2}},
+		{"fcts-hybrid", FCTS{}, "R1 before R2 and R1 overlaps R3", true, []int{2}},
+		{"fstc-hybrid", FSTC{}, "R1 before R2 and R1 overlaps R3", false, []int{1}},
+		{"pasm", PASM{}, "R1 overlaps R2 and R2 overlaps R3", true, nil},
+		{"pasm-hybrid", PASM{}, "R1 before R2 and R1 overlaps R3", true, nil},
+		{"gen-matrix", GenMatrix{}, "R1 before R2 and R1 overlaps R3", true, nil},
 	}
 	rng := rand.New(rand.NewSource(42))
 	for _, tc := range cases {
@@ -94,48 +101,40 @@ func TestChainStatistics(t *testing.T) {
 			if res.Metrics.Cycles < 2 || res.Metrics.Cycles != len(res.PerCycle) {
 				t.Errorf("cycles = %d with %d per-cycle metrics", res.Metrics.Cycles, len(res.PerCycle))
 			}
-			_, isPASM := tc.alg.(PASM)
-			_, isGenMatrix := tc.alg.(GenMatrix)
-			switch {
-			case isGenMatrix && res.Metrics.StreamedPairs != 0:
-				// Its marking travels by tap across a barrier.
-				t.Errorf("run streamed %d pairs, want none", res.Metrics.StreamedPairs)
-			case !isGenMatrix && res.Metrics.StreamedPairs == 0:
-				t.Error("run streamed no pairs across cycle boundaries")
+			for i, cycle := range res.PerCycle {
+				switch streams := slices.Contains(tc.streams, i+1); {
+				case streams && cycle.StreamedPairs == 0:
+					t.Errorf("cycle %d streamed no pairs into the next", i+1)
+				case !streams && cycle.StreamedPairs != 0:
+					t.Errorf("cycle %d streamed %d pairs, want none", i+1, cycle.StreamedPairs)
+				}
 			}
 
 			if files, err := store.List(""); err != nil || len(files) != 0 {
 				t.Errorf("run left %v on the store (%v), want nothing", files, err)
 			}
+			_, isPASM := tc.alg.(PASM)
 			if !isPASM && len(res.PrunedIntervals) != 0 {
 				t.Errorf("pruned = %v without a prune cycle", res.PrunedIntervals)
 			}
-			if !isPASM && !isGenMatrix {
+			if !tc.marks {
 				return
 			}
-			build := PASM{}.stages
-			if isGenMatrix {
-				build = GenMatrix{}.stages
-			}
-			marked := markAlone(t, build, q, rels, opts)
-			// PASM's records carry one flag a tuple, Gen-Matrix's one a
-			// vertex: a tuple counts once however many of its vertices are
-			// flagged.
+			flags := markAlone(t, tc.alg.(stagedAlgorithm).stages, q, rels, opts)
 			flagged := make(map[tupleRef]bool)
-			for _, rec := range marked {
-				rel, member, replicate, err := splitMarked(rec)
-				if isGenMatrix {
-					rel, member, _, replicate, err = splitVertexFlagged(rec)
-				}
+			for _, rec := range flags {
+				rel, _, id, err := splitVertexFlag(rec)
 				if err != nil {
-					t.Fatalf("marked record %q: %v", rec, err)
+					t.Fatalf("mark record %q: %v", rec, err)
 				}
-				if replicate {
-					flagged[tupleRef{rel, relation.BinaryID(member[headerLen:])}] = true
-				}
+				flagged[tupleRef{rel, id}] = true
+			}
+			if wrote := res.PerCycle[0].OutputRecords; wrote != int64(len(flags)) || wrote != res.ReplicatedIntervals {
+				t.Errorf("the mark cycle wrote %d flags, alone %d; the tap counted %d flagged tuples",
+					wrote, len(flags), res.ReplicatedIntervals)
 			}
 			if int64(len(flagged)) != res.ReplicatedIntervals {
-				t.Errorf("replicated: result says %d, the mark cycle's output flags %d tuples",
+				t.Errorf("replicated: result says %d, the mark cycle's flags name %d tuples",
 					res.ReplicatedIntervals, len(flagged))
 			}
 			if !isPASM {
@@ -160,6 +159,11 @@ func TestChainStatistics(t *testing.T) {
 	}
 }
 
+// stagedAlgorithm is an algorithm that runs as a chain of stages.
+type stagedAlgorithm interface {
+	stages(*Context, *chainEnv) ([]mr.Stage, *execPlan, error)
+}
+
 // tupleRef names a tuple of a run: its relation and its id.
 type tupleRef struct {
 	rel int
@@ -167,8 +171,8 @@ type tupleRef struct {
 }
 
 // markAlone runs the first stage of the chain build makes — a mark cycle —
-// alone on a store of its own, writing its output there, and returns the
-// records it wrote.
+// alone on a store of its own, writing the flags it hands its tap there, and
+// returns them.
 func markAlone(t *testing.T, build stageBuilder, q *query.Query, rels []*relation.Relation, opts Options) []string {
 	t.Helper()
 	store := dfs.NewMem()
@@ -182,41 +186,45 @@ func markAlone(t *testing.T, build stageBuilder, q *query.Query, rels []*relatio
 		t.Fatal(err)
 	}
 	mark := stages[0].Job
-	mark.Output = "marked"
+	if mark.Name != "mark" || mark.Output != "" {
+		t.Fatalf("the chain's first stage is %q writing %q, want the mark cycle writing nothing", mark.Name, mark.Output)
+	}
+	mark.Output = "flags"
 	if _, err := ctx.Engine.Run(mark); err != nil {
 		t.Fatal(err)
 	}
-	marked, err := dfs.ReadAll(store, mark.Output)
+	flags, err := dfs.ReadAll(store, mark.Output)
 	if files, _ := store.List(""); err != nil || !slices.Equal(files, []string{mark.Output}) {
-		t.Fatalf("store holds %v (reading %s: %v), want the marking alone", files, mark.Output, err)
+		t.Fatalf("store holds %v (reading %s: %v), want the flags alone", files, mark.Output, err)
 	}
-	return marked
+	return flags
 }
 
 // TestRunStagesRefusesUnreadOutput: a stage's output streams into the next
 // stage and is never written, so a chain whose next stage does not read it
-// is refused before any cycle runs.
+// is refused before any cycle runs. FCTS's component join writes the
+// partial assignments its sequence join reads.
 func TestRunStagesRefusesUnreadOutput(t *testing.T) {
-	q := query.MustParse("R1 overlaps R2 and R2 overlaps R3")
+	q := query.MustParse("R1 before R2 and R1 overlaps R3")
 	rng := rand.New(rand.NewSource(9))
 	rels := make([]*relation.Relation, len(q.Relations))
 	for i, s := range q.Relations {
 		rels[i] = randomRelation(rng, s.Name, 30, 100, 20)
 	}
 	store := dfs.NewMem()
-	ctx, err := NewContext(mr.NewEngine(mr.Config{Store: store, Workers: 2}), q, rels, Options{Partitions: 4})
+	ctx, err := NewContext(mr.NewEngine(mr.Config{Store: store, Workers: 2}), q, rels, Options{PartitionsPerDim: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, err = ctx.runStages("rccis", func(c *Context, env *chainEnv) ([]mr.Stage, *execPlan, error) {
-		stages, plan, err := RCCIS{}.stages(c, env)
+	_, err = ctx.runStages("fcts", func(c *Context, env *chainEnv) ([]mr.Stage, *execPlan, error) {
+		stages, plan, err := FCTS{}.stages(c, env)
 		if err == nil {
-			stages[1].Job.Inputs[0].File = "elsewhere"
+			stages[2].Job.Inputs[0].File = "elsewhere"
 		}
 		return stages, plan, err
 	})
-	if err == nil || !strings.Contains(err.Error(), "marked") {
-		t.Fatalf("err = %v, want the unread marking refused", err)
+	if err == nil || !strings.Contains(err.Error(), "components") {
+		t.Fatalf("err = %v, want the unread component output refused", err)
 	}
 	if files, _ := store.List(""); len(files) != 0 {
 		t.Errorf("store holds %v, want nothing written", files)

@@ -17,9 +17,10 @@ import (
 // shuffling large intermediate results, which is what All-Seq-Matrix
 // removes. (FSTC, the mirror-image baseline, is in fstc.go.)
 //
-// Three MR cycles: component RCCIS marking; component joins (all components
-// in one job, keyed by component x partition); sequence grid join over the
-// materialised component outputs.
+// Three MR cycles: component RCCIS marking, whose flags reach cycle 2 by tap
+// as RCCIS's do; component joins over the base relations (all components in
+// one job, keyed by component x partition), written as partial assignments
+// that stream into cycle 3; sequence grid join over the component outputs.
 type FCTS struct{}
 
 // Name implements Algorithm.
@@ -43,12 +44,14 @@ func (a FCTS) stages(ctx *Context, env *chainEnv) ([]mr.Stage, *execPlan, error)
 	if err != nil {
 		return nil, nil, err
 	}
-	// Cycle 2 turns "marked" into every component sub-query's output as
-	// partial-assignment records: each component joins along its own line,
-	// emitting an assignment where its right-most member starts.
-	components := cellJoin{name: "component-join", sp: ctx.union(nil, dims...), from: "marked", owner: true, output: "components"}
+	// Cycle 2 routes the base relations by the marking and writes every
+	// component sub-query's output as partial-assignment records: each
+	// component joins along its own line, emitting an assignment where its
+	// right-most member starts.
+	marked := ctx.newMarking()
+	components := cellJoin{name: "component-join", sp: ctx.union(nil, dims...), marked: marked, owner: true, output: "components"}
 	return []mr.Stage{
-		{Job: ctx.markJob(dims, false), Tap: replicateFlagTap(&env.res.ReplicatedIntervals, nil)},
+		ctx.markStage(dims, marked, &env.res.ReplicatedIntervals),
 		{Job: components.job(ctx)},
 		{Job: a.sequenceJob(ctx, sp, env.d)},
 	}, nil, nil

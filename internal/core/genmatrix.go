@@ -16,13 +16,14 @@ import (
 // spanning an l-dimensional consistent-cell grid.
 //
 // Two MR cycles, the paper's. Cycle 1 is the RCCIS marking per component,
-// one record per vertex. Because a relation may own vertices in several
-// components, a tuple's grid routing depends on the flags of all its
-// vertices jointly: the mark records leave their cycle through a tap that
-// gathers them per relation and vertex (marking), and cycle 2, the grid join,
-// maps the base relations and reads each tuple's flags from there. The
-// marking is complete only once the mark cycle has finished, so the
-// mark→join boundary is a barrier, as PASM's prune→join boundary is.
+// one flag per flagged vertex. Because a relation may own vertices in
+// several components, a tuple's grid routing depends on the flags of all its
+// vertices jointly: the flags leave their cycle through the tap every mark
+// cycle has, which gathers them per relation and vertex (marking), and
+// cycle 2, the grid join, maps the base relations and reads each tuple's
+// flags from there, as every join after a mark cycle does. The marking is
+// complete only once the mark cycle has finished, so the mark→join boundary
+// is a barrier.
 //
 // Real-valued attributes are length-zero intervals: they never cross a
 // partition boundary, so their components replicate nothing and the grid
@@ -60,14 +61,10 @@ func (GenMatrix) stages(ctx *Context, env *chainEnv) ([]mr.Stage, *execPlan, err
 	if err != nil {
 		return nil, nil, err
 	}
-	// The mark records never leave their tap, which counts each tuple with
-	// a flagged vertex once.
-	marked := newMarking(sp)
-	mark := ctx.markJob(dims, true)
-	mark.Output = ""
+	marked := ctx.newMarking()
 	join := cellJoin{name: "join", sp: sp, marked: marked, owner: true}
 	return []mr.Stage{
-		{Job: mark, Tap: vertexFlagTap(&env.res.ReplicatedIntervals, sp, marked)},
+		ctx.markStage(dims, marked, &env.res.ReplicatedIntervals),
 		{Job: join.job(ctx)},
 	}, nil, nil
 }

@@ -19,18 +19,18 @@ import (
 // Three MR cycles:
 //
 //  1. the RCCIS marking per component (same as All-Seq-Matrix cycle 1);
-//  2. per component and partition, replicate/project the flagged tuples in
-//     one dimension and decide, for every tuple at its home partition,
-//     whether it participates in any component sub-query output;
+//  2. per component and partition, replicate/project the component's base
+//     tuples as the marking says, in one dimension, and decide, for every
+//     tuple at its home partition, whether it participates in any component
+//     sub-query output;
 //  3. the All-Seq-Matrix grid join over the base relations, with pruned
 //     tuples dropped map-side.
 //
-// The join cycle needs what both earlier cycles decided, and the prune
-// cycle's decisions are complete only once it has finished. Both reach it as
-// id sets that taps fill while the cycles run — the marking is the one
-// Gen-Matrix's join reads, with one vertex a relation, and Hadoop would
-// publish both through the distributed cache — so the prune→join boundary is
-// a barrier and the run writes nothing to the store.
+// Each cycle needs what the earlier ones decided, complete. The decisions
+// reach the later cycles as id sets that taps fill while the cycles run —
+// the marking every mark cycle fills, and the pruned ids — and Hadoop would
+// publish both through the distributed cache, so both boundaries are
+// barriers and the run writes nothing to the store.
 //
 // When pruning removes little, the extra cycle makes PASM slightly slower
 // than All-Seq-Matrix — exactly the trade-off Table 3 explores.
@@ -57,17 +57,13 @@ func (PASM) stages(ctx *Context, env *chainEnv) ([]mr.Stage, *execPlan, error) {
 	if err != nil {
 		return nil, nil, err
 	}
-	// The marking streams into the prune cycle; the prune records never
-	// leave their tap. The join does not read the prune output, so the
-	// prune→join boundary is a barrier and the marking and the pruned ids
-	// are complete before any join map runs.
-	marked := newMarking(sp)
+	marked := ctx.newMarking()
 	pruned := make([]map[int64]bool, len(ctx.Rels))
 	env.res.PrunedIntervals = make(map[int]int64)
 	join := cellJoin{name: "join", sp: sp, marked: marked, pruned: pruned, owner: true}
 	return []mr.Stage{
-		{Job: ctx.markJob(dims, false), Tap: replicateFlagTap(&env.res.ReplicatedIntervals, marked)},
-		{Job: ctx.pruneJob(dims), Tap: prunedTap(pruned, env.res.PrunedIntervals)},
+		ctx.markStage(dims, marked, &env.res.ReplicatedIntervals),
+		{Job: ctx.pruneJob(dims, marked), Tap: prunedTap(pruned, env.res.PrunedIntervals)},
 		{Job: join.job(ctx)},
 	}, nil, nil
 }
@@ -93,20 +89,20 @@ func prunedTap(pruned []map[int64]bool, counts map[int]int64) func(string) {
 	}
 }
 
-// pruneJob builds PASM's cycle 2 over "marked". Each reducer receives a
-// component's tuples routed along the component's line exactly as RCCIS
-// cycle 2 would route them, and decides for every tuple whose home partition
-// this is whether it participates in any output of the component's
-// colocation sub-query. Non-participating tuples are published as prune
-// records: the relation byte and the id.
+// pruneJob builds PASM's cycle 2 after the marking marked. Each reducer
+// receives a component's base tuples routed along the component's line
+// exactly as RCCIS cycle 2 would route them (markedMap), and decides for
+// every tuple whose home partition this is whether it participates in any
+// output of the component's colocation sub-query. Non-participating tuples
+// are published as prune records: the relation byte and the id.
 //
 // The decision is exact for unreplicated tuples (all assignments containing
 // them are local to their home partition) and conservative (never pruned)
 // for replicated ones, which are few by RCCIS's construction. Singleton
 // components are skipped entirely — their vertices are left out of the
-// space, so their tuples are routed nowhere: their sub-query output is the
+// space, so their relations are not mapped: their sub-query output is the
 // relation itself and nothing can be pruned.
-func (c *Context) pruneJob(dims []dimension) mr.Job {
+func (c *Context) pruneJob(dims []dimension, marked marking) mr.Job {
 	multi := slices.Clone(dims)
 	conds := make([][]query.Condition, len(dims))
 	for k, d := range dims {
@@ -119,10 +115,8 @@ func (c *Context) pruneJob(dims []dimension) mr.Job {
 
 	return mr.Job{
 		Name:   "prune",
-		Inputs: []mr.Input{{File: "marked"}},
-		// The reducer needs the replicate flags, so the flagged records
-		// travel as they are.
-		Map: sp.flaggedMap(true),
+		Inputs: c.baseInputs(sp),
+		MapAt:  c.markedMap(sp, marked, nil),
 		Reduce: func(key int64, values []string, write func(string) error) error {
 			k, coord := sp.locate(key)
 			d, p := multi[k], coord[0]
@@ -137,7 +131,6 @@ func (c *Context) pruneJob(dims []dimension) mr.Job {
 				id  int64
 			}
 			var homes []home
-			replicatedHome := make(map[home]bool)
 			// One slab holds every value's intervals, as many as their
 			// headers say.
 			attrs := 0
@@ -148,24 +141,22 @@ func (c *Context) pruneJob(dims []dimension) mr.Job {
 			}
 			slab := make([]interval.Interval, 0, attrs)
 			for _, v := range values {
-				rel, member, replicate, err := splitMarked(v)
+				rel, body, err := splitTagged(v)
 				if err != nil {
 					return err
 				}
 				at := len(slab)
 				var id int64
-				if id, slab, err = relation.DecodeBinary(member[headerLen:], slab); err != nil {
+				if id, slab, err = relation.DecodeBinary(body, slab); err != nil {
 					return err
 				}
 				t := relation.Tuple{ID: id, Attrs: slab[at:len(slab):len(slab)]}
 				i := pos[rel]
 				cands[i] = append(cands[i], t)
-				if d.part.IndexOf(t.Attrs[d.verts[i].Attr].Start) == p {
-					h := home{rel: rel, id: t.ID}
-					homes = append(homes, h)
-					if replicate {
-						replicatedHome[h] = true
-					}
+				// A home tuple the marking replicates is never pruned.
+				attr := d.verts[i].Attr
+				if d.part.IndexOf(t.Attrs[attr].Start) == p && !marked[rel][attr][id] {
+					homes = append(homes, home{rel: rel, id: id})
 				}
 			}
 			surviving := semijoinReduce(conds[k], rels, cands)
@@ -177,7 +168,7 @@ func (c *Context) pruneJob(dims []dimension) mr.Job {
 			}
 			out := recordSlab{hint: len(homes) * (1 + 8)}
 			for _, h := range homes {
-				if replicatedHome[h] || kept[h] {
+				if kept[h] {
 					continue
 				}
 				var buf [1 + 8]byte

@@ -215,7 +215,7 @@ func (env *chainEnv) productPlan(sp *space, source string) *obs.PlanInfo {
 // lies at most reach = max(m−2, 0)·L past any member's end. Splitting every
 // tuple over [start, end + reach] (dimension.apply) therefore meets each row
 // at its owner partition in one cycle, and the owner rule emits it there
-// once. The mark cycle, its mark records and the map over them go.
+// once. The mark cycle and its tap go.
 //
 // That holds for any L; the rule says when it is cheaper, in pairs. With W
 // the narrowest partition, L + reach ≤ W keeps every extended interval

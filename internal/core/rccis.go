@@ -16,12 +16,14 @@ import (
 // Cycle 1 splits every relation over the partitioning; each reducer p then
 // decides which of the intervals starting in p must be replicated: exactly
 // those that belong to some interval-set that is (C1) consistent and (C2)
-// crosses p. Every interval is written out exactly once (by its start
-// partition's reducer) with a replicate flag.
+// crosses p. It writes one vertex flag for each of them and nothing for the
+// rest, and the flags reach cycle 2 through the cycle's tap as id sets
+// (marking) — Hadoop would publish them through the distributed cache — so
+// the boundary between the cycles is a barrier.
 //
-// Cycle 2 replicates the flagged intervals, projects the rest, and joins at
-// each reducer, emitting an output tuple at the partition in which its
-// right-most interval starts.
+// Cycle 2 maps the base relations, replicates the flagged intervals,
+// projects the rest, and joins at each reducer, emitting an output tuple at
+// the partition in which its right-most interval starts.
 //
 // The RCCIS that Plan returns runs cycle 2 alone, over every tuple split a
 // bounded reach past its end, when the intervals are short against the
@@ -59,9 +61,10 @@ func (r RCCIS) stages(ctx *Context, env *chainEnv) ([]mr.Stage, *execPlan, error
 			return []mr.Stage{{Job: join.job(ctx)}}, plan, nil
 		}
 	}
-	join := cellJoin{name: "join", sp: sp, from: "marked", owner: true}
+	marked := ctx.newMarking()
+	join := cellJoin{name: "join", sp: sp, marked: marked, owner: true}
 	return []mr.Stage{
-		{Job: ctx.markJob([]dimension{dim}, false), Tap: replicateFlagTap(&env.res.ReplicatedIntervals, nil)},
+		ctx.markStage([]dimension{dim}, marked, &env.res.ReplicatedIntervals),
 		{Job: join.job(ctx)},
 	}, plan, nil
 }
@@ -94,6 +97,12 @@ func firstAttrs(rels []int) []query.Operand {
 // satisfying assignment over S via a semi-join fixpoint (exact for the
 // acyclic condition graphs of the paper's queries, a safe superset
 // otherwise).
+//
+// B1 — an inside tuple in less-than order with an outside one crosses p's
+// right boundary — is applied to the tuples that start in p only; a tuple
+// that starts before p passes it (DESIGN.md's deviations). B2 — an inside
+// tuple whose outside partner is lesser crosses p's left boundary — holds of
+// every member of a crossing set as the paper states it.
 func markCrossingParticipants(conds []query.Condition, part interval.Partitioning, p int,
 	verts []query.Operand, cands [][]relation.Tuple) [][]bool {
 
@@ -163,10 +172,15 @@ func markCrossingParticipants(conds []query.Condition, part interval.Partitionin
 				at := len(scratch)
 				for _, t := range keep {
 					iv := t.Attrs[v.Attr]
-					if needRight[v.Rel] && !part.CrossesRight(iv, p) {
+					// B1 binds only a tuple that starts in p: its greater
+					// partner starts no earlier, so outside p it starts
+					// after p, and the tuple must reach it. The partner of
+					// one that starts before p may have ended before p too.
+					before := part.CrossesLeft(iv, p)
+					if needRight[v.Rel] && !before && !part.CrossesRight(iv, p) {
 						continue
 					}
-					if needLeft[v.Rel] && !part.CrossesLeft(iv, p) {
+					if needLeft[v.Rel] && !before {
 						continue
 					}
 					scratch = append(scratch, t)

@@ -262,56 +262,15 @@ func countRows(q *query.Query, rels []*relation.Relation, limit int) int {
 }
 
 // FuzzPlanReach holds the planner to the oracle around the reach rule's flip
-// point. The bytes decode into a connected colocation query over 3–5
-// relations, each relation after the first tied to an earlier one by one of
-// the 11 colocation predicates; a partition count k of 1–17; uniform or
-// equi-depth boundaries; a domain; relation sizes 0–60; and the longest
-// interval, within four points of L* = W/(m−1) for the uniform width W — the
-// length at which the rule flips between the one-cycle reach plan and mark +
-// join. One interval in eight has that length, the rest at most an eighth of
-// it. The planner's rows must be the oracle's id for id, and every cycle's
-// Σ ReducerPairs its IntermediatePairs. A case with more than rowCap rows is
-// skipped before any is materialised.
+// point. The bytes decode into a case as reachCase says. The planner's rows
+// must be the oracle's id for id, and every cycle's Σ ReducerPairs its
+// IntermediatePairs; so must the named RCCIS's rows, which mark on every
+// input, where the planner marks only past the flip point. A case with more
+// than rowCap rows is skipped before any is materialised.
 func FuzzPlanReach(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
-		next := func() int {
-			if len(data) == 0 {
-				return 0
-			}
-			b := data[0]
-			data = data[1:]
-			return int(b)
-		}
-		m := 3 + next()%3
-		conds := make([]string, 0, m-1)
-		for i := 2; i <= m; i++ {
-			parent := 1 + next()%(i-1)
-			conds = append(conds, fmt.Sprintf("R%d %s R%d", parent, interval.Meets+interval.Predicate(next()%11), i))
-		}
-		q := query.MustParse(strings.Join(conds, " and "))
-		k := 1 + next()%17
-		opts := Options{Partitions: k, EquiDepth: next()%2 == 1}
-		domain := int64(100 + 8*next())
-		longest := max(0, domain/int64(k)/int64(m-1)+int64(next()%9)-4)
-		sizes := make([]int, m)
-		for i := range sizes {
-			sizes[i] = next() % 61
-		}
-		rng := rand.New(rand.NewSource(int64(next()<<8 | next())))
-		step := max(1, longest/4)
-		rels := make([]*relation.Relation, m)
-		for i := range rels {
-			ivs := make([]interval.Interval, sizes[i])
-			for j := range ivs {
-				n := longest
-				if rng.Intn(4) > 0 {
-					n = step * rng.Int63n(longest/step+1)
-				}
-				s := step * rng.Int63n((domain-n)/step)
-				ivs[j] = interval.New(s, s+n)
-			}
-			rels[i] = relation.FromIntervals(q.Relations[i].Name, ivs)
-		}
+		q, rels, opts := reachCase(data)
+		m := len(rels)
 		if countRows(q, rels, rowCap) > rowCap {
 			t.Skipf("%s: more than %d rows", q, rowCap)
 		}
@@ -322,8 +281,8 @@ func FuzzPlanReach(f *testing.F) {
 		if p := got.Metrics.Plan; p != nil {
 			reach = p.Reach
 		}
-		t.Logf("%s, k = %d, equi-depth %v, sizes %v, longest %d: %d rows, %d cycles, reach %+v",
-			q, k, opts.EquiDepth, sizes, longest, len(want.Tuples), got.Metrics.Cycles, reach)
+		t.Logf("%s, k = %d, equi-depth %v: %d rows, %d cycles, reach %+v",
+			q, opts.Partitions, opts.EquiDepth, len(want.Tuples), got.Metrics.Cycles, reach)
 		if !slices.Equal(got.IDs, want.IDs) {
 			t.Fatalf("the planner returned %d rows, the oracle %d, or other ids", len(got.Tuples), len(want.Tuples))
 		}
@@ -333,5 +292,78 @@ func FuzzPlanReach(f *testing.F) {
 				t.Fatalf("cycle %d: Σ ReducerPairs = %d, IntermediatePairs = %d", i+1, sum, cycle.IntermediatePairs)
 			}
 		}
+		if named, _ := runSingle(t, RCCIS{}, q, rels, opts); !slices.Equal(named.IDs, want.IDs) {
+			t.Fatalf("rccis returned %d rows, the oracle %d, or other ids", len(named.Tuples), len(want.Tuples))
+		}
 	})
+}
+
+// reachCase decodes FuzzPlanReach's bytes: a connected colocation query over
+// 3–5 relations, each relation after the first tied to an earlier one by one
+// of the 11 colocation predicates; a partition count k of 1–17, for
+// Partitions and PartitionsPerDim alike; uniform or equi-depth boundaries; a
+// domain; relation sizes 0–60; and the longest interval, within four points
+// of L* = W/(m−1) for the uniform width W — the length at which the rule
+// flips between the one-cycle reach plan and mark + join. One interval in
+// eight has that length, the rest at most an eighth of it.
+func reachCase(data []byte) (*query.Query, []*relation.Relation, Options) {
+	next := func() int {
+		if len(data) == 0 {
+			return 0
+		}
+		b := data[0]
+		data = data[1:]
+		return int(b)
+	}
+	m := 3 + next()%3
+	conds := make([]string, 0, m-1)
+	for i := 2; i <= m; i++ {
+		parent := 1 + next()%(i-1)
+		conds = append(conds, fmt.Sprintf("R%d %s R%d", parent, interval.Meets+interval.Predicate(next()%11), i))
+	}
+	q := query.MustParse(strings.Join(conds, " and "))
+	k := 1 + next()%17
+	opts := Options{Partitions: k, PartitionsPerDim: k, EquiDepth: next()%2 == 1}
+	domain := int64(100 + 8*next())
+	longest := max(0, domain/int64(k)/int64(m-1)+int64(next()%9)-4)
+	sizes := make([]int, m)
+	for i := range sizes {
+		sizes[i] = next() % 61
+	}
+	rng := rand.New(rand.NewSource(int64(next()<<8 | next())))
+	step := max(1, longest/4)
+	rels := make([]*relation.Relation, m)
+	for i := range rels {
+		ivs := make([]interval.Interval, sizes[i])
+		for j := range ivs {
+			n := longest
+			if rng.Intn(4) > 0 {
+				n = step * rng.Int63n(longest/step+1)
+			}
+			s := step * rng.Int63n((domain-n)/step)
+			ivs[j] = interval.New(s, s+n)
+		}
+		rels[i] = relation.FromIntervals(q.Relations[i].Name, ivs)
+	}
+	return q, rels, opts
+}
+
+// TestMarkingKeepsRowsOfEarlyStarters replays the FuzzPlanReach input that
+// lost a row: in "R1 contains R2 and R1 meets R3 and R3 contains R4", a row
+// whose R1 and R2 start and end before partition p, whose R3 starts in p
+// and whose R4 starts after it. R3 must be replicated, yet the only set that
+// holds it at p, {R1, R3}, failed B1 — R1 does not cross p's right boundary
+// — though R1's greater partner R2 lay before p too. Every algorithm that
+// marks must return the oracle's rows.
+func TestMarkingKeepsRowsOfEarlyStarters(t *testing.T) {
+	q, rels, opts := reachCase([]byte("\x01\x000072021\x00YX7xyAb00000000"))
+	want, _ := runSingle(t, Reference{}, q, rels, opts)
+	if len(want.Tuples) != 5 {
+		t.Fatalf("the oracle has %d rows, the case was drawn with 5", len(want.Tuples))
+	}
+	for _, alg := range []Algorithm{Plan(q, false), RCCIS{}, SeqMatrix{}, PASM{}, FCTS{}} {
+		if got, _ := runSingle(t, alg, q, rels, opts); !slices.Equal(got.IDs, want.IDs) {
+			t.Errorf("%s returned %d rows, the oracle %d, or other ids", alg.Name(), len(got.Tuples), len(want.Tuples))
+		}
+	}
 }

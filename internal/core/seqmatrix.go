@@ -12,13 +12,14 @@ import (
 
 // SeqMatrix is All-Seq-Matrix (Section 8.1): hybrid queries run in two MR
 // cycles. Cycle 1 runs the RCCIS marking per colocation component (one job,
-// keyed by component x partition). Cycle 2 routes every tuple into an
-// l-dimensional consistent-cell grid — dimension k belongs to component k;
-// a tuple is pinned to its start partition along its component's dimension
-// (or to the partitions at and after it when RCCIS flagged it for
-// replication, condition E2) — and each cell joins what it receives. An
-// output tuple is emitted at the unique cell whose k-th coordinate is the
-// start partition of the right-most interval among its component-k members.
+// keyed by component x partition), whose flags reach cycle 2 by tap as
+// RCCIS's do. Cycle 2 maps the base relations into an l-dimensional
+// consistent-cell grid — dimension k belongs to component k; a tuple is
+// pinned to its start partition along its component's dimension (or to the
+// partitions at and after it when the marking flagged it for replication,
+// condition E2) — and each cell joins what it receives. An output tuple is
+// emitted at the unique cell whose k-th coordinate is the start partition of
+// the right-most interval among its component-k members.
 //
 // Deviation from the paper (documented in DESIGN.md): the paper prunes cells
 // with i_j > i_k for every component order C_j < C_k. That constraint is
@@ -68,9 +69,10 @@ func (s SeqMatrix) stages(ctx *Context, env *chainEnv) ([]mr.Stage, *execPlan, e
 	}
 	// Only the components left in the space are marked: a relation the
 	// reducers hold whole is neither marked nor shuffled.
-	join := cellJoin{name: "join", sp: sp, from: "marked", owner: true}
+	marked := ctx.newMarking()
+	join := cellJoin{name: "join", sp: sp, marked: marked, owner: true}
 	return []mr.Stage{
-		{Job: ctx.markJob(sp.dims, false), Tap: replicateFlagTap(&env.res.ReplicatedIntervals, nil)},
+		ctx.markStage(sp.dims, marked, &env.res.ReplicatedIntervals),
 		{Job: join.job(ctx)},
 	}, nil, nil
 }

@@ -47,7 +47,9 @@
 #                      now and then;
 #                      then a 5-second fuzz smoke of each of seven
 #                      targets: the three parsers that read arbitrary
-#                      bytes — the binary record codec (FuzzRecordDecode),
+#                      bytes — the binary record codec (FuzzRecordDecode:
+#                      members, partial assignments, the mark cycle's
+#                      ten-byte vertex flag [rel][attr][id] and its tap),
 #                      the spill records carrying it
 #                      (FuzzSpillRecordRoundTrip) and the text loader's
 #                      one pass over a file (FuzzParseTextMatchesLines,
@@ -62,7 +64,9 @@
 #                      either side of its comparison cutoff, against a
 #                      comparison sort), the planner against the oracle around
 #                      the reach rule's flip point (FuzzPlanReach: random
-#                      colocation queries, sizes, k and boundaries), and
+#                      colocation queries, sizes, k and boundaries, and the
+#                      named RCCIS, which marks on every input, against the
+#                      same oracle rows), and
 #                      the cache's wire text, assembled from reused
 #                      per-anchor prefixes, against encoding/json
 #                      (FuzzStoredWireMatchesEncodingJSON)
