@@ -7,14 +7,17 @@ import (
 	"intervaljoin/internal/cache"
 )
 
-// appendQueryResponse appends the /query response body for ans: the
-// object encoding/json would write for the documented fields in their
-// documented order (delta_windows left out when empty), then
-// a newline. The rows are spliced in as the text the cache stored when
-// they were inserted, so nothing here runs per row or per id.
-func appendQueryResponse(dst []byte, ans *cache.Answer) []byte {
-	dst = append(dst, `{"rows":`...)
-	dst = append(dst, ans.RowsJSON...)
+// queryHead opens the /query response body. The handler writes it into the
+// response buffer and the service appends the rows' JSON array after it
+// (cache.Service.AppendQuery), copying each row's text once, straight from
+// the cached segments; appendQueryTail closes the body.
+const queryHead = `{"rows":`
+
+// appendQueryTail appends the rest of the /query response body for ans,
+// after the rows: the object encoding/json would write for the documented
+// fields in their documented order (delta_windows left out when empty),
+// then a newline. Nothing here runs per row or per id.
+func appendQueryTail(dst []byte, ans *cache.Answer) []byte {
 	dst = append(dst, `,"window":`...)
 	dst = appendWindow(dst, ans.Window)
 	dst = append(dst, `,"hit_segments":`...)

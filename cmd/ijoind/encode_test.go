@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"math"
+	"slices"
 	"testing"
 	"time"
 
@@ -15,7 +16,7 @@ import (
 )
 
 // queryResponse is the documented /query response as a struct for
-// encoding/json: the oracle appendQueryResponse must match byte for byte.
+// encoding/json: the oracle the handler's body must match byte for byte.
 type queryResponse struct {
 	Rows         [][]int64    `json:"rows"`
 	Window       windowJSON   `json:"window"`
@@ -69,8 +70,14 @@ func withRows(t *testing.T, ans cache.Answer, rows ...core.OutputTuple) *cache.A
 	if err != nil {
 		t.Fatal(err)
 	}
-	ans.Rows, ans.RowsJSON = rows, text
+	ans.Rows, ans.RowsJSON, ans.Count = rows, text, len(rows)
 	return &ans
+}
+
+// responseBody builds the body the way the handler does: queryHead, the
+// rows' JSON array where the service appends it, then the tail.
+func responseBody(ans *cache.Answer) []byte {
+	return appendQueryTail(append([]byte(queryHead), ans.RowsJSON...), ans)
 }
 
 func TestResponseBytesMatchEncodingJSON(t *testing.T) {
@@ -91,7 +98,7 @@ func TestResponseBytesMatchEncodingJSON(t *testing.T) {
 			CachedRows:   math.MaxInt64, DeltaRows: math.MaxInt64, Wall: math.MaxInt64,
 		}, core.OutputTuple{math.MinInt64, -1, 0}, core.OutputTuple{-1, math.MaxInt64, 10}),
 	} {
-		got := appendQueryResponse(nil, ans)
+		got := responseBody(ans)
 		if want := oracleBody(t, ans); !bytes.Equal(got, want) {
 			t.Errorf("%s:\n got %s\nwant %s", name, got, want)
 		}
@@ -112,37 +119,60 @@ func TestResponseBytesMatchEncodingJSON(t *testing.T) {
 // TestServedAnswerBytesMatchEncodingJSON runs the real thing: relations
 // whose ids cover the int64 range, answers straight from the service — a
 // miss, a full hit, a partial hit, an empty one — and for each the body
-// the handler would send against encoding/json's for the same Rows.
+// the handler builds, its rows appended by AppendQuery into one reused
+// buffer, against encoding/json's for the Rows that Query gives on a twin
+// service asked the same windows.
 func TestServedAnswerBytesMatchEncodingJSON(t *testing.T) {
-	svc, err := cache.NewService(cache.ServiceConfig{})
-	if err != nil {
-		t.Fatal(err)
-	}
 	ids := []int64{math.MinInt64, -12345, -1, 0, 7, 1 << 40, math.MaxInt64}
-	for _, name := range []string{"R1", "R2"} {
-		rel := relation.New(relation.NewSchema(name))
-		for i, id := range ids {
-			start := interval.Point(i * 40)
-			rel.Tuples = append(rel.Tuples, relation.Tuple{ID: id, Attrs: []interval.Interval{interval.New(start, start+100)}})
-		}
-		if _, err := svc.Register(rel); err != nil {
+	newService := func() *cache.Service {
+		svc, err := cache.NewService(cache.ServiceConfig{})
+		if err != nil {
 			t.Fatal(err)
 		}
+		for _, name := range []string{"R1", "R2"} {
+			rel := relation.New(relation.NewSchema(name))
+			for i, id := range ids {
+				start := interval.Point(i * 40)
+				rel.Tuples = append(rel.Tuples, relation.Tuple{ID: id, Attrs: []interval.Interval{interval.New(start, start+100)}})
+			}
+			if _, err := svc.Register(rel); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return svc
 	}
+	served, twin := newService(), newService()
 	q, err := query.Parse("R1 overlaps R2")
 	if err != nil {
 		t.Fatal(err)
 	}
 	sawRows, sawEmpty := false, false
+	var buf []byte
 	for _, w := range []cache.Window{{Lo: 0, Hi: 150}, {Lo: 20, Hi: 120}, {Lo: 100, Hi: 400}, {Lo: 1000, Hi: 2000}} {
-		ans, err := svc.Query(q, w)
+		var ans *cache.Answer
+		buf, ans, err = served.AppendQuery(append(buf[:0], queryHead...), q, w, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
-		sawRows = sawRows || len(ans.Rows) > 0
-		sawEmpty = sawEmpty || len(ans.Rows) == 0
-		if got, want := appendQueryResponse(nil, ans), oracleBody(t, ans); !bytes.Equal(got, want) {
-			t.Errorf("window [%d,%d]:\n got %s\nwant %s", w.Lo, w.Hi, got, want)
+		buf = appendQueryTail(buf, ans)
+		viewed, err := twin.Query(q, w)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if ans.Rows != nil || ans.RowsJSON != nil || ans.Count != len(viewed.Rows) {
+			t.Fatalf("window [%d,%d]: AppendQuery's answer has %d rows, %d bytes of RowsJSON and a count of %d; want none, none and %d",
+				w.Lo, w.Hi, len(ans.Rows), len(ans.RowsJSON), ans.Count, len(viewed.Rows))
+		}
+		if ans.HitSegments != viewed.HitSegments || !slices.Equal(ans.DeltaWindows, viewed.DeltaWindows) ||
+			ans.CachedRows != viewed.CachedRows || ans.DeltaRows != viewed.DeltaRows {
+			t.Fatalf("window [%d,%d]: AppendQuery's provenance %+v, Query's %+v", w.Lo, w.Hi, ans, viewed)
+		}
+		sawRows = sawRows || ans.Count > 0
+		sawEmpty = sawEmpty || ans.Count == 0
+		oracle := *ans
+		oracle.Rows = viewed.Rows
+		if want := oracleBody(t, &oracle); !bytes.Equal(buf, want) {
+			t.Errorf("window [%d,%d]:\n got %s\nwant %s", w.Lo, w.Hi, buf, want)
 		}
 	}
 	if !sawRows || !sawEmpty {
@@ -167,7 +197,7 @@ func FuzzResponseBytesMatchEncodingJSON(f *testing.F) {
 			rows = append(rows, core.OutputTuple{a, b + int64(i)})
 		}
 		full := withRows(t, ans, rows...)
-		got := appendQueryResponse(nil, full)
+		got := responseBody(full)
 		if want := oracleBody(t, full); !bytes.Equal(got, want) {
 			t.Fatalf("\n got %s\nwant %s", got, want)
 		}

@@ -361,6 +361,12 @@ func readQuery(w http.ResponseWriter, r *http.Request) (req queryRequest, code i
 	return req, http.StatusOK, nil
 }
 
+// handleQuery answers POST /query. After admission it writes queryHead into
+// a pooled buffer, has the service append the rows' JSON array to it
+// (cache.Service.AppendQuery: the merge stage, which copies each row's text
+// once, from the cached segments), appends the tail and sends the body with
+// its Content-Length. The log line and ij_query_rows_total read the
+// answer's row count; no row is viewed or decoded.
 func (s *server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	id := s.reqSeq.Add(1)
 	if r.Method != http.MethodPost {
@@ -406,12 +412,16 @@ func (s *server) handleQuery(w http.ResponseWriter, r *http.Request) {
 			tr = obs.New(obs.Options{})
 		}
 	}
+	// The rows' text goes from the cached segments straight into the
+	// pooled response buffer, which goes back to the pool on every exit.
+	buf := respBufs.Get().(*[]byte)
+	defer func() {
+		if cap(*buf) <= maxPooledResp {
+			respBufs.Put(buf)
+		}
+	}()
 	var ans *cache.Answer
-	if tr != nil {
-		ans, err = s.svc.QueryTraced(q, cache.Window{Lo: req.Lo, Hi: req.Hi}, tr)
-	} else {
-		ans, err = s.svc.Query(q, cache.Window{Lo: req.Lo, Hi: req.Hi})
-	}
+	*buf, ans, err = s.svc.AppendQuery(append((*buf)[:0], queryHead...), q, cache.Window{Lo: req.Lo, Hi: req.Hi}, tr)
 	if err != nil {
 		s.fail(w, r, id, http.StatusUnprocessableEntity, err.Error(),
 			slog.String("query", req.Query), slog.Int64("lo", req.Lo), slog.Int64("hi", req.Hi))
@@ -442,15 +452,11 @@ func (s *server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	}
 
 	encodeStart := time.Now()
-	buf := respBufs.Get().(*[]byte)
-	*buf = appendQueryResponse((*buf)[:0], ans)
+	*buf = appendQueryTail(*buf, ans)
 	size := len(*buf)
 	w.Header().Set("Content-Type", "application/json")
 	w.Header().Set("Content-Length", strconv.Itoa(size))
 	_, werr := w.Write(*buf)
-	if cap(*buf) <= maxPooledResp {
-		respBufs.Put(buf)
-	}
 	encode := time.Since(encodeStart)
 	s.tel.observeResponse(encode, size)
 
@@ -465,7 +471,7 @@ func (s *server) handleQuery(w http.ResponseWriter, r *http.Request) {
 			slog.Int64("lo", req.Lo),
 			slog.Int64("hi", req.Hi),
 			slog.Int("status", http.StatusOK),
-			slog.Int("rows", len(ans.Rows)),
+			slog.Int("rows", ans.Count),
 			slog.Int("hit_segments", ans.HitSegments),
 			slog.Int("delta_windows", len(ans.DeltaWindows)),
 			slog.String("wall", ans.Wall.String()),

@@ -11,6 +11,7 @@ import (
 	"net/http"
 	"os"
 	"path/filepath"
+	"sync/atomic"
 	"time"
 
 	"intervaljoin/internal/cache"
@@ -28,9 +29,10 @@ type selfcheckSpec struct {
 
 // runSelfcheck boots the real server on a loopback port, drives the query
 // mix at it over HTTP — the first half from one client, the second from two
-// at once — scrapes /metrics mid-load and after, and fails on
-// any telemetry defect: exposition-format violations, key series missing
-// or frozen, or a sampled trace that never materialised. The final scrape
+// at once — decoding every body, scrapes /metrics mid-load and after, and
+// fails on any telemetry defect: exposition-format violations, key series
+// missing or frozen, a row count that is not the rows the bodies held, or
+// a sampled trace that never materialised. The final scrape
 // is written to spec.scrapeOut so CI can archive it.
 func runSelfcheck(svc *cache.Service, cfg serveConfig, spec selfcheckSpec) error {
 	s, err := newServer(svc, cfg)
@@ -67,6 +69,9 @@ func runSelfcheck(svc *cache.Service, cfg serveConfig, spec selfcheckSpec) error
 		lo := spec.tmin + int64(i%4)*span/8
 		return lo, lo + span/4
 	}
+	// rows sums the rows of every body decoded; ij_query_rows_total must
+	// end at it.
+	var rows atomic.Int64
 	post := func(i int) error {
 		lo, hi := window(i)
 		body, err := json.Marshal(queryRequest{Query: spec.query, Lo: lo, Hi: hi})
@@ -85,6 +90,13 @@ func runSelfcheck(svc *cache.Service, cfg serveConfig, spec selfcheckSpec) error
 		if resp.StatusCode != http.StatusOK {
 			return fmt.Errorf("query %d: status %d: %s", i, resp.StatusCode, out)
 		}
+		var answer struct {
+			Rows [][]int64 `json:"rows"`
+		}
+		if err := json.Unmarshal(out, &answer); err != nil {
+			return fmt.Errorf("query %d: body does not decode: %w", i, err)
+		}
+		rows.Add(int64(len(answer.Rows)))
 		return nil
 	}
 
@@ -133,7 +145,7 @@ func runSelfcheck(svc *cache.Service, cfg serveConfig, spec selfcheckSpec) error
 		return fail(fmt.Errorf("/stats is not valid JSON"))
 	}
 
-	if err := checkScrapes(mid, final, n); err != nil {
+	if err := checkScrapes(mid, final, n, rows.Load()); err != nil {
 		return fail(err)
 	}
 	if s.traces != nil {
@@ -188,8 +200,9 @@ func getBody(url string) ([]byte, error) {
 }
 
 // checkScrapes asserts the key series exist and moved between the
-// mid-load and final scrapes.
-func checkScrapes(mid, final []byte, n int) error {
+// mid-load and final scrapes, and that the final scrape counts the n
+// queries and the rows their bodies held.
+func checkScrapes(mid, final []byte, n int, rows int64) error {
 	midS, err := live.Parse(bytes.NewReader(mid))
 	if err != nil {
 		return err
@@ -226,6 +239,9 @@ func checkScrapes(mid, final []byte, n int) error {
 		if _, ok := findSample(finS, name); !ok {
 			return fmt.Errorf("final scrape: %s missing", name)
 		}
+	}
+	if v, ok := findSample(finS, "ij_query_rows_total"); !ok || v != float64(rows) {
+		return fmt.Errorf("ij_query_rows_total = %v (present %v), want %d: the rows the bodies held", v, ok, rows)
 	}
 	if v, ok := findSample(finS, "ij_query_delta_windows_total"); !ok || v <= 0 {
 		return fmt.Errorf("ij_query_delta_windows_total = %v, want > 0 (delta joins ran)", v)

@@ -99,11 +99,12 @@ func (t *telemetry) observeAnswer(ans *cache.Answer) {
 	if len(ans.DeltaWindows) == 0 {
 		t.fullHits.Inc()
 	}
-	t.rowsServed.Add(int64(len(ans.Rows)))
+	t.rowsServed.Add(int64(ans.Count))
 }
 
-// observeResponse records the encode stage — building the body and
-// handing it to the connection — and the body's size.
+// observeResponse records the encode stage — appending the body's tail
+// after the rows, which the merge stage copied in, and handing the body to
+// the connection — and the body's size.
 func (t *telemetry) observeResponse(encode time.Duration, size int) {
 	if t == nil {
 		return

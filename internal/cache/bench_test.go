@@ -42,37 +42,66 @@ func benchHitService(b *testing.B, fill []Window) (*Service, *query.Query) {
 }
 
 // benchHits times cache-served queries of one window and reports the
-// answer's size next to the time and allocations.
-func benchHits(b *testing.B, svc *Service, q *query.Query, w Window, wantSegments int) {
+// answer's size next to the time and allocations. With appended set it
+// times AppendQuery into one reused buffer, ijoind's path, instead of Query.
+func benchHits(b *testing.B, svc *Service, q *query.Query, w Window, wantSegments int, appended bool) {
 	b.Helper()
 	b.ReportAllocs()
 	b.ResetTimer()
 	var ans *Answer
+	var buf []byte
 	for i := 0; i < b.N; i++ {
 		var err error
-		if ans, err = svc.Query(q, w); err != nil {
+		if appended {
+			buf, ans, err = svc.AppendQuery(buf[:0], q, w, nil)
+		} else {
+			ans, err = svc.Query(q, w)
+		}
+		if err != nil {
 			b.Fatal(err)
 		}
 	}
 	if len(ans.DeltaWindows) != 0 || ans.HitSegments != wantSegments {
 		b.Fatalf("answer merged %d segments and ran %d delta joins, want %d and 0", ans.HitSegments, len(ans.DeltaWindows), wantSegments)
 	}
-	b.ReportMetric(float64(len(ans.Rows)), "rows/op")
+	b.ReportMetric(float64(ans.Count), "rows/op")
 }
+
+// fullHitFill and partialHitFill are the cached windows of the full- and
+// partial-hit benchmarks, hitWindow the window they ask.
+var (
+	fullHitFill    = []Window{{38_000, 44_000}}
+	partialHitFill = []Window{{38_000, 40_999}, {41_000, 41_999}, {42_000, 44_000}}
+	hitWindow      = Window{40_000, 43_000}
+)
 
 // BenchmarkServiceFullHit answers a ~3.5k-row window that lies inside one
 // cached segment: clip and copy, no dedup.
 func BenchmarkServiceFullHit(b *testing.B) {
-	svc, q := benchHitService(b, []Window{{38_000, 44_000}})
-	benchHits(b, svc, q, Window{40_000, 43_000}, 1)
+	svc, q := benchHitService(b, fullHitFill)
+	benchHits(b, svc, q, hitWindow, 1, false)
+}
+
+// BenchmarkServiceFullHitAppend is BenchmarkServiceFullHit through
+// AppendQuery into a reused buffer.
+func BenchmarkServiceFullHitAppend(b *testing.B) {
+	svc, q := benchHitService(b, fullHitFill)
+	benchHits(b, svc, q, hitWindow, 1, true)
 }
 
 // BenchmarkServicePartialHit answers the same window when each of three
 // cached segments holds a part of it, so the directories interleave and
 // the anchors straddling the two inner boundaries are deduplicated.
 func BenchmarkServicePartialHit(b *testing.B) {
-	svc, q := benchHitService(b, []Window{{38_000, 40_999}, {41_000, 41_999}, {42_000, 44_000}})
-	benchHits(b, svc, q, Window{40_000, 43_000}, 3)
+	svc, q := benchHitService(b, partialHitFill)
+	benchHits(b, svc, q, hitWindow, 3, false)
+}
+
+// BenchmarkServicePartialHitAppend is BenchmarkServicePartialHit through
+// AppendQuery into a reused buffer.
+func BenchmarkServicePartialHitAppend(b *testing.B) {
+	svc, q := benchHitService(b, partialHitFill)
+	benchHits(b, svc, q, hitWindow, 3, true)
 }
 
 // BenchmarkServiceColdMiss answers uniformly random windows 500 to 5 000
@@ -81,7 +110,13 @@ func BenchmarkServicePartialHit(b *testing.B) {
 // with a 1 MiB cache, so almost every query is a delta join. It
 // reports the rows an answer holds and the collector's cycles per 1 000
 // queries next to the time and allocations.
-func BenchmarkServiceColdMiss(b *testing.B) {
+func BenchmarkServiceColdMiss(b *testing.B) { benchColdMiss(b, false) }
+
+// BenchmarkServiceColdMissAppend is BenchmarkServiceColdMiss through
+// AppendQuery into a reused buffer.
+func BenchmarkServiceColdMissAppend(b *testing.B) { benchColdMiss(b, true) }
+
+func benchColdMiss(b *testing.B, appended bool) {
 	svc, err := NewService(ServiceConfig{CacheBytes: 1 << 20})
 	if err != nil {
 		b.Fatal(err)
@@ -114,16 +149,23 @@ func BenchmarkServiceColdMiss(b *testing.B) {
 		windows[i] = Window{lo, lo + 499 + interval.Point(rng.Intn(4_501))}
 	}
 	var before, after runtime.MemStats
+	var buf []byte
 	rows := 0
 	b.ReportAllocs()
 	b.ResetTimer()
 	runtime.ReadMemStats(&before)
 	for i := 0; i < b.N; i++ {
-		ans, err := svc.Query(q, windows[i%len(windows)])
+		var ans *Answer
+		var err error
+		if appended {
+			buf, ans, err = svc.AppendQuery(buf[:0], q, windows[i%len(windows)], nil)
+		} else {
+			ans, err = svc.Query(q, windows[i%len(windows)])
+		}
 		if err != nil {
 			b.Fatal(err)
 		}
-		rows += len(ans.Rows)
+		rows += ans.Count
 	}
 	runtime.ReadMemStats(&after)
 	b.StopTimer()

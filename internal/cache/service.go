@@ -242,7 +242,9 @@ func (s *Service) Relations() []string {
 // Stats snapshots the segment cache accounting.
 func (s *Service) Stats() Stats { return s.cache.Stats() }
 
-// Answer is one query's result and its cache provenance.
+// Answer is one query's result and its cache provenance. Query,
+// QueryTraced and RunCold fill Rows and RowsJSON; AppendQuery fills
+// neither and appends the rows' text to its caller's buffer instead.
 type Answer struct {
 	// Rows is the deduplicated result: every join row whose anchor (first
 	// attribute of the first relation's tuple) intersects the query
@@ -252,6 +254,9 @@ type Answer struct {
 	// RowsJSON is Rows as a JSON array of id arrays, "[[3,7],[3,9]]",
 	// assembled from the text the segments stored at insert.
 	RowsJSON []byte
+	// Count is the number of rows, on every path: len(Rows) where Rows
+	// is filled.
+	Count int
 	// Window echoes the queried window.
 	Window Window
 	// Key is the cache key the query resolved to.
@@ -264,7 +269,7 @@ type Answer struct {
 	// clipping and dedup.
 	CachedRows, DeltaRows int64
 	// Merge is the part of Wall spent clipping and merging the segments
-	// into Rows and RowsJSON.
+	// and copying the rows' text out of them.
 	Merge time.Duration
 	// Wall is the query's service-side latency.
 	Wall time.Duration
@@ -276,7 +281,7 @@ type Answer struct {
 // joins over the resident tuples that can reach the gap and populate the
 // cache for the next query.
 func (s *Service) Query(q *query.Query, w Window) (*Answer, error) {
-	return s.queryOn(q, w, nil)
+	return s.answer(q, w, nil)
 }
 
 // QueryTraced answers exactly like Query and records one span on tr per
@@ -285,54 +290,72 @@ func (s *Service) Query(q *query.Query, w Window) (*Answer, error) {
 // byte-identical to an untraced Query — tracing never changes results, only
 // what gets recorded.
 func (s *Service) QueryTraced(q *query.Query, w Window, tr *obs.Tracer) (*Answer, error) {
-	return s.queryOn(q, w, tr)
+	return s.answer(q, w, tr)
 }
 
-func (s *Service) queryOn(q *query.Query, w Window, tr *obs.Tracer) (*Answer, error) {
-	start := time.Now()
-	if w.Hi < w.Lo {
-		return nil, fmt.Errorf("cache: window [%d,%d] is empty", w.Lo, w.Hi)
-	}
-	if err := q.Validate(); err != nil {
-		return nil, err
-	}
-	rels, versions, err := s.bind(q)
+// AppendQuery answers like QueryTraced (tr may be nil) but appends the rows'
+// JSON array — RowsJSON's bytes — to dst instead of filling Rows and
+// RowsJSON: each row's text is copied once, from the cached segments into
+// dst, and no row gets a view. The answer carries the row count. On error
+// it returns dst as it was passed.
+func (s *Service) AppendQuery(dst []byte, q *query.Query, w Window, tr *obs.Tracer) ([]byte, *Answer, error) {
+	return s.queryOn(dst, q, w, tr, false)
+}
+
+// answer is Query's and QueryTraced's: queryOn with row views, its text a
+// buffer of its own.
+func (s *Service) answer(q *query.Query, w Window, tr *obs.Tracer) (*Answer, error) {
+	wire, ans, err := s.queryOn(nil, q, w, tr, true)
 	if err != nil {
 		return nil, err
 	}
+	ans.RowsJSON = wire
+	return ans, nil
+}
+
+// queryOn answers the query, appending the rows' JSON array to dst and,
+// when views is set, filling Rows.
+func (s *Service) queryOn(dst []byte, q *query.Query, w Window, tr *obs.Tracer, views bool) ([]byte, *Answer, error) {
+	start := time.Now()
+	if w.Hi < w.Lo {
+		return dst, nil, fmt.Errorf("cache: window [%d,%d] is empty", w.Lo, w.Hi)
+	}
+	if err := q.Validate(); err != nil {
+		return dst, nil, err
+	}
+	rels, versions, err := s.bind(q)
+	if err != nil {
+		return dst, nil, err
+	}
 	key := keyFor(q, versions)
 	ans := &Answer{Window: w, Key: key}
-	if query.ProvablyEmpty(q) {
-		if err := ans.merge(nil); err != nil {
-			return nil, err
+	var segs []*Segment
+	if !query.ProvablyEmpty(q) {
+		var gaps []Window
+		segs, gaps = s.cache.Lookup(key, w)
+		ans.HitSegments = len(segs)
+		ans.DeltaWindows = gaps
+		for _, seg := range segs {
+			ans.CachedRows += int64(seg.rows())
 		}
-		ans.Wall = time.Since(start)
-		return ans, nil
-	}
-
-	segs, gaps := s.cache.Lookup(key, w)
-	ans.HitSegments = len(segs)
-	ans.DeltaWindows = gaps
-	for _, seg := range segs {
-		ans.CachedRows += int64(seg.rows())
-	}
-	// Each gap's delta result is built into segment form before it is
-	// cached, so the answer is one merge over segments whether they came
-	// from the cache or from a join just now.
-	for _, gap := range gaps {
-		seg, err := s.runDelta(tr, q, rels, key, gap, ans)
-		if err != nil {
-			return nil, err
+		// Each gap's delta result is built into segment form before it is
+		// cached, so the answer is one merge over segments whether they
+		// came from the cache or from a join just now.
+		for _, gap := range gaps {
+			seg, err := s.runDelta(tr, q, rels, key, gap, ans)
+			if err != nil {
+				return dst, nil, err
+			}
+			s.cache.add(seg)
+			segs = append(segs, seg)
 		}
-		s.cache.add(seg)
-		segs = append(segs, seg)
 	}
-	if err := ans.merge(segs); err != nil {
-		return nil, err
+	out, err := ans.appendRows(dst, segs, views)
+	if err != nil {
+		return dst, nil, err
 	}
-
 	ans.Wall = time.Since(start)
-	return ans, nil
+	return out, ans, nil
 }
 
 // keyFor is the one place a cache key is built: a key without the versions
@@ -377,18 +400,30 @@ func (s *Service) RunCold(q *query.Query, w Window) (*Answer, error) {
 	return ans, nil
 }
 
-// merge sets the answer's rows to the union of the segments' anchor
-// groups that intersect the answer's window: selectGroups picks the
-// groups, then each stretch of them leaves its segment in bulk — the wire
-// text in one copy into a buffer of exactly the answer's size, the rows
-// as views into the segment's id slab, which is immutable and stays alive
-// for as long as the answer refers to it.
+// merge sets the answer's Rows and RowsJSON, the latter in a buffer of
+// exactly its size (appendRows).
 func (a *Answer) merge(segs []*Segment) error {
+	wire, err := a.appendRows(nil, segs, true)
+	if err != nil {
+		return err
+	}
+	a.RowsJSON = wire
+	return nil
+}
+
+// appendRows appends to dst, as a JSON array, the union of the segments'
+// anchor groups that intersect the answer's window, and sets the answer's
+// Count and, when views is set, its Rows: selectGroups picks the groups,
+// then each stretch of them leaves its segment in bulk — the wire text in
+// one copy, the rows as views into the segment's id slab, which is
+// immutable and stays alive for as long as the answer refers to it. A nil
+// dst becomes a buffer of exactly the array's size.
+func (a *Answer) appendRows(dst []byte, segs []*Segment, views bool) ([]byte, error) {
 	start := time.Now()
 	sc := mergeScratches.Get().(*mergeScratch)
 	defer mergeScratches.Put(sc)
 	if err := sc.selectGroups(segs, a.Window); err != nil {
-		return err
+		return dst, err
 	}
 	nrows, nwire := 0, 0
 	for _, r := range sc.runs {
@@ -396,27 +431,35 @@ func (a *Answer) merge(segs []*Segment) error {
 		nrows += g[r.hi].row - g[r.lo].row
 		nwire += g[r.hi].wire - g[r.lo].wire
 	}
-	rows := make([]core.OutputTuple, 0, nrows)
+	var rows []core.OutputTuple
+	if views {
+		rows = make([]core.OutputTuple, 0, nrows)
+	}
 	// Two bytes more than the rows' text: the opening bracket, and the
 	// closing one when there is no last row whose comma it can overwrite.
-	wire := append(make([]byte, 0, nwire+2), '[')
+	if dst == nil {
+		dst = make([]byte, 0, nwire+2)
+	}
+	dst = append(slices.Grow(dst, nwire+2), '[')
 	for _, r := range sc.runs {
 		s := segs[r.seg]
 		lo, hi := s.groups[r.lo], s.groups[r.hi]
-		for i := lo.row * s.arity; i < hi.row*s.arity; i += s.arity {
-			rows = append(rows, s.ids[i:i+s.arity:i+s.arity])
+		if views {
+			for i := lo.row * s.arity; i < hi.row*s.arity; i += s.arity {
+				rows = append(rows, s.ids[i:i+s.arity:i+s.arity])
+			}
 		}
-		wire = append(wire, s.wire[lo.wire:hi.wire]...)
+		dst = append(dst, s.wire[lo.wire:hi.wire]...)
 	}
 	if nrows == 0 {
-		wire = append(wire, ']')
+		dst = append(dst, ']')
 	} else {
-		wire[len(wire)-1] = ']'
+		dst[len(dst)-1] = ']'
 	}
 	a.Rows = rows
-	a.RowsJSON = wire
+	a.Count = nrows
 	a.Merge = time.Since(start)
-	return nil
+	return dst, nil
 }
 
 // run is a stretch of consecutive groups [lo, hi) of segs[seg] that all

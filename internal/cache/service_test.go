@@ -21,6 +21,7 @@ import (
 	"intervaljoin/internal/obs"
 	"intervaljoin/internal/query"
 	"intervaljoin/internal/relation"
+	"intervaljoin/internal/workload"
 )
 
 // adversarialRelation builds tuples that stress the delta-boundary
@@ -143,6 +144,32 @@ func sameRows(t *testing.T, label string, got *Answer, want *core.Result) {
 	}
 }
 
+// sameAppended asks app for the window through AppendQuery, traced on tr
+// when tr is not nil, into a buffer that holds a head and has no room
+// left, and fails the test unless the head is kept and the text after it
+// is want's RowsJSON byte for byte, the answer's count is len(want.Rows),
+// its provenance is want's, and it fills neither Rows nor RowsJSON.
+func sameAppended(t *testing.T, label string, app *Service, q *query.Query, w Window, tr *obs.Tracer, want *Answer) *Answer {
+	t.Helper()
+	const head = `{"rows":`
+	buf, got, err := app.AppendQuery([]byte(head), q, w, tr)
+	if err != nil {
+		t.Fatalf("%s: AppendQuery: %v", label, err)
+	}
+	if string(buf) != head+string(want.RowsJSON) {
+		t.Fatalf("%s: AppendQuery appended %s, Query's RowsJSON is %s", label, buf, want.RowsJSON)
+	}
+	if got.Count != len(want.Rows) || want.Count != len(want.Rows) || got.Rows != nil || got.RowsJSON != nil {
+		t.Fatalf("%s: AppendQuery counts %d rows and fills %d rows and %d bytes; Query counts %d and has %d rows",
+			label, got.Count, len(got.Rows), len(got.RowsJSON), want.Count, len(want.Rows))
+	}
+	if got.Window != want.Window || got.Key != want.Key || got.HitSegments != want.HitSegments ||
+		!slices.Equal(got.DeltaWindows, want.DeltaWindows) || got.CachedRows != want.CachedRows || got.DeltaRows != want.DeltaRows {
+		t.Fatalf("%s: AppendQuery's provenance %+v, Query's %+v", label, got, want)
+	}
+	return got
+}
+
 // TestRowsDifferCatchesPlantedRows: the comparison the cache suites make
 // fails an answer with one row planted twice and one with a row missing, at
 // the head, in the middle and at the tail, and passes the oracle's own rows.
@@ -184,7 +211,9 @@ var windowMix = []Window{
 // for every one of the 13 Allen predicates, a service answering the window
 // mix from its evolving cache must produce, for each query, exactly the
 // cold windowed result — sorted-set identical — despite boundary-straddling
-// anchors appearing in multiple segments. The anti-vacuity guard asserts
+// anchors appearing in multiple segments. RunCold's text, and the text a
+// twin service appends through AppendQuery from a cache of its own, must
+// be the answer's RowsJSON byte for byte. The anti-vacuity guard asserts
 // the mix actually exercised partial hits, full hits and cached segments,
 // so the equivalence is not vacuously about empty caches.
 func TestCachedMergePlusDeltaEqualsColdRun(t *testing.T) {
@@ -195,7 +224,7 @@ func TestCachedMergePlusDeltaEqualsColdRun(t *testing.T) {
 			r2 := adversarialRelation("R2", 11)
 			q := predQuery(t, p)
 			rels := []*relation.Relation{r1, r2}
-			svc := newTestService(t, r1, r2)
+			svc, app := newTestService(t, r1, r2), newTestService(t, r1, r2)
 			label := p.String()
 			sawPartial := false
 			for i, w := range windowMix {
@@ -206,7 +235,16 @@ func TestCachedMergePlusDeltaEqualsColdRun(t *testing.T) {
 				if ans.HitSegments > 0 && len(ans.DeltaWindows) > 0 {
 					sawPartial = true
 				}
-				sameRows(t, label+" window "+w.string()+" (query "+itoa(i)+")", ans, oracleResult(t, q, rels, w))
+				at := label + " window " + w.string() + " (query " + itoa(i) + ")"
+				sameRows(t, at, ans, oracleResult(t, q, rels, w))
+				sameAppended(t, at, app, q, w, nil, ans)
+				cold, err := svc.RunCold(q, w)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if string(cold.RowsJSON) != string(ans.RowsJSON) || cold.Count != ans.Count {
+					t.Fatalf("%s: RunCold %d rows %s, Query %d rows %s", at, cold.Count, cold.RowsJSON, ans.Count, ans.RowsJSON)
+				}
 			}
 			st := svc.Stats()
 			if st.FullHits == 0 || st.PartialHits == 0 || st.HitSegments == 0 {
@@ -513,6 +551,64 @@ func TestFullHitAllocationsIndependentOfRows(t *testing.T) {
 	// per-row or per-group allocation would show as hundreds.
 	if all > few+3 {
 		t.Fatalf("a full hit allocates %.0f times for %d rows and %.0f times for %d", few, fewRows, all, allRows)
+	}
+}
+
+// TestAppendQueryAllocsIndependentOfRows is the ijoind hit path's
+// allocation guard: an answer appended into a buffer with room allocates
+// nothing per row or per group — no row views, no text of its own — so a
+// window of a few rows and one of thousands cost the same objects, served
+// from one cached segment (a full hit) or from three whose directories
+// interleave (the benchmarks' partial hit).
+func TestAppendQueryAllocsIndependentOfRows(t *testing.T) {
+	var rels []*relation.Relation
+	for i, name := range []string{"R1", "R2"} {
+		rel, err := workload.Generate(workload.Table1Spec(name, 20_000, int64(i+1)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		rels = append(rels, rel)
+	}
+	q := predQuery(t, interval.Overlaps)
+	buf := make([]byte, 0, 1<<20)
+	for _, tc := range []struct {
+		name        string
+		fill        []Window
+		small, wide Window
+	}{
+		{"full hit", []Window{{38_000, 44_000}}, Window{40_000, 40_009}, Window{38_000, 44_000}},
+		{"partial hit", []Window{{38_000, 40_999}, {41_000, 41_999}, {42_000, 44_000}}, Window{40_999, 42_000}, Window{38_000, 44_000}},
+	} {
+		svc := newTestService(t, rels...)
+		for _, w := range tc.fill {
+			if _, err := svc.Query(q, w); err != nil {
+				t.Fatal(err)
+			}
+		}
+		measure := func(w Window) (allocs float64, rows int) {
+			allocs = testing.AllocsPerRun(200, func() {
+				var ans *Answer
+				var err error
+				buf, ans, err = svc.AppendQuery(buf[:0], q, w, nil)
+				if err != nil || len(ans.DeltaWindows) != 0 || ans.HitSegments != len(tc.fill) {
+					t.Fatalf("%s window %s: err %v, %d delta windows, %d segments; want a hit of %d", tc.name, w.string(), err, len(ans.DeltaWindows), ans.HitSegments, len(tc.fill))
+				}
+				rows = ans.Count
+			})
+			return allocs, rows
+		}
+		few, fewRows := measure(tc.small)
+		all, allRows := measure(tc.wide)
+		if fewRows == 0 || allRows < 5*fewRows || cap(buf) != 1<<20 {
+			t.Fatalf("%s: windows return %d and %d rows into a buffer of %d; the guard needs them far apart in the same buffer", tc.name, fewRows, allRows, cap(buf))
+		}
+		t.Logf("%s: %.0f allocations for %d rows, %.0f for %d", tc.name, few, fewRows, all, allRows)
+		// As in TestFullHitAllocationsIndependentOfRows, the pooled merge
+		// scratch is now and then made anew; a per-row or per-group
+		// allocation would show as hundreds.
+		if all > few+3 || few > all+3 {
+			t.Fatalf("%s: an appended answer allocates %.0f times for %d rows and %.0f times for %d", tc.name, few, fewRows, all, allRows)
+		}
 	}
 }
 

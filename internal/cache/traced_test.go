@@ -16,11 +16,15 @@ import (
 // provenance — as the plain path on an identically warmed twin service.
 // It also pins what the tracer records: one reduce span per delta join,
 // whose rows add up to the answer's DeltaRows, and nothing for a full hit.
+// Two more twins answer through AppendQuery, one untraced and one traced,
+// which must append the untraced answer's RowsJSON and record the same
+// spans.
 func TestQueryTracedMatchesUntraced(t *testing.T) {
 	r1a, r2a := adversarialRelation("R1", 31), adversarialRelation("R2", 37)
 	r1b, r2b := adversarialRelation("R1", 31), adversarialRelation("R2", 37)
 	plain := newTestService(t, r1a, r2a)
 	traced := newTestService(t, r1b, r2b)
+	appended, appendedTraced := newTestService(t, r1a, r2a), newTestService(t, r1b, r2b)
 	q := predQuery(t, interval.Overlaps)
 
 	sawDelta, sawFullHit := false, false
@@ -33,6 +37,13 @@ func TestQueryTracedMatchesUntraced(t *testing.T) {
 		got, err := traced.QueryTraced(q, w, tr)
 		if err != nil {
 			t.Fatal(err)
+		}
+		at := "query " + strconv.Itoa(i) + " window " + w.string()
+		sameAppended(t, at+", appended", appended, q, w, nil, want)
+		trApp := obs.New(obs.Options{})
+		sameAppended(t, at+", appended traced", appendedTraced, q, w, trApp, want)
+		if n, m := len(tr.Snapshot().Spans), len(trApp.Snapshot().Spans); n != m {
+			t.Fatalf("%s: QueryTraced recorded %d spans, AppendQuery traced %d", at, n, m)
 		}
 		if !slices.EqualFunc(got.Rows, want.Rows, slices.Equal) || string(got.RowsJSON) != string(want.RowsJSON) {
 			t.Fatalf("query %d window [%d,%d]: traced %d rows %s, untraced %d rows %s",

@@ -23,7 +23,10 @@
 #                      (TestNarrowAllocationsIndependentOfTuples), its
 #                      in-line delta join nothing per tuple or row but a
 #                      row chunk per doubling
-#                      (TestDeltaJoinAllocsIndependentOfRows), a batch
+#                      (TestDeltaJoinAllocsIndependentOfRows), its
+#                      answer appended into ijoind's response buffer
+#                      nothing per row, a full hit or a partial one
+#                      (TestAppendQueryAllocsIndependentOfRows), a batch
 #                      join Engine.Run runs in line the same but for a
 #                      fixed cost per goroutine of its split
 #                      (TestInLineRunAllocsIndependentOfRows) and copies
@@ -81,7 +84,9 @@
 #   8. live scrape   — ijoind -selfcheck boots the real server, drives a
 #                      window mix over HTTP, strictly validates the /metrics
 #                      exposition text — delta joins must have run
-#                      (ij_query_delta_windows_total > 0) — and archives the
+#                      (ij_query_delta_windows_total > 0), and
+#                      ij_query_rows_total must be the rows the decoded
+#                      bodies held — and archives the
 #                      scrape plus a sampled query trace
 #                      (docs/OBSERVABILITY.md)
 #
@@ -133,7 +138,10 @@ go test -run 'TestLiveDisabledZeroCost' ./internal/obs/live/
 # side, narrowing a resident to a delta join's tuples costs the same objects
 # for a gap ten times wider (positions in a bitset, each selection made at
 # its exact size), and so does the in-line join of those tuples but for one
-# row chunk per doubling of its rows; so does a batch join Engine.Run runs
+# row chunk per doubling of its rows; an answer appended into a buffer with
+# room, as ijoind serves it, costs the same objects for a few rows as for
+# thousands, from one cached segment or three (no row views, no text of
+# its own); so does a batch join Engine.Run runs
 # in line, which besides reads the relations it was given where they lie when
 # they were loaded (or built by FromIntervals, which lays them out in one
 # slab at a fixed count of objects), copying none of their tuples; and
@@ -143,7 +151,7 @@ go test -run 'TestLiveDisabledZeroCost' ./internal/obs/live/
 # before anything slower runs.
 go test -run 'TestShuffleAllocsDoNotFollowEmissions' ./internal/mr/
 go test -run 'TestRCCISOpAllocs|TestProductRouteAllocs|TestRowEmissionAllocs' ./internal/core/
-go test -run 'TestNarrowAllocationsIndependentOfTuples|TestDeltaJoinAllocsIndependentOfRows' ./internal/cache/
+go test -run 'TestNarrowAllocationsIndependentOfTuples|TestDeltaJoinAllocsIndependentOfRows|TestAppendQueryAllocsIndependentOfRows' ./internal/cache/
 go test -run 'TestInLineRunAllocsIndependentOfRows' .
 go test -run 'TestInLineCopiesNoLoadedTuple' ./internal/core/
 go test -run 'TestValidateAllocatesNothingFor|TestFromIntervalsAllocs' ./internal/relation/
