@@ -294,26 +294,38 @@ func condsWithin(q *query.Query, verts []query.Operand) []query.Condition {
 	return conds
 }
 
+// multiVertex lays side by side the dimensions of two or more vertices, at
+// their indices in dims, each with the colocation conditions among its
+// vertices. A lone vertex is in no crossing set (Section 5.3): a mark or
+// prune cycle can decide nothing about it, and maps none of its tuples.
+func (c *Context) multiVertex(dims []dimension) (*space, [][]query.Condition) {
+	multi := slices.Clone(dims)
+	conds := make([][]query.Condition, len(dims))
+	for k, d := range dims {
+		conds[k] = condsWithin(c.Query, d.verts)
+		if len(d.verts) < 2 {
+			multi[k].verts = nil
+		}
+	}
+	return c.union(nil, multi...), conds
+}
+
 // markStage builds a mark cycle — the RCCIS marking of Section 6.1, run per
-// dimension: every relation is split along the dimensions its vertices lie
-// on, and the reducer of partition p decides which of the intervals starting
-// in p must be replicated: exactly those that belong to some interval-set
-// that is (C1) consistent and (C2) crosses p (markCrossingParticipants). It
-// writes a vertex flag for each of them and nothing for the rest, and the
-// flags leave the cycle through its tap, which records them in marked and
-// counts each tuple with a flagged vertex once into replicated. The cycle
-// names no output: the cycles after it map the base relations and read the
-// marking (markedMap).
+// dimension of two or more vertices (multiVertex): every relation is split
+// along the dimensions its vertices lie on, and the reducer of partition p
+// decides which of the intervals starting in p must be replicated: exactly
+// those that belong to some interval-set that is (C1) consistent and (C2)
+// crosses p (markCrossingParticipants). It writes a vertex flag for each of
+// them and nothing for the rest, and the flags leave the cycle through its
+// tap, which records them in marked and counts each tuple with a flagged
+// vertex once into replicated. The cycle names no output: the cycles after it
+// map the base relations and read the marking (markedMap).
 //
 // The cycle keeps the plain one-key-per-partition layout even when the join
 // cycle runs on an adaptive plan: the reducer needs every tuple split onto a
 // partition in one place to decide crossing-set membership.
 func (c *Context) markStage(dims []dimension, marked marking, replicated *int64) mr.Stage {
-	sp := c.union(nil, dims...)
-	conds := make([][]query.Condition, len(dims))
-	for k, d := range dims {
-		conds[k] = condsWithin(c.Query, d.verts)
-	}
+	sp, conds := c.multiVertex(dims)
 	split := make([]interval.Op, len(c.Rels))
 	for rel := range split {
 		split[rel] = interval.OpSplit
@@ -324,37 +336,10 @@ func (c *Context) markStage(dims []dimension, marked marking, replicated *int64)
 		MapAt:  c.baseMap(sp, split),
 		Reduce: func(key int64, values []string, write func(string) error) error {
 			k, coord := sp.locate(key)
-			d, p := dims[k], coord[0]
-			// A counting pass over the relation bytes sizes everything the
-			// call builds, so nothing below grows: one candidate list per
-			// relation, cut from one array of the value list's length, and
-			// one flat interval column for the whole candidate list instead
-			// of one Attrs slice per record.
-			counts := make([]int, len(c.Rels))
-			attrs := 0
-			for _, v := range values {
-				if len(v) < headerLen || int(v[0]) >= len(counts) {
-					return fmt.Errorf("core: mark: record %q names no relation of the query", v)
-				}
-				counts[v[0]]++
-				attrs += int(v[1])
-			}
-			cands, tuples := make([][]relation.Tuple, len(counts)), make([]relation.Tuple, len(values))
-			for rel, n := range counts {
-				cands[rel], tuples = tuples[:0:n], tuples[n:]
-			}
-			slab := make([]interval.Interval, 0, attrs)
-			for _, v := range values {
-				rel, body, err := splitTagged(v)
-				if err != nil {
-					return err
-				}
-				at := len(slab)
-				var id int64
-				if id, slab, err = relation.DecodeBinary(body, slab); err != nil {
-					return err
-				}
-				cands[rel] = append(cands[rel], relation.Tuple{ID: id, Attrs: slab[at:len(slab):len(slab)]})
+			d, p := sp.dims[k], coord[0]
+			cands, err := c.candidates(values)
+			if err != nil {
+				return err
 			}
 			replicate := markCrossingParticipants(conds[k], d.part, p, d.verts, cands)
 			var out recordSlab
@@ -375,6 +360,41 @@ func (c *Context) markStage(dims []dimension, marked marking, replicated *int64)
 		},
 	}
 	return mr.Stage{Job: job, Tap: vertexFlagTap(replicated, marked)}
+}
+
+// candidates decodes a mark or prune reducer's tagged records into one
+// candidate list per relation. A counting pass over the headers sizes
+// everything the call builds, so nothing below grows: the lists are cut from
+// one array of the value list's length, over one flat interval column
+// instead of one Attrs slice per record.
+func (c *Context) candidates(values []string) ([][]relation.Tuple, error) {
+	counts := make([]int, len(c.Rels))
+	attrs := 0
+	for _, v := range values {
+		if len(v) < headerLen || int(v[0]) >= len(counts) {
+			return nil, fmt.Errorf("core: record %q names no relation of the query", v)
+		}
+		counts[v[0]]++
+		attrs += int(v[1])
+	}
+	cands, tuples := make([][]relation.Tuple, len(counts)), make([]relation.Tuple, len(values))
+	for rel, n := range counts {
+		cands[rel], tuples = tuples[:0:n], tuples[n:]
+	}
+	slab := make([]interval.Interval, 0, attrs)
+	for _, v := range values {
+		rel, body, err := splitTagged(v)
+		if err != nil {
+			return nil, err
+		}
+		at := len(slab)
+		var id int64
+		if id, slab, err = relation.DecodeBinary(body, slab); err != nil {
+			return nil, err
+		}
+		cands[rel] = append(cands[rel], relation.Tuple{ID: id, Attrs: slab[at:len(slab):len(slab)]})
+	}
+	return cands, nil
 }
 
 // joinFunc is a join cycle's reduce with the writing left out: it hands emit

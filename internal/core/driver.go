@@ -47,9 +47,11 @@ type stageBuilder func(*Context, *chainEnv) ([]mr.Stage, *execPlan, error)
 // (Cascade, FSTC, FCTS's component→sequence step). An intermediate stage
 // with an empty Output — a mark or prune cycle — is observed through its
 // Tap only, and the next stage, which maps the base relations, starts after
-// a barrier. The last stage names no output and sets ReduceRows (setJoin):
-// its rows are the result. The (algorithm, cycle, family) JobMeta is set
-// here for every stage.
+// a barrier; one that maps nothing can decide nothing and is dropped before
+// the cycles are numbered (multiVertex leaves a sequence query's mark and
+// prune cycles so). The last stage names no output and sets ReduceRows
+// (setJoin): its rows are the result. The (algorithm, cycle, family) JobMeta
+// is set here for every stage.
 func (c *Context) runStages(alg string, build stageBuilder) (*Result, error) {
 	opts := c.Opts.withDefaults()
 	agg := mr.NewMetrics(alg)
@@ -67,6 +69,10 @@ func (c *Context) runStages(alg string, build stageBuilder) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
+	last := stages[len(stages)-1]
+	stages = append(slices.DeleteFunc(stages[:len(stages)-1], func(s mr.Stage) bool {
+		return len(s.Job.Inputs) == 0 && s.Job.Output == ""
+	}), last)
 
 	// The last stage's output is the run's: it is collected in rows, a
 	// packed word or the ids per row, and takes neither a text form nor a

@@ -48,37 +48,46 @@ func runOnStore(t *testing.T, store dfs.Store, alg Algorithm, q *query.Query, re
 
 // TestChainStatistics runs every multi-cycle algorithm and checks what the
 // runner reports around the rows: the oracle's output, the aggregate named
-// after the algorithm, one metrics entry per cycle, and nothing left on the
-// store. Records stream across a boundary only where partial assignments
-// cross it (streams): every boundary of Cascade and FSTC, FCTS's
-// component→sequence step. A mark cycle streams nothing — its flags reach the
-// next cycle by tap — and for every algorithm that marks the test recounts
-// them independently of the tap: the mark cycle runs again alone, writing
-// its flags to the store, and there must be as many as the chain's mark
-// cycle wrote and as many flagged tuples as ReplicatedIntervals — on these
-// single-attribute queries, one flag a tuple. For PASM it also bounds the
-// pruned counts by the tuples the output really lacks.
+// after the algorithm, exactly as many cycles as the chain has stages that
+// can decide something, one metrics entry each, and nothing left on the
+// store. A mark or prune cycle runs only over components of two or more
+// relations, so on a sequence query All-Seq-Matrix and PASM run the join
+// alone; FCTS ends at its component join when the query is one component.
+// Records stream across a boundary only where partial assignments cross it
+// (streams): every boundary of Cascade and FSTC, FCTS's component→sequence
+// step. A mark cycle streams nothing — its flags reach the next cycle by tap
+// — and for every algorithm that marks the test recounts them independently
+// of the tap: the mark cycle runs again alone, writing its flags to the
+// store, and there must be as many as the chain's mark cycle wrote and as
+// many flagged tuples as ReplicatedIntervals — on these single-attribute
+// queries, one flag a tuple. For PASM it also bounds the pruned counts by the
+// tuples the output really lacks; a chain that does not mark prunes nothing.
 func TestChainStatistics(t *testing.T) {
 	cases := []struct {
 		name  string
 		alg   Algorithm
 		query string
-		// marks says the chain's first cycle is a mark cycle; streams
-		// lists the cycles, from 1, whose output streams into the next.
+		// cycles is how many cycles the chain runs; marks says its first
+		// is a mark cycle; streams lists the cycles, from 1, whose output
+		// streams into the next.
+		cycles  int
 		marks   bool
 		streams []int
 	}{
-		{"cascade", Cascade{}, "R1 overlaps R2 and R2 overlaps R3", false, []int{1}},
-		{"cascade-matrix", Cascade{MatrixSteps: true}, "R1 before R2 and R2 before R3", false, []int{1}},
-		{"rccis", RCCIS{}, "R1 overlaps R2 and R2 overlaps R3", true, nil},
-		{"all-seq-matrix", SeqMatrix{}, "R1 overlaps R2 and R2 overlaps R3", true, nil},
-		{"all-seq-matrix-hybrid", SeqMatrix{}, "R1 before R2 and R1 overlaps R3", true, nil},
-		{"fcts", FCTS{}, "R1 overlaps R2 and R2 overlaps R3", true, []int{2}},
-		{"fcts-hybrid", FCTS{}, "R1 before R2 and R1 overlaps R3", true, []int{2}},
-		{"fstc-hybrid", FSTC{}, "R1 before R2 and R1 overlaps R3", false, []int{1}},
-		{"pasm", PASM{}, "R1 overlaps R2 and R2 overlaps R3", true, nil},
-		{"pasm-hybrid", PASM{}, "R1 before R2 and R1 overlaps R3", true, nil},
-		{"gen-matrix", GenMatrix{}, "R1 before R2 and R1 overlaps R3", true, nil},
+		{"cascade", Cascade{}, "R1 overlaps R2 and R2 overlaps R3", 2, false, []int{1}},
+		{"cascade-matrix", Cascade{MatrixSteps: true}, "R1 before R2 and R2 before R3", 2, false, []int{1}},
+		{"rccis", RCCIS{}, "R1 overlaps R2 and R2 overlaps R3", 2, true, nil},
+		{"all-seq-matrix", SeqMatrix{}, "R1 overlaps R2 and R2 overlaps R3", 2, true, nil},
+		{"all-seq-matrix-hybrid", SeqMatrix{}, "R1 before R2 and R1 overlaps R3", 2, true, nil},
+		{"all-seq-matrix-sequence", SeqMatrix{}, "R1 before R2 and R2 before R3", 1, false, nil},
+		{"fcts", FCTS{}, "R1 overlaps R2 and R2 overlaps R3", 2, true, nil},
+		{"fcts-disconnected", FCTS{}, "R1 overlaps R2 and R3 overlaps R4", 3, true, []int{2}},
+		{"fcts-hybrid", FCTS{}, "R1 before R2 and R1 overlaps R3", 3, true, []int{2}},
+		{"fstc-hybrid", FSTC{}, "R1 before R2 and R1 overlaps R3", 2, false, []int{1}},
+		{"pasm", PASM{}, "R1 overlaps R2 and R2 overlaps R3", 3, true, nil},
+		{"pasm-hybrid", PASM{}, "R1 before R2 and R1 overlaps R3", 3, true, nil},
+		{"pasm-sequence", PASM{}, "R1 before R2 and R2 before R3", 1, false, nil},
+		{"gen-matrix", GenMatrix{}, "R1 before R2 and R1 overlaps R3", 2, true, nil},
 	}
 	rng := rand.New(rand.NewSource(42))
 	for _, tc := range cases {
@@ -98,8 +107,8 @@ func TestChainStatistics(t *testing.T) {
 			if res.Metrics.Job != tc.alg.Name() {
 				t.Errorf("Metrics.Job = %q, want %q", res.Metrics.Job, tc.alg.Name())
 			}
-			if res.Metrics.Cycles < 2 || res.Metrics.Cycles != len(res.PerCycle) {
-				t.Errorf("cycles = %d with %d per-cycle metrics", res.Metrics.Cycles, len(res.PerCycle))
+			if res.Metrics.Cycles != tc.cycles || len(res.PerCycle) != tc.cycles {
+				t.Errorf("cycles = %d with %d per-cycle metrics, want %d", res.Metrics.Cycles, len(res.PerCycle), tc.cycles)
 			}
 			for i, cycle := range res.PerCycle {
 				switch streams := slices.Contains(tc.streams, i+1); {
@@ -114,10 +123,13 @@ func TestChainStatistics(t *testing.T) {
 				t.Errorf("run left %v on the store (%v), want nothing", files, err)
 			}
 			_, isPASM := tc.alg.(PASM)
-			if !isPASM && len(res.PrunedIntervals) != 0 {
+			if (!isPASM || !tc.marks) && len(res.PrunedIntervals) != 0 {
 				t.Errorf("pruned = %v without a prune cycle", res.PrunedIntervals)
 			}
 			if !tc.marks {
+				if res.ReplicatedIntervals != 0 {
+					t.Errorf("replicated = %d without a mark cycle", res.ReplicatedIntervals)
+				}
 				return
 			}
 			flags := markAlone(t, tc.alg.(stagedAlgorithm).stages, q, rels, opts)

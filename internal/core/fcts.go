@@ -21,6 +21,8 @@ import (
 // as RCCIS's do; component joins over the base relations (all components in
 // one job, keyed by component x partition), written as partial assignments
 // that stream into cycle 3; sequence grid join over the component outputs.
+// A query of one component, such as a colocation query, ends at cycle 2,
+// whose assignments are then the result rows.
 type FCTS struct{}
 
 // Name implements Algorithm.
@@ -40,21 +42,24 @@ func (a FCTS) stages(ctx *Context, env *chainEnv) ([]mr.Stage, *execPlan, error)
 		return nil, nil, err
 	}
 	dims := componentDims(env.d, part)
+	// Cycle 2 routes the base relations by the marking and joins each
+	// component along its own line, emitting an assignment where its
+	// right-most member starts: as partial-assignment records when there is
+	// a sequence cycle to join the components.
+	marked := ctx.newMarking()
+	components := cellJoin{name: "component-join", sp: ctx.union(nil, dims...), marked: marked, owner: true}
+	if len(dims) > 1 {
+		components.output = "components"
+	}
+	stages := []mr.Stage{ctx.markStage(dims, marked, &env.res.ReplicatedIntervals), {Job: components.job(ctx)}}
+	if len(dims) == 1 {
+		return stages, nil, nil
+	}
 	sp, err := ctx.product(dims, soundComponentLess(env.d))
 	if err != nil {
 		return nil, nil, err
 	}
-	// Cycle 2 routes the base relations by the marking and writes every
-	// component sub-query's output as partial-assignment records: each
-	// component joins along its own line, emitting an assignment where its
-	// right-most member starts.
-	marked := ctx.newMarking()
-	components := cellJoin{name: "component-join", sp: ctx.union(nil, dims...), marked: marked, owner: true, output: "components"}
-	return []mr.Stage{
-		ctx.markStage(dims, marked, &env.res.ReplicatedIntervals),
-		{Job: components.job(ctx)},
-		{Job: a.sequenceJob(ctx, sp, env.d)},
-	}, nil, nil
+	return append(stages, mr.Stage{Job: a.sequenceJob(ctx, sp, env.d)}), nil, nil
 }
 
 // sequenceJob joins the component outputs, "components", on the sequence

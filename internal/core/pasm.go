@@ -3,9 +3,7 @@ package core
 import (
 	"encoding/binary"
 	"fmt"
-	"slices"
 
-	"intervaljoin/internal/interval"
 	"intervaljoin/internal/mr"
 	"intervaljoin/internal/query"
 	"intervaljoin/internal/relation"
@@ -25,6 +23,10 @@ import (
 //     sub-query output;
 //  3. the All-Seq-Matrix grid join over the base relations, with pruned
 //     tuples dropped map-side.
+//
+// Cycles 1 and 2 map only components of two or more vertices (multiVertex):
+// on a query with none, a sequence query, neither runs, and PASM is
+// All-Matrix's one cycle.
 //
 // Each cycle needs what the earlier ones decided, complete. The decisions
 // reach the later cycles as id sets that taps fill while the cycles run —
@@ -99,83 +101,44 @@ func prunedTap(pruned []map[int64]bool, counts map[int]int64) func(string) {
 // The decision is exact for unreplicated tuples (all assignments containing
 // them are local to their home partition) and conservative (never pruned)
 // for replicated ones, which are few by RCCIS's construction. Singleton
-// components are skipped entirely — their vertices are left out of the
-// space, so their relations are not mapped: their sub-query output is the
-// relation itself and nothing can be pruned.
+// components are skipped entirely (multiVertex): their sub-query output is
+// the relation itself and nothing can be pruned.
 func (c *Context) pruneJob(dims []dimension, marked marking) mr.Job {
-	multi := slices.Clone(dims)
-	conds := make([][]query.Condition, len(dims))
-	for k, d := range dims {
-		conds[k] = condsWithin(c.Query, d.verts)
-		if len(d.verts) < 2 {
-			multi[k].verts = nil
-		}
-	}
-	sp := c.union(nil, multi...)
-
+	sp, conds := c.multiVertex(dims)
 	return mr.Job{
 		Name:   "prune",
 		Inputs: c.baseInputs(sp),
 		MapAt:  c.markedMap(sp, marked, nil),
 		Reduce: func(key int64, values []string, write func(string) error) error {
 			k, coord := sp.locate(key)
-			d, p := multi[k], coord[0]
-			rels := make([]int, len(d.verts))
-			pos := make(map[int]int, len(rels))
+			d, p := sp.dims[k], coord[0]
+			byRel, err := c.candidates(values)
+			if err != nil {
+				return err
+			}
+			rels, cands := make([]int, len(d.verts)), make([][]relation.Tuple, len(d.verts))
 			for i, v := range d.verts {
-				rels[i], pos[v.Rel] = v.Rel, i
-			}
-			cands := make([][]relation.Tuple, len(rels))
-			type home struct {
-				rel int
-				id  int64
-			}
-			var homes []home
-			// One slab holds every value's intervals, as many as their
-			// headers say.
-			attrs := 0
-			for _, v := range values {
-				if len(v) >= headerLen {
-					attrs += int(v[1])
-				}
-			}
-			slab := make([]interval.Interval, 0, attrs)
-			for _, v := range values {
-				rel, body, err := splitTagged(v)
-				if err != nil {
-					return err
-				}
-				at := len(slab)
-				var id int64
-				if id, slab, err = relation.DecodeBinary(body, slab); err != nil {
-					return err
-				}
-				t := relation.Tuple{ID: id, Attrs: slab[at:len(slab):len(slab)]}
-				i := pos[rel]
-				cands[i] = append(cands[i], t)
-				// A home tuple the marking replicates is never pruned.
-				attr := d.verts[i].Attr
-				if d.part.IndexOf(t.Attrs[attr].Start) == p && !marked[rel][attr][id] {
-					homes = append(homes, home{rel: rel, id: id})
-				}
+				rels[i], cands[i] = v.Rel, byRel[v.Rel]
 			}
 			surviving := semijoinReduce(conds[k], rels, cands)
-			kept := make(map[home]bool)
-			for i, r := range rels {
+			var out recordSlab
+			for i, v := range d.verts {
+				kept := make(map[int64]bool, len(surviving[i]))
 				for _, t := range surviving[i] {
-					kept[home{rel: r, id: t.ID}] = true
+					kept[t.ID] = true
 				}
-			}
-			out := recordSlab{hint: len(homes) * (1 + 8)}
-			for _, h := range homes {
-				if kept[h] {
-					continue
-				}
-				var buf [1 + 8]byte
-				out.room(len(buf))
-				out.put(binary.LittleEndian.AppendUint64(append(buf[:0], byte(h.rel)), uint64(h.id)))
-				if err := write(out.cut()); err != nil {
-					return err
+				for _, t := range cands[i] {
+					// Only a home tuple is decided here, and one the marking
+					// replicates is never pruned.
+					if kept[t.ID] || d.part.IndexOf(t.Attrs[v.Attr].Start) != p || marked[v.Rel][v.Attr][t.ID] {
+						continue
+					}
+					var buf [1 + 8]byte
+					out.room(len(buf))
+					out.put(binary.LittleEndian.AppendUint64(append(buf[:0], byte(v.Rel)), uint64(t.ID)))
+					if err := write(out.cut()); err != nil {
+						return err
+					}
 				}
 			}
 			return nil

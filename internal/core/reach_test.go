@@ -264,9 +264,11 @@ func countRows(q *query.Query, rels []*relation.Relation, limit int) int {
 // FuzzPlanReach holds the planner to the oracle around the reach rule's flip
 // point. The bytes decode into a case as reachCase says. The planner's rows
 // must be the oracle's id for id, and every cycle's Σ ReducerPairs its
-// IntermediatePairs; so must the named RCCIS's rows, which mark on every
-// input, where the planner marks only past the flip point. A case with more
-// than rowCap rows is skipped before any is materialised.
+// IntermediatePairs; so must the rows of the named RCCIS, FCTS and PASM,
+// which mark on every input, where the planner marks only past the flip
+// point: on these one-component queries FCTS ends at its component join and
+// PASM runs mark, prune and join. A case with more than rowCap rows is
+// skipped before any is materialised.
 func FuzzPlanReach(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		q, rels, opts := reachCase(data)
@@ -292,8 +294,10 @@ func FuzzPlanReach(f *testing.F) {
 				t.Fatalf("cycle %d: Σ ReducerPairs = %d, IntermediatePairs = %d", i+1, sum, cycle.IntermediatePairs)
 			}
 		}
-		if named, _ := runSingle(t, RCCIS{}, q, rels, opts); !slices.Equal(named.IDs, want.IDs) {
-			t.Fatalf("rccis returned %d rows, the oracle %d, or other ids", len(named.Tuples), len(want.Tuples))
+		for _, alg := range []Algorithm{RCCIS{}, FCTS{}, PASM{}} {
+			if named, _ := runSingle(t, alg, q, rels, opts); !slices.Equal(named.IDs, want.IDs) {
+				t.Fatalf("%s returned %d rows, the oracle %d, or other ids", alg.Name(), len(named.Tuples), len(want.Tuples))
+			}
 		}
 	})
 }

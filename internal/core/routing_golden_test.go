@@ -27,7 +27,8 @@ const routingGoldenFile = "testdata/routing_golden.txt"
 // records written; per run the cycle count and the replicated / pruned
 // interval statistics. The oracle suites only compare answers, so a change
 // that sends tuples to other reducers (or to more of them) and still dedups
-// correctly passes all of them; it does not pass this. Inputs are seeded
+// correctly passes all of them; it does not pass this. Nor does a chain
+// that runs a cycle before its last over no input. Inputs are seeded
 // Zipf-skewed relations so the adaptive modes really split partitions.
 //
 // Regenerate with `go test ./internal/core -run TestRoutingGolden
@@ -71,6 +72,13 @@ func TestRoutingGolden(t *testing.T) {
 				res, err := alg.Run(ctx)
 				if err != nil {
 					t.Fatalf("%s on %q (%s): %v", alg.Name(), qc.q, mode.name, err)
+				}
+				// A cycle before the last that maps nothing decides
+				// nothing, and does not run.
+				for i, m := range res.PerCycle {
+					if i < len(res.PerCycle)-1 && m.MapInputRecords == 0 {
+						t.Errorf("%s on %q (%s): cycle %d of %d maps nothing", alg.Name(), qc.q, mode.name, i+1, len(res.PerCycle))
+					}
 				}
 				got = append(got, routingLine(qc.class, alg.Name(), mode.name, res))
 			}

@@ -19,7 +19,9 @@ import (
 // partitions at and after it when the marking flagged it for replication,
 // condition E2) — and each cell joins what it receives. An output tuple is
 // emitted at the unique cell whose k-th coordinate is the start partition of
-// the right-most interval among its component-k members.
+// the right-most interval among its component-k members. Cycle 1 maps only
+// components of two or more vertices (multiVertex); on a sequence query it
+// maps nothing and does not run, and cycle 2 is All-Matrix's.
 //
 // Deviation from the paper (documented in DESIGN.md): the paper prunes cells
 // with i_j > i_k for every component order C_j < C_k. That constraint is

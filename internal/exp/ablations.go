@@ -73,6 +73,7 @@ func AblationPartitions(cfg Config) (*Table, error) {
 		Columns: []string{"o", "consistent_cells", "pairs", "imbalance", "wall_ms"},
 		Notes: []string{
 			"expected shape: pairs grow ~quadratically in o (fan-out per tuple ~ o^(m-1)/2); imbalance falls as o rises",
+			"imbalance: the join cycle's largest reducer's pairs over the mean",
 		},
 	}
 	for _, o := range []int{2, 4, 6, 8, 12} {
@@ -124,6 +125,7 @@ func AblationSkew(cfg Config) (*Table, error) {
 		Columns: []string{"partitioning", "imbalance", "max_reducer_pairs", "pairs", "wall_ms", "output"},
 		Notes: []string{
 			"expected shape: equi-depth cuts imbalance by several x with identical output",
+			"imbalance and max_reducer_pairs: the join cycle's, not the mark cycle's",
 		},
 	}
 	for _, equi := range []bool{false, true} {
@@ -139,7 +141,7 @@ func AblationSkew(cfg Config) (*Table, error) {
 		}
 		t.AddRow(name,
 			fmt.Sprintf("%.2f", run.Imbalance),
-			fmtCount(run.Result.Metrics.MaxReducerPairs()),
+			fmtCount(run.Result.PerCycle[len(run.Result.PerCycle)-1].MaxReducerPairs()),
 			fmtCount(run.Pairs),
 			fmt.Sprintf("%d", run.WallMs),
 			fmtCount(run.OutputRows))

@@ -162,8 +162,10 @@ type Run struct {
 	ReplFactor float64
 	Replicated int64
 	OutputRows int64
-	Imbalance  float64
-	Cycles     int
+	// Imbalance is the join cycle's — the last's — largest reducer's pairs
+	// over the mean: the keys of different cycles name different reducers.
+	Imbalance float64
+	Cycles    int
 	// ClusterEst is the modelled wall time on the paper's 2014 cluster
 	// (internal/cluster), rendered hh:mm in the tables.
 	ClusterEst time.Duration
@@ -197,6 +199,10 @@ func execute(cfg Config, alg core.Algorithm, q *query.Query, rels []*relation.Re
 			return Run{}, fmt.Errorf("exp: %s: %w", alg.Name(), err)
 		}
 	}
+	imbalance := 1.0
+	if n := len(res.PerCycle); n > 0 {
+		imbalance = res.PerCycle[n-1].LoadImbalance()
+	}
 	est, err := cluster.Estimate(cluster.Paper2014(), scaleMetrics(res.Metrics, 1/cfg.Scale))
 	if err != nil {
 		return Run{}, err
@@ -210,7 +216,7 @@ func execute(cfg Config, alg core.Algorithm, q *query.Query, rels []*relation.Re
 		ReplFactor: res.Metrics.ReplicationFactor(),
 		Replicated: res.ReplicatedIntervals,
 		OutputRows: int64(len(res.Tuples)),
-		Imbalance:  res.Metrics.LoadImbalance(),
+		Imbalance:  imbalance,
 		Cycles:     res.Metrics.Cycles,
 		ClusterEst: est,
 		Result:     res,

@@ -45,6 +45,7 @@ func Figure5a(cfg Config) (*Table, error) {
 		},
 		Notes: []string{
 			"expected shape: all-matrix fastest; all-rep dominated by its lagging right-most reducers (high imbalance)",
+			"imb_*: the join cycle's largest reducer's pairs over the mean",
 			"sizes: a sequence join's output is cubic in nI, so the local ladder is 30K-75K (the paper's cluster used 100K-400K)",
 		},
 	}
@@ -103,6 +104,7 @@ func Figure5b(cfg Config) (*Table, error) {
 		Columns: []string{"trains", "allmatrix_ms", "cascade_ms", "allrep_ms", "imb_matrix", "imb_allrep"},
 		Notes: []string{
 			"expected shape: same ordering as figure5a on real-shaped (bursty) interval data",
+			"imb_*: the join cycle's largest reducer's pairs over the mean",
 			fmt.Sprintf("full simulated P04 train count at this scale: %d", len(trains)),
 		},
 	}

@@ -34,6 +34,7 @@ func Table1Params(cfg Config) (*Table, error) {
 		Notes: []string{
 			"expected shape: rccis beats all-rep on pairs and replication for every distribution and length;",
 			"longer intervals cross more boundaries, so rccis replication grows with i_max but stays far below all-rep's",
+			"imb_*: the join cycle's largest reducer's pairs over the mean",
 		},
 	}
 	t.Notes = append(t.Notes,

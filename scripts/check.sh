@@ -68,8 +68,10 @@
 #                      comparison sort), the planner against the oracle around
 #                      the reach rule's flip point (FuzzPlanReach: random
 #                      colocation queries, sizes, k and boundaries, and the
-#                      named RCCIS, which marks on every input, against the
-#                      same oracle rows), and
+#                      named RCCIS, FCTS and PASM, which mark on every
+#                      input, against the same oracle rows: FCTS as its two
+#                      cycles on one component, PASM as mark, prune and
+#                      join), and
 #                      the cache's wire text, assembled from reused
 #                      per-anchor prefixes, against encoding/json
 #                      (FuzzStoredWireMatchesEncodingJSON)
@@ -181,7 +183,9 @@ echo "== fuzz smoke =="
 # radix, over spans up to the whole int64 line, against a comparison sort.
 # The fifth runs the planner against the oracle
 # on queries, sizes, partition counts and boundaries drawn around the
-# interval length at which it stops skipping the RCCIS marking. The sixth
+# interval length at which it stops skipping the RCCIS marking, and the
+# named RCCIS, FCTS (two cycles on these one-component queries) and PASM
+# (mark, prune and join) against the same rows. The sixth
 # checks the cache's wire text, which copies each anchor group's "[id"
 # prefix from its first row, against encoding/json for arbitrary ids. The
 # seventh runs the text loader's one pass over a file's bytes against a
