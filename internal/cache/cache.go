@@ -18,10 +18,9 @@
 // leave a window together — so a segment holds every row of each anchor
 // it contains, and two segments that share an anchor id hold identical
 // groups. Clipping and halo dedup therefore work on whole groups, never
-// on rows: a segment keeps a small directory of its groups over flat,
-// pointer-free slabs (ids, and each row's JSON text as it goes on the
-// wire, encoded once at insert), and a lookup takes surviving groups out
-// of the slabs in bulk.
+// on rows: a segment keeps a small directory of its groups over one flat,
+// pointer-free slab — each row's JSON text as it goes on the wire, encoded
+// once at insert — and a lookup takes surviving groups out of it in bulk.
 //
 // Segments of one key are kept window-disjoint by construction — a miss
 // inserts only the uncovered gap windows — so covered/uncovered
@@ -90,18 +89,17 @@ type Row struct {
 }
 
 // Segment is one cached result range: every row whose anchor intersects
-// Win, laid out as pointer-free columns. Segments are immutable after
-// construction, so lookups share them outside the cache lock.
+// Win, laid out as its wire text and a directory of its anchor groups.
+// Segments are immutable after construction, so lookups share them outside
+// the cache lock.
 type Segment struct {
 	Key Key
 	Win Window
 
 	// arity is the number of ids per row (the query's relation count).
 	arity int
-	// ids holds the rows' ids back to back in canonical order.
-	ids []int64
 	// wire holds each row's JSON text followed by a comma — "[3,7]," —
-	// back to back in the same order: the bytes a response carries.
+	// back to back in canonical order: the bytes a response carries.
 	wire []byte
 	// groups is the anchor-group directory in ascending anchor id, closed
 	// by a sentinel that carries the row count and len(wire), so group g
@@ -112,7 +110,7 @@ type Segment struct {
 	elem  *list.Element
 }
 
-// group locates one anchor's rows inside a segment's slabs.
+// group locates one anchor's rows inside a segment's wire text.
 type group struct {
 	id     int64             // the anchor tuple's id: IDs[0] of every row
 	anchor interval.Interval // that tuple's interval, what clipping tests
@@ -121,13 +119,13 @@ type group struct {
 }
 
 // segmentOverhead approximates a segment's fixed cost in the budget; the
-// slabs are charged at their real sizes.
+// wire text and the directory are charged at their real sizes.
 const segmentOverhead = 128
 
 // newSegment is the []Row way into a segment, Cache.Insert's: it sorts the
 // rows if they are not in canonical order, checks that they share one
 // non-zero arity and rows with equal IDs[0] one anchor, and flattens them
-// for layoutSegment.
+// into the scratch's id buffer for layout.
 func newSegment(k Key, w Window, rows []Row) (*Segment, error) {
 	if !slices.IsSortedFunc(rows, compareRowIDs) {
 		slices.SortFunc(rows, compareRowIDs)
@@ -136,7 +134,9 @@ func newSegment(k Key, w Window, rows []Row) (*Segment, error) {
 	if len(rows) > 0 {
 		arity = len(rows[0].IDs)
 	}
-	ids := make([]int64, 0, len(rows)*arity)
+	sc := layoutScratches.Get().(*layoutScratch)
+	defer layoutScratches.Put(sc)
+	ids := sc.ids[:0]
 	for i, r := range rows {
 		if len(r.IDs) != arity || arity == 0 {
 			return nil, fmt.Errorf("cache: row %d has %d ids, want %d (and at least one)", i, len(r.IDs), arity)
@@ -146,23 +146,21 @@ func newSegment(k Key, w Window, rows []Row) (*Segment, error) {
 		}
 		ids = append(ids, r.IDs...)
 	}
-	return layoutSegment(k, w, arity, ids, func(row int) interval.Interval { return rows[row].Anchor }), nil
+	sc.ids = ids
+	return sc.layout(k, w, arity, ids, func(row int) interval.Interval { return rows[row].Anchor }), nil
 }
 
-// layoutSegment builds the segment for rows that are already one slab: ids
-// holds them back to back, arity ids each, in canonical order, and filled
-// to capacity — the segment keeps the slab as its own, so the caller must
-// not write to it again. anchorOf is asked once per anchor group, for the
-// anchor of the group that starts at the given row.
+// layout builds the segment for rows that are one slab: ids holds them back
+// to back, arity ids each, in canonical order. The segment keeps nothing of
+// ids, which may be the scratch's own buffer. anchorOf is asked once per
+// anchor group, for the anchor of the group that starts at the given row.
 //
-// One pass writes the wire text and the directory into pooled scratch, and
+// One pass writes the wire text and the directory into the scratch, and
 // each goes into a slab of exactly its length, so the budget charges no
 // slack. An anchor's id is formatted once, with the row's opening bracket,
 // and the group's later rows copy that prefix.
-func layoutSegment(k Key, w Window, arity int, ids []int64, anchorOf func(row int) interval.Interval) *Segment {
-	seg := &Segment{Key: k, Win: w, arity: arity, ids: ids}
-	sc := layoutScratches.Get().(*layoutScratch)
-	defer layoutScratches.Put(sc)
+func (sc *layoutScratch) layout(k Key, w Window, arity int, ids []int64, anchorOf func(row int) interval.Interval) *Segment {
+	seg := &Segment{Key: k, Win: w, arity: arity}
 	wire, groups := sc.wire[:0], sc.groups[:0]
 	var lo, hi int // the current group's "[id0" is wire[lo:hi]
 	row := 0
@@ -184,14 +182,16 @@ func layoutSegment(k Key, w Window, arity int, ids []int64, anchorOf func(row in
 	seg.wire = append(make([]byte, 0, len(wire)), wire...)
 	seg.groups = append(make([]group, 0, len(groups)), groups...)
 	sc.wire, sc.groups = wire, groups
-	seg.bytes = segmentOverhead + 8*int64(cap(seg.ids)) + int64(cap(seg.wire)) +
-		int64(unsafe.Sizeof(group{}))*int64(cap(seg.groups))
+	seg.bytes = segmentOverhead + int64(cap(seg.wire)) + int64(unsafe.Sizeof(group{}))*int64(cap(seg.groups))
 	return seg
 }
 
-// layoutScratch is layoutSegment's working memory, recycled between
-// segments. It holds no pointers into segments.
+// layoutScratch is a segment's working memory, recycled between segments:
+// the id buffer its rows are ordered into (by the delta join, or by
+// newSegment from Rows), and the wire text and directory layout writes
+// before it copies them out. It holds no pointers into segments.
 type layoutScratch struct {
+	ids    []int64
 	wire   []byte
 	groups []group
 }

@@ -111,14 +111,14 @@ func TestInsertOverlapDropped(t *testing.T) {
 }
 
 func TestByteBudgetLRUEviction(t *testing.T) {
-	// The budget charges a segment its slabs' real sizes: per row two
-	// 8-byte ids and the wire text "[i,i],", per one-row group a 40-byte
-	// directory entry (plus the sentinel), and the fixed overhead.
+	// The budget charges a segment what it keeps, at its real size: per
+	// row the wire text "[i,i],", per one-row group a 40-byte directory
+	// entry (plus the sentinel), and the fixed overhead.
 	seg, err := newSegment(testKey, Window{0, 9}, mkRows(10, interval.New(0, 5)))
 	if err != nil {
 		t.Fatal(err)
 	}
-	segBytes := int64(segmentOverhead + 10*16 + len("[0,0],")*10 + 11*40)
+	segBytes := int64(segmentOverhead + len("[0,0],")*10 + 11*40)
 	if seg.bytes != segBytes {
 		t.Fatalf("10-row segment charged %d bytes, slabs hold %d", seg.bytes, segBytes)
 	}
@@ -144,7 +144,7 @@ func TestByteBudgetLRUEviction(t *testing.T) {
 }
 
 func TestOversizedSegmentStaysCold(t *testing.T) {
-	c := New(segmentOverhead + 10*16) // holds the ids of a 10-row segment, not its wire text and directory
+	c := New(int64(segmentOverhead + len("[0,0],")*10)) // holds the wire text of a 10-row segment, not its directory
 	c.Insert(testKey, Window{0, 9}, mkRows(10, interval.New(0, 5)))
 	if c.Len() != 0 {
 		t.Fatalf("oversized segment retained; len=%d", c.Len())

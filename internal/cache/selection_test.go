@@ -306,7 +306,8 @@ func TestNarrowAllocationsIndependentOfTuples(t *testing.T) {
 }
 
 // TestDeltaJoinAllocsIndependentOfRows: a delta join — narrowing the
-// residents and joining the selection in line — allocates per slab, never
+// residents and joining the selection in line into an id buffer reused from
+// join to join, as runDelta reuses its scratch's — allocates per slab, never
 // per tuple or per row, so a gap ten times wider, with about ten times the
 // tuples and rows, costs the same objects but for the row chunks the join
 // collects into, whose capacity doubles as they fill: one more chunk per
@@ -323,6 +324,7 @@ func TestDeltaJoinAllocsIndependentOfRows(t *testing.T) {
 	svc := newTestService(t, rels...)
 	q := predQuery(t, interval.Overlaps)
 	res := residents(t, svc, q)
+	var ids []int64
 	measure := func(gap Window) (allocs float64, kept, rows int) {
 		allocs = testing.AllocsPerRun(50, func() {
 			near := narrow(q, res, gap)
@@ -330,11 +332,10 @@ func TestDeltaJoinAllocsIndependentOfRows(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			joined, err := svc.join(ctx)
-			if err != nil {
+			if ids, err = svc.join(ctx, ids[:0]); err != nil {
 				t.Fatal(err)
 			}
-			kept, rows = near[0].Len()+near[1].Len(), len(joined.Tuples)
+			kept, rows = near[0].Len()+near[1].Len(), len(ids)/2
 		})
 		return allocs, kept, rows
 	}

@@ -24,7 +24,7 @@ import (
 // transport-free core of cmd/ijoind and directly usable in tests and
 // benchmarks.
 //
-// A delta join runs in line, in the querying goroutine (core.JoinInLine):
+// A delta join runs in line, in the querying goroutine (core.JoinInLineIDs):
 // its input is the few tuples that can reach one gap, which one reducer
 // holding them all joins best, so there is no engine, job or shuffle.
 // Queries run concurrently all the way through, delta joins included: each
@@ -32,8 +32,9 @@ import (
 // (cmd/ijoind through admission control).
 type Service struct {
 	cache *Cache
-	// join runs a delta join: core.JoinInLine, which a test may wrap.
-	join func(*core.Context) (*core.Result, error)
+	// join runs a delta join into an id buffer: core.JoinInLineIDs, which a
+	// test may wrap.
+	join func(*core.Context, []int64) ([]int64, error)
 
 	mu   sync.Mutex // guards rels
 	rels map[string]*residentRel
@@ -196,7 +197,7 @@ type ServiceConfig struct {
 func NewService(cfg ServiceConfig) (*Service, error) {
 	return &Service{
 		cache: New(cfg.CacheBytes),
-		join:  core.JoinInLine,
+		join:  core.JoinInLineIDs,
 		rels:  make(map[string]*residentRel),
 	}, nil
 }
@@ -248,8 +249,8 @@ func (s *Service) Stats() Stats { return s.cache.Stats() }
 type Answer struct {
 	// Rows is the deduplicated result: every join row whose anchor (first
 	// attribute of the first relation's tuple) intersects the query
-	// window. Sorted canonically. The tuples are views into cached
-	// segments' id slabs, shared with every other answer: read-only.
+	// window. Sorted canonically. The rows are decoded from RowsJSON into
+	// one slab of the answer's own.
 	Rows []core.OutputTuple
 	// RowsJSON is Rows as a JSON array of id arrays, "[[3,7],[3,9]]",
 	// assembled from the text the segments stored at insert.
@@ -296,13 +297,13 @@ func (s *Service) QueryTraced(q *query.Query, w Window, tr *obs.Tracer) (*Answer
 // AppendQuery answers like QueryTraced (tr may be nil) but appends the rows'
 // JSON array — RowsJSON's bytes — to dst instead of filling Rows and
 // RowsJSON: each row's text is copied once, from the cached segments into
-// dst, and no row gets a view. The answer carries the row count. On error
+// dst, and no row is decoded. The answer carries the row count. On error
 // it returns dst as it was passed.
 func (s *Service) AppendQuery(dst []byte, q *query.Query, w Window, tr *obs.Tracer) ([]byte, *Answer, error) {
 	return s.queryOn(dst, q, w, tr, false)
 }
 
-// answer is Query's and QueryTraced's: queryOn with row views, its text a
+// answer is Query's and QueryTraced's: queryOn with decoded rows, its text a
 // buffer of its own.
 func (s *Service) answer(q *query.Query, w Window, tr *obs.Tracer) (*Answer, error) {
 	wire, ans, err := s.queryOn(nil, q, w, tr, true)
@@ -314,8 +315,8 @@ func (s *Service) answer(q *query.Query, w Window, tr *obs.Tracer) (*Answer, err
 }
 
 // queryOn answers the query, appending the rows' JSON array to dst and,
-// when views is set, filling Rows.
-func (s *Service) queryOn(dst []byte, q *query.Query, w Window, tr *obs.Tracer, views bool) ([]byte, *Answer, error) {
+// when decode is set, filling Rows.
+func (s *Service) queryOn(dst []byte, q *query.Query, w Window, tr *obs.Tracer, decode bool) ([]byte, *Answer, error) {
 	start := time.Now()
 	if w.Hi < w.Lo {
 		return dst, nil, fmt.Errorf("cache: window [%d,%d] is empty", w.Lo, w.Hi)
@@ -350,7 +351,7 @@ func (s *Service) queryOn(dst []byte, q *query.Query, w Window, tr *obs.Tracer, 
 			segs = append(segs, seg)
 		}
 	}
-	out, err := ans.appendRows(dst, segs, views)
+	out, err := ans.appendRows(dst, segs, decode)
 	if err != nil {
 		return dst, nil, err
 	}
@@ -413,27 +414,23 @@ func (a *Answer) merge(segs []*Segment) error {
 
 // appendRows appends to dst, as a JSON array, the union of the segments'
 // anchor groups that intersect the answer's window, and sets the answer's
-// Count and, when views is set, its Rows: selectGroups picks the groups,
-// then each stretch of them leaves its segment in bulk — the wire text in
-// one copy, the rows as views into the segment's id slab, which is
-// immutable and stays alive for as long as the answer refers to it. A nil
+// Count and, when decode is set, its Rows: selectGroups picks the groups,
+// then each stretch of them leaves its segment's wire text in one copy,
+// and the rows are decoded back out of the copied text (decodeRows). A nil
 // dst becomes a buffer of exactly the array's size.
-func (a *Answer) appendRows(dst []byte, segs []*Segment, views bool) ([]byte, error) {
+func (a *Answer) appendRows(dst []byte, segs []*Segment, decode bool) ([]byte, error) {
 	start := time.Now()
 	sc := mergeScratches.Get().(*mergeScratch)
 	defer mergeScratches.Put(sc)
 	if err := sc.selectGroups(segs, a.Window); err != nil {
 		return dst, err
 	}
-	nrows, nwire := 0, 0
+	nrows, nwire, arity := 0, 0, 0
 	for _, r := range sc.runs {
 		g := segs[r.seg].groups
 		nrows += g[r.hi].row - g[r.lo].row
 		nwire += g[r.hi].wire - g[r.lo].wire
-	}
-	var rows []core.OutputTuple
-	if views {
-		rows = make([]core.OutputTuple, 0, nrows)
+		arity = segs[r.seg].arity
 	}
 	// Two bytes more than the rows' text: the opening bracket, and the
 	// closing one when there is no last row whose comma it can overwrite.
@@ -441,25 +438,53 @@ func (a *Answer) appendRows(dst []byte, segs []*Segment, views bool) ([]byte, er
 		dst = make([]byte, 0, nwire+2)
 	}
 	dst = append(slices.Grow(dst, nwire+2), '[')
+	text := len(dst)
 	for _, r := range sc.runs {
 		s := segs[r.seg]
-		lo, hi := s.groups[r.lo], s.groups[r.hi]
-		if views {
-			for i := lo.row * s.arity; i < hi.row*s.arity; i += s.arity {
-				rows = append(rows, s.ids[i:i+s.arity:i+s.arity])
-			}
-		}
-		dst = append(dst, s.wire[lo.wire:hi.wire]...)
+		dst = append(dst, s.wire[s.groups[r.lo].wire:s.groups[r.hi].wire]...)
+	}
+	if decode {
+		a.Rows = decodeRows(dst[text:], nrows, arity)
 	}
 	if nrows == 0 {
 		dst = append(dst, ']')
 	} else {
 		dst[len(dst)-1] = ']'
 	}
-	a.Rows = rows
 	a.Count = nrows
 	a.Merge = time.Since(start)
 	return dst, nil
+}
+
+// decodeRows parses n rows of arity ids each back out of wire text —
+// "[3,7],[3,9]," as layout wrote it, so well formed — into one slab, and
+// returns a header per row into it. A magnitude is gathered as a uint64, so
+// every int64 decodes exactly: -9223372036854775808's negation wraps to
+// MinInt64 itself.
+func decodeRows(text []byte, n, arity int) []core.OutputTuple {
+	ids := make([]int64, 0, n*arity)
+	var u uint64
+	neg, digits := false, false
+	for _, c := range text {
+		switch {
+		case '0' <= c && c <= '9':
+			u, digits = u*10+uint64(c-'0'), true
+		case c == '-':
+			neg = true
+		case digits: // a comma or a closing bracket ends the id
+			id := int64(u)
+			if neg {
+				id = -id
+			}
+			ids = append(ids, id)
+			u, neg, digits = 0, false, false
+		}
+	}
+	rows := make([]core.OutputTuple, n)
+	for i := range rows {
+		rows[i] = ids[i*arity : (i+1)*arity : (i+1)*arity]
+	}
+	return rows
 }
 
 // run is a stretch of consecutive groups [lo, hi) of segs[seg] that all
@@ -604,15 +629,18 @@ func narrow(q *query.Query, rels []*residentRel, gap Window) []*relation.Relatio
 // that can reach the gap (narrow), run in line, returned in segment form:
 // exactly the rows whose anchor intersects the gap, including whole
 // (unclipped) straddling anchors — the halo the merge dedups. A gap no row
-// can be anchored in is an empty segment and joins nothing. The join's row
-// count is folded into ans, and a join is one span on tr. Joins of
-// concurrent queries proceed side by side; two that miss on the same gap
-// both run, and the cache keeps the segment inserted first.
+// can be anchored in is an empty segment and joins nothing. The join writes
+// its rows into the layout scratch's reused id buffer; the segment keeps
+// only their text. The row count is folded into ans, and a join is one span
+// on tr. Joins of concurrent queries proceed side by side; two that miss on
+// the same gap both run, and the cache keeps the segment inserted first.
 func (s *Service) runDelta(tr *obs.Tracer, q *query.Query, rels []*residentRel, key Key, gap Window, ans *Answer) (*Segment, error) {
 	arity := len(rels)
+	sc := layoutScratches.Get().(*layoutScratch)
+	defer layoutScratches.Put(sc)
 	near := narrow(q, rels, gap)
 	if near == nil {
-		return layoutSegment(key, gap, arity, nil, nil), nil
+		return sc.layout(key, gap, arity, nil, nil), nil
 	}
 	lane := tr.Acquire()
 	defer tr.Release(lane)
@@ -621,23 +649,25 @@ func (s *Service) runDelta(tr *obs.Tracer, q *query.Query, rels []*residentRel, 
 	if err != nil {
 		return nil, err
 	}
-	res, err := s.join(ctx)
+	ids, err := s.join(ctx, sc.ids[:0])
 	if err != nil {
 		return nil, err
 	}
+	sc.ids = ids
+	rows := len(ids) / arity
 	if lane != nil {
 		lane.End(obs.CatReduce, "reduce:delta-join", start,
 			obs.Arg{Key: "gap", Val: "[" + strconv.FormatInt(gap.Lo, 10) + "," + strconv.FormatInt(gap.Hi, 10) + "]"},
-			obs.Arg{Key: "rows", Val: strconv.Itoa(len(res.Tuples))})
+			obs.Arg{Key: "rows", Val: strconv.Itoa(rows)})
 	}
-	ans.DeltaRows += int64(len(res.Tuples))
-	// The result is already a slab in canonical order; it becomes the
-	// segment's as it is. Its anchor groups come in ascending id, and so do
-	// the anchors (narrow), so one forward walk pairs each group with its
-	// anchor's interval: every row's first id is one of the anchors'.
+	ans.DeltaRows += int64(rows)
+	// The rows come in canonical order. Their anchor groups come in
+	// ascending id, and so do the anchors (narrow), so one forward walk
+	// pairs each group with its anchor's interval: every row's first id is
+	// one of the anchors'.
 	anchors := near[0].Tuples
-	return layoutSegment(key, gap, arity, res.IDs, func(row int) interval.Interval {
-		for anchors[0].ID < res.IDs[row*arity] {
+	return sc.layout(key, gap, arity, ids, func(row int) interval.Interval {
+		for anchors[0].ID < ids[row*arity] {
 			anchors = anchors[1:]
 		}
 		return anchors[0].Attrs[0]

@@ -521,9 +521,9 @@ func TestRegisterKeepsNoTuplePointers(t *testing.T) {
 }
 
 // TestFullHitAllocationsIndependentOfRows is the hit path's allocation
-// guard: a query answered from the cache allocates its id slab, its wire
-// text, its row views and a fixed number of small things around them —
-// the same count for a handful of rows as for all of them.
+// guard: a query answered from the cache allocates its wire text, the id
+// slab and row headers it decodes and a fixed number of small things around
+// them — the same count for a handful of rows as for all of them.
 func TestFullHitAllocationsIndependentOfRows(t *testing.T) {
 	svc := newTestService(t, adversarialRelation("R1", 59), adversarialRelation("R2", 61))
 	q := predQuery(t, interval.Overlaps)
@@ -556,7 +556,7 @@ func TestFullHitAllocationsIndependentOfRows(t *testing.T) {
 
 // TestAppendQueryAllocsIndependentOfRows is the ijoind hit path's
 // allocation guard: an answer appended into a buffer with room allocates
-// nothing per row or per group — no row views, no text of its own — so a
+// nothing per row or per group — no decoded rows, no text of its own — so a
 // window of a few rows and one of thousands cost the same objects, served
 // from one cached segment (a full hit) or from three whose directories
 // interleave (the benchmarks' partial hit).
@@ -612,9 +612,51 @@ func TestAppendQueryAllocsIndependentOfRows(t *testing.T) {
 	}
 }
 
+// TestColdMissBytesPerRow pins what a delta join allocates per row it
+// answers: a cold AppendQuery miss keeps its rows' text and their anchor
+// groups' directory, and the join writes its ids into the layout scratch's
+// reused buffer, with no header per row. Of sixty disjoint windows, each a
+// miss over the serve workloads' residents, the leanest must allocate less
+// than 85 bytes per row it answers (it reads about 60, and 70 under the
+// race detector); an id slab of its own and a header per row, 40 bytes
+// between them, took it to about 105 (113). The leanest, because a
+// collection empties the pools a query takes its scratch and its full-size
+// row chunks from, and the race detector drops pooled items at random: a
+// query that refills one pays for it, and the one that refills none shows
+// what a query itself allocates.
+func TestColdMissBytesPerRow(t *testing.T) {
+	var rels []*relation.Relation
+	for i, name := range []string{"R1", "R2"} {
+		rel, err := workload.Generate(workload.Table1Spec(name, 20_000, int64(i+1)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		rels = append(rels, rel)
+	}
+	svc := newConfiguredService(t, ServiceConfig{CacheBytes: 1 << 20}, rels...)
+	q := predQuery(t, interval.Overlaps)
+	buf := make([]byte, 0, 1<<20)
+	leanest, rows := math.Inf(1), 0
+	for lo := int64(0); lo < 60_000; lo += 1000 {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		out, ans, err := svc.AppendQuery(buf[:0], q, Window{lo, lo + 999}, nil)
+		runtime.ReadMemStats(&after)
+		if err != nil || ans.HitSegments != 0 || len(ans.DeltaWindows) != 1 || ans.Count < 500 {
+			t.Fatalf("window [%d,%d]: err %v, %d segments hit, %d rows; want a miss of 500 rows or more", lo, lo+999, err, ans.HitSegments, ans.Count)
+		}
+		buf = out
+		leanest, rows = min(leanest, float64(after.TotalAlloc-before.TotalAlloc)/float64(ans.Count)), rows+ans.Count
+	}
+	t.Logf("cold misses: %d rows, the leanest query %.1f bytes per row", rows, leanest)
+	if leanest >= 85 {
+		t.Fatalf("the leanest cold miss allocates %.1f bytes per row; want under 85", leanest)
+	}
+}
+
 // TestConcurrentQueriesShareSegments runs the window mix from several
 // goroutines at once against a cache small enough to evict all the time:
-// answers are views into segments that other queries are reading, and
+// answers are copied out of segments that other queries are reading, and
 // that the cache drops while they are in use. Each goroutine also asks every
 // window traced, under a tracer of its own, and cold, bypassing the cache, so
 // delta joins of all three paths run side by side. Every answer must still be
@@ -624,7 +666,7 @@ func TestConcurrentQueriesShareSegments(t *testing.T) {
 	before := runtime.NumGoroutine()
 	r1, r2 := adversarialRelation("R1", 67), adversarialRelation("R2", 71)
 	rels := []*relation.Relation{r1, r2}
-	svc := newConfiguredService(t, ServiceConfig{CacheBytes: 8 << 10}, rels...)
+	svc := newConfiguredService(t, ServiceConfig{CacheBytes: 4 << 10}, rels...)
 	q := predQuery(t, interval.Overlaps)
 	want := make([]*core.Result, len(windowMix))
 	for i, w := range windowMix {
@@ -686,7 +728,7 @@ func TestDeltaJoinsRunConcurrently(t *testing.T) {
 	both := make(chan struct{})
 	svc := newTestService(t, adversarialRelation("R1", 89), adversarialRelation("R2", 97))
 	join := svc.join
-	svc.join = func(ctx *core.Context) (*core.Result, error) {
+	svc.join = func(ctx *core.Context, dst []int64) ([]int64, error) {
 		switch entered.Add(1) {
 		case 1:
 			select {
@@ -697,7 +739,7 @@ func TestDeltaJoinsRunConcurrently(t *testing.T) {
 		case 2:
 			close(both)
 		}
-		return join(ctx)
+		return join(ctx, dst)
 	}
 	q := predQuery(t, interval.Overlaps)
 	windows := []Window{{0, 150}, {250, 400}}

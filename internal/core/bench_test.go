@@ -330,12 +330,12 @@ func benchSetRows(b *testing.B, n, w int, limit int64, ranges, workers int) {
 		if ranges == 1 {
 			rows := collect(&p, w, data)
 			b.StartTimer()
-			res.setRows(rows, &p)
+			res.setRows(rows, &p, nil, true)
 			continue
 		}
 		rows := fileRows(&p, w, data, cuts, 2)
 		b.StartTimer()
-		res.setRanges(&p, rows, ranges, workers)
+		res.setRanges(&p, rows, ranges, workers, nil, true)
 	}
 	if len(res.Tuples) != n {
 		b.Fatalf("%d rows of %d", len(res.Tuples), n)
@@ -467,7 +467,7 @@ func BenchmarkInLineVsJob(b *testing.B) {
 			rels := sh.rels(rand.New(rand.NewSource(1)), n)
 			arms := [3]func(*Context) (*Result, error){
 				Plan(q, false).Run,
-				func(ctx *Context) (*Result, error) { return joinInLine(ctx, inLineSplit{1, 1, 1}) },
+				func(ctx *Context) (*Result, error) { return joinInLine(ctx, inLineSplit{1, 1, 1}, nil, true) },
 				JoinInLine,
 			}
 			b.Run(fmt.Sprintf("%s/n=%d", sh.name, n), func(b *testing.B) {

@@ -250,20 +250,26 @@ type Result struct {
 // committed it or as JoinInLine collected it, or the oracle's as it was
 // enumerated, all collected as p says (rowPacking.rows) — the run's result,
 // in canonical order, and hands their chunks back to the engine's pool: rows
-// must not be read again. It allocates IDs and Tuples and nothing else.
+// must not be read again. IDs is written in dst's memory when it has room
+// and in a slab of its own otherwise, and Tuples is set only when headers
+// is (size); it allocates nothing else.
 //
 // Packed rows are words: setRows is setRanges' one range, ordered in linear
 // time on the caller (orderStretch). Rows that do not pack are w ids each and
-// take one comparison sort.
-func (r *Result) setRows(rows *mr.Rows, p *rowPacking) {
+// take one comparison sort, over headers it makes whether or not it keeps
+// them.
+func (r *Result) setRows(rows *mr.Rows, p *rowPacking, dst []int64, headers bool) {
 	w, n := len(p.lo), rows.Len()
-	r.IDs, r.Tuples = make([]int64, n*w), make([]OutputTuple, n)
+	r.size(n, w, dst, headers)
 	if p.words {
 		r.orderStretch(p, 0, rows.Chunks())
 	} else {
 		// Tuples stand for the rows where the engine left them while they
 		// are sorted, then each row moves to its place in the slab.
 		tuples := r.Tuples
+		if !headers {
+			tuples = make([]OutputTuple, n)
+		}
 		i := 0
 		for _, c := range rows.Chunks() {
 			for at := 0; at < len(c); at += w {
@@ -281,6 +287,19 @@ func (r *Result) setRows(rows *mr.Rows, p *rowPacking) {
 	rows.Release()
 }
 
+// size readies the result for n rows of w ids: IDs in dst's memory when it
+// has room for them, in a fresh slab otherwise, and Tuples, a header per
+// row, when headers is set, nil when it is not.
+func (r *Result) size(n, w int, dst []int64, headers bool) {
+	if dst == nil || cap(dst) < n*w {
+		dst = make([]int64, n*w)
+	}
+	r.IDs, r.Tuples = dst[:n*w], nil
+	if headers {
+		r.Tuples = make([]OutputTuple, n)
+	}
+}
+
 // spreadRows is the fewest rows setRanges orders on more than one goroutine:
 // below it a helper took nothing off the caller's wall on two workers, at
 // twice it a seventh (BenchmarkSetRows' per-range arms).
@@ -295,10 +314,11 @@ const spreadRows = 1 << 14
 // is ordered alone (orderStretch): by the caller, or, from spreadRows rows on,
 // by up to workers goroutines, the caller among them, that claim the ranges in
 // turn and write disjoint stretches of one slab. One Rows is setRows' case.
-// Besides IDs and Tuples it allocates the ranges' lists of chunks.
-func (r *Result) setRanges(p *rowPacking, rows []mr.Rows, ranges, workers int) {
+// IDs and Tuples are sized as setRows sizes them (size); besides them it
+// allocates the ranges' lists of chunks.
+func (r *Result) setRanges(p *rowPacking, rows []mr.Rows, ranges, workers int, dst []int64, headers bool) {
 	if len(rows) == 1 {
-		r.setRows(&rows[0], p)
+		r.setRows(&rows[0], p, dst, headers)
 		return
 	}
 	type stretch struct {
@@ -319,8 +339,7 @@ func (r *Result) setRanges(p *rowPacking, rows []mr.Rows, ranges, workers int) {
 		}
 		stretches[k].chunks = chunks[from:]
 	}
-	w := len(p.lo)
-	r.IDs, r.Tuples = make([]int64, n*w), make([]OutputTuple, n)
+	r.size(n, len(p.lo), dst, headers)
 	if n < spreadRows {
 		workers = 1
 	}
@@ -333,17 +352,21 @@ func (r *Result) setRanges(p *rowPacking, rows []mr.Rows, ranges, workers int) {
 }
 
 // orderStretch orders the packed rows in chunks into the result's stretch of
-// rows that starts at row at, in IDs and Tuples as allocated: a radix sort
+// rows that starts at row at, in IDs and Tuples as sized: a radix sort
 // from the chunks into the head of the stretch's slab (sortWords), then one
 // backward pass that unpacks each word into its row in place — row i's ids
 // land at or after word i, so no word is overwritten before it is read — and
-// sets its header.
+// sets its header when the result has headers.
 func (r *Result) orderStretch(p *rowPacking, at int, chunks [][]int64) {
 	w, n := len(p.lo), 0
 	for _, c := range chunks {
 		n += len(c)
 	}
-	ids, tuples := r.IDs[at*w:(at+n)*w], r.Tuples[at:at+n]
+	ids := r.IDs[at*w : (at+n)*w]
+	var tuples []OutputTuple
+	if r.Tuples != nil {
+		tuples = r.Tuples[at : at+n]
+	}
 	p.sortWords(ids, chunks)
 	for i := n - 1; i >= 0; i-- {
 		word := ids[i]
@@ -352,7 +375,9 @@ func (r *Result) orderStretch(p *rowPacking, at int, chunks [][]int64) {
 			row[k] = p.lo[k] + word&(1<<p.bits[k]-1)
 			word >>= p.bits[k]
 		}
-		tuples[i] = row
+		if tuples != nil {
+			tuples[i] = row
+		}
 	}
 }
 

@@ -559,11 +559,26 @@ func (cj cellJoin) job(c *Context) mr.Job {
 // turn and file each row under its first relation's id range (runSplit), and
 // each range is ordered into its own stretch of the result (setRanges). Its
 // Metrics are nil, since no cycle ran, and ctx.Engine may be nil.
-func JoinInLine(ctx *Context) (*Result, error) { return joinInLine(ctx, ctx.inLineSplit()) }
+func JoinInLine(ctx *Context) (*Result, error) {
+	return joinInLine(ctx, ctx.inLineSplit(), nil, true)
+}
 
-// joinInLine is JoinInLine spread as s says; more than one worker needs an
-// engine and rows that pack.
-func joinInLine(ctx *Context, s inLineSplit) (*Result, error) {
+// JoinInLineIDs is JoinInLine's join returning only the rows' ids, row after
+// row in canonical order — what JoinInLine's Result.IDs holds — with no
+// header per row. They are written in dst's memory when it has room for
+// them, and in a slab of their own otherwise.
+func JoinInLineIDs(ctx *Context, dst []int64) ([]int64, error) {
+	res, err := joinInLine(ctx, ctx.inLineSplit(), dst, false)
+	if err != nil {
+		return nil, err
+	}
+	return res.IDs, nil
+}
+
+// joinInLine is JoinInLine spread as s says, its rows ordered into dst when
+// it has room and given headers when headers is set (Result.size); more
+// than one worker needs an engine and rows that pack.
+func joinInLine(ctx *Context, s inLineSplit, dst []int64, headers bool) (*Result, error) {
 	rels := allRelations(len(ctx.Rels))
 	// The join runs once: its state comes from no pool, which would be new
 	// with the enumerator and never used again.
@@ -581,25 +596,26 @@ func joinInLine(ctx *Context, s inLineSplit) (*Result, error) {
 		}); err != nil {
 			return nil, err
 		}
-		res.setRows(rows, &ctx.packing)
+		res.setRows(rows, &ctx.packing, dst, headers)
 		return res, nil
 	}
 	// Walkers that file their rows over several Rows climb to full-size
 	// chunks in every one in two steps (Rows.Steep): doubling in each would
-	// allocate a chunk a doubling of the rows for every range. A walker's
-	// rows take their chunks on its own goroutine, so that two walkers'
-	// chunk lists, whose headers they write on every row, lie in no common
-	// cache line.
+	// allocate a chunk a doubling of the rows for every range. So does the
+	// one Rows of a join on no engine, a delta join's: its climb was a cold
+	// query's largest allocation after the ids. A walker's rows take their
+	// chunks on its own goroutine, so that two walkers' chunk lists, whose
+	// headers they write on every row, lie in no common cache line.
 	rows := make([]mr.Rows, min(s.workers, s.stretches)*s.ranges)
 	for k := range rows {
-		rows[k].Width, rows[k].Steep = 1, len(rows) > 1
+		rows[k].Width, rows[k].Steep = 1, len(rows) > 1 || ctx.Engine == nil
 	}
 	if len(rows) == 1 {
 		p.runWords(&rows[0], &ctx.packing)
 	} else {
 		p.runSplit(rows, ctx.wordCuts(s.ranges), &ctx.packing, s)
 	}
-	res.setRanges(&ctx.packing, rows, s.ranges, s.workers)
+	res.setRanges(&ctx.packing, rows, s.ranges, s.workers, dst, headers)
 	return res, nil
 }
 

@@ -101,7 +101,7 @@ func (c *Context) runStages(alg string, build stageBuilder) (*Result, error) {
 	if plan != nil {
 		agg.Plan = plan.info()
 	}
-	res.setRows(rows, &c.packing)
+	res.setRows(rows, &c.packing, nil, true)
 	return res, nil
 }
 

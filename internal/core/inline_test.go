@@ -278,3 +278,83 @@ func TestInLineFilesRowsByFirstID(t *testing.T) {
 		}
 	}
 }
+
+// TestJoinInLineIDsIsJoinInLinesSlab: JoinInLineIDs returns what
+// JoinInLine's Result.IDs holds, word for word — for every Allen predicate
+// and a chain of three, on ids that pack and ids too far apart to, in one
+// range (no engine) and over two workers' ranges — written into dst in
+// place when it has room, and into a slab of its own, leaving dst as it
+// was, when it has none.
+func TestJoinInLineIDsIsJoinInLinesSlab(t *testing.T) {
+	rng := rand.New(rand.NewSource(59))
+	// wide numbers the tuples 2^40 apart: two such relations take 98 bits a
+	// row, so their rows do not pack.
+	wide := func(r *relation.Relation) *relation.Relation {
+		out := relation.New(r.Schema)
+		for i, tu := range r.Tuples {
+			out.Tuples = append(out.Tuples, relation.Tuple{ID: int64(i) << 40, Attrs: slices.Clone(tu.Attrs)})
+		}
+		return out
+	}
+	queries := []string{"R1 overlaps R2 and R2 overlaps R3"}
+	for p := interval.Predicate(0); p < interval.NumPredicates; p++ {
+		queries = append(queries, fmt.Sprintf("R1 %s R2", p))
+	}
+	for _, qs := range queries {
+		q := query.MustParse(qs)
+		packed := make([]*relation.Relation, len(q.Relations))
+		for i := range packed {
+			packed[i] = randomRelation(rng, fmt.Sprintf("R%d", i+1), 300, 200, 20)
+		}
+		unpacked := []*relation.Relation{wide(packed[0]), wide(packed[1])}
+		unpacked = append(unpacked, packed[2:]...)
+		for _, tc := range []struct {
+			name    string
+			rels    []*relation.Relation
+			workers int
+		}{
+			{"packed, one range", packed, 0},
+			{"packed, two workers' ranges", packed, 2},
+			{"not packed", unpacked, 0},
+		} {
+			label := qs + ", " + tc.name
+			var e *mr.Engine
+			if tc.workers > 0 {
+				e = mr.NewEngine(mr.Config{Store: dfs.NewMem(), Workers: tc.workers})
+			}
+			ctx, err := NewContext(e, q, tc.rels, Options{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if s := ctx.inLineSplit(); ctx.packing.words != (tc.name != "not packed") || (s.ranges > 1) != (tc.workers > 1) {
+				t.Fatalf("%s: packed %v, split %+v", label, ctx.packing.words, s)
+			}
+			want, err := JoinInLine(ctx)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(want.IDs) == 0 {
+				t.Fatalf("%s: the join has no row; the comparison checks nothing", label)
+			}
+			room := make([]int64, len(want.IDs)+3)
+			got, err := JoinInLineIDs(ctx, room[:0])
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !slices.Equal(got, want.IDs) || &got[0] != &room[0] {
+				t.Errorf("%s, dst with room: %d ids (in dst: %v), JoinInLine's slab %d", label, len(got), &got[0] == &room[0], len(want.IDs))
+			}
+			small := make([]int64, len(want.IDs)/2)
+			for i := range small {
+				small[i] = -7
+			}
+			got, err = JoinInLineIDs(ctx, small[:0])
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !slices.Equal(got, want.IDs) || slices.ContainsFunc(small, func(id int64) bool { return id != -7 }) {
+				t.Errorf("%s, dst without room: %d ids, JoinInLine's slab %d; dst written: %v", label, len(got), len(want.IDs), slices.ContainsFunc(small, func(id int64) bool { return id != -7 }))
+			}
+		}
+	}
+}

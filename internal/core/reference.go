@@ -29,6 +29,6 @@ func (Reference) Run(ctx *Context) (*Result, error) {
 		ctx.packing.put(rows, rels, asg)
 		return nil
 	})
-	res.setRows(rows, &ctx.packing)
+	res.setRows(rows, &ctx.packing, nil, true)
 	return res, err
 }

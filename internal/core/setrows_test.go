@@ -185,13 +185,13 @@ func checkSetRows(t *testing.T, w int, data []int64, dense bool, ranges int) boo
 	switch {
 	case !p.words:
 		rows = []mr.Rows{*collect(&p, w, data)}
-		res.setRows(&rows[0], &p)
+		res.setRows(&rows[0], &p, nil, true)
 	case ranges == 1:
 		rows = fileRows(&p, w, data, nil, 1)
-		res.setRanges(&p, rows, 1, 2)
+		res.setRanges(&p, rows, 1, 2, nil, true)
 	default:
 		rows = fileRows(&p, w, data, idCuts(first.Lo, first.Hi, ranges), 3)
-		res.setRanges(&p, rows, ranges, 2)
+		res.setRanges(&p, rows, ranges, 2, nil, true)
 	}
 	checkResultForm(t, "setRows", &res, w)
 	if len(res.Tuples) != len(want) {
@@ -339,7 +339,7 @@ func TestSetRowsAllocs(t *testing.T) {
 				rows := collect(&p, tc.w, data)
 				var before, after runtime.MemStats
 				runtime.ReadMemStats(&before)
-				res.setRows(rows, &p)
+				res.setRows(rows, &p, nil, true)
 				runtime.ReadMemStats(&after)
 				objects = min(objects, after.Mallocs-before.Mallocs)
 				bytes = min(bytes, after.TotalAlloc-before.TotalAlloc)

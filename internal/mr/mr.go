@@ -135,8 +135,8 @@ type Rows struct {
 	// Steep grows the chunks 32-fold rather than 2-fold, from the same first
 	// chunk to full size in two steps: for a collector that files its rows
 	// over several Rows at once, each of whose climbs would allocate a chunk
-	// a doubling, while a Rows that gets few rows still takes no full-size
-	// chunk. Set before the first Append.
+	// a doubling, or that allocates little else, while a Rows that gets few
+	// rows still takes no full-size chunk. Set before the first Append.
 	Steep  bool
 	chunks [][]int64
 }

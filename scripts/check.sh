@@ -23,7 +23,10 @@
 #                      (TestNarrowAllocationsIndependentOfTuples), its
 #                      in-line delta join nothing per tuple or row but a
 #                      row chunk per doubling
-#                      (TestDeltaJoinAllocsIndependentOfRows), its
+#                      (TestDeltaJoinAllocsIndependentOfRows), a cold
+#                      miss less than 85 bytes per row it answers, with no
+#                      id slab or row header of its own
+#                      (TestColdMissBytesPerRow), its
 #                      answer appended into ijoind's response buffer
 #                      nothing per row, a full hit or a partial one
 #                      (TestAppendQueryAllocsIndependentOfRows), a batch
@@ -140,9 +143,12 @@ go test -run 'TestLiveDisabledZeroCost' ./internal/obs/live/
 # side, narrowing a resident to a delta join's tuples costs the same objects
 # for a gap ten times wider (positions in a bitset, each selection made at
 # its exact size), and so does the in-line join of those tuples but for one
-# row chunk per doubling of its rows; an answer appended into a buffer with
+# row chunk per doubling of its rows; a cold miss allocates less than 85
+# bytes per row it answers, since its join writes the ids into a reused
+# buffer and sets no row header, and its segment keeps only text and a
+# directory; an answer appended into a buffer with
 # room, as ijoind serves it, costs the same objects for a few rows as for
-# thousands, from one cached segment or three (no row views, no text of
+# thousands, from one cached segment or three (no decoded rows, no text of
 # its own); so does a batch join Engine.Run runs
 # in line, which besides reads the relations it was given where they lie when
 # they were loaded (or built by FromIntervals, which lays them out in one
@@ -153,7 +159,7 @@ go test -run 'TestLiveDisabledZeroCost' ./internal/obs/live/
 # before anything slower runs.
 go test -run 'TestShuffleAllocsDoNotFollowEmissions' ./internal/mr/
 go test -run 'TestRCCISOpAllocs|TestProductRouteAllocs|TestRowEmissionAllocs' ./internal/core/
-go test -run 'TestNarrowAllocationsIndependentOfTuples|TestDeltaJoinAllocsIndependentOfRows|TestAppendQueryAllocsIndependentOfRows' ./internal/cache/
+go test -run 'TestNarrowAllocationsIndependentOfTuples|TestDeltaJoinAllocsIndependentOfRows|TestColdMissBytesPerRow|TestAppendQueryAllocsIndependentOfRows' ./internal/cache/
 go test -run 'TestInLineRunAllocsIndependentOfRows' .
 go test -run 'TestInLineCopiesNoLoadedTuple' ./internal/core/
 go test -run 'TestValidateAllocatesNothingFor|TestFromIntervalsAllocs' ./internal/relation/
