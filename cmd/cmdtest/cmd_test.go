@@ -4,6 +4,7 @@ package cmdtest
 
 import (
 	"encoding/json"
+	"fmt"
 	"os"
 	"os/exec"
 	"path/filepath"
@@ -242,8 +243,27 @@ func TestIjoinPlannerReach(t *testing.T) {
 	}
 }
 
+// TestIjoinEmitTuples pins what ijoin prints for both -emit forms: a row's
+// ids in decimal, comma-separated, one row a line in the result's order,
+// and the same rows with their intervals.
 func TestIjoinEmitTuples(t *testing.T) {
 	dir := t.TempDir()
+	// R1's tuple i overlaps exactly R2's tuple 11-i, so the rows' ids run
+	// to two digits in both columns.
+	var r1, r2, want strings.Builder
+	for i := 0; i < 12; i++ {
+		fmt.Fprintf(&r1, "%d,%d\n", i*100, i*100+10)
+		fmt.Fprintf(&r2, "%d,%d\n", (11-i)*100+5, (11-i)*100+20)
+		fmt.Fprintf(&want, "%d,%d\n", i, 11-i)
+	}
+	c := filepath.Join(dir, "c.txt")
+	d := filepath.Join(dir, "d.txt")
+	os.WriteFile(c, []byte(r1.String()), 0o644)
+	os.WriteFile(d, []byte(r2.String()), 0o644)
+	if out := mustRun(t, "ijoin", "-query", "R1 overlaps R2", "-rel", "R1="+c, "-rel", "R2="+d); out != want.String() {
+		t.Fatalf("-emit ids printed %q, want %q", out, want.String())
+	}
+
 	a := filepath.Join(dir, "a.txt")
 	b := filepath.Join(dir, "b.txt")
 	os.WriteFile(a, []byte("0,10\n"), 0o644)

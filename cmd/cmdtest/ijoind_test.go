@@ -10,6 +10,7 @@ import (
 	"os/exec"
 	"path/filepath"
 	"strings"
+	"sync/atomic"
 	"syscall"
 	"testing"
 	"time"
@@ -59,33 +60,33 @@ func startIjoind(t *testing.T, args ...string) (*exec.Cmd, string) {
 	}
 }
 
-// postQuery sends one windowed query and decodes the response.
-func postQuery(t *testing.T, base, q string, lo, hi int64) map[string]json.RawMessage {
-	t.Helper()
+// queryAnswer is the part of a /query body the tests read.
+type queryAnswer struct {
+	Rows        [][]int64 `json:"rows"`
+	HitSegments int       `json:"hit_segments"`
+}
+
+// postQuery sends one windowed query and decodes the body. It reports
+// failure as an error, so a client on another goroutine can call it.
+func postQuery(base, q string, lo, hi int64) (queryAnswer, error) {
+	var ans queryAnswer
 	body, _ := json.Marshal(map[string]any{"query": q, "lo": lo, "hi": hi})
 	resp, err := http.Post(base+"/query", "application/json", bytes.NewReader(body))
 	if err != nil {
-		t.Fatal(err)
+		return ans, err
 	}
 	defer resp.Body.Close()
 	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("POST /query [%d,%d]: status %d", lo, hi, resp.StatusCode)
+		return ans, fmt.Errorf("POST /query [%d,%d]: status %d", lo, hi, resp.StatusCode)
 	}
-	var out map[string]json.RawMessage
-	if err := json.NewDecoder(resp.Body).Decode(&out); err != nil {
-		t.Fatal(err)
+	if err := json.NewDecoder(resp.Body).Decode(&ans); err != nil {
+		return ans, fmt.Errorf("POST /query [%d,%d]: body does not decode: %w", lo, hi, err)
 	}
-	return out
+	return ans, nil
 }
 
-// rowSet decodes a response's rows into the "id,id" strings batch ijoin
-// prints, as a set.
-func rowSet(t *testing.T, raw json.RawMessage) map[string]bool {
-	t.Helper()
-	var rows [][]int64
-	if err := json.Unmarshal(raw, &rows); err != nil {
-		t.Fatal(err)
-	}
+// rowSet renders rows as the "id,id" strings batch ijoin prints, as a set.
+func rowSet(rows [][]int64) map[string]bool {
 	set := make(map[string]bool, len(rows))
 	for _, r := range rows {
 		parts := make([]string, len(r))
@@ -126,12 +127,25 @@ func sampleValue(samples []live.Sample, name string) (float64, bool) {
 	return 0, false
 }
 
+// labeledValue returns the sample with the given name and label value.
+func labeledValue(samples []live.Sample, name, label, value string) (float64, bool) {
+	for _, s := range samples {
+		if s.Name == name && s.Label(label) == value {
+			return s.Value, true
+		}
+	}
+	return 0, false
+}
+
 // TestIjoindServesCachedQueries boots the server on real relation files
 // with every query traced (-trace-sample 1, so the batch-equality check
-// covers the traced path), issues overlapping windowed queries (so the
-// second is served at least partly from the segment cache), scrapes
-// /metrics mid-load, and checks the whole-range answer is exactly the
-// batch ijoin output. Then it exercises graceful shutdown: SIGTERM must
+// covers the traced path) and drives a window mix at it: overlapping
+// windows from one client (so the second is served at least partly from
+// the segment cache), then a mix from two clients at once (so the server
+// runs their delta joins side by side), then the whole range, which must be
+// exactly the batch ijoin output. It strictly parses a mid-load and a final
+// /metrics scrape, and the final one must count every query sent and every
+// row the bodies held. Then it exercises graceful shutdown: SIGTERM must
 // drain, flush -metrics, and exit cleanly.
 func TestIjoindServesCachedQueries(t *testing.T) {
 	dir := t.TempDir()
@@ -154,22 +168,60 @@ func TestIjoindServesCachedQueries(t *testing.T) {
 		t.Fatalf("healthz status %d", resp.StatusCode)
 	}
 
+	// sent and rows count the queries answered and the rows their bodies
+	// held; the final scrape must end at both.
 	const q = "R1 overlaps R2"
-	postQuery(t, base, q, 0, 600)
+	var sent, rows atomic.Int64
+	send := func(lo, hi int64) (queryAnswer, error) {
+		ans, err := postQuery(base, q, lo, hi)
+		if err == nil {
+			sent.Add(1)
+			rows.Add(int64(len(ans.Rows)))
+		}
+		return ans, err
+	}
+	mustSend := func(lo, hi int64) queryAnswer {
+		t.Helper()
+		ans, err := send(lo, hi)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return ans
+	}
+
+	mustSend(0, 600)
 	mid := scrapeMetrics(t, base)
 	midCount, ok := sampleValue(mid, "ij_query_latency_seconds_count")
 	if !ok || midCount < 1 {
 		t.Fatalf("mid-load ij_query_latency_seconds_count = %v (present=%v), want >= 1", midCount, ok)
 	}
-	warm := postQuery(t, base, q, 300, 900)
-	var hitSegs int
-	if err := json.Unmarshal(warm["hit_segments"], &hitSegs); err != nil {
-		t.Fatal(err)
-	}
-	if hitSegs == 0 {
+	if warm := mustSend(300, 900); warm.HitSegments == 0 {
 		t.Error("overlapping window [300,900] after [0,600] hit no cached segment")
 	}
-	full := postQuery(t, base, q, 0, 10_000)
+
+	// Two clients at once, each over its own slice of a mix of windows
+	// past the ones above: each client's first windows need delta joins,
+	// which the server runs side by side, and its repeats are hits.
+	const clients, perClient = 2, 4
+	errs := make(chan error, clients)
+	for c := 0; c < clients; c++ {
+		go func() {
+			for i := c; i < clients*perClient; i += clients {
+				lo := 700 + int64(i%4)*100
+				if _, err := send(lo, lo+250); err != nil {
+					errs <- err
+					return
+				}
+			}
+			errs <- nil
+		}()
+	}
+	for c := 0; c < clients; c++ {
+		if err := <-errs; err != nil {
+			t.Fatal(err)
+		}
+	}
+	full := mustSend(0, 10_000)
 
 	// The whole-range answer — merged from cached segments plus delta
 	// windows — must be exactly the batch join.
@@ -178,7 +230,7 @@ func TestIjoindServesCachedQueries(t *testing.T) {
 	for _, l := range nonEmptyLines(batch) {
 		want[strings.TrimSpace(l)] = true
 	}
-	got := rowSet(t, full["rows"])
+	got := rowSet(full.Rows)
 	if len(got) != len(want) {
 		t.Fatalf("server answered %d rows, batch ijoin %d", len(got), len(want))
 	}
@@ -193,22 +245,57 @@ func TestIjoindServesCachedQueries(t *testing.T) {
 		t.Fatal(err)
 	}
 	stats, _ := readAll(resp)
-	if !strings.Contains(stats, `"cache"`) || !strings.Contains(stats, `"hit_ratio"`) {
-		t.Fatalf("stats missing cache section: %s", stats)
+	if !json.Valid([]byte(stats)) || !strings.Contains(stats, `"cache"`) || !strings.Contains(stats, `"hit_ratio"`) {
+		t.Fatalf("stats is not JSON with a cache section: %s", stats)
 	}
 
-	// The final scrape must have moved past the mid-load one and carry the
-	// gauge and cache-bridge series.
+	// The final scrape must have moved past the mid-load one, count every
+	// query and row, and carry the gauge and cache-bridge series.
 	fin := scrapeMetrics(t, base)
 	finCount, ok := sampleValue(fin, "ij_query_latency_seconds_count")
 	if !ok || finCount <= midCount {
 		t.Fatalf("ij_query_latency_seconds_count did not move: mid %v, final %v", midCount, finCount)
 	}
-	if _, ok := sampleValue(fin, "ij_inflight"); !ok {
-		t.Error("final scrape missing ij_inflight")
+	if finCount != float64(sent.Load()) {
+		t.Errorf("ij_query_latency_seconds_count = %v, want the %d queries sent", finCount, sent.Load())
+	}
+	if v, ok := sampleValue(fin, "ij_query_rows_total"); !ok || v != float64(rows.Load()) {
+		t.Errorf("ij_query_rows_total = %v (present=%v), want %d: the rows the bodies held", v, ok, rows.Load())
+	}
+	for _, name := range []string{
+		"ij_inflight",
+		"ij_draining",
+		"ij_cache_hit_ratio",
+		"ij_cache_lookups",
+		"ij_cache_bytes_in_use",
+		"ij_admission_rejected_total",
+		"ij_query_delta_windows_total",
+		"ij_query_window_span_count",
+		"ij_response_bytes_count",
+	} {
+		if _, ok := sampleValue(fin, name); !ok {
+			t.Errorf("final scrape missing %s", name)
+		}
+	}
+	if v, ok := sampleValue(fin, "ij_query_delta_windows_total"); !ok || v <= 0 {
+		t.Errorf("ij_query_delta_windows_total = %v (present=%v), want > 0: delta joins ran", v, ok)
 	}
 	if ratio, ok := sampleValue(fin, "ij_cache_hit_ratio"); !ok || ratio <= 0 {
 		t.Errorf("ij_cache_hit_ratio = %v (present=%v), want > 0 after overlapping windows", ratio, ok)
+	}
+	// Both stages of every successful query are timed: the series exist
+	// mid-load and have moved by the end.
+	for _, stage := range []string{"merge", "encode"} {
+		midN, ok := labeledValue(mid, "ij_query_stage_seconds_count", "stage", stage)
+		if !ok {
+			t.Errorf("mid scrape missing ij_query_stage_seconds_count{stage=%q}", stage)
+		}
+		if finN, _ := labeledValue(fin, "ij_query_stage_seconds_count", "stage", stage); finN <= midN {
+			t.Errorf("ij_query_stage_seconds_count{stage=%q} did not move: mid %v, final %v", stage, midN, finN)
+		}
+	}
+	if v, _ := labeledValue(fin, "ij_requests_total", "code", "200"); v <= 0 {
+		t.Errorf(`ij_requests_total{code="200"} = %v, want > 0`, v)
 	}
 	if traced, ok := sampleValue(fin, "ij_query_traces_written_total"); !ok || traced < 3 {
 		t.Errorf("ij_query_traces_written_total = %v (present=%v), want >= 3 with -trace-sample 1", traced, ok)
@@ -254,15 +341,24 @@ func TestIjoindServesCachedQueries(t *testing.T) {
 	}
 }
 
-// TestIjoindHasNoBenchMode: the daemon measures nothing itself — bench/
-// drives it from outside — so -bench is an unknown flag, as are the flags of
-// the execution mode and the linter overrides that are gone, while the
-// live-scrape gate check.sh runs still passes.
+// TestIjoindHasNoBenchMode: the daemon has one mode, serving. It measures
+// nothing itself — bench/ drives it from outside — and checks nothing
+// itself — TestIjoindServesCachedQueries drives and scrapes it — so -bench
+// and the flags of the self-check mode are unknown, as are the flags of the
+// execution mode, the linter overrides and the experiments shorthand that
+// are gone.
 func TestIjoindHasNoBenchMode(t *testing.T) {
 	for _, args := range [][]string{
 		{"ijoind", "-bench"},
+		{"ijoind", "-selfcheck"},
+		{"ijoind", "-scrape-out", "x"},
+		{"ijoind", "-query", "x"},
+		{"ijoind", "-queries", "1"},
+		{"ijoind", "-rows", "1"},
+		{"ijoind", "-seed", "1"},
 		{"ijoin", "-materialize"},
 		{"experiments", "-materialize"},
+		{"experiments", "-querymix"},
 		{"ijlint", "-ban", "x"},
 		{"ijlint", "-hotpaths", "x"},
 	} {
@@ -271,8 +367,6 @@ func TestIjoindHasNoBenchMode(t *testing.T) {
 			t.Fatalf("%v: err %v, want an unknown-flag exit\nstderr: %s", args, err, errOut)
 		}
 	}
-	mustRun(t, "ijoind", "-selfcheck", "-rows", "2000", "-queries", "8", "-log-level", "warn",
-		"-scrape-out", filepath.Join(t.TempDir(), "live.prom"))
 }
 
 // TestIjoindBoundsTheRequestSurface: a /query body is one JSON object of

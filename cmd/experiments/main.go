@@ -31,8 +31,6 @@ func main() {
 		workers = flag.Int("workers", 0, "engine parallelism (0 = GOMAXPROCS)")
 		verify  = flag.Bool("verify", false, "cross-check every run against the oracle")
 
-		querymix = flag.Bool("querymix", false, "shorthand for -exp querymix: the zipfian query-mix cache experiment")
-
 		adaptive = flag.Bool("adaptive", false, "skew-aware execution: adaptive boundaries and virtual reducer splitting")
 		asJSON   = flag.Bool("json", false, "emit JSON instead of aligned text")
 		traceTo  = flag.String("trace", "", "write a Chrome trace_event timeline of every run here (open in Perfetto)")
@@ -40,9 +38,6 @@ func main() {
 	)
 	flag.Parse()
 
-	if *querymix {
-		*id = "querymix"
-	}
 	if *id == "list" {
 		for _, e := range exp.All() {
 			fmt.Printf("%-20s %s\n", e.ID, e.Title)

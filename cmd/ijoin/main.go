@@ -169,8 +169,18 @@ func main() {
 	w := bufio.NewWriter(out)
 	switch *emit {
 	case "ids":
+		// One line per row, its ids in decimal, comma-separated, built in
+		// one reused buffer. A failed write sticks in w; Flush reports it.
+		var line []byte
 		for _, t := range res.Tuples {
-			fmt.Fprintln(w, t.Key())
+			line = line[:0]
+			for i, id := range t {
+				if i > 0 {
+					line = append(line, ',')
+				}
+				line = strconv.AppendInt(line, id, 10)
+			}
+			w.Write(append(line, '\n'))
 		}
 	case "tuples":
 		// Bound relations in query order, so ids resolve positionally.

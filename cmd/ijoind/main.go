@@ -3,7 +3,7 @@
 // HTTP/JSON API, serving covered time spans from a semantic segment cache
 // and joining only the uncovered delta windows (see docs/SERVICE.md).
 //
-// Serve mode:
+// Usage:
 //
 //	ijoind -rel R1=a.txt -rel R2=b.txt [-addr :7077] [-cache-mb 64]
 //	       [-max-inflight 4] [-metrics metrics.json]
@@ -29,12 +29,6 @@
 // Perfetto-loadable Chrome trace into a bounded ring of files.
 // SIGINT/SIGTERM drains in-flight queries via http.Server.Shutdown,
 // answers new ones with 503, flushes -metrics, and exits.
-//
-// Selfcheck mode (-selfcheck) boots the server on a loopback port, fires
-// a window mix at it over HTTP, scrapes and validates /metrics, verifies
-// a sampled trace appeared, writes the scrape to -scrape-out, and exits
-// non-zero on any telemetry defect — the live-scrape gate scripts/check.sh
-// runs. Without -rel bindings it generates the paper's Table 1 relations.
 package main
 
 import (
@@ -62,14 +56,13 @@ import (
 	"intervaljoin/internal/obs/live"
 	"intervaljoin/internal/query"
 	"intervaljoin/internal/relation"
-	"intervaljoin/internal/workload"
 )
 
 type relArg struct {
 	name, path string
 }
 
-// serveConfig carries the serve-mode knobs from flag parsing to serve().
+// serveConfig carries the knobs from flag parsing to serve().
 type serveConfig struct {
 	addr        string
 	maxInflight int
@@ -92,12 +85,6 @@ func main() {
 		traceDir   = flag.String("trace-dir", "", "write sampled per-query Chrome traces into this directory (empty disables)")
 		traceN     = flag.Int64("trace-sample", 0, "with -trace-dir, trace every Nth query (0: only latency-triggered captures)")
 		traceKeep  = flag.Int("trace-keep", defaultTraceKeep, "bounded trace ring: keep at most this many trace files")
-		selfcheck  = flag.Bool("selfcheck", false, "boot on a loopback port, drive the query mix over HTTP, validate /metrics, and exit")
-		scrapeOut  = flag.String("scrape-out", "artifacts/live-metrics.prom", "selfcheck: write the validated /metrics scrape here")
-		mixQuery   = flag.String("query", "R1 overlaps R2", "selfcheck: the join query of the mix")
-		queries    = flag.Int("queries", 200, "selfcheck: number of windows in the mix")
-		rows       = flag.Int("rows", 20_000, "selfcheck: generated rows per relation when no -rel is given")
-		seed       = flag.Int64("seed", 1, "selfcheck: generation seed")
 	)
 	var relArgs []relArg
 	flag.Func("rel", "resident relation binding name=file (repeatable)", func(s string) error {
@@ -115,21 +102,20 @@ func main() {
 		fatal(err)
 	}
 
-	rels, err := loadOrGenerate(relArgs, *selfcheck, *rows, *seed)
-	if err != nil {
-		fatal(err)
+	if len(relArgs) == 0 {
+		fatal(fmt.Errorf("no -rel bindings; the service needs resident relations"))
 	}
-	var tmin, tmax int64 = 0, 1
-	if t0, tn, ok := relation.Bounds(rels...); ok {
-		tmin, tmax = t0, tn
-	}
-	for _, r := range rels {
-		if _, err := svc.Register(r); err != nil {
+	for _, ra := range relArgs {
+		rel, err := relation.LoadFile(relation.NewSchema(ra.name), ra.path)
+		if err != nil {
+			fatal(err)
+		}
+		if _, err := svc.Register(rel); err != nil {
 			fatal(err)
 		}
 	}
 
-	cfg := serveConfig{
+	if err := serve(svc, serveConfig{
 		addr:        *addr,
 		maxInflight: *maxInfl,
 		metricsOut:  *metricsOut,
@@ -138,50 +124,10 @@ func main() {
 		traceDir:    *traceDir,
 		traceSample: *traceN,
 		traceKeep:   *traceKeep,
-	}
-	if *selfcheck {
-		if err := runSelfcheck(svc, cfg, selfcheckSpec{
-			query: *mixQuery, queries: *queries, tmin: tmin, tmax: tmax,
-			scrapeOut: *scrapeOut,
-		}); err != nil {
-			fatal(err)
-		}
-		return
-	}
-	if err := serve(svc, cfg); err != nil {
+	}); err != nil {
 		fatal(err)
 	}
 }
-
-// loadOrGenerate loads the -rel bindings, or (selfcheck mode only)
-// generates the paper's Table 1 relations R1 and R2.
-func loadOrGenerate(relArgs []relArg, generate bool, rows int, seed int64) ([]*relation.Relation, error) {
-	if len(relArgs) == 0 {
-		if !generate {
-			return nil, fmt.Errorf("no -rel bindings; serve mode needs resident relations")
-		}
-		r1, err := workload.Generate(workload.Table1Spec("R1", rows, seed))
-		if err != nil {
-			return nil, err
-		}
-		r2, err := workload.Generate(workload.Table1Spec("R2", rows, seed+1))
-		if err != nil {
-			return nil, err
-		}
-		return []*relation.Relation{r1, r2}, nil
-	}
-	rels := make([]*relation.Relation, 0, len(relArgs))
-	for _, ra := range relArgs {
-		rel, err := relation.LoadFile(relation.NewSchema(ra.name), ra.path)
-		if err != nil {
-			return nil, err
-		}
-		rels = append(rels, rel)
-	}
-	return rels, nil
-}
-
-// ---- serve mode ----
 
 // drainTimeout bounds graceful shutdown: Shutdown waits this long for
 // in-flight queries before closing connections hard.
@@ -224,34 +170,6 @@ func parseLogLevel(s string) (slog.Level, error) {
 	return 0, fmt.Errorf("unknown -log-level %q (want debug, info, warn or error)", s)
 }
 
-// newServer assembles the handler state shared by serve and selfcheck.
-func newServer(svc *cache.Service, cfg serveConfig) (*server, error) {
-	level, err := parseLogLevel(cfg.logLevel)
-	if err != nil {
-		return nil, err
-	}
-	maxInflight := cfg.maxInflight
-	if maxInflight <= 0 {
-		maxInflight = 1
-	}
-	s := &server{
-		svc:         svc,
-		tel:         newTelemetry(svc),
-		log:         slog.New(slog.NewJSONHandler(os.Stderr, &slog.HandlerOptions{Level: level})),
-		inflight:    make(chan struct{}, maxInflight),
-		slowQuery:   cfg.slowQuery,
-		traceSample: cfg.traceSample,
-	}
-	if cfg.traceDir != "" {
-		ring, err := newTraceRing(cfg.traceDir, cfg.traceKeep)
-		if err != nil {
-			return nil, err
-		}
-		s.traces = ring
-	}
-	return s, nil
-}
-
 // mux builds the server's route table.
 func (s *server) mux() *http.ServeMux {
 	mux := http.NewServeMux()
@@ -268,9 +186,26 @@ func (s *server) mux() *http.ServeMux {
 }
 
 func serve(svc *cache.Service, cfg serveConfig) error {
-	s, err := newServer(svc, cfg)
+	level, err := parseLogLevel(cfg.logLevel)
 	if err != nil {
 		return err
+	}
+	maxInflight := cfg.maxInflight
+	if maxInflight <= 0 {
+		maxInflight = 1
+	}
+	s := &server{
+		svc:         svc,
+		tel:         newTelemetry(svc),
+		log:         slog.New(slog.NewJSONHandler(os.Stderr, &slog.HandlerOptions{Level: level})),
+		inflight:    make(chan struct{}, maxInflight),
+		slowQuery:   cfg.slowQuery,
+		traceSample: cfg.traceSample,
+	}
+	if cfg.traceDir != "" {
+		if s.traces, err = newTraceRing(cfg.traceDir, cfg.traceKeep); err != nil {
+			return err
+		}
 	}
 	ln, err := net.Listen("tcp", cfg.addr)
 	if err != nil {

@@ -655,9 +655,12 @@ func TestColdMissBytesPerRow(t *testing.T) {
 }
 
 // TestConcurrentQueriesShareSegments runs the window mix from several
-// goroutines at once against a cache small enough to evict all the time:
-// answers are copied out of segments that other queries are reading, and
-// that the cache drops while they are in use. Each goroutine also asks every
+// goroutines at once against a cache too small to hold the span the mix
+// covers — its budget is a byte short of the one segment an unbounded cache
+// makes for the whole span, and segments that cover it in pieces take at
+// least as many bytes, so whatever order the queries come in, the cache
+// evicts — and answers are copied out of segments that other queries are
+// reading, and that the cache drops while they are in use. Each goroutine also asks every
 // window traced, under a tracer of its own, and cold, bypassing the cache, so
 // delta joins of all three paths run side by side. Every answer must still be
 // the oracle's, and once the goroutines are done no goroutine a query
@@ -666,8 +669,14 @@ func TestConcurrentQueriesShareSegments(t *testing.T) {
 	before := runtime.NumGoroutine()
 	r1, r2 := adversarialRelation("R1", 67), adversarialRelation("R2", 71)
 	rels := []*relation.Relation{r1, r2}
-	svc := newConfiguredService(t, ServiceConfig{CacheBytes: 4 << 10}, rels...)
 	q := predQuery(t, interval.Overlaps)
+	unbounded := newConfiguredService(t, ServiceConfig{}, rels...)
+	if _, err := unbounded.Query(q, Window{0, 400}); err != nil {
+		t.Fatal(err)
+	}
+	whole := unbounded.Stats().BytesInUse
+	t.Logf("budget: %d bytes", whole-1)
+	svc := newConfiguredService(t, ServiceConfig{CacheBytes: whole - 1}, rels...)
 	want := make([]*core.Result, len(windowMix))
 	for i, w := range windowMix {
 		want[i] = oracleResult(t, q, rels, w)

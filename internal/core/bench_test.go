@@ -422,7 +422,7 @@ var inLineShapes = []inLineShape{
 		}
 		return []*relation.Relation{sorted("R1", k), sorted("R2", n-60-k), sorted("R3", 60)}
 	}, 0},
-	// examples/spatial's General query: cities and one river for every 64
+	// Example_spatial's General query: cities and one river for every 64
 	// cities, on a map whose area grows with n.
 	{"general", "city.x overlaps river.x and city.y overlaps river.y", func(rng *rand.Rand, n int) []*relation.Relation {
 		side := int64(10_000 * math.Sqrt(float64(n)/3040))

@@ -116,8 +116,7 @@ func (s *recordSlab) room(n int) {
 	s.start = 0
 }
 
-func (s *recordSlab) put(b []byte)       { s.sb.Write(b) }
-func (s *recordSlab) putString(x string) { s.sb.WriteString(x) }
+func (s *recordSlab) put(b []byte) { s.sb.Write(b) }
 
 // cut returns what was put since the last cut, as one record.
 func (s *recordSlab) cut() string {

@@ -372,7 +372,10 @@ func residual(dims []dimension, cons []grid.Less, drop []bool) ([]dimension, []g
 }
 
 // Algorithms returns every distributed algorithm applicable to the query,
-// the paper's recommended one first. The reference oracle is not included.
+// the paper's recommended one first. The reference oracle is not included,
+// and neither are All-Seq-Matrix and PASM on a sequence query: every
+// component there is one vertex, with nothing to mark or prune, so either
+// runs All-Matrix's one cycle.
 func Algorithms(q *query.Query) []Algorithm {
 	switch q.Classify() {
 	case query.Colocation:
@@ -386,7 +389,7 @@ func Algorithms(q *query.Query) []Algorithm {
 		if len(q.Conds) == 1 && len(q.Relations) == 2 {
 			algs = append(algs, TwoWay{})
 		}
-		return append(algs, SeqMatrix{}, PASM{}, AllRep{}, Cascade{}, Cascade{MatrixSteps: true})
+		return append(algs, AllRep{}, Cascade{}, Cascade{MatrixSteps: true})
 	case query.Hybrid:
 		return []Algorithm{SeqMatrix{}, PASM{}, FCTS{}, FSTC{}, AllRep{}, Cascade{}, Cascade{MatrixSteps: true}}
 	default:

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math/rand"
 	"os"
+	"slices"
 	"sort"
 	"strings"
 	"testing"
@@ -42,15 +43,6 @@ const routingGoldenFile = "testdata/routing_golden.txt"
 // line must come out byte-identical (compare with those two fields cut out,
 // `sed -E 's/ (phys|keys)=[0-9]+//g'`, before committing a regenerated file).
 func TestRoutingGolden(t *testing.T) {
-	modes := []struct {
-		name string
-		mut  func(*Options)
-	}{
-		{"default", func(*Options) {}},
-		{"adaptive", func(o *Options) { o.Adaptive = true }},
-		{"force-split", func(o *Options) { o.Adaptive, o.SplitThreshold, o.MaxVirtual = true, 0.01, 3 }},
-	}
-
 	var got []string
 	rng := rand.New(rand.NewSource(1606))
 	for _, qc := range routingQueries {
@@ -61,18 +53,8 @@ func TestRoutingGolden(t *testing.T) {
 			algs = append(algs, AllMatrix{DisableConsistencyFilter: true}, AllMatrix{BroadcastAllCells: true})
 		}
 		for _, alg := range algs {
-			for _, mode := range modes {
-				opts := Options{Partitions: 6, PartitionsPerDim: 4}
-				mode.mut(&opts)
-				engine := mr.NewEngine(mr.Config{Store: dfs.NewMem(), Workers: 4})
-				ctx, err := NewContext(engine, q, rels, opts)
-				if err != nil {
-					t.Fatal(err)
-				}
-				res, err := alg.Run(ctx)
-				if err != nil {
-					t.Fatalf("%s on %q (%s): %v", alg.Name(), qc.q, mode.name, err)
-				}
+			for _, mode := range routingModes {
+				res := runRouting(t, alg, q, rels, mode.mut)
 				// A cycle before the last that maps nothing decides
 				// nothing, and does not run.
 				for i, m := range res.PerCycle {
@@ -107,6 +89,63 @@ func TestRoutingGolden(t *testing.T) {
 			t.Errorf("routing changed:\n got  %s\n want %s", got[i], want[i])
 		}
 	}
+}
+
+// TestSequenceAliasesRunAllMatrix: on a sequence query every component is
+// one vertex, with nothing to mark or prune, so a named All-Seq-Matrix or
+// PASM runs All-Matrix's one cycle. Algorithms(q) therefore lists All-Matrix
+// alone; this holds the two names to its ids, per-cycle counts, replicated
+// and pruned on TestRoutingGolden's sequence queries and inputs, in each of
+// its modes.
+func TestSequenceAliasesRunAllMatrix(t *testing.T) {
+	rng := rand.New(rand.NewSource(1606))
+	for _, qc := range routingQueries {
+		q := query.MustParse(qc.q)
+		rels := routingRelations(rng, q) // drawn for every query, so the inputs are the golden's
+		if q.Classify() != query.Sequence {
+			continue
+		}
+		for _, mode := range routingModes {
+			want := runRouting(t, AllMatrix{}, q, rels, mode.mut)
+			for _, alg := range []Algorithm{SeqMatrix{}, PASM{}} {
+				got := runRouting(t, alg, q, rels, mode.mut)
+				if !slices.Equal(got.IDs, want.IDs) {
+					t.Errorf("%s on %q (%s): %d rows, All-Matrix %d, or the ids differ", alg.Name(), qc.q, mode.name, len(got.Tuples), len(want.Tuples))
+				}
+				if g, w := routingLine(qc.class, "", mode.name, got), routingLine(qc.class, "", mode.name, want); g != w {
+					t.Errorf("%s on %q (%s) routes unlike All-Matrix:\n got  %s\n want %s", alg.Name(), qc.q, mode.name, g, w)
+				}
+			}
+		}
+	}
+}
+
+// routingModes are the plans every routing run is pinned under.
+var routingModes = []struct {
+	name string
+	mut  func(*Options)
+}{
+	{"default", func(*Options) {}},
+	{"adaptive", func(o *Options) { o.Adaptive = true }},
+	{"force-split", func(o *Options) { o.Adaptive, o.SplitThreshold, o.MaxVirtual = true, 0.01, 3 }},
+}
+
+// runRouting runs alg on q's relations at the routing suites' partition
+// counts, with mut applied to the options, on an engine of four workers.
+func runRouting(t *testing.T, alg Algorithm, q *query.Query, rels []*relation.Relation, mut func(*Options)) *Result {
+	t.Helper()
+	opts := Options{Partitions: 6, PartitionsPerDim: 4}
+	mut(&opts)
+	engine := mr.NewEngine(mr.Config{Store: dfs.NewMem(), Workers: 4})
+	ctx, err := NewContext(engine, q, rels, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := alg.Run(ctx)
+	if err != nil {
+		t.Fatalf("%s on %q: %v", alg.Name(), q, err)
+	}
+	return res
 }
 
 // routingQueries are TestRoutingGolden's queries, one or two per class.

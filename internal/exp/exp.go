@@ -245,8 +245,8 @@ func scaleMetrics(m *mr.Metrics, f float64) *mr.Metrics {
 func sameOutput(got, want *core.Result) error {
 	for i := 1; i < len(got.Tuples); i++ {
 		if slices.Compare(got.Tuples[i-1], got.Tuples[i]) >= 0 {
-			return fmt.Errorf("row %d (%s) does not follow row %d (%s): duplicate or out of order",
-				i, got.Tuples[i].Key(), i-1, got.Tuples[i-1].Key())
+			return fmt.Errorf("row %d %v does not follow row %d %v: duplicate or out of order",
+				i, got.Tuples[i], i-1, got.Tuples[i-1])
 		}
 	}
 	if len(got.Tuples) != len(want.Tuples) || len(got.IDs) != len(want.IDs) {
@@ -258,7 +258,7 @@ func sameOutput(got, want *core.Result) error {
 	}
 	for i := range got.Tuples {
 		if !slices.Equal(got.Tuples[i], want.Tuples[i]) {
-			return fmt.Errorf("row %d is (%s), oracle's is (%s)", i, got.Tuples[i].Key(), want.Tuples[i].Key())
+			return fmt.Errorf("row %d is %v, oracle's is %v", i, got.Tuples[i], want.Tuples[i])
 		}
 	}
 	return fmt.Errorf("the ids slab differs from the oracle's, its rows do not")

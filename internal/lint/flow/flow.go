@@ -160,9 +160,6 @@ func (g *Graph) NodeOf(fn *types.Func) *Node {
 	return g.byFunc[fn.Origin()]
 }
 
-// NodeForLit returns the node of a function literal.
-func (g *Graph) NodeForLit(lit *ast.FuncLit) *Node { return g.byLit[lit] }
-
 // CFG returns the node's control-flow graph, building it on first use.
 func (g *Graph) CFG(n *Node) *CFG {
 	if n.cfg == nil {
@@ -181,9 +178,6 @@ func (g *Graph) Memo(key string, build func() any) any {
 	g.memo[key] = v
 	return v
 }
-
-// FuncValues returns the function nodes that may be stored in obj.
-func (g *Graph) FuncValues(obj types.Object) []*Node { return g.flows[obj] }
 
 // Callees resolves a call expression inside unit u to the module function
 // nodes it may invoke. Calls to functions outside the built units (the

@@ -65,9 +65,6 @@ func NewLoader(dir string) (*Loader, error) {
 // Root returns the module root directory.
 func (l *Loader) Root() string { return l.root }
 
-// Module returns the module path.
-func (l *Loader) Module() string { return l.module }
-
 // findModule walks upward from dir to the enclosing go.mod.
 func findModule(dir string) (root, module string, err error) {
 	dir, err = filepath.Abs(dir)

@@ -58,7 +58,7 @@ ij_span_count 4
 	if got := sb.String(); got != want {
 		t.Errorf("exposition drifted:\n--- got ---\n%s--- want ---\n%s", got, want)
 	}
-	if err := Validate(strings.NewReader(sb.String())); err != nil {
+	if _, err := Parse(strings.NewReader(sb.String())); err != nil {
 		t.Errorf("golden output fails its own validator: %v", err)
 	}
 }
@@ -178,7 +178,7 @@ func TestValidatorRejects(t *testing.T) {
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
-			err := Validate(strings.NewReader(c.doc))
+			_, err := Parse(strings.NewReader(c.doc))
 			if err == nil {
 				t.Fatalf("validator accepted %q", c.doc)
 			}
@@ -190,7 +190,7 @@ func TestValidatorRejects(t *testing.T) {
 	// And a healthy document passes.
 	ok := "# HELP a_total fine\n# TYPE a_total counter\na_total 3\n" +
 		`b{code="200"} 1.5 1700000000000` + "\n"
-	if err := Validate(strings.NewReader(ok)); err != nil {
+	if _, err := Parse(strings.NewReader(ok)); err != nil {
 		t.Errorf("validator rejected a healthy document: %v", err)
 	}
 }

@@ -149,7 +149,7 @@ func TestSnapshotMerge(t *testing.T) {
 	if err := WriteText(&sb, a); err != nil {
 		t.Fatal(err)
 	}
-	if err := Validate(strings.NewReader(sb.String())); err != nil {
+	if _, err := Parse(strings.NewReader(sb.String())); err != nil {
 		t.Fatalf("merged snapshot fails validation: %v", err)
 	}
 }

@@ -81,12 +81,6 @@ func Parse(r io.Reader) ([]Sample, error) {
 	return samples, nil
 }
 
-// Validate checks the document and discards the samples.
-func Validate(r io.Reader) error {
-	_, err := Parse(r)
-	return err
-}
-
 // parseMetaLine handles # HELP / # TYPE lines (other comments pass).
 func parseMetaLine(line string, lineNo int, typeOf map[string]string, helpOf, familySampled map[string]bool) error {
 	fields := strings.SplitN(line, " ", 4)

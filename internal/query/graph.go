@@ -17,17 +17,6 @@ type Component struct {
 	CondIdx  []int     // indices into Query.Conds of the colocation conditions inside
 }
 
-// ContainsRel reports whether any vertex of the component belongs to the
-// given relation.
-func (c Component) ContainsRel(rel int) bool {
-	for _, v := range c.Vertices {
-		if v.Rel == rel {
-			return true
-		}
-	}
-	return false
-}
-
 // Decomposition is the join graph G of a query, its colocation components
 // (graph G' of the paper), and the less-than order among components implied
 // by the sequence conditions.

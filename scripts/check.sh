@@ -7,10 +7,7 @@
 #   2. ijlint        — the engine's ten domain-specific analyzers
 #                      (docs/LINTS.md; `ijlint -list` names them)
 #   3. go build      — the whole module compiles
-#   4. examples      — each program under examples/ runs to exit 0 (about
-#                      2 s in all); spatial exits 1 when its Gen-Matrix
-#                      answers differ from direct rectangle intersection
-#   5. alloc smoke   — the contracts a count of objects pins, by name:
+#   4. alloc smoke   — the contracts a count of objects pins, by name:
 #                      disabled tracer and disabled telemetry cost nothing
 #                      (nil tracer/registry = nil check + zero allocs;
 #                      docs/OBSERVABILITY.md), the shuffle and the RCCIS
@@ -39,10 +36,13 @@
 #                      size (TestFromIntervalsAllocs), and validating ids
 #                      that strictly increase nothing at all
 #                      (TestValidateAllocatesNothingFor...)
-#   6. go test -race — full suite (unit, integration, property, oracle
-#                      cross-validation) under the race detector; the MR
-#                      engine is deliberately concurrent, so -race is part
-#                      of the gate, not an optional extra; then the tests
+#   5. go test -race — full suite (unit, integration, property, oracle
+#                      cross-validation, the public API's examples with
+#                      pinned output, the CLIs and a live ijoind driven
+#                      and scraped as binaries by cmd/cmdtest) under the
+#                      race detector; the MR engine is deliberately
+#                      concurrent, so -race is part of the gate, not an
+#                      optional extra; then the tests
 #                      of concurrent runs and queries (service, engine)
 #                      and of the in-line join (root package and
 #                      internal/core), whose goroutines share one
@@ -78,7 +78,7 @@
 #                      the cache's wire text, assembled from reused
 #                      per-anchor prefixes, against encoding/json
 #                      (FuzzStoredWireMatchesEncodingJSON)
-#   7. bench module  — bench/ is a nested module the root ./... does not
+#   6. bench module  — bench/ is a nested module the root ./... does not
 #                      reach; it compiles against internal packages, so it
 #                      is vetted and tested here, where an internal API
 #                      change that breaks the repository's benchmark can
@@ -86,14 +86,6 @@
 #                      layer probes call internal APIs at run time too) and
 #                      one short pass of all five workloads, which exits 1
 #                      on any wrong answer
-#   8. live scrape   — ijoind -selfcheck boots the real server, drives a
-#                      window mix over HTTP, strictly validates the /metrics
-#                      exposition text — delta joins must have run
-#                      (ij_query_delta_windows_total > 0), and
-#                      ij_query_rows_total must be the rows the decoded
-#                      bodies held — and archives the
-#                      scrape plus a sampled query trace
-#                      (docs/OBSERVABILITY.md)
 #
 # Usage: scripts/check.sh
 set -eu
@@ -113,15 +105,6 @@ go run ./cmd/ijlint -time -json artifacts/lint.json ./...
 
 echo "== go build =="
 go build ./...
-
-echo "== examples =="
-# go build compiles the examples; this runs them. They drive the public API
-# end to end, and spatial checks its 121 Gen-Matrix runs against direct
-# rectangle intersection, exiting through log.Fatal on a mismatch.
-for ex in examples/*/; do
-    echo "$ex"
-    go run "./$ex" >/dev/null
-done
 
 echo "== allocation smoke =="
 # The obs layer's contract is that a nil tracer costs a nil check and
@@ -216,15 +199,5 @@ bash bench/run.sh --workload batch-sparse --seconds 2 --trace 1 >/dev/null
 # broken serve path or matrix join is found here rather than by a reader of
 # the next benchmark run.
 bash bench/run.sh --workload all --seconds 2 --trace 0 >/dev/null
-
-echo "== live /metrics scrape =="
-# Boot the real ijoind on a loopback port, fire the query mix at it over
-# HTTP, and strictly validate the /metrics exposition (duplicate series,
-# bad names, broken histogram invariants all fail). The validated scrape
-# and a sampled per-query Chrome trace land in artifacts/ for CI to
-# archive.
-go run ./cmd/ijoind -selfcheck -rows 2000 -queries 8 -log-level warn \
-    -scrape-out artifacts/live-metrics.prom \
-    -trace-dir artifacts/query-traces -trace-sample 3 -trace-keep 4
 
 echo "check.sh: all green"

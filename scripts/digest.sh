@@ -5,8 +5,9 @@
 # below into it, runs it in that tree and in this one (the working tree,
 # uncommitted edits included), and compares what the two wrote. A digest
 # test writes one line per answer to the file its environment variable
-# names and skips when it is unset. The lines that differ are printed, and
-# any difference exits 1; identical digests print nothing.
+# names and skips when it is unset. Every digest is compared: the lines
+# that differ are printed under the name of their test, and any difference
+# exits 1 once all are compared; identical digests print nothing.
 #
 # Digests (package, test, test file, environment variable):
 #   internal/cache TestServiceDigest: the service's answers — sha256 of
@@ -48,7 +49,7 @@ digests='internal/cache TestServiceDigest digest_test.go IJ_DIGEST_OUT
 internal/core TestCoreDigest digest_test.go IJ_CORE_DIGEST_OUT'
 
 status=0
-echo "$digests" | while read -r pkg test file env; do
+while read -r pkg test file env; do
     cp "$root/$pkg/$file" "$parent/$pkg/$file"
     for side in parent change; do
         tree="$parent"
@@ -63,8 +64,11 @@ echo "$digests" | while read -r pkg test file env; do
     [ -s "$work/change-$test.txt" ] ||
         { echo "digest.sh: $test wrote nothing" >&2; exit 1; }
     if ! cmp -s "$work/parent-$test.txt" "$work/change-$test.txt"; then
+        echo "== $test =="
         diff "$work/parent-$test.txt" "$work/change-$test.txt" || true
-        exit 1
+        status=1
     fi
-done || status=1
+done <<EOF
+$digests
+EOF
 exit $status
