@@ -301,7 +301,9 @@ func readQuery(w http.ResponseWriter, r *http.Request) (req queryRequest, code i
 // (cache.Service.AppendQuery: the merge stage, which copies each row's text
 // once, from the cached segments), appends the tail and sends the body with
 // its Content-Length. The log line and ij_query_rows_total read the
-// answer's row count; no row is viewed or decoded.
+// answer's row count; no row is viewed or decoded. The line is at debug,
+// since the ij_query_* series count every query; a slow query's is a
+// warning.
 func (s *server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	id := s.reqSeq.Add(1)
 	if r.Method != http.MethodPost {
@@ -395,7 +397,7 @@ func (s *server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	encode := time.Since(encodeStart)
 	s.tel.observeResponse(encode, size)
 
-	level, msg := slog.LevelInfo, "query"
+	level, msg := slog.LevelDebug, "query"
 	if slow {
 		level, msg = slog.LevelWarn, "slow query"
 	}

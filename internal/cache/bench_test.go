@@ -76,7 +76,7 @@ var (
 )
 
 // BenchmarkServiceFullHit answers a ~3.5k-row window that lies inside one
-// cached segment: clip and copy, no dedup.
+// cached segment: two binary searches and one copy.
 func BenchmarkServiceFullHit(b *testing.B) {
 	svc, q := benchHitService(b, fullHitFill)
 	benchHits(b, svc, q, hitWindow, 1, false)
@@ -90,8 +90,8 @@ func BenchmarkServiceFullHitAppend(b *testing.B) {
 }
 
 // BenchmarkServicePartialHit answers the same window when each of three
-// cached segments holds a part of it, so the directories interleave and
-// the anchors straddling the two inner boundaries are deduplicated.
+// cached segments holds a part of it: each segment gives the stretch of
+// its groups that start in its part.
 func BenchmarkServicePartialHit(b *testing.B) {
 	svc, q := benchHitService(b, partialHitFill)
 	benchHits(b, svc, q, hitWindow, 3, false)
@@ -102,6 +102,78 @@ func BenchmarkServicePartialHit(b *testing.B) {
 func BenchmarkServicePartialHitAppend(b *testing.B) {
 	svc, q := benchHitService(b, partialHitFill)
 	benchHits(b, svc, q, hitWindow, 3, true)
+}
+
+// The three shapes of one narrow window, [40 000, 40 500]: cached as a
+// segment of exactly that window, inside one segment over the whole data
+// range, and across three segments that tile it, two of them wide. A warm
+// hit should cost what it returns, so the three read alike.
+var (
+	narrowWindow = Window{40_000, 40_500}
+	tiledFill    = []Window{{0, 40_199}, {40_200, 40_299}, {40_300, 100_000}}
+)
+
+// BenchmarkServiceExactHitAppend answers the narrow window from a segment
+// cached for exactly it.
+func BenchmarkServiceExactHitAppend(b *testing.B) {
+	svc, q := benchHitService(b, []Window{narrowWindow})
+	benchHits(b, svc, q, narrowWindow, 1, true)
+}
+
+// BenchmarkServiceWholeLineHitAppend answers the narrow window from one
+// segment cached over [0, 100 000].
+func BenchmarkServiceWholeLineHitAppend(b *testing.B) {
+	svc, q := benchHitService(b, []Window{{0, 100_000}})
+	benchHits(b, svc, q, narrowWindow, 1, true)
+}
+
+// BenchmarkServiceTiledHitAppend answers the narrow window from the three
+// segments of tiledFill.
+func BenchmarkServiceTiledHitAppend(b *testing.B) {
+	svc, q := benchHitService(b, tiledFill)
+	benchHits(b, svc, q, narrowWindow, 3, true)
+}
+
+// BenchmarkServiceWarmMix replays the serve-warm workload's window mix in
+// process through AppendQuery: 8 hotspots of Zipf(1.5) popularity, spans
+// of 500 to 5 000, a 64 MiB cache filled by the mix's first 1 000 windows
+// untimed, then the next 4 096 windows in turn. Nearly every query is a
+// hit over a few segments; it reports the segments merged (hit and gap)
+// and the rows returned per query.
+func BenchmarkServiceWarmMix(b *testing.B) {
+	svc, q := benchHitService(b, nil)
+	const fill = 1000
+	mix, err := workload.ZipfQueryMix(workload.QueryMixSpec{
+		N: fill + 4096, TMin: 0, TMax: 100_000, Hotspots: 8, Skew: 1.5, SpanMin: 500, SpanMax: 5000, Seed: 1,
+	})
+	if err != nil {
+		b.Fatal(err)
+	}
+	var buf []byte
+	ask := func(w workload.QueryWindow) *Answer {
+		var ans *Answer
+		var err error
+		buf, ans, err = svc.AppendQuery(buf[:0], q, Window{w.Lo, w.Hi}, nil)
+		if err != nil {
+			b.Fatal(err)
+		}
+		return ans
+	}
+	for _, w := range mix[:fill] {
+		ask(w)
+	}
+	timed := mix[fill:]
+	segs, rows := 0, 0
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		ans := ask(timed[i%len(timed)])
+		segs += ans.HitSegments + len(ans.DeltaWindows)
+		rows += ans.Count
+	}
+	b.StopTimer()
+	b.ReportMetric(float64(segs)/float64(b.N), "segments/op")
+	b.ReportMetric(float64(rows)/float64(b.N), "rows/op")
 }
 
 // BenchmarkServiceColdMiss answers uniformly random windows 500 to 5 000

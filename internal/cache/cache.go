@@ -5,29 +5,27 @@
 //
 // Window semantics. A windowed query over the closed time range [lo, hi]
 // returns exactly the join rows whose anchor — the first interval
-// attribute of the query's first relation — intersects the window. That
-// definition makes results segment-decomposable: the answer for a window
-// is the union of the answers for any cover of it, with duplicates only
-// for rows whose anchor straddles a piece boundary (the "halo"; anchors
-// are joined whole, never clipped, so a straddling row appears in every
-// adjacent piece). A cached segment therefore serves any later window by
-// clipping: keep the rows whose anchor intersects the query window.
+// attribute of the query's first relation — intersects the window, so the
+// answer for a window is the union of the answers for any cover of it.
+// Anchors are joined whole, never clipped: a segment holds the rows of
+// every anchor that meets its window, those straddling its edges (the
+// "halo") included.
 //
 // Anchor groups. All rows of one anchor tuple share IDs[0] and the anchor
-// interval, sort next to each other in canonical order, and enter or
-// leave a window together — so a segment holds every row of each anchor
-// it contains, and two segments that share an anchor id hold identical
-// groups. Clipping and halo dedup therefore work on whole groups, never
-// on rows: a segment keeps a small directory of its groups over one flat,
-// pointer-free slab — each row's JSON text as it goes on the wire, encoded
-// once at insert — and a lookup takes surviving groups out of it in bulk.
-//
-// Segments of one key are kept window-disjoint by construction — a miss
-// inserts only the uncovered gap windows — so covered/uncovered
-// decomposition is a linear scan of the sorted segment list.
+// interval and enter or leave a window together, so a segment keeps a
+// directory of its groups, in (anchor start, anchor id) order, over one
+// pointer-free slab of the rows' JSON text, encoded once at insert. The
+// segments of a key are window-disjoint — a miss inserts only the gap
+// windows — so an anchor that meets a window starts in exactly one of the
+// segments covering it, or before it, in the first: an answer is one
+// stretch of groups per segment, in window order, found by two binary
+// searches, after the first segment's groups that start before the window
+// and reach into it, and its rows are in (anchor start, anchor id, ids)
+// order.
 package cache
 
 import (
+	"cmp"
 	"container/list"
 	"fmt"
 	"math"
@@ -99,12 +97,15 @@ type Segment struct {
 	// arity is the number of ids per row (the query's relation count).
 	arity int
 	// wire holds each row's JSON text followed by a comma — "[3,7]," —
-	// back to back in canonical order: the bytes a response carries.
+	// back to back, group after group: the bytes a response carries.
 	wire []byte
-	// groups is the anchor-group directory in ascending anchor id, closed
-	// by a sentinel that carries the row count and len(wire), so group g
-	// spans groups[g].row..groups[g+1].row and likewise for wire.
+	// groups is the anchor-group directory in (anchor start, anchor id)
+	// order, closed by a sentinel that carries the row count and
+	// len(wire), so group g spans groups[g].row..groups[g+1].row and
+	// likewise for wire.
 	groups []group
+	// reach is the longest anchor's End − Start, unsigned to fit any span.
+	reach uint64
 
 	bytes int64
 	elem  *list.Element
@@ -125,7 +126,7 @@ const segmentOverhead = 128
 // newSegment is the []Row way into a segment, Cache.Insert's: it sorts the
 // rows if they are not in canonical order, checks that they share one
 // non-zero arity and rows with equal IDs[0] one anchor, and flattens them
-// into the scratch's id buffer for layout.
+// into the scratch's id buffer and their groups' start order for layout.
 func newSegment(k Key, w Window, rows []Row) (*Segment, error) {
 	if !slices.IsSortedFunc(rows, compareRowIDs) {
 		slices.SortFunc(rows, compareRowIDs)
@@ -136,47 +137,67 @@ func newSegment(k Key, w Window, rows []Row) (*Segment, error) {
 	}
 	sc := layoutScratches.Get().(*layoutScratch)
 	defer layoutScratches.Put(sc)
-	ids := sc.ids[:0]
+	ids, spans, order := sc.ids[:0], sc.spans[:0], sc.order[:0]
 	for i, r := range rows {
 		if len(r.IDs) != arity || arity == 0 {
 			return nil, fmt.Errorf("cache: row %d has %d ids, want %d (and at least one)", i, len(r.IDs), arity)
 		}
-		if i > 0 && r.IDs[0] == rows[i-1].IDs[0] && r.Anchor != rows[i-1].Anchor {
+		switch {
+		case i == 0 || r.IDs[0] != rows[i-1].IDs[0]:
+			order = append(order, int32(len(spans)))
+			spans = append(spans, span{anchor: r.Anchor, lo: i})
+		case r.Anchor != rows[i-1].Anchor:
 			return nil, fmt.Errorf("cache: anchor id %d carries two anchors, %v and %v", r.IDs[0], rows[i-1].Anchor, r.Anchor)
 		}
+		spans[len(spans)-1].hi = i + 1
 		ids = append(ids, r.IDs...)
 	}
-	sc.ids = ids
-	return sc.layout(k, w, arity, ids, func(row int) interval.Interval { return rows[row].Anchor }), nil
+	// The groups are in id order, which a stable sort keeps for equal starts.
+	slices.SortStableFunc(order, func(a, b int32) int { return cmp.Compare(spans[a].anchor.Start, spans[b].anchor.Start) })
+	sc.ids, sc.spans, sc.order = ids, spans, order
+	return sc.layout(k, w, arity, ids, spans, order), nil
+}
+
+// span is one anchor's rows [lo, hi) in an id slab, empty if none joined.
+type span struct {
+	anchor interval.Interval
+	lo, hi int
 }
 
 // layout builds the segment for rows that are one slab: ids holds them back
-// to back, arity ids each, in canonical order. The segment keeps nothing of
-// ids, which may be the scratch's own buffer. anchorOf is asked once per
-// anchor group, for the anchor of the group that starts at the given row.
+// to back, arity ids each, in canonical order, spans[g] is the rows of
+// their g-th anchor, and order lists the spans in (anchor start, anchor id)
+// order, the groups'. The segment keeps nothing of ids.
 //
 // One pass writes the wire text and the directory into the scratch, and
 // each goes into a slab of exactly its length, so the budget charges no
 // slack. An anchor's id is formatted once, with the row's opening bracket,
 // and the group's later rows copy that prefix.
-func (sc *layoutScratch) layout(k Key, w Window, arity int, ids []int64, anchorOf func(row int) interval.Interval) *Segment {
+func (sc *layoutScratch) layout(k Key, w Window, arity int, ids []int64, spans []span, order []int32) *Segment {
 	seg := &Segment{Key: k, Win: w, arity: arity}
 	wire, groups := sc.wire[:0], sc.groups[:0]
-	var lo, hi int // the current group's "[id0" is wire[lo:hi]
 	row := 0
-	for i := 0; i < len(ids); i, row = i+arity, row+1 {
-		if i == 0 || ids[i] != ids[i-arity] {
-			groups = append(groups, group{id: ids[i], anchor: anchorOf(row), row: row, wire: len(wire)})
-			lo = len(wire)
-			wire = strconv.AppendInt(append(wire, '['), ids[i], 10)
-			hi = len(wire)
-		} else {
-			wire = append(wire, wire[lo:hi]...)
+	for _, g := range order {
+		sp := spans[g]
+		if sp.lo == sp.hi {
+			continue
 		}
-		for _, id := range ids[i+1 : i+arity] {
-			wire = strconv.AppendInt(append(wire, ','), id, 10)
+		id := ids[sp.lo*arity]
+		groups = append(groups, group{id: id, anchor: sp.anchor, row: row, wire: len(wire)})
+		seg.reach = max(seg.reach, uint64(sp.anchor.End)-uint64(sp.anchor.Start))
+		lo := len(wire) // the group's "[id0" is wire[lo:hi]
+		wire = strconv.AppendInt(append(wire, '['), id, 10)
+		hi := len(wire)
+		for r := sp.lo; r < sp.hi; r++ {
+			if r > sp.lo {
+				wire = append(wire, wire[lo:hi]...)
+			}
+			for _, id := range ids[r*arity+1 : (r+1)*arity] {
+				wire = strconv.AppendInt(append(wire, ','), id, 10)
+			}
+			wire = append(wire, ']', ',')
 		}
-		wire = append(wire, ']', ',')
+		row += sp.hi - sp.lo
 	}
 	groups = append(groups, group{row: row, wire: len(wire)})
 	seg.wire = append(make([]byte, 0, len(wire)), wire...)
@@ -188,10 +209,13 @@ func (sc *layoutScratch) layout(k Key, w Window, arity int, ids []int64, anchorO
 
 // layoutScratch is a segment's working memory, recycled between segments:
 // the id buffer its rows are ordered into (by the delta join, or by
-// newSegment from Rows), and the wire text and directory layout writes
-// before it copies them out. It holds no pointers into segments.
+// newSegment from Rows), their spans and start order, and the wire text
+// and directory layout writes before it copies them out. It holds no
+// pointers into segments.
 type layoutScratch struct {
 	ids    []int64
+	spans  []span
+	order  []int32
 	wire   []byte
 	groups []group
 }
@@ -253,9 +277,8 @@ func New(budgetBytes int64) *Cache {
 
 // Lookup returns the cached segments intersecting the window (oldest window
 // first) and the uncovered gap windows, and updates the hit accounting.
-// Returned segments are immutable shared views; the caller clips their
-// anchor groups to its own window and dedups against the gaps' delta
-// results.
+// Returned segments are immutable shared views; the caller cuts from each
+// the anchor groups its own window takes.
 func (c *Cache) Lookup(k Key, w Window) (hits []*Segment, gaps []Window) {
 	c.mu.Lock()
 	defer c.mu.Unlock()

@@ -3,9 +3,11 @@ package cache_test
 import (
 	"bufio"
 	"crypto/sha256"
+	"encoding/binary"
 	"fmt"
 	"math/rand"
 	"os"
+	"slices"
 	"testing"
 
 	"intervaljoin/internal/cache"
@@ -24,7 +26,9 @@ const digestEnv = "IJ_DIGEST_OUT"
 
 // TestServiceDigest records what the service answers, one line per window,
 // for scripts/digest.sh to compare across two trees: the service shape, the
-// query, the window, the sha256 of the answer's RowsJSON and its DeltaRows.
+// query, the window, the sha256 of the answer's RowsJSON, the sha256 of its
+// rows put in canonical order (rowSetSum), and its DeltaRows. A change that
+// moves only the rows' order moves the first sum and leaves the second.
 // The window mix is fixed — fresh windows, repeats and shifted repeats, so
 // cold misses, full hits and partial hits all come up, under a cache small
 // enough to evict — and is asked of three queries under two service shapes.
@@ -85,14 +89,29 @@ func TestServiceDigest(t *testing.T) {
 				if err != nil {
 					t.Fatalf("%s %s [%d,%d]: %v", shape.name, qc.name, w.Lo, w.Hi, err)
 				}
-				fmt.Fprintf(out, "%s %s [%d,%d] %x %d\n", shape.name, qc.name, w.Lo, w.Hi,
-					sha256.Sum256(ans.RowsJSON), ans.DeltaRows)
+				fmt.Fprintf(out, "%s %s [%d,%d] %x set=%x %d\n", shape.name, qc.name, w.Lo, w.Hi,
+					sha256.Sum256(ans.RowsJSON), rowSetSum(ans.Rows), ans.DeltaRows)
 			}
 		}
 	}
 	if err := out.Flush(); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// rowSetSum is the sha256 of the rows in canonical order, each id eight
+// bytes little-endian: the same for any two answers with the same rows,
+// whatever order they hold them in.
+func rowSetSum(rows []core.OutputTuple) []byte {
+	sorted := slices.Clone(rows)
+	slices.SortFunc(sorted, func(a, b core.OutputTuple) int { return slices.Compare(a, b) })
+	h := sha256.New()
+	for _, row := range sorted {
+		for _, id := range row {
+			h.Write(binary.LittleEndian.AppendUint64(nil, uint64(id)))
+		}
+	}
+	return h.Sum(nil)
 }
 
 // digestRelations are the residents: three of 2 000 Table 1-like intervals

@@ -1,6 +1,7 @@
 package cache
 
 import (
+	"cmp"
 	"encoding/binary"
 	"encoding/json"
 	"math"
@@ -15,9 +16,9 @@ import (
 )
 
 // mergeRuns is the row-level oracle the group-level merge replaced: it
-// merges sorted duplicate-free runs into one sorted run, comparing whole
-// tuples and dropping cross-run duplicates (the boundary halo) one row at
-// a time.
+// merges sorted duplicate-free runs into one run in canonical order,
+// comparing whole tuples and dropping cross-run duplicates (the boundary
+// halo) one row at a time.
 func mergeRuns(runs [][]core.OutputTuple) []core.OutputTuple {
 	idx := make([]int, len(runs))
 	var out []core.OutputTuple
@@ -55,16 +56,22 @@ func clipRows(rows []Row, w Window) []core.OutputTuple {
 	return out
 }
 
+// anchorsOf maps each id of relation 0 to its anchor interval.
+func anchorsOf(rel *relation.Relation) map[int64]interval.Interval {
+	anchors := make(map[int64]interval.Interval, rel.Len())
+	for _, tup := range rel.Tuples {
+		anchors[tup.ID] = tup.Attrs[0]
+	}
+	return anchors
+}
+
 // pieceRows computes one piece's rows with the in-memory reference join —
 // every row whose anchor intersects the piece, whole straddlers included —
 // in canonical order, with the anchors attached.
 func pieceRows(t *testing.T, q *query.Query, rels []*relation.Relation, piece Window) []Row {
 	t.Helper()
 	res := oracleResult(t, q, rels, piece)
-	anchors := make(map[int64]interval.Interval, rels[0].Len())
-	for _, tup := range rels[0].Tuples {
-		anchors[tup.ID] = tup.Attrs[0]
-	}
+	anchors := anchorsOf(rels[0])
 	rows := make([]Row, len(res.Tuples))
 	for i, tup := range res.Tuples {
 		rows[i] = Row{IDs: tup, Anchor: anchors[tup[0]]}
@@ -86,9 +93,10 @@ var mergeWindows = append([]Window{{200, 200}, {100, 198}, {620, 680}, {0, 700}}
 
 // checkGroupMergeEqualsRowMerge builds one segment per piece and requires,
 // for every queried window, that the group-level merge of the segments the
-// window intersects returns exactly what the row-level oracle does — same
-// rows, same order, and as RowsJSON the text encoding/json gives them. It
-// returns how many duplicate rows the oracle dropped, all windows together.
+// window intersects returns exactly what the row-level oracle does, put in
+// (anchor start, ids) order — same rows, same order, and as RowsJSON the
+// text encoding/json gives them. Every segment must pass check. It returns
+// how many duplicate rows the oracle dropped, all windows together.
 func checkGroupMergeEqualsRowMerge(t *testing.T, q *query.Query, rels []*relation.Relation) (dropped int) {
 	t.Helper()
 	segs := make([]*Segment, len(mergePieces))
@@ -99,8 +107,12 @@ func checkGroupMergeEqualsRowMerge(t *testing.T, q *query.Query, rels []*relatio
 		if err != nil {
 			t.Fatal(err)
 		}
+		if err := seg.check(); err != nil {
+			t.Fatal(err)
+		}
 		segs[i] = seg
 	}
+	anchors := anchorsOf(rels[0])
 	if segs[len(segs)-1].rows() != 0 {
 		t.Fatalf("piece %v should be empty, holds %d rows", mergePieces[len(segs)-1], segs[len(segs)-1].rows())
 	}
@@ -119,11 +131,12 @@ func checkGroupMergeEqualsRowMerge(t *testing.T, q *query.Query, rels []*relatio
 		}
 		want := mergeRuns(runs)
 		dropped += clipped - len(want)
+		slices.SortStableFunc(want, func(a, b core.OutputTuple) int {
+			return cmp.Compare(anchors[a[0]].Start, anchors[b[0]].Start)
+		})
 
 		ans := &Answer{Window: w, Key: testKey}
-		if err := ans.merge(hit); err != nil {
-			t.Fatalf("window %s: %v", w.string(), err)
-		}
+		ans.merge(hit)
 		if len(ans.Rows) != len(want) {
 			t.Fatalf("window %s: group merge returned %d rows, row merge %d", w.string(), len(ans.Rows), len(want))
 		}
@@ -137,6 +150,12 @@ func checkGroupMergeEqualsRowMerge(t *testing.T, q *query.Query, rels []*relatio
 		}
 	}
 	return dropped
+}
+
+// merge sets the answer's Rows and RowsJSON from the segments, as Query
+// does from the ones a lookup and its delta joins give it.
+func (a *Answer) merge(segs []*Segment) {
+	a.RowsJSON = a.appendRows(nil, segs, true)
 }
 
 // rowsJSON is encoding/json's text for the rows, the /query "rows" value.
@@ -153,12 +172,13 @@ func rowsJSON(t *testing.T, rows []core.OutputTuple) string {
 	return string(b)
 }
 
-// TestGroupMergeEqualsRowMerge pins the hit path's one shortcut: clipping
-// and deduplicating whole anchor groups gives the answer that clipping
-// and deduplicating single rows gives. All 13 Allen predicates run over
-// the boundary-straddling inputs of TestCachedMergePlusDeltaEqualsColdRun,
-// and each must have made the oracle drop duplicates — a predicate whose
-// straddlers never matched would prove nothing.
+// TestGroupMergeEqualsRowMerge pins the hit path's one shortcut: taking
+// whole anchor groups by start, each from the one segment its anchor
+// starts in, gives the answer that clipping and deduplicating single rows
+// gives. All 13 Allen predicates run over the boundary-straddling inputs
+// of TestCachedMergePlusDeltaEqualsColdRun, and each must have made the
+// oracle drop duplicates — a predicate whose straddlers never matched
+// would prove nothing.
 func TestGroupMergeEqualsRowMerge(t *testing.T) {
 	for p := interval.Predicate(0); p < interval.NumPredicates; p++ {
 		t.Run(p.String(), func(t *testing.T) {
@@ -193,13 +213,15 @@ func TestGroupMergeEqualsRowMergeThreeWay(t *testing.T) {
 
 // TestMergeHandBuiltSegments covers the shapes the generated inputs reach
 // only by luck: a window that touches nothing but one straddling anchor,
-// merges of nothing and of empty segments, and the invariant check — two
-// segments that disagree on an anchor's rows fail the merge.
+// anchors whose id order is not their start order, merges of nothing and
+// of empty segments, and the layout check — a hand-broken copy of a
+// segment, one invariant at a time, fails check.
 func TestMergeHandBuiltSegments(t *testing.T) {
 	left := []Row{
 		{IDs: core.OutputTuple{1, 10}, Anchor: interval.New(10, 20)},
 		{IDs: core.OutputTuple{2, 10}, Anchor: interval.New(95, 105)},
 		{IDs: core.OutputTuple{2, 11}, Anchor: interval.New(95, 105)},
+		{IDs: core.OutputTuple{4, 13}, Anchor: interval.New(5, 8)},
 	}
 	right := []Row{
 		{IDs: core.OutputTuple{2, 10}, Anchor: interval.New(95, 105)},
@@ -210,6 +232,9 @@ func TestMergeHandBuiltSegments(t *testing.T) {
 		t.Helper()
 		seg, err := newSegment(testKey, w, rows)
 		if err != nil {
+			t.Fatal(err)
+		}
+		if err := seg.check(); err != nil {
 			t.Fatal(err)
 		}
 		return seg
@@ -224,28 +249,47 @@ func TestMergeHandBuiltSegments(t *testing.T) {
 		want string
 	}{
 		{"single straddler", []*Segment{segL, segR}, Window{99, 100}, "[[2,10],[2,11]]"},
-		{"both sides", []*Segment{segL, segR}, Window{0, 199}, "[[1,10],[2,10],[2,11],[3,12]]"},
-		{"order of segments is free", []*Segment{segR, segL}, Window{0, 199}, "[[1,10],[2,10],[2,11],[3,12]]"},
+		{"both sides", []*Segment{segL, segR}, Window{0, 199}, "[[4,13],[1,10],[2,10],[2,11],[3,12]]"},
+		{"order of segments is free", []*Segment{segR, segL}, Window{0, 199}, "[[4,13],[1,10],[2,10],[2,11],[3,12]]"},
 		{"everything clipped", []*Segment{segL, segR}, Window{30, 90}, "[]"},
 		{"with an empty segment", []*Segment{empty, segR, empty}, Window{100, 299}, "[[2,10],[2,11],[3,12]]"},
 		{"only empty segments", []*Segment{empty}, Window{200, 299}, "[]"},
 		{"no segments", nil, Window{0, 10}, "[]"},
 	} {
 		ans := &Answer{Window: tc.w, Key: testKey}
-		if err := ans.merge(tc.segs); err != nil {
-			t.Fatalf("%s: %v", tc.name, err)
-		}
+		ans.merge(tc.segs)
 		if string(ans.RowsJSON) != tc.want || rowsJSON(t, ans.Rows) != tc.want {
 			t.Errorf("%s: RowsJSON %s, Rows %s, want %s", tc.name, ans.RowsJSON, rowsJSON(t, ans.Rows), tc.want)
 		}
 	}
 
-	// The right segment lost a row of anchor 2: the groups differ, which no
-	// correct pair of segments can, and the merge must say so.
-	short := mk(Window{100, 199}, right[1:])
-	ans := &Answer{Window: Window{0, 199}, Key: testKey}
-	if err := ans.merge([]*Segment{segL, short}); err == nil || !strings.Contains(err.Error(), "anchor 2") {
-		t.Fatalf("merge of segments that disagree on anchor 2: err = %v", err)
+	// segL's directory is anchor 4 [5,8], anchor 1 [10,20], anchor 2
+	// [95,105] and the sentinel; each break leaves the rest as it was.
+	for _, tc := range []struct {
+		name   string
+		want   string
+		mangle func(s *Segment)
+	}{
+		{"groups out of start order", "(start, id) order", func(s *Segment) { s.groups[0].anchor, s.groups[1].anchor = s.groups[1].anchor, s.groups[0].anchor }},
+		{"equal starts out of id order", "(start, id) order", func(s *Segment) { s.groups[0].anchor = s.groups[1].anchor }},
+		{"anchor off the window", "misses the window", func(s *Segment) { s.Win = Window{50, 99} }},
+		{"reach short of an anchor", "past the reach", func(s *Segment) { s.reach = 9 }},
+		{"a group's rows miscounted", "holds 2 rows, its directory 1", func(s *Segment) { s.groups[3].row-- }},
+		{"a row of another anchor", "holds the row", func(s *Segment) { s.groups[1].id = 7 }},
+		{"text past the sentinel", "the sentinel closes", func(s *Segment) { s.wire = append(slices.Clone(s.wire), "[2,12],"...) }},
+	} {
+		broken := *segL
+		broken.groups = slices.Clone(segL.groups)
+		tc.mangle(&broken)
+		if err := broken.check(); err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: check = %v, want an error naming %q", tc.name, err, tc.want)
+		}
+	}
+	// A cache whose key holds two segments that overlap fails its check.
+	c := New(0)
+	c.segs[testKey] = []*Segment{segL, mk(Window{99, 199}, right)}
+	if err := c.check(); err == nil || !strings.Contains(err.Error(), "overlap") {
+		t.Errorf("overlapping segments: check = %v", err)
 	}
 }
 
@@ -285,9 +329,7 @@ func TestInsertSortsUnsortedRows(t *testing.T) {
 		t.Fatal(err)
 	}
 	ans := &Answer{Window: Window{0, 99}, Key: testKey}
-	if err := ans.merge([]*Segment{seg}); err != nil {
-		t.Fatal(err)
-	}
+	ans.merge([]*Segment{seg})
 	if got, want := string(ans.RowsJSON), "[[-3,9],[5,-1],[5,1]]"; got != want {
 		t.Fatalf("RowsJSON = %s, want %s", got, want)
 	}
@@ -351,10 +393,11 @@ func FuzzStoredWireMatchesEncodingJSON(f *testing.F) {
 		if len(seg.wire) != want || cap(seg.wire) != want {
 			t.Fatalf("wire slab len %d cap %d, predicted %d", len(seg.wire), cap(seg.wire), want)
 		}
-		ans := &Answer{Window: Window{0, 9}, Key: testKey}
-		if err := ans.merge([]*Segment{seg}); err != nil {
+		if err := seg.check(); err != nil {
 			t.Fatal(err)
 		}
+		ans := &Answer{Window: Window{0, 9}, Key: testKey}
+		ans.merge([]*Segment{seg})
 		if cap(ans.RowsJSON) > len(ans.RowsJSON)+1 {
 			t.Fatalf("RowsJSON len %d in a buffer of %d", len(ans.RowsJSON), cap(ans.RowsJSON))
 		}

@@ -120,7 +120,7 @@ func TestSelectionMatchesFullJoinOracle(t *testing.T) {
 			if len(want.Tuples) > 0 {
 				nonEmpty++
 			}
-			if near := narrow(q, residents(t, svc, q), w); near != nil && near[len(near)-1].Len() < rels[len(rels)-1].Len() {
+			if near, _ := narrow(q, residents(t, svc, q), w); near != nil && near[len(near)-1].Len() < rels[len(rels)-1].Len() {
 				narrowed++
 			}
 		}
@@ -153,7 +153,7 @@ func TestSequenceNeighbourStaysWhole(t *testing.T) {
 	}
 	w := Window{8, 20}
 	svc := newTestService(t, rels...)
-	near := narrow(q, residents(t, svc, q), w)
+	near, _ := narrow(q, residents(t, svc, q), w)
 	if near[2].Len() != r3.Len() {
 		t.Fatalf("R3, reached through before only, was narrowed to %d of %d tuples", near[2].Len(), r3.Len())
 	}
@@ -224,9 +224,8 @@ func TestEmptyGapRunsNoJob(t *testing.T) {
 
 // TestWindowCutsStraddlingAnchors: anchors that reach over a window's edge
 // are joined whole on both sides of it. Each side's answer and DeltaRows are
-// the oracle's, and the two segments agree on every anchor they share —
-// selectGroups fails a merge otherwise — so the cached answer over both is
-// the oracle's too.
+// the oracle's, and the cached answer over both, which takes each shared
+// anchor from the side its start lies in, is the oracle's too.
 func TestWindowCutsStraddlingAnchors(t *testing.T) {
 	r1, r2, r3 := adversarialRelation("R1", 73), adversarialRelation("R2", 79), adversarialRelation("R3", 83)
 	rels := []*relation.Relation{r1, r2, r3}
@@ -289,7 +288,7 @@ func TestNarrowAllocationsIndependentOfTuples(t *testing.T) {
 	res := residents(t, svc, q)
 	measure := func(gap Window) (allocs float64, kept int) {
 		allocs = testing.AllocsPerRun(50, func() {
-			near := narrow(q, res, gap)
+			near, _ := narrow(q, res, gap)
 			kept = near[0].Len() + near[1].Len()
 		})
 		return allocs, kept
@@ -327,7 +326,7 @@ func TestDeltaJoinAllocsIndependentOfRows(t *testing.T) {
 	var ids []int64
 	measure := func(gap Window) (allocs float64, kept, rows int) {
 		allocs = testing.AllocsPerRun(50, func() {
-			near := narrow(q, res, gap)
+			near, _ := narrow(q, res, gap)
 			ctx, err := core.NewContext(nil, q, near, core.Options{})
 			if err != nil {
 				t.Fatal(err)

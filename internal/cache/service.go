@@ -6,6 +6,7 @@ import (
 	"math"
 	"math/bits"
 	"slices"
+	"sort"
 	"strconv"
 	"sync"
 	"time"
@@ -66,7 +67,8 @@ type residentRel struct {
 }
 
 // startOrder is one attribute's index: order[i] is the position with the
-// i-th smallest start, starts[i] that start, and endBy[i] the latest end of
+// i-th smallest start — of equal starts, the smallest position, so the
+// smallest id, first — starts[i] that start, and endBy[i] the latest end of
 // the attribute among order[:i+1] — non-decreasing, so both ends of the
 // stretch that can intersect an interval are binary searches.
 type startOrder struct {
@@ -104,7 +106,9 @@ func newResidentRel(rel *relation.Relation) (*residentRel, error) {
 		for p := range order {
 			order[p] = int32(p)
 		}
-		slices.SortFunc(order, func(x, y int32) int { return cmp.Compare(r.attr(x, a).Start, r.attr(y, a).Start) })
+		slices.SortFunc(order, func(x, y int32) int {
+			return cmp.Or(cmp.Compare(r.attr(x, a).Start, r.attr(y, a).Start), cmp.Compare(x, y))
+		})
 		starts, ends := make([]interval.Point, n), make([]interval.Point, n)
 		for i, p := range order {
 			iv := r.attr(p, a)
@@ -123,28 +127,45 @@ func (r *residentRel) attr(p int32, a int) interval.Interval {
 	return r.ivs[int(p)*r.schema.Arity()+a]
 }
 
+// stretch is the part of attribute attr's start order that can intersect
+// iv: nothing before it reaches iv.Start, nothing after starts by iv.End.
+func (r *residentRel) stretch(attr int, iv interval.Interval) []int32 {
+	idx := r.byStart[attr]
+	lo, _ := slices.BinarySearch(idx.endBy, iv.Start)
+	hi := sort.Search(len(idx.starts), func(i int) bool { return idx.starts[i] > iv.End })
+	return idx.order[min(lo, hi):hi]
+}
+
 // intersecting marks in keep the positions whose attribute attr intersects
 // iv and returns how many it marked.
 func (r *residentRel) intersecting(attr int, iv interval.Interval, keep []uint64) int {
-	idx := r.byStart[attr]
-	// Nothing before lo reaches iv.Start, nothing from hi on starts by
-	// iv.End: hi is the first start past iv.End, found as such because
-	// iv.End+1 wraps when a hull reaches MaxInt64.
-	lo, _ := slices.BinarySearch(idx.endBy, iv.Start)
-	hi, _ := slices.BinarySearchFunc(idx.starts, iv.End, func(start, end interval.Point) int {
-		if start > end {
-			return 1
-		}
-		return -1
-	})
 	n := 0
-	for _, p := range idx.order[min(lo, hi):hi] {
+	for _, p := range r.stretch(attr, iv) {
 		if r.attr(p, attr).End >= iv.Start {
 			keep[p/64] |= 1 << (p % 64)
 			n++
 		}
 	}
 	return n
+}
+
+// ranked lists the positions intersecting(attr, iv, keep) marked in start
+// order, each as its index in selection(keep)'s id order: its rank among
+// the positions keep holds, counted from the words before it.
+func (r *residentRel) ranked(attr int, iv interval.Interval, keep []uint64, n int) []int32 {
+	below := make([]int32, len(keep), len(keep)+n)
+	out := below[len(keep):]
+	k := int32(0)
+	for w, word := range keep {
+		below[w] = k
+		k += int32(bits.OnesCount64(word))
+	}
+	for _, p := range r.stretch(attr, iv) {
+		if word, bit := keep[p/64], uint64(1)<<(p%64); word&bit != 0 {
+			out = append(out, below[p/64]+int32(bits.OnesCount64(word&(bit-1))))
+		}
+	}
+	return out
 }
 
 // tuple is the tuple at position p, its intervals a view of the resident's.
@@ -247,10 +268,10 @@ func (s *Service) Stats() Stats { return s.cache.Stats() }
 // QueryTraced and RunCold fill Rows and RowsJSON; AppendQuery fills
 // neither and appends the rows' text to its caller's buffer instead.
 type Answer struct {
-	// Rows is the deduplicated result: every join row whose anchor (first
-	// attribute of the first relation's tuple) intersects the query
-	// window. Sorted canonically. The rows are decoded from RowsJSON into
-	// one slab of the answer's own.
+	// Rows is the result: every join row whose anchor (first attribute of
+	// the first relation's tuple) intersects the query window, once, in
+	// (anchor start, anchor id, ids) order on every path. The rows are
+	// decoded from RowsJSON into one slab of the answer's own.
 	Rows []core.OutputTuple
 	// RowsJSON is Rows as a JSON array of id arrays, "[[3,7],[3,9]]",
 	// assembled from the text the segments stored at insert.
@@ -266,10 +287,10 @@ type Answer struct {
 	// DeltaWindows are the uncovered gaps the service joined.
 	HitSegments  int
 	DeltaWindows []Window
-	// CachedRows / DeltaRows count merged rows by provenance, before
-	// clipping and dedup.
+	// CachedRows / DeltaRows count the rows of the merged segments by
+	// provenance, before the window cuts them.
 	CachedRows, DeltaRows int64
-	// Merge is the part of Wall spent clipping and merging the segments
+	// Merge is the part of Wall spent cutting the segments to the window
 	// and copying the rows' text out of them.
 	Merge time.Duration
 	// Wall is the query's service-side latency.
@@ -282,7 +303,7 @@ type Answer struct {
 // joins over the resident tuples that can reach the gap and populate the
 // cache for the next query.
 func (s *Service) Query(q *query.Query, w Window) (*Answer, error) {
-	return s.answer(q, w, nil)
+	return s.answer(s.cache, q, w, nil)
 }
 
 // QueryTraced answers exactly like Query and records one span on tr per
@@ -291,7 +312,7 @@ func (s *Service) Query(q *query.Query, w Window) (*Answer, error) {
 // byte-identical to an untraced Query — tracing never changes results, only
 // what gets recorded.
 func (s *Service) QueryTraced(q *query.Query, w Window, tr *obs.Tracer) (*Answer, error) {
-	return s.answer(q, w, tr)
+	return s.answer(s.cache, q, w, tr)
 }
 
 // AppendQuery answers like QueryTraced (tr may be nil) but appends the rows'
@@ -300,13 +321,22 @@ func (s *Service) QueryTraced(q *query.Query, w Window, tr *obs.Tracer) (*Answer
 // dst, and no row is decoded. The answer carries the row count. On error
 // it returns dst as it was passed.
 func (s *Service) AppendQuery(dst []byte, q *query.Query, w Window, tr *obs.Tracer) ([]byte, *Answer, error) {
-	return s.queryOn(dst, q, w, tr, false)
+	return s.queryOn(s.cache, dst, q, w, tr, false)
 }
 
-// answer is Query's and QueryTraced's: queryOn with decoded rows, its text a
-// buffer of its own.
-func (s *Service) answer(q *query.Query, w Window, tr *obs.Tracer) (*Answer, error) {
-	wire, ans, err := s.queryOn(nil, q, w, tr, true)
+// RunCold answers the windowed query with a single delta join over the
+// whole window, bypassing the cache entirely — neither reading nor
+// populating it. It is the benchmark's cold control and the equivalence
+// tests' uncached reference; Query with a warm cache must produce exactly
+// these rows, in this order.
+func (s *Service) RunCold(q *query.Query, w Window) (*Answer, error) {
+	return s.answer(nil, q, w, nil)
+}
+
+// answer is Query's, QueryTraced's and RunCold's: queryOn with decoded
+// rows, its text a buffer of exactly its size.
+func (s *Service) answer(c *Cache, q *query.Query, w Window, tr *obs.Tracer) (*Answer, error) {
+	wire, ans, err := s.queryOn(c, nil, q, w, tr, true)
 	if err != nil {
 		return nil, err
 	}
@@ -314,9 +344,10 @@ func (s *Service) answer(q *query.Query, w Window, tr *obs.Tracer) (*Answer, err
 	return ans, nil
 }
 
-// queryOn answers the query, appending the rows' JSON array to dst and,
-// when decode is set, filling Rows.
-func (s *Service) queryOn(dst []byte, q *query.Query, w Window, tr *obs.Tracer, decode bool) ([]byte, *Answer, error) {
+// queryOn answers the query from c and the delta joins of the gaps c does
+// not cover, which it adds to c — with c nil, from one delta join — and
+// appends the rows' JSON array to dst, filling Rows when decode is set.
+func (s *Service) queryOn(c *Cache, dst []byte, q *query.Query, w Window, tr *obs.Tracer, decode bool) ([]byte, *Answer, error) {
 	start := time.Now()
 	if w.Hi < w.Lo {
 		return dst, nil, fmt.Errorf("cache: window [%d,%d] is empty", w.Lo, w.Hi)
@@ -333,7 +364,11 @@ func (s *Service) queryOn(dst []byte, q *query.Query, w Window, tr *obs.Tracer, 
 	var segs []*Segment
 	if !query.ProvablyEmpty(q) {
 		var gaps []Window
-		segs, gaps = s.cache.Lookup(key, w)
+		if c != nil {
+			segs, gaps = c.Lookup(key, w)
+		} else {
+			gaps = []Window{w}
+		}
 		ans.HitSegments = len(segs)
 		ans.DeltaWindows = gaps
 		for _, seg := range segs {
@@ -347,14 +382,13 @@ func (s *Service) queryOn(dst []byte, q *query.Query, w Window, tr *obs.Tracer, 
 			if err != nil {
 				return dst, nil, err
 			}
-			s.cache.add(seg)
+			if c != nil {
+				c.add(seg)
+			}
 			segs = append(segs, seg)
 		}
 	}
-	out, err := ans.appendRows(dst, segs, decode)
-	if err != nil {
-		return dst, nil, err
-	}
+	out := ans.appendRows(dst, segs, decode)
 	ans.Wall = time.Since(start)
 	return out, ans, nil
 }
@@ -366,65 +400,19 @@ func keyFor(q *query.Query, versions string) Key {
 	return Key{Plan: core.CanonicalPlan(q), Family: q.Classify().String(), Versions: versions}
 }
 
-// RunCold answers the windowed query with a single delta join over the
-// whole window, bypassing the cache entirely — neither reading nor
-// populating it. It is the benchmark's cold control and the equivalence
-// tests' uncached reference; Query with a warm cache must produce exactly
-// this row set.
-func (s *Service) RunCold(q *query.Query, w Window) (*Answer, error) {
-	start := time.Now()
-	if w.Hi < w.Lo {
-		return nil, fmt.Errorf("cache: window [%d,%d] is empty", w.Lo, w.Hi)
-	}
-	if err := q.Validate(); err != nil {
-		return nil, err
-	}
-	rels, versions, err := s.bind(q)
-	if err != nil {
-		return nil, err
-	}
-	key := keyFor(q, versions)
-	ans := &Answer{Window: w, Key: key}
-	var segs []*Segment
-	if !query.ProvablyEmpty(q) {
-		seg, err := s.runDelta(nil, q, rels, key, w, ans)
-		if err != nil {
-			return nil, err
-		}
-		segs = append(segs, seg)
-		ans.DeltaWindows = []Window{w}
-	}
-	if err := ans.merge(segs); err != nil {
-		return nil, err
-	}
-	ans.Wall = time.Since(start)
-	return ans, nil
-}
-
-// merge sets the answer's Rows and RowsJSON, the latter in a buffer of
-// exactly its size (appendRows).
-func (a *Answer) merge(segs []*Segment) error {
-	wire, err := a.appendRows(nil, segs, true)
-	if err != nil {
-		return err
-	}
-	a.RowsJSON = wire
-	return nil
-}
-
-// appendRows appends to dst, as a JSON array, the union of the segments'
-// anchor groups that intersect the answer's window, and sets the answer's
-// Count and, when decode is set, its Rows: selectGroups picks the groups,
-// then each stretch of them leaves its segment's wire text in one copy,
-// and the rows are decoded back out of the copied text (decodeRows). A nil
-// dst becomes a buffer of exactly the array's size.
-func (a *Answer) appendRows(dst []byte, segs []*Segment, decode bool) ([]byte, error) {
+// appendRows appends to dst, as a JSON array, the anchor groups of the
+// segments — which must cover the answer's window, disjointly, and which
+// it puts in window order — that intersect the window, and sets the
+// answer's Count and, when decode is set, its Rows: selectGroups picks the
+// groups, then each stretch of them leaves its segment's wire text in one
+// copy, and the rows are decoded back out of the copied text
+// (decodeRows). A nil dst becomes a buffer of exactly the array's size.
+func (a *Answer) appendRows(dst []byte, segs []*Segment, decode bool) []byte {
 	start := time.Now()
 	sc := mergeScratches.Get().(*mergeScratch)
 	defer mergeScratches.Put(sc)
-	if err := sc.selectGroups(segs, a.Window); err != nil {
-		return dst, err
-	}
+	slices.SortFunc(segs, func(s, t *Segment) int { return cmp.Compare(s.Win.Lo, t.Win.Lo) })
+	sc.selectGroups(segs, a.Window)
 	nrows, nwire, arity := 0, 0, 0
 	for _, r := range sc.runs {
 		g := segs[r.seg].groups
@@ -453,7 +441,7 @@ func (a *Answer) appendRows(dst []byte, segs []*Segment, decode bool) ([]byte, e
 	}
 	a.Count = nrows
 	a.Merge = time.Since(start)
-	return dst, nil
+	return dst
 }
 
 // decodeRows parses n rows of arity ids each back out of wire text —
@@ -488,66 +476,47 @@ func decodeRows(text []byte, n, arity int) []core.OutputTuple {
 }
 
 // run is a stretch of consecutive groups [lo, hi) of segs[seg] that all
-// go into an answer, so their wire text leaves the slab in one copy.
+// go into an answer, so their wire text leaves the slab in one copy: a
+// segment's stretch of groups that start in the window, or one group of
+// the first segment that starts before it.
 type run struct{ seg, lo, hi int }
 
 // mergeScratch is selectGroups' working memory, recycled between queries.
 // It holds no pointers into segments.
 type mergeScratch struct {
-	pos  []int // per segment, the next group to consider
 	runs []run
 }
 
 var mergeScratches = sync.Pool{New: func() any { return new(mergeScratch) }}
 
-// selectGroups fills sc.runs with the distinct anchor groups of the
-// segments that intersect w, in ascending anchor id. The directories are
-// walked together — they are few, one per hit or gap, so a linear
-// min-scan beats a heap. The halo shows up as one anchor id at the head
-// of several directories: those groups are identical (every segment holds
-// all rows of an anchor it contains), so one is kept; differing row
-// counts mean a segment broke that invariant and fail the query.
-func (sc *mergeScratch) selectGroups(segs []*Segment, w Window) error {
-	sc.pos = append(sc.pos[:0], make([]int, len(segs))...)
+// selectGroups fills sc.runs with the anchor groups of the segments, in
+// window order, that intersect w, in (anchor start, anchor id) order. An
+// anchor that meets w starts in it in exactly one segment, in the stretch
+// of groups that start in both windows, or holds w.Lo: the first segment's
+// groups that start less than its reach before w.Lo are tested one by one.
+func (sc *mergeScratch) selectGroups(segs []*Segment, w Window) {
 	sc.runs = sc.runs[:0]
-	pos := sc.pos
-	for {
-		best := -1
-		var id int64
-		for i, s := range segs {
-			if pos[i] == len(s.groups)-1 {
-				continue
-			}
-			if h := s.groups[pos[i]].id; best < 0 || h < id {
-				best, id = i, h
+	for i, s := range segs {
+		from := s.firstStart(func(start interval.Point) bool { return start >= max(w.Lo, s.Win.Lo) })
+		if i == 0 {
+			// Unsigned, the distance back to a start fits however far it is.
+			near := func(start interval.Point) bool { return start >= w.Lo || uint64(w.Lo)-uint64(start) <= s.reach }
+			for g := s.firstStart(near); g < from; g++ {
+				if s.groups[g].anchor.End >= w.Lo {
+					sc.runs = append(sc.runs, run{seg: i, lo: g, hi: g + 1})
+				}
 			}
 		}
-		if best < 0 {
-			return nil
-		}
-		s, g := segs[best], pos[best]
-		n := s.groups[g+1].row - s.groups[g].row
-		pos[best]++
-		for i := best + 1; i < len(segs); i++ {
-			t, p := segs[i], pos[i]
-			if p == len(t.groups)-1 || t.groups[p].id != id {
-				continue
-			}
-			if m := t.groups[p+1].row - t.groups[p].row; m != n {
-				return fmt.Errorf("cache: anchor %d has %d rows in segment [%d,%d] and %d in segment [%d,%d]",
-					id, n, s.Win.Lo, s.Win.Hi, m, t.Win.Lo, t.Win.Hi)
-			}
-			pos[i]++
-		}
-		if an := s.groups[g].anchor; an.Start > w.Hi || an.End < w.Lo {
-			continue
-		}
-		if k := len(sc.runs) - 1; k >= 0 && sc.runs[k].seg == best && sc.runs[k].hi == g {
-			sc.runs[k].hi = g + 1
-		} else {
-			sc.runs = append(sc.runs, run{seg: best, lo: g, hi: g + 1})
+		if to := s.firstStart(func(start interval.Point) bool { return start > min(w.Hi, s.Win.Hi) }); from < to {
+			sc.runs = append(sc.runs, run{seg: i, lo: from, hi: to})
 		}
 	}
+}
+
+// firstStart is the index of the segment's first group whose anchor start
+// satisfies from, which holds of every start after one it holds of.
+func (s *Segment) firstStart(from func(interval.Point) bool) int {
+	return sort.Search(len(s.groups)-1, func(g int) bool { return from(s.groups[g].anchor.Start) })
 }
 
 // bind resolves the query's relations against the registry, returning the
@@ -578,28 +547,31 @@ func (s *Service) bind(q *query.Query) ([]*residentRel, string, error) {
 }
 
 // narrow returns, relation by relation, the tuples a join row anchored in gap
-// can contain, in id order, or nil when there can be no such row. The anchors
-// are relation 0's tuples whose first attribute intersects the gap. From there
-// the query's colocation conditions are followed breadth-first: a colocation
-// predicate holds only between intervals that share a point, so a tuple
-// joined by one to a chosen tuple intersects that tuple's condition
-// attribute, and so the hull — [min start, max end] — of that attribute over
-// all chosen tuples; the neighbour keeps what intersects the hull. A relation
-// tied to the rest only by before/after can match from anywhere and stays
-// whole. The join over the narrowed relations is therefore the join over the
-// whole ones restricted to rows anchored in the gap, straddling anchors
-// included whole.
-func narrow(q *query.Query, rels []*residentRel, gap Window) []*relation.Relation {
+// can contain, in id order, or nil when there can be no such row, and the
+// anchors' order: the index in near[0] of each anchor, in (start, id) order.
+// The anchors are relation 0's tuples whose first attribute intersects the
+// gap. From there the query's colocation conditions are followed
+// breadth-first: a colocation predicate holds only between intervals that
+// share a point, so a tuple joined by one to a chosen tuple intersects that
+// tuple's condition attribute, and so the hull — [min start, max end] — of
+// that attribute over all chosen tuples; the neighbour keeps what
+// intersects the hull. A relation tied to the rest only by before/after can
+// match from anywhere and stays whole. The join over the narrowed relations
+// is therefore the join over the whole ones restricted to rows anchored in
+// the gap, straddling anchors included whole.
+func narrow(q *query.Query, rels []*residentRel, gap Window) (near []*relation.Relation, order []int32) {
 	out := make([]*relation.Relation, len(rels))
-	pick := func(i, attr int, iv interval.Interval) {
+	pick := func(i, attr int, iv interval.Interval) []uint64 {
 		keep := make([]uint64, (len(rels[i].ids)+63)/64)
 		out[i] = rels[i].selection(keep, rels[i].intersecting(attr, iv, keep))
+		return keep
 	}
-	pick(0, 0, interval.Interval{Start: gap.Lo, End: gap.Hi})
+	anchors := interval.Interval{Start: gap.Lo, End: gap.Hi}
+	keep := pick(0, 0, anchors)
 	for queue := []int{0}; len(queue) > 0; queue = queue[1:] {
 		from := out[queue[0]]
 		if from.Len() == 0 {
-			return nil
+			return nil, nil
 		}
 		for _, c := range q.Conds {
 			near, far := c.Left, c.Right
@@ -622,14 +594,15 @@ func narrow(q *query.Query, rels []*residentRel, gap Window) []*relation.Relatio
 			out[i] = rels[i].wholeRelation()
 		}
 	}
-	return out
+	return out, rels[0].ranked(0, anchors, keep, out[0].Len())
 }
 
 // runDelta answers one gap: the ordinary, un-windowed join over the tuples
 // that can reach the gap (narrow), run in line, returned in segment form:
 // exactly the rows whose anchor intersects the gap, including whole
-// (unclipped) straddling anchors — the halo the merge dedups. A gap no row
-// can be anchored in is an empty segment and joins nothing. The join writes
+// (unclipped) straddling anchors, their groups laid out in the anchors'
+// start order narrow read off the resident. A gap no row can be anchored
+// in is an empty segment and joins nothing. The join writes
 // its rows into the layout scratch's reused id buffer; the segment keeps
 // only their text. The row count is folded into ans, and a join is one span
 // on tr. Joins of concurrent queries proceed side by side; two that miss on
@@ -638,9 +611,9 @@ func (s *Service) runDelta(tr *obs.Tracer, q *query.Query, rels []*residentRel, 
 	arity := len(rels)
 	sc := layoutScratches.Get().(*layoutScratch)
 	defer layoutScratches.Put(sc)
-	near := narrow(q, rels, gap)
+	near, order := narrow(q, rels, gap)
 	if near == nil {
-		return sc.layout(key, gap, arity, nil, nil), nil
+		return sc.layout(key, gap, arity, nil, nil, nil), nil
 	}
 	lane := tr.Acquire()
 	defer tr.Release(lane)
@@ -663,13 +636,16 @@ func (s *Service) runDelta(tr *obs.Tracer, q *query.Query, rels []*residentRel, 
 	ans.DeltaRows += int64(rows)
 	// The rows come in canonical order. Their anchor groups come in
 	// ascending id, and so do the anchors (narrow), so one forward walk
-	// pairs each group with its anchor's interval: every row's first id is
-	// one of the anchors'.
-	anchors := near[0].Tuples
-	return sc.layout(key, gap, arity, ids, func(row int) interval.Interval {
-		for anchors[0].ID < ids[row*arity] {
-			anchors = anchors[1:]
+	// finds each anchor's rows: every row's first id is one of the
+	// anchors'.
+	spans, r := sc.spans[:0], 0
+	for _, a := range near[0].Tuples {
+		lo := r
+		for r < rows && ids[r*arity] == a.ID {
+			r++
 		}
-		return anchors[0].Attrs[0]
-	}), nil
+		spans = append(spans, span{anchor: a.Attrs[0], lo: lo, hi: r})
+	}
+	sc.spans = spans
+	return sc.layout(key, gap, arity, ids, spans, order), nil
 }

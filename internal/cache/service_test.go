@@ -1,6 +1,7 @@
 package cache
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 	"math"
@@ -53,13 +54,6 @@ func adversarialRelation(name string, seed int64) *relation.Relation {
 	return relation.FromIntervals(name, ivs)
 }
 
-func max(a, b interval.Point) interval.Point {
-	if a > b {
-		return a
-	}
-	return b
-}
-
 // newConfiguredService builds a service of cfg over rels.
 func newConfiguredService(t *testing.T, cfg ServiceConfig, rels ...*relation.Relation) *Service {
 	t.Helper()
@@ -89,12 +83,26 @@ func predQuery(t *testing.T, pred interval.Predicate) *query.Query {
 	return q
 }
 
+// oracle is a windowed answer as the tests define it (oracleResult): its
+// rows in the order the service answers in, and the anchor start of every
+// id of relation 0.
+type oracle struct {
+	Tuples []core.OutputTuple
+	start  map[int64]interval.Point
+}
+
+// compare orders two rows as an answer does: by anchor start, then id by
+// id — the anchor id first.
+func (o *oracle) compare(a, b core.OutputTuple) int {
+	return cmp.Or(cmp.Compare(o.start[a[0]], o.start[b[0]]), slices.Compare(a, b))
+}
+
 // oracleResult is the tests' definition of a windowed answer, written out
 // by hand and sharing nothing with the service's selection: relation 0 is cut
 // down to the tuples whose first attribute meets the closed window, every
-// other relation stays whole, and the in-memory reference join runs over
-// that.
-func oracleResult(t *testing.T, q *query.Query, rels []*relation.Relation, w Window) *core.Result {
+// other relation stays whole, the in-memory reference join runs over that,
+// and its rows are put in the answer's order.
+func oracleResult(t *testing.T, q *query.Query, rels []*relation.Relation, w Window) *oracle {
 	t.Helper()
 	anchors := relation.New(rels[0].Schema)
 	for _, tup := range rels[0].Tuples {
@@ -110,23 +118,27 @@ func oracleResult(t *testing.T, q *query.Query, rels []*relation.Relation, w Win
 	if err != nil {
 		t.Fatal(err)
 	}
-	return res
+	o := &oracle{Tuples: res.Tuples, start: make(map[int64]interval.Point, anchors.Len())}
+	for _, tup := range anchors.Tuples {
+		o.start[tup.ID] = tup.Attrs[0].Start
+	}
+	slices.SortFunc(o.Tuples, o.compare)
+	return o
 }
 
-// rowsDiffer says how an answer's rows differ from the oracle's result, nil
-// when they do not: they must strictly increase — a repeated row is a fault,
-// not a duplicate to look past — and equal the oracle's IDs slab, row for
-// row. The first differing row is named.
-func rowsDiffer(got []core.OutputTuple, want *core.Result) error {
+// rowsDiffer says how an answer's rows differ from the oracle's, nil when
+// they do not: they must strictly increase in (anchor start, ids) order — a
+// repeated row is a fault, not a duplicate to look past — and equal the
+// oracle's rows, row for row. The first differing row is named.
+func rowsDiffer(got []core.OutputTuple, want *oracle) error {
 	for i := 1; i < len(got); i++ {
-		if slices.Compare(got[i-1], got[i]) >= 0 {
+		if want.compare(got[i-1], got[i]) >= 0 {
 			return fmt.Errorf("row %d %v does not follow row %d %v (%d rows)", i, got[i], i-1, got[i-1], len(got))
 		}
 	}
 	n := len(want.Tuples)
 	for i := 0; i < min(len(got), n); i++ {
-		w := len(want.IDs) / n
-		if row := want.IDs[i*w : (i+1)*w]; !slices.Equal(got[i], row) {
+		if row := want.Tuples[i]; !slices.Equal(got[i], row) {
 			return fmt.Errorf("row %d is %v, the oracle's %v (%d rows, the oracle %d)", i, got[i], row, len(got), n)
 		}
 	}
@@ -137,7 +149,7 @@ func rowsDiffer(got []core.OutputTuple, want *core.Result) error {
 }
 
 // sameRows fails the test when the answer's rows are not the oracle's.
-func sameRows(t *testing.T, label string, got *Answer, want *core.Result) {
+func sameRows(t *testing.T, label string, got *Answer, want *oracle) {
 	t.Helper()
 	if err := rowsDiffer(got.Rows, want); err != nil {
 		t.Fatalf("%s: %v", label, err)
@@ -172,7 +184,9 @@ func sameAppended(t *testing.T, label string, app *Service, q *query.Query, w Wi
 
 // TestRowsDifferCatchesPlantedRows: the comparison the cache suites make
 // fails an answer with one row planted twice and one with a row missing, at
-// the head, in the middle and at the tail, and passes the oracle's own rows.
+// the head, in the middle and at the tail, and one whose first two anchors'
+// rows trade places — id order where the answer is in start order — and
+// passes the oracle's own rows.
 func TestRowsDifferCatchesPlantedRows(t *testing.T) {
 	q := predQuery(t, interval.Overlaps)
 	rels := []*relation.Relation{adversarialRelation("R1", 7), adversarialRelation("R2", 11)}
@@ -191,6 +205,15 @@ func TestRowsDifferCatchesPlantedRows(t *testing.T) {
 		if rowsDiffer(slices.Delete(slices.Clone(want.Tuples), at, at+1), want) == nil {
 			t.Errorf("row %d left out passed", at)
 		}
+	}
+	// The first row whose anchor starts later than the head's, moved to the
+	// front.
+	at := slices.IndexFunc(want.Tuples, func(r core.OutputTuple) bool { return want.start[r[0]] > want.start[want.Tuples[0][0]] })
+	if at < 0 {
+		t.Fatal("every row of the oracle has one anchor start")
+	}
+	if rowsDiffer(append([]core.OutputTuple{want.Tuples[at]}, slices.Delete(slices.Clone(want.Tuples), at, at+1)...), want) == nil {
+		t.Errorf("row %d moved to the head passed", at)
 	}
 }
 
@@ -215,7 +238,8 @@ var windowMix = []Window{
 // twin service appends through AppendQuery from a cache of its own, must
 // be the answer's RowsJSON byte for byte. The anti-vacuity guard asserts
 // the mix actually exercised partial hits, full hits and cached segments,
-// so the equivalence is not vacuously about empty caches.
+// so the equivalence is not vacuously about empty caches. Both caches pass
+// their check after every query.
 func TestCachedMergePlusDeltaEqualsColdRun(t *testing.T) {
 	for p := interval.Predicate(0); p < interval.NumPredicates; p++ {
 		t.Run(p.String(), func(t *testing.T) {
@@ -238,6 +262,11 @@ func TestCachedMergePlusDeltaEqualsColdRun(t *testing.T) {
 				at := label + " window " + w.string() + " (query " + itoa(i) + ")"
 				sameRows(t, at, ans, oracleResult(t, q, rels, w))
 				sameAppended(t, at, app, q, w, nil, ans)
+				for _, s := range []*Service{svc, app} {
+					if err := s.cache.check(); err != nil {
+						t.Fatalf("%s: %v", at, err)
+					}
+				}
 				cold, err := svc.RunCold(q, w)
 				if err != nil {
 					t.Fatal(err)
@@ -664,7 +693,7 @@ func TestColdMissBytesPerRow(t *testing.T) {
 // window traced, under a tracer of its own, and cold, bypassing the cache, so
 // delta joins of all three paths run side by side. Every answer must still be
 // the oracle's, and once the goroutines are done no goroutine a query
-// started is left running.
+// started is left running. The cache passes its check after every query.
 func TestConcurrentQueriesShareSegments(t *testing.T) {
 	before := runtime.NumGoroutine()
 	r1, r2 := adversarialRelation("R1", 67), adversarialRelation("R2", 71)
@@ -677,7 +706,7 @@ func TestConcurrentQueriesShareSegments(t *testing.T) {
 	whole := unbounded.Stats().BytesInUse
 	t.Logf("budget: %d bytes", whole-1)
 	svc := newConfiguredService(t, ServiceConfig{CacheBytes: whole - 1}, rels...)
-	want := make([]*core.Result, len(windowMix))
+	want := make([]*oracle, len(windowMix))
 	for i, w := range windowMix {
 		want[i] = oracleResult(t, q, rels, w)
 	}
@@ -704,6 +733,10 @@ func TestConcurrentQueriesShareSegments(t *testing.T) {
 							return
 						}
 						if err := rowsDiffer(ans.Rows, want[i]); err != nil {
+							t.Errorf("%s, window %s: %v", path.name, w.string(), err)
+							return
+						}
+						if err := svc.cache.check(); err != nil {
 							t.Errorf("%s, window %s: %v", path.name, w.string(), err)
 							return
 						}
@@ -789,7 +822,7 @@ func TestDeltaJoinsRunConcurrently(t *testing.T) {
 // cold of a fresh service, through RunCold, and in turn of one service whose
 // cache the earlier windows filled — the half-line [0, MaxInt64] after
 // [MinInt64, 0] is a partial hit, the rest full hits — and every answer is
-// the oracle's.
+// the oracle's, and both caches pass their check.
 func TestServiceSpansTheWholeLine(t *testing.T) {
 	const far = int64(1) << 62
 	rng := rand.New(rand.NewSource(62))
@@ -842,7 +875,8 @@ func TestServiceSpansTheWholeLine(t *testing.T) {
 			if len(want.Tuples) == 0 {
 				t.Fatalf("%s %s: the oracle has no rows; the window checks nothing", tc.name, w.string())
 			}
-			cold, err := newTestService(t, tc.rels...).Query(tc.q, w)
+			fresh := newTestService(t, tc.rels...)
+			cold, err := fresh.Query(tc.q, w)
 			if err != nil {
 				t.Fatalf("%s %s: %v", tc.name, w.string(), err)
 			}
@@ -857,6 +891,11 @@ func TestServiceSpansTheWholeLine(t *testing.T) {
 				t.Fatalf("%s %s: %v", tc.name, w.string(), err)
 			}
 			sameRows(t, tc.name+" cached "+w.string(), cached, want)
+			for _, s := range []*Service{fresh, warm} {
+				if err := s.cache.check(); err != nil {
+					t.Fatalf("%s %s: %v", tc.name, w.string(), err)
+				}
+			}
 		}
 		if st := warm.Stats(); st.PartialHits != 1 || st.FullHits != 2 {
 			t.Fatalf("%s: the windows were %d partial and %d full hits, want 1 and 2: %+v", tc.name, st.PartialHits, st.FullHits, st)

@@ -12,7 +12,7 @@ import (
 // TestQueryTracedMatchesUntraced pins the telemetry non-interference
 // contract the service instrumentation rides on: running a query under a
 // per-query tracer (the sampled-tracing path ijoind takes) must return the
-// exact same answer — same rows in the same canonical order, same cache
+// exact same answer — same rows in the same order, same cache
 // provenance — as the plain path on an identically warmed twin service.
 // It also pins what the tracer records: one reduce span per delta join,
 // whose rows add up to the answer's DeltaRows, and nothing for a full hit.

@@ -21,13 +21,17 @@ import (
 const coreDigestEnv = "IJ_CORE_DIGEST_OUT"
 
 // TestCoreDigest records what every algorithm answers and how it routes, one
-// line per run, for scripts/digest.sh to compare across two trees: the case,
-// the sha256 of Result.IDs, per cycle the logical and physical pairs, the
+// line per run, for scripts/digest.sh to compare across two trees: the case
+// — query class, the algorithm's role and name, and the plan mode — the
+// sha256 of Result.IDs, per cycle the logical and physical pairs, the
 // reduce keys, the pairs per key and the records written, and per run the
 // replicated and pruned interval counts. It runs TestRoutingGolden's queries
 // and inputs under uniform, equi-depth, adaptive and force-split plans,
 // through the oracle, the planner (both ways) and every algorithm of the
-// query's class. It uses only what older trees have too, so it runs there.
+// query's class. A role names the three the list opens with, which may
+// share a name with each other or with a named algorithm; the named ones
+// are "named", so adding or dropping one moves no other line. It uses only
+// what older trees have too, so it runs there.
 func TestCoreDigest(t *testing.T) {
 	path := os.Getenv(coreDigestEnv)
 	if path == "" {
@@ -54,6 +58,10 @@ func TestCoreDigest(t *testing.T) {
 		rels := routingRelations(rng, q)
 		algs := append([]Algorithm{Reference{}, Plan(q, false), Plan(q, true)}, Algorithms(q)...)
 		for i, alg := range algs {
+			role := "named"
+			if i < 3 {
+				role = []string{"oracle", "planner", "planner-adaptive"}[i]
+			}
 			for _, mode := range modes {
 				opts := mode.opts
 				opts.Partitions, opts.PartitionsPerDim = 6, 4
@@ -65,7 +73,7 @@ func TestCoreDigest(t *testing.T) {
 				if err != nil {
 					t.Fatalf("%s on %q (%s): %v", alg.Name(), qc.q, mode.name, err)
 				}
-				fmt.Fprintf(out, "%s #%d %s %s: %s\n", qc.class, i, alg.Name(), mode.name, digestLine(res))
+				fmt.Fprintf(out, "%s %s %s %s: %s\n", qc.class, role, alg.Name(), mode.name, digestLine(res))
 			}
 		}
 	}

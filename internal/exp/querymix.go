@@ -73,8 +73,8 @@ func QueryMix(cfg Config) (*Table, error) {
 			if err != nil {
 				return nil, err
 			}
-			// Both answers are in canonical order, so the same row set is
-			// the same bytes.
+			// Both answers are in (anchor start, anchor id, ids) order, so
+			// the same row set is the same bytes.
 			if !bytes.Equal(cold.RowsJSON, warm.RowsJSON) {
 				return nil, fmt.Errorf("exp: querymix skew %.1f window [%d,%d]: warm answer has %d rows, cold %d, and their text differs",
 					skew, w.Lo, w.Hi, warm.Count, cold.Count)

@@ -11,8 +11,11 @@
 #
 # Digests (package, test, test file, environment variable):
 #   internal/cache TestServiceDigest: the service's answers — sha256 of
-#     RowsJSON and DeltaRows — for a fixed mix of 200 windows, three
-#     queries and two service shapes; in a tree whose service still runs its
+#     RowsJSON, sha256 of the rows in canonical order ("set=", equal for
+#     two answers with the same rows in any order) and DeltaRows — for a
+#     fixed mix of 200 windows, three queries and two service shapes; a
+#     change that reorders an answer's rows moves the first sum of its
+#     line and not the set sum; in a tree whose service still runs its
 #     delta joins on an engine, the shapes are a planner service at k = 4
 #     and a one-task service, and a tree whose delta joins run in line
 #     ignores the shape, so the two trees' digests agree only if the in-line
