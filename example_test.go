@@ -451,7 +451,7 @@ func Example_tuning() {
 	// Equi-depth partitioning on zipf-skewed starts.
 	skewed := generate(func(i int) gen.Spec {
 		return gen.Spec{
-			Name: fmt.Sprintf("R%d", i+1), NumIntervals: 1200,
+			Name: fmt.Sprintf("R%d", i+1), NumIntervals: 200,
 			StartDist: gen.Zipf, LengthDist: gen.Uniform,
 			TMin: 0, TMax: 10_000, IMin: 1, IMax: 10, Seed: int64(i + 1),
 		}
@@ -474,6 +474,6 @@ func Example_tuning() {
 	//   rccis          est_pairs=18694     est_max_load=1168     cycles=2
 	//   all-rep        est_pairs=54000     est_max_load=6188     cycles=1
 	// ran 2way-cascade: 3663 tuples, 12060 pairs measured
-	// uniform-width partitions: output=2430045 n=16 min=11 max=2892 mean=225.9 cov=3.05 max/mean=12.80 gini=0.82
-	// equi-depth    partitions: output=2430045 n=14 min=1096 max=2061 mean=1745.2 cov=0.15 max/mean=1.18 gini=0.07
+	// uniform-width partitions: output=10852 n=16 min=1 max=470 mean=37.8 cov=2.96 max/mean=12.45 gini=0.80
+	// equi-depth    partitions: output=10852 n=14 min=178 max=326 mean=281.4 cov=0.14 max/mean=1.16 gini=0.06
 }

@@ -113,7 +113,6 @@ type Segment struct {
 
 // group locates one anchor's rows inside a segment's wire text.
 type group struct {
-	id     int64             // the anchor tuple's id: IDs[0] of every row
 	anchor interval.Interval // that tuple's interval, what clipping tests
 	row    int               // index of the group's first row
 	wire   int               // offset of the group's first byte in wire
@@ -183,7 +182,7 @@ func (sc *layoutScratch) layout(k Key, w Window, arity int, ids []int64, spans [
 			continue
 		}
 		id := ids[sp.lo*arity]
-		groups = append(groups, group{id: id, anchor: sp.anchor, row: row, wire: len(wire)})
+		groups = append(groups, group{anchor: sp.anchor, row: row, wire: len(wire)})
 		seg.reach = max(seg.reach, uint64(sp.anchor.End)-uint64(sp.anchor.Start))
 		lo := len(wire) // the group's "[id0" is wire[lo:hi]
 		wire = strconv.AppendInt(append(wire, '['), id, 10)

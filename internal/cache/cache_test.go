@@ -112,13 +112,13 @@ func TestInsertOverlapDropped(t *testing.T) {
 
 func TestByteBudgetLRUEviction(t *testing.T) {
 	// The budget charges a segment what it keeps, at its real size: per
-	// row the wire text "[i,i],", per one-row group a 40-byte directory
+	// row the wire text "[i,i],", per one-row group a 32-byte directory
 	// entry (plus the sentinel), and the fixed overhead.
 	seg, err := newSegment(testKey, Window{0, 9}, mkRows(10, interval.New(0, 5)))
 	if err != nil {
 		t.Fatal(err)
 	}
-	segBytes := int64(segmentOverhead + len("[0,0],")*10 + 11*40)
+	segBytes := int64(segmentOverhead + len("[0,0],")*10 + 11*32)
 	if seg.bytes != segBytes {
 		t.Fatalf("10-row segment charged %d bytes, slabs hold %d", seg.bytes, segBytes)
 	}

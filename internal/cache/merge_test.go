@@ -1,6 +1,7 @@
 package cache
 
 import (
+	"bytes"
 	"cmp"
 	"encoding/binary"
 	"encoding/json"
@@ -275,7 +276,10 @@ func TestMergeHandBuiltSegments(t *testing.T) {
 		{"anchor off the window", "misses the window", func(s *Segment) { s.Win = Window{50, 99} }},
 		{"reach short of an anchor", "past the reach", func(s *Segment) { s.reach = 9 }},
 		{"a group's rows miscounted", "holds 2 rows, its directory 1", func(s *Segment) { s.groups[3].row-- }},
-		{"a row of another anchor", "holds the row", func(s *Segment) { s.groups[1].id = 7 }},
+		{"a row of another anchor", "holds the row", func(s *Segment) {
+			s.wire = slices.Clone(s.wire)
+			s.wire[bytes.LastIndex(s.wire, []byte("[2,"))+1] = '7'
+		}},
 		{"text past the sentinel", "the sentinel closes", func(s *Segment) { s.wire = append(slices.Clone(s.wire), "[2,12],"...) }},
 	} {
 		broken := *segL

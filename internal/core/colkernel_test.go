@@ -17,8 +17,8 @@ import (
 // path, and a nested-loop oracle must produce identical assignment sets
 // across all 13 Allen predicates, single- and multi-attribute levels, and
 // adversarial endpoint layouts (duplicates, equal-start runs, point
-// intervals, int64 extremes — where condWindows reports an empty window and
-// the generic path must yield no candidate).
+// intervals, int64 extremes — where interval.Window reports an empty
+// window and the generic path must yield no candidate).
 
 // runTagged is a reduce call's path through the enumerator with a callback:
 // load values into a pooled join and enumerate once, calling fn for every
@@ -115,6 +115,10 @@ func adversarialTuples(rng *rand.Rand, n int) []relation.Tuple {
 		{Start: minI, End: maxI},
 		{Start: minI, End: 0}, {Start: 0, End: maxI},
 		{Start: minI + 1, End: minI + 1}, {Start: maxI - 1, End: maxI},
+		// One step off each extreme: a strict bound from these lands on
+		// the extreme itself rather than past it.
+		{Start: minI, End: minI + 1}, {Start: maxI - 1, End: maxI - 1},
+		{Start: minI + 1, End: maxI - 1},
 	}
 	ts := make([]relation.Tuple, 0, len(fixed)+n)
 	for _, iv := range fixed {

@@ -51,7 +51,7 @@ type condEval struct {
 }
 
 // plannedCond is one condition applicable at a binding level, oriented so
-// that pred(bound, candidate) is the application whose candidate window
+// that win is the window of the application p(bound, candidate), which
 // bounds the candidate side: partner/battr locate the already-bound operand,
 // and onSort reports whether the candidate-side operand is the level's sort
 // attribute (only those conditions can prune by endpoint windows).
@@ -59,7 +59,7 @@ type plannedCond struct {
 	eval    condEval
 	partner int
 	battr   int
-	pred    interval.Predicate
+	win     interval.Window
 	onSort  bool
 }
 
@@ -154,12 +154,12 @@ func (e *enumerator) compileLevel(i int) levelPlan {
 			// Candidate is the left operand: p(x, b) == p'(b, x).
 			pc.partner = e.pos[c.Right.Rel]
 			pc.battr = c.Right.Attr
-			pc.pred = c.Pred.Inverse()
+			pc.win = c.Pred.Inverse().Window()
 			pc.onSort = c.Left.Attr == lp.sortAttr
 		} else {
 			pc.partner = e.pos[c.Left.Rel]
 			pc.battr = c.Left.Attr
-			pc.pred = c.Pred
+			pc.win = c.Pred.Window()
 			pc.onSort = c.Right.Attr == lp.sortAttr
 		}
 		if !pc.onSort {
@@ -338,10 +338,10 @@ func (p *preparedJoin) seal() {
 
 // buildWindows runs the endpoint sweeps for level i: one window table per
 // applicable condition, each mapping a partner tuple to the exact candidate
-// window its predicate admits (condWindows). Partners whose window is empty
-// (saturated strict bounds) get their from patched past the end of the
-// column, which the max-of-froms intersection in rec turns into an empty
-// scan.
+// window its predicate admits (interval.Window). Partners whose window is
+// empty (saturated strict bounds) get their from patched past the end of
+// the column, which the max-of-froms intersection in rec turns into an
+// empty scan.
 func (p *preparedJoin) buildWindows(i int) {
 	lp := &p.e.plans[i]
 	nCand := int32(len(p.loCol[i]))
@@ -351,10 +351,10 @@ func (p *preparedJoin) buildWindows(i int) {
 		w := &p.wins[i][k]
 		prefs := p.refCol[c.partner]
 		nt := len(prefs)
-		shape := shapeOf(c.pred)
-		w.sHi = windCol(w.sHi, nt, shape.sHi)
-		w.eLo = windCol(w.eLo, nt, shape.eLo)
-		w.eHi = windCol(w.eHi, nt, shape.eHi)
+		sHi, eLo, eHi := c.win.Shape()
+		w.sHi = windCol(w.sHi, nt, sHi)
+		w.eLo = windCol(w.eLo, nt, eLo)
+		w.eHi = windCol(w.eHi, nt, eHi)
 		p.los = sized(p.los, nt)
 		p.empties = p.empties[:0]
 		// When the condition reads the partner's own sort attribute, the
@@ -367,7 +367,7 @@ func (p *preparedJoin) buildWindows(i int) {
 			} else {
 				b = p.arenas[c.partner].Attr(prefs[t], c.battr)
 			}
-			sLo, sHi, eLo, eHi, ok := condWindows(c.pred, b)
+			sLo, sHi, eLo, eHi, ok := c.win.At(b)
 			if !ok {
 				p.los[t] = math.MaxInt64
 				p.empties = append(p.empties, int32(t))
@@ -610,10 +610,11 @@ func (c *cursor) rec(i int) {
 // kernelGeneric is the fallback enumeration loop: multi-attribute levels
 // (General-class queries), whose conditions constrain attributes other than
 // the sort attribute, and condition-free levels. It intersects the start
-// windows the sort-attribute conditions impose (condWindows), binary-searches
-// the scan start, and evaluates every condition per candidate — reading all
-// attributes through the arena, never through tuple structs. The first level
-// has no condition and always runs here: it scans the cursor's stretch.
+// windows the sort-attribute conditions impose (interval.Window),
+// binary-searches the scan start, and evaluates every condition per
+// candidate — reading all attributes through the arena, never through tuple
+// structs. The first level has no condition and always runs here: it scans
+// the cursor's stretch.
 func (c *cursor) kernelGeneric(i int) {
 	p := c.p
 	lp := &p.e.plans[i]
@@ -632,7 +633,7 @@ func (c *cursor) kernelGeneric(i int) {
 			if !pc.onSort {
 				continue
 			}
-			sLo, sHi, _, _, ok := condWindows(pc.pred, p.arenas[pc.partner].Attr(c.bref[pc.partner], pc.battr))
+			sLo, sHi, _, _, ok := pc.win.At(p.arenas[pc.partner].Attr(c.bref[pc.partner], pc.battr))
 			if !ok {
 				return
 			}
@@ -827,17 +828,18 @@ func semijoinReduce(conds []query.Condition, rels []int, cands [][]relation.Tupl
 			sorted := sortedByStart(s.otherPos, s.otherAttr)
 			// Exact partner windows from the application with u bound:
 			// p(u, x) when u is the left operand, p'(u, x) otherwise —
-			// condWindows makes the survival scan a pure column test.
+			// interval.Window makes the survival scan a pure column test.
 			p := s.pred
 			if !s.uIsLeft {
 				p = p.Inverse()
 			}
+			win := p.Window()
 			los := make([]int64, len(src))
 			shi := make([]int64, len(src))
 			elo := make([]int64, len(src))
 			ehi := make([]int64, len(src))
 			for ui := range src {
-				sLo, sHi, eLo, eHi, ok := condWindows(p, src[ui].Attrs[s.attr])
+				sLo, sHi, eLo, eHi, ok := win.At(src[ui].Attrs[s.attr])
 				if !ok {
 					los[ui], shi[ui] = math.MaxInt64, math.MinInt64
 					continue

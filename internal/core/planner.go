@@ -44,7 +44,7 @@ func (k kernelKind) String() string {
 }
 
 // chooseKernel picks the inner-loop shape for a compiled level. Exactness
-// of the specialized kernels rests on condWindows (sweep.go): for
+// of the specialized kernels rests on interval.Window (sweep.go): for
 // conditions over the level's single sort attribute, the Allen predicate
 // decomposes exactly into endpoint windows, so no per-candidate Eval is
 // needed. Levels where that precondition fails keep the generic path.

@@ -14,11 +14,12 @@ package core
 // For a condition application p(bound, candidate) over the candidate
 // level's sort attribute, the 13 Allen relations each decompose EXACTLY
 // into a conjunction of closed ranges on the candidate's endpoints
-// (condWindows): sLo <= cand.Start <= sHi and eLo <= cand.End <= eHi, with
-// missing edges at the int64 infinities. Exactness (for valid intervals,
-// Start <= End — guaranteed by the codecs, which reject inverted
-// intervals) means the specialized loops never evaluate the predicate per
-// pair; multi-attribute levels keep the generic Eval path (join.go).
+// (interval.Window, derived from the relation's row of interval's table):
+// sLo <= cand.Start <= sHi and eLo <= cand.End <= eHi, with missing edges
+// at the int64 infinities. Exactness (for valid intervals, Start <= End —
+// guaranteed by the codecs, which reject inverted intervals) means the
+// specialized loops never evaluate the predicate per pair; multi-attribute
+// levels keep the generic Eval path (join.go).
 //
 // The per-partner window starts are precomputed by one endpoint sweep
 // (sweepFromsInto): the windows' lower start bounds are monotone in the
@@ -40,146 +41,9 @@ package core
 
 import (
 	"cmp"
-	"math"
 	"math/bits"
 	"slices"
-
-	"intervaljoin/internal/interval"
 )
-
-// windowShape records which edges of a predicate's candidate window are
-// real bounds, i.e. which window columns buildWindows must fill. The start
-// lower edge always is (a before-style application's sLo bound is the whole
-// point of the sweep; unbounded edges are the only exception and stay at
-// index 0 via an all -inf bound column).
-type windowShape struct {
-	sHi, eLo, eHi bool
-}
-
-// shapeOf returns the window shape of the application p(bound, candidate),
-// mirroring condWindows.
-func shapeOf(p interval.Predicate) windowShape {
-	switch p {
-	case interval.Before:
-		return windowShape{}
-	case interval.After:
-		return windowShape{sHi: true, eHi: true}
-	case interval.Meets:
-		return windowShape{sHi: true}
-	case interval.MetBy:
-		return windowShape{sHi: true, eLo: true, eHi: true}
-	case interval.Overlaps:
-		return windowShape{sHi: true, eLo: true}
-	case interval.OverlappedBy:
-		return windowShape{sHi: true, eLo: true, eHi: true}
-	case interval.Contains:
-		return windowShape{sHi: true, eHi: true}
-	case interval.ContainedBy:
-		return windowShape{sHi: true, eLo: true}
-	case interval.Starts:
-		return windowShape{sHi: true, eLo: true}
-	case interval.StartedBy:
-		return windowShape{sHi: true, eHi: true}
-	case interval.Finishes:
-		return windowShape{sHi: true, eLo: true, eHi: true}
-	case interval.FinishedBy:
-		return windowShape{sHi: true, eLo: true, eHi: true}
-	case interval.Equals:
-		return windowShape{sHi: true, eLo: true, eHi: true}
-	default:
-		panic("core: shapeOf: predicate outside the 13 Allen relations")
-	}
-}
-
-// condWindows returns the exact candidate window of the application
-// p(b, x) for valid x (x.Start <= x.End): p(b, x) holds if and only if
-// sLo <= x.Start <= sHi and eLo <= x.End <= eHi. Unbounded edges are the
-// int64 infinities. ok is false when the window is empty because a strict
-// bound saturates at the int64 extremes (e.g. before(b, x) with
-// b.End == MaxInt64 admits no x at all); callers must then emit nothing
-// for this partner rather than use the returned bounds.
-func condWindows(p interval.Predicate, b interval.Interval) (sLo, sHi, eLo, eHi int64, ok bool) {
-	const (
-		negInf = math.MinInt64
-		posInf = math.MaxInt64
-	)
-	sLo, sHi, eLo, eHi, ok = negInf, posInf, negInf, posInf, true
-	switch p {
-	case interval.Before: // b.e < x.s
-		sLo, ok = incOK(b.End)
-	case interval.After: // x.e < b.s; validity bounds x.s too
-		eHi, ok = decOK(b.Start)
-		sHi = eHi
-	case interval.Meets: // x.s == b.e
-		sLo, sHi = b.End, b.End
-	case interval.MetBy: // x.e == b.s; validity: x.s <= b.s
-		eLo, eHi = b.Start, b.Start
-		sHi = b.Start
-	case interval.Overlaps: // b.s < x.s && x.s < b.e && b.e < x.e
-		sLo, ok = incOK(b.Start)
-		if ok {
-			sHi, ok = decOK(b.End)
-		}
-		if ok {
-			eLo, ok = incOK(b.End)
-		}
-	case interval.OverlappedBy: // x.s < b.s && b.s < x.e && x.e < b.e
-		sHi, ok = decOK(b.Start)
-		if ok {
-			eLo, ok = incOK(b.Start)
-		}
-		if ok {
-			eHi, ok = decOK(b.End)
-		}
-	case interval.Contains: // b.s < x.s && x.e < b.e; validity: x.s <= b.e-1
-		sLo, ok = incOK(b.Start)
-		if ok {
-			eHi, ok = decOK(b.End)
-		}
-		sHi = eHi
-	case interval.ContainedBy: // x.s < b.s && b.e < x.e
-		sHi, ok = decOK(b.Start)
-		if ok {
-			eLo, ok = incOK(b.End)
-		}
-	case interval.Starts: // x.s == b.s && b.e < x.e
-		sLo, sHi = b.Start, b.Start
-		eLo, ok = incOK(b.End)
-	case interval.StartedBy: // x.s == b.s && x.e < b.e
-		sLo, sHi = b.Start, b.Start
-		eHi, ok = decOK(b.End)
-	case interval.Finishes: // x.e == b.e && x.s < b.s
-		eLo, eHi = b.End, b.End
-		sHi, ok = decOK(b.Start)
-	case interval.FinishedBy: // x.e == b.e && b.s < x.s; validity: x.s <= b.e
-		eLo, eHi = b.End, b.End
-		sLo, ok = incOK(b.Start)
-		sHi = b.End
-	case interval.Equals:
-		sLo, sHi = b.Start, b.Start
-		eLo, eHi = b.End, b.End
-	default:
-		panic("core: condWindows: predicate outside the 13 Allen relations")
-	}
-	return sLo, sHi, eLo, eHi, ok
-}
-
-// incOK is v+1 with ok=false when v is already MaxInt64 (the strict bound
-// admits nothing).
-func incOK(v int64) (int64, bool) {
-	if v == math.MaxInt64 {
-		return v, false
-	}
-	return v + 1, true
-}
-
-// decOK is v-1 with ok=false when v is already MinInt64.
-func decOK(v int64) (int64, bool) {
-	if v == math.MinInt64 {
-		return v, false
-	}
-	return v - 1, true
-}
 
 // condWindow is one condition's window table at one binding level: for
 // partner tuple t (by its index in the partner's prepared column), the
@@ -187,7 +51,7 @@ func decOK(v int64) (int64, bool) {
 // is at most sHi[t] and whose End lies in [eLo[t], eHi[t]]. Bound columns
 // are nil when the predicate's shape leaves that edge unbounded; from is
 // patched past the end of the list for partners whose window is empty
-// (condWindows ok=false).
+// (Window.At's ok=false).
 type condWindow struct {
 	from []int32
 	sHi  []int64
@@ -353,7 +217,7 @@ func sized[T any](s []T, n int) []T {
 }
 
 // kernelSemijoin reports whether any candidate at or after from in the
-// start-sorted endpoint columns falls inside the exact condWindows window
+// start-sorted endpoint columns falls inside the exact interval.Window
 // (start <= sHi, end in [eLo, eHi]). It is the survival scan of the
 // semijoin marking cycle: a pure column test, no tuple loads and no
 // per-candidate predicate evaluation.

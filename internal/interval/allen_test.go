@@ -1,9 +1,231 @@
 package interval
 
 import (
+	"cmp"
+	"math"
 	"math/rand"
 	"testing"
 )
+
+// definition is Allen's thirteen relations written out case by case, as
+// Eval stated them before the table: the witness the table is checked
+// against, sharing no code with it.
+func definition(p Predicate, u, v Interval) bool {
+	switch p {
+	case Before:
+		return u.End < v.Start
+	case After:
+		return v.End < u.Start
+	case Meets:
+		return u.End == v.Start
+	case MetBy:
+		return v.End == u.Start
+	case Overlaps:
+		return u.Start < v.Start && v.Start < u.End && u.End < v.End
+	case OverlappedBy:
+		return v.Start < u.Start && u.Start < v.End && v.End < u.End
+	case Contains:
+		return u.Start < v.Start && v.End < u.End
+	case ContainedBy:
+		return v.Start < u.Start && u.End < v.End
+	case Starts:
+		return u.Start == v.Start && u.End < v.End
+	case StartedBy:
+		return u.Start == v.Start && v.End < u.End
+	case Finishes:
+		return u.End == v.End && u.Start > v.Start
+	case FinishedBy:
+		return u.End == v.End && v.Start > u.Start
+	case Equals:
+		return u.Start == v.Start && u.End == v.End
+	}
+	panic("definition: predicate outside the 13 Allen relations")
+}
+
+// smallDomain is every interval over [0, limit), points included.
+func smallDomain(limit int64) []Interval {
+	var ivs []Interval
+	for s := int64(0); s < limit; s++ {
+		for e := s; e < limit; e++ {
+			ivs = append(ivs, New(s, e))
+		}
+	}
+	return ivs
+}
+
+// columnNames names the table's four endpoint pairs, in columns' order.
+var columnNames = [4]string{"u.s/v.s", "u.s/v.e", "u.e/v.s", "u.e/v.e"}
+
+var opNames = map[cmpOp]string{free: "any", lt: "<", eq: "=", gt: ">"}
+
+// signature is how the pair's four endpoint pairs compare.
+func signature(u, v Interval) [4]cmpOp {
+	c := func(x, y int64) cmpOp { return [3]cmpOp{lt, eq, gt}[cmp.Compare(x, y)+1] }
+	return [4]cmpOp{c(u.Start, v.Start), c(u.Start, v.End), c(u.End, v.Start), c(u.End, v.End)}
+}
+
+// TestTableIsDefinition checks every row against definition over every
+// pair of a small domain with points. A disagreement names the endpoint
+// pair at fault (faultyColumn).
+func TestTableIsDefinition(t *testing.T) {
+	ivs := smallDomain(6)
+	for p := range Predicate(NumPredicates) {
+		r := &table[p]
+		row := [4]cmpOp{r.column(0), r.column(1), r.column(2), r.column(3)}
+		var seen [4]cmpOp
+		for _, u := range ivs {
+			for _, v := range ivs {
+				if definition(p, u, v) {
+					for k, o := range signature(u, v) {
+						seen[k] |= o
+					}
+				}
+			}
+		}
+	pairs:
+		for _, u := range ivs {
+			for _, v := range ivs {
+				got, want := p.Eval(u, v), definition(p, u, v)
+				if got == want {
+					continue
+				}
+				sig := signature(u, v)
+				if k := faultyColumn(row, seen, sig, want); k >= 0 {
+					t.Errorf("%v(%v, %v) = %v, the definition says %v: endpoint pair %s is %s there, the row has %s",
+						p, u, v, got, want, columnNames[k], opNames[sig[k]], opNames[row[k]])
+				} else {
+					t.Errorf("%v(%v, %v) = %v, the definition says %v; no endpoint pair is at fault", p, u, v, got, want)
+				}
+				break pairs
+			}
+		}
+	}
+}
+
+// faultyColumn names the column of row at fault for a pair whose outcomes
+// are sig and on which the row and the definition disagree, want being the
+// definition's answer; seen holds the outcomes each column shows over the
+// pairs the definition holds for. The column at fault rejects the pair
+// though the definition holds, or admits an outcome the definition never
+// shows there — a constrained column before a free one. -1 when none does.
+func faultyColumn(row, seen, sig [4]cmpOp, want bool) int {
+	for _, constrained := range []bool{true, false} {
+		for k, op := range row {
+			if want && op&sig[k] == 0 || !want && seen[k]&sig[k] == 0 && (op != free) == constrained {
+				return k
+			}
+		}
+	}
+	return -1
+}
+
+// TestWindowIsDefinition checks the derived window of p(b, x): over every
+// pair of a small domain with points, x lies in it exactly when
+// definition(p, b, x) holds.
+func TestWindowIsDefinition(t *testing.T) {
+	ivs := smallDomain(6)
+	for p := range Predicate(NumPredicates) {
+		w := p.Window()
+	pairs:
+		for _, b := range ivs {
+			sLo, sHi, eLo, eHi, ok := w.At(b)
+			if !ok {
+				t.Errorf("%v's window of %v reports a saturated bound", p, b)
+				continue
+			}
+			for _, x := range ivs {
+				in := sLo <= x.Start && x.Start <= sHi && eLo <= x.End && x.End <= eHi
+				if want := definition(p, b, x); in != want {
+					t.Errorf("%v(%v, %v) = %v, but x is in=%v the window start [%d, %d], end [%d, %d]",
+						p, b, x, want, in, sLo, sHi, eLo, eHi)
+					break pairs
+				}
+			}
+		}
+	}
+}
+
+// TestWindowExtremes runs the window test over intervals touching the int64
+// extremes, and checks that a window reports a saturated bound exactly where
+// the strict bounds the row implies step past the line: before(b, x) with
+// b.End == MaxInt64 admits no x, nor anything with its bound pinned by an
+// endpoint it would step past.
+func TestWindowExtremes(t *testing.T) {
+	const minI, maxI = math.MinInt64, math.MaxInt64
+	points := []int64{minI, minI + 1, -1, 0, 1, maxI - 1, maxI}
+	var ivs []Interval
+	for i, s := range points {
+		for _, e := range points[i:] {
+			ivs = append(ivs, New(s, e))
+		}
+	}
+	// The endpoints of b whose strict bound saturates: s- b.Start at
+	// MinInt64, s+ at MaxInt64, e- and e+ likewise for b.End.
+	saturating := [NumPredicates][]string{
+		Before:       {"e+"},
+		After:        {"s-"},
+		Overlaps:     {"s+", "e-", "e+"},
+		OverlappedBy: {"s-", "s+", "e-"},
+		Contains:     {"s+", "e-"},
+		ContainedBy:  {"s-", "e+"},
+		Starts:       {"e+"},
+		StartedBy:    {"e-"},
+		Finishes:     {"s-"},
+		FinishedBy:   {"s+"},
+	}
+	for p := range Predicate(NumPredicates) {
+		w := p.Window()
+	pairs:
+		for _, b := range ivs {
+			at := map[string]bool{"s-": b.Start == minI, "s+": b.Start == maxI, "e-": b.End == minI, "e+": b.End == maxI}
+			wantOK := true
+			for _, s := range saturating[p] {
+				wantOK = wantOK && !at[s]
+			}
+			sLo, sHi, eLo, eHi, ok := w.At(b)
+			if ok != wantOK {
+				t.Errorf("%v's window of %v: ok = %v, want %v", p, b, ok, wantOK)
+				break
+			}
+			for _, x := range ivs {
+				in := ok && sLo <= x.Start && x.Start <= sHi && eLo <= x.End && x.End <= eHi
+				if want := definition(p, b, x); in != want {
+					t.Errorf("%v(%v, %v) = %v, but x is in=%v the window start [%d, %d], end [%d, %d] (ok %v)",
+						p, b, x, want, in, sLo, sHi, eLo, eHi, ok)
+					break pairs
+				}
+			}
+		}
+	}
+}
+
+// TestWindowShapes pins which edges each window bounds beside its start
+// lower edge (sHi, eLo, eHi): the bound columns the columnar kernel keeps,
+// so no relation gains one unnoticed.
+func TestWindowShapes(t *testing.T) {
+	want := [NumPredicates][3]bool{
+		Before:       {false, false, false},
+		After:        {true, false, true},
+		Meets:        {true, false, false},
+		MetBy:        {true, true, true},
+		Overlaps:     {true, true, false},
+		OverlappedBy: {true, true, true},
+		Contains:     {true, false, true},
+		ContainedBy:  {true, true, false},
+		Starts:       {true, true, false},
+		StartedBy:    {true, false, true},
+		Finishes:     {true, true, true},
+		FinishedBy:   {true, true, true},
+		Equals:       {true, true, true},
+	}
+	for p := range Predicate(NumPredicates) {
+		w := p.Window()
+		sHi, eLo, eHi := w.Shape()
+		if got := [3]bool{sHi, eLo, eHi}; got != want[p] {
+			t.Errorf("%v's window bounds (sHi, eLo, eHi) = %v, want %v", p, got, want[p])
+		}
+	}
+}
 
 func TestPredicateEvalTable(t *testing.T) {
 	// Hand-picked pairs exercising every relation once.
@@ -60,16 +282,11 @@ func TestJEPD(t *testing.T) {
 	}
 }
 
-// TestJEPDExhaustiveSmallDomain enumerates every pair of proper intervals
-// over a tiny domain, leaving nothing to randomness.
+// TestJEPDExhaustiveSmallDomain enumerates every pair over a tiny domain,
+// leaving nothing to randomness: proper pairs satisfy exactly one relation,
+// which Relate names, and a pair with a point satisfies at least one.
 func TestJEPDExhaustiveSmallDomain(t *testing.T) {
-	const limit = 7
-	var ivs []Interval
-	for s := int64(0); s < limit; s++ {
-		for e := s + 1; e < limit; e++ {
-			ivs = append(ivs, New(s, e))
-		}
-	}
+	ivs := smallDomain(7)
 	for _, u := range ivs {
 		for _, v := range ivs {
 			holds := 0
@@ -80,10 +297,10 @@ func TestJEPDExhaustiveSmallDomain(t *testing.T) {
 					which = p
 				}
 			}
-			if holds != 1 {
+			if holds == 0 || holds != 1 && u.Start < u.End && v.Start < v.End {
 				t.Fatalf("pair (%v, %v): %d relations hold", u, v, holds)
 			}
-			if Relate(u, v) != which {
+			if holds == 1 && Relate(u, v) != which {
 				t.Fatalf("Relate(%v, %v) = %v, want %v", u, v, Relate(u, v), which)
 			}
 		}
@@ -104,6 +321,17 @@ func TestInverse(t *testing.T) {
 	for p := Predicate(0); p < NumPredicates; p++ {
 		if p.Inverse().Inverse() != p {
 			t.Errorf("Inverse not involutive for %v", p)
+		}
+	}
+}
+
+// TestCanonical pins the direction Query.Normalize keeps: one of each
+// inverse pair, and equals.
+func TestCanonical(t *testing.T) {
+	want := NewPredicateSet(Before, Meets, Overlaps, Contains, Starts, Finishes, Equals)
+	for p := range Predicate(NumPredicates) {
+		if p.Canonical() != want.Contains(p) {
+			t.Errorf("%v.Canonical() = %v", p, p.Canonical())
 		}
 	}
 }

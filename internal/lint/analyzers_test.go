@@ -5,13 +5,7 @@ import (
 	"strings"
 	"testing"
 	"time"
-
-	"intervaljoin/internal/interval"
 )
-
-func TestAllenExhaustive(t *testing.T) {
-	runFixture(t, "allenexhaustive", "intervaljoin/lintfixture/allen")
-}
 
 func TestEmitterEscape(t *testing.T) {
 	runFixture(t, "emitterescape", "intervaljoin/lintfixture/emitter")
@@ -96,19 +90,6 @@ func TestHotPathBanTextIsCoreOnly(t *testing.T) {
 	for _, d := range diags {
 		if strings.Contains(d.String(), "strconv.") {
 			t.Errorf("decimal-text ban applied outside internal/core: %s", d)
-		}
-	}
-}
-
-// TestAllenNames pins the analyzer's relation table to the interval
-// package: a new Allen constant (or a renamed one) must update both.
-func TestAllenNames(t *testing.T) {
-	if len(allenNames) != interval.NumPredicates {
-		t.Fatalf("allenNames has %d entries, interval.NumPredicates is %d", len(allenNames), interval.NumPredicates)
-	}
-	for i, name := range allenNames {
-		if got := interval.Predicate(i).String(); got != name {
-			t.Errorf("allenNames[%d] = %q, interval names it %q", i, name, got)
 		}
 	}
 }

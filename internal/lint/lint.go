@@ -1,17 +1,17 @@
-// Package lint is ijlint's analysis framework plus the ten
+// Package lint is ijlint's analysis framework plus the nine
 // domain-specific analyzers that mechanically enforce the engine's
-// invariants (exhaustive Allen-predicate switches, emitter escape
-// discipline, sync.Pool hygiene, shard-lock guarding, the hot-path
-// forbid-list, the per-pair-loop clock-read ban, the columnar-kernel
-// purity rule, checked partition-boundary construction, complete
-// semantic-cache key construction, canonical lock ordering, provable
-// goroutine joins, error-flow discipline, and literal validated
-// telemetry registrations).
+// invariants: emitter escape discipline (emitterescape), sync.Pool hygiene
+// (pooldiscipline), shard-lock guarding (shardlock), the hot-path
+// forbid-list (hotpathban), the per-pair-loop clock-read ban
+// (timenowloop), the columnar-kernel purity rule (colkernel), canonical
+// lock ordering (lockorder), provable goroutine joins (goroutineleak) and
+// error-flow discipline (errorflow).
 //
 // Since the interprocedural layer landed, analyzers also get flow facts:
 // a module-wide call graph, per-function CFGs, and a forward dataflow
-// engine (internal/lint/flow), exposed on the Pass. The last four
-// analyzers are built on it; the rest remain single-file AST walks.
+// engine (internal/lint/flow), exposed on the Pass. emitterescape,
+// lockorder, goroutineleak and errorflow are built on it; the rest remain
+// single-file AST walks.
 //
 // The framework mirrors the shape of golang.org/x/tools/go/analysis —
 // an Analyzer runs over a type-checked Pass and reports Diagnostics —
@@ -88,10 +88,9 @@ func (p *Pass) Reportf(pos token.Pos, format string, args ...any) {
 	})
 }
 
-// All returns the ten ijlint analyzers in their canonical order.
+// All returns the nine ijlint analyzers in their canonical order.
 func All() []*Analyzer {
 	return []*Analyzer{
-		AllenExhaustive,
 		EmitterEscape,
 		PoolDiscipline,
 		ShardLock,

@@ -1,18 +1,14 @@
 package query
 
-import (
-	"intervaljoin/internal/interval"
-	"intervaljoin/internal/relation"
-)
+import "intervaljoin/internal/relation"
 
 // Normalize returns an equivalent query in which every condition uses the
-// canonical direction of its predicate — the form whose less-than order
-// runs left to right (before, meets, overlaps, contains, starts, finishes
-// with swapped operands, equals) — by swapping operands of inverse-form
-// conditions. Relation order and indices are preserved; only conditions
-// change. Normalisation makes queries comparable ("R2 after R1" and
-// "R1 before R2" normalise identically up to operand order) and simplifies
-// downstream pattern matching.
+// canonical direction of its predicate (Predicate.Canonical: before,
+// meets, overlaps, contains, starts, finishes or equals) by swapping
+// operands of inverse-form conditions. Relation order and indices are
+// preserved; only conditions change. Normalisation makes queries
+// comparable ("R2 after R1" and "R1 before R2" normalise identically up to
+// operand order) and simplifies downstream pattern matching.
 func (q *Query) Normalize() *Query {
 	out := &Query{}
 	// Schemas are immutable after parsing; copy the slice header level.
@@ -27,23 +23,8 @@ func (q *Query) Normalize() *Query {
 
 // normalizeCondition swaps the operands of inverse-form predicates.
 func normalizeCondition(c Condition) Condition {
-	if canonicalPredicate(c.Pred) {
+	if c.Pred.Canonical() {
 		return c
 	}
 	return Condition{Left: c.Right, Pred: c.Pred.Inverse(), Right: c.Left}
-}
-
-// canonicalPredicate reports whether p is kept as-is: the seven relations
-// whose inverse is listed second in each Allen pair, plus equals.
-func canonicalPredicate(p interval.Predicate) bool {
-	switch p {
-	case interval.Before, interval.Meets, interval.Overlaps, interval.Contains,
-		interval.Starts, interval.Finishes, interval.Equals:
-		return true
-	case interval.After, interval.MetBy, interval.OverlappedBy,
-		interval.ContainedBy, interval.StartedBy, interval.FinishedBy:
-		return false
-	default:
-		panic("query: canonicalPredicate: predicate outside the 13 Allen relations")
-	}
 }

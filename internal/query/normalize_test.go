@@ -15,7 +15,7 @@ func TestNormalizeCanonicalises(t *testing.T) {
 		t.Fatalf("condition count changed")
 	}
 	for _, c := range n.Conds {
-		if !canonicalPredicate(c.Pred) {
+		if !c.Pred.Canonical() {
 			t.Errorf("condition %v %v %v not canonical", c.Left, c.Pred, c.Right)
 		}
 	}

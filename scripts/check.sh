@@ -4,7 +4,7 @@
 # parent-vs-change on one host (scripts/pairs.sh, bench/README.md).
 #
 #   1. go vet        — static checks
-#   2. ijlint        — the engine's ten domain-specific analyzers
+#   2. ijlint        — the engine's nine domain-specific analyzers
 #                      (docs/LINTS.md; `ijlint -list` names them)
 #   3. go build      — the whole module compiles
 #   4. alloc smoke   — the contracts a count of objects pins, by name:
